@@ -103,10 +103,9 @@ cargo run --release --offline -p cblog-bench --bin obsreport -- \
 grep 'Bucket shares' /tmp/ci_obs_compare.html > /dev/null
 rm -f /tmp/ci_obs_compare.html
 
-echo "==> rtbench recovery smoke: parallel replay sweep (BENCH_rt_recovery.json)"
-# Same caveat as above: wall-clock cells are machine-dependent (and
-# this container may expose a single CPU, where parallel replay cannot
-# beat serial in wall time) — the smoke checks structure only.
+echo "==> rtbench recovery smoke: replay mode sweep (BENCH_rt_recovery.json)"
+# Same caveat as above: wall-clock cells are machine-dependent — the
+# smoke checks structure only.
 cargo run --release --offline -p cblog-bench --bin rtbench -- \
     --recovery --quick --wal-dir /tmp/ci_rtrec_wal --out BENCH_rt_recovery.json
 grep '"rt_recovery"' BENCH_rt_recovery.json > /dev/null
@@ -134,6 +133,24 @@ cargo run --release --offline -p cblog-bench --bin checker -- \
     --self-test > /tmp/ci_checker_selftest.txt 2>&1
 grep "planted undo-skip caught" /tmp/ci_checker_selftest.txt > /dev/null
 rm -f /tmp/ci_checker_selftest.txt
+
+echo "==> perf smoke: the benchmark's four workloads at small sizes (perf/run.sh --quick)"
+# Structure, correctness and the contract with BENCHMARK.json (names,
+# units, directions; zero failed share; one force per 16 commits and
+# no message on the grouped pair) — not speed, which the driver
+# measures against the parent commit.
+bash perf/run.sh --quick > /tmp/ci_perf_quick.txt
+rm -f /tmp/ci_perf_quick.txt
+
+echo "==> perf smoke: must-fail self-test"
+# One slot of the read-back oracle is falsified; a benchmark whose
+# correctness check cannot fail would report every run correct.
+if bash perf/run.sh --self-test > /tmp/ci_perf_selftest.txt 2>&1; then
+    echo "ERROR: perf read-back accepted a planted corruption" >&2
+    exit 1
+fi
+grep "planted corruption caught" /tmp/ci_perf_selftest.txt > /dev/null
+rm -f /tmp/ci_perf_selftest.txt
 
 echo "==> cargo fmt --check"
 cargo fmt --check

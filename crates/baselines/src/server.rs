@@ -858,11 +858,9 @@ impl ServerCluster {
         let mut committed: HashMap<TxnId, bool> = HashMap::new();
         let mut page_recs: Vec<(PageId, Psn, PageOp)> = Vec::new();
         let mut loser_ops: HashMap<TxnId, Vec<(PageId, Psn, PageOp)>> = HashMap::new();
-        let mut pos = start;
-        let end = self.log.end_lsn();
-        let bytes_scanned = end.0 - start.0;
-        while pos < end {
-            let (rec, next) = self.log.read_record(pos)?;
+        let bytes_scanned = self.log.end_lsn().0 - start.0;
+        for r in self.log.scan(start) {
+            let (_, rec) = r?;
             if rec.txn.node == node {
                 match &rec.payload {
                     LogPayload::Commit => {
@@ -910,7 +908,6 @@ impl ServerCluster {
                     page_recs.push((*pid, *psn_before, op.clone()));
                 }
             }
-            pos = next;
         }
         for (t, _) in committed.iter() {
             loser_ops.remove(t);

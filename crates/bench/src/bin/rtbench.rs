@@ -363,7 +363,7 @@ struct RecCell {
     crit_path_psns: u64,
     /// Sum of per-unit redo times — the serial cost of the waves.
     apply_serial_us: u64,
-    /// Sum of per-wave makespans — what the workers actually took.
+    /// Sum of per-wave makespans — what the waves' apply loops took.
     apply_makespan_us: u64,
     replay_us: u64,
     total_us: u64,
@@ -371,7 +371,9 @@ struct RecCell {
 
 /// One crash/recovery measurement on a fresh [`ThreadCluster`]:
 /// `rounds` committed update rounds per page, crash the owner, recover
-/// with `workers` replay threads (`0` = the paper's serial protocol).
+/// under `ReplayMode::Parallel { workers }` (`0` = `Serial`). The
+/// threaded runtime replays inline under every mode, so until it has
+/// a replay pool the cells of a sweep differ by noise only.
 fn run_recovery_cell(
     workers: usize,
     pages: u32,
@@ -559,13 +561,13 @@ fn main() {
     }
 
     if recovery {
-        // Wall-clock parallel replay: crash one owner with many
-        // independently-dirtied pages, recover at 1..8 workers.
+        // Wall-clock recovery: crash one owner with many
+        // independently-dirtied pages, recover under each replay mode.
         let pages: u32 = arg_after("--pages")
             .map(|s| s.parse().expect("--pages N"))
             .unwrap_or(if quick { 16 } else { 64 });
-        // Deep per-page chains: redo work per page must dwarf the
-        // per-wave thread-spawn cost for the parallelism to show.
+        // Deep per-page chains, so that the apply columns are
+        // milliseconds and not timer noise.
         let rounds = if quick { 4 } else { 512.max(txns) };
         run_recovery_bench(pages, rounds, &wal_dir, &out_path);
         let _ = std::fs::remove_dir_all(&wal_dir);

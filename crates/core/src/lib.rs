@@ -53,7 +53,7 @@ pub use cblog_net::{FaultAction, FaultPlan, FaultScript, FaultStats};
 pub use cluster::Cluster;
 pub use config::{ClusterConfig, ClusterConfigBuilder, GroupCommitPolicy, NodeConfig};
 pub use group_commit::{ForceScheduler, PendingCommit};
-pub use node::{AnalysisResult, Node, NodePsnEntry};
+pub use node::{AnalysisResult, Node, NodePsnEntry, RedoRecords};
 pub use recovery::{
     plan_replay, recover, PhaseTimings, RecoveryOptions, RecoveryReport, ReplayMode, ReplayPlan,
     ReplayUnit, WaveTiming,

@@ -44,6 +44,10 @@ pub struct NodePsnEntry {
     pub txn: TxnId,
 }
 
+/// One page's redo records in log order, as `(psn_before, op)`: what
+/// a PSN-filtered replay of the page applies.
+pub type RedoRecords = Vec<(Psn, PageOp)>;
+
 /// Summary of restart analysis (ARIES analysis pass over the local
 /// log, paper §2.3.1 / §2.4).
 #[derive(Clone, Debug, Default)]
@@ -751,11 +755,9 @@ impl Node {
         let mut dpt = DirtyPageTable::new();
         let mut records = 0u64;
         let mut max_seq = 0u64;
-        let scan_start = start;
-        let mut pos = start;
         let end = self.log.end_lsn();
-        while pos < end {
-            let (rec, next) = self.log.read_record(pos)?;
+        for r in self.log.scan(start) {
+            let (pos, rec) = r?;
             records += 1;
             if rec.txn.node == self.id {
                 max_seq = max_seq.max(rec.txn.seq);
@@ -842,9 +844,8 @@ impl Node {
                 }
                 LogPayload::AllocPage { .. } | LogPayload::FreePage { .. } => {}
             }
-            pos = next;
         }
-        let bytes_scanned = end.0 - scan_start.0;
+        let bytes_scanned = end.0 - start.0;
         let mut losers: Vec<TxnId> = att.keys().copied().collect();
         losers.sort();
         for (id, mut t) in att {
@@ -928,7 +929,32 @@ impl Node {
     /// updates one of the pages and belongs to a different transaction
     /// than the previous record recorded for that page.
     pub fn build_psn_list(&mut self, pages: &[PageId]) -> Result<Vec<NodePsnEntry>> {
-        let wanted: BTreeSet<PageId> = pages.iter().copied().collect();
+        self.scan_page_updates(pages, |_, _, _| {})
+    }
+
+    /// [`Node::build_psn_list`] and the redo records it walks past, in
+    /// one scan: the second value holds, for each of `pages` in order,
+    /// every `(psn_before, op)` the scanned range has for that page,
+    /// in log order. The range starts at or below each page's first
+    /// list entry, so the vectors are exactly what a PSN-filtered
+    /// replay from that entry would read — extracted here so replay
+    /// workers need neither the log nor `&mut self`.
+    pub fn build_psn_list_and_redo(
+        &mut self,
+        pages: &[PageId],
+    ) -> Result<(Vec<NodePsnEntry>, Vec<RedoRecords>)> {
+        let mut redo: Vec<RedoRecords> = vec![Vec::new(); pages.len()];
+        let list = self.scan_page_updates(pages, |i, psn, op| redo[i].push((psn, op)))?;
+        Ok((list, redo))
+    }
+
+    /// The scan behind the NodePSNList: hands every update to one of
+    /// `pages` to `on_update` as (index into `pages`, PSN before, op).
+    fn scan_page_updates(
+        &mut self,
+        pages: &[PageId],
+        mut on_update: impl FnMut(usize, Psn, PageOp),
+    ) -> Result<Vec<NodePsnEntry>> {
         let from = pages
             .iter()
             .filter_map(|p| self.dpt.get(*p).map(|e| e.redo_lsn))
@@ -936,24 +962,42 @@ impl Node {
         let Some(from) = from else {
             return Ok(Vec::new());
         };
+        // Page → (index into `pages`, transaction of its last entry).
+        let mut wanted: HashMap<PageId, (usize, Option<TxnId>)> = pages
+            .iter()
+            .enumerate()
+            .map(|(i, &pid)| (pid, (i, None)))
+            .collect();
         let mut out: Vec<NodePsnEntry> = Vec::new();
-        let mut last_txn: HashMap<PageId, TxnId> = HashMap::new();
-        let mut pos = from;
-        let end = self.log.end_lsn();
-        while pos < end {
-            let (rec, next) = self.log.read_record(pos)?;
-            if let (Some(pid), Some(psn)) = (rec.page(), rec.psn_before()) {
-                if wanted.contains(&pid) && last_txn.get(&pid) != Some(&rec.txn) {
-                    out.push(NodePsnEntry {
-                        pid,
-                        psn,
-                        lsn: pos,
-                        txn: rec.txn,
-                    });
-                    last_txn.insert(pid, rec.txn);
-                }
+        for r in self.log.scan(from) {
+            let (lsn, rec) = r?;
+            let (LogPayload::Update {
+                pid,
+                psn_before: psn,
+                op,
             }
-            pos = next;
+            | LogPayload::Clr {
+                pid,
+                psn_before: psn,
+                op,
+                ..
+            }) = rec.payload
+            else {
+                continue;
+            };
+            let Some((i, last_txn)) = wanted.get_mut(&pid) else {
+                continue;
+            };
+            if *last_txn != Some(rec.txn) {
+                out.push(NodePsnEntry {
+                    pid,
+                    psn,
+                    lsn,
+                    txn: rec.txn,
+                });
+                *last_txn = Some(rec.txn);
+            }
+            on_update(*i, psn, op);
         }
         Ok(out)
     }
@@ -970,11 +1014,10 @@ impl Node {
         bound: Option<Psn>,
     ) -> Result<(Lsn, u64, bool)> {
         let pid = page.id();
-        let mut pos = start_lsn;
         let end = self.log.end_lsn();
         let mut applied = 0u64;
-        while pos < end {
-            let (rec, next) = self.log.read_record(pos)?;
+        for r in self.log.scan(start_lsn) {
+            let (pos, rec) = r?;
             if rec.page() == Some(pid) {
                 let psn_before = rec.psn_before().expect("update/clr has psn");
                 if let Some(b) = bound {
@@ -988,70 +1031,8 @@ impl Node {
                     applied += 1;
                 }
             }
-            pos = next;
         }
         Ok((end, applied, false))
-    }
-
-    /// Extracts this node's redo records for `page` starting at
-    /// `start_lsn` as `(psn_before, op)` pairs, in log order. This is
-    /// the serial "log dispatch" half of parallel replay: one pass per
-    /// page over the local log here, then workers apply the extracted
-    /// ops concurrently under the same PSN filter [`Node::replay_page`]
-    /// uses — without needing `&mut self` (the log) at apply time.
-    pub fn collect_replay_records(
-        &mut self,
-        pid: PageId,
-        start_lsn: Lsn,
-    ) -> Result<Vec<(Psn, PageOp)>> {
-        let mut pos = start_lsn;
-        let end = self.log.end_lsn();
-        let mut out = Vec::new();
-        while pos < end {
-            let (rec, next) = self.log.read_record(pos)?;
-            if rec.page() == Some(pid) {
-                let psn_before = rec.psn_before().expect("update/clr has psn");
-                let op = rec.op().expect("update/clr has op").clone();
-                out.push((psn_before, op));
-            }
-            pos = next;
-        }
-        Ok(out)
-    }
-
-    /// Batched [`Node::collect_replay_records`]: one scan of the local
-    /// log serving every target page at once. `targets` maps each page
-    /// to the LSN its redo starts at; records before a page's start
-    /// are skipped. The threaded runtime extracts all replay units of
-    /// a crashed node this way — O(log) instead of O(pages × log) —
-    /// before handing the per-page vectors to parallel workers.
-    pub fn collect_replay_records_batch(
-        &mut self,
-        targets: &BTreeMap<PageId, Lsn>,
-    ) -> Result<BTreeMap<PageId, Vec<(Psn, PageOp)>>> {
-        let mut out: BTreeMap<PageId, Vec<(Psn, PageOp)>> =
-            targets.keys().map(|&pid| (pid, Vec::new())).collect();
-        let Some(&from) = targets.values().min() else {
-            return Ok(out);
-        };
-        let mut pos = from;
-        let end = self.log.end_lsn();
-        while pos < end {
-            let (rec, next) = self.log.read_record(pos)?;
-            if let Some(pid) = rec.page() {
-                if let Some(&start) = targets.get(&pid) {
-                    if pos >= start {
-                        let psn_before = rec.psn_before().expect("update/clr has psn");
-                        let op = rec.op().expect("update/clr has op").clone();
-                        out.get_mut(&pid)
-                            .expect("target vec exists")
-                            .push((psn_before, op));
-                    }
-                }
-            }
-            pos = next;
-        }
-        Ok(out)
     }
 
     /// Convenience for tests and the sim: read a u64 slot from the
@@ -1285,6 +1266,48 @@ mod tests {
         let psns: Vec<Psn> = list.iter().map(|e| e.psn).collect();
         // One entry per transaction burst: first update PSNs 1, 3, 4.
         assert_eq!(psns, vec![Psn(1), Psn(3), Psn(4)]);
+    }
+
+    #[test]
+    fn fused_pass_returns_the_psn_list_and_what_replay_would_read() {
+        // Two pages written by interleaved transactions (one aborts,
+        // so CLRs are in the log), a third page that is not asked for.
+        let mut n = node();
+        let pages = [load(&mut n, 0), load(&mut n, 1)];
+        let other = load(&mut n, 2);
+        for round in 0..6u64 {
+            let t = n.begin().unwrap();
+            upd(&mut n, t, pages[(round % 2) as usize], 0, 10 + round);
+            upd(&mut n, t, other, 0, round);
+            upd(&mut n, t, pages[((round + 1) % 2) as usize], 1, 20 + round);
+            if round == 3 {
+                n.start_abort(t).unwrap();
+                while n.rollback_step(t, Lsn::ZERO).unwrap() != RollbackStep::Done {}
+                n.finish_abort(t).unwrap();
+            } else {
+                n.commit(t).unwrap();
+            }
+        }
+        let list = n.build_psn_list(&pages).unwrap();
+        let (fused_list, redo) = n.build_psn_list_and_redo(&pages).unwrap();
+        assert_eq!(fused_list, list);
+        assert_eq!(redo.len(), pages.len());
+        for (pid, records) in pages.iter().zip(&redo) {
+            let first = list.iter().find(|e| e.pid == *pid).unwrap();
+            assert_eq!(records[0].0, first.psn, "starts at the page's first entry");
+            let disk = n.db.as_mut().unwrap().read_page(pid.index).unwrap();
+            let mut by_log = disk.clone();
+            let (_, applied, _) = n.replay_page(&mut by_log, first.lsn, None).unwrap();
+            let mut by_extract = disk;
+            for (psn_before, op) in records {
+                if *psn_before == by_extract.psn() {
+                    op.apply_redo(&mut by_extract).unwrap();
+                    by_extract.set_psn(psn_before.next());
+                }
+            }
+            assert_eq!(applied, records.len() as u64);
+            assert_eq!(by_extract.to_bytes(), by_log.to_bytes());
+        }
     }
 
     #[test]

@@ -93,9 +93,9 @@ pub trait Runtime {
 
     /// Runs distributed crash recovery per `opts` (paper §2.3/§2.4).
     /// Both engines plan Redo through the same pure [`crate::plan_replay`]
-    /// step and honor [`crate::ReplayMode`]: the simulator overlaps the
-    /// service times of a wave's units, the threaded engine replays
-    /// them on real worker threads.
+    /// step: under [`crate::ReplayMode::Parallel`] the simulator
+    /// overlaps the service times of a wave's units; the threaded
+    /// engine replays the waves in order on the calling thread.
     fn recover(&mut self, opts: &RecoveryOptions) -> Result<RecoveryReport>;
 }
 

@@ -335,8 +335,18 @@ impl LogManager {
     }
 
     /// Reads the record at `lsn`, returning it and the LSN of the next
-    /// record. Reads from the unflushed tail transparently.
+    /// record. Reads from the unflushed tail transparently. This is the
+    /// point read (undo chains follow `prev_lsn` backwards); forward
+    /// passes use [`LogManager::scan`].
     pub fn read_record(&mut self, lsn: Lsn) -> Result<(LogRecord, Lsn)> {
+        self.check_readable(lsn)?;
+        if lsn >= self.tail_start {
+            return self.read_tail(lsn, &mut (0, self.tail_start));
+        }
+        self.read_durable(lsn, &mut ReadWindow::default(), POINT_READ_AHEAD)
+    }
+
+    fn check_readable(&self, lsn: Lsn) -> Result<()> {
         if lsn < self.base_lsn {
             return Err(Error::Protocol(format!(
                 "read below truncation point: {lsn} < {}",
@@ -349,48 +359,81 @@ impl LogManager {
                 self.end_lsn
             )));
         }
-        if lsn >= self.tail_start {
-            let mut off = (lsn.0 - self.tail_start.0) as usize;
-            for chunk in &self.tail {
-                if off < chunk.len() {
-                    let (rec, n) = LogRecord::decode(&chunk[off..])?;
-                    return Ok((rec, lsn.advance(n as u64)));
-                }
-                off -= chunk.len();
+        Ok(())
+    }
+
+    /// Decodes the unflushed record at `lsn >= tail_start`. `cursor`
+    /// is a tail buffer index and that buffer's LSN; the walk moves it
+    /// forward only, so a scan that keeps it pays O(tail) in total.
+    fn read_tail(&self, lsn: Lsn, cursor: &mut (usize, Lsn)) -> Result<(LogRecord, Lsn)> {
+        while let Some(chunk) = self.tail.get(cursor.0) {
+            let off = (lsn.0 - cursor.1 .0) as usize;
+            if off < chunk.len() {
+                let (rec, n) = LogRecord::decode(&chunk[off..])?;
+                return Ok((rec, lsn.advance(n as u64)));
             }
-            return Err(Error::Corrupt(format!("tail read out of range at {lsn}")));
+            *cursor = (cursor.0 + 1, cursor.1.advance(chunk.len() as u64));
         }
+        Err(Error::Corrupt(format!("tail read out of range at {lsn}")))
+    }
+
+    /// Decodes the store-resident record at `lsn < tail_start` out of
+    /// `win`, refilling it with one `read_at` of the record plus up to
+    /// `read_ahead` bytes when the record is not wholly inside it.
+    fn read_durable(
+        &mut self,
+        lsn: Lsn,
+        win: &mut ReadWindow,
+        read_ahead: usize,
+    ) -> Result<(LogRecord, Lsn)> {
+        let durable = self.tail_start.0;
         // A store-resident record's 8-byte header must lie wholly below
         // the durable boundary. A stale LSN within 8 bytes of a
         // torn-tail truncation point would otherwise short-read the
         // store; every genuine record has total ≥ 8, so rejecting here
         // loses nothing.
-        if lsn.0 + 8 > self.tail_start.0 {
+        if lsn.0 + 8 > durable {
             return Err(Error::Corrupt(format!(
                 "record header at {lsn} crosses the durable boundary {}",
                 self.tail_start
             )));
         }
-        let mut header = [0u8; 8];
-        self.store.read_at(lsn.0, &mut header)?;
-        let total = u32::from_le_bytes(header[0..4].try_into().unwrap()) as usize;
-        if total < 8 || lsn.0 + total as u64 > self.tail_start.0 {
+        // Makes `win` hold `need` bytes at `lsn`; returns their offset.
+        let mut fill = |win: &mut ReadWindow, need: usize| -> Result<usize> {
+            if lsn.0 < win.start || lsn.0 + need as u64 > win.start + win.bytes.len() as u64 {
+                let len = (need.max(read_ahead) as u64).min(durable - lsn.0) as usize;
+                win.bytes.resize(len, 0);
+                win.start = lsn.0;
+                self.store.read_at(lsn.0, &mut win.bytes)?;
+            }
+            Ok((lsn.0 - win.start) as usize)
+        };
+        let off = fill(win, 8)?;
+        let total = u32::from_le_bytes(win.bytes[off..off + 4].try_into().unwrap()) as usize;
+        if total < 8 || lsn.0 + total as u64 > durable {
             return Err(Error::Corrupt(format!(
                 "bad record length {total} at {lsn}"
             )));
         }
-        let mut buf = vec![0u8; total];
-        self.store.read_at(lsn.0, &mut buf)?;
-        let (rec, n) = LogRecord::decode(&buf)?;
+        let off = fill(win, total)?;
+        let (rec, n) = LogRecord::decode(&win.bytes[off..off + total])?;
         Ok((rec, lsn.advance(n as u64)))
     }
 
     /// Iterates records from `from` to the end of the log (including
-    /// the unflushed tail).
+    /// the unflushed tail) — the one forward-scan primitive. The
+    /// cursor reads the store sequentially through a bounded
+    /// read-ahead window and decodes records out of it in place; at
+    /// every edge (truncation point, durable boundary, tail) a record
+    /// reads exactly as [`LogManager::read_record`] reads it. The
+    /// cursor borrows the manager, so the log cannot change under it.
     pub fn scan(&mut self, from: Lsn) -> LogScan<'_> {
         LogScan {
+            tail_cursor: (0, self.tail_start),
             lm: self,
             next: from,
+            failed: false,
+            win: ReadWindow::default(),
         }
     }
 
@@ -482,27 +525,22 @@ impl LogManager {
     pub fn repair_tail(&mut self) -> Result<u64> {
         debug_assert!(self.tail.is_empty(), "repair runs on a post-crash log");
         let len = self.store.len();
-        let mut pos = self
+        let pos = self
             .store
             .synced_len()
             .unwrap_or(self.master.last_checkpoint.0)
             .max(self.base_lsn.0)
             .min(len);
         self.repair_scanned.add(len - pos);
-        while pos + 8 <= len {
-            let mut header = [0u8; 8];
-            self.store.read_at(pos, &mut header)?;
-            let total = u32::from_le_bytes(header[0..4].try_into().unwrap()) as u64;
-            if total < 8 || pos + total > len {
-                break;
+        let mut scan = self.scan(Lsn(pos));
+        let pos = loop {
+            match scan.next() {
+                Some(Ok(_)) => {}
+                // Bad framing or checksum: the valid prefix ends here.
+                Some(Err(Error::Corrupt(_))) | None => break scan.position().0,
+                Some(Err(e)) => return Err(e),
             }
-            let mut buf = vec![0u8; total as usize];
-            self.store.read_at(pos, &mut buf)?;
-            if LogRecord::decode(&buf).is_err() {
-                break;
-            }
-            pos += total;
-        }
+        };
         let torn = len - pos;
         if torn > 0 {
             self.store.truncate_to(pos);
@@ -515,27 +553,60 @@ impl LogManager {
     }
 }
 
-/// Forward scan over log records.
+/// Read-ahead of a [`LogScan`]: large enough that a scan is a handful
+/// of syscalls per MiB, small enough that scanning never holds more
+/// than a sliver of the log in memory.
+const SCAN_READ_AHEAD: usize = 256 * 1024;
+
+/// Read-ahead of a point read: a typical record arrives with its
+/// header in one `read_at`.
+const POINT_READ_AHEAD: usize = 512;
+
+/// Store bytes `[start, start + bytes.len())` held in memory.
+#[derive(Default)]
+struct ReadWindow {
+    bytes: Vec<u8>,
+    start: u64,
+}
+
+/// Forward scan over log records (see [`LogManager::scan`]).
 pub struct LogScan<'a> {
     lm: &'a mut LogManager,
     next: Lsn,
+    /// Set by the first error: the scan yields it and then ends.
+    failed: bool,
+    win: ReadWindow,
+    tail_cursor: (usize, Lsn),
+}
+
+impl LogScan<'_> {
+    /// LSN of the record the scan would read next: the end of the last
+    /// record yielded, and where the scan stopped if it failed.
+    pub fn position(&self) -> Lsn {
+        self.next
+    }
 }
 
 impl Iterator for LogScan<'_> {
     type Item = Result<(Lsn, LogRecord)>;
 
     fn next(&mut self) -> Option<Self::Item> {
-        if self.next >= self.lm.end_lsn {
+        if self.failed || self.next >= self.lm.end_lsn {
             return None;
         }
         let lsn = self.next;
-        match self.lm.read_record(lsn) {
+        let read = match self.lm.check_readable(lsn) {
+            Err(e) => Err(e),
+            Ok(()) if lsn >= self.lm.tail_start => self.lm.read_tail(lsn, &mut self.tail_cursor),
+            Ok(()) => self.lm.read_durable(lsn, &mut self.win, SCAN_READ_AHEAD),
+        };
+        match read {
             Ok((rec, next)) => {
                 self.next = next;
                 Some(Ok((lsn, rec)))
             }
             Err(e) => {
-                self.next = self.lm.end_lsn; // stop after error
+                self.failed = true;
                 Some(Err(e))
             }
         }
@@ -567,6 +638,141 @@ mod tests {
                 },
             },
         }
+    }
+
+    /// A record whose after-image is `n` bytes, so a log of these has
+    /// records of every alignment against the read-ahead window.
+    fn sized_rec(seq: u64, prev: Lsn, n: usize) -> LogRecord {
+        LogRecord {
+            txn: TxnId::new(NodeId(1), seq),
+            prev_lsn: prev,
+            payload: LogPayload::Update {
+                pid: PageId::new(NodeId(1), (seq % 7) as u32),
+                psn_before: Psn(seq),
+                op: PageOp::WriteRange {
+                    off: 0,
+                    before: vec![0; 8],
+                    after: (0..n).map(|i| (seq as usize + i) as u8).collect(),
+                },
+            },
+        }
+    }
+
+    /// `scan(from)` must be a `read_record` loop: the same `(lsn,
+    /// record)` sequence, and where the loop would fail, that error
+    /// once and then the end.
+    fn assert_scan_matches_reads(lm: &mut LogManager, from: Lsn) {
+        let mut want = Vec::new();
+        let mut pos = from;
+        while pos < lm.end_lsn() {
+            match lm.read_record(pos) {
+                Ok((rec, next)) => {
+                    want.push(Ok((pos, rec)));
+                    pos = next;
+                }
+                Err(e) => {
+                    want.push(Err(e.to_string()));
+                    break;
+                }
+            }
+        }
+        let mut scan = lm.scan(from);
+        let got: Vec<_> = scan
+            .by_ref()
+            .map(|r| r.map_err(|e| e.to_string()))
+            .collect();
+        assert_eq!(got, want, "scan from {from}");
+        if want.last().is_some_and(|r| r.is_ok()) {
+            assert_eq!(
+                scan.position(),
+                pos,
+                "a clean scan ends at the end of the log"
+            );
+        }
+        assert!(scan.next().is_none(), "a finished scan stays finished");
+    }
+
+    /// Fills `lm` past several read-ahead windows with records of
+    /// mixed sizes (one larger than a window), forces most of it and
+    /// leaves a multi-record unflushed tail.
+    fn fill_past_read_ahead(lm: &mut LogManager) -> Vec<Lsn> {
+        let mut lsns = Vec::new();
+        let mut prev = Lsn::ZERO;
+        let mut seq = 0u64;
+        while lm.end_lsn().0 < 3 * SCAN_READ_AHEAD as u64 {
+            seq += 1;
+            let n = match seq % 50 {
+                0 => SCAN_READ_AHEAD + 1000,
+                k => 8 + (seq as usize * 37 + k as usize * 101) % 3000,
+            };
+            prev = lm.append(&sized_rec(seq, prev, n)).unwrap();
+            lsns.push(prev);
+            if seq % 16 == 0 {
+                lm.force_all().unwrap();
+            }
+        }
+        lm.force_all().unwrap();
+        for _ in 0..5 {
+            seq += 1;
+            prev = lm.append(&sized_rec(seq, prev, 100)).unwrap();
+            lsns.push(prev);
+        }
+        assert!(lm.tail_bytes() > 0);
+        lsns
+    }
+
+    fn scan_equals_read_loop_on(mut lm: LogManager) {
+        let lsns = fill_past_read_ahead(&mut lm);
+        // Replay the windowing: a record that starts inside the window
+        // and ends beyond it forces a refill from its own start.
+        let durable = lm.flushed_lsn().0;
+        let mut win_end = (8 + SCAN_READ_AHEAD as u64).min(durable);
+        let mut straddlers = 0;
+        for w in lsns.windows(2) {
+            let (a, b) = (w[0].0, w[1].0);
+            if b <= durable && b > win_end {
+                straddlers += (a < win_end) as usize;
+                win_end = (a + (b - a).max(SCAN_READ_AHEAD as u64)).min(durable);
+            }
+        }
+        assert!(straddlers >= 2, "records must cross window boundaries");
+        assert_scan_matches_reads(&mut lm, Lsn(8));
+        let got: Vec<Lsn> = lm.scan(Lsn(8)).map(|r| r.unwrap().0).collect();
+        assert_eq!(got, lsns);
+        // From the middle of the store, from the first tail record,
+        // from inside the tail, and from a mid-record offset (garbage
+        // framing or a checksum error, the same either way).
+        let n = lsns.len();
+        for from in [
+            lsns[n / 2],
+            lsns[n - 5],
+            lsns[n - 2],
+            lsns[n / 3].advance(3),
+        ] {
+            assert_scan_matches_reads(&mut lm, from);
+        }
+        // Below the truncation point both refuse.
+        lm.truncate(lsns[10]);
+        assert_scan_matches_reads(&mut lm, lsns[9]);
+        assert_scan_matches_reads(&mut lm, lsns[10]);
+    }
+
+    #[test]
+    fn scan_equals_read_loop_past_the_read_ahead_mem() {
+        scan_equals_read_loop_on(lm());
+    }
+
+    #[test]
+    fn scan_equals_read_loop_past_the_read_ahead_file() {
+        let path = std::env::temp_dir().join(format!(
+            "cblog-scan-test-{}-{:?}",
+            std::process::id(),
+            std::thread::current().id()
+        ));
+        let _ = std::fs::remove_file(&path);
+        let store = crate::store::FileLogStore::open(&path).unwrap();
+        scan_equals_read_loop_on(LogManager::new(NodeId(1), Box::new(store)).unwrap());
+        let _ = std::fs::remove_file(&path);
     }
 
     #[test]
@@ -783,6 +989,7 @@ mod tests {
                 Err(Error::Corrupt(_)) => {}
                 other => panic!("offset {off} below boundary: {other:?}"),
             }
+            assert_scan_matches_reads(&mut lm, Lsn(end - off));
         }
         // The same sweep against a truncated torn tail: the boundary
         // moved back, stale LSNs beyond it must still fail cleanly.
@@ -796,6 +1003,7 @@ mod tests {
                 Err(Error::Corrupt(_)) => {}
                 other => panic!("offset {off} after repair: {other:?}"),
             }
+            assert_scan_matches_reads(&mut lm, Lsn(end - off));
         }
     }
 
@@ -1018,9 +1226,11 @@ mod tests {
                     end, want,
                     "landed={landed} corrupt={corrupt}: repair landed off-boundary"
                 );
-                // Everything kept is readable from the anchor down.
+                // Everything kept is readable from the anchor down,
+                // by scan exactly as by point reads.
                 let kept: Vec<_> = lm.scan(Lsn(8)).collect::<Result<_>>().unwrap();
                 assert!(kept.len() >= 4, "landed={landed}: forced records lost");
+                assert_scan_matches_reads(&mut lm, Lsn(8));
             }
         }
     }

@@ -12,7 +12,8 @@
 
 use cblog_common::{Counter, Error, Result};
 use std::fs::{File, OpenOptions};
-use std::io::{IoSlice, Read, Seek, SeekFrom, Write};
+use std::io::{IoSlice, Seek, SeekFrom, Write};
+use std::os::unix::fs::FileExt;
 use std::path::{Path, PathBuf};
 
 /// Append-oriented durable byte store with a master record side-slot.
@@ -284,8 +285,9 @@ impl LogStore for FileLogStore {
         if pos + buf.len() as u64 > self.len {
             return Err(Error::Corrupt("log read past end".into()));
         }
-        self.file.seek(SeekFrom::Start(pos))?;
-        self.file.read_exact(buf)?;
+        // Positioned: one syscall, and the cursor `append` writes at
+        // stays where the last append left it.
+        self.file.read_exact_at(buf, pos)?;
         Ok(())
     }
 
