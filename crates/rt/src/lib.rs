@@ -192,7 +192,7 @@ pub struct RtRunStats {
 /// integer µs: `disk + cpu + net + replay == busy`, with `lock_wait`
 /// accounted beside busy and `busy + lock_wait <= wall`. The
 /// remainder of the wall time is idle parking in `recv_timeout`
-/// (group-commit windows, shutdown straggler service), which is
+/// (serving stragglers once this node's lanes are done), which is
 /// deliberately not attributed to any bucket.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct RtNodeStats {
@@ -804,8 +804,8 @@ struct WorkerOutcome {
 /// the simulator's partition invariant exactly in integer µs:
 /// `busy = outer − lock_wait` and `cpu = busy − disk − net`, so
 /// `disk + cpu + net == busy` by construction. Time parked in
-/// `recv_timeout` between scopes (group-commit windows, shutdown
-/// stragglers) is idle and deliberately unattributed.
+/// `recv_timeout` between scopes (shutdown stragglers) is idle and
+/// deliberately unattributed.
 #[derive(Clone, Copy, Debug, Default)]
 struct Prof {
     outer_us: u64,
@@ -831,8 +831,8 @@ impl Prof {
 struct Lane {
     plans: Vec<TxnPlan>,
     next: usize,
-    /// Parked commit: (txn, submit time, lock token).
-    waiting: Option<(TxnId, SimTime, u64)>,
+    /// Parked commit: (txn, submit time).
+    waiting: Option<(TxnId, SimTime)>,
     retries: usize,
 }
 
@@ -909,7 +909,6 @@ fn run_worker(
                 &mut node,
                 &mut sched,
                 &mut lanes,
-                &locks,
                 &clock,
                 &latency,
                 &samples,
@@ -945,7 +944,7 @@ fn run_worker(
             )?);
             match outcome {
                 TxnOutcome::Committing(txn, at) => {
-                    lanes[li].waiting = Some((txn, at, token_of(txn)));
+                    lanes[li].waiting = Some((txn, at));
                     lanes[li].retries = 0;
                 }
                 TxnOutcome::Done => {
@@ -975,7 +974,6 @@ fn run_worker(
                     &mut node,
                     &mut sched,
                     &mut lanes,
-                    &locks,
                     &clock,
                     &latency,
                     &samples,
@@ -999,28 +997,22 @@ fn run_worker(
         }
 
         if !progressed {
-            // Every live lane is parked on a group-commit window.
-            let now = clock.now_us();
-            if sched.is_due(now) {
-                outer!(flush(
-                    &mut node,
-                    &mut sched,
-                    &mut lanes,
-                    &locks,
-                    &clock,
-                    &latency,
-                    &samples,
-                    &mut report,
-                    &mut prof,
-                    &mut buf,
-                    &mut forced_bytes,
-                )?);
-            } else if let Some(d) = sched.deadline() {
-                let wait = d.saturating_sub(now).clamp(1, 5_000);
-                if let Some(env) = ep.recv_timeout(Duration::from_micros(wait)) {
-                    outer!(serve(&mut node, &ep, env, &clock, &mut prof, &mut buf)?);
-                }
-            }
+            // Every live lane of this node is parked on the scheduler,
+            // and only a lane can submit a commit: nobody can join the
+            // batch before a force acks part of it, so holding the
+            // window open to its deadline buys nothing. Force now.
+            outer!(flush(
+                &mut node,
+                &mut sched,
+                &mut lanes,
+                &clock,
+                &latency,
+                &samples,
+                &mut report,
+                &mut prof,
+                &mut buf,
+                &mut forced_bytes,
+            )?);
         }
     }
 
@@ -1101,13 +1093,13 @@ fn run_txn(
             PlanOp::Write { pid, .. } => (pid, LockMode::Exclusive),
         };
         if mode == LockMode::Exclusive && pid.owner != me {
-            abort_txn(node, ep, locks, txn, token)?;
+            abort_txn(node, locks, plan, txn, token)?;
             return Err(Error::Protocol(format!(
                 "{me} plan writes remote page {pid}: the threaded runtime only writes owned pages"
             )));
         }
         if !acquire(node, ep, locks, pid, token, mode, clock, prof, buf)? {
-            abort_txn(node, ep, locks, txn, token)?;
+            abort_txn(node, locks, plan, txn, token)?;
             report.forced_aborts += 1;
             end_txn_span(buf, span, me, t_start, clock.now_us(), txn, false);
             return Ok(TxnOutcome::Retry);
@@ -1158,7 +1150,7 @@ fn run_txn(
         report.ops_executed += 1;
     }
     if plan.abort {
-        abort_txn(node, ep, locks, txn, token)?;
+        abort_txn(node, locks, plan, txn, token)?;
         report.user_aborts += 1;
         end_txn_span(buf, span, me, t_start, clock.now_us(), txn, false);
         return Ok(TxnOutcome::Done);
@@ -1168,7 +1160,7 @@ fn run_txn(
     // early release is safe here because cross-thread visibility of
     // this transaction's updates requires a page ship, and the serving
     // path forces the whole log first (WAL rule).
-    locks.release_all(token);
+    release_locks(locks, plan, token);
     let now = clock.now_us();
     sched.submit(txn, lsn, now);
     end_txn_span(buf, span, me, t_start, now, txn, true);
@@ -1185,7 +1177,6 @@ fn flush(
     node: &mut Node,
     sched: &mut ForceScheduler,
     lanes: &mut [Lane],
-    locks: &ShardedLockTable,
     clock: &WallClock,
     latency: &Histogram,
     samples: &Reservoir,
@@ -1207,14 +1198,11 @@ fn flush(
         acked += 1;
         let now = clock.now_us();
         for lane in lanes.iter_mut() {
-            if let Some((w, at, token)) = lane.waiting {
+            if let Some((w, at)) = lane.waiting {
                 if w == txn {
                     let d = now.saturating_sub(at);
                     latency.record(d);
                     samples.record(d);
-                    // Locks were released at commit_begin; the token is
-                    // kept only for debugging, clear defensively.
-                    locks.release_all(token);
                     lane.waiting = None;
                     lane.next += 1;
                     break;
@@ -1278,8 +1266,8 @@ fn acquire(
 
 fn abort_txn(
     node: &mut Node,
-    _ep: &ChannelEndpoint,
     locks: &ShardedLockTable,
+    plan: &TxnPlan,
     txn: TxnId,
     token: u64,
 ) -> Result<()> {
@@ -1294,8 +1282,20 @@ fn abort_txn(
         }
     }
     node.finish_abort(txn)?;
-    locks.release_all(token);
+    release_locks(locks, plan, token);
     Ok(())
+}
+
+/// Ends `token`'s transaction in the lock table. A transaction only
+/// ever locks the pages of its plan's ops, so releasing those (a page
+/// not held — a forced abort stopped before it, or it repeats in the
+/// plan — is a no-op) is `release_all` without taking every shard and
+/// walking every locked page of every other transaction.
+fn release_locks(locks: &ShardedLockTable, plan: &TxnPlan, token: u64) {
+    for op in &plan.ops {
+        let (PlanOp::Read { pid, .. } | PlanOp::Write { pid, .. }) = *op;
+        locks.release(pid, token);
+    }
 }
 
 /// Brings an owned page into the buffer (from disk if necessary). The
@@ -1679,6 +1679,36 @@ mod tests {
         );
         let snap = tc.latency().snapshot();
         assert_eq!(snap.count, 16, "every commit's latency was recorded");
+    }
+
+    #[test]
+    fn a_lone_lane_is_forced_at_once_not_at_the_window_deadline() {
+        // One lane: while its commit is parked nobody can submit
+        // another, so the adaptive window (which settles at its 2 ms
+        // maximum when commits arrive a window apart) must not be
+        // waited out. Each commit is forced as soon as it parks.
+        let mut tc = ThreadCluster::new(ThreadClusterConfig {
+            owned_pages: vec![16],
+            group_commit: GroupCommitPolicy::Adaptive {
+                min_window_us: 50,
+                max_window_us: 2_000,
+                target_batch: 8,
+            },
+            ..ThreadClusterConfig::default()
+        })
+        .unwrap();
+        let plans: Vec<_> = (0..200u64)
+            .map(|t| wplan(0, 0, &[(pid(0, 0), 0, t + 1)]))
+            .collect();
+        let report = tc.run(&plans).unwrap();
+        assert_eq!(report.committed, 200);
+        let stats = tc.last_stats().unwrap();
+        assert_eq!(stats.forces, 200, "a batch of one per commit");
+        assert!(
+            stats.wall_us < 100_000,
+            "200 lone commits took {} us: the worker slept on the window",
+            stats.wall_us
+        );
     }
 
     // ---- recovery against the simulator (see also tests/equivalence.rs;

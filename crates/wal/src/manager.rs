@@ -617,7 +617,7 @@ impl Iterator for LogScan<'_> {
 mod tests {
     use super::*;
     use crate::record::{LogPayload, PageOp};
-    use crate::store::MemLogStore;
+    use crate::store::{MemLogStore, TempLog};
     use cblog_common::{PageId, Psn, TxnId};
 
     fn lm() -> LogManager {
@@ -867,9 +867,22 @@ mod tests {
 
     #[test]
     fn torn_crash_keeps_valid_prefix_and_repair_discards_the_rest() {
+        torn_crash_sweep(&|| Box::new(MemLogStore::new()));
+    }
+
+    /// The same sweep on a file store: every torn byte lands inside
+    /// the reservation, over zeros, and the repair cuts by zeroing.
+    #[test]
+    fn torn_crash_sweep_inside_a_file_reservation() {
+        let tmp = TempLog::new("torn-sweep");
+        torn_crash_sweep(&|| Box::new(tmp.fresh()));
+    }
+
+    fn torn_crash_sweep(store: &dyn Fn() -> Box<dyn LogStore>) {
         // Tear at every byte offset of a 3-record unsynced batch: after
         // repair, exactly the records fully (and validly) landed
         // survive; everything else is discarded, never replayed.
+        let lm = || LogManager::new(NodeId(1), store()).unwrap();
         let mut probe = lm();
         let mut prev = Lsn::ZERO;
         let mut sizes = Vec::new();
@@ -1121,7 +1134,7 @@ mod tests {
     /// reopened file case — so [`LogManager::repair_tail`] must fall
     /// back to the master record's checkpoint anchor and rescan the
     /// forced suffix it can no longer trust blindly.
-    struct OpaqueSyncStore(MemLogStore);
+    struct OpaqueSyncStore(Box<dyn LogStore>);
 
     impl LogStore for OpaqueSyncStore {
         fn len(&self) -> u64 {
@@ -1172,9 +1185,20 @@ mod tests {
     /// corrupted.
     #[test]
     fn repair_fallback_per_byte_sweep_over_anchor_boundary() {
+        repair_fallback_sweep(&|| Box::new(MemLogStore::new()));
+    }
+
+    /// The same sweep with the torn bytes landing inside a file
+    /// store's reservation.
+    #[test]
+    fn repair_fallback_sweep_inside_a_file_reservation() {
+        let tmp = TempLog::new("fallback-sweep");
+        repair_fallback_sweep(&|| Box::new(tmp.fresh()));
+    }
+
+    fn repair_fallback_sweep(store: &dyn Fn() -> Box<dyn LogStore>) {
         let build = || {
-            let mut lm =
-                LogManager::new(NodeId(1), Box::new(OpaqueSyncStore(MemLogStore::new()))).unwrap();
+            let mut lm = LogManager::new(NodeId(1), Box::new(OpaqueSyncStore(store()))).unwrap();
             // Anchored history: two records forced, master points at
             // the second (the checkpoint stand-in), two more forced
             // past the anchor, two left pending in the tail.
@@ -1232,6 +1256,53 @@ mod tests {
                 assert!(kept.len() >= 4, "landed={landed}: forced records lost");
                 assert_scan_matches_reads(&mut lm, Lsn(8));
             }
+        }
+    }
+
+    /// Unclean exit of a file store: its reservation stays on disk, so
+    /// the reopened store is physically longer than the log and cannot
+    /// say where it was synced. Restart must end at the last synced
+    /// record and lose none — from the checkpoint anchor when there is
+    /// one, from the truncation point when there is not.
+    #[test]
+    fn unclean_exit_leaves_a_reservation_that_repair_cuts_off() {
+        for anchored in [false, true] {
+            let tmp = TempLog::new("unclean");
+            let mut lm = LogManager::new(NodeId(1), Box::new(tmp.open())).unwrap();
+            let mut prev = Lsn::ZERO;
+            let mut lsns = Vec::new();
+            for i in 1..=40 {
+                prev = lm
+                    .append(&sized_rec(i, prev, 30 + (i as usize * 37) % 300))
+                    .unwrap();
+                lsns.push(prev);
+                if i % 4 == 0 {
+                    lm.force_all().unwrap();
+                }
+                if anchored && i == 20 {
+                    lm.write_master(prev).unwrap();
+                }
+            }
+            let end = lm.end_lsn();
+            assert_eq!(lm.flushed_lsn(), end);
+            std::mem::forget(lm);
+
+            let store = tmp.open();
+            assert!(store.len() > end.0, "the reservation survived the exit");
+            let mut lm = LogManager::new(NodeId(1), Box::new(store)).unwrap();
+            let reserved = lm.end_lsn().0 - end.0;
+            assert_eq!(lm.repair_tail().unwrap(), reserved, "only zeros are cut");
+            assert_eq!(lm.end_lsn(), end, "restart ends at the last synced record");
+            let got: Vec<Lsn> = lm.scan(lsns[0]).map(|r| r.unwrap().0).collect();
+            assert_eq!(got, lsns, "no synced record lost");
+            assert_eq!(lm.repair_tail().unwrap(), 0, "idempotent");
+            // The log goes on from there, and a clean exit trims it.
+            let next = lm.append(&rec(41, prev)).unwrap();
+            assert_eq!(next, end);
+            lm.force_all().unwrap();
+            let end = lm.end_lsn();
+            drop(lm);
+            assert_eq!(tmp.open().len(), end.0);
         }
     }
 }

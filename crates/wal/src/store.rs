@@ -12,7 +12,7 @@
 
 use cblog_common::{Counter, Error, Result};
 use std::fs::{File, OpenOptions};
-use std::io::{IoSlice, Seek, SeekFrom, Write};
+use std::io::Write;
 use std::os::unix::fs::FileExt;
 use std::path::{Path, PathBuf};
 
@@ -37,7 +37,7 @@ pub trait LogStore: Send {
     /// write (group commit: the coalesced tail goes down in a single
     /// operation followed by a single [`LogStore::sync`]). The default
     /// implementation loops over [`LogStore::append`]; stores backed by
-    /// real I/O should override it with a vectored write.
+    /// real I/O should override it with a single write.
     fn append_vectored(&mut self, bufs: &[&[u8]]) -> Result<()> {
         for b in bufs {
             self.append(b)?;
@@ -192,23 +192,66 @@ impl LogStore for MemLogStore {
     }
 }
 
+/// Reservations end on a multiple of this, so the first step (taken by
+/// the preamble) is one page.
+const RESERVE_ALIGN: u64 = 4096;
+/// Largest reservation step: a long log pays one extending force per
+/// this many bytes.
+const RESERVE_MAX: u64 = 4 << 20;
+/// What reservations and cuts are filled from.
+static ZEROS: [u8; 64 * 1024] = [0; 64 * 1024];
+
 /// File-backed log store (`<path>` data file + `<path>.master`).
+///
+/// The file is kept physically longer than the log. An `fdatasync`
+/// after a write that extends the file must also journal the new size,
+/// and one into a hole or an unwritten (`fallocate`d) extent must
+/// journal the extent's conversion; only a write over blocks that were
+/// already written flushes data alone, which on this class of device
+/// halves the force. So before an append would pass the reserved end
+/// the store writes real zeros ahead ([`FileLogStore::reserve`]), and
+/// steady-state appends overwrite them.
+///
+/// **Invariant: every byte in `[len, physical_len)` is zero.** A zero
+/// record header has `total < 8`, which the log manager's readers
+/// reject as `Corrupt`, so reserved bytes can never pass for a record:
+/// restart repair that meets them (a reopened file after an unclean
+/// exit) stops exactly as it stops at a torn write. Everything that
+/// moves `len` back — [`LogStore::crash`],
+/// [`LogStore::crash_with_partial_tail`], [`LogStore::truncate_to`] —
+/// therefore zeroes the range it cuts instead of shrinking the file,
+/// which also keeps the reservation for the forces recovery itself
+/// issues. Lengths, reads, the durable hash and `bytes_appended` are
+/// all logical: reserved zeros are not log bytes.
+///
+/// A clean drop trims the file to `len`. After an unclean exit the
+/// reservation is still on disk and [`FileLogStore::open`] can only
+/// report the physical length, with `synced_len() == None`: the
+/// manager's `repair_tail` then rescans from the checkpoint anchor and
+/// cuts the zeros off like any torn tail.
 #[derive(Debug)]
 pub struct FileLogStore {
     file: File,
     master_path: PathBuf,
+    /// Logical end of the log.
     len: u64,
+    /// File size; `>= len`, and zero from `len` on.
+    physical_len: u64,
     durable_len: u64,
     /// `None` until the first in-process sync: the reopened file's
     /// tail cannot be distinguished from a torn write.
     synced_len: Option<u64>,
+    /// A multi-buffer batch is gathered here so it goes down as one
+    /// positioned write; reused across forces.
+    batch: Vec<u8>,
     syncs: Counter,
     bytes: Counter,
     fsync_us: cblog_common::Histogram,
 }
 
 impl FileLogStore {
-    /// Opens (creating if absent) the log at `path`.
+    /// Opens (creating if absent) the log at `path`. Nothing is
+    /// reserved here; the first append takes the first step.
     pub fn open(path: &Path) -> Result<Self> {
         let file = OpenOptions::new()
             .read(true)
@@ -223,12 +266,62 @@ impl FileLogStore {
             file,
             master_path: PathBuf::from(master_path),
             len,
+            physical_len: len,
             durable_len: len,
             synced_len: None,
+            batch: Vec::new(),
             syncs: Counter::new(),
             bytes: Counter::new(),
             fsync_us: cblog_common::Histogram::new(),
         })
+    }
+
+    /// Writes zeros over `[from, to)`.
+    fn zero(&mut self, from: u64, to: u64) -> std::io::Result<()> {
+        let mut pos = from;
+        while pos < to {
+            let n = (to - pos).min(ZEROS.len() as u64) as usize;
+            self.file.write_all_at(&ZEROS[..n], pos)?;
+            pos += n as u64;
+        }
+        Ok(())
+    }
+
+    /// Makes the file reach at least `end`, extending it with written
+    /// zeros by as much again as the log will hold ([`RESERVE_MAX`] at
+    /// most, up to a page boundary): the steps double with the log, so
+    /// a run pays a handful of extending forces and a short log never
+    /// reserves much more than it uses.
+    fn reserve(&mut self, end: u64) -> std::io::Result<()> {
+        if end <= self.physical_len {
+            return Ok(());
+        }
+        let to = (end + end.min(RESERVE_MAX)).next_multiple_of(RESERVE_ALIGN);
+        self.zero(self.physical_len, to)?;
+        self.physical_len = to;
+        Ok(())
+    }
+
+    /// One positioned write of `bytes` at the logical end, over
+    /// reserved zeros. A failed write may have landed a prefix, which
+    /// is zeroed again (best effort) to keep the invariant.
+    fn write_at_end(&mut self, bytes: &[u8]) -> std::io::Result<()> {
+        let end = self.len + bytes.len() as u64;
+        self.reserve(end)?;
+        if let Err(e) = self.file.write_all_at(bytes, self.len) {
+            let _ = self.zero(self.len, end);
+            return Err(e);
+        }
+        self.len = end;
+        Ok(())
+    }
+}
+
+impl Drop for FileLogStore {
+    fn drop(&mut self) {
+        if self.physical_len > self.len {
+            let _ = self.file.set_len(self.len);
+        }
     }
 }
 
@@ -238,55 +331,29 @@ impl LogStore for FileLogStore {
     }
 
     fn append(&mut self, bytes: &[u8]) -> Result<()> {
-        self.file.seek(SeekFrom::Start(self.len))?;
-        self.file.write_all(bytes)?;
-        self.len += bytes.len() as u64;
+        self.write_at_end(bytes)?;
         self.bytes.add(bytes.len() as u64);
         Ok(())
     }
 
     fn append_vectored(&mut self, bufs: &[&[u8]]) -> Result<()> {
-        let total: u64 = bufs.iter().map(|b| b.len() as u64).sum();
-        if total == 0 {
-            return Ok(());
+        if let [one] = bufs {
+            return self.append(one);
         }
-        self.file.seek(SeekFrom::Start(self.len))?;
-        let bufs: Vec<&[u8]> = bufs.iter().filter(|b| !b.is_empty()).copied().collect();
-        // write_vectored may write a prefix; rebuild the slice list past
-        // what landed and retry until the whole batch is down.
-        let mut written = 0u64;
-        while written < total {
-            let mut skip = written as usize;
-            let slices: Vec<IoSlice<'_>> = bufs
-                .iter()
-                .filter_map(|b| {
-                    if skip >= b.len() {
-                        skip -= b.len();
-                        None
-                    } else {
-                        let s = &b[skip..];
-                        skip = 0;
-                        Some(IoSlice::new(s))
-                    }
-                })
-                .collect();
-            let n = self.file.write_vectored(&slices)?;
-            if n == 0 {
-                return Err(Error::Io(std::io::ErrorKind::WriteZero.into()));
-            }
-            written += n as u64;
+        let mut batch = std::mem::take(&mut self.batch);
+        batch.clear();
+        for b in bufs {
+            batch.extend_from_slice(b);
         }
-        self.len += total;
-        self.bytes.add(total);
-        Ok(())
+        let r = self.append(&batch);
+        self.batch = batch;
+        r
     }
 
     fn read_at(&mut self, pos: u64, buf: &mut [u8]) -> Result<()> {
         if pos + buf.len() as u64 > self.len {
             return Err(Error::Corrupt("log read past end".into()));
         }
-        // Positioned: one syscall, and the cursor `append` writes at
-        // stays where the last append left it.
         self.file.read_exact_at(buf, pos)?;
         Ok(())
     }
@@ -326,27 +393,29 @@ impl LogStore for FileLogStore {
     }
 
     fn crash(&mut self) {
-        let _ = self.file.set_len(self.durable_len);
+        let _ = self.zero(self.durable_len, self.len);
         self.len = self.durable_len;
     }
 
     fn crash_with_partial_tail(&mut self, partial: &[u8]) {
         self.crash();
-        if !partial.is_empty() {
-            let r = self
-                .file
-                .seek(SeekFrom::Start(self.len))
-                .and_then(|_| self.file.write_all(partial));
-            if r.is_ok() {
-                self.len += partial.len() as u64;
-            }
-        }
+        let _ = self.write_at_end(partial);
         self.durable_len = self.len;
     }
 
     fn truncate_to(&mut self, len: u64) {
         if len < self.len {
-            let _ = self.file.set_len(len);
+            // This is the cut restart repair makes, the one that also
+            // runs after a real crash. It must be on the device before
+            // records are appended over it: were the zeros and the new
+            // records to reach the device in one later flush that a
+            // second crash interrupts, a stale record from the cut
+            // range could line up behind the new ones and read back
+            // as valid. (Shrinking the file got this ordering from the
+            // file system's journal.) Not a log force, so not counted.
+            let _ = self
+                .zero(len, self.len)
+                .and_then(|()| self.file.sync_data());
             self.len = len;
         }
         self.durable_len = self.durable_len.min(self.len);
@@ -363,6 +432,47 @@ impl LogStore for FileLogStore {
 
     fn fsync_hist(&self) -> Option<&cblog_common::Histogram> {
         Some(&self.fsync_us)
+    }
+}
+
+/// A file store at a fresh temporary path, for tests here and in the
+/// log manager; the files go when the guard does.
+#[cfg(test)]
+pub(crate) struct TempLog(PathBuf);
+
+#[cfg(test)]
+impl TempLog {
+    pub(crate) fn new(tag: &str) -> Self {
+        static NEXT: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
+        let n = NEXT.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+        let name = format!("cblog-log-{tag}-{}-{n}", std::process::id());
+        let t = TempLog(std::env::temp_dir().join(name));
+        t.remove();
+        t
+    }
+
+    pub(crate) fn open(&self) -> FileLogStore {
+        FileLogStore::open(&self.0).unwrap()
+    }
+
+    /// Opens an empty store at the path, unlinking what was there.
+    pub(crate) fn fresh(&self) -> FileLogStore {
+        self.remove();
+        self.open()
+    }
+
+    fn remove(&self) {
+        let mut master = self.0.clone().into_os_string();
+        master.push(".master");
+        let _ = std::fs::remove_file(&self.0);
+        let _ = std::fs::remove_file(master);
+    }
+}
+
+#[cfg(test)]
+impl Drop for TempLog {
+    fn drop(&mut self) {
+        self.remove();
     }
 }
 
@@ -401,31 +511,17 @@ mod tests {
 
     #[test]
     fn file_store() {
-        let dir = std::env::temp_dir();
-        let path = dir.join(format!(
-            "cblog-log-test-{}-{:?}",
-            std::process::id(),
-            std::thread::current().id()
-        ));
-        let master = {
-            let mut m = path.as_os_str().to_owned();
-            m.push(".master");
-            PathBuf::from(m)
-        };
-        let _ = std::fs::remove_file(&path);
-        let _ = std::fs::remove_file(&master);
+        let tmp = TempLog::new("basic");
         {
-            let mut s = FileLogStore::open(&path).unwrap();
+            let mut s = tmp.open();
             exercise(&mut s);
         }
         {
             // Reopen: synced bytes and master survive.
-            let mut s = FileLogStore::open(&path).unwrap();
+            let mut s = tmp.open();
             assert_eq!(s.len(), 11);
             assert_eq!(s.read_master().unwrap(), b"anchor2");
         }
-        let _ = std::fs::remove_file(&path);
-        let _ = std::fs::remove_file(&master);
     }
 
     #[test]
@@ -493,63 +589,35 @@ mod tests {
 
     #[test]
     fn file_store_torn_tail() {
-        let dir = std::env::temp_dir();
-        let path = dir.join(format!(
-            "cblog-log-torn-test-{}-{:?}",
-            std::process::id(),
-            std::thread::current().id()
-        ));
-        let master = {
-            let mut m = path.as_os_str().to_owned();
-            m.push(".master");
-            PathBuf::from(m)
-        };
-        let _ = std::fs::remove_file(&path);
-        let _ = std::fs::remove_file(&master);
+        let tmp = TempLog::new("torn");
         {
-            let mut s = FileLogStore::open(&path).unwrap();
+            let mut s = tmp.open();
             exercise_torn(&mut s);
         }
         {
             // Reopen: the repaired, re-appended log is what restart sees.
-            let mut s = FileLogStore::open(&path).unwrap();
+            let mut s = tmp.open();
             assert_eq!(s.len(), 12);
             let mut buf = [0u8; 12];
             s.read_at(0, &mut buf).unwrap();
             assert_eq!(&buf, b"durable!more");
         }
-        let _ = std::fs::remove_file(&path);
-        let _ = std::fs::remove_file(&master);
     }
 
     #[test]
     fn file_store_vectored_is_one_write_per_batch() {
-        let dir = std::env::temp_dir();
-        let path = dir.join(format!(
-            "cblog-log-vec-test-{}-{:?}",
-            std::process::id(),
-            std::thread::current().id()
-        ));
-        let master = {
-            let mut m = path.as_os_str().to_owned();
-            m.push(".master");
-            PathBuf::from(m)
-        };
-        let _ = std::fs::remove_file(&path);
-        let _ = std::fs::remove_file(&master);
+        let tmp = TempLog::new("vec");
         {
-            let mut s = FileLogStore::open(&path).unwrap();
+            let mut s = tmp.open();
             exercise_vectored(&mut s);
         }
         {
-            let mut s = FileLogStore::open(&path).unwrap();
+            let mut s = tmp.open();
             assert_eq!(s.len(), 7);
             let mut buf = [0u8; 7];
             s.read_at(0, &mut buf).unwrap();
             assert_eq!(&buf, b"abcdefg");
         }
-        let _ = std::fs::remove_file(&path);
-        let _ = std::fs::remove_file(&master);
     }
 
     #[test]
@@ -558,21 +626,9 @@ mod tests {
         // that is what keeps sim exports byte-deterministic.
         assert!(MemLogStore::new().fsync_hist().is_none());
 
-        let dir = std::env::temp_dir();
-        let path = dir.join(format!(
-            "cblog-log-fsync-test-{}-{:?}",
-            std::process::id(),
-            std::thread::current().id()
-        ));
-        let master = {
-            let mut m = path.as_os_str().to_owned();
-            m.push(".master");
-            PathBuf::from(m)
-        };
-        let _ = std::fs::remove_file(&path);
-        let _ = std::fs::remove_file(&master);
+        let tmp = TempLog::new("fsync");
         {
-            let mut s = FileLogStore::open(&path).unwrap();
+            let mut s = tmp.open();
             s.append(b"payload").unwrap();
             s.sync().unwrap();
             s.append(b"more").unwrap();
@@ -581,7 +637,131 @@ mod tests {
             assert_eq!(h.count(), 2, "one sample per sync");
             assert_eq!(h.count(), s.syncs().get());
         }
-        let _ = std::fs::remove_file(&path);
-        let _ = std::fs::remove_file(&master);
+    }
+
+    /// The reservation invariant: the file is `physical_len` long and
+    /// every byte of it past the logical end is zero.
+    fn assert_reserved_zeros(s: &FileLogStore, when: &str) {
+        assert!(s.physical_len >= s.len, "{when}: reservation below the log");
+        assert_eq!(
+            s.file.metadata().unwrap().len(),
+            s.physical_len,
+            "{when}: physical length is the file's"
+        );
+        let mut rest = vec![0xAAu8; (s.physical_len - s.len) as usize];
+        s.file.read_exact_at(&mut rest, s.len).unwrap();
+        let nonzero = rest.iter().position(|&b| b != 0);
+        assert_eq!(nonzero, None, "{when}: non-zero byte past the log end");
+    }
+
+    #[test]
+    fn reservation_is_zero_after_every_operation() {
+        let tmp = TempLog::new("reserve");
+        let mut s = tmp.open();
+        assert_eq!(s.physical_len, 0, "nothing reserved at open");
+        s.append(b"preamble").unwrap();
+        assert_eq!(s.physical_len, RESERVE_ALIGN, "the first step is a page");
+        assert_reserved_zeros(&s, "append");
+        s.sync().unwrap();
+        assert_reserved_zeros(&s, "sync");
+
+        // Past-end reads stay logical: reserved zeros are not log bytes.
+        assert_eq!(s.len(), 8);
+        assert!(s.read_at(4, &mut [0u8; 8]).is_err());
+        assert!(s.read_at(8, &mut [0u8; 1]).is_err());
+
+        // Unsynced bytes, some of them past the first reservation.
+        let chunk = [0xC5u8; 1500];
+        s.append_vectored(&[&chunk, &chunk, &chunk, &chunk])
+            .unwrap();
+        assert!(s.physical_len > RESERVE_ALIGN);
+        assert_reserved_zeros(&s, "append_vectored");
+        let reserved = s.physical_len;
+        s.crash();
+        assert_eq!(s.len(), 8);
+        assert_eq!(s.physical_len, reserved, "crash keeps the reservation");
+        assert_reserved_zeros(&s, "crash");
+
+        s.append(&chunk).unwrap();
+        s.sync().unwrap();
+        s.append(&chunk).unwrap();
+        s.crash_with_partial_tail(&chunk[..700]);
+        assert_eq!(s.len(), 8 + 1500 + 700);
+        assert_eq!(s.physical_len, reserved);
+        assert_reserved_zeros(&s, "crash_with_partial_tail");
+
+        s.truncate_to(8 + 1500);
+        assert_eq!(s.len(), 8 + 1500);
+        assert_eq!(s.physical_len, reserved, "a cut keeps the reservation");
+        assert_reserved_zeros(&s, "truncate_to");
+        assert!(s.read_at(8 + 1500, &mut [0u8; 1]).is_err());
+        let mut kept = [0u8; 1500];
+        s.read_at(8, &mut kept).unwrap();
+        assert_eq!(kept, chunk, "the cut touched nothing below it");
+
+        // A torn fragment longer than what is reserved extends it.
+        let long = vec![0x3Cu8; 2 * reserved as usize];
+        s.crash_with_partial_tail(&long);
+        assert_eq!(s.len(), 8 + 1500 + long.len() as u64);
+        assert_reserved_zeros(&s, "long torn tail");
+        s.truncate_to(8);
+        assert_reserved_zeros(&s, "deep cut");
+    }
+
+    #[test]
+    fn reservation_steps_are_few_and_uncounted() {
+        let tmp = TempLog::new("steps");
+        let mut s = tmp.open();
+        let rec = [0x5Au8; 3300];
+        let (mut steps, mut last) = (0, 0);
+        for i in 0..400u64 {
+            s.append_vectored(&[&rec[..300], &rec[300..]]).unwrap();
+            s.sync().unwrap();
+            if s.physical_len != last {
+                steps += 1;
+                last = s.physical_len;
+            }
+            assert_eq!(s.len(), (i + 1) * 3300);
+            assert_eq!(s.bytes_appended().get(), s.len(), "log bytes only");
+        }
+        assert!((5..=12).contains(&steps), "{steps} steps for 1.3 MB");
+        assert!(s.physical_len < 3 * s.len(), "reserves about the log again");
+        assert_reserved_zeros(&s, "steady state");
+        let mut back = [0u8; 3300];
+        s.read_at(399 * 3300, &mut back).unwrap();
+        assert_eq!(back, rec);
+    }
+
+    #[test]
+    fn clean_drop_trims_the_reservation_and_forget_leaves_it() {
+        let tmp = TempLog::new("drop");
+        let mut s = tmp.open();
+        s.append(b"synced").unwrap();
+        s.sync().unwrap();
+        let reserved = s.physical_len;
+        assert!(reserved > 6);
+        drop(s);
+        let s = tmp.open();
+        assert_eq!(s.len(), 6, "a clean drop leaves the logical length");
+        assert_eq!(s.synced_len(), None);
+        drop(s);
+
+        // Unclean exit: nothing trims the file.
+        let mut s = tmp.open();
+        s.append(b"+more").unwrap();
+        s.sync().unwrap();
+        let reserved = s.physical_len;
+        std::mem::forget(s);
+        let mut s = tmp.open();
+        assert_eq!(s.len(), reserved, "only the physical length is known");
+        assert_eq!(
+            s.synced_len(),
+            None,
+            "so repair must rescan from its anchor"
+        );
+        let mut buf = vec![0u8; reserved as usize];
+        s.read_at(0, &mut buf).unwrap();
+        assert_eq!(&buf[..11], b"synced+more");
+        assert!(buf[11..].iter().all(|&b| b == 0));
     }
 }
