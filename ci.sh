@@ -68,49 +68,11 @@ cargo run --release --offline -p cblog-bench --bin obsreport -- \
 grep 'n0;disk ' /tmp/ci_obs_folded.txt > /dev/null
 rm -f /tmp/ci_obs_folded.txt
 
-echo "==> rtbench smoke: threaded runtime wall-clock sweep (BENCH_rt_threads.json)"
-# Real OS threads + real fsync, so the numbers are machine-dependent:
-# the cells are recorded for the report but deliberately EXCLUDED from
-# the BASELINES.json perf gate above, which only pins deterministic
-# simulator counters. The smoke checks structure, not speed.
-cargo run --release --offline -p cblog-bench --bin rtbench -- \
-    --quick --txns 4 --wal-dir /tmp/ci_rtbench_wal --out BENCH_rt_threads.json
-grep '"cells"' BENCH_rt_threads.json > /dev/null
-grep '"commit_msgs":0' BENCH_rt_threads.json > /dev/null
-cargo run --release --offline -p cblog-bench --bin obsreport -- \
-    --input BENCH_rt_threads.json --out /tmp/ci_rt_report.html
-grep 'Benchmark cells' /tmp/ci_rt_report.html > /dev/null
-rm -rf /tmp/ci_rtbench_wal /tmp/ci_rt_report.html
-
-echo "==> rtbench trace-overhead smoke: tracing off vs on (BENCH_rt_trace_overhead.json)"
-# The run itself asserts bit-identical tallies and page images between
-# the untraced and traced passes; overhead_pct is wall-clock and
-# machine-dependent, so (like every rt cell) it is EXCLUDED from the
-# BASELINES.json gate — the smoke checks structure, not the number.
-cargo run --release --offline -p cblog-bench --bin rtbench -- \
-    --trace-overhead --quick --txns 4 --wal-dir /tmp/ci_rtovh_wal \
-    --out BENCH_rt_trace_overhead.json
-grep '"overhead_pct"' BENCH_rt_trace_overhead.json > /dev/null
-grep '"spans"' BENCH_rt_trace_overhead.json > /dev/null
-cargo run --release --offline -p cblog-bench --bin obsreport -- \
-    --input BENCH_rt_trace_overhead.json --out /tmp/ci_rtovh_report.html
-grep 'overhead %' /tmp/ci_rtovh_report.html > /dev/null
-rm -rf /tmp/ci_rtovh_wal /tmp/ci_rtovh_report.html
-
 echo "==> obsreport compare smoke: sim vs rt, one seeded workload"
 cargo run --release --offline -p cblog-bench --bin obsreport -- \
     --compare --out /tmp/ci_obs_compare.html
 grep 'Bucket shares' /tmp/ci_obs_compare.html > /dev/null
 rm -f /tmp/ci_obs_compare.html
-
-echo "==> rtbench recovery smoke: replay mode sweep (BENCH_rt_recovery.json)"
-# Same caveat as above: wall-clock cells are machine-dependent — the
-# smoke checks structure only.
-cargo run --release --offline -p cblog-bench --bin rtbench -- \
-    --recovery --quick --wal-dir /tmp/ci_rtrec_wal --out BENCH_rt_recovery.json
-grep '"rt_recovery"' BENCH_rt_recovery.json > /dev/null
-grep '"workers":4' BENCH_rt_recovery.json > /dev/null
-rm -rf /tmp/ci_rtrec_wal
 
 echo "==> crash-point model checker: bounded CI budget"
 # Exhaustively enumerates the CI space (crash points x victim sets x

@@ -24,6 +24,7 @@
 use crate::recovery::{RecoveryOptions, RecoveryReport};
 use crate::Cluster;
 use cblog_common::{Error, NodeId, PageId, Result, Snapshot, TxnId};
+use std::collections::HashMap;
 
 /// One operation of a planned transaction.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -99,6 +100,25 @@ pub trait Runtime {
     fn recover(&mut self, opts: &RecoveryOptions) -> Result<RecoveryReport>;
 }
 
+/// Buckets `plans` into `(client, stream)` lanes for an engine to
+/// interleave. A lane keeps its plans in list order, and the lanes come
+/// in the order their first plan appears; no lane is empty. The plans
+/// are borrowed: both engines execute them where the caller holds them.
+pub fn lanes(plans: &[TxnPlan]) -> Vec<Vec<&TxnPlan>> {
+    let mut lanes: Vec<Vec<&TxnPlan>> = Vec::new();
+    let mut index: HashMap<(NodeId, usize), usize> = HashMap::new();
+    for plan in plans {
+        let lane = *index
+            .entry((plan.client, plan.stream))
+            .or_insert(lanes.len());
+        if lane == lanes.len() {
+            lanes.push(Vec::new());
+        }
+        lanes[lane].push(plan);
+    }
+    lanes
+}
+
 /// Per-stream execution state of the sim-backed driver.
 enum StreamState {
     Idle,
@@ -106,8 +126,8 @@ enum StreamState {
     Committing { txn: TxnId },
 }
 
-struct Stream {
-    plans: Vec<TxnPlan>,
+struct Stream<'a> {
+    plans: Vec<&'a TxnPlan>,
     next: usize,
     state: StreamState,
 }
@@ -123,25 +143,14 @@ impl Runtime for Cluster {
 
     fn run(&mut self, plans: &[TxnPlan]) -> Result<RunReport> {
         let mut report = RunReport::default();
-        // Bucket plans by (client, stream), preserving order.
-        let mut streams: Vec<Stream> = Vec::new();
-        let mut index: Vec<((NodeId, usize), usize)> = Vec::new();
-        for plan in plans {
-            let key = (plan.client, plan.stream);
-            let slot = match index.iter().find(|(k, _)| *k == key) {
-                Some((_, i)) => *i,
-                None => {
-                    index.push((key, streams.len()));
-                    streams.push(Stream {
-                        plans: Vec::new(),
-                        next: 0,
-                        state: StreamState::Idle,
-                    });
-                    streams.len() - 1
-                }
-            };
-            streams[slot].plans.push(plan.clone());
-        }
+        let mut streams: Vec<Stream> = lanes(plans)
+            .into_iter()
+            .map(|plans| Stream {
+                plans,
+                next: 0,
+                state: StreamState::Idle,
+            })
+            .collect();
 
         loop {
             let mut progressed = false;
@@ -159,7 +168,7 @@ impl Runtime for Cluster {
                     }
                     StreamState::Running { txn, op } => {
                         live = true;
-                        let plan = &s.plans[s.next];
+                        let plan = s.plans[s.next];
                         if op < plan.ops.len() {
                             let res = match plan.ops[op] {
                                 PlanOp::Read { pid, slot } => {
@@ -261,6 +270,39 @@ mod tests {
             ops,
             abort,
         }
+    }
+
+    #[test]
+    fn lanes_keep_list_order_within_and_first_appearance_order_between() {
+        // (client, stream) of each plan, tagged by its position.
+        let keys = [(1, 0), (0, 1), (1, 0), (0, 0), (0, 1), (1, 1), (0, 0)];
+        let plans: Vec<TxnPlan> = keys
+            .iter()
+            .enumerate()
+            .map(|(i, &(client, stream))| {
+                let op = PlanOp::Read {
+                    pid: pid(client, 0),
+                    slot: i,
+                };
+                plan(client, stream, vec![op], false)
+            })
+            .collect();
+        let got: Vec<Vec<usize>> = lanes(&plans)
+            .iter()
+            .map(|lane| {
+                assert!(lane
+                    .iter()
+                    .all(|p| (p.client, p.stream) == (lane[0].client, lane[0].stream)));
+                lane.iter()
+                    .map(|p| match p.ops[0] {
+                        PlanOp::Read { slot, .. } => slot,
+                        PlanOp::Write { .. } => unreachable!(),
+                    })
+                    .collect()
+            })
+            .collect();
+        assert_eq!(got, [vec![0, 2], vec![1, 4], vec![3, 6], vec![5]]);
+        assert!(lanes(&[]).is_empty());
     }
 
     #[test]

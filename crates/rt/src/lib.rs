@@ -17,9 +17,8 @@
 //!   [`ForceScheduler`] from core is time-source agnostic (it takes
 //!   `now` in µs), so the exact same Immediate/Window/Adaptive batching
 //!   logic runs here against a [`WallClock`];
-//! * **sharded page locks** — one process-wide
-//!   [`ShardedLockTable`] gives strict 2PL across all worker threads
-//!   without a global mutex.
+//! * **sharded page locks** — one [`ShardedLockTable`] per run gives
+//!   strict 2PL across all worker threads without a global mutex.
 //!
 //! The paper's headline property survives the move to real threads
 //! unchanged: a commit is one local log force and **zero messages** —
@@ -59,17 +58,18 @@
 //!   partition invariant (`disk + cpu + net + replay == busy`); the
 //!   split is exported per node as `prof/*_us` gauges and as
 //!   [`RtNodeStats`].
-//! * **Exact latency percentiles** — commit latencies feed a
-//!   [`Reservoir`] of recorded values beside the log-2 histogram, so
-//!   [`RtRunStats::p50_us`]/[`RtRunStats::p99_us`] are exact samples
-//!   rather than bucket upper bounds.
+//! * **One latency recorder** — every acknowledged commit records its
+//!   latency in one [`Reservoir`] of recorded values, so
+//!   [`RtRunStats::p50_us`]/[`RtRunStats::p99_us`] are samples the
+//!   engine took, not bucket upper bounds.
 
 use cblog_common::metrics::{keys, prof_key};
+use cblog_common::span::DEFAULT_TRACE_CAPACITY;
 use cblog_common::{
-    Bucket, Error, Histogram, Lsn, MetricValue, NodeId, PageId, Psn, RecoveryPhase, Reservoir,
-    Result, SimTime, Snapshot, Span, SpanBuf, SpanCtx, SpanId, SpanKind, Tracer, TransferWhy,
-    TxnId,
+    Bucket, Error, Lsn, NodeId, PageId, Psn, RecoveryPhase, Reservoir, Result, SimTime, Snapshot,
+    Span, SpanBuf, SpanCtx, SpanId, SpanKind, Tracer, TransferWhy, TxnId,
 };
+use cblog_core::node::RollbackStep;
 use cblog_core::{
     plan_replay, ForceScheduler, GroupCommitPolicy, Node, NodeConfig, NodePsnEntry, PhaseTimings,
     PlanOp, RecoveryOptions, RecoveryReport, RedoRecords, RunReport, Runtime, TxnPlan, WaveTiming,
@@ -82,7 +82,7 @@ use cblog_wal::{FileLogStore, LogStore, MemLogStore, PageOp};
 use std::collections::BTreeMap;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::OnceLock;
 use std::time::{Duration, Instant};
 
 /// Wall-clock time source, µs since construction. The value feeds the
@@ -134,18 +134,13 @@ pub struct ThreadClusterConfig {
     pub buffer_frames: usize,
     /// Group-commit policy, shared by every node.
     pub group_commit: GroupCommitPolicy,
-    /// Shards in the process-wide lock table.
-    pub lock_shards: usize,
     /// WAL backing for every node.
     pub wal: WalBacking,
     /// Per-worker span tracing. When on, every run and recovery is
     /// merged into the cluster trace and checked by the protocol
     /// watchdog at join. Off buys back the (small) tracing overhead;
-    /// `rtbench --trace-overhead` measures it.
+    /// the benchmark's `rt.trace_overhead_pct` measures it.
     pub tracing: bool,
-    /// Capacity of each worker's span buffer (spans beyond it are
-    /// dropped and counted, never reallocated mid-run).
-    pub trace_capacity: usize,
 }
 
 impl Default for ThreadClusterConfig {
@@ -155,10 +150,8 @@ impl Default for ThreadClusterConfig {
             page_size: 1024,
             buffer_frames: 256,
             group_commit: GroupCommitPolicy::Immediate,
-            lock_shards: 16,
             wal: WalBacking::Mem,
             tracing: true,
-            trace_capacity: cblog_common::span::DEFAULT_TRACE_CAPACITY,
         }
     }
 }
@@ -170,16 +163,14 @@ pub struct RtRunStats {
     pub wall_us: u64,
     /// Log forces summed over nodes (delta for this run).
     pub forces: u64,
-    /// Messages crossing the mesh (all read-path).
+    /// Messages that crossed the mesh, counted by the endpoints. Only
+    /// remote reads send any, so a run of purely local plans measures
+    /// the paper's headline property here: 0.
     pub msgs: u64,
-    /// Messages on the commit path — zero by construction; reported
-    /// so benchmarks can assert the paper's headline property.
-    pub commit_msgs: u64,
-    /// Median commit latency (submit → durable ack), µs — an exact
-    /// recorded value from the latency [`Reservoir`], not a histogram
-    /// bucket bound.
+    /// Median commit latency (submit → durable ack), µs: a recorded
+    /// value from [`ThreadCluster::latency_samples`].
     pub p50_us: u64,
-    /// Tail commit latency, µs (exact recorded value, see `p50_us`).
+    /// Tail commit latency, µs (a recorded value, see `p50_us`).
     pub p99_us: u64,
     /// Spans this run added to the cluster trace (0 with tracing off).
     pub spans: u64,
@@ -217,15 +208,15 @@ pub struct RtNodeStats {
     pub replay_us: u64,
 }
 
-/// Capacity of the exact commit-latency sample reservoir.
+/// Capacity of the commit-latency sample reservoir.
 const LATENCY_RESERVOIR_CAP: usize = 4096;
+/// Shards of a run's lock table.
+const LOCK_SHARDS: usize = 16;
 
 /// A set of OS-thread nodes executing [`TxnPlan`]s.
 pub struct ThreadCluster {
     cfg: ThreadClusterConfig,
     nodes: Vec<Node>,
-    locks: Arc<ShardedLockTable>,
-    latency: Histogram,
     latency_samples: Reservoir,
     last: Option<RtRunStats>,
     last_nodes: Vec<RtNodeStats>,
@@ -259,12 +250,9 @@ impl ThreadCluster {
             };
             nodes.push(Node::with_log_store(NodeId(i as u32), ncfg, store)?);
         }
-        let locks = Arc::new(ShardedLockTable::new(cfg.lock_shards));
         Ok(ThreadCluster {
             cfg,
             nodes,
-            locks,
-            latency: Histogram::new(),
             latency_samples: Reservoir::new(LATENCY_RESERVOIR_CAP),
             last: None,
             last_nodes: Vec::new(),
@@ -291,14 +279,9 @@ impl ThreadCluster {
         &self.last_nodes
     }
 
-    /// The shared commit-latency histogram (µs, submit → durable).
-    pub fn latency(&self) -> &Histogram {
-        &self.latency
-    }
-
-    /// Exact commit-latency samples feeding [`RtRunStats::p50_us`] /
-    /// [`RtRunStats::p99_us`] (the histogram stays for bucketed
-    /// exports; the reservoir keeps recorded values).
+    /// Commit latencies (µs, submit → durable ack) of every commit
+    /// acknowledged so far — the one latency recorder, behind
+    /// [`RtRunStats::p50_us`] / [`RtRunStats::p99_us`].
     pub fn latency_samples(&self) -> &Reservoir {
         &self.latency_samples
     }
@@ -398,98 +381,71 @@ impl Runtime for ThreadCluster {
         "threads"
     }
 
+    /// Runs the plans, one worker thread per node. A run that fails
+    /// is a clean error: every worker stops at its next wait, each
+    /// hands its node back, the spans it took are kept, and the first
+    /// error of the run is returned. No lock outlives a run, failed or
+    /// not — the lock table is the run's own.
     fn run(&mut self, plans: &[TxnPlan]) -> Result<RunReport> {
         let n = self.node_count();
-        let mut per_node: Vec<Vec<TxnPlan>> = vec![Vec::new(); n];
-        for plan in plans {
-            let i = plan.client.0 as usize;
-            if i >= n {
-                return Err(Error::Invalid(format!(
-                    "plan for unknown node {}",
-                    plan.client
-                )));
-            }
-            per_node[i].push(plan.clone());
+        let mut per_node: Vec<Vec<Lane>> = (0..n).map(|_| Vec::new()).collect();
+        for lane in cblog_core::runtime::lanes(plans) {
+            let client = lane[0].client;
+            per_node
+                .get_mut(client.0 as usize)
+                .ok_or_else(|| Error::Invalid(format!("plan for unknown node {client}")))?
+                .push(Lane::new(lane));
         }
 
-        let endpoints = ChannelMesh::endpoints(n);
-        let nodes = std::mem::take(&mut self.nodes);
-        let forces_before: u64 = nodes.iter().map(|nd| nd.log().forces()).sum();
-        let remaining = Arc::new(AtomicUsize::new(n));
-        let clock = self.epoch;
-        let tracing = self.cfg.tracing;
-        let trace_cap = self.cfg.trace_capacity;
+        let shared = RunShared {
+            locks: ShardedLockTable::new(LOCK_SHARDS),
+            samples: self.latency_samples.clone(),
+            clock: self.epoch,
+            remaining: AtomicUsize::new(n),
+            failed: OnceLock::new(),
+        };
+        let forces_before: u64 = self.nodes.iter().map(|nd| nd.log().forces()).sum();
         let started = Instant::now();
-
-        let outcomes: Vec<Result<WorkerOutcome>> = std::thread::scope(|s| {
-            let handles: Vec<_> = nodes
+        let workers: Vec<Worker> = std::thread::scope(|s| {
+            let handles: Vec<_> = std::mem::take(&mut self.nodes)
                 .into_iter()
-                .zip(endpoints)
+                .zip(ChannelMesh::endpoints(n))
                 .zip(per_node)
-                .map(|((node, ep), plans)| {
-                    let locks = Arc::clone(&self.locks);
-                    let remaining = Arc::clone(&remaining);
-                    let latency = self.latency.clone();
-                    let samples = self.latency_samples.clone();
-                    let policy = self.cfg.group_commit;
-                    let buf = if tracing {
-                        SpanBuf::new(node.id().0, trace_cap)
-                    } else {
-                        SpanBuf::disabled()
-                    };
-                    s.spawn(move || {
-                        run_worker(
-                            node, ep, locks, plans, policy, clock, remaining, latency, samples, buf,
-                        )
-                    })
+                .map(|((node, ep), lanes)| {
+                    let worker = Worker::new(node, ep, lanes, &shared, &self.cfg);
+                    s.spawn(move || worker.run())
                 })
                 .collect();
             handles
                 .into_iter()
-                .map(|h| match h.join() {
-                    Ok(r) => r,
-                    Err(_) => Err(Error::Protocol("worker thread panicked".into())),
-                })
+                .map(|h| h.join().expect("Worker::run catches its own panics"))
                 .collect()
         });
-
         let wall_us = started.elapsed().as_micros() as u64;
+
+        // Joined in node order, so the nodes go back where they were.
         let mut report = RunReport::default();
         let mut msgs = 0;
-        let mut restored = Vec::with_capacity(n);
         let mut node_stats = Vec::with_capacity(n);
         let mut bufs = Vec::with_capacity(n);
-        let mut first_err = None;
-        for outcome in outcomes {
-            match outcome {
-                Ok(o) => {
-                    report.committed += o.report.committed;
-                    report.user_aborts += o.report.user_aborts;
-                    report.forced_aborts += o.report.forced_aborts;
-                    report.ops_executed += o.report.ops_executed;
-                    msgs += o.sent;
-                    node_stats.push(RtNodeStats {
-                        node: o.node.id().0,
-                        ..o.stats
-                    });
-                    restored.push(o.node);
-                    bufs.push(o.buf);
-                }
-                Err(e) => first_err = first_err.or(Some(e)),
-            }
+        for w in workers {
+            report.committed += w.report.committed;
+            report.user_aborts += w.report.user_aborts;
+            report.forced_aborts += w.report.forced_aborts;
+            report.ops_executed += w.report.ops_executed;
+            msgs += w.ep.sent();
+            node_stats.push(w.stats());
+            bufs.push(w.buf);
+            self.nodes.push(w.node);
         }
-        if let Some(e) = first_err {
-            return Err(e);
-        }
-        restored.sort_by_key(|nd| nd.id().0);
-        node_stats.sort_by_key(|s| s.node);
-        self.nodes = restored;
-
-        // Merge the per-worker traces and mirror each worker's bucket
-        // split onto its node's registry (cumulative, like the sim
-        // profiler's gauges).
         let spans_before = self.trace.len();
         self.absorb(bufs);
+        if let Some(e) = shared.failed.into_inner() {
+            return Err(e);
+        }
+
+        // Mirror each worker's bucket split onto its node's registry
+        // (cumulative, like the sim profiler's gauges).
         for s in &node_stats {
             let reg = self.nodes[s.node as usize].registry();
             reg.gauge(prof_key(Bucket::Disk)).add(s.disk_us as i64);
@@ -506,7 +462,6 @@ impl Runtime for ThreadCluster {
             wall_us,
             forces: forces_after - forces_before,
             msgs,
-            commit_msgs: 0,
             p50_us: self.latency_samples.percentile(0.50),
             p99_us: self.latency_samples.percentile(0.99),
             spans: (self.trace.len() - spans_before) as u64,
@@ -530,10 +485,6 @@ impl Runtime for ThreadCluster {
         for node in &self.nodes {
             out.merge_prefixed(&format!("n{}/", node.id().0), node.registry().snapshot());
         }
-        out.entries.insert(
-            "rt/commit_latency_us".into(),
-            MetricValue::Histogram(Box::new(self.latency.snapshot())),
-        );
         out
     }
 
@@ -688,18 +639,7 @@ impl Runtime for ThreadCluster {
         // ---- Undo losers locally (CLRs), then checkpoint. ----
         for (c, txns) in losers {
             for txn in txns {
-                let node = self.node_mut(c)?;
-                node.start_abort(txn)?;
-                loop {
-                    match node.rollback_step(txn, Lsn::ZERO)? {
-                        cblog_core::node::RollbackStep::Done => break,
-                        cblog_core::node::RollbackStep::Undone(_) => {}
-                        cblog_core::node::RollbackStep::NeedPage(pid) => {
-                            ensure_cached(node, pid)?;
-                        }
-                    }
-                }
-                node.finish_abort(txn)?;
+                roll_back(self.node_mut(c)?, txn)?;
                 report.losers_undone += 1;
             }
         }
@@ -787,12 +727,21 @@ const PLAN_RETRIES: usize = 100;
 /// Patience for a remote page fetch (the owner may be mid-fsync).
 const FETCH_TIMEOUT: Duration = Duration::from_secs(5);
 
-struct WorkerOutcome {
-    node: Node,
-    report: RunReport,
-    sent: u64,
-    stats: RtNodeStats,
-    buf: SpanBuf,
+/// What the workers of one run share.
+struct RunShared {
+    /// Strict 2PL across all workers. It lives for one run, so no lock
+    /// outlives a run however the run ends.
+    locks: ShardedLockTable,
+    /// The cluster's latency recorder.
+    samples: Reservoir,
+    /// The cluster's clock: every worker stamps spans off one epoch.
+    clock: WallClock,
+    /// Workers that still have lanes to run. A worker whose own lanes
+    /// are done keeps serving page fetches until this reaches 0.
+    remaining: AtomicUsize,
+    /// The first error of the run. Once set the run has failed: every
+    /// worker polls it wherever it waits, and stops.
+    failed: OnceLock<Error>,
 }
 
 /// Wall-time profiler of one worker thread (DESIGN §14).
@@ -808,32 +757,41 @@ struct WorkerOutcome {
 /// deliberately unattributed.
 #[derive(Clone, Copy, Debug, Default)]
 struct Prof {
+    wall_us: u64,
     outer_us: u64,
     disk_us: u64,
     net_us: u64,
     lock_wait_us: u64,
 }
 
-impl Prof {
-    fn busy_us(&self) -> u64 {
-        self.outer_us.saturating_sub(self.lock_wait_us)
-    }
-
-    fn cpu_us(&self) -> u64 {
-        self.busy_us()
-            .saturating_sub(self.disk_us)
-            .saturating_sub(self.net_us)
-    }
-}
-
 /// One MPL lane: its plans run sequentially; the worker interleaves
 /// lanes so several commits can park in the force scheduler at once.
-struct Lane {
-    plans: Vec<TxnPlan>,
+struct Lane<'a> {
+    plans: Vec<&'a TxnPlan>,
     next: usize,
     /// Parked commit: (txn, submit time).
     waiting: Option<(TxnId, SimTime)>,
     retries: usize,
+}
+
+impl<'a> Lane<'a> {
+    fn new(plans: Vec<&'a TxnPlan>) -> Self {
+        Lane {
+            plans,
+            next: 0,
+            waiting: None,
+            retries: 0,
+        }
+    }
+}
+
+enum TxnOutcome {
+    /// Commit record appended; parked in the scheduler since the time.
+    Committing(TxnId, SimTime),
+    /// Plan consumed (user abort completed).
+    Done,
+    /// Forced abort (lock conflict); plan not consumed.
+    Retry,
 }
 
 fn token_of(txn: TxnId) -> u64 {
@@ -849,453 +807,6 @@ fn decode_pid(payload: &[u8]) -> Result<PageId> {
         .try_into()
         .map_err(|_| Error::Protocol("bad page-fetch payload".into()))?;
     Ok(PageId::from_u64(u64::from_le_bytes(bytes)))
-}
-
-#[allow(clippy::too_many_arguments)]
-fn run_worker(
-    mut node: Node,
-    ep: ChannelEndpoint,
-    locks: Arc<ShardedLockTable>,
-    plans: Vec<TxnPlan>,
-    policy: GroupCommitPolicy,
-    clock: WallClock,
-    remaining: Arc<AtomicUsize>,
-    latency: Histogram,
-    samples: Reservoir,
-    mut buf: SpanBuf,
-) -> Result<WorkerOutcome> {
-    let mut sched = ForceScheduler::new(policy);
-    let mut report = RunReport::default();
-    let started = Instant::now();
-    let mut prof = Prof::default();
-    let mut forced_bytes = node.log().bytes_written();
-    macro_rules! outer {
-        ($e:expr) => {{
-            let t = Instant::now();
-            let r = $e;
-            prof.outer_us += t.elapsed().as_micros() as u64;
-            r
-        }};
-    }
-
-    // Bucket plans into lanes, preserving per-lane order.
-    let mut lanes: Vec<Lane> = Vec::new();
-    let mut lane_ids: Vec<usize> = Vec::new();
-    for plan in plans {
-        let idx = match lane_ids.iter().position(|&s| s == plan.stream) {
-            Some(i) => i,
-            None => {
-                lane_ids.push(plan.stream);
-                lanes.push(Lane {
-                    plans: Vec::new(),
-                    next: 0,
-                    waiting: None,
-                    retries: 0,
-                });
-                lanes.len() - 1
-            }
-        };
-        lanes[idx].plans.push(plan);
-    }
-
-    let mut finished = lanes.is_empty();
-    if finished {
-        remaining.fetch_sub(1, Ordering::AcqRel);
-    }
-    loop {
-        outer!(serve_inbox(&mut node, &ep, &clock, &mut prof, &mut buf)?);
-        if sched.is_due(clock.now_us()) {
-            outer!(flush(
-                &mut node,
-                &mut sched,
-                &mut lanes,
-                &clock,
-                &latency,
-                &samples,
-                &mut report,
-                &mut prof,
-                &mut buf,
-                &mut forced_bytes,
-            )?);
-        }
-
-        let mut progressed = false;
-        let mut live = false;
-        for li in 0..lanes.len() {
-            if lanes[li].waiting.is_some() {
-                live = true;
-                continue;
-            }
-            if lanes[li].next >= lanes[li].plans.len() {
-                continue;
-            }
-            live = true;
-            let plan = lanes[li].plans[lanes[li].next].clone();
-            let outcome = outer!(run_txn(
-                &mut node,
-                &ep,
-                &locks,
-                &clock,
-                &plan,
-                &mut sched,
-                &mut report,
-                &mut prof,
-                &mut buf,
-            )?);
-            match outcome {
-                TxnOutcome::Committing(txn, at) => {
-                    lanes[li].waiting = Some((txn, at));
-                    lanes[li].retries = 0;
-                }
-                TxnOutcome::Done => {
-                    lanes[li].next += 1;
-                    lanes[li].retries = 0;
-                }
-                TxnOutcome::Retry => {
-                    lanes[li].retries += 1;
-                    if lanes[li].retries > PLAN_RETRIES {
-                        return Err(Error::Protocol(format!(
-                            "{} lane {} livelocked on plan {}",
-                            node.id(),
-                            lane_ids[li],
-                            lanes[li].next
-                        )));
-                    }
-                }
-            }
-            progressed = true;
-        }
-
-        if !live {
-            // All lanes done. Force out any stragglers, then keep
-            // serving page fetches until every node is done too.
-            while sched.pending_len() > 0 {
-                outer!(flush(
-                    &mut node,
-                    &mut sched,
-                    &mut lanes,
-                    &clock,
-                    &latency,
-                    &samples,
-                    &mut report,
-                    &mut prof,
-                    &mut buf,
-                    &mut forced_bytes,
-                )?);
-            }
-            if !finished {
-                finished = true;
-                remaining.fetch_sub(1, Ordering::AcqRel);
-            }
-            if remaining.load(Ordering::Acquire) == 0 {
-                break;
-            }
-            if let Some(env) = ep.recv_timeout(Duration::from_micros(500)) {
-                outer!(serve(&mut node, &ep, env, &clock, &mut prof, &mut buf)?);
-            }
-            continue;
-        }
-
-        if !progressed {
-            // Every live lane of this node is parked on the scheduler,
-            // and only a lane can submit a commit: nobody can join the
-            // batch before a force acks part of it, so holding the
-            // window open to its deadline buys nothing. Force now.
-            outer!(flush(
-                &mut node,
-                &mut sched,
-                &mut lanes,
-                &clock,
-                &latency,
-                &samples,
-                &mut report,
-                &mut prof,
-                &mut buf,
-                &mut forced_bytes,
-            )?);
-        }
-    }
-
-    ep.drain();
-    Ok(WorkerOutcome {
-        stats: RtNodeStats {
-            node: node.id().0,
-            wall_us: started.elapsed().as_micros() as u64,
-            busy_us: prof.busy_us(),
-            disk_us: prof.disk_us,
-            net_us: prof.net_us,
-            cpu_us: prof.cpu_us(),
-            lock_wait_us: prof.lock_wait_us,
-            replay_us: 0,
-        },
-        node,
-        report,
-        sent: ep.sent(),
-        buf,
-    })
-}
-
-enum TxnOutcome {
-    /// Commit record appended; parked in the scheduler.
-    Committing(TxnId, SimTime),
-    /// Plan consumed (user abort completed).
-    Done,
-    /// Forced abort (lock conflict); plan not consumed.
-    Retry,
-}
-
-/// Closes a transaction's span with its outcome and duration.
-/// `committed: true` is recorded at `commit_begin` — the commit record
-/// exists and the group force is scheduled; the worker loop never
-/// exits with an unforced commit, so the label is safe within a run.
-fn end_txn_span(
-    buf: &mut SpanBuf,
-    id: SpanId,
-    node: NodeId,
-    start: SimTime,
-    now: SimTime,
-    txn: TxnId,
-    committed: bool,
-) {
-    if id.is_none() {
-        return;
-    }
-    buf.emit(Span {
-        id,
-        parent: SpanId::NONE,
-        node,
-        start,
-        dur: now.saturating_sub(start),
-        kind: SpanKind::Txn { txn, committed },
-    });
-}
-
-#[allow(clippy::too_many_arguments)]
-fn run_txn(
-    node: &mut Node,
-    ep: &ChannelEndpoint,
-    locks: &ShardedLockTable,
-    clock: &WallClock,
-    plan: &TxnPlan,
-    sched: &mut ForceScheduler,
-    report: &mut RunReport,
-    prof: &mut Prof,
-    buf: &mut SpanBuf,
-) -> Result<TxnOutcome> {
-    let me = node.id();
-    let txn = node.begin()?;
-    let token = token_of(txn);
-    let t_start = clock.now_us();
-    let span = buf.alloc();
-    for op in &plan.ops {
-        let (pid, mode) = match *op {
-            PlanOp::Read { pid, .. } => (pid, LockMode::Shared),
-            PlanOp::Write { pid, .. } => (pid, LockMode::Exclusive),
-        };
-        if mode == LockMode::Exclusive && pid.owner != me {
-            abort_txn(node, locks, plan, txn, token)?;
-            return Err(Error::Protocol(format!(
-                "{me} plan writes remote page {pid}: the threaded runtime only writes owned pages"
-            )));
-        }
-        if !acquire(node, ep, locks, pid, token, mode, clock, prof, buf)? {
-            abort_txn(node, locks, plan, txn, token)?;
-            report.forced_aborts += 1;
-            end_txn_span(buf, span, me, t_start, clock.now_us(), txn, false);
-            return Ok(TxnOutcome::Retry);
-        }
-        match *op {
-            PlanOp::Read { pid, slot } => {
-                if pid.owner == me {
-                    ensure_cached(node, pid)?;
-                    node.peek_slot(pid, slot).ok_or(Error::NoSuchPage(pid))?;
-                } else {
-                    remote_read(node, ep, pid, slot, span, clock, prof, buf)?;
-                }
-            }
-            PlanOp::Write { pid, slot, value } => {
-                ensure_cached(node, pid)?;
-                let before = node.peek_slot(pid, slot).ok_or(Error::NoSuchPage(pid))?;
-                // The watchdog checks the pre-update PSN edge, so read
-                // it before `log_update` bumps it.
-                let psn_before = node
-                    .buffer()
-                    .peek(pid)
-                    .map(|p| p.psn())
-                    .unwrap_or(Psn::ZERO);
-                node.log_update(
-                    txn,
-                    pid,
-                    PageOp::WriteRange {
-                        off: (slot * 8) as u32,
-                        before: before.to_le_bytes().to_vec(),
-                        after: value.to_le_bytes().to_vec(),
-                    },
-                )?;
-                let lsn = node.txn(txn).map(|t| t.last_lsn).unwrap_or(Lsn::ZERO);
-                buf.point(
-                    clock.now_us(),
-                    me,
-                    span,
-                    SpanKind::Update {
-                        pid,
-                        txn,
-                        psn: psn_before,
-                        lsn,
-                        clr: false,
-                    },
-                );
-            }
-        }
-        report.ops_executed += 1;
-    }
-    if plan.abort {
-        abort_txn(node, locks, plan, txn, token)?;
-        report.user_aborts += 1;
-        end_txn_span(buf, span, me, t_start, clock.now_us(), txn, false);
-        return Ok(TxnOutcome::Done);
-    }
-    let lsn = node.commit_begin(txn)?;
-    // Strict 2PL releases transaction locks at commit_begin; the same
-    // early release is safe here because cross-thread visibility of
-    // this transaction's updates requires a page ship, and the serving
-    // path forces the whole log first (WAL rule).
-    release_locks(locks, plan, token);
-    let now = clock.now_us();
-    sched.submit(txn, lsn, now);
-    end_txn_span(buf, span, me, t_start, now, txn, true);
-    Ok(TxnOutcome::Committing(txn, now))
-}
-
-/// Forces the log and acknowledges every commit the force covered.
-/// The force itself is attributed to `disk` (on a file-backed WAL it
-/// is a real `fdatasync`); ack bookkeeping stays in the enclosing
-/// scope's `cpu` remainder. An acknowledging force emits a
-/// [`SpanKind::GroupForce`] span covering the batch.
-#[allow(clippy::too_many_arguments)]
-fn flush(
-    node: &mut Node,
-    sched: &mut ForceScheduler,
-    lanes: &mut [Lane],
-    clock: &WallClock,
-    latency: &Histogram,
-    samples: &Reservoir,
-    report: &mut RunReport,
-    prof: &mut Prof,
-    buf: &mut SpanBuf,
-    forced_bytes: &mut u64,
-) -> Result<()> {
-    let pending = node.log().bytes_written().saturating_sub(*forced_bytes);
-    let ft = Instant::now();
-    node.force_log()?;
-    prof.disk_us += ft.elapsed().as_micros() as u64;
-    *forced_bytes = node.log().bytes_written();
-    let flushed = node.log().flushed_lsn();
-    let mut acked = 0u64;
-    for txn in sched.drain_acked(flushed) {
-        node.finish_commit(txn)?;
-        report.committed += 1;
-        acked += 1;
-        let now = clock.now_us();
-        for lane in lanes.iter_mut() {
-            if let Some((w, at)) = lane.waiting {
-                if w == txn {
-                    let d = now.saturating_sub(at);
-                    latency.record(d);
-                    samples.record(d);
-                    lane.waiting = None;
-                    lane.next += 1;
-                    break;
-                }
-            }
-        }
-    }
-    if acked > 0 {
-        buf.point(
-            clock.now_us(),
-            node.id(),
-            SpanId::NONE,
-            SpanKind::GroupForce {
-                node: node.id(),
-                txns: acked,
-                bytes: pending,
-            },
-        );
-    }
-    Ok(())
-}
-
-/// Takes `pid` for `token`, serving incoming page fetches while it
-/// spins so two nodes waiting on each other's service cannot deadlock.
-/// The spin time — minus the nested service work, which lands in its
-/// own buckets — is attributed to `lock_wait`.
-#[allow(clippy::too_many_arguments)]
-fn acquire(
-    node: &mut Node,
-    ep: &ChannelEndpoint,
-    locks: &ShardedLockTable,
-    pid: PageId,
-    token: u64,
-    mode: LockMode,
-    clock: &WallClock,
-    prof: &mut Prof,
-    buf: &mut SpanBuf,
-) -> Result<bool> {
-    if locks.try_acquire(pid, token, mode) {
-        return Ok(true);
-    }
-    let t = Instant::now();
-    let leaf0 = prof.disk_us + prof.net_us;
-    let mut won = false;
-    for i in 0..ACQUIRE_SPINS {
-        if locks.try_acquire(pid, token, mode) {
-            won = true;
-            break;
-        }
-        serve_inbox(node, ep, clock, prof, buf)?;
-        if i % 64 == 63 {
-            std::thread::yield_now();
-        } else {
-            std::hint::spin_loop();
-        }
-    }
-    let nested = (prof.disk_us + prof.net_us).saturating_sub(leaf0);
-    prof.lock_wait_us += (t.elapsed().as_micros() as u64).saturating_sub(nested);
-    Ok(won)
-}
-
-fn abort_txn(
-    node: &mut Node,
-    locks: &ShardedLockTable,
-    plan: &TxnPlan,
-    txn: TxnId,
-    token: u64,
-) -> Result<()> {
-    node.start_abort(txn)?;
-    loop {
-        match node.rollback_step(txn, Lsn::ZERO)? {
-            cblog_core::node::RollbackStep::Done => break,
-            cblog_core::node::RollbackStep::Undone(_) => {}
-            cblog_core::node::RollbackStep::NeedPage(pid) => {
-                ensure_cached(node, pid)?;
-            }
-        }
-    }
-    node.finish_abort(txn)?;
-    release_locks(locks, plan, token);
-    Ok(())
-}
-
-/// Ends `token`'s transaction in the lock table. A transaction only
-/// ever locks the pages of its plan's ops, so releasing those (a page
-/// not held — a forced abort stopped before it, or it repeats in the
-/// plan — is a no-op) is `release_all` without taking every shard and
-/// walking every locked page of every other transaction.
-fn release_locks(locks: &ShardedLockTable, plan: &TxnPlan, token: u64) {
-    for op in &plan.ops {
-        let (PlanOp::Read { pid, .. } | PlanOp::Write { pid, .. }) = *op;
-        locks.release(pid, token);
-    }
 }
 
 /// Brings an owned page into the buffer (from disk if necessary). The
@@ -1318,176 +829,553 @@ fn ensure_cached(node: &mut Node, pid: PageId) -> Result<()> {
     Ok(())
 }
 
-/// Fetches a remote page image from its owner and reads one slot. The
-/// image is used once and dropped — without callback locking there is
-/// no safe way to keep it cached past the transaction's S lock.
-///
-/// The fetch is traced as a [`SpanKind::Msg`] whose id rides the
-/// envelope header, so the owner's Transfer/ship spans parent on it
-/// and the causal chain crosses the mesh exactly as in the simulator.
-/// The blocking wait for the reply is attributed to `net`; nested
-/// service of other nodes' fetches lands in its own buckets.
-#[allow(clippy::too_many_arguments)]
-fn remote_read(
-    node: &mut Node,
-    ep: &ChannelEndpoint,
-    pid: PageId,
-    slot: usize,
-    parent: SpanId,
-    clock: &WallClock,
-    prof: &mut Prof,
-    buf: &mut SpanBuf,
-) -> Result<u64> {
-    let t = Instant::now();
-    let leaf0 = prof.disk_us + prof.net_us;
-    let me = node.id();
-    let payload = encode_pid(pid);
-    let nbytes = payload.len() as u64;
-    let msg = buf.alloc();
-    ep.send_ctx(
-        pid.owner,
-        MsgKind::LockRequest,
-        payload,
-        SpanCtx::child(msg, parent),
-    )?;
-    if !msg.is_none() {
-        buf.emit(Span {
-            id: msg,
-            parent,
-            node: me,
-            start: clock.now_us(),
-            dur: 0,
-            kind: SpanKind::Msg {
-                kind: MsgKind::LockRequest.label(),
-                from: me,
-                to: pid.owner,
-                bytes: nbytes,
-                carries_log: false,
-            },
-        });
+/// Total rollback of `txn` on its node: undo its updates newest first
+/// (a CLR each), then the Abort record. The one rollback loop of this
+/// crate — a worker's aborts and recovery's loser undo both run it.
+fn roll_back(node: &mut Node, txn: TxnId) -> Result<()> {
+    node.start_abort(txn)?;
+    loop {
+        match node.rollback_step(txn, Lsn::ZERO)? {
+            RollbackStep::Done => break,
+            RollbackStep::Undone(_) => {}
+            RollbackStep::NeedPage(pid) => ensure_cached(node, pid)?,
+        }
     }
-    let deadline = Instant::now() + FETCH_TIMEOUT;
-    let value = loop {
-        match ep.recv_timeout(Duration::from_millis(1)) {
-            Some(env) if env.kind == MsgKind::PageShip => {
-                let page = Page::from_bytes(env.payload)?;
-                if page.id() == pid {
-                    break page.read_slot(slot);
-                }
-                // A ship we did not ask for; workers have one fetch in
-                // flight at a time, so this cannot happen — drop it.
+    node.finish_abort(txn)
+}
+
+/// One node's thread of a run, and everything it works with. The
+/// worker owns its state while the run lasts; [`Worker::run`] is its
+/// one way out and hands all of it back.
+struct Worker<'a> {
+    node: Node,
+    ep: ChannelEndpoint,
+    shared: &'a RunShared,
+    sched: ForceScheduler,
+    lanes: Vec<Lane<'a>>,
+    report: RunReport,
+    prof: Prof,
+    buf: SpanBuf,
+    /// Log bytes written when the last flush forced, for the
+    /// [`SpanKind::GroupForce`] byte count.
+    forced_bytes: u64,
+}
+
+impl<'a> Worker<'a> {
+    fn new(
+        node: Node,
+        ep: ChannelEndpoint,
+        lanes: Vec<Lane<'a>>,
+        shared: &'a RunShared,
+        cfg: &ThreadClusterConfig,
+    ) -> Self {
+        Worker {
+            sched: ForceScheduler::new(cfg.group_commit),
+            buf: if cfg.tracing {
+                SpanBuf::new(node.id().0, DEFAULT_TRACE_CAPACITY)
+            } else {
+                SpanBuf::disabled()
+            },
+            forced_bytes: node.log().bytes_written(),
+            report: RunReport::default(),
+            prof: Prof::default(),
+            node,
+            ep,
+            lanes,
+            shared,
+        }
+    }
+
+    /// Runs this node's share of the run and hands the worker back,
+    /// whatever happened: the lanes, one decrement of `remaining`,
+    /// then page-fetch service until every node's lanes are done. An
+    /// error — or a panic, so that the node is not lost with the
+    /// thread and the peers not left waiting — fails the run for all.
+    fn run(mut self) -> Self {
+        let started = Instant::now();
+        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            let lanes = self.run_lanes();
+            self.shared.remaining.fetch_sub(1, Ordering::AcqRel);
+            lanes.and_then(|()| self.serve_peers())
+        }))
+        .unwrap_or_else(|_| {
+            Err(Error::Protocol(format!(
+                "{} worker panicked",
+                self.node.id()
+            )))
+        });
+        if let Err(e) = result {
+            // Only the first failure is the run's error; a later one
+            // is its consequence.
+            let _ = self.shared.failed.set(e);
+        }
+        self.ep.drain();
+        self.prof.wall_us = started.elapsed().as_micros() as u64;
+        self
+    }
+
+    /// The wall-time split of this worker's run.
+    fn stats(&self) -> RtNodeStats {
+        let p = &self.prof;
+        let busy_us = p.outer_us.saturating_sub(p.lock_wait_us);
+        RtNodeStats {
+            node: self.node.id().0,
+            wall_us: p.wall_us,
+            busy_us,
+            disk_us: p.disk_us,
+            net_us: p.net_us,
+            cpu_us: busy_us.saturating_sub(p.disk_us).saturating_sub(p.net_us),
+            lock_wait_us: p.lock_wait_us,
+            replay_us: 0,
+        }
+    }
+
+    /// Runs `f` as one top-level scope of the profiler.
+    fn timed<T>(&mut self, f: impl FnOnce(&mut Self) -> T) -> T {
+        let t = Instant::now();
+        let out = f(self);
+        self.prof.outer_us += t.elapsed().as_micros() as u64;
+        out
+    }
+
+    /// Every wait of a worker polls this, so a peer's failure ends it.
+    fn peers_ok(&self) -> Result<()> {
+        match self.shared.failed.get() {
+            None => Ok(()),
+            Some(_) => Err(Error::Protocol("stopped: another worker failed".into())),
+        }
+    }
+
+    /// Steps the lanes, one whole transaction each per sweep, until
+    /// every plan has ended in a durable commit or an abort.
+    fn run_lanes(&mut self) -> Result<()> {
+        // No lane could step in the last sweep: every live lane of this
+        // node is parked on the scheduler, and only a lane can submit a
+        // commit. Nobody can join the batch before a force acks part of
+        // it, so holding the window open to its deadline buys nothing.
+        let mut all_parked = false;
+        loop {
+            self.peers_ok()?;
+            self.timed(Self::serve_inbox)?;
+            if all_parked || self.sched.is_due(self.shared.clock.now_us()) {
+                self.timed(Self::flush)?;
             }
-            Some(env) => serve(node, ep, env, clock, prof, buf)?,
-            None => {
-                if Instant::now() >= deadline {
-                    return Err(Error::Protocol(format!("page fetch of {pid} timed out")));
+
+            let mut progressed = false;
+            let mut live = false;
+            for li in 0..self.lanes.len() {
+                let lane = &self.lanes[li];
+                if lane.waiting.is_some() {
+                    live = true;
+                    continue;
+                }
+                let Some(&plan) = lane.plans.get(lane.next) else {
+                    continue;
+                };
+                live = true;
+                progressed = true;
+                let outcome = self.timed(|w| w.run_txn(plan))?;
+                let lane = &mut self.lanes[li];
+                match outcome {
+                    TxnOutcome::Committing(txn, at) => {
+                        lane.waiting = Some((txn, at));
+                        lane.retries = 0;
+                    }
+                    TxnOutcome::Done => {
+                        lane.next += 1;
+                        lane.retries = 0;
+                    }
+                    TxnOutcome::Retry => {
+                        lane.retries += 1;
+                        if lane.retries > PLAN_RETRIES {
+                            return Err(Error::Protocol(format!(
+                                "{} lane {} livelocked on plan {}",
+                                self.node.id(),
+                                plan.stream,
+                                lane.next
+                            )));
+                        }
+                    }
+                }
+            }
+            if !live {
+                // A parked commit keeps its lane live until it is acked.
+                debug_assert_eq!(self.sched.pending_len(), 0);
+                return Ok(());
+            }
+            all_parked = !progressed;
+        }
+    }
+
+    /// Serves page fetches until every node's lanes are done.
+    fn serve_peers(&mut self) -> Result<()> {
+        while self.shared.remaining.load(Ordering::Acquire) != 0 {
+            self.peers_ok()?;
+            if let Some(env) = self.ep.recv_timeout(Duration::from_micros(500)) {
+                self.timed(|w| w.serve(env))?;
+            }
+        }
+        Ok(())
+    }
+
+    /// Runs one plan as a transaction, up to the parked commit or the
+    /// completed abort. Every ending but the commit rolls back — the
+    /// user abort, the lock conflict, and an error of this worker or a
+    /// peer — so a failed run leaves no active transaction on the node.
+    ///
+    /// The transaction's span says `committed: true` from
+    /// `commit_begin` on: the commit record exists and its force is
+    /// scheduled, and `run_lanes` does not return with a commit parked.
+    fn run_txn(&mut self, plan: &TxnPlan) -> Result<TxnOutcome> {
+        let txn = self.node.begin()?;
+        let start = self.shared.clock.now_us();
+        let span = self.buf.alloc();
+        let locked = self.run_ops(plan, txn, span);
+        let (outcome, end) = if matches!(locked, Ok(true)) && !plan.abort {
+            let lsn = self.node.commit_begin(txn)?;
+            // Strict 2PL releases transaction locks at commit_begin;
+            // the same early release is safe here because cross-thread
+            // visibility of this transaction's updates requires a page
+            // ship, and the serving path forces the whole log first
+            // (WAL rule).
+            self.release_locks(plan, txn);
+            let now = self.shared.clock.now_us();
+            self.sched.submit(txn, lsn, now);
+            (TxnOutcome::Committing(txn, now), now)
+        } else {
+            let undone = roll_back(&mut self.node, txn);
+            self.release_locks(plan, txn);
+            let locked = locked?;
+            undone?;
+            let outcome = if locked {
+                self.report.user_aborts += 1;
+                TxnOutcome::Done
+            } else {
+                self.report.forced_aborts += 1;
+                TxnOutcome::Retry
+            };
+            (outcome, self.shared.clock.now_us())
+        };
+        if !span.is_none() {
+            self.buf.emit(Span {
+                id: span,
+                parent: SpanId::NONE,
+                node: self.node.id(),
+                start,
+                dur: end.saturating_sub(start),
+                kind: SpanKind::Txn {
+                    txn,
+                    committed: matches!(outcome, TxnOutcome::Committing(..)),
+                },
+            });
+        }
+        Ok(outcome)
+    }
+
+    /// Locks and executes the plan's ops in order. `Ok(false)` is a
+    /// lock conflict that outlasted the spin budget.
+    fn run_ops(&mut self, plan: &TxnPlan, txn: TxnId, span: SpanId) -> Result<bool> {
+        let me = self.node.id();
+        for op in &plan.ops {
+            let (pid, mode) = match *op {
+                PlanOp::Read { pid, .. } => (pid, LockMode::Shared),
+                PlanOp::Write { pid, .. } => (pid, LockMode::Exclusive),
+            };
+            if mode == LockMode::Exclusive && pid.owner != me {
+                return Err(Error::Protocol(format!(
+                    "{me} plan writes remote page {pid}: the threaded runtime only writes owned pages"
+                )));
+            }
+            if !self.acquire(pid, token_of(txn), mode)? {
+                return Ok(false);
+            }
+            match *op {
+                PlanOp::Read { pid, slot } => {
+                    if pid.owner == me {
+                        ensure_cached(&mut self.node, pid)?;
+                        self.node
+                            .peek_slot(pid, slot)
+                            .ok_or(Error::NoSuchPage(pid))?;
+                    } else {
+                        self.remote_read(pid, slot, span)?;
+                    }
+                }
+                PlanOp::Write { pid, slot, value } => {
+                    ensure_cached(&mut self.node, pid)?;
+                    let before = self
+                        .node
+                        .peek_slot(pid, slot)
+                        .ok_or(Error::NoSuchPage(pid))?;
+                    // The watchdog checks the pre-update PSN edge, so
+                    // read it before `log_update` bumps it.
+                    let psn_before = self
+                        .node
+                        .buffer()
+                        .peek(pid)
+                        .map(|p| p.psn())
+                        .unwrap_or(Psn::ZERO);
+                    self.node.log_update(
+                        txn,
+                        pid,
+                        PageOp::WriteRange {
+                            off: (slot * 8) as u32,
+                            before: before.to_le_bytes().to_vec(),
+                            after: value.to_le_bytes().to_vec(),
+                        },
+                    )?;
+                    let lsn = self.node.txn(txn).map(|t| t.last_lsn).unwrap_or(Lsn::ZERO);
+                    self.buf.point(
+                        self.shared.clock.now_us(),
+                        me,
+                        span,
+                        SpanKind::Update {
+                            pid,
+                            txn,
+                            psn: psn_before,
+                            lsn,
+                            clr: false,
+                        },
+                    );
+                }
+            }
+            self.report.ops_executed += 1;
+        }
+        Ok(true)
+    }
+
+    /// Forces the log and acknowledges every commit the force covered.
+    /// The force itself is attributed to `disk` (on a file-backed WAL
+    /// it is a real `fdatasync`); ack bookkeeping stays in the
+    /// enclosing scope's `cpu` remainder. An acknowledging force emits
+    /// a [`SpanKind::GroupForce`] span covering the batch.
+    fn flush(&mut self) -> Result<()> {
+        let pending = self.node.log().bytes_written() - self.forced_bytes;
+        let ft = Instant::now();
+        self.node.force_log()?;
+        self.prof.disk_us += ft.elapsed().as_micros() as u64;
+        self.forced_bytes = self.node.log().bytes_written();
+        let flushed = self.node.log().flushed_lsn();
+        let mut acked = 0u64;
+        for txn in self.sched.drain_acked(flushed) {
+            self.node.finish_commit(txn)?;
+            self.report.committed += 1;
+            acked += 1;
+            let now = self.shared.clock.now_us();
+            for lane in &mut self.lanes {
+                if let Some((_, at)) = lane.waiting.filter(|&(w, _)| w == txn) {
+                    self.shared.samples.record(now.saturating_sub(at));
+                    lane.waiting = None;
+                    lane.next += 1;
+                    break;
                 }
             }
         }
-    };
-    let nested = (prof.disk_us + prof.net_us).saturating_sub(leaf0);
-    prof.net_us += (t.elapsed().as_micros() as u64).saturating_sub(nested);
-    value
-}
-
-fn serve_inbox(
-    node: &mut Node,
-    ep: &ChannelEndpoint,
-    clock: &WallClock,
-    prof: &mut Prof,
-    buf: &mut SpanBuf,
-) -> Result<()> {
-    while let Some(env) = ep.try_recv() {
-        serve(node, ep, env, clock, prof, buf)?;
-    }
-    Ok(())
-}
-
-/// Owner-side service: ship the authoritative image of an owned page.
-/// If the buffer copy is dirty, the WAL rule applies — our log records
-/// may cover its updates, so force the log before the image escapes
-/// the node. The force is attributed to `disk` and the rest of the
-/// service to `net`; the ship is traced as Transfer + Msg spans
-/// parented on the requester's message span.
-fn serve(
-    node: &mut Node,
-    ep: &ChannelEndpoint,
-    env: Envelope,
-    clock: &WallClock,
-    prof: &mut Prof,
-    buf: &mut SpanBuf,
-) -> Result<()> {
-    let t = Instant::now();
-    let mut force_us = 0u64;
-    match env.kind {
-        MsgKind::LockRequest => {
-            let pid = decode_pid(&env.payload)?;
-            let dirty = node.buffer().is_dirty(pid) == Some(true);
-            if dirty {
-                let ft = Instant::now();
-                node.force_log()?;
-                force_us = ft.elapsed().as_micros() as u64;
-            }
-            let (page, _) = node.authoritative_copy(pid)?;
-            let me = node.id();
-            let at = clock.now_us();
-            // WAL rule at the sender: a dirty image leaves only after
-            // the force above; a clean image is trivially covered.
-            let wal_ok = !dirty || node.log().fully_forced();
-            buf.point(
-                at,
-                me,
-                env.ctx.span,
-                SpanKind::Transfer {
-                    pid,
-                    from: me,
-                    to: env.from,
-                    psn: page.psn(),
-                    why: TransferWhy::Ship,
-                    wal_ok,
+        if acked > 0 {
+            self.buf.point(
+                self.shared.clock.now_us(),
+                self.node.id(),
+                SpanId::NONE,
+                SpanKind::GroupForce {
+                    node: self.node.id(),
+                    txns: acked,
+                    bytes: pending,
                 },
             );
-            let bytes = page.to_bytes();
-            let nbytes = bytes.len() as u64;
-            let msg = buf.alloc();
-            ep.send_ctx(
-                env.from,
-                MsgKind::PageShip,
-                bytes,
-                SpanCtx::child(msg, env.ctx.span),
-            )?;
-            if !msg.is_none() {
-                buf.emit(Span {
-                    id: msg,
-                    parent: env.ctx.span,
-                    node: me,
-                    start: at,
-                    dur: 0,
-                    kind: SpanKind::Msg {
-                        kind: MsgKind::PageShip.label(),
-                        from: me,
-                        to: env.from,
-                        bytes: nbytes,
-                        carries_log: false,
-                    },
-                });
+        }
+        Ok(())
+    }
+
+    /// Takes `pid` for `token`, serving incoming page fetches while it
+    /// spins so two nodes waiting on each other's service cannot
+    /// deadlock. The spin time — minus the nested service work, which
+    /// lands in its own buckets — is attributed to `lock_wait`.
+    fn acquire(&mut self, pid: PageId, token: u64, mode: LockMode) -> Result<bool> {
+        if self.shared.locks.try_acquire(pid, token, mode) {
+            return Ok(true);
+        }
+        let t = Instant::now();
+        let leaf0 = self.prof.disk_us + self.prof.net_us;
+        let mut won = false;
+        for i in 0..ACQUIRE_SPINS {
+            if self.shared.locks.try_acquire(pid, token, mode) {
+                won = true;
+                break;
+            }
+            self.peers_ok()?;
+            self.serve_inbox()?;
+            if i % 64 == 63 {
+                std::thread::yield_now();
+            } else {
+                std::hint::spin_loop();
             }
         }
-        other => {
-            return Err(Error::Protocol(format!(
-                "threaded runtime got unexpected {other:?} message"
-            )));
+        let nested = (self.prof.disk_us + self.prof.net_us).saturating_sub(leaf0);
+        self.prof.lock_wait_us += (t.elapsed().as_micros() as u64).saturating_sub(nested);
+        Ok(won)
+    }
+
+    /// Ends `txn` in the lock table. A transaction only ever locks the
+    /// pages of its plan's ops, so releasing those (a page not held — a
+    /// forced abort stopped before it, or it repeats in the plan — is a
+    /// no-op) is `release_all` without taking every shard and walking
+    /// every locked page of every other transaction.
+    fn release_locks(&self, plan: &TxnPlan, txn: TxnId) {
+        let token = token_of(txn);
+        for op in &plan.ops {
+            let (PlanOp::Read { pid, .. } | PlanOp::Write { pid, .. }) = *op;
+            self.shared.locks.release(pid, token);
         }
     }
-    prof.disk_us += force_us;
-    prof.net_us += (t.elapsed().as_micros() as u64).saturating_sub(force_us);
-    Ok(())
+
+    /// Fetches a remote page image from its owner and reads one slot.
+    /// The image is used once and dropped — without callback locking
+    /// there is no safe way to keep it cached past the transaction's S
+    /// lock.
+    ///
+    /// The fetch is traced as a [`SpanKind::Msg`] whose id rides the
+    /// envelope header, so the owner's Transfer/ship spans parent on it
+    /// and the causal chain crosses the mesh exactly as in the
+    /// simulator. The blocking wait for the reply is attributed to
+    /// `net`; nested service of other nodes' fetches lands in its own
+    /// buckets.
+    fn remote_read(&mut self, pid: PageId, slot: usize, parent: SpanId) -> Result<u64> {
+        let t = Instant::now();
+        let leaf0 = self.prof.disk_us + self.prof.net_us;
+        let me = self.node.id();
+        let payload = encode_pid(pid);
+        let nbytes = payload.len() as u64;
+        let msg = self.buf.alloc();
+        self.ep.send_ctx(
+            pid.owner,
+            MsgKind::LockRequest,
+            payload,
+            SpanCtx::child(msg, parent),
+        )?;
+        if !msg.is_none() {
+            self.buf.emit(Span {
+                id: msg,
+                parent,
+                node: me,
+                start: self.shared.clock.now_us(),
+                dur: 0,
+                kind: SpanKind::Msg {
+                    kind: MsgKind::LockRequest.label(),
+                    from: me,
+                    to: pid.owner,
+                    bytes: nbytes,
+                    carries_log: false,
+                },
+            });
+        }
+        let deadline = Instant::now() + FETCH_TIMEOUT;
+        let value = loop {
+            match self.ep.recv_timeout(Duration::from_millis(1)) {
+                Some(env) if env.kind == MsgKind::PageShip => {
+                    let page = Page::from_bytes(env.payload)?;
+                    if page.id() == pid {
+                        break page.read_slot(slot);
+                    }
+                    // A ship we did not ask for; workers have one fetch
+                    // in flight at a time, so this cannot happen — drop
+                    // it.
+                }
+                Some(env) => self.serve(env)?,
+                None => {
+                    self.peers_ok()?;
+                    if Instant::now() >= deadline {
+                        return Err(Error::Protocol(format!("page fetch of {pid} timed out")));
+                    }
+                }
+            }
+        };
+        let nested = (self.prof.disk_us + self.prof.net_us).saturating_sub(leaf0);
+        self.prof.net_us += (t.elapsed().as_micros() as u64).saturating_sub(nested);
+        value
+    }
+
+    fn serve_inbox(&mut self) -> Result<()> {
+        while let Some(env) = self.ep.try_recv() {
+            self.serve(env)?;
+        }
+        Ok(())
+    }
+
+    /// Owner-side service: ship the authoritative image of an owned
+    /// page. If the buffer copy is dirty, the WAL rule applies — our
+    /// log records may cover its updates, so force the log before the
+    /// image escapes the node. The force is attributed to `disk` and
+    /// the rest of the service to `net`; the ship is traced as
+    /// Transfer + Msg spans parented on the requester's message span.
+    fn serve(&mut self, env: Envelope) -> Result<()> {
+        let t = Instant::now();
+        if env.kind != MsgKind::LockRequest {
+            return Err(Error::Protocol(format!(
+                "threaded runtime got unexpected {:?} message",
+                env.kind
+            )));
+        }
+        let pid = decode_pid(&env.payload)?;
+        let dirty = self.node.buffer().is_dirty(pid) == Some(true);
+        let mut force_us = 0u64;
+        if dirty {
+            let ft = Instant::now();
+            self.node.force_log()?;
+            force_us = ft.elapsed().as_micros() as u64;
+        }
+        let (page, _) = self.node.authoritative_copy(pid)?;
+        let me = self.node.id();
+        let at = self.shared.clock.now_us();
+        // WAL rule at the sender: a dirty image leaves only after the
+        // force above; a clean image is trivially covered.
+        let wal_ok = !dirty || self.node.log().fully_forced();
+        self.buf.point(
+            at,
+            me,
+            env.ctx.span,
+            SpanKind::Transfer {
+                pid,
+                from: me,
+                to: env.from,
+                psn: page.psn(),
+                why: TransferWhy::Ship,
+                wal_ok,
+            },
+        );
+        let bytes = page.to_bytes();
+        let nbytes = bytes.len() as u64;
+        let msg = self.buf.alloc();
+        self.ep.send_ctx(
+            env.from,
+            MsgKind::PageShip,
+            bytes,
+            SpanCtx::child(msg, env.ctx.span),
+        )?;
+        if !msg.is_none() {
+            self.buf.emit(Span {
+                id: msg,
+                parent: env.ctx.span,
+                node: me,
+                start: at,
+                dur: 0,
+                kind: SpanKind::Msg {
+                    kind: MsgKind::PageShip.label(),
+                    from: me,
+                    to: env.from,
+                    bytes: nbytes,
+                    carries_log: false,
+                },
+            });
+        }
+        self.prof.disk_us += force_us;
+        self.prof.net_us += (t.elapsed().as_micros() as u64).saturating_sub(force_us);
+        Ok(())
+    }
 }
 
 /// Serializes the per-node profile as the `"nodes":[…],"folded":[…]`
-/// JSON fragment shared by every threaded-runtime telemetry export
-/// (`rtbench`, `obsreport --compare`) — the same skeleton the
-/// simulator's `export_json` emits, so one renderer draws both.
+/// JSON fragment of a threaded-runtime telemetry export (`obsreport
+/// --compare`) — the same skeleton the simulator's `export_json`
+/// emits, so one renderer draws both.
 ///
 /// The folded lines are `flamegraph.pl` input: `label;n<id>;<bucket>`
 /// frames weighted by measured µs. Zero buckets are elided, matching
@@ -1567,8 +1455,10 @@ mod tests {
         assert_eq!(report.committed, 2);
         assert_eq!(report.forced_aborts, 0);
         let stats = tc.last_stats().unwrap();
-        assert_eq!(stats.commit_msgs, 0, "commit path sends no messages");
-        assert_eq!(stats.msgs, 0, "purely local plans need no traffic at all");
+        assert_eq!(
+            stats.msgs, 0,
+            "the mesh counted no message: commits are local"
+        );
         assert!(stats.forces >= 2, "each commit forced its local log");
 
         let img = tc.page_image(pid(0, 0)).unwrap();
@@ -1595,7 +1485,6 @@ mod tests {
         assert_eq!(report.committed, 1);
         let stats = tc.last_stats().unwrap();
         assert_eq!(stats.msgs, 2, "one fetch request, one page ship");
-        assert_eq!(stats.commit_msgs, 0);
     }
 
     #[test]
@@ -1677,8 +1566,12 @@ mod tests {
             "expected batched forces, got {} for 16 commits",
             stats.forces
         );
-        let snap = tc.latency().snapshot();
-        assert_eq!(snap.count, 16, "every commit's latency was recorded");
+        assert_eq!(stats.msgs, 0, "batched commits send nothing either");
+        assert_eq!(
+            tc.latency_samples().count(),
+            16,
+            "every commit's latency was recorded"
+        );
     }
 
     #[test]
@@ -1708,6 +1601,120 @@ mod tests {
             stats.wall_us < 100_000,
             "200 lone commits took {} us: the worker slept on the window",
             stats.wall_us
+        );
+    }
+
+    // ---- a run that fails ----
+
+    /// `run` on a watchdog: the call must return within `limit`.
+    fn run_within(
+        tc: ThreadCluster,
+        plans: Vec<TxnPlan>,
+        limit: Duration,
+    ) -> (ThreadCluster, Result<RunReport>) {
+        let (tx, rx) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            let mut tc = tc;
+            let out = tc.run(&plans);
+            let _ = tx.send((tc, out));
+        });
+        rx.recv_timeout(limit)
+            .expect("Runtime::run did not return: a worker is waiting for a peer that failed")
+    }
+
+    #[test]
+    fn a_failing_worker_ends_the_run_for_its_peers() {
+        // Node 0's plan is out of scope (a remote write) and fails at
+        // once; node 1 has ordinary work and then waits for node 0's
+        // lanes to finish, which they never do.
+        let tc = ThreadCluster::new(ThreadClusterConfig::default()).unwrap();
+        let plans = vec![
+            wplan(0, 0, &[(pid(1, 0), 0, 1)]),
+            wplan(1, 0, &[(pid(1, 1), 0, 2)]),
+            wplan(1, 0, &[(pid(1, 1), 1, 3)]),
+        ];
+        let (_, out) = run_within(tc, plans, Duration::from_secs(1));
+        match out {
+            Err(Error::Protocol(m)) => assert!(m.contains("writes remote page"), "{m}"),
+            other => panic!("expected the failing worker's Protocol error, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn a_peer_failure_ends_a_page_fetch_wait() {
+        // Node 1 asks node 0 for a page; node 0 fails without serving
+        // it. Node 1 must not sit out FETCH_TIMEOUT, and the run's
+        // error is node 0's, the cause.
+        let tc = ThreadCluster::new(ThreadClusterConfig::default()).unwrap();
+        let read = TxnPlan {
+            client: NodeId(1),
+            stream: 0,
+            ops: vec![PlanOp::Read {
+                pid: pid(0, 0),
+                slot: 0,
+            }],
+            abort: false,
+        };
+        let plans = vec![wplan(0, 0, &[(pid(1, 0), 0, 1)]), read];
+        let (_, out) = run_within(tc, plans, Duration::from_secs(1));
+        match out {
+            Err(Error::Protocol(m)) => assert!(m.contains("writes remote page"), "{m}"),
+            other => panic!("expected the failing worker's Protocol error, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn a_failed_run_keeps_the_cluster() {
+        let mut tc = ThreadCluster::new(ThreadClusterConfig {
+            owned_pages: vec![4],
+            ..ThreadClusterConfig::default()
+        })
+        .unwrap();
+        let slot0 = |tc: &mut ThreadCluster, index| {
+            let image = tc.page_image(pid(0, index)).unwrap();
+            Page::from_bytes(image).unwrap().read_slot(0).unwrap()
+        };
+        assert_eq!(
+            tc.run(&[wplan(0, 0, &[(pid(0, 0), 0, 7)])])
+                .unwrap()
+                .committed,
+            1
+        );
+
+        // A plan for a node that does not exist fails before any thread
+        // starts; a plan out of scope fails on its worker, after the
+        // worker wrote a page of its own.
+        let unknown = tc.run(&[wplan(3, 0, &[(pid(0, 0), 0, 8)])]);
+        assert!(matches!(unknown, Err(Error::Invalid(_))), "{unknown:?}");
+        let remote = tc.run(&[wplan(0, 0, &[(pid(0, 1), 0, 9), (pid(1, 0), 0, 9)])]);
+        assert!(matches!(remote, Err(Error::Protocol(_))), "{remote:?}");
+
+        assert_eq!(tc.node_count(), 1);
+        assert_eq!(slot0(&mut tc, 0), 7, "the earlier commit is still there");
+        assert_eq!(
+            slot0(&mut tc, 1),
+            0,
+            "the failed transaction was rolled back"
+        );
+        tc.trace_check().unwrap();
+
+        // The node the failed worker handed back still runs plans,
+        // crashes and recovers.
+        assert_eq!(
+            tc.run(&[wplan(0, 0, &[(pid(0, 1), 0, 10)])])
+                .unwrap()
+                .committed,
+            1
+        );
+        tc.crash(NodeId(0)).unwrap();
+        tc.recover(&RecoveryOptions::single(NodeId(0))).unwrap();
+        assert_eq!(slot0(&mut tc, 0), 7);
+        assert_eq!(slot0(&mut tc, 1), 10);
+        assert_eq!(
+            tc.run(&[wplan(0, 0, &[(pid(0, 2), 0, 11)])])
+                .unwrap()
+                .committed,
+            1
         );
     }
 

@@ -255,7 +255,6 @@ pub fn render_html(doc: &JsonValue) -> std::result::Result<String, String> {
     out.push_str("</p>\n");
 
     render_profile_bars(&mut out, nodes)?;
-    render_cells(&mut out, doc);
     render_series(&mut out, doc);
     render_folded(&mut out, doc);
     out.push_str("</body></html>\n");
@@ -272,7 +271,7 @@ pub fn render_html(doc: &JsonValue) -> std::result::Result<String, String> {
 /// faithful model.
 ///
 /// Works from the parsed JSON alone, like [`render_html`], so any two
-/// saved exports (e.g. an `e1` scenario and a `BENCH_rt_threads.json`)
+/// saved exports (e.g. the two halves of `obsreport --compare --json`)
 /// can be compared after the fact.
 pub fn render_compare_html(sim: &JsonValue, rt: &JsonValue) -> std::result::Result<String, String> {
     let label_of = |doc: &JsonValue| -> String {
@@ -320,7 +319,6 @@ pub fn render_compare_html(sim: &JsonValue, rt: &JsonValue) -> std::result::Resu
     }
 
     render_compare_table(&mut out, sim, rt)?;
-    render_cells(&mut out, rt);
     out.push_str("</body></html>\n");
     Ok(out)
 }
@@ -398,75 +396,6 @@ fn render_compare_table(
     }
     out.push_str("</table>\n");
     Ok(())
-}
-
-/// Benchmark-cell table (threaded-runtime exports): one row per
-/// benchmark combination. The column set is the subset of known cell
-/// keys actually present in the export, so the one renderer covers
-/// every rtbench mode (throughput sweep, recovery, trace overhead).
-/// Absent from simulator exports — skipped silently.
-fn render_cells(out: &mut String, doc: &JsonValue) {
-    let Some(cells) = doc.get("cells").and_then(|v| v.as_arr()) else {
-        return;
-    };
-    if cells.is_empty() {
-        return;
-    }
-    out.push_str("<h2>Benchmark cells (wall clock)</h2>\n<table><tr>");
-    const COLS: &[(&str, &str)] = &[
-        ("mpl", "MPL"),
-        ("policy", "policy"),
-        ("workers", "workers"),
-        ("pages", "pages"),
-        ("waves", "waves"),
-        ("commits", "commits"),
-        ("commits_per_sec", "commits/s"),
-        ("p50_exact_us", "p50 µs (exact)"),
-        ("p99_exact_us", "p99 µs (exact)"),
-        ("p50_hist_us", "p50 µs (hist)"),
-        ("p99_hist_us", "p99 µs (hist)"),
-        ("p50_us", "p50 µs"),
-        ("p99_us", "p99 µs"),
-        ("forces", "forces"),
-        ("forces_per_commit", "forces/commit"),
-        ("commit_msgs", "commit msgs"),
-        ("wall_off_us", "wall µs (untraced)"),
-        ("wall_on_us", "wall µs (traced)"),
-        ("overhead_pct", "overhead %"),
-        ("wall_us", "wall µs"),
-        ("spans", "spans"),
-    ];
-    let cols: Vec<&(&str, &str)> = COLS
-        .iter()
-        .filter(|(key, _)| cells.iter().any(|c| c.get(key).is_some()))
-        .collect();
-    for (_, title) in &cols {
-        let _ = write!(out, "<th>{title}</th>");
-    }
-    out.push_str("</tr>\n");
-    for cell in cells {
-        out.push_str("<tr>");
-        for (key, _) in &cols {
-            match cell.get(key) {
-                Some(v) => {
-                    if let Some(s) = v.as_str() {
-                        let _ = write!(out, "<td>{}</td>", html_escape(s));
-                    } else if let Some(f) = v.as_f64() {
-                        if f.fract() == 0.0 {
-                            let _ = write!(out, "<td>{}</td>", f as i64);
-                        } else {
-                            let _ = write!(out, "<td>{f:.2}</td>");
-                        }
-                    } else {
-                        out.push_str("<td>—</td>");
-                    }
-                }
-                None => out.push_str("<td>—</td>"),
-            }
-        }
-        out.push_str("</tr>\n");
-    }
-    out.push_str("</table>\n");
 }
 
 /// Per-node stacked horizontal bars: each node's total simulated time
@@ -686,40 +615,13 @@ mod tests {
     }
 
     #[test]
-    fn html_renders_benchmark_cells_when_present() {
-        // Shape of an rtbench export: the usual skeleton plus `cells`.
-        let json = r#"{"experiment":"rt_threads","now_us":1234,
-            "nodes":[{"node":0,"busy_us":10,"total_us":20,"utilization_pct":50,
-                      "buckets":{"disk":4,"cpu":3,"net":3,"lock_wait":0,"replay":0}}],
-            "folded":["rt_threads;n0;disk 4"],"telemetry":null,
-            "cells":[{"mpl":4,"policy":"window","commits":64,
-                      "commits_per_sec":22122.4,"p50_us":410,"p99_us":500,
-                      "forces":16,"forces_per_commit":0.25,
-                      "commit_msgs":0,"wall_us":2893}]}"#;
-        let doc = jsonv::parse(json).unwrap();
-        let html = render_html(&doc).unwrap();
-        assert!(html.contains("Benchmark cells"), "cells table heading");
-        assert!(html.contains("window"), "policy value");
-        assert!(html.contains("22122.40"), "float rendered with decimals");
-        assert!(html.contains(">64<"), "integer rendered without decimals");
-
-        // Sim exports carry no cells; the section must vanish entirely.
-        let sim = run_scenario("e1").unwrap();
-        let sim_doc = jsonv::parse(&sim).unwrap();
-        assert!(!render_html(&sim_doc).unwrap().contains("Benchmark cells"));
-    }
-
-    #[test]
     fn compare_html_renders_both_profiles_side_by_side() {
         let sim = run_scenario("e1").unwrap();
         let sim_doc = jsonv::parse(&sim).unwrap();
         let rt = r#"{"experiment":"rt_threads","now_us":5000,
             "nodes":[{"node":0,"busy_us":80,"total_us":100,"utilization_pct":80,
                       "buckets":{"disk":50,"cpu":20,"net":10,"lock_wait":20,"replay":0}}],
-            "folded":["rt_threads;n0;disk 50"],"telemetry":null,
-            "cells":[{"mpl":1,"policy":"immediate","commits":16,
-                      "p50_exact_us":321,"p99_exact_us":6661,
-                      "p50_hist_us":511,"p99_hist_us":6661,"spans":96}]}"#;
+            "folded":["rt_threads;n0;disk 50"],"telemetry":null}"#;
         let rt_doc = jsonv::parse(rt).unwrap();
         let html = render_compare_html(&sim_doc, &rt_doc).unwrap();
         assert!(html.contains("Simulated time"), "sim profile section");
@@ -727,32 +629,8 @@ mod tests {
         assert!(html.contains("Bucket shares"), "comparison table");
         assert!(html.contains("50.0%"), "rt disk share of 100 µs total");
         assert!(
-            html.contains("p50 µs (exact)") && html.contains("p50 µs (hist)"),
-            "exact and histogram percentiles rendered as separate columns"
-        );
-        assert!(
-            !html.contains("p50 µs</th>"),
-            "legacy percentile column absent when the keys are absent"
-        );
-        assert!(
             !html.contains("src=") && !html.contains("href="),
             "self-contained: no external references"
-        );
-
-        // The single renderer also handles the overhead export's cells.
-        let ovh = r#"{"experiment":"rt_trace_overhead","now_us":9,
-            "nodes":[{"node":0,"busy_us":8,"total_us":9,"utilization_pct":88,
-                      "buckets":{"disk":4,"cpu":4,"net":0,"lock_wait":0,"replay":0}}],
-            "folded":[],"telemetry":null,
-            "cells":[{"mpl":1,"policy":"window","commits":16,
-                      "wall_off_us":2189,"wall_on_us":2930,
-                      "overhead_pct":33.85,"spans":96}]}"#;
-        let html = render_html(&jsonv::parse(ovh).unwrap()).unwrap();
-        assert!(html.contains("overhead %"), "overhead column present");
-        assert!(html.contains("33.85"), "overhead value rendered");
-        assert!(
-            !html.contains("forces/commit"),
-            "columns absent from the cells are not rendered"
         );
     }
 
