@@ -232,31 +232,97 @@ impl Fnv1a {
     }
 }
 
-/// CRC-32 (IEEE 802.3 polynomial, reflected), table-driven.
-///
-/// Used to detect torn page writes and truncated log records.
-pub fn crc32(data: &[u8]) -> u32 {
-    static TABLE: std::sync::OnceLock<[u32; 256]> = std::sync::OnceLock::new();
-    let table = TABLE.get_or_init(|| {
-        let mut t = [0u32; 256];
-        for (i, e) in t.iter_mut().enumerate() {
-            let mut c = i as u32;
-            for _ in 0..8 {
-                c = if c & 1 != 0 {
-                    0xEDB8_8320 ^ (c >> 1)
-                } else {
-                    c >> 1
-                };
-            }
-            *e = c;
+/// Slice-by-8 lookup tables for the reflected IEEE 802.3 polynomial:
+/// `CRC_TABLES[0]` is the classic byte-at-a-time table, and
+/// `CRC_TABLES[k][b]` is the CRC of byte `b` followed by `k` zero bytes,
+/// so eight input bytes fold into the state with eight independent
+/// lookups instead of eight dependent ones.
+static CRC_TABLES: [[u32; 256]; 8] = {
+    let mut t = [[0u32; 256]; 8];
+    let mut i = 0;
+    while i < 256 {
+        let mut c = i as u32;
+        let mut bit = 0;
+        while bit < 8 {
+            c = if c & 1 != 0 {
+                0xEDB8_8320 ^ (c >> 1)
+            } else {
+                c >> 1
+            };
+            bit += 1;
         }
-        t
-    });
-    let mut crc = 0xFFFF_FFFFu32;
-    for &b in data {
-        crc = table[((crc ^ b as u32) & 0xFF) as usize] ^ (crc >> 8);
+        t[0][i] = c;
+        i += 1;
     }
-    !crc
+    let mut k = 1;
+    while k < 8 {
+        let mut i = 0;
+        while i < 256 {
+            let prev = t[k - 1][i];
+            t[k][i] = t[0][(prev & 0xFF) as usize] ^ (prev >> 8);
+            i += 1;
+        }
+        k += 1;
+    }
+    t
+};
+
+/// Incremental CRC-32 (IEEE 802.3 polynomial, reflected): the state
+/// behind [`crc32`], for data that is checksummed in pieces. Feeding
+/// the pieces of a buffer in order, however it is split, gives the
+/// CRC of the whole buffer.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct Crc32(u32);
+
+impl Default for Crc32 {
+    fn default() -> Self {
+        Crc32(0xFFFF_FFFF)
+    }
+}
+
+impl Crc32 {
+    /// The state of an empty message.
+    pub fn new() -> Self {
+        Crc32::default()
+    }
+
+    /// Folds `data` into the state, eight bytes per step.
+    pub fn update(&mut self, data: &[u8]) {
+        let t = &CRC_TABLES;
+        let mut crc = self.0;
+        let mut words = data.chunks_exact(8);
+        for w in &mut words {
+            let lo = crc ^ u32::from_le_bytes([w[0], w[1], w[2], w[3]]);
+            let hi = u32::from_le_bytes([w[4], w[5], w[6], w[7]]);
+            crc = t[7][(lo & 0xFF) as usize]
+                ^ t[6][((lo >> 8) & 0xFF) as usize]
+                ^ t[5][((lo >> 16) & 0xFF) as usize]
+                ^ t[4][(lo >> 24) as usize]
+                ^ t[3][(hi & 0xFF) as usize]
+                ^ t[2][((hi >> 8) & 0xFF) as usize]
+                ^ t[1][((hi >> 16) & 0xFF) as usize]
+                ^ t[0][(hi >> 24) as usize];
+        }
+        for &b in words.remainder() {
+            crc = t[0][((crc ^ b as u32) & 0xFF) as usize] ^ (crc >> 8);
+        }
+        self.0 = crc;
+    }
+
+    /// The CRC of everything folded in so far.
+    pub fn finish(&self) -> u32 {
+        !self.0
+    }
+}
+
+/// CRC-32 (IEEE 802.3 polynomial, reflected) of `data`.
+///
+/// Used to detect torn page writes and truncated log records; the
+/// values are part of the page and log formats.
+pub fn crc32(data: &[u8]) -> u32 {
+    let mut c = Crc32::new();
+    c.update(data);
+    c.finish()
 }
 
 #[cfg(test)]
@@ -313,6 +379,52 @@ mod tests {
         let v = e.into_vec();
         let mut d = Decoder::new(&v);
         assert!(matches!(d.get_bytes(), Err(Error::Corrupt(_))));
+    }
+
+    /// The byte-at-a-time loop `crc32` used to be: the reference the
+    /// slice-by-8 kernel must agree with bit for bit.
+    fn crc32_bytewise(data: &[u8]) -> u32 {
+        let mut crc = 0xFFFF_FFFFu32;
+        for &b in data {
+            crc = CRC_TABLES[0][((crc ^ b as u32) & 0xFF) as usize] ^ (crc >> 8);
+        }
+        !crc
+    }
+
+    fn seeded_bytes(n: usize) -> Vec<u8> {
+        let mut rng = crate::rng::Rng::seed_from_u64(0xC4C3_2016);
+        (0..n).map(|_| rng.next_u64() as u8).collect()
+    }
+
+    #[test]
+    fn crc32_equals_the_bytewise_reference() {
+        let data = seeded_bytes(4096);
+        assert_eq!(crc32(&data), crc32_bytewise(&data));
+        // Every length around the 8-byte step, at every alignment of
+        // the slice start.
+        for start in 0..8 {
+            for len in 0..=80 {
+                let s = &data[start..start + len];
+                assert_eq!(crc32(s), crc32_bytewise(s), "start {start} len {len}");
+            }
+        }
+    }
+
+    #[test]
+    fn crc32_in_pieces_equals_one_shot() {
+        let data = seeded_bytes(300);
+        let whole = crc32(&data);
+        for a in 0..=data.len() {
+            // Two cuts: [0, a), [a, b), [b, len) with b stepping past
+            // word boundaries relative to a.
+            for b in (a..=data.len()).step_by(7) {
+                let mut c = Crc32::new();
+                c.update(&data[..a]);
+                c.update(&data[a..b]);
+                c.update(&data[b..]);
+                assert_eq!(c.finish(), whole, "cuts at {a} and {b}");
+            }
+        }
     }
 
     #[test]

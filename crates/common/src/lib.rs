@@ -31,7 +31,7 @@ pub mod span;
 pub mod stats;
 pub mod trace;
 
-pub use codec::{crc32, Decoder, Encoder, Fnv1a};
+pub use codec::{crc32, Crc32, Decoder, Encoder, Fnv1a};
 pub use error::{Error, Result};
 pub use ids::{Lsn, NodeId, PageId, Psn, Rid, TxnId};
 pub use jsonv::JsonValue;

@@ -224,9 +224,13 @@ pub enum SpanKind {
         psn: Psn,
         /// Why the page moved.
         why: TransferWhy,
-        /// WAL rule at the sender: true iff every local log record was
-        /// forced before a *dirty* image left the node (always true for
-        /// clean images).
+        /// The sender's log rule for this kind of transfer. To the
+        /// owner (callback, replacement): true iff every local log
+        /// record was forced before a *dirty* image left the node. From
+        /// the owner (ship): true iff no transaction whose update the
+        /// image carries has released its locks with its commit record
+        /// still undurable (DESIGN §16). Always true for recovery
+        /// transfers.
         wal_ok: bool,
     },
     /// A global lock granted by an owner to a remote transaction.

@@ -464,11 +464,12 @@ impl Cluster {
     }
 
     /// Emits a page-transfer span for `pid` moving `from → to` at
-    /// `psn`. The WAL rule only constrains replacements to the owner
-    /// (the sender's log must be forced through the page's updates —
-    /// [`cblog_wal::LogManager::fully_forced`] after
-    /// `prepare_replace_to_owner`); shipping a cached copy outward
-    /// writes no disk and is always WAL-clean.
+    /// `psn`. A replacement to the owner must leave the sender's log
+    /// forced through the page's updates
+    /// ([`cblog_wal::LogManager::fully_forced`] after
+    /// `prepare_replace_to_owner`). A ship from the owner writes no
+    /// disk, but it must not carry the update of a commit that is
+    /// still parked undurable ([`Cluster::fetch_page`] forces first).
     pub(crate) fn trace_transfer(
         &self,
         pid: PageId,
@@ -482,7 +483,8 @@ impl Cluster {
         }
         let wal_ok = match why {
             TransferWhy::Callback | TransferWhy::Replace => self.nodes[ix(from)].log.fully_forced(),
-            TransferWhy::Ship | TransferWhy::Recovery => true,
+            TransferWhy::Ship => !self.has_undurable_commit(from),
+            TransferWhy::Recovery => true,
         };
         self.tracer.point(
             self.now(),
@@ -1101,12 +1103,33 @@ impl Cluster {
         Ok(())
     }
 
+    /// True if `node` has a commit parked whose record is not durable:
+    /// its locks are released, a crash of `node` would still undo it.
+    fn has_undurable_commit(&self, node: NodeId) -> bool {
+        let n = ix(node);
+        self.schedulers[n].has_undurable(self.nodes[n].log.flushed_lsn())
+    }
+
     /// Brings `pid` into `node`'s cache from the owner's authoritative
     /// copy (buffer, else disk).
+    ///
+    /// No image leaves a node carrying an update of a transaction that
+    /// has released its locks and whose commit record is not durable
+    /// (DESIGN §16): `commit_begin` released the owner's local lock, so
+    /// a callback against the owner itself is applied and the reader
+    /// gets here while the writer's commit is still parked in the
+    /// owner's scheduler. The owner's log is forced before such a ship;
+    /// the parked commits are acknowledged at their next poll.
     pub(crate) fn fetch_page(&mut self, node: NodeId, pid: PageId) -> Result<()> {
         let owner = pid.owner;
         if self.net.is_crashed(owner) {
             return Err(Error::OwnerDown { owner, page: pid });
+        }
+        if owner != node && self.has_undurable_commit(owner) {
+            let forces0 = self.nodes[ix(owner)].log.forces();
+            let pending = self.pending_log_bytes(owner);
+            self.nodes[ix(owner)].log.force_all()?;
+            self.charge_force(owner, forces0, pending);
         }
         if self.cfg.force_on_transfer
             && owner != node

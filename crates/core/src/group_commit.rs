@@ -172,6 +172,14 @@ impl ForceScheduler {
         self.pending.len()
     }
 
+    /// True if a parked commit's record is not durable at `flushed`:
+    /// its transaction has released its locks, and a crash now would
+    /// still roll it back. Commits park in LSN order, so the last one
+    /// decides.
+    pub fn has_undurable(&self, flushed: Lsn) -> bool {
+        self.pending.back().is_some_and(|p| p.lsn >= flushed)
+    }
+
     /// True if `txn` is parked here awaiting a force.
     pub fn is_pending(&self, txn: TxnId) -> bool {
         self.pending.iter().any(|p| p.txn == txn)

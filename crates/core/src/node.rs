@@ -364,8 +364,9 @@ impl Node {
     /// held through the append; early release is safe because any
     /// same-node dependent commits through the same log — its force
     /// covers this record — and any cross-node visibility requires a
-    /// page transfer, which forces the whole log first under the WAL
-    /// rule). The caller owns the force: either immediately
+    /// page transfer, before which the engine forces this log if the
+    /// image would carry an update whose commit record is not yet
+    /// durable: DESIGN §16). The caller owns the force: either immediately
     /// ([`Node::commit`]) or batched by the cluster's force scheduler.
     pub fn commit_begin(&mut self, txn: TxnId) -> Result<Lsn> {
         self.ensure_up()?;

@@ -397,13 +397,7 @@ impl Runtime for ThreadCluster {
                 .push(Lane::new(lane));
         }
 
-        let shared = RunShared {
-            locks: ShardedLockTable::new(LOCK_SHARDS),
-            samples: self.latency_samples.clone(),
-            clock: self.epoch,
-            remaining: AtomicUsize::new(n),
-            failed: OnceLock::new(),
-        };
+        let shared = RunShared::new(self, n);
         let forces_before: u64 = self.nodes.iter().map(|nd| nd.log().forces()).sum();
         let started = Instant::now();
         let workers: Vec<Worker> = std::thread::scope(|s| {
@@ -744,6 +738,19 @@ struct RunShared {
     failed: OnceLock<Error>,
 }
 
+impl RunShared {
+    /// The shared state of a run of `workers` workers on `tc`.
+    fn new(tc: &ThreadCluster, workers: usize) -> Self {
+        RunShared {
+            locks: ShardedLockTable::new(LOCK_SHARDS),
+            samples: tc.latency_samples.clone(),
+            clock: tc.epoch,
+            remaining: AtomicUsize::new(workers),
+            failed: OnceLock::new(),
+        }
+    }
+}
+
 /// Wall-time profiler of one worker thread (DESIGN §14).
 ///
 /// `outer_us` sums the top-level timed scopes of the worker loop
@@ -856,9 +863,17 @@ struct Worker<'a> {
     report: RunReport,
     prof: Prof,
     buf: SpanBuf,
-    /// Log bytes written when the last flush forced, for the
-    /// [`SpanKind::GroupForce`] byte count.
+    /// Log bytes written as of the last [`Worker::force`], so each
+    /// force knows the bytes it wrote.
     forced_bytes: u64,
+    /// The ship-force rule's state: the pages written by transactions
+    /// that released their locks (`commit_begin`) since this node's
+    /// last log force — exactly the pages whose buffer image may carry
+    /// an update of a released transaction whose commit record is not
+    /// durable. `run_txn` adds, [`Worker::force`] clears, `serve` asks.
+    /// A page repeats if several such transactions wrote it; between
+    /// two forces it holds at most one plan's writes per lane.
+    released: Vec<PageId>,
 }
 
 impl<'a> Worker<'a> {
@@ -877,6 +892,7 @@ impl<'a> Worker<'a> {
                 SpanBuf::disabled()
             },
             forced_bytes: node.log().bytes_written(),
+            released: Vec::new(),
             report: RunReport::default(),
             prof: Prof::default(),
             node,
@@ -949,6 +965,12 @@ impl<'a> Worker<'a> {
     /// Steps the lanes, one whole transaction each per sweep, until
     /// every plan has ended in a durable commit or an abort.
     fn run_lanes(&mut self) -> Result<()> {
+        // `released` starts empty, which is true only of a log without
+        // a tail. A run that failed leaves its parked commits released
+        // and unforced; force them before the first fetch is served.
+        if !self.node.log().fully_forced() {
+            self.timed(Self::force)?;
+        }
         // No lane could step in the last sweep: every live lane of this
         // node is parked on the scheduler, and only a lane can submit a
         // commit. Nobody can join the batch before a force acks part of
@@ -1033,11 +1055,16 @@ impl<'a> Worker<'a> {
         let locked = self.run_ops(plan, txn, span);
         let (outcome, end) = if matches!(locked, Ok(true)) && !plan.abort {
             let lsn = self.node.commit_begin(txn)?;
-            // Strict 2PL releases transaction locks at commit_begin;
-            // the same early release is safe here because cross-thread
-            // visibility of this transaction's updates requires a page
-            // ship, and the serving path forces the whole log first
-            // (WAL rule).
+            // Strict 2PL releases transaction locks at commit_begin,
+            // before the commit record is durable. That is safe across
+            // threads because this transaction's updates can only be
+            // seen through a page ship, and `serve` forces the log
+            // before it ships a page in `released`.
+            self.released
+                .extend(plan.ops.iter().filter_map(|op| match *op {
+                    PlanOp::Write { pid, .. } => Some(pid),
+                    PlanOp::Read { .. } => None,
+                }));
             self.release_locks(plan, txn);
             let now = self.shared.clock.now_us();
             self.sched.submit(txn, lsn, now);
@@ -1143,17 +1170,29 @@ impl<'a> Worker<'a> {
         Ok(true)
     }
 
-    /// Forces the log and acknowledges every commit the force covered.
-    /// The force itself is attributed to `disk` (on a file-backed WAL
-    /// it is a real `fdatasync`); ack bookkeeping stays in the
-    /// enclosing scope's `cpu` remainder. An acknowledging force emits
-    /// a [`SpanKind::GroupForce`] span covering the batch.
-    fn flush(&mut self) -> Result<()> {
-        let pending = self.node.log().bytes_written() - self.forced_bytes;
-        let ft = Instant::now();
+    /// Forces the whole log — the one place this worker does — and
+    /// returns the bytes the force wrote. Every commit record appended
+    /// so far is durable afterwards, so no page is `released` any
+    /// more. The time is attributed to `disk` (on a file-backed WAL it
+    /// is a real `fdatasync`).
+    fn force(&mut self) -> Result<u64> {
+        let t = Instant::now();
         self.node.force_log()?;
-        self.prof.disk_us += ft.elapsed().as_micros() as u64;
-        self.forced_bytes = self.node.log().bytes_written();
+        self.prof.disk_us += t.elapsed().as_micros() as u64;
+        let written = self.node.log().bytes_written();
+        let bytes = written - self.forced_bytes;
+        self.forced_bytes = written;
+        self.released.clear();
+        Ok(bytes)
+    }
+
+    /// Forces the log and acknowledges every commit now durable — the
+    /// batch this force covered, and any an earlier ship force did.
+    /// Ack bookkeeping stays in the enclosing scope's `cpu` remainder.
+    /// An acknowledging flush emits a [`SpanKind::GroupForce`] span
+    /// with the bytes its own force wrote.
+    fn flush(&mut self) -> Result<()> {
+        let pending = self.force()?;
         let flushed = self.node.log().flushed_lsn();
         let mut acked = 0u64;
         for txn in self.sched.drain_acked(flushed) {
@@ -1301,13 +1340,36 @@ impl<'a> Worker<'a> {
     }
 
     /// Owner-side service: ship the authoritative image of an owned
-    /// page. If the buffer copy is dirty, the WAL rule applies — our
-    /// log records may cover its updates, so force the log before the
-    /// image escapes the node. The force is attributed to `disk` and
-    /// the rest of the service to `net`; the ship is traced as
-    /// Transfer + Msg spans parented on the requester's message span.
+    /// page, traced as Transfer + Msg spans parented on the requester's
+    /// message span. A force is attributed to `disk` and the rest of
+    /// the service to `net`.
+    ///
+    /// **The ship-force rule.** No image leaves a node carrying an
+    /// update of a transaction that has released its locks and whose
+    /// commit record is not durable (DESIGN §16): the reader could
+    /// commit on a value a crash of this node then undoes. So the log
+    /// is forced first iff the page is in `released` — iff a
+    /// transaction that wrote it reached `commit_begin` since this
+    /// node's last force. Every other update in the image needs no
+    /// force, because:
+    ///
+    /// * the requester took its S lock in the run's shared lock table
+    ///   before it sent the fetch (`run_ops`), so no *active* writer's
+    ///   update is in the image;
+    /// * a writer that rolled back compensated its updates before it
+    ///   released its locks (`run_txn`), so the image carries none of
+    ///   its values;
+    /// * the requester reads the image once and drops it
+    ///   (`remote_read`), so a PSN ahead of this node's durable log
+    ///   never reaches a disk or another node's log.
+    ///
+    /// "The page's last update record is durable" is *not* this rule:
+    /// a force taken while T still holds its X lock carries T's update
+    /// to disk, T's commit record is appended later and its lock
+    /// released at once — the update is durable, the commit is not.
     fn serve(&mut self, env: Envelope) -> Result<()> {
         let t = Instant::now();
+        let disk0 = self.prof.disk_us;
         if env.kind != MsgKind::LockRequest {
             return Err(Error::Protocol(format!(
                 "threaded runtime got unexpected {:?} message",
@@ -1315,19 +1377,12 @@ impl<'a> Worker<'a> {
             )));
         }
         let pid = decode_pid(&env.payload)?;
-        let dirty = self.node.buffer().is_dirty(pid) == Some(true);
-        let mut force_us = 0u64;
-        if dirty {
-            let ft = Instant::now();
-            self.node.force_log()?;
-            force_us = ft.elapsed().as_micros() as u64;
+        if self.released.contains(&pid) {
+            self.force()?;
         }
         let (page, _) = self.node.authoritative_copy(pid)?;
         let me = self.node.id();
         let at = self.shared.clock.now_us();
-        // WAL rule at the sender: a dirty image leaves only after the
-        // force above; a clean image is trivially covered.
-        let wal_ok = !dirty || self.node.log().fully_forced();
         self.buf.point(
             at,
             me,
@@ -1338,7 +1393,7 @@ impl<'a> Worker<'a> {
                 to: env.from,
                 psn: page.psn(),
                 why: TransferWhy::Ship,
-                wal_ok,
+                wal_ok: !self.released.contains(&pid),
             },
         );
         let bytes = page.to_bytes();
@@ -1366,7 +1421,7 @@ impl<'a> Worker<'a> {
                 },
             });
         }
-        self.prof.disk_us += force_us;
+        let force_us = self.prof.disk_us - disk0;
         self.prof.net_us += (t.elapsed().as_micros() as u64).saturating_sub(force_us);
         Ok(())
     }
@@ -1604,6 +1659,18 @@ mod tests {
         );
     }
 
+    /// Slot 0 of node 0's page `index`, as `page_image` has it.
+    fn slot0(tc: &mut ThreadCluster, index: u32) -> u64 {
+        let image = tc.page_image(pid(0, index)).unwrap();
+        Page::from_bytes(image).unwrap().read_slot(0).unwrap()
+    }
+
+    /// Crashes node 0 and recovers it.
+    fn crash_and_recover(tc: &mut ThreadCluster) {
+        tc.crash(NodeId(0)).unwrap();
+        tc.recover(&RecoveryOptions::single(NodeId(0))).unwrap();
+    }
+
     // ---- a run that fails ----
 
     /// `run` on a watchdog: the call must return within `limit`.
@@ -1670,10 +1737,6 @@ mod tests {
             ..ThreadClusterConfig::default()
         })
         .unwrap();
-        let slot0 = |tc: &mut ThreadCluster, index| {
-            let image = tc.page_image(pid(0, index)).unwrap();
-            Page::from_bytes(image).unwrap().read_slot(0).unwrap()
-        };
         assert_eq!(
             tc.run(&[wplan(0, 0, &[(pid(0, 0), 0, 7)])])
                 .unwrap()
@@ -1686,8 +1749,14 @@ mod tests {
         // worker wrote a page of its own.
         let unknown = tc.run(&[wplan(3, 0, &[(pid(0, 0), 0, 8)])]);
         assert!(matches!(unknown, Err(Error::Invalid(_))), "{unknown:?}");
-        let remote = tc.run(&[wplan(0, 0, &[(pid(0, 1), 0, 9), (pid(1, 0), 0, 9)])]);
+        // Lane 0 parks a commit in the same sweep, so the run fails with
+        // a released commit in the log's volatile tail.
+        let remote = tc.run(&[
+            wplan(0, 0, &[(pid(0, 3), 0, 12)]),
+            wplan(0, 1, &[(pid(0, 1), 0, 9), (pid(1, 0), 0, 9)]),
+        ]);
         assert!(matches!(remote, Err(Error::Protocol(_))), "{remote:?}");
+        assert!(!tc.nodes[0].log().fully_forced());
 
         assert_eq!(tc.node_count(), 1);
         assert_eq!(slot0(&mut tc, 0), 7, "the earlier commit is still there");
@@ -1699,22 +1768,241 @@ mod tests {
         tc.trace_check().unwrap();
 
         // The node the failed worker handed back still runs plans,
-        // crashes and recovers.
+        // crashes and recovers. The next worker starts by forcing the
+        // tail it inherited: its ship-force rule knows nothing of the
+        // commits in it.
         assert_eq!(
             tc.run(&[wplan(0, 0, &[(pid(0, 1), 0, 10)])])
                 .unwrap()
                 .committed,
             1
         );
-        tc.crash(NodeId(0)).unwrap();
-        tc.recover(&RecoveryOptions::single(NodeId(0))).unwrap();
+        assert_eq!(
+            tc.last_stats().unwrap().forces,
+            2,
+            "the inherited tail, then the run's one commit"
+        );
+        crash_and_recover(&mut tc);
         assert_eq!(slot0(&mut tc, 0), 7);
         assert_eq!(slot0(&mut tc, 1), 10);
+        assert_eq!(slot0(&mut tc, 3), 12, "parked, never acked, durable");
         assert_eq!(
             tc.run(&[wplan(0, 0, &[(pid(0, 2), 0, 11)])])
                 .unwrap()
                 .committed,
             1
+        );
+    }
+
+    // ---- the ship-force rule: node 0's worker stepped by hand ----
+
+    /// Node 0 of a two-node cluster under a worker that no thread
+    /// runs — the test steps it — and node 1's endpoint to fetch with.
+    /// Commits park until the test flushes.
+    struct ByHand<'a> {
+        w: Worker<'a>,
+        peer: ChannelEndpoint,
+    }
+
+    fn parking_cluster() -> ThreadCluster {
+        ThreadCluster::new(ThreadClusterConfig {
+            group_commit: GroupCommitPolicy::Window {
+                window_us: 1_000_000_000,
+                max_batch: 64,
+            },
+            ..ThreadClusterConfig::default()
+        })
+        .unwrap()
+    }
+
+    const READER: u64 = u64::MAX;
+
+    impl<'a> ByHand<'a> {
+        fn new(tc: &mut ThreadCluster, shared: &'a RunShared) -> Self {
+            let mut eps = ChannelMesh::endpoints(2);
+            let peer = eps.pop().unwrap();
+            let w = Worker::new(
+                tc.nodes.remove(0),
+                eps.pop().unwrap(),
+                Vec::new(),
+                shared,
+                &tc.cfg,
+            );
+            ByHand { w, peer }
+        }
+
+        /// Runs `plan` up to its parked commit.
+        fn park(&mut self, plan: &TxnPlan) {
+            let out = self.w.run_txn(plan).unwrap();
+            assert!(matches!(out, TxnOutcome::Committing(..)));
+        }
+
+        /// The requester's half of a fetch: the S lock, then the
+        /// request (`run_ops`, `remote_read`).
+        fn ask(&self, pid: PageId) {
+            assert!(
+                self.w
+                    .shared
+                    .locks
+                    .try_acquire(pid, READER, LockMode::Shared),
+                "{pid} is X-locked: no reader could ask for it now"
+            );
+            self.peer
+                .send(NodeId(0), MsgKind::LockRequest, encode_pid(pid))
+                .unwrap();
+        }
+
+        /// The shipped image's slot 0, once the worker has served.
+        fn shipped(&self, pid: PageId) -> u64 {
+            let env = self.peer.try_recv().expect("a page ship");
+            assert_eq!(env.kind, MsgKind::PageShip);
+            let page = Page::from_bytes(env.payload).unwrap();
+            assert_eq!(page.id(), pid);
+            self.w.shared.locks.release(pid, READER);
+            page.read_slot(0).unwrap()
+        }
+
+        /// One whole fetch of `pid`: the value shipped, and the forces
+        /// and log bytes serving it cost.
+        fn fetch(&mut self, pid: PageId) -> (u64, u64, u64) {
+            let log = self.w.node.log();
+            let (forces, bytes) = (log.forces(), log.bytes_written());
+            self.ask(pid);
+            self.w.serve_inbox().unwrap();
+            let log = self.w.node.log();
+            (
+                self.shipped(pid),
+                log.forces() - forces,
+                log.bytes_written() - bytes,
+            )
+        }
+
+        /// Hands node and spans back, as the end of a run does.
+        fn give_back(self, tc: &mut ThreadCluster) {
+            tc.nodes.insert(0, self.w.node);
+            tc.absorb(vec![self.w.buf]);
+        }
+    }
+
+    /// T1 writes P and parks; P is fetched; T2 writes Q and parks; P is
+    /// fetched again. Asserts the first ship forced and the second did
+    /// not, and returns the bytes the ship force wrote.
+    fn ship_p_twice(h: &mut ByHand, p: PageId, q: PageId) -> u64 {
+        h.park(&wplan(0, 0, &[(p, 0, 11)]));
+        let (value, forces, bytes) = h.fetch(p);
+        assert_eq!((value, forces), (11, 1), "T1 is released and undurable");
+        h.park(&wplan(0, 1, &[(q, 0, 22)]));
+        assert!(!h.w.node.log().fully_forced(), "T2 is in the tail");
+        let (value, forces, _) = h.fetch(p);
+        assert_eq!(
+            (value, forces),
+            (11, 0),
+            "every released writer of P is durable: T2's tail is not P's business"
+        );
+        bytes
+    }
+
+    #[test]
+    fn a_ship_forces_only_for_a_released_undurable_writer_of_that_page() {
+        let mut tc = parking_cluster();
+        let shared = RunShared::new(&tc, 2);
+        let mut h = ByHand::new(&mut tc, &shared);
+        let (p, q, r) = (pid(0, 0), pid(0, 1), pid(0, 2));
+        let start = h.w.node.log().bytes_written();
+
+        let mut ship_bytes = ship_p_twice(&mut h, p, q);
+        let (value, forces, bytes) = h.fetch(q);
+        assert_eq!((value, forces), (22, 1), "T2 wrote Q and is undurable");
+        ship_bytes += bytes;
+        let (_, forces, _) = h.fetch(q);
+        assert_eq!(forces, 0, "that force covered it");
+
+        // A batch force acknowledges all three commits and accounts
+        // only for the bytes it wrote itself.
+        h.park(&wplan(0, 2, &[(r, 0, 33)]));
+        h.w.flush().unwrap();
+        assert_eq!(h.w.report.committed, 3);
+        let (_, forces, _) = h.fetch(r);
+        assert_eq!(forces, 0, "the batch force cleared the rule's state");
+        let grown = h.w.node.log().bytes_written() - start;
+        h.give_back(&mut tc);
+        let group_bytes: u64 = tc
+            .trace()
+            .iter()
+            .filter_map(|s| match s.kind {
+                SpanKind::GroupForce { bytes, .. } => Some(bytes),
+                _ => None,
+            })
+            .sum();
+        assert!(ship_bytes > 0 && group_bytes > 0);
+        assert_eq!(
+            group_bytes + ship_bytes,
+            grown,
+            "every log byte was forced once, by a batch force or a ship force"
+        );
+        tc.trace_check().unwrap();
+    }
+
+    #[test]
+    fn a_crash_after_an_unforced_ship_keeps_what_was_shipped() {
+        let mut tc = parking_cluster();
+        let shared = RunShared::new(&tc, 2);
+        let mut h = ByHand::new(&mut tc, &shared);
+        let (p, q) = (pid(0, 0), pid(0, 1));
+        ship_p_twice(&mut h, p, q);
+        h.give_back(&mut tc);
+        crash_and_recover(&mut tc);
+        assert_eq!(slot0(&mut tc, 0), 11, "P as it was shipped");
+        assert_eq!(slot0(&mut tc, 1), 0, "T2 was never durable: nobody saw Q");
+    }
+
+    #[test]
+    fn a_durable_update_with_an_undurable_commit_still_forces_the_ship() {
+        // The schedule that separates the rule from "the page's last
+        // update record is durable". T0 wrote Q and parked. T1 updates
+        // P and then reads a page of node 1; while it waits, a fetch of
+        // Q is served and forces the log — T1's update record is
+        // durable now, under T1's X lock. T1 then appends its commit
+        // record and releases P. A reader of P is about to see T1's
+        // value, and nothing of T1's commit is on disk.
+        let mut tc = parking_cluster();
+        let shared = RunShared::new(&tc, 2);
+        let mut h = ByHand::new(&mut tc, &shared);
+        let (p, q, remote) = (pid(0, 0), pid(0, 1), pid(1, 0));
+        h.park(&wplan(0, 0, &[(q, 0, 22)]));
+
+        // Node 1's side of T1's wait, queued in link order: the fetch
+        // of Q, then the reply to T1's own fetch.
+        h.ask(q);
+        let reply = Page::new(remote, cblog_storage::PageKind::Raw, Psn::ZERO, 1024);
+        h.peer
+            .send(NodeId(0), MsgKind::PageShip, reply.to_bytes())
+            .unwrap();
+        let mut t1 = wplan(0, 1, &[(p, 0, 11)]);
+        t1.ops.push(PlanOp::Read {
+            pid: remote,
+            slot: 0,
+        });
+        let forces = h.w.node.log().forces();
+        h.park(&t1);
+        let fetch = h.peer.try_recv().expect("T1's fetch reached node 1");
+        assert_eq!(fetch.kind, MsgKind::LockRequest);
+        assert_eq!(h.shipped(q), 22);
+        assert_eq!(
+            h.w.node.log().forces(),
+            forces + 1,
+            "the ship of Q forced T1's update"
+        );
+
+        let (value, forces, _) = h.fetch(p);
+        assert_eq!(value, 11);
+        assert_eq!(forces, 1, "T1 released P and its commit is not durable");
+        h.give_back(&mut tc);
+        crash_and_recover(&mut tc);
+        assert_eq!(
+            slot0(&mut tc, 0),
+            11,
+            "the reader saw 11: no crash undoes it"
         );
     }
 

@@ -114,6 +114,52 @@ fn threaded_runs_produce_a_watchdog_clean_trace() {
 }
 
 #[test]
+fn ships_of_pages_under_write_force_less_than_once_a_commit() {
+    // The shape that made a ship force the log on every fetch: four
+    // lanes a node, each transaction writing its lane's page and
+    // reading one the other node's lanes keep writing. A ship now
+    // forces only for a released writer of that page whose commit is
+    // not durable, and batches still share a force, so the forces stay
+    // below the commits; the watchdog checks every ship's `wal_ok`.
+    const LANES: usize = 4;
+    const TXNS: u64 = 200;
+    let mut tc = ThreadCluster::new(ThreadClusterConfig {
+        group_commit: GroupCommitPolicy::Adaptive {
+            min_window_us: 50,
+            max_window_us: 2_000,
+            target_batch: LANES,
+        },
+        ..ThreadClusterConfig::default()
+    })
+    .unwrap();
+    let mut plans = Vec::new();
+    for node in 0..2u32 {
+        for lane in 0..LANES {
+            for t in 0..TXNS {
+                let mut plan = wplan(node, lane, &[(pid(node, lane as u32), 0, t + 1)]);
+                plan.ops.push(PlanOp::Read {
+                    pid: pid(1 - node, ((lane as u64 + t) % LANES as u64) as u32),
+                    slot: 0,
+                });
+                plans.push(plan);
+            }
+        }
+    }
+    let report = tc.run(&plans).unwrap();
+    assert_eq!(report.committed, plans.len() as u64);
+    let stats = tc.last_stats().unwrap();
+    assert_eq!(stats.msgs, 2 * report.committed, "a fetch and a ship each");
+    assert!(
+        stats.forces < report.committed,
+        "{} forces for {} commits",
+        stats.forces,
+        report.committed
+    );
+    tc.trace_check().unwrap();
+    assert_eq!(tc.trace_dropped(), 0);
+}
+
+#[test]
 fn crash_and_parallel_recovery_are_watchdog_checked() {
     let dir = std::env::temp_dir().join(format!(
         "cblog-rt-trace-{}-{:?}",

@@ -22,7 +22,7 @@
 //! page-level X locks, so PSNs order updates across all nodes without
 //! synchronized clocks.
 
-use cblog_common::{crc32, Error, PageId, Psn, Result};
+use cblog_common::{Crc32, Error, PageId, Psn, Result};
 
 /// Bytes reserved for the page header.
 pub const PAGE_HEADER_LEN: usize = 32;
@@ -88,6 +88,16 @@ impl std::fmt::Debug for Page {
     }
 }
 
+/// CRC-32 over a page image with the CRC field read as zero, whatever
+/// the field holds: the bytes before it, four zeros, the bytes after.
+fn checksum(buf: &[u8]) -> u32 {
+    let mut c = Crc32::new();
+    c.update(&buf[..OFF_CRC]);
+    c.update(&[0; 4]);
+    c.update(&buf[OFF_CRC + 4..]);
+    c.finish()
+}
+
 impl Page {
     /// Creates a fresh page of `size` bytes with the given identity.
     pub fn new(id: PageId, kind: PageKind, psn: Psn, size: usize) -> Self {
@@ -110,9 +120,7 @@ impl Page {
             return Err(Error::Corrupt(format!("bad page magic {magic:#x}")));
         }
         let stored = u32::from_le_bytes(buf[OFF_CRC..OFF_CRC + 4].try_into().unwrap());
-        let mut copy = buf.clone();
-        copy[OFF_CRC..OFF_CRC + 4].fill(0);
-        let actual = crc32(&copy);
+        let actual = checksum(&buf);
         if stored != 0 && stored != actual {
             return Err(Error::Corrupt(format!(
                 "page crc mismatch: stored {stored:#x}, computed {actual:#x}"
@@ -125,8 +133,7 @@ impl Page {
     /// Serializes the page for disk, stamping the CRC.
     pub fn to_bytes(&self) -> Vec<u8> {
         let mut out = self.buf.clone();
-        out[OFF_CRC..OFF_CRC + 4].fill(0);
-        let c = crc32(&out);
+        let c = checksum(&out);
         out[OFF_CRC..OFF_CRC + 4].copy_from_slice(&c.to_le_bytes());
         out
     }
@@ -293,6 +300,28 @@ mod tests {
         assert_eq!(q.psn(), Psn(9));
         assert_eq!(q.kind(), PageKind::Slotted);
         assert_eq!(q.read_range(0, 7).unwrap(), b"payload");
+    }
+
+    #[test]
+    fn serialized_bytes_are_the_format() {
+        // Byte for byte what every earlier version wrote for this page
+        // (CRC at 24..28): the checksum kernel may change, the format
+        // may not, or existing database files stop verifying.
+        let mut p = Page::new(pid(), PageKind::Raw, Psn(9), 64);
+        p.write_slot(0, 0x0123_4567_89AB_CDEF).unwrap();
+        p.write_slot(3, 42).unwrap();
+        #[rustfmt::skip]
+        let golden: [u8; 64] = [
+            0x4c, 0x42, 0x43, 0x50, 0x07, 0x00, 0x00, 0x00, 0x01, 0x00, 0x00, 0x00, 0x09, 0x00, 0x00, 0x00,
+            0x00, 0x00, 0x00, 0x00, 0x01, 0x00, 0x00, 0x00, 0x11, 0x57, 0x81, 0x5f, 0x00, 0x00, 0x00, 0x00,
+            0xef, 0xcd, 0xab, 0x89, 0x67, 0x45, 0x23, 0x01, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+            0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x2a, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+        ];
+        assert_eq!(p.to_bytes(), golden);
+        // A page that came from disk carries its stored CRC in the
+        // buffer; re-serializing it must not checksum that field.
+        let q = Page::from_bytes(golden.to_vec()).unwrap();
+        assert_eq!(q.to_bytes(), golden);
     }
 
     #[test]

@@ -272,12 +272,15 @@ impl LogRecord {
         }
     }
 
-    /// Serializes the record with framing (length + crc).
+    /// Serializes the record with framing (length + crc), into one
+    /// buffer: the frame header goes first as a placeholder and is
+    /// filled in once the body behind it is complete.
     pub fn encode(&self) -> Vec<u8> {
-        let mut body = Encoder::with_capacity(64);
-        body.put_txn(self.txn);
-        body.put_lsn(self.prev_lsn);
-        body.put_u8(self.payload.tag());
+        let mut out = Encoder::with_capacity(128);
+        out.put_u64(0);
+        out.put_txn(self.txn);
+        out.put_lsn(self.prev_lsn);
+        out.put_u8(self.payload.tag());
         match &self.payload {
             LogPayload::Begin
             | LogPayload::Commit
@@ -288,9 +291,9 @@ impl LogRecord {
                 psn_before,
                 op,
             } => {
-                body.put_page(*pid);
-                body.put_psn(*psn_before);
-                op.encode(&mut body);
+                out.put_page(*pid);
+                out.put_psn(*psn_before);
+                op.encode(&mut out);
             }
             LogPayload::Clr {
                 pid,
@@ -298,37 +301,36 @@ impl LogRecord {
                 op,
                 undo_next,
             } => {
-                body.put_page(*pid);
-                body.put_psn(*psn_before);
-                body.put_lsn(*undo_next);
-                op.encode(&mut body);
+                out.put_page(*pid);
+                out.put_psn(*psn_before);
+                out.put_lsn(*undo_next);
+                op.encode(&mut out);
             }
             LogPayload::CheckpointEnd(b) => {
-                body.put_u32(b.dpt.len() as u32);
+                out.put_u32(b.dpt.len() as u32);
                 for e in &b.dpt {
-                    e.encode(&mut body);
+                    e.encode(&mut out);
                 }
-                body.put_u32(b.active_txns.len() as u32);
+                out.put_u32(b.active_txns.len() as u32);
                 for (t, l) in &b.active_txns {
-                    body.put_txn(*t);
-                    body.put_lsn(*l);
+                    out.put_txn(*t);
+                    out.put_lsn(*l);
                 }
             }
             LogPayload::AllocPage { pid, kind } => {
-                body.put_page(*pid);
-                body.put_u8(*kind);
+                out.put_page(*pid);
+                out.put_u8(*kind);
             }
             LogPayload::FreePage { pid, final_psn } => {
-                body.put_page(*pid);
-                body.put_psn(*final_psn);
+                out.put_page(*pid);
+                out.put_psn(*final_psn);
             }
         }
-        let body = body.into_vec();
-        let mut out = Encoder::with_capacity(body.len() + 8);
-        out.put_u32((body.len() + 8) as u32);
-        out.put_u32(cblog_common::crc32(&body));
         let mut v = out.into_vec();
-        v.extend_from_slice(&body);
+        let total = v.len() as u32;
+        let crc = cblog_common::crc32(&v[8..]);
+        v[0..4].copy_from_slice(&total.to_le_bytes());
+        v[4..8].copy_from_slice(&crc.to_le_bytes());
         v
     }
 
@@ -424,6 +426,42 @@ mod tests {
         let (back, consumed) = LogRecord::decode(&bytes).unwrap();
         assert_eq!(consumed, bytes.len());
         assert_eq!(back, r);
+    }
+
+    #[test]
+    fn encoded_bytes_are_the_format() {
+        // Byte for byte what every earlier version appended for this
+        // record (length, CRC over the body, body): the checksum kernel
+        // may change, the log format may not, or restart recovery stops
+        // reading old logs.
+        let rec = LogRecord {
+            txn: txn(),
+            prev_lsn: Lsn(0x1122),
+            payload: LogPayload::Update {
+                pid: pid(),
+                psn_before: Psn(41),
+                op: PageOp::WriteRange {
+                    off: 16,
+                    before: 7u64.to_le_bytes().to_vec(),
+                    after: 0xDEAD_BEEF_u64.to_le_bytes().to_vec(),
+                },
+            },
+        };
+        #[rustfmt::skip]
+        let golden: [u8; 74] = [
+            0x4a, 0x00, 0x00, 0x00, 0xdd, 0x44, 0xa0, 0xa6,
+            0x01, 0x00, 0x00, 0x00, 0x03, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+            0x22, 0x11, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+            0x01,
+            0x05, 0x00, 0x00, 0x00, 0x02, 0x00, 0x00, 0x00,
+            0x29, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+            0x00,
+            0x10, 0x00, 0x00, 0x00,
+            0x08, 0x00, 0x00, 0x00, 0x07, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+            0x08, 0x00, 0x00, 0x00, 0xef, 0xbe, 0xad, 0xde, 0x00, 0x00, 0x00, 0x00,
+        ];
+        assert_eq!(rec.encode(), golden);
+        assert_eq!(LogRecord::decode(&golden).unwrap(), (rec, golden.len()));
     }
 
     #[test]

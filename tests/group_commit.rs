@@ -90,6 +90,36 @@ fn interleaved_force_acks_pending_commits_without_a_new_force() {
 }
 
 #[test]
+fn a_ship_never_carries_a_parked_commit_a_crash_would_undo() {
+    // The owner commits on its own page and parks; its lock is gone, so
+    // a remote reader's callback against the owner is applied and the
+    // page is shipped. The reader commits on what it saw. Whatever the
+    // owner then loses in a crash, it must not be that value.
+    let mut c = gc_cluster(1, 4, open_window());
+    let p0 = PageId::new(NodeId(0), 0);
+    let w = c.begin(NodeId(0)).unwrap();
+    c.write_u64(w, p0, 0, 20).unwrap();
+    c.commit_submit(w).unwrap();
+    assert!(!c.poll_committed(w).unwrap(), "the writer is parked");
+    let forces0 = c.node(NodeId(0)).log().forces();
+    let r = c.begin(NodeId(1)).unwrap();
+    assert_eq!(c.read_u64(r, p0, 0).unwrap(), 20);
+    c.commit(r).unwrap();
+    let ship_forces = c.node(NodeId(0)).log().forces() - forces0;
+    c.crash(NodeId(0));
+    recovery::recover(&mut c, &RecoveryOptions::single(NodeId(0))).unwrap();
+    let t = c.begin(NodeId(0)).unwrap();
+    assert_eq!(
+        c.read_u64(t, p0, 0).unwrap(),
+        20,
+        "a committed reader saw this value: recovery may not undo it"
+    );
+    c.commit(t).unwrap();
+    assert_eq!(ship_forces, 1, "the ship forced the owner's log once");
+    c.trace_check().unwrap();
+}
+
+#[test]
 fn batch_acknowledges_in_submission_order_with_one_force() {
     let mut c = gc_cluster(
         1,
