@@ -114,6 +114,14 @@ fi
 grep "planted corruption caught" /tmp/ci_perf_selftest.txt > /dev/null
 rm -f /tmp/ci_perf_selftest.txt
 
+echo "==> pairs smoke: the checkout against itself (tools/pairs.sh)"
+# One pair, one second, one workload: the script builds, alternates,
+# checks `correct` and `failed`, and prints a row per gated metric.
+bash tools/pairs.sh . . -p 1 -s 1 -w grouped-mem > /tmp/ci_pairs.txt
+grep "^commits_per_s " /tmp/ci_pairs.txt > /dev/null
+grep "^setup_s .*/1 " /tmp/ci_pairs.txt > /dev/null
+rm -f /tmp/ci_pairs.txt
+
 echo "==> cargo fmt --check"
 cargo fmt --check
 

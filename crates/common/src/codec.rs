@@ -27,6 +27,13 @@ impl Encoder {
         }
     }
 
+    /// Encoder that appends to `buf`, keeping what it holds; with
+    /// [`Encoder::into_vec`], the way to encode into a buffer the
+    /// caller owns (`Encoder::from_vec(std::mem::take(out))`).
+    pub fn from_vec(buf: Vec<u8>) -> Self {
+        Encoder { buf }
+    }
+
     /// Bytes written so far.
     pub fn len(&self) -> usize {
         self.buf.len()

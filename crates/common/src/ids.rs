@@ -1,6 +1,7 @@
 //! Identifier newtypes used throughout the system.
 
 use std::fmt;
+use std::hash::{Hash, Hasher};
 
 /// Identifies a processing node in the distributed system.
 ///
@@ -23,7 +24,7 @@ impl fmt::Display for NodeId {
 /// the database attached to exactly one owner node, mirroring the
 /// shared-nothing / client-server partitioning the paper assumes. The
 /// `index` is the page's slot within the owner's database file.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub struct PageId {
     /// The node whose database holds this page.
     pub owner: NodeId,
@@ -51,6 +52,14 @@ impl PageId {
     }
 }
 
+/// One word to the hasher (the packed id), not one per field: a
+/// [`crate::IdMap`] lookup is then a single multiply.
+impl Hash for PageId {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        state.write_u64(self.to_u64());
+    }
+}
+
 impl fmt::Debug for PageId {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "P{}.{}", self.owner.0, self.index)
@@ -68,7 +77,7 @@ impl fmt::Display for PageId {
 /// Transactions execute in their entirety on the node where they start
 /// (paper §2.1), so a (node, local sequence) pair is unique without any
 /// coordination.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub struct TxnId {
     /// Node on which the transaction runs.
     pub node: NodeId,
@@ -80,6 +89,14 @@ impl TxnId {
     /// Creates a transaction id.
     pub const fn new(node: NodeId, seq: u64) -> Self {
         TxnId { node, seq }
+    }
+}
+
+/// One word to the hasher, as for [`PageId`]: the node goes into the
+/// top 16 bits, which no sequence number a node can reach occupies.
+impl Hash for TxnId {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        state.write_u64((self.node.0 as u64).rotate_right(16) ^ self.seq);
     }
 }
 

@@ -21,6 +21,7 @@
 
 pub mod codec;
 pub mod error;
+pub mod idmap;
 pub mod ids;
 pub mod jsonv;
 pub mod metrics;
@@ -33,6 +34,7 @@ pub mod trace;
 
 pub use codec::{crc32, Crc32, Decoder, Encoder, Fnv1a};
 pub use error::{Error, Result};
+pub use idmap::{id_hash, IdHasher, IdMap, IdSet};
 pub use ids::{Lsn, NodeId, PageId, Psn, Rid, TxnId};
 pub use jsonv::JsonValue;
 pub use obs::{

@@ -16,8 +16,8 @@ use crate::node::{Node, RollbackStep};
 use crate::txn::{Savepoint, TxnStatus};
 use cblog_common::metrics::{keys, prof_key};
 use cblog_common::{
-    Bucket, Error, Fnv1a, Lsn, MetricValue, NodeId, PageId, Psn, Result, Rid, Sampler, SimTime,
-    Snapshot, Span, SpanCtx, SpanId, SpanKind, TraceEvent, Tracer, TransferWhy, TxnId,
+    Bucket, Error, Fnv1a, IdMap, Lsn, MetricValue, NodeId, PageId, Psn, Result, Rid, Sampler,
+    SimTime, Snapshot, Span, SpanCtx, SpanId, SpanKind, TraceEvent, Tracer, TransferWhy, TxnId,
 };
 use cblog_locks::{
     CallbackAction, GlobalRequestOutcome, LocalRequestOutcome, LockMode, WaitsForGraph,
@@ -25,7 +25,6 @@ use cblog_locks::{
 use cblog_net::{MsgHeader, MsgKind, Network};
 use cblog_storage::{EvictedPage, PageKind, SlottedPage};
 use cblog_wal::PageOp;
-use std::collections::HashMap;
 use std::fmt::Write as _;
 
 /// Control-message payload size used for accounting.
@@ -45,7 +44,7 @@ pub struct Cluster {
     /// Sim-time at which each currently-blocked transaction first hit
     /// a lock conflict; drained into the `locks/wait_us` histogram
     /// when the access finally succeeds (or the waiter aborts).
-    wait_since: HashMap<TxnId, SimTime>,
+    wait_since: IdMap<TxnId, SimTime>,
     /// Per-node group-commit force schedulers (index = node id).
     schedulers: Vec<ForceScheduler>,
     /// Cluster-wide causal tracer (disabled unless
@@ -54,7 +53,7 @@ pub struct Cluster {
     tracer: Tracer,
     /// In-flight transaction spans: id + begin sim-time, closed into a
     /// [`SpanKind::Txn`] interval span at durable-commit or abort.
-    txn_spans: HashMap<TxnId, (SpanId, SimTime)>,
+    txn_spans: IdMap<TxnId, (SpanId, SimTime)>,
     /// Transactions begun so far, cluster-wide — drives the 1-in-N
     /// span-sampling decision (`trace_sample_one_in`).
     txns_begun: u64,
@@ -94,10 +93,10 @@ impl Cluster {
             net,
             cfg,
             wfg: WaitsForGraph::new(),
-            wait_since: HashMap::new(),
+            wait_since: IdMap::default(),
             schedulers,
             tracer,
-            txn_spans: HashMap::new(),
+            txn_spans: IdMap::default(),
             txns_begun: 0,
             sampler,
         })
@@ -305,20 +304,8 @@ impl Cluster {
     /// logging a physical byte-range record locally.
     pub fn write_u64(&mut self, txn: TxnId, pid: PageId, slot: usize, value: u64) -> Result<()> {
         self.ensure_access(txn, pid, LockMode::Exclusive)?;
-        let n = ix(txn.node);
-        let before = {
-            let page = self.nodes[n]
-                .buffer
-                .get_mut(pid)
-                .ok_or(Error::NoSuchPage(pid))?;
-            page.read_slot(slot)?
-        };
-        let op = PageOp::WriteRange {
-            off: (slot * 8) as u32,
-            before: before.to_le_bytes().to_vec(),
-            after: value.to_le_bytes().to_vec(),
-        };
-        self.logged_update(txn, pid, op)
+        let after = value.to_le_bytes();
+        self.logged(txn, pid, |node| node.log_write(txn, pid, slot * 8, &after))
     }
 
     fn require_slotted(&self, node: NodeId, pid: PageId) -> Result<()> {
@@ -409,12 +396,20 @@ impl Cluster {
     }
 
     fn logged_update(&mut self, txn: TxnId, pid: PageId, op: PageOp) -> Result<()> {
+        self.logged(txn, pid, |node| node.log_update(txn, pid, op.clone()))
+    }
+
+    /// Runs one of the node's logging update paths for `txn` on `pid`
+    /// (each returns the PSN before the update and the record's LSN)
+    /// and traces the update it logged.
+    fn logged(
+        &mut self,
+        txn: TxnId,
+        pid: PageId,
+        mut update: impl FnMut(&mut Node) -> Result<(Psn, Lsn)>,
+    ) -> Result<()> {
         let n = ix(txn.node);
-        match self.nodes[n].log_update(txn, pid, op.clone()) {
-            Ok(()) => {
-                self.trace_update(txn, pid, false);
-                Ok(())
-            }
+        let (psn, lsn) = match update(&mut self.nodes[n]) {
             Err(Error::LogFull(_)) => {
                 // §2.5: reclaim log space, then retry once. The space
                 // protocol may have replaced the target page itself —
@@ -423,32 +418,22 @@ impl Cluster {
                 if !self.nodes[n].buffer.contains(pid) {
                     self.fetch_page(txn.node, pid)?;
                 }
-                self.nodes[n].log_update(txn, pid, op)?;
-                self.trace_update(txn, pid, false);
-                Ok(())
+                update(&mut self.nodes[n])?
             }
-            Err(e) => Err(e),
-        }
+            r => r?,
+        };
+        self.trace_update(txn, pid, psn, lsn, false);
+        Ok(())
     }
 
     /// Emits the PSN-lineage edge for the update `txn` just logged
-    /// against `pid`: the page's PSN moved `psn → psn+1` at the txn's
-    /// new last LSN. The watchdog checks the edge against the page's
-    /// global PSN frontier as it is emitted.
-    fn trace_update(&self, txn: TxnId, pid: PageId, clr: bool) {
+    /// against `pid` at `lsn`: the page's PSN moved `psn → psn+1`. The
+    /// watchdog checks the edge against the page's global PSN frontier
+    /// as it is emitted.
+    fn trace_update(&self, txn: TxnId, pid: PageId, psn: Psn, lsn: Lsn, clr: bool) {
         if !self.tracer.is_enabled() {
             return;
         }
-        let n = ix(txn.node);
-        let Some(page) = self.nodes[n].buffer.peek(pid) else {
-            return;
-        };
-        let after = page.psn();
-        let lsn = self.nodes[n]
-            .txns
-            .get(&txn)
-            .map(|t| t.last_lsn)
-            .unwrap_or(Lsn::ZERO);
         self.tracer.point(
             self.now(),
             txn.node,
@@ -456,7 +441,7 @@ impl Cluster {
             SpanKind::Update {
                 pid,
                 txn,
-                psn: Psn(after.0.saturating_sub(1)),
+                psn,
                 lsn,
                 clr,
             },
@@ -748,7 +733,11 @@ impl Cluster {
                 Ok(RollbackStep::Undone(pid)) => {
                     // A CLR bumps the PSN like any forward update —
                     // the lineage shows undo steps explicitly.
-                    self.trace_update(txn, pid, true);
+                    let node = &self.nodes[n];
+                    if let (Some(page), Some(t)) = (node.buffer.peek(pid), node.txns.get(&txn)) {
+                        let psn = Psn(page.psn().0.saturating_sub(1));
+                        self.trace_update(txn, pid, psn, t.last_lsn, true);
+                    }
                 }
                 Ok(RollbackStep::NeedPage(pid)) => {
                     // The transaction still holds its X lock; only the

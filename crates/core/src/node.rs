@@ -11,15 +11,15 @@ use crate::config::NodeConfig;
 use crate::txn::{Savepoint, TxnState, TxnStatus};
 use cblog_common::metrics::keys;
 use cblog_common::{
-    Counter, Error, FlightRecorder, Fnv1a, Lsn, NodeId, PageId, Psn, Registry, Result, TxnId,
+    Counter, Error, FlightRecorder, Fnv1a, IdMap, Lsn, NodeId, PageId, Psn, Registry, Result, TxnId,
 };
 use cblog_locks::{CachedLockTable, GlobalLockTable, LocalLockTable};
 use cblog_storage::{BufferPool, Database, EvictedPage, MemStorage, Page, PageKind};
 use cblog_wal::{
     CheckpointBody, DirtyPageTable, DptEntry, LogManager, LogPayload, LogRecord, LogStore,
-    MemLogStore, PageOp,
+    MemLogStore, PageOp, RangeUpdate,
 };
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::{BTreeMap, BTreeSet};
 
 /// Reserved transaction id used for non-transactional records
 /// (checkpoints) in a node's log.
@@ -76,6 +76,18 @@ pub enum RollbackStep {
     Done,
 }
 
+/// The state of `id` in `txns` if it may still issue operations. A
+/// function of the table, not of the node, so an update path can hold
+/// the entry while it works on the buffer and the log beside it.
+fn active_in(txns: &mut IdMap<TxnId, TxnState>, id: TxnId) -> Result<&mut TxnState> {
+    let t = txns.get_mut(&id).ok_or(Error::NoSuchTxn(id))?;
+    match t.status {
+        TxnStatus::Active => Ok(t),
+        TxnStatus::Aborting | TxnStatus::Aborted => Err(Error::TxnAborted(id)),
+        TxnStatus::Committing | TxnStatus::Committed => Err(Error::NoSuchTxn(id)),
+    }
+}
+
 /// A processing node.
 pub struct Node {
     id: NodeId,
@@ -87,7 +99,7 @@ pub struct Node {
     pub(crate) local_locks: LocalLockTable,
     pub(crate) cached_locks: CachedLockTable,
     pub(crate) global_locks: GlobalLockTable,
-    pub(crate) txns: HashMap<TxnId, TxnState>,
+    pub(crate) txns: IdMap<TxnId, TxnState>,
     /// Owner-side: nodes that shipped dirty copies of each owned page
     /// and await a flush acknowledgment (§2.2 / §2.5).
     pub(crate) replacers: BTreeMap<PageId, BTreeSet<NodeId>>,
@@ -181,7 +193,7 @@ impl Node {
             local_locks: LocalLockTable::new(),
             cached_locks: CachedLockTable::new(),
             global_locks: GlobalLockTable::new(),
-            txns: HashMap::new(),
+            txns: IdMap::default(),
             replacers: BTreeMap::new(),
             recorder,
             registry,
@@ -308,54 +320,86 @@ impl Node {
         }
     }
 
-    fn active_txn(&mut self, id: TxnId) -> Result<&mut TxnState> {
-        let t = self.txns.get_mut(&id).ok_or(Error::NoSuchTxn(id))?;
-        match t.status {
-            TxnStatus::Active => Ok(t),
-            TxnStatus::Aborting | TxnStatus::Aborted => Err(Error::TxnAborted(id)),
-            TxnStatus::Committing | TxnStatus::Committed => Err(Error::NoSuchTxn(id)),
-        }
-    }
-
-    /// Applies and logs one update to a cached page. Preconditions
+    /// Applies and logs one update to a cached page, returning the
+    /// page's PSN just before it and the record's LSN. Preconditions
     /// (checked): transaction active, page present in the buffer. Lock
-    /// discipline is the cluster's job.
-    pub fn log_update(&mut self, txn: TxnId, pid: PageId, op: PageOp) -> Result<()> {
+    /// discipline is the cluster's job. This is the path of logical
+    /// operations; a physical slot write goes through
+    /// [`Node::log_write`].
+    pub fn log_update(&mut self, txn: TxnId, pid: PageId, op: PageOp) -> Result<(Psn, Lsn)> {
         self.ensure_up()?;
-        self.active_txn(txn)?;
-        let page = self.buffer.get_mut(pid).ok_or(Error::NoSuchPage(pid))?;
-        // Apply first (ops are all-or-nothing), then log; un-apply if
-        // the log is full so state stays consistent.
+        let t = active_in(&mut self.txns, txn)?;
+        let (page, dirty) = self
+            .buffer
+            .get_for_update(pid)
+            .ok_or(Error::NoSuchPage(pid))?;
+        // Apply first (ops are all-or-nothing), then log; un-apply from
+        // the record, which owns the op now, if the log is full, so
+        // state stays consistent.
         op.apply_redo(page)?;
         let psn_before = page.psn();
-        let prev = self.txns[&txn].last_lsn;
         let rec = LogRecord {
             txn,
-            prev_lsn: prev,
+            prev_lsn: t.last_lsn,
             payload: LogPayload::Update {
                 pid,
                 psn_before,
-                op: op.clone(),
+                op,
             },
         };
         let lsn = match self.log.append(&rec) {
             Ok(l) => l,
             Err(e) => {
-                let page = self.buffer.get_mut(pid).expect("still cached");
-                op.apply_undo(page)?;
+                rec.op().expect("an update record").apply_undo(page)?;
                 return Err(e);
             }
         };
-        let page = self.buffer.get_mut(pid).expect("still cached");
         page.bump_psn();
-        let psn_after = page.psn();
-        self.buffer.mark_dirty(pid);
-        self.dpt.on_update(pid, psn_after, lsn);
-        let t = self.txns.get_mut(&txn).expect("checked");
-        t.last_lsn = lsn;
-        t.undo_next = lsn;
-        t.updates += 1;
-        Ok(())
+        *dirty = true;
+        self.dpt.on_update(pid, psn_before.next(), lsn);
+        t.logged_update(lsn);
+        Ok((psn_before, lsn))
+    }
+
+    /// Writes `after` at byte `off` of a cached page's body and logs it
+    /// as a physical byte-range update: what [`Node::log_update`] does
+    /// for a [`PageOp::WriteRange`], record for record and byte for
+    /// byte, without building one. The before-image is read out of the
+    /// cached page and encoded, with `after`, straight into the log
+    /// tail; the buffer, the transaction table and the DPT are probed
+    /// once each. Returns the page's PSN just before the write and the
+    /// record's LSN. On [`Error::LogFull`] nothing has changed.
+    pub fn log_write(
+        &mut self,
+        txn: TxnId,
+        pid: PageId,
+        off: usize,
+        after: &[u8],
+    ) -> Result<(Psn, Lsn)> {
+        self.ensure_up()?;
+        let t = active_in(&mut self.txns, txn)?;
+        let (page, dirty) = self
+            .buffer
+            .get_for_update(pid)
+            .ok_or(Error::NoSuchPage(pid))?;
+        let psn_before = page.psn();
+        // Log first: reading the before-image has checked the range, so
+        // the write below cannot fail and nothing needs un-applying.
+        let lsn = self.log.append_range_update(&RangeUpdate {
+            txn,
+            prev_lsn: t.last_lsn,
+            pid,
+            psn_before,
+            off: off as u32,
+            before: page.read_range(off, after.len())?,
+            after,
+        })?;
+        page.write_range(off, after)?;
+        page.bump_psn();
+        *dirty = true;
+        self.dpt.on_update(pid, psn_before.next(), lsn);
+        t.logged_update(lsn);
+        Ok((psn_before, lsn))
     }
 
     /// First half of commit: appends the Commit record and parks the
@@ -370,13 +414,12 @@ impl Node {
     /// ([`Node::commit`]) or batched by the cluster's force scheduler.
     pub fn commit_begin(&mut self, txn: TxnId) -> Result<Lsn> {
         self.ensure_up()?;
-        let prev = self.active_txn(txn)?.last_lsn;
+        let t = active_in(&mut self.txns, txn)?;
         let lsn = self.log.append(&LogRecord {
             txn,
-            prev_lsn: prev,
+            prev_lsn: t.last_lsn,
             payload: LogPayload::Commit,
         })?;
-        let t = self.txns.get_mut(&txn).expect("checked");
         t.status = TxnStatus::Committing;
         t.last_lsn = lsn;
         self.local_locks.release_all(txn);
@@ -402,6 +445,26 @@ impl Node {
         Ok(())
     }
 
+    /// Drops a terminated transaction from the transaction table, and
+    /// refuses any other: an engine that never asks about a transaction
+    /// again once it has acknowledged it (the threaded runtime) calls
+    /// this so that the table holds the live transactions, not every
+    /// transaction the node ever ran. The simulator reads `Committed`
+    /// back ([`crate::Cluster::poll_committed`]) and keeps them.
+    pub fn forget(&mut self, txn: TxnId) -> Result<()> {
+        match self.txns.get(&txn) {
+            Some(t) if t.is_terminated() => {
+                self.txns.remove(&txn);
+                Ok(())
+            }
+            Some(t) => Err(Error::Protocol(format!(
+                "forget of {txn} in state {:?}",
+                t.status
+            ))),
+            None => Err(Error::NoSuchTxn(txn)),
+        }
+    }
+
     /// Commits: one Commit record, one local log force, zero messages
     /// (the paper's headline property). Strict 2PL: transaction-level
     /// locks release; node-level cached locks are retained.
@@ -414,7 +477,7 @@ impl Node {
     /// Takes a savepoint for partial rollback.
     pub fn savepoint(&mut self, txn: TxnId) -> Result<Savepoint> {
         self.ensure_up()?;
-        let t = self.active_txn(txn)?;
+        let t = active_in(&mut self.txns, txn)?;
         Ok(Savepoint {
             txn,
             at_lsn: t.last_lsn,
@@ -752,7 +815,7 @@ impl Node {
         } else {
             ckpt
         };
-        let mut att: HashMap<TxnId, TxnState> = HashMap::new();
+        let mut att: IdMap<TxnId, TxnState> = IdMap::default();
         let mut dpt = DirtyPageTable::new();
         let mut records = 0u64;
         let mut max_seq = 0u64;
@@ -964,7 +1027,7 @@ impl Node {
             return Ok(Vec::new());
         };
         // Page → (index into `pages`, transaction of its last entry).
-        let mut wanted: HashMap<PageId, (usize, Option<TxnId>)> = pages
+        let mut wanted: IdMap<PageId, (usize, Option<TxnId>)> = pages
             .iter()
             .enumerate()
             .map(|(i, &pid)| (pid, (i, None)))
@@ -1381,6 +1444,139 @@ mod tests {
     }
 
     #[test]
+    fn log_write_logs_what_log_update_logs() {
+        // The same three writes through each entry point, on two nodes:
+        // the logs must hold the same bytes and the nodes the same
+        // page, DPT and transaction state.
+        let run = |borrowed: bool| {
+            let mut n = node();
+            let pid = load(&mut n, 0);
+            let t = n.begin().unwrap();
+            let mut edges = Vec::new();
+            for (slot, v) in [(0usize, 7u64), (3, 9), (0, 11)] {
+                let psn = n.buffer.peek(pid).unwrap().psn();
+                let edge = if borrowed {
+                    n.log_write(t, pid, slot * 8, &v.to_le_bytes()).unwrap()
+                } else {
+                    let before = n.peek_slot(pid, slot).unwrap();
+                    let op = PageOp::WriteRange {
+                        off: (slot * 8) as u32,
+                        before: before.to_le_bytes().to_vec(),
+                        after: v.to_le_bytes().to_vec(),
+                    };
+                    n.log_update(t, pid, op).unwrap()
+                };
+                assert_eq!(edge.0, psn, "the PSN before the update");
+                assert_eq!(edge.1, n.txn(t).unwrap().last_lsn);
+                edges.push(edge);
+            }
+            let state = n.txn(t).unwrap().clone();
+            n.commit(t).unwrap();
+            let mut h = Fnv1a::new();
+            n.log.durable_hash(&mut h).unwrap();
+            let page = n.buffer.peek(pid).unwrap().to_bytes();
+            let dirty = n.buffer.is_dirty(pid);
+            let dpt = n.dpt().entries();
+            (
+                edges,
+                h.finish(),
+                page,
+                dirty,
+                dpt,
+                state.updates,
+                state.undo_next,
+            )
+        };
+        assert_eq!(run(true), run(false));
+    }
+
+    #[test]
+    fn log_write_checks_what_log_update_checks() {
+        let mut n = node();
+        let pid = load(&mut n, 0);
+        let t = n.begin().unwrap();
+        let v = 5u64.to_le_bytes();
+        let absent = PageId::new(n.id(), 3);
+        assert!(matches!(n.log_write(t, absent, 0, &v), Err(Error::NoSuchPage(p)) if p == absent));
+        assert!(matches!(
+            n.log_write(t, pid, 512, &v),
+            Err(Error::Invalid(_))
+        ));
+        assert_eq!(n.log().records_appended(), 1, "only the Begin record");
+        assert_eq!(n.buffer.is_dirty(pid), Some(false));
+        n.log_write(t, pid, 0, &v).unwrap();
+        n.commit(t).unwrap();
+        assert!(matches!(
+            n.log_write(t, pid, 0, &v),
+            Err(Error::NoSuchTxn(_))
+        ));
+        n.crash();
+        assert!(matches!(
+            n.log_write(t, pid, 0, &v),
+            Err(Error::NodeDown(_))
+        ));
+    }
+
+    #[test]
+    fn forget_takes_terminated_transactions_only() {
+        let mut n = node();
+        let pid = load(&mut n, 0);
+        let (t1, t2) = (n.begin().unwrap(), n.begin().unwrap());
+        n.log_write(t1, pid, 0, &1u64.to_le_bytes()).unwrap();
+        assert!(matches!(n.forget(t1), Err(Error::Protocol(_))), "active");
+        n.commit_begin(t1).unwrap();
+        assert!(matches!(n.forget(t1), Err(Error::Protocol(_))), "parked");
+        n.force_log().unwrap();
+        n.finish_commit(t1).unwrap();
+        n.forget(t1).unwrap();
+        assert!(n.txn(t1).is_none());
+        assert!(matches!(n.forget(t1), Err(Error::NoSuchTxn(_))));
+        n.start_abort(t2).unwrap();
+        assert!(matches!(n.forget(t2), Err(Error::Protocol(_))), "aborting");
+        n.finish_abort(t2).unwrap();
+        n.forget(t2).unwrap();
+        assert_eq!((n.commits(), n.aborts()), (1, 1), "the tallies stay");
+        // A checkpoint no longer has anybody to list or to filter out.
+        n.checkpoint().unwrap();
+        assert!(n.active_txns().is_empty());
+    }
+
+    #[test]
+    fn rollback_inside_a_long_unforced_tail() {
+        // ~2 000 records of other transactions in the tail, none
+        // forced; the last transaction rolls back its 16 writes. Every
+        // undo read is a point read above `tail_start`.
+        let mut n = node();
+        let pid = load(&mut n, 0);
+        let other = load(&mut n, 1);
+        for i in 0..500u64 {
+            let t = n.begin().unwrap();
+            n.log_write(t, other, 0, &i.to_le_bytes()).unwrap();
+            n.log_write(t, other, 8, &i.to_le_bytes()).unwrap();
+            n.commit_begin(t).unwrap();
+        }
+        let t = n.begin().unwrap();
+        for slot in 0..16usize {
+            let v = (100 + slot as u64).to_le_bytes();
+            n.log_write(t, pid, slot * 8, &v).unwrap();
+        }
+        assert_eq!(n.log().flushed_lsn(), Lsn(8));
+        assert_eq!(n.log().tail_record_sizes().len(), 2017);
+        n.start_abort(t).unwrap();
+        let mut undone = 0;
+        while n.rollback_step(t, Lsn::ZERO).unwrap() != RollbackStep::Done {
+            undone += 1;
+        }
+        n.finish_abort(t).unwrap();
+        assert_eq!(undone, 16);
+        assert_eq!(n.log().tail_record_sizes().len(), 2017 + 16 + 1);
+        for slot in 0..16 {
+            assert_eq!(n.peek_slot(pid, slot), Some(0));
+        }
+        assert_eq!(n.peek_slot(other, 0), Some(499));
+    }
+
+    #[test]
     fn diskless_node_has_no_database() {
         let n = Node::new(
             NodeId(3),
@@ -1436,5 +1632,14 @@ mod tests {
             r.unwrap();
         }
         assert!(hit_full, "bounded log must fill");
+        // The borrowed path logs before it applies: the same refusal,
+        // and neither the page nor its PSN nor the tail has moved.
+        let (psn, tail) = (n.buffer.peek(pid).unwrap().psn(), n.log().tail_bytes());
+        let before = n.peek_slot(pid, 1);
+        let r = n.log_write(t, pid, 8, &77u64.to_le_bytes());
+        assert!(matches!(r, Err(Error::LogFull(_))));
+        assert_eq!(n.peek_slot(pid, 1), before);
+        assert_eq!(n.buffer.peek(pid).unwrap().psn(), psn);
+        assert_eq!(n.log().tail_bytes(), tail);
     }
 }

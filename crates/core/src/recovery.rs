@@ -28,8 +28,8 @@ use crate::cluster::{Cluster, CTRL_BYTES};
 use crate::node::{NodePsnEntry, RollbackStep};
 use crate::runtime::Runtime;
 use cblog_common::{
-    metrics::keys, Bucket, Error, Lsn, NodeId, PageId, Psn, RecoveryPhase, Result, SimTime, Span,
-    SpanCtx, SpanId, SpanKind, TraceEvent, TransferWhy, TxnId,
+    metrics::keys, Bucket, Error, IdMap, Lsn, NodeId, PageId, Psn, RecoveryPhase, Result, SimTime,
+    Span, SpanCtx, SpanId, SpanKind, TraceEvent, TransferWhy, TxnId,
 };
 use cblog_locks::LockMode;
 use cblog_net::{MsgHeader, MsgKind};
@@ -445,14 +445,14 @@ pub fn plan_replay(
     // it — and one sort both groups them by unit and orders each
     // unit's chain.
     let n = involved.len();
-    let unit_of: HashMap<PageId, usize> = involved.keys().copied().zip(0..).collect();
+    let unit_of: IdMap<PageId, usize> = involved.keys().copied().zip(0..).collect();
     let nodes_of: Vec<&Vec<NodeId>> = involved.values().collect();
     let mut entries: Vec<(u32, Psn, NodeId, Lsn)> =
         Vec::with_capacity(psn_lists.values().map(Vec::len).sum());
     let mut succs: Vec<BTreeSet<usize>> = vec![BTreeSet::new(); n];
     let mut indeg: Vec<usize> = vec![0; n];
     for (&node, list) in psn_lists {
-        let mut last_of_txn: HashMap<TxnId, usize> = HashMap::new();
+        let mut last_of_txn: IdMap<TxnId, usize> = IdMap::default();
         for e in list {
             let Some(&u) = unit_of.get(&e.pid) else {
                 continue;
@@ -2079,7 +2079,7 @@ mod tests {
         let mut succs: Vec<BTreeSet<usize>> = vec![BTreeSet::new(); n];
         let mut indeg: Vec<usize> = vec![0; n];
         for list in psn_lists.values() {
-            let mut last_of_txn: HashMap<TxnId, usize> = HashMap::new();
+            let mut last_of_txn: IdMap<TxnId, usize> = IdMap::default();
             for e in list {
                 let Some(&u) = unit_of.get(&e.pid) else {
                     continue;

@@ -64,6 +64,13 @@ impl TxnState {
         }
     }
 
+    /// Records that the transaction's update was logged at `lsn`.
+    pub(crate) fn logged_update(&mut self, lsn: Lsn) {
+        self.last_lsn = lsn;
+        self.undo_next = lsn;
+        self.updates += 1;
+    }
+
     /// True if the transaction can still issue operations.
     pub fn is_active(&self) -> bool {
         self.status == TxnStatus::Active

@@ -12,14 +12,13 @@
 //! saves its locking messages during normal processing.
 
 use crate::LockMode;
-use cblog_common::{PageId, Psn};
-use std::collections::HashMap;
+use cblog_common::{IdMap, PageId, Psn};
 
 /// The locks this node currently holds from owner nodes (including
 /// itself, for uniformity).
 #[derive(Debug, Default, Clone)]
 pub struct CachedLockTable {
-    locks: HashMap<PageId, LockMode>,
+    locks: IdMap<PageId, LockMode>,
 }
 
 impl CachedLockTable {

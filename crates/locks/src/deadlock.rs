@@ -6,13 +6,12 @@
 //! Cycle detection picks the youngest transaction in the cycle as the
 //! victim (largest id: ids grow with start order on each node).
 
-use cblog_common::TxnId;
-use std::collections::{HashMap, HashSet};
+use cblog_common::{IdMap, IdSet, TxnId};
 
 /// A waits-for graph over transactions.
 #[derive(Debug, Default)]
 pub struct WaitsForGraph {
-    edges: HashMap<TxnId, HashSet<TxnId>>,
+    edges: IdMap<TxnId, IdSet<TxnId>>,
 }
 
 impl WaitsForGraph {
@@ -23,7 +22,7 @@ impl WaitsForGraph {
 
     /// Replaces the wait set of `waiter` (it blocks on `holders`).
     pub fn set_waits(&mut self, waiter: TxnId, holders: &[TxnId]) {
-        let set: HashSet<TxnId> = holders.iter().copied().filter(|h| *h != waiter).collect();
+        let set: IdSet<TxnId> = holders.iter().copied().filter(|h| *h != waiter).collect();
         if set.is_empty() {
             self.edges.remove(&waiter);
         } else {
@@ -52,7 +51,7 @@ impl WaitsForGraph {
         // ordering of start nodes.
         let mut starts: Vec<TxnId> = self.edges.keys().copied().collect();
         starts.sort();
-        let mut color: HashMap<TxnId, u8> = HashMap::new(); // 1=gray, 2=black
+        let mut color: IdMap<TxnId, u8> = IdMap::default(); // 1=gray, 2=black
         for &s in &starts {
             if color.get(&s).copied().unwrap_or(0) != 0 {
                 continue;

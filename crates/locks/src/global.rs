@@ -16,8 +16,7 @@
 //! and re-issues the request, which then grants.
 
 use crate::LockMode;
-use cblog_common::{NodeId, PageId};
-use std::collections::HashMap;
+use cblog_common::{IdMap, NodeId, PageId};
 
 /// What a callback asks the holding node to do.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -40,7 +39,7 @@ pub enum GlobalRequestOutcome {
 /// The owner's record of which nodes hold locks on its pages.
 #[derive(Debug, Default, Clone)]
 pub struct GlobalLockTable {
-    locks: HashMap<PageId, Vec<(NodeId, LockMode)>>,
+    locks: IdMap<PageId, Vec<(NodeId, LockMode)>>,
 }
 
 impl GlobalLockTable {

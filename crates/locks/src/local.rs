@@ -1,8 +1,7 @@
 //! Transaction-level lock table (strict 2PL within one node).
 
 use crate::LockMode;
-use cblog_common::{PageId, TxnId};
-use std::collections::HashMap;
+use cblog_common::{IdMap, PageId, TxnId};
 
 /// Result of a local lock request.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -21,7 +20,7 @@ pub enum LocalRequestOutcome {
 /// detector.
 #[derive(Debug, Default)]
 pub struct LocalLockTable {
-    locks: HashMap<PageId, Vec<(TxnId, LockMode)>>,
+    locks: IdMap<PageId, Vec<(TxnId, LockMode)>>,
 }
 
 impl LocalLockTable {

@@ -8,9 +8,10 @@
 //! exactly the work the runtime exists to overlap.
 //!
 //! [`ShardedLockTable`] hashes each page to one of N shards, each an
-//! independently locked `HashMap<PageId, LockEntry>`. Two transactions
+//! independently locked `IdMap<PageId, LockEntry>`. Two transactions
 //! touching pages in different shards never contend on the same mutex;
-//! the per-shard critical sections are a few map operations long.
+//! the per-shard critical sections are a few map operations long, and
+//! taking or dropping a lock nobody else holds allocates nothing.
 //!
 //! Lock holders are opaque `u64` tokens rather than [`TxnId`]s so the
 //! table stays agnostic of who is locking: the runtime packs
@@ -20,24 +21,55 @@
 //! transaction, mirroring how the simulator surfaces `WouldBlock`.
 
 use crate::LockMode;
-use cblog_common::PageId;
-use std::collections::hash_map::DefaultHasher;
-use std::collections::HashMap;
-use std::hash::{Hash, Hasher};
-use std::sync::Mutex;
+use cblog_common::{id_hash, IdMap, PageId};
+use std::sync::{Mutex, MutexGuard};
 
 /// Holders of one page's lock: either any number of sharers or one
-/// exclusive owner.
+/// exclusive owner. An entry exists only while somebody holds the
+/// page, so there is always a first holder and it lives in the entry;
+/// only a second sharer spills to the heap.
 #[derive(Debug)]
 struct LockEntry {
     mode: LockMode,
-    holders: Vec<u64>,
+    first: u64,
+    more: Vec<u64>,
 }
+
+impl LockEntry {
+    fn holds(&self, holder: u64) -> bool {
+        self.first == holder || self.more.contains(&holder)
+    }
+
+    /// Drops `holder` from the entry; false if that leaves nobody.
+    fn release(&mut self, holder: u64) -> bool {
+        if self.first != holder {
+            self.more.retain(|&h| h != holder);
+            return true;
+        }
+        match self.more.pop() {
+            Some(next) => {
+                self.first = next;
+                true
+            }
+            None => false,
+        }
+    }
+}
+
+type Shard = IdMap<PageId, LockEntry>;
 
 /// Concurrent page-lock table sharded by page hash.
 #[derive(Debug)]
 pub struct ShardedLockTable {
-    shards: Box<[Mutex<HashMap<PageId, LockEntry>>]>,
+    shards: Box<[Mutex<Shard>]>,
+}
+
+/// The table stays valid at every step of every update, so a holder
+/// that panicked elsewhere does not take the table with it.
+fn lock(shard: &Mutex<Shard>) -> MutexGuard<'_, Shard> {
+    shard
+        .lock()
+        .unwrap_or_else(std::sync::PoisonError::into_inner)
 }
 
 impl ShardedLockTable {
@@ -46,7 +78,7 @@ impl ShardedLockTable {
     pub fn new(shards: usize) -> Self {
         let n = shards.max(1);
         ShardedLockTable {
-            shards: (0..n).map(|_| Mutex::new(HashMap::new())).collect(),
+            shards: (0..n).map(|_| Mutex::new(Shard::default())).collect(),
         }
     }
 
@@ -55,10 +87,11 @@ impl ShardedLockTable {
         self.shards.len()
     }
 
-    fn shard_of(&self, pid: PageId) -> &Mutex<HashMap<PageId, LockEntry>> {
-        let mut h = DefaultHasher::new();
-        pid.hash(&mut h);
-        &self.shards[(h.finish() as usize) % self.shards.len()]
+    /// The shard comes from the upper half of the hash the shard's own
+    /// map buckets `pid` by (from the low bits), so the pages of one
+    /// shard still spread over all of its buckets.
+    fn shard_of(&self, pid: PageId) -> MutexGuard<'_, Shard> {
+        lock(&self.shards[(id_hash(&pid) >> 32) as usize % self.shards.len()])
     }
 
     /// Attempts to take `pid` in `mode` for `holder`. Returns `true`
@@ -68,35 +101,33 @@ impl ShardedLockTable {
     /// immediately if its mode covers the request, and upgrades
     /// S → X in place when it is the sole holder.
     pub fn try_acquire(&self, pid: PageId, holder: u64, mode: LockMode) -> bool {
-        let mut shard = self
-            .shard_of(pid)
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
+        let mut shard = self.shard_of(pid);
         match shard.get_mut(&pid) {
             None => {
                 shard.insert(
                     pid,
                     LockEntry {
                         mode,
-                        holders: vec![holder],
+                        first: holder,
+                        more: Vec::new(),
                     },
                 );
                 true
             }
             Some(entry) => {
-                if entry.holders.contains(&holder) {
+                if entry.holds(holder) {
                     if entry.mode.covers(mode) {
                         return true;
                     }
                     // S → X upgrade: only when nobody else shares.
-                    if entry.holders.len() == 1 {
+                    if entry.more.is_empty() {
                         entry.mode = LockMode::Exclusive;
                         return true;
                     }
                     return false;
                 }
                 if entry.mode.compatible(mode) {
-                    entry.holders.push(holder);
+                    entry.more.push(holder);
                     true
                 } else {
                     false
@@ -148,15 +179,9 @@ impl ShardedLockTable {
 
     /// Releases `holder`'s lock on `pid` (no-op if not held).
     pub fn release(&self, pid: PageId, holder: u64) {
-        let mut shard = self
-            .shard_of(pid)
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
-        if let Some(entry) = shard.get_mut(&pid) {
-            entry.holders.retain(|&h| h != holder);
-            if entry.holders.is_empty() {
-                shard.remove(&pid);
-            }
+        let mut shard = self.shard_of(pid);
+        if shard.get_mut(&pid).is_some_and(|e| !e.release(holder)) {
+            shard.remove(&pid);
         }
     }
 
@@ -164,26 +189,13 @@ impl ShardedLockTable {
     /// transaction under strict 2PL).
     pub fn release_all(&self, holder: u64) {
         for shard in self.shards.iter() {
-            let mut shard = shard
-                .lock()
-                .unwrap_or_else(std::sync::PoisonError::into_inner);
-            shard.retain(|_, entry| {
-                entry.holders.retain(|&h| h != holder);
-                !entry.holders.is_empty()
-            });
+            lock(shard).retain(|_, entry| entry.release(holder));
         }
     }
 
     /// Number of pages currently locked (any mode).
     pub fn locked_pages(&self) -> usize {
-        self.shards
-            .iter()
-            .map(|s| {
-                s.lock()
-                    .unwrap_or_else(std::sync::PoisonError::into_inner)
-                    .len()
-            })
-            .sum()
+        self.shards.iter().map(|s| lock(s).len()).sum()
     }
 }
 
@@ -228,6 +240,39 @@ mod tests {
         t.release_all(1);
         assert_eq!(t.locked_pages(), 0);
         assert!(t.try_acquire(p, 2, LockMode::Exclusive));
+    }
+
+    #[test]
+    fn sharers_come_and_go_in_any_order() {
+        // The first holder lives in the entry and the rest beside it:
+        // releasing the first must promote another, not drop the page.
+        let t = ShardedLockTable::new(2);
+        let p = pid(0, 9);
+        for h in 1..=4 {
+            assert!(t.try_acquire(p, h, LockMode::Shared));
+        }
+        t.release(p, 1);
+        assert!(!t.try_acquire(p, 9, LockMode::Exclusive), "2, 3, 4 share");
+        assert!(t.try_acquire(p, 3, LockMode::Shared), "3 still holds");
+        t.release(p, 3);
+        t.release(p, 3);
+        t.release_all(4);
+        assert!(!t.try_acquire(p, 9, LockMode::Exclusive), "2 shares");
+        assert!(t.try_acquire(p, 2, LockMode::Exclusive), "alone: upgrade");
+        t.release(p, 2);
+        assert_eq!(t.locked_pages(), 0);
+        assert!(t.try_acquire(p, 9, LockMode::Exclusive));
+    }
+
+    #[test]
+    fn sequential_pages_use_every_shard() {
+        let t = ShardedLockTable::new(16);
+        for i in 0..1024 {
+            assert!(t.try_acquire(pid(i % 2, i / 2), 1, LockMode::Shared));
+        }
+        let sizes: Vec<usize> = t.shards.iter().map(|s| lock(s).len()).collect();
+        let (min, max) = (sizes.iter().min().unwrap(), sizes.iter().max().unwrap());
+        assert!(*min >= 32 && *max <= 128, "1024 pages over 16: {sizes:?}");
     }
 
     #[test]

@@ -78,8 +78,8 @@ use cblog_locks::{LockMode, ShardedLockTable};
 use cblog_net::transport::{ChannelEndpoint, ChannelMesh, Envelope, Transport};
 use cblog_net::MsgKind;
 use cblog_storage::Page;
-use cblog_wal::{FileLogStore, LogStore, MemLogStore, PageOp};
-use std::collections::BTreeMap;
+use cblog_wal::{FileLogStore, LogStore, MemLogStore};
+use std::collections::{BTreeMap, VecDeque};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::OnceLock;
@@ -816,6 +816,24 @@ fn decode_pid(payload: &[u8]) -> Result<PageId> {
     Ok(PageId::from_u64(u64::from_le_bytes(bytes)))
 }
 
+/// Runs `op`, which works on the cached copy of the owned page `pid`,
+/// caching the page first if `op` finds it absent. A page is absent
+/// once, on its first touch after a start or a crash, so asking first
+/// would spend a buffer lookup per operation on the answer "yes".
+fn on_cached<T>(
+    node: &mut Node,
+    pid: PageId,
+    mut op: impl FnMut(&mut Node) -> Result<T>,
+) -> Result<T> {
+    match op(node) {
+        Err(Error::NoSuchPage(p)) if p == pid => {
+            ensure_cached(node, pid)?;
+            op(node)
+        }
+        done => done,
+    }
+}
+
 /// Brings an owned page into the buffer (from disk if necessary). The
 /// buffer is sized above the working set, so eviction of a dirty page
 /// is an overflow error rather than a silent correctness hazard.
@@ -837,8 +855,10 @@ fn ensure_cached(node: &mut Node, pid: PageId) -> Result<()> {
 }
 
 /// Total rollback of `txn` on its node: undo its updates newest first
-/// (a CLR each), then the Abort record. The one rollback loop of this
-/// crate — a worker's aborts and recovery's loser undo both run it.
+/// (a CLR each), then the Abort record, after which nothing asks about
+/// the transaction again and the node forgets it. The one rollback
+/// loop of this crate — a worker's aborts and recovery's loser undo
+/// both run it.
 fn roll_back(node: &mut Node, txn: TxnId) -> Result<()> {
     node.start_abort(txn)?;
     loop {
@@ -848,7 +868,8 @@ fn roll_back(node: &mut Node, txn: TxnId) -> Result<()> {
             RollbackStep::NeedPage(pid) => ensure_cached(node, pid)?,
         }
     }
-    node.finish_abort(txn)
+    node.finish_abort(txn)?;
+    node.forget(txn)
 }
 
 /// One node's thread of a run, and everything it works with. The
@@ -874,6 +895,10 @@ struct Worker<'a> {
     /// A page repeats if several such transactions wrote it; between
     /// two forces it holds at most one plan's writes per lane.
     released: Vec<PageId>,
+    /// The lanes of the parked commits, in the order they were
+    /// submitted to `sched`, which is the order it acknowledges them
+    /// in: an ack finds its lane at the front, not by a search.
+    parked: VecDeque<usize>,
 }
 
 impl<'a> Worker<'a> {
@@ -893,6 +918,7 @@ impl<'a> Worker<'a> {
             },
             forced_bytes: node.log().bytes_written(),
             released: Vec::new(),
+            parked: VecDeque::new(),
             report: RunReport::default(),
             prof: Prof::default(),
             node,
@@ -1002,6 +1028,7 @@ impl<'a> Worker<'a> {
                     TxnOutcome::Committing(txn, at) => {
                         lane.waiting = Some((txn, at));
                         lane.retries = 0;
+                        self.parked.push_back(li);
                     }
                     TxnOutcome::Done => {
                         lane.next += 1;
@@ -1119,38 +1146,20 @@ impl<'a> Worker<'a> {
             match *op {
                 PlanOp::Read { pid, slot } => {
                     if pid.owner == me {
-                        ensure_cached(&mut self.node, pid)?;
-                        self.node
-                            .peek_slot(pid, slot)
-                            .ok_or(Error::NoSuchPage(pid))?;
+                        on_cached(&mut self.node, pid, |node| {
+                            node.peek_slot(pid, slot).ok_or(Error::NoSuchPage(pid))
+                        })?;
                     } else {
                         self.remote_read(pid, slot, span)?;
                     }
                 }
                 PlanOp::Write { pid, slot, value } => {
-                    ensure_cached(&mut self.node, pid)?;
-                    let before = self
-                        .node
-                        .peek_slot(pid, slot)
-                        .ok_or(Error::NoSuchPage(pid))?;
-                    // The watchdog checks the pre-update PSN edge, so
-                    // read it before `log_update` bumps it.
-                    let psn_before = self
-                        .node
-                        .buffer()
-                        .peek(pid)
-                        .map(|p| p.psn())
-                        .unwrap_or(Psn::ZERO);
-                    self.node.log_update(
-                        txn,
-                        pid,
-                        PageOp::WriteRange {
-                            off: (slot * 8) as u32,
-                            before: before.to_le_bytes().to_vec(),
-                            after: value.to_le_bytes().to_vec(),
-                        },
-                    )?;
-                    let lsn = self.node.txn(txn).map(|t| t.last_lsn).unwrap_or(Lsn::ZERO);
+                    let after = value.to_le_bytes();
+                    // The PSN is the page's just before the update: the
+                    // edge the watchdog checks.
+                    let (psn_before, lsn) = on_cached(&mut self.node, pid, |node| {
+                        node.log_write(txn, pid, slot * 8, &after)
+                    })?;
                     self.buf.point(
                         self.shared.clock.now_us(),
                         me,
@@ -1197,15 +1206,25 @@ impl<'a> Worker<'a> {
         let mut acked = 0u64;
         for txn in self.sched.drain_acked(flushed) {
             self.node.finish_commit(txn)?;
+            self.node.forget(txn)?;
             self.report.committed += 1;
             acked += 1;
-            let now = self.shared.clock.now_us();
-            for lane in &mut self.lanes {
-                if let Some((_, at)) = lane.waiting.filter(|&(w, _)| w == txn) {
-                    self.shared.samples.record(now.saturating_sub(at));
-                    lane.waiting = None;
-                    lane.next += 1;
-                    break;
+            // Commits are acknowledged in the order they parked, so
+            // this one's lane is the oldest parked lane. (A worker
+            // stepped by hand, as the tests do, has no lanes.)
+            if let Some(li) = self.parked.pop_front() {
+                let lane = &mut self.lanes[li];
+                match lane.waiting.take() {
+                    Some((parked, at)) if parked == txn => {
+                        let now = self.shared.clock.now_us();
+                        self.shared.samples.record(now.saturating_sub(at));
+                        lane.next += 1;
+                    }
+                    other => {
+                        return Err(Error::Protocol(format!(
+                            "{txn} acknowledged, but lane {li} has {other:?} parked"
+                        )))
+                    }
                 }
             }
         }
@@ -1792,6 +1811,56 @@ mod tests {
                 .committed,
             1
         );
+    }
+
+    #[test]
+    fn a_failed_force_fails_the_run_acks_nothing_and_recovers_to_before_the_batch() {
+        use std::sync::atomic::Ordering::SeqCst;
+        let mut tc = ThreadCluster::new(ThreadClusterConfig {
+            owned_pages: vec![4],
+            group_commit: GroupCommitPolicy::Window {
+                window_us: 1_000_000_000,
+                max_batch: 4,
+            },
+            ..ThreadClusterConfig::default()
+        })
+        .unwrap();
+        // Node 0 again, over a store whose syncs can be made to fail.
+        let store = cblog_wal::SyncFaultStore::new(Box::new(MemLogStore::new()));
+        let fail_next = store.fail_next_syncs();
+        let cfg = tc.nodes[0].config().clone();
+        tc.nodes[0] = Node::with_log_store(NodeId(0), cfg, Box::new(store)).unwrap();
+
+        // Four lanes, one page each: a batch of four per force.
+        let batch = |value: u64| -> Vec<TxnPlan> {
+            (0..4)
+                .map(|lane| wplan(0, lane, &[(pid(0, lane as u32), 0, value)]))
+                .collect()
+        };
+        assert_eq!(tc.run(&batch(1)).unwrap().committed, 4);
+        assert_eq!(tc.latency_samples().count(), 4);
+
+        fail_next.store(1, SeqCst);
+        let out = tc.run(&batch(2));
+        assert!(matches!(out, Err(Error::Io(_))), "{out:?}");
+        assert_eq!(tc.latency_samples().count(), 4, "no commit was acked");
+        assert_eq!(tc.nodes[0].commits(), 4);
+        // The sync would succeed now, and must not be tried: the log
+        // takes nothing until it has been recovered from its file.
+        let out = tc.run(&batch(3));
+        assert!(matches!(out, Err(Error::Io(_))), "{out:?}");
+        assert_eq!(tc.nodes[0].commits(), 4);
+
+        crash_and_recover(&mut tc);
+        for page in 0..4 {
+            assert_eq!(
+                slot0(&mut tc, page),
+                1,
+                "page {page}: the value before the batch"
+            );
+        }
+        assert_eq!(tc.run(&batch(4)).unwrap().committed, 4);
+        assert_eq!(slot0(&mut tc, 2), 4);
     }
 
     // ---- the ship-force rule: node 0's worker stepped by hand ----

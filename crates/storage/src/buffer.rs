@@ -17,8 +17,7 @@
 //! are never victims.
 
 use crate::page::Page;
-use cblog_common::{Counter, Error, PageId, Result};
-use std::collections::HashMap;
+use cblog_common::{Counter, Error, IdMap, PageId, Result};
 
 #[derive(Debug)]
 struct Frame {
@@ -43,7 +42,7 @@ pub struct EvictedPage {
 pub struct BufferPool {
     capacity: usize,
     frames: Vec<Option<Frame>>,
-    map: HashMap<PageId, usize>,
+    map: IdMap<PageId, usize>,
     clock_hand: usize,
     hits: Counter,
     misses: Counter,
@@ -57,7 +56,7 @@ impl BufferPool {
         BufferPool {
             capacity,
             frames: (0..capacity).map(|_| None).collect(),
-            map: HashMap::with_capacity(capacity),
+            map: IdMap::with_capacity_and_hasher(capacity, Default::default()),
             clock_hand: 0,
             hits: Counter::new(),
             misses: Counter::new(),
@@ -120,12 +119,20 @@ impl BufferPool {
     /// through mutable access stay clean; update paths call
     /// [`BufferPool::mark_dirty`] explicitly alongside logging.
     pub fn get_mut(&mut self, pid: PageId) -> Option<&mut Page> {
+        self.get_for_update(pid).map(|(page, _)| page)
+    }
+
+    /// The lookup of an update path: the page and its dirty flag from
+    /// one probe of the map, counted and marked recently used like
+    /// [`BufferPool::get_mut`]. The caller sets the flag once the
+    /// update it logs has been applied.
+    pub fn get_for_update(&mut self, pid: PageId) -> Option<(&mut Page, &mut bool)> {
         match self.map.get(&pid) {
             Some(&i) => {
                 self.hits.bump();
                 let f = self.frames[i].as_mut().expect("mapped frame occupied");
                 f.refbit = true;
-                Some(&mut f.page)
+                Some((&mut f.page, &mut f.dirty))
             }
             None => {
                 self.misses.bump();
@@ -375,6 +382,20 @@ mod tests {
         assert_eq!(bp.is_dirty(pid(0)), Some(false));
         bp.mark_dirty(pid(0));
         assert_eq!(bp.dirty_ids(), vec![pid(0)]);
+    }
+
+    #[test]
+    fn get_for_update_is_one_counted_lookup_with_the_dirty_flag() {
+        let mut bp = BufferPool::new(2);
+        bp.insert(page(0), false).unwrap();
+        assert!(bp.get_for_update(pid(1)).is_none());
+        let (p, dirty) = bp.get_for_update(pid(0)).unwrap();
+        assert!(!*dirty);
+        p.bump_psn();
+        *dirty = true;
+        assert_eq!(bp.is_dirty(pid(0)), Some(true));
+        assert_eq!(bp.peek(pid(0)).unwrap().psn(), Psn(2));
+        assert_eq!((bp.hits().get(), bp.misses().get()), (1, 1));
     }
 
     #[test]

@@ -25,8 +25,7 @@
 //! cache: on flush-ack, if the page *was* re-updated, RedoLSN advances
 //! to that remembered LSN instead of the entry being dropped.
 
-use cblog_common::{Decoder, Encoder, Lsn, NodeId, PageId, Psn, Result};
-use std::collections::HashMap;
+use cblog_common::{Decoder, Encoder, IdMap, Lsn, NodeId, PageId, Psn, Result};
 
 /// One DPT entry (paper §2.2 fields plus §2.5 bookkeeping).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -101,7 +100,7 @@ impl DptEntry {
 /// A node's dirty page table.
 #[derive(Clone, Debug, Default)]
 pub struct DirtyPageTable {
-    entries: HashMap<PageId, DptEntry>,
+    entries: IdMap<PageId, DptEntry>,
 }
 
 impl DirtyPageTable {

@@ -20,5 +20,5 @@ pub mod store;
 
 pub use dpt::{DirtyPageTable, DptEntry};
 pub use manager::{LogManager, LogScan};
-pub use record::{CheckpointBody, LogPayload, LogRecord, PageOp};
-pub use store::{FileLogStore, LogStore, MemLogStore};
+pub use record::{CheckpointBody, LogPayload, LogRecord, PageOp, RangeUpdate};
+pub use store::{FileLogStore, LogStore, MemLogStore, SyncFaultStore};

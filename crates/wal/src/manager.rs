@@ -4,10 +4,17 @@
 //!   with an 8-byte preamble so the first real record has a non-zero
 //!   LSN ([`cblog_common::Lsn::ZERO`] stays free as the "no record"
 //!   sentinel).
-//! * Records accumulate in an in-memory tail buffer; [`LogManager::force`]
-//!   writes and syncs the tail. The WAL protocol (force before a dirty
-//!   page leaves the cache; force at commit) is enforced by the node,
-//!   which is the only caller.
+//! * A record is written once: [`LogManager::append`] encodes it at
+//!   the end of one contiguous in-memory tail, and
+//!   [`LogManager::force`] hands that buffer to the store as it is, one
+//!   write and one sync for however many records it holds. The WAL
+//!   protocol (force before a dirty page leaves the cache; force at
+//!   commit) is enforced by the node, which is the only caller.
+//! * A write or sync the store fails stops the log: nothing says how
+//!   much of the tail reached the device, so appending behind it could
+//!   put records at LSNs that are not their file offsets. The manager
+//!   refuses to append or force until a crash and
+//!   [`LogManager::repair_tail`] restart it from what the store holds.
 //! * Log space is bounded when constructed `with_capacity`: the live
 //!   window is `[base_lsn, end_lsn)` and appends that would overflow it
 //!   fail with [`cblog_common::Error::LogFull`], triggering the §2.5
@@ -16,7 +23,7 @@
 //! * The master record anchors restart: it stores the LSN of the last
 //!   complete checkpoint and the truncation point.
 
-use crate::record::LogRecord;
+use crate::record::{LogRecord, RangeUpdate};
 use crate::store::LogStore;
 use cblog_common::{Counter, Decoder, Encoder, Error, Fnv1a, Lsn, NodeId, Result};
 
@@ -37,11 +44,13 @@ pub struct MasterRecord {
 pub struct LogManager {
     node: NodeId,
     store: Box<dyn LogStore>,
-    /// Records appended but not yet written to the store, one encoded
-    /// buffer per record. Keeping record boundaries lets a force hand
-    /// the whole batch to [`LogStore::append_vectored`] as one write +
-    /// one sync (group commit) without re-copying into a flat buffer.
-    tail: Vec<Vec<u8>>,
+    /// Records appended but not yet written to the store, encoded end
+    /// to end in the order of their LSNs: the buffer a force writes
+    /// from, and what a read at or above `tail_start` decodes out of.
+    tail: Vec<u8>,
+    /// Encoded length of each record in `tail`, oldest first: the
+    /// record boundaries a torn write can land between.
+    tail_lens: Vec<u32>,
     /// LSN of the first byte of `tail` (== durable end of the store).
     tail_start: Lsn,
     /// Next LSN to be assigned.
@@ -59,6 +68,9 @@ pub struct LogManager {
     /// The scan starts at the last synced boundary, so this stays
     /// O(torn tail) per restart — a test hook for that guarantee.
     repair_scanned: Counter,
+    /// The first write or sync the store failed, as text. Set, the log
+    /// takes no append, force or master write (see the module doc).
+    failed: Option<String>,
 }
 
 impl std::fmt::Debug for LogManager {
@@ -92,6 +104,7 @@ impl LogManager {
             node,
             store,
             tail: Vec::new(),
+            tail_lens: Vec::new(),
             tail_start: end,
             end_lsn: end,
             flushed_lsn: end,
@@ -105,6 +118,7 @@ impl LogManager {
             records: Counter::new(),
             forces: Counter::new(),
             repair_scanned: Counter::new(),
+            failed: None,
         })
     }
 
@@ -233,20 +247,48 @@ impl LogManager {
     /// Appends a record, returning its LSN. Fails with
     /// [`Error::LogFull`] if a bounded log's live window would
     /// overflow — the caller then runs the §2.5 space protocol and
-    /// retries.
+    /// retries; the log is then exactly as it was before the call.
     pub fn append(&mut self, rec: &LogRecord) -> Result<Lsn> {
-        let bytes = rec.encode();
+        self.append_with(|tail| rec.encode_into(tail))
+    }
+
+    /// [`LogManager::append`] for a physical update whose images are
+    /// borrowed: the same bytes at the same LSN, with no owned record
+    /// built on the way.
+    pub fn append_range_update(&mut self, rec: &RangeUpdate<'_>) -> Result<Lsn> {
+        self.append_with(|tail| rec.encode_into(tail))
+    }
+
+    /// Appends the record `encode` writes at the end of the tail
+    /// (returning its length): in place, so the record's bytes are
+    /// written once, where the next force writes them from.
+    fn append_with(&mut self, encode: impl FnOnce(&mut Vec<u8>) -> usize) -> Result<Lsn> {
+        self.check_live()?;
+        let start = self.tail.len();
+        let len = encode(&mut self.tail) as u64;
         if let Some(cap) = self.capacity {
-            if self.used_space() + bytes.len() as u64 > cap {
+            if self.used_space() + len > cap {
+                self.tail.truncate(start);
                 return Err(Error::LogFull(self.node));
             }
         }
         let lsn = self.end_lsn;
-        let len = bytes.len() as u64;
-        self.tail.push(bytes);
-        self.end_lsn = self.end_lsn.advance(len);
+        self.tail_lens.push(len as u32);
+        self.end_lsn = lsn.advance(len);
         self.records.bump();
         Ok(lsn)
+    }
+
+    /// Refuses the call if the store has failed a write or sync.
+    fn check_live(&self) -> Result<()> {
+        match &self.failed {
+            None => Ok(()),
+            Some(first) => Err(std::io::Error::other(format!(
+                "log of {} stopped after a failed force ({first}): crash and recover it",
+                self.node
+            ))
+            .into()),
+        }
     }
 
     /// Bytes sitting in the unflushed tail.
@@ -257,7 +299,7 @@ impl LogManager {
     /// Encoded byte length of each unforced tail record, oldest first
     /// (sums to [`LogManager::tail_bytes`]).
     pub fn tail_record_sizes(&self) -> Vec<u64> {
-        self.tail.iter().map(|b| b.len() as u64).collect()
+        self.tail_lens.iter().map(|&n| n as u64).collect()
     }
 
     /// The distinct `landed` arguments to
@@ -306,16 +348,25 @@ impl LogManager {
     /// Forces the log so the record whose LSN is `upto` (and everything
     /// before it) is durable. No-op if already durable. The whole tail
     /// — however many records accumulated since the last force — goes
-    /// down as one vectored write followed by one sync, so a batch of
-    /// commit records costs a single device operation.
+    /// down as one write followed by one sync, so a batch of commit
+    /// records costs a single device operation.
+    ///
+    /// A failure here stops the log (see the module doc): the tail is
+    /// kept but never written again, so no record can land behind a
+    /// copy of itself and no later force can make this batch look
+    /// durable. The caller acknowledges nothing the force was to cover.
     pub fn force(&mut self, upto: Lsn) -> Result<()> {
+        self.check_live()?;
         if self.tail.is_empty() || upto < self.flushed_lsn {
             return Ok(());
         }
-        let bufs: Vec<&[u8]> = self.tail.iter().map(|b| b.as_slice()).collect();
-        self.store.append_vectored(&bufs)?;
-        self.store.sync()?;
+        let written = self.store.append(&self.tail);
+        if let Err(e) = written.and_then(|()| self.store.sync()) {
+            self.failed = Some(e.to_string());
+            return Err(e);
+        }
         self.tail.clear();
+        self.tail_lens.clear();
         self.tail_start = self.end_lsn;
         self.flushed_lsn = self.end_lsn;
         self.forces.bump();
@@ -341,7 +392,7 @@ impl LogManager {
     pub fn read_record(&mut self, lsn: Lsn) -> Result<(LogRecord, Lsn)> {
         self.check_readable(lsn)?;
         if lsn >= self.tail_start {
-            return self.read_tail(lsn, &mut (0, self.tail_start));
+            return self.read_tail(lsn);
         }
         self.read_durable(lsn, &mut ReadWindow::default(), POINT_READ_AHEAD)
     }
@@ -362,19 +413,12 @@ impl LogManager {
         Ok(())
     }
 
-    /// Decodes the unflushed record at `lsn >= tail_start`. `cursor`
-    /// is a tail buffer index and that buffer's LSN; the walk moves it
-    /// forward only, so a scan that keeps it pays O(tail) in total.
-    fn read_tail(&self, lsn: Lsn, cursor: &mut (usize, Lsn)) -> Result<(LogRecord, Lsn)> {
-        while let Some(chunk) = self.tail.get(cursor.0) {
-            let off = (lsn.0 - cursor.1 .0) as usize;
-            if off < chunk.len() {
-                let (rec, n) = LogRecord::decode(&chunk[off..])?;
-                return Ok((rec, lsn.advance(n as u64)));
-            }
-            *cursor = (cursor.0 + 1, cursor.1.advance(chunk.len() as u64));
-        }
-        Err(Error::Corrupt(format!("tail read out of range at {lsn}")))
+    /// Decodes the unflushed record at `lsn`, `tail_start <= lsn <
+    /// end_lsn`: an offset into the tail, whatever its length.
+    fn read_tail(&self, lsn: Lsn) -> Result<(LogRecord, Lsn)> {
+        let off = (lsn.0 - self.tail_start.0) as usize;
+        let (rec, n) = LogRecord::decode(&self.tail[off..])?;
+        Ok((rec, lsn.advance(n as u64)))
     }
 
     /// Decodes the store-resident record at `lsn < tail_start` out of
@@ -429,7 +473,6 @@ impl LogManager {
     /// cursor borrows the manager, so the log cannot change under it.
     pub fn scan(&mut self, from: Lsn) -> LogScan<'_> {
         LogScan {
-            tail_cursor: (0, self.tail_start),
             lm: self,
             next: from,
             failed: false,
@@ -439,6 +482,7 @@ impl LogManager {
 
     /// Records a completed checkpoint in the master record (durably).
     pub fn write_master(&mut self, last_checkpoint: Lsn) -> Result<()> {
+        self.check_live()?;
         self.master.last_checkpoint = last_checkpoint;
         self.master.base_lsn = self.base_lsn;
         let mut e = Encoder::with_capacity(20);
@@ -472,6 +516,7 @@ impl LogManager {
 
     pub fn simulate_crash(&mut self) {
         self.tail.clear();
+        self.tail_lens.clear();
         self.store.crash();
         let end = Lsn(self.store.len());
         self.end_lsn = end;
@@ -487,22 +532,15 @@ impl LogManager {
     /// [`LogManager::repair_tail`] to cut the log back to the last
     /// checksum-valid record boundary before scanning.
     pub fn simulate_crash_torn(&mut self, landed: u64, corrupt: bool) {
-        let landed = landed.min(self.tail_bytes());
-        let mut partial: Vec<u8> = Vec::with_capacity(landed as usize);
-        for chunk in &self.tail {
-            if partial.len() as u64 >= landed {
-                break;
-            }
-            let want = (landed as usize - partial.len()).min(chunk.len());
-            partial.extend_from_slice(&chunk[..want]);
-        }
+        self.tail.truncate(landed.min(self.tail_bytes()) as usize);
         if corrupt {
-            if let Some(last) = partial.last_mut() {
+            if let Some(last) = self.tail.last_mut() {
                 *last ^= 0xFF;
             }
         }
+        self.store.crash_with_partial_tail(&self.tail);
         self.tail.clear();
-        self.store.crash_with_partial_tail(&partial);
+        self.tail_lens.clear();
         let end = Lsn(self.store.len());
         self.end_lsn = end;
         self.flushed_lsn = end;
@@ -524,6 +562,9 @@ impl LogManager {
     /// to the truncation point.
     pub fn repair_tail(&mut self) -> Result<u64> {
         debug_assert!(self.tail.is_empty(), "repair runs on a post-crash log");
+        // Restarting from what the store holds is what un-stops a log
+        // that a failed force stopped.
+        self.failed = None;
         let len = self.store.len();
         let pos = self
             .store
@@ -576,7 +617,6 @@ pub struct LogScan<'a> {
     /// Set by the first error: the scan yields it and then ends.
     failed: bool,
     win: ReadWindow,
-    tail_cursor: (usize, Lsn),
 }
 
 impl LogScan<'_> {
@@ -597,7 +637,7 @@ impl Iterator for LogScan<'_> {
         let lsn = self.next;
         let read = match self.lm.check_readable(lsn) {
             Err(e) => Err(e),
-            Ok(()) if lsn >= self.lm.tail_start => self.lm.read_tail(lsn, &mut self.tail_cursor),
+            Ok(()) if lsn >= self.lm.tail_start => self.lm.read_tail(lsn),
             Ok(()) => self.lm.read_durable(lsn, &mut self.win, SCAN_READ_AHEAD),
         };
         match read {
@@ -617,7 +657,7 @@ impl Iterator for LogScan<'_> {
 mod tests {
     use super::*;
     use crate::record::{LogPayload, PageOp};
-    use crate::store::{MemLogStore, TempLog};
+    use crate::store::{MemLogStore, SyncFaultStore, TempLog};
     use cblog_common::{PageId, Psn, TxnId};
 
     fn lm() -> LogManager {
@@ -1054,6 +1094,132 @@ mod tests {
         // Truncating frees logical space.
         lm.truncate(lm.end_lsn());
         assert!(lm.append(&rec(99, prev)).is_ok());
+    }
+
+    #[test]
+    fn a_refused_append_leaves_no_trace() {
+        // Two logs take the same appends; one is also offered a record
+        // too large for what is left. Its tail, its LSNs and what a
+        // force then writes must not show that the append was tried.
+        let bounded = || {
+            let mut lm =
+                LogManager::with_capacity(NodeId(1), Box::new(MemLogStore::new()), 400).unwrap();
+            let a = lm.append(&rec(1, Lsn::ZERO)).unwrap();
+            lm.append(&rec(2, a)).unwrap();
+            lm
+        };
+        let (mut tried, mut plain) = (bounded(), bounded());
+        let big = sized_rec(3, Lsn::ZERO, 4000);
+        assert!(matches!(tried.append(&big), Err(Error::LogFull(_))));
+        assert_eq!(tried.tail_bytes(), plain.tail_bytes());
+        assert_eq!(tried.tail_record_sizes(), plain.tail_record_sizes());
+        assert_eq!(tried.end_lsn(), plain.end_lsn());
+        assert_eq!(tried.records_appended(), plain.records_appended());
+        for lm in [&mut tried, &mut plain] {
+            let b = lm.end_lsn();
+            assert_eq!(lm.append(&rec(4, Lsn::ZERO)).unwrap(), b);
+            lm.force_all().unwrap();
+        }
+        assert_eq!(tried.bytes_written(), plain.bytes_written());
+        let records =
+            |lm: &mut LogManager| -> Vec<_> { lm.scan(Lsn(8)).map(|r| r.unwrap()).collect() };
+        assert_eq!(records(&mut tried), records(&mut plain));
+        assert_eq!(records(&mut tried).len(), 3);
+    }
+
+    #[test]
+    fn a_failed_sync_stops_the_log_instead_of_appending_the_tail_twice() {
+        let store = SyncFaultStore::new(Box::new(MemLogStore::new()));
+        let fail_next = store.fail_next_syncs();
+        let mut lm = LogManager::new(NodeId(1), Box::new(store)).unwrap();
+        let a = lm.append(&rec(1, Lsn::ZERO)).unwrap();
+        let b = lm.append(&rec(2, a)).unwrap();
+        fail_next.store(1, std::sync::atomic::Ordering::SeqCst);
+        assert!(matches!(lm.force_all(), Err(Error::Io(_))));
+        // The write landed and the sync did not. Whatever the manager
+        // lets a caller do next, an LSN stays a file offset: a retried
+        // force must not write records a and b again behind themselves
+        // and then put c at L156 of a 378-byte file.
+        let _ = lm.force_all();
+        let _ = lm.append(&rec(3, b));
+        let _ = lm.force_all();
+        assert_eq!(lm.end_lsn().0, lm.store.len());
+
+        // What it lets a caller do is nothing, with the cause named.
+        let refused = |r: Result<()>| match r {
+            Err(Error::Io(e)) => assert!(e.to_string().contains("injected sync failure"), "{e}"),
+            other => panic!("a stopped log accepted the call: {other:?}"),
+        };
+        refused(lm.append(&rec(3, b)).map(|_| ()));
+        refused(lm.force_all());
+        refused(lm.write_master(a));
+        assert_eq!(lm.flushed_lsn(), a, "the batch was never durable");
+        assert_eq!(lm.forces(), 0);
+        assert_eq!(lm.read_record(b).unwrap().0, rec(2, a), "reads go on");
+
+        // Restart from the file: the unsynced batch is gone, the log
+        // appends and forces again, and c lands where the file ends.
+        lm.simulate_crash();
+        assert_eq!(lm.repair_tail().unwrap(), 0);
+        assert_eq!(lm.end_lsn(), a);
+        let c = lm.append(&rec(3, Lsn::ZERO)).unwrap();
+        assert_eq!(c, a);
+        lm.force_all().unwrap();
+        assert_eq!(lm.end_lsn().0, lm.store.len());
+        assert_eq!(lm.read_record(c).unwrap().0, rec(3, Lsn::ZERO));
+    }
+
+    /// An unforced tail of `n` records; returns their LSNs.
+    fn long_tail(lm: &mut LogManager, n: u64) -> Vec<Lsn> {
+        let mut prev = Lsn::ZERO;
+        (1..=n)
+            .map(|i| {
+                prev = lm
+                    .append(&sized_rec(i, prev, 8 + (i as usize * 13) % 40))
+                    .unwrap();
+                prev
+            })
+            .collect()
+    }
+
+    #[test]
+    fn a_point_read_in_the_tail_does_not_walk_it() {
+        let mut lm = lm();
+        let lsns = long_tail(&mut lm, 2_000);
+        assert_eq!(lm.flushed_lsn(), Lsn(8), "all of it is tail");
+        let scanned: Vec<_> = lm.scan(Lsn(8)).map(|r| r.unwrap()).collect();
+        assert_eq!(scanned.len(), lsns.len());
+        for (i, (lsn, rec)) in scanned.iter().enumerate() {
+            assert_eq!(*lsn, lsns[i]);
+            let next = lsns.get(i + 1).copied().unwrap_or(lm.end_lsn());
+            assert_eq!(lm.read_record(*lsn).unwrap(), (rec.clone(), next));
+        }
+
+        // Reading the newest records (what a rollback inside a full
+        // batch does) costs the same behind 20 000 records as behind
+        // 20. Walking per-record buffers from the first made it ~200×;
+        // the best of five rounds keeps the scheduler out of it.
+        let newest_16 = |n: u64| {
+            let mut lm = self::lm();
+            let lsns = long_tail(&mut lm, n);
+            (0..5)
+                .map(|_| {
+                    let t = std::time::Instant::now();
+                    for _ in 0..50 {
+                        for &l in &lsns[lsns.len() - 16..] {
+                            std::hint::black_box(lm.read_record(l).unwrap());
+                        }
+                    }
+                    t.elapsed()
+                })
+                .min()
+                .unwrap()
+        };
+        let (short, long) = (newest_16(20), newest_16(20_000));
+        assert!(
+            long < short * 8,
+            "16 reads at the end of a 20 000-record tail took {long:?}, of a 20-record tail {short:?}"
+        );
     }
 
     #[test]

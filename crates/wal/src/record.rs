@@ -106,12 +106,7 @@ impl PageOp {
 
     fn encode(&self, e: &mut Encoder) {
         match self {
-            PageOp::WriteRange { off, before, after } => {
-                e.put_u8(0);
-                e.put_u32(*off);
-                e.put_bytes(before);
-                e.put_bytes(after);
-            }
+            PageOp::WriteRange { off, before, after } => put_write_range(e, *off, before, after),
             PageOp::Insert { slot, data } => {
                 e.put_u8(1);
                 e.put_u16(*slot);
@@ -153,6 +148,80 @@ impl PageOp {
             }),
             t => Err(Error::Corrupt(format!("bad page op tag {t}"))),
         }
+    }
+}
+
+/// Lays out the body of a [`PageOp::WriteRange`]: the one place that
+/// knows it, for an owned op and for a [`RangeUpdate`]'s borrowed
+/// images alike.
+fn put_write_range(e: &mut Encoder, off: u32, before: &[u8], after: &[u8]) {
+    e.put_u8(0);
+    e.put_u32(off);
+    e.put_bytes(before);
+    e.put_bytes(after);
+}
+
+/// Payload tag of [`LogPayload::Update`].
+const TAG_UPDATE: u8 = 1;
+
+/// Appends one framed record to `out` and returns its length: the
+/// 8-byte frame goes first as a placeholder, `body` writes the payload
+/// fields behind the common prefix, and the frame is patched at the
+/// record's start offset once the body behind it is complete. Every
+/// record in a log was laid out here.
+fn frame_into(
+    out: &mut Vec<u8>,
+    txn: TxnId,
+    prev_lsn: Lsn,
+    tag: u8,
+    body: impl FnOnce(&mut Encoder),
+) -> usize {
+    let start = out.len();
+    let mut e = Encoder::from_vec(std::mem::take(out));
+    e.put_u64(0);
+    e.put_txn(txn);
+    e.put_lsn(prev_lsn);
+    e.put_u8(tag);
+    body(&mut e);
+    *out = e.into_vec();
+    let total = out.len() - start;
+    let crc = cblog_common::crc32(&out[start + 8..]);
+    out[start..start + 4].copy_from_slice(&(total as u32).to_le_bytes());
+    out[start + 4..start + 8].copy_from_slice(&crc.to_le_bytes());
+    total
+}
+
+/// An [`LogPayload::Update`] record carrying a [`PageOp::WriteRange`],
+/// with both images borrowed: what the physical write path logs, so
+/// that the before-image is read straight out of the cached page and
+/// no owned [`LogRecord`] is built to be encoded once and dropped.
+/// Encodes byte for byte as the owned record does.
+#[derive(Clone, Copy, Debug)]
+pub struct RangeUpdate<'a> {
+    /// The writing transaction.
+    pub txn: TxnId,
+    /// Its previous record.
+    pub prev_lsn: Lsn,
+    /// Updated page.
+    pub pid: PageId,
+    /// Page PSN just before this update.
+    pub psn_before: Psn,
+    /// Byte offset within the page body.
+    pub off: u32,
+    /// Before-image (undo).
+    pub before: &'a [u8],
+    /// After-image (redo).
+    pub after: &'a [u8],
+}
+
+impl RangeUpdate<'_> {
+    /// Appends the framed record to `out`; returns its length.
+    pub fn encode_into(&self, out: &mut Vec<u8>) -> usize {
+        frame_into(out, self.txn, self.prev_lsn, TAG_UPDATE, |e| {
+            e.put_page(self.pid);
+            e.put_psn(self.psn_before);
+            put_write_range(e, self.off, self.before, self.after);
+        })
     }
 }
 
@@ -220,7 +289,7 @@ impl LogPayload {
     fn tag(&self) -> u8 {
         match self {
             LogPayload::Begin => 0,
-            LogPayload::Update { .. } => 1,
+            LogPayload::Update { .. } => TAG_UPDATE,
             LogPayload::Clr { .. } => 2,
             LogPayload::Commit => 3,
             LogPayload::Abort => 4,
@@ -272,66 +341,69 @@ impl LogRecord {
         }
     }
 
-    /// Serializes the record with framing (length + crc), into one
-    /// buffer: the frame header goes first as a placeholder and is
-    /// filled in once the body behind it is complete.
+    /// Serializes the record with framing (length + crc) into a buffer
+    /// of its own.
     pub fn encode(&self) -> Vec<u8> {
-        let mut out = Encoder::with_capacity(128);
-        out.put_u64(0);
-        out.put_txn(self.txn);
-        out.put_lsn(self.prev_lsn);
-        out.put_u8(self.payload.tag());
-        match &self.payload {
-            LogPayload::Begin
-            | LogPayload::Commit
-            | LogPayload::Abort
-            | LogPayload::CheckpointBegin => {}
-            LogPayload::Update {
-                pid,
-                psn_before,
-                op,
-            } => {
-                out.put_page(*pid);
-                out.put_psn(*psn_before);
-                op.encode(&mut out);
-            }
-            LogPayload::Clr {
-                pid,
-                psn_before,
-                op,
-                undo_next,
-            } => {
-                out.put_page(*pid);
-                out.put_psn(*psn_before);
-                out.put_lsn(*undo_next);
-                op.encode(&mut out);
-            }
-            LogPayload::CheckpointEnd(b) => {
-                out.put_u32(b.dpt.len() as u32);
-                for e in &b.dpt {
-                    e.encode(&mut out);
+        let mut out = Vec::with_capacity(128);
+        self.encode_into(&mut out);
+        out
+    }
+
+    /// Appends the framed record to `out`, leaving what `out` holds in
+    /// place, and returns the record's length. This is how a record
+    /// reaches the log tail: written once, where it is forced from.
+    pub fn encode_into(&self, out: &mut Vec<u8>) -> usize {
+        frame_into(
+            out,
+            self.txn,
+            self.prev_lsn,
+            self.payload.tag(),
+            |out| match &self.payload {
+                LogPayload::Begin
+                | LogPayload::Commit
+                | LogPayload::Abort
+                | LogPayload::CheckpointBegin => {}
+                LogPayload::Update {
+                    pid,
+                    psn_before,
+                    op,
+                } => {
+                    out.put_page(*pid);
+                    out.put_psn(*psn_before);
+                    op.encode(out);
                 }
-                out.put_u32(b.active_txns.len() as u32);
-                for (t, l) in &b.active_txns {
-                    out.put_txn(*t);
-                    out.put_lsn(*l);
+                LogPayload::Clr {
+                    pid,
+                    psn_before,
+                    op,
+                    undo_next,
+                } => {
+                    out.put_page(*pid);
+                    out.put_psn(*psn_before);
+                    out.put_lsn(*undo_next);
+                    op.encode(out);
                 }
-            }
-            LogPayload::AllocPage { pid, kind } => {
-                out.put_page(*pid);
-                out.put_u8(*kind);
-            }
-            LogPayload::FreePage { pid, final_psn } => {
-                out.put_page(*pid);
-                out.put_psn(*final_psn);
-            }
-        }
-        let mut v = out.into_vec();
-        let total = v.len() as u32;
-        let crc = cblog_common::crc32(&v[8..]);
-        v[0..4].copy_from_slice(&total.to_le_bytes());
-        v[4..8].copy_from_slice(&crc.to_le_bytes());
-        v
+                LogPayload::CheckpointEnd(b) => {
+                    out.put_u32(b.dpt.len() as u32);
+                    for e in &b.dpt {
+                        e.encode(out);
+                    }
+                    out.put_u32(b.active_txns.len() as u32);
+                    for (t, l) in &b.active_txns {
+                        out.put_txn(*t);
+                        out.put_lsn(*l);
+                    }
+                }
+                LogPayload::AllocPage { pid, kind } => {
+                    out.put_page(*pid);
+                    out.put_u8(*kind);
+                }
+                LogPayload::FreePage { pid, final_psn } => {
+                    out.put_page(*pid);
+                    out.put_psn(*final_psn);
+                }
+            },
+        )
     }
 
     /// Decodes one framed record from the front of `buf`, returning the
@@ -357,7 +429,7 @@ impl LogRecord {
         let prev_lsn = d.get_lsn()?;
         let payload = match d.get_u8()? {
             0 => LogPayload::Begin,
-            1 => LogPayload::Update {
+            TAG_UPDATE => LogPayload::Update {
                 pid: d.get_page()?,
                 psn_before: d.get_psn()?,
                 op: PageOp::decode(&mut d)?,
@@ -464,78 +536,131 @@ mod tests {
         assert_eq!(LogRecord::decode(&golden).unwrap(), (rec, golden.len()));
     }
 
+    /// One record of every payload variant.
+    fn all_payloads() -> Vec<LogRecord> {
+        vec![
+            LogRecord {
+                txn: txn(),
+                prev_lsn: Lsn::ZERO,
+                payload: LogPayload::Begin,
+            },
+            LogRecord {
+                txn: txn(),
+                prev_lsn: Lsn(10),
+                payload: LogPayload::Update {
+                    pid: pid(),
+                    psn_before: Psn(7),
+                    op: PageOp::WriteRange {
+                        off: 16,
+                        before: vec![0; 8],
+                        after: vec![1; 8],
+                    },
+                },
+            },
+            LogRecord {
+                txn: txn(),
+                prev_lsn: Lsn(20),
+                payload: LogPayload::Clr {
+                    pid: pid(),
+                    psn_before: Psn(9),
+                    op: PageOp::Insert {
+                        slot: 2,
+                        data: b"rec".to_vec(),
+                    },
+                    undo_next: Lsn(5),
+                },
+            },
+            LogRecord {
+                txn: txn(),
+                prev_lsn: Lsn(30),
+                payload: LogPayload::Commit,
+            },
+            LogRecord {
+                txn: txn(),
+                prev_lsn: Lsn(31),
+                payload: LogPayload::Abort,
+            },
+            LogRecord {
+                txn: txn(),
+                prev_lsn: Lsn::ZERO,
+                payload: LogPayload::CheckpointBegin,
+            },
+            LogRecord {
+                txn: txn(),
+                prev_lsn: Lsn::ZERO,
+                payload: LogPayload::CheckpointEnd(CheckpointBody {
+                    dpt: vec![DptEntry::new(pid(), Psn(3), Lsn(44))],
+                    active_txns: vec![(txn(), Lsn(40))],
+                }),
+            },
+            LogRecord {
+                txn: txn(),
+                prev_lsn: Lsn::ZERO,
+                payload: LogPayload::AllocPage {
+                    pid: pid(),
+                    kind: 1,
+                },
+            },
+            LogRecord {
+                txn: txn(),
+                prev_lsn: Lsn::ZERO,
+                payload: LogPayload::FreePage {
+                    pid: pid(),
+                    final_psn: Psn(12),
+                },
+            },
+        ]
+    }
+
     #[test]
     fn all_payloads_round_trip() {
-        round_trip(LogRecord {
+        for r in all_payloads() {
+            round_trip(r);
+        }
+    }
+
+    #[test]
+    fn encode_into_behind_a_prefix_equals_encode() {
+        // The frame is patched at the record's start offset, not at the
+        // buffer's: whatever the tail already holds is left alone.
+        let mut tail = b"earlier records".to_vec();
+        for r in all_payloads() {
+            let at = tail.len();
+            let n = r.encode_into(&mut tail);
+            assert_eq!(&tail[..15], b"earlier records");
+            assert_eq!(tail[at..], r.encode()[..], "{:?}", r.payload);
+            assert_eq!(n, tail.len() - at);
+        }
+    }
+
+    #[test]
+    fn a_borrowed_range_update_encodes_as_the_owned_record() {
+        let (before, after) = (7u64.to_le_bytes(), 0xDEAD_BEEF_u64.to_le_bytes());
+        let owned = LogRecord {
             txn: txn(),
-            prev_lsn: Lsn::ZERO,
-            payload: LogPayload::Begin,
-        });
-        round_trip(LogRecord {
-            txn: txn(),
-            prev_lsn: Lsn(10),
+            prev_lsn: Lsn(0x1122),
             payload: LogPayload::Update {
                 pid: pid(),
-                psn_before: Psn(7),
+                psn_before: Psn(41),
                 op: PageOp::WriteRange {
                     off: 16,
-                    before: vec![0; 8],
-                    after: vec![1; 8],
+                    before: before.to_vec(),
+                    after: after.to_vec(),
                 },
             },
-        });
-        round_trip(LogRecord {
+        };
+        let borrowed = RangeUpdate {
             txn: txn(),
-            prev_lsn: Lsn(20),
-            payload: LogPayload::Clr {
-                pid: pid(),
-                psn_before: Psn(9),
-                op: PageOp::Insert {
-                    slot: 2,
-                    data: b"rec".to_vec(),
-                },
-                undo_next: Lsn(5),
-            },
-        });
-        round_trip(LogRecord {
-            txn: txn(),
-            prev_lsn: Lsn(30),
-            payload: LogPayload::Commit,
-        });
-        round_trip(LogRecord {
-            txn: txn(),
-            prev_lsn: Lsn(31),
-            payload: LogPayload::Abort,
-        });
-        round_trip(LogRecord {
-            txn: txn(),
-            prev_lsn: Lsn::ZERO,
-            payload: LogPayload::CheckpointBegin,
-        });
-        round_trip(LogRecord {
-            txn: txn(),
-            prev_lsn: Lsn::ZERO,
-            payload: LogPayload::CheckpointEnd(CheckpointBody {
-                dpt: vec![DptEntry::new(pid(), Psn(3), Lsn(44))],
-                active_txns: vec![(txn(), Lsn(40))],
-            }),
-        });
-        round_trip(LogRecord {
-            txn: txn(),
-            prev_lsn: Lsn::ZERO,
-            payload: LogPayload::AllocPage {
-                pid: pid(),
-                kind: 1,
-            },
-        });
-        round_trip(LogRecord {
-            txn: txn(),
-            prev_lsn: Lsn::ZERO,
-            payload: LogPayload::FreePage {
-                pid: pid(),
-                final_psn: Psn(12),
-            },
-        });
+            prev_lsn: Lsn(0x1122),
+            pid: pid(),
+            psn_before: Psn(41),
+            off: 16,
+            before: &before,
+            after: &after,
+        };
+        let mut out = vec![0xAA; 3];
+        assert_eq!(borrowed.encode_into(&mut out), 74);
+        assert_eq!(out[3..], owned.encode()[..]);
     }
 
     #[test]

@@ -15,6 +15,8 @@ use std::fs::{File, OpenOptions};
 use std::io::Write;
 use std::os::unix::fs::FileExt;
 use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicU32, Ordering};
+use std::sync::Arc;
 
 /// Append-oriented durable byte store with a master record side-slot.
 ///
@@ -30,20 +32,11 @@ pub trait LogStore: Send {
         self.len() == 0
     }
 
-    /// Appends bytes at the current end.
+    /// Appends bytes at the current end, as one write. A log force is
+    /// one call of this with the manager's whole tail (every record
+    /// since the last force, already contiguous) followed by one
+    /// [`LogStore::sync`].
     fn append(&mut self, bytes: &[u8]) -> Result<()>;
-
-    /// Appends a batch of buffers at the current end as one logical
-    /// write (group commit: the coalesced tail goes down in a single
-    /// operation followed by a single [`LogStore::sync`]). The default
-    /// implementation loops over [`LogStore::append`]; stores backed by
-    /// real I/O should override it with a single write.
-    fn append_vectored(&mut self, bufs: &[&[u8]]) -> Result<()> {
-        for b in bufs {
-            self.append(b)?;
-        }
-        Ok(())
-    }
 
     /// Reads `buf.len()` bytes at absolute offset `pos`.
     fn read_at(&mut self, pos: u64, buf: &mut [u8]) -> Result<()>;
@@ -192,6 +185,80 @@ impl LogStore for MemLogStore {
     }
 }
 
+/// Fault injection: a store whose [`LogStore::sync`] fails on demand,
+/// after the write it was to make durable has landed in `inner`. That
+/// is what a failed `fdatasync` leaves behind: the store's length has
+/// moved and nothing says which of the new bytes are on the device.
+/// Everything else is `inner`'s.
+pub struct SyncFaultStore {
+    inner: Box<dyn LogStore>,
+    fail_next: Arc<AtomicU32>,
+}
+
+impl SyncFaultStore {
+    /// A store over `inner` with no fault armed.
+    pub fn new(inner: Box<dyn LogStore>) -> Self {
+        SyncFaultStore {
+            inner,
+            fail_next: Default::default(),
+        }
+    }
+
+    /// The arming handle, to keep when the store moves into a log
+    /// manager: storing `n` makes the next `n` syncs fail.
+    pub fn fail_next_syncs(&self) -> Arc<AtomicU32> {
+        self.fail_next.clone()
+    }
+}
+
+impl LogStore for SyncFaultStore {
+    fn len(&self) -> u64 {
+        self.inner.len()
+    }
+    fn append(&mut self, bytes: &[u8]) -> Result<()> {
+        self.inner.append(bytes)
+    }
+    fn read_at(&mut self, pos: u64, buf: &mut [u8]) -> Result<()> {
+        self.inner.read_at(pos, buf)
+    }
+    fn sync(&mut self) -> Result<()> {
+        let armed = self
+            .fail_next
+            .fetch_update(Ordering::SeqCst, Ordering::SeqCst, |n| n.checked_sub(1));
+        match armed {
+            Ok(_) => Err(std::io::Error::other("injected sync failure").into()),
+            Err(_) => self.inner.sync(),
+        }
+    }
+    fn synced_len(&self) -> Option<u64> {
+        self.inner.synced_len()
+    }
+    fn write_master(&mut self, bytes: &[u8]) -> Result<()> {
+        self.inner.write_master(bytes)
+    }
+    fn read_master(&mut self) -> Result<Vec<u8>> {
+        self.inner.read_master()
+    }
+    fn crash(&mut self) {
+        self.inner.crash()
+    }
+    fn crash_with_partial_tail(&mut self, partial: &[u8]) {
+        self.inner.crash_with_partial_tail(partial)
+    }
+    fn truncate_to(&mut self, len: u64) {
+        self.inner.truncate_to(len)
+    }
+    fn syncs(&self) -> &Counter {
+        self.inner.syncs()
+    }
+    fn bytes_appended(&self) -> &Counter {
+        self.inner.bytes_appended()
+    }
+    fn fsync_hist(&self) -> Option<&cblog_common::Histogram> {
+        self.inner.fsync_hist()
+    }
+}
+
 /// Reservations end on a multiple of this, so the first step (taken by
 /// the preamble) is one page.
 const RESERVE_ALIGN: u64 = 4096;
@@ -241,9 +308,6 @@ pub struct FileLogStore {
     /// `None` until the first in-process sync: the reopened file's
     /// tail cannot be distinguished from a torn write.
     synced_len: Option<u64>,
-    /// A multi-buffer batch is gathered here so it goes down as one
-    /// positioned write; reused across forces.
-    batch: Vec<u8>,
     syncs: Counter,
     bytes: Counter,
     fsync_us: cblog_common::Histogram,
@@ -269,7 +333,6 @@ impl FileLogStore {
             physical_len: len,
             durable_len: len,
             synced_len: None,
-            batch: Vec::new(),
             syncs: Counter::new(),
             bytes: Counter::new(),
             fsync_us: cblog_common::Histogram::new(),
@@ -334,20 +397,6 @@ impl LogStore for FileLogStore {
         self.write_at_end(bytes)?;
         self.bytes.add(bytes.len() as u64);
         Ok(())
-    }
-
-    fn append_vectored(&mut self, bufs: &[&[u8]]) -> Result<()> {
-        if let [one] = bufs {
-            return self.append(one);
-        }
-        let mut batch = std::mem::take(&mut self.batch);
-        batch.clear();
-        for b in bufs {
-            batch.extend_from_slice(b);
-        }
-        let r = self.append(&batch);
-        self.batch = batch;
-        r
     }
 
     fn read_at(&mut self, pos: u64, buf: &mut [u8]) -> Result<()> {
@@ -530,27 +579,6 @@ mod tests {
         assert_eq!(s.read_master().unwrap(), Vec::<u8>::new());
     }
 
-    fn exercise_vectored(s: &mut dyn LogStore) {
-        s.append_vectored(&[b"abc", b"", b"defg"]).unwrap();
-        assert_eq!(s.len(), 7);
-        let mut buf = [0u8; 7];
-        s.read_at(0, &mut buf).unwrap();
-        assert_eq!(&buf, b"abcdefg");
-        s.sync().unwrap();
-        s.append_vectored(&[]).unwrap();
-        assert_eq!(s.len(), 7, "empty batch is a no-op");
-        s.append(b"!").unwrap();
-        s.crash();
-        assert_eq!(s.len(), 7, "unsynced single append dropped");
-        assert_eq!(s.bytes_appended().get(), 8);
-    }
-
-    #[test]
-    fn mem_store_vectored() {
-        let mut s = MemLogStore::new();
-        exercise_vectored(&mut s);
-    }
-
     fn exercise_torn(s: &mut dyn LogStore) {
         s.append(b"durable!").unwrap();
         s.sync().unwrap();
@@ -601,22 +629,6 @@ mod tests {
             let mut buf = [0u8; 12];
             s.read_at(0, &mut buf).unwrap();
             assert_eq!(&buf, b"durable!more");
-        }
-    }
-
-    #[test]
-    fn file_store_vectored_is_one_write_per_batch() {
-        let tmp = TempLog::new("vec");
-        {
-            let mut s = tmp.open();
-            exercise_vectored(&mut s);
-        }
-        {
-            let mut s = tmp.open();
-            assert_eq!(s.len(), 7);
-            let mut buf = [0u8; 7];
-            s.read_at(0, &mut buf).unwrap();
-            assert_eq!(&buf, b"abcdefg");
         }
     }
 
@@ -672,10 +684,9 @@ mod tests {
 
         // Unsynced bytes, some of them past the first reservation.
         let chunk = [0xC5u8; 1500];
-        s.append_vectored(&[&chunk, &chunk, &chunk, &chunk])
-            .unwrap();
+        s.append(&[chunk; 4].concat()).unwrap();
         assert!(s.physical_len > RESERVE_ALIGN);
-        assert_reserved_zeros(&s, "append_vectored");
+        assert_reserved_zeros(&s, "append past the reservation");
         let reserved = s.physical_len;
         s.crash();
         assert_eq!(s.len(), 8);
@@ -715,7 +726,7 @@ mod tests {
         let rec = [0x5Au8; 3300];
         let (mut steps, mut last) = (0, 0);
         for i in 0..400u64 {
-            s.append_vectored(&[&rec[..300], &rec[300..]]).unwrap();
+            s.append(&rec).unwrap();
             s.sync().unwrap();
             if s.physical_len != last {
                 steps += 1;
