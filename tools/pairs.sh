@@ -123,7 +123,7 @@ for workload in $workloads; do
                 else if (pm != 0 && -gain / pm > bound) verdict = "worse"
                 else if (won * 10 >= n * 9 && gain > iqr) verdict = "better"
                 else verdict = "same"
-                printf "%-22s %14.6g %14.6g %7.3f %9.1f%% %3d/%-2d  %s\n",
+                printf "%-22s %14.8g %14.8g %7.3f %9.1f%% %3d/%-2d  %s\n",
                     name, pm, cm, pm != 0 ? cm / pm : 0, 100 * spread, won, n, verdict
             }'
     done
