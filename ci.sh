@@ -47,7 +47,7 @@ if cargo run --release --offline -p cblog-bench --bin experiments -- \
 fi
 rm -f /tmp/ci_perturbed_baselines.json
 
-echo "==> tracedump smoke: watchdog-verified E5 lineage + Chrome JSON"
+echo "==> tracedump smoke: watchdog-verified E5 lineage + Chrome JSON, rt lineage"
 # Write to a file first, then grep the file: in a `cmd | grep` pipeline
 # the pipeline's exit status is grep's, which would mask a nonzero exit
 # from the dump itself (e.g. a watchdog violation).
@@ -57,6 +57,10 @@ grep "replay-hop" /tmp/ci_tracedump.txt > /dev/null
 cargo run --release --offline -p cblog-bench --bin tracedump -- \
     --scenario e5 --json > /tmp/ci_tracedump.json
 grep '"traceEvents"' /tmp/ci_tracedump.json > /dev/null
+# The threaded engine through the same printing path.
+cargo run --release --offline -p cblog-bench --bin tracedump -- \
+    --scenario rt > /tmp/ci_tracedump.txt
+grep "replay-hop" /tmp/ci_tracedump.txt > /dev/null
 rm -f /tmp/ci_tracedump.txt /tmp/ci_tracedump.json
 
 echo "==> obsreport smoke: self-contained HTML + folded stacks (OBS_e1.html)"

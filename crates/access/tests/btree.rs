@@ -310,8 +310,9 @@ fn structural_ops_are_counted_and_traced() {
     assert!(merges > 0, "emptied leaves merge away: {merges}");
 
     // The spans mirror the counters and hang off the transaction span.
-    let spans = c.tracer().spans();
-    let tree_spans: Vec<_> = spans
+    let trace = c.tracer().snapshot();
+    let tree_spans: Vec<_> = trace
+        .spans()
         .iter()
         .filter_map(|s| match s.kind {
             SpanKind::Tree { op, .. } => Some((op, s.parent)),

@@ -167,12 +167,6 @@ impl PcaCluster {
         &self.net
     }
 
-    /// Baselines carry no causal tracer; the watchdog check is
-    /// vacuously true (driver symmetry with [`cblog_core::Cluster`]).
-    pub fn trace_check(&self) -> Result<()> {
-        Ok(())
-    }
-
     /// The system-wide metrics registry (mirrors the CBL cluster's
     /// `subsystem/metric` naming, per-node entries under `n<id>/`).
     pub fn registry(&self) -> &Registry {

@@ -180,12 +180,6 @@ impl ServerCluster {
         &self.net
     }
 
-    /// Baselines carry no causal tracer; the watchdog check is
-    /// vacuously true (driver symmetry with [`cblog_core::Cluster`]).
-    pub fn trace_check(&self) -> Result<()> {
-        Ok(())
-    }
-
     /// The system-wide metrics registry (`subsystem/metric` names,
     /// mirroring the per-node registries of the CBL cluster).
     pub fn registry(&self) -> &Registry {

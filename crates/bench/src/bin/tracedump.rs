@@ -2,7 +2,7 @@
 //!
 //! ```text
 //! cargo run --release -p cblog-bench --bin tracedump -- \
-//!     [--scenario e5|e6|e7] [--page P0.3] [--json]
+//!     [--scenario e5|e6|e7|rt] [--page P0.3] [--json]
 //! ```
 //!
 //! Default mode prints the trace summary (span counts, watchdog
@@ -10,10 +10,45 @@
 //! when no page is given. `--json` instead emits the whole span store
 //! as Chrome trace-event JSON on stdout, loadable in `chrome://tracing`
 //! or Perfetto. The scenario fails (exit 1, lineage slice on stderr)
-//! if the invariant watchdog flagged any span.
+//! if the invariant watchdog flagged any span. `e5`, `e6` and `e7` run
+//! on the simulator; `rt` is a small run, crash and recovery on the
+//! threaded engine, printed through the same views (its timestamps are
+//! wall-clock, so only the sim scenarios repeat byte for byte).
 
-use cblog_common::{NodeId, PageId};
+use cblog_common::span::{busiest_page, chrome_trace_json, render_lineage};
+use cblog_common::{NodeId, PageId, Result, Trace};
+use cblog_core::{PlanOp, RecoveryOptions, Runtime, TxnPlan};
+use cblog_rt::{ThreadCluster, ThreadClusterConfig};
 use cblog_sim::tracedump::{run_scenario, summary, SCENARIOS};
+
+/// The threaded scenario: node 0 commits three rounds of writes to
+/// four of its pages while node 1 reads one of them across the mesh,
+/// then node 0 crashes and recovers. `run` and `recover` fail on any
+/// watchdog violation, like the sim scenarios' final check.
+fn run_rt() -> Result<Trace> {
+    let mut tc = ThreadCluster::new(ThreadClusterConfig::default())?;
+    let page = |i: u32| PageId::new(NodeId(0), i);
+    let plan = |client: u32, stream: u32, op: PlanOp| TxnPlan {
+        client: NodeId(client),
+        stream: stream as usize,
+        ops: vec![op],
+        abort: false,
+    };
+    let mut plans = Vec::new();
+    for round in 0..3u64 {
+        for p in 0..4u32 {
+            let value = round * 10 + p as u64;
+            let (pid, slot) = (page(p), 0);
+            plans.push(plan(0, p, PlanOp::Write { pid, slot, value }));
+        }
+        let (pid, slot) = (page(0), 0);
+        plans.push(plan(1, 0, PlanOp::Read { pid, slot }));
+    }
+    tc.run(&plans)?;
+    tc.crash(NodeId(0))?;
+    tc.recover(&RecoveryOptions::nodes(&[NodeId(0)]))?;
+    Ok(tc.trace().clone())
+}
 
 /// Parses `P<owner>.<index>` (the `PageId` display form; the leading
 /// `P` is optional).
@@ -45,21 +80,24 @@ fn main() {
         },
         None => None,
     };
-    let cluster = match run_scenario(scenario) {
-        Ok(c) => c,
+    let run = match scenario {
+        "rt" => run_rt(),
+        sim => run_scenario(sim),
+    };
+    let trace = match run {
+        Ok(t) => t,
         Err(e) => {
-            eprintln!("scenario {scenario:?} failed (known: {SCENARIOS:?}):\n{e}");
+            eprintln!("scenario {scenario:?} failed (known: {SCENARIOS:?} and \"rt\"):\n{e}");
             std::process::exit(1);
         }
     };
-    let tracer = cluster.tracer();
     if json {
-        println!("{}", tracer.chrome_trace_json());
+        println!("{}", chrome_trace_json(trace.spans()));
         return;
     }
-    println!("scenario {scenario}: {}", summary(&cluster));
-    match page.or_else(|| tracer.busiest_page()) {
-        Some(pid) => print!("{}", tracer.render_lineage(pid)),
+    println!("scenario {scenario}: {}", summary(&trace));
+    match page.or_else(|| busiest_page(trace.spans())) {
+        Some(pid) => print!("{}", render_lineage(trace.spans(), pid)),
         None => println!("(no page-scoped spans recorded)"),
     }
 }

@@ -1,7 +1,7 @@
 //! Unified error type for the whole workspace.
 
 use crate::ids::{NodeId, PageId, TxnId};
-use crate::trace::RecoveryPhase;
+use crate::span::RecoveryPhase;
 use std::fmt;
 
 /// Convenience result alias.

@@ -30,7 +30,6 @@ pub mod rng;
 pub mod simclock;
 pub mod span;
 pub mod stats;
-pub mod trace;
 
 pub use codec::{crc32, Crc32, Decoder, Encoder, Fnv1a};
 pub use error::{Error, Result};
@@ -43,6 +42,8 @@ pub use obs::{
 };
 pub use rng::Rng;
 pub use simclock::{Bucket, CostModel, SimClock, SimTime, BUCKETS};
-pub use span::{Span, SpanBuf, SpanCtx, SpanId, SpanKind, Tracer, TransferWhy, TreeOp, Violation};
+pub use span::{
+    RecoveryPhase, Span, SpanBuf, SpanCtx, SpanId, SpanKind, Trace, Tracer, TransferWhy, TreeOp,
+    Violation,
+};
 pub use stats::Counter;
-pub use trace::{FlightRecorder, RecoveryPhase, TraceEvent, TraceRecord};

@@ -96,10 +96,6 @@ pub mod keys {
     /// Deadlocks broken.
     pub const LOCKS_DEADLOCKS: &str = "locks/deadlocks";
 
-    // ---- tracing / flight recorder ----
-    /// Gauge: flight-recorder events lost to ring wraparound.
-    pub const TRACE_DROPPED_EVENTS: &str = "trace/dropped_events";
-
     // ---- B+-tree access method ----
     /// Root-to-leaf traversals.
     pub const ACCESS_TRAVERSES: &str = "access/traverses";
@@ -170,7 +166,6 @@ mod tests {
             keys::LOCKS_WAITS,
             keys::LOCKS_WAIT_US,
             keys::LOCKS_DEADLOCKS,
-            keys::TRACE_DROPPED_EVENTS,
             keys::ACCESS_TRAVERSES,
             keys::ACCESS_SPLITS,
             keys::ACCESS_MERGES,

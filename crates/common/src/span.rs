@@ -1,60 +1,54 @@
 //! Causal cross-node tracing: spans with cluster-unique ids and causal
-//! parents, per-page PSN lineage, an online invariant watchdog, and
-//! Chrome trace-event export.
+//! parents, one bounded span store with an online invariant watchdog,
+//! and the views every consumer renders from it.
 //!
 //! The paper's correctness argument is a *cross-node* total order: every
 //! update to a page bumps its PSN under an exclusive lock, so the update
 //! history of one page is totally ordered across all nodes even though
 //! each node logs privately (LSNs are never compared across nodes).
-//! Node-local observability (`obs`, `trace`) cannot check that order —
-//! it sees one node's slice of it. The [`Tracer`] is the cluster-wide
-//! instrument: every traced unit (transaction, page transfer, recovery
-//! phase, per-page replay hop, protocol message) becomes a [`Span`] with
-//! a cluster-unique [`SpanId`] and a causal parent, and cross-node edges
+//! Node-local metrics (`obs`) cannot check that order, they see one
+//! node's slice of it. The span stream is the cluster-wide instrument:
+//! every traced unit (transaction, page transfer, recovery phase,
+//! per-page replay hop, protocol message) becomes a [`Span`] with a
+//! cluster-unique [`SpanId`] and a causal parent, and cross-node edges
 //! are carried explicitly in message headers (`cblog_net::MsgHeader`)
 //! instead of being inferred after the fact.
 //!
-//! Three consumers sit on the span stream:
+//! # One store, two ways to fill it
 //!
-//! * **PSN lineage** ([`Tracer::lineage`]): for any page, the totally
-//!   ordered update / transfer / replay history across all nodes.
-//! * **Invariant watchdog** (online, inside [`Tracer::emit`]): checks
-//!   the paper's invariants as spans arrive — PSNs strictly increasing
-//!   per page, the WAL rule on page writes and transfers, zero log
-//!   records crossing the network, replay visiting PSNs in global
-//!   order — and [`Tracer::check`] fails loudly with the offending
-//!   lineage slice.
-//! * **Chrome trace export** ([`Tracer::chrome_trace_json`]): the whole
-//!   span store as trace-event JSON loadable in `chrome://tracing` /
-//!   Perfetto, one process lane per node.
+//! [`SpanBuf`] is the only code that allocates span ids and stores
+//! spans. [`Trace`] is the cluster's merged store: a `SpanBuf` whose
+//! ids are the plain sequence 1, 2, 3, … plus the watchdog, which
+//! observes every span once, as it enters.
+//!
+//! * The **simulator** fills the trace directly: its schedule is
+//!   serialized, so emission order is causal order. [`Tracer`] is the
+//!   `Rc<RefCell<Trace>>` handle the cluster and its network share.
+//! * The **threaded runtime** gives each worker its own `SpanBuf`
+//!   (ids namespaced by worker, so threads allocate without
+//!   coordination) and hands the buffers to [`Trace::absorb`] at
+//!   join. [`SpanBuf::merge`] orders them by worker, keeps local
+//!   emission order and rewrites ids into the trace's sequence. That
+//!   order is sound for every invariant the watchdog checks because
+//!   each is per-page, and a page is only ever updated or replayed by
+//!   its owner's thread: per-page span order inside one buffer *is*
+//!   the true order, and concatenation preserves it.
+//!
+//! # Views
+//!
+//! Written once over `&[Span]`, so both engines render through the
+//! same code: per-page PSN [`lineage`] / [`render_lineage`] (default
+//! page: [`busiest_page`]), [`chrome_trace_json`] (one process lane
+//! per node in `chrome://tracing` / Perfetto), [`render_recent`] (the
+//! last spans of every node, the post-mortem view), and the violation
+//! report of [`Trace::check`] with the offending page's lineage slice.
 //!
 //! Tracing is an observer: it never charges the simulated clock and
 //! draws no randomness, so enabling it cannot change a run's outcome,
 //! and same-seed runs produce byte-identical exports. A disabled
-//! [`Tracer`] is a `None` behind the handle — emission is a single
-//! branch, which is what keeps the tracing-off overhead unmeasurable.
-//!
-//! # Two tiers: online `Tracer` (sim) and buffered [`SpanBuf`] (threads)
-//!
-//! The `Tracer` keeps `Rc<RefCell<_>>` internals and stays
-//! single-threaded on purpose: its value is the *deterministic* causal
-//! order of spans, which only the simulator's serialized schedule
-//! provides — span ids come from one shared monotone counter and the
-//! watchdog asserts global orderings online, as spans arrive.
-//!
-//! The threaded runtime gets the same span vocabulary through
-//! [`SpanBuf`]: a plain-data, `Send` per-thread buffer whose ids are
-//! namespaced by worker index (`(worker+1) << 48 | seq`), so threads
-//! allocate without coordination and causal parents still cross thread
-//! boundaries via the usual [`SpanCtx`] wire format. At join the
-//! buffers are merged deterministically ([`SpanBuf::merge`]: ascending
-//! worker order, local emission order preserved, ids rewritten to a
-//! single monotone sequence) and the merged trace is replayed through a
-//! fresh `Tracer` — watchdog included — on one thread. The merge order
-//! is sound for every invariant the watchdog checks because each of
-//! them is per-page, and a page is only ever updated/replayed by its
-//! owner's thread: per-page span order inside one buffer *is* the true
-//! order, and concatenation preserves it.
+//! [`Tracer`] is a `None` behind the handle and a disabled [`SpanBuf`]
+//! a cleared flag: emission is a single branch, which is what keeps the
+//! tracing-off overhead unmeasurable.
 
 use std::cell::RefCell;
 use std::collections::BTreeMap;
@@ -64,7 +58,70 @@ use std::rc::Rc;
 use crate::ids::{Lsn, NodeId, PageId, Psn, TxnId};
 use crate::obs::json_escape;
 use crate::simclock::SimTime;
-use crate::trace::RecoveryPhase;
+
+/// The phases of distributed restart (paper §2.3), in execution order.
+///
+/// Recovery code, phase-timing reports and [`SpanKind::Phase`] all
+/// share this enum; the only place a phase has a string name is
+/// [`RecoveryPhase::label`].
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
+pub enum RecoveryPhase {
+    /// Local ARIES analysis pass over each crashed node's log.
+    Analysis,
+    /// Cache-inventory + DPT exchange with every operational node.
+    InfoExchange,
+    /// Rebuild of the crashed owners' global lock tables (§2.3.3).
+    LockRebuild,
+    /// Determine the recovery set: which pages need replay, and from
+    /// whose logs (§2.3.4).
+    RecoverySets,
+    /// Fence pages under recovery with owner-side exclusive locks.
+    RecoveryLocks,
+    /// Gather NodePSNLists from the involved nodes.
+    PsnLists,
+    /// PSN-ordered replay, shuttling each page between involved nodes.
+    Replay,
+    /// Roll back loser transactions.
+    Undo,
+    /// Recovery-complete broadcast and final bookkeeping.
+    Done,
+}
+
+impl RecoveryPhase {
+    /// Every phase, in execution order.
+    pub const ALL: [RecoveryPhase; 9] = [
+        RecoveryPhase::Analysis,
+        RecoveryPhase::InfoExchange,
+        RecoveryPhase::LockRebuild,
+        RecoveryPhase::RecoverySets,
+        RecoveryPhase::RecoveryLocks,
+        RecoveryPhase::PsnLists,
+        RecoveryPhase::Replay,
+        RecoveryPhase::Undo,
+        RecoveryPhase::Done,
+    ];
+
+    /// Short report/trace label.
+    pub fn label(self) -> &'static str {
+        match self {
+            RecoveryPhase::Analysis => "analysis",
+            RecoveryPhase::InfoExchange => "info_exchange",
+            RecoveryPhase::LockRebuild => "lock_rebuild",
+            RecoveryPhase::RecoverySets => "recovery_sets",
+            RecoveryPhase::RecoveryLocks => "recovery_locks",
+            RecoveryPhase::PsnLists => "psn_lists",
+            RecoveryPhase::Replay => "replay",
+            RecoveryPhase::Undo => "undo",
+            RecoveryPhase::Done => "done",
+        }
+    }
+}
+
+impl fmt::Display for RecoveryPhase {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(self.label())
+    }
+}
 
 /// Cluster-unique span identifier. The simulator allocates ids from
 /// one shared monotone counter, so allocation order is deterministic;
@@ -466,6 +523,20 @@ pub struct Span {
     pub kind: SpanKind,
 }
 
+impl Span {
+    /// A zero-duration span at `at`.
+    pub fn point(id: SpanId, at: SimTime, node: NodeId, parent: SpanId, kind: SpanKind) -> Span {
+        Span {
+            id,
+            parent,
+            node,
+            start: at,
+            dur: 0,
+            kind,
+        }
+    }
+}
+
 impl fmt::Display for Span {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
@@ -494,20 +565,23 @@ impl fmt::Display for Violation {
 }
 
 /// Online watchdog state: per-page PSN frontiers and the violations
-/// found so far. Fed by [`Tracer::emit`]; a crash clears the frontiers
+/// found so far. Fed by [`Trace::emit`]; a crash clears the frontiers
 /// because PSNs above the durable coverage are legitimately regenerated
 /// by post-recovery execution.
-#[derive(Default)]
+#[derive(Clone, Debug, Default)]
 struct Watchdog {
     /// Highest PSN each page has reached via update/replay edges.
     hi_psn: BTreeMap<PageId, Psn>,
     /// Last PSN each page was replayed to (replay-order check).
     replay_hi: BTreeMap<PageId, Psn>,
     violations: Vec<Violation>,
+    /// Spans observed, retained or not.
+    observed: u64,
 }
 
 impl Watchdog {
     fn observe(&mut self, span: &Span) {
+        self.observed += 1;
         match &span.kind {
             SpanKind::Update { pid, psn, .. } => {
                 let after = psn.next();
@@ -635,306 +709,27 @@ impl Watchdog {
     }
 }
 
-struct TracerInner {
-    next_id: u64,
-    spans: Vec<Span>,
-    cap: usize,
-    dropped: u64,
-    watchdog: Watchdog,
-}
-
-/// Shared handle to the cluster-wide span store (cheap `Rc` clone; the
-/// simulator is single-threaded). A disabled tracer holds no store at
-/// all, so the emission fast-path with tracing off is one `Option`
-/// check.
-///
-/// The store is bounded: the first `capacity` spans are kept and later
-/// ones counted in [`Tracer::dropped`] — keeping the *head* preserves
-/// lineage from the start of a run, and the watchdog still observes
-/// every span (it runs before the capacity check).
-#[derive(Clone, Default)]
-pub struct Tracer {
-    inner: Option<Rc<RefCell<TracerInner>>>,
-}
-
-impl fmt::Debug for Tracer {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match &self.inner {
-            None => f.write_str("Tracer(disabled)"),
-            Some(i) => write!(f, "Tracer({} spans)", i.borrow().spans.len()),
-        }
-    }
-}
-
 /// Default bound on retained spans.
 pub const DEFAULT_TRACE_CAPACITY: usize = 1 << 20;
 
-impl Tracer {
-    /// A disabled tracer: allocation returns [`SpanId::NONE`], emission
-    /// is a no-op.
-    pub fn disabled() -> Tracer {
-        Tracer { inner: None }
-    }
-
-    /// An enabled tracer retaining up to `capacity` spans (clamped to
-    /// at least 1), watchdog on.
-    pub fn new(capacity: usize) -> Tracer {
-        Tracer {
-            inner: Some(Rc::new(RefCell::new(TracerInner {
-                next_id: 0,
-                spans: Vec::new(),
-                cap: capacity.max(1),
-                dropped: 0,
-                watchdog: Watchdog::default(),
-            }))),
-        }
-    }
-
-    /// Is this tracer recording?
-    pub fn is_enabled(&self) -> bool {
-        self.inner.is_some()
-    }
-
-    /// Allocates the next cluster-unique span id ([`SpanId::NONE`] when
-    /// disabled).
-    pub fn alloc(&self) -> SpanId {
-        match &self.inner {
-            None => SpanId::NONE,
-            Some(i) => {
-                let mut t = i.borrow_mut();
-                t.next_id += 1;
-                SpanId(t.next_id)
-            }
-        }
-    }
-
-    /// Records a completed span. The watchdog observes it even when the
-    /// bounded store is full.
-    pub fn emit(&self, span: Span) {
-        let Some(i) = &self.inner else { return };
-        let mut t = i.borrow_mut();
-        t.watchdog.observe(&span);
-        if t.spans.len() < t.cap {
-            t.spans.push(span);
-        } else {
-            t.dropped += 1;
-        }
-    }
-
-    /// Allocates an id and records a zero-duration span in one call;
-    /// returns the id (NONE when disabled).
-    pub fn point(&self, at: SimTime, node: NodeId, parent: SpanId, kind: SpanKind) -> SpanId {
-        let id = self.alloc();
-        if !id.is_none() {
-            self.emit(Span {
-                id,
-                parent,
-                node,
-                start: at,
-                dur: 0,
-                kind,
-            });
-        }
-        id
-    }
-
-    /// Number of spans retained.
-    pub fn len(&self) -> usize {
-        self.inner.as_ref().map_or(0, |i| i.borrow().spans.len())
-    }
-
-    /// True when nothing has been recorded (or tracing is disabled).
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Spans emitted past the capacity bound.
-    pub fn dropped(&self) -> u64 {
-        self.inner.as_ref().map_or(0, |i| i.borrow().dropped)
-    }
-
-    /// A copy of every retained span, in emission order.
-    pub fn spans(&self) -> Vec<Span> {
-        self.inner
-            .as_ref()
-            .map_or_else(Vec::new, |i| i.borrow().spans.clone())
-    }
-
-    /// Violations the watchdog has found so far.
-    pub fn violations(&self) -> Vec<Violation> {
-        self.inner
-            .as_ref()
-            .map_or_else(Vec::new, |i| i.borrow().watchdog.violations.clone())
-    }
-
-    /// The page with the most page-scoped spans (lineage default).
-    pub fn busiest_page(&self) -> Option<PageId> {
-        let Some(i) = &self.inner else { return None };
-        let mut counts: BTreeMap<PageId, usize> = BTreeMap::new();
-        for s in &i.borrow().spans {
-            if let Some(pid) = s.kind.page() {
-                *counts.entry(pid).or_default() += 1;
-            }
-        }
-        counts
-            .into_iter()
-            .max_by(|a, b| a.1.cmp(&b.1).then(b.0.to_u64().cmp(&a.0.to_u64())))
-            .map(|(pid, _)| pid)
-    }
-
-    /// The PSN lineage of `pid`: every page-scoped span mentioning it
-    /// plus the crash markers that punctuate its history, in emission
-    /// (= causal) order.
-    pub fn lineage(&self, pid: PageId) -> Vec<Span> {
-        let Some(i) = &self.inner else {
-            return Vec::new();
-        };
-        i.borrow()
-            .spans
-            .iter()
-            .filter(|s| s.kind.page() == Some(pid) || matches!(s.kind, SpanKind::Crash { .. }))
-            .cloned()
-            .collect()
-    }
-
-    /// Human-readable lineage dump for `pid`, one line per span.
-    pub fn render_lineage(&self, pid: PageId) -> String {
-        let mut out = format!("PSN lineage of {pid}:\n");
-        let lin = self.lineage(pid);
-        if lin.is_empty() {
-            out.push_str("  (no spans recorded)\n");
-        }
-        for s in lin {
-            out.push_str(&format!("  {s}\n"));
-        }
-        out
-    }
-
-    /// Passes iff the watchdog saw no violation; otherwise returns an
-    /// error message listing every violation with the offending page's
-    /// lineage slice (the last few spans up to the violation).
-    pub fn check(&self) -> std::result::Result<(), String> {
-        let violations = self.violations();
-        if violations.is_empty() {
-            return Ok(());
-        }
-        let mut msg = format!("trace watchdog: {} violation(s)\n", violations.len());
-        for v in &violations {
-            msg.push_str(&format!("- {v}\n"));
-            if let Some(pid) = v.pid {
-                let lin = self.lineage(pid);
-                // The slice that *leads to* the violation, not the
-                // whole history: everything up to the offending span,
-                // truncated to the last 12 entries.
-                let upto: Vec<&Span> = lin.iter().take_while(|s| s.id <= v.span).collect();
-                let tail = upto.len().saturating_sub(12);
-                if tail > 0 {
-                    msg.push_str(&format!("    … {tail} earlier span(s)\n"));
-                }
-                for s in &upto[tail..] {
-                    msg.push_str(&format!("    {s}\n"));
-                }
-            }
-        }
-        Err(msg)
-    }
-
-    /// Exports every retained span as Chrome trace-event JSON (the
-    /// "JSON object format": `{"traceEvents": [...]}`), loadable in
-    /// `chrome://tracing` and Perfetto. Nodes become processes; span
-    /// categories become named thread lanes; cross-node transfers and
-    /// messages additionally emit flow-event pairs so the causal edge
-    /// is drawn as an arrow.
-    pub fn chrome_trace_json(&self) -> String {
-        let spans = self.spans();
-        let mut events: Vec<String> = Vec::new();
-        // Lane metadata: one process per node, one named lane per
-        // category present on that node.
-        let mut lanes: BTreeMap<(u32, usize), &'static str> = BTreeMap::new();
-        for s in &spans {
-            let cat = s.kind.category();
-            lanes.insert((s.node.0, lane_of(cat)), cat);
-            if let SpanKind::Transfer { to, .. } | SpanKind::Msg { to, .. } = &s.kind {
-                lanes.insert((to.0, lane_of(s.kind.category())), cat);
-            }
-        }
-        let mut seen_procs = std::collections::BTreeSet::new();
-        for ((node, lane), cat) in &lanes {
-            if seen_procs.insert(*node) {
-                events.push(format!(
-                    "{{\"ph\":\"M\",\"pid\":{node},\"tid\":0,\"name\":\"process_name\",\
-                     \"args\":{{\"name\":\"node {node}\"}}}}"
-                ));
-            }
-            events.push(format!(
-                "{{\"ph\":\"M\",\"pid\":{node},\"tid\":{lane},\"name\":\"thread_name\",\
-                 \"args\":{{\"name\":\"{}\"}}}}",
-                json_escape(cat)
-            ));
-        }
-        for s in &spans {
-            let lane = lane_of(s.kind.category());
-            events.push(format!(
-                "{{\"ph\":\"X\",\"pid\":{},\"tid\":{},\"ts\":{},\"dur\":{},\
-                 \"name\":\"{}\",\"cat\":\"{}\",\"args\":{{\"span\":\"{}\",\"parent\":\"{}\"}}}}",
-                s.node.0,
-                lane,
-                s.start,
-                s.dur,
-                json_escape(&s.kind.to_string()),
-                s.kind.category(),
-                s.id,
-                s.parent
-            ));
-            // Cross-node edges as flow arrows.
-            let edge = match &s.kind {
-                SpanKind::Transfer { from, to, .. } => Some((*from, *to)),
-                SpanKind::Msg { from, to, .. } => Some((*from, *to)),
-                _ => None,
-            };
-            if let Some((from, to)) = edge {
-                events.push(format!(
-                    "{{\"ph\":\"s\",\"pid\":{},\"tid\":{},\"ts\":{},\"id\":{},\
-                     \"name\":\"edge\",\"cat\":\"flow\"}}",
-                    from.0, lane, s.start, s.id.0
-                ));
-                events.push(format!(
-                    "{{\"ph\":\"f\",\"bp\":\"e\",\"pid\":{},\"tid\":{},\"ts\":{},\"id\":{},\
-                     \"name\":\"edge\",\"cat\":\"flow\"}}",
-                    to.0,
-                    lane,
-                    s.start + s.dur,
-                    s.id.0
-                ));
-            }
-        }
-        let mut out = String::from("{\"displayTimeUnit\":\"ms\",\"traceEvents\":[");
-        out.push_str(&events.join(","));
-        out.push_str("]}");
-        out
-    }
-}
-
-/// Send-safe per-thread span buffer for the threaded runtime.
+/// The one span recorder: a plain-data, `Send`, bounded span buffer.
 ///
-/// Worker threads cannot share the [`Tracer`] (it is `Rc`-based and
-/// its watchdog asserts a serialized global order), so each worker
-/// records into its own `SpanBuf` and the buffers are merged on the
-/// main thread at join. Ids are allocated coordination-free from the
-/// worker's own namespace: `((worker + 1) << 48) | seq`. Raw buffer
-/// ids therefore always have bits ≥ 48 set, which is how
-/// [`SpanBuf::merge`] tells an in-batch parent reference (rewritten)
-/// from a reference to an already-merged span id (kept verbatim).
+/// A worker thread's buffer ([`SpanBuf::new`]) allocates ids from the
+/// worker's namespace, `((worker + 1) << 48) | seq`, so raw worker ids
+/// always have bits ≥ 48 set: that is how [`SpanBuf::merge`] tells an
+/// in-batch parent reference (rewritten) from a reference to an
+/// already-merged span id (kept verbatim). The buffer inside a
+/// [`Trace`] has no namespace; its ids are the merged sequence.
 ///
-/// Like the tracer's store, the buffer is bounded: the first
-/// `capacity` spans are kept, later ones are counted in
-/// [`SpanBuf::dropped`]. Unlike the tracer there is no online
-/// watchdog — dropped spans are invisible to the post-merge check, so
-/// a nonzero drop count means reduced invariant coverage, not just a
-/// shorter export.
-#[derive(Debug, Default)]
+/// The first `capacity` spans are kept (the head preserves lineage
+/// from the start of a run) and later ones counted in
+/// [`SpanBuf::dropped`]. A span a *worker's* buffer drops never reaches
+/// the watchdog: a nonzero drop count there means reduced invariant
+/// coverage, not just a shorter export.
+#[derive(Clone, Debug, Default)]
 pub struct SpanBuf {
-    worker: u32,
+    /// Id namespace: `(worker + 1) << 48`, or 0 inside a [`Trace`].
+    ns: u64,
     seq: u64,
     spans: Vec<Span>,
     cap: usize,
@@ -952,8 +747,12 @@ impl SpanBuf {
     /// An enabled buffer for `worker` (its id namespace) retaining up
     /// to `capacity` spans (clamped to at least 1).
     pub fn new(worker: u32, capacity: usize) -> SpanBuf {
+        SpanBuf::in_namespace((worker as u64 + 1) << 48, capacity)
+    }
+
+    fn in_namespace(ns: u64, capacity: usize) -> SpanBuf {
         SpanBuf {
-            worker,
+            ns,
             seq: 0,
             spans: Vec::new(),
             cap: capacity.max(1),
@@ -962,19 +761,14 @@ impl SpanBuf {
         }
     }
 
-    /// Is this buffer recording?
-    pub fn is_enabled(&self) -> bool {
-        self.enabled
-    }
-
-    /// Allocates the next id in this worker's namespace
+    /// Allocates the next id in this buffer's namespace
     /// ([`SpanId::NONE`] when disabled).
     pub fn alloc(&mut self) -> SpanId {
         if !self.enabled {
             return SpanId::NONE;
         }
         self.seq += 1;
-        SpanId(((self.worker as u64 + 1) << 48) | self.seq)
+        SpanId(self.ns | self.seq)
     }
 
     /// Records a completed span (bounded: head kept, overflow counted).
@@ -994,14 +788,7 @@ impl SpanBuf {
     pub fn point(&mut self, at: SimTime, node: NodeId, parent: SpanId, kind: SpanKind) -> SpanId {
         let id = self.alloc();
         if !id.is_none() {
-            self.emit(Span {
-                id,
-                parent,
-                node,
-                start: at,
-                dur: 0,
-                kind,
-            });
+            self.emit(Span::point(id, at, node, parent, kind));
         }
         id
     }
@@ -1034,14 +821,9 @@ impl SpanBuf {
     /// verbatim; an in-namespace parent that is not in the batch (its
     /// span was dropped at capacity) degrades to [`SpanId::NONE`].
     ///
-    /// Concatenation is order-correct for the watchdog because every
-    /// invariant it checks is per-page and each page is mutated by
-    /// exactly one worker: that page's spans all sit in one buffer, in
-    /// true order.
-    ///
     /// Returns the merged spans and the total dropped count.
     pub fn merge(mut bufs: Vec<SpanBuf>, next_id: &mut u64) -> (Vec<Span>, u64) {
-        bufs.sort_by_key(|b| b.worker);
+        bufs.sort_by_key(|b| b.ns);
         let mut map: BTreeMap<SpanId, SpanId> = BTreeMap::new();
         let mut dropped = 0;
         for b in &bufs {
@@ -1068,6 +850,338 @@ impl SpanBuf {
         }
         (out, dropped)
     }
+}
+
+/// The cluster-wide merged span store: a [`SpanBuf`] in the merged id
+/// space plus the invariant watchdog, which observes every span as it
+/// enters, before the capacity check: a full store shortens the
+/// export, never the invariant coverage. Plain data and `Send`; the
+/// threaded cluster holds one directly, the simulator shares one
+/// behind a [`Tracer`]. `Trace::default()` is the disabled trace.
+#[derive(Clone, Debug, Default)]
+pub struct Trace {
+    buf: SpanBuf,
+    watchdog: Watchdog,
+}
+
+impl Trace {
+    /// An enabled trace retaining up to `capacity` spans (clamped to
+    /// at least 1), watchdog on.
+    pub fn new(capacity: usize) -> Trace {
+        Trace {
+            buf: SpanBuf::in_namespace(0, capacity),
+            watchdog: Watchdog::default(),
+        }
+    }
+
+    /// Allocates the next span id of the merged sequence
+    /// ([`SpanId::NONE`] when disabled).
+    pub fn alloc(&mut self) -> SpanId {
+        self.buf.alloc()
+    }
+
+    /// Shows a completed span to the watchdog, then stores it.
+    pub fn emit(&mut self, span: Span) {
+        if self.buf.enabled {
+            self.watchdog.observe(&span);
+            self.buf.emit(span);
+        }
+    }
+
+    /// Allocates an id and records a zero-duration span in one call;
+    /// returns the id (NONE when disabled).
+    pub fn point(&mut self, at: SimTime, node: NodeId, parent: SpanId, kind: SpanKind) -> SpanId {
+        let id = self.alloc();
+        if !id.is_none() {
+            self.emit(Span::point(id, at, node, parent, kind));
+        }
+        id
+    }
+
+    /// Merges a batch of worker buffers ([`SpanBuf::merge`]) and
+    /// enters each merged span like any other: observed once, then
+    /// stored. The workers' drop counts are added to this trace's.
+    pub fn absorb(&mut self, bufs: Vec<SpanBuf>) {
+        let (spans, dropped) = SpanBuf::merge(bufs, &mut self.buf.seq);
+        self.buf.dropped += dropped;
+        for s in spans {
+            self.emit(s);
+        }
+    }
+
+    /// Every retained span, in emission (= watchdog) order.
+    pub fn spans(&self) -> &[Span] {
+        &self.buf.spans
+    }
+
+    /// Number of spans retained.
+    pub fn len(&self) -> usize {
+        self.buf.len()
+    }
+
+    /// True when nothing has been retained (or tracing is disabled).
+    pub fn is_empty(&self) -> bool {
+        self.buf.is_empty()
+    }
+
+    /// Spans lost to a capacity bound, here or in an absorbed buffer.
+    pub fn dropped(&self) -> u64 {
+        self.buf.dropped
+    }
+
+    /// Spans the watchdog has observed, retained or not.
+    pub fn observed(&self) -> u64 {
+        self.watchdog.observed
+    }
+
+    /// Violations the watchdog has found so far.
+    pub fn violations(&self) -> &[Violation] {
+        &self.watchdog.violations
+    }
+
+    /// Passes iff the watchdog has seen no violation; otherwise
+    /// returns an error message listing every violation with the
+    /// offending page's lineage slice (the last few spans up to the
+    /// violation). Reads what the watchdog already found: no span is
+    /// walked again.
+    pub fn check(&self) -> std::result::Result<(), String> {
+        let violations = self.violations();
+        if violations.is_empty() {
+            return Ok(());
+        }
+        let mut msg = format!("trace watchdog: {} violation(s)\n", violations.len());
+        for v in violations {
+            msg.push_str(&format!("- {v}\n"));
+            if let Some(pid) = v.pid {
+                // The slice that *leads to* the violation, not the
+                // whole history: everything up to the offending span,
+                // truncated to the last 12 entries.
+                let upto: Vec<&Span> = lineage(self.spans(), pid)
+                    .into_iter()
+                    .take_while(|s| s.id <= v.span)
+                    .collect();
+                let tail = upto.len().saturating_sub(12);
+                if tail > 0 {
+                    msg.push_str(&format!("    … {tail} earlier span(s)\n"));
+                }
+                for s in &upto[tail..] {
+                    msg.push_str(&format!("    {s}\n"));
+                }
+            }
+        }
+        Err(msg)
+    }
+}
+
+/// The simulator's shared handle to the cluster [`Trace`] (cheap `Rc`
+/// clone; the simulator is single-threaded, and the cluster and its
+/// network emit into the same store). A disabled tracer holds no
+/// store at all, so the emission fast-path with tracing off is one
+/// `Option` check.
+#[derive(Clone, Default)]
+pub struct Tracer {
+    inner: Option<Rc<RefCell<Trace>>>,
+}
+
+impl fmt::Debug for Tracer {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match &self.inner {
+            None => f.write_str("Tracer(disabled)"),
+            Some(t) => write!(f, "Tracer({} spans)", t.borrow().len()),
+        }
+    }
+}
+
+impl Tracer {
+    /// A disabled tracer: allocation returns [`SpanId::NONE`], emission
+    /// is a no-op.
+    pub fn disabled() -> Tracer {
+        Tracer { inner: None }
+    }
+
+    /// A handle to a fresh [`Trace::new`] of `capacity` spans.
+    pub fn new(capacity: usize) -> Tracer {
+        Tracer {
+            inner: Some(Rc::new(RefCell::new(Trace::new(capacity)))),
+        }
+    }
+
+    /// Is this tracer recording?
+    pub fn is_enabled(&self) -> bool {
+        self.inner.is_some()
+    }
+
+    /// [`Trace::alloc`] ([`SpanId::NONE`] when disabled).
+    pub fn alloc(&self) -> SpanId {
+        match &self.inner {
+            None => SpanId::NONE,
+            Some(t) => t.borrow_mut().alloc(),
+        }
+    }
+
+    /// [`Trace::emit`] (no-op when disabled).
+    pub fn emit(&self, span: Span) {
+        if let Some(t) = &self.inner {
+            t.borrow_mut().emit(span);
+        }
+    }
+
+    /// [`Trace::point`] ([`SpanId::NONE`] when disabled).
+    pub fn point(&self, at: SimTime, node: NodeId, parent: SpanId, kind: SpanKind) -> SpanId {
+        match &self.inner {
+            None => SpanId::NONE,
+            Some(t) => t.borrow_mut().point(at, node, parent, kind),
+        }
+    }
+
+    /// [`Trace::check`] (vacuously ok when disabled).
+    pub fn check(&self) -> std::result::Result<(), String> {
+        match &self.inner {
+            None => Ok(()),
+            Some(t) => t.borrow().check(),
+        }
+    }
+
+    /// A copy of the trace as it stands (the disabled trace when
+    /// disabled), for rendering through the views.
+    pub fn snapshot(&self) -> Trace {
+        match &self.inner {
+            None => Trace::default(),
+            Some(t) => t.borrow().clone(),
+        }
+    }
+}
+
+/// The page with the most page-scoped spans (lineage default).
+pub fn busiest_page(spans: &[Span]) -> Option<PageId> {
+    let mut counts: BTreeMap<PageId, usize> = BTreeMap::new();
+    for s in spans {
+        if let Some(pid) = s.kind.page() {
+            *counts.entry(pid).or_default() += 1;
+        }
+    }
+    counts
+        .into_iter()
+        .max_by(|a, b| a.1.cmp(&b.1).then(b.0.to_u64().cmp(&a.0.to_u64())))
+        .map(|(pid, _)| pid)
+}
+
+/// The PSN lineage of `pid`: every page-scoped span mentioning it plus
+/// the crash markers that punctuate its history, in emission (= causal)
+/// order.
+pub fn lineage(spans: &[Span], pid: PageId) -> Vec<&Span> {
+    spans
+        .iter()
+        .filter(|s| s.kind.page() == Some(pid) || matches!(s.kind, SpanKind::Crash { .. }))
+        .collect()
+}
+
+/// Human-readable lineage dump for `pid`, one line per span.
+pub fn render_lineage(spans: &[Span], pid: PageId) -> String {
+    let mut out = format!("PSN lineage of {pid}:\n");
+    let lin = lineage(spans, pid);
+    if lin.is_empty() {
+        out.push_str("  (no spans recorded)\n");
+    }
+    for s in lin {
+        out.push_str(&format!("  {s}\n"));
+    }
+    out
+}
+
+/// The post-mortem view: the last `n` retained spans of every node,
+/// oldest first, one block per node. What a failed check prints so the
+/// protocol history around a divergence arrives with the error.
+pub fn render_recent(spans: &[Span], n: usize) -> String {
+    let mut by_node: BTreeMap<NodeId, Vec<&Span>> = BTreeMap::new();
+    for s in spans {
+        by_node.entry(s.node).or_default().push(s);
+    }
+    let mut out = String::new();
+    for (node, of_node) in by_node {
+        let earlier = of_node.len().saturating_sub(n);
+        out.push_str(&format!("--- last spans of {node} ---\n"));
+        if earlier > 0 {
+            out.push_str(&format!("  … {earlier} earlier span(s)\n"));
+        }
+        for s in &of_node[earlier..] {
+            out.push_str(&format!("  {s}\n"));
+        }
+    }
+    out
+}
+
+/// Exports `spans` as Chrome trace-event JSON (the "JSON object
+/// format": `{"traceEvents": [...]}`), loadable in `chrome://tracing`
+/// and Perfetto. Nodes become processes; span categories become named
+/// thread lanes; cross-node transfers and messages additionally emit
+/// flow-event pairs so the causal edge is drawn as an arrow.
+pub fn chrome_trace_json(spans: &[Span]) -> String {
+    let mut events: Vec<String> = Vec::new();
+    // Lane metadata: one process per node, one named lane per
+    // category present on that node.
+    let mut lanes: BTreeMap<(u32, usize), &'static str> = BTreeMap::new();
+    for s in spans {
+        let cat = s.kind.category();
+        lanes.insert((s.node.0, lane_of(cat)), cat);
+        if let SpanKind::Transfer { to, .. } | SpanKind::Msg { to, .. } = &s.kind {
+            lanes.insert((to.0, lane_of(s.kind.category())), cat);
+        }
+    }
+    let mut seen_procs = std::collections::BTreeSet::new();
+    for ((node, lane), cat) in &lanes {
+        if seen_procs.insert(*node) {
+            events.push(format!(
+                "{{\"ph\":\"M\",\"pid\":{node},\"tid\":0,\"name\":\"process_name\",\
+                 \"args\":{{\"name\":\"node {node}\"}}}}"
+            ));
+        }
+        events.push(format!(
+            "{{\"ph\":\"M\",\"pid\":{node},\"tid\":{lane},\"name\":\"thread_name\",\
+             \"args\":{{\"name\":\"{}\"}}}}",
+            json_escape(cat)
+        ));
+    }
+    for s in spans {
+        let lane = lane_of(s.kind.category());
+        events.push(format!(
+            "{{\"ph\":\"X\",\"pid\":{},\"tid\":{},\"ts\":{},\"dur\":{},\
+             \"name\":\"{}\",\"cat\":\"{}\",\"args\":{{\"span\":\"{}\",\"parent\":\"{}\"}}}}",
+            s.node.0,
+            lane,
+            s.start,
+            s.dur,
+            json_escape(&s.kind.to_string()),
+            s.kind.category(),
+            s.id,
+            s.parent
+        ));
+        // Cross-node edges as flow arrows.
+        let edge = match &s.kind {
+            SpanKind::Transfer { from, to, .. } => Some((*from, *to)),
+            SpanKind::Msg { from, to, .. } => Some((*from, *to)),
+            _ => None,
+        };
+        if let Some((from, to)) = edge {
+            events.push(format!(
+                "{{\"ph\":\"s\",\"pid\":{},\"tid\":{},\"ts\":{},\"id\":{},\
+                 \"name\":\"edge\",\"cat\":\"flow\"}}",
+                from.0, lane, s.start, s.id.0
+            ));
+            events.push(format!(
+                "{{\"ph\":\"f\",\"bp\":\"e\",\"pid\":{},\"tid\":{},\"ts\":{},\"id\":{},\
+                 \"name\":\"edge\",\"cat\":\"flow\"}}",
+                to.0,
+                lane,
+                s.start + s.dur,
+                s.id.0
+            ));
+        }
+    }
+    let mut out = String::from("{\"displayTimeUnit\":\"ms\",\"traceEvents\":[");
+    out.push_str(&events.join(","));
+    out.push_str("]}");
+    out
 }
 
 /// Stable lane (Chrome `tid`) per span category.
@@ -1102,56 +1216,82 @@ mod tests {
         TxnId::new(NodeId(n), s)
     }
 
-    fn update(t: &Tracer, at: SimTime, node: u32, p: PageId, psn: u64) -> SpanId {
-        t.point(
-            at,
-            NodeId(node),
-            SpanId::NONE,
-            SpanKind::Update {
-                pid: p,
-                txn: txn(node, 1),
-                psn: Psn(psn),
-                lsn: Lsn(at),
-                clr: false,
-            },
-        )
+    fn update_kind(node: u32, p: PageId, psn: u64) -> SpanKind {
+        SpanKind::Update {
+            pid: p,
+            txn: txn(node, 1),
+            psn: Psn(psn),
+            lsn: Lsn(psn),
+            clr: false,
+        }
+    }
+
+    fn update(t: &mut Trace, at: SimTime, node: u32, p: PageId, psn: u64) -> SpanId {
+        t.point(at, NodeId(node), SpanId::NONE, update_kind(node, p, psn))
+    }
+
+    /// `pid(0)` crossing `from → to` at psn 2.
+    fn transfer(from: u32, to: u32, why: TransferWhy, wal_ok: bool) -> SpanKind {
+        SpanKind::Transfer {
+            pid: pid(0),
+            from: NodeId(from),
+            to: NodeId(to),
+            psn: Psn(2),
+            why,
+            wal_ok,
+        }
     }
 
     #[test]
     fn disabled_tracer_is_inert() {
+        // The handle with no store, and the store with a disabled
+        // buffer (what the threaded cluster holds with tracing off).
+        let crash = Span::point(
+            SpanId(1),
+            0,
+            NodeId(0),
+            SpanId::NONE,
+            SpanKind::Crash { node: NodeId(0) },
+        );
         let t = Tracer::disabled();
         assert!(!t.is_enabled());
         assert_eq!(t.alloc(), SpanId::NONE);
-        t.emit(Span {
-            id: SpanId(1),
-            parent: SpanId::NONE,
-            node: NodeId(0),
-            start: 0,
-            dur: 0,
-            kind: SpanKind::Crash { node: NodeId(0) },
-        });
-        assert!(t.is_empty());
+        t.emit(crash.clone());
         assert!(t.check().is_ok());
+        let mut off = t.snapshot();
+        assert_eq!(off.alloc(), SpanId::NONE);
+        off.emit(crash);
+        assert!(off.is_empty());
+        assert_eq!(off.observed(), 0, "a disabled trace observes nothing");
         assert_eq!(
-            t.chrome_trace_json(),
+            chrome_trace_json(off.spans()),
             "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[]}"
         );
     }
 
     #[test]
     fn ids_are_unique_and_monotone() {
+        // Clones of the handle share one store: the network's message
+        // spans and the cluster's spans draw from one id sequence.
         let t = Tracer::new(16);
         let a = t.alloc();
-        let b = t.alloc();
-        assert!(a < b);
-        assert!(!a.is_none());
+        let b = t.clone().alloc();
+        assert_eq!((a, b), (SpanId(1), SpanId(2)));
+        t.clone().emit(Span::point(
+            b,
+            0,
+            NodeId(0),
+            a,
+            SpanKind::Crash { node: NodeId(0) },
+        ));
+        assert_eq!(t.snapshot().len(), 1);
     }
 
     #[test]
     fn monotone_updates_pass_the_watchdog() {
-        let t = Tracer::new(64);
+        let mut t = Trace::new(64);
         for (i, n) in [(1u64, 0u32), (2, 1), (3, 1), (4, 2)] {
-            update(&t, i * 10, n, pid(0), i);
+            update(&mut t, i * 10, n, pid(0), i);
         }
         assert!(t.check().is_ok());
         assert_eq!(t.violations().len(), 0);
@@ -1159,10 +1299,10 @@ mod tests {
 
     #[test]
     fn psn_regression_is_caught_with_lineage_slice() {
-        let t = Tracer::new(64);
-        update(&t, 10, 0, pid(3), 1);
-        update(&t, 20, 1, pid(3), 2);
-        update(&t, 30, 2, pid(3), 2); // re-walks psn 2→3: violation
+        let mut t = Trace::new(64);
+        update(&mut t, 10, 0, pid(3), 1);
+        update(&mut t, 20, 1, pid(3), 2);
+        update(&mut t, 30, 2, pid(3), 2); // re-walks psn 2→3: violation
         let err = t.check().unwrap_err();
         assert!(err.contains("not strictly increasing"), "{err}");
         assert!(err.contains("P0.3"), "lineage slice names the page: {err}");
@@ -1172,8 +1312,8 @@ mod tests {
 
     #[test]
     fn crash_resets_the_psn_frontier() {
-        let t = Tracer::new(64);
-        update(&t, 10, 0, pid(0), 5);
+        let mut t = Trace::new(64);
+        update(&mut t, 10, 0, pid(0), 5);
         t.point(
             20,
             NodeId(0),
@@ -1181,13 +1321,13 @@ mod tests {
             SpanKind::Crash { node: NodeId(0) },
         );
         // Post-recovery execution legitimately re-walks lower PSNs.
-        update(&t, 30, 0, pid(0), 3);
+        update(&mut t, 30, 0, pid(0), 3);
         assert!(t.check().is_ok(), "{:?}", t.check());
     }
 
     #[test]
     fn replay_order_violation_is_caught() {
-        let t = Tracer::new(64);
+        let mut t = Trace::new(64);
         let hop = |from: u64, to: u64, node: u32| SpanKind::ReplayHop {
             pid: pid(1),
             node: NodeId(node),
@@ -1205,20 +1345,9 @@ mod tests {
 
     #[test]
     fn wal_rule_and_log_ship_violations_are_caught() {
-        let t = Tracer::new(64);
-        t.point(
-            10,
-            NodeId(1),
-            SpanId::NONE,
-            SpanKind::Transfer {
-                pid: pid(0),
-                from: NodeId(1),
-                to: NodeId(0),
-                psn: Psn(4),
-                why: TransferWhy::Replace,
-                wal_ok: false,
-            },
-        );
+        let mut t = Trace::new(64);
+        let replace = transfer(1, 0, TransferWhy::Replace, false);
+        t.point(10, NodeId(1), SpanId::NONE, replace);
         t.point(
             20,
             NodeId(1),
@@ -1239,7 +1368,7 @@ mod tests {
 
     #[test]
     fn log_truncation_past_the_anchor_is_caught() {
-        let t = Tracer::new(64);
+        let mut t = Trace::new(64);
         // Reclaiming below (or exactly to) the anchor is the protocol
         // working as designed.
         t.point(
@@ -1272,62 +1401,40 @@ mod tests {
 
     #[test]
     fn lineage_is_page_scoped_and_ordered() {
-        let t = Tracer::new(64);
-        update(&t, 10, 0, pid(0), 1);
-        update(&t, 20, 0, pid(1), 1);
-        t.point(
-            30,
-            NodeId(0),
-            SpanId::NONE,
-            SpanKind::Transfer {
-                pid: pid(0),
-                from: NodeId(0),
-                to: NodeId(1),
-                psn: Psn(2),
-                why: TransferWhy::Ship,
-                wal_ok: true,
-            },
-        );
-        let lin = t.lineage(pid(0));
+        let mut t = Trace::new(64);
+        update(&mut t, 10, 0, pid(0), 1);
+        update(&mut t, 20, 0, pid(1), 1);
+        let ship = transfer(0, 1, TransferWhy::Ship, true);
+        t.point(30, NodeId(0), SpanId::NONE, ship);
+        let lin = lineage(t.spans(), pid(0));
         assert_eq!(lin.len(), 2);
         assert!(lin[0].start < lin[1].start);
-        assert_eq!(t.busiest_page(), Some(pid(0)));
-        let s = t.render_lineage(pid(0));
+        assert_eq!(busiest_page(t.spans()), Some(pid(0)));
+        let s = render_lineage(t.spans(), pid(0));
         assert!(s.contains("update P0.0"), "{s}");
         assert!(s.contains("ship P0.0 N0→N1"), "{s}");
     }
 
     #[test]
     fn capacity_bound_keeps_head_and_counts_drops() {
-        let t = Tracer::new(2);
+        let mut t = Trace::new(2);
         for i in 1..=5u64 {
-            update(&t, i, 0, pid(0), i);
+            update(&mut t, i, 0, pid(0), i);
         }
         assert_eq!(t.len(), 2);
         assert_eq!(t.dropped(), 3);
         // The watchdog still saw the dropped spans.
-        update(&t, 99, 0, pid(0), 2); // regression vs frontier psn 6
+        update(&mut t, 99, 0, pid(0), 2); // regression vs frontier psn 6
         assert!(t.check().is_err());
     }
 
     #[test]
     fn chrome_export_is_schema_shaped() {
-        let t = Tracer::new(64);
-        update(&t, 10, 0, pid(0), 1);
-        t.point(
-            30,
-            NodeId(0),
-            SpanId::NONE,
-            SpanKind::Transfer {
-                pid: pid(0),
-                from: NodeId(0),
-                to: NodeId(1),
-                psn: Psn(2),
-                why: TransferWhy::Ship,
-                wal_ok: true,
-            },
-        );
-        let j = t.chrome_trace_json();
+        let mut t = Trace::new(64);
+        update(&mut t, 10, 0, pid(0), 1);
+        let ship = transfer(0, 1, TransferWhy::Ship, true);
+        t.point(30, NodeId(0), SpanId::NONE, ship);
+        let j = chrome_trace_json(t.spans());
         assert!(j.starts_with("{\"displayTimeUnit\":\"ms\",\"traceEvents\":["));
         assert!(j.ends_with("]}"));
         assert!(j.contains("\"ph\":\"X\""), "{j}");
@@ -1364,7 +1471,6 @@ mod tests {
     #[test]
     fn spanbuf_disabled_is_inert_and_ids_are_namespaced() {
         let mut off = SpanBuf::disabled();
-        assert!(!off.is_enabled());
         assert_eq!(off.alloc(), SpanId::NONE);
         buf_crash(&mut off, 5, 0);
         assert!(off.is_empty());
@@ -1426,62 +1532,57 @@ mod tests {
 
     #[test]
     fn merged_spanbuf_trace_replays_through_the_watchdog() {
-        // Two workers each update their own page; the merged trace is
-        // clean. A regressing PSN inside one worker's buffer must
-        // surface after the replay through a fresh Tracer.
+        // Two workers each update their own page; absorbed into one
+        // trace they are clean, and each span was observed once. A
+        // regressing PSN inside one worker's buffer must surface when
+        // the buffer is absorbed.
+        let fill = |buf: &mut SpanBuf, node: u32, psns: &[u64]| {
+            for &psn in psns {
+                let kind = update_kind(node, PageId::new(NodeId(node), 0), psn);
+                buf.point(psn, NodeId(node), SpanId::NONE, kind);
+            }
+        };
         let mut a = SpanBuf::new(0, 64);
         let mut b = SpanBuf::new(1, 64);
-        for (w, buf) in [(0u32, &mut a), (1u32, &mut b)] {
-            for psn in 1..4u64 {
-                let id = buf.alloc();
-                buf.emit(Span {
-                    id,
-                    parent: SpanId::NONE,
-                    node: NodeId(w),
-                    start: psn,
-                    dur: 0,
-                    kind: SpanKind::Update {
-                        pid: PageId::new(NodeId(w), 0),
-                        txn: txn(w, 1),
-                        psn: Psn(psn),
-                        lsn: Lsn(psn),
-                        clr: false,
-                    },
-                });
-            }
-        }
-        let mut next = 0;
-        let (clean, _) = SpanBuf::merge(vec![a, b], &mut next);
-        let t = Tracer::new(clean.len() + 1);
-        for s in &clean {
-            t.emit(s.clone());
-        }
+        fill(&mut a, 0, &[1, 2, 3]);
+        fill(&mut b, 1, &[1, 2, 3]);
+        let mut t = Trace::new(64);
+        let first = t.point(0, NodeId(0), SpanId::NONE, SpanKind::Recovery { nodes: 1 });
+        t.absorb(vec![b, a]);
         assert!(t.check().is_ok(), "{:?}", t.check());
+        assert_eq!((t.len(), t.observed()), (7, 7), "each span observed once");
+        assert_eq!(first, SpanId(1));
+        assert_eq!(
+            t.spans().iter().map(|s| s.id.0).collect::<Vec<_>>(),
+            (1..=7).collect::<Vec<_>>(),
+            "absorbed ids continue the trace's own sequence"
+        );
+        assert_eq!(t.alloc(), SpanId(8));
 
+        // The regression sits past the store's bound: dropped from the
+        // export, still seen by the watchdog.
         let mut bad = SpanBuf::new(0, 64);
-        for psn in [1u64, 2, 2] {
-            let id = bad.alloc();
-            bad.emit(Span {
-                id,
-                parent: SpanId::NONE,
-                node: NodeId(0),
-                start: psn,
-                dur: 0,
-                kind: SpanKind::Update {
-                    pid: pid(0),
-                    txn: txn(0, 1),
-                    psn: Psn(psn),
-                    lsn: Lsn(psn),
-                    clr: false,
-                },
-            });
+        fill(&mut bad, 0, &[1, 2, 2]);
+        let mut small = Trace::new(1);
+        small.absorb(vec![bad]);
+        assert_eq!((small.len(), small.dropped(), small.observed()), (1, 2, 3));
+        assert!(small.check().is_err(), "PSN regression must be caught");
+    }
+
+    #[test]
+    fn recent_view_shows_the_last_spans_of_every_node() {
+        let mut t = Trace::new(64);
+        for psn in 1..=5 {
+            update(&mut t, psn * 10, 0, pid(0), psn);
         }
-        let mut next = 0;
-        let (spans, _) = SpanBuf::merge(vec![bad], &mut next);
-        let t = Tracer::new(spans.len() + 1);
-        for s in &spans {
-            t.emit(s.clone());
-        }
-        assert!(t.check().is_err(), "PSN regression must be caught");
+        update(&mut t, 60, 1, pid(1), 1);
+        let s = render_recent(t.spans(), 2);
+        let n0 = s.find("--- last spans of N0 ---").expect("node 0 block");
+        let n1 = s.find("--- last spans of N1 ---").expect("node 1 block");
+        assert!(n0 < n1, "one block per node, in node order: {s}");
+        assert!(s.contains("… 3 earlier span(s)"), "{s}");
+        assert!(!s.contains("psn 3→4") && s.contains("psn 4→5"), "{s}");
+        assert!(s.find("psn 4→5").unwrap() < s.find("psn 5→6").unwrap());
+        assert!(!s[n1..].contains("earlier"), "node 1 fits: {s}");
     }
 }

@@ -2,18 +2,16 @@
 //!
 //! # Thread-safe by design
 //!
-//! `Counter` (and the richer metrics in [`crate::obs`] and the ring in
-//! [`crate::trace`]) share state through `Arc<AtomicU64>` /
-//! `Arc<Mutex<_>>`, so one instrumentation layer serves both execution
-//! runtimes: the deterministic single-threaded simulator and the
-//! OS-thread-per-node runtime (`cblog-rt`), whose workers bump the same
-//! handles concurrently. Counters use relaxed atomics — each bump is a
-//! single uncontended RMW, and the only ordering the experiments need
-//! is "reads after the run observe all bumps", which thread join
-//! already provides. The one deliberately non-`Send` holdout is the
-//! span [`Tracer`](crate::Tracer): causal lineage capture assumes the
-//! simulator's deterministic single-threaded schedule, so it stays
-//! sim-only (see `common::span`).
+//! `Counter` (and the richer metrics in [`crate::obs`]) share state
+//! through `Arc<AtomicU64>` / `Arc<Mutex<_>>`, so one instrumentation
+//! layer serves both execution runtimes: the deterministic
+//! single-threaded simulator and the OS-thread-per-node runtime
+//! (`cblog-rt`), whose workers bump the same handles concurrently.
+//! Counters use relaxed atomics — each bump is a single uncontended
+//! RMW, and the only ordering the experiments need is "reads after the
+//! run observe all bumps", which thread join already provides. Spans
+//! are not shared this way: each thread fills its own
+//! [`SpanBuf`](crate::SpanBuf), merged at join (see `common::span`).
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;

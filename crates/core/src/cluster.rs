@@ -15,9 +15,10 @@ use crate::group_commit::ForceScheduler;
 use crate::node::{Node, RollbackStep};
 use crate::txn::{Savepoint, TxnStatus};
 use cblog_common::metrics::{keys, prof_key};
+use cblog_common::span;
 use cblog_common::{
     Bucket, Error, Fnv1a, IdMap, Lsn, MetricValue, NodeId, PageId, Psn, Result, Rid, Sampler,
-    SimTime, Snapshot, Span, SpanCtx, SpanId, SpanKind, TraceEvent, Tracer, TransferWhy, TxnId,
+    SimTime, Snapshot, Span, SpanCtx, SpanId, SpanKind, Tracer, TransferWhy, TxnId,
 };
 use cblog_locks::{
     CallbackAction, GlobalRequestOutcome, LocalRequestOutcome, LockMode, WaitsForGraph,
@@ -25,10 +26,12 @@ use cblog_locks::{
 use cblog_net::{MsgHeader, MsgKind, Network};
 use cblog_storage::{EvictedPage, PageKind, SlottedPage};
 use cblog_wal::PageOp;
-use std::fmt::Write as _;
 
 /// Control-message payload size used for accounting.
 pub const CTRL_BYTES: usize = 48;
+
+/// Spans per node in [`Cluster::post_mortem`].
+const POST_MORTEM_SPANS: usize = 32;
 
 #[inline]
 fn ix(id: NodeId) -> usize {
@@ -77,7 +80,7 @@ impl Cluster {
         }
         let mut net = Network::with_faults(cfg.node_count, cfg.cost.clone(), cfg.faults.clone());
         let tracer = if cfg.tracing {
-            Tracer::new(cfg.trace_capacity)
+            Tracer::new(span::DEFAULT_TRACE_CAPACITY)
         } else {
             Tracer::disabled()
         };
@@ -183,15 +186,15 @@ impl Cluster {
     /// Charges the clock for a log force if the node forced between
     /// `forces_before` and now (the force wrote `bytes` tail bytes).
     /// The force's simulated latency feeds the node's `wal/force_us`
-    /// histogram and flight recorder.
+    /// histogram.
     fn charge_force(&mut self, node: NodeId, forces_before: u64, bytes: u64) {
         if self.nodes[ix(node)].log.forces() > forces_before {
             self.net.disk_io(node, bytes as usize);
             let us = self.cfg.cost.io_cost(bytes as usize);
-            let n = &self.nodes[ix(node)];
-            n.registry.histogram(keys::WAL_FORCE_US).record(us);
-            n.recorder
-                .record(self.net.clock().now(), TraceEvent::LogForce { bytes, us });
+            self.nodes[ix(node)]
+                .registry
+                .histogram(keys::WAL_FORCE_US)
+                .record(us);
         }
     }
 
@@ -271,9 +274,6 @@ impl Cluster {
             r => r,
         };
         if let Ok(txn) = r {
-            self.nodes[ix(node)]
-                .recorder
-                .record(self.now(), TraceEvent::TxnBegin { txn });
             // 1-in-N span sampling: an unsampled transaction gets no
             // root span, so its child spans carry a NONE context and
             // drop at emission. Cluster-wide invariant spans (updates,
@@ -620,9 +620,6 @@ impl Cluster {
         let acked = self.schedulers[n].drain_acked(flushed);
         for t in &acked {
             self.nodes[n].finish_commit(*t)?;
-            self.nodes[n]
-                .recorder
-                .record(self.now(), TraceEvent::TxnCommit { txn: *t });
             self.close_txn_span(*t, true);
         }
         Ok(acked.len())
@@ -657,10 +654,6 @@ impl Cluster {
             for _ in 0..batch {
                 nd.registry.histogram(keys::WAL_COMMIT_FORCE_US).record(us);
             }
-            nd.recorder.record(
-                self.net.clock().now(),
-                TraceEvent::GroupCommit { txns: batch, bytes },
-            );
         }
         self.tracer.point(
             self.now(),
@@ -705,9 +698,6 @@ impl Cluster {
         self.nodes[n].start_abort(txn)?;
         self.drive_rollback(txn, Lsn::ZERO)?;
         self.nodes[n].finish_abort(txn)?;
-        self.nodes[n]
-            .recorder
-            .record(self.now(), TraceEvent::TxnAbort { txn });
         self.close_txn_span(txn, false);
         // A waiter that dies waiting (deadlock victim) still spent its
         // time queueing — fold it into the same wait histogram the
@@ -800,15 +790,14 @@ impl Cluster {
     }
 
     /// Finds a deadlock victim, if a cycle exists. Detection is
-    /// counted on the victim's node (`locks/deadlocks`) and noted in
-    /// its flight recorder — both use interior mutability, so `&self`
-    /// suffices.
+    /// counted on the victim's node (`locks/deadlocks`); the counter
+    /// uses interior mutability, so `&self` suffices.
     pub fn find_deadlock_victim(&self) -> Option<TxnId> {
         let victim = self.wfg.find_victim()?;
-        let n = &self.nodes[ix(victim.node)];
-        n.registry.counter(keys::LOCKS_DEADLOCKS).bump();
-        n.recorder
-            .record(self.now(), TraceEvent::Deadlock { victim });
+        self.nodes[ix(victim.node)]
+            .registry
+            .counter(keys::LOCKS_DEADLOCKS)
+            .bump();
         Some(victim)
     }
 
@@ -821,8 +810,7 @@ impl Cluster {
     /// `locks/*` metrics: a grant bumps `locks/acquisitions` (and, if
     /// the transaction had been blocked, records the full blocked span
     /// in the `locks/wait_us` histogram); a conflict bumps
-    /// `locks/waits` and leaves a [`TraceEvent::LockWait`] in the
-    /// flight recorder.
+    /// `locks/waits`.
     pub fn ensure_access(&mut self, txn: TxnId, pid: PageId, mode: LockMode) -> Result<()> {
         let r = self.ensure_access_inner(txn, pid, mode);
         let reg = &self.nodes[ix(txn.node)].registry;
@@ -840,9 +828,6 @@ impl Cluster {
                 reg.counter(keys::LOCKS_WAITS).bump();
                 let now = self.net.clock().now();
                 self.wait_since.entry(txn).or_insert(now);
-                self.nodes[ix(txn.node)]
-                    .recorder
-                    .record(now, TraceEvent::LockWait { txn, pid });
             }
             Err(_) => {}
         }
@@ -1056,14 +1041,6 @@ impl Cluster {
                 self.page_bytes(),
                 MsgHeader::of(SpanCtx::child(xfer, ctx.span)),
             )?;
-            self.nodes[v].recorder.record(
-                self.net.clock().now(),
-                TraceEvent::PageTransfer {
-                    pid,
-                    from: victim,
-                    to: owner,
-                },
-            );
             let ev = self.nodes[ix(owner)].receive_replaced(victim, copy)?;
             if let Some(ev) = ev {
                 self.route_eviction(owner, ev)?;
@@ -1139,14 +1116,6 @@ impl Cluster {
                 self.page_bytes(),
                 MsgHeader::of(SpanCtx::root(xfer)),
             )?;
-            self.nodes[ix(node)].recorder.record(
-                self.net.clock().now(),
-                TraceEvent::PageTransfer {
-                    pid,
-                    from: owner,
-                    to: node,
-                },
-            );
         }
         let ev = self.nodes[ix(node)].cache_page(page, false)?;
         if let Some(ev) = ev {
@@ -1207,14 +1176,6 @@ impl Cluster {
                 self.page_bytes(),
                 MsgHeader::of(SpanCtx::root(xfer)),
             )?;
-            self.nodes[ix(node)].recorder.record(
-                self.net.clock().now(),
-                TraceEvent::PageTransfer {
-                    pid,
-                    from: node,
-                    to: owner,
-                },
-            );
             let ev2 = self.nodes[ix(owner)].receive_replaced(node, ev.page)?;
             if let Some(ev2) = ev2 {
                 self.route_eviction(owner, ev2)?;
@@ -1463,9 +1424,6 @@ impl Cluster {
     }
 
     fn crash_inner(&mut self, node: NodeId, tear: Option<(u64, bool)>) {
-        self.nodes[ix(node)]
-            .recorder
-            .record(self.now(), TraceEvent::Crash);
         // The crash span doubles as a watchdog epoch marker: unforced
         // PSNs above the durable coverage died with the volatile state
         // and will legitimately be re-walked after recovery.
@@ -1577,14 +1535,21 @@ impl Cluster {
         self.sampler.as_ref()
     }
 
-    /// Renders every node's flight-recorder ring, oldest event first —
-    /// the post-mortem dump printed when an oracle check fails.
-    pub fn flight_dump(&self) -> String {
-        let mut out = String::new();
-        for node in &self.nodes {
-            let _ = writeln!(out, "--- flight recorder {} ---", node.id());
-            out.push_str(&node.recorder().render());
+    /// What a failed check on `pid` prints: the last spans of every
+    /// node and the page's PSN lineage. With tracing off there is no
+    /// history to print, and none is lost: the simulator is
+    /// deterministic, so the same seed with tracing on replays the
+    /// failing run span for span.
+    pub fn post_mortem(&self, pid: PageId) -> String {
+        if !self.tracer.is_enabled() {
+            return format!(
+                "tracing is off: re-run the same seed with `.tracing(true)` for the last \
+                 spans of every node and the PSN lineage of {pid}\n"
+            );
         }
+        let trace = self.tracer.snapshot();
+        let mut out = span::render_recent(trace.spans(), POST_MORTEM_SPANS);
+        out.push_str(&span::render_lineage(trace.spans(), pid));
         out
     }
 }
@@ -1594,17 +1559,21 @@ mod tests {
     use super::*;
     use cblog_common::CostModel;
 
+    fn builder(owned: Vec<u32>) -> crate::ClusterConfigBuilder {
+        ClusterConfig::builder()
+            .owned_pages(owned)
+            .page_size(512)
+            .buffer_frames(8)
+            .default_owned_pages(0)
+            .cost(CostModel::unit())
+    }
+
     fn cluster(owned: Vec<u32>) -> Cluster {
-        Cluster::new(
-            ClusterConfig::builder()
-                .owned_pages(owned)
-                .page_size(512)
-                .buffer_frames(8)
-                .default_owned_pages(0)
-                .cost(CostModel::unit())
-                .build(),
-        )
-        .unwrap()
+        Cluster::new(builder(owned).build()).unwrap()
+    }
+
+    fn traced_cluster(owned: Vec<u32>) -> Cluster {
+        Cluster::new(builder(owned).tracing(true).build()).unwrap()
     }
 
     fn pid(owner: u32, idx: u32) -> PageId {
@@ -1614,12 +1583,7 @@ mod tests {
     #[test]
     fn span_sampling_traces_one_txn_in_n() {
         let mut c = Cluster::new(
-            ClusterConfig::builder()
-                .owned_pages(vec![4])
-                .page_size(512)
-                .buffer_frames(8)
-                .default_owned_pages(0)
-                .cost(CostModel::unit())
+            builder(vec![4])
                 .tracing(true)
                 .trace_sample_one_in(2)
                 .build(),
@@ -1630,7 +1594,8 @@ mod tests {
             c.write_u64(t, pid(0, 0), 0, i).unwrap();
             c.commit(t).unwrap();
         }
-        let spans = c.tracer().spans();
+        let trace = c.tracer().snapshot();
+        let spans = trace.spans();
         let txn_spans = spans
             .iter()
             .filter(|s| matches!(s.kind, SpanKind::Txn { .. }))
@@ -1685,28 +1650,19 @@ mod tests {
 
     #[test]
     fn checkpoint_truncation_emits_the_log_space_audit_span() {
-        let mut c = Cluster::new(
-            ClusterConfig::builder()
-                .owned_pages(vec![4])
-                .page_size(512)
-                .buffer_frames(8)
-                .default_owned_pages(0)
-                .cost(CostModel::unit())
-                .tracing(true)
-                .build(),
-        )
-        .unwrap();
+        let mut c = traced_cluster(vec![4]);
         let t = c.begin(NodeId(0)).unwrap();
         c.write_u64(t, pid(0, 0), 0, 7).unwrap();
         c.commit(t).unwrap();
         c.checkpoint(NodeId(0)).unwrap();
-        let truncs: Vec<_> = c
-            .tracer()
-            .spans()
-            .into_iter()
-            .filter(|s| matches!(s.kind, SpanKind::LogTruncate { .. }))
-            .collect();
-        assert!(!truncs.is_empty(), "checkpoint truncation is audited");
+        assert!(
+            c.tracer()
+                .snapshot()
+                .spans()
+                .iter()
+                .any(|s| matches!(s.kind, SpanKind::LogTruncate { .. })),
+            "checkpoint truncation is audited"
+        );
         // And the watchdog agrees the reclaim respected the anchor.
         c.trace_check().unwrap();
     }
@@ -2042,7 +1998,7 @@ mod tests {
 
     #[test]
     fn flight_recorder_traces_txn_lifecycle_and_transfers() {
-        let mut c = cluster(vec![4, 0, 0]);
+        let mut c = traced_cluster(vec![4, 0, 0]);
         let p = pid(0, 0);
         let t1 = c.begin(NodeId(1)).unwrap();
         c.write_u64(t1, p, 0, 1).unwrap();
@@ -2055,36 +2011,53 @@ mod tests {
         c.commit(t1).unwrap();
         assert_eq!(c.read_u64(t2, p, 0).unwrap(), 1);
         c.commit(t2).unwrap();
-        let n1 = c.node(NodeId(1)).recorder().render();
-        assert!(n1.contains("txn-begin"), "missing begin: {n1}");
-        assert!(n1.contains("txn-commit"), "missing commit: {n1}");
-        assert!(n1.contains("log-force"), "missing force: {n1}");
-        let n2 = c.node(NodeId(2)).recorder().render();
-        assert!(n2.contains("lock-wait"), "missing wait: {n2}");
-        assert!(n2.contains("page-transfer"), "missing transfer: {n2}");
+        // The lifecycle is in the span stream, which the post-mortem
+        // view renders node by node before the page's lineage: t1's
+        // interval span closed committed, its commit pipeline ended in
+        // a group force on node 1, and the page reached node 2.
+        let dump = c.post_mortem(p);
+        for line in [
+            "--- last spans of N0 ---",
+            "--- last spans of N2 ---",
+            &format!("txn {t1} commit"),
+            &format!("commit-pipeline {t1}"),
+            "group-force N1 1txns",
+            "ship P0.0 N0→N2",
+            "PSN lineage of P0.0:",
+        ] {
+            assert!(dump.contains(line), "missing {line:?} in:\n{dump}");
+        }
+        // Untraced, it says how to get one instead.
+        let off = cluster(vec![4, 0, 0]).post_mortem(p);
+        assert!(off.contains(".tracing(true)"), "{off}");
+        // The force and the wait have no span: they are metrics.
         // Waiting was measured on node 2 once the lock was granted.
         let snap = c.metrics_snapshot();
+        assert!(snap
+            .histogram("n1/wal/force_us")
+            .is_some_and(|h| h.count >= 1));
         assert!(snap.counter("n2/locks/waits") >= 1);
         let w = snap.histogram("n2/locks/wait_us").expect("wait histogram");
         assert_eq!(w.count, 1);
-        // The combined dump names every node.
-        let dump = c.flight_dump();
-        assert!(dump.contains("--- flight recorder N0 ---"));
-        assert!(dump.contains("--- flight recorder N2 ---"));
     }
 
     #[test]
     fn crash_event_survives_in_recorder_and_registry_persists() {
-        let mut c = cluster(vec![4, 0]);
+        let mut c = traced_cluster(vec![4, 0]);
         let t = c.begin(NodeId(0)).unwrap();
         c.write_u64(t, pid(0, 0), 0, 7).unwrap();
         c.commit(t).unwrap();
         c.crash(NodeId(0));
         // Observability state is not volatile: the crash itself and
         // the pre-crash history remain visible.
-        let r = c.node(NodeId(0)).recorder().render();
-        assert!(r.contains("crash"));
-        assert!(r.contains("txn-commit"));
+        let trace = c.tracer().snapshot();
+        let at = |k: SpanKind| trace.spans().iter().position(|s| s.kind == k);
+        let committed = at(SpanKind::Txn {
+            txn: t,
+            committed: true,
+        });
+        let crashed = at(SpanKind::Crash { node: NodeId(0) });
+        assert!(committed.is_some() && committed < crashed);
         assert_eq!(c.metrics_snapshot().counter("n0/txn/commits"), 1);
     }
 
@@ -2113,11 +2086,6 @@ mod tests {
         assert!(victim == t1 || victim == t2);
         let vkey = format!("n{}/locks/deadlocks", victim.node.0);
         assert_eq!(c.metrics_snapshot().counter(&vkey), 1);
-        assert!(c
-            .node(victim.node)
-            .recorder()
-            .render()
-            .contains("deadlock victim"));
         c.abort(victim).unwrap();
         // Survivor can finish.
         let survivor = if victim == t1 { t2 } else { t1 };

@@ -123,10 +123,6 @@ pub struct ClusterConfig {
     /// header. Off by default — disabled tracing costs one branch per
     /// would-be span and changes no accounting.
     pub(crate) tracing: bool,
-    /// Spans retained by the tracer (the watchdog still observes every
-    /// span past this bound; the overflow count is reported as
-    /// dropped).
-    pub(crate) trace_capacity: usize,
     /// Span sampling: trace the full span tree of 1-in-N transactions
     /// (1 = every transaction, the pre-sampling behavior). Cluster-wide
     /// invariants (WAL rule on writes/transfers, log truncation,
@@ -152,7 +148,6 @@ impl Default for ClusterConfig {
             group_commit: GroupCommitPolicy::Immediate,
             faults: FaultPlan::default(),
             tracing: false,
-            trace_capacity: cblog_common::span::DEFAULT_TRACE_CAPACITY,
             trace_sample_one_in: 1,
             telemetry: None,
         }
@@ -208,11 +203,6 @@ impl ClusterConfig {
     /// True if causal tracing is enabled.
     pub fn tracing(&self) -> bool {
         self.tracing
-    }
-
-    /// Spans retained by the tracer when tracing is enabled.
-    pub fn trace_capacity(&self) -> usize {
-        self.trace_capacity
     }
 
     /// Span-sampling rate: the full span tree is traced for 1-in-N
@@ -318,13 +308,6 @@ impl ClusterConfigBuilder {
     /// span header on the wire; with tracing off no accounting changes.
     pub fn tracing(mut self, on: bool) -> Self {
         self.cfg.tracing = on;
-        self
-    }
-
-    /// Bounds the number of spans the tracer retains (earliest spans
-    /// win; the watchdog still sees everything).
-    pub fn trace_capacity(mut self, spans: usize) -> Self {
-        self.cfg.trace_capacity = spans;
         self
     }
 

@@ -11,7 +11,7 @@ use crate::config::NodeConfig;
 use crate::txn::{Savepoint, TxnState, TxnStatus};
 use cblog_common::metrics::keys;
 use cblog_common::{
-    Counter, Error, FlightRecorder, Fnv1a, IdMap, Lsn, NodeId, PageId, Psn, Registry, Result, TxnId,
+    Counter, Error, Fnv1a, IdMap, Lsn, NodeId, PageId, Psn, Registry, Result, TxnId,
 };
 use cblog_locks::{CachedLockTable, GlobalLockTable, LocalLockTable};
 use cblog_storage::{BufferPool, Database, EvictedPage, MemStorage, Page, PageKind};
@@ -107,8 +107,6 @@ pub struct Node {
     /// the simulated node: it survives [`Node::crash`] so experiments
     /// can measure across failures.
     pub(crate) registry: Registry,
-    /// Bounded ring of recent protocol events (same survival rule).
-    pub(crate) recorder: FlightRecorder,
     next_seq: u64,
     crashed: bool,
     commits: Counter,
@@ -179,11 +177,6 @@ impl Node {
         }
         let commits = registry.counter(keys::TXN_COMMITS);
         let aborts = registry.counter(keys::TXN_ABORTS);
-        let recorder = FlightRecorder::new(256);
-        // Ring wraparound is visible as a gauge, not just a method:
-        // experiments that undersize the ring see the loss in their
-        // metrics snapshot.
-        recorder.set_dropped_gauge(registry.gauge(keys::TRACE_DROPPED_EVENTS));
         Ok(Node {
             id,
             buffer,
@@ -195,7 +188,6 @@ impl Node {
             global_locks: GlobalLockTable::new(),
             txns: IdMap::default(),
             replacers: BTreeMap::new(),
-            recorder,
             registry,
             next_seq: 1,
             crashed: false,
@@ -270,11 +262,6 @@ impl Node {
     /// `cblog_common::obs`).
     pub fn registry(&self) -> &Registry {
         &self.registry
-    }
-
-    /// The node's flight recorder (bounded ring of protocol events).
-    pub fn recorder(&self) -> &FlightRecorder {
-        &self.recorder
     }
 
     /// State of a transaction, if known.
@@ -757,8 +744,8 @@ impl Node {
     /// Crashes the node: volatile state (cache, lock tables, DPT,
     /// transaction table, owner-side replacer sets, unforced log tail)
     /// is lost; the database and the durable log survive. The metrics
-    /// registry and flight recorder also survive — they model the
-    /// experimenter's instruments, not the node's memory.
+    /// registry also survives — it models the experimenter's
+    /// instruments, not the node's memory.
     pub fn crash(&mut self) {
         self.log.simulate_crash();
         self.clear_volatile();

@@ -29,7 +29,7 @@ use crate::node::{NodePsnEntry, RollbackStep};
 use crate::runtime::Runtime;
 use cblog_common::{
     metrics::keys, Bucket, Error, IdMap, Lsn, NodeId, PageId, Psn, RecoveryPhase, Result, SimTime,
-    Span, SpanCtx, SpanId, SpanKind, TraceEvent, TransferWhy, TxnId,
+    Span, SpanCtx, SpanId, SpanKind, TransferWhy, TxnId,
 };
 use cblog_locks::LockMode;
 use cblog_net::{MsgHeader, MsgKind};
@@ -312,9 +312,9 @@ impl PhaseTimings {
 }
 
 /// Closes the current recovery phase: accounts the sim-time spent
-/// since `t0` under `phase`, stamps a [`TraceEvent::RecoveryPhase`]
-/// into every recovering node's flight recorder, and fires the
-/// injected crash point if the options ask for one after this phase.
+/// since `t0` under `phase`, emits a [`SpanKind::Phase`] interval for
+/// every recovering node, and fires the injected crash point if the
+/// options ask for one after this phase.
 fn end_phase(
     cluster: &mut Cluster,
     crashed: &[NodeId],
@@ -330,10 +330,6 @@ fn end_phase(
     *t0 = now;
     out.record(phase, us);
     for &c in crashed {
-        cluster
-            .node(c)
-            .recorder()
-            .record(now, TraceEvent::RecoveryPhase { phase, us });
         let id = cluster.tracer().alloc();
         if !id.is_none() {
             cluster.tracer().emit(Span {
@@ -2416,6 +2412,7 @@ mod tests {
         assert!(rep.pages_recovered >= 6);
         let hops = c
             .tracer()
+            .snapshot()
             .spans()
             .iter()
             .filter(|s| matches!(s.kind, SpanKind::ReplayHop { .. }))

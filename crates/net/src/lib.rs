@@ -9,8 +9,7 @@
 //! and the protocol state machines synchronous.
 
 use cblog_common::{
-    Bucket, CostModel, Error, NodeId, Result, Rng, SimClock, SimTime, Span, SpanCtx, SpanKind,
-    Tracer,
+    Bucket, CostModel, Error, NodeId, Result, Rng, SimClock, SimTime, SpanCtx, SpanKind, Tracer,
 };
 use std::collections::HashSet;
 
@@ -551,11 +550,6 @@ impl Network {
         self.tracer = tracer;
     }
 
-    /// The transport's tracer handle.
-    pub fn tracer(&self) -> &Tracer {
-        &self.tracer
-    }
-
     /// The active fault plan.
     pub fn faults(&self) -> &FaultPlan {
         &self.faults
@@ -717,21 +711,18 @@ impl Network {
         if !self.tracer.is_enabled() {
             return;
         }
-        let id = self.tracer.alloc();
-        self.tracer.emit(Span {
-            id,
-            parent: hdr.ctx.span,
-            node: from,
-            start: self.clock.now(),
-            dur: 0,
-            kind: SpanKind::Msg {
+        self.tracer.point(
+            self.clock.now(),
+            from,
+            hdr.ctx.span,
+            SpanKind::Msg {
                 kind: kind.label(),
                 from,
                 to,
                 bytes: bytes as u64,
                 carries_log: matches!(kind, MsgKind::LogShip),
             },
-        });
+        );
     }
 
     /// As [`Network::send`] but resends on loss, up to the plan's retry
@@ -1093,7 +1084,8 @@ mod tests {
             MsgHeader::of(SpanCtx::root(op)),
         )
         .unwrap();
-        let spans = t.spans();
+        let trace = t.snapshot();
+        let spans = trace.spans();
         assert_eq!(spans.len(), 1);
         assert_eq!(spans[0].parent, op, "edge parented to the operation");
         match &spans[0].kind {
@@ -1124,7 +1116,6 @@ mod tests {
         n.send_hdr(NodeId(0), NodeId(1), MsgKind::Callback, 50, MsgHeader::NONE)
             .unwrap();
         assert_eq!(n.stats().bytes_of(MsgKind::Callback), 50, "no header bytes");
-        assert!(n.tracer().spans().is_empty());
     }
 
     #[test]
@@ -1143,7 +1134,7 @@ mod tests {
             .unwrap();
         }
         assert!(n.fault_stats().retries > 0, "losses actually retried");
-        assert_eq!(t.spans().len(), 20, "one span per logical message");
+        assert_eq!(t.snapshot().len(), 20, "one span per logical message");
     }
 
     #[test]
@@ -1166,7 +1157,10 @@ mod tests {
         assert!(n
             .send_hdr(NodeId(0), NodeId(1), MsgKind::PageShip, 10, MsgHeader::NONE)
             .is_err());
-        assert!(t.spans().is_empty(), "unreachable endpoint: nothing sent");
+        assert!(
+            t.snapshot().is_empty(),
+            "unreachable endpoint: nothing sent"
+        );
     }
 
     #[test]

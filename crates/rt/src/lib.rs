@@ -41,18 +41,19 @@
 //! final state is interleaving-independent, so any divergence is an
 //! engine bug, not scheduling noise.
 //!
-//! # Observability (DESIGN §14)
+//! # Observability (DESIGN §8)
 //!
 //! Real threaded runs carry the same observability stack as the
 //! simulator:
 //!
 //! * **Send-safe tracing** — each worker fills a private [`SpanBuf`]
-//!   with the sim tracer's span vocabulary; the buffers are merged
-//!   deterministically at join and the merged trace is replayed
-//!   through a fresh [`Tracer`], so the protocol watchdog checks
-//!   PSN-order, the WAL rule, and no-log-on-the-wire on real
-//!   executions too (including recovery replay). `run` and `recover`
-//!   fail with [`Error::Protocol`] on any violation.
+//!   with the simulator's span vocabulary; at join the cluster's
+//!   [`Trace`] absorbs the buffers in a deterministic order, and its
+//!   watchdog observes each span once as it enters, so PSN-order, the
+//!   WAL rule, and no-log-on-the-wire are checked on real executions
+//!   too (including recovery replay). `run` and `recover` fail with
+//!   [`Error::Protocol`] on any violation, and [`ThreadCluster::trace`]
+//!   renders through the same views as the simulator's tracer.
 //! * **Per-thread profiler** — each worker attributes its wall time
 //!   to the shared [`Bucket`] taxonomy with the simulator's exact
 //!   partition invariant (`disk + cpu + net + replay == busy`); the
@@ -67,7 +68,7 @@ use cblog_common::metrics::{keys, prof_key};
 use cblog_common::span::DEFAULT_TRACE_CAPACITY;
 use cblog_common::{
     Bucket, Error, Lsn, NodeId, PageId, Psn, RecoveryPhase, Reservoir, Result, SimTime, Snapshot,
-    Span, SpanBuf, SpanCtx, SpanId, SpanKind, Tracer, TransferWhy, TxnId,
+    Span, SpanBuf, SpanCtx, SpanId, SpanKind, Trace, TransferWhy, TxnId,
 };
 use cblog_core::node::RollbackStep;
 use cblog_core::{
@@ -136,9 +137,9 @@ pub struct ThreadClusterConfig {
     pub group_commit: GroupCommitPolicy,
     /// WAL backing for every node.
     pub wal: WalBacking,
-    /// Per-worker span tracing. When on, every run and recovery is
-    /// merged into the cluster trace and checked by the protocol
-    /// watchdog at join. Off buys back the (small) tracing overhead;
+    /// Per-worker span tracing. When on, every run and recovery
+    /// enters the cluster trace, whose watchdog `run` and `recover`
+    /// consult at join. Off buys back the (small) tracing overhead;
     /// the benchmark's `rt.trace_overhead_pct` measures it.
     pub tracing: bool,
 }
@@ -177,7 +178,7 @@ pub struct RtRunStats {
 }
 
 /// Wall-time split of one worker thread across the profiler [`Bucket`]
-/// taxonomy the simulator uses (DESIGN §14).
+/// taxonomy the simulator uses (DESIGN §8.5).
 ///
 /// The partition invariant is the simulator's, held *exactly* in
 /// integer µs: `disk + cpu + net + replay == busy`, with `lock_wait`
@@ -223,10 +224,9 @@ pub struct ThreadCluster {
     /// Cluster-lifetime clock: every worker stamps spans off the same
     /// epoch, so timestamps are monotone across runs and recoveries.
     epoch: WallClock,
-    /// Merged span trace, in watchdog-checkable order.
-    trace: Vec<Span>,
-    trace_next_id: u64,
-    trace_dropped: u64,
+    /// The merged span store and its watchdog (the disabled trace
+    /// when [`ThreadClusterConfig::tracing`] is off).
+    trace: Trace,
 }
 
 impl ThreadCluster {
@@ -250,6 +250,11 @@ impl ThreadCluster {
             };
             nodes.push(Node::with_log_store(NodeId(i as u32), ncfg, store)?);
         }
+        let trace = if cfg.tracing {
+            Trace::new(DEFAULT_TRACE_CAPACITY)
+        } else {
+            Trace::default()
+        };
         Ok(ThreadCluster {
             cfg,
             nodes,
@@ -257,9 +262,7 @@ impl ThreadCluster {
             last: None,
             last_nodes: Vec::new(),
             epoch: WallClock::new(),
-            trace: Vec::new(),
-            trace_next_id: 0,
-            trace_dropped: 0,
+            trace,
         })
     }
 
@@ -286,71 +289,38 @@ impl ThreadCluster {
         &self.latency_samples
     }
 
-    /// The merged span trace accumulated across runs, crashes and
+    /// The merged trace accumulated across runs, crashes and
     /// recoveries (empty when [`ThreadClusterConfig::tracing`] is
     /// off). Spans are in watchdog order: per-worker emission order,
     /// workers concatenated ascending, batches appended run by run.
-    pub fn trace(&self) -> &[Span] {
+    pub fn trace(&self) -> &Trace {
         &self.trace
     }
 
-    /// Spans lost to per-worker buffer overflow, cumulative.
+    /// Spans lost to a capacity bound, in a worker's buffer or in the
+    /// merged store, cumulative.
     pub fn trace_dropped(&self) -> u64 {
-        self.trace_dropped
+        self.trace.dropped()
     }
 
-    /// Appends a span to the merged trace with a fresh id, regardless
-    /// of the tracing switch — a hook for tests to inject observations
-    /// the workers did not make (e.g. a forged out-of-order replay
-    /// hop) and watch [`ThreadCluster::trace_check`] catch them.
-    pub fn inject_span(&mut self, node: NodeId, parent: SpanId, kind: SpanKind) -> SpanId {
-        let at = self.epoch.now_us();
-        self.trace_next_id += 1;
-        let id = SpanId(self.trace_next_id);
-        self.trace.push(Span {
-            id,
-            parent,
-            node,
-            start: at,
-            dur: 0,
-            kind,
-        });
-        id
-    }
-
-    /// Replays the merged trace through a fresh single-threaded
-    /// [`Tracer`], so the simulator's protocol watchdog checks the
-    /// same invariants on real threaded executions it checks on
-    /// simulated ones: per-page PSN order (updates and replay hops),
-    /// the WAL rule on page ships and owned writes, and
-    /// no-log-on-the-wire. `run` and `recover` call this at join when
-    /// tracing is on; tests may call it after [`Self::inject_span`].
+    /// Fails with every violation the watchdog has found so far, each
+    /// with its page's lineage slice: per-page PSN order (updates and
+    /// replay hops), the WAL rule on page ships and owned writes, and
+    /// no-log-on-the-wire, the invariants the simulator's tracer
+    /// checks. Every span was observed when it entered the trace, so
+    /// this reads a list; `run` and `recover` call it at join.
     pub fn trace_check(&self) -> Result<()> {
-        if self.trace.is_empty() {
-            return Ok(());
-        }
-        let tracer = Tracer::new(self.trace.len() + 1);
-        for s in &self.trace {
-            tracer.emit(s.clone());
-        }
-        tracer.check().map_err(Error::Protocol)
+        self.trace.check().map_err(Error::Protocol)
     }
 
     /// Emits a point span from the coordinating thread (ids continue
     /// the merged sequence directly). No-op returning
-    /// [`SpanId::NONE`] when tracing is off.
-    fn trace_point(&mut self, node: NodeId, parent: SpanId, kind: SpanKind) -> SpanId {
-        if !self.cfg.tracing {
-            return SpanId::NONE;
-        }
-        self.inject_span(node, parent, kind)
-    }
-
-    /// Merges per-worker buffers into the cluster trace.
-    fn absorb(&mut self, bufs: Vec<SpanBuf>) {
-        let (spans, dropped) = SpanBuf::merge(bufs, &mut self.trace_next_id);
-        self.trace.extend(spans);
-        self.trace_dropped += dropped;
+    /// [`SpanId::NONE`] when tracing is off. Public as the hook for
+    /// tests to forge observations the workers did not make (e.g. an
+    /// out-of-order replay hop) and watch
+    /// [`ThreadCluster::trace_check`] catch them.
+    pub fn trace_point(&mut self, node: NodeId, parent: SpanId, kind: SpanKind) -> SpanId {
+        self.trace.point(self.epoch.now_us(), node, parent, kind)
     }
 
     /// Crashes `node`: its volatile state (buffer, DPT, transaction
@@ -432,8 +402,8 @@ impl Runtime for ThreadCluster {
             bufs.push(w.buf);
             self.nodes.push(w.node);
         }
-        let spans_before = self.trace.len();
-        self.absorb(bufs);
+        let spans_before = self.trace.observed();
+        self.trace.absorb(bufs);
         if let Some(e) = shared.failed.into_inner() {
             return Err(e);
         }
@@ -458,11 +428,9 @@ impl Runtime for ThreadCluster {
             msgs,
             p50_us: self.latency_samples.percentile(0.50),
             p99_us: self.latency_samples.percentile(0.99),
-            spans: (self.trace.len() - spans_before) as u64,
+            spans: self.trace.observed() - spans_before,
         });
-        if self.cfg.tracing {
-            self.trace_check()?;
-        }
+        self.trace_check()?;
         Ok(report)
     }
 
@@ -490,10 +458,10 @@ impl Runtime for ThreadCluster {
     /// here whatever [`ReplayMode`](cblog_core::ReplayMode) asks for:
     /// the redo of a wave is micro- to milliseconds of work, and no
     /// measured input has yet repaid handing it to other threads
-    /// (DESIGN §13). Each unit's hops enter the trace, which is
-    /// replayed through the protocol watchdog at the end
-    /// ([`ThreadCluster::trace_check`]) — the same per-page PSN-order
-    /// invariant the simulator's tracer enforces on simulated recovery.
+    /// (DESIGN §13). Each unit's hops enter the trace, whose watchdog
+    /// holds them to the same per-page PSN-order invariant the
+    /// simulator's tracer enforces on simulated recovery
+    /// ([`ThreadCluster::trace_check`] at the end).
     fn recover(&mut self, opts: &RecoveryOptions) -> Result<RecoveryReport> {
         let crashed = opts.recovered_nodes().to_vec();
         for &c in &crashed {
@@ -665,9 +633,7 @@ impl Runtime for ThreadCluster {
                 .add(*us as i64);
         }
         report.timings = timings;
-        if self.cfg.tracing {
-            self.trace_check()?;
-        }
+        self.trace_check()?;
         Ok(report)
     }
 }
@@ -751,7 +717,7 @@ impl RunShared {
     }
 }
 
-/// Wall-time profiler of one worker thread (DESIGN §14).
+/// Wall-time profiler of one worker thread (DESIGN §8.5).
 ///
 /// `outer_us` sums the top-level timed scopes of the worker loop
 /// (inbox service, flushes, transaction execution, shutdown serving);
@@ -1299,32 +1265,7 @@ impl<'a> Worker<'a> {
     fn remote_read(&mut self, pid: PageId, slot: usize, parent: SpanId) -> Result<u64> {
         let t = Instant::now();
         let leaf0 = self.prof.disk_us + self.prof.net_us;
-        let me = self.node.id();
-        let payload = encode_pid(pid);
-        let nbytes = payload.len() as u64;
-        let msg = self.buf.alloc();
-        self.ep.send_ctx(
-            pid.owner,
-            MsgKind::LockRequest,
-            payload,
-            SpanCtx::child(msg, parent),
-        )?;
-        if !msg.is_none() {
-            self.buf.emit(Span {
-                id: msg,
-                parent,
-                node: me,
-                start: self.shared.clock.now_us(),
-                dur: 0,
-                kind: SpanKind::Msg {
-                    kind: MsgKind::LockRequest.label(),
-                    from: me,
-                    to: pid.owner,
-                    bytes: nbytes,
-                    carries_log: false,
-                },
-            });
-        }
+        self.send_traced(pid.owner, MsgKind::LockRequest, encode_pid(pid), parent)?;
         let deadline = Instant::now() + FETCH_TIMEOUT;
         let value = loop {
             match self.ep.recv_timeout(Duration::from_millis(1)) {
@@ -1415,33 +1356,38 @@ impl<'a> Worker<'a> {
                 wal_ok: !self.released.contains(&pid),
             },
         );
-        let bytes = page.to_bytes();
-        let nbytes = bytes.len() as u64;
-        let msg = self.buf.alloc();
-        self.ep.send_ctx(
-            env.from,
-            MsgKind::PageShip,
-            bytes,
-            SpanCtx::child(msg, env.ctx.span),
-        )?;
-        if !msg.is_none() {
-            self.buf.emit(Span {
-                id: msg,
-                parent: env.ctx.span,
-                node: me,
-                start: at,
-                dur: 0,
-                kind: SpanKind::Msg {
-                    kind: MsgKind::PageShip.label(),
-                    from: me,
-                    to: env.from,
-                    bytes: nbytes,
-                    carries_log: false,
-                },
-            });
-        }
+        self.send_traced(env.from, MsgKind::PageShip, page.to_bytes(), env.ctx.span)?;
         let force_us = self.prof.disk_us - disk0;
         self.prof.net_us += (t.elapsed().as_micros() as u64).saturating_sub(force_us);
+        Ok(())
+    }
+
+    /// Sends `payload` to `to` and, once it is on the mesh, records
+    /// the [`SpanKind::Msg`] whose id rode its header, so what the
+    /// receiver does for it parents on the message.
+    fn send_traced(
+        &mut self,
+        to: NodeId,
+        kind: MsgKind,
+        payload: Vec<u8>,
+        parent: SpanId,
+    ) -> Result<()> {
+        let me = self.node.id();
+        let bytes = payload.len() as u64;
+        let id = self.buf.alloc();
+        self.ep
+            .send_ctx(to, kind, payload, SpanCtx::child(id, parent))?;
+        if !id.is_none() {
+            let msg = SpanKind::Msg {
+                kind: kind.label(),
+                from: me,
+                to,
+                bytes,
+                carries_log: false,
+            };
+            let at = self.shared.clock.now_us();
+            self.buf.emit(Span::point(id, at, me, parent, msg));
+        }
         Ok(())
     }
 }
@@ -1949,7 +1895,7 @@ mod tests {
         /// Hands node and spans back, as the end of a run does.
         fn give_back(self, tc: &mut ThreadCluster) {
             tc.nodes.insert(0, self.w.node);
-            tc.absorb(vec![self.w.buf]);
+            tc.trace.absorb(vec![self.w.buf]);
         }
     }
 
@@ -1997,6 +1943,7 @@ mod tests {
         h.give_back(&mut tc);
         let group_bytes: u64 = tc
             .trace()
+            .spans()
             .iter()
             .filter_map(|s| match s.kind {
                 SpanKind::GroupForce { bytes, .. } => Some(bytes),

@@ -1,7 +1,8 @@
 //! Threaded-runtime observability: merged per-thread traces through
-//! the protocol watchdog, profiler partition, and tracing overhead
-//! neutrality (DESIGN §14).
+//! the protocol watchdog and the shared views, profiler partition,
+//! and tracing overhead neutrality (DESIGN §8).
 
+use cblog_common::span::{busiest_page, chrome_trace_json, render_lineage};
 use cblog_common::{NodeId, PageId, Psn, SpanId, SpanKind};
 use cblog_core::{GroupCommitPolicy, PlanOp, RecoveryOptions, ReplayMode, Runtime, TxnPlan};
 use cblog_rt::{ThreadCluster, ThreadClusterConfig, WalBacking};
@@ -61,7 +62,7 @@ fn threaded_runs_produce_a_watchdog_clean_trace() {
     assert!(stats.spans > 0, "tracing on: the run recorded spans");
     assert_eq!(stats.spans as usize, tc.trace().len());
 
-    let trace = tc.trace();
+    let trace = tc.trace().spans();
     let updates = trace
         .iter()
         .filter(|s| matches!(s.kind, SpanKind::Update { .. }))
@@ -195,7 +196,7 @@ fn crash_and_parallel_recovery_are_watchdog_checked() {
     // recover() watchdog-checked the merged trace at join; the trace
     // carries the crash and the parallel replay's hops.
     tc.trace_check().unwrap();
-    let trace = tc.trace();
+    let trace = tc.trace().spans();
     assert!(
         trace
             .iter()
@@ -239,7 +240,7 @@ fn injected_out_of_order_replay_hop_is_caught() {
     // Forge a hop that replays the page *behind* the frontier the real
     // recovery just advanced — exactly what a lost dependency edge in
     // parallel replay would produce. The watchdog must reject it.
-    tc.inject_span(
+    tc.trace_point(
         NodeId(0),
         SpanId::NONE,
         SpanKind::ReplayHop {
@@ -256,6 +257,48 @@ fn injected_out_of_order_replay_hop_is_caught() {
         msg.contains("replay"),
         "error names the replay violation: {msg}"
     );
+}
+
+#[test]
+fn one_trace_is_observed_once_and_renders_through_the_shared_views() {
+    // Two traced runs, a crash and a recovery on one cluster: every
+    // span enters the trace through the watchdog, once, whether a
+    // worker buffered it or the coordinating thread emitted it, and
+    // the `trace_check` ending each step walked none of them again.
+    let mut tc = ThreadCluster::new(ThreadClusterConfig::default()).unwrap();
+    let writes = |from: u64| -> Vec<TxnPlan> {
+        (from..from + 3)
+            .map(|v| wplan(0, 0, &[(pid(0, 2), 0, v)]))
+            .collect()
+    };
+    tc.run(&writes(1)).unwrap();
+    let first_run = tc.trace().observed();
+    assert_eq!(first_run, tc.last_stats().unwrap().spans);
+    tc.run(&writes(4)).unwrap();
+    assert_eq!(
+        tc.trace().observed(),
+        first_run + tc.last_stats().unwrap().spans
+    );
+    tc.crash(NodeId(0)).unwrap();
+    tc.recover(&RecoveryOptions::nodes(&[NodeId(0)])).unwrap();
+    assert_eq!(tc.trace_dropped(), 0);
+    assert_eq!(tc.trace().observed(), tc.trace().len() as u64);
+
+    // The lineage and the Chrome export come from the functions the
+    // simulator's `tracedump` scenarios print through.
+    let spans = tc.trace().spans();
+    assert_eq!(busiest_page(spans), Some(pid(0, 2)));
+    let lineage = render_lineage(spans, pid(0, 2));
+    let at = |what: &str| {
+        lineage
+            .find(what)
+            .unwrap_or_else(|| panic!("no {what:?} line in:\n{lineage}"))
+    };
+    assert!(at("] update P0.2") < at("] crash N0"), "{lineage}");
+    assert!(at("] crash N0") < at("] replay-hop P0.2"), "{lineage}");
+    let json = chrome_trace_json(spans);
+    assert!(json.starts_with("{\"displayTimeUnit\":\"ms\",\"traceEvents\":["));
+    assert!(json.contains("replay-hop P0.2"));
 }
 
 #[test]

@@ -15,16 +15,20 @@
 //! ```json
 //! {
 //!   "baselines": [
-//!     {"experiment": "e1", "metric": "cbl commit messages",
-//!      "row": 0, "col": 3, "expect": 0, "tol_pct": 0}
+//!     {"experiment": "e1b", "metric": "forces/commit, mpl 8 window 500us",
+//!      "row": ["8", "500"], "col": "forces/commit", "expect": 0.125}
 //!   ]
 //! }
 //! ```
 //!
-//! `row`/`col` index the named experiment's table (data rows, zero
-//! based); `expect` is compared against the cell parsed as a number.
-//! A value passes if `|actual − expect| ≤ max(tol_abs, tol_pct% ·
-//! |expect|)` (both tolerances default to 0).
+//! A cell is addressed by name, so a column added to a table cannot
+//! silently re-point a gate: `col` is the column's header, and `row`
+//! the leading cells of the one data row meant (as many as it takes to
+//! tell it from the others; one where the first column is the key). A
+//! header or key the table does not have is an error that lists the
+//! table's headers. `expect` is compared against the cell parsed as a
+//! number. A value passes if `|actual − expect| ≤ max(tol_abs,
+//! tol_pct% · |expect|)` (both tolerances default to 0).
 
 use crate::experiments;
 use crate::report::Table;
@@ -39,10 +43,10 @@ pub struct BaselineEntry {
     pub experiment: String,
     /// Human-readable label for reports.
     pub metric: String,
-    /// Data-row index into the experiment's table.
-    pub row: usize,
-    /// Column index.
-    pub col: usize,
+    /// Leading cells of the data row (matches exactly one row).
+    pub row: Vec<String>,
+    /// Column header.
+    pub col: String,
     /// Expected value.
     pub expect: f64,
     /// Relative tolerance, percent of `|expect|`.
@@ -93,11 +97,22 @@ pub fn parse(json: &str) -> Result<Vec<BaselineEntry>, String> {
                 "baselines[{i}]: unknown experiment {experiment:?} (see `experiments --list`)"
             ));
         }
+        let row = e
+            .get("row")
+            .and_then(|v| v.as_arr())
+            .filter(|cells| !cells.is_empty())
+            .and_then(|cells| {
+                cells
+                    .iter()
+                    .map(|c| c.as_str().map(str::to_string))
+                    .collect()
+            })
+            .ok_or_else(|| format!("baselines[{i}]: \"row\" must list leading cells as strings"))?;
         out.push(BaselineEntry {
             experiment,
             metric: field_str("metric")?,
-            row: field_num("row")? as usize,
-            col: field_num("col")? as usize,
+            row,
+            col: field_str("col")?,
             expect: field_num("expect")?,
             tol_pct: opt_num("tol_pct"),
             tol_abs: opt_num("tol_abs"),
@@ -112,19 +127,29 @@ pub fn parse(json: &str) -> Result<Vec<BaselineEntry>, String> {
 /// Checks one entry against an already-run table (pure — unit tested
 /// with synthetic tables).
 pub fn evaluate(entry: &BaselineEntry, table: &Table) -> Result<BaselineOutcome, String> {
-    if entry.row >= table.len() {
-        return Err(format!(
-            "{}: row {} out of range (table {:?} has {} rows)",
+    let missing = |what: String| {
+        format!(
+            "{}: {what} in {:?} (headers: {:?})",
             entry.metric,
-            entry.row,
             table.title(),
-            table.len()
-        ));
-    }
-    let cell = table.cell(entry.row, entry.col);
+            table.headers()
+        )
+    };
+    let col = table
+        .headers()
+        .iter()
+        .position(|h| *h == entry.col)
+        .ok_or_else(|| missing(format!("no column {:?}", entry.col)))?;
+    let mut rows = (0..table.len()).filter(|&r| table.cells(r).starts_with(&entry.row));
+    let row = match (rows.next(), rows.next()) {
+        (Some(r), None) => r,
+        (None, _) => return Err(missing(format!("no row starting {:?}", entry.row))),
+        (Some(_), Some(_)) => return Err(missing(format!("several rows start {:?}", entry.row))),
+    };
+    let cell = table.cell(row, col);
     let actual: f64 = cell.parse().map_err(|_| {
         format!(
-            "{}: cell ({}, {}) of {:?} is not numeric: {cell:?}",
+            "{}: cell ({:?}, {:?}) of {:?} is not numeric: {cell:?}",
             entry.metric,
             entry.row,
             entry.col,
@@ -168,9 +193,9 @@ pub fn render(outcomes: &[BaselineOutcome]) -> String {
         let verdict = if o.ok { "ok  " } else { "FAIL" };
         let _ = writeln!(
             out,
-            "{verdict} {exp:>4} [{r},{c}] {metric}: actual {actual} vs expect {expect} (tol {tol_pct}% / ±{tol_abs})",
+            "{verdict} {exp:>4} [{r} · {c}] {metric}: actual {actual} vs expect {expect} (tol {tol_pct}% / ±{tol_abs})",
             exp = e.experiment,
-            r = e.row,
+            r = e.row.join(" "),
             c = e.col,
             metric = e.metric,
             actual = o.actual,
@@ -194,18 +219,19 @@ mod tests {
     use super::*;
 
     fn table() -> Table {
-        let mut t = Table::new("demo", &["k", "v"]);
-        t.row(vec!["a".into(), "10.00".into()]);
-        t.row(vec!["b".into(), "0".into()]);
+        let mut t = Table::new("demo", &["k", "mode", "v"]);
+        t.row(vec!["a".into(), "x".into(), "10.00".into()]);
+        t.row(vec!["b".into(), "x".into(), "0".into()]);
+        t.row(vec!["b".into(), "y".into(), "7".into()]);
         t
     }
 
-    fn entry(row: usize, col: usize, expect: f64, tol_pct: f64, tol_abs: f64) -> BaselineEntry {
+    fn entry(row: &[&str], col: &str, expect: f64, tol_pct: f64, tol_abs: f64) -> BaselineEntry {
         BaselineEntry {
             experiment: "e1".into(),
             metric: "demo metric".into(),
-            row,
-            col,
+            row: row.iter().map(|c| c.to_string()).collect(),
+            col: col.into(),
             expect,
             tol_pct,
             tol_abs,
@@ -215,40 +241,89 @@ mod tests {
     #[test]
     fn within_band_passes_and_perturbed_expectation_is_rejected() {
         let t = table();
-        assert!(evaluate(&entry(0, 1, 10.0, 0.0, 0.0), &t).unwrap().ok);
-        assert!(evaluate(&entry(0, 1, 10.5, 5.0, 0.0), &t).unwrap().ok);
-        assert!(evaluate(&entry(0, 1, 10.5, 0.0, 0.5), &t).unwrap().ok);
+        assert!(
+            evaluate(&entry(&["a"], "v", 10.0, 0.0, 0.0), &t)
+                .unwrap()
+                .ok
+        );
+        assert!(
+            evaluate(&entry(&["a"], "v", 10.5, 5.0, 0.0), &t)
+                .unwrap()
+                .ok
+        );
+        assert!(
+            evaluate(&entry(&["a"], "v", 10.5, 0.0, 0.5), &t)
+                .unwrap()
+                .ok
+        );
         // The regression-gate contract: a perturbed baseline fails.
-        let bad = evaluate(&entry(0, 1, 12.0, 5.0, 0.0), &t).unwrap();
+        let bad = evaluate(&entry(&["a"], "v", 12.0, 5.0, 0.0), &t).unwrap();
         assert!(!bad.ok, "12 ±5% does not cover 10");
         assert!(render(&[bad]).contains("FAIL"));
         // Zero expectations demand exact zeros unless tol_abs widens.
-        assert!(evaluate(&entry(1, 1, 0.0, 50.0, 0.0), &t).unwrap().ok);
-        let nonzero = evaluate(&entry(1, 1, 1.0, 0.0, 0.0), &t).unwrap();
+        assert!(
+            evaluate(&entry(&["b", "x"], "v", 0.0, 50.0, 0.0), &t)
+                .unwrap()
+                .ok
+        );
+        let nonzero = evaluate(&entry(&["b", "x"], "v", 1.0, 0.0, 0.0), &t).unwrap();
         assert!(!nonzero.ok);
+    }
+
+    #[test]
+    fn an_inserted_column_leaves_the_verdict_unchanged() {
+        // The same rows with a column put in before the gated one: an
+        // index would now read "new"; the header still reads `v`.
+        let mut wider = Table::new("demo", &["k", "mode", "new", "v"]);
+        for r in 0..table().len() {
+            let mut cells = table().cells(r).to_vec();
+            cells.insert(2, "99".into());
+            wider.row(cells);
+        }
+        for e in [
+            entry(&["a"], "v", 10.0, 0.0, 0.0),
+            entry(&["b", "y"], "v", 7.0, 0.0, 0.0),
+            entry(&["b", "y"], "v", 8.0, 0.0, 0.0),
+        ] {
+            let before = evaluate(&e, &table()).unwrap();
+            let after = evaluate(&e, &wider).unwrap();
+            assert_eq!((before.actual, before.ok), (after.actual, after.ok));
+        }
     }
 
     #[test]
     fn structural_errors_are_reported_not_panicked() {
         let t = table();
-        assert!(evaluate(&entry(9, 1, 1.0, 0.0, 0.0), &t)
+        let no_col = evaluate(&entry(&["a"], "w", 1.0, 0.0, 0.0), &t).unwrap_err();
+        assert!(no_col.contains("no column \"w\""), "{no_col}");
+        assert!(no_col.contains(r#"["k", "mode", "v"]"#), "{no_col}");
+        let no_row = evaluate(&entry(&["z"], "v", 1.0, 0.0, 0.0), &t).unwrap_err();
+        assert!(no_row.contains("no row starting [\"z\"]"), "{no_row}");
+        assert!(no_row.contains(r#"["k", "mode", "v"]"#), "{no_row}");
+        assert!(evaluate(&entry(&["b"], "v", 1.0, 0.0, 0.0), &t)
             .unwrap_err()
-            .contains("out of range"));
-        assert!(evaluate(&entry(0, 0, 1.0, 0.0, 0.0), &t)
+            .contains("several rows"));
+        assert!(evaluate(&entry(&["a", "x", "10.00", "-"], "v", 1.0, 0.0, 0.0), &t).is_err());
+        assert!(evaluate(&entry(&["a"], "k", 1.0, 0.0, 0.0), &t)
             .unwrap_err()
             .contains("not numeric"));
     }
 
     #[test]
     fn parse_validates_names_and_fields() {
-        let good = r#"{"baselines":[{"experiment":"e1","metric":"m","row":0,"col":1,"expect":3,"tol_pct":1}]}"#;
+        let good = r#"{"baselines":[{"experiment":"e1","metric":"m","row":["1"],"col":"cbl msgs","expect":3,"tol_pct":1}]}"#;
         let es = parse(good).unwrap();
         assert_eq!(es.len(), 1);
         assert_eq!(es[0].experiment, "e1");
+        assert_eq!(
+            (es[0].row.as_slice(), es[0].col.as_str()),
+            (&["1".to_string()][..], "cbl msgs")
+        );
         assert_eq!(es[0].tol_abs, 0.0, "tol_abs defaults to 0");
-        let bad_name =
-            r#"{"baselines":[{"experiment":"zz","metric":"m","row":0,"col":1,"expect":3}]}"#;
-        assert!(parse(bad_name).unwrap_err().contains("unknown experiment"));
+        let bad_name = good.replace("\"e1\"", "\"zz\"");
+        assert!(parse(&bad_name).unwrap_err().contains("unknown experiment"));
+        let by_index = good.replace("[\"1\"]", "0");
+        assert!(parse(&by_index).unwrap_err().contains("\"row\""));
         assert!(parse("{}").unwrap_err().contains("baselines"));
         assert!(parse(r#"{"baselines":[]}"#)
             .unwrap_err()

@@ -60,9 +60,11 @@ pub trait System {
     /// series resolution follows the sim-clock rather than workload
     /// phase boundaries. Systems without telemetry do nothing.
     fn sample_telemetry(&mut self) {}
-    /// Post-mortem flight-recorder dump, if the system keeps one.
-    /// Printed by the oracle when verification finds a divergence.
-    fn flight_dump(&self) -> Option<String> {
+    /// The system's recent protocol history and the lineage of `pid`,
+    /// if it can render one. Printed by the oracle when verification
+    /// finds a divergence on that page.
+    fn post_mortem(&self, pid: PageId) -> Option<String> {
+        let _ = pid;
         None
     }
     /// Runs the system's online invariant watchdog over every span it
@@ -128,8 +130,8 @@ impl_system!(
     fn sample_telemetry(&mut self) {
         cblog_core::Cluster::sample_telemetry(self)
     },
-    fn flight_dump(&self) -> Option<String> {
-        Some(cblog_core::Cluster::flight_dump(self))
+    fn post_mortem(&self, pid: PageId) -> Option<String> {
+        Some(cblog_core::Cluster::post_mortem(self, pid))
     },
     fn trace_check(&self) -> Result<()> {
         cblog_core::Cluster::trace_check(self)

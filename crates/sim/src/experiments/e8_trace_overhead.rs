@@ -49,14 +49,15 @@ pub fn run_one(traced: bool) -> OverheadRow {
     let ids: Vec<NodeId> = (1..=CLIENTS as u32).map(NodeId).collect();
     let specs = generate(&cfg, &ids, &pages0(8), None);
     let stats = run_workload(&mut c, specs).expect("workload");
+    let trace = c.tracer().snapshot();
     OverheadRow {
         traced,
         committed: stats.committed,
         sim_us: stats.sim_time,
         msgs: stats.net.total_messages(),
         bytes: stats.net.total_bytes(),
-        spans: c.tracer().len(),
-        dropped: c.tracer().dropped(),
+        spans: trace.len(),
+        dropped: trace.dropped(),
     }
 }
 

@@ -72,7 +72,7 @@ impl Oracle {
         self.verify_impl(sys, reader, true)
     }
 
-    /// [`Oracle::verify`] without the flight-recorder dump on
+    /// [`Oracle::verify`] without the post-mortem dump on
     /// mismatch. The model checker runs thousands of expected-to-fail
     /// verifications while shrinking a counterexample; the one-line
     /// error is the useful part there, and the dump would multiply it
@@ -105,12 +105,11 @@ impl Oracle {
             };
             sys.commit(txn)?;
             if got != want {
-                // Divergence: dump the flight recorders before failing,
-                // so the event history around the corruption is not
-                // lost with the process.
+                // Divergence: print the span history around the
+                // corruption (or how to get it) before failing.
                 if dump_on_mismatch {
-                    if let Some(dump) = sys.flight_dump() {
-                        eprintln!("oracle mismatch at {pid} slot {slot}; flight recorders:");
+                    if let Some(dump) = sys.post_mortem(pid) {
+                        eprintln!("oracle mismatch at {pid} slot {slot}:");
                         eprint!("{dump}");
                     }
                 }

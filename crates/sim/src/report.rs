@@ -45,7 +45,17 @@ impl Table {
         &self.title
     }
 
-    /// Cell accessor (row, column) for tests.
+    /// The column headers.
+    pub fn headers(&self) -> &[String] {
+        &self.headers
+    }
+
+    /// The cells of data row `r`.
+    pub fn cells(&self, r: usize) -> &[String] {
+        &self.rows[r]
+    }
+
+    /// Cell accessor (row, column).
     pub fn cell(&self, r: usize, c: usize) -> &str {
         &self.rows[r][c]
     }

@@ -1,12 +1,12 @@
 //! Traced scenario runners behind the `tracedump` bin.
 //!
 //! Each scenario replays one of the recovery/checkpoint experiments
-//! with [`ClusterConfig::tracing`] enabled and returns the traced
-//! cluster, so callers can dump per-page PSN lineage
-//! ([`cblog_common::span::Tracer::render_lineage`]) or the Chrome
-//! trace-event export. Every runner ends with
-//! [`Cluster::trace_check`], so a scenario that completes has been
-//! verified by the invariant watchdog span-by-span.
+//! with [`ClusterConfig::tracing`] enabled and returns the run's
+//! [`Trace`], so callers can dump per-page PSN lineage
+//! ([`cblog_common::span::render_lineage`]) or the Chrome trace-event
+//! export. Every runner ends with [`Cluster::trace_check`], so a
+//! scenario that completes has been verified by the invariant
+//! watchdog span-by-span.
 //!
 //! Tracing draws no randomness and never charges the sim-clock, so a
 //! scenario is exactly as deterministic as its untraced experiment
@@ -16,16 +16,17 @@
 
 use crate::driver::run_workload;
 use crate::experiments::{cbl_builder, e5_single_crash, e6_multi_crash, e7_checkpoint};
-use cblog_common::{Error, NodeId, Result};
+use cblog_common::span::busiest_page;
+use cblog_common::{Error, NodeId, Result, Trace};
 use cblog_core::Cluster;
 
 /// Scenario names [`run_scenario`] accepts.
 pub const SCENARIOS: &[&str] = &["e5", "e6", "e7"];
 
-/// Runs the named scenario with tracing enabled and returns the traced
-/// cluster. Fails if the watchdog flagged any invariant violation
-/// (the error carries the offending lineage slice).
-pub fn run_scenario(name: &str) -> Result<Cluster> {
+/// Runs the named scenario with tracing enabled and returns its trace.
+/// Fails if the watchdog flagged any invariant violation (the error
+/// carries the offending lineage slice).
+pub fn run_scenario(name: &str) -> Result<Trace> {
     let c = match name {
         // E5: owner crashes with 4 dirty pages; clients replay them in
         // PSN order. The richest lineage: updates, transfers, crash,
@@ -64,21 +65,18 @@ pub fn run_scenario(name: &str) -> Result<Cluster> {
         }
     };
     c.trace_check()?;
-    Ok(c)
+    Ok(c.tracer().snapshot())
 }
 
 /// One-paragraph trace summary: span counts, drops, watchdog verdict,
 /// busiest page. The `tracedump` bin prints this header before the
 /// lineage.
-pub fn summary(c: &Cluster) -> String {
-    let t = c.tracer();
+pub fn summary(t: &Trace) -> String {
     let verdict = match t.check() {
         Ok(()) => "all invariants hold".to_string(),
         Err(e) => format!("VIOLATIONS\n{e}"),
     };
-    let busiest = t
-        .busiest_page()
-        .map_or_else(|| "-".to_string(), |p| p.to_string());
+    let busiest = busiest_page(t.spans()).map_or_else(|| "-".to_string(), |p| p.to_string());
     format!(
         "spans: {} retained, {} dropped · busiest page: {busiest} · watchdog: {verdict}",
         t.len(),
@@ -89,26 +87,26 @@ pub fn summary(c: &Cluster) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use cblog_common::span::{chrome_trace_json, render_lineage};
 
     #[test]
     fn e5_traced_run_passes_the_watchdog_with_full_lineage() {
-        let c = run_scenario("e5").expect("watchdog-clean");
-        let t = c.tracer();
+        let t = run_scenario("e5").expect("watchdog-clean");
         assert!(t.len() > 100, "rich trace: {} spans", t.len());
         assert_eq!(t.violations().len(), 0);
-        let pid = t.busiest_page().expect("page-scoped spans exist");
-        let lin = t.render_lineage(pid);
+        let pid = busiest_page(t.spans()).expect("page-scoped spans exist");
+        let lin = render_lineage(t.spans(), pid);
         // The crash punctuates the lineage and replay hops follow it.
         assert!(lin.contains("crash N0"), "{lin}");
         assert!(lin.contains("replay-hop"), "{lin}");
         assert!(lin.contains("update"), "{lin}");
-        assert!(summary(&c).contains("all invariants hold"));
+        assert!(summary(&t).contains("all invariants hold"));
     }
 
     #[test]
     fn e6_traced_run_covers_multi_crash_recovery() {
-        let c = run_scenario("e6").expect("watchdog-clean");
-        let spans = c.tracer().spans();
+        let t = run_scenario("e6").expect("watchdog-clean");
+        let spans = t.spans();
         use cblog_common::span::SpanKind;
         let crashes = spans
             .iter()
@@ -125,8 +123,8 @@ mod tests {
 
     #[test]
     fn e7_traced_run_shows_steady_state_protocol() {
-        let c = run_scenario("e7").expect("watchdog-clean");
-        let spans = c.tracer().spans();
+        let t = run_scenario("e7").expect("watchdog-clean");
+        let spans = t.spans();
         use cblog_common::span::SpanKind;
         assert!(spans.iter().any(|s| matches!(
             s.kind,
@@ -159,8 +157,8 @@ mod tests {
         // adds no randomness and no clock charges, so re-running a
         // scenario reproduces the export byte for byte.
         for name in ["e5", "e7"] {
-            let a = run_scenario(name).unwrap().tracer().chrome_trace_json();
-            let b = run_scenario(name).unwrap().tracer().chrome_trace_json();
+            let a = chrome_trace_json(run_scenario(name).unwrap().spans());
+            let b = chrome_trace_json(run_scenario(name).unwrap().spans());
             assert_eq!(a, b, "{name} export must be deterministic");
             assert!(a.starts_with("{\"displayTimeUnit\":\"ms\",\"traceEvents\":["));
         }

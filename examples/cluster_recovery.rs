@@ -12,7 +12,7 @@
 //! checked online by the invariant watchdog, and the run ends by
 //! printing the cross-node PSN lineage of one recovered page.
 
-use cblog_common::{NodeId, PageId};
+use cblog_common::{span, NodeId, PageId};
 use cblog_core::{recovery, Cluster, ClusterConfig, RecoveryOptions};
 use cblog_net::MsgKind;
 use cblog_sim::{run_workload, workload, Oracle, WorkloadConfig};
@@ -125,12 +125,12 @@ fn main() {
     // paper's invariants span by span (PSN total order, WAL rule, no
     // log records on the wire, replay in global PSN order)...
     cluster.trace_check().expect("watchdog clean");
-    let tracer = cluster.tracer();
+    let trace = cluster.tracer().snapshot();
     println!(
         "\ntrace: {} spans, watchdog clean — lineage of the busiest page:",
-        tracer.len()
+        trace.len()
     );
     // ...and can reconstruct any page's cross-node update history.
-    let pid = tracer.busiest_page().expect("traced pages");
-    print!("{}", tracer.render_lineage(pid));
+    let pid = span::busiest_page(trace.spans()).expect("traced pages");
+    print!("{}", span::render_lineage(trace.spans(), pid));
 }

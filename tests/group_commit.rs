@@ -4,7 +4,7 @@
 //! across window settings.
 
 use cblog_common::metrics::keys;
-use cblog_common::{CostModel, NodeId, PageId};
+use cblog_common::{CostModel, NodeId, PageId, SpanKind};
 use cblog_core::{recovery, Cluster, ClusterConfig, GroupCommitPolicy, RecoveryOptions};
 use cblog_sim::{run_workload, workload, WorkloadConfig};
 
@@ -19,6 +19,7 @@ fn gc_cluster(clients: usize, pages: u32, policy: GroupCommitPolicy) -> Cluster 
             .default_owned_pages(0)
             .cost(CostModel::unit())
             .group_commit(policy)
+            .tracing(true)
             .build(),
     )
     .unwrap()
@@ -159,9 +160,21 @@ fn batch_acknowledges_in_submission_order_with_one_force() {
         .histogram("wal/group_size")
         .snapshot();
     assert_eq!(groups.max, 3, "group size metric sees the full batch");
-    assert!(
-        c.flight_dump().contains("group-commit"),
-        "flight recorder logs the batched force"
+    let wanted = |k: &SpanKind| {
+        matches!(
+            k,
+            SpanKind::GroupForce {
+                node: NodeId(1),
+                txns: 3,
+                ..
+            }
+        )
+    };
+    let trace = c.tracer().snapshot();
+    assert_eq!(
+        trace.spans().iter().filter(|s| wanted(&s.kind)).count(),
+        1,
+        "one span for the batched force"
     );
 }
 
