@@ -30,8 +30,8 @@ use cblog_locks::{
 use cblog_net::{MsgKind, Network};
 use cblog_storage::{BufferPool, Database, MemStorage, Page, PageKind};
 use cblog_wal::{
-    CheckpointBody, DirtyPageTable, DptEntry, LogManager, LogPayload, LogRecord, MemLogStore,
-    PageOp,
+    CheckpointBody, DirtyPageTable, DptEntry, LogManager, LogPayload, LogPayloadRef, LogRecord,
+    MemLogStore, PageOp,
 };
 use std::collections::HashMap;
 
@@ -853,54 +853,44 @@ impl ServerCluster {
         let mut page_recs: Vec<(PageId, Psn, PageOp)> = Vec::new();
         let mut loser_ops: HashMap<TxnId, Vec<(PageId, Psn, PageOp)>> = HashMap::new();
         let bytes_scanned = self.log.end_lsn().0 - start.0;
-        for r in self.log.scan(start) {
+        let mut scan = self.log.scan(start);
+        while let Some(r) = scan.next_ref() {
             let (_, rec) = r?;
-            if rec.txn.node == node {
-                match &rec.payload {
-                    LogPayload::Commit => {
-                        committed.insert(rec.txn, true);
-                    }
-                    LogPayload::Abort => {
-                        loser_ops.remove(&rec.txn);
-                    }
-                    LogPayload::Update {
-                        pid,
-                        psn_before,
-                        op,
-                    } => {
-                        if exclusive.contains(pid) {
-                            page_recs.push((*pid, *psn_before, op.clone()));
-                        }
-                        loser_ops
-                            .entry(rec.txn)
-                            .or_default()
-                            .push((*pid, *psn_before, op.clone()));
-                    }
-                    LogPayload::Clr {
-                        pid,
-                        psn_before,
-                        op,
-                        ..
-                    } if exclusive.contains(pid) => {
-                        page_recs.push((*pid, *psn_before, op.clone()));
-                    }
-                    _ => {}
+            let mine = rec.txn.node == node;
+            match rec.payload {
+                LogPayloadRef::Commit if mine => {
+                    committed.insert(rec.txn, true);
                 }
-            } else if let LogPayload::Update {
-                pid,
-                psn_before,
-                op,
-            }
-            | LogPayload::Clr {
-                pid,
-                psn_before,
-                op,
-                ..
-            } = &rec.payload
-            {
-                if exclusive.contains(pid) {
-                    page_recs.push((*pid, *psn_before, op.clone()));
+                LogPayloadRef::Abort if mine => {
+                    loser_ops.remove(&rec.txn);
                 }
+                LogPayloadRef::Update {
+                    pid,
+                    psn_before,
+                    op,
+                } if mine => {
+                    if exclusive.contains(&pid) {
+                        page_recs.push((pid, psn_before, op.to_owned()));
+                    }
+                    loser_ops
+                        .entry(rec.txn)
+                        .or_default()
+                        .push((pid, psn_before, op.to_owned()));
+                }
+                LogPayloadRef::Update {
+                    pid,
+                    psn_before,
+                    op,
+                }
+                | LogPayloadRef::Clr {
+                    pid,
+                    psn_before,
+                    op,
+                    ..
+                } if exclusive.contains(&pid) => {
+                    page_recs.push((pid, psn_before, op.to_owned()));
+                }
+                _ => {}
             }
         }
         for (t, _) in committed.iter() {

@@ -1,23 +1,25 @@
 //! A processing node: buffer pool, local WAL, DPT, lock tables,
 //! transaction manager, checkpointing, and the node-local halves of the
 //! recovery protocol (restart analysis, NodePSNList construction,
-//! PSN-filtered replay).
+//! PSN-filtered replay, and all three in one log pass).
 //!
 //! Everything here is node-local: no method sends messages. The
 //! [`crate::Cluster`] composes these pieces into the distributed
 //! protocols and accounts every message.
 
 use crate::config::NodeConfig;
+use crate::recovery::group_by_key;
 use crate::txn::{Savepoint, TxnState, TxnStatus};
 use cblog_common::metrics::keys;
 use cblog_common::{
-    Counter, Error, Fnv1a, IdMap, Lsn, NodeId, PageId, Psn, Registry, Result, TxnId,
+    Counter, Decoder, Encoder, Error, Fnv1a, IdMap, Lsn, NodeId, PageId, Psn, Registry, Result,
+    TxnId,
 };
 use cblog_locks::{CachedLockTable, GlobalLockTable, LocalLockTable};
 use cblog_storage::{BufferPool, Database, EvictedPage, MemStorage, Page, PageKind};
 use cblog_wal::{
-    CheckpointBody, DirtyPageTable, DptEntry, LogManager, LogPayload, LogRecord, LogStore,
-    MemLogStore, PageOp, RangeUpdate,
+    CheckpointBody, DirtyPageTable, LogManager, LogPayload, LogPayloadRef, LogRecord, LogRecordRef,
+    LogStore, MemLogStore, PageOp, PageOpRef,
 };
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -44,9 +46,234 @@ pub struct NodePsnEntry {
     pub txn: TxnId,
 }
 
-/// One page's redo records in log order, as `(psn_before, op)`: what
-/// a PSN-filtered replay of the page applies.
-pub type RedoRecords = Vec<(Psn, PageOp)>;
+/// The NodePSNList rule (paper §2.3.4): an update to `pid` opens an
+/// entry when its transaction is not the one that wrote the page's
+/// previous entry, `last_txn`.
+fn psn_list_entry(
+    list: &mut Vec<NodePsnEntry>,
+    last_txn: &mut Option<TxnId>,
+    pid: PageId,
+    psn: Psn,
+    lsn: Lsn,
+    txn: TxnId,
+) {
+    if *last_txn != Some(txn) {
+        list.push(NodePsnEntry { pid, psn, lsn, txn });
+        *last_txn = Some(txn);
+    }
+}
+
+/// The redo records a restart pass keeps ([`Node::restart_pass`]):
+/// every op's bytes end to end in one arena, in log order, and a
+/// `(page, psn_before, offset)` index grouped by page. Replay applies
+/// [`PageOpRef`]s read straight out of the arena; nothing is allocated
+/// per record.
+#[derive(Debug, Default)]
+pub struct RedoRecords {
+    ops: Vec<u8>,
+    /// `(page, psn_before, offset in ops)`, grouped by page in
+    /// ascending page order and in log order within a page.
+    index: Vec<(u32, Psn, u32)>,
+    /// The pages with records, ascending.
+    pages: Vec<PageId>,
+    /// `index[at[i]..at[i + 1]]` are the records of `pages[i]`.
+    at: Vec<usize>,
+}
+
+impl RedoRecords {
+    /// `pid`'s records in log order, as `(psn_before, op)`: what a
+    /// PSN-filtered replay of the page applies. None for a page with no
+    /// records.
+    pub fn of(&self, pid: PageId) -> impl Iterator<Item = Result<(Psn, PageOpRef<'_>)>> + '_ {
+        let mine = match self.pages.binary_search(&pid) {
+            Ok(i) => &self.index[self.at[i]..self.at[i + 1]],
+            Err(_) => &[],
+        };
+        mine.iter().map(|&(_, psn, at)| {
+            let op = PageOpRef::decode(&mut Decoder::new(&self.ops[at as usize..]))?;
+            Ok((psn, op))
+        })
+    }
+
+    /// Records held, over every page.
+    pub fn len(&self) -> usize {
+        self.index.len()
+    }
+
+    /// True if no page has a record.
+    pub fn is_empty(&self) -> bool {
+        self.index.is_empty()
+    }
+}
+
+/// What a restart pass collects from every Update and CLR it reads, for
+/// every page: the NodePSNList and, per record, its op in one arena.
+#[derive(Default)]
+struct PageUpdates {
+    /// Page → (its number in `ids`, the transaction of its last entry).
+    pages: IdMap<PageId, (u32, Option<TxnId>)>,
+    ids: Vec<PageId>,
+    list: Vec<NodePsnEntry>,
+    ops: Encoder,
+    /// `(page number, psn_before, offset in ops)` in log order.
+    index: Vec<(u32, Psn, u32)>,
+}
+
+impl PageUpdates {
+    fn push(
+        &mut self,
+        lsn: Lsn,
+        txn: TxnId,
+        pid: PageId,
+        psn: Psn,
+        op: PageOpRef<'_>,
+    ) -> Result<()> {
+        let fresh = self.ids.len() as u32;
+        let (page, last_txn) = self.pages.entry(pid).or_insert((fresh, None));
+        if *page == fresh {
+            self.ids.push(pid);
+        }
+        psn_list_entry(&mut self.list, last_txn, pid, psn, lsn, txn);
+        let at = u32::try_from(self.ops.len())
+            .map_err(|_| Error::Invalid("redo records past 4 GiB".into()))?;
+        self.index.push((*page, psn, at));
+        op.encode(&mut self.ops);
+        Ok(())
+    }
+
+    /// Keeps the pages `dpt` names, dropping the list entries and
+    /// records of the others, and groups the records by page, ascending,
+    /// with a counting sort.
+    fn keep(self, dpt: &DirtyPageTable) -> (Vec<NodePsnEntry>, RedoRecords) {
+        let PageUpdates {
+            ids,
+            mut list,
+            ops,
+            mut index,
+            ..
+        } = self;
+        let mut kept: Vec<(PageId, u32)> = ids
+            .iter()
+            .zip(0..)
+            .filter(|(pid, _)| dpt.contains(**pid))
+            .map(|(&pid, page)| (pid, page))
+            .collect();
+        kept.sort_unstable();
+        let mut rank = vec![u32::MAX; ids.len()];
+        for (r, &(_, page)) in kept.iter().enumerate() {
+            rank[page as usize] = r as u32;
+        }
+        if kept.len() < ids.len() {
+            list.retain(|e| dpt.contains(e.pid));
+            index.retain(|e| rank[e.0 as usize] != u32::MAX);
+        }
+        let (index, at) = group_by_key(index, kept.len(), |e| rank[e.0 as usize]);
+        let redo = RedoRecords {
+            ops: ops.into_vec(),
+            index,
+            pages: kept.into_iter().map(|(pid, _)| pid).collect(),
+            at,
+        };
+        (list, redo)
+    }
+}
+
+/// The ARIES analysis fold (paper §2.3.1 / §2.4): what a scan from the
+/// last complete checkpoint rebuilds, one record at a time — the loser
+/// transaction table and a conservative DPT superset. Written once for
+/// [`Node::restart_analysis`] and [`Node::restart_pass`].
+#[derive(Default)]
+struct Analysis {
+    att: IdMap<TxnId, TxnState>,
+    dpt: DirtyPageTable,
+    max_seq: u64,
+}
+
+impl Analysis {
+    fn fold(&mut self, node: NodeId, pos: Lsn, rec: &LogRecordRef<'_>) {
+        if rec.txn.node == node {
+            self.max_seq = self.max_seq.max(rec.txn.seq);
+        }
+        match &rec.payload {
+            LogPayloadRef::Begin => {
+                self.att.insert(rec.txn, TxnState::new(rec.txn, pos));
+            }
+            LogPayloadRef::Update {
+                pid, psn_before, ..
+            } => {
+                let t = self
+                    .att
+                    .entry(rec.txn)
+                    .or_insert_with(|| TxnState::new(rec.txn, pos));
+                t.last_lsn = pos;
+                t.undo_next = pos;
+                t.updates += 1;
+                self.dpt.on_update(*pid, psn_before.next(), pos);
+            }
+            LogPayloadRef::Clr {
+                pid,
+                psn_before,
+                undo_next,
+                ..
+            } => {
+                let t = self
+                    .att
+                    .entry(rec.txn)
+                    .or_insert_with(|| TxnState::new(rec.txn, pos));
+                t.last_lsn = pos;
+                t.undo_next = *undo_next;
+                t.status = TxnStatus::Aborting;
+                self.dpt.on_update(*pid, psn_before.next(), pos);
+            }
+            // Abort records are written only after the rollback
+            // completed, so the transaction needs no more undo.
+            LogPayloadRef::Commit | LogPayloadRef::Abort => {
+                self.att.remove(&rec.txn);
+            }
+            LogPayloadRef::CheckpointEnd(body) => {
+                for e in &body.dpt {
+                    if !self.dpt.contains(e.pid) {
+                        self.dpt.insert(*e);
+                    }
+                }
+                for (t, last) in &body.active_txns {
+                    self.att.entry(*t).or_insert_with(|| {
+                        let mut s = TxnState::new(*t, *last);
+                        s.last_lsn = *last;
+                        s.undo_next = *last;
+                        s
+                    });
+                    if t.node == node {
+                        self.max_seq = self.max_seq.max(t.seq);
+                    }
+                }
+            }
+            LogPayloadRef::CheckpointBegin
+            | LogPayloadRef::AllocPage { .. }
+            | LogPayloadRef::FreePage { .. } => {}
+        }
+    }
+
+    /// Installs the rebuilt tables on `node`, every loser rolling back,
+    /// and reports a scan of `[start, end)` that read `records`.
+    fn install(self, node: &mut Node, start: Lsn, end: Lsn, records: u64) -> AnalysisResult {
+        let mut losers: Vec<TxnId> = self.att.keys().copied().collect();
+        losers.sort();
+        for (id, mut t) in self.att {
+            t.status = TxnStatus::Aborting;
+            node.txns.insert(id, t);
+        }
+        node.dpt = self.dpt;
+        node.next_seq = node.next_seq.max(self.max_seq + 1);
+        AnalysisResult {
+            losers,
+            start_lsn: start,
+            dpt_entries: node.dpt.len(),
+            records_scanned: records,
+            bytes_scanned: end.0 - start.0,
+        }
+    }
+}
 
 /// Summary of restart analysis (ARIES analysis pass over the local
 /// log, paper §2.3.1 / §2.4).
@@ -290,10 +517,10 @@ impl Node {
         self.ensure_up()?;
         let id = TxnId::new(self.id, self.next_seq);
         self.next_seq += 1;
-        let lsn = self.log.append(&LogRecord {
+        let lsn = self.log.append_ref(&LogRecordRef {
             txn: id,
             prev_lsn: Lsn::ZERO,
-            payload: LogPayload::Begin,
+            payload: LogPayloadRef::Begin,
         })?;
         self.txns.insert(id, TxnState::new(id, lsn));
         Ok(id)
@@ -372,14 +599,18 @@ impl Node {
         let psn_before = page.psn();
         // Log first: reading the before-image has checked the range, so
         // the write below cannot fail and nothing needs un-applying.
-        let lsn = self.log.append_range_update(&RangeUpdate {
+        let lsn = self.log.append_ref(&LogRecordRef {
             txn,
             prev_lsn: t.last_lsn,
-            pid,
-            psn_before,
-            off: off as u32,
-            before: page.read_range(off, after.len())?,
-            after,
+            payload: LogPayloadRef::Update {
+                pid,
+                psn_before,
+                op: PageOpRef::WriteRange {
+                    off: off as u32,
+                    before: page.read_range(off, after.len())?,
+                    after,
+                },
+            },
         })?;
         page.write_range(off, after)?;
         page.bump_psn();
@@ -402,10 +633,10 @@ impl Node {
     pub fn commit_begin(&mut self, txn: TxnId) -> Result<Lsn> {
         self.ensure_up()?;
         let t = active_in(&mut self.txns, txn)?;
-        let lsn = self.log.append(&LogRecord {
+        let lsn = self.log.append_ref(&LogRecordRef {
             txn,
             prev_lsn: t.last_lsn,
-            payload: LogPayload::Commit,
+            payload: LogPayloadRef::Commit,
         })?;
         t.status = TxnStatus::Committing;
         t.last_lsn = lsn;
@@ -796,122 +1027,78 @@ impl Node {
     /// checkpoint: rebuilds the DPT (a conservative superset) and the
     /// loser transaction table.
     pub fn restart_analysis(&mut self) -> Result<AnalysisResult> {
+        let start = self.analysis_start();
+        let end = self.log.end_lsn();
+        let mut analysis = Analysis::default();
+        let mut records = 0u64;
+        let mut scan = self.log.scan(start);
+        while let Some(r) = scan.next_ref() {
+            let (pos, rec) = r?;
+            analysis.fold(self.id, pos, &rec);
+            records += 1;
+        }
+        Ok(analysis.install(self, start, end, records))
+    }
+
+    /// Where analysis starts: the last complete checkpoint, or the
+    /// truncation point when there is none.
+    fn analysis_start(&self) -> Lsn {
         let ckpt = self.log.last_checkpoint();
-        let start = if ckpt.is_zero() {
+        if ckpt.is_zero() {
             self.log.base_lsn()
         } else {
             ckpt
-        };
-        let mut att: IdMap<TxnId, TxnState> = IdMap::default();
-        let mut dpt = DirtyPageTable::new();
-        let mut records = 0u64;
-        let mut max_seq = 0u64;
+        }
+    }
+
+    /// Restart in one pass over the local log (DESIGN §13): the
+    /// analysis of [`Node::restart_analysis`], and the NodePSNList and
+    /// redo records of every page the rebuilt DPT names, reading each
+    /// record once.
+    ///
+    /// The master record names the last checkpoint; its end record's
+    /// DPT names the lowest RedoLSN, and the pass starts at the lower of
+    /// that and the checkpoint. Records from the checkpoint on go
+    /// through the analysis fold; every Update and CLR of the pass
+    /// enters the NodePSNList rule and the [`RedoRecords`] arena. At
+    /// the end only the pages of the rebuilt DPT are kept. The result
+    /// is [`Node::restart_analysis`], then [`Node::build_psn_list`] over
+    /// the DPT's pages, then each page's records from the list's start:
+    /// no update lies between the two starts, since a checkpoint's begin
+    /// and end records are adjacent ([`Node::checkpoint`]).
+    pub fn restart_pass(&mut self) -> Result<(AnalysisResult, Vec<NodePsnEntry>, RedoRecords)> {
+        let ckpt = self.analysis_start();
+        let base = self.log.base_lsn();
+        let mut from = ckpt;
+        if !self.log.last_checkpoint().is_zero() {
+            // No page needs a record below the truncation point.
+            let mut scan = self.log.scan(ckpt);
+            while let Some(r) = scan.next_ref() {
+                if let LogPayloadRef::CheckpointEnd(body) = &r?.1.payload {
+                    let redo = body.dpt.iter().map(|e| e.redo_lsn);
+                    from = redo.fold(from, Lsn::min).max(base);
+                    break;
+                }
+            }
+        }
         let end = self.log.end_lsn();
-        for r in self.log.scan(start) {
+        let mut analysis = Analysis::default();
+        let mut updates = PageUpdates::default();
+        let mut records = 0u64;
+        let mut scan = self.log.scan(from);
+        while let Some(r) = scan.next_ref() {
             let (pos, rec) = r?;
             records += 1;
-            if rec.txn.node == self.id {
-                max_seq = max_seq.max(rec.txn.seq);
+            if pos >= ckpt {
+                analysis.fold(self.id, pos, &rec);
             }
-            match &rec.payload {
-                LogPayload::Begin => {
-                    att.insert(rec.txn, TxnState::new(rec.txn, pos));
-                }
-                LogPayload::Update {
-                    pid, psn_before, ..
-                } => {
-                    let t = att
-                        .entry(rec.txn)
-                        .or_insert_with(|| TxnState::new(rec.txn, pos));
-                    t.last_lsn = pos;
-                    t.undo_next = pos;
-                    t.updates += 1;
-                    match dpt.get(*pid) {
-                        Some(_) => dpt.on_update(*pid, psn_before.next(), pos),
-                        None => {
-                            dpt.insert(DptEntry {
-                                pid: *pid,
-                                psn_first: *psn_before,
-                                curr_psn: psn_before.next(),
-                                redo_lsn: pos,
-                                replaced_at_lsn: None,
-                                updated_since_replace: true,
-                            });
-                        }
-                    }
-                }
-                LogPayload::Clr {
-                    pid,
-                    psn_before,
-                    undo_next,
-                    ..
-                } => {
-                    let t = att
-                        .entry(rec.txn)
-                        .or_insert_with(|| TxnState::new(rec.txn, pos));
-                    t.last_lsn = pos;
-                    t.undo_next = *undo_next;
-                    t.status = TxnStatus::Aborting;
-                    match dpt.get(*pid) {
-                        Some(_) => dpt.on_update(*pid, psn_before.next(), pos),
-                        None => {
-                            dpt.insert(DptEntry {
-                                pid: *pid,
-                                psn_first: *psn_before,
-                                curr_psn: psn_before.next(),
-                                redo_lsn: pos,
-                                replaced_at_lsn: None,
-                                updated_since_replace: true,
-                            });
-                        }
-                    }
-                }
-                LogPayload::Commit => {
-                    att.remove(&rec.txn);
-                }
-                LogPayload::Abort => {
-                    // Abort records are written only after the rollback
-                    // completed, so the transaction needs no more undo.
-                    att.remove(&rec.txn);
-                }
-                LogPayload::CheckpointBegin => {}
-                LogPayload::CheckpointEnd(body) => {
-                    for e in &body.dpt {
-                        if !dpt.contains(e.pid) {
-                            dpt.insert(*e);
-                        }
-                    }
-                    for (t, last) in &body.active_txns {
-                        att.entry(*t).or_insert_with(|| {
-                            let mut s = TxnState::new(*t, *last);
-                            s.last_lsn = *last;
-                            s.undo_next = *last;
-                            s
-                        });
-                        if t.node == self.id {
-                            max_seq = max_seq.max(t.seq);
-                        }
-                    }
-                }
-                LogPayload::AllocPage { .. } | LogPayload::FreePage { .. } => {}
+            if let Some((pid, psn, op)) = rec.update() {
+                updates.push(pos, rec.txn, pid, psn, op)?;
             }
         }
-        let bytes_scanned = end.0 - start.0;
-        let mut losers: Vec<TxnId> = att.keys().copied().collect();
-        losers.sort();
-        for (id, mut t) in att {
-            t.status = TxnStatus::Aborting;
-            self.txns.insert(id, t);
-        }
-        self.dpt = dpt;
-        self.next_seq = self.next_seq.max(max_seq + 1);
-        Ok(AnalysisResult {
-            losers,
-            start_lsn: start,
-            dpt_entries: self.dpt.len(),
-            records_scanned: records,
-            bytes_scanned,
-        })
+        let result = analysis.install(self, from, end, records);
+        let (list, redo) = updates.keep(&self.dpt);
+        Ok((result, list, redo))
     }
 
     /// Folds this node's durable state into `h`: the on-device
@@ -980,32 +1167,6 @@ impl Node {
     /// updates one of the pages and belongs to a different transaction
     /// than the previous record recorded for that page.
     pub fn build_psn_list(&mut self, pages: &[PageId]) -> Result<Vec<NodePsnEntry>> {
-        self.scan_page_updates(pages, |_, _, _| {})
-    }
-
-    /// [`Node::build_psn_list`] and the redo records it walks past, in
-    /// one scan: the second value holds, for each of `pages` in order,
-    /// every `(psn_before, op)` the scanned range has for that page,
-    /// in log order. The range starts at or below each page's first
-    /// list entry, so the vectors are exactly what a PSN-filtered
-    /// replay from that entry would read — extracted here so replay
-    /// workers need neither the log nor `&mut self`.
-    pub fn build_psn_list_and_redo(
-        &mut self,
-        pages: &[PageId],
-    ) -> Result<(Vec<NodePsnEntry>, Vec<RedoRecords>)> {
-        let mut redo: Vec<RedoRecords> = vec![Vec::new(); pages.len()];
-        let list = self.scan_page_updates(pages, |i, psn, op| redo[i].push((psn, op)))?;
-        Ok((list, redo))
-    }
-
-    /// The scan behind the NodePSNList: hands every update to one of
-    /// `pages` to `on_update` as (index into `pages`, PSN before, op).
-    fn scan_page_updates(
-        &mut self,
-        pages: &[PageId],
-        mut on_update: impl FnMut(usize, Psn, PageOp),
-    ) -> Result<Vec<NodePsnEntry>> {
         let from = pages
             .iter()
             .filter_map(|p| self.dpt.get(*p).map(|e| e.redo_lsn))
@@ -1013,44 +1174,19 @@ impl Node {
         let Some(from) = from else {
             return Ok(Vec::new());
         };
-        // Page → (index into `pages`, transaction of its last entry).
-        let mut wanted: IdMap<PageId, (usize, Option<TxnId>)> = pages
-            .iter()
-            .enumerate()
-            .map(|(i, &pid)| (pid, (i, None)))
-            .collect();
-        let mut out: Vec<NodePsnEntry> = Vec::new();
-        for r in self.log.scan(from) {
+        // Page → transaction of its last entry.
+        let mut last: IdMap<PageId, Option<TxnId>> = pages.iter().map(|&p| (p, None)).collect();
+        let mut list = Vec::new();
+        let mut scan = self.log.scan(from);
+        while let Some(r) = scan.next_ref() {
             let (lsn, rec) = r?;
-            let (LogPayload::Update {
-                pid,
-                psn_before: psn,
-                op,
+            if let Some((pid, psn, _)) = rec.update() {
+                if let Some(last_txn) = last.get_mut(&pid) {
+                    psn_list_entry(&mut list, last_txn, pid, psn, lsn, rec.txn);
+                }
             }
-            | LogPayload::Clr {
-                pid,
-                psn_before: psn,
-                op,
-                ..
-            }) = rec.payload
-            else {
-                continue;
-            };
-            let Some((i, last_txn)) = wanted.get_mut(&pid) else {
-                continue;
-            };
-            if *last_txn != Some(rec.txn) {
-                out.push(NodePsnEntry {
-                    pid,
-                    psn,
-                    lsn,
-                    txn: rec.txn,
-                });
-                *last_txn = Some(rec.txn);
-            }
-            on_update(*i, psn, op);
         }
-        Ok(out)
+        Ok(list)
     }
 
     /// Replays this node's log records for `page` starting at
@@ -1067,20 +1203,22 @@ impl Node {
         let pid = page.id();
         let end = self.log.end_lsn();
         let mut applied = 0u64;
-        for r in self.log.scan(start_lsn) {
+        let mut scan = self.log.scan(start_lsn);
+        while let Some(r) = scan.next_ref() {
             let (pos, rec) = r?;
-            if rec.page() == Some(pid) {
-                let psn_before = rec.psn_before().expect("update/clr has psn");
-                if let Some(b) = bound {
-                    if psn_before > b {
-                        return Ok((pos, applied, true));
-                    }
-                }
-                if psn_before == page.psn() {
-                    rec.op().expect("update/clr has op").apply_redo(page)?;
-                    page.set_psn(psn_before.next());
-                    applied += 1;
-                }
+            let Some((of, psn_before, op)) = rec.update() else {
+                continue;
+            };
+            if of != pid {
+                continue;
+            }
+            if bound.is_some_and(|b| psn_before > b) {
+                return Ok((pos, applied, true));
+            }
+            if psn_before == page.psn() {
+                op.apply_redo(page)?;
+                page.set_psn(psn_before.next());
+                applied += 1;
             }
         }
         Ok((end, applied, false))
@@ -1322,7 +1460,9 @@ mod tests {
     #[test]
     fn fused_pass_returns_the_psn_list_and_what_replay_would_read() {
         // Two pages written by interleaved transactions (one aborts,
-        // so CLRs are in the log), a third page that is not asked for.
+        // so CLRs are in the log), and a third page that reaches the
+        // disk before a checkpoint: the restart pass reads its records
+        // but the rebuilt DPT does not name it.
         let mut n = node();
         let pages = [load(&mut n, 0), load(&mut n, 1)];
         let other = load(&mut n, 2);
@@ -1339,26 +1479,144 @@ mod tests {
                 n.commit(t).unwrap();
             }
         }
-        let list = n.build_psn_list(&pages).unwrap();
-        let (fused_list, redo) = n.build_psn_list_and_redo(&pages).unwrap();
-        assert_eq!(fused_list, list);
-        assert_eq!(redo.len(), pages.len());
-        for (pid, records) in pages.iter().zip(&redo) {
-            let first = list.iter().find(|e| e.pid == *pid).unwrap();
+        let image = n.buffer.peek(other).unwrap().clone();
+        n.write_owned_page(&image).unwrap();
+        n.checkpoint().unwrap();
+        let t = n.begin().unwrap();
+        upd(&mut n, t, pages[1], 2, 99);
+        n.commit(t).unwrap();
+        n.crash();
+        n.mark_restarting().unwrap();
+
+        let (a, list, redo) = n.restart_pass().unwrap();
+        assert!(a.losers.is_empty());
+        assert!(
+            a.start_lsn < n.log().last_checkpoint(),
+            "starts at a RedoLSN"
+        );
+        assert_eq!(n.dpt().entries().len(), 2);
+        assert!(!n.dpt().contains(other) && list.iter().all(|e| e.pid != other));
+        assert!(redo.of(other).next().is_none());
+        assert_eq!(list, n.build_psn_list(&pages).unwrap());
+        let mut kept = 0;
+        for pid in pages {
+            let records: Vec<(Psn, PageOp)> = redo
+                .of(pid)
+                .map(|r| r.map(|(psn, op)| (psn, op.to_owned())))
+                .collect::<Result<_>>()
+                .unwrap();
+            kept += records.len();
+            let first = list.iter().find(|e| e.pid == pid).unwrap();
             assert_eq!(records[0].0, first.psn, "starts at the page's first entry");
             let disk = n.db.as_mut().unwrap().read_page(pid.index).unwrap();
             let mut by_log = disk.clone();
             let (_, applied, _) = n.replay_page(&mut by_log, first.lsn, None).unwrap();
-            let mut by_extract = disk;
-            for (psn_before, op) in records {
-                if *psn_before == by_extract.psn() {
-                    op.apply_redo(&mut by_extract).unwrap();
-                    by_extract.set_psn(psn_before.next());
+            let mut by_arena = disk;
+            for (psn_before, op) in &records {
+                if *psn_before == by_arena.psn() {
+                    op.apply_redo(&mut by_arena).unwrap();
+                    by_arena.set_psn(psn_before.next());
                 }
             }
             assert_eq!(applied, records.len() as u64);
-            assert_eq!(by_extract.to_bytes(), by_log.to_bytes());
+            assert_eq!(by_arena.to_bytes(), by_log.to_bytes());
         }
+        assert_eq!(redo.len(), kept, "nothing is kept for a page not asked for");
+    }
+
+    /// One page's redo records, owned, in log order.
+    type PageRedo = Vec<(Psn, PageOp)>;
+
+    /// What recovery then does on a restarted node: two passes, analysis
+    /// and then the NodePSNList over the rebuilt DPT, plus each page's
+    /// records from the list's start, read back one at a time.
+    fn two_passes(n: &mut Node) -> (Vec<TxnId>, Vec<NodePsnEntry>, Vec<PageRedo>) {
+        let losers = n.restart_analysis().unwrap().losers;
+        let pages: Vec<PageId> = n.dpt().entries().iter().map(|e| e.pid).collect();
+        let list = n.build_psn_list(&pages).unwrap();
+        let mut redo = vec![Vec::new(); pages.len()];
+        let mut at = n.dpt().min_redo_lsn().unwrap();
+        while at < n.log().end_lsn() {
+            let (rec, next) = n.log.read_record(at).unwrap();
+            if let Some(i) = rec.page().and_then(|p| pages.iter().position(|&q| q == p)) {
+                redo[i].push((rec.psn_before().unwrap(), rec.op().unwrap().clone()));
+            }
+            at = next;
+        }
+        (losers, list, redo)
+    }
+
+    #[test]
+    fn one_restart_pass_equals_analysis_then_the_psn_list_pass() {
+        // The threaded engine's shape on its second restart: the first
+        // one rolled a loser back with CLRs and checkpointed, so the
+        // checkpoint's DPT names a RedoLSN below the checkpoint.
+        let mut n = node();
+        let pages: Vec<PageId> = (0..4).map(|i| load(&mut n, i)).collect();
+        for round in 0..8u64 {
+            let t = n.begin().unwrap();
+            upd(&mut n, t, pages[(round % 4) as usize], 0, round);
+            upd(&mut n, t, pages[((round + 1) % 4) as usize], 1, round);
+            n.commit(t).unwrap();
+        }
+        let loser = n.begin().unwrap();
+        upd(&mut n, loser, pages[2], 3, 77);
+        upd(&mut n, loser, pages[3], 3, 78);
+        n.force_log().unwrap();
+        n.crash();
+        n.mark_restarting().unwrap();
+        let (a, _, _) = n.restart_pass().unwrap();
+        assert_eq!(a.losers, vec![loser]);
+        loop {
+            match n.rollback_step(loser, Lsn::ZERO).unwrap() {
+                RollbackStep::Done => break,
+                RollbackStep::NeedPage(pid) => {
+                    let (page, _) = n.authoritative_copy(pid).unwrap();
+                    n.cache_page(page, false).unwrap();
+                }
+                RollbackStep::Undone(_) => {}
+            }
+        }
+        n.finish_abort(loser).unwrap();
+        n.force_log().unwrap();
+        let ckpt = n.checkpoint().unwrap();
+        // The next life: more work, a loser left durable, a crash.
+        for &pid in &pages {
+            if !n.buffer.contains(pid) {
+                load(&mut n, pid.index);
+            }
+        }
+        for round in 0..6u64 {
+            let t = n.begin().unwrap();
+            upd(&mut n, t, pages[(round % 3) as usize], 4, 100 + round);
+            n.commit(t).unwrap();
+        }
+        let loser = n.begin().unwrap();
+        upd(&mut n, loser, pages[1], 5, 500);
+        n.force_log().unwrap();
+        n.crash();
+
+        n.mark_restarting().unwrap();
+        let (a, list, redo) = n.restart_pass().unwrap();
+        let dpt = n.dpt().entries();
+        assert!(a.start_lsn < ckpt, "the pass starts below the checkpoint");
+        assert!(dpt.iter().any(|e| e.redo_lsn < ckpt));
+        n.crash();
+        n.mark_restarting().unwrap();
+        let (losers, want_list, want_redo) = two_passes(&mut n);
+        assert_eq!(a.losers, vec![loser]);
+        assert_eq!(a.losers, losers);
+        assert_eq!(dpt, n.dpt().entries());
+        assert_eq!(list, want_list);
+        for (e, want) in dpt.iter().zip(&want_redo) {
+            let got: Vec<(Psn, PageOp)> = redo
+                .of(e.pid)
+                .map(|r| r.map(|(psn, op)| (psn, op.to_owned())))
+                .collect::<Result<_>>()
+                .unwrap();
+            assert_eq!(&got, want, "{}", e.pid);
+        }
+        assert_eq!(redo.len(), want_redo.iter().map(Vec::len).sum::<usize>());
     }
 
     #[test]

@@ -436,41 +436,39 @@ pub fn plan_replay(
     // an entry's page looked up: it tags the entry with its page's
     // unit (if its node is involved there), and it chains the pages
     // each transaction touches within a log's list (LSN order) into
-    // the cross-page edges. The tagged entries live in one vector
-    // reserved to its final size — the redo records are alive beside
-    // it — and one sort both groups them by unit and orders each
-    // unit's chain.
+    // cross-page edges. Two counting sorts by unit, O(entries +
+    // units), then group the entries into each unit's chain and the
+    // edges into each unit's successor list; only those short slices
+    // are sorted.
     let n = involved.len();
-    let unit_of: IdMap<PageId, usize> = involved.keys().copied().zip(0..).collect();
+    let unit_of: IdMap<PageId, u32> = involved.keys().copied().zip(0..).collect();
     let nodes_of: Vec<&Vec<NodeId>> = involved.values().collect();
     let mut entries: Vec<(u32, Psn, NodeId, Lsn)> =
         Vec::with_capacity(psn_lists.values().map(Vec::len).sum());
-    let mut succs: Vec<BTreeSet<usize>> = vec![BTreeSet::new(); n];
-    let mut indeg: Vec<usize> = vec![0; n];
+    let mut edges: Vec<(u32, u32)> = Vec::new();
     for (&node, list) in psn_lists {
-        let mut last_of_txn: IdMap<TxnId, usize> = IdMap::default();
+        let mut last_of_txn: IdMap<TxnId, u32> = IdMap::default();
         for e in list {
             let Some(&u) = unit_of.get(&e.pid) else {
                 continue;
             };
-            if nodes_of[u].contains(&node) {
-                entries.push((u as u32, e.psn, node, e.lsn));
+            if nodes_of[u as usize].contains(&node) {
+                entries.push((u, e.psn, node, e.lsn));
             }
             if let Some(prev) = last_of_txn.insert(e.txn, u) {
-                if prev != u && succs[prev].insert(u) {
-                    indeg[u] += 1;
+                if prev != u {
+                    edges.push((prev, u));
                 }
             }
         }
     }
-    entries.sort_unstable();
+    let (mut entries, entry_at) = group_by_key(entries, n, |e| e.0);
     let mut units: Vec<ReplayUnit> = Vec::with_capacity(n);
-    let mut rest = entries.as_slice();
     for (u, &pid) in involved.keys().enumerate() {
-        let (mine, later) = rest.split_at(rest.partition_point(|e| e.0 as usize == u));
-        rest = later;
+        let mine = &mut entries[entry_at[u]..entry_at[u + 1]];
+        mine.sort_unstable();
         let mut hops: Vec<(Psn, NodeId, Lsn)> = Vec::new();
-        for &(_, psn, node, lsn) in mine {
+        for &(_, psn, node, lsn) in mine.iter() {
             match hops.last() {
                 // Adjacent same node: keep the first (minimum PSN).
                 Some(&(_, n, _)) if n == node => {}
@@ -482,6 +480,25 @@ pub fn plan_replay(
             hops,
             psn_intervals: mine.len() as u64,
         });
+    }
+    // Each unit's successors, ascending and without repeats:
+    // `succ[succ_at[u]..succ_at[u + 1]]`.
+    let (mut edges, edge_at) = group_by_key(edges, n, |e| e.0);
+    let mut succ: Vec<u32> = Vec::with_capacity(edges.len());
+    let mut succ_at: Vec<usize> = Vec::with_capacity(n + 1);
+    let mut indeg: Vec<usize> = vec![0; n];
+    succ_at.push(0);
+    for u in 0..n {
+        let mine = &mut edges[edge_at[u]..edge_at[u + 1]];
+        mine.sort_unstable();
+        let start = succ.len();
+        for &(_, v) in mine.iter() {
+            if succ[start..].last() != Some(&v) {
+                succ.push(v);
+                indeg[v as usize] += 1;
+            }
+        }
+        succ_at.push(succ.len());
     }
     // Kahn leveling: each wave is the currently dependency-free set,
     // and `dist` accumulates the weighted longest path.
@@ -496,7 +513,8 @@ pub fn plan_replay(
             done[u] = true;
             dist[u] += units[u].psn_intervals;
             critical = critical.max(dist[u]);
-            for &v in &succs[u] {
+            for &v in &succ[succ_at[u]..succ_at[u + 1]] {
+                let v = v as usize;
                 dist[v] = dist[v].max(dist[u]);
                 indeg[v] -= 1;
                 if indeg[v] == 0 {
@@ -522,6 +540,33 @@ pub fn plan_replay(
         waves,
         critical_path_psns: critical,
     }
+}
+
+/// Counting sort: `items` grouped by `key`, every key below `n`, in
+/// input order within a group. Returns them with each key's start in
+/// the output (`n + 1` offsets, the last one the length). O(items + n).
+pub(crate) fn group_by_key<T: Copy>(
+    items: Vec<T>,
+    n: usize,
+    key: impl Fn(&T) -> u32,
+) -> (Vec<T>, Vec<usize>) {
+    let mut at = vec![0usize; n + 1];
+    for it in &items {
+        at[key(it) as usize + 1] += 1;
+    }
+    let mut sum = 0;
+    for a in &mut at {
+        sum += *a;
+        *a = sum;
+    }
+    let mut next = at.clone();
+    let mut out = items.clone();
+    for it in items {
+        let k = key(&it) as usize;
+        out[next[k]] = it;
+        next[k] += 1;
+    }
+    (out, at)
 }
 
 /// Longest-processing-time packing of `durs` onto `workers` lanes;
@@ -2236,6 +2281,115 @@ mod tests {
         let plan = plan_replay(&involved, &lists);
         assert_eq!(plan.waves, vec![vec![0, 1]], "the cycle shares one wave");
         assert_eq!(plan, plan_replay_reference(&involved, &lists));
+    }
+
+    /// Entries over `pages` pages from `nodes` logs: transactions touch
+    /// one to six pages each, in random order, so the logs disagree
+    /// and cycles form; each node is involved in about two pages of
+    /// three, and some pages are recovered by nobody.
+    fn large_plan_input(
+        seed: u64,
+        nodes: u32,
+        pages: u32,
+        txns: u64,
+    ) -> (
+        BTreeMap<PageId, Vec<NodeId>>,
+        BTreeMap<NodeId, Vec<NodePsnEntry>>,
+    ) {
+        let mut rng = cblog_common::Rng::seed_from_u64(seed);
+        let ids: Vec<PageId> = (0..pages).map(|i| pid(i % 3, i)).collect();
+        let mut psn = vec![1u64; ids.len()];
+        let mut lists: BTreeMap<NodeId, Vec<NodePsnEntry>> = BTreeMap::new();
+        for n in 1..=nodes {
+            let list = lists.entry(NodeId(n)).or_default();
+            for seq in 1..=txns {
+                for _ in 0..rng.gen_range_usize(1..7) {
+                    let p = rng.gen_range_usize(0..ids.len());
+                    let lsn = 8 + 64 * list.len() as u64;
+                    list.push(entry(ids[p], psn[p], lsn, n, seq));
+                    psn[p] += rng.gen_range(1..4);
+                }
+            }
+        }
+        let mut involved: BTreeMap<PageId, Vec<NodeId>> = BTreeMap::new();
+        for &p in &ids {
+            if rng.gen_bool(0.05) {
+                continue;
+            }
+            let inv: Vec<NodeId> = (1..=nodes)
+                .map(NodeId)
+                .filter(|_| rng.gen_bool(0.67))
+                .collect();
+            involved.insert(p, inv);
+        }
+        (involved, lists)
+    }
+
+    /// The `crash-recover` shape: one log, `lanes` transactions in
+    /// flight whose records interleave one by one, each writing 16
+    /// distinct pages in ascending page order.
+    fn lanes_plan_input(
+        seed: u64,
+        pages: u32,
+        lanes: usize,
+        txns_per_lane: u64,
+    ) -> (
+        BTreeMap<PageId, Vec<NodeId>>,
+        BTreeMap<NodeId, Vec<NodePsnEntry>>,
+    ) {
+        let mut rng = cblog_common::Rng::seed_from_u64(seed);
+        let ids: Vec<PageId> = (0..pages).map(|i| pid(0, i)).collect();
+        let mut psn = vec![0u64; ids.len()];
+        let mut list = Vec::new();
+        let mut seq = 0u64;
+        for _ in 0..txns_per_lane {
+            let batch: Vec<(u64, Vec<usize>)> = (0..lanes)
+                .map(|_| {
+                    seq += 1;
+                    let mut touched: Vec<usize> = (0..ids.len()).collect();
+                    rng.shuffle(&mut touched);
+                    touched.truncate(16);
+                    touched.sort_unstable();
+                    (seq, touched)
+                })
+                .collect();
+            for k in 0..16 {
+                for (seq, touched) in &batch {
+                    let p = touched[k];
+                    let lsn = 8 + 64 * list.len() as u64;
+                    list.push(entry(ids[p], psn[p], lsn, 0, *seq));
+                    psn[p] += 1;
+                }
+            }
+        }
+        let involved = ids.iter().map(|&p| (p, vec![NodeId(0)])).collect();
+        (involved, BTreeMap::from([(NodeId(0), list)]))
+    }
+
+    #[test]
+    fn plan_equals_the_reference_at_scale() {
+        // ≥ 10³ pages and ≥ 10⁴ entries from three disagreeing logs.
+        let (involved, lists) = large_plan_input(7, 3, 1200, 1500);
+        assert!(lists.values().map(Vec::len).sum::<usize>() >= 10_000);
+        let plan = plan_replay(&involved, &lists);
+        assert_eq!(plan, plan_replay_reference(&involved, &lists));
+        assert!(plan.units.len() >= 1000);
+        // The `crash-recover` shape: 8 lanes of page-sorted 16-page
+        // transactions over 1024 pages, a deep acyclic wave schedule.
+        let (involved, lists) = lanes_plan_input(11, 1024, 8, 128);
+        let plan = plan_replay(&involved, &lists);
+        assert_eq!(plan, plan_replay_reference(&involved, &lists));
+        assert!(plan.waves.len() > 2 && plan.units.len() == 1024);
+        // The small cyclic multi-node inputs, grown tenfold.
+        for seed in 0..20 {
+            let (involved, lists) = large_plan_input(seed, 3, 40, 60);
+            let plan = plan_replay(&involved, &lists);
+            assert_eq!(
+                plan,
+                plan_replay_reference(&involved, &lists),
+                "seed {seed}"
+            );
+        }
     }
 
     /// 10⁵ entries over 10³ pages — the crash-recover shape — must

@@ -1,32 +1,41 @@
-//! The commit path's allocation budget, counted.
+//! The allocation budgets of the commit path and of restart, counted.
 //!
 //! A wall clock on a shared two-core guest cannot say whether the
-//! update path still builds owned records; the allocator can. One test
-//! function, so that nothing else in this process allocates while the
-//! counter runs.
+//! update path still builds owned records, or whether a restart scan
+//! still copies every record it reads; the allocator can. The counter
+//! is per thread, so tests running beside each other do not count each
+//! other's allocations.
 
 use cblog_common::{NodeId, PageId, TxnId};
 use cblog_core::{Node, NodeConfig};
 use cblog_locks::{LockMode, ShardedLockTable};
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
 
 struct Counting;
 
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+}
+
+fn bump() {
+    // A thread being torn down has no counter left; nothing measures it.
+    let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
+}
 
 // SAFETY: every call is forwarded unchanged to `System`, which upholds
-// the `GlobalAlloc` contract; the counter touches no allocator state.
+// the `GlobalAlloc` contract; the counter is a const-initialised
+// thread-local without a destructor, so touching it allocates nothing.
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        bump();
         System.alloc(layout)
     }
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
         System.dealloc(ptr, layout)
     }
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        bump();
         System.realloc(ptr, layout, new_size)
     }
 }
@@ -34,11 +43,11 @@ unsafe impl GlobalAlloc for Counting {
 #[global_allocator]
 static GLOBAL: Counting = Counting;
 
-/// Allocations (and reallocations) `f` makes.
-fn allocations_of(f: impl FnOnce()) -> u64 {
-    let before = ALLOCATIONS.load(Ordering::Relaxed);
-    f();
-    ALLOCATIONS.load(Ordering::Relaxed) - before
+/// Allocations (and reallocations) `f` makes on this thread.
+fn allocations_of<T>(f: impl FnOnce() -> T) -> (u64, T) {
+    let before = ALLOCATIONS.with(Cell::get);
+    let out = f();
+    (ALLOCATIONS.with(Cell::get) - before, out)
 }
 
 const PAGES: u32 = 32;
@@ -68,8 +77,8 @@ fn commit_loop(node: &mut Node, n: u64, parked: &mut Vec<TxnId>) {
     }
 }
 
-#[test]
-fn the_commit_path_allocates_only_to_grow() {
+/// A node owning `PAGES` pages, all of them cached.
+fn warm_node() -> Node {
     let cfg = NodeConfig {
         page_size: 1024,
         buffer_frames: PAGES as usize + 16,
@@ -81,9 +90,15 @@ fn the_commit_path_allocates_only_to_grow() {
         let (page, _) = node.authoritative_copy(PageId::new(NodeId(0), i)).unwrap();
         node.cache_page(page, false).unwrap();
     }
+    node
+}
+
+#[test]
+fn the_commit_path_allocates_only_to_grow() {
+    let mut node = warm_node();
     let mut parked = Vec::with_capacity(GROUP);
     commit_loop(&mut node, 1_000, &mut parked);
-    let made = allocations_of(|| commit_loop(&mut node, 1_000, &mut parked));
+    let (made, ()) = allocations_of(|| commit_loop(&mut node, 1_000, &mut parked));
     // What is left is growth: the in-memory store doubling under
     // 206 B per commit. With a record built before it is encoded (four
     // allocations per write, one per frame) this loop made 12 065.
@@ -109,6 +124,38 @@ fn the_commit_path_allocates_only_to_grow() {
         }
     };
     lock_loop(1_000);
-    assert_eq!(allocations_of(|| lock_loop(1_000)), 0);
+    assert_eq!(allocations_of(|| lock_loop(1_000)).0, 0);
     assert_eq!(locks.locked_pages(), 0);
+}
+
+/// Allocations of the one restart pass over a crashed node's log of
+/// `n` transactions (2 writes each) over the same `PAGES` pages, and
+/// the redo records it kept.
+fn restart_allocations(n: u64) -> (u64, usize) {
+    let mut node = warm_node();
+    commit_loop(&mut node, n, &mut Vec::with_capacity(GROUP));
+    node.force_log().unwrap();
+    node.crash();
+    node.mark_restarting().unwrap();
+    let (made, pass) = allocations_of(|| node.restart_pass().unwrap());
+    (made, pass.2.len())
+}
+
+#[test]
+fn a_restart_pass_allocates_per_page_not_per_record() {
+    // Four times the records over the same pages may cost a restart a
+    // few more doublings of its arena and lists, never an allocation
+    // per record: decoding an update into an owned op made two.
+    let (small, kept_small) = restart_allocations(500);
+    let (large, kept_large) = restart_allocations(2_000);
+    assert_eq!(
+        (kept_small, kept_large),
+        (1_000, 4_000),
+        "every update kept"
+    );
+    assert!(
+        large <= small + 40,
+        "4 000 more updates made {} more allocations ({small} → {large})",
+        large.saturating_sub(small)
+    );
 }

@@ -79,7 +79,7 @@ use cblog_locks::{LockMode, ShardedLockTable};
 use cblog_net::transport::{ChannelEndpoint, ChannelMesh, Envelope, Transport};
 use cblog_net::MsgKind;
 use cblog_storage::Page;
-use cblog_wal::{FileLogStore, LogStore, MemLogStore};
+use cblog_wal::{FileLogStore, LogStore, MemLogStore, PageOpRef};
 use std::collections::{BTreeMap, VecDeque};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -453,10 +453,16 @@ impl Runtime for ThreadCluster {
     /// Crash recovery on the calling thread. The threaded runtime
     /// only writes owned pages, so every update record for a page
     /// lives in its owner's WAL and the [`plan_replay`] dependency
-    /// graph degenerates to independent per-page chains. The plan's
-    /// waves are reported and replayed in order, but every unit runs
-    /// here whatever [`ReplayMode`](cblog_core::ReplayMode) asks for:
-    /// the redo of a wave is micro- to milliseconds of work, and no
+    /// graph degenerates to independent per-page chains.
+    ///
+    /// Each crashed node's log is read once ([`Node::restart_pass`]):
+    /// analysis, the NodePSNList and the redo records of every page
+    /// the rebuilt DPT names come out of one scan, so the report's
+    /// `PsnLists` phase is ~0 and its work sits in `Analysis`; compare
+    /// their sum with the simulator's two phases. The plan's waves are
+    /// reported and replayed in order, but every unit runs here
+    /// whatever [`ReplayMode`](cblog_core::ReplayMode) asks for: the
+    /// redo of a wave is micro- to milliseconds of work, and no
     /// measured input has yet repaid handing it to other threads
     /// (DESIGN §13). Each unit's hops enter the trace, whose watchdog
     /// holds them to the same per-page PSN-order invariant the
@@ -491,38 +497,35 @@ impl Runtime for ThreadCluster {
             us
         }
 
-        // ---- Analysis: tail repair + ARIES analysis per crashed
-        // node. The message phases of the distributed protocol
+        // ---- Analysis: tail repair, then one pass over each crashed
+        // node's log that also yields its NodePSNList over its own
+        // dirty pages and, per page, the redo records Replay applies.
+        // The message phases of the distributed protocol
         // (InfoExchange … RecoveryLocks) have no threaded counterpart:
         // updates are owner-local, so no operational node holds state
         // the restarting owner needs; their timings stay zero. ----
         let mut losers: Vec<(NodeId, Vec<TxnId>)> = Vec::new();
+        let mut psn_lists: BTreeMap<NodeId, Vec<NodePsnEntry>> = BTreeMap::new();
+        let mut redo: BTreeMap<NodeId, RedoRecords> = BTreeMap::new();
         for &c in &crashed {
             let node = self.node_mut(c)?;
             report.torn_bytes_discarded += node.mark_restarting()?;
-            let a = node.restart_analysis()?;
+            let (a, list, records) = node.restart_pass()?;
             report.log_bytes_scanned += a.bytes_scanned;
             losers.push((c, a.losers));
+            psn_lists.insert(c, list);
+            redo.insert(c, records);
         }
         timings.record(RecoveryPhase::Analysis, lap(&mut mark));
 
-        // ---- PSN lists: one pass over each crashed owner's log (the
-        // only log involved, see above) yields its NodePSNList over
-        // its own dirty pages and, per page, the redo records Replay
-        // applies — so a crashed node's log is read twice in all:
-        // analysis, then this. ----
+        // ---- PSN lists: the crashed owners' lists came out of the
+        // pass above (each the only log involved, see above); what is
+        // left is naming each dirty page's one involved node. ----
         let mut involved: BTreeMap<PageId, Vec<NodeId>> = BTreeMap::new();
-        let mut psn_lists: BTreeMap<NodeId, Vec<NodePsnEntry>> = BTreeMap::new();
-        let mut redo: BTreeMap<PageId, RedoRecords> = BTreeMap::new();
         for &c in &crashed {
-            let node = self.node_mut(c)?;
-            let pages: Vec<PageId> = node.dpt().entries().iter().map(|e| e.pid).collect();
-            let (list, records) = node.build_psn_list_and_redo(&pages)?;
-            for (pid, records) in pages.into_iter().zip(records) {
-                involved.entry(pid).or_default().push(c);
-                redo.insert(pid, records);
+            for e in self.node_mut(c)?.dpt().entries() {
+                involved.entry(e.pid).or_default().push(c);
             }
-            psn_lists.insert(c, list);
         }
         timings.record(RecoveryPhase::PsnLists, lap(&mut mark));
 
@@ -540,15 +543,21 @@ impl Runtime for ThreadCluster {
             for &ui in wave {
                 let pid = plan.units[ui].pid;
                 let (page, _) = self.node_mut(pid.owner)?.authoritative_copy(pid)?;
-                work.push((page, redo.remove(&pid).unwrap_or_default()));
+                work.push(page);
             }
             let wave_started = Instant::now();
             let mut timing = WaveTiming::default();
             let mut replayed = Vec::with_capacity(work.len());
-            for (mut page, records) in work {
+            for mut page in work {
                 let t = Instant::now();
-                let from_psns = apply_unit(&mut page, &records)?;
                 let (pid, owner) = (page.id(), page.id().owner);
+                // Writes are owner-local: the owner's log holds every
+                // record of the page.
+                let records = redo
+                    .get(&owner)
+                    .ok_or_else(|| Error::Protocol(format!("{pid} is dirty at no crashed owner")))?
+                    .of(pid);
+                let from_psns = apply_unit(&mut page, records)?;
                 // One hop span per run of consecutively applied PSNs,
                 // all of a wave's hops before its page writes.
                 for (first, last, applied) in psn_runs(&from_psns) {
@@ -643,14 +652,19 @@ impl Runtime for ThreadCluster {
 // ----------------------------------------------------------------------
 
 /// PSN-filtered redo of one page (the filter of [`Node::replay_page`],
-/// against pre-extracted records). Returns the applied PSNs in order.
-fn apply_unit(page: &mut Page, records: &RedoRecords) -> Result<Vec<Psn>> {
+/// against the records a restart pass kept). Returns the applied PSNs
+/// in order.
+fn apply_unit<'a>(
+    page: &mut Page,
+    records: impl Iterator<Item = Result<(Psn, PageOpRef<'a>)>>,
+) -> Result<Vec<Psn>> {
     let mut from_psns = Vec::new();
-    for (psn_before, op) in records {
-        if *psn_before == page.psn() {
+    for r in records {
+        let (psn_before, op) = r?;
+        if psn_before == page.psn() {
             op.apply_redo(page)?;
             page.set_psn(psn_before.next());
-            from_psns.push(*psn_before);
+            from_psns.push(psn_before);
         }
     }
     Ok(from_psns)

@@ -9,6 +9,7 @@
 //! equal commit tallies are therefore hard requirements, not
 //! statistical expectations.
 
+use cblog_common::metrics::keys;
 use cblog_common::{NodeId, PageId};
 use cblog_core::{
     recover, Cluster, ClusterConfig, GroupCommitPolicy, PlanOp, RecoveryOptions, RecoveryReport,
@@ -335,5 +336,121 @@ fn recovery_images_match_across_engines_and_replay_modes() {
         assert_eq!(images, oracle, "threads parallel({workers}) image diverged");
         assert_eq!(report.replay_waves, rt_serial.replay_waves);
         assert_eq!(report.records_replayed, rt_serial.records_replayed);
+    }
+}
+
+/// The second life of the recovery workload: every page written again
+/// in new slots, every third transaction rolled back by its user.
+fn second_life_plans() -> Vec<TxnPlan> {
+    let mut plans = Vec::new();
+    for node in 0..REC_NODES {
+        for round in 0..4u64 {
+            for page in 0..REC_PAGES {
+                plans.push(TxnPlan {
+                    client: NodeId(node),
+                    stream: 0,
+                    ops: vec![
+                        PlanOp::Write {
+                            pid: PageId::new(NodeId(node), page),
+                            slot: (round % 4) as usize + 2,
+                            value: 50_000 + 1_000 * node as u64 + 100 * round + page as u64,
+                        },
+                        PlanOp::Write {
+                            pid: PageId::new(NodeId(node), (page + 1) % REC_PAGES),
+                            slot: 7,
+                            value: 90_000 + 100 * round + page as u64,
+                        },
+                    ],
+                    abort: (round * REC_PAGES as u64 + page as u64) % 3 == 2,
+                });
+            }
+        }
+    }
+    plans
+}
+
+/// Run, crash every node, recover, run again, crash, recover: on one
+/// cluster of either engine, so the second restart meets the
+/// checkpoint the first recovery ended with. Returns both reports and
+/// the final image of every page.
+fn recovered_twice<R: Runtime>(
+    rt: &mut R,
+    crash: fn(&mut R, NodeId),
+    mode: ReplayMode,
+) -> (Vec<RecoveryReport>, Vec<Vec<u8>>) {
+    let opts = RecoveryOptions::nodes(&[NodeId(0), NodeId(1)]).replay(mode);
+    let mut reports = Vec::new();
+    for plans in [recovery_plans(), second_life_plans()] {
+        rt.run(&plans).unwrap();
+        for n in 0..REC_NODES {
+            crash(rt, NodeId(n));
+        }
+        reports.push(recover(rt, &opts).unwrap());
+    }
+    let images = all_rec_pages()
+        .iter()
+        .map(|&pid| rt.page_image(pid).unwrap())
+        .collect();
+    (reports, images)
+}
+
+#[test]
+fn a_second_recovery_reads_back_what_both_lives_committed() {
+    // What the plans say every slot holds: the last committed write.
+    let mut want = std::collections::BTreeMap::new();
+    for plan in recovery_plans().iter().chain(&second_life_plans()) {
+        for op in plan.ops.iter().filter(|_| !plan.abort) {
+            if let PlanOp::Write { pid, slot, value } = *op {
+                want.insert((pid, slot), value);
+            }
+        }
+    }
+    let mut sim = Cluster::new(
+        ClusterConfig::builder()
+            .owned_pages(vec![REC_PAGES; REC_NODES as usize])
+            .build(),
+    )
+    .unwrap();
+    let (_, oracle) = recovered_twice(&mut sim, Cluster::crash, ReplayMode::Serial);
+    for (&pid, image) in all_rec_pages().iter().zip(&oracle) {
+        let page = cblog_storage::Page::from_bytes(image.clone()).unwrap();
+        for slot in 0..8 {
+            let got = page.read_slot(slot).unwrap();
+            assert_eq!(
+                got,
+                want.get(&(pid, slot)).copied().unwrap_or(0),
+                "{pid}[{slot}]"
+            );
+        }
+    }
+    for mode in [ReplayMode::Serial, ReplayMode::Parallel { workers: 4 }] {
+        let dir = std::env::temp_dir().join(format!(
+            "cblog-equiv-twice-{}-{}",
+            std::process::id(),
+            mode.workers()
+        ));
+        let _ = std::fs::remove_dir_all(&dir);
+        let mut rt = ThreadCluster::new(ThreadClusterConfig {
+            owned_pages: vec![REC_PAGES; REC_NODES as usize],
+            wal: WalBacking::Dir(dir.clone()),
+            ..ThreadClusterConfig::default()
+        })
+        .unwrap();
+        let crash = |rt: &mut ThreadCluster, n| rt.crash(n).unwrap();
+        let (reports, images) = recovered_twice(&mut rt, crash, mode);
+        assert_eq!(images, oracle, "threads {mode:?} image diverged from sim");
+        // The second restart started at the first one's checkpoint: it
+        // read the second life, not the first one again.
+        let metrics = rt.metrics();
+        let logged: u64 = (0..REC_NODES)
+            .map(|n| metrics.counter(&format!("n{n}/{}", keys::WAL_BYTES)))
+            .sum();
+        let [first, second] = [&reports[0], &reports[1]].map(|r| r.log_bytes_scanned);
+        assert!(
+            second < logged - first,
+            "{mode:?}: {first} + {second} of {logged}"
+        );
+        assert!(reports[1].records_replayed > 0);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }

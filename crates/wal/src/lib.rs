@@ -20,5 +20,7 @@ pub mod store;
 
 pub use dpt::{DirtyPageTable, DptEntry};
 pub use manager::{LogManager, LogScan};
-pub use record::{CheckpointBody, LogPayload, LogRecord, PageOp, RangeUpdate};
+pub use record::{
+    CheckpointBody, LogPayload, LogPayloadRef, LogRecord, LogRecordRef, PageOp, PageOpRef,
+};
 pub use store::{FileLogStore, LogStore, MemLogStore, SyncFaultStore};

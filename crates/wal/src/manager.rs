@@ -23,7 +23,7 @@
 //! * The master record anchors restart: it stores the LSN of the last
 //!   complete checkpoint and the truncation point.
 
-use crate::record::{LogRecord, RangeUpdate};
+use crate::record::{LogRecord, LogRecordRef};
 use crate::store::LogStore;
 use cblog_common::{Counter, Decoder, Encoder, Error, Fnv1a, Lsn, NodeId, Result};
 
@@ -249,23 +249,19 @@ impl LogManager {
     /// overflow — the caller then runs the §2.5 space protocol and
     /// retries; the log is then exactly as it was before the call.
     pub fn append(&mut self, rec: &LogRecord) -> Result<Lsn> {
-        self.append_with(|tail| rec.encode_into(tail))
+        self.append_ref(&rec.into())
     }
 
-    /// [`LogManager::append`] for a physical update whose images are
-    /// borrowed: the same bytes at the same LSN, with no owned record
-    /// built on the way.
-    pub fn append_range_update(&mut self, rec: &RangeUpdate<'_>) -> Result<Lsn> {
-        self.append_with(|tail| rec.encode_into(tail))
-    }
-
-    /// Appends the record `encode` writes at the end of the tail
-    /// (returning its length): in place, so the record's bytes are
-    /// written once, where the next force writes them from.
-    fn append_with(&mut self, encode: impl FnOnce(&mut Vec<u8>) -> usize) -> Result<Lsn> {
+    /// [`LogManager::append`] for a record whose images are borrowed
+    /// (the physical write path borrows its before-image from the
+    /// cached page): the same bytes at the same LSN, with no owned
+    /// record built on the way. The record is encoded at the end of the
+    /// tail, in place, so its bytes are written once, where the next
+    /// force writes them from.
+    pub fn append_ref(&mut self, rec: &LogRecordRef<'_>) -> Result<Lsn> {
         self.check_live()?;
         let start = self.tail.len();
-        let len = encode(&mut self.tail) as u64;
+        let len = rec.encode_into(&mut self.tail) as u64;
         if let Some(cap) = self.capacity {
             if self.used_space() + len > cap {
                 self.tail.truncate(start);
@@ -390,11 +386,9 @@ impl LogManager {
     /// point read (undo chains follow `prev_lsn` backwards); forward
     /// passes use [`LogManager::scan`].
     pub fn read_record(&mut self, lsn: Lsn) -> Result<(LogRecord, Lsn)> {
-        self.check_readable(lsn)?;
-        if lsn >= self.tail_start {
-            return self.read_tail(lsn);
-        }
-        self.read_durable(lsn, &mut ReadWindow::default(), POINT_READ_AHEAD)
+        let mut win = ReadWindow::default();
+        let (rec, n) = LogRecordRef::decode(self.frame(lsn, &mut win, POINT_READ_AHEAD)?)?;
+        Ok((rec.to_owned(), lsn.advance(n as u64)))
     }
 
     fn check_readable(&self, lsn: Lsn) -> Result<()> {
@@ -413,23 +407,21 @@ impl LogManager {
         Ok(())
     }
 
-    /// Decodes the unflushed record at `lsn`, `tail_start <= lsn <
-    /// end_lsn`: an offset into the tail, whatever its length.
-    fn read_tail(&self, lsn: Lsn) -> Result<(LogRecord, Lsn)> {
-        let off = (lsn.0 - self.tail_start.0) as usize;
-        let (rec, n) = LogRecord::decode(&self.tail[off..])?;
-        Ok((rec, lsn.advance(n as u64)))
-    }
-
-    /// Decodes the store-resident record at `lsn < tail_start` out of
-    /// `win`, refilling it with one `read_at` of the record plus up to
+    /// The bytes a record at `lsn` decodes from, for every read: past
+    /// `tail_start`, the unflushed tail from that offset on, whatever
+    /// the record's length; below it, the record's frame in `win`,
+    /// refilled with one `read_at` of the record plus up to
     /// `read_ahead` bytes when the record is not wholly inside it.
-    fn read_durable(
-        &mut self,
+    fn frame<'s>(
+        &'s mut self,
         lsn: Lsn,
-        win: &mut ReadWindow,
+        win: &'s mut ReadWindow,
         read_ahead: usize,
-    ) -> Result<(LogRecord, Lsn)> {
+    ) -> Result<&'s [u8]> {
+        self.check_readable(lsn)?;
+        if lsn >= self.tail_start {
+            return Ok(&self.tail[(lsn.0 - self.tail_start.0) as usize..]);
+        }
         let durable = self.tail_start.0;
         // A store-resident record's 8-byte header must lie wholly below
         // the durable boundary. A stale LSN within 8 bytes of a
@@ -443,12 +435,13 @@ impl LogManager {
             )));
         }
         // Makes `win` hold `need` bytes at `lsn`; returns their offset.
+        let store = &mut self.store;
         let mut fill = |win: &mut ReadWindow, need: usize| -> Result<usize> {
             if lsn.0 < win.start || lsn.0 + need as u64 > win.start + win.bytes.len() as u64 {
                 let len = (need.max(read_ahead) as u64).min(durable - lsn.0) as usize;
                 win.bytes.resize(len, 0);
                 win.start = lsn.0;
-                self.store.read_at(lsn.0, &mut win.bytes)?;
+                store.read_at(lsn.0, &mut win.bytes)?;
             }
             Ok((lsn.0 - win.start) as usize)
         };
@@ -460,17 +453,18 @@ impl LogManager {
             )));
         }
         let off = fill(win, total)?;
-        let (rec, n) = LogRecord::decode(&win.bytes[off..off + total])?;
-        Ok((rec, lsn.advance(n as u64)))
+        Ok(&win.bytes[off..off + total])
     }
 
     /// Iterates records from `from` to the end of the log (including
     /// the unflushed tail) — the one forward-scan primitive. The
     /// cursor reads the store sequentially through a bounded
-    /// read-ahead window and decodes records out of it in place; at
-    /// every edge (truncation point, durable boundary, tail) a record
-    /// reads exactly as [`LogManager::read_record`] reads it. The
-    /// cursor borrows the manager, so the log cannot change under it.
+    /// read-ahead window and decodes records out of it in place
+    /// ([`LogScan::next_ref`] lends them; the iterator copies each
+    /// out); at every edge (truncation point, durable boundary, tail) a
+    /// record reads exactly as [`LogManager::read_record`] reads it.
+    /// The cursor borrows the manager, so the log cannot change under
+    /// it.
     pub fn scan(&mut self, from: Lsn) -> LogScan<'_> {
         LogScan {
             lm: self,
@@ -575,7 +569,7 @@ impl LogManager {
         self.repair_scanned.add(len - pos);
         let mut scan = self.scan(Lsn(pos));
         let pos = loop {
-            match scan.next() {
+            match scan.next_ref() {
                 Some(Ok(_)) => {}
                 // Bad framing or checksum: the valid prefix ends here.
                 Some(Err(Error::Corrupt(_))) | None => break scan.position().0,
@@ -625,24 +619,24 @@ impl LogScan<'_> {
     pub fn position(&self) -> Lsn {
         self.next
     }
-}
 
-impl Iterator for LogScan<'_> {
-    type Item = Result<(Lsn, LogRecord)>;
-
-    fn next(&mut self) -> Option<Self::Item> {
+    /// The next record and its LSN, decoded in place: its op images
+    /// borrow the scan's read-ahead window (or the unflushed tail), so
+    /// a pass that drops most records allocates for none of them. The
+    /// record lives until the next call. After an error, which is
+    /// yielded once, the scan ends.
+    pub fn next_ref(&mut self) -> Option<Result<(Lsn, LogRecordRef<'_>)>> {
         if self.failed || self.next >= self.lm.end_lsn {
             return None;
         }
         let lsn = self.next;
-        let read = match self.lm.check_readable(lsn) {
-            Err(e) => Err(e),
-            Ok(()) if lsn >= self.lm.tail_start => self.lm.read_tail(lsn),
-            Ok(()) => self.lm.read_durable(lsn, &mut self.win, SCAN_READ_AHEAD),
-        };
+        let read = self
+            .lm
+            .frame(lsn, &mut self.win, SCAN_READ_AHEAD)
+            .and_then(LogRecordRef::decode);
         match read {
-            Ok((rec, next)) => {
-                self.next = next;
+            Ok((rec, n)) => {
+                self.next = lsn.advance(n as u64);
                 Some(Ok((lsn, rec)))
             }
             Err(e) => {
@@ -650,6 +644,15 @@ impl Iterator for LogScan<'_> {
                 Some(Err(e))
             }
         }
+    }
+}
+
+impl Iterator for LogScan<'_> {
+    type Item = Result<(Lsn, LogRecord)>;
+
+    fn next(&mut self) -> Option<Self::Item> {
+        self.next_ref()
+            .map(|r| r.map(|(lsn, rec)| (lsn, rec.to_owned())))
     }
 }
 
@@ -700,7 +703,8 @@ mod tests {
 
     /// `scan(from)` must be a `read_record` loop: the same `(lsn,
     /// record)` sequence, and where the loop would fail, that error
-    /// once and then the end.
+    /// once and then the end — through the iterator and through the
+    /// lending `next_ref`, whose records copy out to the same values.
     fn assert_scan_matches_reads(lm: &mut LogManager, from: Lsn) {
         let mut want = Vec::new();
         let mut pos = from;
@@ -730,6 +734,19 @@ mod tests {
             );
         }
         assert!(scan.next().is_none(), "a finished scan stays finished");
+        let stopped = scan.position();
+
+        let mut scan = lm.scan(from);
+        let mut lent = Vec::new();
+        while let Some(r) = scan.next_ref() {
+            lent.push(
+                r.map(|(lsn, rec)| (lsn, rec.to_owned()))
+                    .map_err(|e| e.to_string()),
+            );
+        }
+        assert_eq!(lent, want, "next_ref from {from}");
+        assert_eq!(scan.position(), stopped, "both stop at one place");
+        assert!(scan.next_ref().is_none(), "a finished scan stays finished");
     }
 
     /// Fills `lm` past several read-ahead windows with records of

@@ -11,10 +11,20 @@
 //! Every update-describing record (Update, Clr) carries the page id and
 //! the PSN the page had *just before* the update (paper §2.1). That PSN
 //! is the sole cross-node ordering token used by recovery.
+//!
+//! One function lays a record out and one parses it:
+//! [`LogRecordRef::encode_into`] and [`LogRecordRef::decode`]. The
+//! borrowed forms ([`LogRecordRef`], [`LogPayloadRef`], [`PageOpRef`])
+//! decode in place over a frame: ids and PSNs are read out of it, op
+//! images are slices of it, so a forward scan allocates nothing for the
+//! records it looks at and drops. The owned forms ([`LogRecord`],
+//! [`LogPayload`], [`PageOp`]) are what callers build and keep; `From`
+//! borrows an owned record, `to_owned` copies a borrowed one.
 
 use crate::dpt::DptEntry;
 use cblog_common::{Decoder, Encoder, Error, Lsn, PageId, Psn, Result, TxnId};
 use cblog_storage::{Page, SlottedPage};
+use std::borrow::Cow;
 
 /// A page mutation, loggable physically or logically.
 ///
@@ -59,116 +69,205 @@ pub enum PageOp {
 
 impl PageOp {
     /// Applies the forward (redo) effect to `page`.
+    #[inline]
     pub fn apply_redo(&self, page: &mut Page) -> Result<()> {
-        match self {
-            PageOp::WriteRange { off, after, .. } => page.write_range(*off as usize, after),
-            PageOp::Insert { slot, data } => SlottedPage::new(page).insert_at(*slot, data),
-            PageOp::Delete { slot, .. } => SlottedPage::new(page).delete(*slot).map(|_| ()),
-            PageOp::UpdateRec { slot, new, .. } => {
-                SlottedPage::new(page).update(*slot, new).map(|_| ())
-            }
-        }
+        PageOpRef::from(self).apply_redo(page)
     }
 
     /// Applies the backward (undo) effect to `page`.
     pub fn apply_undo(&self, page: &mut Page) -> Result<()> {
-        self.inverse().apply_redo(page)
+        PageOpRef::from(self).inverse().apply_redo(page)
     }
 
     /// The inverse operation — what a CLR logs as its redo.
     pub fn inverse(&self) -> PageOp {
-        match self {
-            PageOp::WriteRange { off, before, after } => PageOp::WriteRange {
-                off: *off,
-                before: after.clone(),
-                after: before.clone(),
-            },
-            PageOp::Insert { slot, data } => PageOp::Delete {
-                slot: *slot,
-                old: data.clone(),
-            },
-            PageOp::Delete { slot, old } => PageOp::Insert {
-                slot: *slot,
-                data: old.clone(),
-            },
-            PageOp::UpdateRec { slot, old, new } => PageOp::UpdateRec {
-                slot: *slot,
-                old: new.clone(),
-                new: old.clone(),
-            },
-        }
+        PageOpRef::from(self).inverse().to_owned()
     }
 
     /// True for logical (record-level) operations.
     pub fn is_logical(&self) -> bool {
         !matches!(self, PageOp::WriteRange { .. })
     }
+}
 
-    fn encode(&self, e: &mut Encoder) {
+/// A [`PageOp`] whose images are borrowed: from a log frame when
+/// decoded, from the owned op when converted with `From`. Redo, the
+/// inverse and the op's encoding are written once, here.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum PageOpRef<'a> {
+    /// See [`PageOp::WriteRange`].
+    WriteRange {
+        /// Byte offset within the page body.
+        off: u32,
+        /// Before-image (undo).
+        before: &'a [u8],
+        /// After-image (redo).
+        after: &'a [u8],
+    },
+    /// See [`PageOp::Insert`].
+    Insert {
+        /// Slot the record was placed in.
+        slot: u16,
+        /// Record payload.
+        data: &'a [u8],
+    },
+    /// See [`PageOp::Delete`].
+    Delete {
+        /// Slot the record was removed from.
+        slot: u16,
+        /// The deleted record.
+        old: &'a [u8],
+    },
+    /// See [`PageOp::UpdateRec`].
+    UpdateRec {
+        /// Slot updated.
+        slot: u16,
+        /// Previous payload.
+        old: &'a [u8],
+        /// New payload.
+        new: &'a [u8],
+    },
+}
+
+impl<'a> From<&'a PageOp> for PageOpRef<'a> {
+    #[inline]
+    fn from(op: &'a PageOp) -> Self {
+        match op {
+            PageOp::WriteRange { off, before, after } => PageOpRef::WriteRange {
+                off: *off,
+                before,
+                after,
+            },
+            PageOp::Insert { slot, data } => PageOpRef::Insert { slot: *slot, data },
+            PageOp::Delete { slot, old } => PageOpRef::Delete { slot: *slot, old },
+            PageOp::UpdateRec { slot, old, new } => PageOpRef::UpdateRec {
+                slot: *slot,
+                old,
+                new,
+            },
+        }
+    }
+}
+
+impl<'a> PageOpRef<'a> {
+    /// Applies the forward (redo) effect to `page`; the PSN is the
+    /// caller's.
+    #[inline]
+    pub fn apply_redo(self, page: &mut Page) -> Result<()> {
         match self {
-            PageOp::WriteRange { off, before, after } => put_write_range(e, *off, before, after),
-            PageOp::Insert { slot, data } => {
+            PageOpRef::WriteRange { off, after, .. } => page.write_range(off as usize, after),
+            PageOpRef::Insert { slot, data } => SlottedPage::new(page).insert_at(slot, data),
+            PageOpRef::Delete { slot, .. } => SlottedPage::new(page).delete(slot).map(|_| ()),
+            PageOpRef::UpdateRec { slot, new, .. } => {
+                SlottedPage::new(page).update(slot, new).map(|_| ())
+            }
+        }
+    }
+
+    /// The inverse operation over the same images, roles swapped.
+    pub fn inverse(self) -> PageOpRef<'a> {
+        match self {
+            PageOpRef::WriteRange { off, before, after } => PageOpRef::WriteRange {
+                off,
+                before: after,
+                after: before,
+            },
+            PageOpRef::Insert { slot, data } => PageOpRef::Delete { slot, old: data },
+            PageOpRef::Delete { slot, old } => PageOpRef::Insert { slot, data: old },
+            PageOpRef::UpdateRec { slot, old, new } => PageOpRef::UpdateRec {
+                slot,
+                old: new,
+                new: old,
+            },
+        }
+    }
+
+    /// An owned copy of the op.
+    pub fn to_owned(self) -> PageOp {
+        match self {
+            PageOpRef::WriteRange { off, before, after } => PageOp::WriteRange {
+                off,
+                before: before.to_vec(),
+                after: after.to_vec(),
+            },
+            PageOpRef::Insert { slot, data } => PageOp::Insert {
+                slot,
+                data: data.to_vec(),
+            },
+            PageOpRef::Delete { slot, old } => PageOp::Delete {
+                slot,
+                old: old.to_vec(),
+            },
+            PageOpRef::UpdateRec { slot, old, new } => PageOp::UpdateRec {
+                slot,
+                old: old.to_vec(),
+                new: new.to_vec(),
+            },
+        }
+    }
+
+    /// Writes the op: the one place that lays an op out. Self-delimiting,
+    /// so ops written end to end read back one after another.
+    #[inline]
+    pub fn encode(self, e: &mut Encoder) {
+        match self {
+            PageOpRef::WriteRange { off, before, after } => {
+                e.put_u8(0);
+                e.put_u32(off);
+                e.put_bytes(before);
+                e.put_bytes(after);
+            }
+            PageOpRef::Insert { slot, data } => {
                 e.put_u8(1);
-                e.put_u16(*slot);
+                e.put_u16(slot);
                 e.put_bytes(data);
             }
-            PageOp::Delete { slot, old } => {
+            PageOpRef::Delete { slot, old } => {
                 e.put_u8(2);
-                e.put_u16(*slot);
+                e.put_u16(slot);
                 e.put_bytes(old);
             }
-            PageOp::UpdateRec { slot, old, new } => {
+            PageOpRef::UpdateRec { slot, old, new } => {
                 e.put_u8(3);
-                e.put_u16(*slot);
+                e.put_u16(slot);
                 e.put_bytes(old);
                 e.put_bytes(new);
             }
         }
     }
 
-    fn decode(d: &mut Decoder<'_>) -> Result<Self> {
+    /// Reads an op [`PageOpRef::encode`] wrote, its images borrowed
+    /// from the decoder's buffer.
+    pub fn decode(d: &mut Decoder<'a>) -> Result<Self> {
         match d.get_u8()? {
-            0 => Ok(PageOp::WriteRange {
+            0 => Ok(PageOpRef::WriteRange {
                 off: d.get_u32()?,
-                before: d.get_bytes()?.to_vec(),
-                after: d.get_bytes()?.to_vec(),
+                before: d.get_bytes()?,
+                after: d.get_bytes()?,
             }),
-            1 => Ok(PageOp::Insert {
+            1 => Ok(PageOpRef::Insert {
                 slot: d.get_u16()?,
-                data: d.get_bytes()?.to_vec(),
+                data: d.get_bytes()?,
             }),
-            2 => Ok(PageOp::Delete {
+            2 => Ok(PageOpRef::Delete {
                 slot: d.get_u16()?,
-                old: d.get_bytes()?.to_vec(),
+                old: d.get_bytes()?,
             }),
-            3 => Ok(PageOp::UpdateRec {
+            3 => Ok(PageOpRef::UpdateRec {
                 slot: d.get_u16()?,
-                old: d.get_bytes()?.to_vec(),
-                new: d.get_bytes()?.to_vec(),
+                old: d.get_bytes()?,
+                new: d.get_bytes()?,
             }),
             t => Err(Error::Corrupt(format!("bad page op tag {t}"))),
         }
     }
 }
 
-/// Lays out the body of a [`PageOp::WriteRange`]: the one place that
-/// knows it, for an owned op and for a [`RangeUpdate`]'s borrowed
-/// images alike.
-fn put_write_range(e: &mut Encoder, off: u32, before: &[u8], after: &[u8]) {
-    e.put_u8(0);
-    e.put_u32(off);
-    e.put_bytes(before);
-    e.put_bytes(after);
-}
-
-/// Payload tag of [`LogPayload::Update`].
-const TAG_UPDATE: u8 = 1;
-
 /// Appends one framed record to `out` and returns its length: the
 /// 8-byte frame goes first as a placeholder, `body` writes the payload
 /// fields behind the common prefix, and the frame is patched at the
-/// record's start offset once the body behind it is complete. Every
-/// record in a log was laid out here.
+/// record's start offset once the body behind it is complete.
+#[inline]
 fn frame_into(
     out: &mut Vec<u8>,
     txn: TxnId,
@@ -189,40 +288,6 @@ fn frame_into(
     out[start..start + 4].copy_from_slice(&(total as u32).to_le_bytes());
     out[start + 4..start + 8].copy_from_slice(&crc.to_le_bytes());
     total
-}
-
-/// An [`LogPayload::Update`] record carrying a [`PageOp::WriteRange`],
-/// with both images borrowed: what the physical write path logs, so
-/// that the before-image is read straight out of the cached page and
-/// no owned [`LogRecord`] is built to be encoded once and dropped.
-/// Encodes byte for byte as the owned record does.
-#[derive(Clone, Copy, Debug)]
-pub struct RangeUpdate<'a> {
-    /// The writing transaction.
-    pub txn: TxnId,
-    /// Its previous record.
-    pub prev_lsn: Lsn,
-    /// Updated page.
-    pub pid: PageId,
-    /// Page PSN just before this update.
-    pub psn_before: Psn,
-    /// Byte offset within the page body.
-    pub off: u32,
-    /// Before-image (undo).
-    pub before: &'a [u8],
-    /// After-image (redo).
-    pub after: &'a [u8],
-}
-
-impl RangeUpdate<'_> {
-    /// Appends the framed record to `out`; returns its length.
-    pub fn encode_into(&self, out: &mut Vec<u8>) -> usize {
-        frame_into(out, self.txn, self.prev_lsn, TAG_UPDATE, |e| {
-            e.put_page(self.pid);
-            e.put_psn(self.psn_before);
-            put_write_range(e, self.off, self.before, self.after);
-        })
-    }
 }
 
 /// Body of a fuzzy checkpoint-end record: the node's DPT and the
@@ -285,22 +350,6 @@ pub enum LogPayload {
     },
 }
 
-impl LogPayload {
-    fn tag(&self) -> u8 {
-        match self {
-            LogPayload::Begin => 0,
-            LogPayload::Update { .. } => TAG_UPDATE,
-            LogPayload::Clr { .. } => 2,
-            LogPayload::Commit => 3,
-            LogPayload::Abort => 4,
-            LogPayload::CheckpointBegin => 5,
-            LogPayload::CheckpointEnd(_) => 6,
-            LogPayload::AllocPage { .. } => 7,
-            LogPayload::FreePage { .. } => 8,
-        }
-    }
-}
-
 /// One record in a node's local log.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct LogRecord {
@@ -350,8 +399,216 @@ impl LogRecord {
     }
 
     /// Appends the framed record to `out`, leaving what `out` holds in
-    /// place, and returns the record's length. This is how a record
-    /// reaches the log tail: written once, where it is forced from.
+    /// place, and returns the record's length.
+    #[inline]
+    pub fn encode_into(&self, out: &mut Vec<u8>) -> usize {
+        LogRecordRef::from(self).encode_into(out)
+    }
+
+    /// Decodes one framed record from the front of `buf`, returning the
+    /// record and the number of bytes consumed.
+    pub fn decode(buf: &[u8]) -> Result<(LogRecord, usize)> {
+        let (rec, n) = LogRecordRef::decode(buf)?;
+        Ok((rec.to_owned(), n))
+    }
+}
+
+/// A [`LogPayload`] decoded in place (see [`LogRecordRef`]).
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub enum LogPayloadRef<'a> {
+    /// See [`LogPayload::Begin`].
+    Begin,
+    /// See [`LogPayload::Update`].
+    Update {
+        /// Updated page.
+        pid: PageId,
+        /// Page PSN just before this update.
+        psn_before: Psn,
+        /// The operation, borrowed.
+        op: PageOpRef<'a>,
+    },
+    /// See [`LogPayload::Clr`].
+    Clr {
+        /// Updated (compensated) page.
+        pid: PageId,
+        /// Page PSN just before the compensation update.
+        psn_before: Psn,
+        /// The compensation operation, borrowed.
+        op: PageOpRef<'a>,
+        /// Next record of this transaction to undo.
+        undo_next: Lsn,
+    },
+    /// See [`LogPayload::Commit`].
+    Commit,
+    /// See [`LogPayload::Abort`].
+    Abort,
+    /// See [`LogPayload::CheckpointBegin`].
+    CheckpointBegin,
+    /// See [`LogPayload::CheckpointEnd`]. The one payload a decode
+    /// allocates for: its body is two lists, and a log holds few.
+    CheckpointEnd(Cow<'a, CheckpointBody>),
+    /// See [`LogPayload::AllocPage`].
+    AllocPage {
+        /// Allocated page.
+        pid: PageId,
+        /// Kind tag.
+        kind: u8,
+    },
+    /// See [`LogPayload::FreePage`].
+    FreePage {
+        /// Freed page.
+        pid: PageId,
+        /// PSN at deallocation.
+        final_psn: Psn,
+    },
+}
+
+/// Payload tag of [`LogPayload::Update`].
+const TAG_UPDATE: u8 = 1;
+
+impl LogPayloadRef<'_> {
+    #[inline]
+    fn tag(&self) -> u8 {
+        match self {
+            LogPayloadRef::Begin => 0,
+            LogPayloadRef::Update { .. } => TAG_UPDATE,
+            LogPayloadRef::Clr { .. } => 2,
+            LogPayloadRef::Commit => 3,
+            LogPayloadRef::Abort => 4,
+            LogPayloadRef::CheckpointBegin => 5,
+            LogPayloadRef::CheckpointEnd(_) => 6,
+            LogPayloadRef::AllocPage { .. } => 7,
+            LogPayloadRef::FreePage { .. } => 8,
+        }
+    }
+}
+
+/// A [`LogRecord`] decoded in place over its frame, or borrowed from an
+/// owned record: the form every log read and every log write goes
+/// through.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct LogRecordRef<'a> {
+    /// The transaction this record belongs to.
+    pub txn: TxnId,
+    /// Previous record of the same transaction, or [`Lsn::ZERO`].
+    pub prev_lsn: Lsn,
+    /// The payload.
+    pub payload: LogPayloadRef<'a>,
+}
+
+impl<'a> From<&'a LogRecord> for LogRecordRef<'a> {
+    #[inline]
+    fn from(r: &'a LogRecord) -> Self {
+        let payload = match &r.payload {
+            LogPayload::Begin => LogPayloadRef::Begin,
+            LogPayload::Update {
+                pid,
+                psn_before,
+                op,
+            } => LogPayloadRef::Update {
+                pid: *pid,
+                psn_before: *psn_before,
+                op: op.into(),
+            },
+            LogPayload::Clr {
+                pid,
+                psn_before,
+                op,
+                undo_next,
+            } => LogPayloadRef::Clr {
+                pid: *pid,
+                psn_before: *psn_before,
+                op: op.into(),
+                undo_next: *undo_next,
+            },
+            LogPayload::Commit => LogPayloadRef::Commit,
+            LogPayload::Abort => LogPayloadRef::Abort,
+            LogPayload::CheckpointBegin => LogPayloadRef::CheckpointBegin,
+            LogPayload::CheckpointEnd(b) => LogPayloadRef::CheckpointEnd(Cow::Borrowed(b)),
+            LogPayload::AllocPage { pid, kind } => LogPayloadRef::AllocPage {
+                pid: *pid,
+                kind: *kind,
+            },
+            LogPayload::FreePage { pid, final_psn } => LogPayloadRef::FreePage {
+                pid: *pid,
+                final_psn: *final_psn,
+            },
+        };
+        LogRecordRef {
+            txn: r.txn,
+            prev_lsn: r.prev_lsn,
+            payload,
+        }
+    }
+}
+
+impl<'a> LogRecordRef<'a> {
+    /// The page, PSN-before and op of an Update or Clr record.
+    pub fn update(&self) -> Option<(PageId, Psn, PageOpRef<'a>)> {
+        match self.payload {
+            LogPayloadRef::Update {
+                pid,
+                psn_before,
+                op,
+            }
+            | LogPayloadRef::Clr {
+                pid,
+                psn_before,
+                op,
+                ..
+            } => Some((pid, psn_before, op)),
+            _ => None,
+        }
+    }
+
+    /// An owned copy of the record.
+    pub fn to_owned(&self) -> LogRecord {
+        let payload = match &self.payload {
+            LogPayloadRef::Begin => LogPayload::Begin,
+            LogPayloadRef::Update {
+                pid,
+                psn_before,
+                op,
+            } => LogPayload::Update {
+                pid: *pid,
+                psn_before: *psn_before,
+                op: (*op).to_owned(),
+            },
+            LogPayloadRef::Clr {
+                pid,
+                psn_before,
+                op,
+                undo_next,
+            } => LogPayload::Clr {
+                pid: *pid,
+                psn_before: *psn_before,
+                op: (*op).to_owned(),
+                undo_next: *undo_next,
+            },
+            LogPayloadRef::Commit => LogPayload::Commit,
+            LogPayloadRef::Abort => LogPayload::Abort,
+            LogPayloadRef::CheckpointBegin => LogPayload::CheckpointBegin,
+            LogPayloadRef::CheckpointEnd(b) => LogPayload::CheckpointEnd(CheckpointBody::clone(b)),
+            LogPayloadRef::AllocPage { pid, kind } => LogPayload::AllocPage {
+                pid: *pid,
+                kind: *kind,
+            },
+            LogPayloadRef::FreePage { pid, final_psn } => LogPayload::FreePage {
+                pid: *pid,
+                final_psn: *final_psn,
+            },
+        };
+        LogRecord {
+            txn: self.txn,
+            prev_lsn: self.prev_lsn,
+            payload,
+        }
+    }
+
+    /// Appends the framed record to `out`, leaving what `out` holds in
+    /// place, and returns the record's length: every record in a log
+    /// was laid out here, written once, where it is forced from.
+    #[inline]
     pub fn encode_into(&self, out: &mut Vec<u8>) -> usize {
         frame_into(
             out,
@@ -359,11 +616,11 @@ impl LogRecord {
             self.prev_lsn,
             self.payload.tag(),
             |out| match &self.payload {
-                LogPayload::Begin
-                | LogPayload::Commit
-                | LogPayload::Abort
-                | LogPayload::CheckpointBegin => {}
-                LogPayload::Update {
+                LogPayloadRef::Begin
+                | LogPayloadRef::Commit
+                | LogPayloadRef::Abort
+                | LogPayloadRef::CheckpointBegin => {}
+                LogPayloadRef::Update {
                     pid,
                     psn_before,
                     op,
@@ -372,7 +629,7 @@ impl LogRecord {
                     out.put_psn(*psn_before);
                     op.encode(out);
                 }
-                LogPayload::Clr {
+                LogPayloadRef::Clr {
                     pid,
                     psn_before,
                     op,
@@ -383,7 +640,7 @@ impl LogRecord {
                     out.put_lsn(*undo_next);
                     op.encode(out);
                 }
-                LogPayload::CheckpointEnd(b) => {
+                LogPayloadRef::CheckpointEnd(b) => {
                     out.put_u32(b.dpt.len() as u32);
                     for e in &b.dpt {
                         e.encode(out);
@@ -394,11 +651,11 @@ impl LogRecord {
                         out.put_lsn(*l);
                     }
                 }
-                LogPayload::AllocPage { pid, kind } => {
+                LogPayloadRef::AllocPage { pid, kind } => {
                     out.put_page(*pid);
                     out.put_u8(*kind);
                 }
-                LogPayload::FreePage { pid, final_psn } => {
+                LogPayloadRef::FreePage { pid, final_psn } => {
                     out.put_page(*pid);
                     out.put_psn(*final_psn);
                 }
@@ -406,9 +663,10 @@ impl LogRecord {
         )
     }
 
-    /// Decodes one framed record from the front of `buf`, returning the
-    /// record and the number of bytes consumed.
-    pub fn decode(buf: &[u8]) -> Result<(LogRecord, usize)> {
+    /// Decodes one framed record from the front of `buf` in place,
+    /// checking its length and checksum, and returns it with the number
+    /// of bytes it takes. The one function that parses a frame.
+    pub fn decode(buf: &'a [u8]) -> Result<(LogRecordRef<'a>, usize)> {
         if buf.len() < 8 {
             return Err(Error::Corrupt("truncated log record frame".into()));
         }
@@ -428,21 +686,21 @@ impl LogRecord {
         let txn = d.get_txn()?;
         let prev_lsn = d.get_lsn()?;
         let payload = match d.get_u8()? {
-            0 => LogPayload::Begin,
-            TAG_UPDATE => LogPayload::Update {
+            0 => LogPayloadRef::Begin,
+            TAG_UPDATE => LogPayloadRef::Update {
                 pid: d.get_page()?,
                 psn_before: d.get_psn()?,
-                op: PageOp::decode(&mut d)?,
+                op: PageOpRef::decode(&mut d)?,
             },
-            2 => LogPayload::Clr {
+            2 => LogPayloadRef::Clr {
                 pid: d.get_page()?,
                 psn_before: d.get_psn()?,
                 undo_next: d.get_lsn()?,
-                op: PageOp::decode(&mut d)?,
+                op: PageOpRef::decode(&mut d)?,
             },
-            3 => LogPayload::Commit,
-            4 => LogPayload::Abort,
-            5 => LogPayload::CheckpointBegin,
+            3 => LogPayloadRef::Commit,
+            4 => LogPayloadRef::Abort,
+            5 => LogPayloadRef::CheckpointBegin,
             6 => {
                 let n = d.get_u32()? as usize;
                 let mut dpt = Vec::with_capacity(n);
@@ -456,20 +714,20 @@ impl LogRecord {
                     let l = d.get_lsn()?;
                     active_txns.push((t, l));
                 }
-                LogPayload::CheckpointEnd(CheckpointBody { dpt, active_txns })
+                LogPayloadRef::CheckpointEnd(Cow::Owned(CheckpointBody { dpt, active_txns }))
             }
-            7 => LogPayload::AllocPage {
+            7 => LogPayloadRef::AllocPage {
                 pid: d.get_page()?,
                 kind: d.get_u8()?,
             },
-            8 => LogPayload::FreePage {
+            8 => LogPayloadRef::FreePage {
                 pid: d.get_page()?,
                 final_psn: d.get_psn()?,
             },
             t => return Err(Error::Corrupt(format!("bad log payload tag {t}"))),
         };
         Ok((
-            LogRecord {
+            LogRecordRef {
                 txn,
                 prev_lsn,
                 payload,
@@ -498,6 +756,15 @@ mod tests {
         let (back, consumed) = LogRecord::decode(&bytes).unwrap();
         assert_eq!(consumed, bytes.len());
         assert_eq!(back, r);
+        // In place: the same record, borrowing its images from the
+        // frame, and the same bytes when it is laid out again.
+        let (borrowed, consumed) = LogRecordRef::decode(&bytes).unwrap();
+        assert_eq!(consumed, bytes.len());
+        assert_eq!(borrowed, LogRecordRef::from(&r));
+        assert_eq!(borrowed.to_owned(), r);
+        let mut again = Vec::new();
+        assert_eq!(borrowed.encode_into(&mut again), bytes.len());
+        assert_eq!(again, bytes);
     }
 
     #[test]
@@ -533,7 +800,22 @@ mod tests {
             0x08, 0x00, 0x00, 0x00, 0xef, 0xbe, 0xad, 0xde, 0x00, 0x00, 0x00, 0x00,
         ];
         assert_eq!(rec.encode(), golden);
-        assert_eq!(LogRecord::decode(&golden).unwrap(), (rec, golden.len()));
+        assert_eq!(
+            LogRecord::decode(&golden).unwrap(),
+            (rec.clone(), golden.len())
+        );
+        // The borrowed decode reads the same fields, and its images are
+        // the frame's own bytes.
+        let (borrowed, n) = LogRecordRef::decode(&golden).unwrap();
+        assert_eq!(n, golden.len());
+        assert_eq!(borrowed.to_owned(), rec);
+        let Some((page, psn, PageOpRef::WriteRange { off, before, after })) = borrowed.update()
+        else {
+            panic!("an update with a range write: {borrowed:?}");
+        };
+        assert_eq!((page, psn, off), (pid(), Psn(41), 16));
+        assert_eq!(before.as_ptr(), golden[54..].as_ptr());
+        assert_eq!(after.as_ptr(), golden[66..].as_ptr());
     }
 
     /// One record of every payload variant.
@@ -635,6 +917,8 @@ mod tests {
 
     #[test]
     fn a_borrowed_range_update_encodes_as_the_owned_record() {
+        // What the physical write path appends: both images borrowed,
+        // the before-image straight out of the cached page.
         let (before, after) = (7u64.to_le_bytes(), 0xDEAD_BEEF_u64.to_le_bytes());
         let owned = LogRecord {
             txn: txn(),
@@ -649,18 +933,64 @@ mod tests {
                 },
             },
         };
-        let borrowed = RangeUpdate {
+        let borrowed = LogRecordRef {
             txn: txn(),
             prev_lsn: Lsn(0x1122),
-            pid: pid(),
-            psn_before: Psn(41),
-            off: 16,
-            before: &before,
-            after: &after,
+            payload: LogPayloadRef::Update {
+                pid: pid(),
+                psn_before: Psn(41),
+                op: PageOpRef::WriteRange {
+                    off: 16,
+                    before: &before,
+                    after: &after,
+                },
+            },
         };
         let mut out = vec![0xAA; 3];
         assert_eq!(borrowed.encode_into(&mut out), 74);
         assert_eq!(out[3..], owned.encode()[..]);
+        assert_eq!(borrowed, LogRecordRef::from(&owned));
+    }
+
+    #[test]
+    fn borrowed_ops_redo_and_invert_as_owned_ones() {
+        let ops = [
+            PageOp::WriteRange {
+                off: 16,
+                before: vec![0; 8],
+                after: vec![5; 8],
+            },
+            PageOp::Insert {
+                slot: 0,
+                data: b"fresh".to_vec(),
+            },
+            PageOp::UpdateRec {
+                slot: 0,
+                old: b"fresh".to_vec(),
+                new: b"later".to_vec(),
+            },
+            PageOp::Delete {
+                slot: 0,
+                old: b"later".to_vec(),
+            },
+        ];
+        let mut by_owned = Page::new(pid(), PageKind::Slotted, Psn(0), 512);
+        let mut by_ref = by_owned.clone();
+        for op in &ops {
+            let r = PageOpRef::from(op);
+            assert_eq!(r.to_owned(), *op);
+            assert_eq!(r.inverse().to_owned(), op.inverse());
+            assert_eq!(r.inverse().inverse(), r);
+            let mut e = Encoder::new();
+            r.encode(&mut e);
+            e.put_u8(0xEE);
+            let mut d = Decoder::new(e.as_slice());
+            assert_eq!(PageOpRef::decode(&mut d).unwrap(), r, "self-delimiting");
+            assert_eq!(d.remaining(), 1);
+            op.apply_redo(&mut by_owned).unwrap();
+            r.apply_redo(&mut by_ref).unwrap();
+            assert_eq!(by_owned.to_bytes(), by_ref.to_bytes());
+        }
     }
 
     #[test]
@@ -675,6 +1005,8 @@ mod tests {
         bytes[n - 1] ^= 0xFF;
         assert!(LogRecord::decode(&bytes).is_err());
         assert!(LogRecord::decode(&bytes[..4]).is_err());
+        assert!(LogRecordRef::decode(&bytes).is_err());
+        assert!(LogRecordRef::decode(&bytes[..4]).is_err());
     }
 
     #[test]
