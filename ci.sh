@@ -63,20 +63,17 @@ cargo run --release --offline -p cblog-bench --bin tracedump -- \
 grep "replay-hop" /tmp/ci_tracedump.txt > /dev/null
 rm -f /tmp/ci_tracedump.txt /tmp/ci_tracedump.json
 
-echo "==> obsreport smoke: self-contained HTML + folded stacks (OBS_e1.html)"
-cargo run --release --offline -p cblog-bench --bin obsreport -- \
-    --scenario e1 --out OBS_e1.html
-grep '<svg' OBS_e1.html > /dev/null
-cargo run --release --offline -p cblog-bench --bin obsreport -- \
-    --scenario e1 --folded > /tmp/ci_obs_folded.txt
-grep 'n0;disk ' /tmp/ci_obs_folded.txt > /dev/null
-rm -f /tmp/ci_obs_folded.txt
-
-echo "==> obsreport compare smoke: sim vs rt, one seeded workload"
-cargo run --release --offline -p cblog-bench --bin obsreport -- \
-    --compare --out /tmp/ci_obs_compare.html
-grep 'Bucket shares' /tmp/ci_obs_compare.html > /dev/null
-rm -f /tmp/ci_obs_compare.html
+echo "==> tracedump --folded smoke: per-node bucket profiles of both engines"
+# Recovery charges the simulator's replay bucket; the threaded run
+# profiles both of its workers.
+cargo run --release --offline -p cblog-bench --bin tracedump -- \
+    --scenario e5 --folded > /tmp/ci_folded.txt
+grep ";replay " /tmp/ci_folded.txt > /dev/null
+cargo run --release --offline -p cblog-bench --bin tracedump -- \
+    --scenario rt --folded > /tmp/ci_folded.txt
+grep "^rt;n0;" /tmp/ci_folded.txt > /dev/null
+grep "^rt;n1;" /tmp/ci_folded.txt > /dev/null
+rm -f /tmp/ci_folded.txt
 
 echo "==> crash-point model checker: bounded CI budget"
 # Exhaustively enumerates the CI space (crash points x victim sets x
@@ -125,6 +122,9 @@ bash tools/pairs.sh . . -p 1 -s 1 -w grouped-mem > /tmp/ci_pairs.txt
 grep "^commits_per_s " /tmp/ci_pairs.txt > /dev/null
 grep "^setup_s .*/1 " /tmp/ci_pairs.txt > /dev/null
 rm -f /tmp/ci_pairs.txt
+
+echo "==> line ledger of HEAD (tools/loc.sh)"
+bash tools/loc.sh
 
 echo "==> cargo fmt --check"
 cargo fmt --check

@@ -2,21 +2,25 @@
 //!
 //! ```text
 //! cargo run --release -p cblog-bench --bin tracedump -- \
-//!     [--scenario e5|e6|e7|rt] [--page P0.3] [--json]
+//!     [--scenario e5|e6|e7|rt] [--page P0.3] [--json | --folded]
 //! ```
 //!
 //! Default mode prints the trace summary (span counts, watchdog
 //! verdict) and the PSN lineage of `--page` — or of the busiest page
 //! when no page is given. `--json` instead emits the whole span store
 //! as Chrome trace-event JSON on stdout, loadable in `chrome://tracing`
-//! or Perfetto. The scenario fails (exit 1, lineage slice on stderr)
-//! if the invariant watchdog flagged any span. `e5`, `e6` and `e7` run
+//! or Perfetto. `--folded` prints where each node's time went, one
+//! `flamegraph.pl` folded line per node × bucket
+//! (`<scenario>;n<id>;<bucket> <µs>`: disk, cpu, net, lock_wait,
+//! replay); a node's lines sum to its busy time plus lock wait. The
+//! scenario fails (exit 1, lineage slice on stderr) if the invariant
+//! watchdog flagged any span. `e5`, `e6` and `e7` run
 //! on the simulator; `rt` is a small run, crash and recovery on the
 //! threaded engine, printed through the same views (its timestamps are
 //! wall-clock, so only the sim scenarios repeat byte for byte).
 
 use cblog_common::span::{busiest_page, chrome_trace_json, render_lineage};
-use cblog_common::{NodeId, PageId, Result, Trace};
+use cblog_common::{folded_profile, NodeId, PageId, Result, Trace, BUCKETS};
 use cblog_core::{PlanOp, RecoveryOptions, Runtime, TxnPlan};
 use cblog_rt::{ThreadCluster, ThreadClusterConfig};
 use cblog_sim::tracedump::{run_scenario, summary, SCENARIOS};
@@ -24,8 +28,9 @@ use cblog_sim::tracedump::{run_scenario, summary, SCENARIOS};
 /// The threaded scenario: node 0 commits three rounds of writes to
 /// four of its pages while node 1 reads one of them across the mesh,
 /// then node 0 crashes and recovers. `run` and `recover` fail on any
-/// watchdog violation, like the sim scenarios' final check.
-fn run_rt() -> Result<Trace> {
+/// watchdog violation, like the sim scenarios' final check. The
+/// profile is the run's per-worker wall-time split.
+fn run_rt() -> Result<(Trace, Vec<[u64; BUCKETS]>)> {
     let mut tc = ThreadCluster::new(ThreadClusterConfig::default())?;
     let page = |i: u32| PageId::new(NodeId(0), i);
     let plan = |client: u32, stream: u32, op: PlanOp| TxnPlan {
@@ -47,7 +52,8 @@ fn run_rt() -> Result<Trace> {
     tc.run(&plans)?;
     tc.crash(NodeId(0))?;
     tc.recover(&RecoveryOptions::nodes(&[NodeId(0)]))?;
-    Ok(tc.trace().clone())
+    let profile = tc.last_node_stats().iter().map(|s| s.profile()).collect();
+    Ok((tc.trace().clone(), profile))
 }
 
 /// Parses `P<owner>.<index>` (the `PageId` display form; the leading
@@ -70,6 +76,7 @@ fn main() {
     };
     let scenario = arg_after("--scenario").map_or("e5", |s| s.as_str());
     let json = args.iter().any(|a| a == "--json");
+    let folded = args.iter().any(|a| a == "--folded");
     let page = match arg_after("--page") {
         Some(s) => match parse_page(s) {
             Some(p) => Some(p),
@@ -84,13 +91,17 @@ fn main() {
         "rt" => run_rt(),
         sim => run_scenario(sim),
     };
-    let trace = match run {
-        Ok(t) => t,
+    let (trace, profile) = match run {
+        Ok(r) => r,
         Err(e) => {
             eprintln!("scenario {scenario:?} failed (known: {SCENARIOS:?} and \"rt\"):\n{e}");
             std::process::exit(1);
         }
     };
+    if folded {
+        print!("{}", folded_profile(scenario, &profile));
+        return;
+    }
     if json {
         println!("{}", chrome_trace_json(trace.spans()));
         return;

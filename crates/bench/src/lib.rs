@@ -1,6 +1,7 @@
 //! Benchmark-harness crate: hosts the `experiments` binary (prints
-//! every E/T table from DESIGN.md §4), the Criterion benches, the
-//! runnable examples and the cross-crate integration tests.
+//! every E/T table from DESIGN.md §4), the `tracedump` and `checker`
+//! binaries, the substrate micro-benchmark, the runnable examples and
+//! the cross-crate integration tests.
 //!
 //! The actual experiment logic lives in [`cblog_sim::experiments`];
 //! this crate only packages entry points.

@@ -1,10 +1,10 @@
 //! A minimal JSON reader for the observability tooling.
 //!
 //! The workspace writes JSON by hand (`Snapshot::to_json`,
-//! `Table::to_json`, `Sampler::to_json`) but until the perf-regression
-//! gate nothing ever read it back. This module is the missing half: a
-//! small recursive-descent parser into a [`JsonValue`] tree, enough
-//! for `BASELINES.json` and the `obsreport` renderer. No dependencies,
+//! `Table::to_json`) but until the perf-regression gate nothing ever
+//! read it back. This module is the missing half: a small
+//! recursive-descent parser into a [`JsonValue`] tree, enough for the
+//! `BASELINES.json` gate and the `perf/` harness. No dependencies,
 //! no streaming, no serde — inputs are the workspace's own exports
 //! (plus hand-maintained baseline files), all well under a megabyte.
 
@@ -399,23 +399,6 @@ mod tests {
                 .unwrap()
                 .as_i64(),
             Some(1)
-        );
-        // Sampler::to_json output.
-        let mut s = crate::obs::Sampler::new(100, 8);
-        reg.counter("n0/wal/forces").add(1);
-        s.sample(150, &reg.snapshot());
-        let v = parse(&s.to_json()).unwrap();
-        assert_eq!(v.get("interval_us").unwrap().as_i64(), Some(100));
-        let ring = v.get("series").unwrap().get("n0/wal/forces").unwrap();
-        assert_eq!(
-            ring.get("samples")
-                .unwrap()
-                .idx(0)
-                .unwrap()
-                .idx(0)
-                .unwrap()
-                .as_i64(),
-            Some(100)
         );
     }
 

@@ -19,7 +19,6 @@ use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicI64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
-use crate::simclock::SimTime;
 use crate::stats::Counter;
 
 /// Locks `m`, recovering the data from a poisoned mutex: metrics must
@@ -556,218 +555,6 @@ impl Snapshot {
     }
 }
 
-/// Fixed-capacity ring of `(interval_end_us, value)` samples for one
-/// metric — the storage behind a [`Sampler`] timeline. When full, the
-/// oldest sample is overwritten and `dropped` counts the loss.
-#[derive(Clone, Debug)]
-pub struct SeriesRing {
-    cap: usize,
-    buf: Vec<(SimTime, i64)>,
-    write: usize,
-    dropped: u64,
-}
-
-impl SeriesRing {
-    /// New empty ring keeping the most recent `capacity` samples
-    /// (clamped to at least 1).
-    pub fn new(capacity: usize) -> Self {
-        SeriesRing {
-            cap: capacity.max(1),
-            buf: Vec::new(),
-            write: 0,
-            dropped: 0,
-        }
-    }
-
-    /// Appends one sample, evicting the oldest when full.
-    pub fn push(&mut self, t: SimTime, v: i64) {
-        if self.buf.len() < self.cap {
-            self.buf.push((t, v));
-        } else {
-            self.buf[self.write] = (t, v);
-            self.write = (self.write + 1) % self.cap;
-            self.dropped += 1;
-        }
-    }
-
-    /// Retained samples, oldest first (order preserved across
-    /// wrap-around).
-    pub fn samples(&self) -> Vec<(SimTime, i64)> {
-        if self.buf.len() < self.cap {
-            self.buf.clone()
-        } else {
-            let mut out = Vec::with_capacity(self.cap);
-            out.extend_from_slice(&self.buf[self.write..]);
-            out.extend_from_slice(&self.buf[..self.write]);
-            out
-        }
-    }
-
-    /// Samples currently retained.
-    pub fn len(&self) -> usize {
-        self.buf.len()
-    }
-
-    /// True when no sample was ever pushed.
-    pub fn is_empty(&self) -> bool {
-        self.buf.is_empty()
-    }
-
-    /// Samples lost to wrap-around.
-    pub fn dropped(&self) -> u64 {
-        self.dropped
-    }
-
-    /// Ring capacity.
-    pub fn capacity(&self) -> usize {
-        self.cap
-    }
-}
-
-/// Interval sampler: turns registry snapshots into per-metric
-/// timelines (DESIGN §11).
-///
-/// Feed it the current merged [`Snapshot`] whenever simulated time may
-/// have crossed an interval boundary; for every boundary crossed it
-/// appends one sample per metric to that metric's [`SeriesRing`] —
-/// counters and histograms as per-interval deltas (the whole delta
-/// lands in the first interval of a multi-interval jump, zeros after),
-/// gauges as their current level. Everything is integer arithmetic
-/// over `BTreeMap`s, so same-seed runs export byte-identical JSON.
-#[derive(Clone, Debug)]
-pub struct Sampler {
-    interval_us: SimTime,
-    cap: usize,
-    next_boundary: SimTime,
-    prev: Snapshot,
-    skipped: u64,
-    series: BTreeMap<String, SeriesRing>,
-}
-
-impl Sampler {
-    /// New sampler emitting one sample per metric every `interval_us`
-    /// of simulated time (clamped to at least 1), each timeline
-    /// keeping the most recent `capacity` samples.
-    pub fn new(interval_us: SimTime, capacity: usize) -> Self {
-        let interval_us = interval_us.max(1);
-        Sampler {
-            interval_us,
-            cap: capacity.max(1),
-            next_boundary: interval_us,
-            prev: Snapshot::default(),
-            skipped: 0,
-            series: BTreeMap::new(),
-        }
-    }
-
-    /// The sampling interval, µs.
-    pub fn interval_us(&self) -> SimTime {
-        self.interval_us
-    }
-
-    /// Samples once per interval boundary crossed up to `now`. A jump
-    /// over more boundaries than one ring can hold fast-forwards past
-    /// the surplus (those samples would be overwritten anyway) and
-    /// counts them in [`Sampler::skipped`].
-    pub fn sample(&mut self, now: SimTime, snap: &Snapshot) {
-        if now < self.next_boundary {
-            return;
-        }
-        let crossings = (now - self.next_boundary) / self.interval_us + 1;
-        let skip = crossings.saturating_sub(self.cap as u64);
-        self.next_boundary += skip * self.interval_us;
-        self.skipped += skip;
-        let delta = snap.since(&self.prev);
-        let mut first = true;
-        while now >= self.next_boundary {
-            let t = self.next_boundary;
-            for (k, v) in &delta.entries {
-                let val = match v {
-                    MetricValue::Counter(c) => {
-                        if first {
-                            *c as i64
-                        } else {
-                            0
-                        }
-                    }
-                    MetricValue::Gauge(g) => *g,
-                    MetricValue::Histogram(h) => {
-                        if first {
-                            h.count as i64
-                        } else {
-                            0
-                        }
-                    }
-                };
-                self.series
-                    .entry(k.clone())
-                    .or_insert_with(|| SeriesRing::new(self.cap))
-                    .push(t, val);
-            }
-            first = false;
-            self.next_boundary += self.interval_us;
-        }
-        self.prev = snap.clone();
-    }
-
-    /// The timeline of one metric, if it ever appeared in a snapshot.
-    pub fn series(&self, name: &str) -> Option<&SeriesRing> {
-        self.series.get(name)
-    }
-
-    /// Every metric with a timeline, sorted by name.
-    pub fn names(&self) -> Vec<&str> {
-        self.series.keys().map(|s| s.as_str()).collect()
-    }
-
-    /// Interval boundaries fast-forwarded past (idle jumps longer than
-    /// a full ring).
-    pub fn skipped(&self) -> u64 {
-        self.skipped
-    }
-
-    /// Discards all timelines and restarts from time zero.
-    pub fn reset(&mut self) {
-        self.next_boundary = self.interval_us;
-        self.prev = Snapshot::default();
-        self.skipped = 0;
-        self.series.clear();
-    }
-
-    /// Deterministic JSON export:
-    /// `{"interval_us":…,"series":{"name":{"dropped":…,"samples":[[t,v],…]},…}}`.
-    /// `BTreeMap` iteration order makes same-seed exports
-    /// byte-identical.
-    pub fn to_json(&self) -> String {
-        let mut out = String::new();
-        out.push_str(&format!(
-            "{{\"interval_us\":{},\"series\":{{",
-            self.interval_us
-        ));
-        let mut first = true;
-        for (k, ring) in &self.series {
-            if !first {
-                out.push(',');
-            }
-            first = false;
-            out.push_str(&format!(
-                "\"{}\":{{\"dropped\":{},\"samples\":[",
-                json_escape(k),
-                ring.dropped()
-            ));
-            for (i, (t, v)) in ring.samples().iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                out.push_str(&format!("[{t},{v}]"));
-            }
-            out.push_str("]}");
-        }
-        out.push_str("}}");
-        out
-    }
-}
-
 /// Escapes a string for inclusion in a JSON string literal.
 pub fn json_escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
@@ -940,109 +727,6 @@ mod tests {
         all.merge_prefixed("n1/", r1.snapshot());
         assert_eq!(all.counter("n0/wal/forces"), 1);
         assert_eq!(all.counter("n1/wal/forces"), 2);
-    }
-
-    #[test]
-    fn series_ring_wraps_at_capacity() {
-        let mut r = SeriesRing::new(4);
-        for i in 0..10u64 {
-            r.push(i * 100, i as i64);
-        }
-        assert_eq!(r.len(), 4);
-        assert_eq!(r.capacity(), 4);
-        assert_eq!(r.dropped(), 6);
-        let s = r.samples();
-        assert_eq!(
-            s,
-            vec![(600, 6), (700, 7), (800, 8), (900, 9)],
-            "oldest evicted, order kept across wrap-around"
-        );
-    }
-
-    #[test]
-    fn sampler_emits_one_sample_per_boundary() {
-        let reg = Registry::new();
-        let c = reg.counter("txn/commits");
-        let g = reg.gauge("wal/pending_commits");
-        let mut s = Sampler::new(1_000, 16);
-        c.add(3);
-        g.set(2);
-        s.sample(999, &reg.snapshot());
-        assert!(s.series("txn/commits").is_none(), "no boundary crossed yet");
-        s.sample(1_000, &reg.snapshot());
-        c.add(5);
-        g.set(7);
-        s.sample(2_500, &reg.snapshot());
-        let commits = s.series("txn/commits").unwrap().samples();
-        assert_eq!(commits, vec![(1_000, 3), (2_000, 5)], "per-interval deltas");
-        let depth = s.series("wal/pending_commits").unwrap().samples();
-        assert_eq!(depth, vec![(1_000, 2), (2_000, 7)], "gauges report levels");
-    }
-
-    #[test]
-    fn sampler_attributes_jump_delta_to_first_interval() {
-        let reg = Registry::new();
-        let c = reg.counter("x/events");
-        let mut s = Sampler::new(100, 16);
-        c.add(9);
-        // One call jumps over three boundaries: delta lands in the
-        // first crossed interval, zeros after.
-        s.sample(350, &reg.snapshot());
-        assert_eq!(
-            s.series("x/events").unwrap().samples(),
-            vec![(100, 9), (200, 0), (300, 0)]
-        );
-        assert_eq!(s.skipped(), 0);
-    }
-
-    #[test]
-    fn sampler_fast_forwards_past_full_ring_jumps() {
-        let reg = Registry::new();
-        reg.counter("x/events").add(1);
-        let mut s = Sampler::new(10, 4);
-        // 100 boundaries crossed but only 4 fit: the surplus is
-        // skipped, not looped over.
-        s.sample(1_000, &reg.snapshot());
-        let ring = s.series("x/events").unwrap();
-        assert_eq!(ring.len(), 4);
-        assert_eq!(ring.dropped(), 0, "skipped boundaries never hit the ring");
-        assert_eq!(s.skipped(), 96);
-        let last = *ring.samples().last().unwrap();
-        assert_eq!(last.0, 1_000);
-    }
-
-    #[test]
-    fn sampler_json_is_deterministic() {
-        let run = || {
-            let reg = Registry::new();
-            let c = reg.counter("txn/commits");
-            let mut s = Sampler::new(1_000, 8);
-            for i in 1..=20u64 {
-                c.add(i % 3);
-                s.sample(i * 700, &reg.snapshot());
-            }
-            s.to_json()
-        };
-        let a = run();
-        let b = run();
-        assert_eq!(a, b, "same inputs export byte-identical JSON");
-        assert!(a.starts_with("{\"interval_us\":1000,\"series\":{"));
-        assert!(a.contains("\"txn/commits\":{\"dropped\":"));
-    }
-
-    #[test]
-    fn sampler_reset_restarts_from_zero() {
-        let reg = Registry::new();
-        reg.counter("x/events").add(4);
-        let mut s = Sampler::new(100, 8);
-        s.sample(250, &reg.snapshot());
-        assert!(s.series("x/events").is_some());
-        s.reset();
-        assert!(s.series("x/events").is_none());
-        assert_eq!(s.skipped(), 0);
-        s.sample(100, &reg.snapshot());
-        // Counter total re-appears as the first interval's delta.
-        assert_eq!(s.series("x/events").unwrap().samples(), vec![(100, 4)]);
     }
 
     #[test]

@@ -126,6 +126,25 @@ impl Bucket {
     }
 }
 
+/// Folded-stack lines (`flamegraph.pl` input) of per-node bucket
+/// totals, `profiles[i]` being node `i`'s row in [`Bucket::ALL`] order:
+/// one `<label>;n<id>;<bucket> <µs>\n` line per node × nonzero bucket.
+/// A node's lines sum to its busy time plus lock wait. Both engines
+/// print their profiles through this one view: the simulator from
+/// [`SimClock::profile`], the threaded runtime from its per-worker
+/// wall-time split.
+pub fn folded_profile(label: &str, profiles: &[[SimTime; BUCKETS]]) -> String {
+    let mut out = String::new();
+    for (i, row) in profiles.iter().enumerate() {
+        for (b, us) in Bucket::ALL.iter().zip(row) {
+            if *us > 0 {
+                out.push_str(&format!("{label};n{i};{} {us}\n", b.label()));
+            }
+        }
+    }
+    out
+}
+
 /// Simulated clock with per-node busy-time accounting.
 ///
 /// `busy[n]` accumulates the service time node `n` spent handling

@@ -17,8 +17,8 @@ use crate::txn::{Savepoint, TxnStatus};
 use cblog_common::metrics::{keys, prof_key};
 use cblog_common::span;
 use cblog_common::{
-    Bucket, Error, Fnv1a, IdMap, Lsn, MetricValue, NodeId, PageId, Psn, Result, Rid, Sampler,
-    SimTime, Snapshot, Span, SpanCtx, SpanId, SpanKind, Tracer, TransferWhy, TxnId,
+    Bucket, Error, Fnv1a, IdMap, Lsn, MetricValue, NodeId, PageId, Psn, Result, Rid, SimTime,
+    Snapshot, Span, SpanCtx, SpanId, SpanKind, Tracer, TransferWhy, TxnId,
 };
 use cblog_locks::{
     CallbackAction, GlobalRequestOutcome, LocalRequestOutcome, LockMode, WaitsForGraph,
@@ -60,9 +60,6 @@ pub struct Cluster {
     /// Transactions begun so far, cluster-wide — drives the 1-in-N
     /// span-sampling decision (`trace_sample_one_in`).
     txns_begun: u64,
-    /// Interval sampler turning the metrics snapshot into per-metric
-    /// time series (None unless the config enabled telemetry).
-    sampler: Option<Sampler>,
 }
 
 impl std::fmt::Debug for Cluster {
@@ -88,9 +85,6 @@ impl Cluster {
         let schedulers = (0..cfg.node_count)
             .map(|_| ForceScheduler::new(cfg.group_commit))
             .collect();
-        let sampler = cfg
-            .telemetry()
-            .map(|(interval_us, cap)| Sampler::new(interval_us, cap));
         Ok(Cluster {
             nodes,
             net,
@@ -101,7 +95,6 @@ impl Cluster {
             tracer,
             txn_spans: IdMap::default(),
             txns_begun: 0,
-            sampler,
         })
     }
 
@@ -585,7 +578,6 @@ impl Cluster {
                 acked += self.flush_due_nodes()?;
             }
         }
-        self.sample_telemetry();
         Ok(acked > 0)
     }
 
@@ -1496,11 +1488,10 @@ impl Cluster {
     }
 
     /// Mirrors derived observability state into per-node gauges so it
-    /// flows through snapshots and the interval sampler: the sim-clock
-    /// resource-time profile (`prof/{disk,cpu,net,lock_wait,replay}_us`,
-    /// cumulative) and the force scheduler's queue depth
-    /// (`wal/pending_commits`). Gauges use interior mutability, so
-    /// `&self` suffices.
+    /// flows through snapshots: the sim-clock resource-time profile
+    /// (`prof/{disk,cpu,net,lock_wait,replay}_us`, cumulative) and the
+    /// force scheduler's queue depth (`wal/pending_commits`). Gauges
+    /// use interior mutability, so `&self` suffices.
     fn mirror_profile_gauges(&self) {
         for (i, node) in self.nodes.iter().enumerate() {
             let reg = node.registry();
@@ -1511,28 +1502,6 @@ impl Cluster {
             reg.gauge(keys::WAL_PENDING_COMMITS)
                 .set(self.schedulers[i].pending_len() as i64);
         }
-    }
-
-    /// Feeds the interval sampler, if telemetry is on: every sim-clock
-    /// boundary crossed since the last call records one point per
-    /// metric (counter/histogram deltas, gauge levels). The simulation
-    /// driver calls this after each scheduler step; the cluster also
-    /// calls it from [`Cluster::pump_commits`], which idle-advances
-    /// the clock. Free when telemetry is off.
-    pub fn sample_telemetry(&mut self) {
-        if self.sampler.is_some() {
-            let now = self.now();
-            let snap = self.metrics_snapshot();
-            if let Some(s) = self.sampler.as_mut() {
-                s.sample(now, &snap);
-            }
-        }
-    }
-
-    /// The accumulated per-metric time series (None unless the config
-    /// enabled telemetry via [`crate::ClusterConfigBuilder::telemetry`]).
-    pub fn sampler(&self) -> Option<&Sampler> {
-        self.sampler.as_ref()
     }
 
     /// What a failed check on `pid` prints: the last spans of every
@@ -1612,14 +1581,13 @@ mod tests {
     }
 
     #[test]
-    fn telemetry_sampler_collects_profile_and_queue_series() {
+    fn metrics_snapshot_carries_profile_and_queue_depth() {
         let mut c = Cluster::new(
             ClusterConfig::builder()
                 .owned_pages(vec![4])
                 .page_size(512)
                 .buffer_frames(8)
                 .default_owned_pages(0)
-                .telemetry(1_000, 64)
                 .build(),
         )
         .unwrap();
@@ -1627,24 +1595,21 @@ mod tests {
             let t = c.begin(NodeId(0)).unwrap();
             c.write_u64(t, pid(0, 0), 0, i).unwrap();
             c.commit(t).unwrap();
-            c.sample_telemetry();
         }
-        let s = c.sampler().expect("telemetry is on");
-        let disk = s
-            .series("n0/prof/disk_us")
-            .unwrap_or_else(|| panic!("disk profile sampled; have {:?}", s.names()));
-        // The cumulative disk gauge's last sample matches the clock's
-        // disk bucket at the time it was taken.
-        let (_, last) = *disk.samples().last().unwrap();
-        assert!(last > 0, "commit forces charged disk time");
-        assert!(
-            s.series("n0/wal/pending_commits").is_some(),
-            "queue-depth gauge sampled"
-        );
+        let snap = c.metrics_snapshot();
+        let disk = snap.gauge("n0/prof/disk_us");
+        assert!(disk > 0, "commit forces charged disk time");
         assert_eq!(
-            last as u64,
+            disk as u64,
             c.network().clock().bucket_us(NodeId(0), Bucket::Disk),
             "cumulative gauge mirrors the clock bucket"
+        );
+        assert!(
+            matches!(
+                snap.get("n0/wal/pending_commits"),
+                Some(MetricValue::Gauge(_))
+            ),
+            "queue-depth gauge exported"
         );
     }
 

@@ -130,11 +130,6 @@ pub struct ClusterConfig {
     /// thins the per-transaction trees, which is what makes long
     /// checked runs cheap.
     pub(crate) trace_sample_one_in: u64,
-    /// Time-series telemetry: `Some((interval_us, ring_capacity))`
-    /// attaches a metrics [`Sampler`](cblog_common::Sampler) to the
-    /// cluster, sampling every registry metric once per sim-time
-    /// interval into a bounded ring. Off by default (zero cost).
-    pub(crate) telemetry: Option<(SimTime, usize)>,
 }
 
 impl Default for ClusterConfig {
@@ -149,7 +144,6 @@ impl Default for ClusterConfig {
             faults: FaultPlan::default(),
             tracing: false,
             trace_sample_one_in: 1,
-            telemetry: None,
         }
     }
 }
@@ -209,11 +203,6 @@ impl ClusterConfig {
     /// transactions (1 = all).
     pub fn trace_sample_one_in(&self) -> u64 {
         self.trace_sample_one_in
-    }
-
-    /// Time-series telemetry `(interval_us, ring_capacity)`, if on.
-    pub fn telemetry(&self) -> Option<(SimTime, usize)> {
-        self.telemetry
     }
 }
 
@@ -316,14 +305,6 @@ impl ClusterConfigBuilder {
     /// invariant spans stay untouched.
     pub fn trace_sample_one_in(mut self, n: u64) -> Self {
         self.cfg.trace_sample_one_in = n.max(1);
-        self
-    }
-
-    /// Attaches time-series telemetry: every registry metric is
-    /// sampled once per `interval_us` of sim-time into a ring of
-    /// `capacity` per-interval values.
-    pub fn telemetry(mut self, interval_us: SimTime, capacity: usize) -> Self {
-        self.cfg.telemetry = Some((interval_us, capacity));
         self
     }
 

@@ -68,7 +68,7 @@ use cblog_common::metrics::{keys, prof_key};
 use cblog_common::span::DEFAULT_TRACE_CAPACITY;
 use cblog_common::{
     Bucket, Error, Lsn, NodeId, PageId, Psn, RecoveryPhase, Reservoir, Result, SimTime, Snapshot,
-    Span, SpanBuf, SpanCtx, SpanId, SpanKind, Trace, TransferWhy, TxnId,
+    Span, SpanBuf, SpanCtx, SpanId, SpanKind, Trace, TransferWhy, TxnId, BUCKETS,
 };
 use cblog_core::node::RollbackStep;
 use cblog_core::{
@@ -207,6 +207,21 @@ pub struct RtNodeStats {
     /// Time replaying recovery waves, µs (0 for normal runs; filled
     /// into the `prof/replay_us` gauge by `recover`).
     pub replay_us: u64,
+}
+
+impl RtNodeStats {
+    /// The bucket split in [`Bucket::ALL`] order, the row shape of
+    /// [`SimClock::profile`](cblog_common::SimClock::profile), for
+    /// [`cblog_common::folded_profile`].
+    pub fn profile(&self) -> [u64; BUCKETS] {
+        [
+            self.disk_us,
+            self.cpu_us,
+            self.net_us,
+            self.lock_wait_us,
+            self.replay_us,
+        ]
+    }
 }
 
 /// Capacity of the commit-latency sample reservoir.
@@ -412,12 +427,9 @@ impl Runtime for ThreadCluster {
         // (cumulative, like the sim profiler's gauges).
         for s in &node_stats {
             let reg = self.nodes[s.node as usize].registry();
-            reg.gauge(prof_key(Bucket::Disk)).add(s.disk_us as i64);
-            reg.gauge(prof_key(Bucket::Cpu)).add(s.cpu_us as i64);
-            reg.gauge(prof_key(Bucket::Net)).add(s.net_us as i64);
-            reg.gauge(prof_key(Bucket::LockWait))
-                .add(s.lock_wait_us as i64);
-            reg.gauge(prof_key(Bucket::Replay)).add(s.replay_us as i64);
+            for (b, us) in Bucket::ALL.into_iter().zip(s.profile()) {
+                reg.gauge(prof_key(b)).add(us as i64);
+            }
         }
         self.last_nodes = node_stats;
 
@@ -1404,58 +1416,6 @@ impl<'a> Worker<'a> {
         }
         Ok(())
     }
-}
-
-/// Serializes the per-node profile as the `"nodes":[…],"folded":[…]`
-/// JSON fragment of a threaded-runtime telemetry export (`obsreport
-/// --compare`) — the same skeleton the simulator's `export_json`
-/// emits, so one renderer draws both.
-///
-/// The folded lines are `flamegraph.pl` input: `label;n<id>;<bucket>`
-/// frames weighted by measured µs. Zero buckets are elided, matching
-/// the simulator's export.
-pub fn profile_fragment(label: &str, nodes: &[RtNodeStats]) -> String {
-    use std::fmt::Write as _;
-    let mut out = String::from("\"nodes\":[");
-    for (i, n) in nodes.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        let util = (n.busy_us * 100).checked_div(n.wall_us).unwrap_or(0);
-        let _ = write!(
-            out,
-            "{{\"node\":{},\"busy_us\":{},\"total_us\":{},\"utilization_pct\":{util},\"buckets\":{{\"disk\":{},\"cpu\":{},\"net\":{},\"lock_wait\":{},\"replay\":{}}}}}",
-            n.node, n.busy_us, n.wall_us, n.disk_us, n.cpu_us, n.net_us, n.lock_wait_us, n.replay_us
-        );
-    }
-    out.push_str("],\"folded\":[");
-    let mut first = true;
-    for n in nodes {
-        for (bucket, us) in [
-            (Bucket::Disk, n.disk_us),
-            (Bucket::Cpu, n.cpu_us),
-            (Bucket::Net, n.net_us),
-            (Bucket::LockWait, n.lock_wait_us),
-            (Bucket::Replay, n.replay_us),
-        ] {
-            if us == 0 {
-                continue;
-            }
-            if !first {
-                out.push(',');
-            }
-            first = false;
-            let _ = write!(
-                out,
-                "\"{};n{};{} {us}\"",
-                cblog_common::obs::json_escape(label),
-                n.node,
-                bucket.label()
-            );
-        }
-    }
-    out.push(']');
-    out
 }
 
 #[cfg(test)]

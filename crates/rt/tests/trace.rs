@@ -3,7 +3,7 @@
 //! and tracing overhead neutrality (DESIGN §8).
 
 use cblog_common::span::{busiest_page, chrome_trace_json, render_lineage};
-use cblog_common::{NodeId, PageId, Psn, SpanId, SpanKind};
+use cblog_common::{folded_profile, NodeId, PageId, Psn, SpanId, SpanKind};
 use cblog_core::{GroupCommitPolicy, PlanOp, RecoveryOptions, ReplayMode, Runtime, TxnPlan};
 use cblog_rt::{ThreadCluster, ThreadClusterConfig, WalBacking};
 
@@ -339,6 +339,23 @@ fn profiler_buckets_partition_busy_time_exactly() {
             }
             other => panic!("expected gauge at {key}, got {other:?}"),
         }
+    }
+    // The folded view's lines sum per node to busy + lock wait.
+    let profile: Vec<_> = tc.last_node_stats().iter().map(|s| s.profile()).collect();
+    let folded = folded_profile("rt", &profile);
+    for s in tc.last_node_stats() {
+        let frame = format!("rt;n{};", s.node);
+        let sum: u64 = folded
+            .lines()
+            .filter(|l| l.starts_with(&frame))
+            .map(|l| l.rsplit_once(' ').unwrap().1.parse::<u64>().unwrap())
+            .sum();
+        assert_eq!(
+            sum,
+            s.busy_us + s.lock_wait_us,
+            "node {} folded sum",
+            s.node
+        );
     }
 }
 

@@ -55,11 +55,6 @@ pub trait System {
     fn note_queue_wait(&mut self, txn: TxnId, us: SimTime) {
         let _ = (txn, us);
     }
-    /// Feeds the system's interval telemetry sampler, if it has one:
-    /// the driver calls this after every scheduling sweep so time
-    /// series resolution follows the sim-clock rather than workload
-    /// phase boundaries. Systems without telemetry do nothing.
-    fn sample_telemetry(&mut self) {}
     /// The system's recent protocol history and the lineage of `pid`,
     /// if it can render one. Printed by the oracle when verification
     /// finds a divergence on that page.
@@ -126,9 +121,6 @@ impl_system!(
     },
     fn pump_commits(&mut self) -> Result<bool> {
         cblog_core::Cluster::pump_commits(self)
-    },
-    fn sample_telemetry(&mut self) {
-        cblog_core::Cluster::sample_telemetry(self)
     },
     fn post_mortem(&self, pid: PageId) -> Option<String> {
         Some(cblog_core::Cluster::post_mortem(self, pid))
@@ -352,7 +344,6 @@ pub fn run_workload<S: System>(sys: &mut S, specs: Vec<TxnSpec>) -> Result<RunSt
                 progressed = true;
             }
         }
-        sys.sample_telemetry();
         if all_done && active.iter().all(Option::is_none) && committing.is_empty() {
             break;
         }

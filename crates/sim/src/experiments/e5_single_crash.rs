@@ -155,7 +155,6 @@ pub fn run_on(c: &mut Cluster, d: u32) -> CrashRow {
         .snapshot();
     c.crash(NodeId(0));
     let rep = recover(c, &RecoveryOptions::single(NodeId(0))).expect("recovery");
-    c.sample_telemetry();
     CrashRow {
         pages: rep.pages_recovered,
         records: rep.records_replayed,
@@ -184,7 +183,6 @@ pub fn workload(c: &mut Cluster, d: u32) {
         let p = PageId::new(NodeId(0), d.max(1) + (i % noise_pages as u64) as u32);
         c.write_u64(t, p, (i % 8) as usize, i).unwrap();
         c.commit(t).unwrap();
-        c.sample_telemetry();
     }
     for i in 0..noise_pages {
         c.force_page(PageId::new(NodeId(0), d.max(1) + i)).unwrap();
@@ -212,7 +210,6 @@ fn dirty_pages(c: &mut Cluster, pages: &[PageId]) {
                 )
                 .unwrap();
                 c.commit(t).unwrap();
-                c.sample_telemetry();
             }
         }
         let holder = NodeId(CLIENTS as u32);

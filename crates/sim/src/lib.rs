@@ -9,7 +9,6 @@ pub mod driver;
 pub mod experiments;
 pub mod oracle;
 pub mod report;
-pub mod telemetry;
 pub mod tracedump;
 pub mod workload;
 

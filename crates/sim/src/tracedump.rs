@@ -4,29 +4,47 @@
 //! with [`ClusterConfig::tracing`] enabled and returns the run's
 //! [`Trace`], so callers can dump per-page PSN lineage
 //! ([`cblog_common::span::render_lineage`]) or the Chrome trace-event
-//! export. Every runner ends with [`Cluster::trace_check`], so a
-//! scenario that completes has been verified by the invariant
-//! watchdog span-by-span.
+//! export, plus each node's resource-time profile
+//! ([`SimClock::profile`]) for the folded view
+//! ([`cblog_common::folded_profile`]). Every runner ends with
+//! [`Cluster::trace_check`], so a scenario that completes has been
+//! verified by the invariant watchdog span-by-span.
 //!
 //! Tracing draws no randomness and never charges the sim-clock, so a
 //! scenario is exactly as deterministic as its untraced experiment
 //! twin: same seed ⇒ byte-identical JSON export (tested below).
 //!
 //! [`ClusterConfig::tracing`]: cblog_core::ClusterConfig
+//! [`SimClock::profile`]: cblog_common::SimClock::profile
 
 use crate::driver::run_workload;
 use crate::experiments::{cbl_builder, e5_single_crash, e6_multi_crash, e7_checkpoint};
 use cblog_common::span::busiest_page;
-use cblog_common::{Error, NodeId, Result, Trace};
+use cblog_common::{Error, NodeId, Result, SimTime, Trace, BUCKETS};
 use cblog_core::Cluster;
 
 /// Scenario names [`run_scenario`] accepts.
 pub const SCENARIOS: &[&str] = &["e5", "e6", "e7"];
 
-/// Runs the named scenario with tracing enabled and returns its trace.
-/// Fails if the watchdog flagged any invariant violation (the error
-/// carries the offending lineage slice).
-pub fn run_scenario(name: &str) -> Result<Trace> {
+/// Runs the named scenario with tracing enabled and returns its trace
+/// and every node's bucket profile (index = node id). Fails if the
+/// watchdog flagged any invariant violation (the error carries the
+/// offending lineage slice).
+pub fn run_scenario(name: &str) -> Result<(Trace, Vec<[SimTime; BUCKETS]>)> {
+    let c = run_cluster(name)?;
+    Ok((c.tracer().snapshot(), profile(&c)))
+}
+
+/// Every node's [`SimClock::profile`].
+fn profile(c: &Cluster) -> Vec<[SimTime; BUCKETS]> {
+    let clock = c.network().clock();
+    (0..c.node_count())
+        .map(|i| clock.profile(NodeId(i as u32)))
+        .collect()
+}
+
+/// The finished, watchdog-checked cluster of scenario `name`.
+fn run_cluster(name: &str) -> Result<Cluster> {
     let c = match name {
         // E5: owner crashes with 4 dirty pages; clients replay them in
         // PSN order. The richest lineage: updates, transfers, crash,
@@ -65,7 +83,7 @@ pub fn run_scenario(name: &str) -> Result<Trace> {
         }
     };
     c.trace_check()?;
-    Ok(c.tracer().snapshot())
+    Ok(c)
 }
 
 /// One-paragraph trace summary: span counts, drops, watchdog verdict,
@@ -88,10 +106,12 @@ pub fn summary(t: &Trace) -> String {
 mod tests {
     use super::*;
     use cblog_common::span::{chrome_trace_json, render_lineage};
+    use cblog_common::{folded_profile, Bucket};
+    use std::collections::BTreeMap;
 
     #[test]
     fn e5_traced_run_passes_the_watchdog_with_full_lineage() {
-        let t = run_scenario("e5").expect("watchdog-clean");
+        let (t, _) = run_scenario("e5").expect("watchdog-clean");
         assert!(t.len() > 100, "rich trace: {} spans", t.len());
         assert_eq!(t.violations().len(), 0);
         let pid = busiest_page(t.spans()).expect("page-scoped spans exist");
@@ -105,7 +125,7 @@ mod tests {
 
     #[test]
     fn e6_traced_run_covers_multi_crash_recovery() {
-        let t = run_scenario("e6").expect("watchdog-clean");
+        let (t, _) = run_scenario("e6").expect("watchdog-clean");
         let spans = t.spans();
         use cblog_common::span::SpanKind;
         let crashes = spans
@@ -123,7 +143,7 @@ mod tests {
 
     #[test]
     fn e7_traced_run_shows_steady_state_protocol() {
-        let t = run_scenario("e7").expect("watchdog-clean");
+        let (t, _) = run_scenario("e7").expect("watchdog-clean");
         let spans = t.spans();
         use cblog_common::span::SpanKind;
         assert!(spans.iter().any(|s| matches!(
@@ -153,14 +173,59 @@ mod tests {
 
     #[test]
     fn same_seed_exports_are_byte_identical() {
-        // The determinism contract behind `tracedump --json`: tracing
-        // adds no randomness and no clock charges, so re-running a
-        // scenario reproduces the export byte for byte.
+        // The determinism contract behind `tracedump --json` and
+        // `--folded`: tracing adds no randomness and no clock charges,
+        // so re-running a scenario reproduces both byte for byte.
         for name in ["e5", "e7"] {
-            let a = chrome_trace_json(run_scenario(name).unwrap().spans());
-            let b = chrome_trace_json(run_scenario(name).unwrap().spans());
-            assert_eq!(a, b, "{name} export must be deterministic");
+            let (ta, pa) = run_scenario(name).unwrap();
+            let (tb, pb) = run_scenario(name).unwrap();
+            let a = chrome_trace_json(ta.spans());
+            assert_eq!(
+                a,
+                chrome_trace_json(tb.spans()),
+                "{name} export must be deterministic"
+            );
             assert!(a.starts_with("{\"displayTimeUnit\":\"ms\",\"traceEvents\":["));
+            assert_eq!(folded_profile(name, &pa), folded_profile(name, &pb));
         }
+    }
+
+    /// Sums a folded view's `µs` per `n<id>` frame.
+    fn folded_per_node(folded: &str) -> BTreeMap<String, u64> {
+        let mut per_node = BTreeMap::new();
+        for line in folded.lines() {
+            let (frames, us) = line.rsplit_once(' ').unwrap();
+            let node = frames.split(';').nth(1).unwrap().to_string();
+            *per_node.entry(node).or_default() += us.parse::<u64>().unwrap();
+        }
+        per_node
+    }
+
+    #[test]
+    fn folded_stack_sums_to_total_simulated_time_per_node() {
+        for name in SCENARIOS {
+            let c = run_cluster(name).unwrap();
+            let per_node = folded_per_node(&folded_profile(name, &profile(&c)));
+            let clock = c.network().clock();
+            for i in 0..c.node_count() {
+                let id = NodeId(i as u32);
+                let total = clock.busy(id) + clock.bucket_us(id, Bucket::LockWait);
+                let folded = per_node.get(&format!("n{i}")).copied().unwrap_or(0);
+                assert_eq!(
+                    folded, total,
+                    "{name}: folded stack for n{i} must sum to busy+lock_wait"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn e5_folded_view_attributes_recovery_to_the_replay_bucket() {
+        let (_, profile) = run_scenario("e5").unwrap();
+        let folded = folded_profile("e5", &profile);
+        assert!(
+            folded.contains(";replay "),
+            "recovery must charge the replay bucket:\n{folded}"
+        );
     }
 }
