@@ -761,6 +761,12 @@ impl SpanBuf {
         }
     }
 
+    /// Is this buffer recording? A caller that stamps spans off a real
+    /// clock reads it only when this is true.
+    pub fn is_enabled(&self) -> bool {
+        self.enabled
+    }
+
     /// Allocates the next id in this buffer's namespace
     /// ([`SpanId::NONE`] when disabled).
     pub fn alloc(&mut self) -> SpanId {

@@ -745,15 +745,17 @@ impl RunShared {
 
 /// Wall-time profiler of one worker thread (DESIGN §8.5).
 ///
-/// `outer_us` sums the top-level timed scopes of the worker loop
-/// (inbox service, flushes, transaction execution, shutdown serving);
-/// the leaf buckets are measured *inside* those scopes and are
-/// disjoint sub-intervals of them. The derived buckets therefore keep
-/// the simulator's partition invariant exactly in integer µs:
-/// `busy = outer − lock_wait` and `cpu = busy − disk − net`, so
-/// `disk + cpu + net == busy` by construction. Time parked in
-/// `recv_timeout` between scopes (shutdown stragglers) is idle and
-/// deliberately unattributed.
+/// `outer_us` sums the top-level scopes of the worker: in `run_lanes`
+/// one per lane step, each ending at the clock reading that begins the
+/// next (`lap`), and after its lanes one per shutdown serve. The leaf
+/// buckets are measured *inside* those scopes and are disjoint
+/// sub-intervals of them. The derived buckets therefore keep the
+/// simulator's partition invariant exactly in integer µs: `busy =
+/// outer − lock_wait` and `cpu = busy − disk − net`, so `disk + cpu +
+/// net == busy` by construction. `served_us` is the whole time inside
+/// `serve`, which a lock spin or a fetch wait takes out of its own
+/// bucket. Time parked in `recv_timeout` between scopes (shutdown
+/// stragglers) is idle and deliberately unattributed.
 #[derive(Clone, Copy, Debug, Default)]
 struct Prof {
     wall_us: u64,
@@ -761,6 +763,7 @@ struct Prof {
     disk_us: u64,
     net_us: u64,
     lock_wait_us: u64,
+    served_us: u64,
 }
 
 /// One MPL lane: its plans run sequentially; the worker interleaves
@@ -964,12 +967,12 @@ impl<'a> Worker<'a> {
         }
     }
 
-    /// Runs `f` as one top-level scope of the profiler.
-    fn timed<T>(&mut self, f: impl FnOnce(&mut Self) -> T) -> T {
-        let t = Instant::now();
-        let out = f(self);
-        self.prof.outer_us += t.elapsed().as_micros() as u64;
-        out
+    /// Ends the top-level scope that began at `mark` with one clock
+    /// reading, which begins the next one.
+    fn lap(&mut self, mark: &mut Instant) {
+        let now = Instant::now();
+        self.prof.outer_us += now.duration_since(*mark).as_micros() as u64;
+        *mark = now;
     }
 
     /// Every wait of a worker polls this, so a peer's failure ends it.
@@ -983,11 +986,15 @@ impl<'a> Worker<'a> {
     /// Steps the lanes, one whole transaction each per sweep, until
     /// every plan has ended in a durable commit or an abort.
     fn run_lanes(&mut self) -> Result<()> {
+        // The profiler's scopes here follow one another, one per lane
+        // step: each ends at the clock reading that starts the next, and
+        // inbox service and forces fall into the step after them.
+        let mut mark = Instant::now();
         // `released` starts empty, which is true only of a log without
         // a tail. A run that failed leaves its parked commits released
         // and unforced; force them before the first fetch is served.
         if !self.node.log().fully_forced() {
-            self.timed(Self::force)?;
+            self.force()?;
         }
         // No lane could step in the last sweep: every live lane of this
         // node is parked on the scheduler, and only a lane can submit a
@@ -996,9 +1003,9 @@ impl<'a> Worker<'a> {
         let mut all_parked = false;
         loop {
             self.peers_ok()?;
-            self.timed(Self::serve_inbox)?;
+            self.serve_inbox()?;
             if all_parked || self.sched.is_due(self.shared.clock.now_us()) {
-                self.timed(Self::flush)?;
+                self.force()?;
             }
 
             let mut progressed = false;
@@ -1014,7 +1021,8 @@ impl<'a> Worker<'a> {
                 };
                 live = true;
                 progressed = true;
-                let outcome = self.timed(|w| w.run_txn(plan))?;
+                let outcome = self.run_txn(plan)?;
+                self.lap(&mut mark);
                 let lane = &mut self.lanes[li];
                 match outcome {
                     TxnOutcome::Committing(txn, at) => {
@@ -1042,6 +1050,7 @@ impl<'a> Worker<'a> {
             if !live {
                 // A parked commit keeps its lane live until it is acked.
                 debug_assert_eq!(self.sched.pending_len(), 0);
+                self.lap(&mut mark);
                 return Ok(());
             }
             all_parked = !progressed;
@@ -1053,7 +1062,10 @@ impl<'a> Worker<'a> {
         while self.shared.remaining.load(Ordering::Acquire) != 0 {
             self.peers_ok()?;
             if let Some(env) = self.ep.recv_timeout(Duration::from_micros(500)) {
-                self.timed(|w| w.serve(env))?;
+                // Each serve is a top-level scope here, timed by itself.
+                let served0 = self.prof.served_us;
+                self.serve(env)?;
+                self.prof.outer_us += self.prof.served_us - served0;
             }
         }
         Ok(())
@@ -1069,10 +1081,12 @@ impl<'a> Worker<'a> {
     /// scheduled, and `run_lanes` does not return with a commit parked.
     fn run_txn(&mut self, plan: &TxnPlan) -> Result<TxnOutcome> {
         let txn = self.node.begin()?;
-        let start = self.shared.clock.now_us();
         let span = self.buf.alloc();
+        // The clock is read for a span only if the span is recorded;
+        // the commit's reading is the scheduler's and the ack's.
+        let start = (!span.is_none()).then(|| self.shared.clock.now_us());
         let locked = self.run_ops(plan, txn, span);
-        let (outcome, end) = if matches!(locked, Ok(true)) && !plan.abort {
+        let outcome = if matches!(locked, Ok(true)) && !plan.abort {
             let lsn = self.node.commit_begin(txn)?;
             // Strict 2PL releases transaction locks at commit_begin,
             // before the commit record is durable. That is safe across
@@ -1087,22 +1101,25 @@ impl<'a> Worker<'a> {
             self.release_locks(plan, txn);
             let now = self.shared.clock.now_us();
             self.sched.submit(txn, lsn, now);
-            (TxnOutcome::Committing(txn, now), now)
+            TxnOutcome::Committing(txn, now)
         } else {
             let undone = roll_back(&mut self.node, txn);
             self.release_locks(plan, txn);
             let locked = locked?;
             undone?;
-            let outcome = if locked {
+            if locked {
                 self.report.user_aborts += 1;
                 TxnOutcome::Done
             } else {
                 self.report.forced_aborts += 1;
                 TxnOutcome::Retry
-            };
-            (outcome, self.shared.clock.now_us())
+            }
         };
-        if !span.is_none() {
+        if let Some(start) = start {
+            let end = match outcome {
+                TxnOutcome::Committing(_, at) => at,
+                _ => self.shared.clock.now_us(),
+            };
             self.buf.emit(Span {
                 id: span,
                 parent: SpanId::NONE,
@@ -1152,18 +1169,20 @@ impl<'a> Worker<'a> {
                     let (psn_before, lsn) = on_cached(&mut self.node, pid, |node| {
                         node.log_write(txn, pid, slot * 8, &after)
                     })?;
-                    self.buf.point(
-                        self.shared.clock.now_us(),
-                        me,
-                        span,
-                        SpanKind::Update {
-                            pid,
-                            txn,
-                            psn: psn_before,
-                            lsn,
-                            clr: false,
-                        },
-                    );
+                    if self.buf.is_enabled() {
+                        self.buf.point(
+                            self.shared.clock.now_us(),
+                            me,
+                            span,
+                            SpanKind::Update {
+                                pid,
+                                txn,
+                                psn: psn_before,
+                                lsn,
+                                clr: false,
+                            },
+                        );
+                    }
                 }
             }
             self.report.ops_executed += 1;
@@ -1172,11 +1191,18 @@ impl<'a> Worker<'a> {
     }
 
     /// Forces the whole log — the one place this worker does — and
-    /// returns the bytes the force wrote. Every commit record appended
-    /// so far is durable afterwards, so no page is `released` any
-    /// more. The time is attributed to `disk` (on a file-backed WAL it
-    /// is a real `fdatasync`).
-    fn force(&mut self) -> Result<u64> {
+    /// acknowledges every commit it made durable: the batch at the top
+    /// of the loop, the parked commits a ship force covers, the
+    /// inherited tail. Every commit record appended so far is durable
+    /// afterwards, so no page is `released` any more.
+    ///
+    /// The `fdatasync` is attributed to `disk`, and the ack bookkeeping
+    /// stays in the enclosing scope's `cpu` remainder. Each ack reads
+    /// the clock once, after its own bookkeeping, to record the
+    /// commit's latency. A force that wrote anything emits one
+    /// [`SpanKind::GroupForce`] span with its bytes and the commits it
+    /// acknowledged.
+    fn force(&mut self) -> Result<()> {
         let t = Instant::now();
         self.node.force_log()?;
         self.prof.disk_us += t.elapsed().as_micros() as u64;
@@ -1184,53 +1210,35 @@ impl<'a> Worker<'a> {
         let bytes = written - self.forced_bytes;
         self.forced_bytes = written;
         self.released.clear();
-        Ok(bytes)
-    }
-
-    /// Forces the log and acknowledges every commit now durable — the
-    /// batch this force covered, and any an earlier ship force did.
-    /// Ack bookkeeping stays in the enclosing scope's `cpu` remainder.
-    /// An acknowledging flush emits a [`SpanKind::GroupForce`] span
-    /// with the bytes its own force wrote.
-    fn flush(&mut self) -> Result<()> {
-        let pending = self.force()?;
-        let flushed = self.node.log().flushed_lsn();
-        let mut acked = 0u64;
-        for txn in self.sched.drain_acked(flushed) {
+        let mut txns = 0u64;
+        for txn in self.sched.drain_acked(self.node.log().flushed_lsn()) {
             self.node.finish_commit(txn)?;
             self.node.forget(txn)?;
             self.report.committed += 1;
-            acked += 1;
+            txns += 1;
             // Commits are acknowledged in the order they parked, so
-            // this one's lane is the oldest parked lane. (A worker
-            // stepped by hand, as the tests do, has no lanes.)
-            if let Some(li) = self.parked.pop_front() {
-                let lane = &mut self.lanes[li];
-                match lane.waiting.take() {
-                    Some((parked, at)) if parked == txn => {
-                        let now = self.shared.clock.now_us();
-                        self.shared.samples.record(now.saturating_sub(at));
-                        lane.next += 1;
-                    }
-                    other => {
-                        return Err(Error::Protocol(format!(
-                            "{txn} acknowledged, but lane {li} has {other:?} parked"
-                        )))
-                    }
+            // this one's lane is the oldest parked lane.
+            let li = self.parked.pop_front().ok_or_else(|| {
+                Error::Protocol(format!("{txn} acknowledged, but no lane is parked"))
+            })?;
+            let lane = &mut self.lanes[li];
+            match lane.waiting.take() {
+                Some((parked, at)) if parked == txn => {
+                    lane.next += 1;
+                    let now = self.shared.clock.now_us();
+                    self.shared.samples.record(now.saturating_sub(at));
+                }
+                other => {
+                    return Err(Error::Protocol(format!(
+                        "{txn} acknowledged, but lane {li} has {other:?} parked"
+                    )))
                 }
             }
         }
-        if acked > 0 {
-            self.buf.point(
-                self.shared.clock.now_us(),
-                self.node.id(),
-                SpanId::NONE,
-                SpanKind::GroupForce {
-                    node: self.node.id(),
-                    txns: acked,
-                    bytes: pending,
-                },
-            );
+        if bytes > 0 && self.buf.is_enabled() {
+            let (node, at) = (self.node.id(), self.shared.clock.now_us());
+            let kind = SpanKind::GroupForce { node, txns, bytes };
+            self.buf.point(at, node, SpanId::NONE, kind);
         }
         Ok(())
     }
@@ -1244,7 +1252,7 @@ impl<'a> Worker<'a> {
             return Ok(true);
         }
         let t = Instant::now();
-        let leaf0 = self.prof.disk_us + self.prof.net_us;
+        let served0 = self.prof.served_us;
         let mut won = false;
         for i in 0..ACQUIRE_SPINS {
             if self.shared.locks.try_acquire(pid, token, mode) {
@@ -1259,7 +1267,7 @@ impl<'a> Worker<'a> {
                 std::hint::spin_loop();
             }
         }
-        let nested = (self.prof.disk_us + self.prof.net_us).saturating_sub(leaf0);
+        let nested = self.prof.served_us - served0;
         self.prof.lock_wait_us += (t.elapsed().as_micros() as u64).saturating_sub(nested);
         Ok(won)
     }
@@ -1290,7 +1298,7 @@ impl<'a> Worker<'a> {
     /// buckets.
     fn remote_read(&mut self, pid: PageId, slot: usize, parent: SpanId) -> Result<u64> {
         let t = Instant::now();
-        let leaf0 = self.prof.disk_us + self.prof.net_us;
+        let served0 = self.prof.served_us;
         self.send_traced(pid.owner, MsgKind::LockRequest, encode_pid(pid), parent)?;
         let deadline = Instant::now() + FETCH_TIMEOUT;
         let value = loop {
@@ -1300,9 +1308,11 @@ impl<'a> Worker<'a> {
                     if page.id() == pid {
                         break page.read_slot(slot);
                     }
-                    // A ship we did not ask for; workers have one fetch
-                    // in flight at a time, so this cannot happen — drop
-                    // it.
+                    // A worker has one fetch in flight at a time, so a
+                    // ship of another page is mis-routed: fail the run
+                    // rather than lose it.
+                    let msg = format!("{} fetched {pid} but got {}", self.node.id(), page.id());
+                    return Err(Error::Protocol(msg));
                 }
                 Some(env) => self.serve(env)?,
                 None => {
@@ -1313,7 +1323,7 @@ impl<'a> Worker<'a> {
                 }
             }
         };
-        let nested = (self.prof.disk_us + self.prof.net_us).saturating_sub(leaf0);
+        let nested = self.prof.served_us - served0;
         self.prof.net_us += (t.elapsed().as_micros() as u64).saturating_sub(nested);
         value
     }
@@ -1327,8 +1337,8 @@ impl<'a> Worker<'a> {
 
     /// Owner-side service: ship the authoritative image of an owned
     /// page, traced as Transfer + Msg spans parented on the requester's
-    /// message span. A force is attributed to `disk` and the rest of
-    /// the service to `net`.
+    /// message span. A force's sync is attributed to `disk`, the acks
+    /// it makes to `cpu`, and the rest of the service to `net`.
     ///
     /// **The ship-force rule.** No image leaves a node carrying an
     /// update of a transaction that has released its locks and whose
@@ -1355,7 +1365,6 @@ impl<'a> Worker<'a> {
     /// released at once — the update is durable, the commit is not.
     fn serve(&mut self, env: Envelope) -> Result<()> {
         let t = Instant::now();
-        let disk0 = self.prof.disk_us;
         if env.kind != MsgKind::LockRequest {
             return Err(Error::Protocol(format!(
                 "threaded runtime got unexpected {:?} message",
@@ -1363,28 +1372,29 @@ impl<'a> Worker<'a> {
             )));
         }
         let pid = decode_pid(&env.payload)?;
+        // The whole force, acks included, stays out of `net`.
+        let mut resumed = t;
         if self.released.contains(&pid) {
             self.force()?;
+            resumed = Instant::now();
         }
         let (page, _) = self.node.authoritative_copy(pid)?;
-        let me = self.node.id();
-        let at = self.shared.clock.now_us();
-        self.buf.point(
-            at,
-            me,
-            env.ctx.span,
-            SpanKind::Transfer {
+        if self.buf.is_enabled() {
+            let (me, at) = (self.node.id(), self.shared.clock.now_us());
+            let kind = SpanKind::Transfer {
                 pid,
                 from: me,
                 to: env.from,
                 psn: page.psn(),
                 why: TransferWhy::Ship,
                 wal_ok: !self.released.contains(&pid),
-            },
-        );
+            };
+            self.buf.point(at, me, env.ctx.span, kind);
+        }
         self.send_traced(env.from, MsgKind::PageShip, page.to_bytes(), env.ctx.span)?;
-        let force_us = self.prof.disk_us - disk0;
-        self.prof.net_us += (t.elapsed().as_micros() as u64).saturating_sub(force_us);
+        let end = Instant::now();
+        self.prof.served_us += end.duration_since(t).as_micros() as u64;
+        self.prof.net_us += end.duration_since(resumed).as_micros() as u64;
         Ok(())
     }
 
@@ -1787,7 +1797,7 @@ mod tests {
 
     /// Node 0 of a two-node cluster under a worker that no thread
     /// runs — the test steps it — and node 1's endpoint to fetch with.
-    /// Commits park until the test flushes.
+    /// Commits park until a force acknowledges them.
     struct ByHand<'a> {
         w: Worker<'a>,
         peer: ChannelEndpoint,
@@ -1820,10 +1830,17 @@ mod tests {
             ByHand { w, peer }
         }
 
-        /// Runs `plan` up to its parked commit.
-        fn park(&mut self, plan: &TxnPlan) {
-            let out = self.w.run_txn(plan).unwrap();
-            assert!(matches!(out, TxnOutcome::Committing(..)));
+        /// Runs `plan` up to its parked commit, on a lane of its own as
+        /// `run_lanes` would park it, so its ack is timed.
+        fn park(&mut self, plan: &TxnPlan) -> TxnId {
+            let TxnOutcome::Committing(txn, at) = self.w.run_txn(plan).unwrap() else {
+                panic!("the plan did not reach its commit");
+            };
+            let mut lane = Lane::new(Vec::new());
+            lane.waiting = Some((txn, at));
+            self.w.parked.push_back(self.w.lanes.len());
+            self.w.lanes.push(lane);
+            txn
         }
 
         /// The requester's half of a fetch: the S lock, then the
@@ -1852,18 +1869,12 @@ mod tests {
         }
 
         /// One whole fetch of `pid`: the value shipped, and the forces
-        /// and log bytes serving it cost.
-        fn fetch(&mut self, pid: PageId) -> (u64, u64, u64) {
-            let log = self.w.node.log();
-            let (forces, bytes) = (log.forces(), log.bytes_written());
+        /// serving it cost.
+        fn fetch(&mut self, pid: PageId) -> (u64, u64) {
+            let forces = self.w.node.log().forces();
             self.ask(pid);
             self.w.serve_inbox().unwrap();
-            let log = self.w.node.log();
-            (
-                self.shipped(pid),
-                log.forces() - forces,
-                log.bytes_written() - bytes,
-            )
+            (self.shipped(pid), self.w.node.log().forces() - forces)
         }
 
         /// Hands node and spans back, as the end of a run does.
@@ -1873,22 +1884,33 @@ mod tests {
         }
     }
 
+    /// The `GroupForce` spans of the cluster trace, as `(txns, bytes)`.
+    fn group_forces(tc: &ThreadCluster) -> Vec<(u64, u64)> {
+        let spans = tc.trace().spans();
+        spans
+            .iter()
+            .filter_map(|s| match s.kind {
+                SpanKind::GroupForce { txns, bytes, .. } => Some((txns, bytes)),
+                _ => None,
+            })
+            .collect()
+    }
+
     /// T1 writes P and parks; P is fetched; T2 writes Q and parks; P is
     /// fetched again. Asserts the first ship forced and the second did
-    /// not, and returns the bytes the ship force wrote.
-    fn ship_p_twice(h: &mut ByHand, p: PageId, q: PageId) -> u64 {
+    /// not.
+    fn ship_p_twice(h: &mut ByHand, p: PageId, q: PageId) {
         h.park(&wplan(0, 0, &[(p, 0, 11)]));
-        let (value, forces, bytes) = h.fetch(p);
+        let (value, forces) = h.fetch(p);
         assert_eq!((value, forces), (11, 1), "T1 is released and undurable");
         h.park(&wplan(0, 1, &[(q, 0, 22)]));
         assert!(!h.w.node.log().fully_forced(), "T2 is in the tail");
-        let (value, forces, _) = h.fetch(p);
+        let (value, forces) = h.fetch(p);
         assert_eq!(
             (value, forces),
             (11, 0),
             "every released writer of P is durable: T2's tail is not P's business"
         );
-        bytes
     }
 
     #[test]
@@ -1899,37 +1921,97 @@ mod tests {
         let (p, q, r) = (pid(0, 0), pid(0, 1), pid(0, 2));
         let start = h.w.node.log().bytes_written();
 
-        let mut ship_bytes = ship_p_twice(&mut h, p, q);
-        let (value, forces, bytes) = h.fetch(q);
+        ship_p_twice(&mut h, p, q);
+        let (value, forces) = h.fetch(q);
         assert_eq!((value, forces), (22, 1), "T2 wrote Q and is undurable");
-        ship_bytes += bytes;
-        let (_, forces, _) = h.fetch(q);
+        let (_, forces) = h.fetch(q);
         assert_eq!(forces, 0, "that force covered it");
 
-        // A batch force acknowledges all three commits and accounts
-        // only for the bytes it wrote itself.
+        // The ship forces acknowledged T1 and T2; a batch force
+        // acknowledges T3.
         h.park(&wplan(0, 2, &[(r, 0, 33)]));
-        h.w.flush().unwrap();
+        h.w.force().unwrap();
         assert_eq!(h.w.report.committed, 3);
-        let (_, forces, _) = h.fetch(r);
+        let (_, forces) = h.fetch(r);
         assert_eq!(forces, 0, "the batch force cleared the rule's state");
         let grown = h.w.node.log().bytes_written() - start;
         h.give_back(&mut tc);
-        let group_bytes: u64 = tc
-            .trace()
-            .spans()
-            .iter()
-            .filter_map(|s| match s.kind {
-                SpanKind::GroupForce { bytes, .. } => Some(bytes),
-                _ => None,
-            })
-            .sum();
-        assert!(ship_bytes > 0 && group_bytes > 0);
+        let forced = group_forces(&tc);
+        let acked: Vec<u64> = forced.iter().map(|&(txns, _)| txns).collect();
+        assert_eq!(acked, [1, 1, 1], "two ship forces and a batch force");
         assert_eq!(
-            group_bytes + ship_bytes,
+            forced.iter().map(|&(_, bytes)| bytes).sum::<u64>(),
             grown,
-            "every log byte was forced once, by a batch force or a ship force"
+            "every log byte was forced once, and every force is one span"
         );
+        tc.trace_check().unwrap();
+    }
+
+    #[test]
+    fn a_ship_force_acknowledges_the_commits_it_made_durable() {
+        let mut tc = parking_cluster();
+        let shared = RunShared::new(&tc, 2);
+        let mut h = ByHand::new(&mut tc, &shared);
+        let p = pid(0, 0);
+        let samples = shared.samples.count();
+
+        let t1 = h.park(&wplan(0, 0, &[(p, 0, 11)]));
+        let (value, forces) = h.fetch(p);
+        assert_eq!((value, forces), (11, 1));
+        assert_eq!(h.w.report.committed, 1, "the ship force acknowledged T1");
+        assert_eq!(h.w.sched.pending_len(), 0);
+        assert!(h.w.node.txn(t1).is_none(), "the node forgot T1");
+        assert_eq!(shared.samples.count(), samples + 1, "T1's latency");
+
+        // A force with nothing appended writes nothing and acks nothing.
+        let bytes = h.w.node.log().bytes_written();
+        h.w.force().unwrap();
+        assert_eq!(h.w.node.log().bytes_written(), bytes);
+        assert_eq!(h.w.report.committed, 1);
+        assert_eq!(shared.samples.count(), samples + 1);
+        h.give_back(&mut tc);
+        assert_eq!(group_forces(&tc).len(), 1, "one span, the ship force's");
+        tc.trace_check().unwrap();
+    }
+
+    #[test]
+    fn a_ship_of_a_page_not_asked_for_fails_the_transaction() {
+        let mut tc = parking_cluster();
+        let shared = RunShared::new(&tc, 2);
+        let mut h = ByHand::new(&mut tc, &shared);
+        let (p, asked, stray) = (pid(0, 0), pid(1, 0), pid(1, 1));
+        // Node 1's replies, the mis-routed one first.
+        for shipped in [stray, asked] {
+            let page = Page::new(shipped, cblog_storage::PageKind::Raw, Psn::ZERO, 1024);
+            h.peer
+                .send(NodeId(0), MsgKind::PageShip, page.to_bytes())
+                .unwrap();
+        }
+        let mut plan = wplan(0, 0, &[(p, 0, 11)]);
+        plan.ops.push(PlanOp::Read {
+            pid: asked,
+            slot: 0,
+        });
+        match h.w.run_txn(&plan) {
+            Err(Error::Protocol(m)) => {
+                assert!(
+                    m.contains(&format!("fetched {asked} but got {stray}")),
+                    "{m}"
+                )
+            }
+            Err(e) => panic!("expected a Protocol error, got {e}"),
+            Ok(_) => panic!("a mis-routed ship went unnoticed"),
+        }
+        assert!(
+            h.w.node.active_txns().is_empty(),
+            "rolled back and forgotten"
+        );
+        assert_eq!(h.w.node.peek_slot(p, 0), Some(0), "the write was undone");
+        assert!(
+            shared.locks.try_acquire(p, READER, LockMode::Exclusive),
+            "the transaction's locks are released"
+        );
+        h.give_back(&mut tc);
         tc.trace_check().unwrap();
     }
 
@@ -1984,7 +2066,7 @@ mod tests {
             "the ship of Q forced T1's update"
         );
 
-        let (value, forces, _) = h.fetch(p);
+        let (value, forces) = h.fetch(p);
         assert_eq!(value, 11);
         assert_eq!(forces, 1, "T1 released P and its commit is not durable");
         h.give_back(&mut tc);

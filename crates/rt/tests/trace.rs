@@ -158,6 +158,20 @@ fn ships_of_pages_under_write_force_less_than_once_a_commit() {
     );
     tc.trace_check().unwrap();
     assert_eq!(tc.trace_dropped(), 0);
+
+    // Batch force or ship force, every force is one GroupForce span,
+    // and every commit is acknowledged by exactly one of them.
+    let forced: Vec<u64> = tc
+        .trace()
+        .spans()
+        .iter()
+        .filter_map(|s| match s.kind {
+            SpanKind::GroupForce { txns, .. } => Some(txns),
+            _ => None,
+        })
+        .collect();
+    assert_eq!(forced.len() as u64, stats.forces);
+    assert_eq!(forced.iter().sum::<u64>(), report.committed);
 }
 
 #[test]
