@@ -7,17 +7,24 @@
 //! locks concurrently, and a single global mutex would serialize
 //! exactly the work the runtime exists to overlap.
 //!
+//! The runtime keeps one table per node, holding the locks of the
+//! pages that node owns (paper §2.1: a page's locks live at its
+//! owner). A worker's local transactions lock only its own node's
+//! table; a remote reader takes its S lock in the owner's table.
+//!
 //! [`ShardedLockTable`] hashes each page to one of N shards, each an
 //! independently locked `IdMap<PageId, LockEntry>`. Two transactions
 //! touching pages in different shards never contend on the same mutex;
 //! the per-shard critical sections are a few map operations long, and
-//! taking or dropping a lock nobody else holds allocates nothing.
+//! taking or dropping a lock nobody else holds allocates nothing. A
+//! thread that panics holding a shard leaves it poisoned but valid,
+//! and the shard keeps working.
 //!
 //! Lock holders are opaque `u64` tokens rather than [`TxnId`]s so the
 //! table stays agnostic of who is locking: the runtime packs
 //! `(node << 48) | txn_seq` into the token. Acquisition is
 //! non-blocking (`try_acquire` returns `false` on conflict) — the
-//! runtime retries with backoff and falls back to aborting the
+//! runtime spins, serving its inbox, and falls back to aborting the
 //! transaction, mirroring how the simulator surfaces `WouldBlock`.
 
 use crate::LockMode;
@@ -134,47 +141,6 @@ impl ShardedLockTable {
                 }
             }
         }
-    }
-
-    /// Spins on [`try_acquire`](Self::try_acquire) up to `spins`
-    /// attempts, yielding the OS thread every 64 tries. Returns `true`
-    /// once the lock is held.
-    ///
-    /// Replay workers use this to latch a page for the duration of its
-    /// redo: units of one recovery wave touch disjoint pages, so the
-    /// latch is expected free — the spin only matters if a concurrent
-    /// reader briefly shares the page.
-    pub fn acquire_spin(&self, pid: PageId, holder: u64, mode: LockMode, spins: usize) -> bool {
-        self.acquire_spin_timed(pid, holder, mode, spins).is_some()
-    }
-
-    /// As [`acquire_spin`](Self::acquire_spin), but returns the
-    /// wall-clock µs spent waiting on success (`None` when the spin
-    /// budget is exhausted), so callers can attribute contended-latch
-    /// time to a lock-wait profiler bucket. An uncontended first-try
-    /// acquisition reports 0 without reading the clock.
-    pub fn acquire_spin_timed(
-        &self,
-        pid: PageId,
-        holder: u64,
-        mode: LockMode,
-        spins: usize,
-    ) -> Option<u64> {
-        if self.try_acquire(pid, holder, mode) {
-            return Some(0);
-        }
-        let started = std::time::Instant::now();
-        for i in 0..spins.max(1) {
-            if self.try_acquire(pid, holder, mode) {
-                return Some(started.elapsed().as_micros() as u64);
-            }
-            if i % 64 == 63 {
-                std::thread::yield_now();
-            } else {
-                std::hint::spin_loop();
-            }
-        }
-        None
     }
 
     /// Releases `holder`'s lock on `pid` (no-op if not held).
@@ -327,45 +293,34 @@ mod tests {
     }
 
     #[test]
-    fn acquire_spin_bounds_the_wait() {
-        let t = ShardedLockTable::new(4);
-        let p = pid(0, 3);
-        // Uncontended: first try wins even with a single spin.
-        assert!(t.acquire_spin(p, 1, LockMode::Exclusive, 1));
-        // Held exclusively: a bounded spin gives up instead of hanging.
-        assert!(!t.acquire_spin(p, 2, LockMode::Exclusive, 128));
-        t.release(p, 1);
-        // Freed: the same request now succeeds within the budget.
-        assert!(t.acquire_spin(p, 2, LockMode::Exclusive, 128));
-        t.release(p, 2);
-        // A zero budget is clamped to one attempt, not zero.
-        assert!(t.acquire_spin(p, 3, LockMode::Shared, 0));
-        t.release(p, 3);
-    }
-
-    #[test]
-    fn timed_spin_reports_the_wait() {
-        let t = ShardedLockTable::new(4);
-        let p = pid(0, 5);
-        // Uncontended first try: held, and no wait is reported.
-        assert_eq!(t.acquire_spin_timed(p, 1, LockMode::Exclusive, 64), Some(0));
-        // Contended and exhausted: no wait figure, not held.
-        assert_eq!(t.acquire_spin_timed(p, 2, LockMode::Exclusive, 64), None);
-        t.release(p, 1);
-
-        // Contended but eventually granted: a release from another
-        // thread mid-spin yields Some(elapsed ≥ 0) and the lock.
-        assert!(t.try_acquire(p, 3, LockMode::Exclusive));
-        std::thread::scope(|s| {
-            let table = &t;
-            s.spawn(move || {
-                std::thread::sleep(std::time::Duration::from_millis(2));
-                table.release(p, 3);
-            });
-            let waited = t.acquire_spin_timed(p, 4, LockMode::Exclusive, 50_000_000);
-            assert!(waited.is_some(), "lock granted after release");
+    fn a_poisoned_shard_keeps_working() {
+        // One shard, so every page is a page of the poisoned one.
+        let t = ShardedLockTable::new(1);
+        let (p, q) = (pid(0, 3), pid(1, 4));
+        assert!(t.try_acquire(p, 1, LockMode::Exclusive));
+        let died = thread::scope(|s| {
+            s.spawn(|| {
+                let _guard = t.shard_of(p);
+                panic!("a holder of the shard panics");
+            })
+            .join()
         });
-        assert!(!t.try_acquire(p, 5, LockMode::Exclusive), "4 holds it");
-        t.release(p, 4);
+        assert!(died.is_err());
+        assert!(t.shards[0].is_poisoned());
+
+        // The shard's pages still lock, conflict and release.
+        assert!(!t.try_acquire(p, 2, LockMode::Shared), "1 still holds p");
+        assert!(t.try_acquire(p, 1, LockMode::Shared), "X covers S");
+        assert_eq!(t.locked_pages(), 1);
+        t.release(p, 1);
+        assert!(t.try_acquire(p, 2, LockMode::Shared));
+        assert!(t.try_acquire(p, 3, LockMode::Shared));
+        assert!(t.try_acquire(q, 2, LockMode::Exclusive));
+        assert_eq!(t.locked_pages(), 2);
+        t.release(p, 2);
+        t.release(p, 3);
+        t.release(q, 2);
+        assert_eq!(t.locked_pages(), 0);
+        assert!(t.try_acquire(p, 4, LockMode::Exclusive));
     }
 }

@@ -17,8 +17,11 @@
 //!   [`ForceScheduler`] from core is time-source agnostic (it takes
 //!   `now` in µs), so the exact same Immediate/Window/Adaptive batching
 //!   logic runs here against a [`WallClock`];
-//! * **sharded page locks** — one [`ShardedLockTable`] per run gives
-//!   strict 2PL across all worker threads without a global mutex.
+//! * **page locks at the owner** — each node's pages are locked in that
+//!   node's own [`ShardedLockTable`] (paper §2.1), one per node per
+//!   run: strict 2PL across all worker threads without a global mutex,
+//!   and two workers that share no page share no lock cache line. A
+//!   remote reader takes its S lock in the owner's table.
 //!
 //! The paper's headline property survives the move to real threads
 //! unchanged: a commit is one local log force and **zero messages** —
@@ -226,7 +229,7 @@ impl RtNodeStats {
 
 /// Capacity of the commit-latency sample reservoir.
 const LATENCY_RESERVOIR_CAP: usize = 4096;
-/// Shards of a run's lock table.
+/// Shards of each node's lock table.
 const LOCK_SHARDS: usize = 16;
 
 /// A set of OS-thread nodes executing [`TxnPlan`]s.
@@ -370,7 +373,7 @@ impl Runtime for ThreadCluster {
     /// is a clean error: every worker stops at its next wait, each
     /// hands its node back, the spans it took are kept, and the first
     /// error of the run is returned. No lock outlives a run, failed or
-    /// not — the lock table is the run's own.
+    /// not — the lock tables are the run's own.
     fn run(&mut self, plans: &[TxnPlan]) -> Result<RunReport> {
         let n = self.node_count();
         let mut per_node: Vec<Vec<Lane>> = (0..n).map(|_| Vec::new()).collect();
@@ -382,7 +385,7 @@ impl Runtime for ThreadCluster {
                 .push(Lane::new(lane));
         }
 
-        let shared = RunShared::new(self, n);
+        let shared = RunShared::new(self);
         let forces_before: u64 = self.nodes.iter().map(|nd| nd.log().forces()).sum();
         let started = Instant::now();
         let workers: Vec<Worker> = std::thread::scope(|s| {
@@ -715,9 +718,13 @@ const FETCH_TIMEOUT: Duration = Duration::from_secs(5);
 
 /// What the workers of one run share.
 struct RunShared {
-    /// Strict 2PL across all workers. It lives for one run, so no lock
-    /// outlives a run however the run ends.
-    locks: ShardedLockTable,
+    /// Strict 2PL across all workers: one table per node, holding the
+    /// locks of that node's pages, reached only through
+    /// [`RunShared::locks_of`]. A worker's local commit writes only its
+    /// own node's table, so workers that share no page share no shard
+    /// mutex. The tables live for one run, so no lock outlives a run
+    /// however the run ends.
+    locks: Box<[ShardedLockTable]>,
     /// The cluster's latency recorder.
     samples: Reservoir,
     /// The cluster's clock: every worker stamps spans off one epoch.
@@ -731,39 +738,56 @@ struct RunShared {
 }
 
 impl RunShared {
-    /// The shared state of a run of `workers` workers on `tc`.
-    fn new(tc: &ThreadCluster, workers: usize) -> Self {
+    /// The shared state of a run on `tc`: one worker and one lock
+    /// table per node.
+    fn new(tc: &ThreadCluster) -> Self {
+        let n = tc.node_count();
         RunShared {
-            locks: ShardedLockTable::new(LOCK_SHARDS),
+            locks: (0..n).map(|_| ShardedLockTable::new(LOCK_SHARDS)).collect(),
             samples: tc.latency_samples.clone(),
             clock: tc.epoch,
-            remaining: AtomicUsize::new(workers),
+            remaining: AtomicUsize::new(n),
             failed: OnceLock::new(),
         }
     }
+
+    /// The lock table of `pid`'s owner, where the page's locks live;
+    /// `NoSuchPage` for a page of a node the cluster does not have.
+    fn locks_of(&self, pid: PageId) -> Result<&ShardedLockTable> {
+        self.locks
+            .get(pid.owner.0 as usize)
+            .ok_or(Error::NoSuchPage(pid))
+    }
 }
 
-/// Wall-time profiler of one worker thread (DESIGN §8.5).
+/// Wall-time profiler of one worker thread (DESIGN §8.5), in ns.
 ///
-/// `outer_us` sums the top-level scopes of the worker: in `run_lanes`
+/// `outer_ns` sums the top-level scopes of the worker: in `run_lanes`
 /// one per lane step, each ending at the clock reading that begins the
 /// next (`lap`), and after its lanes one per shutdown serve. The leaf
 /// buckets are measured *inside* those scopes and are disjoint
-/// sub-intervals of them. The derived buckets therefore keep the
-/// simulator's partition invariant exactly in integer µs: `busy =
-/// outer − lock_wait` and `cpu = busy − disk − net`, so `disk + cpu +
-/// net == busy` by construction. `served_us` is the whole time inside
-/// `serve`, which a lock spin or a fetch wait takes out of its own
-/// bucket. Time parked in `recv_timeout` between scopes (shutdown
-/// stragglers) is idle and deliberately unattributed.
+/// sub-intervals of them. Scopes are summed in ns, because a lane step
+/// can be shorter than 1 µs, and converted to µs once, in
+/// [`Worker::stats`], where the derived buckets keep the simulator's
+/// partition invariant exactly: `busy = outer − lock_wait` and `cpu =
+/// busy − disk − net`, so `disk + cpu + net == busy` by construction.
+/// `served_ns` is the whole time inside `serve`, which a lock spin or
+/// a fetch wait takes out of its own bucket. Time parked in
+/// `recv_timeout` between scopes (shutdown stragglers) is idle and
+/// deliberately unattributed.
 #[derive(Clone, Copy, Debug, Default)]
 struct Prof {
-    wall_us: u64,
-    outer_us: u64,
-    disk_us: u64,
-    net_us: u64,
-    lock_wait_us: u64,
-    served_us: u64,
+    wall_ns: u64,
+    outer_ns: u64,
+    disk_ns: u64,
+    net_ns: u64,
+    lock_wait_ns: u64,
+    served_ns: u64,
+}
+
+/// A profiler scope's length in ns.
+fn nanos(d: Duration) -> u64 {
+    d.as_nanos() as u64
 }
 
 /// One MPL lane: its plans run sequentially; the worker interleaves
@@ -947,22 +971,25 @@ impl<'a> Worker<'a> {
             let _ = self.shared.failed.set(e);
         }
         self.ep.drain();
-        self.prof.wall_us = started.elapsed().as_micros() as u64;
+        self.prof.wall_ns = nanos(started.elapsed());
         self
     }
 
-    /// The wall-time split of this worker's run.
+    /// The wall-time split of this worker's run, converted from the
+    /// profiler's ns sums once, here.
     fn stats(&self) -> RtNodeStats {
         let p = &self.prof;
-        let busy_us = p.outer_us.saturating_sub(p.lock_wait_us);
+        let us = |ns: u64| ns / 1_000;
+        let busy_us = us(p.outer_ns.saturating_sub(p.lock_wait_ns));
+        let (disk_us, net_us) = (us(p.disk_ns), us(p.net_ns));
         RtNodeStats {
             node: self.node.id().0,
-            wall_us: p.wall_us,
+            wall_us: us(p.wall_ns),
             busy_us,
-            disk_us: p.disk_us,
-            net_us: p.net_us,
-            cpu_us: busy_us.saturating_sub(p.disk_us).saturating_sub(p.net_us),
-            lock_wait_us: p.lock_wait_us,
+            disk_us,
+            net_us,
+            cpu_us: busy_us.saturating_sub(disk_us + net_us),
+            lock_wait_us: us(p.lock_wait_ns),
             replay_us: 0,
         }
     }
@@ -971,7 +998,7 @@ impl<'a> Worker<'a> {
     /// reading, which begins the next one.
     fn lap(&mut self, mark: &mut Instant) {
         let now = Instant::now();
-        self.prof.outer_us += now.duration_since(*mark).as_micros() as u64;
+        self.prof.outer_ns += nanos(now.duration_since(*mark));
         *mark = now;
     }
 
@@ -1063,9 +1090,9 @@ impl<'a> Worker<'a> {
             self.peers_ok()?;
             if let Some(env) = self.ep.recv_timeout(Duration::from_micros(500)) {
                 // Each serve is a top-level scope here, timed by itself.
-                let served0 = self.prof.served_us;
+                let served0 = self.prof.served_ns;
                 self.serve(env)?;
-                self.prof.outer_us += self.prof.served_us - served0;
+                self.prof.outer_ns += self.prof.served_ns - served0;
             }
         }
         Ok(())
@@ -1205,7 +1232,7 @@ impl<'a> Worker<'a> {
     fn force(&mut self) -> Result<()> {
         let t = Instant::now();
         self.node.force_log()?;
-        self.prof.disk_us += t.elapsed().as_micros() as u64;
+        self.prof.disk_ns += nanos(t.elapsed());
         let written = self.node.log().bytes_written();
         let bytes = written - self.forced_bytes;
         self.forced_bytes = written;
@@ -1243,19 +1270,22 @@ impl<'a> Worker<'a> {
         Ok(())
     }
 
-    /// Takes `pid` for `token`, serving incoming page fetches while it
-    /// spins so two nodes waiting on each other's service cannot
-    /// deadlock. The spin time — minus the nested service work, which
-    /// lands in its own buckets — is attributed to `lock_wait`.
+    /// Takes `pid` for `token` in the page owner's table, serving
+    /// incoming page fetches while it spins so two nodes waiting on
+    /// each other's service cannot deadlock. The spin time — minus the
+    /// nested service work, which lands in its own buckets — is
+    /// attributed to `lock_wait`.
     fn acquire(&mut self, pid: PageId, token: u64, mode: LockMode) -> Result<bool> {
-        if self.shared.locks.try_acquire(pid, token, mode) {
+        let shared = self.shared;
+        let locks = shared.locks_of(pid)?;
+        if locks.try_acquire(pid, token, mode) {
             return Ok(true);
         }
         let t = Instant::now();
-        let served0 = self.prof.served_us;
+        let served0 = self.prof.served_ns;
         let mut won = false;
         for i in 0..ACQUIRE_SPINS {
-            if self.shared.locks.try_acquire(pid, token, mode) {
+            if locks.try_acquire(pid, token, mode) {
                 won = true;
                 break;
             }
@@ -1267,21 +1297,24 @@ impl<'a> Worker<'a> {
                 std::hint::spin_loop();
             }
         }
-        let nested = self.prof.served_us - served0;
-        self.prof.lock_wait_us += (t.elapsed().as_micros() as u64).saturating_sub(nested);
+        let nested = self.prof.served_ns - served0;
+        self.prof.lock_wait_ns += nanos(t.elapsed()).saturating_sub(nested);
         Ok(won)
     }
 
-    /// Ends `txn` in the lock table. A transaction only ever locks the
+    /// Ends `txn` in the lock tables. A transaction only ever locks the
     /// pages of its plan's ops, so releasing those (a page not held — a
     /// forced abort stopped before it, or it repeats in the plan — is a
-    /// no-op) is `release_all` without taking every shard and walking
-    /// every locked page of every other transaction.
+    /// no-op, and a page of no node was never locked) is `release_all`
+    /// without taking every shard and walking every locked page of
+    /// every other transaction.
     fn release_locks(&self, plan: &TxnPlan, txn: TxnId) {
         let token = token_of(txn);
         for op in &plan.ops {
             let (PlanOp::Read { pid, .. } | PlanOp::Write { pid, .. }) = *op;
-            self.shared.locks.release(pid, token);
+            if let Ok(locks) = self.shared.locks_of(pid) {
+                locks.release(pid, token);
+            }
         }
     }
 
@@ -1298,7 +1331,7 @@ impl<'a> Worker<'a> {
     /// buckets.
     fn remote_read(&mut self, pid: PageId, slot: usize, parent: SpanId) -> Result<u64> {
         let t = Instant::now();
-        let served0 = self.prof.served_us;
+        let served0 = self.prof.served_ns;
         self.send_traced(pid.owner, MsgKind::LockRequest, encode_pid(pid), parent)?;
         let deadline = Instant::now() + FETCH_TIMEOUT;
         let value = loop {
@@ -1323,8 +1356,8 @@ impl<'a> Worker<'a> {
                 }
             }
         };
-        let nested = self.prof.served_us - served0;
-        self.prof.net_us += (t.elapsed().as_micros() as u64).saturating_sub(nested);
+        let nested = self.prof.served_ns - served0;
+        self.prof.net_ns += nanos(t.elapsed()).saturating_sub(nested);
         value
     }
 
@@ -1349,9 +1382,9 @@ impl<'a> Worker<'a> {
     /// node's last force. Every other update in the image needs no
     /// force, because:
     ///
-    /// * the requester took its S lock in the run's shared lock table
-    ///   before it sent the fetch (`run_ops`), so no *active* writer's
-    ///   update is in the image;
+    /// * the requester took its S lock in the page owner's table — this
+    ///   node's — before it sent the fetch (`run_ops`), so no *active*
+    ///   writer's update is in the image;
     /// * a writer that rolled back compensated its updates before it
     ///   released its locks (`run_txn`), so the image carries none of
     ///   its values;
@@ -1393,8 +1426,8 @@ impl<'a> Worker<'a> {
         }
         self.send_traced(env.from, MsgKind::PageShip, page.to_bytes(), env.ctx.span)?;
         let end = Instant::now();
-        self.prof.served_us += end.duration_since(t).as_micros() as u64;
-        self.prof.net_us += end.duration_since(resumed).as_micros() as u64;
+        self.prof.served_ns += nanos(end.duration_since(t));
+        self.prof.net_ns += nanos(end.duration_since(resumed));
         Ok(())
     }
 
@@ -1843,13 +1876,14 @@ mod tests {
             txn
         }
 
-        /// The requester's half of a fetch: the S lock, then the
-        /// request (`run_ops`, `remote_read`).
+        /// The requester's half of a fetch: the S lock, in the owner's
+        /// table, then the request (`run_ops`, `remote_read`).
         fn ask(&self, pid: PageId) {
             assert!(
                 self.w
                     .shared
-                    .locks
+                    .locks_of(pid)
+                    .unwrap()
                     .try_acquire(pid, READER, LockMode::Shared),
                 "{pid} is X-locked: no reader could ask for it now"
             );
@@ -1864,7 +1898,7 @@ mod tests {
             assert_eq!(env.kind, MsgKind::PageShip);
             let page = Page::from_bytes(env.payload).unwrap();
             assert_eq!(page.id(), pid);
-            self.w.shared.locks.release(pid, READER);
+            self.w.shared.locks_of(pid).unwrap().release(pid, READER);
             page.read_slot(0).unwrap()
         }
 
@@ -1916,7 +1950,7 @@ mod tests {
     #[test]
     fn a_ship_forces_only_for_a_released_undurable_writer_of_that_page() {
         let mut tc = parking_cluster();
-        let shared = RunShared::new(&tc, 2);
+        let shared = RunShared::new(&tc);
         let mut h = ByHand::new(&mut tc, &shared);
         let (p, q, r) = (pid(0, 0), pid(0, 1), pid(0, 2));
         let start = h.w.node.log().bytes_written();
@@ -1950,7 +1984,7 @@ mod tests {
     #[test]
     fn a_ship_force_acknowledges_the_commits_it_made_durable() {
         let mut tc = parking_cluster();
-        let shared = RunShared::new(&tc, 2);
+        let shared = RunShared::new(&tc);
         let mut h = ByHand::new(&mut tc, &shared);
         let p = pid(0, 0);
         let samples = shared.samples.count();
@@ -1977,7 +2011,7 @@ mod tests {
     #[test]
     fn a_ship_of_a_page_not_asked_for_fails_the_transaction() {
         let mut tc = parking_cluster();
-        let shared = RunShared::new(&tc, 2);
+        let shared = RunShared::new(&tc);
         let mut h = ByHand::new(&mut tc, &shared);
         let (p, asked, stray) = (pid(0, 0), pid(1, 0), pid(1, 1));
         // Node 1's replies, the mis-routed one first.
@@ -2008,7 +2042,10 @@ mod tests {
         );
         assert_eq!(h.w.node.peek_slot(p, 0), Some(0), "the write was undone");
         assert!(
-            shared.locks.try_acquire(p, READER, LockMode::Exclusive),
+            shared
+                .locks_of(p)
+                .unwrap()
+                .try_acquire(p, READER, LockMode::Exclusive),
             "the transaction's locks are released"
         );
         h.give_back(&mut tc);
@@ -2016,9 +2053,53 @@ mod tests {
     }
 
     #[test]
+    fn a_lock_lives_at_its_owner() {
+        let mut tc = parking_cluster();
+        let shared = RunShared::new(&tc);
+        let mut h = ByHand::new(&mut tc, &shared);
+        let p = pid(0, 0);
+        let (at_owner, at_reader) = (
+            shared.locks_of(p).unwrap(),
+            shared.locks_of(pid(1, 0)).unwrap(),
+        );
+
+        h.ask(p);
+        assert_eq!(
+            at_owner.locked_pages(),
+            1,
+            "node 1's S lock is in node 0's table"
+        );
+        assert_eq!(
+            at_reader.locked_pages(),
+            0,
+            "node 1's own table holds no page"
+        );
+        let writer = wplan(0, 0, &[(p, 0, 11)]);
+        assert!(
+            matches!(h.w.run_txn(&writer).unwrap(), TxnOutcome::Retry),
+            "node 0's writer conflicts with the remote reader's S lock"
+        );
+        assert_eq!(h.w.report.forced_aborts, 1);
+
+        // The writer's spin served the fetch: the reader gets the page
+        // as it was, and drops its lock.
+        assert_eq!(h.shipped(p), 0);
+        assert_eq!(at_owner.locked_pages(), 0);
+        h.park(&writer);
+        h.w.force().unwrap();
+        assert_eq!(
+            h.w.report.committed, 1,
+            "the writer commits once the lock is gone"
+        );
+        assert_eq!(at_owner.locked_pages(), 0, "released at commit_begin");
+        h.give_back(&mut tc);
+        tc.trace_check().unwrap();
+    }
+
+    #[test]
     fn a_crash_after_an_unforced_ship_keeps_what_was_shipped() {
         let mut tc = parking_cluster();
-        let shared = RunShared::new(&tc, 2);
+        let shared = RunShared::new(&tc);
         let mut h = ByHand::new(&mut tc, &shared);
         let (p, q) = (pid(0, 0), pid(0, 1));
         ship_p_twice(&mut h, p, q);
@@ -2038,7 +2119,7 @@ mod tests {
         // record and releases P. A reader of P is about to see T1's
         // value, and nothing of T1's commit is on disk.
         let mut tc = parking_cluster();
-        let shared = RunShared::new(&tc, 2);
+        let shared = RunShared::new(&tc);
         let mut h = ByHand::new(&mut tc, &shared);
         let (p, q, remote) = (pid(0, 0), pid(0, 1), pid(1, 0));
         h.park(&wplan(0, 0, &[(q, 0, 22)]));

@@ -374,6 +374,44 @@ fn profiler_buckets_partition_busy_time_exactly() {
 }
 
 #[test]
+fn profiler_counts_sub_microsecond_lane_steps() {
+    // The grouped workloads' shape on one node with the WAL in memory:
+    // the worker never idles, and in an optimised build most of its
+    // lane steps are shorter than 1 µs. A profiler that rounded each
+    // step down to whole µs reported such a worker busy for a third of
+    // its wall time, and for 94–95 % of it in a debug build, whose
+    // steps take ~6 µs; summed in ns it reads 99.9 % or more.
+    let mut tc = ThreadCluster::new(ThreadClusterConfig {
+        owned_pages: vec![32],
+        group_commit: GroupCommitPolicy::Adaptive {
+            min_window_us: 50,
+            max_window_us: 2_000,
+            target_batch: 16,
+        },
+        tracing: false,
+        ..ThreadClusterConfig::default()
+    })
+    .unwrap();
+    let plans: Vec<TxnPlan> = (0..200u64)
+        .flat_map(|t| {
+            (0..16u32).map(move |lane| {
+                let (a, b) = (pid(0, 2 * lane), pid(0, 2 * lane + 1));
+                wplan(0, lane as usize, &[(a, 0, t), (b, 1, t)])
+            })
+        })
+        .collect();
+    assert_eq!(tc.run(&plans).unwrap().committed, 3_200);
+    let s = tc.last_node_stats()[0];
+    assert!(
+        (s.busy_us + s.lock_wait_us) * 50 >= s.wall_us * 49,
+        "busy {} + lock_wait {} of wall {}: lane steps went uncounted",
+        s.busy_us,
+        s.lock_wait_us,
+        s.wall_us
+    );
+}
+
+#[test]
 fn tracing_off_is_bit_identical_and_spanless() {
     let run_once = |tracing: bool| {
         let mut tc = ThreadCluster::new(ThreadClusterConfig {

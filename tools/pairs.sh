@@ -11,14 +11,16 @@
 # the parent runs first on odd pairs, the change on even ones. A run
 # that is not `correct` with `failed` 0 stops the script.
 #
-# Per workload and end-to-end metric of CHANGE's BENCHMARK.json it
-# prints both medians, their ratio (change/parent), the parent's
-# quartile distance as a share of its median, the pairs the change won
-# (ties count for neither), and a verdict: `unresolved` where the
-# parent's own spread exceeds the metric's bound (then no median says
-# anything), `worse` where the change's median is worse by more than
-# the bound, `better` where it wins at least nine pairs in ten with the
-# medians further apart than the parent's quartiles, else `same`.
+# Each workload's header names both checkouts' short commits and the
+# host's `nproc`. Per workload and end-to-end metric of CHANGE's
+# BENCHMARK.json it prints both medians, their ratio (change/parent),
+# the parent's quartile distance as a share of its median, the pairs
+# the change won (ties count for neither), and a verdict: `unresolved`
+# where the parent's own spread exceeds the metric's bound (then no
+# median says anything), `worse` where the change's median is worse by
+# more than the bound, `better` where it wins at least nine pairs in
+# ten with the medians further apart than the parent's quartiles, else
+# `same`.
 # Defaults: every workload, 10 pairs, 10 s, seeds from 100.
 set -euo pipefail
 
@@ -56,6 +58,10 @@ gates=$(awk '
 for side in "$parent" "$change"; do
     cargo build --release --offline --quiet --manifest-path "$side/perf/Cargo.toml"
 done
+# What a pasted table compared: each checkout's commit (`-dirty` when it
+# has uncommitted changes) and the host's processor count.
+commit_of() { git -C "$1" describe --always --dirty --exclude '*' 2>/dev/null || echo unknown; }
+sides="parent $(commit_of "$parent"), change $(commit_of "$change"), nproc $(nproc)"
 
 out=$(mktemp -d)
 trap 'rm -rf "$out"' EXIT
@@ -92,7 +98,7 @@ for workload in $workloads; do
             run "$parent" "$workload" "$seed" parent
         fi
     done
-    echo "== $workload: $pairs pairs, $seconds s each, seeds $((base + 1))..$((base + pairs))"
+    echo "== $workload: $pairs pairs, $seconds s each, seeds $((base + 1))..$((base + pairs)); $sides"
     printf '%-22s %14s %14s %7s %10s %6s  %s\n' metric parent change ratio p-iqr/med won verdict
     echo "$gates" | while read -r name better bound; do
         paste "$out/parent.$workload.$name" "$out/change.$workload.$name" |
