@@ -129,7 +129,10 @@ bash tools/loc.sh
 echo "==> cargo fmt --check"
 cargo fmt --check
 
-echo "==> cargo clippy -- -D warnings"
-cargo clippy --all-targets --offline -- -D warnings
+echo "==> cargo clippy -- -D warnings, every unsafe block and unsafe fn documented"
+# Only cblog-common's CRC kernel may use `unsafe` (every other engine
+# crate forbids it); each block there states why it is sound.
+cargo clippy --all-targets --offline -- -D warnings \
+    -D clippy::undocumented_unsafe_blocks -D clippy::missing_safety_doc
 
 echo "CI OK"

@@ -31,6 +31,8 @@
 //! under the transaction's span, so B+-tree work shows up in PSN
 //! lineages and the Chrome trace next to the page transfers it causes.
 
+#![forbid(unsafe_code)]
+
 mod node;
 
 pub use node::{NodeKind, TreeNode};

@@ -21,6 +21,8 @@
 //!   §3.2), evaluated against the live state of a client-based-logging
 //!   cluster.
 
+#![forbid(unsafe_code)]
+
 pub mod force;
 pub mod logmerge;
 pub mod pca;

@@ -124,9 +124,7 @@ impl PcaCluster {
             let db = if i == 0 {
                 let mut db =
                     Database::create(Box::new(MemStorage::new(cfg.page_size)), id, cfg.pages)?;
-                for _ in 0..cfg.pages {
-                    db.allocate_page(PageKind::Raw)?;
-                }
+                db.allocate_pages(PageKind::Raw, cfg.pages)?;
                 Some(db)
             } else {
                 None

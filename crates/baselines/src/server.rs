@@ -138,9 +138,7 @@ impl ServerCluster {
     /// `cfg.clients` diskless clients.
     pub fn new(cfg: ServerClientConfig) -> Result<Self> {
         let mut db = Database::create(Box::new(MemStorage::new(cfg.page_size)), SERVER, cfg.pages)?;
-        for _ in 0..cfg.pages {
-            db.allocate_page(PageKind::Raw)?;
-        }
+        db.allocate_pages(PageKind::Raw, cfg.pages)?;
         let log = LogManager::new(SERVER, Box::new(MemLogStore::new()))?;
         let registry = Registry::new();
         registry.register_counter(keys::WAL_RECORDS, log.records_counter());

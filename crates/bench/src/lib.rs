@@ -6,6 +6,8 @@
 //! The actual experiment logic lives in [`cblog_sim::experiments`];
 //! this crate only packages entry points.
 
+#![forbid(unsafe_code)]
+
 pub use cblog_sim::experiments;
 pub use cblog_sim::report::Table;
 

@@ -8,6 +8,9 @@
 use crate::error::{Error, Result};
 use crate::ids::{Lsn, NodeId, PageId, Psn, TxnId};
 
+#[cfg(target_arch = "x86_64")]
+mod clmul;
+
 /// Appends primitive values to a byte buffer.
 #[derive(Debug, Default)]
 pub struct Encoder {
@@ -274,6 +277,29 @@ static CRC_TABLES: [[u32; 256]; 8] = {
     t
 };
 
+/// Folds `data` into the register `crc` eight bytes per step: the
+/// portable kernel, and the reference for [`clmul`].
+fn update_tables(mut crc: u32, data: &[u8]) -> u32 {
+    let t = &CRC_TABLES;
+    let mut words = data.chunks_exact(8);
+    for w in &mut words {
+        let lo = crc ^ u32::from_le_bytes([w[0], w[1], w[2], w[3]]);
+        let hi = u32::from_le_bytes([w[4], w[5], w[6], w[7]]);
+        crc = t[7][(lo & 0xFF) as usize]
+            ^ t[6][((lo >> 8) & 0xFF) as usize]
+            ^ t[5][((lo >> 16) & 0xFF) as usize]
+            ^ t[4][(lo >> 24) as usize]
+            ^ t[3][(hi & 0xFF) as usize]
+            ^ t[2][((hi >> 8) & 0xFF) as usize]
+            ^ t[1][((hi >> 16) & 0xFF) as usize]
+            ^ t[0][(hi >> 24) as usize];
+    }
+    for &b in words.remainder() {
+        crc = t[0][((crc ^ b as u32) & 0xFF) as usize] ^ (crc >> 8);
+    }
+    crc
+}
+
 /// Incremental CRC-32 (IEEE 802.3 polynomial, reflected): the state
 /// behind [`crc32`], for data that is checksummed in pieces. Feeding
 /// the pieces of a buffer in order, however it is split, gives the
@@ -293,27 +319,18 @@ impl Crc32 {
         Crc32::default()
     }
 
-    /// Folds `data` into the state, eight bytes per step.
+    /// Folds `data` into the state: through the carry-less-multiply
+    /// kernel where the CPU has one and the input is long enough to
+    /// repay it, through the slice-by-8 tables otherwise.
     pub fn update(&mut self, data: &[u8]) {
-        let t = &CRC_TABLES;
-        let mut crc = self.0;
-        let mut words = data.chunks_exact(8);
-        for w in &mut words {
-            let lo = crc ^ u32::from_le_bytes([w[0], w[1], w[2], w[3]]);
-            let hi = u32::from_le_bytes([w[4], w[5], w[6], w[7]]);
-            crc = t[7][(lo & 0xFF) as usize]
-                ^ t[6][((lo >> 8) & 0xFF) as usize]
-                ^ t[5][((lo >> 16) & 0xFF) as usize]
-                ^ t[4][(lo >> 24) as usize]
-                ^ t[3][(hi & 0xFF) as usize]
-                ^ t[2][((hi >> 8) & 0xFF) as usize]
-                ^ t[1][((hi >> 16) & 0xFF) as usize]
-                ^ t[0][(hi >> 24) as usize];
+        #[cfg(target_arch = "x86_64")]
+        if data.len() >= clmul::MIN_LEN {
+            if let Some(crc) = clmul::update(self.0, data) {
+                self.0 = crc;
+                return;
+            }
         }
-        for &b in words.remainder() {
-            crc = t[0][((crc ^ b as u32) & 0xFF) as usize] ^ (crc >> 8);
-        }
-        self.0 = crc;
+        self.0 = update_tables(self.0, data);
     }
 
     /// The CRC of everything folded in so far.
@@ -388,14 +405,29 @@ mod tests {
         assert!(matches!(d.get_bytes(), Err(Error::Corrupt(_))));
     }
 
-    /// The byte-at-a-time loop `crc32` used to be: the reference the
-    /// slice-by-8 kernel must agree with bit for bit.
+    /// The byte-at-a-time loop `crc32` used to be: the reference every
+    /// kernel must agree with bit for bit.
     fn crc32_bytewise(data: &[u8]) -> u32 {
         let mut crc = 0xFFFF_FFFFu32;
         for &b in data {
             crc = CRC_TABLES[0][((crc ^ b as u32) & 0xFF) as usize] ^ (crc >> 8);
         }
         !crc
+    }
+
+    type Kernel = fn(u32, &[u8]) -> u32;
+
+    /// Every kernel this CPU runs, called directly whatever the input's
+    /// length: a register and data in, the register out.
+    fn kernels() -> Vec<(&'static str, Kernel)> {
+        let mut all: Vec<(&'static str, Kernel)> = vec![("tables", update_tables)];
+        #[cfg(target_arch = "x86_64")]
+        if std::is_x86_feature_detected!("pclmulqdq") {
+            all.push(("clmul", |crc, data| {
+                clmul::update(crc, data).expect("the CPU has pclmulqdq")
+            }));
+        }
+        all
     }
 
     fn seeded_bytes(n: usize) -> Vec<u8> {
@@ -405,16 +437,20 @@ mod tests {
 
     #[test]
     fn crc32_equals_the_bytewise_reference() {
-        let data = seeded_bytes(4096);
-        assert_eq!(crc32(&data), crc32_bytewise(&data));
-        // Every length around the 8-byte step, at every alignment of
-        // the slice start.
-        for start in 0..8 {
-            for len in 0..=80 {
-                let s = &data[start..start + len];
-                assert_eq!(crc32(s), crc32_bytewise(s), "start {start} len {len}");
+        let data = seeded_bytes(8 << 20);
+        for (name, kernel) in kernels() {
+            // Every length past the kernel's four-lane loop, at every
+            // alignment of the slice start.
+            for start in 0..16 {
+                for len in 0..=320 {
+                    let s = &data[start..start + len];
+                    let want = crc32_bytewise(s);
+                    assert_eq!(!kernel(!0, s), want, "{name}: start {start} len {len}");
+                }
             }
+            assert_eq!(!kernel(!0, &data), crc32_bytewise(&data), "{name}: 8 MiB");
         }
+        assert_eq!(crc32(&data), crc32_bytewise(&data));
     }
 
     #[test]
@@ -432,6 +468,76 @@ mod tests {
                 assert_eq!(c.finish(), whole, "cuts at {a} and {b}");
             }
         }
+    }
+
+    #[test]
+    fn the_page_checksum_split_equals_one_shot_on_every_kernel() {
+        // A page is checksummed as its first 24 bytes, four zeros where
+        // the CRC is stored, then the rest (`storage::page`).
+        for size in [512, 1024, 4096] {
+            let mut page = seeded_bytes(size);
+            let mut c = Crc32::new();
+            c.update(&page[..24]);
+            c.update(&[0; 4]);
+            c.update(&page[28..]);
+            let split = c.finish();
+            for (name, kernel) in kernels() {
+                let crc = kernel(kernel(kernel(!0, &page[..24]), &[0; 4]), &page[28..]);
+                assert_eq!(!crc, split, "{name}: {size} B");
+            }
+            page[24..28].fill(0);
+            assert_eq!(split, crc32_bytewise(&page), "{size} B");
+        }
+    }
+
+    #[cfg(target_arch = "x86_64")]
+    #[test]
+    fn a_cpu_with_pclmulqdq_takes_the_kernel() {
+        // The fast path must not rot unnoticed behind the tables.
+        if !std::is_x86_feature_detected!("pclmulqdq") {
+            return;
+        }
+        let calls = || clmul::CALLS.with(std::cell::Cell::get);
+        let before = calls();
+        crc32(&[0x5A; 1024]);
+        crc32(&[0x5A; clmul::MIN_LEN]);
+        assert_eq!(calls() - before, 2, "a 1 KiB page and the shortest input");
+        crc32(&[0x5A; clmul::MIN_LEN - 1]);
+        assert_eq!(calls() - before, 2, "shorter inputs stay on the tables");
+    }
+
+    #[cfg(target_arch = "x86_64")]
+    #[test]
+    fn the_kernel_constants_come_from_the_polynomial() {
+        const POLY: u64 = 0x1_04C1_1DB7;
+        // x^n mod P over GF(2), bit i the coefficient of x^i.
+        let x_pow_mod = |n: u32| {
+            let mut r = 1u64;
+            for _ in 0..n {
+                r <<= 1;
+                if r >> 32 != 0 {
+                    r ^= POLY;
+                }
+            }
+            r as u32
+        };
+        // Reflected and shifted left one, as the multiplies take them.
+        let folded = |n: u32| (u64::from(x_pow_mod(n).reverse_bits()) << 1) as i64;
+        assert_eq!(clmul::K1, folded(4 * 128 + 32));
+        assert_eq!(clmul::K2, folded(4 * 128 - 32));
+        assert_eq!(clmul::K3, folded(128 + 32));
+        assert_eq!(clmul::K4, folded(128 - 32));
+        assert_eq!(clmul::K5, folded(64));
+        // x^64 div P by long division; both 33-bit values reflected.
+        let (mut rem, mut quot) = (1u128 << 64, 0u64);
+        while rem >> 32 != 0 {
+            let shift = 127 - rem.leading_zeros() - 32;
+            quot |= 1u64 << shift;
+            rem ^= u128::from(POLY) << shift;
+        }
+        let reflect33 = |v: u64| (v.reverse_bits() >> 31) as i64;
+        assert_eq!(clmul::MU, reflect33(quot));
+        assert_eq!(clmul::P, reflect33(POLY));
     }
 
     #[test]

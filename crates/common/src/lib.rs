@@ -18,6 +18,11 @@
 //! * [`Lsn`] — *log sequence number*, the byte address of a record in one
 //!   node's **local** log. LSNs are never compared across nodes; each log
 //!   is private and logs are never merged.
+//!
+//! The crate's one `unsafe` module is the carry-less-multiply CRC-32
+//! kernel (`codec::clmul`); nothing else may use `unsafe`.
+
+#![deny(unsafe_code)]
 
 pub mod codec;
 pub mod error;

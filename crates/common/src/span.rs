@@ -880,6 +880,11 @@ impl Trace {
         }
     }
 
+    /// True if spans are recorded (false for the disabled trace).
+    pub fn is_enabled(&self) -> bool {
+        self.buf.enabled
+    }
+
     /// Allocates the next span id of the merged sequence
     /// ([`SpanId::NONE`] when disabled).
     pub fn alloc(&mut self) -> SpanId {

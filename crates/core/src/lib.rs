@@ -40,6 +40,8 @@
 //! assert_eq!(before, after, "commit sends no messages");
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod cluster;
 pub mod config;
 pub mod group_commit;

@@ -443,9 +443,10 @@ pub fn plan_replay(
     let n = involved.len();
     let unit_of: IdMap<PageId, u32> = involved.keys().copied().zip(0..).collect();
     let nodes_of: Vec<&Vec<NodeId>> = involved.values().collect();
-    let mut entries: Vec<(u32, Psn, NodeId, Lsn)> =
-        Vec::with_capacity(psn_lists.values().map(Vec::len).sum());
-    let mut edges: Vec<(u32, u32)> = Vec::new();
+    // Each list entry adds at most one entry and one edge.
+    let listed = psn_lists.values().map(Vec::len).sum();
+    let mut entries: Vec<(u32, Psn, NodeId, Lsn)> = Vec::with_capacity(listed);
+    let mut edges: Vec<(u32, u32)> = Vec::with_capacity(listed);
     for (&node, list) in psn_lists {
         let mut last_of_txn: IdMap<TxnId, u32> = IdMap::default();
         for e in list {
@@ -462,7 +463,7 @@ pub fn plan_replay(
             }
         }
     }
-    let (mut entries, entry_at) = group_by_key(entries, n, |e| e.0);
+    let (mut entries, entry_at) = group_by_key(&entries, n, |e| e.0);
     let mut units: Vec<ReplayUnit> = Vec::with_capacity(n);
     for (u, &pid) in involved.keys().enumerate() {
         let mine = &mut entries[entry_at[u]..entry_at[u + 1]];
@@ -483,7 +484,7 @@ pub fn plan_replay(
     }
     // Each unit's successors, ascending and without repeats:
     // `succ[succ_at[u]..succ_at[u + 1]]`.
-    let (mut edges, edge_at) = group_by_key(edges, n, |e| e.0);
+    let (mut edges, edge_at) = group_by_key(&edges, n, |e| e.0);
     let mut succ: Vec<u32> = Vec::with_capacity(edges.len());
     let mut succ_at: Vec<usize> = Vec::with_capacity(n + 1);
     let mut indeg: Vec<usize> = vec![0; n];
@@ -545,13 +546,15 @@ pub fn plan_replay(
 /// Counting sort: `items` grouped by `key`, every key below `n`, in
 /// input order within a group. Returns them with each key's start in
 /// the output (`n + 1` offsets, the last one the length). O(items + n).
+/// The scatter moves 4-byte positions, and the output is gathered
+/// front to back in one pass, so no item is written twice.
 pub(crate) fn group_by_key<T: Copy>(
-    items: Vec<T>,
+    items: &[T],
     n: usize,
     key: impl Fn(&T) -> u32,
 ) -> (Vec<T>, Vec<usize>) {
     let mut at = vec![0usize; n + 1];
-    for it in &items {
+    for it in items {
         at[key(it) as usize + 1] += 1;
     }
     let mut sum = 0;
@@ -560,12 +563,14 @@ pub(crate) fn group_by_key<T: Copy>(
         *a = sum;
     }
     let mut next = at.clone();
-    let mut out = items.clone();
-    for it in items {
-        let k = key(&it) as usize;
-        out[next[k]] = it;
+    let len = u32::try_from(items.len()).expect("fewer than 2^32 items to group");
+    let mut from = vec![0u32; items.len()];
+    for (i, it) in (0..len).zip(items) {
+        let k = key(it) as usize;
+        from[next[k]] = i;
         next[k] += 1;
     }
+    let out = from.iter().map(|&i| items[i as usize]).collect();
     (out, at)
 }
 

@@ -7,10 +7,11 @@
 //! other's allocations.
 
 use cblog_common::{NodeId, PageId, TxnId};
-use cblog_core::{Node, NodeConfig};
+use cblog_core::{plan_replay, Node, NodeConfig};
 use cblog_locks::{LockMode, ShardedLockTable};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
+use std::collections::BTreeMap;
 
 struct Counting;
 
@@ -129,33 +130,51 @@ fn the_commit_path_allocates_only_to_grow() {
 }
 
 /// Allocations of the one restart pass over a crashed node's log of
-/// `n` transactions (2 writes each) over the same `PAGES` pages, and
-/// the redo records it kept.
-fn restart_allocations(n: u64) -> (u64, usize) {
+/// `n` transactions (2 writes each) over the same `PAGES` pages, the
+/// redo records it kept, and the allocations of planning replay over
+/// the NodePSNList it built.
+fn restart_allocations(n: u64) -> (u64, usize, u64) {
     let mut node = warm_node();
     commit_loop(&mut node, n, &mut Vec::with_capacity(GROUP));
     node.force_log().unwrap();
     node.crash();
     node.mark_restarting().unwrap();
-    let (made, pass) = allocations_of(|| node.restart_pass().unwrap());
-    (made, pass.2.len())
+    let (made, (_, list, redo)) = allocations_of(|| node.restart_pass().unwrap());
+    let involved: BTreeMap<PageId, Vec<NodeId>> = node
+        .dpt()
+        .entries()
+        .into_iter()
+        .map(|e| (e.pid, vec![node.id()]))
+        .collect();
+    let lists = BTreeMap::from([(node.id(), list)]);
+    let (planned, plan) = allocations_of(|| plan_replay(&involved, &lists));
+    assert_eq!(plan.units.len(), PAGES as usize);
+    (made, redo.len(), planned)
 }
 
 #[test]
 fn a_restart_pass_allocates_per_page_not_per_record() {
-    // Four times the records over the same pages may cost a restart a
-    // few more doublings of its arena and lists, never an allocation
-    // per record: decoding an update into an owned op made two.
-    let (small, kept_small) = restart_allocations(500);
-    let (large, kept_large) = restart_allocations(2_000);
+    // Once the pass has read a sample of its range it sizes its arena
+    // and lists for the rest, so four times the records over the same
+    // pages cost it no more allocations; growing them by doubling all
+    // the way cost six more, and decoding an update into an owned op
+    // two per record. Planning replay over the pass's list allocates
+    // per page too, but for the table of transactions it has seen.
+    let (small, kept_small, plan_small) = restart_allocations(500);
+    let (large, kept_large, plan_large) = restart_allocations(2_000);
     assert_eq!(
         (kept_small, kept_large),
         (1_000, 4_000),
         "every update kept"
     );
     assert!(
-        large <= small + 40,
-        "4 000 more updates made {} more allocations ({small} → {large})",
+        large <= small + 2,
+        "4 000 more updates made {} more restart allocations ({small} → {large})",
         large.saturating_sub(small)
+    );
+    assert!(
+        plan_large <= plan_small + 2,
+        "4 000 more updates made {} more planner allocations ({plan_small} → {plan_large})",
+        plan_large.saturating_sub(plan_small)
     );
 }

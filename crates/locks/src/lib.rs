@@ -22,6 +22,8 @@
 //! holders) so the deterministic cluster scheduler can queue, retry and
 //! detect deadlocks via [`deadlock::WaitsForGraph`].
 
+#![forbid(unsafe_code)]
+
 pub mod cached;
 pub mod deadlock;
 pub mod global;

@@ -45,6 +45,8 @@
 //! branch print as replayable specs (see [`Branch::spec`] /
 //! [`Branch::parse`]).
 
+#![forbid(unsafe_code)]
+
 use std::collections::BTreeSet;
 use std::fmt::Write as _;
 

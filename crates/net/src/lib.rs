@@ -8,6 +8,8 @@
 //! after the send has been accounted — which keeps runs deterministic
 //! and the protocol state machines synchronous.
 
+#![forbid(unsafe_code)]
+
 use cblog_common::{
     Bucket, CostModel, Error, NodeId, Result, Rng, SimClock, SimTime, SpanCtx, SpanKind, Tracer,
 };

@@ -67,6 +67,8 @@
 //!   [`RtRunStats::p50_us`]/[`RtRunStats::p99_us`] are samples the
 //!   engine took, not bucket upper bounds.
 
+#![forbid(unsafe_code)]
+
 use cblog_common::metrics::{keys, prof_key};
 use cblog_common::span::DEFAULT_TRACE_CAPACITY;
 use cblog_common::{
@@ -338,6 +340,9 @@ impl ThreadCluster {
     /// out-of-order replay hop) and watch
     /// [`ThreadCluster::trace_check`] catch them.
     pub fn trace_point(&mut self, node: NodeId, parent: SpanId, kind: SpanKind) -> SpanId {
+        if !self.trace.is_enabled() {
+            return SpanId::NONE;
+        }
         self.trace.point(self.epoch.now_us(), node, parent, kind)
     }
 
@@ -553,6 +558,7 @@ impl Runtime for ThreadCluster {
         // wave's durable page writes. ----
         let mut wave_timings = Vec::with_capacity(plan.waves.len());
         let mut replay_by_node: BTreeMap<NodeId, u64> = BTreeMap::new();
+        let mut runs = Vec::new();
         for wave in &plan.waves {
             let mut work = Vec::with_capacity(wave.len());
             for &ui in wave {
@@ -572,10 +578,10 @@ impl Runtime for ThreadCluster {
                     .get(&owner)
                     .ok_or_else(|| Error::Protocol(format!("{pid} is dirty at no crashed owner")))?
                     .of(pid);
-                let from_psns = apply_unit(&mut page, records)?;
+                let n = apply_unit(&mut page, records, &mut runs)?;
                 // One hop span per run of consecutively applied PSNs,
                 // all of a wave's hops before its page writes.
-                for (first, last, applied) in psn_runs(&from_psns) {
+                for &(first, last, applied) in &runs {
                     self.trace_point(
                         owner,
                         rec_root,
@@ -589,7 +595,7 @@ impl Runtime for ThreadCluster {
                     );
                 }
                 let wall_us = t.elapsed().as_micros() as u64;
-                report.records_replayed += from_psns.len() as u64;
+                report.records_replayed += n;
                 report.pages_recovered += 1;
                 timing.units += 1;
                 timing.serial_us += wall_us;
@@ -667,41 +673,35 @@ impl Runtime for ThreadCluster {
 // ----------------------------------------------------------------------
 
 /// PSN-filtered redo of one page (the filter of [`Node::replay_page`],
-/// against the records a restart pass kept). Returns the applied PSNs
-/// in order.
+/// against the records a restart pass kept). Returns how many records
+/// applied, and leaves in `runs` (emptied first, so one buffer serves
+/// every page) the maximal runs of consecutively applied PSNs, as
+/// `(first, last, count)`. Correct application applies each record at
+/// exactly the page's PSN, so the whole unit is one run; anything else
+/// fractures into runs whose ReplayHop spans the watchdog rejects.
 fn apply_unit<'a>(
     page: &mut Page,
     records: impl Iterator<Item = Result<(Psn, PageOpRef<'a>)>>,
-) -> Result<Vec<Psn>> {
-    let mut from_psns = Vec::new();
+    runs: &mut Vec<(Psn, Psn, u64)>,
+) -> Result<u64> {
+    runs.clear();
+    let mut applied = 0;
     for r in records {
         let (psn_before, op) = r?;
         if psn_before == page.psn() {
             op.apply_redo(page)?;
             page.set_psn(psn_before.next());
-            from_psns.push(psn_before);
-        }
-    }
-    Ok(from_psns)
-}
-
-/// Maximal runs of consecutively applied PSNs, as
-/// `(first, last, count)`. Correct application applies each record at
-/// exactly the page's PSN, so the whole unit is one run; anything
-/// else fractures into runs whose ReplayHop spans the watchdog
-/// rejects.
-fn psn_runs(from_psns: &[Psn]) -> Vec<(Psn, Psn, u64)> {
-    let mut runs: Vec<(Psn, Psn, u64)> = Vec::new();
-    for &p in from_psns {
-        match runs.last_mut() {
-            Some((_, last, n)) if p == last.next() => {
-                *last = p;
-                *n += 1;
+            applied += 1;
+            match runs.last_mut() {
+                Some((_, last, n)) if psn_before == last.next() => {
+                    *last = psn_before;
+                    *n += 1;
+                }
+                _ => runs.push((psn_before, psn_before, 1)),
             }
-            _ => runs.push((p, p, 1)),
         }
     }
-    runs
+    Ok(applied)
 }
 
 // ----------------------------------------------------------------------

@@ -4,6 +4,8 @@
 //! plain-text report tables, and the T1/E1–E11/A1 experiment suite mapped
 //! out in `DESIGN.md`.
 
+#![forbid(unsafe_code)]
+
 pub mod baseline;
 pub mod driver;
 pub mod experiments;

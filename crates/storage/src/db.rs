@@ -44,6 +44,15 @@ impl std::fmt::Debug for Database {
     }
 }
 
+/// The space map's tag for a page kind that can be allocated.
+fn kind_tag(kind: PageKind) -> Result<u8> {
+    match kind {
+        PageKind::Free => Err(Error::Invalid("cannot allocate Free".into())),
+        PageKind::Raw => Ok(1),
+        PageKind::Slotted => Ok(2),
+    }
+}
+
 fn map_blocks_for(capacity: u32, page_size: usize) -> u64 {
     let map_bytes = 8 + capacity as usize * 10;
     map_bytes.div_ceil(page_size) as u64
@@ -159,17 +168,27 @@ impl Database {
     /// dictates (paper §2.1 / ARIES-CSA trick), and returns the
     /// in-memory copy.
     pub fn allocate_page(&mut self, kind: PageKind) -> Result<Page> {
-        let kind_u8 = match kind {
-            PageKind::Free => return Err(Error::Invalid("cannot allocate Free".into())),
-            PageKind::Raw => 1,
-            PageKind::Slotted => 2,
-        };
-        let (index, psn) = self.map.allocate(kind_u8)?;
-        let pid = PageId::new(self.node, index);
-        let page = Page::new(pid, kind, psn, self.page_size);
+        let (index, psn) = self.map.allocate(kind_tag(kind)?)?;
+        let page = self.format_page(kind, index, psn)?;
+        self.persist_map()?;
+        Ok(page)
+    }
+
+    /// Allocates `count` pages as that many [`Database::allocate_page`]
+    /// calls would, leaving the same bytes on the device, but writes the
+    /// space map once instead of once a page.
+    pub fn allocate_pages(&mut self, kind: PageKind, count: u32) -> Result<()> {
+        for (index, psn) in self.map.allocate_many(kind_tag(kind)?, count)? {
+            self.format_page(kind, index, psn)?;
+        }
+        self.persist_map()
+    }
+
+    /// Writes the fresh image of page `index` with its initial PSN.
+    fn format_page(&mut self, kind: PageKind, index: u32, psn: Psn) -> Result<Page> {
+        let page = Page::new(PageId::new(self.node, index), kind, psn, self.page_size);
         self.storage
             .write_block(self.data_block(index), &page.to_bytes())?;
-        self.persist_map()?;
         Ok(page)
     }
 
@@ -345,6 +364,37 @@ mod tests {
         let _ = std::fs::remove_file(&path);
         // Keep clippy quiet about the unused mem storage above.
         storage.write_block(0, &vec![0u8; 512]).unwrap();
+    }
+
+    /// Every block of `db`'s device: superblock, map and allocated
+    /// pages (the lowest indices).
+    fn device_bytes(db: &mut Database) -> Vec<u8> {
+        let blocks = 1 + db.map_blocks + db.map.allocated_count() as u64;
+        let mut out = vec![0u8; blocks as usize * db.page_size];
+        for (b, block) in (0..blocks).zip(out.chunks_exact_mut(db.page_size)) {
+            db.storage.read_block(b, block).unwrap();
+        }
+        out
+    }
+
+    #[test]
+    fn bulk_allocation_leaves_the_bytes_of_one_at_a_time() {
+        // 200 pages of 512 B: a space map of four blocks.
+        let fresh = || Database::create(Box::new(MemStorage::new(512)), NodeId(3), 200).unwrap();
+        let (mut one, mut bulk) = (fresh(), fresh());
+        for _ in 0..150 {
+            one.allocate_page(PageKind::Raw).unwrap();
+        }
+        bulk.allocate_pages(PageKind::Raw, 150).unwrap();
+        assert!(bulk.map_blocks > 1);
+        assert_eq!(device_bytes(&mut bulk), device_bytes(&mut one));
+        for _ in 0..50 {
+            one.allocate_page(PageKind::Slotted).unwrap();
+        }
+        bulk.allocate_pages(PageKind::Slotted, 50).unwrap();
+        assert_eq!(device_bytes(&mut bulk), device_bytes(&mut one));
+        assert!(bulk.allocate_pages(PageKind::Raw, 1).is_err());
+        assert!(bulk.allocate_pages(PageKind::Free, 0).is_err());
     }
 
     #[test]

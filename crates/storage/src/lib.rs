@@ -17,6 +17,8 @@
 //!   (locally owned pages) or ships it to the owner node — exactly the
 //!   two destinations §2.1 describes.
 
+#![forbid(unsafe_code)]
+
 pub mod buffer;
 pub mod db;
 pub mod page;

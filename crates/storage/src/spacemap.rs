@@ -79,15 +79,30 @@ impl SpaceMap {
     /// Allocates the lowest free page index, returning `(index,
     /// initial_psn)`. The page must be formatted with exactly this PSN.
     pub fn allocate(&mut self, kind: u8) -> Result<(u32, Psn)> {
-        let idx = self
-            .entries
-            .iter()
-            .position(|e| !e.allocated)
-            .ok_or_else(|| Error::Invalid("database full".into()))?;
-        let e = &mut self.entries[idx];
-        e.allocated = true;
-        e.kind = kind;
-        Ok((idx as u32, e.psn_floor))
+        Ok(self.allocate_many(kind, 1)?[0])
+    }
+
+    /// Allocates the `count` lowest free page indices in one pass over
+    /// the map: what `count` calls of [`SpaceMap::allocate`] return, in
+    /// the same order. All or nothing: a map without `count` free pages
+    /// is left as it was.
+    pub fn allocate_many(&mut self, kind: u8, count: u32) -> Result<Vec<(u32, Psn)>> {
+        let free: Vec<usize> = (0..self.entries.len())
+            .filter(|&i| !self.entries[i].allocated)
+            .take(count as usize)
+            .collect();
+        if free.len() < count as usize {
+            return Err(Error::Invalid("database full".into()));
+        }
+        Ok(free
+            .into_iter()
+            .map(|i| {
+                let e = &mut self.entries[i];
+                e.allocated = true;
+                e.kind = kind;
+                (i as u32, e.psn_floor)
+            })
+            .collect())
     }
 
     /// Allocates a specific page index (used by recovery replay of
@@ -168,6 +183,21 @@ mod tests {
         assert_eq!((i0, i1), (0, 1));
         assert_eq!(p0, Psn(1));
         assert_eq!(m.allocated_count(), 2);
+    }
+
+    #[test]
+    fn allocate_many_equals_one_at_a_time() {
+        let mut one = SpaceMap::new(6);
+        one.allocate(1).unwrap();
+        one.allocate(1).unwrap();
+        one.deallocate(0, Psn(40)).unwrap();
+        let mut many = one.clone();
+        let singles: Vec<_> = (0..4).map(|_| one.allocate(2).unwrap()).collect();
+        assert_eq!(many.allocate_many(2, 4).unwrap(), singles);
+        assert_eq!(many.encode(), one.encode());
+        // All or nothing: one page is left.
+        assert!(many.allocate_many(2, 2).is_err());
+        assert_eq!(many.encode(), one.encode());
     }
 
     #[test]

@@ -13,6 +13,8 @@
 //! the LSN-on-page test so that records from *different* nodes' logs
 //! replay in the correct global order without any log merging.
 
+#![forbid(unsafe_code)]
+
 pub mod dpt;
 pub mod manager;
 pub mod record;
