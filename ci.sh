@@ -126,6 +126,10 @@ rm -f /tmp/ci_pairs.txt
 echo "==> line ledger of HEAD (tools/loc.sh)"
 bash tools/loc.sh
 
+echo "==> backticked names in DESIGN.md and README.md that name nothing (tools/docnames.sh)"
+# Printed, not yet failed on: the step fails once the list is empty.
+bash tools/docnames.sh
+
 echo "==> cargo fmt --check"
 cargo fmt --check
 

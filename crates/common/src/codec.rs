@@ -170,6 +170,21 @@ impl<'a> Decoder<'a> {
         Ok(u64::from_le_bytes(b))
     }
 
+    /// Reads a u32 count of entries of at least `entry` bytes each, and
+    /// refuses one the rest of the input cannot hold: a count is read
+    /// before the entries it sizes an allocation for, so a corrupt one
+    /// must come back `Corrupt` rather than as an allocation failure.
+    pub fn get_count(&mut self, entry: usize) -> Result<usize> {
+        let n = self.get_u32()? as usize;
+        if n > self.remaining() / entry {
+            return Err(Error::Corrupt(format!(
+                "count {n} of {entry}-byte entries exceeds the {} bytes left",
+                self.remaining()
+            )));
+        }
+        Ok(n)
+    }
+
     /// Reads a length-prefixed byte slice.
     pub fn get_bytes(&mut self) -> Result<&'a [u8]> {
         let n = self.get_u32()? as usize;

@@ -1,7 +1,8 @@
 //! A processing node: buffer pool, local WAL, DPT, lock tables,
-//! transaction manager, checkpointing, and the node-local halves of the
-//! recovery protocol (restart analysis, NodePSNList construction,
-//! PSN-filtered replay, and all three in one log pass).
+//! transaction manager, checkpointing, and the node-local half of the
+//! recovery protocol: one log collector that yields the NodePSNList and
+//! the redo records of a set of pages (with restart analysis folded in
+//! on a restarting node), and the PSN-filtered replay of those records.
 //!
 //! Everything here is node-local: no method sends messages. The
 //! [`crate::Cluster`] composes these pieces into the distributed
@@ -38,7 +39,9 @@ pub struct NodePsnEntry {
     pub pid: PageId,
     /// PSN just before the burst's first update.
     pub psn: Psn,
-    /// Log location of that record (replay resume point).
+    /// Log location of that record: the paper's replay resume point.
+    /// Replay here resumes at the entry's PSN in the node's collected
+    /// records instead ([`RedoRecords::seek`]).
     pub lsn: Lsn,
     /// Transaction that wrote the burst. Replay planning uses this to
     /// order pages touched by one multi-page transaction (DESIGN §13);
@@ -63,11 +66,11 @@ fn psn_list_entry(
     }
 }
 
-/// The redo records a restart pass keeps ([`Node::restart_pass`]):
-/// every op's bytes end to end in one arena, in log order, and a
-/// `(page, psn_before, offset)` index grouped by page. Replay applies
-/// [`PageOpRef`]s read straight out of the arena; nothing is allocated
-/// per record.
+/// The redo records a log collection keeps ([`Node::restart_pass`],
+/// [`Node::psn_list`]): every op's bytes end to end in one arena, in
+/// log order, and a `(page, psn_before, offset)` index grouped by page.
+/// Replay applies [`PageOpRef`]s read straight out of the arena; nothing
+/// is allocated per record.
 #[derive(Debug, Default)]
 pub struct RedoRecords {
     ops: Vec<u8>,
@@ -81,15 +84,70 @@ pub struct RedoRecords {
 }
 
 impl RedoRecords {
-    /// `pid`'s records in log order, as `(psn_before, op)`: what a
-    /// PSN-filtered replay of the page applies. None for a page with no
+    /// `pid`'s index entries in log order; empty for a page with no
     /// records.
-    pub fn of(&self, pid: PageId) -> impl Iterator<Item = Result<(Psn, PageOpRef<'_>)>> + '_ {
-        let mine = match self.pages.binary_search(&pid) {
+    fn records(&self, pid: PageId) -> &[(u32, Psn, u32)] {
+        match self.pages.binary_search(&pid) {
             Ok(i) => &self.index[self.at[i]..self.at[i + 1]],
             Err(_) => &[],
-        };
-        mine.iter().map(|&(_, psn, at)| {
+        }
+    }
+
+    /// The PSN filter (paper §2.3.2, §2.3.4): replays `page`'s records
+    /// from the `from`-th on, applying each whose PSN the page has, and
+    /// stops before the first that is past `bound`. Returns the cursor
+    /// to resume at and how many records applied. `runs` (emptied
+    /// first, so one buffer serves every page) gets the maximal runs of
+    /// consecutively applied PSNs as `(first, last, count)`: correct
+    /// replay applies each record at exactly the page's PSN, so a hop
+    /// is one run, and anything else fractures into runs whose
+    /// ReplayHop spans the watchdog rejects.
+    pub fn replay(
+        &self,
+        page: &mut Page,
+        from: usize,
+        bound: Option<Psn>,
+        runs: &mut Vec<(Psn, Psn, u64)>,
+    ) -> Result<(usize, u64)> {
+        runs.clear();
+        let mine = self.records(page.id());
+        let mut applied = 0;
+        for (i, &(_, psn_before, at)) in mine.iter().enumerate().skip(from) {
+            if bound.is_some_and(|b| psn_before > b) {
+                return Ok((i, applied));
+            }
+            if psn_before != page.psn() {
+                continue;
+            }
+            PageOpRef::decode(&mut Decoder::new(&self.ops[at as usize..]))?.apply_redo(page)?;
+            page.set_psn(psn_before.next());
+            applied += 1;
+            match runs.last_mut() {
+                Some((_, last, n)) if psn_before == last.next() => {
+                    *last = psn_before;
+                    *n += 1;
+                }
+                _ => runs.push((psn_before, psn_before, 1)),
+            }
+        }
+        Ok((mine.len(), applied))
+    }
+
+    /// The cursor of `pid`'s first record at or past `psn`: where a
+    /// replay hop that starts at `psn` resumes. A page's records in one
+    /// log carry ascending PSNs, since each update raises the PSN of
+    /// the copy its node holds.
+    pub fn seek(&self, pid: PageId, psn: Psn) -> usize {
+        self.records(pid).partition_point(|&(_, p, _)| p < psn)
+    }
+
+    /// `pid`'s records in log order, as `(psn_before, op)`.
+    #[cfg(test)]
+    pub(crate) fn of(
+        &self,
+        pid: PageId,
+    ) -> impl Iterator<Item = Result<(Psn, PageOpRef<'_>)>> + '_ {
+        self.records(pid).iter().map(|&(_, psn, at)| {
             let op = PageOpRef::decode(&mut Decoder::new(&self.ops[at as usize..]))?;
             Ok((psn, op))
         })
@@ -106,12 +164,13 @@ impl RedoRecords {
     }
 }
 
-/// Records a restart pass reads before it sizes its arrays for the rest
-/// of its range ([`PageUpdates::reserve_rest`]).
+/// Records a log collection reads before it sizes its arrays for the
+/// rest of its range ([`PageUpdates::reserve_rest`]).
 const SIZING_SAMPLE: u64 = 1024;
 
-/// What a restart pass collects from every Update and CLR it reads, for
-/// every page: the NodePSNList and, per record, its op in one arena.
+/// What a log collection ([`Node::collect`]) keeps from every Update and
+/// CLR it reads, for every page: the NodePSNList and, per record, its op
+/// in one arena.
 #[derive(Default)]
 struct PageUpdates {
     /// Page → (its number in `ids`, the transaction of its last entry).
@@ -160,10 +219,10 @@ impl PageUpdates {
         Ok(())
     }
 
-    /// Keeps the pages `dpt` names, dropping the list entries and
+    /// Keeps the pages `wanted` accepts, dropping the list entries and
     /// records of the others, and groups the records by page, ascending,
     /// with a counting sort.
-    fn keep(self, dpt: &DirtyPageTable) -> (Vec<NodePsnEntry>, RedoRecords) {
+    fn keep(self, wanted: impl Fn(PageId) -> bool) -> (Vec<NodePsnEntry>, RedoRecords) {
         let PageUpdates {
             ids,
             mut list,
@@ -174,7 +233,7 @@ impl PageUpdates {
         let mut kept: Vec<(PageId, u32)> = ids
             .iter()
             .zip(0..)
-            .filter(|(pid, _)| dpt.contains(**pid))
+            .filter(|(pid, _)| wanted(**pid))
             .map(|(&pid, page)| (pid, page))
             .collect();
         kept.sort_unstable();
@@ -183,7 +242,7 @@ impl PageUpdates {
             rank[page as usize] = r as u32;
         }
         if kept.len() < ids.len() {
-            list.retain(|e| dpt.contains(e.pid));
+            list.retain(|e| wanted(e.pid));
             index.retain(|e| rank[e.0 as usize] != u32::MAX);
         }
         let (index, at) = group_by_key(&index, kept.len(), |e| rank[e.0 as usize]);
@@ -199,8 +258,8 @@ impl PageUpdates {
 
 /// The ARIES analysis fold (paper §2.3.1 / §2.4): what a scan from the
 /// last complete checkpoint rebuilds, one record at a time — the loser
-/// transaction table and a conservative DPT superset. Written once for
-/// [`Node::restart_analysis`] and [`Node::restart_pass`].
+/// transaction table and a conservative DPT superset, folded into
+/// [`Node::restart_pass`]'s collection.
 #[derive(Default)]
 struct Analysis {
     att: IdMap<TxnId, TxnState>,
@@ -1040,23 +1099,6 @@ impl Node {
         Ok(torn)
     }
 
-    /// ARIES analysis over the local log from the last complete
-    /// checkpoint: rebuilds the DPT (a conservative superset) and the
-    /// loser transaction table.
-    pub fn restart_analysis(&mut self) -> Result<AnalysisResult> {
-        let start = self.analysis_start();
-        let end = self.log.end_lsn();
-        let mut analysis = Analysis::default();
-        let mut records = 0u64;
-        let mut scan = self.log.scan(start);
-        while let Some(r) = scan.next_ref() {
-            let (pos, rec) = r?;
-            analysis.fold(self.id, pos, &rec);
-            records += 1;
-        }
-        Ok(analysis.install(self, start, end, records))
-    }
-
     /// Where analysis starts: the last complete checkpoint, or the
     /// truncation point when there is none.
     fn analysis_start(&self) -> Lsn {
@@ -1068,21 +1110,46 @@ impl Node {
         }
     }
 
-    /// Restart in one pass over the local log (DESIGN §13): the
-    /// analysis of [`Node::restart_analysis`], and the NodePSNList and
-    /// redo records of every page the rebuilt DPT names, reading each
-    /// record once.
+    /// The one log collector (DESIGN §13): reads `[from, end)` once,
+    /// hands every record to `each`, and enters every Update and CLR in
+    /// the NodePSNList rule and the [`RedoRecords`] arena, for every
+    /// page; [`PageUpdates::keep`] then drops the pages not asked for.
+    /// Returns the collection and the records read.
+    fn collect(
+        &mut self,
+        from: Lsn,
+        mut each: impl FnMut(Lsn, &LogRecordRef<'_>),
+    ) -> Result<(PageUpdates, u64)> {
+        let end = self.log.end_lsn();
+        let mut updates = PageUpdates::default();
+        let mut records = 0u64;
+        let mut scan = self.log.scan(from);
+        while let Some(r) = scan.next_ref() {
+            let (pos, rec) = r?;
+            records += 1;
+            if records == SIZING_SAMPLE {
+                updates.reserve_rest(pos.0 - from.0, end.0 - pos.0);
+            }
+            each(pos, &rec);
+            if let Some((pid, psn, op)) = rec.update() {
+                updates.push(pos, rec.txn, pid, psn, op)?;
+            }
+        }
+        Ok((updates, records))
+    }
+
+    /// Restart in one pass over the local log (DESIGN §13): ARIES
+    /// analysis (the loser table and a DPT superset, paper §2.3.1 /
+    /// §2.4), and the NodePSNList and redo records of every page the
+    /// rebuilt DPT names, reading each record once.
     ///
     /// The master record names the last checkpoint; its end record's
     /// DPT names the lowest RedoLSN, and the pass starts at the lower of
     /// that and the checkpoint. Records from the checkpoint on go
-    /// through the analysis fold; every Update and CLR of the pass
-    /// enters the NodePSNList rule and the [`RedoRecords`] arena. At
-    /// the end only the pages of the rebuilt DPT are kept. The result
-    /// is [`Node::restart_analysis`], then [`Node::build_psn_list`] over
-    /// the DPT's pages, then each page's records from the list's start:
-    /// no update lies between the two starts, since a checkpoint's begin
-    /// and end records are adjacent ([`Node::checkpoint`]).
+    /// through the analysis fold; the collector sees every record of
+    /// the pass. No update lies between the two starts that analysis
+    /// would need, since a checkpoint's begin and end records are
+    /// adjacent ([`Node::checkpoint`]).
     pub fn restart_pass(&mut self) -> Result<(AnalysisResult, Vec<NodePsnEntry>, RedoRecords)> {
         let ckpt = self.analysis_start();
         let base = self.log.base_lsn();
@@ -1099,26 +1166,34 @@ impl Node {
             }
         }
         let end = self.log.end_lsn();
+        let id = self.id;
         let mut analysis = Analysis::default();
-        let mut updates = PageUpdates::default();
-        let mut records = 0u64;
-        let mut scan = self.log.scan(from);
-        while let Some(r) = scan.next_ref() {
-            let (pos, rec) = r?;
-            records += 1;
-            if records == SIZING_SAMPLE {
-                updates.reserve_rest(pos.0 - from.0, end.0 - pos.0);
-            }
+        let (updates, records) = self.collect(from, |pos, rec| {
             if pos >= ckpt {
-                analysis.fold(self.id, pos, &rec);
+                analysis.fold(id, pos, rec);
             }
-            if let Some((pid, psn, op)) = rec.update() {
-                updates.push(pos, rec.txn, pid, psn, op)?;
-            }
-        }
+        })?;
         let result = analysis.install(self, from, end, records);
-        let (list, redo) = updates.keep(&self.dpt);
+        let (list, redo) = updates.keep(|pid| self.dpt.contains(pid));
         Ok((result, list, redo))
+    }
+
+    /// This node's answer to a `PsnListRequest` (paper §2.3.4): the
+    /// NodePSNList of `pages` (ascending) and their redo records, from
+    /// one collection starting at the lowest RedoLSN this node's DPT
+    /// names for them. Returns both and the log bytes read.
+    pub fn psn_list(&mut self, pages: &[PageId]) -> Result<(Vec<NodePsnEntry>, RedoRecords, u64)> {
+        let from = pages
+            .iter()
+            .filter_map(|p| self.dpt.get(*p).map(|e| e.redo_lsn))
+            .min();
+        let Some(from) = from else {
+            return Ok((Vec::new(), RedoRecords::default(), 0));
+        };
+        let bytes = self.log.end_lsn().0 - from.0;
+        let (updates, _) = self.collect(from, |_, _| {})?;
+        let (list, redo) = updates.keep(|pid| pages.binary_search(&pid).is_ok());
+        Ok((list, redo, bytes))
     }
 
     /// Folds this node's durable state into `h`: the on-device
@@ -1145,7 +1220,7 @@ impl Node {
     /// exclusively at crash time, so the list reconstructs the fences
     /// a *crashed* owner lost with its lock table — the operational
     /// counterpart is `drop_shared_retain_exclusive`. Call after
-    /// [`Node::restart_analysis`] has rebuilt the loser table.
+    /// [`Node::restart_pass`] has rebuilt the loser table.
     pub fn loser_page_locks(&mut self, owner: NodeId) -> Result<Vec<PageId>> {
         let losers: Vec<Lsn> = self
             .txns
@@ -1175,73 +1250,6 @@ impl Node {
             }
         }
         Ok(pages.into_iter().collect())
-    }
-
-    // ------------------------------------------------------------------
-    // NodePSNList construction and PSN-filtered replay (paper §2.3.4)
-    // ------------------------------------------------------------------
-
-    /// Builds this node's NodePSNList for `pages`: scans the local log
-    /// from the minimum RedoLSN of the DPT entries for those pages and
-    /// records (page, PSN, log location) whenever an examined record
-    /// updates one of the pages and belongs to a different transaction
-    /// than the previous record recorded for that page.
-    pub fn build_psn_list(&mut self, pages: &[PageId]) -> Result<Vec<NodePsnEntry>> {
-        let from = pages
-            .iter()
-            .filter_map(|p| self.dpt.get(*p).map(|e| e.redo_lsn))
-            .min();
-        let Some(from) = from else {
-            return Ok(Vec::new());
-        };
-        // Page → transaction of its last entry.
-        let mut last: IdMap<PageId, Option<TxnId>> = pages.iter().map(|&p| (p, None)).collect();
-        let mut list = Vec::new();
-        let mut scan = self.log.scan(from);
-        while let Some(r) = scan.next_ref() {
-            let (lsn, rec) = r?;
-            if let Some((pid, psn, _)) = rec.update() {
-                if let Some(last_txn) = last.get_mut(&pid) {
-                    psn_list_entry(&mut list, last_txn, pid, psn, lsn, rec.txn);
-                }
-            }
-        }
-        Ok(list)
-    }
-
-    /// Replays this node's log records for `page` starting at
-    /// `start_lsn`, applying each record whose stored PSN equals the
-    /// page's current PSN, stopping when a record for the page carries
-    /// a PSN greater than `bound` (if given). Returns `(resume_lsn,
-    /// applied_count, hit_bound)`.
-    pub fn replay_page(
-        &mut self,
-        page: &mut Page,
-        start_lsn: Lsn,
-        bound: Option<Psn>,
-    ) -> Result<(Lsn, u64, bool)> {
-        let pid = page.id();
-        let end = self.log.end_lsn();
-        let mut applied = 0u64;
-        let mut scan = self.log.scan(start_lsn);
-        while let Some(r) = scan.next_ref() {
-            let (pos, rec) = r?;
-            let Some((of, psn_before, op)) = rec.update() else {
-                continue;
-            };
-            if of != pid {
-                continue;
-            }
-            if bound.is_some_and(|b| psn_before > b) {
-                return Ok((pos, applied, true));
-            }
-            if psn_before == page.psn() {
-                op.apply_redo(page)?;
-                page.set_psn(psn_before.next());
-                applied += 1;
-            }
-        }
-        Ok((end, applied, false))
     }
 
     /// Convenience for tests and the sim: read a u64 slot from the
@@ -1411,7 +1419,7 @@ mod tests {
         assert!(n.is_crashed());
         assert!(n.buffer().is_empty());
         n.mark_restarting().unwrap();
-        let a = n.restart_analysis().unwrap();
+        let (a, _, _) = n.restart_pass().unwrap();
         assert_eq!(a.losers, vec![t2]);
         // Both pages were updated; both must be in the rebuilt DPT.
         assert!(n.dpt().contains(pid));
@@ -1434,7 +1442,7 @@ mod tests {
         // resurrect the entry.
         n.crash();
         n.mark_restarting().unwrap();
-        let a = n.restart_analysis().unwrap();
+        let (a, _, _) = n.restart_pass().unwrap();
         assert!(a.losers.is_empty());
         assert!(n.dpt().contains(pid));
     }
@@ -1471,7 +1479,8 @@ mod tests {
         let t3 = n.begin().unwrap();
         upd(&mut n, t3, pid, 0, 4); // psn 4->5
         n.commit(t3).unwrap();
-        let list = n.build_psn_list(&[pid]).unwrap();
+        let (list, redo, _) = n.psn_list(&[pid]).unwrap();
+        assert_eq!(redo.len(), 4, "every record kept");
         let psns: Vec<Psn> = list.iter().map(|e| e.psn).collect();
         // One entry per transaction burst: first update PSNs 1, 3, 4.
         assert_eq!(psns, vec![Psn(1), Psn(3), Psn(4)]);
@@ -1517,8 +1526,9 @@ mod tests {
         assert_eq!(n.dpt().entries().len(), 2);
         assert!(!n.dpt().contains(other) && list.iter().all(|e| e.pid != other));
         assert!(redo.of(other).next().is_none());
-        assert_eq!(list, n.build_psn_list(&pages).unwrap());
+        assert_eq!(list, psn_list_reference(&mut n, &pages));
         let mut kept = 0;
+        let mut runs = Vec::new();
         for pid in pages {
             let records: Vec<(Psn, PageOp)> = redo
                 .of(pid)
@@ -1528,17 +1538,19 @@ mod tests {
             kept += records.len();
             let first = list.iter().find(|e| e.pid == pid).unwrap();
             assert_eq!(records[0].0, first.psn, "starts at the page's first entry");
+            assert_eq!(records, log_records(&mut n, pid, first.lsn));
             let disk = n.db.as_mut().unwrap().read_page(pid.index).unwrap();
             let mut by_log = disk.clone();
-            let (_, applied, _) = n.replay_page(&mut by_log, first.lsn, None).unwrap();
-            let mut by_arena = disk;
             for (psn_before, op) in &records {
-                if *psn_before == by_arena.psn() {
-                    op.apply_redo(&mut by_arena).unwrap();
-                    by_arena.set_psn(psn_before.next());
+                if *psn_before == by_log.psn() {
+                    op.apply_redo(&mut by_log).unwrap();
+                    by_log.set_psn(psn_before.next());
                 }
             }
+            let mut by_arena = disk;
+            let (_, applied) = redo.replay(&mut by_arena, 0, None, &mut runs).unwrap();
             assert_eq!(applied, records.len() as u64);
+            assert_eq!(runs.len(), 1, "one run of consecutive PSNs");
             assert_eq!(by_arena.to_bytes(), by_log.to_bytes());
         }
         assert_eq!(redo.len(), kept, "nothing is kept for a page not asked for");
@@ -1547,30 +1559,81 @@ mod tests {
     /// One page's redo records, owned, in log order.
     type PageRedo = Vec<(Psn, PageOp)>;
 
-    /// What recovery then does on a restarted node: two passes, analysis
-    /// and then the NodePSNList over the rebuilt DPT, plus each page's
-    /// records from the list's start, read back one at a time.
-    fn two_passes(n: &mut Node) -> (Vec<TxnId>, Vec<NodePsnEntry>, Vec<PageRedo>) {
-        let losers = n.restart_analysis().unwrap().losers;
-        let pages: Vec<PageId> = n.dpt().entries().iter().map(|e| e.pid).collect();
-        let list = n.build_psn_list(&pages).unwrap();
-        let mut redo = vec![Vec::new(); pages.len()];
-        let mut at = n.dpt().min_redo_lsn().unwrap();
+    /// `pid`'s records in `n`'s log from `from` on, read back one at a
+    /// time.
+    fn log_records(n: &mut Node, pid: PageId, from: Lsn) -> PageRedo {
+        let mut out = Vec::new();
+        let mut at = from;
         while at < n.log().end_lsn() {
             let (rec, next) = n.log.read_record(at).unwrap();
-            if let Some(i) = rec.page().and_then(|p| pages.iter().position(|&q| q == p)) {
-                redo[i].push((rec.psn_before().unwrap(), rec.op().unwrap().clone()));
+            if rec.page() == Some(pid) {
+                out.push((rec.psn_before().unwrap(), rec.op().unwrap().clone()));
             }
             at = next;
         }
+        out
+    }
+
+    /// The analysis scan the simulator ran before restart was one pass:
+    /// the fold alone, from the last complete checkpoint.
+    fn analysis_reference(n: &mut Node) -> AnalysisResult {
+        let start = n.analysis_start();
+        let end = n.log.end_lsn();
+        let mut analysis = Analysis::default();
+        let mut records = 0u64;
+        let mut scan = n.log.scan(start);
+        while let Some(r) = scan.next_ref() {
+            let (pos, rec) = r.unwrap();
+            analysis.fold(n.id, pos, &rec);
+            records += 1;
+        }
+        analysis.install(n, start, end, records)
+    }
+
+    /// The NodePSNList scan the simulator ran before it kept the
+    /// restart pass's list: from the minimum RedoLSN of the DPT entries
+    /// for `pages`, an entry whenever a record updates one of them for
+    /// another transaction than the page's previous entry.
+    fn psn_list_reference(n: &mut Node, pages: &[PageId]) -> Vec<NodePsnEntry> {
+        let from = pages
+            .iter()
+            .filter_map(|p| n.dpt.get(*p).map(|e| e.redo_lsn))
+            .min();
+        let Some(from) = from else {
+            return Vec::new();
+        };
+        let mut last: IdMap<PageId, Option<TxnId>> = pages.iter().map(|&p| (p, None)).collect();
+        let mut list = Vec::new();
+        let mut scan = n.log.scan(from);
+        while let Some(r) = scan.next_ref() {
+            let (lsn, rec) = r.unwrap();
+            if let Some((pid, psn, _)) = rec.update() {
+                if let Some(last_txn) = last.get_mut(&pid) {
+                    psn_list_entry(&mut list, last_txn, pid, psn, lsn, rec.txn);
+                }
+            }
+        }
+        list
+    }
+
+    /// What recovery did on a restarted node before the one pass:
+    /// analysis, then the NodePSNList over the rebuilt DPT, plus each
+    /// page's records from the lowest RedoLSN, read back one at a time.
+    fn two_passes(n: &mut Node) -> (Vec<TxnId>, Vec<NodePsnEntry>, Vec<PageRedo>) {
+        let losers = analysis_reference(n).losers;
+        let pages: Vec<PageId> = n.dpt().entries().iter().map(|e| e.pid).collect();
+        let list = psn_list_reference(n, &pages);
+        let from = n.dpt().min_redo_lsn().unwrap();
+        let redo = pages.iter().map(|&pid| log_records(n, pid, from)).collect();
         (losers, list, redo)
     }
 
-    #[test]
-    fn one_restart_pass_equals_analysis_then_the_psn_list_pass() {
-        // The threaded engine's shape on its second restart: the first
-        // one rolled a loser back with CLRs and checkpointed, so the
-        // checkpoint's DPT names a RedoLSN below the checkpoint.
+    /// The threaded engine's shape on its second restart: the first one
+    /// rolled a loser back with CLRs and checkpointed, so the
+    /// checkpoint's DPT names a RedoLSN below the checkpoint. Returns
+    /// the crashed node, its four pages, the loser of its second life
+    /// and the checkpoint.
+    fn crashed_twice() -> (Node, Vec<PageId>, TxnId, Lsn) {
         let mut n = node();
         let pages: Vec<PageId> = (0..4).map(|i| load(&mut n, i)).collect();
         for round in 0..8u64 {
@@ -1615,7 +1678,12 @@ mod tests {
         upd(&mut n, loser, pages[1], 5, 500);
         n.force_log().unwrap();
         n.crash();
+        (n, pages, loser, ckpt)
+    }
 
+    #[test]
+    fn one_restart_pass_equals_analysis_then_the_psn_list_pass() {
+        let (mut n, _, loser, ckpt) = crashed_twice();
         n.mark_restarting().unwrap();
         let (a, list, redo) = n.restart_pass().unwrap();
         let dpt = n.dpt().entries();
@@ -1640,7 +1708,30 @@ mod tests {
     }
 
     #[test]
-    fn replay_page_applies_only_matching_psns_and_honours_bound() {
+    fn the_pass_list_restricted_to_the_pages_asked_for_is_their_psn_list() {
+        // What the simulator's phase 6 takes from a crashed node: its
+        // pass list cut to the pages it is asked for, where it used to
+        // scan again from their lowest RedoLSN.
+        let (mut n, pages, _, _) = crashed_twice();
+        n.mark_restarting().unwrap();
+        let (_, list, _) = n.restart_pass().unwrap();
+        let asked = [pages[1], pages[3]];
+        let restricted: Vec<NodePsnEntry> = list
+            .into_iter()
+            .filter(|e| asked.contains(&e.pid))
+            .collect();
+        assert!(asked.iter().all(|&p| restricted.iter().any(|e| e.pid == p)));
+        assert_eq!(restricted, psn_list_reference(&mut n, &asked));
+        let (collected, redo, _) = n.psn_list(&asked).unwrap();
+        assert_eq!(collected, restricted);
+        assert!(
+            redo.of(pages[0]).next().is_none(),
+            "only the pages asked for"
+        );
+    }
+
+    #[test]
+    fn redo_replay_applies_only_matching_psns_and_honours_bound() {
         let mut n = node();
         let pid = load(&mut n, 0);
         let t1 = n.begin().unwrap();
@@ -1648,29 +1739,29 @@ mod tests {
         upd(&mut n, t1, pid, 1, 22); // psn 2->3
         upd(&mut n, t1, pid, 2, 33); // psn 3->4
         n.commit(t1).unwrap();
+        let (_, redo, _) = n.psn_list(&[pid]).unwrap();
         // Rebuild from the disk version (psn 1, all zeros).
-        let mut page = {
-            let db = n.db.as_mut().unwrap();
-            db.read_page(0).unwrap()
-        };
+        let mut page = n.db.as_mut().unwrap().read_page(0).unwrap();
         assert_eq!(page.psn(), Psn(1));
-        let start = Lsn(8);
+        let mut runs = Vec::new();
         // Bound at PSN 2: apply records with psn_before <= 2.
-        let (resume, applied, hit) = n.replay_page(&mut page, start, Some(Psn(2))).unwrap();
-        assert!(hit);
-        assert_eq!(applied, 2);
+        let (resume, applied) = redo.replay(&mut page, 0, Some(Psn(2)), &mut runs).unwrap();
+        assert_eq!((resume, applied), (2, 2));
+        assert_eq!(runs, vec![(Psn(1), Psn(2), 2)]);
         assert_eq!(page.psn(), Psn(3));
         assert_eq!(page.read_slot(0).unwrap(), 11);
         assert_eq!(page.read_slot(1).unwrap(), 22);
         assert_eq!(page.read_slot(2).unwrap(), 0);
-        // Continue without bound.
-        let (_, applied2, hit2) = n.replay_page(&mut page, resume, None).unwrap();
-        assert!(!hit2);
-        assert_eq!(applied2, 1);
+        // A hop starting at PSN 3 resumes where the bound stopped.
+        assert_eq!(redo.seek(pid, page.psn()), resume);
+        let (end, applied2) = redo.replay(&mut page, resume, None, &mut runs).unwrap();
+        assert_eq!((end, applied2), (3, 1));
+        assert_eq!(runs, vec![(Psn(3), Psn(3), 1)]);
         assert_eq!(page.read_slot(2).unwrap(), 33);
         // Replaying again is a no-op (PSN filter).
-        let (_, applied3, _) = n.replay_page(&mut page, start, None).unwrap();
+        let (_, applied3) = redo.replay(&mut page, 0, None, &mut runs).unwrap();
         assert_eq!(applied3, 0);
+        assert!(runs.is_empty());
     }
 
     #[test]
@@ -1684,7 +1775,7 @@ mod tests {
         assert!(recs >= 2);
         n.crash();
         n.mark_restarting().unwrap();
-        let a = n.restart_analysis().unwrap();
+        let (a, _, _) = n.restart_pass().unwrap();
         // Unforced records vanished; nothing to analyze.
         assert_eq!(a.records_scanned, 0);
         assert!(a.losers.is_empty());
@@ -1704,7 +1795,7 @@ mod tests {
         );
         n.crash();
         n.mark_restarting().unwrap();
-        let a = n.restart_analysis().unwrap();
+        let (a, _, _) = n.restart_pass().unwrap();
         assert_eq!(a.losers, vec![t2], "force-pending commit is a loser");
     }
 

@@ -25,7 +25,7 @@
 //! case, possibly involving several crashed nodes' logs per page.
 
 use crate::cluster::{Cluster, CTRL_BYTES};
-use crate::node::{NodePsnEntry, RollbackStep};
+use crate::node::{NodePsnEntry, RedoRecords, RollbackStep};
 use crate::runtime::Runtime;
 use cblog_common::{
     metrics::keys, Bucket, Error, IdMap, Lsn, NodeId, PageId, Psn, RecoveryPhase, Result, SimTime,
@@ -34,7 +34,7 @@ use cblog_common::{
 use cblog_locks::LockMode;
 use cblog_net::{MsgHeader, MsgKind};
 use cblog_wal::DptEntry;
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::{BTreeMap, BTreeSet};
 
 /// How the Redo pass executes the [`ReplayPlan`] (DESIGN §13).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -184,7 +184,8 @@ pub struct RecoveryReport {
     pub losers_undone: usize,
     /// Update/CLR records re-applied during replay.
     pub records_replayed: u64,
-    /// Log bytes scanned across all logs (analysis + PSN lists).
+    /// Log bytes read across all logs: each crashed node's restart
+    /// pass and each operational node's NodePSNList collection.
     pub log_bytes_scanned: u64,
     /// Recovery protocol messages exchanged.
     pub messages: u64,
@@ -383,9 +384,8 @@ pub struct ReplayUnit {
     /// The page.
     pub pid: PageId,
     /// Shuttle hops in ascending PSN order, adjacent same-node bursts
-    /// merged (keeping the minimum PSN): `(start_psn, node,
-    /// resume_lsn)`.
-    pub hops: Vec<(Psn, NodeId, Lsn)>,
+    /// merged (keeping the minimum PSN): `(start_psn, node)`.
+    pub hops: Vec<(Psn, NodeId)>,
     /// PSN intervals (transaction bursts) recorded for the page across
     /// all lists — the unit's weight in the dependency graph.
     pub psn_intervals: u64,
@@ -445,7 +445,7 @@ pub fn plan_replay(
     let nodes_of: Vec<&Vec<NodeId>> = involved.values().collect();
     // Each list entry adds at most one entry and one edge.
     let listed = psn_lists.values().map(Vec::len).sum();
-    let mut entries: Vec<(u32, Psn, NodeId, Lsn)> = Vec::with_capacity(listed);
+    let mut entries: Vec<(u32, Psn, NodeId)> = Vec::with_capacity(listed);
     let mut edges: Vec<(u32, u32)> = Vec::with_capacity(listed);
     for (&node, list) in psn_lists {
         let mut last_of_txn: IdMap<TxnId, u32> = IdMap::default();
@@ -454,7 +454,7 @@ pub fn plan_replay(
                 continue;
             };
             if nodes_of[u as usize].contains(&node) {
-                entries.push((u, e.psn, node, e.lsn));
+                entries.push((u, e.psn, node));
             }
             if let Some(prev) = last_of_txn.insert(e.txn, u) {
                 if prev != u {
@@ -468,12 +468,12 @@ pub fn plan_replay(
     for (u, &pid) in involved.keys().enumerate() {
         let mine = &mut entries[entry_at[u]..entry_at[u + 1]];
         mine.sort_unstable();
-        let mut hops: Vec<(Psn, NodeId, Lsn)> = Vec::new();
-        for &(_, psn, node, lsn) in mine.iter() {
+        let mut hops: Vec<(Psn, NodeId)> = Vec::new();
+        for &(_, psn, node) in mine.iter() {
             match hops.last() {
                 // Adjacent same node: keep the first (minimum PSN).
-                Some(&(_, n, _)) if n == node => {}
-                _ => hops.push((psn, node, lsn)),
+                Some(&(_, n)) if n == node => {}
+                _ => hops.push((psn, node)),
             }
         }
         units.push(ReplayUnit {
@@ -682,12 +682,17 @@ fn recover_inner(cluster: &mut Cluster, opts: &RecoveryOptions) -> Result<Recove
 
     // ---- Phase 1: local analysis at every crashed node (§2.3.1/§2.4:
     // a DPT superset is reconstructed by scanning the local log from
-    // the last complete checkpoint). ----
+    // the last complete checkpoint). The one restart pass that does it
+    // also yields the node's NodePSNList and redo records for every
+    // page of that DPT, kept for phases 6 and 7: a crashed node reads
+    // its log once. ----
     let mut losers: BTreeMap<NodeId, Vec<TxnId>> = BTreeMap::new();
+    let mut passes: BTreeMap<NodeId, (Vec<NodePsnEntry>, RedoRecords)> = BTreeMap::new();
     for &c in crashed {
-        let a = cluster.node_mut(c).restart_analysis()?;
+        let (a, list, records) = cluster.node_mut(c).restart_pass()?;
         report.log_bytes_scanned += a.bytes_scanned;
         losers.insert(c, a.losers);
+        passes.insert(c, (list, records));
     }
     end_phase(
         cluster,
@@ -1015,8 +1020,10 @@ fn recover_inner(cluster: &mut Cluster, opts: &RecoveryOptions) -> Result<Recove
         root,
     )?;
 
-    // ---- Phase 6: NodePSNList exchange (§2.3.4). Each involved node
-    // scans its own log once for all pages it participates in. ----
+    // ---- Phase 6: NodePSNList exchange (§2.3.4). A crashed node's
+    // list is its restart pass's, cut to the pages it is asked for; an
+    // operational node collects its list and records for the pages it
+    // is asked for in one scan of its own log. ----
     let mut want_lists: BTreeMap<NodeId, BTreeSet<PageId>> = BTreeMap::new();
     for (pid, plan) in &plans {
         for (n, _) in &plan.involved {
@@ -1027,53 +1034,43 @@ fn recover_inner(cluster: &mut Cluster, opts: &RecoveryOptions) -> Result<Recove
         want_lists.entry(*c).or_default().insert(*pid);
     }
     let mut psn_lists: BTreeMap<NodeId, Vec<NodePsnEntry>> = BTreeMap::new();
+    let mut redo: BTreeMap<NodeId, RedoRecords> = BTreeMap::new();
     for (&n, pages) in &want_lists {
-        let pages: Vec<PageId> = pages.iter().copied().collect();
-        let coordinator_owned = pages.iter().any(|p| crashed_set.contains(&p.owner));
-        if coordinator_owned && !crashed_set.contains(&n) {
-            // Request travels coordinator → n; reply comes back.
-            let coord = coord_of(
-                pages
-                    .iter()
-                    .find(|p| crashed_set.contains(&p.owner))
-                    .map(|p| p.owner)
-                    .expect("checked"),
-            );
-            if coord != n {
-                cluster.network_mut().send_reliable_hdr(
-                    coord,
-                    n,
-                    MsgKind::PsnListRequest,
-                    CTRL_BYTES + pages.len() * 8,
-                    hdr,
-                )?;
-            }
-            let list = cluster.node_mut(n).build_psn_list(&pages)?;
-            if coord != n {
-                cluster.network_mut().send_reliable_hdr(
-                    n,
-                    coord,
-                    MsgKind::PsnListReply,
-                    CTRL_BYTES + list.len() * 24,
-                    hdr,
-                )?;
-            }
-            psn_lists.insert(n, list);
-        } else {
-            let list = cluster.node_mut(n).build_psn_list(&pages)?;
-            psn_lists.insert(n, list);
+        if let Some((list, records)) = passes.remove(&n) {
+            let asked = list.into_iter().filter(|e| pages.contains(&e.pid));
+            psn_lists.insert(n, asked.collect());
+            redo.insert(n, records);
+            continue;
         }
-    }
-    // Account the list-building scans.
-    for (&n, pages) in &want_lists {
         let pages: Vec<PageId> = pages.iter().copied().collect();
-        let from = pages
+        // Request travels coordinator → n; reply comes back.
+        let coord = pages
             .iter()
-            .filter_map(|p| cluster.node(n).dpt().get(*p).map(|e| e.redo_lsn))
-            .min();
-        if let Some(from) = from {
-            report.log_bytes_scanned += cluster.node(n).log().end_lsn().0 - from.0;
+            .find(|p| crashed_set.contains(&p.owner))
+            .map(|p| coord_of(p.owner))
+            .filter(|&co| co != n);
+        if let Some(co) = coord {
+            cluster.network_mut().send_reliable_hdr(
+                co,
+                n,
+                MsgKind::PsnListRequest,
+                CTRL_BYTES + pages.len() * 8,
+                hdr,
+            )?;
         }
+        let (list, records, bytes) = cluster.node_mut(n).psn_list(&pages)?;
+        report.log_bytes_scanned += bytes;
+        if let Some(co) = coord {
+            cluster.network_mut().send_reliable_hdr(
+                n,
+                co,
+                MsgKind::PsnListReply,
+                CTRL_BYTES + list.len() * 24,
+                hdr,
+            )?;
+        }
+        psn_lists.insert(n, list);
+        redo.insert(n, records);
     }
     end_phase(
         cluster,
@@ -1110,6 +1107,7 @@ fn recover_inner(cluster: &mut Cluster, opts: &RecoveryOptions) -> Result<Recove
                     coord,
                     unit,
                     &involved_map[&unit.pid],
+                    &redo,
                     &mut report,
                     root,
                 )?;
@@ -1128,6 +1126,7 @@ fn recover_inner(cluster: &mut Cluster, opts: &RecoveryOptions) -> Result<Recove
                         coord,
                         unit,
                         &involved_map[&unit.pid],
+                        &redo,
                         &mut report,
                         root,
                     );
@@ -1164,6 +1163,7 @@ fn recover_inner(cluster: &mut Cluster, opts: &RecoveryOptions) -> Result<Recove
 
     // Remote-owned candidates: the crashed node replays its own log
     // onto the owner's authoritative copy and re-caches the page.
+    let mut runs = Vec::new();
     for (c, pid) in &remote_candidates {
         let owner = pid.owner;
         cluster.network_mut().send_reliable_hdr(
@@ -1186,14 +1186,8 @@ fn recover_inner(cluster: &mut Cluster, opts: &RecoveryOptions) -> Result<Recove
             pb,
             MsgHeader::of(SpanCtx::child(xfer, root)),
         )?;
-        let start = cluster
-            .node(*c)
-            .dpt()
-            .get(*pid)
-            .map(|e| e.redo_lsn)
-            .unwrap_or(Lsn::ZERO);
         let from_psn = page.psn();
-        let (_, applied, _) = cluster.node_mut(*c).replay_page(&mut page, start, None)?;
+        let (_, applied) = records_of(&redo, *c, *pid)?.replay(&mut page, 0, None, &mut runs)?;
         cluster.tracer().point(
             cluster.network().clock().now(),
             *c,
@@ -1357,13 +1351,16 @@ fn collect_contribution(
 }
 
 /// Executes one [`ReplayUnit`]: reads the owner's disk version,
-/// shuttles it along the unit's pre-planned hops, and caches the
+/// shuttles it along the unit's pre-planned hops (the §2.3.4
+/// coordination loop: each hop's node replays its own records of the
+/// page from the hop's PSN, up to the next hop's), and caches the
 /// recovered image dirty at the owner.
 fn replay_unit(
     cluster: &mut Cluster,
     coordinator: NodeId,
     unit: &ReplayUnit,
     involved: &[NodeId],
+    redo: &BTreeMap<NodeId, RedoRecords>,
     report: &mut RecoveryReport,
     root: SpanId,
 ) -> Result<()> {
@@ -1372,57 +1369,12 @@ fn replay_unit(
     // Base image: the owner's disk version.
     let mut page = cluster.node_mut(owner).authoritative_copy(pid)?.0;
     cluster.network_mut().disk_io(owner, page.size());
-    let replayed = shuttle_replay(
-        cluster,
-        coordinator,
-        pid,
-        &mut page,
-        &unit.hops,
-        report,
-        root,
-    )?;
-    report.records_replayed += replayed;
-    report.pages_recovered += 1;
-    // The recovered image is cached dirty at the owner; involved
-    // remote nodes become replacers so their surviving DPT entries
-    // are acknowledged when the page is eventually flushed.
-    for &n in involved {
-        if n != owner {
-            cluster
-                .node_mut(owner)
-                .replacers
-                .entry(pid)
-                .or_default()
-                .insert(n);
-        }
-    }
-    let ev = cluster.node_mut(owner).cache_page(page, true)?;
-    if let Some(ev) = ev {
-        cluster.route_eviction(owner, ev)?;
-    }
-    Ok(())
-}
-
-/// Runs the §2.3.4 coordination loop for one page along the planned
-/// hop schedule. Returns the number of records applied.
-fn shuttle_replay(
-    cluster: &mut Cluster,
-    coordinator: NodeId,
-    pid: PageId,
-    page: &mut cblog_storage::Page,
-    hops: &[(Psn, NodeId, Lsn)],
-    report: &mut RecoveryReport,
-    root: SpanId,
-) -> Result<u64> {
-    // Per-node resume positions (the "remembered location").
-    let mut resume: HashMap<NodeId, Lsn> = HashMap::new();
-    let mut applied_total = 0u64;
     let page_bytes = page.size() + 64;
-    let mut queue = std::collections::VecDeque::from(hops.to_vec());
     let hdr = MsgHeader::of(SpanCtx::root(root));
-    while let Some((_psn, n, lsn)) = queue.pop_front() {
-        let bound = queue.front().map(|(p, _, _)| *p);
-        let start = *resume.get(&n).unwrap_or(&lsn);
+    let mut runs = Vec::new();
+    for (i, &(psn, n)) in unit.hops.iter().enumerate() {
+        let bound = unit.hops.get(i + 1).map(|&(p, _)| p);
+        let records = records_of(redo, n, pid)?;
         if n != coordinator {
             cluster.network_mut().send_reliable_hdr(
                 coordinator,
@@ -1434,9 +1386,9 @@ fn shuttle_replay(
             report.page_hops += 1;
         }
         let from_psn = page.psn();
-        let (res, applied, _hit) = cluster.node_mut(n).replay_page(page, start, bound)?;
-        resume.insert(n, res);
-        applied_total += applied;
+        let from = records.seek(pid, psn);
+        let (_, applied) = records.replay(&mut page, from, bound, &mut runs)?;
+        report.records_replayed += applied;
         // One hop of the §2.3.4 shuttle: node `n` advanced the page
         // from `from_psn` to the page's new PSN by replaying `applied`
         // records of its own log. The watchdog checks the hops visit
@@ -1464,7 +1416,35 @@ fn shuttle_replay(
             report.page_hops += 1;
         }
     }
-    Ok(applied_total)
+    report.pages_recovered += 1;
+    // The recovered image is cached dirty at the owner; involved
+    // remote nodes become replacers so their surviving DPT entries
+    // are acknowledged when the page is eventually flushed.
+    for &n in involved {
+        if n != owner {
+            cluster
+                .node_mut(owner)
+                .replacers
+                .entry(pid)
+                .or_default()
+                .insert(n);
+        }
+    }
+    let ev = cluster.node_mut(owner).cache_page(page, true)?;
+    if let Some(ev) = ev {
+        cluster.route_eviction(owner, ev)?;
+    }
+    Ok(())
+}
+
+/// The redo records `n` collected in phase 6, which hold `pid`'s.
+fn records_of(
+    redo: &BTreeMap<NodeId, RedoRecords>,
+    n: NodeId,
+    pid: PageId,
+) -> Result<&RedoRecords> {
+    redo.get(&n)
+        .ok_or_else(|| Error::Protocol(format!("{n} replays {pid} without a NodePSNList")))
 }
 
 #[cfg(test)]
@@ -2094,21 +2074,21 @@ mod tests {
         let mut units: Vec<ReplayUnit> = Vec::with_capacity(involved.len());
         let mut unit_of: BTreeMap<PageId, usize> = BTreeMap::new();
         for (&pid, nodes) in involved {
-            let mut entries: Vec<(Psn, NodeId, Lsn)> = Vec::new();
+            let mut entries: Vec<(Psn, NodeId)> = Vec::new();
             for &n in nodes {
                 if let Some(list) = psn_lists.get(&n) {
                     for e in list.iter().filter(|e| e.pid == pid) {
-                        entries.push((e.psn, n, e.lsn));
+                        entries.push((e.psn, n));
                     }
                 }
             }
             let psn_intervals = entries.len() as u64;
             entries.sort();
-            let mut hops: Vec<(Psn, NodeId, Lsn)> = Vec::new();
+            let mut hops: Vec<(Psn, NodeId)> = Vec::new();
             for e in entries {
                 match hops.last() {
                     // Adjacent same node: keep the first (minimum PSN).
-                    Some(&(_, n, _)) if n == e.1 => {}
+                    Some(&(_, n)) if n == e.1 => {}
                     _ => hops.push(e),
                 }
             }

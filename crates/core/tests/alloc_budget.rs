@@ -7,7 +7,7 @@
 //! other's allocations.
 
 use cblog_common::{NodeId, PageId, TxnId};
-use cblog_core::{plan_replay, Node, NodeConfig};
+use cblog_core::{plan_replay, recover, Cluster, ClusterConfig, Node, NodeConfig, RecoveryOptions};
 use cblog_locks::{LockMode, ShardedLockTable};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -176,5 +176,54 @@ fn a_restart_pass_allocates_per_page_not_per_record() {
         plan_large <= plan_small + 2,
         "4 000 more updates made {} more planner allocations ({plan_small} → {plan_large})",
         plan_large.saturating_sub(plan_small)
+    );
+}
+
+/// Allocations of the simulator's whole recovery of one crashed owner
+/// whose log holds `n` transactions (2 writes each) over `PAGES` pages,
+/// and the records it replayed.
+fn cluster_recovery_allocations(n: u64) -> (u64, u64) {
+    let cfg = ClusterConfig::builder()
+        .owned_pages(vec![PAGES])
+        .page_size(1024)
+        .buffer_frames(PAGES as usize + 16)
+        .build();
+    let mut cluster = Cluster::new(cfg).unwrap();
+    let owner = NodeId(0);
+    for i in 0..n {
+        let txn = cluster.begin(owner).unwrap();
+        for w in 0..2 {
+            let pid = PageId::new(owner, ((2 * i + w) % PAGES as u64) as u32);
+            cluster
+                .write_u64(txn, pid, (i % 8) as usize, i + w)
+                .unwrap();
+        }
+        cluster.commit(txn).unwrap();
+    }
+    cluster.crash(owner);
+    let (made, report) =
+        allocations_of(|| recover(&mut cluster, &RecoveryOptions::single(owner)).unwrap());
+    assert_eq!(report.pages_recovered, PAGES as usize);
+    (made, report.records_replayed)
+}
+
+#[test]
+fn a_simulated_recovery_allocates_per_page_not_per_record() {
+    // The crashed owner's one restart pass sizes its arrays from a
+    // sample and yields its NodePSNList and redo records, and each
+    // replay hop applies from them; what grows is the planner's table
+    // of transactions. A second scan for the list, growing it by
+    // doubling, and one more scan per hop made two more.
+    let (small, replayed_small) = cluster_recovery_allocations(500);
+    let (large, replayed_large) = cluster_recovery_allocations(2_000);
+    assert_eq!(
+        (replayed_small, replayed_large),
+        (1_000, 4_000),
+        "every update replayed"
+    );
+    assert!(
+        large <= small + 2,
+        "4 000 more updates made {} more recovery allocations ({small} → {large})",
+        large.saturating_sub(small)
     );
 }

@@ -72,8 +72,8 @@
 use cblog_common::metrics::{keys, prof_key};
 use cblog_common::span::DEFAULT_TRACE_CAPACITY;
 use cblog_common::{
-    Bucket, Error, Lsn, NodeId, PageId, Psn, RecoveryPhase, Reservoir, Result, SimTime, Snapshot,
-    Span, SpanBuf, SpanCtx, SpanId, SpanKind, Trace, TransferWhy, TxnId, BUCKETS,
+    Bucket, Error, Lsn, NodeId, PageId, RecoveryPhase, Reservoir, Result, SimTime, Snapshot, Span,
+    SpanBuf, SpanCtx, SpanId, SpanKind, Trace, TransferWhy, TxnId, BUCKETS,
 };
 use cblog_core::node::RollbackStep;
 use cblog_core::{
@@ -84,7 +84,7 @@ use cblog_locks::{LockMode, ShardedLockTable};
 use cblog_net::transport::{ChannelEndpoint, ChannelMesh, Envelope, Transport};
 use cblog_net::MsgKind;
 use cblog_storage::Page;
-use cblog_wal::{FileLogStore, LogStore, MemLogStore, PageOpRef};
+use cblog_wal::{FileLogStore, LogStore, MemLogStore};
 use std::collections::{BTreeMap, VecDeque};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -475,12 +475,15 @@ impl Runtime for ThreadCluster {
     /// lives in its owner's WAL and the [`plan_replay`] dependency
     /// graph degenerates to independent per-page chains.
     ///
+    /// The node-local half is the simulator's, called the same way.
     /// Each crashed node's log is read once ([`Node::restart_pass`]):
     /// analysis, the NodePSNList and the redo records of every page
     /// the rebuilt DPT names come out of one scan, so the report's
-    /// `PsnLists` phase is ~0 and its work sits in `Analysis`; compare
-    /// their sum with the simulator's two phases. The plan's waves are
-    /// reported and replayed in order, but every unit runs here
+    /// `PsnLists` phase is ~0 and its work sits in `Analysis`. Each
+    /// unit is one call of the PSN filter ([`RedoRecords::replay`])
+    /// from the page's first record with no bound: the owner is the
+    /// unit's only hop. The plan's waves are reported and replayed in
+    /// order, but every unit runs here
     /// whatever [`ReplayMode`](cblog_core::ReplayMode) asks for: the
     /// redo of a wave is micro- to milliseconds of work, and no
     /// measured input has yet repaid handing it to other threads
@@ -574,11 +577,10 @@ impl Runtime for ThreadCluster {
                 let (pid, owner) = (page.id(), page.id().owner);
                 // Writes are owner-local: the owner's log holds every
                 // record of the page.
-                let records = redo
-                    .get(&owner)
-                    .ok_or_else(|| Error::Protocol(format!("{pid} is dirty at no crashed owner")))?
-                    .of(pid);
-                let n = apply_unit(&mut page, records, &mut runs)?;
+                let records = redo.get(&owner).ok_or_else(|| {
+                    Error::Protocol(format!("{pid} is dirty at no crashed owner"))
+                })?;
+                let (_, n) = records.replay(&mut page, 0, None, &mut runs)?;
                 // One hop span per run of consecutively applied PSNs,
                 // all of a wave's hops before its page writes.
                 for &(first, last, applied) in &runs {
@@ -666,42 +668,6 @@ impl Runtime for ThreadCluster {
         self.trace_check()?;
         Ok(report)
     }
-}
-
-// ----------------------------------------------------------------------
-// Replay
-// ----------------------------------------------------------------------
-
-/// PSN-filtered redo of one page (the filter of [`Node::replay_page`],
-/// against the records a restart pass kept). Returns how many records
-/// applied, and leaves in `runs` (emptied first, so one buffer serves
-/// every page) the maximal runs of consecutively applied PSNs, as
-/// `(first, last, count)`. Correct application applies each record at
-/// exactly the page's PSN, so the whole unit is one run; anything else
-/// fractures into runs whose ReplayHop spans the watchdog rejects.
-fn apply_unit<'a>(
-    page: &mut Page,
-    records: impl Iterator<Item = Result<(Psn, PageOpRef<'a>)>>,
-    runs: &mut Vec<(Psn, Psn, u64)>,
-) -> Result<u64> {
-    runs.clear();
-    let mut applied = 0;
-    for r in records {
-        let (psn_before, op) = r?;
-        if psn_before == page.psn() {
-            op.apply_redo(page)?;
-            page.set_psn(psn_before.next());
-            applied += 1;
-            match runs.last_mut() {
-                Some((_, last, n)) if psn_before == last.next() => {
-                    *last = psn_before;
-                    *n += 1;
-                }
-                _ => runs.push((psn_before, psn_before, 1)),
-            }
-        }
-    }
-    Ok(applied)
 }
 
 // ----------------------------------------------------------------------
@@ -1464,6 +1430,7 @@ impl<'a> Worker<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use cblog_common::Psn;
 
     fn pid(owner: u32, index: u32) -> PageId {
         PageId::new(NodeId(owner), index)

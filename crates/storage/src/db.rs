@@ -106,8 +106,18 @@ impl Database {
         }
         let capacity = d.get_u32()?;
         let map_blocks = d.get_u64()?;
+        // The map lies in blocks 1..=map_blocks of the device.
+        let map_len = Some(map_blocks)
+            .filter(|&b| b < storage.num_blocks())
+            .and_then(|b| usize::try_from(b).ok()?.checked_mul(page_size))
+            .ok_or_else(|| {
+                Error::Corrupt(format!(
+                    "superblock names {map_blocks} map blocks on a device of {}",
+                    storage.num_blocks()
+                ))
+            })?;
 
-        let mut map_bytes = vec![0u8; (map_blocks as usize) * page_size];
+        let mut map_bytes = vec![0u8; map_len];
         for b in 0..map_blocks {
             storage.read_block(
                 1 + b,
@@ -330,6 +340,17 @@ mod tests {
         db.allocate_page(PageKind::Raw).unwrap();
         let foreign = Page::new(PageId::new(NodeId(9), 0), PageKind::Raw, Psn(1), 512);
         assert!(db.write_page(&foreign).is_err());
+    }
+
+    #[test]
+    fn a_superblock_naming_more_map_blocks_than_the_device_is_corrupt() {
+        let mut storage = db().storage;
+        let mut block = vec![0u8; 512];
+        storage.read_block(0, &mut block).unwrap();
+        // Magic, node, page size, capacity, then the map block count.
+        block[16..24].copy_from_slice(&u64::MAX.to_le_bytes());
+        storage.write_block(0, &block).unwrap();
+        assert!(matches!(Database::open(storage), Err(Error::Corrupt(_))));
     }
 
     #[test]

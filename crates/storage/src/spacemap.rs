@@ -155,7 +155,8 @@ impl SpaceMap {
         if d.get_u32()? != MAGIC {
             return Err(Error::Corrupt("bad spacemap magic".into()));
         }
-        let n = d.get_u32()? as usize;
+        // Allocated flag, kind, PSN floor.
+        let n = d.get_count(1 + 1 + 8)?;
         let mut entries = Vec::with_capacity(n);
         for _ in 0..n {
             let allocated = d.get_u8()? != 0;
@@ -246,6 +247,13 @@ mod tests {
         assert_eq!(m2.entry(0).unwrap(), m.entry(0).unwrap());
         assert_eq!(m2.entry(1).unwrap(), m.entry(1).unwrap());
         assert_eq!(m2.entry(2).unwrap(), m.entry(2).unwrap());
+    }
+
+    #[test]
+    fn a_count_past_the_map_is_corrupt() {
+        let mut bytes = SpaceMap::new(4).encode();
+        bytes[4..8].copy_from_slice(&u32::MAX.to_le_bytes());
+        assert!(matches!(SpaceMap::decode(&bytes), Err(Error::Corrupt(_))));
     }
 
     #[test]

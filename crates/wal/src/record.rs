@@ -702,12 +702,14 @@ impl<'a> LogRecordRef<'a> {
             4 => LogPayloadRef::Abort,
             5 => LogPayloadRef::CheckpointBegin,
             6 => {
-                let n = d.get_u32()? as usize;
+                // Page, two PSNs, RedoLSN and two flags, at the least.
+                let n = d.get_count(4 * 8 + 2)?;
                 let mut dpt = Vec::with_capacity(n);
                 for _ in 0..n {
                     dpt.push(DptEntry::decode(&mut d)?);
                 }
-                let m = d.get_u32()? as usize;
+                // A transaction id and its last LSN.
+                let m = d.get_count(12 + 8)?;
                 let mut active_txns = Vec::with_capacity(m);
                 for _ in 0..m {
                     let t = d.get_txn()?;
@@ -990,6 +992,51 @@ mod tests {
             op.apply_redo(&mut by_owned).unwrap();
             r.apply_redo(&mut by_ref).unwrap();
             assert_eq!(by_owned.to_bytes(), by_ref.to_bytes());
+        }
+    }
+
+    /// `rec`'s frame with the little-endian u32 at body offset `at`
+    /// set to `v`, and the CRC recomputed so the change reaches the body.
+    fn with_u32_at(rec: &LogRecord, at: usize, v: u32) -> Vec<u8> {
+        let mut bytes = rec.encode();
+        bytes[8 + at..][..4].copy_from_slice(&v.to_le_bytes());
+        let crc = cblog_common::crc32(&bytes[8..]);
+        bytes[4..8].copy_from_slice(&crc.to_le_bytes());
+        bytes
+    }
+
+    #[test]
+    fn a_checkpoint_count_past_the_record_is_corrupt() {
+        let rec = LogRecord {
+            txn: txn(),
+            prev_lsn: Lsn::ZERO,
+            payload: LogPayload::CheckpointEnd(CheckpointBody {
+                dpt: vec![DptEntry::new(pid(), Psn(3), Lsn(44))],
+                active_txns: vec![(txn(), Lsn(40))],
+            }),
+        };
+        // Body: txn (12), prev LSN (8), tag (1), DPT count, one entry
+        // without a replace LSN (34), active-transaction count.
+        let (dpt_count, txn_count) = (12 + 8 + 1, 12 + 8 + 1 + 4 + 34);
+        assert_eq!(
+            LogRecord::decode(&with_u32_at(&rec, dpt_count, 1))
+                .unwrap()
+                .0,
+            rec
+        );
+        assert_eq!(
+            LogRecord::decode(&with_u32_at(&rec, txn_count, 1))
+                .unwrap()
+                .0,
+            rec
+        );
+        for at in [dpt_count, txn_count] {
+            let bytes = with_u32_at(&rec, at, u32::MAX);
+            assert!(matches!(
+                LogRecordRef::decode(&bytes),
+                Err(Error::Corrupt(_))
+            ));
+            assert!(matches!(LogRecord::decode(&bytes), Err(Error::Corrupt(_))));
         }
     }
 
