@@ -24,7 +24,7 @@ use cblog_locks::{
     CallbackAction, GlobalRequestOutcome, LocalRequestOutcome, LockMode, WaitsForGraph,
 };
 use cblog_net::{MsgHeader, MsgKind, Network};
-use cblog_storage::{EvictedPage, PageKind, SlottedPage};
+use cblog_storage::{EvictedPage, Page, PageKind, SlottedPage};
 use cblog_wal::PageOp;
 
 /// Control-message payload size used for accounting.
@@ -176,19 +176,30 @@ impl Cluster {
         self.page_size() + 64
     }
 
-    /// Charges the clock for a log force if the node forced between
-    /// `forces_before` and now (the force wrote `bytes` tail bytes).
-    /// The force's simulated latency feeds the node's `wal/force_us`
-    /// histogram.
-    fn charge_force(&mut self, node: NodeId, forces_before: u64, bytes: u64) {
-        if self.nodes[ix(node)].log.forces() > forces_before {
+    /// Runs `op`, a node operation that may force `node`'s log — the
+    /// one way the cluster forces a log. If it forced, the force is
+    /// charged to the clock and `wal/force_us` as I/O of the unforced
+    /// tail plus `appended` bytes (records `op` appends before its
+    /// force), and every parked commit it made durable is
+    /// acknowledged at once.
+    fn forcing<T>(
+        &mut self,
+        node: NodeId,
+        appended: u64,
+        op: impl FnOnce(&mut Node) -> Result<T>,
+    ) -> Result<T> {
+        let n = ix(node);
+        let bytes = self.pending_log_bytes(node) + appended;
+        let forces_before = self.nodes[n].log.forces();
+        let out = op(&mut self.nodes[n])?;
+        if self.nodes[n].log.forces() > forces_before {
             self.net.disk_io(node, bytes as usize);
             let us = self.cfg.cost.io_cost(bytes as usize);
-            self.nodes[ix(node)]
-                .registry
-                .histogram(keys::WAL_FORCE_US)
-                .record(us);
+            let nd = &self.nodes[n];
+            nd.registry.histogram(keys::WAL_FORCE_US).record(us);
+            self.reap_acked(node)?;
         }
+        Ok(out)
     }
 
     /// Unsynced log-tail bytes at `node` — the span a torn write can
@@ -447,7 +458,8 @@ impl Cluster {
     /// ([`cblog_wal::LogManager::fully_forced`] after
     /// `prepare_replace_to_owner`). A ship from the owner writes no
     /// disk, but it must not carry the update of a commit that is
-    /// still parked undurable ([`Cluster::fetch_page`] forces first).
+    /// still parked undurable ([`ForceScheduler::ship_needs_force`];
+    /// [`Cluster::fetch_page`] forces first).
     pub(crate) fn trace_transfer(
         &self,
         pid: PageId,
@@ -461,7 +473,8 @@ impl Cluster {
         }
         let wal_ok = match why {
             TransferWhy::Callback | TransferWhy::Replace => self.nodes[ix(from)].log.fully_forced(),
-            TransferWhy::Ship => !self.has_undurable_commit(from),
+            TransferWhy::Ship => !self.schedulers[ix(from)]
+                .ship_needs_force(pid, self.nodes[ix(from)].log.flushed_lsn()),
             TransferWhy::Recovery => true,
         };
         self.tracer.point(
@@ -511,6 +524,10 @@ impl Cluster {
     pub fn commit_submit(&mut self, txn: TxnId) -> Result<()> {
         let node = txn.node;
         let n = ix(node);
+        // The pages a ship must force for, read before `commit_begin`
+        // releases the locks that name them.
+        let written = (self.nodes[n].local_locks.locks_of(txn).into_iter())
+            .filter_map(|(pid, m)| (m == LockMode::Exclusive).then_some(pid));
         let lsn = match self.nodes[n].commit_begin(txn) {
             Ok(l) => l,
             Err(Error::LogFull(_)) => {
@@ -524,6 +541,7 @@ impl Cluster {
         self.tracer
             .point(now, node, self.txn_ctx(txn).span, SpanKind::Commit { txn });
         self.schedulers[n].submit(txn, lsn, now);
+        self.schedulers[n].wrote(lsn, written);
         // Surface the adaptation online: the window this batch is (or
         // the next batch would be) held open for.
         self.nodes[n]
@@ -545,9 +563,8 @@ impl Cluster {
     pub fn poll_committed(&mut self, txn: TxnId) -> Result<bool> {
         let node = txn.node;
         let n = ix(node);
-        // A force taken for any other reason (WAL rule on a page
-        // transfer, checkpoint, log-space reclaim) may already have
-        // covered the commit record.
+        // A force the cluster did not take (`Node::force_log`, called
+        // directly) may already have covered the commit record.
         self.reap_acked(node)?;
         if self.schedulers[n].is_pending(txn) && self.schedulers[n].is_due(self.now()) {
             self.flush_node(node)?;
@@ -632,9 +649,9 @@ impl Cluster {
             return Ok(acked);
         }
         let bytes = self.pending_log_bytes(node);
-        let forces0 = self.nodes[n].log.forces();
-        self.nodes[n].log.force_all()?;
-        self.charge_force(node, forces0, bytes);
+        self.forcing(node, 0, |nd| nd.log.force_all())?;
+        // The force made every parked commit durable.
+        acked += batch as usize - self.schedulers[n].pending_len();
         let us = self.cfg.cost.io_cost(bytes as usize);
         {
             let nd = &self.nodes[n];
@@ -657,7 +674,6 @@ impl Cluster {
                 bytes,
             },
         );
-        acked += self.reap_acked(node)?;
         let commits = self.nodes[n].commits();
         if let Some(ratio) = (self.nodes[n].log.forces() * 1000).checked_div(commits) {
             self.nodes[n]
@@ -738,11 +754,7 @@ impl Cluster {
     /// Takes a fuzzy checkpoint on `node` — purely local (contribution
     /// (4) of the paper).
     pub fn checkpoint(&mut self, node: NodeId) -> Result<Lsn> {
-        let n = ix(node);
-        let pending = self.pending_log_bytes(node) + 128;
-        let forces0 = self.nodes[n].log.forces();
-        let lsn = self.nodes[n].checkpoint()?;
-        self.charge_force(node, forces0, pending);
+        let lsn = self.forcing(node, 128, Node::checkpoint)?;
         self.truncate_log_traced(node);
         Ok(lsn)
     }
@@ -1020,10 +1032,7 @@ impl Cluster {
         }
         if had_page && dirty {
             // WAL rule + §2.5 bookkeeping, then ship to the owner.
-            let forces0 = self.nodes[v].log.forces();
-            let pending = self.pending_log_bytes(victim);
-            self.nodes[v].prepare_replace_to_owner(pid)?;
-            self.charge_force(victim, forces0, pending);
+            self.forcing(victim, 0, |nd| nd.prepare_replace_to_owner(pid))?;
             let copy = self.nodes[v].buffer.peek(pid).expect("had_page").clone();
             let xfer = self.trace_transfer(pid, victim, owner, copy.psn(), TransferWhy::Callback);
             self.net.send_reliable_hdr(
@@ -1061,13 +1070,6 @@ impl Cluster {
         Ok(())
     }
 
-    /// True if `node` has a commit parked whose record is not durable:
-    /// its locks are released, a crash of `node` would still undo it.
-    fn has_undurable_commit(&self, node: NodeId) -> bool {
-        let n = ix(node);
-        self.schedulers[n].has_undurable(self.nodes[n].log.flushed_lsn())
-    }
-
     /// Brings `pid` into `node`'s cache from the owner's authoritative
     /// copy (buffer, else disk).
     ///
@@ -1076,18 +1078,20 @@ impl Cluster {
     /// (DESIGN §16): `commit_begin` released the owner's local lock, so
     /// a callback against the owner itself is applied and the reader
     /// gets here while the writer's commit is still parked in the
-    /// owner's scheduler. The owner's log is forced before such a ship;
-    /// the parked commits are acknowledged at their next poll.
+    /// owner's scheduler. The owner's log is forced before the ship iff
+    /// [`ForceScheduler::ship_needs_force`] (the threaded engine's
+    /// `serve` asks the same), and the force acknowledges the parked
+    /// commits it made durable.
     pub(crate) fn fetch_page(&mut self, node: NodeId, pid: PageId) -> Result<()> {
         let owner = pid.owner;
         if self.net.is_crashed(owner) {
             return Err(Error::OwnerDown { owner, page: pid });
         }
-        if owner != node && self.has_undurable_commit(owner) {
-            let forces0 = self.nodes[ix(owner)].log.forces();
-            let pending = self.pending_log_bytes(owner);
-            self.nodes[ix(owner)].log.force_all()?;
-            self.charge_force(owner, forces0, pending);
+        let o = ix(owner);
+        if owner != node
+            && self.schedulers[o].ship_needs_force(pid, self.nodes[o].log.flushed_lsn())
+        {
+            self.forcing(owner, 0, |nd| nd.log.force_all())?;
         }
         if self.cfg.force_on_transfer
             && owner != node
@@ -1131,17 +1135,7 @@ impl Cluster {
             .counter(keys::BUF_DIRTY_STEALS)
             .bump();
         if pid.owner == node {
-            let acks = {
-                let n = ix(node);
-                let forces0 = self.nodes[n].log.forces();
-                let pending = self.pending_log_bytes(node);
-                let acks = self.nodes[n].write_owned_page(&ev.page)?;
-                self.charge_force(node, forces0, pending);
-                acks
-            };
-            self.net.disk_io(node, self.page_size());
-            let write = self.trace_page_write(node, pid, ev.page.psn());
-            self.send_flush_acks(node, pid, acks, write)?;
+            self.write_owned(node, &ev.page)?;
         } else {
             let owner = pid.owner;
             if self.net.is_crashed(owner) {
@@ -1156,10 +1150,7 @@ impl Cluster {
                 }
                 return Ok(());
             }
-            let forces0 = self.nodes[ix(node)].log.forces();
-            let pending = self.pending_log_bytes(node);
-            self.nodes[ix(node)].prepare_replace_to_owner(pid)?;
-            self.charge_force(node, forces0, pending);
+            self.forcing(node, 0, |nd| nd.prepare_replace_to_owner(pid))?;
             let xfer = self.trace_transfer(pid, node, owner, ev.page.psn(), TransferWhy::Replace);
             self.net.send_reliable_hdr(
                 node,
@@ -1208,28 +1199,26 @@ impl Cluster {
         Ok(())
     }
 
-    /// Emits a disk-write span for owned page `pid` on `node`. WAL
-    /// rule: the write is clean if the owner's log has no unforced
+    /// Writes owned `page` to `node`'s disk and flush-acknowledges
+    /// every node that had replaced it. The disk-write span checks the
+    /// WAL rule: the write is clean if the owner's log has no unforced
     /// records covering the page — [`Node::write_owned_page`] forces
     /// when a DPT entry exists, so a surviving entry with an unforced
     /// tail means the rule was skipped.
-    fn trace_page_write(&self, node: NodeId, pid: PageId, psn: Psn) -> SpanId {
-        if !self.tracer.is_enabled() {
-            return SpanId::NONE;
-        }
-        let n = &self.nodes[ix(node)];
-        let wal_ok = !n.dpt.contains(pid) || n.log.fully_forced();
-        self.tracer.point(
-            self.now(),
+    fn write_owned(&mut self, node: NodeId, page: &Page) -> Result<()> {
+        let pid = page.id();
+        let acks = self.forcing(node, 0, |nd| nd.write_owned_page(page))?;
+        self.net.disk_io(node, self.page_size());
+        let nd = &self.nodes[ix(node)];
+        let wal_ok = !nd.dpt.contains(pid) || nd.log.fully_forced();
+        let kind = SpanKind::PageWrite {
+            pid,
             node,
-            SpanId::NONE,
-            SpanKind::PageWrite {
-                pid,
-                node,
-                psn,
-                wal_ok,
-            },
-        )
+            psn: page.psn(),
+            wal_ok,
+        };
+        let write = self.tracer.point(self.now(), node, SpanId::NONE, kind);
+        self.send_flush_acks(node, pid, acks, write)
     }
 
     // ------------------------------------------------------------------
@@ -1260,10 +1249,7 @@ impl Cluster {
                         CTRL_BYTES,
                         MsgHeader::NONE,
                     )?;
-                    let forces0 = self.nodes[h].log.forces();
-                    let pending = self.pending_log_bytes(holder);
-                    self.nodes[h].prepare_replace_to_owner(pid)?;
-                    self.charge_force(holder, forces0, pending);
+                    self.forcing(holder, 0, |nd| nd.prepare_replace_to_owner(pid))?;
                     let copy = self.nodes[h]
                         .buffer
                         .peek(pid)
@@ -1288,29 +1274,17 @@ impl Cluster {
         }
         let dirty =
             self.nodes[o].buffer.is_dirty(pid).unwrap_or(false) || self.nodes[o].dpt.contains(pid);
-        let mut write = SpanId::NONE;
-        let acks = if dirty {
-            let (page, did_io) = self.nodes[o].authoritative_copy(pid)?;
-            if did_io {
-                self.net.disk_io(owner, self.page_size());
-            }
-            let forces0 = self.nodes[o].log.forces();
-            let pending = self.pending_log_bytes(owner);
-            let acks = self.nodes[o].write_owned_page(&page)?;
-            self.charge_force(owner, forces0, pending);
-            self.net.disk_io(owner, self.page_size());
-            write = self.trace_page_write(owner, pid, page.psn());
-            acks
-        } else {
+        if !dirty {
             // Nothing dirty owner-side; ack any recorded replacers
             // whose image already reached the disk.
-            self.nodes[o]
-                .replacers
-                .remove(&pid)
-                .map(|s| s.into_iter().collect())
-                .unwrap_or_default()
-        };
-        self.send_flush_acks(owner, pid, acks, write)
+            let acks = self.nodes[o].replacers.remove(&pid).unwrap_or_default();
+            return self.send_flush_acks(owner, pid, acks.into_iter().collect(), SpanId::NONE);
+        }
+        let (page, did_io) = self.nodes[o].authoritative_copy(pid)?;
+        if did_io {
+            self.net.disk_io(owner, self.page_size());
+        }
+        self.write_owned(owner, &page)
     }
 
     /// The §2.5 log-space protocol: repeatedly replace the DPT page

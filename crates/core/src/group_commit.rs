@@ -15,13 +15,18 @@
 //! configured bounds, collapsing to the minimum window when no
 //! companion commit is expected in time.
 //!
+//!
+//! It also holds the ship-force rule's state, the pages each parked
+//! commit wrote: [`ForceScheduler::ship_needs_force`] is the one
+//! predicate both engines ask before a page leaves its owner.
+//!
 //! The scheduler never talks to the log itself — the cluster owns the
 //! force (it also charges simulated I/O for it). This keeps the
 //! batching policy and the WAL mechanism independently testable.
 
 use std::collections::VecDeque;
 
-use cblog_common::{Lsn, SimTime, TxnId};
+use cblog_common::{Lsn, PageId, SimTime, TxnId};
 
 use crate::config::GroupCommitPolicy;
 
@@ -39,6 +44,10 @@ pub struct PendingCommit {
 pub struct ForceScheduler {
     policy: GroupCommitPolicy,
     pending: VecDeque<PendingCommit>,
+    /// The pages each parked commit wrote, keyed by its commit LSN, in
+    /// submission order. Trimmed with `pending`, so its capacity is
+    /// reused from batch to batch.
+    writes: Vec<(Lsn, PageId)>,
     /// Sim-time at which the open window expires (set when the first
     /// commit of a batch arrives; cleared when the batch drains).
     deadline: Option<SimTime>,
@@ -58,6 +67,7 @@ impl ForceScheduler {
         ForceScheduler {
             policy,
             pending: VecDeque::new(),
+            writes: Vec::new(),
             deadline: None,
             batch_open: 0,
             last_submit: None,
@@ -172,12 +182,21 @@ impl ForceScheduler {
         self.pending.len()
     }
 
-    /// True if a parked commit's record is not durable at `flushed`:
-    /// its transaction has released its locks, and a crash now would
-    /// still roll it back. Commits park in LSN order, so the last one
-    /// decides.
-    pub fn has_undurable(&self, flushed: Lsn) -> bool {
-        self.pending.back().is_some_and(|p| p.lsn >= flushed)
+    /// Records the pages written by the commit just submitted at
+    /// `lsn`, for [`ForceScheduler::ship_needs_force`].
+    pub fn wrote(&mut self, lsn: Lsn, pages: impl IntoIterator<Item = PageId>) {
+        self.writes.extend(pages.into_iter().map(|pid| (lsn, pid)));
+    }
+
+    /// The ship-force rule (DESIGN §16): true if some parked commit
+    /// whose record is not durable at `flushed` wrote `pid`. Its
+    /// transaction has released its locks, so the page's image may
+    /// carry its update, and a crash now would still roll it back: the
+    /// log must be forced before the image leaves the node.
+    pub fn ship_needs_force(&self, pid: PageId, flushed: Lsn) -> bool {
+        self.writes
+            .iter()
+            .any(|&(lsn, p)| p == pid && lsn >= flushed)
     }
 
     /// True if `txn` is parked here awaiting a force.
@@ -186,7 +205,8 @@ impl ForceScheduler {
     }
 
     /// Removes and returns every pending commit whose Commit record is
-    /// durable (`lsn < flushed`), in submission order. Called after
+    /// durable (`lsn < flushed`), in submission order, and forgets the
+    /// pages they wrote. Called after
     /// *any* force of the node's log — including WAL-rule forces taken
     /// for page transfers — so batches interleaved with other forces
     /// are acknowledged exactly once (idempotent: a second call with
@@ -201,6 +221,7 @@ impl ForceScheduler {
                 true
             }
         });
+        self.writes.retain(|&(lsn, _)| lsn >= flushed);
         if self.pending.is_empty() {
             self.deadline = None;
         }
@@ -211,6 +232,7 @@ impl ForceScheduler {
     /// records are gone, so the transactions were never committed).
     pub fn clear(&mut self) {
         self.pending.clear();
+        self.writes.clear();
         self.deadline = None;
     }
 }
@@ -268,6 +290,49 @@ mod tests {
         assert_eq!(s.drain_acked(Lsn(200)), vec![txn(3)]);
         assert_eq!(s.pending_len(), 0);
         assert_eq!(s.deadline(), None, "deadline cleared with the batch");
+    }
+
+    fn pid(i: u32) -> PageId {
+        PageId::new(NodeId(0), i)
+    }
+
+    #[test]
+    fn a_ship_needs_a_force_only_for_a_page_an_undurable_parked_commit_wrote() {
+        let mut s = windowed(100, 8);
+        s.submit(txn(1), Lsn(8), 0);
+        s.wrote(Lsn(8), [pid(0)]);
+        s.submit(txn(2), Lsn(40), 1);
+        s.wrote(Lsn(40), [pid(1), pid(2)]);
+        assert!(s.ship_needs_force(pid(0), Lsn(8)));
+        assert!(s.ship_needs_force(pid(2), Lsn(8)));
+        assert!(
+            !s.ship_needs_force(pid(3), Lsn(8)),
+            "no parked commit wrote it"
+        );
+        // A force nobody has drained yet already answers for the
+        // commits it covered.
+        assert!(!s.ship_needs_force(pid(0), Lsn(40)), "txn 1 is durable");
+        assert!(s.ship_needs_force(pid(1), Lsn(40)), "txn 2 is not");
+    }
+
+    #[test]
+    fn a_partial_drain_forgets_only_the_acknowledged_commits_pages() {
+        let mut s = windowed(100, 8);
+        s.submit(txn(1), Lsn(8), 0);
+        s.wrote(Lsn(8), [pid(0), pid(2)]);
+        s.submit(txn(2), Lsn(40), 1);
+        s.wrote(Lsn(40), [pid(0), pid(1)]);
+        assert_eq!(s.drain_acked(Lsn(40)), vec![txn(1)]);
+        // Asked with an older flush mark, only txn 2's pages remain.
+        assert!(
+            !s.ship_needs_force(pid(2), Lsn::ZERO),
+            "only txn 1 wrote P2"
+        );
+        assert!(s.ship_needs_force(pid(0), Lsn::ZERO), "txn 2 also wrote P0");
+        assert!(s.ship_needs_force(pid(1), Lsn::ZERO));
+        assert_eq!(s.drain_acked(Lsn(200)), vec![txn(2)]);
+        assert!(!s.ship_needs_force(pid(0), Lsn::ZERO));
+        assert!(!s.ship_needs_force(pid(1), Lsn::ZERO));
     }
 
     fn adaptive(min: SimTime, max: SimTime, target: usize) -> ForceScheduler {
@@ -383,8 +448,10 @@ mod tests {
     fn clear_drops_everything() {
         let mut s = windowed(100, 8);
         s.submit(txn(1), Lsn(8), 0);
+        s.wrote(Lsn(8), [pid(0)]);
         s.clear();
         assert_eq!(s.pending_len(), 0);
+        assert!(!s.ship_needs_force(pid(0), Lsn::ZERO), "pages forgotten");
         assert!(!s.is_due(1_000_000));
         assert_eq!(s.drain_acked(Lsn(u64::MAX)), Vec::<TxnId>::new());
     }

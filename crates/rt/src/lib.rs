@@ -872,14 +872,6 @@ struct Worker<'a> {
     /// Log bytes written as of the last [`Worker::force`], so each
     /// force knows the bytes it wrote.
     forced_bytes: u64,
-    /// The ship-force rule's state: the pages written by transactions
-    /// that released their locks (`commit_begin`) since this node's
-    /// last log force — exactly the pages whose buffer image may carry
-    /// an update of a released transaction whose commit record is not
-    /// durable. `run_txn` adds, [`Worker::force`] clears, `serve` asks.
-    /// A page repeats if several such transactions wrote it; between
-    /// two forces it holds at most one plan's writes per lane.
-    released: Vec<PageId>,
     /// The lanes of the parked commits, in the order they were
     /// submitted to `sched`, which is the order it acknowledges them
     /// in: an ack finds its lane at the front, not by a search.
@@ -902,7 +894,6 @@ impl<'a> Worker<'a> {
                 SpanBuf::disabled()
             },
             forced_bytes: node.log().bytes_written(),
-            released: Vec::new(),
             parked: VecDeque::new(),
             report: RunReport::default(),
             prof: Prof::default(),
@@ -983,8 +974,8 @@ impl<'a> Worker<'a> {
         // step: each ends at the clock reading that starts the next, and
         // inbox service and forces fall into the step after them.
         let mut mark = Instant::now();
-        // `released` starts empty, which is true only of a log without
-        // a tail. A run that failed leaves its parked commits released
+        // The scheduler starts empty, so it knows no parked commit of a
+        // log tail. A run that failed leaves its parked commits released
         // and unforced; force them before the first fetch is served.
         if !self.node.log().fully_forced() {
             self.force()?;
@@ -1085,15 +1076,15 @@ impl<'a> Worker<'a> {
             // before the commit record is durable. That is safe across
             // threads because this transaction's updates can only be
             // seen through a page ship, and `serve` forces the log
-            // before it ships a page in `released`.
-            self.released
-                .extend(plan.ops.iter().filter_map(|op| match *op {
-                    PlanOp::Write { pid, .. } => Some(pid),
-                    PlanOp::Read { .. } => None,
-                }));
+            // before it ships a page this parked commit wrote.
             self.release_locks(plan, txn);
             let now = self.shared.clock.now_us();
             self.sched.submit(txn, lsn, now);
+            let written = plan.ops.iter().filter_map(|op| match *op {
+                PlanOp::Write { pid, .. } => Some(pid),
+                PlanOp::Read { .. } => None,
+            });
+            self.sched.wrote(lsn, written);
             TxnOutcome::Committing(txn, now)
         } else {
             let undone = roll_back(&mut self.node, txn);
@@ -1187,7 +1178,7 @@ impl<'a> Worker<'a> {
     /// acknowledges every commit it made durable: the batch at the top
     /// of the loop, the parked commits a ship force covers, the
     /// inherited tail. Every commit record appended so far is durable
-    /// afterwards, so no page is `released` any more.
+    /// afterwards, so no ship needs a force any more.
     ///
     /// The `fdatasync` is attributed to `disk`, and the ack bookkeeping
     /// stays in the enclosing scope's `cpu` remainder. Each ack reads
@@ -1202,7 +1193,6 @@ impl<'a> Worker<'a> {
         let written = self.node.log().bytes_written();
         let bytes = written - self.forced_bytes;
         self.forced_bytes = written;
-        self.released.clear();
         let mut txns = 0u64;
         for txn in self.sched.drain_acked(self.node.log().flushed_lsn()) {
             self.node.finish_commit(txn)?;
@@ -1343,10 +1333,10 @@ impl<'a> Worker<'a> {
     /// update of a transaction that has released its locks and whose
     /// commit record is not durable (DESIGN §16): the reader could
     /// commit on a value a crash of this node then undoes. So the log
-    /// is forced first iff the page is in `released` — iff a
-    /// transaction that wrote it reached `commit_begin` since this
-    /// node's last force. Every other update in the image needs no
-    /// force, because:
+    /// is forced first iff [`ForceScheduler::ship_needs_force`] — iff
+    /// a commit parked undurable on this node wrote the page, the
+    /// predicate the simulator's `fetch_page` asks too. Every other
+    /// update in the image needs no force, because:
     ///
     /// * the requester took its S lock in the page owner's table — this
     ///   node's — before it sent the fetch (`run_ops`), so no *active*
@@ -1371,9 +1361,10 @@ impl<'a> Worker<'a> {
             )));
         }
         let pid = decode_pid(&env.payload)?;
+        let needs_force = |w: &Self| w.sched.ship_needs_force(pid, w.node.log().flushed_lsn());
         // The whole force, acks included, stays out of `net`.
         let mut resumed = t;
-        if self.released.contains(&pid) {
+        if needs_force(self) {
             self.force()?;
             resumed = Instant::now();
         }
@@ -1386,7 +1377,7 @@ impl<'a> Worker<'a> {
                 to: env.from,
                 psn: page.psn(),
                 why: TransferWhy::Ship,
-                wal_ok: !self.released.contains(&pid),
+                wal_ok: !needs_force(self),
             };
             self.buf.point(at, me, env.ctx.span, kind);
         }

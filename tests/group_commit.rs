@@ -5,7 +5,7 @@
 
 use cblog_common::metrics::keys;
 use cblog_common::{CostModel, NodeId, PageId, SpanKind};
-use cblog_core::{recovery, Cluster, ClusterConfig, GroupCommitPolicy, RecoveryOptions};
+use cblog_core::{recovery, Cluster, ClusterConfig, GroupCommitPolicy, RecoveryOptions, TxnStatus};
 use cblog_sim::{run_workload, workload, WorkloadConfig};
 
 fn gc_cluster(clients: usize, pages: u32, policy: GroupCommitPolicy) -> Cluster {
@@ -117,6 +117,33 @@ fn a_ship_never_carries_a_parked_commit_a_crash_would_undo() {
     );
     c.commit(t).unwrap();
     assert_eq!(ship_forces, 1, "the ship forced the owner's log once");
+    c.trace_check().unwrap();
+}
+
+#[test]
+fn a_ship_forces_only_for_a_page_a_parked_commit_wrote_and_acknowledges_it() {
+    // The owner parks a commit that wrote P0. Shipping P1 carries none
+    // of its updates, so it takes no force; shipping P0 does, and that
+    // force acknowledges the writer at once, before anybody polls.
+    let mut c = gc_cluster(1, 4, open_window());
+    let (p0, p1) = (PageId::new(NodeId(0), 0), PageId::new(NodeId(0), 1));
+    let w = c.begin(NodeId(0)).unwrap();
+    c.write_u64(w, p0, 0, 20).unwrap();
+    c.commit_submit(w).unwrap();
+    assert!(!c.poll_committed(w).unwrap(), "the writer is parked");
+    let forces = |c: &Cluster| c.node(NodeId(0)).log().forces();
+    let forces0 = forces(&c);
+    let r = c.begin(NodeId(1)).unwrap();
+    assert_eq!(c.read_u64(r, p1, 0).unwrap(), 0);
+    assert_eq!(forces(&c), forces0, "no parked commit wrote P1");
+    assert_eq!(c.read_u64(r, p0, 0).unwrap(), 20);
+    assert_eq!(forces(&c), forces0 + 1, "the P0 ship forced once");
+    assert_eq!(
+        c.node(NodeId(0)).txn(w).map(|t| t.status),
+        Some(TxnStatus::Committed),
+        "the ship force acknowledged the writer"
+    );
+    c.commit(r).unwrap();
     c.trace_check().unwrap();
 }
 

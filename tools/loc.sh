@@ -10,7 +10,9 @@
 # to the close of the item) and of every file under a `tests/` or
 # `benches/` directory, `code` the rest. `raw` is every line. `engine`
 # sums the crates whose non-test lines item 12 targets; `crates` sums
-# every crate; `all` adds the root tests/ and examples/.
+# every crate; `all` adds the root tests/ and examples/. `docs` is the
+# prose: its `code` counts the non-blank lines of every committed `.md`
+# file, its `raw` all of their lines.
 set -euo pipefail
 
 usage() {
@@ -31,7 +33,11 @@ count() {
     dir="$tmp/$(git rev-parse --short "$rev")"
     mkdir -p "$dir"
     git archive "$rev" -- crates tests examples | tar -x -C "$dir"
-    (cd "$dir" && find crates tests examples -name '*.rs' | sort |
+    {
+        git ls-tree -r --name-only "$rev" | grep '\.md$' | while read -r f; do
+            git show "$rev:$f"
+        done | awk '{ raw++ } /[^ \t]/ { n++ } END { printf "~docs %d 0 %d\n", n, raw }'
+        (cd "$dir" && find crates tests examples -name '*.rs' | sort |
         xargs awk -v engine="$engine" -v q="'" '
         FNR == 1 {
             split(FILENAME, p, "/")
@@ -77,7 +83,8 @@ count() {
                 ac += code[r]; at += test[r]; ar += raw[r]
             }
             printf "~engine %d %d %d\n~crates %d %d %d\n~all %d %d %d\n", ec, et, er, cc, ct, cr, ac, at, ar
-        }' | LC_ALL=C sort)
+        }')
+    } | LC_ALL=C sort
 }
 
 if [ $# -le 1 ]; then
