@@ -136,6 +136,11 @@ if [ -s /tmp/ci_docnames.txt ]; then
 fi
 rm -f /tmp/ci_docnames.txt
 
+echo "==> rustdoc: every intra-doc link resolves (cargo doc, warnings denied)"
+# A doc link to an item that moved, went private or was deleted fails
+# the build instead of rendering as plain text.
+RUSTDOCFLAGS="-D warnings" cargo doc --offline --no-deps --workspace
+
 echo "==> cargo fmt --check"
 cargo fmt --check
 

@@ -24,7 +24,7 @@
 
 use cblog_common::metrics::keys;
 use cblog_common::{CostModel, Error, Lsn, NodeId, PageId, Psn, Registry, Result, SimTime, TxnId};
-use cblog_core::{ForceScheduler, GroupCommitPolicy};
+use cblog_core::{ForceScheduler, GroupCommitPolicy, System};
 use cblog_locks::{
     CachedLockTable, CallbackAction, GlobalLockTable, GlobalRequestOutcome, LocalLockTable,
     LocalRequestOutcome, LockMode,
@@ -160,21 +160,10 @@ impl PcaCluster {
         })
     }
 
-    /// The accounted network.
-    pub fn network(&self) -> &Network {
-        &self.net
-    }
-
     /// The system-wide metrics registry (mirrors the CBL cluster's
     /// `subsystem/metric` naming, per-node entries under `n<id>/`).
     pub fn registry(&self) -> &Registry {
         &self.registry
-    }
-
-    /// Folds a driver-observed lock-queueing delay into the uniform
-    /// `locks/wait_us` histogram (see `ServerCluster::note_queue_wait`).
-    pub fn note_queue_wait(&mut self, _txn: TxnId, us: SimTime) {
-        self.registry.histogram(keys::LOCKS_WAIT_US).record(us);
     }
 
     /// Local log of `node`.
@@ -184,164 +173,6 @@ impl PcaCluster {
 
     fn page_bytes(&self) -> usize {
         self.cfg.page_size + 64
-    }
-
-    /// Starts a transaction.
-    pub fn begin(&mut self, node: NodeId) -> Result<TxnId> {
-        let n = &mut self.nodes[node.0 as usize];
-        let id = TxnId::new(node, n.next_seq);
-        n.next_seq += 1;
-        let lsn = n.log.append(&LogRecord {
-            txn: id,
-            prev_lsn: Lsn::ZERO,
-            payload: LogPayload::Begin,
-        })?;
-        n.txns.insert(
-            id,
-            PcaTxn {
-                ops: Vec::new(),
-                last_lsn: lsn,
-                submitted: false,
-                terminated: false,
-            },
-        );
-        Ok(id)
-    }
-
-    /// Reads a slot under a shared lock.
-    pub fn read_u64(&mut self, txn: TxnId, pid: PageId, slot: usize) -> Result<u64> {
-        self.ensure_access(txn, pid, LockMode::Shared)?;
-        let n = &mut self.nodes[txn.node.0 as usize];
-        let page = n.buffer.get_mut(pid).ok_or(Error::NoSuchPage(pid))?;
-        page.read_slot(slot)
-    }
-
-    /// Writes a slot under an exclusive lock; logs locally (first copy
-    /// of the double log) and pins the page (no-steal).
-    pub fn write_u64(&mut self, txn: TxnId, pid: PageId, slot: usize, value: u64) -> Result<()> {
-        self.ensure_access(txn, pid, LockMode::Exclusive)?;
-        let n = &mut self.nodes[txn.node.0 as usize];
-        let page = n.buffer.get_mut(pid).ok_or(Error::NoSuchPage(pid))?;
-        let before = page.read_slot(slot)?;
-        let op = PageOp::WriteRange {
-            off: (slot * 8) as u32,
-            before: before.to_le_bytes().to_vec(),
-            after: value.to_le_bytes().to_vec(),
-        };
-        let psn_before = page.psn();
-        op.apply_redo(page)?;
-        page.bump_psn();
-        n.buffer.mark_dirty(pid);
-        if n.pinned.insert(pid) {
-            n.buffer.pin(pid)?;
-        }
-        let t = n.txns.get_mut(&txn).ok_or(Error::NoSuchTxn(txn))?;
-        if t.submitted || t.terminated {
-            return Err(Error::TxnAborted(txn));
-        }
-        let rec = LogRecord {
-            txn,
-            prev_lsn: t.last_lsn,
-            payload: LogPayload::Update {
-                pid,
-                psn_before,
-                op: op.clone(),
-            },
-        };
-        t.last_lsn = n.log.append(&rec)?;
-        t.ops.push((pid, psn_before, op));
-        Ok(())
-    }
-
-    /// Commit: synchronous wrapper over the async pipeline — submit
-    /// the commit record, then force the local log right away if the
-    /// scheduler is still holding the batch open.
-    pub fn commit(&mut self, txn: TxnId) -> Result<()> {
-        self.commit_submit(txn)?;
-        let ni = txn.node.0 as usize;
-        if self.schedulers[ni].is_pending(txn) {
-            self.flush_pca_node(txn.node)?;
-        }
-        debug_assert!(
-            self.nodes[ni].txns[&txn].terminated,
-            "flush must complete the submitted txn"
-        );
-        Ok(())
-    }
-
-    /// Phase one of commit: append the local commit record (first copy
-    /// of the double log) and park the transaction in the node's force
-    /// scheduler. Remote page/log shipping happens once the covering
-    /// force lands, in [`PcaCluster::finish_pca_commit`].
-    pub fn commit_submit(&mut self, txn: TxnId) -> Result<()> {
-        let node = txn.node;
-        let ni = node.0 as usize;
-        let lsn = {
-            let n = &mut self.nodes[ni];
-            let prev = {
-                let t = n.txns.get_mut(&txn).ok_or(Error::NoSuchTxn(txn))?;
-                if t.submitted || t.terminated {
-                    return Err(Error::TxnAborted(txn));
-                }
-                t.submitted = true;
-                t.last_lsn
-            };
-            n.log.append(&LogRecord {
-                txn,
-                prev_lsn: prev,
-                payload: LogPayload::Commit,
-            })?
-        };
-        let now = self.net.clock().now();
-        self.schedulers[ni].submit(txn, lsn, now);
-        self.registry
-            .gauge(keys::WAL_WINDOW_US)
-            .set(self.schedulers[ni].window_us() as i64);
-        if self.schedulers[ni].is_due(now) {
-            self.flush_pca_node(node)?;
-        }
-        Ok(())
-    }
-
-    /// Phase two of commit: has the transaction's covering force landed
-    /// and its shipping completed? Reaps any freshly acked batch and
-    /// flushes a due scheduler on the way.
-    pub fn poll_committed(&mut self, txn: TxnId) -> Result<bool> {
-        let node = txn.node;
-        let ni = node.0 as usize;
-        self.reap_pca_acked(node)?;
-        if self.schedulers[ni].pending_len() > 0
-            && self.schedulers[ni].is_due(self.net.clock().now())
-        {
-            self.flush_pca_node(node)?;
-        }
-        let t = self.nodes[ni].txns.get(&txn).ok_or(Error::NoSuchTxn(txn))?;
-        if t.terminated {
-            Ok(true)
-        } else if t.submitted {
-            Ok(false)
-        } else {
-            Err(Error::Protocol(format!(
-                "poll_committed({txn}) before commit_submit"
-            )))
-        }
-    }
-
-    /// Drive parked commits without submitting new work: flush every
-    /// due scheduler; if none is due, advance the clock to the earliest
-    /// open deadline and flush then. Returns whether progress was made.
-    pub fn pump_commits(&mut self) -> Result<bool> {
-        let mut finished = self.flush_due_pca_nodes()?;
-        if finished == 0 {
-            if let Some(d) = self.schedulers.iter().filter_map(|s| s.deadline()).min() {
-                let now = self.net.clock().now();
-                if d > now {
-                    self.net.advance_time(d - now);
-                }
-                finished += self.flush_due_pca_nodes()?;
-            }
-        }
-        Ok(finished > 0)
     }
 
     /// Flush every scheduler that is due, repeating the sweep until a
@@ -490,52 +321,6 @@ impl PcaCluster {
         Ok(())
     }
 
-    /// Abort: pure local undo — no-steal guarantees every updated page
-    /// is still cached.
-    pub fn abort(&mut self, txn: TxnId) -> Result<()> {
-        let node = txn.node;
-        let n = &mut self.nodes[node.0 as usize];
-        let t = n.txns.get_mut(&txn).ok_or(Error::NoSuchTxn(txn))?;
-        if t.terminated {
-            return Err(Error::TxnAborted(txn));
-        }
-        let ops = t.ops.clone();
-        t.terminated = true;
-        let mut prev = t.last_lsn;
-        for (pid, _, op) in ops.iter().rev() {
-            let page = n
-                .buffer
-                .get_mut(*pid)
-                .expect("no-steal: updated pages stay cached");
-            let inv = op.inverse();
-            let psn_before = page.psn();
-            inv.apply_redo(page)?;
-            page.bump_psn();
-            prev = n.log.append(&LogRecord {
-                txn,
-                prev_lsn: prev,
-                payload: LogPayload::Clr {
-                    pid: *pid,
-                    psn_before,
-                    op: inv,
-                    undo_next: Lsn::ZERO,
-                },
-            })?;
-        }
-        n.log.append(&LogRecord {
-            txn,
-            prev_lsn: prev,
-            payload: LogPayload::Abort,
-        })?;
-        let pins: Vec<PageId> = n.pinned.drain().collect();
-        for p in pins {
-            n.buffer.unpin(p)?;
-        }
-        n.local.release_all(txn);
-        self.registry.counter(keys::TXN_ABORTS).bump();
-        Ok(())
-    }
-
     // Locking mirrors the callback protocol of the other systems (the
     // PCA node doubles as the lock manager for its partition).
     fn ensure_access(&mut self, txn: TxnId, pid: PageId, mode: LockMode) -> Result<()> {
@@ -664,6 +449,222 @@ impl PcaCluster {
     }
 }
 
+impl System for PcaCluster {
+    /// Starts a transaction.
+    fn begin(&mut self, node: NodeId) -> Result<TxnId> {
+        let n = &mut self.nodes[node.0 as usize];
+        let id = TxnId::new(node, n.next_seq);
+        n.next_seq += 1;
+        let lsn = n.log.append(&LogRecord {
+            txn: id,
+            prev_lsn: Lsn::ZERO,
+            payload: LogPayload::Begin,
+        })?;
+        n.txns.insert(
+            id,
+            PcaTxn {
+                ops: Vec::new(),
+                last_lsn: lsn,
+                submitted: false,
+                terminated: false,
+            },
+        );
+        Ok(id)
+    }
+
+    /// Reads a slot under a shared lock.
+    fn read(&mut self, txn: TxnId, pid: PageId, slot: usize) -> Result<u64> {
+        self.ensure_access(txn, pid, LockMode::Shared)?;
+        let n = &mut self.nodes[txn.node.0 as usize];
+        let page = n.buffer.get_mut(pid).ok_or(Error::NoSuchPage(pid))?;
+        page.read_slot(slot)
+    }
+
+    /// Writes a slot under an exclusive lock; logs locally (first copy
+    /// of the double log) and pins the page (no-steal).
+    fn write(&mut self, txn: TxnId, pid: PageId, slot: usize, value: u64) -> Result<()> {
+        self.ensure_access(txn, pid, LockMode::Exclusive)?;
+        let n = &mut self.nodes[txn.node.0 as usize];
+        let page = n.buffer.get_mut(pid).ok_or(Error::NoSuchPage(pid))?;
+        let before = page.read_slot(slot)?;
+        let op = PageOp::WriteRange {
+            off: (slot * 8) as u32,
+            before: before.to_le_bytes().to_vec(),
+            after: value.to_le_bytes().to_vec(),
+        };
+        let psn_before = page.psn();
+        op.apply_redo(page)?;
+        page.bump_psn();
+        n.buffer.mark_dirty(pid);
+        if n.pinned.insert(pid) {
+            n.buffer.pin(pid)?;
+        }
+        let t = n.txns.get_mut(&txn).ok_or(Error::NoSuchTxn(txn))?;
+        if t.submitted || t.terminated {
+            return Err(Error::TxnAborted(txn));
+        }
+        let rec = LogRecord {
+            txn,
+            prev_lsn: t.last_lsn,
+            payload: LogPayload::Update {
+                pid,
+                psn_before,
+                op: op.clone(),
+            },
+        };
+        t.last_lsn = n.log.append(&rec)?;
+        t.ops.push((pid, psn_before, op));
+        Ok(())
+    }
+
+    /// Commit: synchronous wrapper over the async pipeline — submit
+    /// the commit record, then force the local log right away if the
+    /// scheduler is still holding the batch open.
+    fn commit(&mut self, txn: TxnId) -> Result<()> {
+        self.commit_submit(txn)?;
+        let ni = txn.node.0 as usize;
+        if self.schedulers[ni].is_pending(txn) {
+            self.flush_pca_node(txn.node)?;
+        }
+        debug_assert!(
+            self.nodes[ni].txns[&txn].terminated,
+            "flush must complete the submitted txn"
+        );
+        Ok(())
+    }
+
+    /// Abort: pure local undo — no-steal guarantees every updated page
+    /// is still cached.
+    fn abort(&mut self, txn: TxnId) -> Result<()> {
+        let node = txn.node;
+        let n = &mut self.nodes[node.0 as usize];
+        let t = n.txns.get_mut(&txn).ok_or(Error::NoSuchTxn(txn))?;
+        if t.terminated {
+            return Err(Error::TxnAborted(txn));
+        }
+        let ops = t.ops.clone();
+        t.terminated = true;
+        let mut prev = t.last_lsn;
+        for (pid, _, op) in ops.iter().rev() {
+            let page = n
+                .buffer
+                .get_mut(*pid)
+                .expect("no-steal: updated pages stay cached");
+            let inv = op.inverse();
+            let psn_before = page.psn();
+            inv.apply_redo(page)?;
+            page.bump_psn();
+            prev = n.log.append(&LogRecord {
+                txn,
+                prev_lsn: prev,
+                payload: LogPayload::Clr {
+                    pid: *pid,
+                    psn_before,
+                    op: inv,
+                    undo_next: Lsn::ZERO,
+                },
+            })?;
+        }
+        n.log.append(&LogRecord {
+            txn,
+            prev_lsn: prev,
+            payload: LogPayload::Abort,
+        })?;
+        let pins: Vec<PageId> = n.pinned.drain().collect();
+        for p in pins {
+            n.buffer.unpin(p)?;
+        }
+        n.local.release_all(txn);
+        self.registry.counter(keys::TXN_ABORTS).bump();
+        Ok(())
+    }
+
+    fn network(&self) -> &Network {
+        &self.net
+    }
+
+    /// Phase one of commit: append the local commit record (first copy
+    /// of the double log) and park the transaction in the node's force
+    /// scheduler. Remote page/log shipping happens once the covering
+    /// force lands, in `finish_pca_commit`.
+    fn commit_submit(&mut self, txn: TxnId) -> Result<()> {
+        let node = txn.node;
+        let ni = node.0 as usize;
+        let lsn = {
+            let n = &mut self.nodes[ni];
+            let prev = {
+                let t = n.txns.get_mut(&txn).ok_or(Error::NoSuchTxn(txn))?;
+                if t.submitted || t.terminated {
+                    return Err(Error::TxnAborted(txn));
+                }
+                t.submitted = true;
+                t.last_lsn
+            };
+            n.log.append(&LogRecord {
+                txn,
+                prev_lsn: prev,
+                payload: LogPayload::Commit,
+            })?
+        };
+        let now = self.net.clock().now();
+        self.schedulers[ni].submit(txn, lsn, now);
+        self.registry
+            .gauge(keys::WAL_WINDOW_US)
+            .set(self.schedulers[ni].window_us() as i64);
+        if self.schedulers[ni].is_due(now) {
+            self.flush_pca_node(node)?;
+        }
+        Ok(())
+    }
+
+    /// Phase two of commit: has the transaction's covering force landed
+    /// and its shipping completed? Reaps any freshly acked batch and
+    /// flushes a due scheduler on the way.
+    fn poll_committed(&mut self, txn: TxnId) -> Result<bool> {
+        let node = txn.node;
+        let ni = node.0 as usize;
+        self.reap_pca_acked(node)?;
+        if self.schedulers[ni].pending_len() > 0
+            && self.schedulers[ni].is_due(self.net.clock().now())
+        {
+            self.flush_pca_node(node)?;
+        }
+        let t = self.nodes[ni].txns.get(&txn).ok_or(Error::NoSuchTxn(txn))?;
+        if t.terminated {
+            Ok(true)
+        } else if t.submitted {
+            Ok(false)
+        } else {
+            Err(Error::Protocol(format!(
+                "poll_committed({txn}) before commit_submit"
+            )))
+        }
+    }
+
+    /// Drive parked commits without submitting new work: flush every
+    /// due scheduler; if none is due, advance the clock to the earliest
+    /// open deadline and flush then. Returns whether progress was made.
+    fn pump_commits(&mut self) -> Result<bool> {
+        let mut finished = self.flush_due_pca_nodes()?;
+        if finished == 0 {
+            if let Some(d) = self.schedulers.iter().filter_map(|s| s.deadline()).min() {
+                let now = self.net.clock().now();
+                if d > now {
+                    self.net.advance_time(d - now);
+                }
+                finished += self.flush_due_pca_nodes()?;
+            }
+        }
+        Ok(finished > 0)
+    }
+
+    /// Folds a driver-observed lock-queueing delay into the uniform
+    /// `locks/wait_us` histogram (see `ServerCluster::note_queue_wait`).
+    fn note_queue_wait(&mut self, _txn: TxnId, us: SimTime) {
+        self.registry.histogram(keys::LOCKS_WAIT_US).record(us);
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -688,7 +689,7 @@ mod tests {
     fn commit_ships_page_and_double_logs() {
         let mut s = sys(2);
         let t = s.begin(NodeId(1)).unwrap();
-        s.write_u64(t, pid(0), 0, 7).unwrap();
+        s.write(t, pid(0), 0, 7).unwrap();
         let stats0 = s.network().stats();
         let pca_recs0 = s.log_of(NodeId(0)).records_appended();
         s.commit(t).unwrap();
@@ -707,10 +708,10 @@ mod tests {
     fn values_flow_between_nodes() {
         let mut s = sys(3);
         let t = s.begin(NodeId(1)).unwrap();
-        s.write_u64(t, pid(0), 0, 5).unwrap();
+        s.write(t, pid(0), 0, 5).unwrap();
         s.commit(t).unwrap();
         let t2 = s.begin(NodeId(2)).unwrap();
-        assert_eq!(s.read_u64(t2, pid(0), 0).unwrap(), 5);
+        assert_eq!(s.read(t2, pid(0), 0).unwrap(), 5);
         s.commit(t2).unwrap();
     }
 
@@ -718,11 +719,11 @@ mod tests {
     fn abort_is_local_under_no_steal() {
         let mut s = sys(2);
         let t0 = s.begin(NodeId(1)).unwrap();
-        s.write_u64(t0, pid(0), 0, 1).unwrap();
+        s.write(t0, pid(0), 0, 1).unwrap();
         s.commit(t0).unwrap();
         let stats0 = s.network().stats();
         let t = s.begin(NodeId(1)).unwrap();
-        s.write_u64(t, pid(0), 0, 99).unwrap();
+        s.write(t, pid(0), 0, 99).unwrap();
         s.abort(t).unwrap();
         assert_eq!(
             s.network().stats().since(&stats0).total_messages(),
@@ -730,7 +731,7 @@ mod tests {
             "abort needs no messages: the page never left the cache"
         );
         let t2 = s.begin(NodeId(1)).unwrap();
-        assert_eq!(s.read_u64(t2, pid(0), 0).unwrap(), 1);
+        assert_eq!(s.read(t2, pid(0), 0).unwrap(), 1);
         s.commit(t2).unwrap();
     }
 
@@ -738,11 +739,11 @@ mod tests {
     fn uncommitted_pages_are_pinned() {
         let mut s = sys(2);
         let t = s.begin(NodeId(1)).unwrap();
-        s.write_u64(t, pid(0), 0, 1).unwrap();
+        s.write(t, pid(0), 0, 1).unwrap();
         // The pinned page cannot be evicted; filling the cache with
         // reads evicts other pages instead.
         for i in 1..8 {
-            s.read_u64(t, pid(i), 0).unwrap();
+            s.read(t, pid(i), 0).unwrap();
         }
         assert!(s.nodes[1].buffer.contains(pid(0)), "pinned page survives");
         s.commit(t).unwrap();
@@ -764,8 +765,8 @@ mod tests {
         .unwrap();
         let a = s.begin(NodeId(1)).unwrap();
         let b = s.begin(NodeId(1)).unwrap();
-        s.write_u64(a, pid(0), 0, 1).unwrap();
-        s.write_u64(b, pid(1), 0, 2).unwrap();
+        s.write(a, pid(0), 0, 1).unwrap();
+        s.write(b, pid(1), 0, 2).unwrap();
         let forces0 = s.log_of(NodeId(1)).forces();
         let stats0 = s.network().stats();
         s.commit_submit(a).unwrap();
@@ -793,14 +794,14 @@ mod tests {
         // Warm cache and locks.
         let t = s.begin(NodeId(1)).unwrap();
         for i in 0..4 {
-            s.write_u64(t, pid(i), 0, 1).unwrap();
+            s.write(t, pid(i), 0, 1).unwrap();
         }
         s.commit(t).unwrap();
         // Steady state: 4 remote pages updated per txn.
         let stats0 = s.network().stats();
         let t = s.begin(NodeId(1)).unwrap();
         for i in 0..4 {
-            s.write_u64(t, pid(i), 0, 2).unwrap();
+            s.write(t, pid(i), 0, 2).unwrap();
         }
         s.commit(t).unwrap();
         let d = s.network().stats().since(&stats0);

@@ -22,7 +22,7 @@
 
 use cblog_common::metrics::keys;
 use cblog_common::{CostModel, Error, Lsn, NodeId, PageId, Psn, Registry, Result, SimTime, TxnId};
-use cblog_core::{ForceScheduler, GroupCommitPolicy};
+use cblog_core::{ForceScheduler, GroupCommitPolicy, System};
 use cblog_locks::{
     CachedLockTable, CallbackAction, GlobalLockTable, GlobalRequestOutcome, LocalLockTable,
     LocalRequestOutcome, LockMode,
@@ -173,22 +173,10 @@ impl ServerCluster {
         })
     }
 
-    /// The accounted network.
-    pub fn network(&self) -> &Network {
-        &self.net
-    }
-
     /// The system-wide metrics registry (`subsystem/metric` names,
     /// mirroring the per-node registries of the CBL cluster).
     pub fn registry(&self) -> &Registry {
         &self.registry
-    }
-
-    /// Folds a driver-observed lock-queueing delay into the uniform
-    /// `locks/wait_us` histogram (the CBL cluster tracks these spans
-    /// itself; the baselines learn about them from the driver).
-    pub fn note_queue_wait(&mut self, _txn: TxnId, us: SimTime) {
-        self.registry.histogram(keys::LOCKS_WAIT_US).record(us);
     }
 
     /// The server's log (the system's only log).
@@ -218,176 +206,12 @@ impl ServerCluster {
     }
 
     // ------------------------------------------------------------------
-    // Transactions
+    // Group commit at the server log (the transaction methods are the
+    // `System` impl below)
     // ------------------------------------------------------------------
-
-    /// Starts a transaction at client `node`. No message: the Begin
-    /// record reaches the server with the first log shipment.
-    pub fn begin(&mut self, node: NodeId) -> Result<TxnId> {
-        let c = self.client(node)?;
-        let id = TxnId::new(node, c.next_seq);
-        c.next_seq += 1;
-        c.txns.insert(
-            id,
-            CsaTxn {
-                id,
-                committed: false,
-                aborted: false,
-                submitted: false,
-                ops: Vec::new(),
-                shipped: 0,
-                server_last_lsn: Lsn::ZERO,
-                begun_at_server: false,
-            },
-        );
-        Ok(id)
-    }
-
-    /// Reads a counter slot under a shared lock.
-    pub fn read_u64(&mut self, txn: TxnId, pid: PageId, slot: usize) -> Result<u64> {
-        self.ensure_access(txn, pid, LockMode::Shared)?;
-        let c = self.client(txn.node)?;
-        let page = c.buffer.get_mut(pid).ok_or(Error::NoSuchPage(pid))?;
-        page.read_slot(slot)
-    }
-
-    /// Writes a counter slot under an exclusive lock. The log record is
-    /// buffered at the client — nothing is logged anywhere durable yet.
-    pub fn write_u64(&mut self, txn: TxnId, pid: PageId, slot: usize, value: u64) -> Result<()> {
-        self.ensure_access(txn, pid, LockMode::Exclusive)?;
-        let c = self.client(txn.node)?;
-        let page = c.buffer.get_mut(pid).ok_or(Error::NoSuchPage(pid))?;
-        let before = page.read_slot(slot)?;
-        let op = PageOp::WriteRange {
-            off: (slot * 8) as u32,
-            before: before.to_le_bytes().to_vec(),
-            after: value.to_le_bytes().to_vec(),
-        };
-        let psn_before = page.psn();
-        op.apply_redo(page)?;
-        page.bump_psn();
-        c.buffer.mark_dirty(pid);
-        let t = c.txns.get_mut(&txn).ok_or(Error::NoSuchTxn(txn))?;
-        if t.committed || t.aborted || t.submitted {
-            return Err(Error::TxnAborted(txn));
-        }
-        t.ops.push((pid, psn_before, op));
-        Ok(())
-    }
-
-    /// Commits: ship pending log records + commit request to the
-    /// server; the server appends, **forces its log**, and acks. This
-    /// is the synchronous wrapper around the group-commit pipeline:
-    /// under the default [`GroupCommitPolicy::Immediate`] policy it is
-    /// exactly one server force per commit (the paper's §3.1 cost);
-    /// under a windowed or adaptive policy the force is shared with
-    /// whatever batch is pending.
-    pub fn commit(&mut self, txn: TxnId) -> Result<()> {
-        self.commit_submit(txn)?;
-        if self.scheduler.is_pending(txn) {
-            self.flush_server_log()?;
-        }
-        debug_assert!(
-            self.clients[txn.node.0 as usize - 1]
-                .txns
-                .get(&txn)
-                .is_some_and(|t| t.committed),
-            "synchronous commit must leave the txn durable"
-        );
-        Ok(())
-    }
 
     fn now(&self) -> SimTime {
         self.net.clock().now()
-    }
-
-    /// First half of the async commit pipeline: ships the
-    /// transaction's records plus the commit request, appends the
-    /// Commit record to the server log, releases the client's local
-    /// locks and parks the transaction force-pending in the server's
-    /// scheduler. Early lock release is safe for the same reason it is
-    /// in the CBL cluster: every commit forces the same server log, so
-    /// any dependent transaction's ack implies this Commit record was
-    /// durable first. The CommitAck message is sent when the covering
-    /// force lands.
-    pub fn commit_submit(&mut self, txn: TxnId) -> Result<()> {
-        let node = txn.node;
-        self.ship_pending(node, txn)?;
-        self.net.send(node, SERVER, MsgKind::CommitRequest, CTRL)?;
-        let prev = {
-            let c = self.client(node)?;
-            let t = c.txns.get(&txn).ok_or(Error::NoSuchTxn(txn))?;
-            t.server_last_lsn
-        };
-        let lsn = self.log.append(&LogRecord {
-            txn,
-            prev_lsn: prev,
-            payload: LogPayload::Commit,
-        })?;
-        {
-            let c = self.client(node)?;
-            let t = c.txns.get_mut(&txn).expect("checked");
-            t.submitted = true;
-            t.server_last_lsn = lsn;
-            c.local.release_all(txn);
-        }
-        let now = self.now();
-        self.scheduler.submit(txn, lsn, now);
-        self.registry
-            .gauge(keys::WAL_WINDOW_US)
-            .set(self.scheduler.window_us() as i64);
-        if self.scheduler.is_due(now) {
-            self.flush_server_log()?;
-        }
-        Ok(())
-    }
-
-    /// Polls the async commit pipeline: true once `txn`'s Commit
-    /// record is durable at the server and the ack was sent. Flushes
-    /// the server batch if it became due; otherwise
-    /// [`ServerCluster::pump_commits`] advances an idle system to the
-    /// open window's deadline.
-    pub fn poll_committed(&mut self, txn: TxnId) -> Result<bool> {
-        // A force taken for any other reason (WAL rule on an evicted
-        // page, checkpoint, client recovery) may already have covered
-        // the commit record.
-        self.reap_server_acked()?;
-        if self.scheduler.is_pending(txn) && self.scheduler.is_due(self.now()) {
-            self.flush_server_log()?;
-        }
-        let c = self.client(txn.node)?;
-        match c.txns.get(&txn) {
-            Some(t) if t.committed => Ok(true),
-            Some(t) if t.submitted => Ok(false),
-            Some(_) => Err(Error::Protocol(format!(
-                "poll_committed on {txn} before commit_submit"
-            ))),
-            None => Err(Error::NoSuchTxn(txn)),
-        }
-    }
-
-    /// Drives the group-commit pipeline when no transaction can make
-    /// progress: flushes the server batch if due; if not due but
-    /// commits are pending, idle-advances the sim-clock to the open
-    /// window deadline and flushes. Returns true if any commit was
-    /// acknowledged.
-    pub fn pump_commits(&mut self) -> Result<bool> {
-        let mut acked = 0;
-        if self.scheduler.is_due(self.now()) {
-            acked += self.flush_server_log()?;
-        }
-        if acked == 0 {
-            if let Some(d) = self.scheduler.deadline() {
-                let now = self.now();
-                if d > now {
-                    self.net.advance_time(d - now);
-                }
-                if self.scheduler.is_due(self.now()) {
-                    acked += self.flush_server_log()?;
-                }
-            }
-        }
-        Ok(acked > 0)
     }
 
     /// Acknowledges every force-pending commit whose Commit record the
@@ -442,90 +266,6 @@ impl ServerCluster {
         self.registry.histogram(keys::WAL_GROUP_SIZE).record(batch);
         acked += self.reap_server_acked()?;
         Ok(acked)
-    }
-
-    /// Aborts: the client undoes from its buffered records; compensation
-    /// records are shipped only if part of the transaction had already
-    /// been shipped (eviction-forced WAL writes).
-    pub fn abort(&mut self, txn: TxnId) -> Result<()> {
-        let node = txn.node;
-        let ops: Vec<(PageId, Psn, PageOp)> = {
-            let c = self.client(node)?;
-            let t = c.txns.get(&txn).ok_or(Error::NoSuchTxn(txn))?;
-            if t.committed || t.submitted {
-                return Err(Error::NoSuchTxn(txn));
-            }
-            t.ops.clone()
-        };
-        let mut clrs: Vec<(PageId, Psn, PageOp)> = Vec::new();
-        for (pid, _psn, op) in ops.iter().rev() {
-            // Page must be present to undo; re-fetch if evicted.
-            if !self.client(node)?.buffer.contains(*pid) {
-                self.fetch_page(node, *pid)?;
-            }
-            let c = self.client(node)?;
-            let page = c.buffer.get_mut(*pid).expect("fetched");
-            let inv = op.inverse();
-            let psn_before = page.psn();
-            inv.apply_redo(page)?;
-            page.bump_psn();
-            c.buffer.mark_dirty(*pid);
-            clrs.push((*pid, psn_before, inv));
-        }
-        let shipped_any = {
-            let c = self.client(node)?;
-            c.txns.get(&txn).expect("checked").shipped > 0
-        };
-        if shipped_any {
-            // The server saw part of this transaction: it must also see
-            // the compensation and the abort.
-            let mut bytes = 0usize;
-            let mut prev = {
-                let c = self.client(node)?;
-                c.txns.get(&txn).expect("checked").server_last_lsn
-            };
-            let mut recs = Vec::new();
-            for (pid, psn_before, op) in &clrs {
-                recs.push(LogRecord {
-                    txn,
-                    prev_lsn: prev,
-                    payload: LogPayload::Clr {
-                        pid: *pid,
-                        psn_before: *psn_before,
-                        op: op.clone(),
-                        undo_next: Lsn::ZERO,
-                    },
-                });
-                prev = Lsn::ZERO; // chains fixed below at append time
-            }
-            for r in &recs {
-                bytes += r.encode().len();
-            }
-            self.net
-                .send(node, SERVER, MsgKind::LogShip, bytes + CTRL)?;
-            let mut prev = {
-                let c = self.client(node)?;
-                c.txns.get(&txn).expect("checked").server_last_lsn
-            };
-            for mut r in recs {
-                r.prev_lsn = prev;
-                prev = self.log.append(&r)?;
-            }
-            let lsn = self.log.append(&LogRecord {
-                txn,
-                prev_lsn: prev,
-                payload: LogPayload::Abort,
-            })?;
-            let c = self.client(node)?;
-            c.txns.get_mut(&txn).expect("checked").server_last_lsn = lsn;
-        }
-        let c = self.client(node)?;
-        let t = c.txns.get_mut(&txn).expect("checked");
-        t.aborted = true;
-        c.local.release_all(txn);
-        c.aborts += 1;
-        self.registry.counter(keys::TXN_ABORTS).bump();
-        Ok(())
     }
 
     /// Ships the unshipped log records of `txn` to the server (appends
@@ -955,6 +695,268 @@ impl ServerCluster {
     }
 }
 
+impl System for ServerCluster {
+    /// Starts a transaction at client `node`. No message: the Begin
+    /// record reaches the server with the first log shipment.
+    fn begin(&mut self, node: NodeId) -> Result<TxnId> {
+        let c = self.client(node)?;
+        let id = TxnId::new(node, c.next_seq);
+        c.next_seq += 1;
+        c.txns.insert(
+            id,
+            CsaTxn {
+                id,
+                committed: false,
+                aborted: false,
+                submitted: false,
+                ops: Vec::new(),
+                shipped: 0,
+                server_last_lsn: Lsn::ZERO,
+                begun_at_server: false,
+            },
+        );
+        Ok(id)
+    }
+
+    /// Reads a counter slot under a shared lock.
+    fn read(&mut self, txn: TxnId, pid: PageId, slot: usize) -> Result<u64> {
+        self.ensure_access(txn, pid, LockMode::Shared)?;
+        let c = self.client(txn.node)?;
+        let page = c.buffer.get_mut(pid).ok_or(Error::NoSuchPage(pid))?;
+        page.read_slot(slot)
+    }
+
+    /// Writes a counter slot under an exclusive lock. The log record is
+    /// buffered at the client — nothing is logged anywhere durable yet.
+    fn write(&mut self, txn: TxnId, pid: PageId, slot: usize, value: u64) -> Result<()> {
+        self.ensure_access(txn, pid, LockMode::Exclusive)?;
+        let c = self.client(txn.node)?;
+        let page = c.buffer.get_mut(pid).ok_or(Error::NoSuchPage(pid))?;
+        let before = page.read_slot(slot)?;
+        let op = PageOp::WriteRange {
+            off: (slot * 8) as u32,
+            before: before.to_le_bytes().to_vec(),
+            after: value.to_le_bytes().to_vec(),
+        };
+        let psn_before = page.psn();
+        op.apply_redo(page)?;
+        page.bump_psn();
+        c.buffer.mark_dirty(pid);
+        let t = c.txns.get_mut(&txn).ok_or(Error::NoSuchTxn(txn))?;
+        if t.committed || t.aborted || t.submitted {
+            return Err(Error::TxnAborted(txn));
+        }
+        t.ops.push((pid, psn_before, op));
+        Ok(())
+    }
+
+    /// Commits: ship pending log records + commit request to the
+    /// server; the server appends, **forces its log**, and acks. This
+    /// is the synchronous wrapper around the group-commit pipeline:
+    /// under the default [`GroupCommitPolicy::Immediate`] policy it is
+    /// exactly one server force per commit (the paper's §3.1 cost);
+    /// under a windowed or adaptive policy the force is shared with
+    /// whatever batch is pending.
+    fn commit(&mut self, txn: TxnId) -> Result<()> {
+        self.commit_submit(txn)?;
+        if self.scheduler.is_pending(txn) {
+            self.flush_server_log()?;
+        }
+        debug_assert!(
+            self.clients[txn.node.0 as usize - 1]
+                .txns
+                .get(&txn)
+                .is_some_and(|t| t.committed),
+            "synchronous commit must leave the txn durable"
+        );
+        Ok(())
+    }
+
+    /// Aborts: the client undoes from its buffered records; compensation
+    /// records are shipped only if part of the transaction had already
+    /// been shipped (eviction-forced WAL writes).
+    fn abort(&mut self, txn: TxnId) -> Result<()> {
+        let node = txn.node;
+        let ops: Vec<(PageId, Psn, PageOp)> = {
+            let c = self.client(node)?;
+            let t = c.txns.get(&txn).ok_or(Error::NoSuchTxn(txn))?;
+            if t.committed || t.submitted {
+                return Err(Error::NoSuchTxn(txn));
+            }
+            t.ops.clone()
+        };
+        let mut clrs: Vec<(PageId, Psn, PageOp)> = Vec::new();
+        for (pid, _psn, op) in ops.iter().rev() {
+            // Page must be present to undo; re-fetch if evicted.
+            if !self.client(node)?.buffer.contains(*pid) {
+                self.fetch_page(node, *pid)?;
+            }
+            let c = self.client(node)?;
+            let page = c.buffer.get_mut(*pid).expect("fetched");
+            let inv = op.inverse();
+            let psn_before = page.psn();
+            inv.apply_redo(page)?;
+            page.bump_psn();
+            c.buffer.mark_dirty(*pid);
+            clrs.push((*pid, psn_before, inv));
+        }
+        let shipped_any = {
+            let c = self.client(node)?;
+            c.txns.get(&txn).expect("checked").shipped > 0
+        };
+        if shipped_any {
+            // The server saw part of this transaction: it must also see
+            // the compensation and the abort.
+            let mut bytes = 0usize;
+            let mut prev = {
+                let c = self.client(node)?;
+                c.txns.get(&txn).expect("checked").server_last_lsn
+            };
+            let mut recs = Vec::new();
+            for (pid, psn_before, op) in &clrs {
+                recs.push(LogRecord {
+                    txn,
+                    prev_lsn: prev,
+                    payload: LogPayload::Clr {
+                        pid: *pid,
+                        psn_before: *psn_before,
+                        op: op.clone(),
+                        undo_next: Lsn::ZERO,
+                    },
+                });
+                prev = Lsn::ZERO; // chains fixed below at append time
+            }
+            for r in &recs {
+                bytes += r.encode().len();
+            }
+            self.net
+                .send(node, SERVER, MsgKind::LogShip, bytes + CTRL)?;
+            let mut prev = {
+                let c = self.client(node)?;
+                c.txns.get(&txn).expect("checked").server_last_lsn
+            };
+            for mut r in recs {
+                r.prev_lsn = prev;
+                prev = self.log.append(&r)?;
+            }
+            let lsn = self.log.append(&LogRecord {
+                txn,
+                prev_lsn: prev,
+                payload: LogPayload::Abort,
+            })?;
+            let c = self.client(node)?;
+            c.txns.get_mut(&txn).expect("checked").server_last_lsn = lsn;
+        }
+        let c = self.client(node)?;
+        let t = c.txns.get_mut(&txn).expect("checked");
+        t.aborted = true;
+        c.local.release_all(txn);
+        c.aborts += 1;
+        self.registry.counter(keys::TXN_ABORTS).bump();
+        Ok(())
+    }
+
+    fn network(&self) -> &Network {
+        &self.net
+    }
+
+    /// First half of the async commit pipeline: ships the
+    /// transaction's records plus the commit request, appends the
+    /// Commit record to the server log, releases the client's local
+    /// locks and parks the transaction force-pending in the server's
+    /// scheduler. Early lock release is safe for the same reason it is
+    /// in the CBL cluster: every commit forces the same server log, so
+    /// any dependent transaction's ack implies this Commit record was
+    /// durable first. The CommitAck message is sent when the covering
+    /// force lands.
+    fn commit_submit(&mut self, txn: TxnId) -> Result<()> {
+        let node = txn.node;
+        self.ship_pending(node, txn)?;
+        self.net.send(node, SERVER, MsgKind::CommitRequest, CTRL)?;
+        let prev = {
+            let c = self.client(node)?;
+            let t = c.txns.get(&txn).ok_or(Error::NoSuchTxn(txn))?;
+            t.server_last_lsn
+        };
+        let lsn = self.log.append(&LogRecord {
+            txn,
+            prev_lsn: prev,
+            payload: LogPayload::Commit,
+        })?;
+        {
+            let c = self.client(node)?;
+            let t = c.txns.get_mut(&txn).expect("checked");
+            t.submitted = true;
+            t.server_last_lsn = lsn;
+            c.local.release_all(txn);
+        }
+        let now = self.now();
+        self.scheduler.submit(txn, lsn, now);
+        self.registry
+            .gauge(keys::WAL_WINDOW_US)
+            .set(self.scheduler.window_us() as i64);
+        if self.scheduler.is_due(now) {
+            self.flush_server_log()?;
+        }
+        Ok(())
+    }
+
+    /// Polls the async commit pipeline: true once `txn`'s Commit
+    /// record is durable at the server and the ack was sent. Flushes
+    /// the server batch if it became due; otherwise
+    /// [`ServerCluster::pump_commits`] advances an idle system to the
+    /// open window's deadline.
+    fn poll_committed(&mut self, txn: TxnId) -> Result<bool> {
+        // A force taken for any other reason (WAL rule on an evicted
+        // page, checkpoint, client recovery) may already have covered
+        // the commit record.
+        self.reap_server_acked()?;
+        if self.scheduler.is_pending(txn) && self.scheduler.is_due(self.now()) {
+            self.flush_server_log()?;
+        }
+        let c = self.client(txn.node)?;
+        match c.txns.get(&txn) {
+            Some(t) if t.committed => Ok(true),
+            Some(t) if t.submitted => Ok(false),
+            Some(_) => Err(Error::Protocol(format!(
+                "poll_committed on {txn} before commit_submit"
+            ))),
+            None => Err(Error::NoSuchTxn(txn)),
+        }
+    }
+
+    /// Drives the group-commit pipeline when no transaction can make
+    /// progress: flushes the server batch if due; if not due but
+    /// commits are pending, idle-advances the sim-clock to the open
+    /// window deadline and flushes. Returns true if any commit was
+    /// acknowledged.
+    fn pump_commits(&mut self) -> Result<bool> {
+        let mut acked = 0;
+        if self.scheduler.is_due(self.now()) {
+            acked += self.flush_server_log()?;
+        }
+        if acked == 0 {
+            if let Some(d) = self.scheduler.deadline() {
+                let now = self.now();
+                if d > now {
+                    self.net.advance_time(d - now);
+                }
+                if self.scheduler.is_due(self.now()) {
+                    acked += self.flush_server_log()?;
+                }
+            }
+        }
+        Ok(acked > 0)
+    }
+
+    /// Folds a driver-observed lock-queueing delay into the uniform
+    /// `locks/wait_us` histogram (the CBL cluster tracks these spans
+    /// itself; the baselines learn about them from the driver).
+    fn note_queue_wait(&mut self, _txn: TxnId, us: SimTime) {
+        self.registry.histogram(keys::LOCKS_WAIT_US).record(us);
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -981,7 +983,7 @@ mod tests {
         let mut s = sys(1);
         let c1 = NodeId(1);
         let t = s.begin(c1).unwrap();
-        s.write_u64(t, pid(0), 0, 7).unwrap();
+        s.write(t, pid(0), 0, 7).unwrap();
         let stats0 = s.network().stats();
         let forces0 = s.server_log().forces();
         s.commit(t).unwrap();
@@ -996,10 +998,10 @@ mod tests {
     fn values_round_trip_between_clients() {
         let mut s = sys(2);
         let t = s.begin(NodeId(1)).unwrap();
-        s.write_u64(t, pid(0), 0, 5).unwrap();
+        s.write(t, pid(0), 0, 5).unwrap();
         s.commit(t).unwrap();
         let t2 = s.begin(NodeId(2)).unwrap();
-        assert_eq!(s.read_u64(t2, pid(0), 0).unwrap(), 5);
+        assert_eq!(s.read(t2, pid(0), 0).unwrap(), 5);
         s.commit(t2).unwrap();
     }
 
@@ -1007,11 +1009,11 @@ mod tests {
     fn abort_without_shipping_is_local() {
         let mut s = sys(1);
         let t0 = s.begin(NodeId(1)).unwrap();
-        s.write_u64(t0, pid(0), 0, 1).unwrap();
+        s.write(t0, pid(0), 0, 1).unwrap();
         s.commit(t0).unwrap();
         let recs0 = s.server_log().records_appended();
         let t = s.begin(NodeId(1)).unwrap();
-        s.write_u64(t, pid(0), 0, 99).unwrap();
+        s.write(t, pid(0), 0, 99).unwrap();
         s.abort(t).unwrap();
         assert_eq!(
             s.server_log().records_appended(),
@@ -1019,7 +1021,7 @@ mod tests {
             "nothing shipped, nothing logged"
         );
         let t2 = s.begin(NodeId(1)).unwrap();
-        assert_eq!(s.read_u64(t2, pid(0), 0).unwrap(), 1);
+        assert_eq!(s.read(t2, pid(0), 0).unwrap(), 1);
         s.commit(t2).unwrap();
     }
 
@@ -1036,7 +1038,7 @@ mod tests {
     fn client_crash_recovers_committed_updates_server_side() {
         let mut s = sys(2);
         let t = s.begin(NodeId(1)).unwrap();
-        s.write_u64(t, pid(0), 0, 42).unwrap();
+        s.write(t, pid(0), 0, 42).unwrap();
         s.commit(t).unwrap();
         // Page image only in client 1's cache; client crashes.
         s.crash_client(NodeId(1));
@@ -1044,7 +1046,7 @@ mod tests {
         assert!(replayed >= 1);
         assert!(scanned > 0);
         let t2 = s.begin(NodeId(2)).unwrap();
-        assert_eq!(s.read_u64(t2, pid(0), 0).unwrap(), 42);
+        assert_eq!(s.read(t2, pid(0), 0).unwrap(), 42);
         s.commit(t2).unwrap();
     }
 
@@ -1052,14 +1054,14 @@ mod tests {
     fn client_crash_discards_unshipped_uncommitted_updates() {
         let mut s = sys(2);
         let t0 = s.begin(NodeId(1)).unwrap();
-        s.write_u64(t0, pid(0), 0, 10).unwrap();
+        s.write(t0, pid(0), 0, 10).unwrap();
         s.commit(t0).unwrap();
         let t1 = s.begin(NodeId(1)).unwrap();
-        s.write_u64(t1, pid(0), 0, 999).unwrap();
+        s.write(t1, pid(0), 0, 999).unwrap();
         s.crash_client(NodeId(1));
         s.recover_client(NodeId(1)).unwrap();
         let t2 = s.begin(NodeId(2)).unwrap();
-        assert_eq!(s.read_u64(t2, pid(0), 0).unwrap(), 10);
+        assert_eq!(s.read(t2, pid(0), 0).unwrap(), 10);
         s.commit(t2).unwrap();
     }
 
@@ -1079,13 +1081,13 @@ mod tests {
         })
         .unwrap();
         let t0 = s.begin(NodeId(1)).unwrap();
-        s.write_u64(t0, pid(0), 0, 10).unwrap();
+        s.write(t0, pid(0), 0, 10).unwrap();
         s.commit(t0).unwrap();
         let t1 = s.begin(NodeId(1)).unwrap();
-        s.write_u64(t1, pid(0), 0, 666).unwrap();
+        s.write(t1, pid(0), 0, 666).unwrap();
         // Touch other pages so pid(0) evicts (ships records + page).
         for i in 1..4 {
-            s.read_u64(t1, pid(i), 0).unwrap();
+            s.read(t1, pid(i), 0).unwrap();
         }
         assert!(
             s.server_log().records_appended() > 3,
@@ -1096,7 +1098,7 @@ mod tests {
         assert!(replayed >= 1);
         let t2 = s.begin(NodeId(2)).unwrap();
         assert_eq!(
-            s.read_u64(t2, pid(0), 0).unwrap(),
+            s.read(t2, pid(0), 0).unwrap(),
             10,
             "shipped-but-uncommitted update undone by the server"
         );
@@ -1107,11 +1109,11 @@ mod tests {
     fn callback_ships_page_through_server() {
         let mut s = sys(2);
         let t = s.begin(NodeId(1)).unwrap();
-        s.write_u64(t, pid(0), 0, 3).unwrap();
+        s.write(t, pid(0), 0, 3).unwrap();
         s.commit(t).unwrap();
         let stats0 = s.network().stats();
         let t2 = s.begin(NodeId(2)).unwrap();
-        s.write_u64(t2, pid(0), 0, 4).unwrap();
+        s.write(t2, pid(0), 0, 4).unwrap();
         s.commit(t2).unwrap();
         let d = s.network().stats().since(&stats0);
         assert!(d.count(MsgKind::Callback) >= 1);
@@ -1119,7 +1121,7 @@ mod tests {
         // records were already at the server (commit), so only page
         // traffic here.
         let t3 = s.begin(NodeId(1)).unwrap();
-        assert_eq!(s.read_u64(t3, pid(0), 0).unwrap(), 4);
+        assert_eq!(s.read(t3, pid(0), 0).unwrap(), 4);
         s.commit(t3).unwrap();
     }
 
@@ -1141,7 +1143,7 @@ mod tests {
         let mut txns = Vec::new();
         for cid in 1..=3u32 {
             let t = s.begin(NodeId(cid)).unwrap();
-            s.write_u64(t, pid(cid - 1), 0, 7).unwrap();
+            s.write(t, pid(cid - 1), 0, 7).unwrap();
             s.commit_submit(t).unwrap();
             txns.push(t);
         }
@@ -1180,7 +1182,7 @@ mod tests {
         })
         .unwrap();
         let t = s.begin(NodeId(1)).unwrap();
-        s.write_u64(t, pid(0), 0, 1).unwrap();
+        s.write(t, pid(0), 0, 1).unwrap();
         let syncs0 = s.server_log().store_syncs_counter().get();
         s.commit_submit(t).unwrap();
         assert!(
@@ -1198,7 +1200,7 @@ mod tests {
         assert!(s.server_log().store_syncs_counter().get() > syncs0);
         // The synchronous wrapper still works under Adaptive.
         let t2 = s.begin(NodeId(2)).unwrap();
-        s.write_u64(t2, pid(1), 0, 2).unwrap();
+        s.write(t2, pid(1), 0, 2).unwrap();
         s.commit(t2).unwrap();
         assert_eq!(s.commits_of(NodeId(2)), 1);
     }
@@ -1209,7 +1211,7 @@ mod tests {
         for round in 0..5u64 {
             for cid in 1..=3u32 {
                 let t = s.begin(NodeId(cid)).unwrap();
-                s.write_u64(t, pid(cid - 1), 0, round).unwrap();
+                s.write(t, pid(cid - 1), 0, round).unwrap();
                 s.commit(t).unwrap();
             }
         }

@@ -8,7 +8,7 @@
 //! with `n<id>/` so a full snapshot is addressable as
 //! `node/subsystem/metric` (e.g. `n1/wal/forces`).
 //!
-//! Like [`Counter`](crate::Counter), all handles are cheap clones
+//! Like [`Counter`], all handles are cheap clones
 //! sharing interior state — gauges via `Arc<AtomicI64>`, histograms
 //! and the registry via `Arc<Mutex<_>>` — so one instrumentation layer
 //! serves both the single-threaded simulator and the OS-thread-per-node

@@ -15,6 +15,10 @@
 //! the threaded engine is cross-checked byte-for-byte against the
 //! simulator on the same seeded plan list.
 //!
+//! [`drive`] is the simulator's one transaction driver: `Runtime::run`
+//! on [`Cluster`] calls it, and so does every experiment, over any
+//! [`System`] (the cluster or a baseline).
+//!
 //! Plans keep equivalence checkable under real concurrency: when each
 //! `(client, stream)` pair touches its own private pages, every page's
 //! update sequence is stream-local, so the final page images are
@@ -23,8 +27,10 @@
 
 use crate::recovery::{RecoveryOptions, RecoveryReport};
 use crate::Cluster;
-use cblog_common::{Error, NodeId, PageId, Result, Snapshot, TxnId};
-use std::collections::HashMap;
+use cblog_common::{Error, NodeId, PageId, Result, SimTime, Snapshot, TxnId};
+use cblog_locks::WaitsForGraph;
+use cblog_net::Network;
+use std::collections::{HashMap, VecDeque};
 
 /// One operation of a planned transaction.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -83,7 +89,12 @@ pub trait Runtime {
     fn name(&self) -> &'static str;
 
     /// Executes every plan (streams interleaved, each stream in
-    /// order) and returns the tally.
+    /// order) and returns the tally. The engines differ only in what a
+    /// lock conflict costs: the simulator's [`drive`] lets the blocked
+    /// plan wait and re-runs a deadlock victim at the back of its lane
+    /// (so it may commit after plans listed behind it); the threaded
+    /// engine retries a conflicting plan in place. Neither drops a
+    /// plan.
     fn run(&mut self, plans: &[TxnPlan]) -> Result<RunReport>;
 
     /// Serialized final image of `pid`, for cross-engine comparison.
@@ -119,117 +130,318 @@ pub fn lanes(plans: &[TxnPlan]) -> Vec<Vec<&TxnPlan>> {
     lanes
 }
 
-/// Per-stream execution state of the sim-backed driver.
-enum StreamState {
-    Idle,
-    Running { txn: TxnId, op: usize },
-    Committing { txn: TxnId },
+/// The transaction interface every simulated system offers the one
+/// plan driver, [`drive`]: the client-based-logging [`Cluster`] and the
+/// baselines the paper compares it against, so a comparison runs the
+/// same plans through the same loop.
+pub trait System {
+    /// Starts a transaction at `node`.
+    fn begin(&mut self, node: NodeId) -> Result<TxnId>;
+    /// Reads a counter slot.
+    fn read(&mut self, txn: TxnId, pid: PageId, slot: usize) -> Result<u64>;
+    /// Writes a counter slot.
+    fn write(&mut self, txn: TxnId, pid: PageId, slot: usize, value: u64) -> Result<()>;
+    /// Commits.
+    fn commit(&mut self, txn: TxnId) -> Result<()>;
+    /// Aborts (rolls back).
+    fn abort(&mut self, txn: TxnId) -> Result<()>;
+    /// The accounted network.
+    fn network(&self) -> &Network;
+    /// Submits a commit to the system's async commit pipeline: the
+    /// transaction's commit record is written and its locks release,
+    /// but durability is acknowledged via [`System::poll_committed`].
+    /// Systems without a pipeline commit synchronously here.
+    fn commit_submit(&mut self, txn: TxnId) -> Result<()> {
+        self.commit(txn)
+    }
+    /// True once a submitted commit is durable. Synchronous systems
+    /// are always done.
+    fn poll_committed(&mut self, txn: TxnId) -> Result<bool> {
+        let _ = txn;
+        Ok(true)
+    }
+    /// Drives the commit pipeline when nothing else can make progress
+    /// (e.g. advances the sim-clock to the next group-commit window
+    /// deadline). Returns true if any commit was acknowledged.
+    fn pump_commits(&mut self) -> Result<bool> {
+        Ok(false)
+    }
+    /// Reports a driver-level lock-queueing delay: `txn` spent `us`
+    /// sim-µs being retried before its blocked operation succeeded (or
+    /// it was aborted). Systems that already fold retry spans into
+    /// their own `locks/wait_us` histogram ignore this; the baselines
+    /// record it so all systems report one uniform wait metric.
+    fn note_queue_wait(&mut self, txn: TxnId, us: SimTime) {
+        let _ = (txn, us);
+    }
+    /// The system's recent protocol history and the lineage of `pid`,
+    /// if it can render one. Printed by an oracle when verification
+    /// finds a divergence on that page.
+    fn post_mortem(&self, pid: PageId) -> Option<String> {
+        let _ = pid;
+        None
+    }
+    /// Runs the system's online invariant watchdog over every span it
+    /// traced, failing with the offending lineage slice. Untraced
+    /// systems (and traced runs with no violations) return `Ok(())`;
+    /// [`drive`] calls this once at the end of every run.
+    fn trace_check(&self) -> Result<()> {
+        Ok(())
+    }
 }
 
-struct Stream<'a> {
-    plans: Vec<&'a TxnPlan>,
-    next: usize,
-    state: StreamState,
+/// What [`drive`] made of a plan list.
+#[derive(Debug)]
+pub struct Driven<'a> {
+    /// The tally.
+    pub report: RunReport,
+    /// The committed plans, in the order their commits were
+    /// acknowledged (the serialization order).
+    pub acked: Vec<&'a TxnPlan>,
 }
 
-/// The deterministic simulator as a [`Runtime`]: a round-robin driver
-/// over streams using the cluster's asynchronous commit interface
-/// (submit → poll → pump), so group-commit batching behaves exactly as
-/// it does under the full experiment driver.
+/// The transaction a lane is running.
+struct Active<'a> {
+    txn: TxnId,
+    plan: &'a TxnPlan,
+    next_op: usize,
+}
+
+/// Runs `plans` to completion over `sys`: the one transaction driver
+/// of the simulator.
+///
+/// Each sweep first acknowledges durable commits in submission order,
+/// stopping at the first pending one, then gives every [`lanes`] lane
+/// one step: begin its next plan and run its first operation, or run
+/// its next operation, or end it (abort a planned user abort, submit
+/// the commit of any other). A blocked operation is retried on the next
+/// sweep; its waits feed a waits-for graph, and a deadlock victim is
+/// aborted and its plan re-queued at the **back** of its lane. Transient
+/// errors (a lossy network) are retried the same way. When no lane can
+/// move, the driver pumps the commit pipeline, which may advance the
+/// sim-clock to the next group-commit deadline. The run ends with
+/// [`System::trace_check`].
+pub fn drive<'a, S: System>(sys: &mut S, plans: &'a [TxnPlan]) -> Result<Driven<'a>> {
+    let mut queues: Vec<VecDeque<&TxnPlan>> =
+        lanes(plans).into_iter().map(VecDeque::from).collect();
+    let mut active: Vec<Option<Active>> = (0..queues.len()).map(|_| None).collect();
+    let mut wfg = WaitsForGraph::new();
+    // Transactions whose commit has been submitted but not yet
+    // acknowledged durable, in submission (= serialization) order.
+    let mut committing: VecDeque<(TxnId, &TxnPlan)> = VecDeque::new();
+    // First-block sim-times of driver-level retry spans, reported to
+    // the system via note_queue_wait when the blocked op finally runs.
+    let mut blocked_since: HashMap<TxnId, SimTime> = HashMap::new();
+    let mut report = RunReport::default();
+    let mut acked = Vec::new();
+
+    loop {
+        let mut progressed = false;
+        let mut all_done = true;
+        // Acknowledge durable commits in submission order. Stopping at
+        // the first pending one keeps the acknowledgement order
+        // identical to the serialization order.
+        while let Some(&(txn, plan)) = committing.front() {
+            if sys.poll_committed(txn)? {
+                committing.pop_front();
+                acked.push(plan);
+                report.committed += 1;
+                progressed = true;
+            } else {
+                break;
+            }
+        }
+        for lane in 0..queues.len() {
+            // Ensure an active transaction.
+            if active[lane].is_none() {
+                let Some(plan) = queues[lane].pop_front() else {
+                    continue;
+                };
+                all_done = false;
+                match sys.begin(plan.client) {
+                    Ok(txn) => {
+                        active[lane] = Some(Active {
+                            txn,
+                            plan,
+                            next_op: 0,
+                        });
+                        progressed = true;
+                    }
+                    Err(e) if e.is_transient() => {
+                        queues[lane].push_front(plan);
+                        continue;
+                    }
+                    Err(e) => return Err(e),
+                }
+            }
+            all_done = false;
+            // Execute one step of the active transaction.
+            let a = active[lane].as_mut().expect("just ensured");
+            let txn = a.txn;
+            let Some(&op) = a.plan.ops.get(a.next_op) else {
+                // Terminate.
+                let a = active[lane].take().expect("active");
+                wfg.remove(a.txn);
+                blocked_since.remove(&a.txn);
+                if a.plan.abort {
+                    sys.abort(a.txn)?;
+                    report.user_aborts += 1;
+                } else {
+                    // Async commit: the commit counts when the ack
+                    // arrives (poll loop above), so concurrent
+                    // submissions can share one log force.
+                    sys.commit_submit(a.txn)?;
+                    committing.push_back((a.txn, a.plan));
+                }
+                progressed = true;
+                continue;
+            };
+            let r = match op {
+                PlanOp::Read { pid, slot } => sys.read(txn, pid, slot).map(|_| ()),
+                PlanOp::Write { pid, slot, value } => sys.write(txn, pid, slot, value),
+            };
+            match r {
+                Ok(()) => {
+                    if let Some(t0) = blocked_since.remove(&txn) {
+                        let now = sys.network().clock().now();
+                        sys.note_queue_wait(txn, now.saturating_sub(t0));
+                    }
+                    a.next_op += 1;
+                    report.ops_executed += 1;
+                    wfg.remove(txn);
+                    progressed = true;
+                }
+                Err(Error::WouldBlock { holders, .. }) => {
+                    blocked_since
+                        .entry(txn)
+                        .or_insert_with(|| sys.network().clock().now());
+                    wfg.set_waits(txn, &holders);
+                    if let Some(victim) = wfg.find_victim() {
+                        abort_victim(
+                            sys,
+                            &mut active,
+                            &mut queues,
+                            &mut wfg,
+                            &mut blocked_since,
+                            victim,
+                        )?;
+                        report.forced_aborts += 1;
+                        progressed = true;
+                    }
+                }
+                Err(e) if e.is_transient() => {
+                    blocked_since
+                        .entry(txn)
+                        .or_insert_with(|| sys.network().clock().now());
+                }
+                Err(e) => return Err(e),
+            }
+        }
+        if all_done && active.iter().all(Option::is_none) && committing.is_empty() {
+            break;
+        }
+        if !progressed {
+            // Everything runnable is drained; drive the commit pipeline
+            // (this may advance the sim-clock to the next group-commit
+            // window deadline).
+            if !committing.is_empty() && sys.pump_commits()? {
+                continue;
+            }
+            return Err(Error::Protocol(
+                "driver made no progress: transactions blocked with no deadlock victim".into(),
+            ));
+        }
+    }
+    // Every span the run produced has already been checked online as
+    // it was emitted; this surfaces the first violation (with its
+    // lineage slice) as a hard error so no run passes on a broken
+    // invariant.
+    sys.trace_check()?;
+    Ok(Driven { report, acked })
+}
+
+/// Aborts deadlock victim `victim` and re-queues its plan at the back
+/// of its lane, to run again from its first operation.
+fn abort_victim<'a, S: System>(
+    sys: &mut S,
+    active: &mut [Option<Active<'a>>],
+    queues: &mut [VecDeque<&'a TxnPlan>],
+    wfg: &mut WaitsForGraph,
+    blocked_since: &mut HashMap<TxnId, SimTime>,
+    victim: TxnId,
+) -> Result<()> {
+    let lane = active
+        .iter()
+        .position(|a| a.as_ref().is_some_and(|a| a.txn == victim))
+        .ok_or_else(|| Error::Protocol(format!("victim {victim} not active")))?;
+    let a = active[lane].take().expect("found above");
+    if let Some(t0) = blocked_since.remove(&victim) {
+        let now = sys.network().clock().now();
+        sys.note_queue_wait(victim, now.saturating_sub(t0));
+    }
+    sys.abort(victim)?;
+    wfg.remove(victim);
+    queues[lane].push_back(a.plan);
+    Ok(())
+}
+
+// note_queue_wait stays the default no-op: the cluster folds driver
+// retry spans into locks/wait_us through its own wait tracking.
+impl System for Cluster {
+    fn begin(&mut self, node: NodeId) -> Result<TxnId> {
+        Cluster::begin(self, node)
+    }
+
+    fn read(&mut self, txn: TxnId, pid: PageId, slot: usize) -> Result<u64> {
+        self.read_u64(txn, pid, slot)
+    }
+
+    fn write(&mut self, txn: TxnId, pid: PageId, slot: usize, value: u64) -> Result<()> {
+        self.write_u64(txn, pid, slot, value)
+    }
+
+    fn commit(&mut self, txn: TxnId) -> Result<()> {
+        Cluster::commit(self, txn)
+    }
+
+    fn abort(&mut self, txn: TxnId) -> Result<()> {
+        Cluster::abort(self, txn)
+    }
+
+    fn network(&self) -> &Network {
+        Cluster::network(self)
+    }
+
+    fn commit_submit(&mut self, txn: TxnId) -> Result<()> {
+        Cluster::commit_submit(self, txn)
+    }
+
+    fn poll_committed(&mut self, txn: TxnId) -> Result<bool> {
+        Cluster::poll_committed(self, txn)
+    }
+
+    fn pump_commits(&mut self) -> Result<bool> {
+        Cluster::pump_commits(self)
+    }
+
+    fn post_mortem(&self, pid: PageId) -> Option<String> {
+        Some(Cluster::post_mortem(self, pid))
+    }
+
+    fn trace_check(&self) -> Result<()> {
+        Cluster::trace_check(self)
+    }
+}
+
+/// The deterministic simulator as a [`Runtime`]: the plans run through
+/// [`drive`], the same loop every simulated system runs under.
 impl Runtime for Cluster {
     fn name(&self) -> &'static str {
         "sim"
     }
 
     fn run(&mut self, plans: &[TxnPlan]) -> Result<RunReport> {
-        let mut report = RunReport::default();
-        let mut streams: Vec<Stream> = lanes(plans)
-            .into_iter()
-            .map(|plans| Stream {
-                plans,
-                next: 0,
-                state: StreamState::Idle,
-            })
-            .collect();
-
-        loop {
-            let mut progressed = false;
-            let mut live = false;
-            for s in streams.iter_mut() {
-                match s.state {
-                    StreamState::Idle => {
-                        if s.next >= s.plans.len() {
-                            continue;
-                        }
-                        live = true;
-                        let txn = self.begin(s.plans[s.next].client)?;
-                        s.state = StreamState::Running { txn, op: 0 };
-                        progressed = true;
-                    }
-                    StreamState::Running { txn, op } => {
-                        live = true;
-                        let plan = s.plans[s.next];
-                        if op < plan.ops.len() {
-                            let res = match plan.ops[op] {
-                                PlanOp::Read { pid, slot } => {
-                                    self.read_u64(txn, pid, slot).map(|_| ())
-                                }
-                                PlanOp::Write { pid, slot, value } => {
-                                    self.write_u64(txn, pid, slot, value)
-                                }
-                            };
-                            match res {
-                                Ok(()) => {
-                                    report.ops_executed += 1;
-                                    s.state = StreamState::Running { txn, op: op + 1 };
-                                    progressed = true;
-                                }
-                                Err(Error::WouldBlock { .. }) => {
-                                    // Plans for equivalence runs use
-                                    // private pages, so a conflict
-                                    // means cross-stream contention:
-                                    // abort, consume the plan.
-                                    self.abort(txn)?;
-                                    report.forced_aborts += 1;
-                                    s.next += 1;
-                                    s.state = StreamState::Idle;
-                                    progressed = true;
-                                }
-                                Err(e) => return Err(e),
-                            }
-                        } else if plan.abort {
-                            self.abort(txn)?;
-                            report.user_aborts += 1;
-                            s.next += 1;
-                            s.state = StreamState::Idle;
-                            progressed = true;
-                        } else {
-                            self.commit_submit(txn)?;
-                            s.state = StreamState::Committing { txn };
-                            progressed = true;
-                        }
-                    }
-                    StreamState::Committing { txn } => {
-                        live = true;
-                        if self.poll_committed(txn)? {
-                            report.committed += 1;
-                            s.next += 1;
-                            s.state = StreamState::Idle;
-                            progressed = true;
-                        }
-                    }
-                }
-            }
-            if !live {
-                break;
-            }
-            if !progressed {
-                // Everyone is waiting on a group-commit window:
-                // advance the simulated clock until a flush fires.
-                self.pump_commits()?;
-            }
-        }
-        Ok(report)
+        Ok(drive(self, plans)?.report)
     }
 
     fn page_image(&mut self, pid: PageId) -> Result<Vec<u8>> {
@@ -390,6 +602,6 @@ mod tests {
             })
             .collect();
         let report = Runtime::run(&mut c, &plans).unwrap();
-        assert_eq!(report.committed + report.forced_aborts, 3);
+        assert_eq!(report.committed, 3);
     }
 }

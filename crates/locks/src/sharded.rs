@@ -20,7 +20,8 @@
 //! thread that panics holding a shard leaves it poisoned but valid,
 //! and the shard keeps working.
 //!
-//! Lock holders are opaque `u64` tokens rather than [`TxnId`]s so the
+//! Lock holders are opaque `u64` tokens rather than
+//! [`TxnId`](cblog_common::TxnId)s so the
 //! table stays agnostic of who is locking: the runtime packs
 //! `(node << 48) | txn_seq` into the token. Acquisition is
 //! non-blocking (`try_acquire` returns `false` on conflict) — the

@@ -16,26 +16,7 @@ use cblog_core::{
     ReplayMode, RunReport, Runtime, TxnPlan,
 };
 use cblog_rt::{ThreadCluster, ThreadClusterConfig, WalBacking};
-use cblog_sim::workload::{self, Op, TxnSpec, WorkloadConfig};
-
-fn to_plans(specs: &[TxnSpec], stream: usize) -> Vec<TxnPlan> {
-    specs
-        .iter()
-        .map(|s| TxnPlan {
-            client: s.client,
-            stream,
-            ops: s
-                .ops
-                .iter()
-                .map(|op| match *op {
-                    Op::Read { pid, slot } => PlanOp::Read { pid, slot },
-                    Op::Write { pid, slot, value } => PlanOp::Write { pid, slot, value },
-                })
-                .collect(),
-            abort: s.user_abort,
-        })
-        .collect()
-}
+use cblog_sim::workload::{self, WorkloadConfig};
 
 /// Runs `plans` on both engines and asserts equal reports and
 /// byte-identical final images of every page.
@@ -110,13 +91,12 @@ fn workload_a_write_heavy_no_aborts() {
     let all: Vec<PageId> = (0..4)
         .flat_map(|o| workload::owned_pages(NodeId(o), 8))
         .collect();
-    let specs = workload::generate(
+    let plans = workload::generate(
         &cfg,
         &nodes(4),
         &all,
         Some(&|c: NodeId| workload::owned_pages(c, 8)),
     );
-    let plans = to_plans(&specs, 0);
     let (_, rt_report) = cross_check(&owned, GroupCommitPolicy::Immediate, &plans);
     assert!(rt_report.committed > 0);
 }
@@ -135,13 +115,12 @@ fn workload_b_user_aborts_under_window_policy() {
     let all: Vec<PageId> = (0..3)
         .flat_map(|o| workload::owned_pages(NodeId(o), 6))
         .collect();
-    let specs = workload::generate(
+    let plans = workload::generate(
         &cfg,
         &nodes(3),
         &all,
         Some(&|c: NodeId| workload::owned_pages(c, 6)),
     );
-    let plans = to_plans(&specs, 0);
     let policy = GroupCommitPolicy::Window {
         window_us: 300,
         max_batch: 8,
@@ -175,8 +154,8 @@ fn workload_c_two_streams_per_node() {
             Some(&move |c: NodeId| (lo..lo + 4).map(|i| PageId::new(c, i)).collect()),
         )
     };
-    let mut plans = to_plans(&mk(99, 0), 0);
-    plans.extend(to_plans(&mk(100, 4), 1));
+    let mut plans = mk(99, 0);
+    plans.extend(mk(100, 4).into_iter().map(|p| TxnPlan { stream: 1, ..p }));
     let policy = GroupCommitPolicy::Adaptive {
         min_window_us: 50,
         max_window_us: 2_000,
@@ -222,6 +201,33 @@ fn workload_d_remote_reads_of_quiescent_pages() {
     let (_, rt_report) = cross_check(&owned, GroupCommitPolicy::Immediate, &plans);
     assert_eq!(rt_report.committed, 20);
     assert_eq!(rt_report.user_aborts, 4);
+}
+
+#[test]
+fn workload_e_two_streams_share_pages_on_disjoint_slots() {
+    // Both streams of node 0 write the same two pages, each in its own
+    // slot: the second stream's write waits on the first's page lock,
+    // and no plan may be dropped for it. Slot-disjoint writes still
+    // leave one final image whatever the interleaving.
+    let mut plans = Vec::new();
+    for t in 0..10u64 {
+        for stream in 0..2 {
+            let write = |index| PlanOp::Write {
+                pid: PageId::new(NodeId(0), index),
+                slot: stream,
+                value: 100 * stream as u64 + t,
+            };
+            plans.push(TxnPlan {
+                client: NodeId(0),
+                stream,
+                ops: vec![write(0), write(1)],
+                abort: false,
+            });
+        }
+    }
+    let (sim_report, rt_report) = cross_check(&[2, 2], GroupCommitPolicy::Immediate, &plans);
+    assert_eq!(sim_report.committed, 20);
+    assert_eq!(rt_report.committed, 20);
 }
 
 // ---- recovery equivalence -------------------------------------------------

@@ -17,7 +17,7 @@ use super::{cbl_cluster, csa_cluster, pages0, PAGE_SIZE};
 use crate::report::{f, Table};
 use cblog_baselines::{PcaCluster, PcaConfig};
 use cblog_common::{CostModel, NodeId};
-use cblog_core::GroupCommitPolicy;
+use cblog_core::{GroupCommitPolicy, System};
 
 const TXNS: u64 = 50;
 const PAGES: u32 = 8;
@@ -83,14 +83,14 @@ fn run_csa(k: usize) -> (f64, f64) {
     let pages = pages0(PAGES);
     let t = s.begin(NodeId(1)).unwrap();
     for p in &pages {
-        s.write_u64(t, *p, 0, 1).unwrap();
+        s.write(t, *p, 0, 1).unwrap();
     }
     s.commit(t).unwrap();
     let s0 = s.network().stats();
     for i in 0..TXNS {
         let t = s.begin(NodeId(1)).unwrap();
         for p in pages.iter().take(k) {
-            s.write_u64(t, *p, 1, i).unwrap();
+            s.write(t, *p, 1, i).unwrap();
         }
         s.commit(t).unwrap();
     }
@@ -114,7 +114,7 @@ fn run_pca(k: usize) -> (f64, f64, f64) {
     let pages = pages0(PAGES);
     let t = s.begin(NodeId(1)).unwrap();
     for p in &pages {
-        s.write_u64(t, *p, 0, 1).unwrap();
+        s.write(t, *p, 0, 1).unwrap();
     }
     s.commit(t).unwrap();
     let s0 = s.network().stats();
@@ -122,7 +122,7 @@ fn run_pca(k: usize) -> (f64, f64, f64) {
     for i in 0..TXNS {
         let t = s.begin(NodeId(1)).unwrap();
         for p in pages.iter().take(k) {
-            s.write_u64(t, *p, 1, i).unwrap();
+            s.write(t, *p, 1, i).unwrap();
         }
         s.commit(t).unwrap();
     }

@@ -15,7 +15,7 @@ use super::{pages0, PAGE_SIZE};
 use crate::report::{f, Table};
 use cblog_baselines::{ServerClientConfig, ServerCluster};
 use cblog_common::{CostModel, NodeId};
-use cblog_core::{Cluster, ClusterConfig, GroupCommitPolicy};
+use cblog_core::{Cluster, ClusterConfig, GroupCommitPolicy, System};
 
 const TXNS: u64 = 50;
 
@@ -90,13 +90,13 @@ pub fn run_csa(mult: u64) -> f64 {
     let pages = pages0(4);
     let t = s.begin(NodeId(1)).unwrap();
     for p in &pages {
-        s.write_u64(t, *p, 0, 1).unwrap();
+        s.write(t, *p, 0, 1).unwrap();
     }
     s.commit(t).unwrap();
     let t0 = s.network().clock().now();
     for i in 0..TXNS {
         let t = s.begin(NodeId(1)).unwrap();
-        s.write_u64(t, pages[(i % 4) as usize], 1, i).unwrap();
+        s.write(t, pages[(i % 4) as usize], 1, i).unwrap();
         s.commit(t).unwrap();
     }
     (s.network().clock().now() - t0) as f64 / 1000.0

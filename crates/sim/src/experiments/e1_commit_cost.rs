@@ -11,7 +11,7 @@ use super::{cbl_cluster, cbl_cluster_gc, csa_cluster, pages0};
 use crate::report::{f, Table};
 use cblog_common::metrics::keys;
 use cblog_common::{HistogramSnapshot, NodeId, TxnId};
-use cblog_core::GroupCommitPolicy;
+use cblog_core::{GroupCommitPolicy, System};
 
 const TXNS: u64 = 100;
 
@@ -247,7 +247,7 @@ fn run_csa(updates: usize) -> (f64, f64, f64) {
     let pages = pages0(4);
     let t = s.begin(client).unwrap();
     for p in &pages {
-        s.write_u64(t, *p, 0, 1).unwrap();
+        s.write(t, *p, 0, 1).unwrap();
     }
     s.commit(t).unwrap();
     let s0 = s.network().stats();
@@ -256,7 +256,7 @@ fn run_csa(updates: usize) -> (f64, f64, f64) {
         let t = s.begin(client).unwrap();
         for u in 0..updates {
             let p = pages[u % pages.len()];
-            s.write_u64(t, p, u % 8, i * 100 + u as u64).unwrap();
+            s.write(t, p, u % 8, i * 100 + u as u64).unwrap();
         }
         s.commit(t).unwrap();
     }

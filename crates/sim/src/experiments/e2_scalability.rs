@@ -90,10 +90,13 @@ pub fn run_one_two_owners(clients: usize) -> (f64, f64) {
     let specs = generate(&cfg, &client_ids, &base, Some(&private));
     let stats = run_workload(&mut c, specs).expect("run");
     let busy = stats.max_busy.max(1);
-    (stats.committed as f64 / (busy as f64 / 1e6), busy as f64)
+    (
+        stats.report.committed as f64 / (busy as f64 / 1e6),
+        busy as f64,
+    )
 }
 
-fn specs(clients: usize) -> Vec<crate::workload::TxnSpec> {
+fn specs(clients: usize) -> Vec<cblog_core::TxnPlan> {
     let cfg = WorkloadConfig {
         txns_per_client: TXNS,
         ops_per_txn: 4,
@@ -123,12 +126,12 @@ pub fn run_one(clients: usize, cbl: bool) -> (f64, f64) {
     if cbl {
         let mut c = cbl_cluster(clients, pages, PAGES_PER_CLIENT as usize * 2);
         let stats = run_workload(&mut c, specs(clients)).expect("run");
-        committed = stats.committed;
+        committed = stats.report.committed;
         busy = stats.max_busy.max(1);
     } else {
         let mut s = csa_cluster(clients, pages, PAGES_PER_CLIENT as usize * 2);
         let stats = run_workload(&mut s, specs(clients)).expect("run");
-        committed = stats.committed;
+        committed = stats.report.committed;
         busy = stats.max_busy.max(1);
     }
     let tput = committed as f64 / (busy as f64 / 1e6);

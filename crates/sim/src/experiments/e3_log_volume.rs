@@ -42,7 +42,7 @@ pub fn run() -> Table {
     t
 }
 
-fn wl(ratio: f64) -> Vec<crate::workload::TxnSpec> {
+fn wl(ratio: f64) -> Vec<cblog_core::TxnPlan> {
     let cfg = WorkloadConfig {
         txns_per_client: 150,
         ops_per_txn: 6,

@@ -11,6 +11,7 @@ use crate::driver::run_workload;
 use crate::report::{f, Table};
 use crate::workload::{generate, WorkloadConfig};
 use cblog_common::NodeId;
+use cblog_core::System;
 
 /// Sweeps the number of clients.
 pub fn run() -> Table {
@@ -32,7 +33,7 @@ pub fn run() -> Table {
     t
 }
 
-pub(crate) fn warm(clients: usize) -> Vec<crate::workload::TxnSpec> {
+pub(crate) fn warm(clients: usize) -> Vec<cblog_core::TxnPlan> {
     let cfg = WorkloadConfig {
         txns_per_client: 10,
         ops_per_txn: 4,

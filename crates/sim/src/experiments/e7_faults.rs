@@ -105,7 +105,7 @@ pub fn run_one(p: f64, seed: u64) -> FaultRow {
     let after = c.network().fault_stats();
     let verified = stats.oracle.verify(&mut c, NodeId(1)).expect("oracle");
     FaultRow {
-        committed: stats.committed,
+        committed: stats.report.committed,
         drops: after.dropped,
         retries,
         torn_bytes: rep.torn_bytes_discarded,

@@ -52,7 +52,7 @@ pub fn run_one(traced: bool) -> OverheadRow {
     let trace = c.tracer().snapshot();
     OverheadRow {
         traced,
-        committed: stats.committed,
+        committed: stats.report.committed,
         sim_us: stats.sim_time,
         msgs: stats.net.total_messages(),
         bytes: stats.net.total_bytes(),

@@ -67,12 +67,12 @@ pub fn run_one(abort_prob: f64, frames: usize) -> RollbackRow {
     // isolate abort-phase messages.
     let mut no_abort = specs.clone();
     for s in &mut no_abort {
-        s.user_abort = false;
+        s.abort = false;
     }
     let mut c_ref = cbl_cluster(1, 8, frames);
     let ref_stats = run_workload(&mut c_ref, no_abort).expect("ref");
     let stats = run_workload(&mut c, specs).expect("run");
-    let aborts = stats.user_aborts.max(1);
+    let aborts = stats.report.user_aborts.max(1);
     let extra = stats
         .net
         .total_messages()
@@ -80,7 +80,7 @@ pub fn run_one(abort_prob: f64, frames: usize) -> RollbackRow {
     let ref_recs = c_ref.node(NodeId(1)).log().records_appended();
     let recs = c.node(NodeId(1)).log().records_appended();
     RollbackRow {
-        aborts: stats.user_aborts,
+        aborts: stats.report.user_aborts,
         msgs_per_abort: extra as f64 / aborts as f64,
         clrs: recs.saturating_sub(ref_recs),
     }

@@ -1,8 +1,8 @@
-//! Experiment harness: workload generation, a deterministic
-//! transaction driver that works over both the client-based-logging
-//! cluster and the server-logging baseline, a committed-state oracle,
-//! plain-text report tables, and the T1/E1–E11/A1 experiment suite mapped
-//! out in `DESIGN.md`.
+//! Experiment harness: workload generation, a workload runner over
+//! the one deterministic plan driver (`cblog_core::drive`, shared by
+//! the client-based-logging cluster and the baselines), a
+//! committed-state oracle, plain-text report tables, and the
+//! T1/E1–E11/A1 experiment suite mapped out in `DESIGN.md`.
 
 #![forbid(unsafe_code)]
 
@@ -14,7 +14,8 @@ pub mod report;
 pub mod tracedump;
 pub mod workload;
 
-pub use driver::{run_workload, RunStats, System};
+pub use cblog_core::System;
+pub use driver::{run_workload, RunStats};
 pub use oracle::Oracle;
 pub use report::Table;
-pub use workload::{Op, TransferSpec, TxnSpec, WorkloadConfig};
+pub use workload::{TransferSpec, WorkloadConfig};

@@ -1,14 +1,14 @@
 //! Committed-state oracle: the golden model of what the database must
 //! contain after a run (plus crashes and recoveries).
 //!
-//! The driver records every write of a transaction and folds it into
-//! the oracle only at commit time. Verification then reads every
-//! tracked slot back through a fresh transaction and compares —
-//! durability (committed updates survive) and atomicity (aborted and
-//! loser updates do not) in one check.
+//! `run_workload` folds the writes of every committed plan into the
+//! oracle, in the order the commits were acknowledged. Verification
+//! then reads every tracked slot back through a fresh transaction and
+//! compares — durability (committed updates survive) and atomicity
+//! (aborted and loser updates do not) in one check.
 
-use crate::driver::System;
 use cblog_common::{PageId, Result};
+use cblog_core::System;
 use std::collections::HashMap;
 
 /// A tracked slot: page + counter-slot index.

@@ -1,53 +1,7 @@
 //! Parameterized workload generation (seeded, reproducible).
 
 use cblog_common::{NodeId, PageId, Rng};
-
-/// One operation of a transaction.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Op {
-    /// Read a counter slot.
-    Read {
-        /// Target page.
-        pid: PageId,
-        /// Slot within the page.
-        slot: usize,
-    },
-    /// Overwrite a counter slot.
-    Write {
-        /// Target page.
-        pid: PageId,
-        /// Slot within the page.
-        slot: usize,
-        /// Value written.
-        value: u64,
-    },
-}
-
-impl Op {
-    /// The page the operation touches.
-    pub fn pid(&self) -> PageId {
-        match self {
-            Op::Read { pid, .. } | Op::Write { pid, .. } => *pid,
-        }
-    }
-
-    /// True for writes.
-    pub fn is_write(&self) -> bool {
-        matches!(self, Op::Write { .. })
-    }
-}
-
-/// A full transaction to execute at a client.
-#[derive(Clone, Debug)]
-pub struct TxnSpec {
-    /// Node the transaction runs on.
-    pub client: NodeId,
-    /// Operations in order.
-    pub ops: Vec<Op>,
-    /// If true the transaction is rolled back instead of committed
-    /// (user-initiated abort).
-    pub user_abort: bool,
-}
+use cblog_core::{PlanOp, TxnPlan};
 
 /// Workload shape parameters.
 #[derive(Clone, Debug)]
@@ -85,21 +39,21 @@ impl Default for WorkloadConfig {
     }
 }
 
-/// Generates per-client transaction queues over `pages`. Each client
-/// draws from the same page population (sharing governed by hot-set
-/// skew); `private_pages`, if given, maps each client to a disjoint
-/// page subset instead (contention-free workloads for bottleneck
-/// experiments).
+/// Generates per-client transaction queues over `pages`, every plan on
+/// stream 0 of its client. Each client draws from the same page
+/// population (sharing governed by hot-set skew); `private_pages`, if
+/// given, maps each client to a disjoint page subset instead
+/// (contention-free workloads for bottleneck experiments).
 pub fn generate(
     cfg: &WorkloadConfig,
     clients: &[NodeId],
     pages: &[PageId],
     private_pages: Option<&dyn Fn(NodeId) -> Vec<PageId>>,
-) -> Vec<TxnSpec> {
+) -> Vec<TxnPlan> {
     assert!(!pages.is_empty(), "workload needs pages");
     let mut rng = Rng::seed_from_u64(cfg.seed);
     let hot_n = ((pages.len() as f64 * cfg.hot_fraction).ceil() as usize).clamp(1, pages.len());
-    let mut specs = Vec::with_capacity(clients.len() * cfg.txns_per_client);
+    let mut plans = Vec::with_capacity(clients.len() * cfg.txns_per_client);
     let mut val = 1u64;
     for &client in clients {
         let pool: Vec<PageId> = match private_pages {
@@ -119,24 +73,25 @@ pub fn generate(
                 let slot = rng.gen_range_usize(0..cfg.slots_per_page);
                 if rng.gen_bool(cfg.write_ratio) {
                     val += 1;
-                    ops.push(Op::Write {
+                    ops.push(PlanOp::Write {
                         pid,
                         slot,
                         value: val,
                     });
                 } else {
-                    ops.push(Op::Read { pid, slot });
+                    ops.push(PlanOp::Read { pid, slot });
                 }
             }
-            let user_abort = cfg.abort_prob > 0.0 && rng.gen_bool(cfg.abort_prob);
-            specs.push(TxnSpec {
+            let abort = cfg.abort_prob > 0.0 && rng.gen_bool(cfg.abort_prob);
+            plans.push(TxnPlan {
                 client,
+                stream: 0,
                 ops,
-                user_abort,
+                abort,
             });
         }
     }
-    specs
+    plans
 }
 
 /// All pages owned by `owner` for a cluster with `count` pages there.
@@ -199,6 +154,12 @@ pub fn generate_transfers(
 mod tests {
     use super::*;
 
+    fn pid(op: &PlanOp) -> PageId {
+        match *op {
+            PlanOp::Read { pid, .. } | PlanOp::Write { pid, .. } => pid,
+        }
+    }
+
     #[test]
     fn generation_is_deterministic() {
         let cfg = WorkloadConfig::default();
@@ -210,7 +171,7 @@ mod tests {
         for (x, y) in a.iter().zip(&b) {
             assert_eq!(x.ops, y.ops);
             assert_eq!(x.client, y.client);
-            assert_eq!(x.user_abort, y.user_abort);
+            assert_eq!(x.abort, y.abort);
         }
     }
 
@@ -227,7 +188,7 @@ mod tests {
         for s in &specs {
             for op in &s.ops {
                 total += 1;
-                if op.is_write() {
+                if matches!(op, PlanOp::Write { .. }) {
                     w += 1;
                 }
             }
@@ -251,7 +212,7 @@ mod tests {
         for s in &specs {
             for op in &s.ops {
                 total += 1;
-                if hot_set.contains(&op.pid()) {
+                if hot_set.contains(&pid(op)) {
                     hot += 1;
                 }
             }
@@ -278,9 +239,9 @@ mod tests {
         for s in &specs {
             for op in &s.ops {
                 if s.client == NodeId(1) {
-                    assert!(op.pid().index < 4);
+                    assert!(pid(op).index < 4);
                 } else {
-                    assert!(op.pid().index >= 4);
+                    assert!(pid(op).index >= 4);
                 }
             }
         }
@@ -313,7 +274,7 @@ mod tests {
             ..WorkloadConfig::default()
         };
         let specs = generate(&cfg, &[NodeId(1)], &owned_pages(NodeId(0), 4), None);
-        let aborts = specs.iter().filter(|s| s.user_abort).count();
+        let aborts = specs.iter().filter(|s| s.abort).count();
         assert!((20..80).contains(&aborts), "aborts {aborts}");
     }
 }

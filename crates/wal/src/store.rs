@@ -276,7 +276,7 @@ static ZEROS: [u8; 64 * 1024] = [0; 64 * 1024];
 /// journal the extent's conversion; only a write over blocks that were
 /// already written flushes data alone, which on this class of device
 /// halves the force. So before an append would pass the reserved end
-/// the store writes real zeros ahead ([`FileLogStore::reserve`]), and
+/// the store writes real zeros ahead (`FileLogStore::reserve`), and
 /// steady-state appends overwrite them.
 ///
 /// **Invariant: every byte in `[len, physical_len)` is zero.** A zero

@@ -45,8 +45,8 @@ fn main() {
     let stats = run_workload(&mut cluster, specs).expect("workload");
     println!(
         "workload: {} committed, {} deadlock retries, {} messages, sim {} ms",
-        stats.committed,
-        stats.deadlock_aborts,
+        stats.report.committed,
+        stats.report.forced_aborts,
         stats.net.total_messages(),
         stats.sim_time / 1000
     );

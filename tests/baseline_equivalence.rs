@@ -37,7 +37,7 @@ fn csa() -> ServerCluster {
     .unwrap()
 }
 
-fn wl(seed: u64) -> Vec<workload::TxnSpec> {
+fn wl(seed: u64) -> Vec<cblog_core::TxnPlan> {
     let cfg = WorkloadConfig {
         txns_per_client: 40,
         ops_per_txn: 5,
@@ -105,13 +105,16 @@ fn cost_profiles_differ_as_the_paper_argues() {
     let s_cbl = run_workload(&mut cbl, wl(7)).unwrap();
     let s_srv = run_workload(&mut srv, wl(7)).unwrap();
     // Same committed work.
-    assert_eq!(s_cbl.committed, s_srv.committed);
+    assert_eq!(s_cbl.report.committed, s_srv.report.committed);
     // CBL ships no log records; CSA ships one batch per commit.
     assert_eq!(s_cbl.net.count(MsgKind::LogShip), 0);
-    assert!(s_srv.net.count(MsgKind::LogShip) >= s_srv.committed);
+    assert!(s_srv.net.count(MsgKind::LogShip) >= s_srv.report.committed);
     // CSA pays the commit round trip.
     assert_eq!(s_cbl.net.count(MsgKind::CommitRequest), 0);
-    assert_eq!(s_srv.net.count(MsgKind::CommitRequest), s_srv.committed);
+    assert_eq!(
+        s_srv.net.count(MsgKind::CommitRequest),
+        s_srv.report.committed
+    );
     // CBL's disk forces are spread over the clients; CSA's land on the
     // server.
     let cbl_client_io = cbl.network().disk_ios_of(NodeId(1)) + cbl.network().disk_ios_of(NodeId(2));
@@ -129,7 +132,7 @@ fn force_on_transfer_only_adds_disk_writes_never_changes_reads() {
     let mut fot = force_on_transfer_cluster(cbl_cfg()).unwrap();
     let s1 = run_workload(&mut cbl, wl(13)).unwrap();
     let s2 = run_workload(&mut fot, wl(13)).unwrap();
-    assert_eq!(s1.committed, s2.committed);
+    assert_eq!(s1.report.committed, s2.report.committed);
     let io1 = cbl.network().disk_ios_of(NodeId(0));
     let io2 = fot.network().disk_ios_of(NodeId(0));
     assert!(

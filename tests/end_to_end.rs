@@ -36,7 +36,7 @@ fn mixed_workload_two_clients_verifies() {
     };
     let specs = workload::generate(&cfg, &[NodeId(1), NodeId(2)], &pages(0, 8), None);
     let stats = run_workload(&mut c, specs).unwrap();
-    assert_eq!(stats.committed, 80);
+    assert_eq!(stats.report.committed, 80);
     let n = stats.oracle.verify(&mut c, NodeId(1)).unwrap();
     assert!(n > 0);
 }
@@ -55,7 +55,7 @@ fn tiny_caches_force_constant_eviction_and_still_verify() {
     };
     let specs = workload::generate(&cfg, &[NodeId(1), NodeId(2)], &pages(0, 12), None);
     let stats = run_workload(&mut c, specs).unwrap();
-    assert_eq!(stats.committed + stats.user_aborts, 60);
+    assert_eq!(stats.report.committed + stats.report.user_aborts, 60);
     stats.oracle.verify(&mut c, NodeId(2)).unwrap();
     // Evictions really happened.
     assert!(
@@ -79,7 +79,7 @@ fn two_owner_topology_with_everyone_working() {
     let clients: Vec<NodeId> = (0..4).map(NodeId).collect();
     let specs = workload::generate(&cfg, &clients, &all, None);
     let stats = run_workload(&mut c, specs).unwrap();
-    assert_eq!(stats.committed, 100);
+    assert_eq!(stats.report.committed, 100);
     stats.oracle.verify(&mut c, NodeId(3)).unwrap();
 }
 
@@ -192,7 +192,7 @@ fn bounded_logs_on_all_nodes_sustain_long_runs() {
     };
     let specs = workload::generate(&cfg, &[NodeId(1), NodeId(2)], &pages(0, 8), None);
     let stats = run_workload(&mut c, specs).unwrap();
-    assert_eq!(stats.committed, 240);
+    assert_eq!(stats.report.committed, 240);
     stats.oracle.verify(&mut c, NodeId(1)).unwrap();
     // Logs stayed within bounds the whole time.
     for n in 0..3u32 {

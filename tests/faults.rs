@@ -232,7 +232,7 @@ fn lossy_network_workload_is_oracle_verified() {
         None,
     );
     let stats = run_workload(&mut c, specs).unwrap();
-    assert_eq!(stats.committed, 50, "no commit lost to the network");
+    assert_eq!(stats.report.committed, 50, "no commit lost to the network");
     assert!(stats.faults.dropped > 0, "the injector actually fired");
     assert!(stats.faults.retries > 0, "drops were masked by resends");
     assert_eq!(stats.faults.exhausted, 0, "retry budget never exhausted");
@@ -264,7 +264,7 @@ fn fault_matrix_smoke() {
                 None,
             );
             let stats = run_workload(&mut c, specs).unwrap();
-            assert_eq!(stats.committed, 10);
+            assert_eq!(stats.report.committed, 10);
             // Leave unsynced loser bytes for the tear to bite.
             let loser = c.begin(NodeId(1)).unwrap();
             c.write_u64(loser, PageId::new(NodeId(0), 0), 7, 999)

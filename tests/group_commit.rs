@@ -318,7 +318,10 @@ fn adaptive_oracle_verified_workload_across_crash_and_recovery() {
     };
     let specs = workload::generate(&cfg, &[NodeId(1), NodeId(2)], &pages, None);
     let stats = run_workload(&mut c, specs).unwrap();
-    assert_eq!(stats.committed, 60, "adaptive pipeline commits everything");
+    assert_eq!(
+        stats.report.committed, 60,
+        "adaptive pipeline commits everything"
+    );
     stats.oracle.verify(&mut c, NodeId(1)).unwrap();
     // Crash with an open adaptive window: A is acknowledged before the
     // crash, B's commit record is parked behind a deadline that never
@@ -357,7 +360,7 @@ fn adaptive_oracle_verified_workload_across_crash_and_recovery() {
     };
     let specs2 = workload::generate(&cfg2, &[NodeId(1), NodeId(2)], &pages, None);
     let stats2 = run_workload(&mut c, specs2).unwrap();
-    assert_eq!(stats2.committed, 40, "recovered node commits again");
+    assert_eq!(stats2.report.committed, 40, "recovered node commits again");
     stats2.oracle.verify(&mut c, NodeId(1)).unwrap();
 }
 
@@ -392,7 +395,10 @@ fn oracle_verified_workloads_across_window_settings() {
         let pages: Vec<PageId> = (0..8).map(|i| PageId::new(NodeId(0), i)).collect();
         let specs = workload::generate(&cfg, &[NodeId(1), NodeId(2)], &pages, None);
         let stats = run_workload(&mut c, specs).unwrap();
-        assert_eq!(stats.committed, 60, "policy {policy:?} commits everything");
+        assert_eq!(
+            stats.report.committed, 60,
+            "policy {policy:?} commits everything"
+        );
         stats.oracle.verify(&mut c, NodeId(1)).unwrap();
         let forces: u64 = (1..=2).map(|n| c.node(NodeId(n)).log().forces()).sum();
         if i == 0 {
