@@ -123,6 +123,13 @@ grep "^commits_per_s " /tmp/ci_pairs.txt > /dev/null
 grep "^setup_s .*/1 " /tmp/ci_pairs.txt > /dev/null
 rm -f /tmp/ci_pairs.txt
 
+echo "==> same smoke: the simulator's outputs against themselves (tools/same.sh)"
+# Builds, runs and compares every deterministic output the script
+# covers; a refactor runs it against its parent checkout.
+bash tools/same.sh . . > /tmp/ci_same.txt
+grep "^same checker-ci$" /tmp/ci_same.txt > /dev/null
+rm -f /tmp/ci_same.txt
+
 echo "==> line ledger of HEAD (tools/loc.sh)"
 bash tools/loc.sh
 

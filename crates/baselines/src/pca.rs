@@ -26,8 +26,8 @@ use cblog_common::metrics::keys;
 use cblog_common::{CostModel, Error, Lsn, NodeId, PageId, Psn, Registry, Result, SimTime, TxnId};
 use cblog_core::{ForceScheduler, GroupCommitPolicy, System};
 use cblog_locks::{
-    CachedLockTable, CallbackAction, GlobalLockTable, GlobalRequestOutcome, LocalLockTable,
-    LocalRequestOutcome, LockMode,
+    answer_callback, CachedLockTable, CallbackAction, GlobalLockTable, GlobalRequestOutcome,
+    LocalLockTable, LocalRequestOutcome, LockMode,
 };
 use cblog_net::{MsgKind, Network};
 use cblog_storage::{BufferPool, Database, MemStorage, PageKind};
@@ -378,30 +378,13 @@ impl PcaCluster {
         if victim != pca {
             self.net.send(pca, victim, MsgKind::Callback, CTRL)?;
         }
-        let blocking: Vec<TxnId> = self.nodes[vi]
-            .local
-            .holders(pid)
-            .into_iter()
-            .filter(|(_, m)| match action {
-                CallbackAction::Release => true,
-                CallbackAction::Demote => *m == LockMode::Exclusive,
-            })
-            .map(|(t, _)| t)
-            .collect();
-        if !blocking.is_empty() {
-            return Err(Error::WouldBlock {
+        let n = &mut self.nodes[vi];
+        answer_callback(&n.local, &mut n.cached, pid, action).map_err(|holders| {
+            Error::WouldBlock {
                 txn: waiter,
-                holders: blocking,
-            });
-        }
-        match action {
-            CallbackAction::Demote => {
-                self.nodes[vi].cached.demote(pid);
+                holders,
             }
-            CallbackAction::Release => {
-                self.nodes[vi].cached.release(pid);
-            }
-        }
+        })?;
         // No-steal: a called-back page is committed data (uncommitted
         // pages are fenced by the local lock check above), so the PCA
         // node already has the committed image from commit shipping.

@@ -24,8 +24,8 @@ use cblog_common::metrics::keys;
 use cblog_common::{CostModel, Error, Lsn, NodeId, PageId, Psn, Registry, Result, SimTime, TxnId};
 use cblog_core::{ForceScheduler, GroupCommitPolicy, System};
 use cblog_locks::{
-    CachedLockTable, CallbackAction, GlobalLockTable, GlobalRequestOutcome, LocalLockTable,
-    LocalRequestOutcome, LockMode,
+    answer_callback, CachedLockTable, CallbackAction, GlobalLockTable, GlobalRequestOutcome,
+    LocalLockTable, LocalRequestOutcome, LockMode,
 };
 use cblog_net::{MsgKind, Network};
 use cblog_storage::{BufferPool, Database, MemStorage, Page, PageKind};
@@ -422,30 +422,13 @@ impl ServerCluster {
             });
         }
         self.net.send(SERVER, victim, MsgKind::Callback, CTRL)?;
-        let blocking: Vec<TxnId> = self.clients[v]
-            .local
-            .holders(pid)
-            .into_iter()
-            .filter(|(_, m)| match action {
-                CallbackAction::Release => true,
-                CallbackAction::Demote => *m == LockMode::Exclusive,
-            })
-            .map(|(t, _)| t)
-            .collect();
-        if !blocking.is_empty() {
-            return Err(Error::WouldBlock {
+        let c = &mut self.clients[v];
+        answer_callback(&c.local, &mut c.cached, pid, action).map_err(|holders| {
+            Error::WouldBlock {
                 txn: waiter,
-                holders: blocking,
-            });
-        }
-        match action {
-            CallbackAction::Demote => {
-                self.clients[v].cached.demote(pid);
+                holders,
             }
-            CallbackAction::Release => {
-                self.clients[v].cached.release(pid);
-            }
-        }
+        })?;
         let had = self.clients[v].buffer.contains(pid);
         let dirty = self.clients[v].buffer.is_dirty(pid).unwrap_or(false);
         if had && dirty {

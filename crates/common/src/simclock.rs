@@ -201,14 +201,8 @@ impl SimClock {
         }
     }
 
-    /// Charges service time to `node` without advancing global time
-    /// (work overlapped with other activity). Attributed to
-    /// [`Bucket::Cpu`]; see [`SimClock::charge_overlapped_as`].
-    pub fn charge_overlapped(&mut self, node: NodeId, dt: SimTime) {
-        self.charge_overlapped_as(node, Bucket::Cpu, dt);
-    }
-
-    /// As [`SimClock::charge_overlapped`] with an explicit bucket.
+    /// Charges service time to `node` in `bucket` without advancing
+    /// global time (work overlapped with other activity).
     pub fn charge_overlapped_as(&mut self, node: NodeId, bucket: Bucket, dt: SimTime) {
         if let Some(b) = self.busy.get_mut(node.0 as usize) {
             *b += dt;
@@ -298,7 +292,7 @@ mod tests {
         c.charge(NodeId(0), 5);
         c.charge(NodeId(1), 20);
         c.charge(NodeId(1), 5);
-        c.charge_overlapped(NodeId(2), 100);
+        c.charge_overlapped_as(NodeId(2), Bucket::Cpu, 100);
         assert_eq!(c.now(), 30);
         assert_eq!(c.busy(NodeId(0)), 5);
         assert_eq!(c.busy(NodeId(1)), 25);

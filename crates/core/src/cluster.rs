@@ -941,8 +941,9 @@ impl Cluster {
     }
 
     /// Executes one callback against `victim` (paper §2.2): the victim
-    /// downgrades/releases its cached lock and ships its buffered copy
-    /// of the page, if any, to the owner.
+    /// answers it ([`Node::on_callback`]) and returns its dirty copy,
+    /// if any, to the owner. A callback against the owner itself sends
+    /// no message.
     fn run_callback(
         &mut self,
         waiter: TxnId,
@@ -951,8 +952,7 @@ impl Cluster {
         action: CallbackAction,
     ) -> Result<()> {
         let owner = pid.owner;
-        let v = ix(victim);
-        if self.nodes[v].is_crashed() {
+        if self.nodes[ix(victim)].is_crashed() {
             // An exclusive lock retained by a crashed node fences the
             // page until that node recovers (§2.3.3).
             return Err(Error::WouldBlock {
@@ -960,99 +960,36 @@ impl Cluster {
                 holders: Vec::new(),
             });
         }
-        if victim == owner {
-            // The owner revoking its own lock: no messages, and its
-            // buffer copy stays put — the owner's buffer is where the
-            // authoritative image lives.
-            let blocking: Vec<TxnId> = self.nodes[v]
-                .local_locks
-                .holders(pid)
-                .into_iter()
-                .filter(|(_, m)| match action {
-                    CallbackAction::Release => true,
-                    CallbackAction::Demote => *m == LockMode::Exclusive,
-                })
-                .map(|(t, _)| t)
-                .collect();
-            if !blocking.is_empty() {
-                return Err(Error::WouldBlock {
-                    txn: waiter,
-                    holders: blocking,
-                });
-            }
-            match action {
-                CallbackAction::Demote => {
-                    self.nodes[v].cached_locks.demote(pid);
-                }
-                CallbackAction::Release => {
-                    self.nodes[v].cached_locks.release(pid);
-                }
-            }
-            self.nodes[v]
-                .global_locks
-                .callback_applied(pid, victim, action);
-            return Ok(());
-        }
         let ctx = self.txn_ctx(waiter);
-        self.net.send_reliable_hdr(
-            owner,
-            victim,
-            MsgKind::Callback,
-            CTRL_BYTES,
-            MsgHeader::of(ctx),
-        )?;
-        // Callbacks are deferred while a local transaction of the
-        // victim holds a conflicting transaction-level lock.
-        let blocking: Vec<TxnId> = self.nodes[v]
-            .local_locks
-            .holders(pid)
-            .into_iter()
-            .filter(|(_, m)| match action {
-                CallbackAction::Release => true,
-                CallbackAction::Demote => *m == LockMode::Exclusive,
-            })
-            .map(|(t, _)| t)
-            .collect();
-        if !blocking.is_empty() {
-            return Err(Error::WouldBlock {
-                txn: waiter,
-                holders: blocking,
-            });
-        }
-        // Comply: adjust the cached lock, ship the page copy if cached.
-        let had_page = self.nodes[v].buffer.contains(pid);
-        let dirty = self.nodes[v].buffer.is_dirty(pid).unwrap_or(false);
-        match action {
-            CallbackAction::Demote => {
-                self.nodes[v].cached_locks.demote(pid);
-            }
-            CallbackAction::Release => {
-                self.nodes[v].cached_locks.release(pid);
-            }
-        }
-        if had_page && dirty {
-            // WAL rule + §2.5 bookkeeping, then ship to the owner.
-            self.forcing(victim, 0, |nd| nd.prepare_replace_to_owner(pid))?;
-            let copy = self.nodes[v].buffer.peek(pid).expect("had_page").clone();
-            let xfer = self.trace_transfer(pid, victim, owner, copy.psn(), TransferWhy::Callback);
+        if victim != owner {
             self.net.send_reliable_hdr(
-                victim,
                 owner,
-                MsgKind::CallbackAck,
-                self.page_bytes(),
-                MsgHeader::of(SpanCtx::child(xfer, ctx.span)),
+                victim,
+                MsgKind::Callback,
+                CTRL_BYTES,
+                MsgHeader::of(ctx),
             )?;
-            let ev = self.nodes[ix(owner)].receive_replaced(victim, copy)?;
-            if let Some(ev) = ev {
-                self.route_eviction(owner, ev)?;
-            }
-            self.nodes[v].buffer.mark_clean(pid);
+        }
+        let copy = self
+            .forcing(victim, 0, |nd| nd.on_callback(pid, action))?
+            .map_err(|holders| Error::WouldBlock {
+                txn: waiter,
+                holders,
+            })?;
+        if let Some(page) = copy {
+            self.return_to_owner(
+                victim,
+                page,
+                MsgKind::CallbackAck,
+                TransferWhy::Callback,
+                ctx.span,
+            )?;
             if self.cfg.force_on_transfer {
                 // Baseline ablation (§3.2): the page hits the disk
                 // before it may travel onward.
                 self.force_page(pid)?;
             }
-        } else {
+        } else if victim != owner {
             self.net.send_reliable_hdr(
                 victim,
                 owner,
@@ -1060,9 +997,6 @@ impl Cluster {
                 CTRL_BYTES,
                 MsgHeader::of(ctx),
             )?;
-        }
-        if action == CallbackAction::Release && had_page {
-            self.nodes[v].buffer.remove(pid);
         }
         self.nodes[ix(owner)]
             .global_locks
@@ -1099,25 +1033,73 @@ impl Cluster {
         {
             self.force_page(pid)?;
         }
+        let page = self.ship_from_owner(pid, node, TransferWhy::Ship, SpanId::NONE)?;
+        self.cache_at(node, page, false)
+    }
+
+    /// The owner's copy of `pid` (buffer, else disk, charged), shipped
+    /// to `to` unless `to` is the owner itself — the one page move
+    /// away from an owner.
+    pub(crate) fn ship_from_owner(
+        &mut self,
+        pid: PageId,
+        to: NodeId,
+        why: TransferWhy,
+        parent: SpanId,
+    ) -> Result<Page> {
+        let owner = pid.owner;
         let (page, did_io) = self.nodes[ix(owner)].authoritative_copy(pid)?;
         if did_io {
             self.net.disk_io(owner, self.page_size());
         }
-        if owner != node {
-            let xfer = self.trace_transfer(pid, owner, node, page.psn(), TransferWhy::Ship);
+        if to != owner {
+            let xfer = self.trace_transfer(pid, owner, to, page.psn(), why);
             self.net.send_reliable_hdr(
                 owner,
-                node,
+                to,
                 MsgKind::PageShip,
                 self.page_bytes(),
-                MsgHeader::of(SpanCtx::root(xfer)),
+                MsgHeader::of(SpanCtx::child(xfer, parent)),
             )?;
         }
-        let ev = self.nodes[ix(node)].cache_page(page, false)?;
-        if let Some(ev) = ev {
-            self.route_eviction(node, ev)?;
+        Ok(page)
+    }
+
+    /// Delivers `page`, a dirty image `from` holds, to the page's owner
+    /// as a `kind` message — the one page move toward an owner. The
+    /// sender has already met the WAL rule
+    /// ([`Node::prepare_replace_to_owner`]); the owner records `from`
+    /// as a replacer and routes whatever the page evicts.
+    pub(crate) fn return_to_owner(
+        &mut self,
+        from: NodeId,
+        page: Page,
+        kind: MsgKind,
+        why: TransferWhy,
+        parent: SpanId,
+    ) -> Result<()> {
+        let owner = page.id().owner;
+        let xfer = self.trace_transfer(page.id(), from, owner, page.psn(), why);
+        self.net.send_reliable_hdr(
+            from,
+            owner,
+            kind,
+            self.page_bytes(),
+            MsgHeader::of(SpanCtx::child(xfer, parent)),
+        )?;
+        let ev = self.nodes[ix(owner)].receive_replaced(from, page)?;
+        match ev {
+            Some(ev) => self.route_eviction(owner, ev),
+            None => Ok(()),
         }
-        Ok(())
+    }
+
+    /// Caches `page` at `node` and routes whatever that evicts.
+    pub(crate) fn cache_at(&mut self, node: NodeId, page: Page, dirty: bool) -> Result<()> {
+        match self.nodes[ix(node)].cache_page(page, dirty)? {
+            Some(ev) => self.route_eviction(node, ev),
+            None => Ok(()),
+        }
     }
 
     /// Routes a buffer-pool eviction victim: locally owned dirty pages
@@ -1151,18 +1133,13 @@ impl Cluster {
                 return Ok(());
             }
             self.forcing(node, 0, |nd| nd.prepare_replace_to_owner(pid))?;
-            let xfer = self.trace_transfer(pid, node, owner, ev.page.psn(), TransferWhy::Replace);
-            self.net.send_reliable_hdr(
+            self.return_to_owner(
                 node,
-                owner,
+                ev.page,
                 MsgKind::ReplacePage,
-                self.page_bytes(),
-                MsgHeader::of(SpanCtx::root(xfer)),
+                TransferWhy::Replace,
+                SpanId::NONE,
             )?;
-            let ev2 = self.nodes[ix(owner)].receive_replaced(node, ev.page)?;
-            if let Some(ev2) = ev2 {
-                self.route_eviction(owner, ev2)?;
-            }
             if self.cfg.force_on_transfer {
                 self.force_page(pid)?;
             }
@@ -1249,26 +1226,14 @@ impl Cluster {
                         CTRL_BYTES,
                         MsgHeader::NONE,
                     )?;
-                    self.forcing(holder, 0, |nd| nd.prepare_replace_to_owner(pid))?;
-                    let copy = self.nodes[h]
-                        .buffer
-                        .peek(pid)
-                        .expect("dirty implies cached")
-                        .clone();
-                    let xfer =
-                        self.trace_transfer(pid, holder, owner, copy.psn(), TransferWhy::Callback);
-                    self.net.send_reliable_hdr(
+                    let copy = self.forcing(holder, 0, |nd| nd.ship_to_owner(pid))?;
+                    self.return_to_owner(
                         holder,
-                        owner,
+                        copy,
                         MsgKind::PageShip,
-                        self.page_bytes(),
-                        MsgHeader::of(SpanCtx::root(xfer)),
+                        TransferWhy::Callback,
+                        SpanId::NONE,
                     )?;
-                    let ev = self.nodes[o].receive_replaced(holder, copy)?;
-                    if let Some(ev) = ev {
-                        self.route_eviction(owner, ev)?;
-                    }
-                    self.nodes[h].buffer.mark_clean(pid);
                 }
             }
         }
@@ -1280,10 +1245,7 @@ impl Cluster {
             let acks = self.nodes[o].replacers.remove(&pid).unwrap_or_default();
             return self.send_flush_acks(owner, pid, acks.into_iter().collect(), SpanId::NONE);
         }
-        let (page, did_io) = self.nodes[o].authoritative_copy(pid)?;
-        if did_io {
-            self.net.disk_io(owner, self.page_size());
-        }
+        let page = self.ship_from_owner(pid, owner, TransferWhy::Ship, SpanId::NONE)?;
         self.write_owned(owner, &page)
     }
 
@@ -1327,14 +1289,7 @@ impl Cluster {
                 }
                 // Replace from the cache if present, then ask the owner
                 // to force.
-                if self.nodes[n].buffer.contains(pid)
-                    && self.nodes[n].buffer.is_dirty(pid).unwrap_or(false)
-                {
-                    let ev = self.nodes[n].buffer.remove(pid).expect("present");
-                    self.route_eviction(node, ev)?;
-                } else {
-                    self.nodes[n].buffer.remove(pid);
-                }
+                self.evict_page(node, pid)?;
                 self.net.send_reliable_hdr(
                     node,
                     pid.owner,
@@ -1674,6 +1629,39 @@ mod tests {
         c.commit(t1).unwrap();
         assert_eq!(c.read_u64(t2, p, 0).unwrap(), 1);
         c.commit(t2).unwrap();
+    }
+
+    #[test]
+    fn a_callback_against_the_owner_sends_nothing_and_keeps_its_copy() {
+        let mut c = cluster(vec![4, 0]);
+        let p = pid(0, 0);
+        let t0 = c.begin(NodeId(0)).unwrap();
+        c.write_u64(t0, p, 0, 3).unwrap();
+        c.commit(t0).unwrap();
+        // N1's read demotes the owner's own X lock: no callback on the
+        // wire, just the lock request, its grant and the page ship.
+        let t1 = c.begin(NodeId(1)).unwrap();
+        assert_eq!(c.read_u64(t1, p, 0).unwrap(), 3);
+        c.commit(t1).unwrap();
+        let s = c.network().stats();
+        assert_eq!(s.count(MsgKind::Callback), 0);
+        assert_eq!(s.count(MsgKind::CallbackAck), 0);
+        assert_eq!(s.total_messages(), 3);
+        let owner = c.node(NodeId(0));
+        assert!(owner.buffer().contains(p), "the owner keeps its copy");
+        assert_eq!(owner.cached_locks().mode(p), Some(LockMode::Shared));
+        // An owner-local X holder defers the callback N1's X request
+        // makes against the owner.
+        let t2 = c.begin(NodeId(0)).unwrap();
+        c.write_u64(t2, p, 0, 4).unwrap();
+        let t3 = c.begin(NodeId(1)).unwrap();
+        match c.write_u64(t3, p, 0, 5) {
+            Err(Error::WouldBlock { holders, .. }) => assert_eq!(holders, vec![t2]),
+            r => panic!("expected WouldBlock, got {r:?}"),
+        }
+        c.commit(t2).unwrap();
+        c.write_u64(t3, p, 0, 5).unwrap();
+        c.commit(t3).unwrap();
     }
 
     #[test]

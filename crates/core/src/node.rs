@@ -16,7 +16,9 @@ use cblog_common::{
     Counter, Decoder, Encoder, Error, Fnv1a, IdMap, Lsn, NodeId, PageId, Psn, Registry, Result,
     TxnId,
 };
-use cblog_locks::{CachedLockTable, GlobalLockTable, LocalLockTable};
+use cblog_locks::{
+    answer_callback, CachedLockTable, CallbackAction, GlobalLockTable, LocalLockTable,
+};
 use cblog_storage::{BufferPool, Database, EvictedPage, MemStorage, Page, PageKind};
 use cblog_wal::{
     CheckpointBody, DirtyPageTable, LogManager, LogPayload, LogPayloadRef, LogRecord, LogRecordRef,
@@ -1022,6 +1024,47 @@ impl Node {
         let end = self.log.end_lsn();
         self.dpt.on_replace(pid, end);
         Ok(end)
+    }
+
+    /// Ships the cached dirty copy of remote page `pid` back to its
+    /// owner: [`Node::prepare_replace_to_owner`], then the copy, which
+    /// stays cached here but clean. Serves a callback and a §2.5 force
+    /// request; the caller delivers the copy.
+    pub fn ship_to_owner(&mut self, pid: PageId) -> Result<Page> {
+        self.prepare_replace_to_owner(pid)?;
+        let copy = self.buffer.peek(pid).ok_or(Error::NoSuchPage(pid))?.clone();
+        self.buffer.mark_clean(pid);
+        Ok(copy)
+    }
+
+    /// The victim's side of a callback on `pid` (paper §2.2).
+    /// `Ok(Err(holders))`: local transactions defer it
+    /// ([`answer_callback`]). `Ok(Ok(copy))`: the cached lock was
+    /// demoted or released, and `copy` is the dirty image to return to
+    /// the owner. The owner keeps its copy, since its buffer is where
+    /// the authoritative image lives; elsewhere a released page leaves
+    /// the cache.
+    pub fn on_callback(
+        &mut self,
+        pid: PageId,
+        action: CallbackAction,
+    ) -> Result<std::result::Result<Option<Page>, Vec<TxnId>>> {
+        if let Err(holders) =
+            answer_callback(&self.local_locks, &mut self.cached_locks, pid, action)
+        {
+            return Ok(Err(holders));
+        }
+        if pid.owner == self.id {
+            return Ok(Ok(None));
+        }
+        let copy = match self.buffer.is_dirty(pid) {
+            Some(true) => Some(self.ship_to_owner(pid)?),
+            _ => None,
+        };
+        if action == CallbackAction::Release {
+            self.buffer.remove(pid);
+        }
+        Ok(Ok(copy))
     }
 
     /// Setup-time helper: rewrites an owned page's kind (e.g. format a

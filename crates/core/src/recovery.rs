@@ -156,16 +156,6 @@ impl RecoveryOptions {
     pub fn standby(&self) -> Option<NodeId> {
         self.standby
     }
-
-    /// The configured replay mode.
-    pub fn replay_mode(&self) -> ReplayMode {
-        self.replay
-    }
-
-    /// The injected crash point, if any.
-    pub fn crash_after_phase(&self) -> Option<RecoveryPhase> {
-        self.crash_after
-    }
 }
 
 /// What a recovery run did — the measurable quantities of experiments
@@ -866,19 +856,13 @@ fn recover_inner(cluster: &mut Cluster, opts: &RecoveryOptions) -> Result<Recove
                     .peek(pid)
                     .expect("inventory said cached")
                     .clone();
-                let page_bytes = copy.size() + 64;
-                let xfer = cluster.trace_transfer(pid, src, c, copy.psn(), TransferWhy::Recovery);
-                cluster.network_mut().send_reliable_hdr(
+                cluster.return_to_owner(
                     src,
-                    c,
+                    copy,
                     MsgKind::PageShip,
-                    page_bytes,
-                    MsgHeader::of(SpanCtx::child(xfer, root)),
+                    TransferWhy::Recovery,
+                    root,
                 )?;
-                let ev = cluster.node_mut(c).receive_replaced(src, copy)?;
-                if let Some(ev) = ev {
-                    cluster.route_eviction(c, ev)?;
-                }
                 report.pages_pulled_to_owner += 1;
                 // Every DPT holder must eventually get a flush-ack.
                 for (n, _) in &holders {
@@ -1173,19 +1157,7 @@ fn recover_inner(cluster: &mut Cluster, opts: &RecoveryOptions) -> Result<Recove
             CTRL_BYTES,
             hdr,
         )?;
-        let (mut page, did_io) = cluster.node_mut(owner).authoritative_copy(*pid)?;
-        if did_io {
-            cluster.network_mut().disk_io(owner, page.size());
-        }
-        let pb = page.size() + 64;
-        let xfer = cluster.trace_transfer(*pid, owner, *c, page.psn(), TransferWhy::Recovery);
-        cluster.network_mut().send_reliable_hdr(
-            owner,
-            *c,
-            MsgKind::PageShip,
-            pb,
-            MsgHeader::of(SpanCtx::child(xfer, root)),
-        )?;
+        let mut page = cluster.ship_from_owner(*pid, *c, TransferWhy::Recovery, root)?;
         let from_psn = page.psn();
         let (_, applied) = records_of(&redo, *c, *pid)?.replay(&mut page, 0, None, &mut runs)?;
         cluster.tracer().point(
@@ -1202,10 +1174,7 @@ fn recover_inner(cluster: &mut Cluster, opts: &RecoveryOptions) -> Result<Recove
         );
         report.records_replayed += applied;
         report.pages_recovered += 1;
-        let ev = cluster.node_mut(*c).cache_page(page, true)?;
-        if let Some(ev) = ev {
-            cluster.route_eviction(*c, ev)?;
-        }
+        cluster.cache_at(*c, page, true)?;
     }
     end_phase(
         cluster,
@@ -1430,11 +1399,7 @@ fn replay_unit(
                 .insert(n);
         }
     }
-    let ev = cluster.node_mut(owner).cache_page(page, true)?;
-    if let Some(ev) = ev {
-        cluster.route_eviction(owner, ev)?;
-    }
-    Ok(())
+    cluster.cache_at(owner, page, true)
 }
 
 /// The redo records `n` collected in phase 6, which hold `pid`'s.

@@ -36,6 +36,36 @@ pub use global::{CallbackAction, GlobalLockTable, GlobalRequestOutcome};
 pub use local::{LocalLockTable, LocalRequestOutcome};
 pub use sharded::ShardedLockTable;
 
+use cblog_common::{PageId, TxnId};
+
+/// A node's answer to a callback on `pid` (paper §2.2), the one rule
+/// every system applies: the callback is deferred while a local
+/// transaction holds a lock it conflicts with (any holder defers a
+/// release; only an exclusive holder defers a demote), and `Err`
+/// names those holders. Otherwise the cached lock is released or
+/// demoted to shared.
+pub fn answer_callback(
+    local: &LocalLockTable,
+    cached: &mut CachedLockTable,
+    pid: PageId,
+    action: CallbackAction,
+) -> Result<(), Vec<TxnId>> {
+    let deferring: Vec<TxnId> = local
+        .holders(pid)
+        .into_iter()
+        .filter(|&(_, m)| action == CallbackAction::Release || m == LockMode::Exclusive)
+        .map(|(t, _)| t)
+        .collect();
+    if !deferring.is_empty() {
+        return Err(deferring);
+    }
+    match action {
+        CallbackAction::Demote => cached.demote(pid),
+        CallbackAction::Release => cached.release(pid),
+    };
+    Ok(())
+}
+
 /// Lock modes at page granularity.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, PartialOrd, Ord)]
 pub enum LockMode {
@@ -60,6 +90,7 @@ impl LockMode {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use cblog_common::NodeId;
 
     #[test]
     fn compatibility_matrix() {
@@ -67,6 +98,36 @@ mod tests {
         assert!(!LockMode::Shared.compatible(LockMode::Exclusive));
         assert!(!LockMode::Exclusive.compatible(LockMode::Shared));
         assert!(!LockMode::Exclusive.compatible(LockMode::Exclusive));
+    }
+
+    #[test]
+    fn callback_answers_by_holder_and_action() {
+        use CallbackAction::{Demote, Release};
+        use LockMode::{Exclusive as X, Shared as S};
+        let pid = PageId::new(NodeId(0), 3);
+        let t = TxnId::new(NodeId(1), 7);
+        // (local holder, action) -> (deferred, cached mode after), from
+        // a cached X lock.
+        let table = [
+            (None, Demote, false, Some(S)),
+            (None, Release, false, None),
+            (Some(S), Demote, false, Some(S)),
+            (Some(S), Release, true, Some(X)),
+            (Some(X), Demote, true, Some(X)),
+            (Some(X), Release, true, Some(X)),
+        ];
+        for (holder, action, deferred, after) in table {
+            let mut local = LocalLockTable::new();
+            let mut cached = CachedLockTable::new();
+            cached.grant(pid, X);
+            if let Some(m) = holder {
+                assert_eq!(local.request(t, pid, m), LocalRequestOutcome::Granted);
+            }
+            let got = answer_callback(&local, &mut cached, pid, action);
+            let case = format!("{holder:?} x {action:?}");
+            assert_eq!(got, if deferred { Err(vec![t]) } else { Ok(()) }, "{case}");
+            assert_eq!(cached.mode(pid), after, "{case}");
+        }
     }
 
     #[test]
