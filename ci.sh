@@ -143,6 +143,27 @@ if [ -s /tmp/ci_docnames.txt ]; then
 fi
 rm -f /tmp/ci_docnames.txt
 
+echo "==> engine pub fns that only tests reach (tools/deadapi.sh)"
+# Every line must be a KEEP entry of the script, with its reason.
+bash tools/deadapi.sh > /tmp/ci_deadapi.txt
+cat /tmp/ci_deadapi.txt
+if grep -v '  # KEEP: ' /tmp/ci_deadapi.txt >&2; then
+    echo "ERROR: engine API that only tests reach (delete it, or see tools/deadapi.sh)" >&2
+    exit 1
+fi
+rm -f /tmp/ci_deadapi.txt
+
+echo "==> tools/deadapi.sh: must-fail self-test"
+# A planted test-only pub fn must be listed; a list that cannot grow
+# would pass forever.
+if bash tools/deadapi.sh --self-test > /tmp/ci_deadapi_selftest.txt 2>&1; then
+    cat /tmp/ci_deadapi_selftest.txt >&2
+    echo "ERROR: tools/deadapi.sh missed a planted test-only pub fn" >&2
+    exit 1
+fi
+grep "planted test-only pub fn caught" /tmp/ci_deadapi_selftest.txt > /dev/null
+rm -f /tmp/ci_deadapi_selftest.txt
+
 echo "==> rustdoc: every intra-doc link resolves (cargo doc, warnings denied)"
 # A doc link to an item that moved, went private or was deleted fails
 # the build instead of rendering as plain text.

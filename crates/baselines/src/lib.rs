@@ -5,9 +5,8 @@
 //! * [`server::ServerCluster`] — ARIES/CSA-style client-server
 //!   logging: the server keeps the **only** log; clients generate log
 //!   records but ship them to the server at commit (and earlier when
-//!   the WAL rule forces it on steal); client crashes are handled by
-//!   the server; server checkpoints contact every connected client
-//!   (paper §3.1).
+//!   the WAL rule forces it on steal); server checkpoints contact
+//!   every connected client (paper §3.1).
 //! * [`force::force_on_transfer_cluster`] — the paper's own
 //!   architecture with the §3.2 Rdb/VMS behaviour switched on: dirty
 //!   pages are forced to the owner's disk whenever they move between

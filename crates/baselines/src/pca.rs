@@ -32,7 +32,7 @@ use cblog_locks::{
 use cblog_net::{MsgKind, Network};
 use cblog_storage::{BufferPool, Database, MemStorage, PageKind};
 use cblog_wal::{LogManager, LogPayload, LogRecord, MemLogStore, PageOp};
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 
 const CTRL: usize = 48;
 
@@ -84,6 +84,17 @@ struct PcaTxn {
     terminated: bool,
 }
 
+impl PcaTxn {
+    /// The distinct pages the transaction updated: the pages it pins
+    /// (no-steal) until it ends.
+    fn pages(&self) -> Vec<PageId> {
+        let mut pages: Vec<PageId> = self.ops.iter().map(|(p, _, _)| *p).collect();
+        pages.sort();
+        pages.dedup();
+        pages
+    }
+}
+
 struct PcaNode {
     db: Option<Database>,
     log: LogManager,
@@ -92,8 +103,6 @@ struct PcaNode {
     local: LocalLockTable,
     global: GlobalLockTable,
     txns: HashMap<TxnId, PcaTxn>,
-    /// Pages pinned by uncommitted local updates (no-steal).
-    pinned: HashSet<PageId>,
     next_seq: u64,
 }
 
@@ -137,7 +146,6 @@ impl PcaCluster {
                 local: LocalLockTable::new(),
                 global: GlobalLockTable::new(),
                 txns: HashMap::new(),
-                pinned: HashSet::new(),
                 next_seq: 1,
             });
         }
@@ -233,25 +241,17 @@ impl PcaCluster {
     /// Completion for a durably-committed transaction: for every
     /// updated remote page, ship the page and its log records to the
     /// PCA node, which double-logs them and forces before
-    /// acknowledging; then release pins and locks.
+    /// acknowledging; then release the transaction's pins and locks.
     fn finish_pca_commit(&mut self, txn: TxnId) -> Result<()> {
         let node = txn.node;
         let ni = node.0 as usize;
-        let ops = {
+        let (ops, pages) = {
             let n = &self.nodes[ni];
             let t = n.txns.get(&txn).ok_or(Error::NoSuchTxn(txn))?;
-            t.ops.clone()
+            (t.ops.clone(), t.pages())
         };
-        // Group updates by remote PCA node (here: owner 0 if remote).
-        let mut remote_pages: Vec<PageId> = ops
-            .iter()
-            .map(|(p, _, _)| *p)
-            .filter(|p| p.owner != node)
-            .collect();
-        remote_pages.sort();
-        remote_pages.dedup();
         // Ship each remote page + its records to the PCA node.
-        for pid in &remote_pages {
+        for pid in pages.iter().filter(|p| p.owner != node) {
             let pca = pid.owner;
             let page = self.nodes[ni]
                 .buffer
@@ -287,24 +287,12 @@ impl PcaCluster {
                 pn.buffer.insert(page.clone(), true)?;
             }
             self.net.send(pca, node, MsgKind::CommitAck, CTRL)?;
-            // Committed data may now leave the modifier's cache.
-            let n = &mut self.nodes[ni];
-            if n.pinned.remove(pid) {
-                n.buffer.unpin(*pid)?;
-            }
-            n.buffer.mark_clean(*pid);
+            self.nodes[ni].buffer.mark_clean(*pid);
         }
-        // Unpin local pages too (they are committed now).
+        // Committed data may now leave the modifier's cache.
         {
             let n = &mut self.nodes[ni];
-            let local_pins: Vec<PageId> = n
-                .pinned
-                .iter()
-                .copied()
-                .filter(|p| p.owner == node)
-                .collect();
-            for p in local_pins {
-                n.pinned.remove(&p);
+            for p in pages {
                 n.buffer.unpin(p)?;
             }
             let t = n.txns.get_mut(&txn).expect("checked");
@@ -468,6 +456,11 @@ impl System for PcaCluster {
     fn write(&mut self, txn: TxnId, pid: PageId, slot: usize, value: u64) -> Result<()> {
         self.ensure_access(txn, pid, LockMode::Exclusive)?;
         let n = &mut self.nodes[txn.node.0 as usize];
+        let t = n.txns.get_mut(&txn).ok_or(Error::NoSuchTxn(txn))?;
+        if t.submitted || t.terminated {
+            return Err(Error::TxnAborted(txn));
+        }
+        let first_update = !t.ops.iter().any(|(p, _, _)| *p == pid);
         let page = n.buffer.get_mut(pid).ok_or(Error::NoSuchPage(pid))?;
         let before = page.read_slot(slot)?;
         let op = PageOp::WriteRange {
@@ -479,12 +472,8 @@ impl System for PcaCluster {
         op.apply_redo(page)?;
         page.bump_psn();
         n.buffer.mark_dirty(pid);
-        if n.pinned.insert(pid) {
+        if first_update {
             n.buffer.pin(pid)?;
-        }
-        let t = n.txns.get_mut(&txn).ok_or(Error::NoSuchTxn(txn))?;
-        if t.submitted || t.terminated {
-            return Err(Error::TxnAborted(txn));
         }
         let rec = LogRecord {
             txn,
@@ -525,7 +514,7 @@ impl System for PcaCluster {
         if t.terminated {
             return Err(Error::TxnAborted(txn));
         }
-        let ops = t.ops.clone();
+        let (ops, pages) = (t.ops.clone(), t.pages());
         t.terminated = true;
         let mut prev = t.last_lsn;
         for (pid, _, op) in ops.iter().rev() {
@@ -553,9 +542,12 @@ impl System for PcaCluster {
             prev_lsn: prev,
             payload: LogPayload::Abort,
         })?;
-        let pins: Vec<PageId> = n.pinned.drain().collect();
-        for p in pins {
+        for p in pages {
             n.buffer.unpin(p)?;
+            // The PCA node holds the committed image of a remote page.
+            if p.owner != node {
+                n.buffer.mark_clean(p);
+            }
         }
         n.local.release_all(txn);
         self.registry.counter(keys::TXN_ABORTS).bump();
@@ -730,6 +722,43 @@ mod tests {
         }
         assert!(s.nodes[1].buffer.contains(pid(0)), "pinned page survives");
         s.commit(t).unwrap();
+    }
+
+    #[test]
+    fn another_txns_abort_keeps_my_pages_pinned() {
+        // Node 0 is the PCA node of every page, node 1 a remote writer;
+        // B ends either way while A's update is still uncommitted.
+        for node in [NodeId(0), NodeId(1)] {
+            for b_aborts in [true, false] {
+                let mut s = PcaCluster::new(PcaConfig {
+                    nodes: 2,
+                    pages: 8,
+                    page_size: 512,
+                    buffer_frames: 4,
+                    cost: CostModel::unit(),
+                    group_commit: GroupCommitPolicy::Immediate,
+                })
+                .unwrap();
+                let a = s.begin(node).unwrap();
+                s.write(a, pid(0), 0, 7).unwrap();
+                let b = s.begin(node).unwrap();
+                s.write(b, pid(1), 0, 8).unwrap();
+                if b_aborts {
+                    s.abort(b).unwrap();
+                } else {
+                    s.commit(b).unwrap();
+                }
+                for i in 2..8 {
+                    s.read(a, pid(i), 0).unwrap();
+                }
+                let case = format!("{node}, B aborts: {b_aborts}");
+                assert!(s.nodes[node.0 as usize].buffer.contains(pid(0)), "{case}");
+                s.commit(a).unwrap();
+                let t = s.begin(NodeId(1)).unwrap();
+                assert_eq!(s.read(t, pid(0), 0).unwrap(), 7, "{case}");
+                s.commit(t).unwrap();
+            }
+        }
     }
 
     #[test]

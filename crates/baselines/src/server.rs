@@ -14,9 +14,7 @@
 //! * commit = log-ship + commit request + server log force + ack — a
 //!   network round trip and a *server* disk force per transaction,
 //!   versus zero messages and a local force for client-based logging;
-//! * transaction rollback is performed by the client (as in ARIES/CSA)
-//!   but client **crashes are handled by the server**, from the
-//!   server's log alone;
+//! * transaction rollback is performed by the client (as in ARIES/CSA);
 //! * a server checkpoint "requires communication with all connected
 //!   clients" — it synchronously collects their dirty-page lists.
 
@@ -30,8 +28,8 @@ use cblog_locks::{
 use cblog_net::{MsgKind, Network};
 use cblog_storage::{BufferPool, Database, MemStorage, Page, PageKind};
 use cblog_wal::{
-    CheckpointBody, DirtyPageTable, DptEntry, LogManager, LogPayload, LogPayloadRef, LogRecord,
-    MemLogStore, PageOp,
+    CheckpointBody, DirtyPageTable, DptEntry, LogManager, LogPayload, LogRecord, MemLogStore,
+    PageOp,
 };
 use std::collections::HashMap;
 
@@ -101,9 +99,6 @@ struct Client {
     local: LocalLockTable,
     txns: HashMap<TxnId, CsaTxn>,
     next_seq: u64,
-    crashed: bool,
-    commits: u64,
-    aborts: u64,
 }
 
 /// The client-server baseline system.
@@ -154,9 +149,6 @@ impl ServerCluster {
                 local: LocalLockTable::new(),
                 txns: HashMap::new(),
                 next_seq: 1,
-                crashed: false,
-                commits: 0,
-                aborts: 0,
             })
             .collect();
         Ok(ServerCluster {
@@ -184,21 +176,12 @@ impl ServerCluster {
         &self.log
     }
 
-    /// Committed transactions at client `c`.
-    pub fn commits_of(&self, c: NodeId) -> u64 {
-        self.clients[c.0 as usize - 1].commits
-    }
-
     fn client(&mut self, id: NodeId) -> Result<&mut Client> {
         let i = id.0 as usize;
         if i == 0 || i > self.clients.len() {
             return Err(Error::Invalid(format!("{id} is not a client")));
         }
-        let c = &mut self.clients[i - 1];
-        if c.crashed {
-            return Err(Error::NodeDown(id));
-        }
-        Ok(c)
+        Ok(&mut self.clients[i - 1])
     }
 
     fn page_bytes(&self) -> usize {
@@ -216,25 +199,18 @@ impl ServerCluster {
 
     /// Acknowledges every force-pending commit whose Commit record the
     /// server log already covers (idempotent): CommitAck message, the
-    /// client marks the transaction committed. A client that crashed
-    /// while its ack was pending gets no message — its transaction is
-    /// still durably committed and server-side recovery will replay
-    /// it.
+    /// client marks the transaction committed.
     fn reap_server_acked(&mut self) -> Result<usize> {
         let flushed = self.log.flushed_lsn();
         let acked = self.scheduler.drain_acked(flushed);
         let mut n = 0;
         for txn in acked {
             let v = txn.node.0 as usize - 1;
-            if self.clients[v].crashed {
-                continue;
-            }
             let Some(t) = self.clients[v].txns.get_mut(&txn) else {
                 continue;
             };
             self.net.send(SERVER, txn.node, MsgKind::CommitAck, CTRL)?;
             t.committed = true;
-            self.clients[v].commits += 1;
             self.registry.counter(keys::TXN_COMMITS).bump();
             n += 1;
         }
@@ -415,12 +391,6 @@ impl ServerCluster {
         action: CallbackAction,
     ) -> Result<()> {
         let v = victim.0 as usize - 1;
-        if self.clients[v].crashed {
-            return Err(Error::WouldBlock {
-                txn: waiter,
-                holders: Vec::new(),
-            });
-        }
         self.net.send(SERVER, victim, MsgKind::Callback, CTRL)?;
         let c = &mut self.clients[v];
         answer_callback(&c.local, &mut c.cached, pid, action).map_err(|holders| {
@@ -495,9 +465,6 @@ impl ServerCluster {
         let mut dpt = self.sdpt.entries();
         for ci in 0..self.clients.len() {
             let id = self.clients[ci].id;
-            if self.clients[ci].crashed {
-                continue;
-            }
             self.net.send(SERVER, id, MsgKind::CheckpointSync, CTRL)?;
             let dirty = self.clients[ci].buffer.dirty_ids();
             self.net
@@ -535,146 +502,6 @@ impl ServerCluster {
         self.net.disk_io(SERVER, pending as usize);
         self.log.write_master(begin)?;
         Ok(begin)
-    }
-
-    // ------------------------------------------------------------------
-    // Client crash recovery — handled by the server (paper §3.1)
-    // ------------------------------------------------------------------
-
-    /// Crashes client `node`.
-    pub fn crash_client(&mut self, node: NodeId) {
-        let v = node.0 as usize - 1;
-        self.clients[v].buffer.clear();
-        self.clients[v].cached.clear();
-        self.clients[v].local.clear();
-        self.clients[v].txns.clear();
-        self.clients[v].crashed = true;
-        self.net.mark_crashed(node);
-    }
-
-    /// Server-side recovery of a crashed client: committed updates are
-    /// replayed from the server log; partially-shipped loser
-    /// transactions are undone; the client's locks are released.
-    /// Returns `(records_replayed, bytes_scanned)`.
-    pub fn recover_client(&mut self, node: NodeId) -> Result<(u64, u64)> {
-        let v = node.0 as usize - 1;
-        // Locks: release shared, inspect exclusive (fences).
-        let (_shared, exclusive) = self.glocks.drop_shared_retain_exclusive(node);
-        // Scan the server log to find the client's transactions and the
-        // records for fenced pages.
-        let start = {
-            let c = self.log.last_checkpoint();
-            if c.is_zero() {
-                self.log.base_lsn()
-            } else {
-                c
-            }
-        };
-        let mut committed: HashMap<TxnId, bool> = HashMap::new();
-        let mut page_recs: Vec<(PageId, Psn, PageOp)> = Vec::new();
-        let mut loser_ops: HashMap<TxnId, Vec<(PageId, Psn, PageOp)>> = HashMap::new();
-        let bytes_scanned = self.log.end_lsn().0 - start.0;
-        let mut scan = self.log.scan(start);
-        while let Some(r) = scan.next_ref() {
-            let (_, rec) = r?;
-            let mine = rec.txn.node == node;
-            match rec.payload {
-                LogPayloadRef::Commit if mine => {
-                    committed.insert(rec.txn, true);
-                }
-                LogPayloadRef::Abort if mine => {
-                    loser_ops.remove(&rec.txn);
-                }
-                LogPayloadRef::Update {
-                    pid,
-                    psn_before,
-                    op,
-                } if mine => {
-                    if exclusive.contains(&pid) {
-                        page_recs.push((pid, psn_before, op.to_owned()));
-                    }
-                    loser_ops
-                        .entry(rec.txn)
-                        .or_default()
-                        .push((pid, psn_before, op.to_owned()));
-                }
-                LogPayloadRef::Update {
-                    pid,
-                    psn_before,
-                    op,
-                }
-                | LogPayloadRef::Clr {
-                    pid,
-                    psn_before,
-                    op,
-                    ..
-                } if exclusive.contains(&pid) => {
-                    page_recs.push((pid, psn_before, op.to_owned()));
-                }
-                _ => {}
-            }
-        }
-        for (t, _) in committed.iter() {
-            loser_ops.remove(t);
-        }
-        // Rebuild fenced pages: PSN-filtered redo of everything logged.
-        let mut replayed = 0u64;
-        for pid in &exclusive {
-            let mut page = match self.sbuffer.peek(*pid) {
-                Some(p) => p.clone(),
-                None => {
-                    let p = self.db.read_page(pid.index)?;
-                    self.net.disk_io(SERVER, self.cfg.page_size);
-                    p
-                }
-            };
-            for (p, psn_before, op) in &page_recs {
-                if p == pid && *psn_before == page.psn() {
-                    op.apply_redo(&mut page)?;
-                    page.set_psn(psn_before.next());
-                    replayed += 1;
-                }
-            }
-            // Undo loser updates to this page (reverse order), logging
-            // CLRs at the server.
-            let mut clrs = Vec::new();
-            for ops in loser_ops.values() {
-                for (p, _, op) in ops.iter().rev() {
-                    if p == pid {
-                        let inv = op.inverse();
-                        let psn_before = page.psn();
-                        inv.apply_redo(&mut page)?;
-                        page.set_psn(psn_before.next());
-                        clrs.push((*pid, psn_before, inv));
-                        replayed += 1;
-                    }
-                }
-            }
-            for (p, psn_before, op) in clrs {
-                self.log.append(&LogRecord {
-                    txn: TxnId::new(node, 0),
-                    prev_lsn: Lsn::ZERO,
-                    payload: LogPayload::Clr {
-                        pid: p,
-                        psn_before,
-                        op,
-                        undo_next: Lsn::ZERO,
-                    },
-                })?;
-            }
-            self.sdpt.ensure(*pid, page.psn(), self.log.end_lsn());
-            self.server_absorb_page(page)?;
-            // The fence can drop now.
-            self.glocks.release(*pid, node);
-        }
-        let pending = self.log.end_lsn().0 - self.log.flushed_lsn().0;
-        if pending > 0 {
-            self.log.force_all()?;
-            self.net.disk_io(SERVER, pending as usize);
-        }
-        self.clients[v].crashed = false;
-        self.net.mark_up(node);
-        Ok((replayed, bytes_scanned))
     }
 }
 
@@ -834,7 +661,6 @@ impl System for ServerCluster {
         let t = c.txns.get_mut(&txn).expect("checked");
         t.aborted = true;
         c.local.release_all(txn);
-        c.aborts += 1;
         self.registry.counter(keys::TXN_ABORTS).bump();
         Ok(())
     }
@@ -1018,77 +844,6 @@ mod tests {
     }
 
     #[test]
-    fn client_crash_recovers_committed_updates_server_side() {
-        let mut s = sys(2);
-        let t = s.begin(NodeId(1)).unwrap();
-        s.write(t, pid(0), 0, 42).unwrap();
-        s.commit(t).unwrap();
-        // Page image only in client 1's cache; client crashes.
-        s.crash_client(NodeId(1));
-        let (replayed, scanned) = s.recover_client(NodeId(1)).unwrap();
-        assert!(replayed >= 1);
-        assert!(scanned > 0);
-        let t2 = s.begin(NodeId(2)).unwrap();
-        assert_eq!(s.read(t2, pid(0), 0).unwrap(), 42);
-        s.commit(t2).unwrap();
-    }
-
-    #[test]
-    fn client_crash_discards_unshipped_uncommitted_updates() {
-        let mut s = sys(2);
-        let t0 = s.begin(NodeId(1)).unwrap();
-        s.write(t0, pid(0), 0, 10).unwrap();
-        s.commit(t0).unwrap();
-        let t1 = s.begin(NodeId(1)).unwrap();
-        s.write(t1, pid(0), 0, 999).unwrap();
-        s.crash_client(NodeId(1));
-        s.recover_client(NodeId(1)).unwrap();
-        let t2 = s.begin(NodeId(2)).unwrap();
-        assert_eq!(s.read(t2, pid(0), 0).unwrap(), 10);
-        s.commit(t2).unwrap();
-    }
-
-    #[test]
-    fn shipped_loser_is_undone_server_side() {
-        // Tiny client cache: the dirty page of an uncommitted txn is
-        // evicted, which WAL-ships its records to the server. The
-        // client then crashes; the server must undo those records.
-        let mut s = ServerCluster::new(ServerClientConfig {
-            clients: 2,
-            pages: 8,
-            page_size: 512,
-            client_buffer_frames: 2,
-            server_buffer_frames: 32,
-            cost: CostModel::unit(),
-            group_commit: GroupCommitPolicy::Immediate,
-        })
-        .unwrap();
-        let t0 = s.begin(NodeId(1)).unwrap();
-        s.write(t0, pid(0), 0, 10).unwrap();
-        s.commit(t0).unwrap();
-        let t1 = s.begin(NodeId(1)).unwrap();
-        s.write(t1, pid(0), 0, 666).unwrap();
-        // Touch other pages so pid(0) evicts (ships records + page).
-        for i in 1..4 {
-            s.read(t1, pid(i), 0).unwrap();
-        }
-        assert!(
-            s.server_log().records_appended() > 3,
-            "loser records reached the server via the WAL rule"
-        );
-        s.crash_client(NodeId(1));
-        let (replayed, _) = s.recover_client(NodeId(1)).unwrap();
-        assert!(replayed >= 1);
-        let t2 = s.begin(NodeId(2)).unwrap();
-        assert_eq!(
-            s.read(t2, pid(0), 0).unwrap(),
-            10,
-            "shipped-but-uncommitted update undone by the server"
-        );
-        s.commit(t2).unwrap();
-    }
-
-    #[test]
     fn callback_ships_page_through_server() {
         let mut s = sys(2);
         let t = s.begin(NodeId(1)).unwrap();
@@ -1185,7 +940,7 @@ mod tests {
         let t2 = s.begin(NodeId(2)).unwrap();
         s.write(t2, pid(1), 0, 2).unwrap();
         s.commit(t2).unwrap();
-        assert_eq!(s.commits_of(NodeId(2)), 1);
+        assert_eq!(s.registry().counter(keys::TXN_COMMITS).get(), 2);
     }
 
     #[test]

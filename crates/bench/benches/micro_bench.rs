@@ -106,7 +106,7 @@ fn m3_lock_tables() {
             let _ = lt.request(t, p, LockMode::Exclusive);
             lt.release_all(t);
         }
-        lt.grant_count() as u64
+        lt.holders(PageId::new(NodeId(0), 0)).len() as u64
     });
     bench("m3/global_callback_cycle_1k", 100, || {
         let mut gt = GlobalLockTable::new();
@@ -123,7 +123,7 @@ fn m3_lock_tables() {
                 }
             }
         }
-        gt.grant_count() as u64
+        gt.holders(p).len() as u64
     });
 }
 

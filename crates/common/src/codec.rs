@@ -83,11 +83,6 @@ impl Encoder {
         self.buf.extend_from_slice(v);
     }
 
-    /// Writes a node id.
-    pub fn put_node(&mut self, v: NodeId) {
-        self.put_u32(v.0);
-    }
-
     /// Writes a page id (packed u64).
     pub fn put_page(&mut self, v: PageId) {
         self.put_u64(v.to_u64());
@@ -189,11 +184,6 @@ impl<'a> Decoder<'a> {
     pub fn get_bytes(&mut self) -> Result<&'a [u8]> {
         let n = self.get_u32()? as usize;
         self.take(n)
-    }
-
-    /// Reads a node id.
-    pub fn get_node(&mut self) -> Result<NodeId> {
-        Ok(NodeId(self.get_u32()?))
     }
 
     /// Reads a page id.
@@ -391,14 +381,12 @@ mod tests {
         let mut e = Encoder::new();
         let pid = PageId::new(NodeId(9), 77);
         let tid = TxnId::new(NodeId(3), 12345);
-        e.put_node(NodeId(9));
         e.put_page(pid);
         e.put_txn(tid);
         e.put_lsn(Lsn(42));
         e.put_psn(Psn(43));
         let v = e.into_vec();
         let mut d = Decoder::new(&v);
-        assert_eq!(d.get_node().unwrap(), NodeId(9));
         assert_eq!(d.get_page().unwrap(), pid);
         assert_eq!(d.get_txn().unwrap(), tid);
         assert_eq!(d.get_lsn().unwrap(), Lsn(42));

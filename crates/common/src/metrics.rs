@@ -93,8 +93,6 @@ pub mod keys {
     pub const LOCKS_WAITS: &str = "locks/waits";
     /// Histogram: lock wait time, µs.
     pub const LOCKS_WAIT_US: &str = "locks/wait_us";
-    /// Deadlocks broken.
-    pub const LOCKS_DEADLOCKS: &str = "locks/deadlocks";
 
     // ---- B+-tree access method ----
     /// Root-to-leaf traversals.
@@ -165,7 +163,6 @@ mod tests {
             keys::LOCKS_ACQUISITIONS,
             keys::LOCKS_WAITS,
             keys::LOCKS_WAIT_US,
-            keys::LOCKS_DEADLOCKS,
             keys::ACCESS_TRAVERSES,
             keys::ACCESS_SPLITS,
             keys::ACCESS_MERGES,

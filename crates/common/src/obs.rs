@@ -262,9 +262,8 @@ struct ReservoirInner {
 /// algorithm R), for *exact* percentiles where the log-2
 /// [`Histogram`] only gives bucket upper bounds.
 ///
-/// While `seen ≤ capacity` every recorded value is held and
-/// [`percentile`](Reservoir::percentile) is exact
-/// ([`is_exact`](Reservoir::is_exact) reports which regime applies);
+/// While [`count`](Reservoir::count) `≤ capacity` every recorded
+/// value is held and [`percentile`](Reservoir::percentile) is exact;
 /// past capacity each value replaces a uniformly random held sample,
 /// so percentiles degrade to an unbiased estimate instead of a bucket
 /// bound. Replacement draws from the in-repo deterministic [`Rng`]
@@ -313,16 +312,9 @@ impl Reservoir {
         lock(&self.inner).seen
     }
 
-    /// True while every recorded value is still held, i.e. while
-    /// percentiles are exact rather than sampled estimates.
-    pub fn is_exact(&self) -> bool {
-        let r = lock(&self.inner);
-        r.seen <= self.cap as u64
-    }
-
     /// Value at quantile `q` in `[0, 1]`: the rank-`ceil(q·n)` held
-    /// sample (0 when empty). Exact whenever
-    /// [`is_exact`](Reservoir::is_exact) holds.
+    /// sample (0 when empty). Exact while every recorded value is
+    /// held.
     pub fn percentile(&self, q: f64) -> u64 {
         let r = lock(&self.inner);
         if r.samples.is_empty() {
@@ -793,7 +785,6 @@ mod tests {
         for i in 0..100u64 {
             r.record((i * 37) % 100 + 1);
         }
-        assert!(r.is_exact());
         assert_eq!(r.count(), 100);
         assert_eq!(r.percentile(0.50), 50);
         assert_eq!(r.percentile(0.99), 99);
@@ -819,7 +810,6 @@ mod tests {
             r
         };
         let a = mk();
-        assert!(!a.is_exact());
         assert_eq!(a.count(), 10_000);
         let p50 = a.percentile(0.50);
         assert!((1..=10_000).contains(&p50));
@@ -843,7 +833,6 @@ mod tests {
             }
         });
         assert_eq!(r.count(), 1024);
-        assert!(r.is_exact());
         assert_eq!(r.percentile(1.0), 1024);
     }
 }

@@ -184,23 +184,6 @@ impl SimClock {
         self.now += dt;
     }
 
-    /// Charges `dt` µs of service time to `node` (also advances time).
-    /// Attributed to [`Bucket::Cpu`]; use [`SimClock::charge_as`] for
-    /// an explicit bucket.
-    pub fn charge(&mut self, node: NodeId, dt: SimTime) {
-        self.charge_as(node, Bucket::Cpu, dt);
-    }
-
-    /// Charges `dt` µs of service time to `node` under `bucket` (also
-    /// advances time).
-    pub fn charge_as(&mut self, node: NodeId, bucket: Bucket, dt: SimTime) {
-        self.now += dt;
-        if let Some(b) = self.busy.get_mut(node.0 as usize) {
-            *b += dt;
-            self.buckets[node.0 as usize][bucket.index()] += dt;
-        }
-    }
-
     /// Charges service time to `node` in `bucket` without advancing
     /// global time (work overlapped with other activity).
     pub fn charge_overlapped_as(&mut self, node: NodeId, bucket: Bucket, dt: SimTime) {
@@ -254,17 +237,6 @@ impl SimClock {
             .max_by_key(|(_, b)| **b)
             .map(|(i, _)| NodeId(i as u32))
     }
-
-    /// Resets time and busy accounting (e.g. after warmup).
-    pub fn reset(&mut self) {
-        self.now = 0;
-        for b in &mut self.busy {
-            *b = 0;
-        }
-        for b in &mut self.buckets {
-            *b = [0; BUCKETS];
-        }
-    }
 }
 
 #[cfg(test)]
@@ -286,12 +258,18 @@ mod tests {
         assert_eq!(m.io_cost(1 << 20), 1);
     }
 
+    /// Service time that also advances the clock.
+    fn charge(c: &mut SimClock, node: NodeId, bucket: Bucket, dt: SimTime) {
+        c.advance(dt);
+        c.charge_overlapped_as(node, bucket, dt);
+    }
+
     #[test]
     fn clock_accumulates_and_finds_bottleneck() {
         let mut c = SimClock::new(3);
-        c.charge(NodeId(0), 5);
-        c.charge(NodeId(1), 20);
-        c.charge(NodeId(1), 5);
+        charge(&mut c, NodeId(0), Bucket::Cpu, 5);
+        charge(&mut c, NodeId(1), Bucket::Cpu, 20);
+        charge(&mut c, NodeId(1), Bucket::Cpu, 5);
         c.charge_overlapped_as(NodeId(2), Bucket::Cpu, 100);
         assert_eq!(c.now(), 30);
         assert_eq!(c.busy(NodeId(0)), 5);
@@ -299,15 +277,12 @@ mod tests {
         assert_eq!(c.busy(NodeId(2)), 100);
         assert_eq!(c.max_busy(), 100);
         assert_eq!(c.bottleneck(), Some(NodeId(2)));
-        c.reset();
-        assert_eq!(c.now(), 0);
-        assert_eq!(c.max_busy(), 0);
     }
 
     #[test]
     fn charging_unknown_node_is_ignored() {
         let mut c = SimClock::new(1);
-        c.charge(NodeId(9), 7);
+        charge(&mut c, NodeId(9), Bucket::Cpu, 7);
         assert_eq!(c.now(), 7);
         assert_eq!(c.busy(NodeId(9)), 0);
         assert_eq!(c.profile(NodeId(9)), [0; BUCKETS]);
@@ -316,9 +291,9 @@ mod tests {
     #[test]
     fn buckets_partition_busy_time() {
         let mut c = SimClock::new(2);
-        c.charge_as(NodeId(0), Bucket::Disk, 10);
+        charge(&mut c, NodeId(0), Bucket::Disk, 10);
         c.charge_overlapped_as(NodeId(0), Bucket::Net, 3);
-        c.charge(NodeId(0), 4); // defaults to Cpu
+        charge(&mut c, NodeId(0), Bucket::Cpu, 4);
         c.charge_overlapped_as(NodeId(1), Bucket::Replay, 8);
         c.charge_wait(NodeId(0), 100);
         for n in [NodeId(0), NodeId(1)] {
@@ -335,8 +310,6 @@ mod tests {
         assert_eq!(c.bucket_us(NodeId(0), Bucket::LockWait), 100);
         assert_eq!(c.busy(NodeId(0)), 17, "lock-wait never counts as busy");
         assert_eq!(c.bucket_us(NodeId(1), Bucket::Replay), 8);
-        c.reset();
-        assert_eq!(c.profile(NodeId(0)), [0; BUCKETS]);
     }
 
     #[test]

@@ -7,7 +7,7 @@
 //! exact protocol costs. Blocking is explicit: operations that cannot
 //! proceed return [`Error::WouldBlock`] (conflicting transactions) or
 //! [`Error::OwnerDown`] (page owner crashed), and the caller retries
-//! after other transactions advance — the `cblog-sim` scheduler layers
+//! after other transactions advance — [`crate::runtime::drive`] layers
 //! queueing, retry and deadlock-victim handling on top.
 
 use crate::config::ClusterConfig;
@@ -20,9 +20,7 @@ use cblog_common::{
     Bucket, Error, Fnv1a, IdMap, Lsn, MetricValue, NodeId, PageId, Psn, Result, Rid, SimTime,
     Snapshot, Span, SpanCtx, SpanId, SpanKind, Tracer, TransferWhy, TxnId,
 };
-use cblog_locks::{
-    CallbackAction, GlobalRequestOutcome, LocalRequestOutcome, LockMode, WaitsForGraph,
-};
+use cblog_locks::{CallbackAction, GlobalRequestOutcome, LocalRequestOutcome, LockMode};
 use cblog_net::{MsgHeader, MsgKind, Network};
 use cblog_storage::{EvictedPage, Page, PageKind, SlottedPage};
 use cblog_wal::PageOp;
@@ -43,7 +41,6 @@ pub struct Cluster {
     nodes: Vec<Node>,
     net: Network,
     cfg: ClusterConfig,
-    wfg: WaitsForGraph,
     /// Sim-time at which each currently-blocked transaction first hit
     /// a lock conflict; drained into the `locks/wait_us` histogram
     /// when the access finally succeeds (or the waiter aborts).
@@ -89,7 +86,6 @@ impl Cluster {
             nodes,
             net,
             cfg,
-            wfg: WaitsForGraph::new(),
             wait_since: IdMap::default(),
             schedulers,
             tracer,
@@ -536,7 +532,6 @@ impl Cluster {
             }
             Err(e) => return Err(e),
         };
-        self.wfg.remove(txn);
         let now = self.now();
         self.tracer
             .point(now, node, self.txn_ctx(txn).span, SpanKind::Commit { txn });
@@ -719,7 +714,6 @@ impl Cluster {
                 .record(waited);
             self.net.charge_wait(txn.node, waited);
         }
-        self.wfg.remove(txn);
         Ok(())
     }
 
@@ -777,32 +771,6 @@ impl Cluster {
                 SpanKind::LogTruncate { node, upto, anchor },
             );
         }
-    }
-
-    // ------------------------------------------------------------------
-    // Deadlock bookkeeping (driven by the scheduler)
-    // ------------------------------------------------------------------
-
-    /// Records that `txn` is blocked on `holders`.
-    pub fn note_blocked(&mut self, txn: TxnId, holders: &[TxnId]) {
-        self.wfg.set_waits(txn, holders);
-    }
-
-    /// Records that `txn` made progress (no longer waiting).
-    pub fn note_unblocked(&mut self, txn: TxnId) {
-        self.wfg.remove(txn);
-    }
-
-    /// Finds a deadlock victim, if a cycle exists. Detection is
-    /// counted on the victim's node (`locks/deadlocks`); the counter
-    /// uses interior mutability, so `&self` suffices.
-    pub fn find_deadlock_victim(&self) -> Option<TxnId> {
-        let victim = self.wfg.find_victim()?;
-        self.nodes[ix(victim.node)]
-            .registry
-            .counter(keys::LOCKS_DEADLOCKS)
-            .bump();
-        Some(victim)
     }
 
     // ------------------------------------------------------------------
@@ -1359,17 +1327,6 @@ impl Cluster {
         // acknowledged, and restart rolls them back as losers.
         self.schedulers[ix(node)].clear();
         self.net.mark_crashed(node);
-        // Transactions of the crashed node disappear from the global
-        // waits-for graph (their locks will be handled by recovery).
-        let ids: Vec<TxnId> = self
-            .nodes
-            .iter()
-            .flat_map(|nd| nd.active_txns())
-            .filter(|t| t.node == node)
-            .collect();
-        for t in ids {
-            self.wfg.remove(t);
-        }
     }
 
     /// True if `node` is crashed and unrecovered.
@@ -1986,38 +1943,5 @@ mod tests {
         let crashed = at(SpanKind::Crash { node: NodeId(0) });
         assert!(committed.is_some() && committed < crashed);
         assert_eq!(c.metrics_snapshot().counter("n0/txn/commits"), 1);
-    }
-
-    #[test]
-    fn deadlock_detected_across_nodes() {
-        let mut c = cluster(vec![4, 0, 0]);
-        let pa = pid(0, 0);
-        let pb = pid(0, 1);
-        let t1 = c.begin(NodeId(1)).unwrap();
-        let t2 = c.begin(NodeId(2)).unwrap();
-        c.write_u64(t1, pa, 0, 1).unwrap();
-        c.write_u64(t2, pb, 0, 2).unwrap();
-        let r1 = c.write_u64(t1, pb, 0, 3);
-        if let Err(Error::WouldBlock { holders, .. }) = &r1 {
-            c.note_blocked(t1, holders);
-        } else {
-            panic!("t1 should block");
-        }
-        let r2 = c.write_u64(t2, pa, 0, 4);
-        if let Err(Error::WouldBlock { holders, .. }) = &r2 {
-            c.note_blocked(t2, holders);
-        } else {
-            panic!("t2 should block");
-        }
-        let victim = c.find_deadlock_victim().expect("cycle exists");
-        assert!(victim == t1 || victim == t2);
-        let vkey = format!("n{}/locks/deadlocks", victim.node.0);
-        assert_eq!(c.metrics_snapshot().counter(&vkey), 1);
-        c.abort(victim).unwrap();
-        // Survivor can finish.
-        let survivor = if victim == t1 { t2 } else { t1 };
-        let target = if victim == t1 { pa } else { pb };
-        c.write_u64(survivor, target, 0, 9).unwrap();
-        c.commit(survivor).unwrap();
     }
 }

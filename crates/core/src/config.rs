@@ -52,17 +52,6 @@ pub enum GroupCommitPolicy {
     },
 }
 
-impl GroupCommitPolicy {
-    /// True for the force-per-commit policy.
-    pub fn is_immediate(&self) -> bool {
-        match *self {
-            GroupCommitPolicy::Immediate => true,
-            GroupCommitPolicy::Window { max_batch, .. } => max_batch <= 1,
-            GroupCommitPolicy::Adaptive { target_batch, .. } => target_batch <= 1,
-        }
-    }
-}
-
 /// Configuration of a single node.
 #[derive(Clone, Debug)]
 pub struct NodeConfig {
@@ -339,16 +328,5 @@ mod tests {
             ClusterConfig::builder().build().group_commit(),
             GroupCommitPolicy::Immediate
         );
-        assert!(GroupCommitPolicy::Immediate.is_immediate());
-        assert!(GroupCommitPolicy::Window {
-            window_us: 100,
-            max_batch: 1
-        }
-        .is_immediate());
-        assert!(!GroupCommitPolicy::Window {
-            window_us: 100,
-            max_batch: 8
-        }
-        .is_immediate());
     }
 }

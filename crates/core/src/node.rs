@@ -512,11 +512,6 @@ impl Node {
         self.crashed
     }
 
-    /// True if the node owns a database.
-    pub fn is_owner(&self) -> bool {
-        self.db.is_some()
-    }
-
     /// Node configuration.
     pub fn config(&self) -> &NodeConfig {
         &self.cfg
@@ -1985,7 +1980,7 @@ mod tests {
             },
         )
         .unwrap();
-        assert!(!n.is_owner());
+        assert!(n.db.is_none());
     }
 
     #[test]

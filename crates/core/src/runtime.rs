@@ -150,22 +150,13 @@ pub trait System {
     /// Submits a commit to the system's async commit pipeline: the
     /// transaction's commit record is written and its locks release,
     /// but durability is acknowledged via [`System::poll_committed`].
-    /// Systems without a pipeline commit synchronously here.
-    fn commit_submit(&mut self, txn: TxnId) -> Result<()> {
-        self.commit(txn)
-    }
-    /// True once a submitted commit is durable. Synchronous systems
-    /// are always done.
-    fn poll_committed(&mut self, txn: TxnId) -> Result<bool> {
-        let _ = txn;
-        Ok(true)
-    }
+    fn commit_submit(&mut self, txn: TxnId) -> Result<()>;
+    /// True once a submitted commit is durable.
+    fn poll_committed(&mut self, txn: TxnId) -> Result<bool>;
     /// Drives the commit pipeline when nothing else can make progress
     /// (e.g. advances the sim-clock to the next group-commit window
     /// deadline). Returns true if any commit was acknowledged.
-    fn pump_commits(&mut self) -> Result<bool> {
-        Ok(false)
-    }
+    fn pump_commits(&mut self) -> Result<bool>;
     /// Reports a driver-level lock-queueing delay: `txn` spent `us`
     /// sim-µs being retried before its blocked operation succeeded (or
     /// it was aborted). Systems that already fold retry spans into
@@ -603,5 +594,26 @@ mod tests {
             .collect();
         let report = Runtime::run(&mut c, &plans).unwrap();
         assert_eq!(report.committed, 3);
+    }
+
+    #[test]
+    fn drive_breaks_a_cross_node_deadlock() {
+        // N1 writes P0 then P1, N2 writes P1 then P0, both pages owned
+        // by N0: each waits on the other through a callback, and
+        // `drive`'s waits-for graph must pick a victim and re-run it.
+        let mut c =
+            Cluster::new(ClusterConfig::builder().owned_pages(vec![2, 0, 0]).build()).unwrap();
+        let write = |index, value| PlanOp::Write {
+            pid: pid(0, index),
+            slot: 0,
+            value,
+        };
+        let plans = vec![
+            plan(1, 0, vec![write(0, 1), write(1, 1)], false),
+            plan(2, 0, vec![write(1, 2), write(0, 2)], false),
+        ];
+        let report = Runtime::run(&mut c, &plans).unwrap();
+        assert_eq!(report.committed, 2);
+        assert!(report.forced_aborts >= 1, "{report:?}");
     }
 }

@@ -71,11 +71,6 @@ impl TxnState {
         self.updates += 1;
     }
 
-    /// True if the transaction can still issue operations.
-    pub fn is_active(&self) -> bool {
-        self.status == TxnStatus::Active
-    }
-
     /// True once the transaction has terminated either way.
     pub fn is_terminated(&self) -> bool {
         matches!(self.status, TxnStatus::Committed | TxnStatus::Aborted)
@@ -90,13 +85,10 @@ mod tests {
     #[test]
     fn lifecycle_flags() {
         let mut t = TxnState::new(TxnId::new(NodeId(1), 1), Lsn(8));
-        assert!(t.is_active());
         assert!(!t.is_terminated());
         t.status = TxnStatus::Aborting;
-        assert!(!t.is_active());
         assert!(!t.is_terminated());
         t.status = TxnStatus::Committing;
-        assert!(!t.is_active(), "force-pending txn issues no more ops");
         assert!(!t.is_terminated(), "not durable until the force lands");
         t.status = TxnStatus::Aborted;
         assert!(t.is_terminated());

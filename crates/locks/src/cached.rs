@@ -72,19 +72,6 @@ impl CachedLockTable {
         v
     }
 
-    /// Pages cached in exclusive mode (the recovery candidates of
-    /// §2.3.1 for remotely owned pages).
-    pub fn exclusive_pages(&self) -> Vec<PageId> {
-        let mut v: Vec<PageId> = self
-            .locks
-            .iter()
-            .filter(|(_, m)| **m == LockMode::Exclusive)
-            .map(|(p, _)| *p)
-            .collect();
-        v.sort();
-        v
-    }
-
     /// Drops everything (node crash loses the lock table, §2.3).
     pub fn clear(&mut self) {
         self.locks.clear();
@@ -160,8 +147,14 @@ mod tests {
         c.grant(p(3), LockMode::Exclusive);
         c.grant(p(1), LockMode::Shared);
         c.grant(p(2), LockMode::Exclusive);
-        assert_eq!(c.exclusive_pages(), vec![p(2), p(3)]);
-        assert_eq!(c.all().len(), 3);
+        assert_eq!(
+            c.all(),
+            vec![
+                (p(1), LockMode::Shared),
+                (p(2), LockMode::Exclusive),
+                (p(3), LockMode::Exclusive)
+            ]
+        );
         c.clear();
         assert!(c.is_empty());
     }

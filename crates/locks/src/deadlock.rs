@@ -39,11 +39,6 @@ impl WaitsForGraph {
         self.edges.retain(|_, s| !s.is_empty());
     }
 
-    /// Number of waiting transactions.
-    pub fn waiter_count(&self) -> usize {
-        self.edges.len()
-    }
-
     /// Finds a cycle and returns the chosen victim (the youngest, i.e.
     /// largest-id transaction in the cycle), or `None`.
     pub fn find_victim(&self) -> Option<TxnId> {
@@ -140,7 +135,7 @@ mod tests {
         let mut g = WaitsForGraph::new();
         g.set_waits(t(1, 1), &[t(1, 1)]);
         assert_eq!(g.find_victim(), None);
-        assert_eq!(g.waiter_count(), 0);
+        assert!(g.edges.is_empty());
     }
 
     #[test]
@@ -150,7 +145,7 @@ mod tests {
         g.set_waits(t(1, 2), &[t(1, 1)]);
         g.remove(t(1, 2));
         assert_eq!(g.find_victim(), None);
-        assert_eq!(g.waiter_count(), 0, "t1's edge to removed txn is gone");
+        assert!(g.edges.is_empty(), "t1's edge to removed txn is gone");
     }
 
     #[test]

@@ -194,11 +194,6 @@ impl GlobalLockTable {
     pub fn clear(&mut self) {
         self.locks.clear();
     }
-
-    /// Number of (page, node) grants outstanding.
-    pub fn grant_count(&self) -> usize {
-        self.locks.values().map(Vec::len).sum()
-    }
 }
 
 #[cfg(test)]
@@ -337,7 +332,6 @@ mod tests {
         let mut g = GlobalLockTable::new();
         g.request(p(0), n(1), LockMode::Exclusive);
         g.release(p(0), n(1));
-        assert!(g.holders(p(0)).is_empty());
-        assert_eq!(g.grant_count(), 0);
+        assert!(g.locks.is_empty());
     }
 }

@@ -103,11 +103,6 @@ impl LocalLockTable {
         self.locks.get(&pid).cloned().unwrap_or_default()
     }
 
-    /// True if any local transaction holds `pid`.
-    pub fn is_locked(&self, pid: PageId) -> bool {
-        self.locks.get(&pid).is_some_and(|h| !h.is_empty())
-    }
-
     /// Pages `txn` currently holds, with modes (sorted by page).
     pub fn locks_of(&self, txn: TxnId) -> Vec<(PageId, LockMode)> {
         let mut v: Vec<(PageId, LockMode)> = self
@@ -130,11 +125,6 @@ impl LocalLockTable {
     /// Drops everything (node crash).
     pub fn clear(&mut self) {
         self.locks.clear();
-    }
-
-    /// Number of (txn, page) lock grants outstanding.
-    pub fn grant_count(&self) -> usize {
-        self.locks.values().map(Vec::len).sum()
     }
 }
 
@@ -223,9 +213,8 @@ mod tests {
         assert_eq!(lt.locks_of(t(1)).len(), 2);
         lt.release_all(t(1));
         assert!(lt.locks_of(t(1)).is_empty());
-        assert!(!lt.is_locked(p(0)));
-        assert!(lt.is_locked(p(1)), "t2 still holds p1");
-        assert_eq!(lt.grant_count(), 1);
+        assert!(lt.holders(p(0)).is_empty());
+        assert_eq!(lt.holders(p(1)), vec![(t(2), LockMode::Shared)]);
     }
 
     #[test]
@@ -233,6 +222,6 @@ mod tests {
         let mut lt = LocalLockTable::new();
         lt.request(t(1), p(0), LockMode::Exclusive);
         lt.clear();
-        assert_eq!(lt.grant_count(), 0);
+        assert!(lt.locks.is_empty());
     }
 }

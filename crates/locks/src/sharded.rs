@@ -90,11 +90,6 @@ impl ShardedLockTable {
         }
     }
 
-    /// Number of shards.
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
-    }
-
     /// The shard comes from the upper half of the hash the shard's own
     /// map buckets `pid` by (from the low bits), so the pages of one
     /// shard still spread over all of its buckets.
@@ -280,7 +275,7 @@ mod tests {
     #[test]
     fn shards_partition_pages() {
         let t = ShardedLockTable::new(16);
-        assert_eq!(t.shard_count(), 16);
+        assert_eq!(t.shards.len(), 16);
         for i in 0..100 {
             assert!(t.try_acquire(pid(1, i), 7, LockMode::Exclusive));
         }
@@ -289,7 +284,7 @@ mod tests {
         assert_eq!(t.locked_pages(), 0);
         // Degenerate request still works.
         let t1 = ShardedLockTable::new(0);
-        assert_eq!(t1.shard_count(), 1);
+        assert_eq!(t1.shards.len(), 1);
         assert!(t1.try_acquire(pid(0, 0), 1, LockMode::Shared));
     }
 

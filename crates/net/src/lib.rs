@@ -76,7 +76,7 @@ impl FaultAction {
 /// Schedule-driven fault injection: `(sequence index, action)` pairs
 /// applied to the Nth fault-eligible message the transport carries
 /// (0-based, counting only messages that pass the plan's
-/// [`FaultPlan::with_only_kinds`] filter). Installing a script
+/// [`FaultPlan::only_kinds`] filter). Installing a script
 /// replaces the RNG rolls entirely, making every branch of a fault
 /// schedule enumerable and exactly replayable — this is the model
 /// checker's injection mode. Multiple actions on one index apply in
@@ -105,7 +105,7 @@ impl FaultScript {
 /// All probabilities default to zero, making the default plan a strict
 /// no-op; every roll comes from one private RNG stream seeded by
 /// `seed`, so a given plan replays identically. Message faults apply to
-/// every [`MsgKind`] unless narrowed with [`FaultPlan::with_only_kinds`].
+/// every [`MsgKind`] unless narrowed by [`FaultPlan::only_kinds`].
 /// Installing a [`FaultScript`] switches the plan from RNG-driven to
 /// schedule-driven: the probabilities are ignored and only the scripted
 /// steps fire.
@@ -196,19 +196,6 @@ impl FaultPlan {
     /// Sets the torn-log-write probability applied at crash time.
     pub fn with_tear(mut self, p: f64) -> Self {
         self.tear = p;
-        self
-    }
-
-    /// Restricts message faults to the given kinds.
-    pub fn with_only_kinds(mut self, kinds: &[MsgKind]) -> Self {
-        self.only_kinds = Some(kinds.to_vec());
-        self
-    }
-
-    /// Sets the retry budget and backoff for reliable sends.
-    pub fn with_retries(mut self, max_retries: u32, backoff_us: SimTime) -> Self {
-        self.max_retries = max_retries;
-        self.retry_backoff_us = backoff_us;
         self
     }
 
@@ -445,8 +432,6 @@ pub struct Network {
     clock: SimClock,
     cost: CostModel,
     stats: NetStats,
-    per_node_sent: Vec<u64>,
-    per_node_recv: Vec<u64>,
     crashed: HashSet<NodeId>,
     disk_ios: Vec<u64>,
     faults: FaultPlan,
@@ -471,8 +456,6 @@ impl Network {
             clock: SimClock::new(nodes),
             cost,
             stats: NetStats::default(),
-            per_node_sent: vec![0; nodes],
-            per_node_recv: vec![0; nodes],
             crashed: HashSet::new(),
             disk_ios: vec![0; nodes],
             faults,
@@ -504,11 +487,6 @@ impl Network {
     /// [`Network::advance_time`]).
     pub fn end_overlap(&mut self) -> SimTime {
         self.overlap.take().expect("overlap mode not active")
-    }
-
-    /// Is overlap mode active?
-    pub fn overlap_active(&self) -> bool {
-        self.overlap.is_some()
     }
 
     /// Unconditionally drops any active overlap accumulator. Error
@@ -566,12 +544,6 @@ impl Network {
         let i = kind.index();
         self.stats.counts[i] += 1;
         self.stats.bytes[i] += bytes as u64;
-        if let Some(s) = self.per_node_sent.get_mut(from.0 as usize) {
-            *s += 1;
-        }
-        if let Some(r) = self.per_node_recv.get_mut(to.0 as usize) {
-            *r += 1;
-        }
         let wire = self.cost.message_cost(bytes);
         let bucket = self.bucket_for(Bucket::Net);
         self.advance_clock(wire);
@@ -804,22 +776,6 @@ impl Network {
         self.stats.clone()
     }
 
-    /// Messages sent by `node`.
-    pub fn sent_by(&self, node: NodeId) -> u64 {
-        self.per_node_sent
-            .get(node.0 as usize)
-            .copied()
-            .unwrap_or(0)
-    }
-
-    /// Messages received by `node`.
-    pub fn received_by(&self, node: NodeId) -> u64 {
-        self.per_node_recv
-            .get(node.0 as usize)
-            .copied()
-            .unwrap_or(0)
-    }
-
     /// Disk I/Os charged to `node`.
     pub fn disk_ios_of(&self, node: NodeId) -> u64 {
         self.disk_ios.get(node.0 as usize).copied().unwrap_or(0)
@@ -835,27 +791,10 @@ impl Network {
         self.advance_clock(dt);
     }
 
-    /// Charges pure CPU service time to a node.
-    pub fn charge_node(&mut self, node: NodeId, dt: SimTime) {
-        let bucket = self.bucket_for(Bucket::Cpu);
-        self.clock.charge_overlapped_as(node, bucket, dt);
-    }
-
     /// Records lock-blocked time for a node (profiler only — blocked
     /// time is never busy time).
     pub fn charge_wait(&mut self, node: NodeId, dt: SimTime) {
         self.clock.charge_wait(node, dt);
-    }
-
-    /// Resets statistics and clock (after warmup); crash flags and the
-    /// fault RNG stream persist.
-    pub fn reset_stats(&mut self) {
-        self.stats = NetStats::default();
-        self.fault_stats = FaultStats::default();
-        self.per_node_sent.iter_mut().for_each(|v| *v = 0);
-        self.per_node_recv.iter_mut().for_each(|v| *v = 0);
-        self.disk_ios.iter_mut().for_each(|v| *v = 0);
-        self.clock.reset();
     }
 }
 
@@ -882,9 +821,6 @@ mod tests {
         assert_eq!(s.bytes_of(MsgKind::LockRequest), 128);
         assert_eq!(s.total_messages(), 3);
         assert_eq!(s.total_bytes(), 160);
-        assert_eq!(n.sent_by(NodeId(0)), 2);
-        assert_eq!(n.received_by(NodeId(1)), 2);
-        assert_eq!(n.sent_by(NodeId(1)), 1);
     }
 
     #[test]
@@ -1016,7 +952,11 @@ mod tests {
         let mut n = Network::with_faults(
             2,
             CostModel::unit(),
-            FaultPlan::new(7).with_drop(1.0).with_retries(3, 10),
+            FaultPlan {
+                max_retries: 3,
+                retry_backoff_us: 10,
+                ..FaultPlan::new(7).with_drop(1.0)
+            },
         );
         match n.send_reliable(NodeId(0), NodeId(1), MsgKind::PageShip, 100) {
             Err(Error::RetriesExhausted { attempts, .. }) => assert_eq!(attempts, 4),
@@ -1046,9 +986,10 @@ mod tests {
         let mut n = Network::with_faults(
             2,
             CostModel::unit(),
-            FaultPlan::new(7)
-                .with_drop(1.0)
-                .with_only_kinds(&[MsgKind::PageShip]),
+            FaultPlan {
+                only_kinds: Some(vec![MsgKind::PageShip]),
+                ..FaultPlan::new(7).with_drop(1.0)
+            },
         );
         n.send(NodeId(0), NodeId(1), MsgKind::LockRequest, 48)
             .unwrap();
@@ -1172,28 +1113,25 @@ mod tests {
         n.send(NodeId(0), NodeId(1), MsgKind::PageShip, 100)
             .unwrap();
         n.disk_io(NodeId(0), 1024);
-        n.charge_node(NodeId(0), 5);
         n.charge_wait(NodeId(0), 9);
         let c = n.clock();
         assert_eq!(c.bucket_us(NodeId(0), Bucket::Net), cost.handle_us);
         assert_eq!(c.bucket_us(NodeId(1), Bucket::Net), cost.handle_us);
         assert_eq!(c.bucket_us(NodeId(0), Bucket::Disk), cost.io_cost(1024));
-        assert_eq!(c.bucket_us(NodeId(0), Bucket::Cpu), 5);
         assert_eq!(c.bucket_us(NodeId(0), Bucket::LockWait), 9);
         assert_eq!(
             c.busy(NodeId(0)),
-            cost.handle_us + cost.io_cost(1024) + 5,
+            cost.handle_us + cost.io_cost(1024),
             "lock-wait stays out of busy"
         );
         // A replay scope reroutes every charge, whatever the resource.
         n.set_attribution(Some(Bucket::Replay));
         n.disk_io(NodeId(1), 1024);
-        n.charge_node(NodeId(1), 7);
         n.set_attribution(None);
         assert_eq!(n.clock().bucket_us(NodeId(1), Bucket::Disk), 0);
         assert_eq!(
             n.clock().bucket_us(NodeId(1), Bucket::Replay),
-            cost.io_cost(1024) + 7
+            cost.io_cost(1024)
         );
         assert_eq!(n.attribution(), None);
     }
@@ -1204,7 +1142,7 @@ mod tests {
         let cost = CostModel::unit();
         let before = n.clock().now();
         n.begin_overlap();
-        assert!(n.overlap_active());
+        assert!(n.overlap.is_some());
         n.send(NodeId(0), NodeId(1), MsgKind::PageShip, 100)
             .unwrap();
         n.disk_io(NodeId(0), 1024);
@@ -1225,19 +1163,8 @@ mod tests {
         n.begin_overlap();
         n.advance_time(1000);
         n.clear_overlap();
-        assert!(!n.overlap_active());
+        assert!(n.overlap.is_none());
         n.advance_time(3);
         assert_eq!(n.clock().now(), before + 10);
-    }
-
-    #[test]
-    fn reset_clears_counts_keeps_crashes() {
-        let mut n = net();
-        n.send(NodeId(0), NodeId(1), MsgKind::PageShip, 10).unwrap();
-        n.mark_crashed(NodeId(2));
-        n.reset_stats();
-        assert_eq!(n.stats().total_messages(), 0);
-        assert_eq!(n.sent_by(NodeId(0)), 0);
-        assert!(n.is_crashed(NodeId(2)));
     }
 }

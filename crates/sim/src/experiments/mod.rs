@@ -200,8 +200,8 @@ mod tests {
     fn builders_produce_expected_shapes() {
         let c = cbl_cluster(3, 8, 16);
         assert_eq!(c.node_count(), 4);
-        assert!(c.node(NodeId(0)).is_owner());
-        assert!(!c.node(NodeId(2)).is_owner());
+        assert_eq!(c.node(NodeId(0)).config().owned_pages, 8);
+        assert_eq!(c.node(NodeId(2)).config().owned_pages, 0);
         let _s = csa_cluster(2, 8, 16);
         assert_eq!(pages0(3).len(), 3);
     }

@@ -18,4 +18,4 @@ pub use cblog_core::System;
 pub use driver::{run_workload, RunStats};
 pub use oracle::Oracle;
 pub use report::Table;
-pub use workload::{TransferSpec, WorkloadConfig};
+pub use workload::WorkloadConfig;

@@ -99,57 +99,6 @@ pub fn owned_pages(owner: NodeId, count: u32) -> Vec<PageId> {
     (0..count).map(|i| PageId::new(owner, i)).collect()
 }
 
-/// A bank-transfer workload (TPC-B flavoured): every transaction moves
-/// an amount between two account slots, preserving the total balance.
-/// The conserved sum is a strong serializability + atomicity oracle —
-/// it holds under any interleaving, any aborts, and any crash/recovery
-/// sequence, which point-value oracles cannot check.
-#[derive(Clone, Debug)]
-pub struct TransferSpec {
-    /// Node the transfer runs on.
-    pub client: NodeId,
-    /// Source account (page, slot).
-    pub from: (PageId, usize),
-    /// Destination account (page, slot).
-    pub to: (PageId, usize),
-    /// Amount moved.
-    pub amount: u64,
-    /// Roll back instead of committing.
-    pub user_abort: bool,
-}
-
-/// Generates `txns_per_client` transfers per client over `accounts`
-/// (each account = (page, slot)). Amounts stay small relative to the
-/// initial balance so accounts never go negative.
-pub fn generate_transfers(
-    seed: u64,
-    clients: &[NodeId],
-    accounts: &[(PageId, usize)],
-    txns_per_client: usize,
-    abort_prob: f64,
-) -> Vec<TransferSpec> {
-    assert!(accounts.len() >= 2, "transfers need two accounts");
-    let mut rng = Rng::seed_from_u64(seed);
-    let mut out = Vec::with_capacity(clients.len() * txns_per_client);
-    for &client in clients {
-        for _ in 0..txns_per_client {
-            let a = rng.gen_range_usize(0..accounts.len());
-            let mut b = rng.gen_range_usize(0..accounts.len() - 1);
-            if b >= a {
-                b += 1;
-            }
-            out.push(TransferSpec {
-                client,
-                from: accounts[a],
-                to: accounts[b],
-                amount: rng.gen_range(1..5),
-                user_abort: abort_prob > 0.0 && rng.gen_bool(abort_prob),
-            });
-        }
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -245,25 +194,6 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn transfers_pick_distinct_accounts() {
-        let accounts: Vec<(PageId, usize)> = (0..4u32)
-            .flat_map(|p| (0..4usize).map(move |s| (PageId::new(NodeId(0), p), s)))
-            .collect();
-        let specs = generate_transfers(9, &[NodeId(1), NodeId(2)], &accounts, 50, 0.2);
-        assert_eq!(specs.len(), 100);
-        for t in &specs {
-            assert_ne!(t.from, t.to);
-            assert!(t.amount >= 1 && t.amount < 5);
-        }
-        assert!(specs.iter().any(|t| t.user_abort));
-        // Deterministic.
-        let again = generate_transfers(9, &[NodeId(1), NodeId(2)], &accounts, 50, 0.2);
-        assert_eq!(specs.len(), again.len());
-        assert_eq!(specs[7].from, again[7].from);
-        assert_eq!(specs[7].amount, again[7].amount);
     }
 
     #[test]

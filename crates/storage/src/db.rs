@@ -169,14 +169,10 @@ impl Database {
         self.capacity
     }
 
-    /// Read-only view of the space map.
-    pub fn space_map(&self) -> &SpaceMap {
-        &self.map
-    }
-
     /// Allocates a page, formats it on disk with the PSN the space map
-    /// dictates (paper §2.1 / ARIES-CSA trick), and returns the
-    /// in-memory copy.
+    /// dictates, and returns the in-memory copy: the reference
+    /// [`Database::allocate_pages`] is tested against.
+    #[cfg(test)]
     pub fn allocate_page(&mut self, kind: PageKind) -> Result<Page> {
         let (index, psn) = self.map.allocate(kind_tag(kind)?)?;
         let page = self.format_page(kind, index, psn)?;
@@ -184,8 +180,9 @@ impl Database {
         Ok(page)
     }
 
-    /// Allocates `count` pages as that many [`Database::allocate_page`]
-    /// calls would, leaving the same bytes on the device, but writes the
+    /// Allocates `count` pages and formats each on disk with the PSN
+    /// the space map dictates (paper §2.1 / ARIES-CSA trick). Leaves
+    /// the bytes that many one-page allocations would, but writes the
     /// space map once instead of once a page.
     pub fn allocate_pages(&mut self, kind: PageKind, count: u32) -> Result<()> {
         for (index, psn) in self.map.allocate_many(kind_tag(kind)?, count)? {
@@ -301,7 +298,7 @@ mod tests {
         let mut p = db.allocate_page(PageKind::Raw).unwrap();
         assert_eq!(p.id(), PageId::new(NodeId(1), 0));
         assert_eq!(p.psn(), Psn(1));
-        p.write_slot(0, 99).unwrap();
+        p.write_range(0, &99u64.to_le_bytes()).unwrap();
         p.bump_psn();
         db.write_page(&p).unwrap();
         let q = db.read_page(0).unwrap();
@@ -378,7 +375,7 @@ mod tests {
             let mut db = Database::open(Box::new(fs)).unwrap();
             assert_eq!(db.node(), NodeId(2));
             assert_eq!(db.capacity(), 8);
-            assert_eq!(db.space_map().allocated_count(), 1);
+            assert_eq!(db.map.allocated_count(), 1);
             let p = db.read_page(0).unwrap();
             assert_eq!(p.read_range(0, 9).unwrap(), b"persisted");
         }

@@ -190,11 +190,6 @@ impl Page {
         &mut self.buf[PAGE_HEADER_LEN..]
     }
 
-    /// Number of u64 counter slots a [`PageKind::Raw`] body holds.
-    pub fn slot_count(&self) -> usize {
-        self.body().len() / 8
-    }
-
     /// Reads counter slot `i` of a raw page.
     pub fn read_slot(&self, i: usize) -> Result<u64> {
         let body = self.body();
@@ -203,18 +198,6 @@ impl Page {
             return Err(Error::Invalid(format!("slot {i} out of range")));
         }
         Ok(u64::from_le_bytes(body[off..off + 8].try_into().unwrap()))
-    }
-
-    /// Writes counter slot `i` of a raw page. Does **not** touch the
-    /// PSN; the caller logs the update and bumps it.
-    pub fn write_slot(&mut self, i: usize, v: u64) -> Result<()> {
-        let body = self.body_mut();
-        let off = i * 8;
-        if off + 8 > body.len() {
-            return Err(Error::Invalid(format!("slot {i} out of range")));
-        }
-        body[off..off + 8].copy_from_slice(&v.to_le_bytes());
-        Ok(())
     }
 
     /// Reads `len` body bytes at `off` (physical logging before-image).
@@ -257,7 +240,6 @@ mod tests {
         assert_eq!(p.psn(), Psn(100));
         assert_eq!(p.kind(), PageKind::Raw);
         assert_eq!(p.size(), 4096);
-        assert_eq!(p.slot_count(), (4096 - PAGE_HEADER_LEN) / 8);
     }
 
     #[test]
@@ -272,13 +254,12 @@ mod tests {
     #[test]
     fn slots_round_trip() {
         let mut p = Page::new(pid(), PageKind::Raw, Psn(0), 256);
-        p.write_slot(0, 42).unwrap();
-        p.write_slot(3, u64::MAX).unwrap();
+        p.write_range(0, &42u64.to_le_bytes()).unwrap();
+        p.write_range(24, &u64::MAX.to_le_bytes()).unwrap();
         assert_eq!(p.read_slot(0).unwrap(), 42);
         assert_eq!(p.read_slot(1).unwrap(), 0);
         assert_eq!(p.read_slot(3).unwrap(), u64::MAX);
         assert!(p.read_slot(1000).is_err());
-        assert!(p.write_slot(1000, 1).is_err());
     }
 
     #[test]
@@ -308,8 +289,9 @@ mod tests {
         // (CRC at 24..28): the checksum kernel may change, the format
         // may not, or existing database files stop verifying.
         let mut p = Page::new(pid(), PageKind::Raw, Psn(9), 64);
-        p.write_slot(0, 0x0123_4567_89AB_CDEF).unwrap();
-        p.write_slot(3, 42).unwrap();
+        p.write_range(0, &0x0123_4567_89AB_CDEFu64.to_le_bytes())
+            .unwrap();
+        p.write_range(24, &42u64.to_le_bytes()).unwrap();
         #[rustfmt::skip]
         let golden: [u8; 64] = [
             0x4c, 0x42, 0x43, 0x50, 0x07, 0x00, 0x00, 0x00, 0x01, 0x00, 0x00, 0x00, 0x09, 0x00, 0x00, 0x00,

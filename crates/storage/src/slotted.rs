@@ -91,40 +91,10 @@ impl<'a> SlottedPage<'a> {
         self.write_u16(off + 2, len);
     }
 
-    /// Number of live records.
-    pub fn live_count(&self) -> u16 {
-        (0..self.dir_len())
-            .filter(|&s| self.slot_entry(s).0 != DEAD)
-            .count() as u16
-    }
-
     /// Contiguous free space between directory and heap.
     pub fn free_space(&self) -> usize {
         let dir_end = DIR_HEADER + self.dir_len() as usize * SLOT_ENTRY;
         (self.heap_floor() as usize).saturating_sub(dir_end)
-    }
-
-    /// Total reclaimable space (free + dead record bytes).
-    pub fn usable_space(&self) -> usize {
-        let dead_bytes: usize = (0..self.dir_len())
-            .filter(|&s| self.slot_entry(s).0 == DEAD)
-            .map(|_| 0usize)
-            .sum();
-        // Dead slots keep their directory entry but their payload has
-        // already been freed by compaction accounting below; usable
-        // space is simply free space after a hypothetical compaction.
-        let live: usize = (0..self.dir_len())
-            .map(|s| {
-                let (o, l) = self.slot_entry(s);
-                if o == DEAD {
-                    0
-                } else {
-                    l as usize
-                }
-            })
-            .sum();
-        let dir_end = DIR_HEADER + self.dir_len() as usize * SLOT_ENTRY;
-        self.body_len() - dir_end - live + dead_bytes
     }
 
     /// Returns the record in `slot`, or an error for dead/out-of-range
@@ -286,7 +256,7 @@ mod tests {
         assert_ne!(a, b);
         assert_eq!(sp.get(a).unwrap(), b"alpha");
         assert_eq!(sp.get(b).unwrap(), b"bravo");
-        assert_eq!(sp.live_count(), 2);
+        assert_eq!(sp.iter().count(), 2);
     }
 
     #[test]

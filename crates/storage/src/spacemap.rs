@@ -78,14 +78,16 @@ impl SpaceMap {
 
     /// Allocates the lowest free page index, returning `(index,
     /// initial_psn)`. The page must be formatted with exactly this PSN.
+    #[cfg(test)]
     pub fn allocate(&mut self, kind: u8) -> Result<(u32, Psn)> {
         Ok(self.allocate_many(kind, 1)?[0])
     }
 
     /// Allocates the `count` lowest free page indices in one pass over
-    /// the map: what `count` calls of [`SpaceMap::allocate`] return, in
-    /// the same order. All or nothing: a map without `count` free pages
-    /// is left as it was.
+    /// the map, returning `(index, initial_psn)` for each in order: what
+    /// `count` one-page allocations return. Each page must be formatted
+    /// with exactly its PSN. All or nothing: a map without `count` free
+    /// pages is left as it was.
     pub fn allocate_many(&mut self, kind: u8, count: u32) -> Result<Vec<(u32, Psn)>> {
         let free: Vec<usize> = (0..self.entries.len())
             .filter(|&i| !self.entries[i].allocated)
@@ -103,21 +105,6 @@ impl SpaceMap {
                 (i as u32, e.psn_floor)
             })
             .collect())
-    }
-
-    /// Allocates a specific page index (used by recovery replay of
-    /// allocation operations).
-    pub fn allocate_at(&mut self, index: u32, kind: u8) -> Result<Psn> {
-        let e = self
-            .entries
-            .get_mut(index as usize)
-            .ok_or_else(|| Error::Invalid(format!("page index {index} out of map")))?;
-        if e.allocated {
-            return Err(Error::Invalid(format!("page {index} already allocated")));
-        }
-        e.allocated = true;
-        e.kind = kind;
-        Ok(e.psn_floor)
     }
 
     /// Deallocates page `index`; `final_psn` is the page's PSN at
@@ -218,7 +205,7 @@ mod tests {
         let mut m = SpaceMap::new(1);
         let (idx, _) = m.allocate(1).unwrap();
         m.deallocate(idx, Psn(100)).unwrap();
-        m.allocate_at(idx, 1).unwrap();
+        assert_eq!(m.allocate(1).unwrap(), (idx, Psn(101)));
         // Deallocate again with a *smaller* final psn (cannot actually
         // happen, but the map must be monotone anyway).
         m.deallocate(idx, Psn(5)).unwrap();
@@ -230,7 +217,6 @@ mod tests {
         let mut m = SpaceMap::new(1);
         let (idx, _) = m.allocate(1).unwrap();
         assert!(m.allocate(1).is_err(), "database full");
-        assert!(m.allocate_at(idx, 1).is_err());
         m.deallocate(idx, Psn(1)).unwrap();
         assert!(m.deallocate(idx, Psn(1)).is_err());
     }
@@ -267,6 +253,5 @@ mod tests {
         let mut m = SpaceMap::new(1);
         assert!(m.entry(5).is_err());
         assert!(m.deallocate(5, Psn(1)).is_err());
-        assert!(m.allocate_at(5, 1).is_err());
     }
 }

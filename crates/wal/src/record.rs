@@ -83,11 +83,6 @@ impl PageOp {
     pub fn inverse(&self) -> PageOp {
         PageOpRef::from(self).inverse().to_owned()
     }
-
-    /// True for logical (record-level) operations.
-    pub fn is_logical(&self) -> bool {
-        !matches!(self, PageOp::WriteRange { .. })
-    }
 }
 
 /// A [`PageOp`] whose images are borrowed: from a log frame when
@@ -1069,7 +1064,6 @@ mod tests {
         assert_eq!(page.read_range(16, 8).unwrap(), &[1; 8]);
         op.apply_undo(&mut page).unwrap();
         assert_eq!(page.read_range(16, 8).unwrap(), &[9; 8]);
-        assert!(!op.is_logical());
     }
 
     #[test]
@@ -1095,7 +1089,6 @@ mod tests {
         assert!(!SlottedPage::new(&mut page).is_live(slot));
         del.apply_undo(&mut page).unwrap();
         assert_eq!(SlottedPage::new(&mut page).get(slot).unwrap(), b"original");
-        assert!(del.is_logical());
     }
 
     #[test]

@@ -41,9 +41,7 @@ fn open_db(dir: &TempDir, create: bool) -> Database {
     let storage = Box::new(FileStorage::open(&dir.path("db"), PAGE).unwrap());
     if create {
         let mut db = Database::create(storage, NODE, 4).unwrap();
-        for _ in 0..4 {
-            db.allocate_page(PageKind::Raw).unwrap();
-        }
+        db.allocate_pages(PageKind::Raw, 4).unwrap();
         db
     } else {
         Database::open(storage).unwrap()
@@ -227,10 +225,11 @@ fn database_space_map_persists_across_alloc_free_cycles() {
     }
     {
         let mut db = open_db(&dir, false);
-        assert_eq!(db.space_map().allocated_count(), 3);
+        assert!(db.read_page(2).is_err(), "page 2 stays free");
+        assert!(db.read_page(3).is_ok());
         // Reallocation respects the persisted PSN floor.
-        let p = db.allocate_page(PageKind::Raw).unwrap();
-        assert_eq!(p.id().index, 2);
+        db.allocate_pages(PageKind::Raw, 1).unwrap();
+        let p = db.read_page(2).unwrap();
         assert!(p.psn() > Psn(20), "PSN floor persisted: {:?}", p.psn());
     }
 }
@@ -241,7 +240,7 @@ fn torn_page_write_detected_on_reopen() {
     {
         let mut db = open_db(&dir, true);
         let mut page = db.read_page(0).unwrap();
-        page.write_slot(0, 42).unwrap();
+        page.write_range(0, &42u64.to_le_bytes()).unwrap();
         page.bump_psn();
         db.write_page(&page).unwrap();
         db.sync().unwrap();
@@ -297,7 +296,7 @@ fn full_node_lifecycle_on_files_via_manual_composition() {
                 let u = log
                     .append(&upd(txn, begin, pid, page.psn(), slot, before, v))
                     .unwrap();
-                page.write_slot(slot, v).unwrap();
+                page.write_range(slot * 8, &v.to_le_bytes()).unwrap();
                 page.bump_psn();
                 if commit {
                     let c = log

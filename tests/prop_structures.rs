@@ -62,7 +62,7 @@ fn slotted_page_matches_model() {
                 _ => sp.compact(),
             }
             // Full consistency check after every step.
-            assert_eq!(sp.live_count() as usize, model.len(), "case {case}");
+            assert_eq!(sp.iter().count(), model.len(), "case {case}");
             for (slot, data) in &model {
                 assert_eq!(sp.get(*slot).unwrap(), &data[..], "case {case}");
             }
@@ -139,7 +139,7 @@ fn spacemap_psn_floor_is_monotone() {
         let mut last_initial = Psn(0);
         for _ in 0..n {
             let fin = rng.gen_range(1..500);
-            let (idx, initial) = m.allocate(1).unwrap();
+            let (idx, initial) = m.allocate_many(1, 1).unwrap()[0];
             assert!(
                 initial > last_initial,
                 "case {case}: initial {initial:?} must exceed previous {last_initial:?}"

@@ -5,15 +5,65 @@
 //! expose lost updates, partial transactions, double-applied redo, or
 //! missed undo — failure modes that point-value oracles can miss.
 
-use cblog_common::{CostModel, Error, NodeId, PageId, TxnId};
+use cblog_common::{CostModel, Error, NodeId, PageId, Rng, TxnId};
 use cblog_core::{recovery, Cluster, ClusterConfig, RecoveryOptions};
 use cblog_locks::WaitsForGraph;
-use cblog_sim::workload::{generate_transfers, TransferSpec};
 use std::collections::VecDeque;
 
 const PAGES: u32 = 4;
 const SLOTS: usize = 4;
 const INITIAL: u64 = 1_000;
+
+/// A bank-transfer workload (TPC-B flavoured): every transaction moves
+/// an amount between two account slots, preserving the total balance.
+/// The conserved sum is a strong serializability + atomicity oracle —
+/// it holds under any interleaving, any aborts, and any crash/recovery
+/// sequence, which point-value oracles cannot check.
+#[derive(Clone, Debug)]
+struct TransferSpec {
+    /// Node the transfer runs on.
+    client: NodeId,
+    /// Source account (page, slot).
+    from: (PageId, usize),
+    /// Destination account (page, slot).
+    to: (PageId, usize),
+    /// Amount moved.
+    amount: u64,
+    /// Roll back instead of committing.
+    user_abort: bool,
+}
+
+/// Generates `txns_per_client` transfers per client over `accounts`
+/// (each account = (page, slot)). Amounts stay small relative to the
+/// initial balance so accounts never go negative.
+fn generate_transfers(
+    seed: u64,
+    clients: &[NodeId],
+    accounts: &[(PageId, usize)],
+    txns_per_client: usize,
+    abort_prob: f64,
+) -> Vec<TransferSpec> {
+    assert!(accounts.len() >= 2, "transfers need two accounts");
+    let mut rng = Rng::seed_from_u64(seed);
+    let mut out = Vec::with_capacity(clients.len() * txns_per_client);
+    for &client in clients {
+        for _ in 0..txns_per_client {
+            let a = rng.gen_range_usize(0..accounts.len());
+            let mut b = rng.gen_range_usize(0..accounts.len() - 1);
+            if b >= a {
+                b += 1;
+            }
+            out.push(TransferSpec {
+                client,
+                from: accounts[a],
+                to: accounts[b],
+                amount: rng.gen_range(1..5),
+                user_abort: abort_prob > 0.0 && rng.gen_bool(abort_prob),
+            });
+        }
+    }
+    out
+}
 
 fn cluster(clients: usize) -> Cluster {
     let mut owned = vec![PAGES];
@@ -219,4 +269,21 @@ fn in_flight_transfers_at_crash_time_vanish_atomically() {
         expect,
         "half-done transfer rolled back entirely"
     );
+}
+
+#[test]
+fn transfers_pick_distinct_accounts() {
+    let accounts = accounts();
+    let specs = generate_transfers(9, &[NodeId(1), NodeId(2)], &accounts, 50, 0.2);
+    assert_eq!(specs.len(), 100);
+    for t in &specs {
+        assert_ne!(t.from, t.to);
+        assert!(t.amount >= 1 && t.amount < 5);
+    }
+    assert!(specs.iter().any(|t| t.user_abort));
+    // Deterministic.
+    let again = generate_transfers(9, &[NodeId(1), NodeId(2)], &accounts, 50, 0.2);
+    assert_eq!(specs.len(), again.len());
+    assert_eq!(specs[7].from, again[7].from);
+    assert_eq!(specs[7].amount, again[7].amount);
 }
