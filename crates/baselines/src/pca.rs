@@ -22,9 +22,8 @@
 //! second copy of any log record, steal buffering. Experiment E10
 //! prints the resulting per-commit costs side by side.
 
-use cblog_common::metrics::keys;
-use cblog_common::{CostModel, Error, Lsn, NodeId, PageId, Psn, Registry, Result, SimTime, TxnId};
-use cblog_core::{ForceScheduler, GroupCommitPolicy, System};
+use cblog_common::{CostModel, Error, Lsn, NodeId, PageId, Psn, Result, TxnId};
+use cblog_core::System;
 use cblog_locks::{
     answer_callback, CachedLockTable, CallbackAction, GlobalLockTable, GlobalRequestOutcome,
     LocalLockTable, LocalRequestOutcome, LockMode,
@@ -50,13 +49,6 @@ pub struct PcaConfig {
     pub buffer_frames: usize,
     /// Cost model.
     pub cost: CostModel,
-    /// Group-commit policy for each node's **local** commit force (the
-    /// first copy of the double log). Remote page/record shipping and
-    /// the PCA-side force still happen per transaction, at flush time
-    /// — batching applies where it does in the other two systems: the
-    /// committing node's own log force. Defaults to
-    /// [`GroupCommitPolicy::Immediate`].
-    pub group_commit: GroupCommitPolicy,
 }
 
 impl Default for PcaConfig {
@@ -67,7 +59,6 @@ impl Default for PcaConfig {
             page_size: 1024,
             buffer_frames: 64,
             cost: CostModel::default(),
-            group_commit: GroupCommitPolicy::Immediate,
         }
     }
 }
@@ -78,9 +69,6 @@ struct PcaTxn {
     ops: Vec<(PageId, Psn, PageOp)>,
     /// Local log chain tail.
     last_lsn: Lsn,
-    /// Commit record appended and force-pending; no further work is
-    /// accepted, shipping happens when the covering force lands.
-    submitted: bool,
     terminated: bool,
 }
 
@@ -111,11 +99,6 @@ pub struct PcaCluster {
     cfg: PcaConfig,
     net: Network,
     nodes: Vec<PcaNode>,
-    /// One force scheduler per node, batching local commit forces.
-    schedulers: Vec<ForceScheduler>,
-    /// Cluster-level metrics: per-node WAL counters (prefixed `n<id>/`),
-    /// commit and abort counts, the uniform `locks/wait_us` histogram.
-    registry: Registry,
 }
 
 impl std::fmt::Debug for PcaCluster {
@@ -150,28 +133,7 @@ impl PcaCluster {
             });
         }
         let net = Network::new(cfg.nodes, cfg.cost.clone());
-        let registry = Registry::new();
-        for (i, n) in nodes.iter().enumerate() {
-            registry.register_counter(&format!("n{i}/wal/records"), n.log.records_counter());
-            registry.register_counter(&format!("n{i}/wal/forces"), n.log.forces_counter());
-            registry.register_counter(&format!("n{i}/wal/bytes"), n.log.bytes_appended_counter());
-        }
-        let schedulers = (0..cfg.nodes)
-            .map(|_| ForceScheduler::new(cfg.group_commit))
-            .collect();
-        Ok(PcaCluster {
-            cfg,
-            net,
-            nodes,
-            schedulers,
-            registry,
-        })
-    }
-
-    /// The system-wide metrics registry (mirrors the CBL cluster's
-    /// `subsystem/metric` naming, per-node entries under `n<id>/`).
-    pub fn registry(&self) -> &Registry {
-        &self.registry
+        Ok(PcaCluster { cfg, net, nodes })
     }
 
     /// Local log of `node`.
@@ -181,61 +143,6 @@ impl PcaCluster {
 
     fn page_bytes(&self) -> usize {
         self.cfg.page_size + 64
-    }
-
-    /// Flush every scheduler that is due, repeating the sweep until a
-    /// full pass finds none: shipping inside a flush advances the sim
-    /// clock, which can push other nodes' deadlines into the past.
-    fn flush_due_pca_nodes(&mut self) -> Result<usize> {
-        let mut finished = 0;
-        loop {
-            let mut flushed = false;
-            for i in 0..self.nodes.len() {
-                if self.schedulers[i].is_due(self.net.clock().now()) {
-                    finished += self.flush_pca_node(NodeId(i as u32))?;
-                    flushed = true;
-                }
-            }
-            if !flushed {
-                break;
-            }
-        }
-        Ok(finished)
-    }
-
-    /// Force the node's local log once for the whole open batch, then
-    /// run per-transaction completion for every commit it covered.
-    fn flush_pca_node(&mut self, node: NodeId) -> Result<usize> {
-        let ni = node.0 as usize;
-        let mut finished = self.reap_pca_acked(node)?;
-        let batch = self.schedulers[ni].pending_len();
-        if batch == 0 {
-            return Ok(finished);
-        }
-        {
-            let n = &mut self.nodes[ni];
-            let pending = (n.log.end_lsn().0 - n.log.flushed_lsn().0) as usize;
-            n.log.force_all()?;
-            self.net.disk_io(node, pending);
-        }
-        self.registry
-            .histogram(keys::WAL_GROUP_SIZE)
-            .record(batch as u64);
-        finished += self.reap_pca_acked(node)?;
-        Ok(finished)
-    }
-
-    /// Complete every parked commit the node's forces now cover.
-    fn reap_pca_acked(&mut self, node: NodeId) -> Result<usize> {
-        let ni = node.0 as usize;
-        let flushed = self.nodes[ni].log.flushed_lsn();
-        let acked = self.schedulers[ni].drain_acked(flushed);
-        let mut finished = 0;
-        for txn in acked {
-            self.finish_pca_commit(txn)?;
-            finished += 1;
-        }
-        Ok(finished)
     }
 
     /// Completion for a durably-committed transaction: for every
@@ -299,13 +206,6 @@ impl PcaCluster {
             t.terminated = true;
             n.local.release_all(txn);
         }
-        let commits = self.registry.counter(keys::TXN_COMMITS);
-        commits.bump();
-        let forces: u64 = self.nodes.iter().map(|n| n.log.forces()).sum();
-        let ratio = forces * 1000 / commits.get();
-        self.registry
-            .gauge(keys::WAL_FORCES_PER_COMMIT)
-            .set(ratio as i64);
         Ok(())
     }
 
@@ -436,7 +336,6 @@ impl System for PcaCluster {
             PcaTxn {
                 ops: Vec::new(),
                 last_lsn: lsn,
-                submitted: false,
                 terminated: false,
             },
         );
@@ -457,7 +356,7 @@ impl System for PcaCluster {
         self.ensure_access(txn, pid, LockMode::Exclusive)?;
         let n = &mut self.nodes[txn.node.0 as usize];
         let t = n.txns.get_mut(&txn).ok_or(Error::NoSuchTxn(txn))?;
-        if t.submitted || t.terminated {
+        if t.terminated {
             return Err(Error::TxnAborted(txn));
         }
         let first_update = !t.ops.iter().any(|(p, _, _)| *p == pid);
@@ -489,20 +388,26 @@ impl System for PcaCluster {
         Ok(())
     }
 
-    /// Commit: synchronous wrapper over the async pipeline — submit
-    /// the commit record, then force the local log right away if the
-    /// scheduler is still holding the batch open.
+    /// Commit: appends the local Commit record (first copy of the
+    /// double log), forces the local log once, then ships every updated
+    /// remote page and its records to its PCA node: one local force
+    /// plus per-page shipping, the paper's §3.2 cost.
     fn commit(&mut self, txn: TxnId) -> Result<()> {
-        self.commit_submit(txn)?;
-        let ni = txn.node.0 as usize;
-        if self.schedulers[ni].is_pending(txn) {
-            self.flush_pca_node(txn.node)?;
+        let node = txn.node;
+        let n = &mut self.nodes[node.0 as usize];
+        let t = n.txns.get(&txn).ok_or(Error::NoSuchTxn(txn))?;
+        if t.terminated {
+            return Err(Error::TxnAborted(txn));
         }
-        debug_assert!(
-            self.nodes[ni].txns[&txn].terminated,
-            "flush must complete the submitted txn"
-        );
-        Ok(())
+        n.log.append(&LogRecord {
+            txn,
+            prev_lsn: t.last_lsn,
+            payload: LogPayload::Commit,
+        })?;
+        let pending = (n.log.end_lsn().0 - n.log.flushed_lsn().0) as usize;
+        n.log.force_all()?;
+        self.net.disk_io(node, pending);
+        self.finish_pca_commit(txn)
     }
 
     /// Abort: pure local undo — no-steal guarantees every updated page
@@ -550,7 +455,6 @@ impl System for PcaCluster {
             }
         }
         n.local.release_all(txn);
-        self.registry.counter(keys::TXN_ABORTS).bump();
         Ok(())
     }
 
@@ -558,85 +462,11 @@ impl System for PcaCluster {
         &self.net
     }
 
-    /// Phase one of commit: append the local commit record (first copy
-    /// of the double log) and park the transaction in the node's force
-    /// scheduler. Remote page/log shipping happens once the covering
-    /// force lands, in `finish_pca_commit`.
-    fn commit_submit(&mut self, txn: TxnId) -> Result<()> {
-        let node = txn.node;
-        let ni = node.0 as usize;
-        let lsn = {
-            let n = &mut self.nodes[ni];
-            let prev = {
-                let t = n.txns.get_mut(&txn).ok_or(Error::NoSuchTxn(txn))?;
-                if t.submitted || t.terminated {
-                    return Err(Error::TxnAborted(txn));
-                }
-                t.submitted = true;
-                t.last_lsn
-            };
-            n.log.append(&LogRecord {
-                txn,
-                prev_lsn: prev,
-                payload: LogPayload::Commit,
-            })?
-        };
-        let now = self.net.clock().now();
-        self.schedulers[ni].submit(txn, lsn, now);
-        self.registry
-            .gauge(keys::WAL_WINDOW_US)
-            .set(self.schedulers[ni].window_us() as i64);
-        if self.schedulers[ni].is_due(now) {
-            self.flush_pca_node(node)?;
-        }
-        Ok(())
-    }
-
-    /// Phase two of commit: has the transaction's covering force landed
-    /// and its shipping completed? Reaps any freshly acked batch and
-    /// flushes a due scheduler on the way.
+    /// True once `txn` has ended: this system's `commit` is
+    /// synchronous, so a commit is durable when it returns.
     fn poll_committed(&mut self, txn: TxnId) -> Result<bool> {
-        let node = txn.node;
-        let ni = node.0 as usize;
-        self.reap_pca_acked(node)?;
-        if self.schedulers[ni].pending_len() > 0
-            && self.schedulers[ni].is_due(self.net.clock().now())
-        {
-            self.flush_pca_node(node)?;
-        }
-        let t = self.nodes[ni].txns.get(&txn).ok_or(Error::NoSuchTxn(txn))?;
-        if t.terminated {
-            Ok(true)
-        } else if t.submitted {
-            Ok(false)
-        } else {
-            Err(Error::Protocol(format!(
-                "poll_committed({txn}) before commit_submit"
-            )))
-        }
-    }
-
-    /// Drive parked commits without submitting new work: flush every
-    /// due scheduler; if none is due, advance the clock to the earliest
-    /// open deadline and flush then. Returns whether progress was made.
-    fn pump_commits(&mut self) -> Result<bool> {
-        let mut finished = self.flush_due_pca_nodes()?;
-        if finished == 0 {
-            if let Some(d) = self.schedulers.iter().filter_map(|s| s.deadline()).min() {
-                let now = self.net.clock().now();
-                if d > now {
-                    self.net.advance_time(d - now);
-                }
-                finished += self.flush_due_pca_nodes()?;
-            }
-        }
-        Ok(finished > 0)
-    }
-
-    /// Folds a driver-observed lock-queueing delay into the uniform
-    /// `locks/wait_us` histogram (see `ServerCluster::note_queue_wait`).
-    fn note_queue_wait(&mut self, _txn: TxnId, us: SimTime) {
-        self.registry.histogram(keys::LOCKS_WAIT_US).record(us);
+        let n = &self.nodes[txn.node.0 as usize];
+        Ok(n.txns.get(&txn).ok_or(Error::NoSuchTxn(txn))?.terminated)
     }
 }
 
@@ -651,7 +481,6 @@ mod tests {
             page_size: 512,
             buffer_frames: 16,
             cost: CostModel::unit(),
-            group_commit: GroupCommitPolicy::Immediate,
         })
         .unwrap()
     }
@@ -736,7 +565,6 @@ mod tests {
                     page_size: 512,
                     buffer_frames: 4,
                     cost: CostModel::unit(),
-                    group_commit: GroupCommitPolicy::Immediate,
                 })
                 .unwrap();
                 let a = s.begin(node).unwrap();
@@ -759,45 +587,6 @@ mod tests {
                 s.commit(t).unwrap();
             }
         }
-    }
-
-    #[test]
-    fn local_commit_force_batches_across_txns() {
-        let mut s = PcaCluster::new(PcaConfig {
-            nodes: 2,
-            pages: 8,
-            page_size: 512,
-            buffer_frames: 16,
-            cost: CostModel::unit(),
-            group_commit: GroupCommitPolicy::Window {
-                window_us: 1_000_000,
-                max_batch: 64,
-            },
-        })
-        .unwrap();
-        let a = s.begin(NodeId(1)).unwrap();
-        let b = s.begin(NodeId(1)).unwrap();
-        s.write(a, pid(0), 0, 1).unwrap();
-        s.write(b, pid(1), 0, 2).unwrap();
-        let forces0 = s.log_of(NodeId(1)).forces();
-        let stats0 = s.network().stats();
-        s.commit_submit(a).unwrap();
-        s.commit_submit(b).unwrap();
-        assert!(!s.poll_committed(a).unwrap(), "window still open");
-        assert!(!s.poll_committed(b).unwrap());
-        assert_eq!(s.log_of(NodeId(1)).forces(), forces0, "no force yet");
-        assert!(s.pump_commits().unwrap());
-        assert_eq!(
-            s.log_of(NodeId(1)).forces(),
-            forces0 + 1,
-            "one local force covers the whole batch"
-        );
-        assert!(s.poll_committed(a).unwrap());
-        assert!(s.poll_committed(b).unwrap());
-        // Shipping is still per transaction, after the covering force.
-        let d = s.network().stats().since(&stats0);
-        assert_eq!(d.count(MsgKind::PageShip), 2);
-        assert_eq!(d.count(MsgKind::CommitAck), 2);
     }
 
     #[test]

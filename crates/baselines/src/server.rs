@@ -18,9 +18,8 @@
 //! * a server checkpoint "requires communication with all connected
 //!   clients" — it synchronously collects their dirty-page lists.
 
-use cblog_common::metrics::keys;
-use cblog_common::{CostModel, Error, Lsn, NodeId, PageId, Psn, Registry, Result, SimTime, TxnId};
-use cblog_core::{ForceScheduler, GroupCommitPolicy, System};
+use cblog_common::{CostModel, Error, Lsn, NodeId, PageId, Psn, Result, TxnId};
+use cblog_core::System;
 use cblog_locks::{
     answer_callback, CachedLockTable, CallbackAction, GlobalLockTable, GlobalRequestOutcome,
     LocalLockTable, LocalRequestOutcome, LockMode,
@@ -50,13 +49,6 @@ pub struct ServerClientConfig {
     pub server_buffer_frames: usize,
     /// Cost model.
     pub cost: CostModel,
-    /// Group-commit policy for the **server** log: the same
-    /// [`ForceScheduler`] the client-based cluster runs per node, here
-    /// batching commit forces of the system's single log so E1-style
-    /// comparisons measure both architectures with equal batching.
-    /// Defaults to [`GroupCommitPolicy::Immediate`] — one server force
-    /// per commit, the paper's §3.1 behavior.
-    pub group_commit: GroupCommitPolicy,
 }
 
 impl Default for ServerClientConfig {
@@ -68,7 +60,6 @@ impl Default for ServerClientConfig {
             client_buffer_frames: 64,
             server_buffer_frames: 256,
             cost: CostModel::default(),
-            group_commit: GroupCommitPolicy::Immediate,
         }
     }
 }
@@ -79,9 +70,6 @@ struct CsaTxn {
     id: TxnId,
     committed: bool,
     aborted: bool,
-    /// Commit record appended at the server and force-pending; the
-    /// transaction accepts no further work but is not yet durable.
-    submitted: bool,
     /// (page, psn-before, op) in execution order.
     ops: Vec<(PageId, Psn, PageOp)>,
     /// Prefix of `ops` already shipped to the server.
@@ -111,13 +99,6 @@ pub struct ServerCluster {
     sdpt: DirtyPageTable,
     glocks: GlobalLockTable,
     clients: Vec<Client>,
-    /// Force scheduler for the server log — the system has one log, so
-    /// one scheduler batches commits from every client.
-    scheduler: ForceScheduler,
-    /// Cluster-level metrics (the only log lives at the server, so one
-    /// registry covers the whole system): server WAL counters, commit
-    /// and abort counts, and the uniform `locks/wait_us` histogram.
-    registry: Registry,
 }
 
 impl std::fmt::Debug for ServerCluster {
@@ -135,11 +116,6 @@ impl ServerCluster {
         let mut db = Database::create(Box::new(MemStorage::new(cfg.page_size)), SERVER, cfg.pages)?;
         db.allocate_pages(PageKind::Raw, cfg.pages)?;
         let log = LogManager::new(SERVER, Box::new(MemLogStore::new()))?;
-        let registry = Registry::new();
-        registry.register_counter(keys::WAL_RECORDS, log.records_counter());
-        registry.register_counter(keys::WAL_FORCES, log.forces_counter());
-        registry.register_counter(keys::WAL_BYTES, log.bytes_appended_counter());
-        registry.register_counter(keys::WAL_STORE_SYNCS, log.store_syncs_counter());
         let net = Network::new(cfg.clients + 1, cfg.cost.clone());
         let clients = (1..=cfg.clients)
             .map(|i| Client {
@@ -159,16 +135,8 @@ impl ServerCluster {
             log,
             net,
             clients,
-            scheduler: ForceScheduler::new(cfg.group_commit),
             cfg,
-            registry,
         })
-    }
-
-    /// The system-wide metrics registry (`subsystem/metric` names,
-    /// mirroring the per-node registries of the CBL cluster).
-    pub fn registry(&self) -> &Registry {
-        &self.registry
     }
 
     /// The server's log (the system's only log).
@@ -188,61 +156,26 @@ impl ServerCluster {
         self.cfg.page_size + 64
     }
 
+    /// The client-side state of `txn`, refused once it has ended: an
+    /// aborted transaction is `TxnAborted`, a committed one `NoSuchTxn`.
+    fn live_txn(&mut self, txn: TxnId) -> Result<&mut CsaTxn> {
+        let t = self
+            .client(txn.node)?
+            .txns
+            .get_mut(&txn)
+            .ok_or(Error::NoSuchTxn(txn))?;
+        if t.aborted {
+            return Err(Error::TxnAborted(txn));
+        }
+        if t.committed {
+            return Err(Error::NoSuchTxn(txn));
+        }
+        Ok(t)
+    }
+
     // ------------------------------------------------------------------
-    // Group commit at the server log (the transaction methods are the
-    // `System` impl below)
+    // Log shipping (the transaction methods are the `System` impl below)
     // ------------------------------------------------------------------
-
-    fn now(&self) -> SimTime {
-        self.net.clock().now()
-    }
-
-    /// Acknowledges every force-pending commit whose Commit record the
-    /// server log already covers (idempotent): CommitAck message, the
-    /// client marks the transaction committed.
-    fn reap_server_acked(&mut self) -> Result<usize> {
-        let flushed = self.log.flushed_lsn();
-        let acked = self.scheduler.drain_acked(flushed);
-        let mut n = 0;
-        for txn in acked {
-            let v = txn.node.0 as usize - 1;
-            let Some(t) = self.clients[v].txns.get_mut(&txn) else {
-                continue;
-            };
-            self.net.send(SERVER, txn.node, MsgKind::CommitAck, CTRL)?;
-            t.committed = true;
-            self.registry.counter(keys::TXN_COMMITS).bump();
-            n += 1;
-        }
-        if n > 0 {
-            let commits = self.registry.counter(keys::TXN_COMMITS).get();
-            if let Some(ratio) = (self.log.forces() * 1000).checked_div(commits) {
-                self.registry
-                    .gauge(keys::WAL_FORCES_PER_COMMIT)
-                    .set(ratio as i64);
-            }
-        }
-        Ok(n)
-    }
-
-    /// Forces the server log once for the whole batch of force-pending
-    /// commits and acknowledges all of them — group commit at the
-    /// system's only log. Returns the number of commits acknowledged.
-    fn flush_server_log(&mut self) -> Result<usize> {
-        // Commits covered by an interleaved force are acknowledged
-        // without paying for a new one.
-        let mut acked = self.reap_server_acked()?;
-        let batch = self.scheduler.pending_len() as u64;
-        if batch == 0 {
-            return Ok(acked);
-        }
-        let pending = self.log.end_lsn().0 - self.log.flushed_lsn().0;
-        self.log.force_all()?;
-        self.net.disk_io(SERVER, pending as usize);
-        self.registry.histogram(keys::WAL_GROUP_SIZE).record(batch);
-        acked += self.reap_server_acked()?;
-        Ok(acked)
-    }
 
     /// Ships the unshipped log records of `txn` to the server (appends
     /// them to the server log; does not force).
@@ -518,7 +451,6 @@ impl System for ServerCluster {
                 id,
                 committed: false,
                 aborted: false,
-                submitted: false,
                 ops: Vec::new(),
                 shipped: 0,
                 server_last_lsn: Lsn::ZERO,
@@ -553,32 +485,38 @@ impl System for ServerCluster {
         page.bump_psn();
         c.buffer.mark_dirty(pid);
         let t = c.txns.get_mut(&txn).ok_or(Error::NoSuchTxn(txn))?;
-        if t.committed || t.aborted || t.submitted {
+        if t.committed || t.aborted {
             return Err(Error::TxnAborted(txn));
         }
         t.ops.push((pid, psn_before, op));
         Ok(())
     }
 
-    /// Commits: ship pending log records + commit request to the
-    /// server; the server appends, **forces its log**, and acks. This
-    /// is the synchronous wrapper around the group-commit pipeline:
-    /// under the default [`GroupCommitPolicy::Immediate`] policy it is
-    /// exactly one server force per commit (the paper's §3.1 cost);
-    /// under a windowed or adaptive policy the force is shared with
-    /// whatever batch is pending.
+    /// Commits: ships the pending log records and a commit request to
+    /// the server, which appends the Commit record, **forces its log**
+    /// and acknowledges: one round trip and one server force per
+    /// commit, the paper's §3.1 cost. The client's local locks release
+    /// before the force; every commit forces the same server log, so a
+    /// dependent transaction's ack implies this Commit record was
+    /// durable first.
     fn commit(&mut self, txn: TxnId) -> Result<()> {
-        self.commit_submit(txn)?;
-        if self.scheduler.is_pending(txn) {
-            self.flush_server_log()?;
-        }
-        debug_assert!(
-            self.clients[txn.node.0 as usize - 1]
-                .txns
-                .get(&txn)
-                .is_some_and(|t| t.committed),
-            "synchronous commit must leave the txn durable"
-        );
+        let node = txn.node;
+        self.live_txn(txn)?;
+        self.ship_pending(node, txn)?;
+        self.net.send(node, SERVER, MsgKind::CommitRequest, CTRL)?;
+        let prev = self.live_txn(txn)?.server_last_lsn;
+        let lsn = self.log.append(&LogRecord {
+            txn,
+            prev_lsn: prev,
+            payload: LogPayload::Commit,
+        })?;
+        self.live_txn(txn)?.server_last_lsn = lsn;
+        self.client(node)?.local.release_all(txn);
+        let pending = self.log.end_lsn().0 - self.log.flushed_lsn().0;
+        self.log.force_all()?;
+        self.net.disk_io(SERVER, pending as usize);
+        self.net.send(SERVER, node, MsgKind::CommitAck, CTRL)?;
+        self.live_txn(txn)?.committed = true;
         Ok(())
     }
 
@@ -587,14 +525,7 @@ impl System for ServerCluster {
     /// been shipped (eviction-forced WAL writes).
     fn abort(&mut self, txn: TxnId) -> Result<()> {
         let node = txn.node;
-        let ops: Vec<(PageId, Psn, PageOp)> = {
-            let c = self.client(node)?;
-            let t = c.txns.get(&txn).ok_or(Error::NoSuchTxn(txn))?;
-            if t.committed || t.submitted {
-                return Err(Error::NoSuchTxn(txn));
-            }
-            t.ops.clone()
-        };
+        let ops = self.live_txn(txn)?.ops.clone();
         let mut clrs: Vec<(PageId, Psn, PageOp)> = Vec::new();
         for (pid, _psn, op) in ops.iter().rev() {
             // Page must be present to undo; re-fetch if evicted.
@@ -661,7 +592,6 @@ impl System for ServerCluster {
         let t = c.txns.get_mut(&txn).expect("checked");
         t.aborted = true;
         c.local.release_all(txn);
-        self.registry.counter(keys::TXN_ABORTS).bump();
         Ok(())
     }
 
@@ -669,100 +599,11 @@ impl System for ServerCluster {
         &self.net
     }
 
-    /// First half of the async commit pipeline: ships the
-    /// transaction's records plus the commit request, appends the
-    /// Commit record to the server log, releases the client's local
-    /// locks and parks the transaction force-pending in the server's
-    /// scheduler. Early lock release is safe for the same reason it is
-    /// in the CBL cluster: every commit forces the same server log, so
-    /// any dependent transaction's ack implies this Commit record was
-    /// durable first. The CommitAck message is sent when the covering
-    /// force lands.
-    fn commit_submit(&mut self, txn: TxnId) -> Result<()> {
-        let node = txn.node;
-        self.ship_pending(node, txn)?;
-        self.net.send(node, SERVER, MsgKind::CommitRequest, CTRL)?;
-        let prev = {
-            let c = self.client(node)?;
-            let t = c.txns.get(&txn).ok_or(Error::NoSuchTxn(txn))?;
-            t.server_last_lsn
-        };
-        let lsn = self.log.append(&LogRecord {
-            txn,
-            prev_lsn: prev,
-            payload: LogPayload::Commit,
-        })?;
-        {
-            let c = self.client(node)?;
-            let t = c.txns.get_mut(&txn).expect("checked");
-            t.submitted = true;
-            t.server_last_lsn = lsn;
-            c.local.release_all(txn);
-        }
-        let now = self.now();
-        self.scheduler.submit(txn, lsn, now);
-        self.registry
-            .gauge(keys::WAL_WINDOW_US)
-            .set(self.scheduler.window_us() as i64);
-        if self.scheduler.is_due(now) {
-            self.flush_server_log()?;
-        }
-        Ok(())
-    }
-
-    /// Polls the async commit pipeline: true once `txn`'s Commit
-    /// record is durable at the server and the ack was sent. Flushes
-    /// the server batch if it became due; otherwise
-    /// [`ServerCluster::pump_commits`] advances an idle system to the
-    /// open window's deadline.
+    /// True once `txn` has committed: this system's `commit` is
+    /// synchronous, so a commit is durable when it returns.
     fn poll_committed(&mut self, txn: TxnId) -> Result<bool> {
-        // A force taken for any other reason (WAL rule on an evicted
-        // page, checkpoint, client recovery) may already have covered
-        // the commit record.
-        self.reap_server_acked()?;
-        if self.scheduler.is_pending(txn) && self.scheduler.is_due(self.now()) {
-            self.flush_server_log()?;
-        }
         let c = self.client(txn.node)?;
-        match c.txns.get(&txn) {
-            Some(t) if t.committed => Ok(true),
-            Some(t) if t.submitted => Ok(false),
-            Some(_) => Err(Error::Protocol(format!(
-                "poll_committed on {txn} before commit_submit"
-            ))),
-            None => Err(Error::NoSuchTxn(txn)),
-        }
-    }
-
-    /// Drives the group-commit pipeline when no transaction can make
-    /// progress: flushes the server batch if due; if not due but
-    /// commits are pending, idle-advances the sim-clock to the open
-    /// window deadline and flushes. Returns true if any commit was
-    /// acknowledged.
-    fn pump_commits(&mut self) -> Result<bool> {
-        let mut acked = 0;
-        if self.scheduler.is_due(self.now()) {
-            acked += self.flush_server_log()?;
-        }
-        if acked == 0 {
-            if let Some(d) = self.scheduler.deadline() {
-                let now = self.now();
-                if d > now {
-                    self.net.advance_time(d - now);
-                }
-                if self.scheduler.is_due(self.now()) {
-                    acked += self.flush_server_log()?;
-                }
-            }
-        }
-        Ok(acked > 0)
-    }
-
-    /// Folds a driver-observed lock-queueing delay into the uniform
-    /// `locks/wait_us` histogram (the CBL cluster tracks these spans
-    /// itself; the baselines learn about them from the driver).
-    fn note_queue_wait(&mut self, _txn: TxnId, us: SimTime) {
-        self.registry.histogram(keys::LOCKS_WAIT_US).record(us);
+        Ok(c.txns.get(&txn).ok_or(Error::NoSuchTxn(txn))?.committed)
     }
 }
 
@@ -778,7 +619,6 @@ mod tests {
             client_buffer_frames: 8,
             server_buffer_frames: 32,
             cost: CostModel::unit(),
-            group_commit: GroupCommitPolicy::Immediate,
         })
         .unwrap()
     }
@@ -864,83 +704,25 @@ mod tests {
     }
 
     #[test]
-    fn server_group_commit_batches_commits_across_clients() {
-        let mut s = ServerCluster::new(ServerClientConfig {
-            clients: 3,
-            pages: 8,
-            page_size: 512,
-            client_buffer_frames: 8,
-            server_buffer_frames: 32,
-            cost: CostModel::unit(),
-            group_commit: GroupCommitPolicy::Window {
-                window_us: 1_000_000,
-                max_batch: 64,
-            },
-        })
-        .unwrap();
-        let mut txns = Vec::new();
-        for cid in 1..=3u32 {
-            let t = s.begin(NodeId(cid)).unwrap();
-            s.write(t, pid(cid - 1), 0, 7).unwrap();
-            s.commit_submit(t).unwrap();
-            txns.push(t);
-        }
-        let forces0 = s.server_log().forces();
-        let acks0 = s.network().stats();
-        for t in &txns {
-            assert!(!s.poll_committed(*t).unwrap(), "window still open");
-        }
-        assert!(s.pump_commits().unwrap());
+    fn an_ended_transaction_cannot_end_again() {
+        let mut s = sys(2);
+        let a = s.begin(NodeId(1)).unwrap();
+        s.write(a, pid(0), 0, 5).unwrap();
+        s.abort(a).unwrap();
+        let b = s.begin(NodeId(2)).unwrap();
+        s.write(b, pid(0), 0, 7).unwrap();
+        s.commit(b).unwrap();
+        let recs0 = s.server_log().records_appended();
+        assert!(s.abort(a).is_err(), "an aborted txn aborts once");
+        assert!(s.commit(b).is_err(), "a committed txn commits once");
         assert_eq!(
-            s.server_log().forces(),
-            forces0 + 1,
-            "one server force covers the whole cross-client batch"
+            s.server_log().records_appended(),
+            recs0,
+            "a refused end logs nothing"
         );
-        let d = s.network().stats().since(&acks0);
-        assert_eq!(d.count(MsgKind::CommitAck), 3, "every commit acked");
-        for t in &txns {
-            assert!(s.poll_committed(*t).unwrap());
-        }
-    }
-
-    #[test]
-    fn adaptive_server_commit_acks_only_after_the_covering_force() {
-        let mut s = ServerCluster::new(ServerClientConfig {
-            clients: 2,
-            pages: 8,
-            page_size: 512,
-            client_buffer_frames: 8,
-            server_buffer_frames: 32,
-            cost: CostModel::unit(),
-            group_commit: GroupCommitPolicy::Adaptive {
-                min_window_us: 100,
-                max_window_us: 1_000_000,
-                target_batch: 8,
-            },
-        })
-        .unwrap();
         let t = s.begin(NodeId(1)).unwrap();
-        s.write(t, pid(0), 0, 1).unwrap();
-        let syncs0 = s.server_log().store_syncs_counter().get();
-        s.commit_submit(t).unwrap();
-        assert!(
-            !s.poll_committed(t).unwrap(),
-            "no ack before the covering force"
-        );
-        assert_eq!(
-            s.server_log().store_syncs_counter().get(),
-            syncs0,
-            "nothing hit the device yet"
-        );
-        while !s.poll_committed(t).unwrap() {
-            s.pump_commits().unwrap();
-        }
-        assert!(s.server_log().store_syncs_counter().get() > syncs0);
-        // The synchronous wrapper still works under Adaptive.
-        let t2 = s.begin(NodeId(2)).unwrap();
-        s.write(t2, pid(1), 0, 2).unwrap();
-        s.commit(t2).unwrap();
-        assert_eq!(s.registry().counter(keys::TXN_COMMITS).get(), 2);
+        assert_eq!(s.read(t, pid(0), 0).unwrap(), 7, "no undo re-applied");
+        s.commit(t).unwrap();
     }
 
     #[test]

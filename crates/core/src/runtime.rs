@@ -27,7 +27,7 @@
 
 use crate::recovery::{RecoveryOptions, RecoveryReport};
 use crate::Cluster;
-use cblog_common::{Error, NodeId, PageId, Result, SimTime, Snapshot, TxnId};
+use cblog_common::{Error, NodeId, PageId, Result, Snapshot, TxnId};
 use cblog_locks::WaitsForGraph;
 use cblog_net::Network;
 use std::collections::{HashMap, VecDeque};
@@ -150,20 +150,18 @@ pub trait System {
     /// Submits a commit to the system's async commit pipeline: the
     /// transaction's commit record is written and its locks release,
     /// but durability is acknowledged via [`System::poll_committed`].
-    fn commit_submit(&mut self, txn: TxnId) -> Result<()>;
+    /// A system without a pipeline commits synchronously here.
+    fn commit_submit(&mut self, txn: TxnId) -> Result<()> {
+        self.commit(txn)
+    }
     /// True once a submitted commit is durable.
     fn poll_committed(&mut self, txn: TxnId) -> Result<bool>;
     /// Drives the commit pipeline when nothing else can make progress
     /// (e.g. advances the sim-clock to the next group-commit window
-    /// deadline). Returns true if any commit was acknowledged.
-    fn pump_commits(&mut self) -> Result<bool>;
-    /// Reports a driver-level lock-queueing delay: `txn` spent `us`
-    /// sim-µs being retried before its blocked operation succeeded (or
-    /// it was aborted). Systems that already fold retry spans into
-    /// their own `locks/wait_us` histogram ignore this; the baselines
-    /// record it so all systems report one uniform wait metric.
-    fn note_queue_wait(&mut self, txn: TxnId, us: SimTime) {
-        let _ = (txn, us);
+    /// deadline). Returns true if any commit was acknowledged; a system
+    /// without a pipeline has nothing to drive.
+    fn pump_commits(&mut self) -> Result<bool> {
+        Ok(false)
     }
     /// The system's recent protocol history and the lineage of `pid`,
     /// if it can render one. Printed by an oracle when verification
@@ -220,9 +218,6 @@ pub fn drive<'a, S: System>(sys: &mut S, plans: &'a [TxnPlan]) -> Result<Driven<
     // Transactions whose commit has been submitted but not yet
     // acknowledged durable, in submission (= serialization) order.
     let mut committing: VecDeque<(TxnId, &TxnPlan)> = VecDeque::new();
-    // First-block sim-times of driver-level retry spans, reported to
-    // the system via note_queue_wait when the blocked op finally runs.
-    let mut blocked_since: HashMap<TxnId, SimTime> = HashMap::new();
     let mut report = RunReport::default();
     let mut acked = Vec::new();
 
@@ -273,7 +268,6 @@ pub fn drive<'a, S: System>(sys: &mut S, plans: &'a [TxnPlan]) -> Result<Driven<
                 // Terminate.
                 let a = active[lane].take().expect("active");
                 wfg.remove(a.txn);
-                blocked_since.remove(&a.txn);
                 if a.plan.abort {
                     sys.abort(a.txn)?;
                     report.user_aborts += 1;
@@ -293,38 +287,21 @@ pub fn drive<'a, S: System>(sys: &mut S, plans: &'a [TxnPlan]) -> Result<Driven<
             };
             match r {
                 Ok(()) => {
-                    if let Some(t0) = blocked_since.remove(&txn) {
-                        let now = sys.network().clock().now();
-                        sys.note_queue_wait(txn, now.saturating_sub(t0));
-                    }
                     a.next_op += 1;
                     report.ops_executed += 1;
                     wfg.remove(txn);
                     progressed = true;
                 }
                 Err(Error::WouldBlock { holders, .. }) => {
-                    blocked_since
-                        .entry(txn)
-                        .or_insert_with(|| sys.network().clock().now());
                     wfg.set_waits(txn, &holders);
                     if let Some(victim) = wfg.find_victim() {
-                        abort_victim(
-                            sys,
-                            &mut active,
-                            &mut queues,
-                            &mut wfg,
-                            &mut blocked_since,
-                            victim,
-                        )?;
+                        abort_victim(sys, &mut active, &mut queues, &mut wfg, victim)?;
                         report.forced_aborts += 1;
                         progressed = true;
                     }
                 }
-                Err(e) if e.is_transient() => {
-                    blocked_since
-                        .entry(txn)
-                        .or_insert_with(|| sys.network().clock().now());
-                }
+                // Retried on the next sweep, like a blocked operation.
+                Err(e) if e.is_transient() => {}
                 Err(e) => return Err(e),
             }
         }
@@ -358,7 +335,6 @@ fn abort_victim<'a, S: System>(
     active: &mut [Option<Active<'a>>],
     queues: &mut [VecDeque<&'a TxnPlan>],
     wfg: &mut WaitsForGraph,
-    blocked_since: &mut HashMap<TxnId, SimTime>,
     victim: TxnId,
 ) -> Result<()> {
     let lane = active
@@ -366,18 +342,12 @@ fn abort_victim<'a, S: System>(
         .position(|a| a.as_ref().is_some_and(|a| a.txn == victim))
         .ok_or_else(|| Error::Protocol(format!("victim {victim} not active")))?;
     let a = active[lane].take().expect("found above");
-    if let Some(t0) = blocked_since.remove(&victim) {
-        let now = sys.network().clock().now();
-        sys.note_queue_wait(victim, now.saturating_sub(t0));
-    }
     sys.abort(victim)?;
     wfg.remove(victim);
     queues[lane].push_back(a.plan);
     Ok(())
 }
 
-// note_queue_wait stays the default no-op: the cluster folds driver
-// retry spans into locks/wait_us through its own wait tracking.
 impl System for Cluster {
     fn begin(&mut self, node: NodeId) -> Result<TxnId> {
         Cluster::begin(self, node)

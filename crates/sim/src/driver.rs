@@ -108,7 +108,6 @@ mod tests {
             client_buffer_frames: 32,
             server_buffer_frames: 64,
             cost: CostModel::unit(),
-            group_commit: cblog_core::GroupCommitPolicy::Immediate,
         })
         .unwrap();
         let cfg = WorkloadConfig {
@@ -124,6 +123,7 @@ mod tests {
         );
         let stats = run_workload(&mut s, specs).unwrap();
         assert_eq!(stats.report.committed, 40);
+        assert_eq!(s.server_log().forces(), 40, "one server force per commit");
         let verified = stats.oracle.verify(&mut s, NodeId(1)).unwrap();
         assert!(verified > 0);
     }

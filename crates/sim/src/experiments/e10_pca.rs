@@ -17,7 +17,7 @@ use super::{cbl_cluster, csa_cluster, pages0, PAGE_SIZE};
 use crate::report::{f, Table};
 use cblog_baselines::{PcaCluster, PcaConfig};
 use cblog_common::{CostModel, NodeId};
-use cblog_core::{GroupCommitPolicy, System};
+use cblog_core::System;
 
 const TXNS: u64 = 50;
 const PAGES: u32 = 8;
@@ -108,7 +108,6 @@ fn run_pca(k: usize) -> (f64, f64, f64) {
         page_size: PAGE_SIZE,
         buffer_frames: 16,
         cost: CostModel::default(),
-        group_commit: GroupCommitPolicy::Immediate,
     })
     .unwrap();
     let pages = pages0(PAGES);

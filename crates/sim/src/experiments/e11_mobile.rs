@@ -15,7 +15,7 @@ use super::{pages0, PAGE_SIZE};
 use crate::report::{f, Table};
 use cblog_baselines::{ServerClientConfig, ServerCluster};
 use cblog_common::{CostModel, NodeId};
-use cblog_core::{Cluster, ClusterConfig, GroupCommitPolicy, System};
+use cblog_core::{Cluster, ClusterConfig, System};
 
 const TXNS: u64 = 50;
 
@@ -84,7 +84,6 @@ pub fn run_csa(mult: u64) -> f64 {
         client_buffer_frames: 16,
         server_buffer_frames: 32,
         cost: cost(mult),
-        group_commit: GroupCommitPolicy::Immediate,
     })
     .unwrap();
     let pages = pages0(4);

@@ -276,7 +276,7 @@ mod tests {
     #[test]
     fn cbl_commits_with_zero_messages_csa_pays_round_trip() {
         let cbl = run_cbl(4);
-        let (csa_m, csa_b, _csa_f) = run_csa(4);
+        let (csa_m, csa_b, csa_f) = run_csa(4);
         assert_eq!(cbl.msgs, 0.0, "CBL steady-state commit is message-free");
         assert_eq!(cbl.bytes, 0.0);
         assert!(
@@ -285,6 +285,7 @@ mod tests {
         );
         assert!(csa_m >= 3.0, "log-ship + commit-req + ack");
         assert!(csa_b > 0.0);
+        assert_eq!(csa_f, 1.0, "one server force per commit");
     }
 
     #[test]

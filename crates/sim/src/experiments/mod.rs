@@ -87,16 +87,6 @@ pub fn cbl_cluster_faults(clients: usize, pages: u32, frames: usize, plan: Fault
 
 /// Builds the ARIES/CSA server-logging baseline with matching shape.
 pub fn csa_cluster(clients: usize, pages: u32, frames: usize) -> ServerCluster {
-    csa_cluster_gc(clients, pages, frames, GroupCommitPolicy::Immediate)
-}
-
-/// As [`csa_cluster`] with a group-commit policy for the server log.
-pub fn csa_cluster_gc(
-    clients: usize,
-    pages: u32,
-    frames: usize,
-    group_commit: GroupCommitPolicy,
-) -> ServerCluster {
     ServerCluster::new(ServerClientConfig {
         clients,
         pages,
@@ -104,7 +94,6 @@ pub fn csa_cluster_gc(
         client_buffer_frames: frames,
         server_buffer_frames: (pages as usize).max(frames) * 2,
         cost: CostModel::default(),
-        group_commit,
     })
     .expect("server config valid")
 }

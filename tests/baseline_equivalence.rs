@@ -8,7 +8,7 @@ use cblog_baselines::{
     force_on_transfer_cluster, PcaCluster, PcaConfig, ServerClientConfig, ServerCluster,
 };
 use cblog_common::{CostModel, NodeId, PageId};
-use cblog_core::{Cluster, ClusterConfig, ClusterConfigBuilder, GroupCommitPolicy};
+use cblog_core::{Cluster, ClusterConfig, ClusterConfigBuilder};
 use cblog_net::MsgKind;
 use cblog_sim::{run_workload, workload, System, WorkloadConfig};
 
@@ -32,7 +32,6 @@ fn csa() -> ServerCluster {
         client_buffer_frames: 16,
         server_buffer_frames: 64,
         cost: CostModel::unit(),
-        group_commit: GroupCommitPolicy::Immediate,
     })
     .unwrap()
 }
@@ -77,7 +76,6 @@ fn pca() -> PcaCluster {
         page_size: 1024,
         buffer_frames: 64, // generous: no-steal pins working sets
         cost: CostModel::unit(),
-        group_commit: GroupCommitPolicy::Immediate,
     })
     .unwrap()
 }
