@@ -145,6 +145,16 @@ impl PcaCluster {
         self.cfg.page_size + 64
     }
 
+    /// Forces `node`'s log, charging its disk for the bytes the force
+    /// writes.
+    fn force_log(&mut self, node: NodeId) -> Result<()> {
+        let log = &mut self.nodes[node.0 as usize].log;
+        let pending = log.end_lsn().0 - log.flushed_lsn().0;
+        log.force_all()?;
+        self.net.disk_io(node, pending as usize);
+        Ok(())
+    }
+
     /// Completion for a durably-committed transaction: for every
     /// updated remote page, ship the page and its log records to the
     /// PCA node, which double-logs them and forces before
@@ -183,16 +193,11 @@ impl PcaCluster {
             let bytes: usize = recs.iter().map(|r| r.encode().len()).sum();
             self.net.send(node, pca, MsgKind::LogShip, bytes + CTRL)?;
             // Double logging at the PCA node, forced before the ack.
-            {
-                let pn = &mut self.nodes[pca.0 as usize];
-                for r in &recs {
-                    pn.log.append(r)?;
-                }
-                let pending = pn.log.end_lsn().0 - pn.log.flushed_lsn().0;
-                pn.log.force_all()?;
-                self.net.disk_io(pca, pending as usize);
-                pn.buffer.insert(page.clone(), true)?;
+            for r in &recs {
+                self.nodes[pca.0 as usize].log.append(r)?;
             }
+            self.force_log(pca)?;
+            self.nodes[pca.0 as usize].buffer.insert(page, true)?;
             self.net.send(pca, node, MsgKind::CommitAck, CTRL)?;
             self.nodes[ni].buffer.mark_clean(*pid);
         }
@@ -404,9 +409,7 @@ impl System for PcaCluster {
             prev_lsn: t.last_lsn,
             payload: LogPayload::Commit,
         })?;
-        let pending = (n.log.end_lsn().0 - n.log.flushed_lsn().0) as usize;
-        n.log.force_all()?;
-        self.net.disk_io(node, pending);
+        self.force_log(node)?;
         self.finish_pca_commit(txn)
     }
 

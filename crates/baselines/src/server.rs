@@ -237,6 +237,17 @@ impl ServerCluster {
         Ok(())
     }
 
+    /// Forces the server log, charging the server disk for the bytes
+    /// the force writes.
+    fn force_server_log(&mut self) -> Result<()> {
+        let pending = self.log.end_lsn().0 - self.log.flushed_lsn().0;
+        if pending > 0 {
+            self.log.force_all()?;
+            self.net.disk_io(SERVER, pending as usize);
+        }
+        Ok(())
+    }
+
     /// Ships every unshipped record at `node` touching `pid` — the WAL
     /// rule before a dirty page leaves the client cache.
     fn wal_ship_for_page(&mut self, node: NodeId, pid: PageId) -> Result<()> {
@@ -259,11 +270,7 @@ impl ServerCluster {
         if shipped_any {
             // Records shipped ahead of a page write must be durable
             // before the page can hit the disk; force now.
-            let pending = self.log.end_lsn().0 - self.log.flushed_lsn().0;
-            if pending > 0 {
-                self.log.force_all()?;
-                self.net.disk_io(SERVER, pending as usize);
-            }
+            self.force_server_log()?;
         }
         Ok(())
     }
@@ -422,7 +429,7 @@ impl ServerCluster {
             .filter(|t| !t.committed && !t.aborted && t.begun_at_server)
             .map(|t| (t.id, t.server_last_lsn))
             .collect();
-        let end = self.log.append(&LogRecord {
+        self.log.append(&LogRecord {
             txn: sys,
             prev_lsn: begin,
             payload: LogPayload::CheckpointEnd(CheckpointBody {
@@ -430,9 +437,7 @@ impl ServerCluster {
                 active_txns: active,
             }),
         })?;
-        let pending = self.log.end_lsn().0 - self.log.flushed_lsn().0;
-        self.log.force(end)?;
-        self.net.disk_io(SERVER, pending as usize);
+        self.force_server_log()?;
         self.log.write_master(begin)?;
         Ok(begin)
     }
@@ -512,9 +517,7 @@ impl System for ServerCluster {
         })?;
         self.live_txn(txn)?.server_last_lsn = lsn;
         self.client(node)?.local.release_all(txn);
-        let pending = self.log.end_lsn().0 - self.log.flushed_lsn().0;
-        self.log.force_all()?;
-        self.net.disk_io(SERVER, pending as usize);
+        self.force_server_log()?;
         self.net.send(SERVER, node, MsgKind::CommitAck, CTRL)?;
         self.live_txn(txn)?.committed = true;
         Ok(())
