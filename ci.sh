@@ -130,8 +130,27 @@ bash tools/same.sh . . > /tmp/ci_same.txt
 grep "^same checker-ci$" /tmp/ci_same.txt > /dev/null
 rm -f /tmp/ci_same.txt
 
-echo "==> line ledger of HEAD (tools/loc.sh)"
-bash tools/loc.sh
+echo "==> line ledger of HEAD (tools/loc.sh) and the engine's code ceiling"
+# The `engine` row's code lines may not exceed this ceiling. A PR may
+# raise it only with a CHANGES.md line that says why; a PR that
+# shrinks the engine lowers it to the count it leaves.
+ENGINE_CODE_CEILING=13635
+bash tools/loc.sh > /tmp/ci_loc.txt
+cat /tmp/ci_loc.txt
+engine_code=$(awk '$1 == "engine" { print $2 }' /tmp/ci_loc.txt)
+rm -f /tmp/ci_loc.txt
+# A row that does not parse fails too, so a format change cannot turn
+# the gate into a pass.
+case "$engine_code" in
+    '' | *[!0-9]*)
+        echo "ERROR: tools/loc.sh printed no numeric engine code row" >&2
+        exit 1
+        ;;
+esac
+if [ "$engine_code" -gt "$ENGINE_CODE_CEILING" ]; then
+    echo "ERROR: engine code is $engine_code lines, over the ceiling of $ENGINE_CODE_CEILING" >&2
+    exit 1
+fi
 
 echo "==> backticked names in DESIGN.md and README.md that name nothing (tools/docnames.sh)"
 # A doc that cites a name the code no longer has fails the build.
