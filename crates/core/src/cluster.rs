@@ -10,7 +10,7 @@
 //! after other transactions advance — [`crate::runtime::drive`] layers
 //! queueing, retry and deadlock-victim handling on top.
 
-use crate::config::ClusterConfig;
+use crate::config::{ClusterConfig, Paradigm};
 use crate::group_commit::ForceScheduler;
 use crate::node::{Node, RollbackStep};
 use crate::txn::{Savepoint, TxnStatus};
@@ -23,7 +23,7 @@ use cblog_common::{
 use cblog_locks::{CallbackAction, GlobalRequestOutcome, LocalRequestOutcome, LockMode};
 use cblog_net::{MsgHeader, MsgKind, Network};
 use cblog_storage::{EvictedPage, Page, PageKind, SlottedPage};
-use cblog_wal::PageOp;
+use cblog_wal::{LogPayload, LogRecord, PageOp};
 
 /// Control-message payload size used for accounting.
 pub const CTRL_BYTES: usize = 48;
@@ -423,6 +423,10 @@ impl Cluster {
             r => r?,
         };
         self.trace_update(txn, pid, psn, lsn, false);
+        if self.cfg.paradigm == Paradigm::PrimaryCopy {
+            // No-steal: the page stays cached until `txn` ends.
+            self.nodes[n].buffer.pin(pid)?;
+        }
         Ok(())
     }
 
@@ -624,9 +628,89 @@ impl Cluster {
         let acked = self.schedulers[n].drain_acked(flushed);
         for t in &acked {
             self.nodes[n].finish_commit(*t)?;
+            if self.cfg.paradigm == Paradigm::PrimaryCopy {
+                self.ship_to_primary(*t)?;
+            }
             self.close_txn_span(*t, true);
         }
         Ok(acked.len())
+    }
+
+    /// Primary-copy commit processing (paper §3.2), after `txn`'s
+    /// commit is durable at its node: each remote page it updated
+    /// travels to its owner, in page order, with its log records. The
+    /// owner appends copies of the records to its own log (the double
+    /// logging), forces, caches the page and acknowledges.
+    fn ship_to_primary(&mut self, txn: TxnId) -> Result<()> {
+        let node = txn.node;
+        let n = ix(node);
+        let records = self.nodes[n].txn_records(txn)?;
+        let mut remote: Vec<PageId> = records.iter().filter_map(LogRecord::page).collect();
+        remote.retain(|pid| pid.owner != node);
+        remote.sort();
+        remote.dedup();
+        for pid in remote {
+            let owner = pid.owner;
+            let copies: Vec<LogRecord> = records
+                .iter()
+                .filter(|r| r.page() == Some(pid))
+                .map(|r| LogRecord {
+                    prev_lsn: Lsn::ZERO,
+                    ..r.clone()
+                })
+                .collect();
+            let bytes: usize = copies.iter().map(|r| r.encode().len()).sum();
+            let page = self.nodes[n]
+                .buffer
+                .peek(pid)
+                .cloned()
+                .ok_or(Error::NoSuchPage(pid))?;
+            self.net.send_reliable_hdr(
+                node,
+                owner,
+                MsgKind::PageShip,
+                self.page_bytes(),
+                MsgHeader::NONE,
+            )?;
+            self.net.send_reliable_hdr(
+                node,
+                owner,
+                MsgKind::LogShip,
+                bytes + CTRL_BYTES,
+                MsgHeader::NONE,
+            )?;
+            self.forcing(owner, bytes as u64, |nd| {
+                for r in &copies {
+                    nd.log.append(r)?;
+                }
+                nd.log.force_all()
+            })?;
+            self.cache_at(owner, page, true)?;
+            self.net.send_reliable_hdr(
+                owner,
+                node,
+                MsgKind::CommitAck,
+                CTRL_BYTES,
+                MsgHeader::NONE,
+            )?;
+        }
+        self.release_no_steal(node, &records)
+    }
+
+    /// Ends a primary-copy transaction's hold on its pages, given its
+    /// `records`: drops the pin each update took, and marks its remote
+    /// pages clean, since their owners hold the committed image.
+    fn release_no_steal(&mut self, node: NodeId, records: &[LogRecord]) -> Result<()> {
+        let buffer = &mut self.nodes[ix(node)].buffer;
+        for r in records {
+            if let LogPayload::Update { pid, .. } = r.payload {
+                if pid.owner != node {
+                    buffer.mark_clean(pid);
+                }
+                buffer.unpin(pid)?;
+            }
+        }
+        Ok(())
     }
 
     /// Forces `node`'s log once for its whole batch of force-pending
@@ -701,6 +785,10 @@ impl Cluster {
         self.nodes[n].start_abort(txn)?;
         self.drive_rollback(txn, Lsn::ZERO)?;
         self.nodes[n].finish_abort(txn)?;
+        if self.cfg.paradigm == Paradigm::PrimaryCopy {
+            let records = self.nodes[n].txn_records(txn)?;
+            self.release_no_steal(txn.node, &records)?;
+        }
         self.close_txn_span(txn, false);
         // A waiter that dies waiting (deadlock victim) still spent its
         // time queueing — fold it into the same wait histogram the
@@ -952,7 +1040,7 @@ impl Cluster {
                 TransferWhy::Callback,
                 ctx.span,
             )?;
-            if self.cfg.force_on_transfer {
+            if self.cfg.paradigm == Paradigm::ForceOnTransfer {
                 // Baseline ablation (§3.2): the page hits the disk
                 // before it may travel onward.
                 self.force_page(pid)?;
@@ -995,7 +1083,7 @@ impl Cluster {
         {
             self.forcing(owner, 0, |nd| nd.log.force_all())?;
         }
-        if self.cfg.force_on_transfer
+        if self.cfg.paradigm == Paradigm::ForceOnTransfer
             && owner != node
             && self.nodes[ix(owner)].buffer.is_dirty(pid).unwrap_or(false)
         {
@@ -1108,7 +1196,7 @@ impl Cluster {
                 TransferWhy::Replace,
                 SpanId::NONE,
             )?;
-            if self.cfg.force_on_transfer {
+            if self.cfg.paradigm == Paradigm::ForceOnTransfer {
                 self.force_page(pid)?;
             }
         }

@@ -52,6 +52,36 @@ pub enum GroupCommitPolicy {
     },
 }
 
+/// The logging paradigm a [`crate::Cluster`] runs: client-based
+/// logging or one of the two §3.2 baselines the paper contrasts it
+/// with. Every other step (callback locking, page fetch, eviction
+/// routing, commit force) is the same protocol, so an experiment that
+/// changes the paradigm changes nothing else.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
+pub enum Paradigm {
+    /// The paper's design: steal/no-force buffering, one local log per
+    /// node, pages move between nodes without touching a disk.
+    #[default]
+    ClientBased,
+    /// Rdb/VMS and the Mohan–Narang simple/medium shared-disks
+    /// schemes: a dirty page is forced to its owner's disk whenever it
+    /// moves between nodes.
+    ForceOnTransfer,
+    /// Primary-copy authority (Rahm 1991), with the page's owner as its
+    /// PCA node: no-steal buffering (an updated page stays pinned in
+    /// the modifier's cache until its transaction ends), and at commit
+    /// every updated remote page travels to its owner together with
+    /// its log records, which the owner appends to its own log and
+    /// forces before acknowledging (double logging). Priced under
+    /// [`GroupCommitPolicy::Immediate`] only: a parked commit would
+    /// let another local transaction update a page before it ships.
+    /// Recovery is not modelled: [`crate::recover`] refuses such a
+    /// cluster. A traced run fails [`crate::Cluster::trace_check`] on
+    /// "log records crossed the network", the property this scheme
+    /// breaks by design.
+    PrimaryCopy,
+}
+
 /// Configuration of a single node.
 #[derive(Clone, Debug)]
 pub struct NodeConfig {
@@ -93,11 +123,9 @@ pub struct ClusterConfig {
     pub(crate) default_node: NodeConfig,
     /// Simulated cost model for messages and disk I/O.
     pub(crate) cost: CostModel,
-    /// Baseline ablation: force every dirty page to the owner's disk
-    /// when it is transferred between nodes (Rdb/VMS and the
-    /// Mohan–Narang simple/medium shared-disks schemes, paper §3.2).
-    /// The paper's design keeps this off — contribution (1).
-    pub(crate) force_on_transfer: bool,
+    /// The logging paradigm; the paper's design is
+    /// [`Paradigm::ClientBased`], the others are its §3.2 baselines.
+    pub(crate) paradigm: Paradigm,
     /// Group-commit policy for the per-node force scheduler.
     /// [`GroupCommitPolicy::Immediate`] reproduces the one-force-per-
     /// commit behavior existing tests pin down.
@@ -128,7 +156,7 @@ impl Default for ClusterConfig {
             owned_pages: Vec::new(),
             default_node: NodeConfig::default(),
             cost: CostModel::default(),
-            force_on_transfer: false,
+            paradigm: Paradigm::ClientBased,
             group_commit: GroupCommitPolicy::Immediate,
             faults: FaultPlan::default(),
             tracing: false,
@@ -173,9 +201,9 @@ impl ClusterConfig {
         self.group_commit
     }
 
-    /// True if the force-on-transfer ablation is enabled.
-    pub fn force_on_transfer(&self) -> bool {
-        self.force_on_transfer
+    /// The logging paradigm.
+    pub fn paradigm(&self) -> Paradigm {
+        self.paradigm
     }
 
     /// The fault-injection plan.
@@ -263,9 +291,9 @@ impl ClusterConfigBuilder {
         self
     }
 
-    /// Enables/disables the force-on-transfer ablation (§3.2).
-    pub fn force_on_transfer(mut self, on: bool) -> Self {
-        self.cfg.force_on_transfer = on;
+    /// Sets the logging paradigm (§3.2 baselines).
+    pub fn paradigm(mut self, paradigm: Paradigm) -> Self {
+        self.cfg.paradigm = paradigm;
         self
     }
 

@@ -53,7 +53,7 @@ pub mod txn;
 pub use cblog_common::RecoveryPhase;
 pub use cblog_net::{FaultAction, FaultPlan, FaultScript, FaultStats};
 pub use cluster::Cluster;
-pub use config::{ClusterConfig, ClusterConfigBuilder, GroupCommitPolicy, NodeConfig};
+pub use config::{ClusterConfig, ClusterConfigBuilder, GroupCommitPolicy, NodeConfig, Paradigm};
 pub use group_commit::{ForceScheduler, PendingCommit};
 pub use node::{AnalysisResult, Node, NodePsnEntry, RedoRecords};
 pub use recovery::{

@@ -869,6 +869,22 @@ impl Node {
         Ok(())
     }
 
+    /// The update and compensation records of `txn`, oldest first,
+    /// read back along its `prev_lsn` chain.
+    pub(crate) fn txn_records(&mut self, txn: TxnId) -> Result<Vec<LogRecord>> {
+        let mut lsn = self.txns.get(&txn).ok_or(Error::NoSuchTxn(txn))?.last_lsn;
+        let mut out = Vec::new();
+        while !lsn.is_zero() {
+            let (rec, _) = self.log.read_record(lsn)?;
+            lsn = rec.prev_lsn;
+            if rec.page().is_some() {
+                out.push(rec);
+            }
+        }
+        out.reverse();
+        Ok(out)
+    }
+
     // ------------------------------------------------------------------
     // Checkpointing (fuzzy, independent — paper §2.2, contribution (4))
     // ------------------------------------------------------------------

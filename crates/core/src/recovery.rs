@@ -25,6 +25,7 @@
 //! case, possibly involving several crashed nodes' logs per page.
 
 use crate::cluster::{Cluster, CTRL_BYTES};
+use crate::config::Paradigm;
 use crate::node::{NodePsnEntry, RedoRecords, RollbackStep};
 use crate::runtime::Runtime;
 use cblog_common::{
@@ -604,6 +605,13 @@ pub fn recover<R: Runtime + ?Sized>(rt: &mut R, opts: &RecoveryOptions) -> Resul
 /// The simulator's recovery implementation, reached through
 /// [`Runtime::recover`] on [`Cluster`].
 pub(crate) fn recover_sim(cluster: &mut Cluster, opts: &RecoveryOptions) -> Result<RecoveryReport> {
+    if cluster.config().paradigm() == Paradigm::PrimaryCopy {
+        // The baseline is priced for normal processing only, and an
+        // owner's log holds copies of other nodes' records.
+        return Err(Error::Invalid(
+            "recovery under the primary-copy paradigm is not modelled".into(),
+        ));
+    }
     // Everything the run charges — log scans, page forces, the
     // cross-node replay shuttle — lands in the profiler's Replay
     // bucket, so resource-time breakdowns separate recovery work from

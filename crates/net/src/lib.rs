@@ -17,6 +17,15 @@ use std::collections::HashSet;
 
 pub mod transport;
 
+/// Resend budget of [`Network::send_reliable`] after the first attempt.
+/// Bounded so lossy links cost time, never livelock.
+pub const MAX_RETRIES: u32 = 16;
+
+/// Base backoff charged before each resend of
+/// [`Network::send_reliable`] (grows linearly with the attempt
+/// number), sim-µs.
+pub const RETRY_BACKOFF_US: SimTime = 25;
+
 /// Trace header attached to a protocol message: the span of the
 /// operation the message belongs to and that span's causal parent.
 ///
@@ -74,13 +83,11 @@ impl FaultAction {
 }
 
 /// Schedule-driven fault injection: `(sequence index, action)` pairs
-/// applied to the Nth fault-eligible message the transport carries
-/// (0-based, counting only messages that pass the plan's
-/// [`FaultPlan::only_kinds`] filter). Installing a script
-/// replaces the RNG rolls entirely, making every branch of a fault
-/// schedule enumerable and exactly replayable — this is the model
-/// checker's injection mode. Multiple actions on one index apply in
-/// list order.
+/// applied to the Nth message the transport carries (0-based).
+/// Installing a script replaces the RNG rolls entirely, making every
+/// branch of a fault schedule enumerable and exactly replayable — this
+/// is the model checker's injection mode. Multiple actions on one index
+/// apply in list order.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct FaultScript {
     /// The schedule, as (message sequence index, action) pairs.
@@ -105,7 +112,7 @@ impl FaultScript {
 /// All probabilities default to zero, making the default plan a strict
 /// no-op; every roll comes from one private RNG stream seeded by
 /// `seed`, so a given plan replays identically. Message faults apply to
-/// every [`MsgKind`] unless narrowed by [`FaultPlan::only_kinds`].
+/// every [`MsgKind`].
 /// Installing a [`FaultScript`] switches the plan from RNG-driven to
 /// schedule-driven: the probabilities are ignored and only the scripted
 /// steps fire.
@@ -131,14 +138,6 @@ pub struct FaultPlan {
     /// of the unsynced tail survives on the device, possibly with its
     /// last byte corrupted (see `cblog_wal`).
     pub tear: f64,
-    /// Restrict message faults to these kinds (None = all kinds).
-    pub only_kinds: Option<Vec<MsgKind>>,
-    /// Resend budget for [`Network::send_reliable`] after the first
-    /// attempt. Bounded so lossy links cost time, never livelock.
-    pub max_retries: u32,
-    /// Base backoff charged before each resend (grows linearly with the
-    /// attempt number), sim-µs.
-    pub retry_backoff_us: SimTime,
     /// Schedule-driven injection mode: when set, the probability knobs
     /// are ignored and exactly the scripted steps fire.
     pub script: Option<FaultScript>,
@@ -161,9 +160,6 @@ impl FaultPlan {
             duplicate: 0.0,
             reorder: 0.0,
             tear: 0.0,
-            only_kinds: None,
-            max_retries: 16,
-            retry_backoff_us: 25,
             script: None,
         }
     }
@@ -216,13 +212,6 @@ impl FaultPlan {
                     && self.duplicate <= 0.0
                     && self.reorder <= 0.0
             }
-        }
-    }
-
-    fn applies_to(&self, kind: MsgKind) -> bool {
-        match &self.only_kinds {
-            Some(ks) => ks.contains(&kind),
-            None => true,
         }
     }
 }
@@ -565,67 +554,65 @@ impl Network {
             return Err(Error::NodeDown(from));
         }
         self.account(from, to, kind, bytes);
-        if self.faults.applies_to(kind) {
-            if self.faults.script.is_some() {
-                // Schedule-driven mode: the sequence counter advances
-                // on every eligible message — including under an empty
-                // script, so a clean pass can measure the schedule
-                // space — and exactly the scripted steps fire.
-                let seq = self.script_seq;
-                self.script_seq += 1;
-                let acts: Vec<FaultAction> = self
-                    .faults
-                    .script
-                    .as_ref()
-                    .expect("checked")
-                    .steps
-                    .iter()
-                    .filter(|(at, _)| *at == seq)
-                    .map(|(_, a)| *a)
-                    .collect();
-                for act in acts {
-                    match act {
-                        FaultAction::Duplicate => {
-                            self.fault_stats.duplicated += 1;
-                            self.account(from, to, kind, bytes);
-                        }
-                        FaultAction::Delay => {
-                            self.fault_stats.delayed += 1;
-                            self.advance_clock(self.faults.delay_us);
-                        }
-                        FaultAction::Reorder => {
-                            self.fault_stats.reordered += 1;
-                            self.advance_clock(self.faults.delay_us);
-                        }
-                        FaultAction::Drop => {
-                            self.fault_stats.dropped += 1;
-                            return Err(Error::MsgLost { from, to });
-                        }
+        if self.faults.script.is_some() {
+            // Schedule-driven mode: the sequence counter advances on
+            // every message — including under an empty script, so a
+            // clean pass can measure the schedule space — and exactly
+            // the scripted steps fire.
+            let seq = self.script_seq;
+            self.script_seq += 1;
+            let acts: Vec<FaultAction> = self
+                .faults
+                .script
+                .as_ref()
+                .expect("checked")
+                .steps
+                .iter()
+                .filter(|(at, _)| *at == seq)
+                .map(|(_, a)| *a)
+                .collect();
+            for act in acts {
+                match act {
+                    FaultAction::Duplicate => {
+                        self.fault_stats.duplicated += 1;
+                        self.account(from, to, kind, bytes);
+                    }
+                    FaultAction::Delay => {
+                        self.fault_stats.delayed += 1;
+                        self.advance_clock(self.faults.delay_us);
+                    }
+                    FaultAction::Reorder => {
+                        self.fault_stats.reordered += 1;
+                        self.advance_clock(self.faults.delay_us);
+                    }
+                    FaultAction::Drop => {
+                        self.fault_stats.dropped += 1;
+                        return Err(Error::MsgLost { from, to });
                     }
                 }
-            } else if !self.faults.is_noop() {
-                if self.faults.duplicate > 0.0 && self.fault_rng.gen_bool(self.faults.duplicate) {
-                    self.fault_stats.duplicated += 1;
-                    self.account(from, to, kind, bytes);
-                }
-                if self.faults.delay > 0.0 && self.fault_rng.gen_bool(self.faults.delay) {
-                    self.fault_stats.delayed += 1;
-                    self.advance_clock(self.faults.delay_us);
-                }
-                if self.faults.reorder > 0.0 && self.fault_rng.gen_bool(self.faults.reorder) {
-                    self.fault_stats.reordered += 1;
-                    self.advance_clock(self.faults.delay_us);
-                }
-                if self.faults.drop > 0.0 && self.fault_rng.gen_bool(self.faults.drop) {
-                    self.fault_stats.dropped += 1;
-                    return Err(Error::MsgLost { from, to });
-                }
+            }
+        } else if !self.faults.is_noop() {
+            if self.faults.duplicate > 0.0 && self.fault_rng.gen_bool(self.faults.duplicate) {
+                self.fault_stats.duplicated += 1;
+                self.account(from, to, kind, bytes);
+            }
+            if self.faults.delay > 0.0 && self.fault_rng.gen_bool(self.faults.delay) {
+                self.fault_stats.delayed += 1;
+                self.advance_clock(self.faults.delay_us);
+            }
+            if self.faults.reorder > 0.0 && self.fault_rng.gen_bool(self.faults.reorder) {
+                self.fault_stats.reordered += 1;
+                self.advance_clock(self.faults.delay_us);
+            }
+            if self.faults.drop > 0.0 && self.fault_rng.gen_bool(self.faults.drop) {
+                self.fault_stats.dropped += 1;
+                return Err(Error::MsgLost { from, to });
             }
         }
         Ok(())
     }
 
-    /// Fault-eligible messages seen so far in schedule-driven mode
+    /// Messages seen so far in schedule-driven mode
     /// (the next unused [`FaultScript`] sequence index). Always 0
     /// without a script installed — a clean sizing pass must install
     /// an *empty* script.
@@ -699,8 +686,8 @@ impl Network {
         );
     }
 
-    /// As [`Network::send`] but resends on loss, up to the plan's retry
-    /// budget, charging a linearly growing backoff before each resend.
+    /// As [`Network::send`] but resends on loss, up to [`MAX_RETRIES`]
+    /// times, charging a linearly growing backoff before each resend.
     /// Crashed endpoints fail immediately (a down node is not a lost
     /// message). Exhausting the budget yields
     /// [`Error::RetriesExhausted`].
@@ -714,10 +701,10 @@ impl Network {
         let mut attempt: u32 = 0;
         loop {
             match self.send(from, to, kind, bytes) {
-                Err(Error::MsgLost { .. }) if attempt < self.faults.max_retries => {
+                Err(Error::MsgLost { .. }) if attempt < MAX_RETRIES => {
                     attempt += 1;
                     self.fault_stats.retries += 1;
-                    self.advance_clock(self.faults.retry_backoff_us * attempt as u64);
+                    self.advance_clock(RETRY_BACKOFF_US * attempt as u64);
                 }
                 Err(Error::MsgLost { .. }) => {
                     self.fault_stats.exhausted += 1;
@@ -949,23 +936,17 @@ mod tests {
 
     #[test]
     fn send_reliable_exhausts_bounded_budget_on_dead_link() {
-        let mut n = Network::with_faults(
-            2,
-            CostModel::unit(),
-            FaultPlan {
-                max_retries: 3,
-                retry_backoff_us: 10,
-                ..FaultPlan::new(7).with_drop(1.0)
-            },
-        );
+        let mut n = Network::with_faults(2, CostModel::unit(), FaultPlan::new(7).with_drop(1.0));
         match n.send_reliable(NodeId(0), NodeId(1), MsgKind::PageShip, 100) {
-            Err(Error::RetriesExhausted { attempts, .. }) => assert_eq!(attempts, 4),
+            Err(Error::RetriesExhausted { attempts, .. }) => {
+                assert_eq!(attempts, MAX_RETRIES + 1)
+            }
             r => panic!("expected RetriesExhausted, got {r:?}"),
         }
         assert_eq!(n.fault_stats().exhausted, 1);
         assert_eq!(
             n.stats().count(MsgKind::PageShip),
-            4,
+            u64::from(MAX_RETRIES + 1),
             "every attempt accounted"
         );
     }
@@ -979,23 +960,6 @@ mod tests {
             Err(Error::NodeDown(NodeId(1)))
         ));
         assert_eq!(n.fault_stats().retries, 0);
-    }
-
-    #[test]
-    fn only_kinds_narrows_fault_scope() {
-        let mut n = Network::with_faults(
-            2,
-            CostModel::unit(),
-            FaultPlan {
-                only_kinds: Some(vec![MsgKind::PageShip]),
-                ..FaultPlan::new(7).with_drop(1.0)
-            },
-        );
-        n.send(NodeId(0), NodeId(1), MsgKind::LockRequest, 48)
-            .unwrap();
-        assert!(n
-            .send(NodeId(0), NodeId(1), MsgKind::PageShip, 100)
-            .is_err());
     }
 
     #[test]

@@ -13,11 +13,10 @@
 //! Steady state, one client updating k distinct remote pages per
 //! transaction.
 
-use super::{cbl_cluster, csa_cluster, pages0, PAGE_SIZE};
+use super::{cbl_builder, cbl_cluster, csa_cluster, pages0};
 use crate::report::{f, Table};
-use cblog_baselines::{PcaCluster, PcaConfig};
-use cblog_common::{CostModel, NodeId};
-use cblog_core::System;
+use cblog_common::NodeId;
+use cblog_core::{Cluster, Paradigm, System};
 
 const TXNS: u64 = 50;
 const PAGES: u32 = 8;
@@ -102,14 +101,8 @@ fn run_csa(k: usize) -> (f64, f64) {
 }
 
 fn run_pca(k: usize) -> (f64, f64, f64) {
-    let mut s = PcaCluster::new(PcaConfig {
-        nodes: 2,
-        pages: PAGES,
-        page_size: PAGE_SIZE,
-        buffer_frames: 16,
-        cost: CostModel::default(),
-    })
-    .unwrap();
+    let cfg = cbl_builder(1, PAGES, 16).paradigm(Paradigm::PrimaryCopy);
+    let mut s = Cluster::new(cfg.build()).unwrap();
     let pages = pages0(PAGES);
     let t = s.begin(NodeId(1)).unwrap();
     for p in &pages {
@@ -117,7 +110,7 @@ fn run_pca(k: usize) -> (f64, f64, f64) {
     }
     s.commit(t).unwrap();
     let s0 = s.network().stats();
-    let recs0 = s.log_of(NodeId(0)).records_appended();
+    let recs0 = s.node(NodeId(0)).log().records_appended();
     for i in 0..TXNS {
         let t = s.begin(NodeId(1)).unwrap();
         for p in pages.iter().take(k) {
@@ -126,7 +119,7 @@ fn run_pca(k: usize) -> (f64, f64, f64) {
         s.commit(t).unwrap();
     }
     let d = s.network().stats().since(&s0);
-    let second_log = s.log_of(NodeId(0)).records_appended() - recs0;
+    let second_log = s.node(NodeId(0)).log().records_appended() - recs0;
     (
         d.total_messages() as f64 / TXNS as f64,
         d.total_bytes() as f64 / TXNS as f64,
@@ -137,6 +130,7 @@ fn run_pca(k: usize) -> (f64, f64, f64) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::experiments::PAGE_SIZE;
 
     #[test]
     fn pca_pays_page_shipping_and_double_logging_cbl_pays_nothing() {

@@ -10,6 +10,7 @@
 use super::{cbl_cluster_opts, pages0};
 use crate::report::{f, Table};
 use cblog_common::NodeId;
+use cblog_core::Paradigm;
 
 const ROUNDS: u64 = 25;
 
@@ -27,8 +28,8 @@ pub fn run() -> Table {
         ],
     );
     for nodes in [2usize, 4, 8] {
-        let (cbl_io, cbl_ms) = run_one(nodes, false);
-        let (fot_io, fot_ms) = run_one(nodes, true);
+        let (cbl_io, cbl_ms) = run_one(nodes, Paradigm::ClientBased);
+        let (fot_io, fot_ms) = run_one(nodes, Paradigm::ForceOnTransfer);
         t.row(vec![
             nodes.to_string(),
             f(cbl_io),
@@ -42,8 +43,8 @@ pub fn run() -> Table {
 }
 
 /// Returns `(owner disk IOs, simulated milliseconds)`.
-pub fn run_one(sharers: usize, force: bool) -> (f64, f64) {
-    let mut c = cbl_cluster_opts(sharers, 2, 8, None, force);
+pub fn run_one(sharers: usize, paradigm: Paradigm) -> (f64, f64) {
+    let mut c = cbl_cluster_opts(sharers, 2, 8, None, paradigm);
     let p = pages0(1)[0];
     for round in 0..ROUNDS {
         for s in 1..=sharers as u32 {
@@ -64,8 +65,8 @@ mod tests {
 
     #[test]
     fn force_on_transfer_pays_disk_per_exchange() {
-        let (cbl_io, cbl_ms) = run_one(2, false);
-        let (fot_io, fot_ms) = run_one(2, true);
+        let (cbl_io, cbl_ms) = run_one(2, Paradigm::ClientBased);
+        let (fot_io, fot_ms) = run_one(2, Paradigm::ForceOnTransfer);
         assert!(
             fot_io > cbl_io + ROUNDS as f64,
             "cbl {cbl_io} vs fot {fot_io}"

@@ -9,6 +9,7 @@
 use super::{cbl_cluster_opts, pages0};
 use crate::report::{f, Table};
 use cblog_common::NodeId;
+use cblog_core::Paradigm;
 use cblog_net::MsgKind;
 
 const TXNS: u64 = 150;
@@ -56,7 +57,7 @@ pub struct SpaceRow {
 
 /// Runs the bounded-log workload at one capacity.
 pub fn run_one(cap: u64) -> SpaceRow {
-    let mut c = cbl_cluster_opts(1, 8, 16, Some(cap), false);
+    let mut c = cbl_cluster_opts(1, 8, 16, Some(cap), Paradigm::ClientBased);
     let pages = pages0(8);
     let client = NodeId(1);
     let mut committed = 0u64;

@@ -24,7 +24,9 @@ pub mod t1_protocol_ops;
 use crate::report::Table;
 use cblog_baselines::{ServerClientConfig, ServerCluster};
 use cblog_common::{CostModel, NodeId, PageId};
-use cblog_core::{Cluster, ClusterConfig, ClusterConfigBuilder, FaultPlan, GroupCommitPolicy};
+use cblog_core::{
+    Cluster, ClusterConfig, ClusterConfigBuilder, FaultPlan, GroupCommitPolicy, Paradigm,
+};
 
 /// Standard page size used by the experiments.
 pub const PAGE_SIZE: usize = 1024;
@@ -32,7 +34,7 @@ pub const PAGE_SIZE: usize = 1024;
 /// Builds a client-based-logging cluster: node 0 owns `pages`;
 /// `clients` diskless logging client nodes follow.
 pub fn cbl_cluster(clients: usize, pages: u32, frames: usize) -> Cluster {
-    cbl_cluster_opts(clients, pages, frames, None, false)
+    cbl_cluster_opts(clients, pages, frames, None, Paradigm::ClientBased)
 }
 
 /// Partially-configured builder shared by every cbl cluster shape:
@@ -47,18 +49,18 @@ pub fn cbl_builder(clients: usize, pages: u32, frames: usize) -> ClusterConfigBu
         .default_owned_pages(0)
 }
 
-/// As [`cbl_cluster`] with a bounded log and/or force-on-transfer.
+/// As [`cbl_cluster`] with a bounded log and/or another paradigm.
 pub fn cbl_cluster_opts(
     clients: usize,
     pages: u32,
     frames: usize,
     log_capacity: Option<u64>,
-    force_on_transfer: bool,
+    paradigm: Paradigm,
 ) -> Cluster {
     Cluster::new(
         cbl_builder(clients, pages, frames)
             .log_capacity(log_capacity)
-            .force_on_transfer(force_on_transfer)
+            .paradigm(paradigm)
             .build(),
     )
     .expect("cluster config valid")

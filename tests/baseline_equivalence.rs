@@ -1,14 +1,12 @@
 //! Baseline equivalence: the same seeded workload produces the same
-//! committed state on the client-based-logging cluster, the
-//! force-on-transfer ablation, and the ARIES/CSA server-logging
-//! baseline — while their cost profiles differ exactly the way the
-//! paper argues.
+//! committed state on the client-based-logging cluster, its
+//! force-on-transfer and primary-copy paradigms, and the ARIES/CSA
+//! server-logging baseline — while their cost profiles differ exactly
+//! the way the paper argues.
 
-use cblog_baselines::{
-    force_on_transfer_cluster, PcaCluster, PcaConfig, ServerClientConfig, ServerCluster,
-};
+use cblog_baselines::{ServerClientConfig, ServerCluster};
 use cblog_common::{CostModel, NodeId, PageId};
-use cblog_core::{Cluster, ClusterConfig, ClusterConfigBuilder};
+use cblog_core::{Cluster, ClusterConfig, ClusterConfigBuilder, Paradigm};
 use cblog_net::MsgKind;
 use cblog_sim::{run_workload, workload, System, WorkloadConfig};
 
@@ -69,21 +67,20 @@ fn final_state<S: System>(sys: &mut S) -> Vec<((PageId, usize), u64)> {
     out
 }
 
-fn pca() -> PcaCluster {
-    PcaCluster::new(PcaConfig {
-        nodes: CLIENTS + 1,
-        pages: PAGES,
-        page_size: 1024,
-        buffer_frames: 64, // generous: no-steal pins working sets
-        cost: CostModel::unit(),
-    })
-    .unwrap()
+fn fot() -> Cluster {
+    Cluster::new(cbl_cfg().paradigm(Paradigm::ForceOnTransfer).build()).unwrap()
+}
+
+fn pca() -> Cluster {
+    // Generous frames: no-steal pins working sets.
+    let cfg = cbl_cfg().buffer_frames(64);
+    Cluster::new(cfg.paradigm(Paradigm::PrimaryCopy).build()).unwrap()
 }
 
 #[test]
 fn all_four_systems_reach_identical_committed_state() {
     let mut cbl = Cluster::new(cbl_cfg().build()).unwrap();
-    let mut fot = force_on_transfer_cluster(cbl_cfg()).unwrap();
+    let mut fot = fot();
     let mut srv = csa();
     let mut p = pca();
     let a = final_state(&mut cbl);
@@ -127,7 +124,7 @@ fn cost_profiles_differ_as_the_paper_argues() {
 #[test]
 fn force_on_transfer_only_adds_disk_writes_never_changes_reads() {
     let mut cbl = Cluster::new(cbl_cfg().build()).unwrap();
-    let mut fot = force_on_transfer_cluster(cbl_cfg()).unwrap();
+    let mut fot = fot();
     let s1 = run_workload(&mut cbl, wl(13)).unwrap();
     let s2 = run_workload(&mut fot, wl(13)).unwrap();
     assert_eq!(s1.report.committed, s2.report.committed);
