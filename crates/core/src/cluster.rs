@@ -31,6 +31,9 @@ pub const CTRL_BYTES: usize = 48;
 /// Spans per node in [`Cluster::post_mortem`].
 const POST_MORTEM_SPANS: usize = 32;
 
+/// The server of the [`Paradigm::ClientServer`] paradigm.
+const SERVER: NodeId = NodeId(0);
+
 #[inline]
 fn ix(id: NodeId) -> usize {
     id.0 as usize
@@ -57,6 +60,10 @@ pub struct Cluster {
     /// Transactions begun so far, cluster-wide — drives the 1-in-N
     /// span-sampling decision (`trace_sample_one_in`).
     txns_begun: u64,
+    /// Under [`Paradigm::ClientServer`], per transaction that has
+    /// shipped records: the last client LSN shipped, and the
+    /// transaction's last LSN at the server.
+    shipped: IdMap<TxnId, (Lsn, Lsn)>,
 }
 
 impl std::fmt::Debug for Cluster {
@@ -68,6 +75,13 @@ impl std::fmt::Debug for Cluster {
 impl Cluster {
     /// Builds the cluster per `cfg`.
     pub fn new(cfg: ClusterConfig) -> Result<Self> {
+        if cfg.paradigm == Paradigm::ClientServer
+            && (1..cfg.node_count).any(|i| cfg.node_config(i).owned_pages > 0)
+        {
+            return Err(Error::Invalid(
+                "under the client-server paradigm only node 0 owns pages".into(),
+            ));
+        }
         let mut nodes = Vec::with_capacity(cfg.node_count);
         for i in 0..cfg.node_count {
             nodes.push(Node::new(NodeId(i as u32), cfg.node_config(i))?);
@@ -91,6 +105,7 @@ impl Cluster {
             tracer,
             txn_spans: IdMap::default(),
             txns_begun: 0,
+            shipped: IdMap::default(),
         })
     }
 
@@ -520,8 +535,12 @@ impl Cluster {
     /// durable (and may be reported committed) only once
     /// [`Cluster::poll_committed`] returns true. Under the
     /// [`crate::GroupCommitPolicy::Immediate`] policy the batch
-    /// flushes before this returns.
+    /// flushes before this returns. Under [`Paradigm::ClientServer`]
+    /// the commit runs at the server and is durable on return.
     pub fn commit_submit(&mut self, txn: TxnId) -> Result<()> {
+        if self.cfg.paradigm == Paradigm::ClientServer {
+            return self.commit_at_server(txn);
+        }
         let node = txn.node;
         let n = ix(node);
         // The pages a ship must force for, read before `commit_begin`
@@ -644,7 +663,7 @@ impl Cluster {
     fn ship_to_primary(&mut self, txn: TxnId) -> Result<()> {
         let node = txn.node;
         let n = ix(node);
-        let records = self.nodes[n].txn_records(txn)?;
+        let records = self.nodes[n].txn_records(txn, Lsn::ZERO)?;
         let mut remote: Vec<PageId> = records.iter().filter_map(LogRecord::page).collect();
         remote.retain(|pid| pid.owner != node);
         remote.sort();
@@ -686,13 +705,7 @@ impl Cluster {
                 nd.log.force_all()
             })?;
             self.cache_at(owner, page, true)?;
-            self.net.send_reliable_hdr(
-                owner,
-                node,
-                MsgKind::CommitAck,
-                CTRL_BYTES,
-                MsgHeader::NONE,
-            )?;
+            self.send_ctrl(owner, node, MsgKind::CommitAck)?;
         }
         self.release_no_steal(node, &records)
     }
@@ -711,6 +724,82 @@ impl Cluster {
             }
         }
         Ok(())
+    }
+
+    /// Client-server commit (paper §3.1): the client ships the records
+    /// the server lacks and a commit request; the server appends the
+    /// Commit record, the client's transaction ends, and the server
+    /// forces its log before it acknowledges.
+    fn commit_at_server(&mut self, txn: TxnId) -> Result<()> {
+        let node = txn.node;
+        self.nodes[ix(node)].check_active(txn)?;
+        let records = self.unshipped(txn)?;
+        self.ship_log(txn, records)?;
+        self.send_ctrl(node, SERVER, MsgKind::CommitRequest)?;
+        self.append_at_server(txn, LogPayload::Commit)?;
+        self.nodes[ix(node)].commit_at_server(txn)?;
+        self.forcing(SERVER, 0, |nd| nd.log.force_all())?;
+        self.send_ctrl(SERVER, node, MsgKind::CommitAck)?;
+        self.close_txn_span(txn, true);
+        Ok(())
+    }
+
+    /// The records of `txn` the server has not seen, oldest first.
+    fn unshipped(&mut self, txn: TxnId) -> Result<Vec<LogRecord>> {
+        let sent = self.shipped.get(&txn).map_or(Lsn::ZERO, |&(sent, _)| sent);
+        self.nodes[ix(txn.node)].txn_records(txn, sent)
+    }
+
+    /// Ships `records` of `txn` to the server in one `LogShip` of their
+    /// encoded bytes (none sends nothing), and marks everything `txn`
+    /// has logged so far as shipped. The server appends them chained by
+    /// `prev_lsn` and enters each updated page in its DPT.
+    fn ship_log(&mut self, txn: TxnId, records: Vec<LogRecord>) -> Result<()> {
+        if records.is_empty() {
+            return Ok(());
+        }
+        let bytes: usize = records.iter().map(|r| r.encode().len()).sum();
+        self.net.send_reliable_hdr(
+            txn.node,
+            SERVER,
+            MsgKind::LogShip,
+            bytes + CTRL_BYTES,
+            MsgHeader::NONE,
+        )?;
+        let mut prev = self.shipped.get(&txn).map_or(Lsn::ZERO, |&(_, at)| at);
+        let server = &mut self.nodes[ix(SERVER)];
+        for mut r in records {
+            r.prev_lsn = prev;
+            prev = server.log.append(&r)?;
+            if let LogPayload::Update {
+                pid, psn_before, ..
+            } = r.payload
+            {
+                server.dpt.on_update(pid, psn_before.next(), prev);
+            }
+        }
+        let last = self.nodes[ix(txn.node)].txns[&txn].last_lsn;
+        self.shipped.insert(txn, (last, prev));
+        Ok(())
+    }
+
+    /// Appends `txn`'s final record (Commit or Abort) to the server's
+    /// log, after whatever the transaction shipped, and forgets its
+    /// shipping marks.
+    fn append_at_server(&mut self, txn: TxnId, payload: LogPayload) -> Result<()> {
+        let prev = self.shipped.remove(&txn).map_or(Lsn::ZERO, |(_, at)| at);
+        let rec = LogRecord {
+            txn,
+            prev_lsn: prev,
+            payload,
+        };
+        self.nodes[ix(SERVER)].log.append(&rec).map(drop)
+    }
+
+    /// Sends a control message of [`CTRL_BYTES`].
+    fn send_ctrl(&mut self, from: NodeId, to: NodeId, kind: MsgKind) -> Result<()> {
+        self.net
+            .send_reliable_hdr(from, to, kind, CTRL_BYTES, MsgHeader::NONE)
     }
 
     /// Forces `node`'s log once for its whole batch of force-pending
@@ -785,9 +874,20 @@ impl Cluster {
         self.nodes[n].start_abort(txn)?;
         self.drive_rollback(txn, Lsn::ZERO)?;
         self.nodes[n].finish_abort(txn)?;
-        if self.cfg.paradigm == Paradigm::PrimaryCopy {
-            let records = self.nodes[n].txn_records(txn)?;
-            self.release_no_steal(txn.node, &records)?;
+        match self.cfg.paradigm {
+            Paradigm::PrimaryCopy => {
+                let records = self.nodes[n].txn_records(txn, Lsn::ZERO)?;
+                self.release_no_steal(txn.node, &records)?;
+            }
+            // The server saw part of this transaction, so it also gets
+            // the compensation records and an Abort.
+            Paradigm::ClientServer if self.shipped.contains_key(&txn) => {
+                let mut clrs = self.unshipped(txn)?;
+                clrs.retain(|r| matches!(r.payload, LogPayload::Clr { .. }));
+                self.ship_log(txn, clrs)?;
+                self.append_at_server(txn, LogPayload::Abort)?;
+            }
+            _ => {}
         }
         self.close_txn_span(txn, false);
         // A waiter that dies waiting (deadlock victim) still spent its
@@ -834,8 +934,29 @@ impl Cluster {
     }
 
     /// Takes a fuzzy checkpoint on `node` — purely local (contribution
-    /// (4) of the paper).
+    /// (4) of the paper). Under [`Paradigm::ClientServer`] the server's
+    /// checkpoint first collects every client's dirty pages into its
+    /// DPT, one round trip per client (§3.1).
     pub fn checkpoint(&mut self, node: NodeId) -> Result<Lsn> {
+        if self.cfg.paradigm == Paradigm::ClientServer && node == SERVER {
+            for c in 1..self.nodes.len() {
+                let client = NodeId(c as u32);
+                self.send_ctrl(SERVER, client, MsgKind::CheckpointSync)?;
+                let dirty = self.nodes[c].buffer.dirty_ids();
+                self.net.send_reliable_hdr(
+                    client,
+                    SERVER,
+                    MsgKind::CheckpointSync,
+                    CTRL_BYTES + dirty.len() * 16,
+                    MsgHeader::NONE,
+                )?;
+                let end = self.nodes[ix(SERVER)].log.end_lsn();
+                for pid in dirty {
+                    let psn = self.nodes[c].buffer.peek(pid).expect("dirty").psn();
+                    self.nodes[ix(SERVER)].dpt.ensure(pid, psn, end);
+                }
+            }
+        }
         let lsn = self.forcing(node, 128, Node::checkpoint)?;
         self.truncate_log_traced(node);
         Ok(lsn)
@@ -900,6 +1021,8 @@ impl Cluster {
         if self.nodes[n].is_crashed() {
             return Err(Error::NodeDown(node));
         }
+        // An ended transaction takes no lock: nothing would release it.
+        self.nodes[n].check_active(txn)?;
         // 1. Check (without granting) for conflicting local
         // transactions — strict 2PL among local txns.
         let conflicts = self.nodes[n].local_locks.conflicts(txn, pid, mode);
@@ -998,8 +1121,8 @@ impl Cluster {
 
     /// Executes one callback against `victim` (paper §2.2): the victim
     /// answers it ([`Node::on_callback`]) and returns its dirty copy,
-    /// if any, to the owner. A callback against the owner itself sends
-    /// no message.
+    /// if any, to the owner after [`Cluster::log_before_return`]. A
+    /// callback against the owner itself sends no message.
     fn run_callback(
         &mut self,
         waiter: TxnId,
@@ -1026,13 +1149,14 @@ impl Cluster {
                 MsgHeader::of(ctx),
             )?;
         }
-        let copy = self
-            .forcing(victim, 0, |nd| nd.on_callback(pid, action))?
+        let copy = self.nodes[ix(victim)]
+            .on_callback(pid, action)?
             .map_err(|holders| Error::WouldBlock {
                 txn: waiter,
                 holders,
             })?;
         if let Some(page) = copy {
+            self.log_before_return(victim, pid)?;
             self.return_to_owner(
                 victim,
                 page,
@@ -1124,8 +1248,8 @@ impl Cluster {
     /// Delivers `page`, a dirty image `from` holds, to the page's owner
     /// as a `kind` message — the one page move toward an owner. The
     /// sender has already met the WAL rule
-    /// ([`Node::prepare_replace_to_owner`]); the owner records `from`
-    /// as a replacer and routes whatever the page evicts.
+    /// ([`Cluster::log_before_return`]); the owner records `from` as a
+    /// replacer and routes whatever the page evicts.
     pub(crate) fn return_to_owner(
         &mut self,
         from: NodeId,
@@ -1188,7 +1312,7 @@ impl Cluster {
                 }
                 return Ok(());
             }
-            self.forcing(node, 0, |nd| nd.prepare_replace_to_owner(pid))?;
+            self.log_before_return(node, pid)?;
             self.return_to_owner(
                 node,
                 ev.page,
@@ -1199,6 +1323,32 @@ impl Cluster {
             if self.cfg.paradigm == Paradigm::ForceOnTransfer {
                 self.force_page(pid)?;
             }
+        }
+        Ok(())
+    }
+
+    /// The WAL rule before `from` returns a dirty image of `pid` to its
+    /// owner: `from` forces its log. Under [`Paradigm::ClientServer`]
+    /// the log that counts is the server's: each live transaction at
+    /// `from` with an unshipped record of `pid` ships its records, and
+    /// the server forces once.
+    fn log_before_return(&mut self, from: NodeId, pid: PageId) -> Result<()> {
+        if self.cfg.paradigm != Paradigm::ClientServer {
+            return self.forcing(from, 0, |nd| nd.prepare_replace_to_owner(pid).map(drop));
+        }
+        let live: Vec<TxnId> = (self.nodes[ix(from)].txns.values())
+            .filter_map(|t| (!t.is_terminated()).then_some(t.id))
+            .collect();
+        let mut shipped = false;
+        for txn in live {
+            let records = self.unshipped(txn)?;
+            if records.iter().any(|r| r.page() == Some(pid)) {
+                self.ship_log(txn, records)?;
+                shipped = true;
+            }
+        }
+        if shipped {
+            self.forcing(SERVER, 0, |nd| nd.log.force_all())?;
         }
         Ok(())
     }
@@ -1275,14 +1425,9 @@ impl Cluster {
                 if !self.nodes[h].is_crashed()
                     && self.nodes[h].buffer.is_dirty(pid).unwrap_or(false)
                 {
-                    self.net.send_reliable_hdr(
-                        owner,
-                        holder,
-                        MsgKind::ForceRequest,
-                        CTRL_BYTES,
-                        MsgHeader::NONE,
-                    )?;
-                    let copy = self.forcing(holder, 0, |nd| nd.ship_to_owner(pid))?;
+                    self.send_ctrl(owner, holder, MsgKind::ForceRequest)?;
+                    self.log_before_return(holder, pid)?;
+                    let copy = self.nodes[h].ship_to_owner(pid)?;
                     self.return_to_owner(
                         holder,
                         copy,
@@ -1346,13 +1491,7 @@ impl Cluster {
                 // Replace from the cache if present, then ask the owner
                 // to force.
                 self.evict_page(node, pid)?;
-                self.net.send_reliable_hdr(
-                    node,
-                    pid.owner,
-                    MsgKind::ForceRequest,
-                    CTRL_BYTES,
-                    MsgHeader::NONE,
-                )?;
+                self.send_ctrl(node, pid.owner, MsgKind::ForceRequest)?;
                 self.force_page(pid)?;
             }
         }

@@ -53,9 +53,9 @@ pub enum GroupCommitPolicy {
 }
 
 /// The logging paradigm a [`crate::Cluster`] runs: client-based
-/// logging or one of the two §3.2 baselines the paper contrasts it
-/// with. Every other step (callback locking, page fetch, eviction
-/// routing, commit force) is the same protocol, so an experiment that
+/// logging or one of the three baselines the paper contrasts it with
+/// (§3.1 and §3.2). Every other step (callback locking, page fetch,
+/// eviction routing) is the same protocol, so an experiment that
 /// changes the paradigm changes nothing else.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
 pub enum Paradigm {
@@ -80,6 +80,22 @@ pub enum Paradigm {
     /// "log records crossed the network", the property this scheme
     /// breaks by design.
     PrimaryCopy,
+    /// ARIES/CSA client-server logging (§3.1). Node 0 is the server: it
+    /// owns every page ([`crate::Cluster::new`] refuses a configuration
+    /// in which another node owns any) and keeps the only durable log.
+    /// A client appends its records to its own log, which is never
+    /// forced: it is the transaction's record buffer, and rollback
+    /// reads it. The records travel to the server at commit, or
+    /// earlier when a dirty page they cover returns to the server (the
+    /// WAL rule, followed by a server force). A commit is a log ship, a
+    /// commit request, a server force and an acknowledgement, and it
+    /// is synchronous under every [`GroupCommitPolicy`]. A server
+    /// checkpoint first collects the dirty pages of every client. That
+    /// checkpoint lists no client transaction as active, and recovery
+    /// is not modelled: [`crate::recover`] refuses such a cluster. A
+    /// traced run fails [`crate::Cluster::trace_check`] on "log records
+    /// crossed the network", as under [`Paradigm::PrimaryCopy`].
+    ClientServer,
 }
 
 /// Configuration of a single node.
@@ -124,7 +140,7 @@ pub struct ClusterConfig {
     /// Simulated cost model for messages and disk I/O.
     pub(crate) cost: CostModel,
     /// The logging paradigm; the paper's design is
-    /// [`Paradigm::ClientBased`], the others are its §3.2 baselines.
+    /// [`Paradigm::ClientBased`], the others are its §3.1–3.2 baselines.
     pub(crate) paradigm: Paradigm,
     /// Group-commit policy for the per-node force scheduler.
     /// [`GroupCommitPolicy::Immediate`] reproduces the one-force-per-
@@ -291,7 +307,7 @@ impl ClusterConfigBuilder {
         self
     }
 
-    /// Sets the logging paradigm (§3.2 baselines).
+    /// Sets the logging paradigm (the §3.1–3.2 baselines).
     pub fn paradigm(mut self, paradigm: Paradigm) -> Self {
         self.cfg.paradigm = paradigm;
         self

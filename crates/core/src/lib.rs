@@ -60,5 +60,5 @@ pub use recovery::{
     plan_replay, recover, PhaseTimings, RecoveryOptions, RecoveryReport, ReplayMode, ReplayPlan,
     ReplayUnit, WaveTiming,
 };
-pub use runtime::{drive, Driven, PlanOp, RunReport, Runtime, System, TxnPlan};
+pub use runtime::{drive, Driven, PlanOp, RunReport, Runtime, TxnPlan};
 pub use txn::{Savepoint, TxnState, TxnStatus};

@@ -701,8 +701,8 @@ impl Node {
     /// covers this record — and any cross-node visibility requires a
     /// page transfer, before which the engine forces this log if the
     /// image would carry an update whose commit record is not yet
-    /// durable: DESIGN §16). The caller owns the force: either immediately
-    /// ([`Node::commit`]) or batched by the cluster's force scheduler.
+    /// durable: DESIGN §16). The caller owns the force: either at once
+    /// or batched by the cluster's force scheduler.
     pub fn commit_begin(&mut self, txn: TxnId) -> Result<Lsn> {
         self.ensure_up()?;
         let t = active_in(&mut self.txns, txn)?;
@@ -736,6 +736,23 @@ impl Node {
         Ok(())
     }
 
+    /// Ends `txn` as committed once the server holds its Commit record
+    /// (the client-server paradigm): the status becomes `Committed` and
+    /// the transaction-level locks release. No record is written here.
+    pub(crate) fn commit_at_server(&mut self, txn: TxnId) -> Result<()> {
+        let t = active_in(&mut self.txns, txn)?;
+        t.status = TxnStatus::Committed;
+        self.local_locks.release_all(txn);
+        self.commits.bump();
+        Ok(())
+    }
+
+    /// Refuses `txn` unless it may still issue operations: an aborted
+    /// transaction is `TxnAborted`, a committed one `NoSuchTxn`.
+    pub(crate) fn check_active(&mut self, txn: TxnId) -> Result<()> {
+        active_in(&mut self.txns, txn).map(drop)
+    }
+
     /// Drops a terminated transaction from the transaction table, and
     /// refuses any other: an engine that never asks about a transaction
     /// again once it has acknowledged it (the threaded runtime) calls
@@ -759,6 +776,7 @@ impl Node {
     /// Commits: one Commit record, one local log force, zero messages
     /// (the paper's headline property). Strict 2PL: transaction-level
     /// locks release; node-level cached locks are retained.
+    #[cfg(test)]
     pub fn commit(&mut self, txn: TxnId) -> Result<()> {
         let lsn = self.commit_begin(txn)?;
         self.log.force(lsn)?;
@@ -869,17 +887,15 @@ impl Node {
         Ok(())
     }
 
-    /// The update and compensation records of `txn`, oldest first,
-    /// read back along its `prev_lsn` chain.
-    pub(crate) fn txn_records(&mut self, txn: TxnId) -> Result<Vec<LogRecord>> {
+    /// The records of `txn` logged after `after`, oldest first, read
+    /// back along its `prev_lsn` chain (`Lsn::ZERO` reads them all).
+    pub(crate) fn txn_records(&mut self, txn: TxnId, after: Lsn) -> Result<Vec<LogRecord>> {
         let mut lsn = self.txns.get(&txn).ok_or(Error::NoSuchTxn(txn))?.last_lsn;
         let mut out = Vec::new();
-        while !lsn.is_zero() {
+        while lsn > after {
             let (rec, _) = self.log.read_record(lsn)?;
             lsn = rec.prev_lsn;
-            if rec.page().is_some() {
-                out.push(rec);
-            }
+            out.push(rec);
         }
         out.reverse();
         Ok(out)
@@ -1037,12 +1053,11 @@ impl Node {
         Ok(end)
     }
 
-    /// Ships the cached dirty copy of remote page `pid` back to its
-    /// owner: [`Node::prepare_replace_to_owner`], then the copy, which
-    /// stays cached here but clean. Serves a callback and a §2.5 force
-    /// request; the caller delivers the copy.
+    /// The cached dirty copy of remote page `pid`, for its owner; the
+    /// page stays cached here but clean. Serves a callback and a §2.5
+    /// force request; the caller meets the WAL rule and delivers the
+    /// copy.
     pub fn ship_to_owner(&mut self, pid: PageId) -> Result<Page> {
-        self.prepare_replace_to_owner(pid)?;
         let copy = self.buffer.peek(pid).ok_or(Error::NoSuchPage(pid))?.clone();
         self.buffer.mark_clean(pid);
         Ok(copy)
@@ -1052,9 +1067,9 @@ impl Node {
     /// `Ok(Err(holders))`: local transactions defer it
     /// ([`answer_callback`]). `Ok(Ok(copy))`: the cached lock was
     /// demoted or released, and `copy` is the dirty image to return to
-    /// the owner. The owner keeps its copy, since its buffer is where
-    /// the authoritative image lives; elsewhere a released page leaves
-    /// the cache.
+    /// the owner once the caller has met the WAL rule. The owner keeps
+    /// its copy, since its buffer is where the authoritative image
+    /// lives; elsewhere a released page leaves the cache.
     pub fn on_callback(
         &mut self,
         pid: PageId,

@@ -605,12 +605,13 @@ pub fn recover<R: Runtime + ?Sized>(rt: &mut R, opts: &RecoveryOptions) -> Resul
 /// The simulator's recovery implementation, reached through
 /// [`Runtime::recover`] on [`Cluster`].
 pub(crate) fn recover_sim(cluster: &mut Cluster, opts: &RecoveryOptions) -> Result<RecoveryReport> {
-    if cluster.config().paradigm() == Paradigm::PrimaryCopy {
-        // The baseline is priced for normal processing only, and an
-        // owner's log holds copies of other nodes' records.
-        return Err(Error::Invalid(
-            "recovery under the primary-copy paradigm is not modelled".into(),
-        ));
+    let paradigm = cluster.config().paradigm();
+    if matches!(paradigm, Paradigm::PrimaryCopy | Paradigm::ClientServer) {
+        // The baselines are priced for normal processing only, and a
+        // log there holds other nodes' records.
+        return Err(Error::Invalid(format!(
+            "recovery under the {paradigm:?} paradigm is not modelled"
+        )));
     }
     // Everything the run charges — log scans, page forces, the
     // cross-node replay shuttle — lands in the profiler's Replay

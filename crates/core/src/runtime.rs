@@ -16,8 +16,8 @@
 //! simulator on the same seeded plan list.
 //!
 //! [`drive`] is the simulator's one transaction driver: `Runtime::run`
-//! on [`Cluster`] calls it, and so does every experiment, over any
-//! [`System`] (the cluster or a baseline).
+//! on [`Cluster`] calls it, and so does every experiment, whatever the
+//! cluster's [`crate::Paradigm`].
 //!
 //! Plans keep equivalence checkable under real concurrency: when each
 //! `(client, stream)` pair touches its own private pages, every page's
@@ -29,7 +29,6 @@ use crate::recovery::{RecoveryOptions, RecoveryReport};
 use crate::Cluster;
 use cblog_common::{Error, NodeId, PageId, Result, Snapshot, TxnId};
 use cblog_locks::WaitsForGraph;
-use cblog_net::Network;
 use std::collections::{HashMap, VecDeque};
 
 /// One operation of a planned transaction.
@@ -130,55 +129,6 @@ pub fn lanes(plans: &[TxnPlan]) -> Vec<Vec<&TxnPlan>> {
     lanes
 }
 
-/// The transaction interface every simulated system offers the one
-/// plan driver, [`drive`]: the client-based-logging [`Cluster`] and the
-/// baselines the paper compares it against, so a comparison runs the
-/// same plans through the same loop.
-pub trait System {
-    /// Starts a transaction at `node`.
-    fn begin(&mut self, node: NodeId) -> Result<TxnId>;
-    /// Reads a counter slot.
-    fn read(&mut self, txn: TxnId, pid: PageId, slot: usize) -> Result<u64>;
-    /// Writes a counter slot.
-    fn write(&mut self, txn: TxnId, pid: PageId, slot: usize, value: u64) -> Result<()>;
-    /// Commits.
-    fn commit(&mut self, txn: TxnId) -> Result<()>;
-    /// Aborts (rolls back).
-    fn abort(&mut self, txn: TxnId) -> Result<()>;
-    /// The accounted network.
-    fn network(&self) -> &Network;
-    /// Submits a commit to the system's async commit pipeline: the
-    /// transaction's commit record is written and its locks release,
-    /// but durability is acknowledged via [`System::poll_committed`].
-    /// A system without a pipeline commits synchronously here.
-    fn commit_submit(&mut self, txn: TxnId) -> Result<()> {
-        self.commit(txn)
-    }
-    /// True once a submitted commit is durable.
-    fn poll_committed(&mut self, txn: TxnId) -> Result<bool>;
-    /// Drives the commit pipeline when nothing else can make progress
-    /// (e.g. advances the sim-clock to the next group-commit window
-    /// deadline). Returns true if any commit was acknowledged; a system
-    /// without a pipeline has nothing to drive.
-    fn pump_commits(&mut self) -> Result<bool> {
-        Ok(false)
-    }
-    /// The system's recent protocol history and the lineage of `pid`,
-    /// if it can render one. Printed by an oracle when verification
-    /// finds a divergence on that page.
-    fn post_mortem(&self, pid: PageId) -> Option<String> {
-        let _ = pid;
-        None
-    }
-    /// Runs the system's online invariant watchdog over every span it
-    /// traced, failing with the offending lineage slice. Untraced
-    /// systems (and traced runs with no violations) return `Ok(())`;
-    /// [`drive`] calls this once at the end of every run.
-    fn trace_check(&self) -> Result<()> {
-        Ok(())
-    }
-}
-
 /// What [`drive`] made of a plan list.
 #[derive(Debug)]
 pub struct Driven<'a> {
@@ -209,8 +159,8 @@ struct Active<'a> {
 /// errors (a lossy network) are retried the same way. When no lane can
 /// move, the driver pumps the commit pipeline, which may advance the
 /// sim-clock to the next group-commit deadline. The run ends with
-/// [`System::trace_check`].
-pub fn drive<'a, S: System>(sys: &mut S, plans: &'a [TxnPlan]) -> Result<Driven<'a>> {
+/// [`Cluster::trace_check`].
+pub fn drive<'a>(sys: &mut Cluster, plans: &'a [TxnPlan]) -> Result<Driven<'a>> {
     let mut queues: Vec<VecDeque<&TxnPlan>> =
         lanes(plans).into_iter().map(VecDeque::from).collect();
     let mut active: Vec<Option<Active>> = (0..queues.len()).map(|_| None).collect();
@@ -282,8 +232,8 @@ pub fn drive<'a, S: System>(sys: &mut S, plans: &'a [TxnPlan]) -> Result<Driven<
                 continue;
             };
             let r = match op {
-                PlanOp::Read { pid, slot } => sys.read(txn, pid, slot).map(|_| ()),
-                PlanOp::Write { pid, slot, value } => sys.write(txn, pid, slot, value),
+                PlanOp::Read { pid, slot } => sys.read_u64(txn, pid, slot).map(|_| ()),
+                PlanOp::Write { pid, slot, value } => sys.write_u64(txn, pid, slot, value),
             };
             match r {
                 Ok(()) => {
@@ -330,8 +280,8 @@ pub fn drive<'a, S: System>(sys: &mut S, plans: &'a [TxnPlan]) -> Result<Driven<
 
 /// Aborts deadlock victim `victim` and re-queues its plan at the back
 /// of its lane, to run again from its first operation.
-fn abort_victim<'a, S: System>(
-    sys: &mut S,
+fn abort_victim<'a>(
+    sys: &mut Cluster,
     active: &mut [Option<Active<'a>>],
     queues: &mut [VecDeque<&'a TxnPlan>],
     wfg: &mut WaitsForGraph,
@@ -346,52 +296,6 @@ fn abort_victim<'a, S: System>(
     wfg.remove(victim);
     queues[lane].push_back(a.plan);
     Ok(())
-}
-
-impl System for Cluster {
-    fn begin(&mut self, node: NodeId) -> Result<TxnId> {
-        Cluster::begin(self, node)
-    }
-
-    fn read(&mut self, txn: TxnId, pid: PageId, slot: usize) -> Result<u64> {
-        self.read_u64(txn, pid, slot)
-    }
-
-    fn write(&mut self, txn: TxnId, pid: PageId, slot: usize, value: u64) -> Result<()> {
-        self.write_u64(txn, pid, slot, value)
-    }
-
-    fn commit(&mut self, txn: TxnId) -> Result<()> {
-        Cluster::commit(self, txn)
-    }
-
-    fn abort(&mut self, txn: TxnId) -> Result<()> {
-        Cluster::abort(self, txn)
-    }
-
-    fn network(&self) -> &Network {
-        Cluster::network(self)
-    }
-
-    fn commit_submit(&mut self, txn: TxnId) -> Result<()> {
-        Cluster::commit_submit(self, txn)
-    }
-
-    fn poll_committed(&mut self, txn: TxnId) -> Result<bool> {
-        Cluster::poll_committed(self, txn)
-    }
-
-    fn pump_commits(&mut self) -> Result<bool> {
-        Cluster::pump_commits(self)
-    }
-
-    fn post_mortem(&self, pid: PageId) -> Option<String> {
-        Some(Cluster::post_mortem(self, pid))
-    }
-
-    fn trace_check(&self) -> Result<()> {
-        Cluster::trace_check(self)
-    }
 }
 
 /// The deterministic simulator as a [`Runtime`]: the plans run through

@@ -4,7 +4,7 @@
 
 use crate::oracle::Oracle;
 use cblog_common::{NodeId, Result, SimTime};
-use cblog_core::{drive, PlanOp, RunReport, System, TxnPlan};
+use cblog_core::{drive, Cluster, PlanOp, RunReport, TxnPlan};
 use cblog_net::{FaultStats, NetStats};
 
 /// Outcome of a full workload run.
@@ -32,7 +32,7 @@ pub struct RunStats {
 /// Runs `plans` to completion over `sys` through [`drive`]. The oracle
 /// folds each committed plan's writes in the order the commits were
 /// acknowledged, which is the serialization order.
-pub fn run_workload<S: System>(sys: &mut S, plans: Vec<TxnPlan>) -> Result<RunStats> {
+pub fn run_workload(sys: &mut Cluster, plans: Vec<TxnPlan>) -> Result<RunStats> {
     let driven = drive(sys, &plans)?;
     let mut oracle = Oracle::new();
     for (key, plan) in (0u64..).zip(&driven.acked) {
@@ -59,11 +59,10 @@ pub fn run_workload<S: System>(sys: &mut S, plans: Vec<TxnPlan>) -> Result<RunSt
 mod tests {
     use super::*;
     use crate::workload::{generate, owned_pages, WorkloadConfig};
-    use cblog_baselines::{ServerClientConfig, ServerCluster};
     use cblog_common::CostModel;
-    use cblog_core::{Cluster, ClusterConfig};
+    use cblog_core::{ClusterConfig, Paradigm};
 
-    fn cbl(clients: usize, pages: u32) -> Cluster {
+    fn cluster(clients: usize, pages: u32, paradigm: Paradigm) -> Cluster {
         let mut owned = vec![pages];
         owned.extend(std::iter::repeat(0).take(clients));
         Cluster::new(
@@ -73,9 +72,14 @@ mod tests {
                 .buffer_frames(32)
                 .default_owned_pages(0)
                 .cost(CostModel::unit())
+                .paradigm(paradigm)
                 .build(),
         )
         .unwrap()
+    }
+
+    fn cbl(clients: usize, pages: u32) -> Cluster {
+        cluster(clients, pages, Paradigm::ClientBased)
     }
 
     #[test]
@@ -101,15 +105,7 @@ mod tests {
 
     #[test]
     fn workload_runs_and_verifies_on_server_baseline() {
-        let mut s = ServerCluster::new(ServerClientConfig {
-            clients: 2,
-            pages: 8,
-            page_size: 512,
-            client_buffer_frames: 32,
-            server_buffer_frames: 64,
-            cost: CostModel::unit(),
-        })
-        .unwrap();
+        let mut s = cluster(2, 8, Paradigm::ClientServer);
         let cfg = WorkloadConfig {
             txns_per_client: 20,
             ops_per_txn: 6,
@@ -123,7 +119,8 @@ mod tests {
         );
         let stats = run_workload(&mut s, specs).unwrap();
         assert_eq!(stats.report.committed, 40);
-        assert_eq!(s.server_log().forces(), 40, "one server force per commit");
+        let forces = s.node(NodeId(0)).log().forces();
+        assert_eq!(forces, 40, "one server force per commit");
         let verified = stats.oracle.verify(&mut s, NodeId(1)).unwrap();
         assert!(verified > 0);
     }

@@ -16,7 +16,7 @@
 use super::{cbl_builder, cbl_cluster, csa_cluster, pages0};
 use crate::report::{f, Table};
 use cblog_common::NodeId;
-use cblog_core::{Cluster, Paradigm, System};
+use cblog_core::{Cluster, Paradigm};
 
 const TXNS: u64 = 50;
 const PAGES: u32 = 8;
@@ -82,14 +82,14 @@ fn run_csa(k: usize) -> (f64, f64) {
     let pages = pages0(PAGES);
     let t = s.begin(NodeId(1)).unwrap();
     for p in &pages {
-        s.write(t, *p, 0, 1).unwrap();
+        s.write_u64(t, *p, 0, 1).unwrap();
     }
     s.commit(t).unwrap();
     let s0 = s.network().stats();
     for i in 0..TXNS {
         let t = s.begin(NodeId(1)).unwrap();
         for p in pages.iter().take(k) {
-            s.write(t, *p, 1, i).unwrap();
+            s.write_u64(t, *p, 1, i).unwrap();
         }
         s.commit(t).unwrap();
     }
@@ -106,7 +106,7 @@ fn run_pca(k: usize) -> (f64, f64, f64) {
     let pages = pages0(PAGES);
     let t = s.begin(NodeId(1)).unwrap();
     for p in &pages {
-        s.write(t, *p, 0, 1).unwrap();
+        s.write_u64(t, *p, 0, 1).unwrap();
     }
     s.commit(t).unwrap();
     let s0 = s.network().stats();
@@ -114,7 +114,7 @@ fn run_pca(k: usize) -> (f64, f64, f64) {
     for i in 0..TXNS {
         let t = s.begin(NodeId(1)).unwrap();
         for p in pages.iter().take(k) {
-            s.write(t, *p, 1, i).unwrap();
+            s.write_u64(t, *p, 1, i).unwrap();
         }
         s.commit(t).unwrap();
     }

@@ -13,9 +13,8 @@
 
 use super::{pages0, PAGE_SIZE};
 use crate::report::{f, Table};
-use cblog_baselines::{ServerClientConfig, ServerCluster};
 use cblog_common::{CostModel, NodeId};
-use cblog_core::{Cluster, ClusterConfig, System};
+use cblog_core::{Cluster, ClusterConfig, Paradigm};
 
 const TXNS: u64 = 50;
 
@@ -35,8 +34,8 @@ pub fn run() -> Table {
         &["link cost x", "cbl ms", "csa ms", "csa/cbl"],
     );
     for mult in [1u64, 10, 100, 1000] {
-        let cbl = run_cbl(mult);
-        let csa = run_csa(mult);
+        let cbl = elapsed_ms(mult, Paradigm::ClientBased);
+        let csa = elapsed_ms(mult, Paradigm::ClientServer);
         t.row(vec![
             mult.to_string(),
             f(cbl),
@@ -47,8 +46,9 @@ pub fn run() -> Table {
     t
 }
 
-/// CBL elapsed milliseconds at one link-cost multiplier.
-pub fn run_cbl(mult: u64) -> f64 {
+/// Elapsed milliseconds of the commit stream under `paradigm` at one
+/// link-cost multiplier.
+pub fn elapsed_ms(mult: u64, paradigm: Paradigm) -> f64 {
     let mut c = Cluster::new(
         ClusterConfig::builder()
             .owned_pages(vec![4, 0])
@@ -56,6 +56,7 @@ pub fn run_cbl(mult: u64) -> f64 {
             .buffer_frames(16)
             .default_owned_pages(0)
             .cost(cost(mult))
+            .paradigm(paradigm)
             .build(),
     )
     .unwrap();
@@ -75,42 +76,16 @@ pub fn run_cbl(mult: u64) -> f64 {
     (c.network().clock().now() - t0) as f64 / 1000.0
 }
 
-/// Server-logging elapsed milliseconds at one multiplier.
-pub fn run_csa(mult: u64) -> f64 {
-    let mut s = ServerCluster::new(ServerClientConfig {
-        clients: 1,
-        pages: 4,
-        page_size: PAGE_SIZE,
-        client_buffer_frames: 16,
-        server_buffer_frames: 32,
-        cost: cost(mult),
-    })
-    .unwrap();
-    let pages = pages0(4);
-    let t = s.begin(NodeId(1)).unwrap();
-    for p in &pages {
-        s.write(t, *p, 0, 1).unwrap();
-    }
-    s.commit(t).unwrap();
-    let t0 = s.network().clock().now();
-    for i in 0..TXNS {
-        let t = s.begin(NodeId(1)).unwrap();
-        s.write(t, pages[(i % 4) as usize], 1, i).unwrap();
-        s.commit(t).unwrap();
-    }
-    (s.network().clock().now() - t0) as f64 / 1000.0
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
     fn cbl_is_flat_csa_degrades_with_link_cost() {
-        let cbl_lan = run_cbl(1);
-        let cbl_wan = run_cbl(1000);
-        let csa_lan = run_csa(1);
-        let csa_wan = run_csa(1000);
+        let cbl_lan = elapsed_ms(1, Paradigm::ClientBased);
+        let cbl_wan = elapsed_ms(1000, Paradigm::ClientBased);
+        let csa_lan = elapsed_ms(1, Paradigm::ClientServer);
+        let csa_wan = elapsed_ms(1000, Paradigm::ClientServer);
         assert!(
             (cbl_wan - cbl_lan).abs() < 1e-9,
             "CBL commits send nothing, so link cost is irrelevant: {cbl_lan} vs {cbl_wan}"

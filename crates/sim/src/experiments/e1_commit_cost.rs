@@ -11,7 +11,7 @@ use super::{cbl_cluster, cbl_cluster_gc, csa_cluster, pages0};
 use crate::report::{f, Table};
 use cblog_common::metrics::keys;
 use cblog_common::{HistogramSnapshot, NodeId, TxnId};
-use cblog_core::{GroupCommitPolicy, System};
+use cblog_core::GroupCommitPolicy;
 
 const TXNS: u64 = 100;
 
@@ -247,21 +247,21 @@ fn run_csa(updates: usize) -> (f64, f64, f64) {
     let pages = pages0(4);
     let t = s.begin(client).unwrap();
     for p in &pages {
-        s.write(t, *p, 0, 1).unwrap();
+        s.write_u64(t, *p, 0, 1).unwrap();
     }
     s.commit(t).unwrap();
     let s0 = s.network().stats();
-    let f0 = s.server_log().forces();
+    let f0 = s.node(NodeId(0)).log().forces();
     for i in 0..TXNS {
         let t = s.begin(client).unwrap();
         for u in 0..updates {
             let p = pages[u % pages.len()];
-            s.write(t, p, u % 8, i * 100 + u as u64).unwrap();
+            s.write_u64(t, p, u % 8, i * 100 + u as u64).unwrap();
         }
         s.commit(t).unwrap();
     }
     let d = s.network().stats().since(&s0);
-    let forces = s.server_log().forces() - f0;
+    let forces = s.node(NodeId(0)).log().forces() - f0;
     (
         d.total_messages() as f64 / TXNS as f64,
         d.total_bytes() as f64 / TXNS as f64,

@@ -121,20 +121,11 @@ fn specs(clients: usize) -> Vec<cblog_core::TxnPlan> {
 /// Returns `(throughput txn/s, bottleneck busy µs)`.
 pub fn run_one(clients: usize, cbl: bool) -> (f64, f64) {
     let pages = clients as u32 * PAGES_PER_CLIENT;
-    let committed;
-    let busy;
-    if cbl {
-        let mut c = cbl_cluster(clients, pages, PAGES_PER_CLIENT as usize * 2);
-        let stats = run_workload(&mut c, specs(clients)).expect("run");
-        committed = stats.report.committed;
-        busy = stats.max_busy.max(1);
-    } else {
-        let mut s = csa_cluster(clients, pages, PAGES_PER_CLIENT as usize * 2);
-        let stats = run_workload(&mut s, specs(clients)).expect("run");
-        committed = stats.report.committed;
-        busy = stats.max_busy.max(1);
-    }
-    let tput = committed as f64 / (busy as f64 / 1e6);
+    let build = if cbl { cbl_cluster } else { csa_cluster };
+    let mut c = build(clients, pages, PAGES_PER_CLIENT as usize * 2);
+    let stats = run_workload(&mut c, specs(clients)).expect("run");
+    let busy = stats.max_busy.max(1);
+    let tput = stats.report.committed as f64 / (busy as f64 / 1e6);
     (tput, busy as f64)
 }
 

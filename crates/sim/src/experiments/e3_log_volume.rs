@@ -68,7 +68,7 @@ fn run_csa(ratio: f64) -> (f64, f64) {
     let mut s = csa_cluster(CLIENTS, PAGES, 32);
     let stats = run_workload(&mut s, wl(ratio)).expect("run");
     let shipped = stats.net.bytes_of(MsgKind::LogShip) as f64;
-    (shipped, s.server_log().bytes_written() as f64)
+    (shipped, s.node(NodeId(0)).log().bytes_written() as f64)
 }
 
 #[cfg(test)]

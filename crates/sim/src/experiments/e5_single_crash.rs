@@ -9,8 +9,8 @@
 //! and shipped, regardless of how many pages actually need recovery.
 
 use super::{cbl_cluster, pages0};
+use crate::logmerge::log_merge_cost;
 use crate::report::{f, Table};
-use cblog_baselines::log_merge_cost;
 use cblog_common::metrics::keys;
 use cblog_common::{HistogramSnapshot, NodeId, PageId};
 use cblog_core::recovery::recover;

@@ -11,7 +11,6 @@ use crate::driver::run_workload;
 use crate::report::{f, Table};
 use crate::workload::{generate, WorkloadConfig};
 use cblog_common::NodeId;
-use cblog_core::System;
 
 /// Sweeps the number of clients.
 pub fn run() -> Table {
@@ -61,7 +60,7 @@ fn run_csa(clients: usize) -> (f64, f64) {
     let mut s = csa_cluster(clients, 8, 16);
     run_workload(&mut s, warm(clients)).expect("warm");
     let s0 = s.network().stats();
-    s.checkpoint().unwrap();
+    s.checkpoint(NodeId(0)).unwrap();
     let d = s.network().stats().since(&s0);
     (d.total_messages() as f64, d.total_bytes() as f64)
 }

@@ -22,8 +22,7 @@ pub mod e9b_parallel_recovery;
 pub mod t1_protocol_ops;
 
 use crate::report::Table;
-use cblog_baselines::{ServerClientConfig, ServerCluster};
-use cblog_common::{CostModel, NodeId, PageId};
+use cblog_common::{NodeId, PageId};
 use cblog_core::{
     Cluster, ClusterConfig, ClusterConfigBuilder, FaultPlan, GroupCommitPolicy, Paradigm,
 };
@@ -87,17 +86,10 @@ pub fn cbl_cluster_faults(clients: usize, pages: u32, frames: usize, plan: Fault
         .expect("cluster config valid")
 }
 
-/// Builds the ARIES/CSA server-logging baseline with matching shape.
-pub fn csa_cluster(clients: usize, pages: u32, frames: usize) -> ServerCluster {
-    ServerCluster::new(ServerClientConfig {
-        clients,
-        pages,
-        page_size: PAGE_SIZE,
-        client_buffer_frames: frames,
-        server_buffer_frames: (pages as usize).max(frames) * 2,
-        cost: CostModel::default(),
-    })
-    .expect("server config valid")
+/// As [`cbl_cluster`] under ARIES/CSA server logging: node 0 is the
+/// server.
+pub fn csa_cluster(clients: usize, pages: u32, frames: usize) -> Cluster {
+    cbl_cluster_opts(clients, pages, frames, None, Paradigm::ClientServer)
 }
 
 /// Pages `0..count` of owner node 0.
@@ -193,7 +185,8 @@ mod tests {
         assert_eq!(c.node_count(), 4);
         assert_eq!(c.node(NodeId(0)).config().owned_pages, 8);
         assert_eq!(c.node(NodeId(2)).config().owned_pages, 0);
-        let _s = csa_cluster(2, 8, 16);
+        let s = csa_cluster(2, 8, 16);
+        assert_eq!(s.config().paradigm(), Paradigm::ClientServer);
         assert_eq!(pages0(3).len(), 3);
     }
 }

@@ -8,7 +8,7 @@
 //! (aborted and loser updates do not) in one check.
 
 use cblog_common::{PageId, Result};
-use cblog_core::System;
+use cblog_core::Cluster;
 use std::collections::HashMap;
 
 /// A tracked slot: page + counter-slot index.
@@ -68,7 +68,7 @@ impl Oracle {
     /// Reads every tracked slot back through `sys` (fresh transactions
     /// on `reader`) and returns the number of verified slots. Any
     /// mismatch is an error describing the divergence.
-    pub fn verify<S: System>(&self, sys: &mut S, reader: cblog_common::NodeId) -> Result<usize> {
+    pub fn verify(&self, sys: &mut Cluster, reader: cblog_common::NodeId) -> Result<usize> {
         self.verify_impl(sys, reader, true)
     }
 
@@ -77,17 +77,13 @@ impl Oracle {
     /// verifications while shrinking a counterexample; the one-line
     /// error is the useful part there, and the dump would multiply it
     /// by megabytes.
-    pub fn verify_quiet<S: System>(
-        &self,
-        sys: &mut S,
-        reader: cblog_common::NodeId,
-    ) -> Result<usize> {
+    pub fn verify_quiet(&self, sys: &mut Cluster, reader: cblog_common::NodeId) -> Result<usize> {
         self.verify_impl(sys, reader, false)
     }
 
-    fn verify_impl<S: System>(
+    fn verify_impl(
         &self,
-        sys: &mut S,
+        sys: &mut Cluster,
         reader: cblog_common::NodeId,
         dump_on_mismatch: bool,
     ) -> Result<usize> {
@@ -96,7 +92,7 @@ impl Oracle {
         items.sort();
         for ((pid, slot), want) in items {
             let txn = sys.begin(reader)?;
-            let got = match sys.read(txn, pid, slot) {
+            let got = match sys.read_u64(txn, pid, slot) {
                 Ok(v) => v,
                 Err(e) => {
                     let _ = sys.abort(txn);
@@ -108,10 +104,8 @@ impl Oracle {
                 // Divergence: print the span history around the
                 // corruption (or how to get it) before failing.
                 if dump_on_mismatch {
-                    if let Some(dump) = sys.post_mortem(pid) {
-                        eprintln!("oracle mismatch at {pid} slot {slot}:");
-                        eprint!("{dump}");
-                    }
+                    eprintln!("oracle mismatch at {pid} slot {slot}:");
+                    eprint!("{}", sys.post_mortem(pid));
                 }
                 return Err(cblog_common::Error::Protocol(format!(
                     "oracle mismatch at {pid} slot {slot}: database {got}, expected {want}"

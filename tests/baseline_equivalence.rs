@@ -1,14 +1,13 @@
 //! Baseline equivalence: the same seeded workload produces the same
-//! committed state on the client-based-logging cluster, its
-//! force-on-transfer and primary-copy paradigms, and the ARIES/CSA
-//! server-logging baseline — while their cost profiles differ exactly
-//! the way the paper argues.
+//! committed state on the client-based-logging cluster and its
+//! force-on-transfer, primary-copy and ARIES/CSA server-logging
+//! paradigms — while their cost profiles differ exactly the way the
+//! paper argues.
 
-use cblog_baselines::{ServerClientConfig, ServerCluster};
 use cblog_common::{CostModel, NodeId, PageId};
 use cblog_core::{Cluster, ClusterConfig, ClusterConfigBuilder, Paradigm};
 use cblog_net::MsgKind;
-use cblog_sim::{run_workload, workload, System, WorkloadConfig};
+use cblog_sim::{run_workload, workload, WorkloadConfig};
 
 const PAGES: u32 = 8;
 const CLIENTS: usize = 2;
@@ -22,16 +21,8 @@ fn cbl_cfg() -> ClusterConfigBuilder {
         .cost(CostModel::unit())
 }
 
-fn csa() -> ServerCluster {
-    ServerCluster::new(ServerClientConfig {
-        clients: CLIENTS,
-        pages: PAGES,
-        page_size: 1024,
-        client_buffer_frames: 16,
-        server_buffer_frames: 64,
-        cost: CostModel::unit(),
-    })
-    .unwrap()
+fn csa() -> Cluster {
+    Cluster::new(cbl_cfg().paradigm(Paradigm::ClientServer).build()).unwrap()
 }
 
 fn wl(seed: u64) -> Vec<cblog_core::TxnPlan> {
@@ -51,7 +42,7 @@ fn wl(seed: u64) -> Vec<cblog_core::TxnPlan> {
 
 /// Runs the workload and returns the final committed values of every
 /// tracked slot, read back through the system itself.
-fn final_state<S: System>(sys: &mut S) -> Vec<((PageId, usize), u64)> {
+fn final_state(sys: &mut Cluster) -> Vec<((PageId, usize), u64)> {
     let stats = run_workload(sys, wl(99)).expect("run");
     stats.oracle.verify(sys, NodeId(1)).expect("verify");
     let mut out = Vec::new();

@@ -1,8 +1,9 @@
-//! The §3.2 baselines as paradigms of the one engine: force-on-transfer
-//! forces a page to its owner's disk whenever it moves, and
-//! primary-copy authority pins updated pages (no-steal), ships them
-//! with their log records to the owner at commit, and has the owner
-//! log those records a second time.
+//! The baselines as paradigms of the one engine: force-on-transfer
+//! forces a page to its owner's disk whenever it moves; primary-copy
+//! authority pins updated pages (no-steal), ships them with their log
+//! records to the owner at commit, and has the owner log those records
+//! a second time; ARIES/CSA server logging ships every record to the
+//! server, whose log is the only one ever forced.
 
 use cblog_common::{CostModel, Error, NodeId, PageId};
 use cblog_core::{
@@ -15,7 +16,7 @@ fn pid(i: u32) -> PageId {
 }
 
 /// Node 0 owns 8 pages; `nodes - 1` diskless clients follow.
-fn pca_with(nodes: usize, frames: usize) -> Cluster {
+fn node0_owns(paradigm: Paradigm, nodes: usize, frames: usize) -> Cluster {
     let mut owned = vec![8];
     owned.resize(nodes, 0);
     let cfg = ClusterConfig::builder()
@@ -23,8 +24,12 @@ fn pca_with(nodes: usize, frames: usize) -> Cluster {
         .page_size(512)
         .buffer_frames(frames)
         .cost(CostModel::unit())
-        .paradigm(Paradigm::PrimaryCopy);
+        .paradigm(paradigm);
     Cluster::new(cfg.build()).unwrap()
+}
+
+fn pca_with(nodes: usize, frames: usize) -> Cluster {
+    node0_owns(Paradigm::PrimaryCopy, nodes, frames)
 }
 
 fn pca(nodes: usize) -> Cluster {
@@ -234,4 +239,219 @@ fn semantics_identical_under_both_policies() {
     }
     assert_eq!(finals[0], finals[1]);
     assert_eq!(finals[0], 5);
+}
+
+/// The server of the client-server paradigm.
+const SERVER: NodeId = NodeId(0);
+
+fn csa_with(nodes: usize, frames: usize) -> Cluster {
+    node0_owns(Paradigm::ClientServer, nodes, frames)
+}
+
+fn csa(nodes: usize) -> Cluster {
+    csa_with(nodes, 8)
+}
+
+#[test]
+fn commit_costs_messages_and_server_force() {
+    let mut s = csa(2);
+    let t = s.begin(NodeId(1)).unwrap();
+    s.write_u64(t, pid(0), 0, 7).unwrap();
+    let stats0 = s.network().stats();
+    let forces0 = s.node(SERVER).log().forces();
+    s.commit(t).unwrap();
+    let d = s.network().stats().since(&stats0);
+    assert_eq!(d.count(MsgKind::LogShip), 1);
+    assert_eq!(d.count(MsgKind::CommitRequest), 1);
+    assert_eq!(d.count(MsgKind::CommitAck), 1);
+    assert_eq!(s.node(SERVER).log().forces(), forces0 + 1);
+}
+
+#[test]
+fn values_round_trip_between_clients() {
+    let mut s = csa(3);
+    let t = s.begin(NodeId(1)).unwrap();
+    s.write_u64(t, pid(0), 0, 5).unwrap();
+    s.commit(t).unwrap();
+    let t2 = s.begin(NodeId(2)).unwrap();
+    assert_eq!(s.read_u64(t2, pid(0), 0).unwrap(), 5);
+    s.commit(t2).unwrap();
+}
+
+#[test]
+fn abort_without_shipping_is_local() {
+    let mut s = csa(2);
+    let t0 = s.begin(NodeId(1)).unwrap();
+    s.write_u64(t0, pid(0), 0, 1).unwrap();
+    s.commit(t0).unwrap();
+    let recs0 = s.node(SERVER).log().records_appended();
+    let t = s.begin(NodeId(1)).unwrap();
+    s.write_u64(t, pid(0), 0, 99).unwrap();
+    s.abort(t).unwrap();
+    assert_eq!(
+        s.node(SERVER).log().records_appended(),
+        recs0,
+        "nothing shipped, nothing logged"
+    );
+    let t2 = s.begin(NodeId(1)).unwrap();
+    assert_eq!(s.read_u64(t2, pid(0), 0).unwrap(), 1);
+    s.commit(t2).unwrap();
+}
+
+#[test]
+fn server_checkpoint_contacts_all_clients() {
+    let mut s = csa(4);
+    let stats0 = s.network().stats();
+    s.checkpoint(SERVER).unwrap();
+    let d = s.network().stats().since(&stats0);
+    assert_eq!(d.count(MsgKind::CheckpointSync), 6, "round trip per client");
+}
+
+#[test]
+fn callback_ships_page_through_server() {
+    let mut s = csa(3);
+    let t = s.begin(NodeId(1)).unwrap();
+    s.write_u64(t, pid(0), 0, 3).unwrap();
+    s.commit(t).unwrap();
+    let stats0 = s.network().stats();
+    let t2 = s.begin(NodeId(2)).unwrap();
+    s.write_u64(t2, pid(0), 0, 4).unwrap();
+    s.commit(t2).unwrap();
+    let d = s.network().stats().since(&stats0);
+    assert!(d.count(MsgKind::Callback) >= 1);
+    // Client 1's records reached the server at its commit, so the
+    // callback moved only the page.
+    let t3 = s.begin(NodeId(1)).unwrap();
+    assert_eq!(s.read_u64(t3, pid(0), 0).unwrap(), 4);
+    s.commit(t3).unwrap();
+}
+
+#[test]
+fn an_ended_transaction_cannot_end_again() {
+    let mut s = csa(3);
+    let a = s.begin(NodeId(1)).unwrap();
+    s.write_u64(a, pid(0), 0, 5).unwrap();
+    s.abort(a).unwrap();
+    let b = s.begin(NodeId(2)).unwrap();
+    s.write_u64(b, pid(0), 0, 7).unwrap();
+    s.commit(b).unwrap();
+    let recs0 = s.node(SERVER).log().records_appended();
+    assert!(s.abort(a).is_err(), "an aborted txn aborts once");
+    assert!(s.commit(b).is_err(), "a committed txn commits once");
+    assert_eq!(
+        s.node(SERVER).log().records_appended(),
+        recs0,
+        "a refused end logs nothing"
+    );
+    let t = s.begin(NodeId(1)).unwrap();
+    assert_eq!(s.read_u64(t, pid(0), 0).unwrap(), 7, "no undo re-applied");
+    s.commit(t).unwrap();
+}
+
+#[test]
+fn all_log_forces_happen_at_the_server() {
+    let mut s = csa(4);
+    for round in 0..5u64 {
+        for cid in 1..=3u32 {
+            let t = s.begin(NodeId(cid)).unwrap();
+            s.write_u64(t, pid(cid - 1), 0, round).unwrap();
+            s.commit(t).unwrap();
+        }
+    }
+    // 15 commits => at least 15 server forces; every disk I/O in the
+    // run is charged to node 0, and no client log is ever forced.
+    assert!(s.node(SERVER).log().forces() >= 15);
+    assert!(s.network().disk_ios_of(SERVER) >= 15);
+    for cid in 1..=3u32 {
+        assert_eq!(s.network().disk_ios_of(NodeId(cid)), 0);
+        assert_eq!(s.node(NodeId(cid)).log().forces(), 0);
+    }
+}
+
+/// A dirty page stolen mid-transaction takes the records that cover it
+/// to the server first; the abort then ships the compensation only.
+#[test]
+fn a_steal_ships_the_records_first_and_the_abort_follows_them() {
+    let mut s = csa_with(2, 2);
+    let t = s.begin(NodeId(1)).unwrap();
+    s.write_u64(t, pid(0), 0, 9).unwrap();
+    s.read_u64(t, pid(1), 0).unwrap();
+    let stats0 = s.network().stats();
+    let forces0 = s.node(SERVER).log().forces();
+    // The third page evicts the dirty P0.
+    s.read_u64(t, pid(2), 0).unwrap();
+    assert!(!s.node(NodeId(1)).buffer().contains(pid(0)));
+    let d = s.network().stats().since(&stats0);
+    assert_eq!(d.count(MsgKind::LogShip), 1, "Begin and the update");
+    assert_eq!(d.count(MsgKind::ReplacePage), 1);
+    assert_eq!(s.node(SERVER).log().forces(), forces0 + 1);
+    let recs0 = s.node(SERVER).log().records_appended();
+    let stats0 = s.network().stats();
+    s.abort(t).unwrap();
+    let d = s.network().stats().since(&stats0);
+    assert_eq!(d.count(MsgKind::LogShip), 1, "the compensation record");
+    assert_eq!(
+        s.node(SERVER).log().records_appended(),
+        recs0 + 2,
+        "a CLR and an Abort"
+    );
+    let t2 = s.begin(NodeId(1)).unwrap();
+    assert_eq!(s.read_u64(t2, pid(0), 0).unwrap(), 0);
+    s.commit(t2).unwrap();
+}
+
+#[test]
+fn recovery_is_refused_under_client_server() {
+    let mut s = csa(2);
+    let t = s.begin(NodeId(1)).unwrap();
+    s.write_u64(t, pid(0), 0, 3).unwrap();
+    s.commit(t).unwrap();
+    s.crash(NodeId(1));
+    assert!(matches!(
+        recover(&mut s, &RecoveryOptions::single(NodeId(1))),
+        Err(Error::Invalid(_))
+    ));
+}
+
+#[test]
+fn only_the_server_may_own_pages() {
+    let cfg = |owned| {
+        let b = ClusterConfig::builder().owned_pages(owned);
+        b.paradigm(Paradigm::ClientServer).build()
+    };
+    assert!(matches!(
+        Cluster::new(cfg(vec![8, 4])),
+        Err(Error::Invalid(_))
+    ));
+    assert!(Cluster::new(cfg(vec![8, 0])).is_ok());
+}
+
+/// A transaction that has ended takes no lock, under either paradigm:
+/// a lock it took would never be released, and the next transaction
+/// to want the page would wait forever.
+#[test]
+fn an_ended_transaction_takes_no_lock() {
+    for paradigm in [Paradigm::ClientBased, Paradigm::ClientServer] {
+        let mut c = with(paradigm);
+        let committed = c.begin(NodeId(1)).unwrap();
+        c.write_u64(committed, pid(0), 0, 1).unwrap();
+        c.commit(committed).unwrap();
+        let aborted = c.begin(NodeId(1)).unwrap();
+        c.write_u64(aborted, pid(1), 0, 2).unwrap();
+        c.abort(aborted).unwrap();
+        for ended in [committed, aborted] {
+            let write = c.write_u64(ended, pid(0), 0, 9);
+            let read = c.read_u64(ended, pid(1), 0).map(drop);
+            for r in [write, read] {
+                assert!(
+                    matches!(r, Err(Error::NoSuchTxn(_) | Error::TxnAborted(_))),
+                    "{paradigm:?} {ended}: {r:?}"
+                );
+            }
+        }
+        let t = c.begin(NodeId(1)).unwrap();
+        c.write_u64(t, pid(0), 0, 3).unwrap();
+        c.write_u64(t, pid(1), 0, 4).unwrap();
+        c.commit(t).unwrap();
+    }
 }

@@ -20,7 +20,7 @@
 # list no longer has.
 set -euo pipefail
 
-engine="common storage wal locks net core rt baselines sim"
+engine="common storage wal locks net core rt sim"
 
 # `name reason`: a paper feature, or a fixture another crate's tests
 # need, that only tests reach. At most six.

@@ -22,7 +22,7 @@ usage() {
 
 [ $# -le 2 ] || usage
 cd "$(dirname "$0")/.."
-engine="common storage wal locks net core rt baselines sim"
+engine="common storage wal locks net core rt sim"
 
 tmp=$(mktemp -d)
 trap 'rm -rf "$tmp"' EXIT
