@@ -12,7 +12,9 @@ use std::time::Instant;
 use cblog_common::{Lsn, NodeId, PageId, Psn, TxnId};
 use cblog_locks::{GlobalLockTable, LocalLockTable, LockMode};
 use cblog_storage::{BufferPool, Page, PageKind};
-use cblog_wal::{DirtyPageTable, LogManager, LogPayload, LogRecord, MemLogStore, PageOp};
+use cblog_wal::{
+    DirtyPageTable, LogManager, LogPayload, LogRecord, LogRecordRef, MemLogStore, PageOp,
+};
 
 fn bench<F: FnMut() -> u64>(name: &str, iters: u32, mut f: F) {
     let mut sink = 0u64;
@@ -158,10 +160,12 @@ fn m4_psn_replay() {
         let mut applied = 0u64;
         while pos < end {
             let (rec, next) = lm.read_record(pos).unwrap();
-            if rec.page() == Some(pid) && rec.psn_before() == Some(page.psn()) {
-                rec.op().unwrap().apply_redo(&mut page).unwrap();
-                page.set_psn(rec.psn_before().unwrap().next());
-                applied += 1;
+            if let Some((p, psn, op)) = LogRecordRef::from(&rec).update() {
+                if p == pid && psn == page.psn() {
+                    op.apply_redo(&mut page).unwrap();
+                    page.set_psn(psn.next());
+                    applied += 1;
+                }
             }
             pos = next;
         }

@@ -75,11 +75,6 @@ impl ForceScheduler {
         }
     }
 
-    /// The configured policy.
-    pub fn policy(&self) -> GroupCommitPolicy {
-        self.policy
-    }
-
     /// The window the scheduler would hold the next batch open for:
     /// 0 for [`GroupCommitPolicy::Immediate`], the static width for
     /// [`GroupCommitPolicy::Window`], and the rate-derived width for

@@ -68,9 +68,10 @@ fn psn_list_entry(
     }
 }
 
-/// The redo records a log collection keeps ([`Node::restart_pass`],
-/// [`Node::psn_list`]): every op's bytes end to end in one arena, in
-/// log order, and a `(page, psn_before, offset)` index grouped by page.
+/// The redo records a log collection keeps ([`Node::restart_redo`],
+/// [`Node::restart_pass`], [`Node::psn_list`]): every op's bytes end to
+/// end in one arena, in log order, and a `(page, psn_before, offset)`
+/// index grouped by page.
 /// Replay applies [`PageOpRef`]s read straight out of the arena; nothing
 /// is allocated per record.
 #[derive(Debug, Default)]
@@ -171,20 +172,30 @@ impl RedoRecords {
 const SIZING_SAMPLE: u64 = 1024;
 
 /// What a log collection ([`Node::collect`]) keeps from every Update and
-/// CLR it reads, for every page: the NodePSNList and, per record, its op
-/// in one arena.
+/// CLR it reads, for every page: per record, its op in one arena, and
+/// the NodePSNList for a caller that asked for it.
 #[derive(Default)]
 struct PageUpdates {
-    /// Page → (its number in `ids`, the transaction of its last entry).
-    pages: IdMap<PageId, (u32, Option<TxnId>)>,
+    /// Page → its number in `ids`.
+    pages: IdMap<PageId, u32>,
     ids: Vec<PageId>,
-    list: Vec<NodePsnEntry>,
+    /// The NodePSNList and, by page number, the transaction of each
+    /// page's last entry; `None` when the caller wants no list.
+    list: Option<(Vec<NodePsnEntry>, Vec<Option<TxnId>>)>,
     ops: Encoder,
     /// `(page number, psn_before, offset in ops)` in log order.
     index: Vec<(u32, Psn, u32)>,
 }
 
 impl PageUpdates {
+    /// An empty collection, building the NodePSNList iff `list`.
+    fn new(list: bool) -> Self {
+        PageUpdates {
+            list: list.then(Default::default),
+            ..PageUpdates::default()
+        }
+    }
+
     /// Reserves for the `left` bytes of a scan whose first `read` bytes
     /// filled these arrays, at the rate they filled plus an eighth: over
     /// a log whose records look alike, nothing is copied to grow again,
@@ -193,7 +204,9 @@ impl PageUpdates {
     fn reserve_rest(&mut self, read: u64, left: u64) {
         let scale = 1.125 * left as f64 / read.max(1) as f64;
         let more = |len: usize| (len as f64 * scale) as usize;
-        let _ = self.list.try_reserve_exact(more(self.list.len()));
+        if let Some((list, _)) = &mut self.list {
+            let _ = list.try_reserve_exact(more(list.len()));
+        }
         let _ = self.index.try_reserve_exact(more(self.index.len()));
         let mut ops = std::mem::take(&mut self.ops).into_vec();
         let _ = ops.try_reserve_exact(more(ops.len()));
@@ -209,29 +222,35 @@ impl PageUpdates {
         op: PageOpRef<'_>,
     ) -> Result<()> {
         let fresh = self.ids.len() as u32;
-        let (page, last_txn) = self.pages.entry(pid).or_insert((fresh, None));
-        if *page == fresh {
+        let page = *self.pages.entry(pid).or_insert(fresh);
+        if page == fresh {
             self.ids.push(pid);
         }
-        psn_list_entry(&mut self.list, last_txn, pid, psn, lsn, txn);
+        if let Some((list, last)) = &mut self.list {
+            if page == fresh {
+                last.push(None);
+            }
+            psn_list_entry(list, &mut last[page as usize], pid, psn, lsn, txn);
+        }
         let at = u32::try_from(self.ops.len())
             .map_err(|_| Error::Invalid("redo records past 4 GiB".into()))?;
-        self.index.push((*page, psn, at));
+        self.index.push((page, psn, at));
         op.encode(&mut self.ops);
         Ok(())
     }
 
     /// Keeps the pages `wanted` accepts, dropping the list entries and
     /// records of the others, and groups the records by page, ascending,
-    /// with a counting sort.
+    /// with a counting sort. The list is empty when none was asked for.
     fn keep(self, wanted: impl Fn(PageId) -> bool) -> (Vec<NodePsnEntry>, RedoRecords) {
         let PageUpdates {
             ids,
-            mut list,
+            list,
             ops,
             mut index,
             ..
         } = self;
+        let mut list = list.map(|(list, _)| list).unwrap_or_default();
         let mut kept: Vec<(PageId, u32)> = ids
             .iter()
             .zip(0..)
@@ -543,19 +562,9 @@ impl Node {
         &self.cached_locks
     }
 
-    /// The owner-side global lock table.
-    pub fn global_locks(&self) -> &GlobalLockTable {
-        &self.global_locks
-    }
-
     /// Committed-transaction count.
     pub fn commits(&self) -> u64 {
         self.commits.get()
-    }
-
-    /// Aborted-transaction count.
-    pub fn aborts(&self) -> u64 {
-        self.aborts.get()
     }
 
     /// The node's metrics registry (`subsystem/metric` names; see
@@ -567,18 +576,6 @@ impl Node {
     /// State of a transaction, if known.
     pub fn txn(&self, id: TxnId) -> Option<&TxnState> {
         self.txns.get(&id)
-    }
-
-    /// Ids of transactions currently active on this node.
-    pub fn active_txns(&self) -> Vec<TxnId> {
-        let mut v: Vec<TxnId> = self
-            .txns
-            .values()
-            .filter(|t| !t.is_terminated())
-            .map(|t| t.id)
-            .collect();
-        v.sort();
-        v
     }
 
     // ------------------------------------------------------------------
@@ -1181,16 +1178,17 @@ impl Node {
 
     /// The one log collector (DESIGN §13): reads `[from, end)` once,
     /// hands every record to `each`, and enters every Update and CLR in
-    /// the NodePSNList rule and the [`RedoRecords`] arena, for every
-    /// page; [`PageUpdates::keep`] then drops the pages not asked for.
-    /// Returns the collection and the records read.
+    /// the [`RedoRecords`] arena and, if `list`, the NodePSNList rule,
+    /// for every page; [`PageUpdates::keep`] then drops the pages not
+    /// asked for. Returns the collection and the records read.
     fn collect(
         &mut self,
         from: Lsn,
+        list: bool,
         mut each: impl FnMut(Lsn, &LogRecordRef<'_>),
     ) -> Result<(PageUpdates, u64)> {
         let end = self.log.end_lsn();
-        let mut updates = PageUpdates::default();
+        let mut updates = PageUpdates::new(list);
         let mut records = 0u64;
         let mut scan = self.log.scan(from);
         while let Some(r) = scan.next_ref() {
@@ -1209,8 +1207,10 @@ impl Node {
 
     /// Restart in one pass over the local log (DESIGN §13): ARIES
     /// analysis (the loser table and a DPT superset, paper §2.3.1 /
-    /// §2.4), and the NodePSNList and redo records of every page the
-    /// rebuilt DPT names, reading each record once.
+    /// §2.4), and the redo records of every page the rebuilt DPT names,
+    /// reading each record once. This is the threaded engine's restart:
+    /// its writes are owner-local, so each page replays from its own
+    /// records alone and no NodePSNList is built.
     ///
     /// The master record names the last checkpoint; its end record's
     /// DPT names the lowest RedoLSN, and the pass starts at the lower of
@@ -1219,7 +1219,19 @@ impl Node {
     /// the pass. No update lies between the two starts that analysis
     /// would need, since a checkpoint's begin and end records are
     /// adjacent ([`Node::checkpoint`]).
+    pub fn restart_redo(&mut self) -> Result<(AnalysisResult, RedoRecords)> {
+        let (result, _, redo) = self.restart(false)?;
+        Ok((result, redo))
+    }
+
+    /// [`Node::restart_redo`] plus the NodePSNList of the same pages,
+    /// from the same pass: the simulator's restart, whose replay merges
+    /// the lists of every involved node (paper §2.3.4).
     pub fn restart_pass(&mut self) -> Result<(AnalysisResult, Vec<NodePsnEntry>, RedoRecords)> {
+        self.restart(true)
+    }
+
+    fn restart(&mut self, list: bool) -> Result<(AnalysisResult, Vec<NodePsnEntry>, RedoRecords)> {
         let ckpt = self.analysis_start();
         let base = self.log.base_lsn();
         let mut from = ckpt;
@@ -1237,7 +1249,7 @@ impl Node {
         let end = self.log.end_lsn();
         let id = self.id;
         let mut analysis = Analysis::default();
-        let (updates, records) = self.collect(from, |pos, rec| {
+        let (updates, records) = self.collect(from, list, |pos, rec| {
             if pos >= ckpt {
                 analysis.fold(id, pos, rec);
             }
@@ -1260,7 +1272,7 @@ impl Node {
             return Ok((Vec::new(), RedoRecords::default(), 0));
         };
         let bytes = self.log.end_lsn().0 - from.0;
-        let (updates, _) = self.collect(from, |_, _| {})?;
+        let (updates, _) = self.collect(from, true, |_, _| {})?;
         let (list, redo) = updates.keep(|pid| pages.binary_search(&pid).is_ok());
         Ok((list, redo, bytes))
     }
@@ -1635,8 +1647,10 @@ mod tests {
         let mut at = from;
         while at < n.log().end_lsn() {
             let (rec, next) = n.log.read_record(at).unwrap();
-            if rec.page() == Some(pid) {
-                out.push((rec.psn_before().unwrap(), rec.op().unwrap().clone()));
+            if let Some((p, psn, op)) = LogRecordRef::from(&rec).update() {
+                if p == pid {
+                    out.push((psn, op.to_owned()));
+                }
             }
             at = next;
         }
@@ -1774,6 +1788,38 @@ mod tests {
             assert_eq!(&got, want, "{}", e.pid);
         }
         assert_eq!(redo.len(), want_redo.iter().map(Vec::len).sum::<usize>());
+    }
+
+    #[test]
+    fn the_redo_pass_is_the_restart_pass_without_its_list() {
+        let (mut n, _, _, _) = crashed_twice();
+        n.mark_restarting().unwrap();
+        let (a, redo) = n.restart_redo().unwrap();
+        let dpt = n.dpt().entries();
+        n.crash();
+        n.mark_restarting().unwrap();
+        let (want, list, want_redo) = n.restart_pass().unwrap();
+        assert!(!list.is_empty());
+        assert_eq!(
+            (a.losers, a.start_lsn, a.dpt_entries, a.records_scanned),
+            (
+                want.losers,
+                want.start_lsn,
+                want.dpt_entries,
+                want.records_scanned
+            )
+        );
+        assert_eq!(dpt, n.dpt().entries());
+        assert_eq!(redo.len(), want_redo.len());
+        for e in &dpt {
+            let ops = |r: &RedoRecords| -> Vec<(Psn, PageOp)> {
+                r.of(e.pid)
+                    .map(|r| r.map(|(psn, op)| (psn, op.to_owned())))
+                    .collect::<Result<_>>()
+                    .unwrap()
+            };
+            assert_eq!(ops(&redo), ops(&want_redo), "{}", e.pid);
+        }
     }
 
     #[test]
@@ -1960,10 +2006,10 @@ mod tests {
         assert!(matches!(n.forget(t2), Err(Error::Protocol(_))), "aborting");
         n.finish_abort(t2).unwrap();
         n.forget(t2).unwrap();
-        assert_eq!((n.commits(), n.aborts()), (1, 1), "the tallies stay");
+        assert_eq!((n.commits(), n.aborts.get()), (1, 1), "the tallies stay");
         // A checkpoint no longer has anybody to list or to filter out.
         n.checkpoint().unwrap();
-        assert!(n.active_txns().is_empty());
+        assert!(n.txns.is_empty());
     }
 
     #[test]

@@ -54,16 +54,6 @@ pub enum ReplayMode {
     },
 }
 
-impl ReplayMode {
-    /// The lane count this mode schedules for (Serial → 1).
-    pub fn workers(&self) -> usize {
-        match *self {
-            ReplayMode::Serial => 1,
-            ReplayMode::Parallel { workers } => workers.max(1),
-        }
-    }
-}
-
 /// How a recovery run should be performed — the one argument of
 /// [`recover`], replacing the old `recover_single` /
 /// `recover_with_standby` entry points.
@@ -151,11 +141,6 @@ impl RecoveryOptions {
     /// The nodes this run recovers.
     pub fn recovered_nodes(&self) -> &[NodeId] {
         &self.nodes
-    }
-
-    /// The coordinating standby, if any.
-    pub fn standby(&self) -> Option<NodeId> {
-        self.standby
     }
 }
 

@@ -108,8 +108,7 @@ fn the_commit_path_allocates_only_to_grow() {
         "1000 transactions (4000 records) made {made} allocations"
     );
     assert_eq!(node.commits(), 2_000);
-    let forgotten = TxnId::new(NodeId(0), 1_500);
-    assert!(node.active_txns().is_empty() && node.txn(forgotten).is_none());
+    assert!((1..=2_000).all(|seq| node.txn(TxnId::new(NodeId(0), seq)).is_none()));
 
     // A page lock nobody else holds: taken and dropped on the stack.
     let locks = ShardedLockTable::new(16);
@@ -129,17 +128,32 @@ fn the_commit_path_allocates_only_to_grow() {
     assert_eq!(locks.locked_pages(), 0);
 }
 
-/// Allocations of the one restart pass over a crashed node's log of
-/// `n` transactions (2 writes each) over the same `PAGES` pages, the
-/// redo records it kept, and the allocations of planning replay over
-/// the NodePSNList it built.
-fn restart_allocations(n: u64) -> (u64, usize, u64) {
+/// What restart allocates over a crashed node's log of `n`
+/// transactions (2 writes each) over the same `PAGES` pages.
+struct RestartAllocations {
+    /// The threaded engine's pass, without a NodePSNList.
+    redo: u64,
+    /// The simulator's pass over the same log, with its list.
+    pass: u64,
+    /// Redo records each pass kept.
+    kept: usize,
+    /// Planning replay over the list.
+    planned: u64,
+}
+
+fn restart_allocations(n: u64) -> RestartAllocations {
     let mut node = warm_node();
     commit_loop(&mut node, n, &mut Vec::with_capacity(GROUP));
     node.force_log().unwrap();
     node.crash();
     node.mark_restarting().unwrap();
-    let (made, (_, list, redo)) = allocations_of(|| node.restart_pass().unwrap());
+    let (redo, (_, records)) = allocations_of(|| node.restart_redo().unwrap());
+    let kept = records.len();
+    drop(records);
+    node.crash();
+    node.mark_restarting().unwrap();
+    let (pass, (_, list, records)) = allocations_of(|| node.restart_pass().unwrap());
+    assert_eq!(records.len(), kept, "both passes keep the same records");
     let involved: BTreeMap<PageId, Vec<NodeId>> = node
         .dpt()
         .entries()
@@ -149,34 +163,50 @@ fn restart_allocations(n: u64) -> (u64, usize, u64) {
     let lists = BTreeMap::from([(node.id(), list)]);
     let (planned, plan) = allocations_of(|| plan_replay(&involved, &lists));
     assert_eq!(plan.units.len(), PAGES as usize);
-    (made, redo.len(), planned)
+    RestartAllocations {
+        redo,
+        pass,
+        kept,
+        planned,
+    }
 }
 
 #[test]
 fn a_restart_pass_allocates_per_page_not_per_record() {
-    // Once the pass has read a sample of its range it sizes its arena
-    // and lists for the rest, so four times the records over the same
+    // Once a pass has read a sample of its range it sizes its arena
+    // and list for the rest, so four times the records over the same
     // pages cost it no more allocations; growing them by doubling all
     // the way cost six more, and decoding an update into an owned op
     // two per record. Planning replay over the pass's list allocates
     // per page too, but for the table of transactions it has seen.
-    let (small, kept_small, plan_small) = restart_allocations(500);
-    let (large, kept_large, plan_large) = restart_allocations(2_000);
+    let small = restart_allocations(500);
+    let large = restart_allocations(2_000);
     assert_eq!(
-        (kept_small, kept_large),
+        (small.kept, large.kept),
         (1_000, 4_000),
         "every update kept"
     );
-    assert!(
-        large <= small + 2,
-        "4 000 more updates made {} more restart allocations ({small} → {large})",
-        large.saturating_sub(small)
-    );
-    assert!(
-        plan_large <= plan_small + 2,
-        "4 000 more updates made {} more planner allocations ({plan_small} → {plan_large})",
-        plan_large.saturating_sub(plan_small)
-    );
+    for (what, small, large) in [
+        ("restart_redo", small.redo, large.redo),
+        ("restart_pass", small.pass, large.pass),
+        ("planner", small.planned, large.planned),
+    ] {
+        assert!(
+            large <= small + 2,
+            "4 000 more updates made {} more {what} allocations ({small} → {large})",
+            large.saturating_sub(small)
+        );
+    }
+    // The threaded engine's pass builds no NodePSNList, nor the table
+    // of each page's last transaction that the list rule keeps.
+    for a in [&small, &large] {
+        assert!(
+            a.redo < a.pass,
+            "restart_redo made {} allocations, restart_pass {}",
+            a.redo,
+            a.pass
+        );
+    }
 }
 
 /// Allocations of the simulator's whole recovery of one crashed owner

@@ -89,15 +89,6 @@ impl LocalLockTable {
         }
     }
 
-    /// Mode `txn` holds on `pid`, if any.
-    pub fn held(&self, txn: TxnId, pid: PageId) -> Option<LockMode> {
-        self.locks
-            .get(&pid)?
-            .iter()
-            .find(|(t, _)| *t == txn)
-            .map(|(_, m)| *m)
-    }
-
     /// All transactions holding `pid` (any mode).
     pub fn holders(&self, pid: PageId) -> Vec<(TxnId, LockMode)> {
         self.locks.get(&pid).cloned().unwrap_or_default()
@@ -181,7 +172,7 @@ mod tests {
             lt.request(t(1), p(0), LockMode::Exclusive),
             LocalRequestOutcome::Granted
         );
-        assert_eq!(lt.held(t(1), p(0)), Some(LockMode::Exclusive));
+        assert_eq!(lt.locks_of(t(1)), vec![(p(0), LockMode::Exclusive)]);
     }
 
     #[test]
@@ -201,7 +192,7 @@ mod tests {
             g => panic!("expected block, got {g:?}"),
         }
         // Still holds its shared lock.
-        assert_eq!(lt.held(t(1), p(0)), Some(LockMode::Shared));
+        assert_eq!(lt.locks_of(t(1)), vec![(p(0), LockMode::Shared)]);
     }
 
     #[test]

@@ -504,11 +504,6 @@ impl Network {
         self.attribution = bucket;
     }
 
-    /// The active attribution override.
-    pub fn attribution(&self) -> Option<Bucket> {
-        self.attribution
-    }
-
     fn bucket_for(&self, natural: Bucket) -> Bucket {
         self.attribution.unwrap_or(natural)
     }
@@ -1097,7 +1092,7 @@ mod tests {
             n.clock().bucket_us(NodeId(1), Bucket::Replay),
             cost.io_cost(1024)
         );
-        assert_eq!(n.attribution(), None);
+        assert_eq!(n.attribution, None);
     }
 
     #[test]

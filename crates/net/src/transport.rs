@@ -106,7 +106,6 @@ impl ChannelMesh {
                 rx,
                 sent: Arc::new(AtomicU64::new(0)),
                 received: Arc::new(AtomicU64::new(0)),
-                drained: Arc::new(AtomicU64::new(0)),
             })
             .collect()
     }
@@ -120,26 +119,19 @@ pub struct ChannelEndpoint {
     rx: Receiver<Envelope>,
     sent: Arc<AtomicU64>,
     received: Arc<AtomicU64>,
-    drained: Arc<AtomicU64>,
 }
 
 impl ChannelEndpoint {
     /// Consumes and counts every message still queued, for shutdown
     /// accounting. After draining, `sent` across the mesh equals
-    /// `received + drained` across the mesh. Returns the number
-    /// drained by this call.
+    /// `received` plus what the drains returned across the mesh.
+    /// Returns the number drained by this call.
     pub fn drain(&self) -> u64 {
         let mut n = 0;
         while self.rx.try_recv().is_ok() {
             n += 1;
         }
-        self.drained.fetch_add(n, Ordering::Relaxed);
         n
-    }
-
-    /// Messages drained at shutdown (never handed to the protocol).
-    pub fn drained(&self) -> u64 {
-        self.drained.load(Ordering::Relaxed)
     }
 }
 
@@ -268,7 +260,7 @@ mod tests {
         }
         let drained = b.drain();
         assert_eq!(drained, 10, "queued messages are accounted at shutdown");
-        assert_eq!(a.sent(), b.received() + b.drained());
+        assert_eq!(a.sent(), b.received() + drained);
         drop(b);
 
         // Further sends to the downed node fail loudly instead of

@@ -69,7 +69,7 @@
 
 #![forbid(unsafe_code)]
 
-use cblog_common::metrics::{keys, prof_key};
+use cblog_common::metrics::prof_key;
 use cblog_common::span::DEFAULT_TRACE_CAPACITY;
 use cblog_common::{
     Bucket, Error, Lsn, NodeId, PageId, RecoveryPhase, Reservoir, Result, SimTime, Snapshot, Span,
@@ -77,8 +77,8 @@ use cblog_common::{
 };
 use cblog_core::node::RollbackStep;
 use cblog_core::{
-    plan_replay, ForceScheduler, GroupCommitPolicy, Node, NodeConfig, NodePsnEntry, PhaseTimings,
-    PlanOp, RecoveryOptions, RecoveryReport, RedoRecords, RunReport, Runtime, TxnPlan, WaveTiming,
+    ForceScheduler, GroupCommitPolicy, Node, NodeConfig, PhaseTimings, PlanOp, RecoveryOptions,
+    RecoveryReport, RedoRecords, RunReport, Runtime, TxnPlan, WaveTiming,
 };
 use cblog_locks::{LockMode, ShardedLockTable};
 use cblog_net::transport::{ChannelEndpoint, ChannelMesh, Envelope, Transport};
@@ -471,31 +471,40 @@ impl Runtime for ThreadCluster {
     }
 
     /// Crash recovery on the calling thread. The threaded runtime
-    /// only writes owned pages, so every update record for a page
-    /// lives in its owner's WAL and the [`plan_replay`] dependency
-    /// graph degenerates to independent per-page chains.
+    /// only writes owned pages, so every update record of a page lives
+    /// in its owner's log, and a page replays from its own records
+    /// alone: no page's replay waits on another's (DESIGN §16, "replay
+    /// is confluent across pages"). So nothing is planned and no
+    /// NodePSNList is built.
     ///
-    /// The node-local half is the simulator's, called the same way.
-    /// Each crashed node's log is read once ([`Node::restart_pass`]):
-    /// analysis, the NodePSNList and the redo records of every page
-    /// the rebuilt DPT names come out of one scan, so the report's
-    /// `PsnLists` phase is ~0 and its work sits in `Analysis`. Each
-    /// unit is one call of the PSN filter ([`RedoRecords::replay`])
-    /// from the page's first record with no bound: the owner is the
-    /// unit's only hop. The plan's waves are reported and replayed in
-    /// order, but every unit runs here
-    /// whatever [`ReplayMode`](cblog_core::ReplayMode) asks for: the
-    /// redo of a wave is micro- to milliseconds of work, and no
-    /// measured input has yet repaid handing it to other threads
-    /// (DESIGN §13). Each unit's hops enter the trace, whose watchdog
-    /// holds them to the same per-page PSN-order invariant the
-    /// simulator's tracer enforces on simulated recovery
+    /// The node-local half is the simulator's. Each crashed node's log
+    /// is read once ([`Node::restart_redo`]): analysis and the redo
+    /// records of every page the rebuilt DPT names come out of one
+    /// scan. Replay then takes the crashed owners' dirty pages in
+    /// ascending page order, each one call of the PSN filter
+    /// ([`RedoRecords::replay`]) from the page's first record with no
+    /// bound, then its durable write. The report counts one pass:
+    /// `replay_waves` is 1 (0 when no page is dirty), its one
+    /// [`WaveTiming`] has a makespan equal to its serial sum, and
+    /// `critical_path_psns` is the most records one page replayed.
+    /// [`ReplayMode::Parallel`](cblog_core::ReplayMode) runs as
+    /// `Serial`: no measured input has yet repaid handing a page's redo
+    /// to another thread (DESIGN §13). Each page's hops enter the
+    /// trace, whose watchdog holds them to the same per-page PSN-order
+    /// invariant the simulator's tracer enforces on simulated recovery
     /// ([`ThreadCluster::trace_check`] at the end).
+    ///
+    /// Every listed node must be crashed: a node that is not is
+    /// refused with [`Error::Protocol`], as the simulator refuses it,
+    /// before any node is touched.
     fn recover(&mut self, opts: &RecoveryOptions) -> Result<RecoveryReport> {
         let crashed = opts.recovered_nodes().to_vec();
         for &c in &crashed {
             if c.0 as usize >= self.nodes.len() {
                 return Err(Error::Invalid(format!("recovery of unknown node {c}")));
+            }
+            if !self.nodes[c.0 as usize].is_crashed() {
+                return Err(Error::Protocol(format!("{c} is not crashed")));
             }
         }
         let rec_root = match crashed.first() {
@@ -521,114 +530,89 @@ impl Runtime for ThreadCluster {
         }
 
         // ---- Analysis: tail repair, then one pass over each crashed
-        // node's log that also yields its NodePSNList over its own
-        // dirty pages and, per page, the redo records Replay applies.
-        // The message phases of the distributed protocol
-        // (InfoExchange … RecoveryLocks) have no threaded counterpart:
-        // updates are owner-local, so no operational node holds state
-        // the restarting owner needs; their timings stay zero. ----
+        // node's log that also yields, per dirty page, the redo records
+        // Replay applies. The message phases of the distributed
+        // protocol (InfoExchange … RecoveryLocks) and PsnLists have no
+        // threaded counterpart: updates are owner-local, so no
+        // operational node holds state the restarting owner needs, and
+        // the owner's own records order each page. Their timings stay
+        // zero. ----
         let mut losers: Vec<(NodeId, Vec<TxnId>)> = Vec::new();
-        let mut psn_lists: BTreeMap<NodeId, Vec<NodePsnEntry>> = BTreeMap::new();
         let mut redo: BTreeMap<NodeId, RedoRecords> = BTreeMap::new();
+        let mut dirty: Vec<PageId> = Vec::new();
         for &c in &crashed {
             let node = self.node_mut(c)?;
             report.torn_bytes_discarded += node.mark_restarting()?;
-            let (a, list, records) = node.restart_pass()?;
+            let (a, records) = node.restart_redo()?;
             report.log_bytes_scanned += a.bytes_scanned;
             losers.push((c, a.losers));
-            psn_lists.insert(c, list);
             redo.insert(c, records);
+            dirty.extend(node.dpt().entries().iter().map(|e| e.pid));
         }
+        dirty.sort_unstable();
         timings.record(RecoveryPhase::Analysis, lap(&mut mark));
 
-        // ---- PSN lists: the crashed owners' lists came out of the
-        // pass above (each the only log involved, see above); what is
-        // left is naming each dirty page's one involved node. ----
-        let mut involved: BTreeMap<PageId, Vec<NodeId>> = BTreeMap::new();
-        for &c in &crashed {
-            for e in self.node_mut(c)?.dpt().entries() {
-                involved.entry(e.pid).or_default().push(c);
-            }
-        }
-        timings.record(RecoveryPhase::PsnLists, lap(&mut mark));
-
-        let plan = plan_replay(&involved, &psn_lists);
-        report.replay_waves = plan.waves.len();
-        report.critical_path_psns = plan.critical_path_psns;
-
-        // ---- Replay: wave by wave on this thread — the PSN-filtered
-        // redo of each unit against an owned page image, then the
-        // wave's durable page writes. ----
-        let mut wave_timings = Vec::with_capacity(plan.waves.len());
+        // ---- Replay: page by page on this thread — the PSN-filtered
+        // redo of each page against an owned image, then its durable
+        // write. ----
+        let mut pass = WaveTiming::default();
         let mut replay_by_node: BTreeMap<NodeId, u64> = BTreeMap::new();
         let mut runs = Vec::new();
-        for wave in &plan.waves {
-            let mut work = Vec::with_capacity(wave.len());
-            for &ui in wave {
-                let pid = plan.units[ui].pid;
-                let (page, _) = self.node_mut(pid.owner)?.authoritative_copy(pid)?;
-                work.push(page);
-            }
-            let wave_started = Instant::now();
-            let mut timing = WaveTiming::default();
-            let mut replayed = Vec::with_capacity(work.len());
-            for mut page in work {
-                let t = Instant::now();
-                let (pid, owner) = (page.id(), page.id().owner);
-                // Writes are owner-local: the owner's log holds every
-                // record of the page.
-                let records = redo.get(&owner).ok_or_else(|| {
-                    Error::Protocol(format!("{pid} is dirty at no crashed owner"))
-                })?;
-                let (_, n) = records.replay(&mut page, 0, None, &mut runs)?;
-                // One hop span per run of consecutively applied PSNs,
-                // all of a wave's hops before its page writes.
-                for &(first, last, applied) in &runs {
-                    self.trace_point(
-                        owner,
-                        rec_root,
-                        SpanKind::ReplayHop {
-                            pid,
-                            node: owner,
-                            from_psn: first,
-                            to_psn: last.next(),
-                            applied,
-                        },
-                    );
-                }
-                let wall_us = t.elapsed().as_micros() as u64;
-                report.records_replayed += n;
-                report.pages_recovered += 1;
-                timing.units += 1;
-                timing.serial_us += wall_us;
-                *replay_by_node.entry(owner).or_insert(0) += wall_us;
-                replayed.push(page);
-            }
-            timing.makespan_us = wave_started.elapsed().as_micros() as u64;
-            for page in replayed {
-                // Durable write re-anchors the page and clears its
-                // DPT entry, like the simulator's post-replay ship.
-                let owner = page.id().owner;
-                let wal_ok = {
-                    let node = self.node_mut(owner)?;
-                    node.write_owned_page(&page)?;
-                    node.log().fully_forced()
-                };
+        for pid in dirty {
+            let owner = pid.owner;
+            let (mut page, _) = self.node_mut(owner)?.authoritative_copy(pid)?;
+            let t = Instant::now();
+            // Writes are owner-local: the owner's log holds every
+            // record of the page.
+            let records = redo
+                .get(&owner)
+                .ok_or_else(|| Error::Protocol(format!("{pid} is dirty at no crashed owner")))?;
+            let (_, n) = records.replay(&mut page, 0, None, &mut runs)?;
+            // One hop span per run of consecutively applied PSNs.
+            for &(first, last, applied) in &runs {
                 self.trace_point(
                     owner,
                     rec_root,
-                    SpanKind::PageWrite {
-                        pid: page.id(),
+                    SpanKind::ReplayHop {
+                        pid,
                         node: owner,
-                        psn: page.psn(),
-                        wal_ok,
+                        from_psn: first,
+                        to_psn: last.next(),
+                        applied,
                     },
                 );
             }
-            wave_timings.push(timing);
+            let wall_us = t.elapsed().as_micros() as u64;
+            report.records_replayed += n;
+            report.critical_path_psns = report.critical_path_psns.max(n);
+            report.pages_recovered += 1;
+            pass.units += 1;
+            pass.serial_us += wall_us;
+            *replay_by_node.entry(owner).or_insert(0) += wall_us;
+            // Durable write re-anchors the page and clears its DPT
+            // entry, like the simulator's post-replay ship.
+            let wal_ok = {
+                let node = self.node_mut(owner)?;
+                node.write_owned_page(&page)?;
+                node.log().fully_forced()
+            };
+            self.trace_point(
+                owner,
+                rec_root,
+                SpanKind::PageWrite {
+                    pid,
+                    node: owner,
+                    psn: page.psn(),
+                    wal_ok,
+                },
+            );
         }
         timings.record(RecoveryPhase::Replay, lap(&mut mark));
-        timings.set_replay_waves(wave_timings);
+        if pass.units > 0 {
+            pass.makespan_us = pass.serial_us;
+            report.replay_waves = 1;
+            timings.set_replay_waves(vec![pass]);
+        }
 
         // ---- Undo losers locally (CLRs), then checkpoint. ----
         for (c, txns) in losers {
@@ -645,19 +629,8 @@ impl Runtime for ThreadCluster {
         timings.record(RecoveryPhase::Undo, lap(&mut mark));
         timings.record(RecoveryPhase::Done, lap(&mut mark));
 
-        for &c in &crashed {
-            let reg = self.nodes[c.0 as usize].registry();
-            reg.gauge(keys::RECOVERY_REPLAY_WAVES)
-                .set(plan.waves.len() as i64);
-            reg.gauge(keys::RECOVERY_CRITICAL_PATH_PSNS)
-                .set(plan.critical_path_psns as i64);
-            let widths = reg.histogram(keys::RECOVERY_WAVE_WIDTH);
-            for w in &plan.waves {
-                widths.record(w.len() as u64);
-            }
-        }
         // Replay wall time lands in the owner's `prof/replay_us`
-        // gauge, summed over units like `WaveTiming::serial_us`.
+        // gauge, summed over pages like `WaveTiming::serial_us`.
         for (owner, us) in &replay_by_node {
             self.nodes[owner.0 as usize]
                 .registry()
@@ -1994,8 +1967,10 @@ mod tests {
             Err(e) => panic!("expected a Protocol error, got {e}"),
             Ok(_) => panic!("a mis-routed ship went unnoticed"),
         }
+        // The failed transaction is the one before the next to begin.
+        let next = h.w.node.begin().unwrap();
         assert!(
-            h.w.node.active_txns().is_empty(),
+            h.w.node.txn(TxnId::new(next.node, next.seq - 1)).is_none(),
             "rolled back and forgotten"
         );
         assert_eq!(h.w.node.peek_slot(p, 0), Some(0), "the write was undone");

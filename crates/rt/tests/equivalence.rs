@@ -10,7 +10,7 @@
 //! statistical expectations.
 
 use cblog_common::metrics::keys;
-use cblog_common::{NodeId, PageId};
+use cblog_common::{Error, NodeId, PageId};
 use cblog_core::{
     recover, Cluster, ClusterConfig, GroupCommitPolicy, PlanOp, RecoveryOptions, RecoveryReport,
     ReplayMode, RunReport, Runtime, TxnPlan,
@@ -345,6 +345,63 @@ fn recovery_images_match_across_engines_and_replay_modes() {
     }
 }
 
+/// Every page image of the recovery workload on `rt`.
+fn rec_images(rt: &mut impl Runtime) -> Vec<Vec<u8>> {
+    all_rec_pages()
+        .iter()
+        .map(|&pid| rt.page_image(pid).unwrap())
+        .collect()
+}
+
+#[test]
+fn both_engines_refuse_to_recover_a_node_that_never_crashed() {
+    let mut sim = Cluster::new(
+        ClusterConfig::builder()
+            .owned_pages(vec![REC_PAGES; REC_NODES as usize])
+            .build(),
+    )
+    .unwrap();
+    let dir = std::env::temp_dir().join(format!("cblog-equiv-up-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let mut rt = ThreadCluster::new(ThreadClusterConfig {
+        owned_pages: vec![REC_PAGES; REC_NODES as usize],
+        wal: WalBacking::Dir(dir.clone()),
+        ..ThreadClusterConfig::default()
+    })
+    .unwrap();
+    Runtime::run(&mut sim, &recovery_plans()).unwrap();
+    Runtime::run(&mut rt, &recovery_plans()).unwrap();
+    let oracle = rec_images(&mut sim);
+    assert_eq!(rec_images(&mut rt), oracle);
+    let refusal = |err: Error| match err {
+        Error::Protocol(m) => m,
+        e => panic!("expected a Protocol error, got {e}"),
+    };
+    let opts = RecoveryOptions::single(NodeId(0));
+    let sim_err = refusal(recover(&mut sim, &opts).unwrap_err());
+    assert_eq!(sim_err, "N0 is not crashed");
+    assert_eq!(refusal(recover(&mut rt, &opts).unwrap_err()), sim_err);
+    assert_eq!(rec_images(&mut sim), oracle);
+    assert_eq!(rec_images(&mut rt), oracle);
+
+    // A crashed node listed beside one that is up is not touched
+    // either: it is still crashed, and recovers on its own afterwards.
+    sim.crash(NodeId(1));
+    rt.crash(NodeId(1)).unwrap();
+    let both = RecoveryOptions::nodes(&[NodeId(1), NodeId(0)]);
+    assert_eq!(refusal(recover(&mut sim, &both).unwrap_err()), sim_err);
+    assert_eq!(refusal(recover(&mut rt, &both).unwrap_err()), sim_err);
+    let alone = RecoveryOptions::single(NodeId(1));
+    let (sim_report, rt_report) = (
+        recover(&mut sim, &alone).unwrap(),
+        recover(&mut rt, &alone).unwrap(),
+    );
+    assert_eq!(sim_report.records_replayed, rt_report.records_replayed);
+    assert_eq!(rec_images(&mut sim), oracle);
+    assert_eq!(rec_images(&mut rt), oracle);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// The second life of the recovery workload: every page written again
 /// in new slots, every third transaction rolled back by its user.
 fn second_life_plans() -> Vec<TxnPlan> {
@@ -429,12 +486,12 @@ fn a_second_recovery_reads_back_what_both_lives_committed() {
             );
         }
     }
-    for mode in [ReplayMode::Serial, ReplayMode::Parallel { workers: 4 }] {
-        let dir = std::env::temp_dir().join(format!(
-            "cblog-equiv-twice-{}-{}",
-            std::process::id(),
-            mode.workers()
-        ));
+    for (mode, tag) in [
+        (ReplayMode::Serial, "serial"),
+        (ReplayMode::Parallel { workers: 4 }, "par4"),
+    ] {
+        let dir =
+            std::env::temp_dir().join(format!("cblog-equiv-twice-{}-{tag}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         let mut rt = ThreadCluster::new(ThreadClusterConfig {
             owned_pages: vec![REC_PAGES; REC_NODES as usize],

@@ -367,16 +367,6 @@ impl LogRecord {
         }
     }
 
-    /// The PSN-before of an Update/Clr record.
-    pub fn psn_before(&self) -> Option<Psn> {
-        match &self.payload {
-            LogPayload::Update { psn_before, .. } | LogPayload::Clr { psn_before, .. } => {
-                Some(*psn_before)
-            }
-            _ => None,
-        }
-    }
-
     /// The operation of an Update/Clr record.
     pub fn op(&self) -> Option<&PageOp> {
         match &self.payload {
@@ -1122,7 +1112,8 @@ mod tests {
             },
         };
         assert_eq!(r.page(), Some(pid()));
-        assert_eq!(r.psn_before(), Some(Psn(4)));
+        let update = LogRecordRef::from(&r).update();
+        assert_eq!(update.map(|(_, psn, _)| psn), Some(Psn(4)));
         assert!(r.op().is_some());
         let c = LogRecord {
             txn: txn(),
@@ -1130,7 +1121,7 @@ mod tests {
             payload: LogPayload::Commit,
         };
         assert_eq!(c.page(), None);
-        assert_eq!(c.psn_before(), None);
+        assert!(LogRecordRef::from(&c).update().is_none());
         assert!(c.op().is_none());
     }
 }

@@ -6,7 +6,9 @@
 
 use cblog_common::{Lsn, NodeId, PageId, Psn, TxnId};
 use cblog_storage::{Database, FileStorage, Page, PageKind};
-use cblog_wal::{CheckpointBody, FileLogStore, LogManager, LogPayload, LogRecord, PageOp};
+use cblog_wal::{
+    CheckpointBody, FileLogStore, LogManager, LogPayload, LogRecord, LogRecordRef, PageOp,
+};
 use std::path::PathBuf;
 
 struct TempDir(PathBuf);
@@ -122,10 +124,12 @@ fn committed_work_survives_reopen_without_page_writes() {
         let mut applied = 0;
         while pos < end {
             let (rec, next) = log.read_record(pos).unwrap();
-            if rec.page() == Some(pid) && rec.psn_before() == Some(page.psn()) {
-                rec.op().unwrap().apply_redo(&mut page).unwrap();
-                page.set_psn(rec.psn_before().unwrap().next());
-                applied += 1;
+            if let Some((p, psn, op)) = LogRecordRef::from(&rec).update() {
+                if p == pid && psn == page.psn() {
+                    op.apply_redo(&mut page).unwrap();
+                    page.set_psn(psn.next());
+                    applied += 1;
+                }
             }
             pos = next;
         }

@@ -2,18 +2,21 @@
 # Engine API that only tests reach (ROADMAP item 19).
 #
 #   tools/deadapi.sh               the list
-#   tools/deadapi.sh --self-test   plants a test-only `pub fn` in a copy
-#                                  of HEAD; exits 1 once the list has it
+#   tools/deadapi.sh --self-test   plants two test-only `pub fn`s, one
+#                                  named like a field it reads, in a
+#                                  copy of HEAD; exits 1 once the list
+#                                  has both
 #
 # Prints `path:line: name` for each `pub` or `pub(crate)` fn of the
-# engine crates of tools/loc.sh whose name occurs nowhere outside test
-# code, apart from the `fn name` definitions themselves, and exits 0
-# either way. Test code is loc.sh's: `#[cfg(test)]` items and every
-# file under a `tests/` or `benches/` directory. Everything else in
-# crates/, examples/ and perf/src counts as a caller, comments and
-# string literals aside. The match is by name, not by path: a method
-# that shares its name with any other use is not listed, and a listed
-# name has to be checked by hand.
+# engine crates of tools/loc.sh that nothing outside test code calls,
+# and exits 0 either way. Test code is loc.sh's: `#[cfg(test)]` items
+# and every file under a `tests/` or `benches/` directory. Everything
+# else in crates/, examples/ and perf/src counts as a caller, comments
+# and string literals aside. A call is the name before `(` or `::<`,
+# or after `::` (a path, or a fn passed by path); a field or a local of
+# the same name is not one. The match is by name, not by type: a
+# method that shares its name with a called fn is not listed, and a
+# listed name has to be checked by hand.
 #
 # A name in KEEP below is printed with its reason after `# KEEP:`;
 # every other line of the list is a finding, and so is a KEEP name the
@@ -30,6 +33,7 @@ free_page paper §2.1 PSN floor of a reallocated page, pinned by tests/persisten
 fail_next_syncs fsync-failure fixture of rt a_failed_force_fails_the_run_acks_nothing_and_recovers_to_before_the_batch
 locked_pages ShardedLockTable accessor of rt a_lock_lives_at_its_owner and core tests/alloc_budget.rs; ROADMAP item 17 deletes the table
 shuffle Rng fixture of crates/access/tests/btree.rs insert_get_matches_btreemap_through_splits
+busy SimClock service total the bucket partition is checked against, in simclock buckets_partition_busy_time and tracedump folded_stack_sums_to_total_simulated_time_per_node
 '
 
 if [ "${1:-}" = --self-test ]; then
@@ -42,23 +46,45 @@ if [ "${1:-}" = --self-test ]; then
     cat >>"$tmp/crates/common/src/lib.rs" <<'EOF'
 
 /// Planted by `tools/deadapi.sh --self-test`.
+pub struct DeadapiPlanted {
+    /// Read by `deadapi_planted_probe`, so the name occurs outside tests.
+    pub deadapi_planted_field: u32,
+}
+
+impl DeadapiPlanted {
+    /// Planted: shares its name with the field.
+    pub fn deadapi_planted_field(&self) -> u32 {
+        self.deadapi_planted_field
+    }
+}
+
+/// Planted by `tools/deadapi.sh --self-test`.
 pub fn deadapi_planted_probe() -> u32 {
-    7
+    DeadapiPlanted {
+        deadapi_planted_field: 7,
+    }
+    .deadapi_planted_field
 }
 
 #[cfg(test)]
 mod deadapi_planted {
     #[test]
     fn probe() {
-        assert_eq!(super::deadapi_planted_probe(), 7);
+        let p = super::DeadapiPlanted {
+            deadapi_planted_field: super::deadapi_planted_probe(),
+        };
+        assert_eq!(p.deadapi_planted_field(), 7);
     }
 }
 EOF
-    if bash "$tmp/tools/deadapi.sh" | grep -q '^crates/common/src/lib.rs:[0-9]*: deadapi_planted_probe$'; then
+    list=$(bash "$tmp/tools/deadapi.sh")
+    if grep -q '^crates/common/src/lib.rs:[0-9]*: deadapi_planted_probe$' <<<"$list" &&
+        grep -q '^crates/common/src/lib.rs:[0-9]*: deadapi_planted_field$' <<<"$list"; then
         echo "planted test-only pub fn caught"
         exit 1
     fi
     echo "ERROR: the list missed a planted test-only pub fn" >&2
+    echo "$list" >&2
     exit 0
 fi
 
@@ -108,17 +134,16 @@ awk -F '\t' -v engine="$engine" -v keep="$KEEP" '
     }
     {
         text = $3
-        # Occurrences of each word, and of each `fn word` definition.
-        rest = text
-        while (match(rest, /[A-Za-z_][A-Za-z0-9_]*/)) {
-            seen[substr(rest, RSTART, RLENGTH)]++
-            rest = substr(rest, RSTART + RLENGTH)
-        }
-        rest = text
-        while (match(rest, /(^|[^A-Za-z0-9_])fn[ \t]+[A-Za-z_][A-Za-z0-9_]*/)) {
-            def = substr(rest, RSTART, RLENGTH); sub(/.*fn[ \t]+/, "", def)
-            defs[def]++
-            rest = substr(rest, RSTART + RLENGTH)
+        # Calls of each word: before `(` or `::<`, or after `::`. A
+        # `fn word` definition is not a call of it.
+        pos = 1
+        while (match(substr(text, pos), /[A-Za-z_][A-Za-z0-9_]*/)) {
+            at = pos + RSTART - 1
+            word = substr(text, at, RLENGTH)
+            pos = at + RLENGTH
+            before = substr(text, 1, at - 1)
+            if (before ~ /(^|[^A-Za-z0-9_])fn[ \t]+$/) continue
+            if (before ~ /::$/ || substr(text, pos) ~ /^(\(|::<)/) called[word]++
         }
         crate = $1; sub(/src\/.*/, "", crate)
         if (!(crate in is_engine)) next
@@ -130,7 +155,7 @@ awk -F '\t' -v engine="$engine" -v keep="$KEEP" '
     END {
         for (i = 1; i <= npub; i++) {
             name = pubname[i]
-            if (seen[name] > defs[name]) continue
+            if (called[name]) continue
             if (name in reason) {
                 printf "%s: %s  # KEEP: %s\n", where[i], name, reason[name]
                 listed[name] = 1
