@@ -45,9 +45,10 @@ pub enum ReplayMode {
     Serial,
     /// Dependency-aware wave schedule: independent pages replay
     /// concurrently on up to `workers` lanes — overlapped service
-    /// times in the simulator; `cblog-rt` reports the same waves but
-    /// for now replays them on the recovering thread.
-    /// `workers: 1` keeps the wave structure but serial timing.
+    /// times in the simulator. `workers: 1` keeps the wave structure
+    /// but serial timing. `cblog-rt` runs this mode as `Serial`: it
+    /// plans nothing and replays its pages one after another in page
+    /// order on the recovering thread (DESIGN §13).
     Parallel {
         /// Concurrent replay lanes (0 is treated as 1).
         workers: usize,

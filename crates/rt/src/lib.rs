@@ -44,6 +44,17 @@
 //! final state is interleaving-independent, so any divergence is an
 //! engine bug, not scheduling noise.
 //!
+//! # Recovery
+//!
+//! A crashed owner's log holds every record of its pages, so restart
+//! is node-local: one pass over each crashed log
+//! ([`Node::restart_redo`]) yields the loser table, the DPT and the
+//! redo records, and the dirty pages then replay in ascending page
+//! order through the PSN filter, one page at a time on the calling
+//! thread. Replay is confluent across pages (DESIGN §16), so no replay
+//! plan and no NodePSNList is built, and
+//! [`ReplayMode::Parallel`](cblog_core::ReplayMode) runs as `Serial`.
+//!
 //! # Observability (DESIGN §8)
 //!
 //! Real threaded runs carry the same observability stack as the
@@ -393,7 +404,7 @@ impl Runtime for ThreadCluster {
         let shared = RunShared::new(self);
         let forces_before: u64 = self.nodes.iter().map(|nd| nd.log().forces()).sum();
         let started = Instant::now();
-        let workers: Vec<Worker> = std::thread::scope(|s| {
+        let finished: Vec<Finished> = std::thread::scope(|s| {
             let handles: Vec<_> = std::mem::take(&mut self.nodes)
                 .into_iter()
                 .zip(ChannelMesh::endpoints(n))
@@ -415,15 +426,15 @@ impl Runtime for ThreadCluster {
         let mut msgs = 0;
         let mut node_stats = Vec::with_capacity(n);
         let mut bufs = Vec::with_capacity(n);
-        for w in workers {
-            report.committed += w.report.committed;
-            report.user_aborts += w.report.user_aborts;
-            report.forced_aborts += w.report.forced_aborts;
-            report.ops_executed += w.report.ops_executed;
-            msgs += w.ep.sent();
-            node_stats.push(w.stats());
-            bufs.push(w.buf);
-            self.nodes.push(w.node);
+        for f in finished {
+            report.committed += f.report.committed;
+            report.user_aborts += f.report.user_aborts;
+            report.forced_aborts += f.report.forced_aborts;
+            report.ops_executed += f.report.ops_executed;
+            msgs += f.sent;
+            node_stats.push(f.stats);
+            bufs.push(f.buf);
+            self.nodes.push(f.node);
         }
         let spans_before = self.trace.observed();
         self.trace.absorb(bufs);
@@ -830,9 +841,19 @@ fn roll_back(node: &mut Node, txn: TxnId) -> Result<()> {
     node.forget(txn)
 }
 
+/// What outlives a worker's run ([`Worker::run`]).
+struct Finished {
+    node: Node,
+    report: RunReport,
+    stats: RtNodeStats,
+    buf: SpanBuf,
+    /// Messages the worker's endpoint sent.
+    sent: u64,
+}
+
 /// One node's thread of a run, and everything it works with. The
 /// worker owns its state while the run lasts; [`Worker::run`] is its
-/// one way out and hands all of it back.
+/// one way out and hands back what outlives the run.
 struct Worker<'a> {
     node: Node,
     ep: ChannelEndpoint,
@@ -877,12 +898,19 @@ impl<'a> Worker<'a> {
         }
     }
 
-    /// Runs this node's share of the run and hands the worker back,
-    /// whatever happened: the lanes, one decrement of `remaining`,
-    /// then page-fetch service until every node's lanes are done. An
-    /// error — or a panic, so that the node is not lost with the
-    /// thread and the peers not left waiting — fails the run for all.
-    fn run(mut self) -> Self {
+    /// Runs this node's share of the run and hands the node and the
+    /// run's tallies back, whatever happened: the lanes, one decrement
+    /// of `remaining`, then page-fetch service until every node's lanes
+    /// are done. An error — or a panic, so that the node is not lost
+    /// with the thread and the peers not left waiting — fails the run
+    /// for all.
+    ///
+    /// The rest of the worker (its endpoint, scheduler and lanes) is
+    /// dropped here, on the thread that grew it. Freed by the joining
+    /// thread instead, its blocks landed in that thread's allocator
+    /// cache and served the caller's next allocations from this
+    /// thread's arena, which kept both arenas' pages resident.
+    fn run(mut self) -> Finished {
         let started = Instant::now();
         let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             let lanes = self.run_lanes();
@@ -902,7 +930,13 @@ impl<'a> Worker<'a> {
         }
         self.ep.drain();
         self.prof.wall_ns = nanos(started.elapsed());
-        self
+        Finished {
+            stats: self.stats(),
+            sent: self.ep.sent(),
+            report: self.report,
+            buf: self.buf,
+            node: self.node,
+        }
     }
 
     /// The wall-time split of this worker's run, converted from the
