@@ -280,7 +280,7 @@ impl PageUpdates {
 /// The ARIES analysis fold (paper §2.3.1 / §2.4): what a scan from the
 /// last complete checkpoint rebuilds, one record at a time — the loser
 /// transaction table and a conservative DPT superset, folded into
-/// [`Node::restart_pass`]'s collection.
+/// [`Node::restart_redo`]'s collection.
 #[derive(Default)]
 struct Analysis {
     att: IdMap<TxnId, TxnState>,
