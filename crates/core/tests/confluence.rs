@@ -170,23 +170,15 @@ fn restarted(mut nodes: Vec<Node>) -> (Vec<Node>, Vec<RedoRecords>, Vec<PageId>)
     (nodes, redo, dirty)
 }
 
-/// How one page's records are applied.
-#[derive(Clone, Copy, PartialEq)]
-enum Within {
-    /// The PSN filter over the page's records in log order.
-    LogOrder,
-    /// The filter over the page's records one at a time, last first.
-    Reversed,
-}
-
-/// Replays `order`'s pages from their disk images, each page's records
-/// as `within` says; returns every page's image, PSN included, in
-/// ascending page order, and the records applied.
+/// Replays `order`'s pages from their disk images through the PSN
+/// filter, each page's records in log order except `reversed`'s, which
+/// go one at a time, last first; returns every page's image, PSN
+/// included, in ascending page order, and the records applied.
 fn replay(
     nodes: &mut [Node],
     redo: &[RedoRecords],
     order: &[PageId],
-    within: impl Fn(PageId) -> Within,
+    reversed: Option<PageId>,
 ) -> (Vec<(PageId, Psn, Vec<u8>)>, u64) {
     let mut runs = Vec::new();
     let mut images = Vec::new();
@@ -195,21 +187,20 @@ fn replay(
         let owner = pid.owner.0 as usize;
         let (mut page, _) = nodes[owner].authoritative_copy(pid).unwrap();
         let records = &redo[owner];
-        match within(pid) {
-            Within::LogOrder => applied += records.replay(&mut page, 0, None, &mut runs).unwrap().1,
-            Within::Reversed => {
-                // The page's PSNs, from a replay of a copy in log order.
-                let mut copy = page.clone();
-                records.replay(&mut copy, 0, None, &mut runs).unwrap();
-                let psns: Vec<u64> = runs.iter().flat_map(|&(f, l, _)| f.0..=l.0).collect();
-                for &psn in psns.iter().rev() {
-                    let at = records.seek(pid, Psn(psn));
-                    applied += records
-                        .replay(&mut page, at, Some(Psn(psn)), &mut runs)
-                        .unwrap()
-                        .1;
-                }
+        if reversed == Some(pid) {
+            // The page's PSNs, from a replay of a copy in log order.
+            let mut copy = page.clone();
+            records.replay(&mut copy, 0, None, &mut runs).unwrap();
+            let psns: Vec<u64> = runs.iter().flat_map(|&(f, l, _)| f.0..=l.0).collect();
+            for &psn in psns.iter().rev() {
+                let at = records.seek(pid, Psn(psn));
+                applied += records
+                    .replay(&mut page, at, Some(Psn(psn)), &mut runs)
+                    .unwrap()
+                    .1;
             }
+        } else {
+            applied += records.replay(&mut page, 0, None, &mut runs).unwrap().1;
         }
         images.push((pid, page.psn(), page.to_bytes()));
     }
@@ -230,12 +221,12 @@ fn replay_is_confluent_across_pages() {
     for (name, nodes) in logs() {
         let (mut nodes, redo, ascending) = restarted(nodes);
         assert!(ascending.len() > 1, "{name}: more than one dirty page");
-        let (want, applied) = replay(&mut nodes, &redo, &ascending, |_| Within::LogOrder);
+        let (want, applied) = replay(&mut nodes, &redo, &ascending, None);
         assert!(applied > ascending.len() as u64, "{name}: redo has work");
         for seed in 0..8 {
             let mut order = ascending.clone();
             Rng::seed_from_u64(seed).shuffle(&mut order);
-            let (got, n) = replay(&mut nodes, &redo, &order, |_| Within::LogOrder);
+            let (got, n) = replay(&mut nodes, &redo, &order, None);
             assert_eq!(n, applied, "{name}, seed {seed}");
             assert!(got == want, "{name}: seed {seed}'s order changed an image");
         }
@@ -247,7 +238,7 @@ fn reversing_one_pages_records_is_caught() {
     // The check sees an order that matters: the one within a page.
     for (name, nodes) in logs() {
         let (mut nodes, redo, ascending) = restarted(nodes);
-        let (want, _) = replay(&mut nodes, &redo, &ascending, |_| Within::LogOrder);
+        let (want, _) = replay(&mut nodes, &redo, &ascending, None);
         // The page with the most records is the one reversed.
         let (victim, _) = ascending
             .iter()
@@ -261,14 +252,7 @@ fn reversing_one_pages_records_is_caught() {
             .unwrap();
         let mut order = ascending.clone();
         Rng::seed_from_u64(1).shuffle(&mut order);
-        let reversed = |pid| {
-            if pid == victim {
-                Within::Reversed
-            } else {
-                Within::LogOrder
-            }
-        };
-        let (got, _) = replay(&mut nodes, &redo, &order, reversed);
+        let (got, _) = replay(&mut nodes, &redo, &order, Some(victim));
         assert!(
             got != want,
             "{name}: reversing {victim}'s records went unseen"
