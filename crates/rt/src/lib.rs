@@ -220,8 +220,8 @@ pub struct RtNodeStats {
     /// Time spinning on contended page locks, net of the inbox
     /// service performed between spins, µs.
     pub lock_wait_us: u64,
-    /// Time replaying recovery waves, µs (0 for normal runs; filled
-    /// into the `prof/replay_us` gauge by `recover`).
+    /// Time replaying recovery's dirty pages, µs (0 for normal runs;
+    /// filled into the `prof/replay_us` gauge by `recover`).
     pub replay_us: u64,
 }
 
@@ -2132,8 +2132,7 @@ mod tests {
     const REC_OWNED: [u32; 2] = [4, 4];
 
     /// `rounds` transactions per page, each writing its one page
-    /// `writes` times: no transaction spans pages, so every page is
-    /// its own replay unit and all of them share one wave.
+    /// `writes` times: no transaction spans pages.
     fn chain_plans(first_round: u64, rounds: u64, writes: u64) -> Vec<TxnPlan> {
         let mut plans = Vec::new();
         for (node, &pages) in REC_OWNED.iter().enumerate() {

@@ -336,6 +336,15 @@ fn recovery_images_match_across_engines_and_replay_modes() {
         rt_serial.pages_recovered + rt_serial.pages_skipped_cached,
         total
     );
+    // The threaded engine plans nothing: one pass over the dirty pages,
+    // whose longest chain is one page's six records.
+    assert_eq!(rt_serial.replay_waves, 1);
+    assert_eq!(rt_serial.critical_path_psns, 6);
+    let [pass] = rt_serial.timings.replay_waves() else {
+        panic!("one pass, not {:?}", rt_serial.timings.replay_waves())
+    };
+    assert_eq!(pass.units, rt_serial.pages_recovered);
+    assert_eq!(pass.makespan_us, pass.serial_us);
     for workers in [2usize, 4, 8] {
         let (report, images) =
             rt_recovered(ReplayMode::Parallel { workers }, &format!("par{workers}"));
