@@ -54,13 +54,9 @@ pub mod keys {
     pub const PROF_REPLAY_US: &str = "prof/replay_us";
 
     // ---- crash recovery (DESIGN §13) ----
-    /// Gauge: replay waves in the last recovery's `ReplayPlan`.
-    pub const RECOVERY_REPLAY_WAVES: &str = "recovery/replay_waves";
-    /// Gauge: PSN count along the plan's critical path — the lower
-    /// bound on replay work no amount of parallelism removes.
+    /// Gauge: PSN intervals of the last recovery's heaviest page — the
+    /// lower bound on replay work no amount of parallelism removes.
     pub const RECOVERY_CRITICAL_PATH_PSNS: &str = "recovery/critical_path_psns";
-    /// Histogram: replay units per wave (wave width).
-    pub const RECOVERY_WAVE_WIDTH: &str = "recovery/wave_width";
 
     // ---- buffer pool ----
     /// Buffer hits.
@@ -148,9 +144,7 @@ mod tests {
             keys::PROF_NET_US,
             keys::PROF_LOCK_WAIT_US,
             keys::PROF_REPLAY_US,
-            keys::RECOVERY_REPLAY_WAVES,
             keys::RECOVERY_CRITICAL_PATH_PSNS,
-            keys::RECOVERY_WAVE_WIDTH,
             keys::BUF_HITS,
             keys::BUF_MISSES,
             keys::BUF_EVICTIONS,

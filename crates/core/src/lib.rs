@@ -57,8 +57,8 @@ pub use config::{ClusterConfig, ClusterConfigBuilder, GroupCommitPolicy, NodeCon
 pub use group_commit::{ForceScheduler, PendingCommit};
 pub use node::{AnalysisResult, Node, NodePsnEntry, RedoRecords};
 pub use recovery::{
-    plan_replay, recover, PhaseTimings, RecoveryOptions, RecoveryReport, ReplayMode, ReplayPlan,
-    ReplayUnit, WaveTiming,
+    plan_replay, recover, PhaseTimings, RecoveryOptions, RecoveryReport, ReplayMode, ReplayUnit,
+    WaveTiming,
 };
 pub use runtime::{drive, Driven, PlanOp, RunReport, Runtime, TxnPlan};
 pub use txn::{Savepoint, TxnState, TxnStatus};

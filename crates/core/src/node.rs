@@ -45,9 +45,8 @@ pub struct NodePsnEntry {
     /// Replay here resumes at the entry's PSN in the node's collected
     /// records instead ([`RedoRecords::seek`]).
     pub lsn: Lsn,
-    /// Transaction that wrote the burst. Replay planning uses this to
-    /// order pages touched by one multi-page transaction (DESIGN §13);
-    /// the replay protocol itself never reads it.
+    /// Transaction that wrote the burst: a new entry opens where the
+    /// page's writer changes. Replay orders nothing by it (DESIGN §13).
     pub txn: TxnId,
 }
 

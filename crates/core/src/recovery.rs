@@ -37,18 +37,18 @@ use cblog_net::{MsgHeader, MsgKind};
 use cblog_wal::DptEntry;
 use std::collections::{BTreeMap, BTreeSet};
 
-/// How the Redo pass executes the [`ReplayPlan`] (DESIGN §13).
+/// How the Redo pass executes the pages' [`ReplayUnit`]s (DESIGN §13).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum ReplayMode {
     /// The paper's §2.3.4 protocol verbatim: pages replay one after
     /// another, each shuttling serially among its involved nodes.
     Serial,
-    /// Dependency-aware wave schedule: independent pages replay
-    /// concurrently on up to `workers` lanes — overlapped service
-    /// times in the simulator. `workers: 1` keeps the wave structure
-    /// but serial timing. `cblog-rt` runs this mode as `Serial`: it
-    /// plans nothing and replays its pages one after another in page
-    /// order on the recovering thread (DESIGN §13).
+    /// Pages replay concurrently on up to `workers` lanes: the
+    /// simulator measures each page's serial service time and charges
+    /// the LPT packing of all of them onto the lanes. `workers: 1`
+    /// charges the serial sum. `cblog-rt` runs this mode as `Serial`:
+    /// it replays its pages one after another in page order on the
+    /// recovering thread (DESIGN §13).
     Parallel {
         /// Concurrent replay lanes (0 is treated as 1).
         workers: usize,
@@ -171,25 +171,31 @@ pub struct RecoveryReport {
     /// Torn log-tail bytes discarded by checksum repair at restart.
     pub torn_bytes_discarded: u64,
     /// Per-phase duration breakdown — the "where does restart time
-    /// go" view of §2.3/§2.4, plus the per-wave replay split when the
-    /// run used [`ReplayMode::Parallel`].
+    /// go" view of §2.3/§2.4, plus the replay pass's [`WaveTiming`]
+    /// where the engine records one.
     pub timings: PhaseTimings,
-    /// Waves in the run's [`ReplayPlan`] (0 when nothing replayed).
+    /// Replay passes: 1 when a page was replayed, 0 otherwise. Pages
+    /// replay independently of one another, so on both engines the
+    /// Redo phase is one pass over every page.
     pub replay_waves: usize,
-    /// PSN intervals on the plan's critical path — the serial floor no
-    /// amount of replay parallelism removes.
+    /// The heaviest page's replay work — the serial floor no amount of
+    /// replay parallelism removes. The simulator counts that page's
+    /// PSN intervals ([`ReplayUnit::psn_intervals`]); `cblog-rt`
+    /// counts the records it replayed on its heaviest page.
     pub critical_path_psns: u64,
 }
 
-/// Timing of one replay wave under [`ReplayMode::Parallel`].
+/// Timing of the Redo pass over all pages: recorded by the simulator
+/// under [`ReplayMode::Parallel`], and by `cblog-rt` for its one serial
+/// pass.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct WaveTiming {
-    /// Replay units (pages) the wave contained.
+    /// Replay units (pages) the pass contained.
     pub units: usize,
-    /// Sum of the units' service times — what the wave would have
+    /// Sum of the units' service times — what the pass would have
     /// cost replayed serially.
     pub serial_us: u64,
-    /// Simulated time the wave actually took: an LPT packing of the
+    /// Time the pass took. In the simulator, an LPT packing of the
     /// unit durations onto the configured worker lanes.
     pub makespan_us: u64,
 }
@@ -218,7 +224,7 @@ impl PhaseTimings {
         self.us[Self::idx(phase)] += us;
     }
 
-    /// Attaches the per-wave replay breakdown.
+    /// Attaches the replay pass's timing.
     pub fn set_replay_waves(&mut self, waves: Vec<WaveTiming>) {
         self.replay_waves = waves;
     }
@@ -238,7 +244,8 @@ impl PhaseTimings {
         RecoveryPhase::ALL.iter().map(move |&p| (p, self.us(p)))
     }
 
-    /// Per-wave replay breakdown (empty under [`ReplayMode::Serial`]).
+    /// The replay pass's timing: empty when nothing was replayed, and
+    /// in the simulator also under [`ReplayMode::Serial`].
     pub fn replay_waves(&self) -> &[WaveTiming] {
         &self.replay_waves
     }
@@ -359,79 +366,42 @@ pub struct ReplayUnit {
     /// merged (keeping the minimum PSN): `(start_psn, node)`.
     pub hops: Vec<(Psn, NodeId)>,
     /// PSN intervals (transaction bursts) recorded for the page across
-    /// all lists — the unit's weight in the dependency graph.
+    /// all lists — the unit's replay work, and its weight in the LPT
+    /// packing of [`ReplayMode::Parallel`].
     pub psn_intervals: u64,
 }
 
-/// The Redo pass as data: which pages replay, in which concurrency
-/// waves, and how long the unavoidable serial chain is. Built by
-/// [`plan_replay`] at the end of Analysis — a pure function of the
-/// merged NodePSNLists, shared verbatim by the simulator and the
-/// threaded engine (DESIGN §13).
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct ReplayPlan {
-    /// Replay units in ascending page order — the exact order the
-    /// serial protocol visits them.
-    pub units: Vec<ReplayUnit>,
-    /// Wave schedule: indices into `units`; every unit in a wave is
-    /// independent of the others and may replay concurrently, and no
-    /// unit appears before all its dependency-graph predecessors.
-    pub waves: Vec<Vec<usize>>,
-    /// PSN intervals along the longest dependency chain — the lower
-    /// bound on replay work no amount of parallelism removes.
-    pub critical_path_psns: u64,
-}
-
-/// Builds the PSN-interval dependency graph and its wave schedule.
+/// Builds each page's [`ReplayUnit`] from the merged NodePSNLists, in
+/// ascending page order — the order the serial protocol visits them.
+/// A pure function, called at the end of the simulator's NodePSNList
+/// phase (DESIGN §13).
 ///
-/// Vertices are pages (one [`ReplayUnit`] each, carrying the merged
-/// per-page PSN chain). Cross-page edges exist only where a
-/// multi-page transaction orders two pages: if one node's log shows
-/// transaction T updating page P before page Q, P must not start
-/// *after* Q's wave — the wave schedule replays P no later than Q,
-/// mirroring the dependency-logging literature. Page transfers never
-/// add cross-page edges: a transfer moves one page, and that ordering
-/// is already the unit's own hop chain.
-///
-/// Correctness never hangs on the edges: each page's replay applies
-/// only records whose stored PSN matches the page's current PSN
-/// (§2.3.2's filter), so per-page PSN order — the invariant the span
-/// watchdog enforces — holds in any cross-page interleaving. The
-/// edges shape the *schedule*; should they ever form a cycle (two
-/// transactions observing the pages in opposite orders on different
-/// logs), the members simply share one final wave.
+/// A unit's hop chain is the only order replay needs. Every log record
+/// names one page, and the PSN filter (§2.3.2) applies a page's
+/// records only at that page's own PSN, so pages replay independently
+/// of one another: in any order, or concurrently (DESIGN §16, "replay
+/// is confluent across pages"). A multi-page transaction orders
+/// nothing across its pages.
 pub fn plan_replay(
     involved: &BTreeMap<PageId, Vec<NodeId>>,
     psn_lists: &BTreeMap<NodeId, Vec<NodePsnEntry>>,
-) -> ReplayPlan {
-    // One pass over the lists, O(entries), does both jobs that need
-    // an entry's page looked up: it tags the entry with its page's
-    // unit (if its node is involved there), and it chains the pages
-    // each transaction touches within a log's list (LSN order) into
-    // cross-page edges. Two counting sorts by unit, O(entries +
-    // units), then group the entries into each unit's chain and the
-    // edges into each unit's successor list; only those short slices
-    // are sorted.
+) -> Vec<ReplayUnit> {
+    // One pass over the lists, O(entries), tags each entry with its
+    // page's unit if its node is involved there. A counting sort by
+    // unit, O(entries + units), then groups the entries into each
+    // unit's chain; only those short slices are sorted.
     let n = involved.len();
     let unit_of: IdMap<PageId, u32> = involved.keys().copied().zip(0..).collect();
     let nodes_of: Vec<&Vec<NodeId>> = involved.values().collect();
-    // Each list entry adds at most one entry and one edge.
     let listed = psn_lists.values().map(Vec::len).sum();
     let mut entries: Vec<(u32, Psn, NodeId)> = Vec::with_capacity(listed);
-    let mut edges: Vec<(u32, u32)> = Vec::with_capacity(listed);
     for (&node, list) in psn_lists {
-        let mut last_of_txn: IdMap<TxnId, u32> = IdMap::default();
         for e in list {
-            let Some(&u) = unit_of.get(&e.pid) else {
-                continue;
-            };
-            if nodes_of[u as usize].contains(&node) {
-                entries.push((u, e.psn, node));
-            }
-            if let Some(prev) = last_of_txn.insert(e.txn, u) {
-                if prev != u {
-                    edges.push((prev, u));
+            match unit_of.get(&e.pid) {
+                Some(&u) if nodes_of[u as usize].contains(&node) => {
+                    entries.push((u, e.psn, node));
                 }
+                _ => {}
             }
         }
     }
@@ -454,65 +424,7 @@ pub fn plan_replay(
             psn_intervals: mine.len() as u64,
         });
     }
-    // Each unit's successors, ascending and without repeats:
-    // `succ[succ_at[u]..succ_at[u + 1]]`.
-    let (mut edges, edge_at) = group_by_key(&edges, n, |e| e.0);
-    let mut succ: Vec<u32> = Vec::with_capacity(edges.len());
-    let mut succ_at: Vec<usize> = Vec::with_capacity(n + 1);
-    let mut indeg: Vec<usize> = vec![0; n];
-    succ_at.push(0);
-    for u in 0..n {
-        let mine = &mut edges[edge_at[u]..edge_at[u + 1]];
-        mine.sort_unstable();
-        let start = succ.len();
-        for &(_, v) in mine.iter() {
-            if succ[start..].last() != Some(&v) {
-                succ.push(v);
-                indeg[v as usize] += 1;
-            }
-        }
-        succ_at.push(succ.len());
-    }
-    // Kahn leveling: each wave is the currently dependency-free set,
-    // and `dist` accumulates the weighted longest path.
-    let mut waves: Vec<Vec<usize>> = Vec::new();
-    let mut dist: Vec<u64> = vec![0; n];
-    let mut done: Vec<bool> = vec![false; n];
-    let mut ready: Vec<usize> = (0..n).filter(|&i| indeg[i] == 0).collect();
-    let mut critical = 0u64;
-    while !ready.is_empty() {
-        let mut next = Vec::new();
-        for &u in &ready {
-            done[u] = true;
-            dist[u] += units[u].psn_intervals;
-            critical = critical.max(dist[u]);
-            for &v in &succ[succ_at[u]..succ_at[u + 1]] {
-                let v = v as usize;
-                dist[v] = dist[v].max(dist[u]);
-                indeg[v] -= 1;
-                if indeg[v] == 0 {
-                    next.push(v);
-                }
-            }
-        }
-        waves.push(std::mem::take(&mut ready));
-        ready = next;
-    }
-    let leftover: Vec<usize> = (0..n).filter(|&i| !done[i]).collect();
-    if !leftover.is_empty() {
-        // Cyclic remainder: correctness-safe in one shared wave (see
-        // above); count every member's weight against the critical
-        // path — a cycle is serial however it is scheduled.
-        let base = critical;
-        let cycle_weight: u64 = leftover.iter().map(|&u| units[u].psn_intervals).sum();
-        critical = critical.max(base + cycle_weight);
-        waves.push(leftover);
-    }
-    ReplayPlan {
-        units,
-        waves,
-        critical_path_psns: critical,
-    }
+    units
 }
 
 /// Counting sort: `items` grouped by `key`, every key below `n`, in
@@ -547,7 +459,7 @@ pub(crate) fn group_by_key<T: Copy>(
 }
 
 /// Longest-processing-time packing of `durs` onto `workers` lanes;
-/// returns the makespan — the simulated duration of a wave whose
+/// returns the makespan — the simulated duration of a Redo pass whose
 /// units run concurrently on that many lanes.
 fn lpt_makespan(durs: &[SimTime], workers: usize) -> SimTime {
     let mut sorted: Vec<SimTime> = durs.to_vec();
@@ -605,7 +517,7 @@ pub(crate) fn recover_sim(cluster: &mut Cluster, opts: &RecoveryOptions) -> Resu
     // normal processing. The scope is restored even on the early
     // returns (crash-after injection, owner-down). The overlap
     // accumulator is cleared unconditionally for the same reason: an
-    // error unwinding out of a parallel wave measurement would
+    // error unwinding out of a parallel unit's measurement would
     // otherwise leave the transport swallowing every later clock
     // advance — `pump_commits` would spin on a clock that never moves.
     cluster.network_mut().set_attribution(Some(Bucket::Replay));
@@ -1056,25 +968,50 @@ fn recover_inner(cluster: &mut Cluster, opts: &RecoveryOptions) -> Result<Recove
         root,
     )?;
 
-    // ---- Phase 7: Redo, driven by the dependency-graph wave schedule
-    // (DESIGN §13). Planning is a pure function of the merged
-    // NodePSNLists; Serial mode then executes the units in the paper's
-    // ascending page order, Parallel mode wave by wave with the units
-    // of a wave overlapping on up to `workers` lanes — each unit's
-    // serial service time is measured with the transport's overlap
-    // accumulator and the wall advances once per wave by the LPT
-    // makespan. ----
+    // ---- Phase 7: Redo (DESIGN §13). Each page's unit replays its hop
+    // chain, and pages are independent of one another. Serial mode
+    // replays the units in the paper's ascending page order. Parallel
+    // mode measures each unit's serial service time with the
+    // transport's overlap accumulator, then advances the wall once by
+    // the LPT makespan of all units on `workers` lanes. ----
     let involved_map: BTreeMap<PageId, Vec<NodeId>> = plans
         .iter()
         .map(|(pid, p)| (*pid, p.involved.iter().map(|(n, _)| *n).collect()))
         .collect();
-    let rplan = plan_replay(&involved_map, &psn_lists);
-    report.replay_waves = rplan.waves.len();
-    report.critical_path_psns = rplan.critical_path_psns;
-    let mut wave_timings: Vec<WaveTiming> = Vec::new();
+    let units = plan_replay(&involved_map, &psn_lists);
+    report.replay_waves = usize::from(!units.is_empty());
+    report.critical_path_psns = units.iter().map(|u| u.psn_intervals).max().unwrap_or(0);
     match opts.replay {
-        ReplayMode::Serial => {
-            for unit in &rplan.units {
+        ReplayMode::Parallel { workers } if !units.is_empty() => {
+            let mut durs: Vec<SimTime> = Vec::with_capacity(units.len());
+            for unit in &units {
+                let coord = coord_of(unit.pid.owner);
+                cluster.network_mut().begin_overlap();
+                let r = replay_unit(
+                    cluster,
+                    coord,
+                    unit,
+                    &involved_map[&unit.pid],
+                    &redo,
+                    &mut report,
+                    root,
+                );
+                // End the measurement even on error — the outer
+                // wrapper also clears it, belt and braces.
+                let d = cluster.network_mut().end_overlap();
+                r?;
+                durs.push(d);
+            }
+            let makespan_us = lpt_makespan(&durs, workers);
+            cluster.network_mut().advance_time(makespan_us);
+            timings.set_replay_waves(vec![WaveTiming {
+                units: units.len(),
+                serial_us: durs.iter().sum(),
+                makespan_us,
+            }]);
+        }
+        _ => {
+            for unit in &units {
                 let coord = coord_of(unit.pid.owner);
                 replay_unit(
                     cluster,
@@ -1087,52 +1024,13 @@ fn recover_inner(cluster: &mut Cluster, opts: &RecoveryOptions) -> Result<Recove
                 )?;
             }
         }
-        ReplayMode::Parallel { workers } => {
-            let workers = workers.max(1);
-            for wave in &rplan.waves {
-                let mut durs: Vec<SimTime> = Vec::with_capacity(wave.len());
-                for &ui in wave {
-                    let unit = &rplan.units[ui];
-                    let coord = coord_of(unit.pid.owner);
-                    cluster.network_mut().begin_overlap();
-                    let r = replay_unit(
-                        cluster,
-                        coord,
-                        unit,
-                        &involved_map[&unit.pid],
-                        &redo,
-                        &mut report,
-                        root,
-                    );
-                    // End the measurement even on error — the outer
-                    // wrapper also clears it, belt and braces.
-                    let d = cluster.network_mut().end_overlap();
-                    r?;
-                    durs.push(d);
-                }
-                let serial_us: u64 = durs.iter().sum();
-                let makespan_us = lpt_makespan(&durs, workers);
-                cluster.network_mut().advance_time(makespan_us);
-                wave_timings.push(WaveTiming {
-                    units: wave.len(),
-                    serial_us,
-                    makespan_us,
-                });
-            }
-        }
     }
-    timings.set_replay_waves(wave_timings);
-    // Surface the plan shape on every recovered node's registry.
     for &c in crashed {
-        let reg = cluster.node(c).registry();
-        reg.gauge(keys::RECOVERY_REPLAY_WAVES)
-            .set(rplan.waves.len() as i64);
-        reg.gauge(keys::RECOVERY_CRITICAL_PATH_PSNS)
-            .set(rplan.critical_path_psns as i64);
-        let widths = reg.histogram(keys::RECOVERY_WAVE_WIDTH);
-        for w in &rplan.waves {
-            widths.record(w.len() as u64);
-        }
+        cluster
+            .node(c)
+            .registry()
+            .gauge(keys::RECOVERY_CRITICAL_PATH_PSNS)
+            .set(report.critical_path_psns as i64);
     }
 
     // Remote-owned candidates: the crashed node replays its own log
@@ -1947,8 +1845,8 @@ mod tests {
         }
     }
 
-    /// Pages with no shared transactions are independent: one wave,
-    /// full width, critical path = deepest single chain.
+    /// Pages with no shared transactions: one unit each, in page
+    /// order, and the critical path is the heaviest unit's weight.
     #[test]
     fn plan_independent_pages_form_one_wave() {
         let p0 = pid(0, 0);
@@ -1968,81 +1866,24 @@ mod tests {
                 entry(p2, 1, 40, 1, 4),
             ],
         );
-        let plan = plan_replay(&involved, &lists);
-        assert_eq!(plan.units.len(), 3);
-        assert_eq!(plan.waves.len(), 1, "no cross-page edges → one wave");
-        assert_eq!(plan.waves[0].len(), 3);
-        assert_eq!(plan.critical_path_psns, 2, "deepest chain is p1's");
+        let units = plan_replay(&involved, &lists);
+        let pids: Vec<PageId> = units.iter().map(|u| u.pid).collect();
+        assert_eq!(pids, vec![p0, p1, p2]);
+        assert_eq!(units[1].hops, vec![(Psn(1), NodeId(1))], "one burst node");
+        let (_, critical) = plan_replay_reference(&involved, &lists);
+        assert_eq!(critical, 2, "the heaviest unit is p1's");
     }
 
-    /// A multi-page transaction orders its pages: the page it touched
-    /// later must wait for the earlier one's wave.
-    #[test]
-    fn plan_multi_page_txn_orders_waves() {
-        let p0 = pid(0, 0);
-        let p1 = pid(0, 1);
-        let mut involved = BTreeMap::new();
-        involved.insert(p0, vec![NodeId(1)]);
-        involved.insert(p1, vec![NodeId(1)]);
-        // Txn 7 touches p0 at LSN 10 then p1 at LSN 20.
-        let mut lists = BTreeMap::new();
-        lists.insert(
-            NodeId(1),
-            vec![entry(p0, 1, 10, 1, 7), entry(p1, 1, 20, 1, 7)],
-        );
-        let plan = plan_replay(&involved, &lists);
-        assert_eq!(plan.waves.len(), 2, "p1 depends on p0");
-        let first = &plan.units[plan.waves[0][0]];
-        let second = &plan.units[plan.waves[1][0]];
-        assert_eq!(first.pid, p0);
-        assert_eq!(second.pid, p1);
-        assert_eq!(plan.critical_path_psns, 2, "both intervals on the path");
-    }
-
-    /// Opposing multi-page transactions in two logs create a cycle;
-    /// the planner collapses it into a final wave instead of hanging
-    /// (the PSN filter self-orders correctness, edges only schedule).
-    #[test]
-    fn plan_cycle_collapses_into_final_wave() {
-        let p0 = pid(0, 0);
-        let p1 = pid(0, 1);
-        let p2 = pid(0, 2);
-        let mut involved = BTreeMap::new();
-        for p in [p0, p1, p2] {
-            involved.insert(p, vec![NodeId(1), NodeId(2)]);
-        }
-        let mut lists = BTreeMap::new();
-        // Node 1's txn 1: p0 then p1. Node 2's txn 1: p1 then p0 —
-        // a 2-cycle. p2 stays independent.
-        lists.insert(
-            NodeId(1),
-            vec![
-                entry(p0, 1, 10, 1, 1),
-                entry(p1, 2, 20, 1, 1),
-                entry(p2, 1, 30, 1, 2),
-            ],
-        );
-        lists.insert(
-            NodeId(2),
-            vec![entry(p1, 1, 10, 2, 1), entry(p0, 2, 20, 2, 1)],
-        );
-        let plan = plan_replay(&involved, &lists);
-        let total: usize = plan.waves.iter().map(|w| w.len()).sum();
-        assert_eq!(total, 3, "every unit is scheduled despite the cycle");
-        let last = plan.waves.last().unwrap();
-        assert_eq!(last.len(), 2, "the cyclic pair lands in the final wave");
-        assert!(plan.critical_path_psns >= 2);
-    }
-
-    /// The planner as first written, kept as the reference: every page
-    /// filters every involved node's whole list, O(pages × entries).
-    /// [`plan_replay`] groups in one pass and must equal it exactly.
+    /// Every page filters every involved node's whole list, O(pages ×
+    /// entries), kept as the reference: [`plan_replay`] groups in one
+    /// pass and must build the same units. Also returns the critical
+    /// path, the heaviest unit's weight, as the Redo phase reports it.
     fn plan_replay_reference(
         involved: &BTreeMap<PageId, Vec<NodeId>>,
         psn_lists: &BTreeMap<NodeId, Vec<NodePsnEntry>>,
-    ) -> ReplayPlan {
+    ) -> (Vec<ReplayUnit>, u64) {
         let mut units: Vec<ReplayUnit> = Vec::with_capacity(involved.len());
-        let mut unit_of: BTreeMap<PageId, usize> = BTreeMap::new();
+        let mut critical = 0;
         for (&pid, nodes) in involved {
             let mut entries: Vec<(Psn, NodeId)> = Vec::new();
             for &n in nodes {
@@ -2053,6 +1894,7 @@ mod tests {
                 }
             }
             let psn_intervals = entries.len() as u64;
+            critical = critical.max(psn_intervals);
             entries.sort();
             let mut hops: Vec<(Psn, NodeId)> = Vec::new();
             for e in entries {
@@ -2062,75 +1904,33 @@ mod tests {
                     _ => hops.push(e),
                 }
             }
-            unit_of.insert(pid, units.len());
             units.push(ReplayUnit {
                 pid,
                 hops,
                 psn_intervals,
             });
         }
-        // Cross-page edges from multi-page transactions: within each log's
-        // list (LSN order), chain the pages each transaction touches.
-        let n = units.len();
-        let mut succs: Vec<BTreeSet<usize>> = vec![BTreeSet::new(); n];
-        let mut indeg: Vec<usize> = vec![0; n];
-        for list in psn_lists.values() {
-            let mut last_of_txn: IdMap<TxnId, usize> = IdMap::default();
-            for e in list {
-                let Some(&u) = unit_of.get(&e.pid) else {
-                    continue;
-                };
-                if let Some(&prev) = last_of_txn.get(&e.txn) {
-                    if prev != u && succs[prev].insert(u) {
-                        indeg[u] += 1;
-                    }
-                }
-                last_of_txn.insert(e.txn, u);
-            }
-        }
-        // Kahn leveling: each wave is the currently dependency-free set,
-        // and `dist` accumulates the weighted longest path.
-        let mut waves: Vec<Vec<usize>> = Vec::new();
-        let mut dist: Vec<u64> = vec![0; n];
-        let mut done: Vec<bool> = vec![false; n];
-        let mut ready: Vec<usize> = (0..n).filter(|&i| indeg[i] == 0).collect();
-        let mut critical = 0u64;
-        while !ready.is_empty() {
-            let mut next = Vec::new();
-            for &u in &ready {
-                done[u] = true;
-                dist[u] += units[u].psn_intervals;
-                critical = critical.max(dist[u]);
-                for &v in &succs[u] {
-                    dist[v] = dist[v].max(dist[u]);
-                    indeg[v] -= 1;
-                    if indeg[v] == 0 {
-                        next.push(v);
-                    }
-                }
-            }
-            waves.push(std::mem::take(&mut ready));
-            ready = next;
-        }
-        let leftover: Vec<usize> = (0..n).filter(|&i| !done[i]).collect();
-        if !leftover.is_empty() {
-            // Cyclic remainder: correctness-safe in one shared wave (see
-            // above); count every member's weight against the critical
-            // path — a cycle is serial however it is scheduled.
-            let base = critical;
-            let cycle_weight: u64 = leftover.iter().map(|&u| units[u].psn_intervals).sum();
-            critical = critical.max(base + cycle_weight);
-            waves.push(leftover);
-        }
-        ReplayPlan {
-            units,
-            waves,
-            critical_path_psns: critical,
-        }
+        (units, critical)
+    }
+
+    /// Asserts that [`plan_replay`] builds the reference's units, and
+    /// that the Redo phase's critical path (the heaviest unit's
+    /// weight) is the reference's; returns the units.
+    fn assert_plan_is_reference(
+        involved: &BTreeMap<PageId, Vec<NodeId>>,
+        lists: &BTreeMap<NodeId, Vec<NodePsnEntry>>,
+        what: &str,
+    ) -> Vec<ReplayUnit> {
+        let units = plan_replay(involved, lists);
+        let (want, critical) = plan_replay_reference(involved, lists);
+        assert_eq!(units, want, "{what}");
+        let heaviest = units.iter().map(|u| u.psn_intervals).max();
+        assert_eq!(heaviest.unwrap_or(0), critical, "{what}");
+        units
     }
 
     /// Random multi-node lists: transactions over several pages in
-    /// random page order (so logs disagree and cycles form), pages
+    /// random page order (so the logs disagree on page order), pages
     /// that nobody asked about, involved nodes without entries and
     /// nodes with entries for pages they are not involved in.
     fn random_plan_input(
@@ -2177,47 +1977,12 @@ mod tests {
 
     #[test]
     fn plan_equals_the_per_page_filter_reference_on_random_lists() {
-        let mut cycles = 0;
-        let mut multi_wave = 0;
         for seed in 0..400 {
             let (involved, lists) = random_plan_input(seed);
-            let plan = plan_replay(&involved, &lists);
-            assert_eq!(
-                plan,
-                plan_replay_reference(&involved, &lists),
-                "seed {seed}"
-            );
-            multi_wave += (plan.waves.len() > 1) as usize;
-            // Leveling never puts an edge inside a wave, so an edge
-            // between two members of one wave marks the cyclic rest.
-            let mut wave_of = BTreeMap::new();
-            for (w, wave) in plan.waves.iter().enumerate() {
-                for &u in wave {
-                    wave_of.insert(plan.units[u].pid, w);
-                }
-            }
-            assert_eq!(
-                wave_of.len(),
-                plan.units.len(),
-                "seed {seed}: all scheduled once"
-            );
-            cycles += lists.values().any(|list| {
-                list.iter().enumerate().any(|(i, a)| {
-                    let next = list[i + 1..].iter().find(|b| b.txn == a.txn);
-                    next.is_some_and(|b| {
-                        a.pid != b.pid
-                            && wave_of.contains_key(&a.pid)
-                            && wave_of.get(&a.pid) == wave_of.get(&b.pid)
-                    })
-                })
-            }) as usize;
+            assert_plan_is_reference(&involved, &lists, &format!("seed {seed}"));
         }
-        assert!(multi_wave > 100, "multi-page transactions order waves");
-        assert!(
-            cycles > 20,
-            "opposite-order transactions form cycles: {cycles}"
-        );
-        // The hand-built opposite-order cycle of the test above, too.
+        // Opposite-order multi-page transactions in two logs: each page
+        // still gets its own two-hop chain.
         let (p0, p1) = (pid(0, 0), pid(0, 1));
         let involved = BTreeMap::from([
             (p0, vec![NodeId(1), NodeId(2)]),
@@ -2233,14 +1998,14 @@ mod tests {
                 vec![entry(p1, 1, 10, 2, 1), entry(p0, 2, 20, 2, 1)],
             ),
         ]);
-        let plan = plan_replay(&involved, &lists);
-        assert_eq!(plan.waves, vec![vec![0, 1]], "the cycle shares one wave");
-        assert_eq!(plan, plan_replay_reference(&involved, &lists));
+        let units = assert_plan_is_reference(&involved, &lists, "opposite orders");
+        assert_eq!(units[0].hops, vec![(Psn(1), NodeId(1)), (Psn(2), NodeId(2))]);
+        assert_eq!(units[1].hops, vec![(Psn(1), NodeId(2)), (Psn(2), NodeId(1))]);
     }
 
     /// Entries over `pages` pages from `nodes` logs: transactions touch
-    /// one to six pages each, in random order, so the logs disagree
-    /// and cycles form; each node is involved in about two pages of
+    /// one to six pages each, in random order, so the logs disagree on
+    /// page order; each node is involved in about two pages of
     /// three, and some pages are recovered by nobody.
     fn large_plan_input(
         seed: u64,
@@ -2326,24 +2091,17 @@ mod tests {
         // ≥ 10³ pages and ≥ 10⁴ entries from three disagreeing logs.
         let (involved, lists) = large_plan_input(7, 3, 1200, 1500);
         assert!(lists.values().map(Vec::len).sum::<usize>() >= 10_000);
-        let plan = plan_replay(&involved, &lists);
-        assert_eq!(plan, plan_replay_reference(&involved, &lists));
-        assert!(plan.units.len() >= 1000);
+        let units = assert_plan_is_reference(&involved, &lists, "three logs");
+        assert!(units.len() >= 1000);
         // The `crash-recover` shape: 8 lanes of page-sorted 16-page
-        // transactions over 1024 pages, a deep acyclic wave schedule.
+        // transactions over 1024 pages.
         let (involved, lists) = lanes_plan_input(11, 1024, 8, 128);
-        let plan = plan_replay(&involved, &lists);
-        assert_eq!(plan, plan_replay_reference(&involved, &lists));
-        assert!(plan.waves.len() > 2 && plan.units.len() == 1024);
-        // The small cyclic multi-node inputs, grown tenfold.
+        let units = assert_plan_is_reference(&involved, &lists, "crash-recover shape");
+        assert_eq!(units.len(), 1024);
+        // The small multi-node inputs, grown tenfold.
         for seed in 0..20 {
             let (involved, lists) = large_plan_input(seed, 3, 40, 60);
-            let plan = plan_replay(&involved, &lists);
-            assert_eq!(
-                plan,
-                plan_replay_reference(&involved, &lists),
-                "seed {seed}"
-            );
+            assert_plan_is_reference(&involved, &lists, &format!("seed {seed}"));
         }
     }
 
@@ -2368,9 +2126,9 @@ mod tests {
         }
         let lists = BTreeMap::from([(NodeId(0), list)]);
         let t = std::time::Instant::now();
-        let plan = plan_replay(&involved, &lists);
+        let units = plan_replay(&involved, &lists);
         let took = t.elapsed();
-        assert_eq!(plan.units.len(), 1000);
+        assert_eq!(units.len(), 1000);
         assert!(
             took < std::time::Duration::from_millis(50),
             "planning 10^5 entries took {took:?}"
@@ -2443,9 +2201,9 @@ mod tests {
         }
     }
 
-    /// Parallel replay overlaps the waves' unit service times: with
-    /// many independent pages the Replay phase takes less sim-time
-    /// than the serial protocol, and the per-wave split is reported.
+    /// Parallel replay overlaps the units' service times: with many
+    /// independent pages the Replay phase takes less sim-time than the
+    /// serial protocol, and the pass's split is reported.
     #[test]
     fn parallel_replay_shortens_replay_phase() {
         let mut serial_c = crash_scene(8);
@@ -2470,13 +2228,8 @@ mod tests {
         for w in waves {
             assert!(w.makespan_us <= w.serial_us, "packing cannot exceed serial");
         }
-        // The new metrics are published on the recovered node.
+        // The critical path is published on the recovered node.
         let reg = par_c.node(NodeId(0)).registry();
-        assert_eq!(
-            reg.gauge(cblog_common::metrics::keys::RECOVERY_REPLAY_WAVES)
-                .get(),
-            par.replay_waves as i64
-        );
         assert_eq!(
             reg.gauge(cblog_common::metrics::keys::RECOVERY_CRITICAL_PATH_PSNS)
                 .get(),

@@ -103,10 +103,14 @@ pub trait Runtime {
     fn metrics(&self) -> Snapshot;
 
     /// Runs distributed crash recovery per `opts` (paper §2.3/§2.4).
-    /// Both engines plan Redo through the same pure [`crate::plan_replay`]
-    /// step: under [`crate::ReplayMode::Parallel`] the simulator
-    /// overlaps the service times of a wave's units; the threaded
-    /// engine replays the waves in order on the calling thread.
+    /// Both engines replay each dirty page alone under the PSN filter,
+    /// in one pass over the pages. The simulator merges the involved
+    /// nodes' NodePSNLists into each page's hop chain
+    /// ([`crate::plan_replay`]), and under
+    /// [`crate::ReplayMode::Parallel`] it overlaps the pages' service
+    /// times. The threaded engine's writes are owner-local, so it
+    /// replays each page from its owner's log, in page order on the
+    /// calling thread.
     fn recover(&mut self, opts: &RecoveryOptions) -> Result<RecoveryReport>;
 }
 

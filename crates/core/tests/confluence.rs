@@ -6,19 +6,31 @@
 //! order gives the same images: the order *across* pages carries no
 //! information, and only the order *within* a page does. This is what
 //! lets the threaded engine replay its dirty pages in ascending page
-//! order with no replay plan.
+//! order, and the simulator replay each page's hop chain with no
+//! cross-page schedule.
 //!
-//! Three logs are checked: the shape of the benchmark's
+//! Three owner-local logs are checked: the shape of the benchmark's
 //! `crash-recover` workload, scaled down; the recovery workload of
 //! `rt/tests/equivalence.rs`; and multi-page transactions whose page
 //! orders form a cycle. Each is replayed in ascending page order and
 //! in seeded permutations, and the images, PSNs included, must be
 //! byte-identical. The must-fail check reverses one page's records and
 //! expects a different image.
+//!
+//! The cross-log case runs on the simulator's `Cluster`: two clients
+//! and the owner write the owner's pages, in opposite page orders on
+//! different nodes, so each page's hop chain spans two or three logs.
+//! The owner crashes, and each page's unit from [`plan_replay`] is
+//! replayed hop by hop in ascending and in permuted page order; the
+//! images must equal each other and the owner's images before the
+//! crash. Its must-fail twin swaps two hops of one page.
 
-use cblog_common::{Lsn, NodeId, PageId, Psn, Rng, TxnId};
+use cblog_common::{CostModel, Lsn, NodeId, PageId, Psn, Rng, TxnId};
 use cblog_core::node::RollbackStep;
-use cblog_core::{Node, NodeConfig, RedoRecords};
+use cblog_core::{
+    plan_replay, Cluster, ClusterConfig, Node, NodeConfig, NodePsnEntry, RedoRecords, ReplayUnit,
+};
+use std::collections::BTreeMap;
 
 /// A node owning `pages` pages, all of them cached.
 fn warm_node(id: u32, pages: u32) -> Node {
@@ -258,4 +270,172 @@ fn reversing_one_pages_records_is_caught() {
             "{name}: reversing {victim}'s records went unseen"
         );
     }
+}
+
+/// Pages of the cross-log case, all owned by node 0.
+const OWNED: u32 = 8;
+
+/// Node 0 owns `OWNED` pages; nodes 1 and 2 are clients. Round after
+/// round, node 1's transactions write page k then k + 1, node 2's
+/// k + 1 then k, and node 0's k + 3 then k, so the pages' hop chains
+/// span three logs and the logs' page orders disagree. Some pages go
+/// to disk part way. The owner writes every page last, so it caches
+/// every current image when it crashes. Returns the crashed cluster
+/// and those images, PSNs included, in ascending page order.
+fn cross_log_scene() -> (Cluster, Vec<(PageId, Psn, Vec<u8>)>) {
+    let cfg = ClusterConfig::builder()
+        .owned_pages(vec![OWNED, 0, 0])
+        .page_size(512)
+        .buffer_frames(32)
+        .default_owned_pages(0)
+        .cost(CostModel::unit())
+        .build();
+    let mut c = Cluster::new(cfg).unwrap();
+    let page = |k: u32| PageId::new(NodeId(0), k % OWNED);
+    let mut rng = Rng::seed_from_u64(2142);
+    for round in 0..6 {
+        for k in 0..OWNED {
+            for (node, pages) in [(1, [k, k + 1]), (2, [k + 1, k]), (0, [k + 3, k])] {
+                let t = c.begin(NodeId(node)).unwrap();
+                for p in pages {
+                    let slot = rng.gen_range_usize(0..8);
+                    c.write_u64(t, page(p), slot, rng.next_u64()).unwrap();
+                }
+                c.commit(t).unwrap();
+            }
+        }
+        if round == 2 {
+            for k in (0..OWNED).step_by(3) {
+                c.force_page(page(k)).unwrap();
+            }
+        }
+    }
+    let t = c.begin(NodeId(0)).unwrap();
+    for k in (0..OWNED).rev() {
+        c.write_u64(t, page(k), 7, u64::from(k)).unwrap();
+    }
+    c.commit(t).unwrap();
+    let want = (0..OWNED)
+        .map(|k| {
+            let (img, _) = c.node_mut(NodeId(0)).authoritative_copy(page(k)).unwrap();
+            (page(k), img.psn(), img.to_bytes())
+        })
+        .collect();
+    c.crash(NodeId(0));
+    (c, want)
+}
+
+/// The lists the simulator's recovery merges — the crashed owner's
+/// from its restart pass, each client's from `psn_list` over the
+/// owner's pages — with each node's redo records, and the units
+/// [`plan_replay`] builds from them. A page's involved nodes are those
+/// whose lists name it.
+fn cross_log_units(c: &mut Cluster) -> (BTreeMap<NodeId, RedoRecords>, Vec<ReplayUnit>) {
+    let owner = NodeId(0);
+    c.node_mut(owner).mark_restarting().unwrap();
+    let (_, list, records) = c.node_mut(owner).restart_pass().unwrap();
+    let mut lists = BTreeMap::from([(owner, list)]);
+    let mut redo = BTreeMap::from([(owner, records)]);
+    let pages: Vec<PageId> = (0..OWNED).map(|k| PageId::new(owner, k)).collect();
+    for n in [NodeId(1), NodeId(2)] {
+        let (list, records, _) = c.node_mut(n).psn_list(&pages).unwrap();
+        lists.insert(n, list);
+        redo.insert(n, records);
+    }
+    assert!(
+        opposite_orders(&lists[&NodeId(1)], &lists[&NodeId(2)]),
+        "two logs' transactions order a pair of pages both ways"
+    );
+    let mut involved: BTreeMap<PageId, Vec<NodeId>> = BTreeMap::new();
+    for (&n, list) in &lists {
+        for e in list {
+            let nodes = involved.entry(e.pid).or_default();
+            if !nodes.contains(&n) {
+                nodes.push(n);
+            }
+        }
+    }
+    (redo, plan_replay(&involved, &lists))
+}
+
+/// Whether a transaction in `a` writes some page P before a page Q
+/// while one in `b` writes Q before P: the cross-page cycle a
+/// transaction-order schedule could not level.
+fn opposite_orders(a: &[NodePsnEntry], b: &[NodePsnEntry]) -> bool {
+    let pairs = |list: &[NodePsnEntry]| -> Vec<(PageId, PageId)> {
+        list.windows(2)
+            .filter(|w| w[0].txn == w[1].txn && w[0].pid != w[1].pid)
+            .map(|w| (w[0].pid, w[1].pid))
+            .collect()
+    };
+    let of_b = pairs(b);
+    pairs(a).iter().any(|&(p, q)| of_b.contains(&(q, p)))
+}
+
+/// Replays `units` in the given order from the owner's disk images:
+/// each unit's hops in hop order, a hop one call of the PSN filter on
+/// its node's records from the hop's start PSN up to the next hop's.
+/// Returns the images, PSNs included, in ascending page order, and the
+/// records applied.
+fn replay_units(
+    c: &mut Cluster,
+    redo: &BTreeMap<NodeId, RedoRecords>,
+    units: &[ReplayUnit],
+) -> (Vec<(PageId, Psn, Vec<u8>)>, u64) {
+    let mut runs = Vec::new();
+    let mut images = Vec::new();
+    let mut applied = 0;
+    for unit in units {
+        let (mut page, _) = c.node_mut(NodeId(0)).authoritative_copy(unit.pid).unwrap();
+        for (i, &(psn, n)) in unit.hops.iter().enumerate() {
+            let bound = unit.hops.get(i + 1).map(|&(p, _)| p);
+            let records = &redo[&n];
+            let from = records.seek(unit.pid, psn);
+            applied += records.replay(&mut page, from, bound, &mut runs).unwrap().1;
+        }
+        images.push((unit.pid, page.psn(), page.to_bytes()));
+    }
+    images.sort_by_key(|&(pid, _, _)| pid);
+    (images, applied)
+}
+
+#[test]
+fn replay_is_confluent_across_pages_and_logs() {
+    let (mut c, before_crash) = cross_log_scene();
+    let (redo, units) = cross_log_units(&mut c);
+    assert_eq!(units.len(), OWNED as usize, "every page is replayed");
+    let logs_of = |u: &ReplayUnit| {
+        let mut nodes: Vec<NodeId> = u.hops.iter().map(|&(_, n)| n).collect();
+        nodes.sort_unstable();
+        nodes.dedup();
+        nodes.len()
+    };
+    assert!(units.iter().all(|u| logs_of(u) >= 2), "chains span logs");
+    assert!(units.iter().any(|u| logs_of(u) == 3), "some span three");
+    let (want, applied) = replay_units(&mut c, &redo, &units);
+    assert!(want == before_crash, "replay rebuilds the lost images");
+    for seed in 0..8 {
+        let mut order = units.clone();
+        Rng::seed_from_u64(seed).shuffle(&mut order);
+        let (got, n) = replay_units(&mut c, &redo, &order);
+        assert_eq!(n, applied, "seed {seed}");
+        assert!(got == want, "seed {seed}'s order changed an image");
+    }
+}
+
+#[test]
+fn swapping_two_hops_of_a_page_is_caught() {
+    // The check sees an order that matters: the hop order of a page.
+    let (mut c, _) = cross_log_scene();
+    let (redo, units) = cross_log_units(&mut c);
+    let (want, _) = replay_units(&mut c, &redo, &units);
+    let mut swapped = units.clone();
+    let victim = swapped
+        .iter_mut()
+        .max_by_key(|u| u.hops.len())
+        .expect("a unit");
+    let pid = victim.pid;
+    victim.hops.swap(0, 1);
+    let (got, _) = replay_units(&mut c, &redo, &swapped);
+    assert!(got != want, "swapping two of {pid}'s hops went unseen");
 }

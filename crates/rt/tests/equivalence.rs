@@ -236,8 +236,8 @@ const REC_NODES: u32 = 2;
 const REC_PAGES: u32 = 6;
 
 /// Owner-local write plans with deep per-page redo chains: every node
-/// writes each of its pages six times, so the wave scheduler has real
-/// PSN intervals to order and the PSN filter real work to skip.
+/// writes each of its pages six times, so each page has a chain of PSN
+/// intervals to replay and the PSN filter real work to skip.
 fn recovery_plans() -> Vec<TxnPlan> {
     let mut plans = Vec::new();
     for node in 0..REC_NODES {

@@ -1,19 +1,20 @@
-//! E9b — parallel dependency-aware replay vs the serial protocol.
+//! E9b — parallel replay vs the serial protocol.
 //!
-//! The Redo pass of recovery is planned as a PSN-interval dependency
-//! graph ([`cblog_core::plan_replay`], DESIGN §13): per-page chains
-//! are always ordered, but distinct pages are only ordered where a
-//! multi-page transaction links them. The planner's wave schedule
-//! replays independent pages concurrently; this experiment measures
-//! what that buys on the two crash shapes the recovery suite already
-//! studies — E5 (single owner, many independent dirty pages) and E6
-//! (simultaneous multi-node crashes with cross-page transactions) —
-//! at 1..8 replay workers.
+//! The Redo pass of recovery replays one unit per page: the page's hop
+//! chain, merged from the involved nodes' NodePSNLists
+//! ([`cblog_core::plan_replay`], DESIGN §13). The PSN filter makes
+//! each page's replay independent of every other page's, so the pages
+//! can replay concurrently; this experiment measures what that buys on
+//! the two crash shapes the recovery suite already studies — E5
+//! (single owner, many independent dirty pages) and E6 (simultaneous
+//! multi-node crashes with cross-page transactions) — at 1..8 replay
+//! workers. The `waves` column counts replay passes: 1 whenever a page
+//! was replayed, on both engines.
 //!
-//! Everything but the speedup column is deterministic: the plan
-//! (pages, waves, critical-path PSN intervals) depends only on the
-//! logs, and the simulated replay time only on the cost model, so the
-//! baseline gate pins those cells exactly.
+//! Everything but the speedup column is deterministic: the units
+//! (pages, critical-path PSN intervals of the heaviest page) depend
+//! only on the logs, and the simulated replay time only on the cost
+//! model, so the baseline gate pins those cells exactly.
 
 use super::{cbl_builder, e5_single_crash as e5, e6_multi_crash as e6};
 use crate::report::{f, Table};
@@ -136,7 +137,7 @@ mod tests {
             assert_eq!(r.rep.replay_waves, rows[0].rep.replay_waves);
             assert_eq!(r.rep.critical_path_psns, rows[0].rep.critical_path_psns);
         }
-        // Parallel rows carry the per-wave split; serial rows do not.
+        // Parallel rows carry the pass's split; serial rows do not.
         assert!(rows[0].rep.timings.replay_waves().is_empty());
         assert_eq!(
             rows[1].rep.timings.replay_waves().len(),
