@@ -1999,8 +1999,14 @@ mod tests {
             ),
         ]);
         let units = assert_plan_is_reference(&involved, &lists, "opposite orders");
-        assert_eq!(units[0].hops, vec![(Psn(1), NodeId(1)), (Psn(2), NodeId(2))]);
-        assert_eq!(units[1].hops, vec![(Psn(1), NodeId(2)), (Psn(2), NodeId(1))]);
+        assert_eq!(
+            units[0].hops,
+            vec![(Psn(1), NodeId(1)), (Psn(2), NodeId(2))]
+        );
+        assert_eq!(
+            units[1].hops,
+            vec![(Psn(1), NodeId(2)), (Psn(2), NodeId(1))]
+        );
     }
 
     /// Entries over `pages` pages from `nodes` logs: transactions touch

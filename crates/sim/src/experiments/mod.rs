@@ -137,7 +137,11 @@ pub const REGISTRY: &[Experiment] = &[
     ("e8", "log-space protocol (§2.5)", e8_log_space::run),
     ("e8b", "tracing overhead", e8_trace_overhead::run),
     ("e9", "partial rollback", e9_rollback::run),
-    ("e9b", "parallel per-page replay", e9b_parallel_recovery::run),
+    (
+        "e9b",
+        "parallel per-page replay",
+        e9b_parallel_recovery::run,
+    ),
     ("e10", "PCA local-commit variant", e10_pca::run),
     ("e11", "mobile/disconnected operation", e11_mobile::run),
     ("a1", "checkpoint interval ablation", a1_ckpt_interval::run),
