@@ -373,8 +373,8 @@ pub struct ReplayUnit {
 
 /// Builds each page's [`ReplayUnit`] from the merged NodePSNLists, in
 /// ascending page order — the order the serial protocol visits them.
-/// A pure function, called at the end of the simulator's NodePSNList
-/// phase (DESIGN §13).
+/// A pure function of the lists, called by the simulator's Redo phase
+/// (DESIGN §13).
 ///
 /// A unit's hop chain is the only order replay needs. Every log record
 /// names one page, and the PSN filter (§2.3.2) applies a page's
@@ -397,11 +397,11 @@ pub fn plan_replay(
     let mut entries: Vec<(u32, Psn, NodeId)> = Vec::with_capacity(listed);
     for (&node, list) in psn_lists {
         for e in list {
-            match unit_of.get(&e.pid) {
-                Some(&u) if nodes_of[u as usize].contains(&node) => {
-                    entries.push((u, e.psn, node));
-                }
-                _ => {}
+            let Some(&u) = unit_of.get(&e.pid) else {
+                continue;
+            };
+            if nodes_of[u as usize].contains(&node) {
+                entries.push((u, e.psn, node));
             }
         }
     }
@@ -1866,12 +1866,12 @@ mod tests {
                 entry(p2, 1, 40, 1, 4),
             ],
         );
-        let units = plan_replay(&involved, &lists);
+        let units = assert_plan_is_reference(&involved, &lists, "independent pages");
         let pids: Vec<PageId> = units.iter().map(|u| u.pid).collect();
         assert_eq!(pids, vec![p0, p1, p2]);
         assert_eq!(units[1].hops, vec![(Psn(1), NodeId(1))], "one burst node");
-        let (_, critical) = plan_replay_reference(&involved, &lists);
-        assert_eq!(critical, 2, "the heaviest unit is p1's");
+        let heaviest = units.iter().max_by_key(|u| u.psn_intervals).unwrap();
+        assert_eq!((heaviest.pid, heaviest.psn_intervals), (p1, 2));
     }
 
     /// Every page filters every involved node's whole list, O(pages ×

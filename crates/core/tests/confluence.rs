@@ -14,8 +14,9 @@
 //! `rt/tests/equivalence.rs`; and multi-page transactions whose page
 //! orders form a cycle. Each is replayed in ascending page order and
 //! in seeded permutations, and the images, PSNs included, must be
-//! byte-identical. The must-fail check reverses one page's records and
-//! expects a different image.
+//! byte-identical to each other and to the images just before the
+//! crash. The must-fail check reverses one page's records and expects
+//! a different image.
 //!
 //! The cross-log case runs on the simulator's `Cluster`: two clients
 //! and the owner write the owner's pages, in opposite page orders on
@@ -165,12 +166,21 @@ fn cyclic_transactions() -> Vec<Node> {
     vec![node]
 }
 
+/// A page's id, PSN and bytes.
+type Image = (PageId, Psn, Vec<u8>);
+
 /// Crashes every node and runs its restart pass: the nodes, each
-/// one's redo records, and every dirty page, ascending.
-fn restarted(mut nodes: Vec<Node>) -> (Vec<Node>, Vec<RedoRecords>, Vec<PageId>) {
+/// one's redo records, every dirty page, ascending, and those pages'
+/// images just before the crash.
+fn restarted(mut nodes: Vec<Node>) -> (Vec<Node>, Vec<RedoRecords>, Vec<PageId>, Vec<Image>) {
     let mut redo = Vec::new();
     let mut dirty = Vec::new();
+    let mut before = Vec::new();
     for node in &mut nodes {
+        for i in 0..node.config().owned_pages {
+            let (page, _) = node.authoritative_copy(PageId::new(node.id(), i)).unwrap();
+            before.push((page.id(), page.psn(), page.to_bytes()));
+        }
         node.force_log().unwrap();
         node.crash();
         node.mark_restarting().unwrap();
@@ -179,7 +189,8 @@ fn restarted(mut nodes: Vec<Node>) -> (Vec<Node>, Vec<RedoRecords>, Vec<PageId>)
         dirty.extend(node.dpt().entries().iter().map(|e| e.pid));
     }
     dirty.sort_unstable();
-    (nodes, redo, dirty)
+    before.retain(|(pid, _, _)| dirty.binary_search(pid).is_ok());
+    (nodes, redo, dirty, before)
 }
 
 /// Replays `order`'s pages from their disk images through the PSN
@@ -191,7 +202,7 @@ fn replay(
     redo: &[RedoRecords],
     order: &[PageId],
     reversed: Option<PageId>,
-) -> (Vec<(PageId, Psn, Vec<u8>)>, u64) {
+) -> (Vec<Image>, u64) {
     let mut runs = Vec::new();
     let mut images = Vec::new();
     let mut applied = 0;
@@ -231,10 +242,14 @@ fn logs() -> [(&'static str, Vec<Node>); 3] {
 #[test]
 fn replay_is_confluent_across_pages() {
     for (name, nodes) in logs() {
-        let (mut nodes, redo, ascending) = restarted(nodes);
+        let (mut nodes, redo, ascending, before_crash) = restarted(nodes);
         assert!(ascending.len() > 1, "{name}: more than one dirty page");
         let (want, applied) = replay(&mut nodes, &redo, &ascending, None);
         assert!(applied > ascending.len() as u64, "{name}: redo has work");
+        assert!(
+            want == before_crash,
+            "{name}: replay rebuilds the lost images"
+        );
         for seed in 0..8 {
             let mut order = ascending.clone();
             Rng::seed_from_u64(seed).shuffle(&mut order);
@@ -249,7 +264,7 @@ fn replay_is_confluent_across_pages() {
 fn reversing_one_pages_records_is_caught() {
     // The check sees an order that matters: the one within a page.
     for (name, nodes) in logs() {
-        let (mut nodes, redo, ascending) = restarted(nodes);
+        let (mut nodes, redo, ascending, _) = restarted(nodes);
         let (want, _) = replay(&mut nodes, &redo, &ascending, None);
         // The page with the most records is the one reversed.
         let (victim, _) = ascending
@@ -282,7 +297,7 @@ const OWNED: u32 = 8;
 /// to disk part way. The owner writes every page last, so it caches
 /// every current image when it crashes. Returns the crashed cluster
 /// and those images, PSNs included, in ascending page order.
-fn cross_log_scene() -> (Cluster, Vec<(PageId, Psn, Vec<u8>)>) {
+fn cross_log_scene() -> (Cluster, Vec<Image>) {
     let cfg = ClusterConfig::builder()
         .owned_pages(vec![OWNED, 0, 0])
         .page_size(512)
@@ -381,7 +396,7 @@ fn replay_units(
     c: &mut Cluster,
     redo: &BTreeMap<NodeId, RedoRecords>,
     units: &[ReplayUnit],
-) -> (Vec<(PageId, Psn, Vec<u8>)>, u64) {
+) -> (Vec<Image>, u64) {
     let mut runs = Vec::new();
     let mut images = Vec::new();
     let mut applied = 0;
