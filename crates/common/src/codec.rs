@@ -58,117 +58,146 @@ impl Encoder {
     }
 
     /// Writes a single byte.
+    #[inline]
     pub fn put_u8(&mut self, v: u8) {
         self.buf.push(v);
     }
 
     /// Writes a little-endian u16.
+    #[inline]
     pub fn put_u16(&mut self, v: u16) {
         self.buf.extend_from_slice(&v.to_le_bytes());
     }
 
     /// Writes a little-endian u32.
+    #[inline]
     pub fn put_u32(&mut self, v: u32) {
         self.buf.extend_from_slice(&v.to_le_bytes());
     }
 
     /// Writes a little-endian u64.
+    #[inline]
     pub fn put_u64(&mut self, v: u64) {
         self.buf.extend_from_slice(&v.to_le_bytes());
     }
 
     /// Writes a length-prefixed (u32) byte slice.
+    #[inline]
     pub fn put_bytes(&mut self, v: &[u8]) {
         self.put_u32(v.len() as u32);
         self.buf.extend_from_slice(v);
     }
 
     /// Writes a page id (packed u64).
+    #[inline]
     pub fn put_page(&mut self, v: PageId) {
         self.put_u64(v.to_u64());
     }
 
     /// Writes a transaction id.
+    #[inline]
     pub fn put_txn(&mut self, v: TxnId) {
         self.put_u32(v.node.0);
         self.put_u64(v.seq);
     }
 
     /// Writes an LSN.
+    #[inline]
     pub fn put_lsn(&mut self, v: Lsn) {
         self.put_u64(v.0);
     }
 
     /// Writes a PSN.
+    #[inline]
     pub fn put_psn(&mut self, v: Psn) {
         self.put_u64(v.0);
     }
 }
 
+/// The error of a read past the end of a [`Decoder`]'s input: built
+/// out of line, so the reads that can fail with it stay small enough to
+/// inline.
+#[cold]
+fn underrun(need: usize, have: usize) -> Error {
+    Error::Corrupt(format!("decode underrun: need {need} bytes, have {have}"))
+}
+
 /// Reads primitive values back from a byte slice.
 #[derive(Debug)]
 pub struct Decoder<'a> {
-    buf: &'a [u8],
-    pos: usize,
+    /// The bytes not read yet.
+    rest: &'a [u8],
+    /// Length of the whole input.
+    len: usize,
 }
 
 impl<'a> Decoder<'a> {
     /// Decoder over `buf` starting at offset 0.
+    #[inline]
     pub fn new(buf: &'a [u8]) -> Self {
-        Decoder { buf, pos: 0 }
+        Decoder {
+            rest: buf,
+            len: buf.len(),
+        }
     }
 
     /// Current read offset.
+    #[inline]
     pub fn position(&self) -> usize {
-        self.pos
+        self.len - self.rest.len()
     }
 
     /// Bytes remaining.
+    #[inline]
     pub fn remaining(&self) -> usize {
-        self.buf.len() - self.pos
+        self.rest.len()
     }
 
+    #[inline]
     fn take(&mut self, n: usize) -> Result<&'a [u8]> {
-        if self.remaining() < n {
-            return Err(Error::Corrupt(format!(
-                "decode underrun: need {n} bytes, have {}",
-                self.remaining()
-            )));
+        if n > self.rest.len() {
+            return Err(underrun(n, self.rest.len()));
         }
-        let s = &self.buf[self.pos..self.pos + n];
-        self.pos += n;
+        let (s, rest) = self.rest.split_at(n);
+        self.rest = rest;
         Ok(s)
     }
 
+    /// The next `N` bytes, with one length check.
+    #[inline]
+    fn array<const N: usize>(&mut self) -> Result<[u8; N]> {
+        Ok(self.take(N)?.try_into().unwrap())
+    }
+
     /// Reads a single byte.
+    #[inline]
     pub fn get_u8(&mut self) -> Result<u8> {
-        Ok(self.take(1)?[0])
+        Ok(u8::from_le_bytes(self.array()?))
     }
 
     /// Reads a little-endian u16.
+    #[inline]
     pub fn get_u16(&mut self) -> Result<u16> {
-        let s = self.take(2)?;
-        Ok(u16::from_le_bytes([s[0], s[1]]))
+        Ok(u16::from_le_bytes(self.array()?))
     }
 
     /// Reads a little-endian u32.
+    #[inline]
     pub fn get_u32(&mut self) -> Result<u32> {
-        let s = self.take(4)?;
-        Ok(u32::from_le_bytes([s[0], s[1], s[2], s[3]]))
+        Ok(u32::from_le_bytes(self.array()?))
     }
 
     /// Reads a little-endian u64.
+    #[inline]
     pub fn get_u64(&mut self) -> Result<u64> {
-        let s = self.take(8)?;
-        let mut b = [0u8; 8];
-        b.copy_from_slice(s);
-        Ok(u64::from_le_bytes(b))
+        Ok(u64::from_le_bytes(self.array()?))
     }
 
     /// Reads a u32 count of entries of at least `entry` bytes each, and
     /// refuses one the rest of the input cannot hold: a count is read
     /// before the entries it sizes an allocation for, so a corrupt one
     /// must come back `Corrupt` rather than as an allocation failure.
+    #[inline]
     pub fn get_count(&mut self, entry: usize) -> Result<usize> {
         let n = self.get_u32()? as usize;
         if n > self.remaining() / entry {
@@ -181,17 +210,20 @@ impl<'a> Decoder<'a> {
     }
 
     /// Reads a length-prefixed byte slice.
+    #[inline]
     pub fn get_bytes(&mut self) -> Result<&'a [u8]> {
         let n = self.get_u32()? as usize;
         self.take(n)
     }
 
     /// Reads a page id.
+    #[inline]
     pub fn get_page(&mut self) -> Result<PageId> {
         Ok(PageId::from_u64(self.get_u64()?))
     }
 
     /// Reads a transaction id.
+    #[inline]
     pub fn get_txn(&mut self) -> Result<TxnId> {
         let node = NodeId(self.get_u32()?);
         let seq = self.get_u64()?;
@@ -199,11 +231,13 @@ impl<'a> Decoder<'a> {
     }
 
     /// Reads an LSN.
+    #[inline]
     pub fn get_lsn(&mut self) -> Result<Lsn> {
         Ok(Lsn(self.get_u64()?))
     }
 
     /// Reads a PSN.
+    #[inline]
     pub fn get_psn(&mut self) -> Result<Psn> {
         Ok(Psn(self.get_u64()?))
     }
@@ -313,6 +347,7 @@ fn update_tables(mut crc: u32, data: &[u8]) -> u32 {
 pub struct Crc32(u32);
 
 impl Default for Crc32 {
+    #[inline]
     fn default() -> Self {
         Crc32(0xFFFF_FFFF)
     }
@@ -320,6 +355,7 @@ impl Default for Crc32 {
 
 impl Crc32 {
     /// The state of an empty message.
+    #[inline]
     pub fn new() -> Self {
         Crc32::default()
     }
@@ -327,6 +363,7 @@ impl Crc32 {
     /// Folds `data` into the state: through the carry-less-multiply
     /// kernel where the CPU has one and the input is long enough to
     /// repay it, through the slice-by-8 tables otherwise.
+    #[inline]
     pub fn update(&mut self, data: &[u8]) {
         #[cfg(target_arch = "x86_64")]
         if data.len() >= clmul::MIN_LEN {
@@ -339,6 +376,7 @@ impl Crc32 {
     }
 
     /// The CRC of everything folded in so far.
+    #[inline]
     pub fn finish(&self) -> u32 {
         !self.0
     }
@@ -348,6 +386,7 @@ impl Crc32 {
 ///
 /// Used to detect torn page writes and truncated log records; the
 /// values are part of the page and log formats.
+#[inline]
 pub fn crc32(data: &[u8]) -> u32 {
     let mut c = Crc32::new();
     c.update(data);

@@ -13,8 +13,7 @@ use crate::recovery::group_by_key;
 use crate::txn::{Savepoint, TxnState, TxnStatus};
 use cblog_common::metrics::keys;
 use cblog_common::{
-    Counter, Decoder, Encoder, Error, Fnv1a, IdMap, Lsn, NodeId, PageId, Psn, Registry, Result,
-    TxnId,
+    Counter, Decoder, Error, Fnv1a, IdMap, Lsn, NodeId, PageId, Psn, Registry, Result, TxnId,
 };
 use cblog_locks::{
     answer_callback, CachedLockTable, CallbackAction, GlobalLockTable, LocalLockTable,
@@ -69,8 +68,8 @@ fn psn_list_entry(
 
 /// The redo records a log collection keeps ([`Node::restart_redo`],
 /// [`Node::restart_pass`], [`Node::psn_list`]): every op's bytes end to
-/// end in one arena, in log order, and a `(page, psn_before, offset)`
-/// index grouped by page.
+/// end in one arena, in log order, copied verbatim from the log, and a
+/// `(page, psn_before, offset)` index grouped by page.
 /// Replay applies [`PageOpRef`]s read straight out of the arena; nothing
 /// is allocated per record.
 #[derive(Debug, Default)]
@@ -181,7 +180,9 @@ struct PageUpdates {
     /// The NodePSNList and, by page number, the transaction of each
     /// page's last entry; `None` when the caller wants no list.
     list: Option<(Vec<NodePsnEntry>, Vec<Option<TxnId>>)>,
-    ops: Encoder,
+    /// Every op's bytes as the log holds them ([`PageOpRef::encode`]'s
+    /// output), end to end.
+    ops: Vec<u8>,
     /// `(page number, psn_before, offset in ops)` in log order.
     index: Vec<(u32, Psn, u32)>,
 }
@@ -207,19 +208,12 @@ impl PageUpdates {
             let _ = list.try_reserve_exact(more(list.len()));
         }
         let _ = self.index.try_reserve_exact(more(self.index.len()));
-        let mut ops = std::mem::take(&mut self.ops).into_vec();
-        let _ = ops.try_reserve_exact(more(ops.len()));
-        self.ops = Encoder::from_vec(ops);
+        let _ = self.ops.try_reserve_exact(more(self.ops.len()));
     }
 
-    fn push(
-        &mut self,
-        lsn: Lsn,
-        txn: TxnId,
-        pid: PageId,
-        psn: Psn,
-        op: PageOpRef<'_>,
-    ) -> Result<()> {
+    /// Enters one Update or CLR; `op` is its op's encoded bytes, copied
+    /// as they are.
+    fn push(&mut self, lsn: Lsn, txn: TxnId, pid: PageId, psn: Psn, op: &[u8]) -> Result<()> {
         let fresh = self.ids.len() as u32;
         let page = *self.pages.entry(pid).or_insert(fresh);
         if page == fresh {
@@ -234,7 +228,7 @@ impl PageUpdates {
         let at = u32::try_from(self.ops.len())
             .map_err(|_| Error::Invalid("redo records past 4 GiB".into()))?;
         self.index.push((page, psn, at));
-        op.encode(&mut self.ops);
+        self.ops.extend_from_slice(op);
         Ok(())
     }
 
@@ -267,7 +261,7 @@ impl PageUpdates {
         }
         let (index, at) = group_by_key(&index, kept.len(), |e| rank[e.0 as usize]);
         let redo = RedoRecords {
-            ops: ops.into_vec(),
+            ops,
             index,
             pages: kept.into_iter().map(|(pid, _)| pid).collect(),
             at,
@@ -1190,14 +1184,16 @@ impl Node {
         let mut updates = PageUpdates::new(list);
         let mut records = 0u64;
         let mut scan = self.log.scan(from);
-        while let Some(r) = scan.next_ref() {
-            let (pos, rec) = r?;
+        while let Some(r) = scan.next_framed() {
+            let (pos, frame, rec) = r?;
             records += 1;
             if records == SIZING_SAMPLE {
                 updates.reserve_rest(pos.0 - from.0, end.0 - pos.0);
             }
             each(pos, &rec);
             if let Some((pid, psn, op)) = rec.update() {
+                // The op is its record's last field: the frame's tail.
+                let op = &frame[frame.len() - op.encoded_len()..];
                 updates.push(pos, rec.txn, pid, psn, op)?;
             }
         }
@@ -1311,22 +1307,16 @@ impl Node {
         let mut pages: BTreeSet<PageId> = BTreeSet::new();
         for mut cursor in losers {
             while !cursor.is_zero() {
-                let (rec, _) = self.log.read_record(cursor)?;
-                match rec.payload {
-                    LogPayload::Update { pid, .. } => {
-                        if pid.owner == owner {
-                            pages.insert(pid);
-                        }
-                        cursor = rec.prev_lsn;
-                    }
-                    LogPayload::Clr { pid, undo_next, .. } => {
-                        if pid.owner == owner {
-                            pages.insert(pid);
-                        }
-                        cursor = undo_next;
-                    }
-                    _ => break,
+                let (step, _) = self.log.read_ref(cursor, |rec| match rec.payload {
+                    LogPayloadRef::Update { pid, .. } => Some((pid, rec.prev_lsn)),
+                    LogPayloadRef::Clr { pid, undo_next, .. } => Some((pid, undo_next)),
+                    _ => None,
+                })?;
+                let Some((pid, next)) = step else { break };
+                if pid.owner == owner {
+                    pages.insert(pid);
                 }
+                cursor = next;
             }
         }
         Ok(pages.into_iter().collect())
@@ -1342,6 +1332,7 @@ impl Node {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use cblog_common::Encoder;
 
     fn node() -> Node {
         Node::new(
@@ -1842,6 +1833,132 @@ mod tests {
             redo.of(pages[0]).next().is_none(),
             "only the pages asked for"
         );
+    }
+
+    /// The collection before ops were copied out of their frames: each
+    /// Update's and CLR's op from `from` on decoded and encoded again,
+    /// pages numbered as they first appear, and the records of the
+    /// `kept` pages indexed by page, ascending, in log order.
+    fn reencoded_reference(n: &mut Node, from: Lsn, kept: &[PageId]) -> RedoRecords {
+        let mut ops = Encoder::new();
+        let mut ids: Vec<PageId> = Vec::new();
+        let mut by_page: BTreeMap<PageId, Vec<(u32, Psn, u32)>> = BTreeMap::new();
+        let mut scan = n.log.scan(from);
+        while let Some(r) = scan.next_ref() {
+            let (_, rec) = r.unwrap();
+            let Some((pid, psn, op)) = rec.update() else {
+                continue;
+            };
+            if !ids.contains(&pid) {
+                ids.push(pid);
+            }
+            let page = ids.iter().position(|&p| p == pid).unwrap() as u32;
+            if kept.contains(&pid) {
+                let at = ops.len() as u32;
+                by_page.entry(pid).or_default().push((page, psn, at));
+            }
+            op.encode(&mut ops);
+        }
+        let mut index = Vec::new();
+        let mut at = vec![0];
+        for records in by_page.values() {
+            index.extend_from_slice(records);
+            at.push(index.len());
+        }
+        RedoRecords {
+            ops: ops.into_vec(),
+            index,
+            pages: by_page.into_keys().collect(),
+            at,
+        }
+    }
+
+    #[test]
+    fn the_redo_arena_holds_every_op_as_encode_lays_it_out() {
+        let mut n = node();
+        n.format_owned_page(1, PageKind::Slotted).unwrap();
+        let raw = load(&mut n, 0);
+        let slotted = load(&mut n, 1);
+        let insert = |slot, data: &[u8]| PageOp::Insert {
+            slot,
+            data: data.to_vec(),
+        };
+        let update = |slot, old: &[u8], new: &[u8]| PageOp::UpdateRec {
+            slot,
+            old: old.to_vec(),
+            new: new.to_vec(),
+        };
+        let delete = |slot, old: &[u8]| PageOp::Delete {
+            slot,
+            old: old.to_vec(),
+        };
+        let winner = n.begin().unwrap();
+        upd(&mut n, winner, raw, 0, 1);
+        for op in [
+            insert(0, b"alpha"),
+            update(0, b"alpha", b"beta"),
+            insert(1, b"gamma"),
+            delete(1, b"gamma"),
+        ] {
+            n.log_update(winner, slotted, op).unwrap();
+        }
+        n.commit(winner).unwrap();
+        // Rolled back: CLRs of a range write, a delete, an update and an
+        // insert.
+        let rolled = n.begin().unwrap();
+        upd(&mut n, rolled, raw, 1, 2);
+        for op in [
+            insert(1, b"delta"),
+            update(0, b"beta", b"epsilon-longer"),
+            delete(0, b"epsilon-longer"),
+        ] {
+            n.log_update(rolled, slotted, op).unwrap();
+        }
+        n.start_abort(rolled).unwrap();
+        loop {
+            match n.rollback_step(rolled, Lsn::ZERO).unwrap() {
+                RollbackStep::Undone(_) => {}
+                RollbackStep::Done => break,
+                RollbackStep::NeedPage(p) => panic!("page {p} should be cached"),
+            }
+        }
+        n.finish_abort(rolled).unwrap();
+        let loser = n.begin().unwrap();
+        n.log_update(loser, slotted, insert(2, b"zeta")).unwrap();
+        n.force_log().unwrap();
+        n.crash();
+
+        let mut kinds = BTreeSet::new();
+        for r in n.log.scan(n.log.base_lsn()) {
+            let (_, rec) = r.unwrap();
+            if let (Some(op), clr) = (rec.op(), matches!(rec.payload, LogPayload::Clr { .. })) {
+                let kind = match op {
+                    PageOp::WriteRange { .. } => 0,
+                    PageOp::Insert { .. } => 1,
+                    PageOp::Delete { .. } => 2,
+                    PageOp::UpdateRec { .. } => 3,
+                };
+                kinds.insert((clr, kind));
+            }
+        }
+        assert_eq!(kinds.len(), 8, "four op kinds, as Updates and as CLRs");
+        for list in [false, true] {
+            n.mark_restarting().unwrap();
+            let (a, redo) = if list {
+                let (a, _, redo) = n.restart_pass().unwrap();
+                (a, redo)
+            } else {
+                n.restart_redo().unwrap()
+            };
+            let kept: Vec<PageId> = n.dpt().entries().iter().map(|e| e.pid).collect();
+            assert_eq!(kept, [raw, slotted]);
+            let want = reencoded_reference(&mut n, a.start_lsn, &kept);
+            assert_eq!(redo.ops, want.ops, "list {list}");
+            assert_eq!(redo.index, want.index, "list {list}");
+            assert_eq!(redo.pages, want.pages, "list {list}");
+            assert_eq!(redo.at, want.at, "list {list}");
+            n.crash();
+        }
     }
 
     #[test]

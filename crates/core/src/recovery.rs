@@ -430,8 +430,7 @@ pub fn plan_replay(
 /// Counting sort: `items` grouped by `key`, every key below `n`, in
 /// input order within a group. Returns them with each key's start in
 /// the output (`n + 1` offsets, the last one the length). O(items + n).
-/// The scatter moves 4-byte positions, and the output is gathered
-/// front to back in one pass, so no item is written twice.
+/// Each item is scattered straight into its slot of the output.
 pub(crate) fn group_by_key<T: Copy>(
     items: &[T],
     n: usize,
@@ -447,14 +446,12 @@ pub(crate) fn group_by_key<T: Copy>(
         *a = sum;
     }
     let mut next = at.clone();
-    let len = u32::try_from(items.len()).expect("fewer than 2^32 items to group");
-    let mut from = vec![0u32; items.len()];
-    for (i, it) in (0..len).zip(items) {
+    let mut out = items.to_vec();
+    for it in items {
         let k = key(it) as usize;
-        from[next[k]] = i;
+        out[next[k]] = *it;
         next[k] += 1;
     }
-    let out = from.iter().map(|&i| items[i as usize]).collect();
     (out, at)
 }
 

@@ -144,6 +144,7 @@ impl Page {
     }
 
     /// The page's identifier.
+    #[inline]
     pub fn id(&self) -> PageId {
         PageId::from_u64(u64::from_le_bytes(
             self.buf[OFF_PID..OFF_PID + 8].try_into().unwrap(),
@@ -151,6 +152,7 @@ impl Page {
     }
 
     /// Current page sequence number.
+    #[inline]
     pub fn psn(&self) -> Psn {
         Psn(u64::from_le_bytes(
             self.buf[OFF_PSN..OFF_PSN + 8].try_into().unwrap(),
@@ -158,6 +160,7 @@ impl Page {
     }
 
     /// Overwrites the PSN (used by allocation and recovery replay).
+    #[inline]
     pub fn set_psn(&mut self, psn: Psn) {
         self.buf[OFF_PSN..OFF_PSN + 8].copy_from_slice(&psn.0.to_le_bytes());
     }
@@ -186,6 +189,7 @@ impl Page {
     }
 
     /// Mutable body. Callers must log the change and bump the PSN.
+    #[inline]
     pub fn body_mut(&mut self) -> &mut [u8] {
         &mut self.buf[PAGE_HEADER_LEN..]
     }
@@ -211,6 +215,7 @@ impl Page {
 
     /// Overwrites body bytes at `off` (physical logging redo/undo
     /// application). Does not touch the PSN.
+    #[inline]
     pub fn write_range(&mut self, off: usize, data: &[u8]) -> Result<()> {
         let body = self.body_mut();
         if off + data.len() > body.len() {

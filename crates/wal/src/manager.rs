@@ -386,9 +386,20 @@ impl LogManager {
     /// point read (undo chains follow `prev_lsn` backwards); forward
     /// passes use [`LogManager::scan`].
     pub fn read_record(&mut self, lsn: Lsn) -> Result<(LogRecord, Lsn)> {
+        self.read_ref(lsn, |rec| rec.to_owned())
+    }
+
+    /// [`LogManager::read_record`] without the copy: `f` sees the record
+    /// decoded in place, and what it returns comes back with the LSN of
+    /// the next record.
+    pub fn read_ref<T>(
+        &mut self,
+        lsn: Lsn,
+        f: impl FnOnce(&LogRecordRef<'_>) -> T,
+    ) -> Result<(T, Lsn)> {
         let mut win = ReadWindow::default();
         let (rec, n) = LogRecordRef::decode(self.frame(lsn, &mut win, POINT_READ_AHEAD)?)?;
-        Ok((rec.to_owned(), lsn.advance(n as u64)))
+        Ok((f(&rec), lsn.advance(n as u64)))
     }
 
     fn check_readable(&self, lsn: Lsn) -> Result<()> {
@@ -625,7 +636,16 @@ impl LogScan<'_> {
     /// a pass that drops most records allocates for none of them. The
     /// record lives until the next call. After an error, which is
     /// yielded once, the scan ends.
+    #[inline]
     pub fn next_ref(&mut self) -> Option<Result<(Lsn, LogRecordRef<'_>)>> {
+        self.next_framed()
+            .map(|r| r.map(|(lsn, _, rec)| (lsn, rec)))
+    }
+
+    /// [`LogScan::next_ref`] with the frame the record was decoded from,
+    /// its 8-byte header included: a pass that keeps a record's bytes
+    /// copies them from here instead of encoding the record again.
+    pub fn next_framed(&mut self) -> Option<Result<(Lsn, &[u8], LogRecordRef<'_>)>> {
         if self.failed || self.next >= self.lm.end_lsn {
             return None;
         }
@@ -633,11 +653,11 @@ impl LogScan<'_> {
         let read = self
             .lm
             .frame(lsn, &mut self.win, SCAN_READ_AHEAD)
-            .and_then(LogRecordRef::decode);
+            .and_then(|frame| Ok((frame, LogRecordRef::decode(frame)?)));
         match read {
-            Ok((rec, n)) => {
+            Ok((frame, (rec, n))) => {
                 self.next = lsn.advance(n as u64);
-                Some(Ok((lsn, rec)))
+                Some(Ok((lsn, &frame[..n], rec)))
             }
             Err(e) => {
                 self.failed = true;

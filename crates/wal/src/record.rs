@@ -22,7 +22,7 @@
 //! borrows an owned record, `to_owned` copies a borrowed one.
 
 use crate::dpt::DptEntry;
-use cblog_common::{Decoder, Encoder, Error, Lsn, PageId, Psn, Result, TxnId};
+use cblog_common::{Decoder, Encoder, Error, Lsn, NodeId, PageId, Psn, Result, TxnId};
 use cblog_storage::{Page, SlottedPage};
 use std::borrow::Cow;
 
@@ -146,9 +146,18 @@ impl<'a> From<&'a PageOp> for PageOpRef<'a> {
 
 impl<'a> PageOpRef<'a> {
     /// Applies the forward (redo) effect to `page`; the PSN is the
-    /// caller's.
+    /// caller's. A range write, the physical op, is a copy and is
+    /// applied inline; a slotted-page op goes through an out-of-line
+    /// call.
     #[inline]
     pub fn apply_redo(self, page: &mut Page) -> Result<()> {
+        match self {
+            PageOpRef::WriteRange { off, after, .. } => page.write_range(off as usize, after),
+            op => op.apply_logical(page),
+        }
+    }
+
+    fn apply_logical(self, page: &mut Page) -> Result<()> {
         match self {
             PageOpRef::WriteRange { off, after, .. } => page.write_range(off as usize, after),
             PageOpRef::Insert { slot, data } => SlottedPage::new(page).insert_at(slot, data),
@@ -231,8 +240,23 @@ impl<'a> PageOpRef<'a> {
         }
     }
 
+    /// Bytes [`PageOpRef::encode`] writes for the op.
+    #[inline]
+    pub fn encoded_len(self) -> usize {
+        match self {
+            PageOpRef::WriteRange { before, after, .. } => {
+                1 + 4 + 4 + before.len() + 4 + after.len()
+            }
+            PageOpRef::Insert { data, .. } | PageOpRef::Delete { old: data, .. } => {
+                1 + 2 + 4 + data.len()
+            }
+            PageOpRef::UpdateRec { old, new, .. } => 1 + 2 + 4 + old.len() + 4 + new.len(),
+        }
+    }
+
     /// Reads an op [`PageOpRef::encode`] wrote, its images borrowed
     /// from the decoder's buffer.
+    #[inline]
     pub fn decode(d: &mut Decoder<'a>) -> Result<Self> {
         match d.get_u8()? {
             0 => Ok(PageOpRef::WriteRange {
@@ -450,6 +474,62 @@ pub enum LogPayloadRef<'a> {
 
 /// Payload tag of [`LogPayload::Update`].
 const TAG_UPDATE: u8 = 1;
+/// Payload tag of [`LogPayload::Clr`].
+const TAG_CLR: u8 = 2;
+/// Body bytes in front of every payload: the transaction id, the
+/// previous LSN and the payload tag.
+const PREFIX: usize = 12 + 8 + 1;
+
+/// The first `N` bytes of a record body and the rest, after the one
+/// length check of a fixed-width read.
+#[inline]
+fn fixed<const N: usize>(body: &[u8]) -> Result<(&[u8; N], &[u8])> {
+    if body.len() < N {
+        return Err(short_body());
+    }
+    let (h, rest) = body.split_at(N);
+    Ok((h.try_into().unwrap(), rest))
+}
+
+#[cold]
+fn short_body() -> Error {
+    Error::Corrupt("log record body shorter than its fixed fields".into())
+}
+
+/// The little-endian u64 at `at` of a fixed-width prefix.
+#[inline]
+fn u64_at<const N: usize>(h: &[u8; N], at: usize) -> u64 {
+    u64::from_le_bytes(h[at..at + 8].try_into().unwrap())
+}
+
+/// The transaction id and previous LSN every body starts with.
+#[inline]
+fn txn_and_prev<const N: usize>(h: &[u8; N]) -> (TxnId, Lsn) {
+    let node = NodeId(u32::from_le_bytes(h[..4].try_into().unwrap()));
+    let txn = TxnId {
+        node,
+        seq: u64_at(h, 4),
+    };
+    (txn, Lsn(u64_at(h, 12)))
+}
+
+/// Reads `bytes` with `read` and refuses any byte past the last field
+/// it read: a frame holds one record and nothing else, so the op that
+/// ends an Update or a CLR is exactly the frame's tail.
+#[inline]
+fn whole<'a, T>(bytes: &'a [u8], read: impl FnOnce(&mut Decoder<'a>) -> Result<T>) -> Result<T> {
+    let mut d = Decoder::new(bytes);
+    let v = read(&mut d)?;
+    match d.remaining() {
+        0 => Ok(v),
+        n => Err(trailing(n)),
+    }
+}
+
+#[cold]
+fn trailing(n: usize) -> Error {
+    Error::Corrupt(format!("{n} bytes after the log record's last field"))
+}
 
 impl LogPayloadRef<'_> {
     #[inline]
@@ -457,7 +537,7 @@ impl LogPayloadRef<'_> {
         match self {
             LogPayloadRef::Begin => 0,
             LogPayloadRef::Update { .. } => TAG_UPDATE,
-            LogPayloadRef::Clr { .. } => 2,
+            LogPayloadRef::Clr { .. } => TAG_CLR,
             LogPayloadRef::Commit => 3,
             LogPayloadRef::Abort => 4,
             LogPayloadRef::CheckpointBegin => 5,
@@ -529,6 +609,7 @@ impl<'a> From<&'a LogRecord> for LogRecordRef<'a> {
 
 impl<'a> LogRecordRef<'a> {
     /// The page, PSN-before and op of an Update or Clr record.
+    #[inline]
     pub fn update(&self) -> Option<(PageId, Psn, PageOpRef<'a>)> {
         match self.payload {
             LogPayloadRef::Update {
@@ -667,51 +748,36 @@ impl<'a> LogRecordRef<'a> {
         if cblog_common::crc32(body) != crc {
             return Err(Error::Corrupt("log record crc mismatch".into()));
         }
-        let mut d = Decoder::new(body);
-        let txn = d.get_txn()?;
-        let prev_lsn = d.get_lsn()?;
-        let payload = match d.get_u8()? {
-            0 => LogPayloadRef::Begin,
-            TAG_UPDATE => LogPayloadRef::Update {
-                pid: d.get_page()?,
-                psn_before: d.get_psn()?,
-                op: PageOpRef::decode(&mut d)?,
-            },
-            2 => LogPayloadRef::Clr {
-                pid: d.get_page()?,
-                psn_before: d.get_psn()?,
-                undo_next: d.get_lsn()?,
-                op: PageOpRef::decode(&mut d)?,
-            },
-            3 => LogPayloadRef::Commit,
-            4 => LogPayloadRef::Abort,
-            5 => LogPayloadRef::CheckpointBegin,
-            6 => {
-                // Page, two PSNs, RedoLSN and two flags, at the least.
-                let n = d.get_count(4 * 8 + 2)?;
-                let mut dpt = Vec::with_capacity(n);
-                for _ in 0..n {
-                    dpt.push(DptEntry::decode(&mut d)?);
-                }
-                // A transaction id and its last LSN.
-                let m = d.get_count(12 + 8)?;
-                let mut active_txns = Vec::with_capacity(m);
-                for _ in 0..m {
-                    let t = d.get_txn()?;
-                    let l = d.get_lsn()?;
-                    active_txns.push((t, l));
-                }
-                LogPayloadRef::CheckpointEnd(Cow::Owned(CheckpointBody { dpt, active_txns }))
+        // Updates and CLRs, nearly every record, read their fixed
+        // fields at fixed offsets behind one length check.
+        let (txn, prev_lsn, payload) = match body.get(PREFIX - 1) {
+            Some(&TAG_UPDATE) => {
+                let (h, op) = fixed::<{ PREFIX + 16 }>(body)?;
+                let (txn, prev_lsn) = txn_and_prev(h);
+                let payload = LogPayloadRef::Update {
+                    pid: PageId::from_u64(u64_at(h, PREFIX)),
+                    psn_before: Psn(u64_at(h, PREFIX + 8)),
+                    op: whole(op, PageOpRef::decode)?,
+                };
+                (txn, prev_lsn, payload)
             }
-            7 => LogPayloadRef::AllocPage {
-                pid: d.get_page()?,
-                kind: d.get_u8()?,
-            },
-            8 => LogPayloadRef::FreePage {
-                pid: d.get_page()?,
-                final_psn: d.get_psn()?,
-            },
-            t => return Err(Error::Corrupt(format!("bad log payload tag {t}"))),
+            Some(&TAG_CLR) => {
+                let (h, op) = fixed::<{ PREFIX + 24 }>(body)?;
+                let (txn, prev_lsn) = txn_and_prev(h);
+                let payload = LogPayloadRef::Clr {
+                    pid: PageId::from_u64(u64_at(h, PREFIX)),
+                    psn_before: Psn(u64_at(h, PREFIX + 8)),
+                    undo_next: Lsn(u64_at(h, PREFIX + 16)),
+                    op: whole(op, PageOpRef::decode)?,
+                };
+                (txn, prev_lsn, payload)
+            }
+            _ => {
+                let (h, rest) = fixed::<PREFIX>(body)?;
+                let (txn, prev_lsn) = txn_and_prev(h);
+                let payload = whole(rest, |d| decode_payload(h[PREFIX - 1], d))?;
+                (txn, prev_lsn, payload)
+            }
         };
         Ok((
             LogRecordRef {
@@ -722,6 +788,43 @@ impl<'a> LogRecordRef<'a> {
             total,
         ))
     }
+}
+
+/// The payload of a record other than an Update or a CLR, tagged `tag`,
+/// from the body bytes behind [`PREFIX`].
+fn decode_payload<'a>(tag: u8, d: &mut Decoder<'_>) -> Result<LogPayloadRef<'a>> {
+    Ok(match tag {
+        0 => LogPayloadRef::Begin,
+        3 => LogPayloadRef::Commit,
+        4 => LogPayloadRef::Abort,
+        5 => LogPayloadRef::CheckpointBegin,
+        6 => {
+            // Page, two PSNs, RedoLSN and two flags, at the least.
+            let n = d.get_count(4 * 8 + 2)?;
+            let mut dpt = Vec::with_capacity(n);
+            for _ in 0..n {
+                dpt.push(DptEntry::decode(d)?);
+            }
+            // A transaction id and its last LSN.
+            let m = d.get_count(12 + 8)?;
+            let mut active_txns = Vec::with_capacity(m);
+            for _ in 0..m {
+                let t = d.get_txn()?;
+                let l = d.get_lsn()?;
+                active_txns.push((t, l));
+            }
+            LogPayloadRef::CheckpointEnd(Cow::Owned(CheckpointBody { dpt, active_txns }))
+        }
+        7 => LogPayloadRef::AllocPage {
+            pid: d.get_page()?,
+            kind: d.get_u8()?,
+        },
+        8 => LogPayloadRef::FreePage {
+            pid: d.get_page()?,
+            final_psn: d.get_psn()?,
+        },
+        t => return Err(Error::Corrupt(format!("bad log payload tag {t}"))),
+    })
 }
 
 #[cfg(test)]
@@ -970,6 +1073,7 @@ mod tests {
             assert_eq!(r.inverse().inverse(), r);
             let mut e = Encoder::new();
             r.encode(&mut e);
+            assert_eq!(e.len(), r.encoded_len());
             e.put_u8(0xEE);
             let mut d = Decoder::new(e.as_slice());
             assert_eq!(PageOpRef::decode(&mut d).unwrap(), r, "self-delimiting");
@@ -1022,6 +1126,73 @@ mod tests {
                 Err(Error::Corrupt(_))
             ));
             assert!(matches!(LogRecord::decode(&bytes), Err(Error::Corrupt(_))));
+        }
+    }
+
+    /// A frame around `body`, its length and CRC computed for it.
+    fn framed(body: &[u8]) -> Vec<u8> {
+        let mut out = (body.len() as u32 + 8).to_le_bytes().to_vec();
+        out.extend_from_slice(&cblog_common::crc32(body).to_le_bytes());
+        out.extend_from_slice(body);
+        out
+    }
+
+    #[test]
+    fn a_cut_or_padded_body_is_corrupt_even_when_its_crc_matches() {
+        // The collector copies an op as the tail of its frame, so the
+        // decode must prove there is nothing behind the op.
+        let slotted = [
+            PageOp::Delete {
+                slot: 1,
+                old: b"gone".to_vec(),
+            },
+            PageOp::UpdateRec {
+                slot: 0,
+                old: b"old".to_vec(),
+                new: b"newer".to_vec(),
+            },
+        ];
+        let updates = slotted.into_iter().map(|op| LogRecord {
+            txn: txn(),
+            prev_lsn: Lsn(3),
+            payload: LogPayload::Update {
+                pid: pid(),
+                psn_before: Psn(2),
+                op,
+            },
+        });
+        for rec in all_payloads().into_iter().chain(updates) {
+            let bytes = rec.encode();
+            assert_eq!(framed(&bytes[8..]), bytes);
+            for len in 0..bytes.len() {
+                let cut = &bytes[..len];
+                assert!(
+                    matches!(LogRecordRef::decode(cut), Err(Error::Corrupt(_))),
+                    "{:?} cut to {len} bytes",
+                    rec.payload
+                );
+                if len >= 8 {
+                    let reframed = framed(&cut[8..]);
+                    assert!(
+                        matches!(LogRecordRef::decode(&reframed), Err(Error::Corrupt(_))),
+                        "{:?} with its body cut to {} bytes",
+                        rec.payload,
+                        len - 8
+                    );
+                }
+            }
+            for extra in [&[0][..], &[0xEE; 3], &bytes[8..]] {
+                let mut body = bytes[8..].to_vec();
+                body.extend_from_slice(extra);
+                let padded = framed(&body);
+                assert!(
+                    matches!(LogRecordRef::decode(&padded), Err(Error::Corrupt(_))),
+                    "{:?} with {} bytes after its last field",
+                    rec.payload,
+                    extra.len()
+                );
+                assert!(matches!(LogRecord::decode(&padded), Err(Error::Corrupt(_))));
+            }
         }
     }
 
