@@ -480,15 +480,14 @@ const TAG_CLR: u8 = 2;
 /// previous LSN and the payload tag.
 const PREFIX: usize = 12 + 8 + 1;
 
-/// The first `N` bytes of a record body and the rest, after the one
-/// length check of a fixed-width read.
+/// The first `n` bytes of a record body and the rest: the one length
+/// check of a fixed-width read.
 #[inline]
-fn fixed<const N: usize>(body: &[u8]) -> Result<(&[u8; N], &[u8])> {
-    if body.len() < N {
+fn fixed(body: &[u8], n: usize) -> Result<(&[u8], &[u8])> {
+    if body.len() < n {
         return Err(short_body());
     }
-    let (h, rest) = body.split_at(N);
-    Ok((h.try_into().unwrap(), rest))
+    Ok(body.split_at(n))
 }
 
 #[cold]
@@ -498,19 +497,8 @@ fn short_body() -> Error {
 
 /// The little-endian u64 at `at` of a fixed-width prefix.
 #[inline]
-fn u64_at<const N: usize>(h: &[u8; N], at: usize) -> u64 {
+fn u64_at(h: &[u8], at: usize) -> u64 {
     u64::from_le_bytes(h[at..at + 8].try_into().unwrap())
-}
-
-/// The transaction id and previous LSN every body starts with.
-#[inline]
-fn txn_and_prev<const N: usize>(h: &[u8; N]) -> (TxnId, Lsn) {
-    let node = NodeId(u32::from_le_bytes(h[..4].try_into().unwrap()));
-    let txn = TxnId {
-        node,
-        seq: u64_at(h, 4),
-    };
-    (txn, Lsn(u64_at(h, 12)))
 }
 
 /// Reads `bytes` with `read` and refuses any byte past the last field
@@ -750,39 +738,37 @@ impl<'a> LogRecordRef<'a> {
         }
         // Updates and CLRs, nearly every record, read their fixed
         // fields at fixed offsets behind one length check.
-        let (txn, prev_lsn, payload) = match body.get(PREFIX - 1) {
+        let (h, payload) = match body.get(PREFIX - 1) {
             Some(&TAG_UPDATE) => {
-                let (h, op) = fixed::<{ PREFIX + 16 }>(body)?;
-                let (txn, prev_lsn) = txn_and_prev(h);
+                let (h, op) = fixed(body, PREFIX + 16)?;
                 let payload = LogPayloadRef::Update {
                     pid: PageId::from_u64(u64_at(h, PREFIX)),
                     psn_before: Psn(u64_at(h, PREFIX + 8)),
                     op: whole(op, PageOpRef::decode)?,
                 };
-                (txn, prev_lsn, payload)
+                (h, payload)
             }
             Some(&TAG_CLR) => {
-                let (h, op) = fixed::<{ PREFIX + 24 }>(body)?;
-                let (txn, prev_lsn) = txn_and_prev(h);
+                let (h, op) = fixed(body, PREFIX + 24)?;
                 let payload = LogPayloadRef::Clr {
                     pid: PageId::from_u64(u64_at(h, PREFIX)),
                     psn_before: Psn(u64_at(h, PREFIX + 8)),
                     undo_next: Lsn(u64_at(h, PREFIX + 16)),
                     op: whole(op, PageOpRef::decode)?,
                 };
-                (txn, prev_lsn, payload)
+                (h, payload)
             }
             _ => {
-                let (h, rest) = fixed::<PREFIX>(body)?;
-                let (txn, prev_lsn) = txn_and_prev(h);
-                let payload = whole(rest, |d| decode_payload(h[PREFIX - 1], d))?;
-                (txn, prev_lsn, payload)
+                let (h, rest) = fixed(body, PREFIX)?;
+                (h, whole(rest, |d| decode_payload(h[PREFIX - 1], d))?)
             }
         };
+        let node = NodeId(u32::from_le_bytes(h[..4].try_into().unwrap()));
+        let txn = TxnId::new(node, u64_at(h, 4));
         Ok((
             LogRecordRef {
                 txn,
-                prev_lsn,
+                prev_lsn: Lsn(u64_at(h, 12)),
                 payload,
             },
             total,
