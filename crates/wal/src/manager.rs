@@ -650,14 +650,17 @@ impl LogScan<'_> {
             return None;
         }
         let lsn = self.next;
-        let read = self
-            .lm
-            .frame(lsn, &mut self.win, SCAN_READ_AHEAD)
-            .and_then(|frame| Ok((frame, LogRecordRef::decode(frame)?)));
+        // The record, about 100 bytes, goes from the decode straight
+        // into the return value: passed along a chain of `Result`s, its
+        // copies cost a scan more than the decode's field reads.
+        let read = match self.lm.frame(lsn, &mut self.win, SCAN_READ_AHEAD) {
+            Ok(frame) => LogRecordRef::decode(frame).map(|(rec, n)| (&frame[..n], rec)),
+            Err(e) => Err(e),
+        };
         match read {
-            Ok((frame, (rec, n))) => {
-                self.next = lsn.advance(n as u64);
-                Some(Ok((lsn, &frame[..n], rec)))
+            Ok((frame, rec)) => {
+                self.next = lsn.advance(frame.len() as u64);
+                Some(Ok((lsn, frame, rec)))
             }
             Err(e) => {
                 self.failed = true;
