@@ -166,7 +166,7 @@ impl<'a> Decoder<'a> {
     /// The next `N` bytes, with one length check.
     #[inline]
     fn array<const N: usize>(&mut self) -> Result<[u8; N]> {
-        Ok(self.take(N)?.try_into().unwrap())
+        Ok(self.take(N)?.try_into().expect("take returns N bytes"))
     }
 
     /// Reads a single byte.

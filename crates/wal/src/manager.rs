@@ -650,9 +650,6 @@ impl LogScan<'_> {
             return None;
         }
         let lsn = self.next;
-        // The record, about 100 bytes, goes from the decode straight
-        // into the return value: passed along a chain of `Result`s, its
-        // copies cost a scan more than the decode's field reads.
         let read = match self.lm.frame(lsn, &mut self.win, SCAN_READ_AHEAD) {
             Ok(frame) => LogRecordRef::decode(frame).map(|(rec, n)| (&frame[..n], rec)),
             Err(e) => Err(e),

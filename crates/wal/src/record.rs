@@ -157,6 +157,7 @@ impl<'a> PageOpRef<'a> {
         }
     }
 
+    /// [`PageOpRef::apply_redo`] of any op, out of line.
     fn apply_logical(self, page: &mut Page) -> Result<()> {
         match self {
             PageOpRef::WriteRange { off, after, .. } => page.write_range(off as usize, after),
@@ -498,7 +499,7 @@ fn short_body() -> Error {
 /// The little-endian u64 at `at` of a fixed-width prefix.
 #[inline]
 fn u64_at(h: &[u8], at: usize) -> u64 {
-    u64::from_le_bytes(h[at..at + 8].try_into().unwrap())
+    u64::from_le_bytes(h[at..at + 8].try_into().expect("an 8-byte range"))
 }
 
 /// Reads `bytes` with `read` and refuses any byte past the last field
@@ -763,7 +764,9 @@ impl<'a> LogRecordRef<'a> {
                 (h, whole(rest, |d| decode_payload(h[PREFIX - 1], d))?)
             }
         };
-        let node = NodeId(u32::from_le_bytes(h[..4].try_into().unwrap()));
+        let node = NodeId(u32::from_le_bytes(
+            h[..4].try_into().expect("a 4-byte range"),
+        ));
         let txn = TxnId::new(node, u64_at(h, 4));
         Ok((
             LogRecordRef {
