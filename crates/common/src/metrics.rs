@@ -53,11 +53,6 @@ pub mod keys {
     /// Gauge: cumulative sim-time attributed to crash recovery, µs.
     pub const PROF_REPLAY_US: &str = "prof/replay_us";
 
-    // ---- crash recovery (DESIGN §13) ----
-    /// Gauge: PSN intervals of the last recovery's heaviest page — the
-    /// lower bound on replay work no amount of parallelism removes.
-    pub const RECOVERY_CRITICAL_PATH_PSNS: &str = "recovery/critical_path_psns";
-
     // ---- buffer pool ----
     /// Buffer hits.
     pub const BUF_HITS: &str = "buf/hits";
@@ -144,7 +139,6 @@ mod tests {
             keys::PROF_NET_US,
             keys::PROF_LOCK_WAIT_US,
             keys::PROF_REPLAY_US,
-            keys::RECOVERY_CRITICAL_PATH_PSNS,
             keys::BUF_HITS,
             keys::BUF_MISSES,
             keys::BUF_EVICTIONS,

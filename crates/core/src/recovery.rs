@@ -29,8 +29,8 @@ use crate::config::Paradigm;
 use crate::node::{NodePsnEntry, RedoRecords, RollbackStep};
 use crate::runtime::Runtime;
 use cblog_common::{
-    metrics::keys, Bucket, Error, IdMap, Lsn, NodeId, PageId, Psn, RecoveryPhase, Result, SimTime,
-    Span, SpanCtx, SpanId, SpanKind, TransferWhy, TxnId,
+    Bucket, Error, IdMap, Lsn, NodeId, PageId, Psn, RecoveryPhase, Result, SimTime, Span, SpanCtx,
+    SpanId, SpanKind, TransferWhy, TxnId,
 };
 use cblog_locks::LockMode;
 use cblog_net::{MsgHeader, MsgKind};
@@ -1022,14 +1022,6 @@ fn recover_inner(cluster: &mut Cluster, opts: &RecoveryOptions) -> Result<Recove
             }
         }
     }
-    for &c in crashed {
-        cluster
-            .node(c)
-            .registry()
-            .gauge(keys::RECOVERY_CRITICAL_PATH_PSNS)
-            .set(report.critical_path_psns as i64);
-    }
-
     // Remote-owned candidates: the crashed node replays its own log
     // onto the owner's authoritative copy and re-caches the page.
     let mut runs = Vec::new();
@@ -2231,13 +2223,6 @@ mod tests {
         for w in waves {
             assert!(w.makespan_us <= w.serial_us, "packing cannot exceed serial");
         }
-        // The critical path is published on the recovered node.
-        let reg = par_c.node(NodeId(0)).registry();
-        assert_eq!(
-            reg.gauge(cblog_common::metrics::keys::RECOVERY_CRITICAL_PATH_PSNS)
-                .get(),
-            par.critical_path_psns as i64
-        );
     }
 
     /// Satellite regression: span sampling must never thin the

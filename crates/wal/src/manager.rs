@@ -467,6 +467,19 @@ impl LogManager {
         Ok(&win.bytes[off..off + total])
     }
 
+    /// The record at `lsn` through [`LogManager::frame`], with its
+    /// frame: a scan's path for a refill, the tail and every edge, kept
+    /// out of line so the in-window path inlines alone.
+    #[inline(never)]
+    fn scan_frame<'s>(
+        &'s mut self,
+        lsn: Lsn,
+        win: &'s mut ReadWindow,
+    ) -> Result<(&'s [u8], LogRecordRef<'s>)> {
+        let frame = self.frame(lsn, win, SCAN_READ_AHEAD)?;
+        LogRecordRef::decode(frame).map(|(rec, n)| (&frame[..n], rec))
+    }
+
     /// Iterates records from `from` to the end of the log (including
     /// the unflushed tail) — the one forward-scan primitive. The
     /// cursor reads the store sequentially through a bounded
@@ -615,6 +628,18 @@ struct ReadWindow {
     start: u64,
 }
 
+impl ReadWindow {
+    /// The offset and length of the record at `lsn` when its header
+    /// and the whole length that header gives lie inside the window.
+    #[inline]
+    fn holds(&self, lsn: Lsn) -> Option<(usize, usize)> {
+        let off = lsn.0.checked_sub(self.start)? as usize;
+        let header = self.bytes.get(off..off + 8)?;
+        let total = u32::from_le_bytes(header[..4].try_into().unwrap()) as usize;
+        (total >= 8 && off + total <= self.bytes.len()).then_some((off, total))
+    }
+}
+
 /// Forward scan over log records (see [`LogManager::scan`]).
 pub struct LogScan<'a> {
     lm: &'a mut LogManager,
@@ -645,14 +670,26 @@ impl LogScan<'_> {
     /// [`LogScan::next_ref`] with the frame the record was decoded from,
     /// its 8-byte header included: a pass that keeps a record's bytes
     /// copies them from here instead of encoding the record again.
+    ///
+    /// A record wholly inside the read-ahead window is framed straight
+    /// from it, inline: `frame` filled the window with durable bytes at
+    /// or above the truncation point, so every check it makes of a
+    /// record there already holds. A refill, the unflushed tail and
+    /// every edge go through [`LogManager::frame`] out of line. Either
+    /// way the record is decoded, its checksum included, by
+    /// [`LogRecordRef::decode`].
+    #[inline]
     pub fn next_framed(&mut self) -> Option<Result<(Lsn, &[u8], LogRecordRef<'_>)>> {
         if self.failed || self.next >= self.lm.end_lsn {
             return None;
         }
         let lsn = self.next;
-        let read = match self.lm.frame(lsn, &mut self.win, SCAN_READ_AHEAD) {
-            Ok(frame) => LogRecordRef::decode(frame).map(|(rec, n)| (&frame[..n], rec)),
-            Err(e) => Err(e),
+        let read = match self.win.holds(lsn) {
+            Some((off, total)) => {
+                let frame = &self.win.bytes[off..off + total];
+                LogRecordRef::decode(frame).map(|(rec, _)| (frame, rec))
+            }
+            None => self.lm.scan_frame(lsn, &mut self.win),
         };
         match read {
             Ok((frame, rec)) => {
@@ -850,6 +887,58 @@ mod tests {
         let store = crate::store::FileLogStore::open(&path).unwrap();
         scan_equals_read_loop_on(LogManager::new(NodeId(1), Box::new(store)).unwrap());
         let _ = std::fs::remove_file(&path);
+    }
+
+    /// A record inside the scan's read-ahead window is framed there,
+    /// not by `frame`, and must still be refused where `frame` refuses
+    /// it. In a file log that one window holds, a record mid-window has
+    /// a body byte flipped, its header zeroed, or a length that runs
+    /// past the durable end: the scan yields `Corrupt` at that record,
+    /// where `read_record` fails, and ends.
+    #[test]
+    fn an_in_window_record_is_refused_where_a_read_refuses_it() {
+        let t = TempLog::new("in-window");
+        let mut lm = LogManager::new(NodeId(1), Box::new(t.fresh())).unwrap();
+        let mut lsns = Vec::new();
+        let mut prev = Lsn::ZERO;
+        for seq in 1..=40 {
+            prev = lm.append(&rec(seq, prev)).unwrap();
+            lsns.push(prev);
+        }
+        lm.force_all().unwrap();
+        let durable = lm.end_lsn().0;
+        assert!(durable < SCAN_READ_AHEAD as u64, "one window holds the log");
+        drop(lm);
+        let clean = std::fs::read(t.path()).unwrap();
+        let at = lsns[20];
+        let i = at.0 as usize;
+        let mid = i + (lsns[21].0 - at.0) as usize / 2;
+        let past_end = (durable - at.0 + 1) as u32;
+        let cases: [(&str, &dyn Fn(&mut [u8])); 3] = [
+            ("a flipped body byte", &|b| b[mid] ^= 0x40),
+            ("a zeroed header", &|b| b[i..i + 8].fill(0)),
+            ("a length past the durable end", &|b| {
+                b[i..i + 4].copy_from_slice(&past_end.to_le_bytes())
+            }),
+        ];
+        for (what, spoil) in cases {
+            let mut bytes = clean.clone();
+            spoil(&mut bytes);
+            std::fs::write(t.path(), &bytes).unwrap();
+            let mut lm = LogManager::new(NodeId(1), Box::new(t.open())).unwrap();
+            assert!(
+                matches!(lm.read_record(at), Err(Error::Corrupt(_))),
+                "{what}: the read refuses it"
+            );
+            assert_scan_matches_reads(&mut lm, Lsn(8));
+            let mut scan = lm.scan(Lsn(8));
+            let mut last = None;
+            while let Some(r) = scan.next_ref() {
+                last = Some(r.map(|(lsn, _)| lsn));
+            }
+            assert!(matches!(last, Some(Err(Error::Corrupt(_)))), "{what}: {last:?}");
+            assert_eq!(scan.position(), at, "{what}: the scan stops at that record");
+        }
     }
 
     #[test]

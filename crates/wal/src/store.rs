@@ -504,6 +504,10 @@ impl TempLog {
         FileLogStore::open(&self.0).unwrap()
     }
 
+    pub(crate) fn path(&self) -> &Path {
+        &self.0
+    }
+
     /// Opens an empty store at the path, unlinking what was there.
     pub(crate) fn fresh(&self) -> FileLogStore {
         self.remove();
