@@ -678,7 +678,7 @@ impl LogScan<'_> {
     /// every edge go through [`LogManager::frame`] out of line. Either
     /// way the record is decoded, its checksum included, by
     /// [`LogRecordRef::decode`].
-    #[inline]
+    #[inline(always)]
     pub fn next_framed(&mut self) -> Option<Result<(Lsn, &[u8], LogRecordRef<'_>)>> {
         if self.failed || self.next >= self.lm.end_lsn {
             return None;
