@@ -675,9 +675,11 @@ impl LogScan<'_> {
     /// from it, inline: `frame` filled the window with durable bytes at
     /// or above the truncation point, so every check it makes of a
     /// record there already holds. A refill, the unflushed tail and
-    /// every edge go through [`LogManager::frame`] out of line. Either
+    /// every edge go through `LogManager::frame` out of line. Either
     /// way the record is decoded, its checksum included, by
     /// [`LogRecordRef::decode`].
+    // `always`: under plain `#[inline]` rustc kept this an out-of-line
+    // call from `Node::restart`, once a record.
     #[inline(always)]
     pub fn next_framed(&mut self) -> Option<Result<(Lsn, &[u8], LogRecordRef<'_>)>> {
         if self.failed || self.next >= self.lm.end_lsn {
@@ -914,16 +916,17 @@ mod tests {
         let i = at.0 as usize;
         let mid = i + (lsns[21].0 - at.0) as usize / 2;
         let past_end = (durable - at.0 + 1) as u32;
-        let cases: [(&str, &dyn Fn(&mut [u8])); 3] = [
-            ("a flipped body byte", &|b| b[mid] ^= 0x40),
-            ("a zeroed header", &|b| b[i..i + 8].fill(0)),
-            ("a length past the durable end", &|b| {
-                b[i..i + 4].copy_from_slice(&past_end.to_le_bytes())
-            }),
-        ];
-        for (what, spoil) in cases {
-            let mut bytes = clean.clone();
-            spoil(&mut bytes);
+        let mut flipped = clean.clone();
+        flipped[mid] ^= 0x40;
+        let mut zeroed = clean.clone();
+        zeroed[i..i + 8].fill(0);
+        let mut long = clean.clone();
+        long[i..i + 4].copy_from_slice(&past_end.to_le_bytes());
+        for (what, bytes) in [
+            ("a flipped body byte", flipped),
+            ("a zeroed header", zeroed),
+            ("a length past the durable end", long),
+        ] {
             std::fs::write(t.path(), &bytes).unwrap();
             let mut lm = LogManager::new(NodeId(1), Box::new(t.open())).unwrap();
             assert!(
@@ -936,7 +939,10 @@ mod tests {
             while let Some(r) = scan.next_ref() {
                 last = Some(r.map(|(lsn, _)| lsn));
             }
-            assert!(matches!(last, Some(Err(Error::Corrupt(_)))), "{what}: {last:?}");
+            assert!(
+                matches!(last, Some(Err(Error::Corrupt(_)))),
+                "{what}: {last:?}"
+            );
             assert_eq!(scan.position(), at, "{what}: the scan stops at that record");
         }
     }
