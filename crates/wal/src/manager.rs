@@ -920,7 +920,7 @@ mod tests {
         flipped[mid] ^= 0x40;
         let mut zeroed = clean.clone();
         zeroed[i..i + 8].fill(0);
-        let mut long = clean.clone();
+        let mut long = clean;
         long[i..i + 4].copy_from_slice(&past_end.to_le_bytes());
         for (what, bytes) in [
             ("a flipped body byte", flipped),
