@@ -455,3 +455,67 @@ fn an_ended_transaction_takes_no_lock() {
         c.commit(t).unwrap();
     }
 }
+
+/// One seeded workload over two clients of node 0's pages: commits,
+/// user aborts, steals under a four-frame cache, explicit evictions of
+/// dirty remote pages, owner forces (flush acks) and checkpoints of
+/// the owner and a client. Returns the durable-state fingerprint and
+/// the network's total messages and bytes.
+fn fingerprint(paradigm: Paradigm) -> (u64, u64, u64) {
+    let mut s = node0_owns(paradigm, 3, 4);
+    let mut rng = cblog_common::Rng::seed_from_u64(47);
+    let mut written: Vec<(NodeId, PageId)> = Vec::new();
+    for i in 0..60u64 {
+        let node = NodeId(1 + (i % 2) as u32);
+        let t = s.begin(node).unwrap();
+        let mut writes = 0;
+        for op in 0..5u64 {
+            let p = pid(rng.gen_range(0..8) as u32);
+            let slot = rng.gen_range_usize(0..8);
+            if writes < 3 && rng.gen_bool(0.6) {
+                s.write_u64(t, p, slot, i * 100 + op).unwrap();
+                written.push((node, p));
+                writes += 1;
+            } else {
+                s.read_u64(t, p, slot).unwrap();
+            }
+        }
+        if rng.gen_bool(0.2) {
+            s.abort(t).unwrap();
+        } else {
+            s.commit(t).unwrap();
+        }
+        if i % 4 == 3 {
+            let (n, p) = written[rng.gen_range_usize(0..written.len())];
+            s.evict_page(n, p).unwrap();
+        }
+        if i % 9 == 8 {
+            s.force_page(pid(rng.gen_range(0..8) as u32)).unwrap();
+        }
+        if i % 6 == 5 {
+            s.checkpoint(NodeId(0)).unwrap();
+            s.checkpoint(NodeId(1)).unwrap();
+        }
+    }
+    let stats = s.network().stats();
+    let hash = s.durable_state_hash().unwrap();
+    (hash, stats.total_messages(), stats.total_bytes())
+}
+
+/// Pins what each paradigm writes durably and charges on the network
+/// for the same workload, so a refactor of the exchanges cannot move a
+/// log byte or a message unnoticed.
+#[test]
+fn every_paradigm_writes_and_charges_what_it_did() {
+    for (paradigm, pinned) in [
+        (Paradigm::ClientBased, (4043158807314955881, 974, 210960)),
+        (
+            Paradigm::ForceOnTransfer,
+            (2721882256520708629, 1001, 212256),
+        ),
+        (Paradigm::PrimaryCopy, (5189827819581322087, 1146, 216840)),
+        (Paradigm::ClientServer, (15946152769705539805, 1177, 234674)),
+    ] {
+        assert_eq!(fingerprint(paradigm), pinned, "{paradigm:?}");
+    }
+}
