@@ -407,6 +407,20 @@ fn active_in(txns: &mut IdMap<TxnId, TxnState>, id: TxnId) -> Result<&mut TxnSta
     }
 }
 
+/// One step back along `txn`'s log chain, from the record at `at`,
+/// which `writer` wrote, to `next`. A chain moves strictly backward
+/// within its transaction; any other step is a corrupt log, and a walk
+/// that took it would loop or undo another transaction's update.
+fn chain_step(txn: TxnId, at: Lsn, writer: TxnId, next: Lsn) -> Result<Lsn> {
+    if writer != txn || next >= at {
+        return Err(Error::Corrupt(format!(
+            "log chain of {txn} leaves it or does not move backward at LSN {}",
+            at.0
+        )));
+    }
+    Ok(next)
+}
+
 /// A processing node.
 pub struct Node {
     id: NodeId,
@@ -810,13 +824,17 @@ impl Node {
                 return Ok(RollbackStep::Done);
             }
             let (rec, _) = self.log.read_record(cursor)?;
-            debug_assert_eq!(rec.txn, txn, "undo chain stays within the transaction");
+            let next = match rec.payload {
+                LogPayload::Clr { undo_next, .. } => undo_next,
+                _ => rec.prev_lsn,
+            };
+            let next = chain_step(txn, cursor, rec.txn, next)?;
             match rec.payload {
                 LogPayload::Begin => return Ok(RollbackStep::Done),
-                LogPayload::Clr { undo_next, .. } => {
-                    cursor = undo_next;
+                LogPayload::Clr { .. } => {
+                    cursor = next;
                     let t = self.txns.get_mut(&txn).expect("checked");
-                    t.undo_next = undo_next;
+                    t.undo_next = next;
                 }
                 LogPayload::Update { pid, op, .. } => {
                     if !self.buffer.contains(pid) {
@@ -834,7 +852,7 @@ impl Node {
                             pid,
                             psn_before,
                             op: comp,
-                            undo_next: rec.prev_lsn,
+                            undo_next: next,
                         },
                     };
                     let lsn = self.log.append(&clr)?;
@@ -845,7 +863,7 @@ impl Node {
                     self.dpt.on_update(pid, psn_after, lsn);
                     let t = self.txns.get_mut(&txn).expect("checked");
                     t.last_lsn = lsn;
-                    t.undo_next = rec.prev_lsn;
+                    t.undo_next = next;
                     return Ok(RollbackStep::Undone(pid));
                 }
                 ref p => {
@@ -884,7 +902,7 @@ impl Node {
         let mut out = Vec::new();
         while lsn > after {
             let (rec, _) = self.log.read_record(lsn)?;
-            lsn = rec.prev_lsn;
+            lsn = chain_step(txn, lsn, rec.txn, rec.prev_lsn)?;
             out.push(rec);
         }
         out.reverse();
@@ -1298,25 +1316,27 @@ impl Node {
     /// counterpart is `drop_shared_retain_exclusive`. Call after
     /// [`Node::restart_pass`] has rebuilt the loser table.
     pub fn loser_page_locks(&mut self, owner: NodeId) -> Result<Vec<PageId>> {
-        let losers: Vec<Lsn> = self
+        let losers: Vec<(TxnId, Lsn)> = self
             .txns
             .values()
             .filter(|t| t.status == TxnStatus::Aborting)
-            .map(|t| t.undo_next)
+            .map(|t| (t.id, t.undo_next))
             .collect();
         let mut pages: BTreeSet<PageId> = BTreeSet::new();
-        for mut cursor in losers {
+        for (txn, mut cursor) in losers {
             while !cursor.is_zero() {
                 let (step, _) = self.log.read_ref(cursor, |rec| match rec.payload {
-                    LogPayloadRef::Update { pid, .. } => Some((pid, rec.prev_lsn)),
-                    LogPayloadRef::Clr { pid, undo_next, .. } => Some((pid, undo_next)),
+                    LogPayloadRef::Update { pid, .. } => Some((pid, rec.txn, rec.prev_lsn)),
+                    LogPayloadRef::Clr { pid, undo_next, .. } => Some((pid, rec.txn, undo_next)),
                     _ => None,
                 })?;
-                let Some((pid, next)) = step else { break };
+                let Some((pid, writer, next)) = step else {
+                    break;
+                };
                 if pid.owner == owner {
                     pages.insert(pid);
                 }
-                cursor = next;
+                cursor = chain_step(txn, cursor, writer, next)?;
             }
         }
         Ok(pages.into_iter().collect())
@@ -2161,6 +2181,96 @@ mod tests {
             assert_eq!(n.peek_slot(pid, slot), Some(0));
         }
         assert_eq!(n.peek_slot(other, 0), Some(499));
+    }
+
+    /// Every walk back along a transaction's log chain refuses a step
+    /// that does not land strictly below it within the transaction: a
+    /// CLR whose `undo_next` is its own LSN, an Update whose `prev_lsn`
+    /// is its own, and an Update chained to another transaction's
+    /// record. Each walk stops with `Corrupt` naming the LSN of the
+    /// record it cannot step from.
+    #[test]
+    fn a_chain_that_does_not_move_backward_is_corrupt() {
+        for case in 0..3 {
+            let mut n = node();
+            let pid = load(&mut n, 0);
+            let other = n.begin().unwrap();
+            upd(&mut n, other, pid, 1, 7);
+            let theirs = n.txns[&other].last_lsn;
+            let t = n.begin().unwrap();
+            upd(&mut n, t, pid, 0, 5);
+            let at = n.log().end_lsn();
+            let op = PageOp::WriteRange {
+                off: 16,
+                before: vec![0; 8],
+                after: vec![1; 8],
+            };
+            let psn_before = n.buffer().peek(pid).unwrap().psn();
+            let (prev_lsn, payload, bad) = match case {
+                0 => {
+                    let undo_next = at;
+                    let clr = LogPayload::Clr {
+                        pid,
+                        psn_before,
+                        op,
+                        undo_next,
+                    };
+                    (n.txns[&t].last_lsn, clr, at)
+                }
+                1 => (
+                    at,
+                    LogPayload::Update {
+                        pid,
+                        psn_before,
+                        op,
+                    },
+                    at,
+                ),
+                _ => (
+                    theirs,
+                    LogPayload::Update {
+                        pid,
+                        psn_before,
+                        op,
+                    },
+                    theirs,
+                ),
+            };
+            let rec = LogRecord {
+                txn: t,
+                prev_lsn,
+                payload,
+            };
+            n.log.append(&rec).unwrap();
+            n.force_log().unwrap();
+            n.crash();
+            n.mark_restarting().unwrap();
+            let (a, _) = n.restart_redo().unwrap();
+            assert_eq!(a.losers, vec![other, t], "case {case}");
+            let want = format!("at LSN {}", bad.0);
+            let corrupt = |r: Result<()>| match r {
+                Err(Error::Corrupt(m)) => assert!(m.contains(&want), "case {case}: {m}"),
+                r => panic!("case {case}: expected Corrupt, got {r:?}"),
+            };
+            corrupt(n.loser_page_locks(NodeId(0)).map(drop));
+            if case > 0 {
+                corrupt(n.txn_records(t, Lsn::ZERO).map(drop));
+            }
+            // Bounded: a chain that loops through Updates would undo
+            // forever, writing a CLR each time.
+            let mut undo = Ok(());
+            for _ in 0..8 {
+                match n.rollback_step(t, Lsn::ZERO) {
+                    Ok(RollbackStep::NeedPage(p)) => drop(load(&mut n, p.index)),
+                    Ok(RollbackStep::Undone(_)) => {}
+                    r => {
+                        undo = r.map(drop);
+                        break;
+                    }
+                }
+            }
+            corrupt(undo);
+        }
     }
 
     #[test]

@@ -1294,6 +1294,7 @@ mod tests {
     use super::*;
     use crate::config::ClusterConfig;
     use cblog_common::CostModel;
+    use cblog_wal::{LogPayload, LogRecord, PageOp};
 
     fn cluster(owned: Vec<u32>) -> Cluster {
         Cluster::new(
@@ -1348,6 +1349,40 @@ mod tests {
         let t2 = c.begin(NodeId(0)).unwrap();
         assert_eq!(c.read_u64(t2, p, 0).unwrap(), 10, "loser update undone");
         c.commit(t2).unwrap();
+    }
+
+    /// A loser whose CLR names itself as the next record to undo stops
+    /// restart with `Corrupt` at that LSN, instead of reading the same
+    /// record forever.
+    #[test]
+    fn a_chain_that_does_not_move_backward_fails_recovery() {
+        let mut c = cluster(vec![4]);
+        let p = pid(0, 0);
+        let t = c.begin(NodeId(0)).unwrap();
+        c.write_u64(t, p, 0, 9).unwrap();
+        let n = c.node_mut(NodeId(0));
+        let at = n.log.end_lsn();
+        let clr = LogRecord {
+            txn: t,
+            prev_lsn: n.txns[&t].last_lsn,
+            payload: LogPayload::Clr {
+                pid: p,
+                psn_before: n.buffer.peek(p).unwrap().psn(),
+                op: PageOp::WriteRange {
+                    off: 0,
+                    before: 9u64.to_le_bytes().to_vec(),
+                    after: vec![0; 8],
+                },
+                undo_next: at,
+            },
+        };
+        n.log.append(&clr).unwrap();
+        n.log.force_all().unwrap();
+        c.crash(NodeId(0));
+        match recover(&mut c, &RecoveryOptions::single(NodeId(0))) {
+            Err(Error::Corrupt(m)) => assert!(m.contains(&format!("at LSN {}", at.0)), "{m}"),
+            r => panic!("expected Corrupt, got {r:?}"),
+        }
     }
 
     /// A client's committed updates to a remote page survive the
