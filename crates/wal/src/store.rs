@@ -430,6 +430,13 @@ impl LogStore for FileLogStore {
             f.sync_data()?;
         }
         std::fs::rename(&tmp, &self.master_path)?;
+        // The rename survives a crash only once the directory entry
+        // that names the file is durable.
+        let dir = match self.master_path.parent() {
+            Some(d) if !d.as_os_str().is_empty() => d,
+            _ => Path::new("."),
+        };
+        File::open(dir)?.sync_all()?;
         Ok(())
     }
 
