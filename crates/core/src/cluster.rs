@@ -658,8 +658,8 @@ impl Cluster {
     /// Primary-copy commit processing (paper §3.2), after `txn`'s
     /// commit is durable at its node: each remote page it updated
     /// travels to its owner, in page order, with its log records. The
-    /// owner appends copies of the records to its own log (the double
-    /// logging), forces, caches the page and acknowledges.
+    /// owner logs them a second time ([`Node::on_commit_ship`]),
+    /// caches the page and acknowledges.
     fn ship_to_primary(&mut self, txn: TxnId) -> Result<()> {
         let node = txn.node;
         let n = ix(node);
@@ -670,40 +670,28 @@ impl Cluster {
         remote.dedup();
         for pid in remote {
             let owner = pid.owner;
-            let copies: Vec<LogRecord> = records
-                .iter()
-                .filter(|r| r.page() == Some(pid))
-                .map(|r| LogRecord {
-                    prev_lsn: Lsn::ZERO,
-                    ..r.clone()
-                })
-                .collect();
-            let bytes: usize = copies.iter().map(|r| r.encode().len()).sum();
+            let ship: Vec<&LogRecord> = records.iter().filter(|r| r.page() == Some(pid)).collect();
+            let bytes: usize = ship.iter().map(|r| r.encode().len()).sum();
             let page = self.nodes[n]
                 .buffer
                 .peek(pid)
                 .cloned()
                 .ok_or(Error::NoSuchPage(pid))?;
-            self.net.send_reliable_hdr(
+            self.send(
                 node,
                 owner,
                 MsgKind::PageShip,
                 self.page_bytes(),
                 MsgHeader::NONE,
             )?;
-            self.net.send_reliable_hdr(
+            self.send(
                 node,
                 owner,
                 MsgKind::LogShip,
                 bytes + CTRL_BYTES,
                 MsgHeader::NONE,
             )?;
-            self.forcing(owner, bytes as u64, |nd| {
-                for r in &copies {
-                    nd.log.append(r)?;
-                }
-                nd.log.force_all()
-            })?;
+            self.forcing(owner, bytes as u64, |nd| nd.on_commit_ship(&ship))?;
             self.cache_at(owner, page, true)?;
             self.send_ctrl(owner, node, MsgKind::CommitAck)?;
         }
@@ -733,10 +721,9 @@ impl Cluster {
     fn commit_at_server(&mut self, txn: TxnId) -> Result<()> {
         let node = txn.node;
         self.nodes[ix(node)].check_active(txn)?;
-        let records = self.unshipped(txn)?;
-        self.ship_log(txn, records)?;
+        self.ship_to_server(txn, |_| true)?;
         self.send_ctrl(node, SERVER, MsgKind::CommitRequest)?;
-        self.append_at_server(txn, LogPayload::Commit)?;
+        self.end_at_server(txn, LogPayload::Commit)?;
         self.nodes[ix(node)].commit_at_server(txn)?;
         self.forcing(SERVER, 0, |nd| nd.log.force_all())?;
         self.send_ctrl(SERVER, node, MsgKind::CommitAck)?;
@@ -744,62 +731,64 @@ impl Cluster {
         Ok(())
     }
 
-    /// The records of `txn` the server has not seen, oldest first.
-    fn unshipped(&mut self, txn: TxnId) -> Result<Vec<LogRecord>> {
-        let sent = self.shipped.get(&txn).map_or(Lsn::ZERO, |&(sent, _)| sent);
-        self.nodes[ix(txn.node)].txn_records(txn, sent)
+    /// The one client-to-server log ship of ARIES/CSA (§3.1): the
+    /// records of `txn` the server lacks, oldest first, as `select`
+    /// narrows them (it returns false to ship nothing), travel in one
+    /// `LogShip` of their encoded bytes, and the server appends them
+    /// ([`Node::on_log_ship`]). Everything `txn` has logged so far is
+    /// then marked shipped. Returns whether records travelled.
+    fn ship_to_server(
+        &mut self,
+        txn: TxnId,
+        select: impl FnOnce(&mut Vec<LogRecord>) -> bool,
+    ) -> Result<bool> {
+        let (sent, at) = self.shipped.get(&txn).copied().unwrap_or_default();
+        let client = &mut self.nodes[ix(txn.node)];
+        let mut records = client.txn_records(txn, sent)?;
+        if !select(&mut records) || records.is_empty() {
+            return Ok(false);
+        }
+        let last = client.txns[&txn].last_lsn;
+        let bytes = records.iter().map(|r| r.encode().len()).sum::<usize>() + CTRL_BYTES;
+        self.send(txn.node, SERVER, MsgKind::LogShip, bytes, MsgHeader::NONE)?;
+        let at = self.nodes[ix(SERVER)].on_log_ship(at, records)?;
+        self.shipped.insert(txn, (last, at));
+        Ok(true)
     }
 
-    /// Ships `records` of `txn` to the server in one `LogShip` of their
-    /// encoded bytes (none sends nothing), and marks everything `txn`
-    /// has logged so far as shipped. The server appends them chained by
-    /// `prev_lsn` and enters each updated page in its DPT.
-    fn ship_log(&mut self, txn: TxnId, records: Vec<LogRecord>) -> Result<()> {
-        if records.is_empty() {
-            return Ok(());
-        }
-        let bytes: usize = records.iter().map(|r| r.encode().len()).sum();
-        self.net.send_reliable_hdr(
-            txn.node,
-            SERVER,
-            MsgKind::LogShip,
-            bytes + CTRL_BYTES,
-            MsgHeader::NONE,
-        )?;
-        let mut prev = self.shipped.get(&txn).map_or(Lsn::ZERO, |&(_, at)| at);
-        let server = &mut self.nodes[ix(SERVER)];
-        for mut r in records {
-            r.prev_lsn = prev;
-            prev = server.log.append(&r)?;
-            if let LogPayload::Update {
-                pid, psn_before, ..
-            } = r.payload
-            {
-                server.dpt.on_update(pid, psn_before.next(), prev);
-            }
-        }
-        let last = self.nodes[ix(txn.node)].txns[&txn].last_lsn;
-        self.shipped.insert(txn, (last, prev));
-        Ok(())
-    }
-
-    /// Appends `txn`'s final record (Commit or Abort) to the server's
-    /// log, after whatever the transaction shipped, and forgets its
+    /// Appends `txn`'s final record (Commit or Abort) at the server,
+    /// after whatever the transaction shipped, and forgets its
     /// shipping marks.
-    fn append_at_server(&mut self, txn: TxnId, payload: LogPayload) -> Result<()> {
-        let prev = self.shipped.remove(&txn).map_or(Lsn::ZERO, |(_, at)| at);
-        let rec = LogRecord {
+    fn end_at_server(&mut self, txn: TxnId, payload: LogPayload) -> Result<()> {
+        let (_, at) = self.shipped.remove(&txn).unwrap_or_default();
+        let end = LogRecord {
             txn,
-            prev_lsn: prev,
+            prev_lsn: Lsn::ZERO,
             payload,
         };
-        self.nodes[ix(SERVER)].log.append(&rec).map(drop)
+        self.nodes[ix(SERVER)].on_log_ship(at, vec![end]).map(drop)
+    }
+
+    /// Sends one `kind` message of `bytes` from `from` to `to`, resent
+    /// on loss: the router's one reliable send. A message to oneself is
+    /// no message, and charges nothing.
+    pub(crate) fn send(
+        &mut self,
+        from: NodeId,
+        to: NodeId,
+        kind: MsgKind,
+        bytes: usize,
+        hdr: MsgHeader,
+    ) -> Result<()> {
+        if from == to {
+            return Ok(());
+        }
+        self.net.send_reliable_hdr(from, to, kind, bytes, hdr)
     }
 
     /// Sends a control message of [`CTRL_BYTES`].
     fn send_ctrl(&mut self, from: NodeId, to: NodeId, kind: MsgKind) -> Result<()> {
-        self.net
-            .send_reliable_hdr(from, to, kind, CTRL_BYTES, MsgHeader::NONE)
+        self.send(from, to, kind, CTRL_BYTES, MsgHeader::NONE)
     }
 
     /// Forces `node`'s log once for its whole batch of force-pending
@@ -882,10 +871,11 @@ impl Cluster {
             // The server saw part of this transaction, so it also gets
             // the compensation records and an Abort.
             Paradigm::ClientServer if self.shipped.contains_key(&txn) => {
-                let mut clrs = self.unshipped(txn)?;
-                clrs.retain(|r| matches!(r.payload, LogPayload::Clr { .. }));
-                self.ship_log(txn, clrs)?;
-                self.append_at_server(txn, LogPayload::Abort)?;
+                self.ship_to_server(txn, |r| {
+                    r.retain(|r| matches!(r.payload, LogPayload::Clr { .. }));
+                    true
+                })?;
+                self.end_at_server(txn, LogPayload::Abort)?;
             }
             _ => {}
         }
@@ -942,19 +932,16 @@ impl Cluster {
             for c in 1..self.nodes.len() {
                 let client = NodeId(c as u32);
                 self.send_ctrl(SERVER, client, MsgKind::CheckpointSync)?;
-                let dirty = self.nodes[c].buffer.dirty_ids();
-                self.net.send_reliable_hdr(
+                let dirty = self.nodes[c].on_checkpoint_sync();
+                let bytes = CTRL_BYTES + dirty.len() * 16;
+                self.send(
                     client,
                     SERVER,
                     MsgKind::CheckpointSync,
-                    CTRL_BYTES + dirty.len() * 16,
+                    bytes,
                     MsgHeader::NONE,
                 )?;
-                let end = self.nodes[ix(SERVER)].log.end_lsn();
-                for pid in dirty {
-                    let psn = self.nodes[c].buffer.peek(pid).expect("dirty").psn();
-                    self.nodes[ix(SERVER)].dpt.ensure(pid, psn, end);
-                }
+                self.nodes[ix(SERVER)].on_dirty_pages(&dirty);
             }
         }
         let lsn = self.forcing(node, 128, Node::checkpoint)?;
@@ -1072,27 +1059,16 @@ impl Cluster {
             return Err(Error::OwnerDown { owner, page: pid });
         }
         let ctx = self.txn_ctx(txn);
-        if owner != node {
-            self.net.send_reliable_hdr(
-                node,
-                owner,
-                MsgKind::LockRequest,
-                CTRL_BYTES,
-                MsgHeader::of(ctx),
-            )?;
-        }
-        loop {
-            let outcome = self.nodes[ix(owner)].global_locks.request(pid, node, mode);
-            match outcome {
-                GlobalRequestOutcome::Granted => break,
-                GlobalRequestOutcome::NeedsCallbacks(victims) => {
-                    for (victim, action) in victims {
-                        self.run_callback(txn, pid, victim, action)?;
-                    }
-                }
+        let hdr = MsgHeader::of(ctx);
+        self.send(node, owner, MsgKind::LockRequest, CTRL_BYTES, hdr)?;
+        while let GlobalRequestOutcome::NeedsCallbacks(victims) =
+            self.nodes[ix(owner)].on_lock_request(pid, node, mode)
+        {
+            for (victim, action) in victims {
+                self.run_callback(txn, pid, victim, action)?;
             }
         }
-        self.nodes[ix(node)].cached_locks.grant(pid, mode);
+        self.nodes[ix(node)].on_lock_grant(pid, mode);
         // The grant is attributed to the owner: that is where the
         // global lock table serialized this requester against the rest
         // of the cluster.
@@ -1107,16 +1083,8 @@ impl Cluster {
                 txn,
             },
         );
-        if owner != node {
-            self.net.send_reliable_hdr(
-                owner,
-                node,
-                MsgKind::LockGrant,
-                CTRL_BYTES,
-                MsgHeader::of(SpanCtx::child(grant, ctx.span)),
-            )?;
-        }
-        Ok(())
+        let hdr = MsgHeader::of(SpanCtx::child(grant, ctx.span));
+        self.send(owner, node, MsgKind::LockGrant, CTRL_BYTES, hdr)
     }
 
     /// Executes one callback against `victim` (paper §2.2): the victim
@@ -1140,15 +1108,8 @@ impl Cluster {
             });
         }
         let ctx = self.txn_ctx(waiter);
-        if victim != owner {
-            self.net.send_reliable_hdr(
-                owner,
-                victim,
-                MsgKind::Callback,
-                CTRL_BYTES,
-                MsgHeader::of(ctx),
-            )?;
-        }
+        let hdr = MsgHeader::of(ctx);
+        self.send(owner, victim, MsgKind::Callback, CTRL_BYTES, hdr)?;
         let copy = self.nodes[ix(victim)]
             .on_callback(pid, action)?
             .map_err(|holders| Error::WouldBlock {
@@ -1169,18 +1130,10 @@ impl Cluster {
                 // before it may travel onward.
                 self.force_page(pid)?;
             }
-        } else if victim != owner {
-            self.net.send_reliable_hdr(
-                victim,
-                owner,
-                MsgKind::CallbackAck,
-                CTRL_BYTES,
-                MsgHeader::of(ctx),
-            )?;
+        } else {
+            self.send(victim, owner, MsgKind::CallbackAck, CTRL_BYTES, hdr)?;
         }
-        self.nodes[ix(owner)]
-            .global_locks
-            .callback_applied(pid, victim, action);
+        self.nodes[ix(owner)].on_callback_ack(pid, victim, action);
         Ok(())
     }
 
@@ -1234,13 +1187,8 @@ impl Cluster {
         }
         if to != owner {
             let xfer = self.trace_transfer(pid, owner, to, page.psn(), why);
-            self.net.send_reliable_hdr(
-                owner,
-                to,
-                MsgKind::PageShip,
-                self.page_bytes(),
-                MsgHeader::of(SpanCtx::child(xfer, parent)),
-            )?;
+            let hdr = MsgHeader::of(SpanCtx::child(xfer, parent));
+            self.send(owner, to, MsgKind::PageShip, self.page_bytes(), hdr)?;
         }
         Ok(page)
     }
@@ -1260,13 +1208,8 @@ impl Cluster {
     ) -> Result<()> {
         let owner = page.id().owner;
         let xfer = self.trace_transfer(page.id(), from, owner, page.psn(), why);
-        self.net.send_reliable_hdr(
-            from,
-            owner,
-            kind,
-            self.page_bytes(),
-            MsgHeader::of(SpanCtx::child(xfer, parent)),
-        )?;
+        let hdr = MsgHeader::of(SpanCtx::child(xfer, parent));
+        self.send(from, owner, kind, self.page_bytes(), hdr)?;
         let ev = self.nodes[ix(owner)].receive_replaced(from, page)?;
         match ev {
             Some(ev) => self.route_eviction(owner, ev),
@@ -1341,11 +1284,7 @@ impl Cluster {
             .collect();
         let mut shipped = false;
         for txn in live {
-            let records = self.unshipped(txn)?;
-            if records.iter().any(|r| r.page() == Some(pid)) {
-                self.ship_log(txn, records)?;
-                shipped = true;
-            }
+            shipped |= self.ship_to_server(txn, |r| r.iter().any(|r| r.page() == Some(pid)))?;
         }
         if shipped {
             self.forcing(SERVER, 0, |nd| nd.log.force_all())?;
@@ -1372,9 +1311,7 @@ impl Cluster {
                 .net
                 .send_hdr(owner, a, MsgKind::FlushAck, CTRL_BYTES, hdr)
             {
-                Ok(()) => {
-                    self.nodes[ix(a)].dpt.on_flush_ack(pid);
-                }
+                Ok(()) => self.nodes[ix(a)].on_flush_ack(pid),
                 Err(Error::MsgLost { .. }) => {}
                 Err(e) => return Err(e),
             }

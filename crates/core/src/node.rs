@@ -5,8 +5,10 @@
 //! on a restarting node), and the PSN-filtered replay of those records.
 //!
 //! Everything here is node-local: no method sends messages. The
-//! [`crate::Cluster`] composes these pieces into the distributed
-//! protocols and accounts every message.
+//! receiving end of each cross-node exchange is a handler here, named
+//! `on_` and the message it answers, which takes this node alone and
+//! returns what its caller branches on. The [`crate::Cluster`] is the
+//! router: it accounts every message and calls the receiver's handler.
 
 use crate::config::NodeConfig;
 use crate::recovery::group_by_key;
@@ -16,7 +18,8 @@ use cblog_common::{
     Counter, Decoder, Error, Fnv1a, IdMap, Lsn, NodeId, PageId, Psn, Registry, Result, TxnId,
 };
 use cblog_locks::{
-    answer_callback, CachedLockTable, CallbackAction, GlobalLockTable, LocalLockTable,
+    answer_callback, CachedLockTable, CallbackAction, GlobalLockTable, GlobalRequestOutcome,
+    LocalLockTable, LockMode,
 };
 use cblog_storage::{BufferPool, Database, EvictedPage, MemStorage, Page, PageKind};
 use cblog_wal::{
@@ -1099,6 +1102,92 @@ impl Node {
             self.buffer.remove(pid);
         }
         Ok(Ok(copy))
+    }
+
+    /// The owner's side of a `LockRequest` from `from` for `mode` on
+    /// `pid` (paper §2.2): granted, or the callbacks to run first.
+    pub(crate) fn on_lock_request(
+        &mut self,
+        pid: PageId,
+        from: NodeId,
+        mode: LockMode,
+    ) -> GlobalRequestOutcome {
+        self.global_locks.request(pid, from, mode)
+    }
+
+    /// The requester's side of a `LockGrant`: the node caches the lock
+    /// across transactions until a callback takes it back.
+    pub(crate) fn on_lock_grant(&mut self, pid: PageId, mode: LockMode) {
+        self.cached_locks.grant(pid, mode);
+    }
+
+    /// The owner's side of a `CallbackAck` from `victim`: the owner's
+    /// table records the demotion or release `action` it asked for.
+    pub(crate) fn on_callback_ack(&mut self, pid: PageId, victim: NodeId, action: CallbackAction) {
+        self.global_locks.callback_applied(pid, victim, action);
+    }
+
+    /// A replacer's side of a `FlushAck` for `pid`: the owner's disk
+    /// holds the image it shipped, so its DPT entry may go (§2.5).
+    pub(crate) fn on_flush_ack(&mut self, pid: PageId) {
+        self.dpt.on_flush_ack(pid);
+    }
+
+    /// A primary-copy owner's side of a `LogShip` at commit (paper
+    /// §3.2): it logs the committed records of its page a second time
+    /// and forces. The copies are unchained (`prev_lsn` zero) and enter
+    /// no DPT entry: committed work is never undone, and the page they
+    /// updated arrives beside them and reaches this node's disk by its
+    /// own write. [`Node::on_log_ship`] is the chained receipt of
+    /// ARIES/CSA, kept apart because its records differ in both.
+    pub(crate) fn on_commit_ship(&mut self, records: &[&LogRecord]) -> Result<()> {
+        for &r in records {
+            self.log.append(&LogRecord {
+                prev_lsn: Lsn::ZERO,
+                ..r.clone()
+            })?;
+        }
+        self.log.force_all()
+    }
+
+    /// The ARIES/CSA server's side of a `LogShip` (paper §3.1): it
+    /// appends a client transaction's records after `prev`, that
+    /// transaction's last record here, each chained to the one before
+    /// by `prev_lsn` so that the server can undo the transaction, and
+    /// enters each updated page in its DPT so that it can redo it.
+    /// Returns the last LSN appended.
+    pub(crate) fn on_log_ship(&mut self, mut prev: Lsn, records: Vec<LogRecord>) -> Result<Lsn> {
+        for mut r in records {
+            r.prev_lsn = prev;
+            prev = self.log.append(&r)?;
+            if let LogPayload::Update {
+                pid, psn_before, ..
+            } = r.payload
+            {
+                self.dpt.on_update(pid, psn_before.next(), prev);
+            }
+        }
+        Ok(prev)
+    }
+
+    /// An ARIES/CSA client's side of the server's `CheckpointSync`
+    /// (paper §3.1): its dirty pages and their PSNs.
+    pub(crate) fn on_checkpoint_sync(&self) -> Vec<(PageId, Psn)> {
+        self.buffer
+            .dirty_ids()
+            .into_iter()
+            .map(|pid| (pid, self.buffer.peek(pid).expect("dirty").psn()))
+            .collect()
+    }
+
+    /// The ARIES/CSA server's side of a client's `CheckpointSync`
+    /// reply: each page it names enters the server's DPT, at the end
+    /// of the log unless already there, so the checkpoint covers it.
+    pub(crate) fn on_dirty_pages(&mut self, dirty: &[(PageId, Psn)]) {
+        let end = self.log.end_lsn();
+        for &(pid, psn) in dirty {
+            self.dpt.ensure(pid, psn, end);
+        }
     }
 
     /// Setup-time helper: rewrites an owned page's kind (e.g. format a

@@ -604,30 +604,14 @@ fn recover_inner(cluster: &mut Cluster, opts: &RecoveryOptions) -> Result<Recove
                 continue;
             }
             let co = coord_of(c);
-            if co != r {
-                cluster.network_mut().send_reliable_hdr(
-                    co,
-                    r,
-                    MsgKind::RecoveryInfoRequest,
-                    CTRL_BYTES,
-                    hdr,
-                )?;
-            }
+            cluster.send(co, r, MsgKind::RecoveryInfoRequest, CTRL_BYTES, hdr)?;
             let contrib = collect_contribution(cluster, r, c, crashed_set.contains(&r))?;
             let reply_bytes = CTRL_BYTES
                 + contrib.cached.len() * 16
                 + contrib.dpt.len() * 44
                 + contrib.locks_held.len() * 12
                 + contrib.crashed_exclusive.len() * 8;
-            if co != r {
-                cluster.network_mut().send_reliable_hdr(
-                    r,
-                    co,
-                    MsgKind::RecoveryInfoReply,
-                    reply_bytes,
-                    hdr,
-                )?;
-            }
+            cluster.send(r, co, MsgKind::RecoveryInfoReply, reply_bytes, hdr)?;
             info.insert((c, r), contrib);
         }
     }
@@ -651,16 +635,8 @@ fn recover_inner(cluster: &mut Cluster, opts: &RecoveryOptions) -> Result<Recove
             }
             let locks = info[&(c, r)].locks_held.clone();
             if !locks.is_empty() {
-                let co = coord_of(c);
-                if co != r {
-                    cluster.network_mut().send_reliable_hdr(
-                        r,
-                        co,
-                        MsgKind::LockListShip,
-                        CTRL_BYTES + locks.len() * 12,
-                        hdr,
-                    )?;
-                }
+                let bytes = CTRL_BYTES + locks.len() * 12;
+                cluster.send(r, coord_of(c), MsgKind::LockListShip, bytes, hdr)?;
                 for (pid, mode) in locks {
                     cluster.node_mut(c).global_locks.insert_grant(pid, r, mode);
                     // A crashed contributor's grants are log-derived
@@ -865,26 +841,10 @@ fn recover_inner(cluster: &mut Cluster, opts: &RecoveryOptions) -> Result<Recove
         let co = coord_of(owner);
         for (h, _) in holders {
             if h != owner && !crashed_set.contains(&h) {
-                if co != h {
-                    cluster.network_mut().send_reliable_hdr(
-                        co,
-                        h,
-                        MsgKind::Callback,
-                        CTRL_BYTES,
-                        hdr,
-                    )?;
-                }
+                cluster.send(co, h, MsgKind::Callback, CTRL_BYTES, hdr)?;
                 cluster.node_mut(h).cached_locks.release(*pid);
                 cluster.node_mut(h).buffer.remove(*pid);
-                if co != h {
-                    cluster.network_mut().send_reliable_hdr(
-                        h,
-                        co,
-                        MsgKind::CallbackAck,
-                        CTRL_BYTES,
-                        hdr,
-                    )?;
-                }
+                cluster.send(h, co, MsgKind::CallbackAck, CTRL_BYTES, hdr)?;
                 cluster.node_mut(owner).global_locks.release(*pid, h);
             }
         }
@@ -930,27 +890,16 @@ fn recover_inner(cluster: &mut Cluster, opts: &RecoveryOptions) -> Result<Recove
         let coord = pages
             .iter()
             .find(|p| crashed_set.contains(&p.owner))
-            .map(|p| coord_of(p.owner))
-            .filter(|&co| co != n);
+            .map(|p| coord_of(p.owner));
         if let Some(co) = coord {
-            cluster.network_mut().send_reliable_hdr(
-                co,
-                n,
-                MsgKind::PsnListRequest,
-                CTRL_BYTES + pages.len() * 8,
-                hdr,
-            )?;
+            let bytes = CTRL_BYTES + pages.len() * 8;
+            cluster.send(co, n, MsgKind::PsnListRequest, bytes, hdr)?;
         }
         let (list, records, bytes) = cluster.node_mut(n).psn_list(&pages)?;
         report.log_bytes_scanned += bytes;
         if let Some(co) = coord {
-            cluster.network_mut().send_reliable_hdr(
-                n,
-                co,
-                MsgKind::PsnListReply,
-                CTRL_BYTES + list.len() * 24,
-                hdr,
-            )?;
+            let bytes = CTRL_BYTES + list.len() * 24;
+            cluster.send(n, co, MsgKind::PsnListReply, bytes, hdr)?;
         }
         psn_lists.insert(n, list);
         redo.insert(n, records);
@@ -1221,16 +1170,7 @@ fn replay_unit(
     for (i, &(psn, n)) in unit.hops.iter().enumerate() {
         let bound = unit.hops.get(i + 1).map(|&(p, _)| p);
         let records = records_of(redo, n, pid)?;
-        if n != coordinator {
-            cluster.network_mut().send_reliable_hdr(
-                coordinator,
-                n,
-                MsgKind::RecoveryPageSend,
-                page_bytes,
-                hdr,
-            )?;
-            report.page_hops += 1;
-        }
+        cluster.send(coordinator, n, MsgKind::RecoveryPageSend, page_bytes, hdr)?;
         let from_psn = page.psn();
         let from = records.seek(pid, psn);
         let (_, applied) = records.replay(&mut page, from, bound, &mut runs)?;
@@ -1251,15 +1191,9 @@ fn replay_unit(
                 applied,
             },
         );
+        cluster.send(n, coordinator, MsgKind::RecoveryPageReturn, page_bytes, hdr)?;
         if n != coordinator {
-            cluster.network_mut().send_reliable_hdr(
-                n,
-                coordinator,
-                MsgKind::RecoveryPageReturn,
-                page_bytes,
-                hdr,
-            )?;
-            report.page_hops += 1;
+            report.page_hops += 2;
         }
     }
     report.pages_recovered += 1;
