@@ -5,11 +5,29 @@ set -eu
 
 cd "$(dirname "$0")"
 
+# The terminal's stderr, for a step whose own stderr goes to a file.
+exec 3>&2
+
+# Runs "$@" under a wall-clock limit of $1 seconds, named $2 in the
+# error a hang prints: a hang fails CI instead of stalling it. Each
+# limit is several times the step's measured wall time (CHANGES.md).
+limited() {
+    limit=$1
+    name=$2
+    shift 2
+    status=0
+    timeout -k 10 "$limit" "$@" || status=$?
+    if [ "$status" -eq 124 ] || [ "$status" -eq 137 ]; then
+        echo "ERROR: $name did not finish within its ${limit}s limit" >&3
+    fi
+    return "$status"
+}
+
 echo "==> cargo build --release"
 cargo build --release --offline
 
 echo "==> cargo test -q"
-cargo test -q --offline
+limited 600 "cargo test" cargo test -q --offline
 
 echo "==> E1b group-commit experiment (BENCH_e1_groupcommit.json)"
 cargo run --release --offline -p cblog-bench --bin experiments -- \
@@ -81,7 +99,7 @@ echo "==> crash-point model checker: bounded CI budget"
 # schedules), pruning converged branches by durable-state fingerprint.
 # Deterministic, a few thousand branches, seconds of wall clock; any
 # violation prints a replayable branch spec and exits nonzero.
-cargo run --release --offline -p cblog-bench --bin checker -- \
+limited 60 "checker --ci" cargo run --release --offline -p cblog-bench --bin checker -- \
     --ci > /tmp/ci_checker.txt
 grep "violations=0" /tmp/ci_checker.txt > /dev/null
 grep "truncated=false" /tmp/ci_checker.txt > /dev/null
@@ -92,7 +110,7 @@ echo "==> crash-point model checker: must-fail self-test"
 # Proves the checker can fail: recovery with the undo phase planted
 # out must produce violations that shrink to a minimal counterexample.
 # A checker that never fails would look green forever.
-cargo run --release --offline -p cblog-bench --bin checker -- \
+limited 60 "checker --self-test" cargo run --release --offline -p cblog-bench --bin checker -- \
     --self-test > /tmp/ci_checker_selftest.txt 2>&1
 grep "planted undo-skip caught" /tmp/ci_checker_selftest.txt > /dev/null
 rm -f /tmp/ci_checker_selftest.txt
@@ -134,7 +152,7 @@ echo "==> line ledger of HEAD (tools/loc.sh) and the engine's code ceiling"
 # The `engine` row's code lines may not exceed this ceiling. A PR may
 # raise it only with a CHANGES.md line that says why; a PR that
 # shrinks the engine lowers it to the count it leaves.
-ENGINE_CODE_CEILING=12813
+ENGINE_CODE_CEILING=12753
 bash tools/loc.sh > /tmp/ci_loc.txt
 cat /tmp/ci_loc.txt
 engine_code=$(awk '$1 == "engine" { print $2 }' /tmp/ci_loc.txt)
