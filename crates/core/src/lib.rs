@@ -55,7 +55,7 @@ pub use cblog_net::{FaultAction, FaultPlan, FaultScript, FaultStats};
 pub use cluster::Cluster;
 pub use config::{ClusterConfig, ClusterConfigBuilder, GroupCommitPolicy, NodeConfig, Paradigm};
 pub use group_commit::{ForceScheduler, PendingCommit};
-pub use node::{AnalysisResult, Node, NodePsnEntry, RedoRecords};
+pub use node::{AnalysisResult, Node, NodePsnEntry, RedoImage, RedoRecords};
 pub use recovery::{
     plan_replay, recover, PhaseTimings, RecoveryOptions, RecoveryReport, ReplayMode, ReplayUnit,
     WaveTiming,

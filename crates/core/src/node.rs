@@ -1,8 +1,10 @@
 //! A processing node: buffer pool, local WAL, DPT, lock tables,
 //! transaction manager, checkpointing, and the node-local half of the
-//! recovery protocol: one log collector that yields the NodePSNList and
-//! the redo records of a set of pages (with restart analysis folded in
-//! on a restarting node), and the PSN-filtered replay of those records.
+//! recovery protocol: one log collector whose per-record callback
+//! either keeps the NodePSNList and the redo records of a set of pages
+//! for the simulator's replay, or, on a node whose pages only its own
+//! log updates, redoes them through the PSN filter as it reads; restart
+//! analysis folds into either on a restarting node.
 //!
 //! Everything here is node-local: no method sends messages. The
 //! receiving end of each cross-node exchange is a handler here, named
@@ -26,6 +28,7 @@ use cblog_wal::{
     CheckpointBody, DirtyPageTable, LogManager, LogPayload, LogPayloadRef, LogRecord, LogRecordRef,
     LogStore, MemLogStore, PageOp, PageOpRef,
 };
+use std::collections::hash_map::Entry;
 use std::collections::{BTreeMap, BTreeSet};
 
 /// Reserved transaction id used for non-transactional records
@@ -69,8 +72,8 @@ fn psn_list_entry(
     }
 }
 
-/// The redo records a log collection keeps ([`Node::restart_redo`],
-/// [`Node::restart_pass`], [`Node::psn_list`]): every op's bytes end to
+/// The redo records a log collection keeps ([`Node::restart_pass`],
+/// [`Node::psn_list`]): every op's bytes end to
 /// end in one arena, in log order, copied verbatim from the log, and a
 /// `(page, psn_before, offset)` index grouped by page.
 /// Replay applies [`PageOpRef`]s read straight out of the arena; nothing
@@ -172,30 +175,43 @@ impl RedoRecords {
 /// rest of its range ([`PageUpdates::reserve_rest`]).
 const SIZING_SAMPLE: u64 = 1024;
 
-/// What a log collection ([`Node::collect`]) keeps from every Update and
-/// CLR it reads, for every page: per record, its op in one arena, and
-/// the NodePSNList for a caller that asked for it.
-#[derive(Default)]
+/// What the simulator's log collections ([`Node::restart_pass`],
+/// [`Node::psn_list`]) keep from every Update and CLR they read, for
+/// every page: per record, its op in one arena, and the NodePSNList.
 struct PageUpdates {
     /// Page → its number in `ids`.
     pages: IdMap<PageId, u32>,
     ids: Vec<PageId>,
-    /// The NodePSNList and, by page number, the transaction of each
-    /// page's last entry; `None` when the caller wants no list.
-    list: Option<(Vec<NodePsnEntry>, Vec<Option<TxnId>>)>,
+    /// The NodePSNList.
+    list: Vec<NodePsnEntry>,
+    /// By page number, the transaction of each page's last list entry.
+    last: Vec<Option<TxnId>>,
     /// Every op's bytes as the log holds them ([`PageOpRef::encode`]'s
     /// output), end to end.
     ops: Vec<u8>,
     /// `(page number, psn_before, offset in ops)` in log order.
     index: Vec<(u32, Psn, u32)>,
+    /// The range `[from, end)` the collection reads, and the records
+    /// entered so far: at [`SIZING_SAMPLE`] the arrays are sized for
+    /// the rest ([`PageUpdates::reserve_rest`]).
+    from: Lsn,
+    end: Lsn,
+    read: u64,
 }
 
 impl PageUpdates {
-    /// An empty collection, building the NodePSNList iff `list`.
-    fn new(list: bool) -> Self {
+    /// An empty collection of a scan of `[from, end)`.
+    fn new(from: Lsn, end: Lsn) -> Self {
         PageUpdates {
-            list: list.then(Default::default),
-            ..PageUpdates::default()
+            pages: IdMap::default(),
+            ids: Vec::new(),
+            list: Vec::new(),
+            last: Vec::new(),
+            ops: Vec::new(),
+            index: Vec::new(),
+            from,
+            end,
+            read: 0,
         }
     }
 
@@ -207,11 +223,24 @@ impl PageUpdates {
     fn reserve_rest(&mut self, read: u64, left: u64) {
         let scale = 1.125 * left as f64 / read.max(1) as f64;
         let more = |len: usize| (len as f64 * scale) as usize;
-        if let Some((list, _)) = &mut self.list {
-            let _ = list.try_reserve_exact(more(list.len()));
-        }
+        let _ = self.list.try_reserve_exact(more(self.list.len()));
         let _ = self.index.try_reserve_exact(more(self.index.len()));
         let _ = self.ops.try_reserve_exact(more(self.ops.len()));
+    }
+
+    /// The collection's callback ([`collect`]): enters the record at
+    /// `pos`, read from `frame`, if it is an Update or CLR.
+    fn enter(&mut self, pos: Lsn, frame: &[u8], rec: &LogRecordRef<'_>) -> Result<()> {
+        self.read += 1;
+        if self.read == SIZING_SAMPLE {
+            self.reserve_rest(pos.0 - self.from.0, self.end.0 - pos.0);
+        }
+        if let Some((pid, psn, op)) = rec.update() {
+            // The op is its record's last field: the frame's tail.
+            let op = &frame[frame.len() - op.encoded_len()..];
+            self.push(pos, rec.txn, pid, psn, op)?;
+        }
+        Ok(())
     }
 
     /// Enters one Update or CLR; `op` is its op's encoded bytes, copied
@@ -221,13 +250,16 @@ impl PageUpdates {
         let page = *self.pages.entry(pid).or_insert(fresh);
         if page == fresh {
             self.ids.push(pid);
+            self.last.push(None);
         }
-        if let Some((list, last)) = &mut self.list {
-            if page == fresh {
-                last.push(None);
-            }
-            psn_list_entry(list, &mut last[page as usize], pid, psn, lsn, txn);
-        }
+        psn_list_entry(
+            &mut self.list,
+            &mut self.last[page as usize],
+            pid,
+            psn,
+            lsn,
+            txn,
+        );
         let at = u32::try_from(self.ops.len())
             .map_err(|_| Error::Invalid("redo records past 4 GiB".into()))?;
         self.index.push((page, psn, at));
@@ -237,16 +269,15 @@ impl PageUpdates {
 
     /// Keeps the pages `wanted` accepts, dropping the list entries and
     /// records of the others, and groups the records by page, ascending,
-    /// with a counting sort. The list is empty when none was asked for.
+    /// with a counting sort.
     fn keep(self, wanted: impl Fn(PageId) -> bool) -> (Vec<NodePsnEntry>, RedoRecords) {
         let PageUpdates {
             ids,
-            list,
+            mut list,
             ops,
             mut index,
             ..
         } = self;
-        let mut list = list.map(|(list, _)| list).unwrap_or_default();
         let mut kept: Vec<(PageId, u32)> = ids
             .iter()
             .zip(0..)
@@ -275,8 +306,8 @@ impl PageUpdates {
 
 /// The ARIES analysis fold (paper §2.3.1 / §2.4): what a scan from the
 /// last complete checkpoint rebuilds, one record at a time — the loser
-/// transaction table and a conservative DPT superset, folded into
-/// [`Node::restart_redo`]'s collection.
+/// transaction table and a conservative DPT superset, folded into the
+/// restart collections ([`Node::restart_redo`], [`Node::restart_pass`]).
 #[derive(Default)]
 struct Analysis {
     att: IdMap<TxnId, TxnState>,
@@ -384,6 +415,64 @@ pub struct AnalysisResult {
     pub records_scanned: u64,
     /// Bytes of log scanned.
     pub bytes_scanned: u64,
+}
+
+/// One page as [`Node::restart_redo`] leaves it: its disk image with
+/// every record of the node's log that the PSN filter accepted applied.
+#[derive(Clone, Debug)]
+pub struct RedoImage {
+    /// The redone image.
+    pub page: Page,
+    /// The PSN of the disk image redo started from.
+    pub disk_psn: Psn,
+    /// Records applied to it.
+    pub applied: u64,
+}
+
+/// Refuses an Update or CLR at `lsn` of a page that a node whose
+/// database holds `capacity` pages does not hold: its log may update
+/// only pages it owns, or redo would write another node's page.
+fn own_page(node: NodeId, capacity: u32, pid: PageId, lsn: Lsn) -> Result<()> {
+    if pid.owner != node || pid.index >= capacity {
+        return Err(Error::Corrupt(format!(
+            "{node}'s log updates {pid}, which its database does not hold, at LSN {}",
+            lsn.0
+        )));
+    }
+    Ok(())
+}
+
+/// `pid`'s image in `db`, where its redo starts.
+fn disk_image(db: &mut Option<Database>, pid: PageId) -> Result<RedoImage> {
+    let page = db
+        .as_mut()
+        .ok_or(Error::NoSuchPage(pid))?
+        .read_page(pid.index)?;
+    Ok(RedoImage {
+        disk_psn: page.psn(),
+        page,
+        applied: 0,
+    })
+}
+
+/// The one log collector (DESIGN §13): reads `[from, end)` of `log`
+/// once and hands every record, with its LSN and the frame it was
+/// decoded from, to `each`, stopping at the first error either returns.
+/// Returns the records read. A function of the log alone, so that `each`
+/// may borrow the rest of the node.
+fn collect(
+    log: &mut LogManager,
+    from: Lsn,
+    mut each: impl FnMut(Lsn, &[u8], &LogRecordRef<'_>) -> Result<()>,
+) -> Result<u64> {
+    let mut records = 0u64;
+    let mut scan = log.scan(from);
+    while let Some(r) = scan.next_framed() {
+        let (pos, frame, rec) = r?;
+        records += 1;
+        each(pos, frame, &rec)?;
+    }
+    Ok(records)
 }
 
 /// Outcome of one rollback step (driven by the cluster because undoing
@@ -1276,67 +1365,20 @@ impl Node {
         }
     }
 
-    /// The one log collector (DESIGN §13): reads `[from, end)` once,
-    /// hands every record to `each`, and enters every Update and CLR in
-    /// the [`RedoRecords`] arena and, if `list`, the NodePSNList rule,
-    /// for every page; [`PageUpdates::keep`] then drops the pages not
-    /// asked for. Returns the collection and the records read.
-    fn collect(
-        &mut self,
-        from: Lsn,
-        list: bool,
-        mut each: impl FnMut(Lsn, &LogRecordRef<'_>),
-    ) -> Result<(PageUpdates, u64)> {
-        let end = self.log.end_lsn();
-        let mut updates = PageUpdates::new(list);
-        let mut records = 0u64;
-        let mut scan = self.log.scan(from);
-        while let Some(r) = scan.next_framed() {
-            let (pos, frame, rec) = r?;
-            records += 1;
-            if records == SIZING_SAMPLE {
-                updates.reserve_rest(pos.0 - from.0, end.0 - pos.0);
-            }
-            each(pos, &rec);
-            if let Some((pid, psn, op)) = rec.update() {
-                // The op is its record's last field: the frame's tail.
-                let op = &frame[frame.len() - op.encoded_len()..];
-                updates.push(pos, rec.txn, pid, psn, op)?;
-            }
-        }
-        Ok((updates, records))
-    }
-
-    /// Restart in one pass over the local log (DESIGN §13): ARIES
-    /// analysis (the loser table and a DPT superset, paper §2.3.1 /
-    /// §2.4), and the redo records of every page the rebuilt DPT names,
-    /// reading each record once. This is the threaded engine's restart:
-    /// its writes are owner-local, so each page replays from its own
-    /// records alone and no NodePSNList is built.
-    ///
-    /// The master record names the last checkpoint; its end record's
-    /// DPT names the lowest RedoLSN, and the pass starts at the lower of
-    /// that and the checkpoint. Records from the checkpoint on go
-    /// through the analysis fold; the collector sees every record of
+    /// The range of a restart pass: where analysis starts, where the
+    /// pass starts, and the pages the last checkpoint's DPT names,
+    /// ascending. The master record names the last checkpoint; its end
+    /// record's DPT names the lowest RedoLSN, and the pass starts at the
+    /// lower of that and the checkpoint. Records from the checkpoint on
+    /// go through the analysis fold; the collector sees every record of
     /// the pass. No update lies between the two starts that analysis
     /// would need, since a checkpoint's begin and end records are
     /// adjacent ([`Node::checkpoint`]).
-    pub fn restart_redo(&mut self) -> Result<(AnalysisResult, RedoRecords)> {
-        let (result, _, redo) = self.restart(false)?;
-        Ok((result, redo))
-    }
-
-    /// [`Node::restart_redo`] plus the NodePSNList of the same pages,
-    /// from the same pass: the simulator's restart, whose replay merges
-    /// the lists of every involved node (paper §2.3.4).
-    pub fn restart_pass(&mut self) -> Result<(AnalysisResult, Vec<NodePsnEntry>, RedoRecords)> {
-        self.restart(true)
-    }
-
-    fn restart(&mut self, list: bool) -> Result<(AnalysisResult, Vec<NodePsnEntry>, RedoRecords)> {
+    fn restart_range(&mut self) -> Result<(Lsn, Lsn, Vec<PageId>)> {
         let ckpt = self.analysis_start();
         let base = self.log.base_lsn();
         let mut from = ckpt;
+        let mut pages = Vec::new();
         if !self.log.last_checkpoint().is_zero() {
             // No page needs a record below the truncation point.
             let mut scan = self.log.scan(ckpt);
@@ -1344,17 +1386,97 @@ impl Node {
                 if let LogPayloadRef::CheckpointEnd(body) = &r?.1.payload {
                     let redo = body.dpt.iter().map(|e| e.redo_lsn);
                     from = redo.fold(from, Lsn::min).max(base);
+                    pages.extend(body.dpt.iter().map(|e| e.pid));
                     break;
                 }
             }
         }
+        pages.sort_unstable();
+        Ok((ckpt, from, pages))
+    }
+
+    /// Restart in one pass over the local log (DESIGN §13): ARIES
+    /// analysis (the loser table and a DPT superset, paper §2.3.1 /
+    /// §2.4) and the redo of every page the rebuilt DPT names, in the
+    /// same loop, reading each record once. This is the threaded
+    /// engine's restart: its writes are owner-local, so a page's whole
+    /// history is in its owner's log and redo needs no other node's
+    /// records, nor any order across pages (DESIGN §16). Returns the
+    /// DPT's pages redone, ascending.
+    ///
+    /// Each Update and CLR goes through the PSN filter (paper §2.3.2)
+    /// as it is read: it applies iff its `psn_before` is the page's PSN,
+    /// and then sets the next one. It applies to the page's image, read
+    /// from the database the first time a record touches the page; a
+    /// record below the checkpoint touches its page only if the
+    /// checkpoint's DPT names it, since any other page was clean then.
+    /// The images live in one table for the pass: a node has at most
+    /// as many dirty pages as buffer frames. A record, or a checkpoint
+    /// DPT entry, of a page the node's database does not hold is a
+    /// corrupt log: the pass stops with [`Error::Corrupt`] naming its
+    /// LSN, and nothing is installed.
+    pub fn restart_redo(&mut self) -> Result<(AnalysisResult, Vec<RedoImage>)> {
+        let (ckpt, from, ckpt_pages) = self.restart_range()?;
         let end = self.log.end_lsn();
         let id = self.id;
+        let capacity = self.db.as_ref().map_or(0, Database::capacity);
+        for &pid in &ckpt_pages {
+            own_page(id, capacity, pid, ckpt)?;
+        }
+        let db = &mut self.db;
         let mut analysis = Analysis::default();
-        let (updates, records) = self.collect(from, list, |pos, rec| {
+        let mut images: IdMap<PageId, RedoImage> = IdMap::default();
+        let records = collect(&mut self.log, from, |pos, _, rec| {
             if pos >= ckpt {
                 analysis.fold(id, pos, rec);
             }
+            let Some((pid, psn, op)) = rec.update() else {
+                return Ok(());
+            };
+            own_page(id, capacity, pid, pos)?;
+            if pos < ckpt && ckpt_pages.binary_search(&pid).is_err() {
+                return Ok(());
+            }
+            let image = match images.entry(pid) {
+                Entry::Occupied(e) => e.into_mut(),
+                Entry::Vacant(e) => e.insert(disk_image(db, pid)?),
+            };
+            if psn == image.page.psn() {
+                op.apply_redo(&mut image.page)?;
+                image.page.set_psn(psn.next());
+                image.applied += 1;
+            }
+            Ok(())
+        })?;
+        let result = analysis.install(self, from, end, records);
+        // `entries` is ascending.
+        let mut redone = Vec::with_capacity(self.dpt.len());
+        for e in self.dpt.entries() {
+            let image = match images.remove(&e.pid) {
+                Some(image) => image,
+                // Named by the checkpoint, with no record since.
+                None => disk_image(&mut self.db, e.pid)?,
+            };
+            redone.push(image);
+        }
+        Ok((result, redone))
+    }
+
+    /// [`Node::restart_redo`]'s analysis, and instead of its redo the
+    /// NodePSNList and the redo records of the rebuilt DPT's pages, from
+    /// the same single pass: the simulator's restart, whose replay
+    /// merges the lists of every involved node (paper §2.3.4).
+    pub fn restart_pass(&mut self) -> Result<(AnalysisResult, Vec<NodePsnEntry>, RedoRecords)> {
+        let (ckpt, from, _) = self.restart_range()?;
+        let end = self.log.end_lsn();
+        let id = self.id;
+        let mut analysis = Analysis::default();
+        let mut updates = PageUpdates::new(from, end);
+        let records = collect(&mut self.log, from, |pos, frame, rec| {
+            if pos >= ckpt {
+                analysis.fold(id, pos, rec);
+            }
+            updates.enter(pos, frame, rec)
         })?;
         let result = analysis.install(self, from, end, records);
         let (list, redo) = updates.keep(|pid| self.dpt.contains(pid));
@@ -1373,9 +1495,13 @@ impl Node {
         let Some(from) = from else {
             return Ok((Vec::new(), RedoRecords::default(), 0));
         };
-        let bytes = self.log.end_lsn().0 - from.0;
-        let (updates, _) = self.collect(from, true, |_, _| {})?;
+        let end = self.log.end_lsn();
+        let mut updates = PageUpdates::new(from, end);
+        collect(&mut self.log, from, |pos, frame, rec| {
+            updates.enter(pos, frame, rec)
+        })?;
         let (list, redo) = updates.keep(|pid| pages.binary_search(&pid).is_ok());
+        let bytes = end.0 - from.0;
         Ok((list, redo, bytes))
     }
 
@@ -1889,16 +2015,104 @@ mod tests {
         assert_eq!(redo.len(), want_redo.iter().map(Vec::len).sum::<usize>());
     }
 
+    /// Writes `a` and `b` in one committed transaction that rolls part
+    /// of its work back to a savepoint first: two CLRs, one per page.
+    fn partial_rollback(n: &mut Node, a: PageId, b: PageId, v: u64) {
+        let t = n.begin().unwrap();
+        upd(n, t, a, 2, v);
+        let sp = n.savepoint(t).unwrap();
+        upd(n, t, b, 2, v + 1);
+        upd(n, t, a, 3, v + 2);
+        while n.rollback_step(t, sp.at_lsn).unwrap() != RollbackStep::Done {}
+        upd(n, t, b, 3, v + 3);
+        n.commit(t).unwrap();
+    }
+
+    /// A crashed node whose log has every case the restart pass tells
+    /// apart: a checkpoint in mid-log whose DPT names pages with records
+    /// before it (page 3 has none after it), pages written clean before
+    /// the checkpoint with records before it (page 5 is updated again
+    /// after it), CLRs of partial rollbacks on both sides of the
+    /// checkpoint, and a durable loser. Returns the node, its pages and
+    /// the loser.
+    fn reference_log() -> (Node, Vec<PageId>, TxnId) {
+        let mut n = Node::new(
+            NodeId(0),
+            NodeConfig {
+                page_size: 512,
+                buffer_frames: 8,
+                owned_pages: 6,
+                log_capacity: None,
+            },
+        )
+        .unwrap();
+        let p: Vec<PageId> = (0..6).map(|i| load(&mut n, i)).collect();
+        for round in 0..12u64 {
+            let t = n.begin().unwrap();
+            upd(&mut n, t, p[(round % 6) as usize], 0, round);
+            upd(&mut n, t, p[((round + 1) % 6) as usize], 1, round);
+            n.commit(t).unwrap();
+        }
+        partial_rollback(&mut n, p[0], p[1], 100);
+        for clean in [p[4], p[5]] {
+            let image = n.buffer.peek(clean).unwrap().clone();
+            n.write_owned_page(&image).unwrap();
+        }
+        n.checkpoint().unwrap();
+        for round in 0..4u64 {
+            let t = n.begin().unwrap();
+            upd(&mut n, t, p[[0, 5][(round % 2) as usize]], 4, 200 + round);
+            n.commit(t).unwrap();
+        }
+        partial_rollback(&mut n, p[1], p[2], 300);
+        let loser = n.begin().unwrap();
+        upd(&mut n, loser, p[2], 5, 400);
+        upd(&mut n, loser, p[0], 5, 401);
+        n.force_log().unwrap();
+        n.crash();
+        (n, p, loser)
+    }
+
     #[test]
-    fn the_redo_pass_is_the_restart_pass_without_its_list() {
-        let (mut n, _, _, _) = crashed_twice();
+    fn the_redo_pass_leaves_what_the_restart_pass_and_its_replay_leave() {
+        let (mut n, p, loser) = reference_log();
         n.mark_restarting().unwrap();
-        let (a, redo) = n.restart_redo().unwrap();
+        let (want, _, redo) = n.restart_pass().unwrap();
         let dpt = n.dpt().entries();
+        // The log has the cases it was built to have.
+        let ckpt = n.log().last_checkpoint();
+        assert!(
+            want.start_lsn < ckpt,
+            "the pass starts below the checkpoint"
+        );
+        let named: Vec<PageId> = dpt.iter().map(|e| e.pid).collect();
+        assert_eq!(named, [p[0], p[1], p[2], p[3], p[5]]);
+        assert!(dpt.iter().all(|e| e.pid == p[5] || e.redo_lsn < ckpt));
+        assert!(!log_records(&mut n, p[4], want.start_lsn).is_empty());
+        let clrs = n
+            .log
+            .scan(want.start_lsn)
+            .filter(|r| matches!(r.as_ref().unwrap().1.payload, LogPayload::Clr { .. }))
+            .count();
+        assert_eq!(clrs, 4);
+        assert_eq!(want.losers, vec![loser]);
+        // What the simulator's pass and its replay leave: every DPT page
+        // from its disk image through the PSN filter.
+        let mut runs = Vec::new();
+        let replayed: Vec<(PageId, Psn, Vec<u8>, u64)> = named
+            .iter()
+            .map(|&pid| {
+                let mut page = n.db.as_mut().unwrap().read_page(pid.index).unwrap();
+                let disk = page.psn();
+                let (_, applied) = redo.replay(&mut page, 0, None, &mut runs).unwrap();
+                (pid, disk, page.to_bytes(), applied)
+            })
+            .collect();
+        assert!(replayed.iter().all(|r| r.3 > 0), "every page has redo");
+
         n.crash();
         n.mark_restarting().unwrap();
-        let (want, list, want_redo) = n.restart_pass().unwrap();
-        assert!(!list.is_empty());
+        let (a, images) = n.restart_redo().unwrap();
         assert_eq!(
             (a.losers, a.start_lsn, a.dpt_entries, a.records_scanned),
             (
@@ -1908,16 +2122,57 @@ mod tests {
                 want.records_scanned
             )
         );
-        assert_eq!(dpt, n.dpt().entries());
-        assert_eq!(redo.len(), want_redo.len());
-        for e in &dpt {
-            let ops = |r: &RedoRecords| -> Vec<(Psn, PageOp)> {
-                r.of(e.pid)
-                    .map(|r| r.map(|(psn, op)| (psn, op.to_owned())))
-                    .collect::<Result<_>>()
-                    .unwrap()
-            };
-            assert_eq!(ops(&redo), ops(&want_redo), "{}", e.pid);
+        assert_eq!(a.bytes_scanned, want.bytes_scanned);
+        assert_eq!(n.dpt().entries(), dpt);
+        let redone: Vec<(PageId, Psn, Vec<u8>, u64)> = images
+            .iter()
+            .map(|i| (i.page.id(), i.disk_psn, i.page.to_bytes(), i.applied))
+            .collect();
+        assert_eq!(redone, replayed);
+    }
+
+    /// A restarting node's log that updates a page of another node, or
+    /// one past its database, is corrupt: the redo pass names the
+    /// record's LSN and installs nothing. The simulator's pass keeps
+    /// such records, since a client's log holds updates of the pages
+    /// it cached from their owners (paper §2.1).
+    #[test]
+    fn the_redo_pass_refuses_an_update_of_a_page_the_node_does_not_hold() {
+        for foreign in [PageId::new(NodeId(1), 0), PageId::new(NodeId(0), 4)] {
+            let mut n = node();
+            let own = load(&mut n, 0);
+            let t = n.begin().unwrap();
+            upd(&mut n, t, own, 0, 1);
+            let at = n
+                .log
+                .append(&LogRecord {
+                    txn: t,
+                    prev_lsn: n.txns[&t].last_lsn,
+                    payload: LogPayload::Update {
+                        pid: foreign,
+                        psn_before: Psn(1),
+                        op: PageOp::WriteRange {
+                            off: 0,
+                            before: vec![0; 8],
+                            after: vec![1; 8],
+                        },
+                    },
+                })
+                .unwrap();
+            n.commit(t).unwrap();
+            n.crash();
+            n.mark_restarting().unwrap();
+            match n.restart_redo() {
+                Err(Error::Corrupt(m)) => {
+                    assert!(m.contains(&format!("at LSN {}", at.0)), "{foreign}: {m}")
+                }
+                r => panic!("{foreign}: expected Corrupt, got {:?}", r.map(|_| ())),
+            }
+            assert!(n.dpt().is_empty() && n.txns.is_empty(), "nothing installed");
+            n.crash();
+            n.mark_restarting().unwrap();
+            n.restart_pass().unwrap();
+            assert!(n.dpt().contains(foreign));
         }
     }
 
@@ -2051,23 +2306,15 @@ mod tests {
             }
         }
         assert_eq!(kinds.len(), 8, "four op kinds, as Updates and as CLRs");
-        for list in [false, true] {
-            n.mark_restarting().unwrap();
-            let (a, redo) = if list {
-                let (a, _, redo) = n.restart_pass().unwrap();
-                (a, redo)
-            } else {
-                n.restart_redo().unwrap()
-            };
-            let kept: Vec<PageId> = n.dpt().entries().iter().map(|e| e.pid).collect();
-            assert_eq!(kept, [raw, slotted]);
-            let want = reencoded_reference(&mut n, a.start_lsn, &kept);
-            assert_eq!(redo.ops, want.ops, "list {list}");
-            assert_eq!(redo.index, want.index, "list {list}");
-            assert_eq!(redo.pages, want.pages, "list {list}");
-            assert_eq!(redo.at, want.at, "list {list}");
-            n.crash();
-        }
+        n.mark_restarting().unwrap();
+        let (a, _, redo) = n.restart_pass().unwrap();
+        let kept: Vec<PageId> = n.dpt().entries().iter().map(|e| e.pid).collect();
+        assert_eq!(kept, [raw, slotted]);
+        let want = reencoded_reference(&mut n, a.start_lsn, &kept);
+        assert_eq!(redo.ops, want.ops);
+        assert_eq!(redo.index, want.index);
+        assert_eq!(redo.pages, want.pages);
+        assert_eq!(redo.at, want.at);
     }
 
     #[test]

@@ -131,11 +131,12 @@ fn the_commit_path_allocates_only_to_grow() {
 /// What restart allocates over a crashed node's log of `n`
 /// transactions (2 writes each) over the same `PAGES` pages.
 struct RestartAllocations {
-    /// The threaded engine's pass, without a NodePSNList.
+    /// The threaded engine's pass, which redoes as it reads.
     redo: u64,
     /// The simulator's pass over the same log, with its list.
     pass: u64,
-    /// Redo records each pass kept.
+    /// Redo records the simulator's pass kept, each of which the
+    /// threaded engine's pass applied.
     kept: usize,
     /// Planning replay over the list.
     planned: u64,
@@ -147,13 +148,17 @@ fn restart_allocations(n: u64) -> RestartAllocations {
     node.force_log().unwrap();
     node.crash();
     node.mark_restarting().unwrap();
-    let (redo, (_, records)) = allocations_of(|| node.restart_redo().unwrap());
-    let kept = records.len();
-    drop(records);
+    let (redo, (_, images)) = allocations_of(|| node.restart_redo().unwrap());
+    let applied: u64 = images.iter().map(|i| i.applied).sum();
+    drop(images);
     node.crash();
     node.mark_restarting().unwrap();
     let (pass, (_, list, records)) = allocations_of(|| node.restart_pass().unwrap());
-    assert_eq!(records.len(), kept, "both passes keep the same records");
+    let kept = records.len();
+    assert_eq!(
+        applied, kept as u64,
+        "the redo pass applied what the pass keeps"
+    );
     let involved: BTreeMap<PageId, Vec<NodeId>> = node
         .dpt()
         .entries()
@@ -173,12 +178,14 @@ fn restart_allocations(n: u64) -> RestartAllocations {
 
 #[test]
 fn a_restart_pass_allocates_per_page_not_per_record() {
-    // Once a pass has read a sample of its range it sizes its arena
-    // and list for the rest, so four times the records over the same
-    // pages cost it no more allocations; growing them by doubling all
-    // the way cost six more, and decoding an update into an owned op
-    // two per record. Planning replay over the pass's list allocates
-    // per page only: the same count for any number of records.
+    // Once the simulator's pass has read a sample of its range it
+    // sizes its arena and list for the rest, so four times the records
+    // over the same pages cost it no more allocations; growing them by
+    // doubling all the way cost six more, and decoding an update into
+    // an owned op two per record. The threaded engine's pass keeps
+    // nothing per record, only one image per page. Planning replay over
+    // the pass's list allocates per page only: the same count for any
+    // number of records.
     let small = restart_allocations(500);
     let large = restart_allocations(2_000);
     assert_eq!(
@@ -201,7 +208,8 @@ fn a_restart_pass_allocates_per_page_not_per_record() {
         );
     }
     // The threaded engine's pass builds no NodePSNList, nor the table
-    // of each page's last transaction that the list rule keeps.
+    // of each page's last transaction that the list rule keeps, nor
+    // the arena of redo records.
     for a in [&small, &large] {
         assert!(
             a.redo < a.pass,

@@ -14,9 +14,10 @@
 //! `rt/tests/equivalence.rs`; and multi-page transactions whose page
 //! orders form a cycle. Each is replayed in ascending page order and
 //! in seeded permutations, and the images, PSNs included, must be
-//! byte-identical to each other and to the images just before the
-//! crash. The must-fail check reverses one page's records and expects
-//! a different image.
+//! byte-identical to each other, to the images just before the crash,
+//! and to the images the threaded engine's restart leaves, which redoes
+//! each record as it reads the log. The must-fail check reverses one
+//! page's records and expects a different image.
 //!
 //! The cross-log case runs on the simulator's `Cluster`: two clients
 //! and the owner write the owner's pages, in opposite page orders on
@@ -169,9 +170,9 @@ fn cyclic_transactions() -> Vec<Node> {
 /// A page's id, PSN and bytes.
 type Image = (PageId, Psn, Vec<u8>);
 
-/// Crashes every node and runs its restart pass: the nodes, each
-/// one's redo records, every dirty page, ascending, and those pages'
-/// images just before the crash.
+/// Crashes every node and runs the simulator's restart pass: the
+/// nodes, each one's redo records, every dirty page, ascending, and
+/// those pages' images just before the crash.
 fn restarted(mut nodes: Vec<Node>) -> (Vec<Node>, Vec<RedoRecords>, Vec<PageId>, Vec<Image>) {
     let mut redo = Vec::new();
     let mut dirty = Vec::new();
@@ -184,7 +185,7 @@ fn restarted(mut nodes: Vec<Node>) -> (Vec<Node>, Vec<RedoRecords>, Vec<PageId>,
         node.force_log().unwrap();
         node.crash();
         node.mark_restarting().unwrap();
-        let (_, records) = node.restart_redo().unwrap();
+        let (_, _, records) = node.restart_pass().unwrap();
         redo.push(records);
         dirty.extend(node.dpt().entries().iter().map(|e| e.pid));
     }
@@ -231,6 +232,24 @@ fn replay(
     (images, applied)
 }
 
+/// Crashes every node again and restarts it with the threaded engine's
+/// pass, which redoes each page as it reads the log: every dirty page's
+/// image, PSN included, in ascending page order.
+fn redone(nodes: &mut [Node]) -> Vec<Image> {
+    let mut images = Vec::new();
+    for node in nodes {
+        node.crash();
+        node.mark_restarting().unwrap();
+        let (_, redone) = node.restart_redo().unwrap();
+        images.extend(
+            redone
+                .into_iter()
+                .map(|i| (i.page.id(), i.page.psn(), i.page.to_bytes())),
+        );
+    }
+    images
+}
+
 fn logs() -> [(&'static str, Vec<Node>); 3] {
     [
         ("crash-recover shape", crash_recover_shaped()),
@@ -257,6 +276,10 @@ fn replay_is_confluent_across_pages() {
             assert_eq!(n, applied, "{name}, seed {seed}");
             assert!(got == want, "{name}: seed {seed}'s order changed an image");
         }
+        assert!(
+            redone(&mut nodes) == want,
+            "{name}: redo as the log is read rebuilds other images"
+        );
     }
 }
 

@@ -48,11 +48,12 @@
 //!
 //! A crashed owner's log holds every record of its pages, so restart
 //! is node-local: one pass over each crashed log
-//! ([`Node::restart_redo`]) yields the loser table, the DPT and the
-//! redo records, and the dirty pages then replay in ascending page
-//! order through the PSN filter, one page at a time on the calling
-//! thread. Replay is confluent across pages (DESIGN §16), so no replay
-//! plan and no NodePSNList is built, and
+//! ([`Node::restart_redo`]) rebuilds the loser table and the DPT and,
+//! in the same loop, redoes each dirty page through the PSN filter as
+//! its records are read. The redone pages are then written in ascending
+//! page order on the calling thread. Replay is confluent across pages
+//! (DESIGN §16), so no replay plan, no NodePSNList and no per-record
+//! redo list is built, and
 //! [`ReplayMode::Parallel`](cblog_core::ReplayMode) runs as `Serial`.
 //!
 //! # Observability (DESIGN §8)
@@ -89,7 +90,7 @@ use cblog_common::{
 use cblog_core::node::RollbackStep;
 use cblog_core::{
     ForceScheduler, GroupCommitPolicy, Node, NodeConfig, PhaseTimings, PlanOp, RecoveryOptions,
-    RecoveryReport, RedoRecords, RunReport, Runtime, TxnPlan, WaveTiming,
+    RecoveryReport, RedoImage, RunReport, Runtime, TxnPlan, WaveTiming,
 };
 use cblog_locks::{LockMode, ShardedLockTable};
 use cblog_net::transport::{ChannelEndpoint, ChannelMesh, Envelope, Transport};
@@ -488,22 +489,26 @@ impl Runtime for ThreadCluster {
     /// is confluent across pages"). So nothing is planned and no
     /// NodePSNList is built.
     ///
-    /// The node-local half is the simulator's. Each crashed node's log
-    /// is read once ([`Node::restart_redo`]): analysis and the redo
-    /// records of every page the rebuilt DPT names come out of one
-    /// scan. Replay then takes the crashed owners' dirty pages in
-    /// ascending page order, each one call of the PSN filter
-    /// ([`RedoRecords::replay`]) from the page's first record with no
-    /// bound, then its durable write. The report counts one pass:
-    /// `replay_waves` is 1 (0 when no page is dirty), its one
-    /// [`WaveTiming`] has a makespan equal to its serial sum, and
-    /// `critical_path_psns` is the most records one page replayed.
+    /// Each crashed node's log is read once ([`Node::restart_redo`]):
+    /// the analysis fold and the PSN-filtered redo of every page the
+    /// rebuilt DPT names run in the same loop, so the Analysis phase
+    /// includes the redo and nothing is kept per record. Replay then
+    /// writes the redone images durably, in ascending page order. The
+    /// report counts one pass: `replay_waves` is 1 (0 when no page is
+    /// dirty), its one [`WaveTiming`] has a makespan equal to its
+    /// serial sum (what Replay spends on a page besides its write, ~0),
+    /// and `critical_path_psns` is the most records one page applied.
     /// [`ReplayMode::Parallel`](cblog_core::ReplayMode) runs as
     /// `Serial`: no measured input has yet repaid handing a page's redo
-    /// to another thread (DESIGN §13). Each page's hops enter the
-    /// trace, whose watchdog holds them to the same per-page PSN-order
-    /// invariant the simulator's tracer enforces on simulated recovery
+    /// to another thread (DESIGN §13). Each page enters the trace as
+    /// one hop from its disk PSN, counting the records applied, and the
+    /// watchdog holds the hops to the same per-page PSN-order invariant
+    /// the simulator's tracer enforces on simulated recovery
     /// ([`ThreadCluster::trace_check`] at the end).
+    ///
+    /// An update in a crashed node's log of a page that node does not
+    /// own is a corrupt log: `recover` fails with [`Error::Corrupt`]
+    /// naming its LSN before any page is written.
     ///
     /// Every listed node must be crashed: a node that is not is
     /// refused with [`Error::Protocol`], as the simulator refuses it,
@@ -541,61 +546,56 @@ impl Runtime for ThreadCluster {
         }
 
         // ---- Analysis: tail repair, then one pass over each crashed
-        // node's log that also yields, per dirty page, the redo records
-        // Replay applies. The message phases of the distributed
-        // protocol (InfoExchange … RecoveryLocks) and PsnLists have no
-        // threaded counterpart: updates are owner-local, so no
-        // operational node holds state the restarting owner needs, and
-        // the owner's own records order each page. Their timings stay
-        // zero. ----
+        // node's log that also redoes, through the PSN filter, every
+        // page the rebuilt DPT names. The message phases of the
+        // distributed protocol (InfoExchange … RecoveryLocks) and
+        // PsnLists have no threaded counterpart: updates are
+        // owner-local, so no operational node holds state the
+        // restarting owner needs, and the owner's own records order
+        // each page. Their timings stay zero. ----
         let mut losers: Vec<(NodeId, Vec<TxnId>)> = Vec::new();
-        let mut redo: BTreeMap<NodeId, RedoRecords> = BTreeMap::new();
-        let mut dirty: Vec<PageId> = Vec::new();
+        let mut redone: Vec<RedoImage> = Vec::new();
         for &c in &crashed {
             let node = self.node_mut(c)?;
             report.torn_bytes_discarded += node.mark_restarting()?;
-            let (a, records) = node.restart_redo()?;
+            let (a, images) = node.restart_redo()?;
             report.log_bytes_scanned += a.bytes_scanned;
             losers.push((c, a.losers));
-            redo.insert(c, records);
-            dirty.extend(node.dpt().entries().iter().map(|e| e.pid));
+            redone.extend(images);
         }
-        dirty.sort_unstable();
+        redone.sort_unstable_by_key(|i| i.page.id());
         timings.record(RecoveryPhase::Analysis, lap(&mut mark));
 
-        // ---- Replay: page by page on this thread — the PSN-filtered
-        // redo of each page against an owned image, then its durable
-        // write. ----
+        // ---- Replay: the durable write of each redone page, in
+        // ascending page order on this thread. ----
         let mut pass = WaveTiming::default();
         let mut replay_by_node: BTreeMap<NodeId, u64> = BTreeMap::new();
-        let mut runs = Vec::new();
-        for pid in dirty {
+        for RedoImage {
+            page,
+            disk_psn,
+            applied,
+        } in redone
+        {
+            let pid = page.id();
             let owner = pid.owner;
-            let (mut page, _) = self.node_mut(owner)?.authoritative_copy(pid)?;
             let t = Instant::now();
-            // Writes are owner-local: the owner's log holds every
-            // record of the page.
-            let records = redo
-                .get(&owner)
-                .ok_or_else(|| Error::Protocol(format!("{pid} is dirty at no crashed owner")))?;
-            let (_, n) = records.replay(&mut page, 0, None, &mut runs)?;
-            // One hop span per run of consecutively applied PSNs.
-            for &(first, last, applied) in &runs {
-                self.trace_point(
-                    owner,
-                    rec_root,
-                    SpanKind::ReplayHop {
-                        pid,
-                        node: owner,
-                        from_psn: first,
-                        to_psn: last.next(),
-                        applied,
-                    },
-                );
-            }
+            // One hop from the disk image's PSN: the page's records
+            // are all in its owner's log, and all were read in one
+            // pass.
+            self.trace_point(
+                owner,
+                rec_root,
+                SpanKind::ReplayHop {
+                    pid,
+                    node: owner,
+                    from_psn: disk_psn,
+                    to_psn: page.psn(),
+                    applied,
+                },
+            );
             let wall_us = t.elapsed().as_micros() as u64;
-            report.records_replayed += n;
-            report.critical_path_psns = report.critical_path_psns.max(n);
+            report.records_replayed += applied;
+            report.critical_path_psns = report.critical_path_psns.max(applied);
             report.pages_recovered += 1;
             pass.units += 1;
             pass.serial_us += wall_us;
@@ -2236,6 +2236,45 @@ mod tests {
                 per_page * rec_pages().len() as u64,
                 "{mode:?}: records from below the checkpoint replay too"
             );
+        }
+    }
+
+    #[test]
+    fn recovery_refuses_a_log_that_updates_another_nodes_page() {
+        // Node 1's log carries an update of node 0's page, which no
+        // plan here can write. Whether node 0 crashed too or not, the
+        // restart fails naming the record, before any page is written.
+        let foreign = pid(0, 1);
+        for crashed in [&[NodeId(1)][..], &[NodeId(0), NodeId(1)]] {
+            let mut tc = ThreadCluster::new(ThreadClusterConfig::default()).unwrap();
+            let plans = [
+                wplan(0, 0, &[(foreign, 0, 5)]),
+                wplan(1, 0, &[(pid(1, 0), 0, 6)]),
+            ];
+            tc.run(&plans).unwrap();
+            let image = Page::from_bytes(tc.page_image(foreign).unwrap()).unwrap();
+            let node = tc.node_mut(NodeId(1)).unwrap();
+            let t = node.begin().unwrap();
+            node.cache_page(image, false).unwrap();
+            let (_, at) = node.log_write(t, foreign, 8, &7u64.to_le_bytes()).unwrap();
+            node.commit_begin(t).unwrap();
+            node.force_log().unwrap();
+            for &c in crashed {
+                tc.crash(c).unwrap();
+            }
+            let images = |tc: &mut ThreadCluster| -> Vec<Vec<u8>> {
+                [foreign, pid(1, 0)]
+                    .map(|p| tc.page_image(p).unwrap())
+                    .to_vec()
+            };
+            let before = images(&mut tc);
+            match tc.recover(&RecoveryOptions::nodes(crashed)) {
+                Err(Error::Corrupt(m)) => {
+                    assert!(m.contains(&format!("at LSN {}", at.0)), "{crashed:?}: {m}")
+                }
+                r => panic!("{crashed:?}: expected Corrupt, got {:?}", r.map(|_| ())),
+            }
+            assert_eq!(images(&mut tc), before, "{crashed:?}: a page was written");
         }
     }
 }

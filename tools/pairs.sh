@@ -58,9 +58,21 @@ gates=$(awk '
 for side in "$parent" "$change"; do
     cargo build --release --offline --quiet --manifest-path "$side/perf/Cargo.toml"
 done
-# What a pasted table compared: each checkout's commit (`-dirty` when it
-# has uncommitted changes) and the host's processor count.
-commit_of() { git -C "$1" describe --always --dirty --exclude '*' 2>/dev/null || echo unknown; }
+# What a pasted table compared: each checkout's commit (`-dirty` when
+# what the benchmark builds, its sources under crates/ and perf/ and the
+# workspace manifest and lock, has uncommitted changes) and the host's
+# processor count. An edit to a document marks nothing.
+commit_of() {
+    local head
+    head=$(git -C "$1" rev-parse --short HEAD 2>/dev/null) || {
+        echo unknown
+        return
+    }
+    if [ -n "$(git -C "$1" status --porcelain -- crates perf Cargo.toml Cargo.lock)" ]; then
+        head="$head-dirty"
+    fi
+    echo "$head"
+}
 sides="parent $(commit_of "$parent"), change $(commit_of "$change"), nproc $(nproc)"
 
 out=$(mktemp -d)
