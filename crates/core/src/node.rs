@@ -1410,8 +1410,9 @@ impl Node {
     /// from the database the first time a record touches the page; a
     /// record below the checkpoint touches its page only if the
     /// checkpoint's DPT names it, since any other page was clean then.
-    /// The images live in one table for the pass: a node has at most
-    /// as many dirty pages as buffer frames. A record, or a checkpoint
+    /// The images live in one table for the pass, one per page of the
+    /// rebuilt DPT: a page each, where a list of redo records holds
+    /// every record of those pages. A record, or a checkpoint
     /// DPT entry, of a page the node's database does not hold is a
     /// corrupt log: the pass stops with [`Error::Corrupt`] naming its
     /// LSN, and nothing is installed.
