@@ -178,6 +178,7 @@ const SIZING_SAMPLE: u64 = 1024;
 /// What the simulator's log collections ([`Node::restart_pass`],
 /// [`Node::psn_list`]) keep from every Update and CLR they read, for
 /// every page: per record, its op in one arena, and the NodePSNList.
+#[derive(Default)]
 struct PageUpdates {
     /// Page → its number in `ids`.
     pages: IdMap<PageId, u32>,
@@ -203,15 +204,9 @@ impl PageUpdates {
     /// An empty collection of a scan of `[from, end)`.
     fn new(from: Lsn, end: Lsn) -> Self {
         PageUpdates {
-            pages: IdMap::default(),
-            ids: Vec::new(),
-            list: Vec::new(),
-            last: Vec::new(),
-            ops: Vec::new(),
-            index: Vec::new(),
             from,
             end,
-            read: 0,
+            ..PageUpdates::default()
         }
     }
 
@@ -252,14 +247,8 @@ impl PageUpdates {
             self.ids.push(pid);
             self.last.push(None);
         }
-        psn_list_entry(
-            &mut self.list,
-            &mut self.last[page as usize],
-            pid,
-            psn,
-            lsn,
-            txn,
-        );
+        let last = &mut self.last[page as usize];
+        psn_list_entry(&mut self.list, last, pid, psn, lsn, txn);
         let at = u32::try_from(self.ops.len())
             .map_err(|_| Error::Invalid("redo records past 4 GiB".into()))?;
         self.index.push((page, psn, at));
