@@ -48,7 +48,7 @@ pub struct NodePsnEntry {
     pub psn: Psn,
     /// Log location of that record: the paper's replay resume point.
     /// Replay here resumes at the entry's PSN in the node's collected
-    /// records instead ([`RedoRecords::seek`]).
+    /// records instead ([`RedoRecords::replay`]).
     pub lsn: Lsn,
     /// Transaction that wrote the burst: a new entry opens where the
     /// page's writer changes. Replay orders nothing by it (DESIGN §13).
@@ -72,12 +72,13 @@ fn psn_list_entry(
     }
 }
 
-/// The redo records a log collection keeps ([`Node::restart_pass`],
-/// [`Node::psn_list`]): every op's bytes end to
+/// The redo records a simulator log collection keeps
+/// ([`Node::restart_pass`], [`Node::psn_list`]): every op's bytes end to
 /// end in one arena, in log order, copied verbatim from the log, and a
-/// `(page, psn_before, offset)` index grouped by page.
-/// Replay applies [`PageOpRef`]s read straight out of the arena; nothing
-/// is allocated per record.
+/// `(page, psn_before, offset)` index grouped by page. A replay hop
+/// ([`RedoRecords::replay`]) applies [`PageOpRef`]s read straight out
+/// of the arena; nothing is allocated per record. The threaded engine
+/// keeps none: it redoes as it reads ([`Node::restart_redo`]).
 #[derive(Debug, Default)]
 pub struct RedoRecords {
     ops: Vec<u8>,
@@ -101,27 +102,18 @@ impl RedoRecords {
     }
 
     /// The PSN filter (paper §2.3.2, §2.3.4): replays `page`'s records
-    /// from the `from`-th on, applying each whose PSN the page has, and
-    /// stops before the first that is past `bound`. Returns the cursor
-    /// to resume at and how many records applied. `runs` (emptied
-    /// first, so one buffer serves every page) gets the maximal runs of
-    /// consecutively applied PSNs as `(first, last, count)`: correct
-    /// replay applies each record at exactly the page's PSN, so a hop
-    /// is one run, and anything else fractures into runs whose
-    /// ReplayHop spans the watchdog rejects.
-    pub fn replay(
-        &self,
-        page: &mut Page,
-        from: usize,
-        bound: Option<Psn>,
-        runs: &mut Vec<(Psn, Psn, u64)>,
-    ) -> Result<(usize, u64)> {
-        runs.clear();
+    /// from its first at or past PSN `from`, applying each whose PSN the
+    /// page has, and stops before the first that is past `bound`, the
+    /// end of the hop's interval. A page's records in one log carry
+    /// ascending PSNs, since each update raises the PSN of the copy its
+    /// node holds. Returns how many records applied.
+    pub fn replay(&self, page: &mut Page, from: Psn, bound: Option<Psn>) -> Result<u64> {
         let mine = self.records(page.id());
+        let start = mine.partition_point(|&(_, p, _)| p < from);
         let mut applied = 0;
-        for (i, &(_, psn_before, at)) in mine.iter().enumerate().skip(from) {
+        for &(_, psn_before, at) in &mine[start..] {
             if bound.is_some_and(|b| psn_before > b) {
-                return Ok((i, applied));
+                break;
             }
             if psn_before != page.psn() {
                 continue;
@@ -129,23 +121,8 @@ impl RedoRecords {
             PageOpRef::decode(&mut Decoder::new(&self.ops[at as usize..]))?.apply_redo(page)?;
             page.set_psn(psn_before.next());
             applied += 1;
-            match runs.last_mut() {
-                Some((_, last, n)) if psn_before == last.next() => {
-                    *last = psn_before;
-                    *n += 1;
-                }
-                _ => runs.push((psn_before, psn_before, 1)),
-            }
         }
-        Ok((mine.len(), applied))
-    }
-
-    /// The cursor of `pid`'s first record at or past `psn`: where a
-    /// replay hop that starts at `psn` resumes. A page's records in one
-    /// log carry ascending PSNs, since each update raises the PSN of
-    /// the copy its node holds.
-    pub fn seek(&self, pid: PageId, psn: Psn) -> usize {
-        self.records(pid).partition_point(|&(_, p, _)| p < psn)
+        Ok(applied)
     }
 
     /// `pid`'s records in log order, as `(psn_before, op)`.
@@ -1824,7 +1801,6 @@ mod tests {
         assert!(redo.of(other).next().is_none());
         assert_eq!(list, psn_list_reference(&mut n, &pages));
         let mut kept = 0;
-        let mut runs = Vec::new();
         for pid in pages {
             let records: Vec<(Psn, PageOp)> = redo
                 .of(pid)
@@ -1843,10 +1819,10 @@ mod tests {
                     by_log.set_psn(psn_before.next());
                 }
             }
+            let from = disk.psn();
             let mut by_arena = disk;
-            let (_, applied) = redo.replay(&mut by_arena, 0, None, &mut runs).unwrap();
+            let applied = redo.replay(&mut by_arena, from, None).unwrap();
             assert_eq!(applied, records.len() as u64);
-            assert_eq!(runs.len(), 1, "one run of consecutive PSNs");
             assert_eq!(by_arena.to_bytes(), by_log.to_bytes());
         }
         assert_eq!(redo.len(), kept, "nothing is kept for a page not asked for");
@@ -2088,13 +2064,12 @@ mod tests {
         assert_eq!(want.losers, vec![loser]);
         // What the simulator's pass and its replay leave: every DPT page
         // from its disk image through the PSN filter.
-        let mut runs = Vec::new();
         let replayed: Vec<(PageId, Psn, Vec<u8>, u64)> = named
             .iter()
             .map(|&pid| {
                 let mut page = n.db.as_mut().unwrap().read_page(pid.index).unwrap();
                 let disk = page.psn();
-                let (_, applied) = redo.replay(&mut page, 0, None, &mut runs).unwrap();
+                let applied = redo.replay(&mut page, disk, None).unwrap();
                 (pid, disk, page.to_bytes(), applied)
             })
             .collect();
@@ -2320,25 +2295,24 @@ mod tests {
         // Rebuild from the disk version (psn 1, all zeros).
         let mut page = n.db.as_mut().unwrap().read_page(0).unwrap();
         assert_eq!(page.psn(), Psn(1));
-        let mut runs = Vec::new();
         // Bound at PSN 2: apply records with psn_before <= 2.
-        let (resume, applied) = redo.replay(&mut page, 0, Some(Psn(2)), &mut runs).unwrap();
-        assert_eq!((resume, applied), (2, 2));
-        assert_eq!(runs, vec![(Psn(1), Psn(2), 2)]);
+        let applied = redo.replay(&mut page, Psn(1), Some(Psn(2))).unwrap();
+        assert_eq!(applied, 2);
         assert_eq!(page.psn(), Psn(3));
         assert_eq!(page.read_slot(0).unwrap(), 11);
         assert_eq!(page.read_slot(1).unwrap(), 22);
         assert_eq!(page.read_slot(2).unwrap(), 0);
         // A hop starting at PSN 3 resumes where the bound stopped.
-        assert_eq!(redo.seek(pid, page.psn()), resume);
-        let (end, applied2) = redo.replay(&mut page, resume, None, &mut runs).unwrap();
-        assert_eq!((end, applied2), (3, 1));
-        assert_eq!(runs, vec![(Psn(3), Psn(3), 1)]);
+        let applied2 = redo.replay(&mut page, Psn(3), None).unwrap();
+        assert_eq!(applied2, 1);
+        assert_eq!(page.psn(), Psn(4));
         assert_eq!(page.read_slot(2).unwrap(), 33);
         // Replaying again is a no-op (PSN filter).
-        let (_, applied3) = redo.replay(&mut page, 0, None, &mut runs).unwrap();
-        assert_eq!(applied3, 0);
-        assert!(runs.is_empty());
+        assert_eq!(redo.replay(&mut page, Psn(1), None).unwrap(), 0);
+        // A hop past the records applies none of them.
+        let mut fresh = n.db.as_mut().unwrap().read_page(0).unwrap();
+        assert_eq!(redo.replay(&mut fresh, Psn(4), None).unwrap(), 0);
+        assert_eq!(fresh.psn(), Psn(1));
     }
 
     #[test]

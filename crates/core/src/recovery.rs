@@ -34,6 +34,7 @@ use cblog_common::{
 };
 use cblog_locks::LockMode;
 use cblog_net::{MsgHeader, MsgKind};
+use cblog_storage::Page;
 use cblog_wal::DptEntry;
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -973,7 +974,6 @@ fn recover_inner(cluster: &mut Cluster, opts: &RecoveryOptions) -> Result<Recove
     }
     // Remote-owned candidates: the crashed node replays its own log
     // onto the owner's authoritative copy and re-caches the page.
-    let mut runs = Vec::new();
     for (c, pid) in &remote_candidates {
         let owner = pid.owner;
         cluster.network_mut().send_reliable_hdr(
@@ -984,21 +984,8 @@ fn recover_inner(cluster: &mut Cluster, opts: &RecoveryOptions) -> Result<Recove
             hdr,
         )?;
         let mut page = cluster.ship_from_owner(*pid, *c, TransferWhy::Recovery, root)?;
-        let from_psn = page.psn();
-        let (_, applied) = records_of(&redo, *c, *pid)?.replay(&mut page, 0, None, &mut runs)?;
-        cluster.tracer().point(
-            cluster.network().clock().now(),
-            *c,
-            root,
-            SpanKind::ReplayHop {
-                pid: *pid,
-                node: *c,
-                from_psn,
-                to_psn: page.psn(),
-                applied,
-            },
-        );
-        report.records_replayed += applied;
+        let hop = (page.psn(), *c);
+        replay_hop(cluster, &redo, hop, None, &mut page, &mut report, root)?;
         report.pages_recovered += 1;
         cluster.cache_at(*c, page, true)?;
     }
@@ -1166,31 +1153,11 @@ fn replay_unit(
     cluster.network_mut().disk_io(owner, page.size());
     let page_bytes = page.size() + 64;
     let hdr = MsgHeader::of(SpanCtx::root(root));
-    let mut runs = Vec::new();
-    for (i, &(psn, n)) in unit.hops.iter().enumerate() {
+    for (i, &hop) in unit.hops.iter().enumerate() {
+        let n = hop.1;
         let bound = unit.hops.get(i + 1).map(|&(p, _)| p);
-        let records = records_of(redo, n, pid)?;
         cluster.send(coordinator, n, MsgKind::RecoveryPageSend, page_bytes, hdr)?;
-        let from_psn = page.psn();
-        let from = records.seek(pid, psn);
-        let (_, applied) = records.replay(&mut page, from, bound, &mut runs)?;
-        report.records_replayed += applied;
-        // One hop of the §2.3.4 shuttle: node `n` advanced the page
-        // from `from_psn` to the page's new PSN by replaying `applied`
-        // records of its own log. The watchdog checks the hops visit
-        // the page in ascending global PSN order.
-        cluster.tracer().point(
-            cluster.network().clock().now(),
-            n,
-            root,
-            SpanKind::ReplayHop {
-                pid,
-                node: n,
-                from_psn,
-                to_psn: page.psn(),
-                applied,
-            },
-        );
+        replay_hop(cluster, redo, hop, bound, &mut page, report, root)?;
         cluster.send(n, coordinator, MsgKind::RecoveryPageReturn, page_bytes, hdr)?;
         if n != coordinator {
             report.page_hops += 2;
@@ -1213,14 +1180,40 @@ fn replay_unit(
     cluster.cache_at(owner, page, true)
 }
 
-/// The redo records `n` collected in phase 6, which hold `pid`'s.
-fn records_of(
+/// One hop of the §2.3.4 shuttle, `(from, n)`: node `n` replays its
+/// own records of `page`, collected in phase 6, from PSN `from` up to
+/// `bound`. Emits the hop's ReplayHop point, from the page's PSN before
+/// to its PSN after, counting the records applied; the watchdog checks
+/// that a page's hops visit it in ascending global PSN order.
+fn replay_hop(
+    cluster: &Cluster,
     redo: &BTreeMap<NodeId, RedoRecords>,
-    n: NodeId,
-    pid: PageId,
-) -> Result<&RedoRecords> {
-    redo.get(&n)
-        .ok_or_else(|| Error::Protocol(format!("{n} replays {pid} without a NodePSNList")))
+    (from, n): (Psn, NodeId),
+    bound: Option<Psn>,
+    page: &mut Page,
+    report: &mut RecoveryReport,
+    root: SpanId,
+) -> Result<()> {
+    let pid = page.id();
+    let records = redo
+        .get(&n)
+        .ok_or_else(|| Error::Protocol(format!("{n} replays {pid} without a NodePSNList")))?;
+    let from_psn = page.psn();
+    let applied = records.replay(page, from, bound)?;
+    report.records_replayed += applied;
+    cluster.tracer().point(
+        cluster.network().clock().now(),
+        n,
+        root,
+        SpanKind::ReplayHop {
+            pid,
+            node: n,
+            from_psn,
+            to_psn: page.psn(),
+            applied,
+        },
+    );
+    Ok(())
 }
 
 #[cfg(test)]

@@ -204,7 +204,6 @@ fn replay(
     order: &[PageId],
     reversed: Option<PageId>,
 ) -> (Vec<Image>, u64) {
-    let mut runs = Vec::new();
     let mut images = Vec::new();
     let mut applied = 0;
     for &pid in order {
@@ -214,17 +213,14 @@ fn replay(
         if reversed == Some(pid) {
             // The page's PSNs, from a replay of a copy in log order.
             let mut copy = page.clone();
-            records.replay(&mut copy, 0, None, &mut runs).unwrap();
-            let psns: Vec<u64> = runs.iter().flat_map(|&(f, l, _)| f.0..=l.0).collect();
+            records.replay(&mut copy, page.psn(), None).unwrap();
+            let psns: Vec<u64> = (page.psn().0..copy.psn().0).collect();
             for &psn in psns.iter().rev() {
-                let at = records.seek(pid, Psn(psn));
-                applied += records
-                    .replay(&mut page, at, Some(Psn(psn)), &mut runs)
-                    .unwrap()
-                    .1;
+                applied += records.replay(&mut page, Psn(psn), Some(Psn(psn))).unwrap();
             }
         } else {
-            applied += records.replay(&mut page, 0, None, &mut runs).unwrap().1;
+            let from = page.psn();
+            applied += records.replay(&mut page, from, None).unwrap();
         }
         images.push((pid, page.psn(), page.to_bytes()));
     }
@@ -295,8 +291,8 @@ fn reversing_one_pages_records_is_caught() {
             .map(|&pid| {
                 let owner = pid.owner.0 as usize;
                 let (mut page, _) = nodes[owner].authoritative_copy(pid).unwrap();
-                let n = redo[owner].replay(&mut page, 0, None, &mut Vec::new());
-                (pid, n.unwrap().1)
+                let from = page.psn();
+                (pid, redo[owner].replay(&mut page, from, None).unwrap())
             })
             .max_by_key(|&(_, n)| n)
             .unwrap();
@@ -420,16 +416,13 @@ fn replay_units(
     redo: &BTreeMap<NodeId, RedoRecords>,
     units: &[ReplayUnit],
 ) -> (Vec<Image>, u64) {
-    let mut runs = Vec::new();
     let mut images = Vec::new();
     let mut applied = 0;
     for unit in units {
         let (mut page, _) = c.node_mut(NodeId(0)).authoritative_copy(unit.pid).unwrap();
         for (i, &(psn, n)) in unit.hops.iter().enumerate() {
             let bound = unit.hops.get(i + 1).map(|&(p, _)| p);
-            let records = &redo[&n];
-            let from = records.seek(unit.pid, psn);
-            applied += records.replay(&mut page, from, bound, &mut runs).unwrap().1;
+            applied += redo[&n].replay(&mut page, psn, bound).unwrap();
         }
         images.push((unit.pid, page.psn(), page.to_bytes()));
     }

@@ -50,11 +50,13 @@
 //! is node-local: one pass over each crashed log
 //! ([`Node::restart_redo`]) rebuilds the loser table and the DPT and,
 //! in the same loop, redoes each dirty page through the PSN filter as
-//! its records are read. The redone pages are then written in ascending
-//! page order on the calling thread. Replay is confluent across pages
-//! (DESIGN §16), so no replay plan, no NodePSNList and no per-record
-//! redo list is built, and
-//! [`ReplayMode::Parallel`](cblog_core::ReplayMode) runs as `Serial`.
+//! its records are read. Once every crashed node's pass has run, each
+//! node finishes its own restart on the calling thread: it writes its
+//! redone pages in ascending page order, undoes its losers and
+//! checkpoints. Replay is confluent across pages (DESIGN §16), so no
+//! replay plan, no NodePSNList and no per-record redo list is built,
+//! and [`ReplayMode::Parallel`](cblog_core::ReplayMode) runs as
+//! `Serial`.
 //!
 //! # Observability (DESIGN §8)
 //!
@@ -97,7 +99,7 @@ use cblog_net::transport::{ChannelEndpoint, ChannelMesh, Envelope, Transport};
 use cblog_net::MsgKind;
 use cblog_storage::Page;
 use cblog_wal::{FileLogStore, LogStore, MemLogStore};
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::VecDeque;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::OnceLock;
@@ -492,12 +494,14 @@ impl Runtime for ThreadCluster {
     /// Each crashed node's log is read once ([`Node::restart_redo`]):
     /// the analysis fold and the PSN-filtered redo of every page the
     /// rebuilt DPT names run in the same loop, so the Analysis phase
-    /// includes the redo and nothing is kept per record. Replay then
-    /// writes the redone images durably, in ascending page order. The
-    /// report counts one pass: `replay_waves` is 1 (0 when no page is
-    /// dirty), its one [`WaveTiming`] has a makespan equal to its
-    /// serial sum (what Replay spends on a page besides its write, ~0),
-    /// and `critical_path_psns` is the most records one page applied.
+    /// includes the redo and nothing is kept per record. Every listed
+    /// node's pass runs before any page is written. Then each node
+    /// finishes its own restart: it writes its redone images durably,
+    /// in ascending page order, undoes its losers, forces its log and
+    /// checkpoints. The report counts one pass: `replay_waves` is 1 (0
+    /// when no page is dirty), its one [`WaveTiming`] has a makespan
+    /// equal to its serial sum, the nodes' page-write loops, and
+    /// `critical_path_psns` is the most records one page applied.
     /// [`ReplayMode::Parallel`](cblog_core::ReplayMode) runs as
     /// `Serial`: no measured input has yet repaid handing a page's redo
     /// to another thread (DESIGN §13). Each page enters the trace as
@@ -514,8 +518,8 @@ impl Runtime for ThreadCluster {
     /// refused with [`Error::Protocol`], as the simulator refuses it,
     /// before any node is touched.
     fn recover(&mut self, opts: &RecoveryOptions) -> Result<RecoveryReport> {
-        let crashed = opts.recovered_nodes().to_vec();
-        for &c in &crashed {
+        let crashed = opts.recovered_nodes();
+        for &c in crashed {
             if c.0 as usize >= self.nodes.len() {
                 return Err(Error::Invalid(format!("recovery of unknown node {c}")));
             }
@@ -534,7 +538,7 @@ impl Runtime for ThreadCluster {
             None => SpanId::NONE,
         };
         let mut report = RecoveryReport {
-            recovered_nodes: crashed.clone(),
+            recovered_nodes: crashed.to_vec(),
             ..RecoveryReport::default()
         };
         let mut timings = PhaseTimings::default();
@@ -553,104 +557,101 @@ impl Runtime for ThreadCluster {
         // owner-local, so no operational node holds state the
         // restarting owner needs, and the owner's own records order
         // each page. Their timings stay zero. ----
-        let mut losers: Vec<(NodeId, Vec<TxnId>)> = Vec::new();
-        let mut redone: Vec<RedoImage> = Vec::new();
-        for &c in &crashed {
+        let mut passes = Vec::with_capacity(crashed.len());
+        for &c in crashed {
             let node = self.node_mut(c)?;
             report.torn_bytes_discarded += node.mark_restarting()?;
             let (a, images) = node.restart_redo()?;
             report.log_bytes_scanned += a.bytes_scanned;
-            losers.push((c, a.losers));
-            redone.extend(images);
+            passes.push((c, images, a.losers));
         }
-        redone.sort_unstable_by_key(|i| i.page.id());
         timings.record(RecoveryPhase::Analysis, lap(&mut mark));
 
-        // ---- Replay: the durable write of each redone page, in
-        // ascending page order on this thread. ----
-        let mut pass = WaveTiming::default();
-        let mut replay_by_node: BTreeMap<NodeId, u64> = BTreeMap::new();
-        for RedoImage {
-            page,
-            disk_psn,
-            applied,
-        } in redone
-        {
+        // ---- Replay and Undo, one node after another. ----
+        let mut wave = WaveTiming::default();
+        for (c, images, losers) in passes {
+            wave.units += images.len();
+            let replay_us = self.finish_restart(c, images, losers, rec_root, &mut report)?;
+            wave.serial_us += replay_us;
+            timings.record(RecoveryPhase::Replay, replay_us);
+            let undo_us = lap(&mut mark).saturating_sub(replay_us);
+            timings.record(RecoveryPhase::Undo, undo_us);
+        }
+        if wave.units > 0 {
+            wave.makespan_us = wave.serial_us;
+            report.replay_waves = 1;
+            timings.set_replay_waves(vec![wave]);
+        }
+        timings.record(RecoveryPhase::Done, lap(&mut mark));
+        report.timings = timings;
+        self.trace_check()?;
+        Ok(report)
+    }
+}
+
+impl ThreadCluster {
+    /// The rest of node `c`'s restart once its pass has run
+    /// ([`Node::restart_redo`]): writes its redone `images`, ascending,
+    /// each entering the trace as one replay hop from its disk PSN and
+    /// a page write, then undoes its `losers`, forces its log and
+    /// checkpoints. Returns the wall time of the page writes, µs, which
+    /// the node's `prof/replay_us` gauge also gets.
+    fn finish_restart(
+        &mut self,
+        c: NodeId,
+        images: Vec<RedoImage>,
+        losers: Vec<TxnId>,
+        root: SpanId,
+        report: &mut RecoveryReport,
+    ) -> Result<u64> {
+        let t = Instant::now();
+        for image in images {
+            let (page, applied) = (image.page, image.applied);
             let pid = page.id();
-            let owner = pid.owner;
-            let t = Instant::now();
-            // One hop from the disk image's PSN: the page's records
-            // are all in its owner's log, and all were read in one
-            // pass.
             self.trace_point(
-                owner,
-                rec_root,
+                c,
+                root,
                 SpanKind::ReplayHop {
                     pid,
-                    node: owner,
-                    from_psn: disk_psn,
+                    node: c,
+                    from_psn: image.disk_psn,
                     to_psn: page.psn(),
                     applied,
                 },
             );
-            let wall_us = t.elapsed().as_micros() as u64;
             report.records_replayed += applied;
             report.critical_path_psns = report.critical_path_psns.max(applied);
             report.pages_recovered += 1;
-            pass.units += 1;
-            pass.serial_us += wall_us;
-            *replay_by_node.entry(owner).or_insert(0) += wall_us;
             // Durable write re-anchors the page and clears its DPT
             // entry, like the simulator's post-replay ship.
             let wal_ok = {
-                let node = self.node_mut(owner)?;
+                let node = self.node_mut(c)?;
                 node.write_owned_page(&page)?;
                 node.log().fully_forced()
             };
             self.trace_point(
-                owner,
-                rec_root,
+                c,
+                root,
                 SpanKind::PageWrite {
                     pid,
-                    node: owner,
+                    node: c,
                     psn: page.psn(),
                     wal_ok,
                 },
             );
         }
-        timings.record(RecoveryPhase::Replay, lap(&mut mark));
-        if pass.units > 0 {
-            pass.makespan_us = pass.serial_us;
-            report.replay_waves = 1;
-            timings.set_replay_waves(vec![pass]);
+        let replay_us = t.elapsed().as_micros() as u64;
+        let node = self.node_mut(c)?;
+        node.registry()
+            .gauge(prof_key(Bucket::Replay))
+            .add(replay_us as i64);
+        for txn in losers {
+            roll_back(node, txn)?;
+            report.losers_undone += 1;
         }
-
-        // ---- Undo losers locally (CLRs), then checkpoint. ----
-        for (c, txns) in losers {
-            for txn in txns {
-                roll_back(self.node_mut(c)?, txn)?;
-                report.losers_undone += 1;
-            }
-        }
-        for &c in &crashed {
-            let node = self.node_mut(c)?;
-            node.force_log()?;
-            node.checkpoint()?;
-        }
-        timings.record(RecoveryPhase::Undo, lap(&mut mark));
-        timings.record(RecoveryPhase::Done, lap(&mut mark));
-
-        // Replay wall time lands in the owner's `prof/replay_us`
-        // gauge, summed over pages like `WaveTiming::serial_us`.
-        for (owner, us) in &replay_by_node {
-            self.nodes[owner.0 as usize]
-                .registry()
-                .gauge(prof_key(Bucket::Replay))
-                .add(*us as i64);
-        }
-        report.timings = timings;
-        self.trace_check()?;
-        Ok(report)
+        node.force_log()?;
+        node.checkpoint()?;
+        Ok(replay_us)
     }
 }
 
