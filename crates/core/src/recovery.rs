@@ -509,6 +509,19 @@ pub(crate) fn recover_sim(cluster: &mut Cluster, opts: &RecoveryOptions) -> Resu
             "recovery under the {paradigm:?} paradigm is not modelled"
         )));
     }
+    if let Some(s) = opts.standby {
+        if opts.nodes.contains(&s) {
+            return Err(Error::Invalid(format!("{s} is itself crashed")));
+        }
+        if cluster.network().is_crashed(s) {
+            return Err(Error::NodeDown(s));
+        }
+    }
+    for &c in &opts.nodes {
+        if !cluster.node(c).is_crashed() {
+            return Err(Error::Protocol(format!("{c} is not crashed")));
+        }
+    }
     // Everything the run charges — log scans, page forces, the
     // cross-node replay shuttle — lands in the profiler's Replay
     // bucket, so resource-time breakdowns separate recovery work from
@@ -523,31 +536,29 @@ pub(crate) fn recover_sim(cluster: &mut Cluster, opts: &RecoveryOptions) -> Resu
     let net = cluster.network_mut();
     net.set_attribution(None);
     net.clear_overlap();
+    if r.is_err() {
+        // A restart that failed leaves its nodes crashed, as an
+        // injected crash does, so that a later `recover` retries it and
+        // no transaction runs on a node that is up but unrecovered. The
+        // crash tears nothing and rolls no fault dice.
+        for &c in &opts.nodes {
+            if !cluster.is_crashed(c) {
+                cluster.crash_torn(c, 0, false);
+            }
+        }
+    }
     r
 }
 
 fn recover_inner(cluster: &mut Cluster, opts: &RecoveryOptions) -> Result<RecoveryReport> {
     let crashed: &[NodeId] = &opts.nodes;
     let standby = opts.standby;
-    if let Some(s) = standby {
-        if crashed.contains(&s) {
-            return Err(Error::Invalid(format!("{s} is itself crashed")));
-        }
-        if cluster.network().is_crashed(s) {
-            return Err(Error::NodeDown(s));
-        }
-    }
     let coord_of = |c: NodeId| standby.unwrap_or(c);
     let mut report = RecoveryReport {
         recovered_nodes: crashed.to_vec(),
         ..RecoveryReport::default()
     };
     let msgs0 = cluster.network().stats().recovery_messages();
-    for &c in crashed {
-        if !cluster.node(c).is_crashed() {
-            return Err(Error::Protocol(format!("{c} is not crashed")));
-        }
-    }
     // The root span of this run: every phase span and cross-node
     // recovery message is parented to it, so a trace query for a page
     // can tell recovery traffic from normal processing.
@@ -1306,8 +1317,19 @@ mod tests {
         n.log.append(&clr).unwrap();
         n.log.force_all().unwrap();
         c.crash(NodeId(0));
-        match recover(&mut c, &RecoveryOptions::single(NodeId(0))) {
-            Err(Error::Corrupt(m)) => assert!(m.contains(&format!("at LSN {}", at.0)), "{m}"),
+        let opts = RecoveryOptions::single(NodeId(0));
+        let m = corrupt(recover(&mut c, &opts));
+        assert!(m.contains(&format!("at LSN {}", at.0)), "{m}");
+        // The failed recovery leaves the node crashed: a second one
+        // fails the same way, and no transaction begins there.
+        assert!(c.is_crashed(NodeId(0)));
+        assert_eq!(corrupt(recover(&mut c, &opts)), m);
+        assert!(matches!(c.begin(NodeId(0)), Err(Error::NodeDown(_))));
+    }
+
+    fn corrupt(r: Result<RecoveryReport>) -> String {
+        match r {
+            Err(Error::Corrupt(m)) => m,
             r => panic!("expected Corrupt, got {r:?}"),
         }
     }

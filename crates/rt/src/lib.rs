@@ -516,7 +516,9 @@ impl Runtime for ThreadCluster {
     ///
     /// Every listed node must be crashed: a node that is not is
     /// refused with [`Error::Protocol`], as the simulator refuses it,
-    /// before any node is touched.
+    /// before any node is touched. A `recover` that fails after that
+    /// leaves every listed node crashed, so that it can be run again
+    /// and no run commits on a node that is up but unrecovered.
     fn recover(&mut self, opts: &RecoveryOptions) -> Result<RecoveryReport> {
         let crashed = opts.recovered_nodes();
         for &c in crashed {
@@ -527,6 +529,22 @@ impl Runtime for ThreadCluster {
                 return Err(Error::Protocol(format!("{c} is not crashed")));
             }
         }
+        let r = self.restart(crashed);
+        if r.is_err() {
+            for &c in crashed {
+                if !self.nodes[c.0 as usize].is_crashed() {
+                    self.crash(c)?;
+                }
+            }
+        }
+        r
+    }
+}
+
+impl ThreadCluster {
+    /// [`Runtime::recover`] of the `crashed` nodes, each crashed: every
+    /// node's pass, then each node's [`ThreadCluster::finish_restart`].
+    fn restart(&mut self, crashed: &[NodeId]) -> Result<RecoveryReport> {
         let rec_root = match crashed.first() {
             Some(&c) => self.trace_point(
                 c,
@@ -587,9 +605,7 @@ impl Runtime for ThreadCluster {
         self.trace_check()?;
         Ok(report)
     }
-}
 
-impl ThreadCluster {
     /// The rest of node `c`'s restart once its pass has run
     /// ([`Node::restart_redo`]): writes its redone `images`, ascending,
     /// each entering the trace as one replay hop from its disk PSN and
@@ -2269,13 +2285,27 @@ mod tests {
                     .to_vec()
             };
             let before = images(&mut tc);
-            match tc.recover(&RecoveryOptions::nodes(crashed)) {
-                Err(Error::Corrupt(m)) => {
-                    assert!(m.contains(&format!("at LSN {}", at.0)), "{crashed:?}: {m}")
-                }
+            let opts = RecoveryOptions::nodes(crashed);
+            let corrupt = |r: Result<RecoveryReport>| match r {
+                Err(Error::Corrupt(m)) => m,
                 r => panic!("{crashed:?}: expected Corrupt, got {:?}", r.map(|_| ())),
-            }
+            };
+            let m = corrupt(tc.recover(&opts));
+            assert!(m.contains(&format!("at LSN {}", at.0)), "{crashed:?}: {m}");
             assert_eq!(images(&mut tc), before, "{crashed:?}: a page was written");
+            // The failed restart leaves every listed node crashed: a
+            // second one fails the same way, and no run commits there.
+            for &c in crashed {
+                assert!(
+                    tc.nodes[c.0 as usize].is_crashed(),
+                    "{crashed:?}: {c} is up"
+                );
+            }
+            assert_eq!(corrupt(tc.recover(&opts)), m, "{crashed:?}");
+            match tc.run(&[wplan(1, 0, &[(pid(1, 0), 0, 8)])]) {
+                Err(Error::NodeDown(n)) => assert_eq!(n, NodeId(1), "{crashed:?}"),
+                r => panic!("{crashed:?}: expected NodeDown, got {:?}", r.map(|_| ())),
+            }
         }
     }
 }
