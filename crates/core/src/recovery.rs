@@ -591,6 +591,20 @@ fn recover_inner(cluster: &mut Cluster, opts: &RecoveryOptions) -> Result<Recove
     let mut passes: BTreeMap<NodeId, (Vec<NodePsnEntry>, RedoRecords)> = BTreeMap::new();
     for &c in crashed {
         let (a, list, records) = cluster.node_mut(c).restart_pass()?;
+        // A log may update only pages that exist: a page of no node, or
+        // past its owner's database, would send recovery to a node or a
+        // page that is not there.
+        for e in cluster.node(c).dpt().entries() {
+            let owner = e.pid.owner;
+            let known = (owner.0 as usize) < cluster.node_count();
+            let db = known.then(|| cluster.node(owner).db.as_ref()).flatten();
+            if !db.is_some_and(|db| e.pid.index < db.capacity()) {
+                return Err(Error::Corrupt(format!(
+                    "{c}'s log updates {}, which no database holds, at LSN {}",
+                    e.pid, e.redo_lsn.0
+                )));
+            }
+        }
         report.log_bytes_scanned += a.bytes_scanned;
         losers.insert(c, a.losers);
         passes.insert(c, (list, records));
@@ -1331,6 +1345,44 @@ mod tests {
         match r {
             Err(Error::Corrupt(m)) => m,
             r => panic!("expected Corrupt, got {r:?}"),
+        }
+    }
+
+    /// An update in a crashed node's log of a page of no node, or of
+    /// one past its owner's database, fails recovery with `Corrupt` at
+    /// its LSN before any message, and leaves the node crashed.
+    #[test]
+    fn a_log_that_updates_a_page_no_database_holds_fails_recovery() {
+        for foreign in [pid(5, 0), pid(0, 9)] {
+            let mut c = cluster(vec![4, 0]);
+            let t = c.begin(NodeId(1)).unwrap();
+            let n = c.node_mut(NodeId(1));
+            let at = n.log.end_lsn();
+            let update = LogRecord {
+                txn: t,
+                prev_lsn: n.txns[&t].last_lsn,
+                payload: LogPayload::Update {
+                    pid: foreign,
+                    psn_before: Psn(1),
+                    op: PageOp::WriteRange {
+                        off: 0,
+                        before: vec![0; 8],
+                        after: 7u64.to_le_bytes().to_vec(),
+                    },
+                },
+            };
+            n.log.append(&update).unwrap();
+            n.log.force_all().unwrap();
+            c.crash(NodeId(1));
+            let msgs = c.network().stats().recovery_messages();
+            let opts = RecoveryOptions::single(NodeId(1));
+            for _ in 0..2 {
+                let m = corrupt(recover(&mut c, &opts));
+                assert!(m.contains(&format!("at LSN {}", at.0)), "{foreign}: {m}");
+                assert!(c.is_crashed(NodeId(1)), "{foreign}");
+            }
+            let sent = c.network().stats().recovery_messages() - msgs;
+            assert_eq!(sent, 0, "{foreign}");
         }
     }
 
