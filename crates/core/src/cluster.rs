@@ -57,9 +57,6 @@ pub struct Cluster {
     /// In-flight transaction spans: id + begin sim-time, closed into a
     /// [`SpanKind::Txn`] interval span at durable-commit or abort.
     txn_spans: IdMap<TxnId, (SpanId, SimTime)>,
-    /// Transactions begun so far, cluster-wide — drives the 1-in-N
-    /// span-sampling decision (`trace_sample_one_in`).
-    txns_begun: u64,
     /// Under [`Paradigm::ClientServer`], per transaction that has
     /// shipped records: the last client LSN shipped, and the
     /// transaction's last LSN at the server.
@@ -104,7 +101,6 @@ impl Cluster {
             schedulers,
             tracer,
             txn_spans: IdMap::default(),
-            txns_begun: 0,
             shipped: IdMap::default(),
         })
     }
@@ -289,14 +285,7 @@ impl Cluster {
             r => r,
         };
         if let Ok(txn) = r {
-            // 1-in-N span sampling: an unsampled transaction gets no
-            // root span, so its child spans carry a NONE context and
-            // drop at emission. Cluster-wide invariant spans (updates,
-            // transfers, page writes, truncations) are still traced —
-            // the watchdog's checks never lose coverage.
-            self.txns_begun += 1;
-            let sampled = (self.txns_begun - 1) % self.cfg.trace_sample_one_in() == 0;
-            if self.tracer.is_enabled() && sampled {
+            if self.tracer.is_enabled() {
                 self.txn_spans
                     .insert(txn, (self.tracer.alloc(), self.now()));
             }
@@ -1597,37 +1586,6 @@ mod tests {
 
     fn pid(owner: u32, idx: u32) -> PageId {
         PageId::new(NodeId(owner), idx)
-    }
-
-    #[test]
-    fn span_sampling_traces_one_txn_in_n() {
-        let mut c = Cluster::new(
-            builder(vec![4])
-                .tracing(true)
-                .trace_sample_one_in(2)
-                .build(),
-        )
-        .unwrap();
-        for i in 0..4 {
-            let t = c.begin(NodeId(0)).unwrap();
-            c.write_u64(t, pid(0, 0), 0, i).unwrap();
-            c.commit(t).unwrap();
-        }
-        let trace = c.tracer().snapshot();
-        let spans = trace.spans();
-        let txn_spans = spans
-            .iter()
-            .filter(|s| matches!(s.kind, SpanKind::Txn { .. }))
-            .count();
-        assert_eq!(txn_spans, 2, "1-in-2 sampling keeps half the txn trees");
-        // Sampling must not thin invariant coverage: every update is
-        // still traced (as an unparented point for unsampled txns).
-        let updates = spans
-            .iter()
-            .filter(|s| matches!(s.kind, SpanKind::Update { .. }))
-            .count();
-        assert_eq!(updates, 4, "invariant spans survive sampling");
-        c.trace_check().unwrap();
     }
 
     #[test]

