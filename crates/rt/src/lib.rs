@@ -585,7 +585,9 @@ impl ThreadCluster {
         }
         timings.record(RecoveryPhase::Analysis, lap(&mut mark));
 
-        // ---- Replay and Undo, one node after another. ----
+        // ---- Replay and Undo, one node after another: every pass has
+        // run, so a corrupt log anywhere stopped recovery before any
+        // page was written. ----
         let mut wave = WaveTiming::default();
         for (c, images, losers) in passes {
             wave.units += images.len();
@@ -624,6 +626,8 @@ impl ThreadCluster {
         for image in images {
             let (page, applied) = (image.page, image.applied);
             let pid = page.id();
+            // One hop from the disk image's PSN: the page's records are
+            // all in its owner's log, and all were read in one pass.
             self.trace_point(
                 c,
                 root,
