@@ -82,14 +82,15 @@ grep "replay-hop" /tmp/ci_tracedump.txt > /dev/null
 rm -f /tmp/ci_tracedump.txt /tmp/ci_tracedump.json
 
 echo "==> tracedump --folded smoke: per-node bucket profiles of both engines"
-# Recovery charges the simulator's replay bucket; the threaded run
-# profiles both of its workers.
+# Recovery charges the replay bucket on both engines; the threaded
+# run profiles both of its workers.
 cargo run --release --offline -p cblog-bench --bin tracedump -- \
     --scenario e5 --folded > /tmp/ci_folded.txt
 grep ";replay " /tmp/ci_folded.txt > /dev/null
 cargo run --release --offline -p cblog-bench --bin tracedump -- \
     --scenario rt --folded > /tmp/ci_folded.txt
 grep "^rt;n0;" /tmp/ci_folded.txt > /dev/null
+grep "^rt;n0;replay " /tmp/ci_folded.txt > /dev/null
 grep "^rt;n1;" /tmp/ci_folded.txt > /dev/null
 rm -f /tmp/ci_folded.txt
 

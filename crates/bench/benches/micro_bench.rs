@@ -80,7 +80,7 @@ fn m2_buffer_pool() {
     bench("m2/hit_heavy_lookup_10k", 100, || {
         let mut acc = 0u64;
         for i in 0..10_000u32 {
-            if bp.get(PageId::new(NodeId(1), i % 128)).is_some() {
+            if bp.get_mut(PageId::new(NodeId(1), i % 128)).is_some() {
                 acc += 1;
             }
         }
@@ -95,7 +95,7 @@ fn m2_buffer_pool() {
             )
             .unwrap();
         }
-        bp.len() as u64
+        bp.evictions().get()
     });
 }
 

@@ -20,7 +20,7 @@
 //! wall-clock, so only the sim scenarios repeat byte for byte).
 
 use cblog_common::span::{busiest_page, chrome_trace_json, render_lineage};
-use cblog_common::{folded_profile, NodeId, PageId, Result, Trace, BUCKETS};
+use cblog_common::{folded_profile, NodeId, PageId, Result, Snapshot, Trace};
 use cblog_core::{PlanOp, RecoveryOptions, Runtime, TxnPlan};
 use cblog_rt::{ThreadCluster, ThreadClusterConfig};
 use cblog_sim::tracedump::{run_scenario, summary, SCENARIOS};
@@ -29,8 +29,9 @@ use cblog_sim::tracedump::{run_scenario, summary, SCENARIOS};
 /// four of its pages while node 1 reads one of them across the mesh,
 /// then node 0 crashes and recovers. `run` and `recover` fail on any
 /// watchdog violation, like the sim scenarios' final check. The
-/// profile is the run's per-worker wall-time split.
-fn run_rt() -> Result<(Trace, Vec<[u64; BUCKETS]>)> {
+/// metrics' profile gauges hold the run's per-worker wall-time split
+/// and the recovery's page writes.
+fn run_rt() -> Result<(Trace, Snapshot)> {
     let mut tc = ThreadCluster::new(ThreadClusterConfig::default())?;
     let page = |i: u32| PageId::new(NodeId(0), i);
     let plan = |client: u32, stream: u32, op: PlanOp| TxnPlan {
@@ -52,8 +53,7 @@ fn run_rt() -> Result<(Trace, Vec<[u64; BUCKETS]>)> {
     tc.run(&plans)?;
     tc.crash(NodeId(0))?;
     tc.recover(&RecoveryOptions::nodes(&[NodeId(0)]))?;
-    let profile = tc.last_node_stats().iter().map(|s| s.profile()).collect();
-    Ok((tc.trace().clone(), profile))
+    Ok((tc.trace().clone(), tc.metrics()))
 }
 
 /// Parses `P<owner>.<index>` (the `PageId` display form; the leading
@@ -91,7 +91,7 @@ fn main() {
         "rt" => run_rt(),
         sim => run_scenario(sim),
     };
-    let (trace, profile) = match run {
+    let (trace, metrics) = match run {
         Ok(r) => r,
         Err(e) => {
             eprintln!("scenario {scenario:?} failed (known: {SCENARIOS:?} and \"rt\"):\n{e}");
@@ -99,7 +99,7 @@ fn main() {
         }
     };
     if folded {
-        print!("{}", folded_profile(scenario, &profile));
+        print!("{}", folded_profile(scenario, &metrics));
         return;
     }
     if json {

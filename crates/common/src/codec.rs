@@ -18,11 +18,6 @@ pub struct Encoder {
 }
 
 impl Encoder {
-    /// New empty encoder.
-    pub fn new() -> Self {
-        Encoder { buf: Vec::new() }
-    }
-
     /// New encoder with preallocated capacity.
     pub fn with_capacity(cap: usize) -> Self {
         Encoder {
@@ -35,16 +30,6 @@ impl Encoder {
     /// caller owns (`Encoder::from_vec(std::mem::take(out))`).
     pub fn from_vec(buf: Vec<u8>) -> Self {
         Encoder { buf }
-    }
-
-    /// Bytes written so far.
-    pub fn len(&self) -> usize {
-        self.buf.len()
-    }
-
-    /// True if nothing has been written.
-    pub fn is_empty(&self) -> bool {
-        self.buf.is_empty()
     }
 
     /// Consumes the encoder, returning the buffer.
@@ -127,24 +112,13 @@ fn underrun(need: usize, have: usize) -> Error {
 pub struct Decoder<'a> {
     /// The bytes not read yet.
     rest: &'a [u8],
-    /// Length of the whole input.
-    len: usize,
 }
 
 impl<'a> Decoder<'a> {
     /// Decoder over `buf` starting at offset 0.
     #[inline]
     pub fn new(buf: &'a [u8]) -> Self {
-        Decoder {
-            rest: buf,
-            len: buf.len(),
-        }
-    }
-
-    /// Current read offset.
-    #[inline]
-    pub fn position(&self) -> usize {
-        self.len - self.rest.len()
+        Decoder { rest: buf }
     }
 
     /// Bytes remaining.
@@ -399,7 +373,7 @@ mod tests {
 
     #[test]
     fn round_trip_primitives() {
-        let mut e = Encoder::new();
+        let mut e = Encoder::default();
         e.put_u8(7);
         e.put_u16(0xBEEF);
         e.put_u32(0xDEAD_BEEF);
@@ -417,7 +391,7 @@ mod tests {
 
     #[test]
     fn round_trip_ids() {
-        let mut e = Encoder::new();
+        let mut e = Encoder::default();
         let pid = PageId::new(NodeId(9), 77);
         let tid = TxnId::new(NodeId(3), 12345);
         e.put_page(pid);
@@ -440,7 +414,7 @@ mod tests {
 
     #[test]
     fn bytes_with_bogus_length_is_corrupt() {
-        let mut e = Encoder::new();
+        let mut e = Encoder::default();
         e.put_u32(1000); // claims 1000 bytes follow
         let v = e.into_vec();
         let mut d = Decoder::new(&v);

@@ -1,14 +1,9 @@
-//! A minimal JSON reader for the observability tooling.
-//!
-//! The workspace writes JSON by hand (`Snapshot::to_json`,
-//! `Table::to_json`) but until the perf-regression gate nothing ever
-//! read it back. This module is the missing half: a small
-//! recursive-descent parser into a [`JsonValue`] tree, enough for the
-//! `BASELINES.json` gate and the `perf/` harness. No dependencies,
-//! no streaming, no serde — inputs are the workspace's own exports
-//! (plus hand-maintained baseline files), all well under a megabyte.
-
-use std::fmt::Write as _;
+//! A minimal JSON reader: a small recursive-descent parser into a
+//! [`JsonValue`] tree, enough for the `BASELINES.json` gate and the
+//! `perf/` harness. The workspace writes its JSON by hand
+//! (`chrome_trace_json`, `Table::to_json`). No dependencies, no
+//! streaming, no serde — inputs are the workspace's own exports (plus
+//! hand-maintained baseline files), all well under a megabyte.
 
 /// A parsed JSON value.
 #[derive(Clone, Debug, PartialEq)]
@@ -33,14 +28,6 @@ impl JsonValue {
     pub fn get(&self, key: &str) -> Option<&JsonValue> {
         match self {
             JsonValue::Obj(members) => members.iter().find(|(k, _)| k == key).map(|(_, v)| v),
-            _ => None,
-        }
-    }
-
-    /// Element `i` of an array (None for other variants).
-    pub fn idx(&self, i: usize) -> Option<&JsonValue> {
-        match self {
-            JsonValue::Arr(items) => items.get(i),
             _ => None,
         }
     }
@@ -290,52 +277,6 @@ impl Parser<'_> {
     }
 }
 
-/// Re-serializes a [`JsonValue`] compactly — used by tests to check
-/// round-trips and by tools that tweak a parsed document.
-pub fn to_string(v: &JsonValue) -> String {
-    let mut out = String::new();
-    write_value(v, &mut out);
-    out
-}
-
-fn write_value(v: &JsonValue, out: &mut String) {
-    match v {
-        JsonValue::Null => out.push_str("null"),
-        JsonValue::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-        JsonValue::Num(n) => {
-            if n.fract() == 0.0 && n.abs() < 9e15 {
-                let _ = write!(out, "{}", *n as i64);
-            } else {
-                let _ = write!(out, "{n}");
-            }
-        }
-        JsonValue::Str(s) => {
-            let _ = write!(out, "\"{}\"", crate::obs::json_escape(s));
-        }
-        JsonValue::Arr(items) => {
-            out.push('[');
-            for (i, item) in items.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                write_value(item, out);
-            }
-            out.push(']');
-        }
-        JsonValue::Obj(members) => {
-            out.push('{');
-            for (i, (k, item)) in members.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                let _ = write!(out, "\"{}\":", crate::obs::json_escape(k));
-                write_value(item, out);
-            }
-            out.push('}');
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -354,11 +295,9 @@ mod tests {
     #[test]
     fn parses_nested_structures() {
         let v = parse(r#"{"a":[1,2,{"b":null}],"c":{"d":"e"}}"#).unwrap();
-        assert_eq!(v.get("a").unwrap().idx(1).unwrap().as_f64(), Some(2.0));
-        assert_eq!(
-            v.get("a").unwrap().idx(2).unwrap().get("b"),
-            Some(&JsonValue::Null)
-        );
+        let a = v.get("a").unwrap().as_arr().unwrap();
+        assert_eq!(a[1].as_f64(), Some(2.0));
+        assert_eq!(a[2].get("b"), Some(&JsonValue::Null));
         assert_eq!(v.get("c").unwrap().get("d").unwrap().as_str(), Some("e"));
         assert!(v.get("missing").is_none());
     }
@@ -373,28 +312,30 @@ mod tests {
 
     #[test]
     fn reads_the_workspace_writers() {
-        // Snapshot::to_json output.
-        let reg = crate::obs::Registry::new();
-        reg.counter("n0/wal/forces").add(2);
-        reg.histogram("n0/wal/force_us").record(500);
-        let v = parse(&reg.snapshot().to_json()).unwrap();
-        assert_eq!(v.get("n0/wal/forces").unwrap().as_f64(), Some(2.0));
-        assert_eq!(
-            v.get("n0/wal/force_us")
-                .unwrap()
-                .get("count")
-                .unwrap()
-                .as_f64(),
-            Some(1.0)
-        );
-    }
-
-    #[test]
-    fn round_trips_via_to_string() {
-        let doc = r#"{"a":[1,-2.5,"x\"y"],"b":{"c":true,"d":null}}"#;
-        let v = parse(doc).unwrap();
-        assert_eq!(to_string(&v), doc);
-        assert_eq!(parse(&to_string(&v)).unwrap(), v);
+        // chrome_trace_json output.
+        use crate::ids::{NodeId, TxnId};
+        use crate::span::{chrome_trace_json, Span, SpanId, SpanKind};
+        let span = Span {
+            id: SpanId(1),
+            parent: SpanId::NONE,
+            node: NodeId(0),
+            start: 5,
+            dur: 4,
+            kind: SpanKind::Commit {
+                txn: TxnId::new(NodeId(0), 1),
+            },
+        };
+        let v = parse(&chrome_trace_json(&[span])).unwrap();
+        let events = v.get("traceEvents").unwrap().as_arr().unwrap();
+        let x = events
+            .iter()
+            .find(|e| e.get("ph").unwrap().as_str() == Some("X"))
+            .unwrap();
+        assert_eq!(x.get("dur").unwrap().as_f64(), Some(4.0));
+        // json_escape, which every writer uses for its strings.
+        let s = "a\"b\\c\nd\u{1}";
+        let quoted = format!("\"{}\"", crate::obs::json_escape(s));
+        assert_eq!(parse(&quoted).unwrap().as_str(), Some(s));
     }
 
     #[test]

@@ -41,9 +41,10 @@ pub use error::{Error, Result};
 pub use idmap::{id_hash, IdHasher, IdMap, IdSet};
 pub use ids::{Lsn, NodeId, PageId, Psn, Rid, TxnId};
 pub use jsonv::JsonValue;
+pub use metrics::folded_profile;
 pub use obs::{Gauge, Histogram, HistogramSnapshot, MetricValue, Registry, Reservoir, Snapshot};
 pub use rng::Rng;
-pub use simclock::{folded_profile, Bucket, CostModel, SimClock, SimTime, BUCKETS};
+pub use simclock::{Bucket, CostModel, SimClock, SimTime, BUCKETS};
 pub use span::{
     RecoveryPhase, Span, SpanBuf, SpanCtx, SpanId, SpanKind, Trace, Tracer, TransferWhy, TreeOp,
     Violation,

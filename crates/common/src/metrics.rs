@@ -5,6 +5,11 @@
 //! fresh counter. Names follow the `subsystem/metric` convention the
 //! registry documents; cluster snapshots prefix them with `n<id>/`.
 
+use std::collections::BTreeSet;
+
+use crate::obs::Snapshot;
+use crate::simclock::Bucket;
+
 /// The canonical registry key for every metric in the workspace.
 pub mod keys {
     // ---- write-ahead log ----
@@ -95,8 +100,7 @@ pub mod keys {
 }
 
 /// The profiler gauge key for `bucket` (see the `prof/*` keys).
-pub fn prof_key(bucket: crate::simclock::Bucket) -> &'static str {
-    use crate::simclock::Bucket;
+pub fn prof_key(bucket: Bucket) -> &'static str {
     match bucket {
         Bucket::Disk => keys::PROF_DISK_US,
         Bucket::Cpu => keys::PROF_CPU_US,
@@ -104,6 +108,31 @@ pub fn prof_key(bucket: crate::simclock::Bucket) -> &'static str {
         Bucket::LockWait => keys::PROF_LOCK_WAIT_US,
         Bucket::Replay => keys::PROF_REPLAY_US,
     }
+}
+
+/// Folded-stack lines (`flamegraph.pl` input) of the profiler gauges
+/// in `metrics`, a snapshot holding each node's registry under `n<id>/`
+/// (what both engines' `Runtime::metrics` return): one
+/// `<label>;n<id>;<bucket> <µs>\n` line per node × nonzero
+/// `prof/<bucket>_us` gauge, nodes in id order and buckets in
+/// [`Bucket::ALL`] order. A node's lines sum to its busy time plus
+/// lock wait.
+pub fn folded_profile(label: &str, metrics: &Snapshot) -> String {
+    let nodes: BTreeSet<u32> = metrics
+        .entries
+        .keys()
+        .filter_map(|k| k.strip_prefix('n')?.split_once('/')?.0.parse().ok())
+        .collect();
+    let mut out = String::new();
+    for i in nodes {
+        for b in Bucket::ALL {
+            let us = metrics.gauge(&format!("n{i}/{}", prof_key(b)));
+            if us > 0 {
+                out.push_str(&format!("{label};n{i};{} {us}\n", b.label()));
+            }
+        }
+    }
+    out
 }
 
 #[cfg(test)]

@@ -1,5 +1,5 @@
 //! Observability: a per-node metrics registry with counters, gauges
-//! and sim-time histograms, plus snapshot/diff/JSON export.
+//! and sim-time histograms, read through point-in-time snapshots.
 //!
 //! The paper's claims are quantitative (one local log force per
 //! commit, bounded replay shuttling, no log merging), so every
@@ -61,11 +61,6 @@ pub struct Gauge {
 }
 
 impl Gauge {
-    /// New gauge at zero.
-    pub fn new() -> Self {
-        Gauge::default()
-    }
-
     /// Sets the current value.
     pub fn set(&self, v: i64) {
         self.inner.store(v, Ordering::Relaxed);
@@ -133,11 +128,6 @@ impl Histogram {
         h.buckets[bucket_of(v)] += 1;
     }
 
-    /// Number of samples recorded.
-    pub fn count(&self) -> u64 {
-        lock(&self.inner).count
-    }
-
     /// Immutable copy of the current state.
     pub fn snapshot(&self) -> HistogramSnapshot {
         let h = lock(&self.inner);
@@ -148,11 +138,6 @@ impl Histogram {
             max: h.max,
             buckets: h.buckets,
         }
-    }
-
-    /// Clears all samples.
-    pub fn reset(&self) {
-        *lock(&self.inner) = HistInner::default();
     }
 }
 
@@ -262,7 +247,7 @@ struct ReservoirInner {
 /// algorithm R), for *exact* percentiles where the log-2
 /// [`Histogram`] only gives bucket upper bounds.
 ///
-/// While [`count`](Reservoir::count) `≤ capacity` every recorded
+/// While no more than `capacity` values are recorded every recorded
 /// value is held and [`percentile`](Reservoir::percentile) is exact;
 /// past capacity each value replaces a uniformly random held sample,
 /// so percentiles degrade to an unbiased estimate instead of a bucket
@@ -305,11 +290,6 @@ impl Reservoir {
                 r.samples[j] = v;
             }
         }
-    }
-
-    /// Total values recorded (held + replaced).
-    pub fn count(&self) -> u64 {
-        lock(&self.inner).seen
     }
 
     /// Value at quantile `q` in `[0, 1]`: the rank-`ceil(q·n)` held
@@ -428,24 +408,10 @@ impl Registry {
         }
         Snapshot { entries }
     }
-
-    /// Resets every metric to its empty state (e.g. after warmup).
-    pub fn reset(&self) {
-        let r = lock(&self.inner);
-        for c in r.counters.values() {
-            c.reset();
-        }
-        for g in r.gauges.values() {
-            g.set(0);
-        }
-        for h in r.histograms.values() {
-            h.reset();
-        }
-    }
 }
 
 /// Immutable point-in-time view of a [`Registry`] (possibly merged
-/// across nodes), with diff and JSON export.
+/// across nodes).
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct Snapshot {
     /// Metric name → value, sorted by name.
@@ -453,11 +419,6 @@ pub struct Snapshot {
 }
 
 impl Snapshot {
-    /// Looks up one metric.
-    pub fn get(&self, name: &str) -> Option<&MetricValue> {
-        self.entries.get(name)
-    }
-
     /// Counter value (0 if absent or not a counter).
     pub fn counter(&self, name: &str) -> u64 {
         match self.entries.get(name) {
@@ -489,61 +450,6 @@ impl Snapshot {
         for (k, v) in other.entries {
             self.entries.insert(format!("{prefix}{k}"), v);
         }
-    }
-
-    /// Change since an `earlier` snapshot (mirrors `NetStats::since`):
-    /// counters and histograms subtract; gauges keep their current
-    /// value (a level has no meaningful delta). Entries absent from
-    /// `earlier` are treated as zero/empty.
-    pub fn since(&self, earlier: &Snapshot) -> Snapshot {
-        let mut entries = BTreeMap::new();
-        for (k, v) in &self.entries {
-            let dv = match (v, earlier.entries.get(k)) {
-                (MetricValue::Counter(now), Some(MetricValue::Counter(then))) => {
-                    MetricValue::Counter(now.saturating_sub(*then))
-                }
-                (MetricValue::Histogram(now), Some(MetricValue::Histogram(then))) => {
-                    MetricValue::Histogram(Box::new(now.since(then)))
-                }
-                _ => v.clone(),
-            };
-            entries.insert(k.clone(), dv);
-        }
-        Snapshot { entries }
-    }
-
-    /// Serializes to a JSON object. Counters and gauges become
-    /// numbers; histograms become objects with `count`, `sum`, `min`,
-    /// `max`, `mean`, `p50`, `p95`, `p99`.
-    pub fn to_json(&self) -> String {
-        let mut out = String::from("{");
-        let mut first = true;
-        for (k, v) in &self.entries {
-            if !first {
-                out.push(',');
-            }
-            first = false;
-            out.push_str(&format!("\"{}\":", json_escape(k)));
-            match v {
-                MetricValue::Counter(c) => out.push_str(&c.to_string()),
-                MetricValue::Gauge(g) => out.push_str(&g.to_string()),
-                MetricValue::Histogram(h) => {
-                    out.push_str(&format!(
-                        "{{\"count\":{},\"sum\":{},\"min\":{},\"max\":{},\"mean\":{:.1},\"p50\":{},\"p95\":{},\"p99\":{}}}",
-                        h.count,
-                        h.sum,
-                        h.min,
-                        h.max,
-                        h.mean(),
-                        h.p50(),
-                        h.p95(),
-                        h.p99()
-                    ));
-                }
-            }
-        }
-        out.push('}');
-        out
     }
 }
 
@@ -648,15 +554,6 @@ mod tests {
     }
 
     #[test]
-    fn histogram_reset_clears_samples() {
-        let h = Histogram::new();
-        h.record(7);
-        h.reset();
-        assert_eq!(h.count(), 0);
-        assert_eq!(h.snapshot().p50(), 0);
-    }
-
-    #[test]
     fn registry_round_trips_counters_gauges_histograms() {
         let r = Registry::new();
         r.counter("wal/forces").add(3);
@@ -668,7 +565,7 @@ mod tests {
         assert_eq!(s.counter("wal/forces"), 3);
         assert_eq!(s.gauge("buf/dirty"), -2);
         assert_eq!(s.histogram("wal/force_us").unwrap().count, 1);
-        assert!(s.get("missing").is_none());
+        assert!(s.histogram("missing").is_none());
     }
 
     #[test]
@@ -678,34 +575,6 @@ mod tests {
         r.register_counter("db/reads", &c);
         c.add(5);
         assert_eq!(r.snapshot().counter("db/reads"), 5);
-    }
-
-    #[test]
-    fn snapshot_since_subtracts_counters_keeps_gauges() {
-        let r = Registry::new();
-        let c = r.counter("x/events");
-        let g = r.gauge("x/level");
-        c.add(10);
-        g.set(4);
-        let before = r.snapshot();
-        c.add(7);
-        g.set(9);
-        let d = r.snapshot().since(&before);
-        assert_eq!(d.counter("x/events"), 7);
-        assert_eq!(d.gauge("x/level"), 9, "gauges report current level");
-    }
-
-    #[test]
-    fn registry_reset_zeroes_everything() {
-        let r = Registry::new();
-        r.counter("a").add(2);
-        r.gauge("b").set(5);
-        r.histogram("c").record(9);
-        r.reset();
-        let s = r.snapshot();
-        assert_eq!(s.counter("a"), 0);
-        assert_eq!(s.gauge("b"), 0);
-        assert_eq!(s.histogram("c").unwrap().count, 0);
     }
 
     #[test]
@@ -755,19 +624,6 @@ mod tests {
     }
 
     #[test]
-    fn json_export_is_well_formed() {
-        let r = Registry::new();
-        r.counter("n0/wal/forces").add(2);
-        r.gauge("n0/buf/dirty").set(1);
-        r.histogram("n0/wal/force_us").record(500);
-        let j = r.snapshot().to_json();
-        assert!(j.starts_with('{') && j.ends_with('}'));
-        assert!(j.contains("\"n0/wal/forces\":2"));
-        assert!(j.contains("\"p99\":500"));
-        assert_eq!(json_escape("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
-    }
-
-    #[test]
     fn registered_histogram_shares_the_cell() {
         let r = Registry::new();
         let h = Histogram::new();
@@ -785,7 +641,7 @@ mod tests {
         for i in 0..100u64 {
             r.record((i * 37) % 100 + 1);
         }
-        assert_eq!(r.count(), 100);
+        assert_eq!(lock(&r.inner).seen, 100);
         assert_eq!(r.percentile(0.50), 50);
         assert_eq!(r.percentile(0.99), 99);
         assert_eq!(r.percentile(1.0), 100);
@@ -810,7 +666,7 @@ mod tests {
             r
         };
         let a = mk();
-        assert_eq!(a.count(), 10_000);
+        assert_eq!(lock(&a.inner).seen, 10_000);
         let p50 = a.percentile(0.50);
         assert!((1..=10_000).contains(&p50));
         // Same stream → same samples → same estimate.
@@ -832,7 +688,7 @@ mod tests {
                 });
             }
         });
-        assert_eq!(r.count(), 1024);
+        assert_eq!(lock(&r.inner).seen, 1024);
         assert_eq!(r.percentile(1.0), 1024);
     }
 }

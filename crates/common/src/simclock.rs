@@ -126,25 +126,6 @@ impl Bucket {
     }
 }
 
-/// Folded-stack lines (`flamegraph.pl` input) of per-node bucket
-/// totals, `profiles[i]` being node `i`'s row in [`Bucket::ALL`] order:
-/// one `<label>;n<id>;<bucket> <µs>\n` line per node × nonzero bucket.
-/// A node's lines sum to its busy time plus lock wait. Both engines
-/// print their profiles through this one view: the simulator from
-/// [`SimClock::profile`], the threaded runtime from its per-worker
-/// wall-time split.
-pub fn folded_profile(label: &str, profiles: &[[SimTime; BUCKETS]]) -> String {
-    let mut out = String::new();
-    for (i, row) in profiles.iter().enumerate() {
-        for (b, us) in Bucket::ALL.iter().zip(row) {
-            if *us > 0 {
-                out.push_str(&format!("{label};n{i};{} {us}\n", b.label()));
-            }
-        }
-    }
-    out
-}
-
 /// Simulated clock with per-node busy-time accounting.
 ///
 /// `busy[n]` accumulates the service time node `n` spent handling
@@ -155,7 +136,7 @@ pub fn folded_profile(label: &str, profiles: &[[SimTime; BUCKETS]]) -> String {
 /// "dependencies on server resources are reduced considerably" claim.
 ///
 /// Alongside `busy`, each charge is attributed to a [`Bucket`], so
-/// `profile(n)` decomposes a node's busy time into disk / CPU / net /
+/// `bucket_us(n, b)` decomposes a node's busy time into disk / CPU / net /
 /// replay (plus lock-wait, which is tracked but never part of `busy`).
 #[derive(Clone, Debug, Default)]
 pub struct SimClock {
@@ -213,15 +194,6 @@ impl SimClock {
             .get(node.0 as usize)
             .map(|b| b[bucket.index()])
             .unwrap_or(0)
-    }
-
-    /// The full per-bucket profile of `node`, in [`Bucket::ALL`] order.
-    /// All buckets except lock-wait sum to exactly `busy(node)`.
-    pub fn profile(&self, node: NodeId) -> [SimTime; BUCKETS] {
-        self.buckets
-            .get(node.0 as usize)
-            .copied()
-            .unwrap_or([0; BUCKETS])
     }
 
     /// Busy time of the busiest node — the bottleneck resource.
@@ -285,7 +257,7 @@ mod tests {
         charge(&mut c, NodeId(9), Bucket::Cpu, 7);
         assert_eq!(c.now(), 7);
         assert_eq!(c.busy(NodeId(9)), 0);
-        assert_eq!(c.profile(NodeId(9)), [0; BUCKETS]);
+        assert!(Bucket::ALL.iter().all(|&b| c.bucket_us(NodeId(9), b) == 0));
     }
 
     #[test]
@@ -297,11 +269,10 @@ mod tests {
         c.charge_overlapped_as(NodeId(1), Bucket::Replay, 8);
         c.charge_wait(NodeId(0), 100);
         for n in [NodeId(0), NodeId(1)] {
-            let p = c.profile(n);
             let service: SimTime = Bucket::ALL
                 .iter()
                 .filter(|b| **b != Bucket::LockWait)
-                .map(|b| p[b.index()])
+                .map(|&b| c.bucket_us(n, b))
                 .sum();
             assert_eq!(service, c.busy(n), "buckets partition busy for {n:?}");
         }

@@ -722,8 +722,8 @@ pub const DEFAULT_TRACE_CAPACITY: usize = 1 << 20;
 /// [`Trace`] has no namespace; its ids are the merged sequence.
 ///
 /// The first `capacity` spans are kept (the head preserves lineage
-/// from the start of a run) and later ones counted in
-/// [`SpanBuf::dropped`]. A span a *worker's* buffer drops never reaches
+/// from the start of a run) and later ones counted, a count
+/// [`SpanBuf::merge`] returns. A span a *worker's* buffer drops never reaches
 /// the watchdog: a nonzero drop count there means reduced invariant
 /// coverage, not just a shorter export.
 #[derive(Clone, Debug, Default)]
@@ -807,11 +807,6 @@ impl SpanBuf {
     /// True when nothing has been recorded.
     pub fn is_empty(&self) -> bool {
         self.spans.is_empty()
-    }
-
-    /// Spans emitted past the capacity bound.
-    pub fn dropped(&self) -> u64 {
-        self.dropped
     }
 
     /// Merges per-thread buffers into one deterministic span sequence.
@@ -956,7 +951,14 @@ impl Trace {
     /// violation). Reads what the watchdog already found: no span is
     /// walked again.
     pub fn check(&self) -> std::result::Result<(), String> {
-        let violations = self.violations();
+        self.check_since(0)
+    }
+
+    /// [`Trace::check`] of the violations past the first `seen` of
+    /// [`Trace::violations`]: the verdict on what a caller added since
+    /// it read `violations().len()`.
+    pub fn check_since(&self, seen: usize) -> std::result::Result<(), String> {
+        let violations = self.violations().get(seen..).unwrap_or_default();
         if violations.is_empty() {
             return Ok(());
         }
@@ -1533,7 +1535,6 @@ mod tests {
             buf_crash(&mut b, at, 0);
         }
         assert_eq!(b.len(), 2, "head kept");
-        assert_eq!(b.dropped(), 3);
         let mut next = 0;
         let (spans, dropped) = SpanBuf::merge(vec![b], &mut next);
         assert_eq!(spans.len(), 2);

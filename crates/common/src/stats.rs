@@ -47,11 +47,6 @@ impl Counter {
     pub fn get(&self) -> u64 {
         self.inner.load(Ordering::Relaxed)
     }
-
-    /// Resets to zero (e.g. after warmup).
-    pub fn reset(&self) {
-        self.inner.store(0, Ordering::Relaxed);
-    }
 }
 
 #[cfg(test)]
@@ -66,8 +61,6 @@ mod tests {
         b.add(2);
         assert_eq!(a.get(), 3);
         assert_eq!(b.get(), 3);
-        a.reset();
-        assert_eq!(b.get(), 0);
     }
 
     #[test]

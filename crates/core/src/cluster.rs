@@ -335,10 +335,7 @@ impl Cluster {
                 .buffer
                 .get_mut(pid)
                 .ok_or(Error::NoSuchPage(pid))?;
-            let sp = SlottedPage::new(page);
-            (0..sp.dir_len())
-                .find(|&s| !sp.is_live(s))
-                .unwrap_or(sp.dir_len())
+            SlottedPage::new(page).free_slot()
         };
         let op = PageOp::Insert {
             slot,
@@ -1614,7 +1611,7 @@ mod tests {
         );
         assert!(
             matches!(
-                snap.get("n0/wal/pending_commits"),
+                snap.entries.get("n0/wal/pending_commits"),
                 Some(MetricValue::Gauge(_))
             ),
             "queue-depth gauge exported"
@@ -1994,10 +1991,6 @@ mod tests {
         let h = snap.histogram("n1/wal/commit_force_us").expect("histogram");
         assert_eq!(h.count, 1);
         assert!(h.p50() > 0);
-        // JSON export carries the same keys.
-        let json = snap.to_json();
-        assert!(json.contains("\"n1/txn/commits\""));
-        assert!(json.contains("\"n1/wal/commit_force_us\""));
         // Owner-side registry shows served work (its device counters).
         assert!(snap.counter("n0/db/reads") + snap.counter("n0/buf/hits") > 0);
     }

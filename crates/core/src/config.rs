@@ -189,39 +189,14 @@ impl ClusterConfig {
         cfg
     }
 
-    /// Number of nodes.
-    pub fn node_count(&self) -> usize {
-        self.node_count
-    }
-
     /// Page size in bytes (uniform across nodes).
     pub fn page_size(&self) -> usize {
         self.default_node.page_size
     }
 
-    /// The cost model.
-    pub fn cost(&self) -> &CostModel {
-        &self.cost
-    }
-
-    /// The group-commit policy.
-    pub fn group_commit(&self) -> GroupCommitPolicy {
-        self.group_commit
-    }
-
     /// The logging paradigm.
     pub fn paradigm(&self) -> Paradigm {
         self.paradigm
-    }
-
-    /// The fault-injection plan.
-    pub fn faults(&self) -> &FaultPlan {
-        &self.faults
-    }
-
-    /// True if causal tracing is enabled.
-    pub fn tracing(&self) -> bool {
-        self.tracing
     }
 }
 
@@ -238,7 +213,7 @@ impl ClusterConfig {
 ///     .group_commit(GroupCommitPolicy::Immediate)
 ///     .faults(FaultPlan::new(42).with_drop(0.05))
 ///     .build();
-/// assert_eq!(cfg.node_count(), 3);
+/// assert_eq!(cfg.page_size(), 512);
 /// ```
 #[derive(Clone, Debug, Default)]
 pub struct ClusterConfigBuilder {
@@ -246,15 +221,6 @@ pub struct ClusterConfigBuilder {
 }
 
 impl ClusterConfigBuilder {
-    /// Sets the node count (ids `0..n`). Usually implied by
-    /// [`ClusterConfigBuilder::owned_pages`]; call this after it to
-    /// grow the cluster beyond the ownership vector (extra nodes fall
-    /// back to the template's `owned_pages`).
-    pub fn nodes(mut self, n: usize) -> Self {
-        self.cfg.node_count = n;
-        self
-    }
-
     /// Sets the per-node ownership vector and the node count to match.
     pub fn owned_pages(mut self, per_node: Vec<u32>) -> Self {
         self.cfg.node_count = per_node.len();
@@ -331,10 +297,7 @@ mod tests {
 
     #[test]
     fn node_config_overrides_owned_pages() {
-        let cfg = ClusterConfig::builder()
-            .owned_pages(vec![8, 0])
-            .nodes(3)
-            .build();
+        let cfg = ClusterConfig::builder().owned_pages(vec![8, 0]).build();
         assert_eq!(cfg.node_config(0).owned_pages, 8);
         assert_eq!(cfg.node_config(1).owned_pages, 0);
         // Missing entry falls back to the template.
@@ -347,7 +310,7 @@ mod tests {
     #[test]
     fn group_commit_defaults_to_immediate() {
         assert_eq!(
-            ClusterConfig::builder().build().group_commit(),
+            ClusterConfig::builder().build().group_commit,
             GroupCommitPolicy::Immediate
         );
     }

@@ -136,16 +136,6 @@ impl RedoRecords {
             Ok((psn, op))
         })
     }
-
-    /// Records held, over every page.
-    pub fn len(&self) -> usize {
-        self.index.len()
-    }
-
-    /// True if no page has a record.
-    pub fn is_empty(&self) -> bool {
-        self.index.is_empty()
-    }
 }
 
 /// Records a log collection reads before it sizes its arrays for the
@@ -636,11 +626,6 @@ impl Node {
     /// `cblog_common::obs`).
     pub fn registry(&self) -> &Registry {
         &self.registry
-    }
-
-    /// State of a transaction, if known.
-    pub fn txn(&self, id: TxnId) -> Option<&TxnState> {
-        self.txns.get(&id)
     }
 
     // ------------------------------------------------------------------
@@ -1595,7 +1580,7 @@ mod tests {
         let forces0 = n.log().forces();
         n.commit(t).unwrap();
         assert_eq!(n.log().forces(), forces0 + 1);
-        assert_eq!(n.txn(t).unwrap().status, TxnStatus::Committed);
+        assert_eq!(n.txns.get(&t).unwrap().status, TxnStatus::Committed);
         assert!(n.commits() == 1);
     }
 
@@ -1623,7 +1608,7 @@ mod tests {
         let page = n.buffer.peek(pid).unwrap();
         assert_eq!(page.read_slot(0).unwrap(), 0);
         assert_eq!(page.read_slot(1).unwrap(), 0);
-        assert_eq!(n.txn(t).unwrap().status, TxnStatus::Aborted);
+        assert_eq!(n.txns.get(&t).unwrap().status, TxnStatus::Aborted);
     }
 
     #[test]
@@ -1690,7 +1675,7 @@ mod tests {
         // t2 still active; crash.
         n.crash();
         assert!(n.is_crashed());
-        assert!(n.buffer().is_empty());
+        assert!(n.buffer().cached_ids().is_empty());
         n.mark_restarting().unwrap();
         let (a, _, _) = n.restart_pass().unwrap();
         assert_eq!(a.losers, vec![t2]);
@@ -1753,7 +1738,7 @@ mod tests {
         upd(&mut n, t3, pid, 0, 4); // psn 4->5
         n.commit(t3).unwrap();
         let (list, redo, _) = n.psn_list(&[pid]).unwrap();
-        assert_eq!(redo.len(), 4, "every record kept");
+        assert_eq!(redo.index.len(), 4, "every record kept");
         let psns: Vec<Psn> = list.iter().map(|e| e.psn).collect();
         // One entry per transaction burst: first update PSNs 1, 3, 4.
         assert_eq!(psns, vec![Psn(1), Psn(3), Psn(4)]);
@@ -1825,7 +1810,11 @@ mod tests {
             assert_eq!(applied, records.len() as u64);
             assert_eq!(by_arena.to_bytes(), by_log.to_bytes());
         }
-        assert_eq!(redo.len(), kept, "nothing is kept for a page not asked for");
+        assert_eq!(
+            redo.index.len(),
+            kept,
+            "nothing is kept for a page not asked for"
+        );
     }
 
     /// One page's redo records, owned, in log order.
@@ -1978,7 +1967,10 @@ mod tests {
                 .unwrap();
             assert_eq!(&got, want, "{}", e.pid);
         }
-        assert_eq!(redo.len(), want_redo.iter().map(Vec::len).sum::<usize>());
+        assert_eq!(
+            redo.index.len(),
+            want_redo.iter().map(Vec::len).sum::<usize>()
+        );
     }
 
     /// Writes `a` and `b` in one committed transaction that rolls part
@@ -2169,7 +2161,7 @@ mod tests {
     /// pages numbered as they first appear, and the records of the
     /// `kept` pages indexed by page, ascending, in log order.
     fn reencoded_reference(n: &mut Node, from: Lsn, kept: &[PageId]) -> RedoRecords {
-        let mut ops = Encoder::new();
+        let mut ops = Encoder::default();
         let mut ids: Vec<PageId> = Vec::new();
         let mut by_page: BTreeMap<PageId, Vec<(u32, Psn, u32)>> = BTreeMap::new();
         let mut scan = n.log.scan(from);
@@ -2183,7 +2175,7 @@ mod tests {
             }
             let page = ids.iter().position(|&p| p == pid).unwrap() as u32;
             if kept.contains(&pid) {
-                let at = ops.len() as u32;
+                let at = ops.as_slice().len() as u32;
                 by_page.entry(pid).or_default().push((page, psn, at));
             }
             op.encode(&mut ops);
@@ -2374,10 +2366,10 @@ mod tests {
                     n.log_update(t, pid, op).unwrap()
                 };
                 assert_eq!(edge.0, psn, "the PSN before the update");
-                assert_eq!(edge.1, n.txn(t).unwrap().last_lsn);
+                assert_eq!(edge.1, n.txns.get(&t).unwrap().last_lsn);
                 edges.push(edge);
             }
-            let state = n.txn(t).unwrap().clone();
+            let state = n.txns.get(&t).unwrap().clone();
             n.commit(t).unwrap();
             let mut h = Fnv1a::new();
             n.log.durable_hash(&mut h).unwrap();
@@ -2436,7 +2428,7 @@ mod tests {
         n.force_log().unwrap();
         n.finish_commit(t1).unwrap();
         n.forget(t1).unwrap();
-        assert!(n.txn(t1).is_none());
+        assert!(!n.txns.contains_key(&t1));
         assert!(matches!(n.forget(t1), Err(Error::NoSuchTxn(_))));
         n.start_abort(t2).unwrap();
         assert!(matches!(n.forget(t2), Err(Error::Protocol(_))), "aborting");

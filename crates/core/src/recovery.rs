@@ -240,11 +240,6 @@ impl PhaseTimings {
         self.us.iter().sum()
     }
 
-    /// `(phase, µs)` pairs in protocol order.
-    pub fn iter(&self) -> impl Iterator<Item = (RecoveryPhase, u64)> + '_ {
-        RecoveryPhase::ALL.iter().map(move |&p| (p, self.us(p)))
-    }
-
     /// The replay pass's timing: empty when nothing was replayed, and
     /// in the simulator also under [`ReplayMode::Serial`].
     pub fn replay_waves(&self) -> &[WaveTiming] {

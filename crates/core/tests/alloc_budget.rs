@@ -6,7 +6,7 @@
 //! is per thread, so tests running beside each other do not count each
 //! other's allocations.
 
-use cblog_common::{NodeId, PageId, TxnId};
+use cblog_common::{Error, NodeId, PageId, TxnId};
 use cblog_core::{plan_replay, recover, Cluster, ClusterConfig, Node, NodeConfig, RecoveryOptions};
 use cblog_locks::{LockMode, ShardedLockTable};
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -108,7 +108,10 @@ fn the_commit_path_allocates_only_to_grow() {
         "1000 transactions (4000 records) made {made} allocations"
     );
     assert_eq!(node.commits(), 2_000);
-    assert!((1..=2_000).all(|seq| node.txn(TxnId::new(NodeId(0), seq)).is_none()));
+    assert!((1..=2_000).all(|seq| matches!(
+        node.forget(TxnId::new(NodeId(0), seq)),
+        Err(Error::NoSuchTxn(_))
+    )));
 
     // A page lock nobody else holds: taken and dropped on the stack.
     let locks = ShardedLockTable::new(16);
@@ -154,7 +157,16 @@ fn restart_allocations(n: u64) -> RestartAllocations {
     node.crash();
     node.mark_restarting().unwrap();
     let (pass, (_, list, records)) = allocations_of(|| node.restart_pass().unwrap());
-    let kept = records.len();
+    let kept = node
+        .dpt()
+        .entries()
+        .into_iter()
+        .map(|e| {
+            let mut page = node.authoritative_copy(e.pid).unwrap().0;
+            let from = page.psn();
+            records.replay(&mut page, from, None).unwrap()
+        })
+        .sum::<u64>() as usize;
     assert_eq!(
         applied, kept as u64,
         "the redo pass applied what the pass keeps"

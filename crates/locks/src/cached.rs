@@ -76,16 +76,6 @@ impl CachedLockTable {
     pub fn clear(&mut self) {
         self.locks.clear();
     }
-
-    /// Number of cached locks.
-    pub fn len(&self) -> usize {
-        self.locks.len()
-    }
-
-    /// True if no locks are cached.
-    pub fn is_empty(&self) -> bool {
-        self.locks.is_empty()
-    }
 }
 
 /// A lock the crashed node must re-acquire during lock-table
@@ -156,6 +146,6 @@ mod tests {
             ]
         );
         c.clear();
-        assert!(c.is_empty());
+        assert!(c.all().is_empty());
     }
 }

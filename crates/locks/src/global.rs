@@ -133,18 +133,6 @@ impl GlobalLockTable {
         })
     }
 
-    /// All locks granted to `node`, sorted by page (recovery §2.3.3:
-    /// "the list of locks N_r had acquired from the crashed node").
-    pub fn locks_of(&self, node: NodeId) -> Vec<(PageId, LockMode)> {
-        let mut v: Vec<(PageId, LockMode)> = self
-            .locks
-            .iter()
-            .filter_map(|(pid, hs)| hs.iter().find(|(n, _)| *n == node).map(|(_, m)| (*pid, *m)))
-            .collect();
-        v.sort_by_key(|(p, _)| *p);
-        v
-    }
-
     /// Recovery §2.3.3 at an operational node: release all *shared*
     /// locks held by the crashed node, retain its exclusive locks (they
     /// fence unrecovered pages). Returns the pages whose shared locks
@@ -312,10 +300,8 @@ mod tests {
             GlobalRequestOutcome::NeedsCallbacks(_)
         ));
         // n2 unaffected.
-        assert_eq!(
-            g.locks_of(n(2)),
-            vec![(p(0), LockMode::Shared), (p(2), LockMode::Exclusive)]
-        );
+        assert_eq!(g.holders(p(0)), vec![(n(2), LockMode::Shared)]);
+        assert_eq!(g.holders(p(2)), vec![(n(2), LockMode::Exclusive)]);
     }
 
     #[test]

@@ -433,11 +433,6 @@ pub struct Network {
 }
 
 impl Network {
-    /// Transport for `nodes` nodes under `cost`, fault-free.
-    pub fn new(nodes: usize, cost: CostModel) -> Self {
-        Network::with_faults(nodes, cost, FaultPlan::default())
-    }
-
     /// Transport with a fault-injection plan.
     pub fn with_faults(nodes: usize, cost: CostModel, faults: FaultPlan) -> Self {
         let fault_rng = Rng::seed_from_u64(faults.seed);
@@ -512,11 +507,6 @@ impl Network {
     /// a `Msg` span parented to the header's context.
     pub fn set_tracer(&mut self, tracer: Tracer) {
         self.tracer = tracer;
-    }
-
-    /// The active fault plan.
-    pub fn faults(&self) -> &FaultPlan {
-        &self.faults
     }
 
     /// Injected-fault counters.
@@ -785,7 +775,7 @@ mod tests {
     use super::*;
 
     fn net() -> Network {
-        Network::new(3, CostModel::unit())
+        Network::with_faults(3, CostModel::unit(), FaultPlan::default())
     }
 
     #[test]
@@ -1068,7 +1058,7 @@ mod tests {
     #[test]
     fn profiler_buckets_follow_charge_sites() {
         let cost = CostModel::default();
-        let mut n = Network::new(2, cost.clone());
+        let mut n = Network::with_faults(2, cost.clone(), FaultPlan::default());
         n.send(NodeId(0), NodeId(1), MsgKind::PageShip, 100)
             .unwrap();
         n.disk_io(NodeId(0), 1024);

@@ -89,13 +89,13 @@ fn workload_a_write_heavy_no_aborts() {
         ..WorkloadConfig::default()
     };
     let all: Vec<PageId> = (0..4)
-        .flat_map(|o| workload::owned_pages(NodeId(o), 8))
+        .flat_map(|o| (0..8).map(move |i| PageId::new(NodeId(o), i)))
         .collect();
     let plans = workload::generate(
         &cfg,
         &nodes(4),
         &all,
-        Some(&|c: NodeId| workload::owned_pages(c, 8)),
+        Some(&|c: NodeId| (0..8).map(|i| PageId::new(c, i)).collect()),
     );
     let (_, rt_report) = cross_check(&owned, GroupCommitPolicy::Immediate, &plans);
     assert!(rt_report.committed > 0);
@@ -113,13 +113,13 @@ fn workload_b_user_aborts_under_window_policy() {
         ..WorkloadConfig::default()
     };
     let all: Vec<PageId> = (0..3)
-        .flat_map(|o| workload::owned_pages(NodeId(o), 6))
+        .flat_map(|o| (0..6).map(move |i| PageId::new(NodeId(o), i)))
         .collect();
     let plans = workload::generate(
         &cfg,
         &nodes(3),
         &all,
-        Some(&|c: NodeId| workload::owned_pages(c, 6)),
+        Some(&|c: NodeId| (0..6).map(|i| PageId::new(c, i)).collect()),
     );
     let policy = GroupCommitPolicy::Window {
         window_us: 300,
@@ -145,7 +145,7 @@ fn workload_c_two_streams_per_node() {
             ..WorkloadConfig::default()
         };
         let all: Vec<PageId> = (0..2)
-            .flat_map(|o| workload::owned_pages(NodeId(o), 8))
+            .flat_map(|o| (0..8).map(move |i| PageId::new(NodeId(o), i)))
             .collect();
         workload::generate(
             &cfg,

@@ -271,6 +271,18 @@ fn injected_out_of_order_replay_hop_is_caught() {
         msg.contains("replay"),
         "error names the replay violation: {msg}"
     );
+
+    // The verdict of `run` and `recover` covers only their own spans:
+    // the forged hop fails neither, while `trace_check` still reports
+    // it.
+    tc.run(&[wplan(1, 0, &[(pid(1, 0), 0, 3)])])
+        .expect("a clean run after an old violation succeeds");
+    tc.crash(NodeId(0)).unwrap();
+    tc.recover(&RecoveryOptions::nodes(&[NodeId(0)]))
+        .expect("a clean recovery after an old violation succeeds");
+    tc.run(&[wplan(0, 0, &[(pid(0, 3), 0, 4)])])
+        .expect("the recovered node stays up");
+    assert!(tc.trace_check().is_err(), "the stale hop is still reported");
 }
 
 #[test]
@@ -328,7 +340,7 @@ fn profiler_buckets_partition_busy_time_exactly() {
     tc.run(&mixed_plans()).unwrap();
     for s in tc.last_node_stats() {
         assert_eq!(
-            s.disk_us + s.cpu_us + s.net_us + s.replay_us,
+            s.disk_us + s.cpu_us + s.net_us,
             s.busy_us,
             "node {}: bucket sum equals busy time exactly",
             s.node
@@ -347,16 +359,16 @@ fn profiler_buckets_partition_busy_time_exactly() {
     let snap = tc.metrics();
     for s in tc.last_node_stats() {
         let key = format!("n{}/prof/disk_us", s.node);
-        match snap.get(&key) {
+        match snap.entries.get(&key) {
             Some(cblog_common::MetricValue::Gauge(v)) => {
                 assert_eq!(*v as u64, s.disk_us, "{key} mirrors the worker split");
             }
             other => panic!("expected gauge at {key}, got {other:?}"),
         }
     }
-    // The folded view's lines sum per node to busy + lock wait.
-    let profile: Vec<_> = tc.last_node_stats().iter().map(|s| s.profile()).collect();
-    let folded = folded_profile("rt", &profile);
+    // The folded view of those gauges sums per node to busy + lock
+    // wait.
+    let folded = folded_profile("rt", &snap);
     for s in tc.last_node_stats() {
         let frame = format!("rt;n{};", s.node);
         let sum: u64 = folded

@@ -58,7 +58,8 @@ pub fn run_workload(sys: &mut Cluster, plans: Vec<TxnPlan>) -> Result<RunStats> 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::workload::{generate, owned_pages, WorkloadConfig};
+    use crate::experiments::pages0;
+    use crate::workload::{generate, WorkloadConfig};
     use cblog_common::CostModel;
     use cblog_core::{ClusterConfig, Paradigm};
 
@@ -91,12 +92,7 @@ mod tests {
             write_ratio: 0.5,
             ..WorkloadConfig::default()
         };
-        let specs = generate(
-            &cfg,
-            &[NodeId(1), NodeId(2)],
-            &owned_pages(NodeId(0), 8),
-            None,
-        );
+        let specs = generate(&cfg, &[NodeId(1), NodeId(2)], &pages0(8), None);
         let stats = run_workload(&mut c, specs).unwrap();
         assert_eq!(stats.report.committed, 40);
         let verified = stats.oracle.verify(&mut c, NodeId(1)).unwrap();
@@ -111,12 +107,7 @@ mod tests {
             ops_per_txn: 6,
             ..WorkloadConfig::default()
         };
-        let specs = generate(
-            &cfg,
-            &[NodeId(1), NodeId(2)],
-            &owned_pages(NodeId(0), 8),
-            None,
-        );
+        let specs = generate(&cfg, &[NodeId(1), NodeId(2)], &pages0(8), None);
         let stats = run_workload(&mut s, specs).unwrap();
         assert_eq!(stats.report.committed, 40);
         let forces = s.node(NodeId(0)).log().forces();
@@ -136,12 +127,7 @@ mod tests {
             seed: 7,
             ..WorkloadConfig::default()
         };
-        let specs = generate(
-            &cfg,
-            &[NodeId(1), NodeId(2)],
-            &owned_pages(NodeId(0), 4),
-            None,
-        );
+        let specs = generate(&cfg, &[NodeId(1), NodeId(2)], &pages0(4), None);
         let stats = run_workload(&mut c, specs).unwrap();
         assert!(stats.report.user_aborts > 0);
         assert_eq!(stats.report.committed + stats.report.user_aborts, 30);
@@ -161,12 +147,7 @@ mod tests {
             seed: 99,
             ..WorkloadConfig::default()
         };
-        let specs = generate(
-            &cfg,
-            &[NodeId(1), NodeId(2), NodeId(3)],
-            &owned_pages(NodeId(0), 2),
-            None,
-        );
+        let specs = generate(&cfg, &[NodeId(1), NodeId(2), NodeId(3)], &pages0(2), None);
         let stats = run_workload(&mut c, specs).unwrap();
         assert_eq!(
             stats.report.committed, 45,

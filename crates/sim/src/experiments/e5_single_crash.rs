@@ -220,6 +220,7 @@ fn dirty_pages(c: &mut Cluster, pages: &[PageId]) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use cblog_common::RecoveryPhase;
 
     #[test]
     fn recovery_work_scales_with_dirty_pages_only() {
@@ -233,7 +234,8 @@ mod tests {
     #[test]
     fn phase_timings_and_force_histogram_are_populated() {
         let row = run_one(4);
-        assert_eq!(row.timings.iter().count(), 9, "all nine phases timed");
+        let phases: u64 = RecoveryPhase::ALL.iter().map(|&p| row.timings.us(p)).sum();
+        assert_eq!(phases, row.timings.total_us(), "all nine phases timed");
         assert!(
             row.timings.replay_us() > 0,
             "replay moves pages, so it costs sim-time"

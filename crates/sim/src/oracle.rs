@@ -45,21 +45,6 @@ impl Oracle {
         }
     }
 
-    /// Discards a transaction's staged writes.
-    pub fn abort(&mut self, txn_key: u64) {
-        self.staged.remove(&txn_key);
-    }
-
-    /// Number of tracked committed slots.
-    pub fn len(&self) -> usize {
-        self.committed.len()
-    }
-
-    /// True if nothing has been committed.
-    pub fn is_empty(&self) -> bool {
-        self.committed.is_empty()
-    }
-
     /// Expected committed value of a slot, if any write committed.
     pub fn expect(&self, pid: PageId, slot: usize) -> Option<u64> {
         self.committed.get(&(pid, slot)).copied()
@@ -128,12 +113,11 @@ mod tests {
         let p = PageId::new(NodeId(0), 0);
         o.stage(1, p, 0, 10);
         o.stage(2, p, 1, 20);
-        assert!(o.is_empty());
+        assert!(o.committed.is_empty());
         o.commit(1);
-        o.abort(2);
         assert_eq!(o.expect(p, 0), Some(10));
         assert_eq!(o.expect(p, 1), None);
-        assert_eq!(o.len(), 1);
+        assert_eq!(o.committed.len(), 1);
     }
 
     #[test]

@@ -1,11 +1,11 @@
 //! Traced scenario runners behind the `tracedump` bin.
 //!
 //! Each scenario replays one of the recovery/checkpoint experiments
-//! with [`ClusterConfig::tracing`] enabled and returns the run's
+//! with [`ClusterConfigBuilder::tracing`] enabled and returns the run's
 //! [`Trace`], so callers can dump per-page PSN lineage
 //! ([`cblog_common::span::render_lineage`]) or the Chrome trace-event
-//! export, plus each node's resource-time profile
-//! ([`SimClock::profile`]) for the folded view
+//! export, plus the cluster's metrics, whose `prof/*_us` gauges hold
+//! each node's resource-time profile for the folded view
 //! ([`cblog_common::folded_profile`]). Every runner ends with
 //! [`Cluster::trace_check`], so a scenario that completes has been
 //! verified by the invariant watchdog span-by-span.
@@ -14,33 +14,24 @@
 //! scenario is exactly as deterministic as its untraced experiment
 //! twin: same seed ⇒ byte-identical JSON export (tested below).
 //!
-//! [`ClusterConfig::tracing`]: cblog_core::ClusterConfig
-//! [`SimClock::profile`]: cblog_common::SimClock::profile
+//! [`ClusterConfigBuilder::tracing`]: cblog_core::ClusterConfigBuilder::tracing
 
 use crate::driver::run_workload;
 use crate::experiments::{cbl_builder, e5_single_crash, e6_multi_crash, e7_checkpoint};
 use cblog_common::span::busiest_page;
-use cblog_common::{Error, NodeId, Result, SimTime, Trace, BUCKETS};
+use cblog_common::{Error, NodeId, Result, Snapshot, Trace};
 use cblog_core::Cluster;
 
 /// Scenario names [`run_scenario`] accepts.
 pub const SCENARIOS: &[&str] = &["e5", "e6", "e7"];
 
 /// Runs the named scenario with tracing enabled and returns its trace
-/// and every node's bucket profile (index = node id). Fails if the
+/// and its metrics ([`Cluster::metrics_snapshot`]). Fails if the
 /// watchdog flagged any invariant violation (the error carries the
 /// offending lineage slice).
-pub fn run_scenario(name: &str) -> Result<(Trace, Vec<[SimTime; BUCKETS]>)> {
+pub fn run_scenario(name: &str) -> Result<(Trace, Snapshot)> {
     let c = run_cluster(name)?;
-    Ok((c.tracer().snapshot(), profile(&c)))
-}
-
-/// Every node's [`SimClock::profile`].
-fn profile(c: &Cluster) -> Vec<[SimTime; BUCKETS]> {
-    let clock = c.network().clock();
-    (0..c.node_count())
-        .map(|i| clock.profile(NodeId(i as u32)))
-        .collect()
+    Ok((c.tracer().snapshot(), c.metrics_snapshot()))
 }
 
 /// The finished, watchdog-checked cluster of scenario `name`.
@@ -205,7 +196,7 @@ mod tests {
     fn folded_stack_sums_to_total_simulated_time_per_node() {
         for name in SCENARIOS {
             let c = run_cluster(name).unwrap();
-            let per_node = folded_per_node(&folded_profile(name, &profile(&c)));
+            let per_node = folded_per_node(&folded_profile(name, &c.metrics_snapshot()));
             let clock = c.network().clock();
             for i in 0..c.node_count() {
                 let id = NodeId(i as u32);

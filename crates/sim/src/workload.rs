@@ -94,14 +94,10 @@ pub fn generate(
     plans
 }
 
-/// All pages owned by `owner` for a cluster with `count` pages there.
-pub fn owned_pages(owner: NodeId, count: u32) -> Vec<PageId> {
-    (0..count).map(|i| PageId::new(owner, i)).collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::experiments::pages0;
 
     fn pid(op: &PlanOp) -> PageId {
         match *op {
@@ -113,7 +109,7 @@ mod tests {
     fn generation_is_deterministic() {
         let cfg = WorkloadConfig::default();
         let clients = [NodeId(1), NodeId(2)];
-        let pages = owned_pages(NodeId(0), 8);
+        let pages = pages0(8);
         let a = generate(&cfg, &clients, &pages, None);
         let b = generate(&cfg, &clients, &pages, None);
         assert_eq!(a.len(), b.len());
@@ -132,7 +128,7 @@ mod tests {
             ops_per_txn: 10,
             ..WorkloadConfig::default()
         };
-        let specs = generate(&cfg, &[NodeId(1)], &owned_pages(NodeId(0), 4), None);
+        let specs = generate(&cfg, &[NodeId(1)], &pages0(4), None);
         let (mut w, mut total) = (0usize, 0usize);
         for s in &specs {
             for op in &s.ops {
@@ -154,7 +150,7 @@ mod tests {
             txns_per_client: 200,
             ..WorkloadConfig::default()
         };
-        let pages = owned_pages(NodeId(0), 20);
+        let pages = pages0(20);
         let specs = generate(&cfg, &[NodeId(1)], &pages, None);
         let hot_set: Vec<PageId> = pages[..2].to_vec();
         let (mut hot, mut total) = (0usize, 0usize);
@@ -176,7 +172,7 @@ mod tests {
     #[test]
     fn private_pages_partition() {
         let cfg = WorkloadConfig::default();
-        let pages = owned_pages(NodeId(0), 8);
+        let pages = pages0(8);
         let private = |c: NodeId| -> Vec<PageId> {
             if c == NodeId(1) {
                 pages[..4].to_vec()
@@ -203,7 +199,7 @@ mod tests {
             txns_per_client: 100,
             ..WorkloadConfig::default()
         };
-        let specs = generate(&cfg, &[NodeId(1)], &owned_pages(NodeId(0), 4), None);
+        let specs = generate(&cfg, &[NodeId(1)], &pages0(4), None);
         let aborts = specs.iter().filter(|s| s.abort).count();
         assert!((20..80).contains(&aborts), "aborts {aborts}");
     }

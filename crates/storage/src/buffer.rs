@@ -64,21 +64,6 @@ impl BufferPool {
         }
     }
 
-    /// Number of cached pages.
-    pub fn len(&self) -> usize {
-        self.map.len()
-    }
-
-    /// True if no pages are cached.
-    pub fn is_empty(&self) -> bool {
-        self.map.is_empty()
-    }
-
-    /// Pool capacity in pages.
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
     /// Cache-hit counter.
     pub fn hits(&self) -> &Counter {
         &self.hits
@@ -97,22 +82,6 @@ impl BufferPool {
     /// True if `pid` is cached.
     pub fn contains(&self, pid: PageId) -> bool {
         self.map.contains_key(&pid)
-    }
-
-    /// Looks up a page, marking it recently used.
-    pub fn get(&mut self, pid: PageId) -> Option<&Page> {
-        match self.map.get(&pid) {
-            Some(&i) => {
-                self.hits.bump();
-                let f = self.frames[i].as_mut().expect("mapped frame occupied");
-                f.refbit = true;
-                Some(&f.page)
-            }
-            None => {
-                self.misses.bump();
-                None
-            }
-        }
     }
 
     /// Mutable lookup. Does **not** set the dirty flag — pure reads
@@ -312,8 +281,8 @@ mod tests {
     fn insert_and_get_counts_hits_and_misses() {
         let mut bp = BufferPool::new(4);
         bp.insert(page(0), false).unwrap();
-        assert!(bp.get(pid(0)).is_some());
-        assert!(bp.get(pid(1)).is_none());
+        assert!(bp.get_mut(pid(0)).is_some());
+        assert!(bp.get_mut(pid(1)).is_none());
         assert_eq!(bp.hits().get(), 1);
         assert_eq!(bp.misses().get(), 1);
     }
@@ -324,7 +293,7 @@ mod tests {
         assert!(bp.insert(page(0), false).unwrap().is_none());
         assert!(bp.insert(page(1), true).unwrap().is_none());
         let victim = bp.insert(page(2), false).unwrap().expect("must evict");
-        assert_eq!(bp.len(), 2);
+        assert_eq!(bp.cached_ids().len(), 2);
         assert_eq!(bp.evictions().get(), 1);
         assert!(victim.page.id() == pid(0) || victim.page.id() == pid(1));
     }
@@ -341,7 +310,7 @@ mod tests {
         assert_eq!(v1.page.id(), pid(0));
         // Re-reference page 2; page 1's ref bit stays clear, so it is
         // the next victim even though page 2 sits behind the hand.
-        bp.get(pid(2));
+        bp.get_mut(pid(2));
         let v2 = bp.insert(page(4), false).unwrap().unwrap();
         assert_eq!(v2.page.id(), pid(1));
         assert!(bp.contains(pid(2)));
@@ -407,7 +376,7 @@ mod tests {
         assert!(ev.dirty);
         assert!(bp.remove(pid(0)).is_none());
         bp.clear();
-        assert!(bp.is_empty());
+        assert!(bp.cached_ids().is_empty());
         assert!(!bp.contains(pid(1)));
     }
 

@@ -154,16 +154,6 @@ impl Database {
         1 + self.map_blocks + index as u64
     }
 
-    /// Owning node of this database.
-    pub fn node(&self) -> NodeId {
-        self.node
-    }
-
-    /// Page size in bytes.
-    pub fn page_size(&self) -> usize {
-        self.page_size
-    }
-
     /// Maximum number of pages.
     pub fn capacity(&self) -> u32 {
         self.capacity
@@ -254,16 +244,6 @@ impl Database {
     /// Durably syncs the device.
     pub fn sync(&mut self) -> Result<()> {
         self.storage.sync()
-    }
-
-    /// Disk read counter (shared with the device).
-    pub fn reads(&self) -> u64 {
-        self.storage.reads().get()
-    }
-
-    /// Disk write counter (shared with the device).
-    pub fn writes(&self) -> u64 {
-        self.storage.writes().get()
     }
 
     /// Shared handle to the device's read counter, for registration in
@@ -373,7 +353,7 @@ mod tests {
         {
             let fs = crate::storage::FileStorage::open(&path, 512).unwrap();
             let mut db = Database::open(Box::new(fs)).unwrap();
-            assert_eq!(db.node(), NodeId(2));
+            assert_eq!(db.node, NodeId(2));
             assert_eq!(db.capacity(), 8);
             assert_eq!(db.map.allocated_count(), 1);
             let p = db.read_page(0).unwrap();

@@ -110,9 +110,12 @@ impl<'a> SlottedPage<'a> {
         Ok(&self.page.body()[off as usize..off as usize + len as usize])
     }
 
-    /// True if `slot` exists and holds a live record.
-    pub fn is_live(&self, slot: u16) -> bool {
-        slot < self.dir_len() && self.slot_entry(slot).0 != DEAD
+    /// The slot an insert takes: the first dead slot, or a new slot
+    /// at the directory's end.
+    pub fn free_slot(&self) -> u16 {
+        (0..self.dir_len())
+            .find(|&s| self.slot_entry(s).0 == DEAD)
+            .unwrap_or(self.dir_len())
     }
 
     fn ensure_room(&mut self, need: usize, new_slot: bool) -> Result<()> {
@@ -135,16 +138,6 @@ impl<'a> SlottedPage<'a> {
         let floor = self.heap_floor() as usize - len;
         self.set_heap_floor(floor as u16);
         floor as u16
-    }
-
-    /// Inserts a record into the first dead slot (or a new slot) and
-    /// returns its slot number.
-    pub fn insert(&mut self, data: &[u8]) -> Result<u16> {
-        let slot = (0..self.dir_len())
-            .find(|&s| self.slot_entry(s).0 == DEAD)
-            .unwrap_or(self.dir_len());
-        self.insert_at(slot, data)?;
-        Ok(slot)
     }
 
     /// Inserts a record at a specific slot number (the inverse of
@@ -220,21 +213,6 @@ impl<'a> SlottedPage<'a> {
         }
         self.set_heap_floor(floor as u16);
     }
-
-    /// Iterates `(slot, record)` over live records.
-    pub fn iter(&self) -> impl Iterator<Item = (u16, &[u8])> + '_ {
-        (0..self.dir_len()).filter_map(move |s| {
-            let (off, len) = self.slot_entry(s);
-            if off == DEAD {
-                None
-            } else {
-                Some((
-                    s,
-                    &self.page.body()[off as usize..off as usize + len as usize],
-                ))
-            }
-        })
-    }
 }
 
 #[cfg(test)]
@@ -251,22 +229,24 @@ mod tests {
     fn insert_get_round_trip() {
         let mut p = page();
         let mut sp = SlottedPage::new(&mut p);
-        let a = sp.insert(b"alpha").unwrap();
-        let b = sp.insert(b"bravo").unwrap();
+        let a = sp.free_slot();
+        sp.insert_at(a, b"alpha").unwrap();
+        let b = sp.free_slot();
+        sp.insert_at(b, b"bravo").unwrap();
         assert_ne!(a, b);
         assert_eq!(sp.get(a).unwrap(), b"alpha");
         assert_eq!(sp.get(b).unwrap(), b"bravo");
-        assert_eq!(sp.iter().count(), 2);
+        assert_eq!((0..sp.dir_len()).filter(|&s| sp.get(s).is_ok()).count(), 2);
     }
 
     #[test]
     fn delete_then_reinsert_at_same_slot() {
         let mut p = page();
         let mut sp = SlottedPage::new(&mut p);
-        let a = sp.insert(b"alpha").unwrap();
+        let a = sp.free_slot();
+        sp.insert_at(a, b"alpha").unwrap();
         let old = sp.delete(a).unwrap();
         assert_eq!(old, b"alpha");
-        assert!(!sp.is_live(a));
         assert!(sp.get(a).is_err());
         sp.insert_at(a, b"alpha").unwrap();
         assert_eq!(sp.get(a).unwrap(), b"alpha");
@@ -276,10 +256,13 @@ mod tests {
     fn insert_reuses_dead_slots() {
         let mut p = page();
         let mut sp = SlottedPage::new(&mut p);
-        let a = sp.insert(b"one").unwrap();
-        let _b = sp.insert(b"two").unwrap();
+        let a = sp.free_slot();
+        sp.insert_at(a, b"one").unwrap();
+        let _b = sp.free_slot();
+        sp.insert_at(_b, b"two").unwrap();
         sp.delete(a).unwrap();
-        let c = sp.insert(b"three").unwrap();
+        let c = sp.free_slot();
+        sp.insert_at(c, b"three").unwrap();
         assert_eq!(c, a, "dead slot should be reused");
     }
 
@@ -287,7 +270,8 @@ mod tests {
     fn update_in_place_and_grow() {
         let mut p = page();
         let mut sp = SlottedPage::new(&mut p);
-        let a = sp.insert(b"abcdef").unwrap();
+        let a = sp.free_slot();
+        sp.insert_at(a, b"abcdef").unwrap();
         let old = sp.update(a, b"xy").unwrap();
         assert_eq!(old, b"abcdef");
         assert_eq!(sp.get(a).unwrap(), b"xy");
@@ -302,7 +286,10 @@ mod tests {
         let mut sp = SlottedPage::new(&mut p);
         let mut slots = Vec::new();
         for i in 0..10 {
-            slots.push(sp.insert(format!("record-{i}-padding").as_bytes()).unwrap());
+            let slot = sp.free_slot();
+            sp.insert_at(slot, format!("record-{i}-padding").as_bytes())
+                .unwrap();
+            slots.push(slot);
         }
         let before = sp.free_space();
         for &s in slots.iter().step_by(2) {
@@ -322,7 +309,7 @@ mod tests {
         let mut sp = SlottedPage::new(&mut p);
         let rec = vec![7u8; 64];
         let mut n = 0;
-        while sp.insert(&rec).is_ok() {
+        while sp.insert_at(sp.free_slot(), &rec).is_ok() {
             n += 1;
             assert!(n < 100, "should run out of space");
         }
@@ -330,22 +317,11 @@ mod tests {
     }
 
     #[test]
-    fn iter_lists_live_records_in_slot_order() {
-        let mut p = page();
-        let mut sp = SlottedPage::new(&mut p);
-        let a = sp.insert(b"a").unwrap();
-        let b = sp.insert(b"b").unwrap();
-        let c = sp.insert(b"c").unwrap();
-        sp.delete(b).unwrap();
-        let got: Vec<(u16, Vec<u8>)> = sp.iter().map(|(s, r)| (s, r.to_vec())).collect();
-        assert_eq!(got, vec![(a, b"a".to_vec()), (c, b"c".to_vec())]);
-    }
-
-    #[test]
     fn insert_at_rejects_live_and_gapped_slots() {
         let mut p = page();
         let mut sp = SlottedPage::new(&mut p);
-        let a = sp.insert(b"a").unwrap();
+        let a = sp.free_slot();
+        sp.insert_at(a, b"a").unwrap();
         assert!(sp.insert_at(a, b"clobber").is_err());
         assert!(sp.insert_at(5, b"gap").is_err());
     }

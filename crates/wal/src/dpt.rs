@@ -331,7 +331,7 @@ mod tests {
 
     #[test]
     fn entry_encode_decode_round_trips() {
-        let mut e = Encoder::new();
+        let mut e = Encoder::default();
         let ent = DptEntry {
             pid: pid(4),
             psn_first: Psn(5),
@@ -345,7 +345,7 @@ mod tests {
         let mut d = Decoder::new(&v);
         assert_eq!(DptEntry::decode(&mut d).unwrap(), ent);
 
-        let mut e2 = Encoder::new();
+        let mut e2 = Encoder::default();
         let ent2 = DptEntry::new(pid(1), Psn(3), Lsn(10));
         ent2.encode(&mut e2);
         let v2 = e2.into_vec();

@@ -145,11 +145,6 @@ impl LogManager {
         })
     }
 
-    /// The owning node.
-    pub fn node(&self) -> NodeId {
-        self.node
-    }
-
     /// Next LSN to be assigned (current end of log). This is the value
     /// the paper's DPT maintenance uses as the conservative RedoLSN.
     pub fn end_lsn(&self) -> Lsn {
@@ -159,13 +154,6 @@ impl LogManager {
     /// Durable prefix end.
     pub fn flushed_lsn(&self) -> Lsn {
         self.flushed_lsn
-    }
-
-    /// True iff every record up to `lsn` is durable — the WAL-rule
-    /// predicate a page write or dirty-page transfer must satisfy for
-    /// the log records covering the page (PSN edges ≤ the page's PSN).
-    pub fn covers(&self, lsn: Lsn) -> bool {
-        self.flushed_lsn >= lsn
     }
 
     /// True iff the log has no volatile tail at all (`force_all` has

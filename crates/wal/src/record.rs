@@ -414,13 +414,6 @@ impl LogRecord {
     pub fn encode_into(&self, out: &mut Vec<u8>) -> usize {
         LogRecordRef::from(self).encode_into(out)
     }
-
-    /// Decodes one framed record from the front of `buf`, returning the
-    /// record and the number of bytes consumed.
-    pub fn decode(buf: &[u8]) -> Result<(LogRecord, usize)> {
-        let (rec, n) = LogRecordRef::decode(buf)?;
-        Ok((rec.to_owned(), n))
-    }
 }
 
 /// A [`LogPayload`] decoded in place (see [`LogRecordRef`]).
@@ -832,7 +825,8 @@ mod tests {
 
     fn round_trip(r: LogRecord) {
         let bytes = r.encode();
-        let (back, consumed) = LogRecord::decode(&bytes).unwrap();
+        let (back, consumed) = LogRecordRef::decode(&bytes).unwrap();
+        let back = back.to_owned();
         assert_eq!(consumed, bytes.len());
         assert_eq!(back, r);
         // In place: the same record, borrowing its images from the
@@ -880,8 +874,8 @@ mod tests {
         ];
         assert_eq!(rec.encode(), golden);
         assert_eq!(
-            LogRecord::decode(&golden).unwrap(),
-            (rec.clone(), golden.len())
+            LogRecordRef::decode(&golden).unwrap(),
+            (LogRecordRef::from(&rec), golden.len())
         );
         // The borrowed decode reads the same fields, and its images are
         // the frame's own bytes.
@@ -1060,9 +1054,9 @@ mod tests {
             assert_eq!(r.to_owned(), *op);
             assert_eq!(r.inverse().to_owned(), op.inverse());
             assert_eq!(r.inverse().inverse(), r);
-            let mut e = Encoder::new();
+            let mut e = Encoder::default();
             r.encode(&mut e);
-            assert_eq!(e.len(), r.encoded_len());
+            assert_eq!(e.as_slice().len(), r.encoded_len());
             e.put_u8(0xEE);
             let mut d = Decoder::new(e.as_slice());
             assert_eq!(PageOpRef::decode(&mut d).unwrap(), r, "self-delimiting");
@@ -1097,15 +1091,17 @@ mod tests {
         // without a replace LSN (34), active-transaction count.
         let (dpt_count, txn_count) = (12 + 8 + 1, 12 + 8 + 1 + 4 + 34);
         assert_eq!(
-            LogRecord::decode(&with_u32_at(&rec, dpt_count, 1))
+            LogRecordRef::decode(&with_u32_at(&rec, dpt_count, 1))
                 .unwrap()
-                .0,
+                .0
+                .to_owned(),
             rec
         );
         assert_eq!(
-            LogRecord::decode(&with_u32_at(&rec, txn_count, 1))
+            LogRecordRef::decode(&with_u32_at(&rec, txn_count, 1))
                 .unwrap()
-                .0,
+                .0
+                .to_owned(),
             rec
         );
         for at in [dpt_count, txn_count] {
@@ -1114,7 +1110,6 @@ mod tests {
                 LogRecordRef::decode(&bytes),
                 Err(Error::Corrupt(_))
             ));
-            assert!(matches!(LogRecord::decode(&bytes), Err(Error::Corrupt(_))));
         }
     }
 
@@ -1180,7 +1175,6 @@ mod tests {
                     rec.payload,
                     extra.len()
                 );
-                assert!(matches!(LogRecord::decode(&padded), Err(Error::Corrupt(_))));
             }
         }
     }
@@ -1195,8 +1189,6 @@ mod tests {
         let mut bytes = r.encode();
         let n = bytes.len();
         bytes[n - 1] ^= 0xFF;
-        assert!(LogRecord::decode(&bytes).is_err());
-        assert!(LogRecord::decode(&bytes[..4]).is_err());
         assert!(LogRecordRef::decode(&bytes).is_err());
         assert!(LogRecordRef::decode(&bytes[..4]).is_err());
     }
@@ -1219,7 +1211,10 @@ mod tests {
     #[test]
     fn logical_ops_redo_undo_are_inverses() {
         let mut page = Page::new(pid(), PageKind::Slotted, Psn(0), 512);
-        let slot = SlottedPage::new(&mut page).insert(b"original").unwrap();
+        let slot = 0;
+        SlottedPage::new(&mut page)
+            .insert_at(slot, b"original")
+            .unwrap();
 
         let upd = PageOp::UpdateRec {
             slot,
@@ -1236,7 +1231,7 @@ mod tests {
             old: b"original".to_vec(),
         };
         del.apply_redo(&mut page).unwrap();
-        assert!(!SlottedPage::new(&mut page).is_live(slot));
+        assert!(SlottedPage::new(&mut page).get(slot).is_err());
         del.apply_undo(&mut page).unwrap();
         assert_eq!(SlottedPage::new(&mut page).get(slot).unwrap(), b"original");
     }

@@ -657,8 +657,8 @@ mod tests {
             s.append(b"more").unwrap();
             s.sync().unwrap();
             let h = s.fsync_hist().expect("file store times its syncs");
-            assert_eq!(h.count(), 2, "one sample per sync");
-            assert_eq!(h.count(), s.syncs().get());
+            assert_eq!(h.snapshot().count, 2, "one sample per sync");
+            assert_eq!(h.snapshot().count, s.syncs().get());
         }
     }
 

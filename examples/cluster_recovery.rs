@@ -8,7 +8,7 @@
 //!
 //! Run with: `cargo run -p cblog-bench --example cluster_recovery`
 //!
-//! Causal tracing is enabled (`ClusterConfig::tracing`): every span is
+//! Causal tracing is enabled (`ClusterConfigBuilder::tracing`): every span is
 //! checked online by the invariant watchdog, and the run ends by
 //! printing the cross-node PSN lineage of one recovered page.
 

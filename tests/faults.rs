@@ -5,7 +5,7 @@
 
 use cblog_common::{CostModel, Error, NodeId, PageId, RecoveryPhase};
 use cblog_core::{recovery, Cluster, ClusterConfig, FaultPlan, GroupCommitPolicy, RecoveryOptions};
-use cblog_sim::{run_workload, workload, WorkloadConfig};
+use cblog_sim::{experiments, run_workload, workload, WorkloadConfig};
 
 fn cluster(owned: Vec<u32>, policy: GroupCommitPolicy, faults: FaultPlan) -> Cluster {
     Cluster::new(
@@ -225,12 +225,7 @@ fn lossy_network_workload_is_oracle_verified() {
         seed: 42,
         ..WorkloadConfig::default()
     };
-    let specs = workload::generate(
-        &cfg,
-        &[NodeId(1), NodeId(2)],
-        &workload::owned_pages(NodeId(0), 8),
-        None,
-    );
+    let specs = workload::generate(&cfg, &[NodeId(1), NodeId(2)], &experiments::pages0(8), None);
     let stats = run_workload(&mut c, specs).unwrap();
     assert_eq!(stats.report.committed, 50, "no commit lost to the network");
     assert!(stats.faults.dropped > 0, "the injector actually fired");
@@ -257,12 +252,7 @@ fn fault_matrix_smoke() {
                 seed: 1 + i as u64,
                 ..WorkloadConfig::default()
             };
-            let specs = workload::generate(
-                &cfg,
-                &[NodeId(1)],
-                &workload::owned_pages(NodeId(0), 4),
-                None,
-            );
+            let specs = workload::generate(&cfg, &[NodeId(1)], &experiments::pages0(4), None);
             let stats = run_workload(&mut c, specs).unwrap();
             assert_eq!(stats.report.committed, 10);
             // Leave unsynced loser bytes for the tear to bite.

@@ -5,7 +5,7 @@
 
 use cblog_common::metrics::keys;
 use cblog_common::{CostModel, NodeId, PageId, SpanKind};
-use cblog_core::{recovery, Cluster, ClusterConfig, GroupCommitPolicy, RecoveryOptions, TxnStatus};
+use cblog_core::{recovery, Cluster, ClusterConfig, GroupCommitPolicy, RecoveryOptions};
 use cblog_sim::{run_workload, workload, WorkloadConfig};
 
 fn gc_cluster(clients: usize, pages: u32, policy: GroupCommitPolicy) -> Cluster {
@@ -133,14 +133,15 @@ fn a_ship_forces_only_for_a_page_a_parked_commit_wrote_and_acknowledges_it() {
     assert!(!c.poll_committed(w).unwrap(), "the writer is parked");
     let forces = |c: &Cluster| c.node(NodeId(0)).log().forces();
     let forces0 = forces(&c);
+    let commits0 = c.node(NodeId(0)).commits();
     let r = c.begin(NodeId(1)).unwrap();
     assert_eq!(c.read_u64(r, p1, 0).unwrap(), 0);
     assert_eq!(forces(&c), forces0, "no parked commit wrote P1");
     assert_eq!(c.read_u64(r, p0, 0).unwrap(), 20);
     assert_eq!(forces(&c), forces0 + 1, "the P0 ship forced once");
     assert_eq!(
-        c.node(NodeId(0)).txn(w).map(|t| t.status),
-        Some(TxnStatus::Committed),
+        c.node(NodeId(0)).commits(),
+        commits0 + 1,
         "the ship force acknowledged the writer"
     );
     c.commit(r).unwrap();

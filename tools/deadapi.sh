@@ -18,6 +18,19 @@
 # method that shares its name with a called fn is not listed, and a
 # listed name has to be checked by hand.
 #
+# The by-type probe sees what the name match cannot. It is run by hand
+# on a scratch copy of the tree, not by ci.sh: rename every engine
+# `pub` or `pub(crate)` fn outside test code, `cargo check --lib --bins
+# --examples` the workspace and `cargo check --bins` perf/, restore
+# each definition a compile error names (the one of the error's type,
+# where it names one), and repeat until the copy builds. A definition
+# restored only because its name occurs in an error that names no fn
+# (a type mismatch, say) is then renamed alone and checked again. What
+# stays renamed only tests reach. Its last run, recorded in CHANGES.md
+# with the deletions it led to, listed the KEEP entries below and five
+# more, each with a reason there: `Database::open`, `FileStorage::open`,
+# `SyncFaultStore::new`, `Table::is_empty` and `Trace::is_empty`.
+#
 # A name in KEEP below is printed with its reason after `# KEEP:`;
 # every other line of the list is a finding, and so is a KEEP name the
 # list no longer has.
