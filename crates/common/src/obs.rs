@@ -247,7 +247,7 @@ struct ReservoirInner {
 /// algorithm R), for *exact* percentiles where the log-2
 /// [`Histogram`] only gives bucket upper bounds.
 ///
-/// While no more than `capacity` values are recorded every recorded
+/// While [`count`](Reservoir::count) `≤ capacity` every recorded
 /// value is held and [`percentile`](Reservoir::percentile) is exact;
 /// past capacity each value replaces a uniformly random held sample,
 /// so percentiles degrade to an unbiased estimate instead of a bucket
@@ -290,6 +290,11 @@ impl Reservoir {
                 r.samples[j] = v;
             }
         }
+    }
+
+    /// Total values recorded (held + replaced).
+    pub fn count(&self) -> u64 {
+        lock(&self.inner).seen
     }
 
     /// Value at quantile `q` in `[0, 1]`: the rank-`ceil(q·n)` held
@@ -641,7 +646,7 @@ mod tests {
         for i in 0..100u64 {
             r.record((i * 37) % 100 + 1);
         }
-        assert_eq!(lock(&r.inner).seen, 100);
+        assert_eq!(r.count(), 100);
         assert_eq!(r.percentile(0.50), 50);
         assert_eq!(r.percentile(0.99), 99);
         assert_eq!(r.percentile(1.0), 100);
@@ -666,7 +671,7 @@ mod tests {
             r
         };
         let a = mk();
-        assert_eq!(lock(&a.inner).seen, 10_000);
+        assert_eq!(a.count(), 10_000);
         let p50 = a.percentile(0.50);
         assert!((1..=10_000).contains(&p50));
         // Same stream → same samples → same estimate.
@@ -688,7 +693,7 @@ mod tests {
                 });
             }
         });
-        assert_eq!(lock(&r.inner).seen, 1024);
+        assert_eq!(r.count(), 1024);
         assert_eq!(r.percentile(1.0), 1024);
     }
 }

@@ -1585,6 +1585,11 @@ mod tests {
             stats.forces
         );
         assert_eq!(stats.msgs, 0, "batched commits send nothing either");
+        assert_eq!(
+            tc.latency_samples().count(),
+            16,
+            "every commit's latency was recorded"
+        );
     }
 
     #[test]
@@ -1777,11 +1782,13 @@ mod tests {
                 .collect()
         };
         assert_eq!(tc.run(&batch(1)).unwrap().committed, 4);
+        assert_eq!(tc.latency_samples().count(), 4);
 
         fail_next.store(1, SeqCst);
         let out = tc.run(&batch(2));
         assert!(matches!(out, Err(Error::Io(_))), "{out:?}");
-        assert_eq!(tc.nodes[0].commits(), 4, "no commit was acked");
+        assert_eq!(tc.latency_samples().count(), 4, "no commit was acked");
+        assert_eq!(tc.nodes[0].commits(), 4);
         // The sync would succeed now, and must not be tried: the log
         // takes nothing until it has been recovered from its file.
         let out = tc.run(&batch(3));
@@ -1961,6 +1968,7 @@ mod tests {
         let shared = RunShared::new(&tc);
         let mut h = ByHand::new(&mut tc, &shared);
         let p = pid(0, 0);
+        let samples = shared.samples.count();
 
         let t1 = h.park(&wplan(0, 0, &[(p, 0, 11)]));
         let (value, forces) = h.fetch(p);
@@ -1971,12 +1979,14 @@ mod tests {
             matches!(h.w.node.forget(t1), Err(Error::NoSuchTxn(_))),
             "the node forgot T1"
         );
+        assert_eq!(shared.samples.count(), samples + 1, "T1's latency");
 
         // A force with nothing appended writes nothing and acks nothing.
         let bytes = h.w.node.log().bytes_written();
         h.w.force().unwrap();
         assert_eq!(h.w.node.log().bytes_written(), bytes);
         assert_eq!(h.w.report.committed, 1);
+        assert_eq!(shared.samples.count(), samples + 1);
         h.give_back(&mut tc);
         assert_eq!(group_forces(&tc).len(), 1, "one span, the ship force's");
         tc.trace_check().unwrap();

@@ -27,9 +27,10 @@
 # restored only because its name occurs in an error that names no fn
 # (a type mismatch, say) is then renamed alone and checked again. What
 # stays renamed only tests reach. Its last run, recorded in CHANGES.md
-# with the deletions it led to, listed the KEEP entries below and five
+# with the deletions it led to, listed the KEEP entries below and six
 # more, each with a reason there: `Database::open`, `FileStorage::open`,
-# `SyncFaultStore::new`, `Table::is_empty` and `Trace::is_empty`.
+# `SyncFaultStore::new`, `Table::is_empty`, `Trace::is_empty` and
+# `Reservoir::count`.
 #
 # A name in KEEP below is printed with its reason after `# KEEP:`;
 # every other line of the list is a finding, and so is a KEEP name the
