@@ -258,8 +258,8 @@ mod tests {
         let mut sp = SlottedPage::new(&mut p);
         let a = sp.free_slot();
         sp.insert_at(a, b"one").unwrap();
-        let _b = sp.free_slot();
-        sp.insert_at(_b, b"two").unwrap();
+        let b = sp.free_slot();
+        sp.insert_at(b, b"two").unwrap();
         sp.delete(a).unwrap();
         let c = sp.free_slot();
         sp.insert_at(c, b"three").unwrap();
