@@ -17,7 +17,6 @@ fn cluster(clients: usize) -> (Cluster, Vec<PageId>) {
             .owned_pages(owned)
             .page_size(2048)
             .buffer_frames(48)
-            .default_owned_pages(0)
             .cost(CostModel::unit())
             .build(),
     )
@@ -198,7 +197,6 @@ fn index_spanning_two_owners_survives_either_owner_crash() {
             .owned_pages(vec![12, 12, 0, 0])
             .page_size(2048)
             .buffer_frames(48)
-            .default_owned_pages(0)
             .cost(CostModel::unit())
             .build(),
     )
@@ -272,7 +270,6 @@ fn structural_ops_are_counted_and_traced() {
             .owned_pages(owned)
             .page_size(2048)
             .buffer_frames(48)
-            .default_owned_pages(0)
             .cost(CostModel::unit())
             .tracing(true)
             .build(),

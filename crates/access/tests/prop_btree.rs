@@ -19,7 +19,6 @@ fn cluster() -> (Cluster, Vec<PageId>) {
             .owned_pages(vec![TREE_PAGES, 0])
             .page_size(2048)
             .buffer_frames(32)
-            .default_owned_pages(0)
             .cost(CostModel::unit())
             .build(),
     )

@@ -200,7 +200,6 @@ fn m6_btree() {
                 .owned_pages(vec![24, 0])
                 .page_size(2048)
                 .buffer_frames(48)
-                .default_owned_pages(0)
                 .cost(CostModel::unit())
                 .build(),
         )

@@ -29,8 +29,6 @@ pub enum Error {
         /// Transactions currently standing in the way.
         holders: Vec<TxnId>,
     },
-    /// The deadlock detector chose this transaction as a victim.
-    Deadlock(TxnId),
     /// Operation attempted on a transaction that has been aborted.
     TxnAborted(TxnId),
     /// The target node is crashed / unreachable.
@@ -85,7 +83,6 @@ impl fmt::Display for Error {
             Error::WouldBlock { txn, holders } => {
                 write!(f, "{txn} would block on {holders:?}")
             }
-            Error::Deadlock(t) => write!(f, "{t} aborted as deadlock victim"),
             Error::TxnAborted(t) => write!(f, "{t} is aborted"),
             Error::NodeDown(n) => write!(f, "node {n} is down"),
             Error::OwnerDown { owner, page } => {
@@ -166,7 +163,6 @@ mod tests {
         }
         .is_transient());
         assert!(!Error::RecoveryInterrupted(RecoveryPhase::Replay).is_transient());
-        assert!(!Error::Deadlock(TxnId::new(NodeId(1), 1)).is_transient());
         assert!(!Error::Corrupt("x".into()).is_transient());
     }
 

@@ -200,15 +200,6 @@ impl SimClock {
     pub fn max_busy(&self) -> SimTime {
         self.busy.iter().copied().max().unwrap_or(0)
     }
-
-    /// Node with the most accumulated service time.
-    pub fn bottleneck(&self) -> Option<NodeId> {
-        self.busy
-            .iter()
-            .enumerate()
-            .max_by_key(|(_, b)| **b)
-            .map(|(i, _)| NodeId(i as u32))
-    }
 }
 
 #[cfg(test)]
@@ -248,7 +239,6 @@ mod tests {
         assert_eq!(c.busy(NodeId(1)), 25);
         assert_eq!(c.busy(NodeId(2)), 100);
         assert_eq!(c.max_busy(), 100);
-        assert_eq!(c.bottleneck(), Some(NodeId(2)));
     }
 
     #[test]

@@ -72,25 +72,25 @@ impl std::fmt::Debug for Cluster {
 impl Cluster {
     /// Builds the cluster per `cfg`.
     pub fn new(cfg: ClusterConfig) -> Result<Self> {
-        if cfg.paradigm == Paradigm::ClientServer
-            && (1..cfg.node_count).any(|i| cfg.node_config(i).owned_pages > 0)
+        let n = cfg.owned_pages.len();
+        if cfg.paradigm == Paradigm::ClientServer && cfg.owned_pages.iter().skip(1).any(|&p| p > 0)
         {
             return Err(Error::Invalid(
                 "under the client-server paradigm only node 0 owns pages".into(),
             ));
         }
-        let mut nodes = Vec::with_capacity(cfg.node_count);
-        for i in 0..cfg.node_count {
+        let mut nodes = Vec::with_capacity(n);
+        for i in 0..n {
             nodes.push(Node::new(NodeId(i as u32), cfg.node_config(i))?);
         }
-        let mut net = Network::with_faults(cfg.node_count, cfg.cost.clone(), cfg.faults.clone());
+        let mut net = Network::with_faults(n, cfg.cost.clone(), cfg.faults.clone());
         let tracer = if cfg.tracing {
             Tracer::new(span::DEFAULT_TRACE_CAPACITY)
         } else {
             Tracer::disabled()
         };
         net.set_tracer(tracer.clone());
-        let schedulers = (0..cfg.node_count)
+        let schedulers = (0..n)
             .map(|_| ForceScheduler::new(cfg.group_commit))
             .collect();
         Ok(Cluster {
@@ -1569,7 +1569,6 @@ mod tests {
             .owned_pages(owned)
             .page_size(512)
             .buffer_frames(8)
-            .default_owned_pages(0)
             .cost(CostModel::unit())
     }
 
@@ -1592,7 +1591,6 @@ mod tests {
                 .owned_pages(vec![4])
                 .page_size(512)
                 .buffer_frames(8)
-                .default_owned_pages(0)
                 .build(),
         )
         .unwrap();
@@ -1833,7 +1831,6 @@ mod tests {
                 .owned_pages(vec![8, 0])
                 .page_size(512)
                 .buffer_frames(2) // tiny cache to force evictions
-                .default_owned_pages(0)
                 .cost(CostModel::unit())
                 .build(),
         )
@@ -1871,7 +1868,6 @@ mod tests {
                 .owned_pages(vec![4, 0])
                 .page_size(512)
                 .buffer_frames(8)
-                .default_owned_pages(0)
                 .log_capacity(Some(4096))
                 .cost(CostModel::unit())
                 .build(),

@@ -129,11 +129,8 @@ impl Default for NodeConfig {
 /// [`ClusterConfig::builder`].
 #[derive(Clone, Debug)]
 pub struct ClusterConfig {
-    /// Number of nodes. Node ids are `0..node_count`.
-    pub(crate) node_count: usize,
-    /// Pages owned by each node (len must equal `node_count`; nodes
-    /// with 0 own no database). If shorter, missing entries default to
-    /// `default_node.owned_pages`.
+    /// Pages owned by each node, one entry per node: node ids are
+    /// `0..owned_pages.len()`, and a node with 0 owns no database.
     pub(crate) owned_pages: Vec<u32>,
     /// Template for per-node settings other than `owned_pages`.
     pub(crate) default_node: NodeConfig,
@@ -161,8 +158,7 @@ pub struct ClusterConfig {
 impl Default for ClusterConfig {
     fn default() -> Self {
         ClusterConfig {
-            node_count: 2,
-            owned_pages: Vec::new(),
+            owned_pages: vec![16, 16],
             default_node: NodeConfig::default(),
             cost: CostModel::default(),
             paradigm: Paradigm::ClientBased,
@@ -180,13 +176,12 @@ impl ClusterConfig {
         ClusterConfigBuilder::default()
     }
 
-    /// Per-node config for node `i`.
-    pub fn node_config(&self, i: usize) -> NodeConfig {
-        let mut cfg = self.default_node.clone();
-        if let Some(&p) = self.owned_pages.get(i) {
-            cfg.owned_pages = p;
+    /// Per-node config for node `i` (`i < owned_pages.len()`).
+    pub(crate) fn node_config(&self, i: usize) -> NodeConfig {
+        NodeConfig {
+            owned_pages: self.owned_pages[i],
+            ..self.default_node.clone()
         }
-        cfg
     }
 
     /// Page size in bytes (uniform across nodes).
@@ -221,9 +216,8 @@ pub struct ClusterConfigBuilder {
 }
 
 impl ClusterConfigBuilder {
-    /// Sets the per-node ownership vector and the node count to match.
+    /// Sets the per-node ownership vector, and so the node count.
     pub fn owned_pages(mut self, per_node: Vec<u32>) -> Self {
-        self.cfg.node_count = per_node.len();
         self.cfg.owned_pages = per_node;
         self
     }
@@ -237,13 +231,6 @@ impl ClusterConfigBuilder {
     /// Sets the buffer-pool capacity (in frames) for every node.
     pub fn buffer_frames(mut self, frames: usize) -> Self {
         self.cfg.default_node.buffer_frames = frames;
-        self
-    }
-
-    /// Sets the template `owned_pages` used by nodes beyond the
-    /// ownership vector.
-    pub fn default_owned_pages(mut self, pages: u32) -> Self {
-        self.cfg.default_node.owned_pages = pages;
         self
     }
 
@@ -300,11 +287,7 @@ mod tests {
         let cfg = ClusterConfig::builder().owned_pages(vec![8, 0]).build();
         assert_eq!(cfg.node_config(0).owned_pages, 8);
         assert_eq!(cfg.node_config(1).owned_pages, 0);
-        // Missing entry falls back to the template.
-        assert_eq!(
-            cfg.node_config(2).owned_pages,
-            NodeConfig::default().owned_pages
-        );
+        assert_eq!(cfg.owned_pages.len(), 2, "one node per entry");
     }
 
     #[test]

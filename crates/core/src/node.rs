@@ -283,13 +283,10 @@ impl Analysis {
             LogPayloadRef::Update {
                 pid, psn_before, ..
             } => {
-                let t = self
-                    .att
+                self.att
                     .entry(rec.txn)
-                    .or_insert_with(|| TxnState::new(rec.txn, pos));
-                t.last_lsn = pos;
-                t.undo_next = pos;
-                t.updates += 1;
+                    .or_insert_with(|| TxnState::new(rec.txn, pos))
+                    .logged_update(pos);
                 self.dpt.on_update(*pid, psn_before.next(), pos);
             }
             LogPayloadRef::Clr {
@@ -330,15 +327,13 @@ impl Analysis {
                     }
                 }
             }
-            LogPayloadRef::CheckpointBegin
-            | LogPayloadRef::AllocPage { .. }
-            | LogPayloadRef::FreePage { .. } => {}
+            LogPayloadRef::CheckpointBegin => {}
         }
     }
 
     /// Installs the rebuilt tables on `node`, every loser rolling back,
-    /// and reports a scan of `[start, end)` that read `records`.
-    fn install(self, node: &mut Node, start: Lsn, end: Lsn, records: u64) -> AnalysisResult {
+    /// and reports a scan of `[start, end)`.
+    fn install(self, node: &mut Node, start: Lsn, end: Lsn) -> AnalysisResult {
         let mut losers: Vec<TxnId> = self.att.keys().copied().collect();
         losers.sort();
         for (id, mut t) in self.att {
@@ -349,9 +344,6 @@ impl Analysis {
         node.next_seq = node.next_seq.max(self.max_seq + 1);
         AnalysisResult {
             losers,
-            start_lsn: start,
-            dpt_entries: node.dpt.len(),
-            records_scanned: records,
             bytes_scanned: end.0 - start.0,
         }
     }
@@ -363,12 +355,6 @@ impl Analysis {
 pub struct AnalysisResult {
     /// Loser transactions (active or mid-rollback at crash time).
     pub losers: Vec<TxnId>,
-    /// Where the scan started.
-    pub start_lsn: Lsn,
-    /// Number of DPT entries reconstructed.
-    pub dpt_entries: usize,
-    /// Number of records scanned.
-    pub records_scanned: u64,
     /// Bytes of log scanned.
     pub bytes_scanned: u64,
 }
@@ -414,21 +400,19 @@ fn disk_image(db: &mut Option<Database>, pid: PageId) -> Result<RedoImage> {
 /// The one log collector (DESIGN §13): reads `[from, end)` of `log`
 /// once and hands every record, with its LSN and the frame it was
 /// decoded from, to `each`, stopping at the first error either returns.
-/// Returns the records read. A function of the log alone, so that `each`
-/// may borrow the rest of the node.
+/// A function of the log alone, so that `each` may borrow the rest of
+/// the node.
 fn collect(
     log: &mut LogManager,
     from: Lsn,
     mut each: impl FnMut(Lsn, &[u8], &LogRecordRef<'_>) -> Result<()>,
-) -> Result<u64> {
-    let mut records = 0u64;
+) -> Result<()> {
     let mut scan = log.scan(from);
     while let Some(r) = scan.next_framed() {
         let (pos, frame, rec) = r?;
-        records += 1;
         each(pos, frame, &rec)?;
     }
-    Ok(records)
+    Ok(())
 }
 
 /// Outcome of one rollback step (driven by the cluster because undoing
@@ -1378,7 +1362,7 @@ impl Node {
         let db = &mut self.db;
         let mut analysis = Analysis::default();
         let mut images: IdMap<PageId, RedoImage> = IdMap::default();
-        let records = collect(&mut self.log, from, |pos, _, rec| {
+        collect(&mut self.log, from, |pos, _, rec| {
             if pos >= ckpt {
                 analysis.fold(id, pos, rec);
             }
@@ -1400,7 +1384,7 @@ impl Node {
             }
             Ok(())
         })?;
-        let result = analysis.install(self, from, end, records);
+        let result = analysis.install(self, from, end);
         // `entries` is ascending.
         let mut redone = Vec::with_capacity(self.dpt.len());
         for e in self.dpt.entries() {
@@ -1424,13 +1408,13 @@ impl Node {
         let id = self.id;
         let mut analysis = Analysis::default();
         let mut updates = PageUpdates::new(from, end);
-        let records = collect(&mut self.log, from, |pos, frame, rec| {
+        collect(&mut self.log, from, |pos, frame, rec| {
             if pos >= ckpt {
                 analysis.fold(id, pos, rec);
             }
             updates.enter(pos, frame, rec)
         })?;
-        let result = analysis.install(self, from, end, records);
+        let result = analysis.install(self, from, end);
         let (list, redo) = updates.keep(|pid| self.dpt.contains(pid));
         Ok((result, list, redo))
     }
@@ -1778,7 +1762,7 @@ mod tests {
         let (a, list, redo) = n.restart_pass().unwrap();
         assert!(a.losers.is_empty());
         assert!(
-            a.start_lsn < n.log().last_checkpoint(),
+            n.restart_range().unwrap().1 < n.log().last_checkpoint(),
             "starts at a RedoLSN"
         );
         assert_eq!(n.dpt().entries().len(), 2);
@@ -1843,14 +1827,12 @@ mod tests {
         let start = n.analysis_start();
         let end = n.log.end_lsn();
         let mut analysis = Analysis::default();
-        let mut records = 0u64;
         let mut scan = n.log.scan(start);
         while let Some(r) = scan.next_ref() {
             let (pos, rec) = r.unwrap();
             analysis.fold(n.id, pos, &rec);
-            records += 1;
         }
-        analysis.install(n, start, end, records)
+        analysis.install(n, start, end)
     }
 
     /// The NodePSNList scan the simulator ran before it kept the
@@ -1950,7 +1932,8 @@ mod tests {
         n.mark_restarting().unwrap();
         let (a, list, redo) = n.restart_pass().unwrap();
         let dpt = n.dpt().entries();
-        assert!(a.start_lsn < ckpt, "the pass starts below the checkpoint");
+        let from = n.restart_range().unwrap().1;
+        assert!(from < ckpt, "the pass starts below the checkpoint");
         assert!(dpt.iter().any(|e| e.redo_lsn < ckpt));
         n.crash();
         n.mark_restarting().unwrap();
@@ -2039,17 +2022,15 @@ mod tests {
         let dpt = n.dpt().entries();
         // The log has the cases it was built to have.
         let ckpt = n.log().last_checkpoint();
-        assert!(
-            want.start_lsn < ckpt,
-            "the pass starts below the checkpoint"
-        );
+        let from = n.restart_range().unwrap().1;
+        assert!(from < ckpt, "the pass starts below the checkpoint");
         let named: Vec<PageId> = dpt.iter().map(|e| e.pid).collect();
         assert_eq!(named, [p[0], p[1], p[2], p[3], p[5]]);
         assert!(dpt.iter().all(|e| e.pid == p[5] || e.redo_lsn < ckpt));
-        assert!(!log_records(&mut n, p[4], want.start_lsn).is_empty());
+        assert!(!log_records(&mut n, p[4], from).is_empty());
         let clrs = n
             .log
-            .scan(want.start_lsn)
+            .scan(from)
             .filter(|r| matches!(r.as_ref().unwrap().1.payload, LogPayload::Clr { .. }))
             .count();
         assert_eq!(clrs, 4);
@@ -2070,15 +2051,7 @@ mod tests {
         n.crash();
         n.mark_restarting().unwrap();
         let (a, images) = n.restart_redo().unwrap();
-        assert_eq!(
-            (a.losers, a.start_lsn, a.dpt_entries, a.records_scanned),
-            (
-                want.losers,
-                want.start_lsn,
-                want.dpt_entries,
-                want.records_scanned
-            )
-        );
+        assert_eq!(a.losers, want.losers);
         assert_eq!(a.bytes_scanned, want.bytes_scanned);
         assert_eq!(n.dpt().entries(), dpt);
         let redone: Vec<(PageId, Psn, Vec<u8>, u64)> = images
@@ -2130,6 +2103,66 @@ mod tests {
             n.mark_restarting().unwrap();
             n.restart_pass().unwrap();
             assert!(n.dpt().contains(foreign));
+        }
+    }
+
+    /// A frame whose CRC holds but whose payload tag names no record
+    /// kind is corrupt, like any other bad frame: the decode refuses
+    /// it, and a restart over a synced log that holds one fails naming
+    /// the tag, with nothing installed and no page written.
+    #[test]
+    fn a_frame_with_an_unknown_payload_tag_is_corrupt() {
+        let pid = PageId::new(NodeId(0), 0);
+        let disk = node().page_image(pid).unwrap();
+        let t = TxnId::new(NodeId(0), 1);
+        let rec = |prev_lsn: u64, payload| LogRecord {
+            txn: t,
+            prev_lsn: Lsn(prev_lsn),
+            payload,
+        };
+        let update = LogPayload::Update {
+            pid,
+            psn_before: Page::from_bytes(disk.clone()).unwrap().psn(),
+            op: PageOp::WriteRange {
+                off: 0,
+                before: vec![0; 8],
+                after: vec![1; 8],
+            },
+        };
+        for tag in [7u8, 8, 9] {
+            // A Commit frame with its tag (body offset 20, behind the
+            // transaction id and the previous LSN) replaced.
+            let mut bad = rec(0, LogPayload::Commit).encode();
+            bad[8 + 20] = tag;
+            let crc = cblog_common::crc32(&bad[8..]);
+            bad[4..8].copy_from_slice(&crc.to_le_bytes());
+            let want = format!("bad log payload tag {tag}");
+            match LogRecordRef::decode(&bad) {
+                Err(Error::Corrupt(m)) => assert_eq!(m, want),
+                r => panic!("tag {tag}: expected Corrupt, got {r:?}"),
+            }
+            // The log preamble, then Begin, an update of `pid` and the
+            // bad frame, all synced, so no tail repair drops it.
+            let mut store = MemLogStore::new();
+            store.append(b"CBLOG\0\0\0").unwrap();
+            let begin = rec(0, LogPayload::Begin).encode();
+            store.append(&begin).unwrap();
+            store.append(&rec(8, update.clone()).encode()).unwrap();
+            store.append(&bad).unwrap();
+            store.sync().unwrap();
+            let mut n = Node::with_log_store(NodeId(0), node().cfg, Box::new(store)).unwrap();
+            n.crash();
+            assert_eq!(n.mark_restarting().unwrap(), 0, "tag {tag}: nothing torn");
+            match n.restart_redo() {
+                Err(Error::Corrupt(m)) => assert_eq!(m, want),
+                r => panic!("tag {tag}: expected Corrupt, got {:?}", r.map(|_| ())),
+            }
+            assert!(n.dpt().is_empty() && n.txns.is_empty(), "nothing installed");
+            assert_eq!(
+                n.page_image(pid).unwrap(),
+                disk,
+                "tag {tag}: a page was written"
+            );
         }
     }
 
@@ -2264,10 +2297,11 @@ mod tests {
         }
         assert_eq!(kinds.len(), 8, "four op kinds, as Updates and as CLRs");
         n.mark_restarting().unwrap();
-        let (a, _, redo) = n.restart_pass().unwrap();
+        let (_, _, redo) = n.restart_pass().unwrap();
         let kept: Vec<PageId> = n.dpt().entries().iter().map(|e| e.pid).collect();
         assert_eq!(kept, [raw, slotted]);
-        let want = reencoded_reference(&mut n, a.start_lsn, &kept);
+        let from = n.restart_range().unwrap().1;
+        let want = reencoded_reference(&mut n, from, &kept);
         assert_eq!(redo.ops, want.ops);
         assert_eq!(redo.index, want.index);
         assert_eq!(redo.pages, want.pages);
@@ -2320,7 +2354,7 @@ mod tests {
         n.mark_restarting().unwrap();
         let (a, _, _) = n.restart_pass().unwrap();
         // Unforced records vanished; nothing to analyze.
-        assert_eq!(a.records_scanned, 0);
+        assert_eq!(a.bytes_scanned, 0);
         assert!(a.losers.is_empty());
 
         // Group-commit window: a transaction whose commit_begin ran
@@ -2376,15 +2410,7 @@ mod tests {
             let page = n.buffer.peek(pid).unwrap().to_bytes();
             let dirty = n.buffer.is_dirty(pid);
             let dpt = n.dpt().entries();
-            (
-                edges,
-                h.finish(),
-                page,
-                dirty,
-                dpt,
-                state.updates,
-                state.undo_next,
-            )
+            (edges, h.finish(), page, dirty, dpt, state.undo_next)
         };
         assert_eq!(run(true), run(false));
     }

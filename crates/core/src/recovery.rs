@@ -144,20 +144,32 @@ impl RecoveryOptions {
     pub fn recovered_nodes(&self) -> &[NodeId] {
         &self.nodes
     }
+
+    /// The setter of the first option set here besides the nodes and
+    /// [`RecoveryOptions::replay`], if any: `with_standby`,
+    /// `crash_after`, `crash_after_tear` or `sabotage_skip_undo`. An
+    /// engine whose restart honours none of them refuses the run by it.
+    pub fn beyond_restart(&self) -> Option<&'static str> {
+        [
+            (self.standby.is_some(), "with_standby"),
+            (self.crash_after.is_some(), "crash_after"),
+            (self.crash_tear.is_some(), "crash_after_tear"),
+            (self.sabotage_skip_undo, "sabotage_skip_undo"),
+        ]
+        .into_iter()
+        .find_map(|(set, name)| set.then_some(name))
+    }
 }
 
 /// What a recovery run did — the measurable quantities of experiments
 /// E5/E6/E7.
 #[derive(Clone, Debug, Default)]
 pub struct RecoveryReport {
-    /// The nodes that were recovered.
-    pub recovered_nodes: Vec<NodeId>,
     /// Pages replayed via the NodePSNList protocol.
     pub pages_recovered: usize,
-    /// Pages whose cached copies made replay unnecessary.
+    /// Pages whose cached copies made replay unnecessary: each is
+    /// pulled from an operational cache to its owner (§2.3.1).
     pub pages_skipped_cached: usize,
-    /// Pages pulled from an operational cache to the owner (§2.3.1).
-    pub pages_pulled_to_owner: usize,
     /// Loser transactions rolled back.
     pub losers_undone: usize,
     /// Update/CLR records re-applied during replay.
@@ -549,10 +561,7 @@ fn recover_inner(cluster: &mut Cluster, opts: &RecoveryOptions) -> Result<Recove
     let crashed: &[NodeId] = &opts.nodes;
     let standby = opts.standby;
     let coord_of = |c: NodeId| standby.unwrap_or(c);
-    let mut report = RecoveryReport {
-        recovered_nodes: crashed.to_vec(),
-        ..RecoveryReport::default()
-    };
+    let mut report = RecoveryReport::default();
     let msgs0 = cluster.network().stats().recovery_messages();
     // The root span of this run: every phase span and cross-node
     // recovery message is parented to it, so a trace query for a page
@@ -759,7 +768,6 @@ fn recover_inner(cluster: &mut Cluster, opts: &RecoveryOptions) -> Result<Recove
                     TransferWhy::Recovery,
                     root,
                 )?;
-                report.pages_pulled_to_owner += 1;
                 // Every DPT holder must eventually get a flush-ack.
                 for (n, _) in &holders {
                     if *n != c {
@@ -1249,7 +1257,6 @@ mod tests {
                 .owned_pages(owned)
                 .page_size(512)
                 .buffer_frames(16)
-                .default_owned_pages(0)
                 .cost(CostModel::unit())
                 .build(),
         )
@@ -1420,7 +1427,10 @@ mod tests {
         let rep = recover(&mut c, &RecoveryOptions::single(NodeId(0))).unwrap();
         assert_eq!(rep.pages_recovered, 0);
         assert_eq!(rep.pages_skipped_cached, 1);
-        assert_eq!(rep.pages_pulled_to_owner, 1);
+        assert!(
+            c.node(NodeId(0)).buffer().peek(p).is_some(),
+            "pulled to the owner"
+        );
         let t2 = c.begin(NodeId(1)).unwrap();
         assert_eq!(c.read_u64(t2, p, 0).unwrap(), 55);
         c.commit(t2).unwrap();
@@ -1528,7 +1538,6 @@ mod tests {
         c.crash(NodeId(0));
         c.crash(NodeId(1));
         let rep = recover(&mut c, &RecoveryOptions::nodes(&[NodeId(0), NodeId(1)])).unwrap();
-        assert_eq!(rep.recovered_nodes.len(), 2);
         assert!(rep.pages_recovered >= 2);
         let t = c.begin(NodeId(2)).unwrap();
         assert_eq!(c.read_u64(t, p, 0).unwrap(), 11);
@@ -1763,7 +1772,6 @@ mod tests {
                     .owned_pages(vec![4, 0, 0])
                     .page_size(512)
                     .buffer_frames(16)
-                    .default_owned_pages(0)
                     .cost(cost)
                     .build(),
             )
@@ -2265,7 +2273,6 @@ mod tests {
                 .owned_pages(vec![6, 0, 0])
                 .page_size(512)
                 .buffer_frames(16)
-                .default_owned_pages(0)
                 .cost(CostModel::unit())
                 .tracing(true)
                 .build(),

@@ -47,8 +47,6 @@ pub struct TxnState {
     pub first_lsn: Lsn,
     /// During rollback: the next record to undo (CLR undo-next chain).
     pub undo_next: Lsn,
-    /// Number of updates performed (stats / tests).
-    pub updates: u64,
 }
 
 impl TxnState {
@@ -60,7 +58,6 @@ impl TxnState {
             last_lsn: begin_lsn,
             first_lsn: begin_lsn,
             undo_next: begin_lsn,
-            updates: 0,
         }
     }
 
@@ -68,7 +65,6 @@ impl TxnState {
     pub(crate) fn logged_update(&mut self, lsn: Lsn) {
         self.last_lsn = lsn;
         self.undo_next = lsn;
-        self.updates += 1;
     }
 
     /// True once the transaction has terminated either way.
@@ -102,6 +98,5 @@ mod tests {
         assert_eq!(t.last_lsn, Lsn(42));
         assert_eq!(t.first_lsn, Lsn(42));
         assert_eq!(t.undo_next, Lsn(42));
-        assert_eq!(t.updates, 0);
     }
 }

@@ -321,7 +321,6 @@ fn cross_log_scene() -> (Cluster, Vec<Image>) {
         .owned_pages(vec![OWNED, 0, 0])
         .page_size(512)
         .buffer_frames(32)
-        .default_owned_pages(0)
         .cost(CostModel::unit())
         .build();
     let mut c = Cluster::new(cfg).unwrap();

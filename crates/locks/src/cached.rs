@@ -12,7 +12,7 @@
 //! saves its locking messages during normal processing.
 
 use crate::LockMode;
-use cblog_common::{IdMap, PageId, Psn};
+use cblog_common::{IdMap, PageId};
 
 /// The locks this node currently holds from owner nodes (including
 /// itself, for uniformity).
@@ -76,19 +76,6 @@ impl CachedLockTable {
     pub fn clear(&mut self) {
         self.locks.clear();
     }
-}
-
-/// A lock the crashed node must re-acquire during lock-table
-/// reconstruction (§2.3.3), with the page PSN hint carried alongside in
-/// recovery messages.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct ReconstructedLock {
-    /// The page.
-    pub pid: PageId,
-    /// Mode to re-establish.
-    pub mode: LockMode,
-    /// Current PSN of the holder's copy, if it has one cached.
-    pub psn: Option<Psn>,
 }
 
 #[cfg(test)]

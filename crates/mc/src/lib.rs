@@ -391,7 +391,6 @@ fn build_workload(cfg: &Config, b: &Branch) -> Result<Built, String> {
             .owned_pages(owned)
             .page_size(1024)
             .buffer_frames(16)
-            .default_owned_pages(0)
             .cost(CostModel::unit())
             .group_commit(GroupCommitPolicy::Immediate)
             .faults(FaultPlan::default().with_script(FaultScript::new(b.schedule.clone())))
@@ -406,9 +405,8 @@ fn build_workload(cfg: &Config, b: &Branch) -> Result<Built, String> {
         let v = 100 + i as u64;
         let t = c.begin(client).map_err(|e| sim_err("begin", e))?;
         c.write_u64(t, pid, 0, v).map_err(|e| sim_err("write", e))?;
-        oracle.stage(i as u64, pid, 0, v);
         c.commit(t).map_err(|e| sim_err("commit", e))?;
-        oracle.commit(i as u64);
+        oracle.commit(pid, 0, v);
     }
     for (pos, &v) in b.victims.iter().enumerate() {
         let pid = inflight_page(cfg, pos);

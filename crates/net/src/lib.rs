@@ -99,11 +99,6 @@ impl FaultScript {
     pub fn new(steps: Vec<(u64, FaultAction)>) -> Self {
         FaultScript { steps }
     }
-
-    /// True if the script never fires.
-    pub fn is_empty(&self) -> bool {
-        self.steps.is_empty()
-    }
 }
 
 /// Deterministic fault-injection plan for the transport (and, via
@@ -200,19 +195,6 @@ impl FaultPlan {
     pub fn with_script(mut self, script: FaultScript) -> Self {
         self.script = Some(script);
         self
-    }
-
-    /// True if no message fault can ever fire.
-    pub fn is_noop(&self) -> bool {
-        match &self.script {
-            Some(s) => s.is_empty(),
-            None => {
-                self.drop <= 0.0
-                    && self.delay <= 0.0
-                    && self.duplicate <= 0.0
-                    && self.reorder <= 0.0
-            }
-        }
     }
 }
 
@@ -539,59 +521,55 @@ impl Network {
             return Err(Error::NodeDown(from));
         }
         self.account(from, to, kind, bytes);
-        if self.faults.script.is_some() {
+        let acts: Vec<FaultAction> = match &self.faults.script {
             // Schedule-driven mode: the sequence counter advances on
             // every message — including under an empty script, so a
             // clean pass can measure the schedule space — and exactly
             // the scripted steps fire.
-            let seq = self.script_seq;
-            self.script_seq += 1;
-            let acts: Vec<FaultAction> = self
-                .faults
-                .script
-                .as_ref()
-                .expect("checked")
-                .steps
-                .iter()
-                .filter(|(at, _)| *at == seq)
-                .map(|(_, a)| *a)
-                .collect();
-            for act in acts {
-                match act {
-                    FaultAction::Duplicate => {
-                        self.fault_stats.duplicated += 1;
-                        self.account(from, to, kind, bytes);
-                    }
-                    FaultAction::Delay => {
-                        self.fault_stats.delayed += 1;
-                        self.advance_clock(self.faults.delay_us);
-                    }
-                    FaultAction::Reorder => {
-                        self.fault_stats.reordered += 1;
-                        self.advance_clock(self.faults.delay_us);
-                    }
-                    FaultAction::Drop => {
-                        self.fault_stats.dropped += 1;
-                        return Err(Error::MsgLost { from, to });
-                    }
+            Some(script) => {
+                let seq = self.script_seq;
+                self.script_seq += 1;
+                script
+                    .steps
+                    .iter()
+                    .filter(|(at, _)| *at == seq)
+                    .map(|(_, a)| *a)
+                    .collect()
+            }
+            // Seeded mode: one draw per fault the plan enables, in this
+            // order.
+            None => {
+                let f = &self.faults;
+                [
+                    (f.duplicate, FaultAction::Duplicate),
+                    (f.delay, FaultAction::Delay),
+                    (f.reorder, FaultAction::Reorder),
+                    (f.drop, FaultAction::Drop),
+                ]
+                .into_iter()
+                .filter(|&(p, _)| p > 0.0 && self.fault_rng.gen_bool(p))
+                .map(|(_, a)| a)
+                .collect()
+            }
+        };
+        for act in acts {
+            match act {
+                FaultAction::Duplicate => {
+                    self.fault_stats.duplicated += 1;
+                    self.account(from, to, kind, bytes);
                 }
-            }
-        } else if !self.faults.is_noop() {
-            if self.faults.duplicate > 0.0 && self.fault_rng.gen_bool(self.faults.duplicate) {
-                self.fault_stats.duplicated += 1;
-                self.account(from, to, kind, bytes);
-            }
-            if self.faults.delay > 0.0 && self.fault_rng.gen_bool(self.faults.delay) {
-                self.fault_stats.delayed += 1;
-                self.advance_clock(self.faults.delay_us);
-            }
-            if self.faults.reorder > 0.0 && self.fault_rng.gen_bool(self.faults.reorder) {
-                self.fault_stats.reordered += 1;
-                self.advance_clock(self.faults.delay_us);
-            }
-            if self.faults.drop > 0.0 && self.fault_rng.gen_bool(self.faults.drop) {
-                self.fault_stats.dropped += 1;
-                return Err(Error::MsgLost { from, to });
+                FaultAction::Delay => {
+                    self.fault_stats.delayed += 1;
+                    self.advance_clock(self.faults.delay_us);
+                }
+                FaultAction::Reorder => {
+                    self.fault_stats.reordered += 1;
+                    self.advance_clock(self.faults.delay_us);
+                }
+                FaultAction::Drop => {
+                    self.fault_stats.dropped += 1;
+                    return Err(Error::MsgLost { from, to });
+                }
             }
         }
         Ok(())
@@ -856,7 +834,6 @@ mod tests {
 
     #[test]
     fn default_fault_plan_is_noop() {
-        assert!(FaultPlan::default().is_noop());
         let mut n = net();
         for _ in 0..50 {
             n.send(NodeId(0), NodeId(1), MsgKind::PageShip, 100)

@@ -32,8 +32,6 @@ use std::time::Duration;
 pub struct Envelope {
     /// Sending node.
     pub from: NodeId,
-    /// Destination node.
-    pub to: NodeId,
     /// Protocol message type (shared taxonomy with the simulator).
     pub kind: MsgKind,
     /// Opaque payload, encoded by the protocol layer.
@@ -151,7 +149,6 @@ impl Transport for ChannelEndpoint {
             .ok_or_else(|| Error::Invalid(format!("send to unknown node {}", to.0)))?;
         let env = Envelope {
             from: self.node,
-            to,
             kind,
             payload,
             ctx,

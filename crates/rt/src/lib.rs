@@ -77,9 +77,9 @@
 //!   split is exported per node as `prof/*_us` gauges and as
 //!   [`RtNodeStats`].
 //! * **One latency recorder** — every acknowledged commit records its
-//!   latency in one [`Reservoir`] of recorded values, so
-//!   [`RtRunStats::p50_us`]/[`RtRunStats::p99_us`] are samples the
-//!   engine took, not bucket upper bounds.
+//!   latency in one [`Reservoir`] of recorded values,
+//!   [`ThreadCluster::latency_samples`], so its percentiles are samples
+//!   the engine took, not bucket upper bounds.
 
 #![forbid(unsafe_code)]
 
@@ -187,11 +187,6 @@ pub struct RtRunStats {
     /// remote reads send any, so a run of purely local plans measures
     /// the paper's headline property here: 0.
     pub msgs: u64,
-    /// Median commit latency (submit → durable ack), µs: a recorded
-    /// value from [`ThreadCluster::latency_samples`].
-    pub p50_us: u64,
-    /// Tail commit latency, µs (a recorded value, see `p50_us`).
-    pub p99_us: u64,
     /// Spans this run added to the cluster trace (0 with tracing off).
     pub spans: u64,
 }
@@ -300,8 +295,7 @@ impl ThreadCluster {
     }
 
     /// Commit latencies (µs, submit → durable ack) of every commit
-    /// acknowledged so far — the one latency recorder, behind
-    /// [`RtRunStats::p50_us`] / [`RtRunStats::p99_us`].
+    /// acknowledged so far — the one latency recorder.
     pub fn latency_samples(&self) -> &Reservoir {
         &self.latency_samples
     }
@@ -451,8 +445,6 @@ impl Runtime for ThreadCluster {
             wall_us,
             forces: forces_after - forces_before,
             msgs,
-            p50_us: self.latency_samples.percentile(0.50),
-            p99_us: self.latency_samples.percentile(0.99),
             spans: self.trace.observed() - spans_before,
         });
         self.trace
@@ -509,10 +501,18 @@ impl Runtime for ThreadCluster {
     ///
     /// Every listed node must be crashed: a node that is not is
     /// refused with [`Error::Protocol`], as the simulator refuses it,
-    /// before any node is touched. A `recover` that fails after that
+    /// before any node is touched. So is any option of `opts` other
+    /// than the nodes and the replay mode, with [`Error::Invalid`]
+    /// naming it: this restart has no standby, no interrupting crash
+    /// and no sabotage to run. A `recover` that fails after that
     /// leaves every listed node crashed, so that it can be run again
     /// and no run commits on a node that is up but unrecovered.
     fn recover(&mut self, opts: &RecoveryOptions) -> Result<RecoveryReport> {
+        if let Some(option) = opts.beyond_restart() {
+            return Err(Error::Invalid(format!(
+                "the threaded runtime does not honour RecoveryOptions::{option}"
+            )));
+        }
         let crashed = opts.recovered_nodes();
         for &c in crashed {
             if c.0 as usize >= self.nodes.len() {
@@ -549,10 +549,7 @@ impl ThreadCluster {
             ),
             None => SpanId::NONE,
         };
-        let mut report = RecoveryReport {
-            recovered_nodes: crashed.to_vec(),
-            ..RecoveryReport::default()
-        };
+        let mut report = RecoveryReport::default();
         let mut timings = PhaseTimings::default();
         let mut mark = Instant::now();
         fn lap(mark: &mut Instant) -> u64 {
@@ -2312,5 +2309,31 @@ mod tests {
                 r => panic!("{crashed:?}: expected NodeDown, got {:?}", r.map(|_| ())),
             }
         }
+    }
+
+    #[test]
+    fn recovery_refuses_options_it_does_not_honour() {
+        // A standby, an interrupting crash (torn or not) and the
+        // undo sabotage are each refused by name before any node is
+        // touched: the node stays crashed, and a plain restart works.
+        use cblog_common::RecoveryPhase;
+        let mut tc = ThreadCluster::new(ThreadClusterConfig::default()).unwrap();
+        tc.run(&[wplan(0, 0, &[(pid(0, 0), 0, 5)])]).unwrap();
+        tc.crash(NodeId(0)).unwrap();
+        let one = || RecoveryOptions::single(NodeId(0));
+        for (opts, name) in [
+            (one().with_standby(NodeId(1)), "with_standby"),
+            (one().crash_after(RecoveryPhase::Replay), "crash_after"),
+            (one().crash_after_tear(4, true), "crash_after_tear"),
+            (one().sabotage_skip_undo(), "sabotage_skip_undo"),
+        ] {
+            match tc.recover(&opts) {
+                Err(Error::Invalid(m)) => assert!(m.contains(name), "{name}: {m}"),
+                r => panic!("{name}: expected Invalid, got {:?}", r.map(|_| ())),
+            }
+            assert!(tc.nodes[0].is_crashed(), "{name}: node 0 was touched");
+        }
+        tc.recover(&one()).unwrap();
+        assert_eq!(slot0(&mut tc, 0), 5);
     }
 }

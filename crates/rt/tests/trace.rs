@@ -202,10 +202,8 @@ fn crash_and_parallel_recovery_are_watchdog_checked() {
     assert_eq!(report.committed, 12);
 
     tc.crash(NodeId(0)).unwrap();
-    let rec = tc
-        .recover(&RecoveryOptions::nodes(&[NodeId(0)]).replay(ReplayMode::Parallel { workers: 4 }))
+    tc.recover(&RecoveryOptions::nodes(&[NodeId(0)]).replay(ReplayMode::Parallel { workers: 4 }))
         .unwrap();
-    assert_eq!(rec.recovered_nodes, vec![NodeId(0)]);
 
     // recover() watchdog-checked the merged trace at join; the trace
     // carries the crash and the parallel replay's hops.

@@ -3,7 +3,7 @@
 //! the network tallies of the run.
 
 use crate::oracle::Oracle;
-use cblog_common::{NodeId, Result, SimTime};
+use cblog_common::{Result, SimTime};
 use cblog_core::{drive, Cluster, PlanOp, RunReport, TxnPlan};
 use cblog_net::{FaultStats, NetStats};
 
@@ -23,8 +23,6 @@ pub struct RunStats {
     pub sim_time: SimTime,
     /// Busy time of the bottleneck node, µs.
     pub max_busy: SimTime,
-    /// The bottleneck node.
-    pub bottleneck: Option<NodeId>,
     /// Committed-state oracle (verify it against the system!).
     pub oracle: Oracle,
 }
@@ -35,13 +33,12 @@ pub struct RunStats {
 pub fn run_workload(sys: &mut Cluster, plans: Vec<TxnPlan>) -> Result<RunStats> {
     let driven = drive(sys, &plans)?;
     let mut oracle = Oracle::new();
-    for (key, plan) in (0u64..).zip(&driven.acked) {
+    for plan in &driven.acked {
         for op in &plan.ops {
             if let PlanOp::Write { pid, slot, value } = *op {
-                oracle.stage(key, pid, slot, value);
+                oracle.commit(pid, slot, value);
             }
         }
-        oracle.commit(key);
     }
     let net = sys.network();
     Ok(RunStats {
@@ -50,7 +47,6 @@ pub fn run_workload(sys: &mut Cluster, plans: Vec<TxnPlan>) -> Result<RunStats> 
         faults: net.fault_stats(),
         sim_time: net.clock().now(),
         max_busy: net.clock().max_busy(),
-        bottleneck: net.clock().bottleneck(),
         oracle,
     })
 }
@@ -60,7 +56,7 @@ mod tests {
     use super::*;
     use crate::experiments::pages0;
     use crate::workload::{generate, WorkloadConfig};
-    use cblog_common::CostModel;
+    use cblog_common::{CostModel, NodeId};
     use cblog_core::{ClusterConfig, Paradigm};
 
     fn cluster(clients: usize, pages: u32, paradigm: Paradigm) -> Cluster {
@@ -71,7 +67,6 @@ mod tests {
                 .owned_pages(owned)
                 .page_size(512)
                 .buffer_frames(32)
-                .default_owned_pages(0)
                 .cost(CostModel::unit())
                 .paradigm(paradigm)
                 .build(),

@@ -54,7 +54,6 @@ pub fn elapsed_ms(mult: u64, paradigm: Paradigm) -> f64 {
             .owned_pages(vec![4, 0])
             .page_size(PAGE_SIZE)
             .buffer_frames(16)
-            .default_owned_pages(0)
             .cost(cost(mult))
             .paradigm(paradigm)
             .build(),

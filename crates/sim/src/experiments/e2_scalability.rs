@@ -64,7 +64,6 @@ pub fn run_one_two_owners(clients: usize) -> (f64, f64) {
             .owned_pages(owned)
             .page_size(PAGE_SIZE)
             .buffer_frames(PAGES_PER_CLIENT as usize * 2)
-            .default_owned_pages(0)
             .build(),
     )
     .expect("config");

@@ -54,7 +54,6 @@ pub fn builder() -> cblog_core::ClusterConfigBuilder {
         .owned_pages(vec![PAGES_PER_OWNER, PAGES_PER_OWNER, 0, 0, 0])
         .page_size(PAGE_SIZE)
         .buffer_frames(16)
-        .default_owned_pages(0)
 }
 
 /// Builds the topology, runs a mixed workload, crashes `which`, and

@@ -45,7 +45,6 @@ pub fn cbl_builder(clients: usize, pages: u32, frames: usize) -> ClusterConfigBu
         .owned_pages(owned)
         .page_size(PAGE_SIZE)
         .buffer_frames(frames)
-        .default_owned_pages(0)
 }
 
 /// As [`cbl_cluster`] with a bounded log and/or another paradigm.

@@ -18,7 +18,6 @@ type SlotKey = (PageId, usize);
 #[derive(Clone, Debug, Default)]
 pub struct Oracle {
     committed: HashMap<SlotKey, u64>,
-    staged: HashMap<u64, Vec<(SlotKey, u64)>>,
 }
 
 impl Oracle {
@@ -27,22 +26,10 @@ impl Oracle {
         Oracle::default()
     }
 
-    /// Stages a write of an uncommitted transaction (keyed by an
-    /// opaque id the driver chooses).
-    pub fn stage(&mut self, txn_key: u64, pid: PageId, slot: usize, value: u64) {
-        self.staged
-            .entry(txn_key)
-            .or_default()
-            .push(((pid, slot), value));
-    }
-
-    /// Folds a transaction's staged writes into committed state.
-    pub fn commit(&mut self, txn_key: u64) {
-        if let Some(writes) = self.staged.remove(&txn_key) {
-            for (k, v) in writes {
-                self.committed.insert(k, v);
-            }
-        }
+    /// Records one write of a transaction whose commit was
+    /// acknowledged: `value` is now the slot's committed value.
+    pub fn commit(&mut self, pid: PageId, slot: usize, value: u64) {
+        self.committed.insert((pid, slot), value);
     }
 
     /// Expected committed value of a slot, if any write committed.
@@ -108,26 +95,11 @@ mod tests {
     use cblog_common::NodeId;
 
     #[test]
-    fn staged_writes_apply_only_on_commit() {
-        let mut o = Oracle::new();
-        let p = PageId::new(NodeId(0), 0);
-        o.stage(1, p, 0, 10);
-        o.stage(2, p, 1, 20);
-        assert!(o.committed.is_empty());
-        o.commit(1);
-        assert_eq!(o.expect(p, 0), Some(10));
-        assert_eq!(o.expect(p, 1), None);
-        assert_eq!(o.committed.len(), 1);
-    }
-
-    #[test]
     fn later_commit_overwrites() {
         let mut o = Oracle::new();
         let p = PageId::new(NodeId(0), 0);
-        o.stage(1, p, 0, 10);
-        o.commit(1);
-        o.stage(2, p, 0, 30);
-        o.commit(2);
+        o.commit(p, 0, 10);
+        o.commit(p, 0, 30);
         assert_eq!(o.expect(p, 0), Some(30));
     }
 }

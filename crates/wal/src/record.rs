@@ -354,20 +354,6 @@ pub enum LogPayload {
     CheckpointBegin,
     /// Fuzzy checkpoint finished; body snapshotted during the fuzz.
     CheckpointEnd(CheckpointBody),
-    /// Page allocation in the local database.
-    AllocPage {
-        /// Allocated page.
-        pid: PageId,
-        /// Kind tag (storage::PageKind encoding).
-        kind: u8,
-    },
-    /// Page deallocation in the local database.
-    FreePage {
-        /// Freed page.
-        pid: PageId,
-        /// PSN at deallocation (raises the space-map floor).
-        final_psn: Psn,
-    },
 }
 
 /// One record in a node's local log.
@@ -450,20 +436,6 @@ pub enum LogPayloadRef<'a> {
     /// See [`LogPayload::CheckpointEnd`]. The one payload a decode
     /// allocates for: its body is two lists, and a log holds few.
     CheckpointEnd(Cow<'a, CheckpointBody>),
-    /// See [`LogPayload::AllocPage`].
-    AllocPage {
-        /// Allocated page.
-        pid: PageId,
-        /// Kind tag.
-        kind: u8,
-    },
-    /// See [`LogPayload::FreePage`].
-    FreePage {
-        /// Freed page.
-        pid: PageId,
-        /// PSN at deallocation.
-        final_psn: Psn,
-    },
 }
 
 /// Payload tag of [`LogPayload::Update`].
@@ -524,8 +496,6 @@ impl LogPayloadRef<'_> {
             LogPayloadRef::Abort => 4,
             LogPayloadRef::CheckpointBegin => 5,
             LogPayloadRef::CheckpointEnd(_) => 6,
-            LogPayloadRef::AllocPage { .. } => 7,
-            LogPayloadRef::FreePage { .. } => 8,
         }
     }
 }
@@ -572,14 +542,6 @@ impl<'a> From<&'a LogRecord> for LogRecordRef<'a> {
             LogPayload::Abort => LogPayloadRef::Abort,
             LogPayload::CheckpointBegin => LogPayloadRef::CheckpointBegin,
             LogPayload::CheckpointEnd(b) => LogPayloadRef::CheckpointEnd(Cow::Borrowed(b)),
-            LogPayload::AllocPage { pid, kind } => LogPayloadRef::AllocPage {
-                pid: *pid,
-                kind: *kind,
-            },
-            LogPayload::FreePage { pid, final_psn } => LogPayloadRef::FreePage {
-                pid: *pid,
-                final_psn: *final_psn,
-            },
         };
         LogRecordRef {
             txn: r.txn,
@@ -637,14 +599,6 @@ impl<'a> LogRecordRef<'a> {
             LogPayloadRef::Abort => LogPayload::Abort,
             LogPayloadRef::CheckpointBegin => LogPayload::CheckpointBegin,
             LogPayloadRef::CheckpointEnd(b) => LogPayload::CheckpointEnd(CheckpointBody::clone(b)),
-            LogPayloadRef::AllocPage { pid, kind } => LogPayload::AllocPage {
-                pid: *pid,
-                kind: *kind,
-            },
-            LogPayloadRef::FreePage { pid, final_psn } => LogPayload::FreePage {
-                pid: *pid,
-                final_psn: *final_psn,
-            },
         };
         LogRecord {
             txn: self.txn,
@@ -698,14 +652,6 @@ impl<'a> LogRecordRef<'a> {
                         out.put_txn(*t);
                         out.put_lsn(*l);
                     }
-                }
-                LogPayloadRef::AllocPage { pid, kind } => {
-                    out.put_page(*pid);
-                    out.put_u8(*kind);
-                }
-                LogPayloadRef::FreePage { pid, final_psn } => {
-                    out.put_page(*pid);
-                    out.put_psn(*final_psn);
                 }
             },
         )
@@ -797,14 +743,6 @@ fn decode_payload<'a>(tag: u8, d: &mut Decoder<'_>) -> Result<LogPayloadRef<'a>>
             }
             LogPayloadRef::CheckpointEnd(Cow::Owned(CheckpointBody { dpt, active_txns }))
         }
-        7 => LogPayloadRef::AllocPage {
-            pid: d.get_page()?,
-            kind: d.get_u8()?,
-        },
-        8 => LogPayloadRef::FreePage {
-            pid: d.get_page()?,
-            final_psn: d.get_psn()?,
-        },
         t => return Err(Error::Corrupt(format!("bad log payload tag {t}"))),
     })
 }
@@ -947,22 +885,6 @@ mod tests {
                     dpt: vec![DptEntry::new(pid(), Psn(3), Lsn(44))],
                     active_txns: vec![(txn(), Lsn(40))],
                 }),
-            },
-            LogRecord {
-                txn: txn(),
-                prev_lsn: Lsn::ZERO,
-                payload: LogPayload::AllocPage {
-                    pid: pid(),
-                    kind: 1,
-                },
-            },
-            LogRecord {
-                txn: txn(),
-                prev_lsn: Lsn::ZERO,
-                payload: LogPayload::FreePage {
-                    pid: pid(),
-                    final_psn: Psn(12),
-                },
             },
         ]
     }

@@ -92,10 +92,6 @@ fn main() {
         report.pages_skipped_cached
     );
     println!(
-        "  pages pulled to owner:         {}",
-        report.pages_pulled_to_owner
-    );
-    println!(
         "  records replayed:              {}",
         report.records_replayed
     );

@@ -17,7 +17,6 @@ fn cbl_cfg() -> ClusterConfigBuilder {
         .owned_pages(vec![PAGES, 0, 0])
         .page_size(1024)
         .buffer_frames(16)
-        .default_owned_pages(0)
         .cost(CostModel::unit())
 }
 

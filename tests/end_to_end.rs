@@ -12,7 +12,6 @@ fn cluster(owned: Vec<u32>, frames: usize) -> Cluster {
             .owned_pages(owned)
             .page_size(1024)
             .buffer_frames(frames)
-            .default_owned_pages(0)
             .cost(CostModel::unit())
             .build(),
     )
@@ -177,7 +176,6 @@ fn bounded_logs_on_all_nodes_sustain_long_runs() {
             .owned_pages(vec![8, 0, 0])
             .page_size(1024)
             .buffer_frames(16)
-            .default_owned_pages(0)
             .log_capacity(Some(16 * 1024))
             .cost(CostModel::unit())
             .build(),

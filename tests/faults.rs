@@ -13,7 +13,6 @@ fn cluster(owned: Vec<u32>, policy: GroupCommitPolicy, faults: FaultPlan) -> Clu
             .owned_pages(owned)
             .page_size(1024)
             .buffer_frames(16)
-            .default_owned_pages(0)
             .cost(CostModel::unit())
             .group_commit(policy)
             .faults(faults)
@@ -182,9 +181,8 @@ fn crash_during_recovery_is_idempotent_after_every_phase() {
             Error::RecoveryInterrupted(p) => assert_eq!(p, phase),
             other => panic!("expected RecoveryInterrupted({phase}), got {other}"),
         }
-        let rep = recovery::recover(&mut c, &RecoveryOptions::single(NodeId(0)))
+        recovery::recover(&mut c, &RecoveryOptions::single(NodeId(0)))
             .unwrap_or_else(|e| panic!("re-run after {phase} crash failed: {e}"));
-        assert_eq!(rep.recovered_nodes, vec![NodeId(0)]);
         assert_recovered(&mut c, &expect);
     }
 }

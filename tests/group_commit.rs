@@ -16,7 +16,6 @@ fn gc_cluster(clients: usize, pages: u32, policy: GroupCommitPolicy) -> Cluster 
             .owned_pages(owned)
             .page_size(1024)
             .buffer_frames(32)
-            .default_owned_pages(0)
             .cost(CostModel::unit())
             .group_commit(policy)
             .tracing(true)
@@ -219,7 +218,6 @@ fn one_pump_flushes_every_scheduler_the_clock_ran_past() {
             .owned_pages(vec![8, 0, 0, 0])
             .page_size(1024)
             .buffer_frames(32)
-            .default_owned_pages(0)
             .cost(CostModel {
                 msg_fixed_us: 500,
                 wire_us_per_kib: 0,

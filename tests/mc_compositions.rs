@@ -16,7 +16,6 @@ fn cluster(owned: Vec<u32>, policy: GroupCommitPolicy, tracing: bool) -> Cluster
             .owned_pages(owned)
             .page_size(1024)
             .buffer_frames(16)
-            .default_owned_pages(0)
             .cost(CostModel::unit())
             .group_commit(policy)
             .faults(FaultPlan::default())

@@ -15,7 +15,6 @@ fn scenario() -> Cluster {
             .owned_pages(vec![2, 0])
             .page_size(1024)
             .buffer_frames(16)
-            .default_owned_pages(0)
             .cost(CostModel::unit())
             .build(),
     )

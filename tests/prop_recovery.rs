@@ -23,7 +23,6 @@ fn build(clients: usize, frames: usize) -> Cluster {
             .owned_pages(owned)
             .page_size(1024)
             .buffer_frames(frames)
-            .default_owned_pages(0)
             .cost(CostModel::unit())
             .build(),
     )

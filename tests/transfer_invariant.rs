@@ -73,7 +73,6 @@ fn cluster(clients: usize) -> Cluster {
             .owned_pages(owned)
             .page_size(1024)
             .buffer_frames(8)
-            .default_owned_pages(0)
             .cost(CostModel::unit())
             .build(),
     )

@@ -32,6 +32,24 @@
 # `SyncFaultStore::new`, `Table::is_empty`, `Trace::is_empty` and
 # `Reservoir::count`.
 #
+# Neither sees a `pub` field that is written but never read, nor an
+# enum variant never built; the by-field probe does. On a scratch copy,
+# put `#[deprecated]` on every `pub` field and every variant of a `pub`
+# enum of the engine crates, outside test code, run the same two
+# `cargo check`s with `--message-format=json`, and sort each
+# `use of deprecated` warning: a field use is a read when its span ends
+# in `.name` and is not the target of `=` or `op=`, and is otherwise an
+# init or a pattern; a variant use is a pattern when `=>`, `|`, `if` or
+# a `let`'s `=` follows it, and is otherwise a construction. A field no
+# non-test code reads, a variant no non-test code builds, and an item
+# no warning names are findings; a variant only another variant's
+# conversion builds is checked by hand. Its last run, recorded in
+# CHANGES.md with the deletions it led to, kept these, each with a
+# reason there: `FaultStats::{delayed, duplicated, reordered,
+# exhausted}`, `LogMergeCost::{logs_merged, records_merged}`,
+# `NodePsnEntry::{lsn, txn}`, `OverheadRow::dropped` and
+# `SpanCtx::parent`.
+#
 # A name in KEEP below is printed with its reason after `# KEEP:`;
 # every other line of the list is a finding, and so is a KEEP name the
 # list no longer has.
