@@ -2316,7 +2316,6 @@ mod tests {
         // A standby, an interrupting crash (torn or not) and the
         // undo sabotage are each refused by name before any node is
         // touched: the node stays crashed, and a plain restart works.
-        use cblog_common::RecoveryPhase;
         let mut tc = ThreadCluster::new(ThreadClusterConfig::default()).unwrap();
         tc.run(&[wplan(0, 0, &[(pid(0, 0), 0, 5)])]).unwrap();
         tc.crash(NodeId(0)).unwrap();
