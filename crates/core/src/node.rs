@@ -25,11 +25,12 @@ use cblog_locks::{
 };
 use cblog_storage::{BufferPool, Database, EvictedPage, MemStorage, Page, PageKind};
 use cblog_wal::{
-    CheckpointBody, DirtyPageTable, LogManager, LogPayload, LogPayloadRef, LogRecord, LogRecordRef,
-    LogStore, MemLogStore, PageOp, PageOpRef,
+    Batch, CheckpointBody, DirtyPageTable, LogManager, LogPayload, LogPayloadRef, LogRecord,
+    LogRecordRef, LogStore, MemLogStore, PageOp, PageOpRef,
 };
 use std::collections::hash_map::Entry;
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
 
 /// Reserved transaction id used for non-transactional records
 /// (checkpoints) in a node's log.
@@ -397,22 +398,159 @@ fn disk_image(db: &mut Option<Database>, pid: PageId) -> Result<RedoImage> {
     })
 }
 
+/// The batches [`collect`] reads ahead into: one the caller parses,
+/// two the reader fills meanwhile.
+const BATCHES: usize = 3;
+
 /// The one log collector (DESIGN §13): reads `[from, end)` of `log`
 /// once and hands every record, with its LSN and the frame it was
-/// decoded from, to `each`, stopping at the first error either returns.
-/// A function of the log alone, so that `each` may borrow the rest of
-/// the node.
+/// decoded from, to `each` in log order, stopping at the first error
+/// either returns. A function of the log alone, so that `each` may
+/// borrow the rest of the node.
+///
+/// The scan runs in two stages. The reader reads the range a
+/// [`Batch`] at a time and checks each record's length and checksum
+/// ([`LogManager::read_batch`]); the caller parses each checked record
+/// once and runs `each` ([`Batch::parse_each`]). The caller reads the
+/// first batch itself, and only a range that goes past it starts a
+/// reader thread, scoped to the call, which fills the next batches
+/// while the caller works through the one before. The batches are
+/// allocated here, [`BATCHES`] of them, and go back and forth through
+/// a [`Handover`]. A record fails where a scan fails it, after every
+/// record before it; an error of `each` stops the reader; a panic of
+/// the reader comes back as [`Error::Protocol`].
 fn collect(
     log: &mut LogManager,
     from: Lsn,
     mut each: impl FnMut(Lsn, &[u8], &LogRecordRef<'_>) -> Result<()>,
 ) -> Result<()> {
-    let mut scan = log.scan(from);
-    while let Some(r) = scan.next_framed() {
-        let (pos, frame, rec) = r?;
-        each(pos, frame, &rec)?;
+    let mut batch = Batch::new();
+    log.read_batch(from, &mut batch);
+    if batch.is_last() {
+        return batch.parse_each(each);
     }
-    Ok(())
+    let mut free = Vec::with_capacity(BATCHES);
+    free.extend((1..BATCHES).map(|_| Batch::new()));
+    let handover = Handover {
+        queues: Mutex::new(Queues {
+            filled: VecDeque::with_capacity(BATCHES),
+            free,
+            reader_stopped: false,
+            caller_stopped: false,
+        }),
+        moved: Condvar::new(),
+    };
+    let mut next = batch.end();
+    std::thread::scope(|s| {
+        let reader = std::thread::Builder::new().spawn_scoped(s, || {
+            let _stop = Stopping(&handover, |q| q.reader_stopped = true);
+            while let Some(mut b) = handover.free() {
+                log.read_batch(next, &mut b);
+                next = b.end();
+                let last = b.is_last();
+                handover.update(|q| q.filled.push_back(b));
+                if last {
+                    break;
+                }
+            }
+        })?;
+        let parsed = parse_batches(batch, &handover, &mut each);
+        match reader.join() {
+            Ok(()) => parsed,
+            Err(_) => Err(Error::Protocol("the log reader thread panicked".into())),
+        }
+    })
+}
+
+/// The caller's stage of [`collect`]: parses `batch` and each batch
+/// the reader fills after it, until the last, and gives every batch
+/// back to be filled again.
+fn parse_batches(
+    mut batch: Batch,
+    handover: &Handover,
+    each: &mut impl FnMut(Lsn, &[u8], &LogRecordRef<'_>) -> Result<()>,
+) -> Result<()> {
+    let _stop = Stopping(handover, |q| q.caller_stopped = true);
+    loop {
+        let last = batch.is_last();
+        batch.parse_each(&mut *each)?;
+        if last {
+            return Ok(());
+        }
+        handover.update(|q| q.free.push(batch));
+        batch = handover.filled().ok_or_else(|| {
+            Error::Protocol("the log reader stopped before the end of the range".into())
+        })?;
+    }
+}
+
+/// The batches in flight between [`collect`]'s two stages. Waiting on
+/// it allocates nothing, where a channel allocates on a thread's first
+/// wait, so a pass allocates the same whichever stage waits.
+struct Handover {
+    queues: Mutex<Queues>,
+    moved: Condvar,
+}
+
+/// The batches the reader filled, oldest first, those the caller gave
+/// back to fill again, and which stage stopped.
+struct Queues {
+    filled: VecDeque<Batch>,
+    free: Vec<Batch>,
+    reader_stopped: bool,
+    caller_stopped: bool,
+}
+
+impl Handover {
+    fn lock(&self) -> MutexGuard<'_, Queues> {
+        self.queues.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Changes the queues and wakes the other stage.
+    fn update(&self, change: impl FnOnce(&mut Queues)) {
+        change(&mut self.lock());
+        self.moved.notify_all();
+    }
+
+    /// The oldest batch the reader filled, once there is one; `None`
+    /// once the reader stopped with none left.
+    fn filled(&self) -> Option<Batch> {
+        let mut q = self.lock();
+        loop {
+            if let Some(b) = q.filled.pop_front() {
+                return Some(b);
+            }
+            if q.reader_stopped {
+                return None;
+            }
+            q = self.moved.wait(q).unwrap_or_else(PoisonError::into_inner);
+        }
+    }
+
+    /// A batch to fill, once there is one; `None` once the caller
+    /// stopped.
+    fn free(&self) -> Option<Batch> {
+        let mut q = self.lock();
+        loop {
+            if q.caller_stopped {
+                return None;
+            }
+            if let Some(b) = q.free.pop() {
+                return Some(b);
+            }
+            q = self.moved.wait(q).unwrap_or_else(PoisonError::into_inner);
+        }
+    }
+}
+
+/// Marks a stage of [`collect`] stopped when it ends, by a return, an
+/// error or a panic, so that the other never waits for it.
+struct Stopping<'a>(&'a Handover, fn(&mut Queues));
+
+impl Drop for Stopping<'_> {
+    fn drop(&mut self) {
+        self.0.update(self.1);
+    }
 }
 
 /// Outcome of one rollback step (driven by the cluster because undoing
@@ -1504,6 +1642,9 @@ impl Node {
 mod tests {
     use super::*;
     use cblog_common::Encoder;
+    use cblog_wal::BATCH;
+    use std::sync::atomic::{AtomicU64, Ordering};
+    use std::sync::Arc;
 
     fn node() -> Node {
         Node::new(
@@ -2656,5 +2797,265 @@ mod tests {
         assert_eq!(n.peek_slot(pid, 1), before);
         assert_eq!(n.buffer.peek(pid).unwrap().psn(), psn);
         assert_eq!(n.log().tail_bytes(), tail);
+    }
+
+    /// What the log collector's tests arm on a [`SeamStore`]: the byte
+    /// read back inverted and the offset from which a read panics
+    /// (`u64::MAX` for neither), and the reads made.
+    #[derive(Default)]
+    struct Seams {
+        flip: AtomicU64,
+        panic_at: AtomicU64,
+        reads: AtomicU64,
+    }
+
+    /// A `MemLogStore` whose reads obey its [`Seams`].
+    struct SeamStore(MemLogStore, Arc<Seams>);
+
+    impl LogStore for SeamStore {
+        fn len(&self) -> u64 {
+            self.0.len()
+        }
+        fn append(&mut self, bytes: &[u8]) -> Result<()> {
+            self.0.append(bytes)
+        }
+        fn read_at(&mut self, pos: u64, buf: &mut [u8]) -> Result<()> {
+            let seams = &self.1;
+            seams.reads.fetch_add(1, Ordering::Relaxed);
+            let end = pos + buf.len() as u64;
+            assert!(
+                end <= seams.panic_at.load(Ordering::Relaxed),
+                "a planted panic on a read of [{pos}, {end})"
+            );
+            self.0.read_at(pos, buf)?;
+            let flip = seams.flip.load(Ordering::Relaxed);
+            if (pos..end).contains(&flip) {
+                buf[(flip - pos) as usize] ^= 0x40;
+            }
+            Ok(())
+        }
+        fn sync(&mut self) -> Result<()> {
+            self.0.sync()
+        }
+        fn synced_len(&self) -> Option<u64> {
+            self.0.synced_len()
+        }
+        fn write_master(&mut self, bytes: &[u8]) -> Result<()> {
+            self.0.write_master(bytes)
+        }
+        fn read_master(&mut self) -> Result<Vec<u8>> {
+            self.0.read_master()
+        }
+        fn crash(&mut self) {
+            self.0.crash()
+        }
+        fn crash_with_partial_tail(&mut self, partial: &[u8]) {
+            self.0.crash_with_partial_tail(partial)
+        }
+        fn truncate_to(&mut self, len: u64) {
+            self.0.truncate_to(len)
+        }
+        fn syncs(&self) -> &Counter {
+            self.0.syncs()
+        }
+        fn bytes_appended(&self) -> &Counter {
+            self.0.bytes_appended()
+        }
+    }
+
+    /// A log over a [`SeamStore`] of `batches` batches' worth of forced
+    /// records of mixed sizes, one of them larger than a batch, then an
+    /// unflushed tail of five; with the LSN of every record.
+    fn seam_log(batches: usize) -> (LogManager, Vec<Lsn>, Arc<Seams>) {
+        let seams = Arc::new(Seams {
+            flip: AtomicU64::new(u64::MAX),
+            panic_at: AtomicU64::new(u64::MAX),
+            ..Seams::default()
+        });
+        let store = SeamStore(MemLogStore::new(), seams.clone());
+        let mut log = LogManager::new(NodeId(0), Box::new(store)).unwrap();
+        let rec = |seq: u64, prev: Lsn, n: usize| LogRecord {
+            txn: TxnId::new(NodeId(0), seq),
+            prev_lsn: prev,
+            payload: LogPayload::Update {
+                pid: PageId::new(NodeId(0), (seq % 7) as u32),
+                psn_before: Psn(seq),
+                op: PageOp::WriteRange {
+                    off: 0,
+                    before: vec![0; 8],
+                    after: (0..n).map(|i| (seq as usize + i) as u8).collect(),
+                },
+            },
+        };
+        let (mut lsns, mut prev, mut seq) = (Vec::new(), Lsn::ZERO, 0u64);
+        while log.end_lsn().0 < (batches * BATCH) as u64 {
+            seq += 1;
+            let n = match seq {
+                60 => BATCH + 1000,
+                _ => 8 + (seq as usize * 37 + (seq % 50) as usize * 101) % 3000,
+            };
+            prev = log.append(&rec(seq, prev, n)).unwrap();
+            lsns.push(prev);
+            if seq % 16 == 0 {
+                log.force_all().unwrap();
+            }
+        }
+        log.force_all().unwrap();
+        for _ in 0..5 {
+            seq += 1;
+            prev = log.append(&rec(seq, prev, 100)).unwrap();
+            lsns.push(prev);
+        }
+        (log, lsns, seams)
+    }
+
+    /// The batches `read_batch` cuts the forced records of `lsns` into,
+    /// from `lsns[0]`: the index in `lsns` of each one's first record,
+    /// and the end of the bytes it read.
+    fn batches(lsns: &[Lsn], durable: Lsn) -> Vec<(usize, u64)> {
+        let end = |i: usize| lsns.get(i + 1).map_or(u64::MAX, |l| l.0);
+        let window = |i: usize| {
+            let size = (end(i) - lsns[i].0) as usize;
+            (i, (lsns[i].0 + BATCH.max(size) as u64).min(durable.0))
+        };
+        let mut cut = vec![window(0)];
+        for (i, &lsn) in lsns.iter().enumerate().skip(1) {
+            if lsn < durable && end(i) > cut[cut.len() - 1].1 {
+                cut.push(window(i));
+            }
+        }
+        cut
+    }
+
+    /// `collect` from `from`, as `(lsn, record)` pairs, and how it
+    /// ended. Each frame is its record's.
+    fn collected(log: &mut LogManager, from: Lsn) -> (Vec<(Lsn, LogRecord)>, Result<()>) {
+        let mut got = Vec::new();
+        let r = collect(log, from, |pos, frame, rec| {
+            assert_eq!(LogRecordRef::decode(frame)?, (rec.clone(), frame.len()));
+            got.push((pos, rec.to_owned()));
+            Ok(())
+        });
+        (got, r)
+    }
+
+    /// The records a scan from `from` yields, and the text of the error
+    /// it ends with, if any.
+    fn scanned(log: &mut LogManager, from: Lsn) -> (Vec<(Lsn, LogRecord)>, Option<String>) {
+        let mut got = Vec::new();
+        for r in log.scan(from) {
+            match r {
+                Ok(rec) => got.push(rec),
+                Err(e) => return (got, Some(e.to_string())),
+            }
+        }
+        (got, None)
+    }
+
+    #[test]
+    fn the_collector_reads_what_a_read_loop_reads_across_its_batches() {
+        let (mut log, lsns, _) = seam_log(6);
+        let durable = log.flushed_lsn();
+        let cut = batches(&lsns, durable);
+        assert!(cut.len() >= 6, "{} batches", cut.len());
+        for w in cut.windows(2) {
+            let ((first, end), (next, _)) = (w[0], w[1]);
+            let larger = next == first + 1 && end - lsns[first].0 > BATCH as u64;
+            assert!(
+                lsns[next].0 < end || larger,
+                "the batch from {} ends inside a record, or holds one larger than a batch",
+                lsns[first]
+            );
+        }
+        assert!(
+            cut.windows(2)
+                .any(|w| w[0].1 - lsns[w[0].0].0 > BATCH as u64),
+            "a forced record is larger than a batch"
+        );
+        assert!(
+            lsns[lsns.len() - 5] >= durable,
+            "the log ends in its unflushed tail"
+        );
+        let n = lsns.len();
+        for from in [
+            lsns[0],
+            lsns[cut[2].0],
+            lsns[n / 2],
+            lsns[n - 5],
+            lsns[n - 2],
+        ] {
+            let mut want = Vec::new();
+            let mut pos = from;
+            while pos < log.end_lsn() {
+                let (rec, next) = log.read_record(pos).unwrap();
+                want.push((pos, rec));
+                pos = next;
+            }
+            let (got, r) = collected(&mut log, from);
+            r.unwrap();
+            assert_eq!(got, want, "from {from}");
+        }
+    }
+
+    #[test]
+    fn a_bad_checksum_in_the_third_batch_fails_after_the_records_before_it() {
+        let (mut log, lsns, seams) = seam_log(6);
+        let third = batches(&lsns, log.flushed_lsn())[2].0;
+        // The batch's first record, framed by a read, and its second,
+        // framed inside the bytes read.
+        for bad in [third, third + 1] {
+            seams.flip.store(lsns[bad].0 + 8 + 2, Ordering::Relaxed);
+            let (want, err) = scanned(&mut log, lsns[0]);
+            assert_eq!(want.len(), bad, "the scan fails at the flipped record");
+            assert_eq!(
+                err.as_deref(),
+                Some("corruption detected: log record crc mismatch")
+            );
+            let (got, r) = collected(&mut log, lsns[0]);
+            assert_eq!(got, want, "every record before the bad one, and no other");
+            assert_eq!(r.map_err(|e| e.to_string()).err(), err);
+        }
+    }
+
+    #[test]
+    fn an_error_of_each_in_the_first_batch_stops_the_reader() {
+        let (mut log, lsns, seams) = seam_log(24);
+        let cut = batches(&lsns, log.flushed_lsn());
+        assert!(cut.len() >= 24);
+        let mut calls = 0;
+        let r = collect(&mut log, lsns[0], |_, _, _| {
+            calls += 1;
+            if calls == 3 {
+                return Err(Error::Invalid("stop here".into()));
+            }
+            Ok(())
+        });
+        assert!(matches!(r, Err(Error::Invalid(m)) if m == "stop here"));
+        assert_eq!(calls, 3, "no record after the error");
+        // The first batch, and the two the reader fills before it waits.
+        let reads = seams.reads.load(Ordering::Relaxed);
+        assert!(
+            reads <= 2 * BATCHES as u64,
+            "{reads} reads of a log of {} batches",
+            cut.len()
+        );
+    }
+
+    #[test]
+    fn a_panic_of_the_reader_comes_back_as_an_error() {
+        let (mut log, lsns, seams) = seam_log(6);
+        let cut = batches(&lsns, log.flushed_lsn());
+        // The read of the third batch panics, on the reader thread.
+        seams.panic_at.store(cut[1].1, Ordering::Relaxed);
+        let (got, r) = collected(&mut log, lsns[0]);
+        match r {
+            Err(Error::Protocol(m)) => assert_eq!(m, "the log reader thread panicked"),
+            r => panic!("expected Protocol, got {r:?}"),
+        }
+        assert_eq!(got.len(), cut[2].0, "the records of the first two batches");
+        seams.panic_at.store(u64::MAX, Ordering::Relaxed);
+        let (got, r) = collected(&mut log, lsns[0]);
+        r.unwrap();
+        assert_eq!(got.len(), lsns.len(), "the log reads whole again");
     }
 }

@@ -3,30 +3,38 @@
 //! A wall clock on a shared two-core guest cannot say whether the
 //! update path still builds owned records, or whether a restart scan
 //! still copies every record it reads; the allocator can. The counter
-//! is per thread, so tests running beside each other do not count each
-//! other's allocations.
+//! is process-wide, so it sees the threads a pass starts (the log
+//! collector's reader), and this file's tests take turns on one lock,
+//! so they do not count each other's allocations.
 
 use cblog_common::{Error, NodeId, PageId, TxnId};
 use cblog_core::{plan_replay, recover, Cluster, ClusterConfig, Node, NodeConfig, RecoveryOptions};
 use cblog_locks::{LockMode, ShardedLockTable};
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
 use std::collections::BTreeMap;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Mutex, MutexGuard};
 
 struct Counting;
 
-thread_local! {
-    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
-}
+/// Allocations and reallocations on every thread of the process.
+static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
 
 fn bump() {
-    // A thread being torn down has no counter left; nothing measures it.
-    let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
+    ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+}
+
+/// Held by each test for its whole run: one test counts at a time.
+static TURN: Mutex<()> = Mutex::new(());
+
+fn my_turn() -> MutexGuard<'static, ()> {
+    // A test that failed holding the lock leaves nothing to clean up.
+    TURN.lock().unwrap_or_else(|e| e.into_inner())
 }
 
 // SAFETY: every call is forwarded unchanged to `System`, which upholds
-// the `GlobalAlloc` contract; the counter is a const-initialised
-// thread-local without a destructor, so touching it allocates nothing.
+// the `GlobalAlloc` contract; the counter is an atomic, so touching it
+// allocates nothing.
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         bump();
@@ -44,11 +52,12 @@ unsafe impl GlobalAlloc for Counting {
 #[global_allocator]
 static GLOBAL: Counting = Counting;
 
-/// Allocations (and reallocations) `f` makes on this thread.
+/// Allocations (and reallocations) `f` makes, on this thread and on
+/// any thread it starts.
 fn allocations_of<T>(f: impl FnOnce() -> T) -> (u64, T) {
-    let before = ALLOCATIONS.with(Cell::get);
+    let before = ALLOCATIONS.load(Ordering::SeqCst);
     let out = f();
-    (ALLOCATIONS.with(Cell::get) - before, out)
+    (ALLOCATIONS.load(Ordering::SeqCst) - before, out)
 }
 
 const PAGES: u32 = 32;
@@ -96,6 +105,7 @@ fn warm_node() -> Node {
 
 #[test]
 fn the_commit_path_allocates_only_to_grow() {
+    let _turn = my_turn();
     let mut node = warm_node();
     let mut parked = Vec::with_capacity(GROUP);
     commit_loop(&mut node, 1_000, &mut parked);
@@ -190,6 +200,7 @@ fn restart_allocations(n: u64) -> RestartAllocations {
 
 #[test]
 fn a_restart_pass_allocates_per_page_not_per_record() {
+    let _turn = my_turn();
     // Once the simulator's pass has read a sample of its range it
     // sizes its arena and list for the rest, so four times the records
     // over the same pages cost it no more allocations; growing them by
@@ -262,6 +273,7 @@ fn cluster_recovery_allocations(n: u64) -> (u64, u64) {
 
 #[test]
 fn a_simulated_recovery_allocates_per_page_not_per_record() {
+    let _turn = my_turn();
     // The crashed owner's one restart pass sizes its arrays from a
     // sample and yields its NodePSNList and redo records, and each
     // replay hop applies from them; what grows is the planner's table

@@ -50,7 +50,9 @@
 //! is node-local: one pass over each crashed log
 //! ([`Node::restart_redo`]) rebuilds the loser table and the DPT and,
 //! in the same loop, redoes each dirty page through the PSN filter as
-//! its records are read. Once every crashed node's pass has run, each
+//! its records are read. A second thread reads and checks the log one
+//! batch ahead of that loop, which stays in log order on the
+//! recovering thread. Once every crashed node's pass has run, each
 //! node finishes its own restart on the calling thread: it writes its
 //! redone pages in ascending page order, undoes its losers and
 //! checkpoints. Replay is confluent across pages (DESIGN §16), so no

@@ -21,7 +21,7 @@ pub mod record;
 pub mod store;
 
 pub use dpt::{DirtyPageTable, DptEntry};
-pub use manager::{LogManager, LogScan};
+pub use manager::{Batch, LogManager, LogScan, BATCH};
 pub use record::{
     CheckpointBody, LogPayload, LogPayloadRef, LogRecord, LogRecordRef, PageOp, PageOpRef,
 };

@@ -23,7 +23,7 @@
 //! * The master record anchors restart: it stores the LSN of the last
 //!   complete checkpoint and the truncation point.
 
-use crate::record::{LogRecord, LogRecordRef};
+use crate::record::{check_frame, LogRecord, LogRecordRef};
 use crate::store::LogStore;
 use cblog_common::{Counter, Decoder, Encoder, Error, Fnv1a, Lsn, NodeId, Result};
 
@@ -486,6 +486,79 @@ impl LogManager {
         }
     }
 
+    /// Reads the records from `from` into `batch` and checks each
+    /// one's length and checksum, parsing none: those wholly inside one
+    /// `read_at` of [`BATCH`] bytes at `from` (of the whole record, when
+    /// it is larger), then those of the unflushed tail that follow them
+    /// within [`BATCH`] bytes, the first of them always. Each record is
+    /// framed as a [`LogScan`] frames it, by `frame` or inside the
+    /// window `frame` filled, so a batch holds the records a scan from
+    /// `from` yields, and ends at the error a scan yields there. That
+    /// error, or the end of the log, is the last batch of the range
+    /// ([`Batch::is_last`]); the next batch starts at [`Batch::end`].
+    pub fn read_batch(&mut self, from: Lsn, batch: &mut Batch) {
+        batch.from = from;
+        batch.first = 0;
+        batch.end = 0;
+        batch.error = None;
+        let mut lsn = from;
+        while lsn < self.end_lsn {
+            match self.batch_frame(lsn, batch) {
+                Ok(true) => lsn = batch.end(),
+                Ok(false) => {
+                    batch.last = false;
+                    return;
+                }
+                Err(e) => {
+                    batch.error = Some(e);
+                    break;
+                }
+            }
+        }
+        batch.last = true;
+    }
+
+    /// Adds the record at `lsn`, the end of `batch`, to it, checked;
+    /// `false` if the record belongs to the next batch.
+    fn batch_frame(&mut self, lsn: Lsn, batch: &mut Batch) -> Result<bool> {
+        let empty = batch.first == batch.end;
+        if lsn >= self.tail_start {
+            // Tail records are copied in, behind the batch's last
+            // record when that ends its bytes.
+            if empty {
+                batch.win.bytes.clear();
+                batch.win.start = lsn.0;
+            } else if batch.end != batch.win.bytes.len() {
+                return Ok(false);
+            }
+            let n = check_frame(self.frame(lsn, &mut batch.win, BATCH)?)?;
+            if !empty && batch.end - batch.first + n > BATCH {
+                return Ok(false);
+            }
+            let at = (lsn.0 - self.tail_start.0) as usize;
+            batch.win.bytes.extend_from_slice(&self.tail[at..at + n]);
+            if empty {
+                batch.first = 0;
+            }
+            batch.end = batch.win.bytes.len();
+            return Ok(true);
+        }
+        let (off, n) = match batch.win.holds(lsn) {
+            Some(held) => held,
+            None if !empty => return Ok(false),
+            None => {
+                let n = self.frame(lsn, &mut batch.win, BATCH)?.len();
+                ((lsn.0 - batch.win.start) as usize, n)
+            }
+        };
+        check_frame(&batch.win.bytes[off..off + n])?;
+        if empty {
+            batch.first = off;
+        }
+        batch.end = off + n;
+        Ok(true)
+    }
+
     /// Records a completed checkpoint in the master record (durably).
     pub fn write_master(&mut self, last_checkpoint: Lsn) -> Result<()> {
         self.check_live()?;
@@ -608,6 +681,75 @@ const SCAN_READ_AHEAD: usize = 256 * 1024;
 /// Read-ahead of a point read: a typical record arrives with its
 /// header in one `read_at`.
 const POINT_READ_AHEAD: usize = 512;
+
+/// Bytes of one [`Batch`]: one `read_at` of the store, or of the
+/// unflushed tail copied. A reader a few batches ahead holds no more of
+/// the log than one [`LogScan`] window.
+pub const BATCH: usize = 64 * 1024;
+
+/// Whole records read and checked by [`LogManager::read_batch`], each
+/// parsed later by [`Batch::parse_each`]: a batch moves the checksum
+/// off the thread that parses. A batch is a buffer meant for reuse: one
+/// from [`Batch::new`] holds a whole batch, so reading into it again
+/// allocates only for a record larger than [`BATCH`].
+#[derive(Default)]
+pub struct Batch {
+    win: ReadWindow,
+    /// `win.bytes[first..end]` are the checked records, end to end.
+    first: usize,
+    end: usize,
+    /// LSN of the record at `first`.
+    from: Lsn,
+    /// Why the range ended at `end`, when a record there failed to read
+    /// or check.
+    error: Option<Error>,
+    /// Whether the range ends with this batch.
+    last: bool,
+}
+
+impl Batch {
+    /// An empty batch with room for [`BATCH`] bytes.
+    pub fn new() -> Batch {
+        Batch {
+            win: ReadWindow {
+                bytes: Vec::with_capacity(BATCH),
+                start: 0,
+            },
+            ..Batch::default()
+        }
+    }
+
+    /// The LSN past the batch's last record: where the next batch
+    /// starts.
+    pub fn end(&self) -> Lsn {
+        self.from.advance((self.end - self.first) as u64)
+    }
+
+    /// Whether the range ends with this batch: at the end of the log,
+    /// or at a record that failed to read or check.
+    pub fn is_last(&self) -> bool {
+        self.last
+    }
+
+    /// Parses each record of the batch in LSN order, its checksum not
+    /// computed again, and hands it to `each` with its LSN and frame;
+    /// then returns the error that ended the range here, if one did.
+    /// Stops at the first error a parse or `each` returns.
+    pub fn parse_each(
+        &mut self,
+        mut each: impl FnMut(Lsn, &[u8], &LogRecordRef<'_>) -> Result<()>,
+    ) -> Result<()> {
+        let mut off = self.first;
+        while off < self.end {
+            let total = u32::from_le_bytes(self.win.bytes[off..off + 4].try_into().unwrap());
+            let frame = &self.win.bytes[off..off + total as usize];
+            let lsn = self.from.advance((off - self.first) as u64);
+            each(lsn, frame, &LogRecordRef::parse(frame)?)?;
+            off += frame.len();
+        }
+        self.error.take().map_or(Ok(()), Err)
+    }
+}
 
 /// Store bytes `[start, start + bytes.len())` held in memory.
 #[derive(Default)]
@@ -794,6 +936,51 @@ mod tests {
         assert_eq!(lent, want, "next_ref from {from}");
         assert_eq!(scan.position(), stopped, "both stop at one place");
         assert!(scan.next_ref().is_none(), "a finished scan stays finished");
+
+        assert_eq!(batched(lm, from), want, "read_batch from {from}");
+    }
+
+    /// `read_batch` from `from`, batch after batch until the last, each
+    /// batch's records parsed: what the log collector sees. Each frame
+    /// spans its record, and a batch holds at most [`BATCH`] bytes or
+    /// one record.
+    fn batched(
+        lm: &mut LogManager,
+        from: Lsn,
+    ) -> Vec<std::result::Result<(Lsn, LogRecord), String>> {
+        let mut got = Vec::new();
+        let mut batch = Batch::new();
+        let mut next = from;
+        loop {
+            lm.read_batch(next, &mut batch);
+            let mut records = 0;
+            let parsed = batch.parse_each(|lsn, frame, rec| {
+                assert_eq!(
+                    LogRecordRef::decode(frame).unwrap(),
+                    (rec.clone(), frame.len())
+                );
+                got.push(Ok((lsn, rec.to_owned())));
+                records += 1;
+                Ok(())
+            });
+            assert!(
+                records <= 1 || batch.end().0 - next.0 <= BATCH as u64,
+                "{records} records in {} bytes",
+                batch.end().0 - next.0
+            );
+            if let Err(e) = parsed {
+                got.push(Err(e.to_string()));
+                return got;
+            }
+            if batch.is_last() {
+                return got;
+            }
+            assert!(
+                batch.end() > next,
+                "a batch that is not the last holds a record"
+            );
+            next = batch.end();
+        }
     }
 
     /// Fills `lm` past several read-ahead windows with records of

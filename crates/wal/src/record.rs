@@ -657,25 +657,24 @@ impl<'a> LogRecordRef<'a> {
         )
     }
 
-    /// Decodes one framed record from the front of `buf` in place,
-    /// checking its length and checksum, and returns it with the number
-    /// of bytes it takes. The one function that parses a frame.
+    /// Decodes one framed record from the front of `buf` in place and
+    /// returns it with the number of bytes it takes: the frame check
+    /// (its length and checksum), then the parse of the checked frame.
+    /// The one parser of a frame, and outside this crate the only way
+    /// to it, so nothing parses a frame that was not checked. Inside,
+    /// only the batch reader splits the two halves: it checks each
+    /// frame as it reads and parses it later ([`crate::manager::Batch`]).
+    #[inline]
     pub fn decode(buf: &'a [u8]) -> Result<(LogRecordRef<'a>, usize)> {
-        if buf.len() < 8 {
-            return Err(Error::Corrupt("truncated log record frame".into()));
-        }
-        let total = u32::from_le_bytes(buf[0..4].try_into().unwrap()) as usize;
-        if total < 8 || total > buf.len() {
-            return Err(Error::Corrupt(format!(
-                "log record length {total} exceeds available {}",
-                buf.len()
-            )));
-        }
-        let crc = u32::from_le_bytes(buf[4..8].try_into().unwrap());
-        let body = &buf[8..total];
-        if cblog_common::crc32(body) != crc {
-            return Err(Error::Corrupt("log record crc mismatch".into()));
-        }
+        let n = check_frame(buf)?;
+        Ok((LogRecordRef::parse(&buf[..n])?, n))
+    }
+
+    /// Parses `frame`, one record's whole frame that [`check_frame`]
+    /// passed, in place. Nothing is checked here but the body's fields.
+    #[inline]
+    pub(crate) fn parse(frame: &'a [u8]) -> Result<LogRecordRef<'a>> {
+        let body = &frame[8..];
         // Updates and CLRs, nearly every record, read their fixed
         // fields at fixed offsets behind one length check.
         let (h, payload) = match body.get(PREFIX - 1) {
@@ -707,15 +706,35 @@ impl<'a> LogRecordRef<'a> {
             h[..4].try_into().expect("a 4-byte range"),
         ));
         let txn = TxnId::new(node, u64_at(h, 4));
-        Ok((
-            LogRecordRef {
-                txn,
-                prev_lsn: Lsn(u64_at(h, 12)),
-                payload,
-            },
-            total,
-        ))
+        Ok(LogRecordRef {
+            txn,
+            prev_lsn: Lsn(u64_at(h, 12)),
+            payload,
+        })
     }
+}
+
+/// Checks the framed record at the front of `buf`, its length and its
+/// checksum, and returns the length of its frame: the half of
+/// [`LogRecordRef::decode`] that a batch reader runs ahead of the
+/// parse.
+#[inline]
+pub(crate) fn check_frame(buf: &[u8]) -> Result<usize> {
+    if buf.len() < 8 {
+        return Err(Error::Corrupt("truncated log record frame".into()));
+    }
+    let total = u32::from_le_bytes(buf[0..4].try_into().unwrap()) as usize;
+    if total < 8 || total > buf.len() {
+        return Err(Error::Corrupt(format!(
+            "log record length {total} exceeds available {}",
+            buf.len()
+        )));
+    }
+    let crc = u32::from_le_bytes(buf[4..8].try_into().unwrap());
+    if cblog_common::crc32(&buf[8..total]) != crc {
+        return Err(Error::Corrupt("log record crc mismatch".into()));
+    }
+    Ok(total)
 }
 
 /// The payload of a record other than an Update or a CLR, tagged `tag`,
