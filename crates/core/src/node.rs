@@ -30,7 +30,7 @@ use cblog_wal::{
 };
 use std::collections::hash_map::Entry;
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
-use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
+use std::sync::{Condvar, Mutex, PoisonError};
 
 /// Reserved transaction id used for non-transactional records
 /// (checkpoints) in a node's log.
@@ -435,16 +435,15 @@ fn collect(
         queues: Mutex::new(Queues {
             filled: VecDeque::with_capacity(BATCHES),
             free,
-            reader_stopped: false,
-            caller_stopped: false,
+            stopped: false,
         }),
         moved: Condvar::new(),
     };
     let mut next = batch.end();
     std::thread::scope(|s| {
         let reader = std::thread::Builder::new().spawn_scoped(s, || {
-            let _stop = Stopping(&handover, |q| q.reader_stopped = true);
-            while let Some(mut b) = handover.free() {
+            let _stop = Stopping(&handover);
+            while let Some(mut b) = handover.take(|q| q.free.pop()) {
                 log.read_batch(next, &mut b);
                 next = b.end();
                 let last = b.is_last();
@@ -470,7 +469,7 @@ fn parse_batches(
     handover: &Handover,
     each: &mut impl FnMut(Lsn, &[u8], &LogRecordRef<'_>) -> Result<()>,
 ) -> Result<()> {
-    let _stop = Stopping(handover, |q| q.caller_stopped = true);
+    let _stop = Stopping(handover);
     loop {
         let last = batch.is_last();
         batch.parse_each(&mut *each)?;
@@ -478,7 +477,7 @@ fn parse_batches(
             return Ok(());
         }
         handover.update(|q| q.free.push(batch));
-        batch = handover.filled().ok_or_else(|| {
+        batch = handover.take(|q| q.filled.pop_front()).ok_or_else(|| {
             Error::Protocol("the log reader stopped before the end of the range".into())
         })?;
     }
@@ -492,51 +491,32 @@ struct Handover {
     moved: Condvar,
 }
 
-/// The batches the reader filled, oldest first, those the caller gave
-/// back to fill again, and which stage stopped.
+/// The batches the reader filled, oldest first, and those the caller
+/// gave back to fill again.
 struct Queues {
     filled: VecDeque<Batch>,
     free: Vec<Batch>,
-    reader_stopped: bool,
-    caller_stopped: bool,
+    /// Set once either stage stops.
+    stopped: bool,
 }
 
 impl Handover {
-    fn lock(&self) -> MutexGuard<'_, Queues> {
-        self.queues.lock().unwrap_or_else(PoisonError::into_inner)
-    }
-
     /// Changes the queues and wakes the other stage.
     fn update(&self, change: impl FnOnce(&mut Queues)) {
-        change(&mut self.lock());
+        change(&mut self.queues.lock().unwrap_or_else(PoisonError::into_inner));
         self.moved.notify_all();
     }
 
-    /// The oldest batch the reader filled, once there is one; `None`
-    /// once the reader stopped with none left.
-    fn filled(&self) -> Option<Batch> {
-        let mut q = self.lock();
+    /// The batch `take` takes from the queues, once there is one;
+    /// `None` once there is none and a stage stopped.
+    fn take(&self, take: impl Fn(&mut Queues) -> Option<Batch>) -> Option<Batch> {
+        let mut q = self.queues.lock().unwrap_or_else(PoisonError::into_inner);
         loop {
-            if let Some(b) = q.filled.pop_front() {
+            if let Some(b) = take(&mut q) {
                 return Some(b);
             }
-            if q.reader_stopped {
+            if q.stopped {
                 return None;
-            }
-            q = self.moved.wait(q).unwrap_or_else(PoisonError::into_inner);
-        }
-    }
-
-    /// A batch to fill, once there is one; `None` once the caller
-    /// stopped.
-    fn free(&self) -> Option<Batch> {
-        let mut q = self.lock();
-        loop {
-            if q.caller_stopped {
-                return None;
-            }
-            if let Some(b) = q.free.pop() {
-                return Some(b);
             }
             q = self.moved.wait(q).unwrap_or_else(PoisonError::into_inner);
         }
@@ -545,11 +525,11 @@ impl Handover {
 
 /// Marks a stage of [`collect`] stopped when it ends, by a return, an
 /// error or a panic, so that the other never waits for it.
-struct Stopping<'a>(&'a Handover, fn(&mut Queues));
+struct Stopping<'a>(&'a Handover);
 
 impl Drop for Stopping<'_> {
     fn drop(&mut self) {
-        self.0.update(self.1);
+        self.0.update(|q| q.stopped = true);
     }
 }
 

@@ -497,8 +497,10 @@ impl LogManager {
     /// error, or the end of the log, is the last batch of the range
     /// ([`Batch::is_last`]); the next batch starts at [`Batch::end`].
     pub fn read_batch(&mut self, from: Lsn, batch: &mut Batch) {
+        // An empty window: the batch's first record refills it from its
+        // own start.
+        batch.win.bytes.clear();
         batch.from = from;
-        batch.first = 0;
         batch.end = 0;
         batch.error = None;
         let mut lsn = from;
@@ -521,41 +523,32 @@ impl LogManager {
     /// Adds the record at `lsn`, the end of `batch`, to it, checked;
     /// `false` if the record belongs to the next batch.
     fn batch_frame(&mut self, lsn: Lsn, batch: &mut Batch) -> Result<bool> {
-        let empty = batch.first == batch.end;
-        if lsn >= self.tail_start {
-            // Tail records are copied in, behind the batch's last
-            // record when that ends its bytes.
+        let empty = batch.end == 0;
+        let n = if lsn < self.tail_start {
+            let n = match batch.win.holds(lsn) {
+                Some((_, n)) => n,
+                None if empty => self.frame(lsn, &mut batch.win, BATCH)?.len(),
+                None => return Ok(false),
+            };
+            check_frame(&batch.win.bytes[batch.end..batch.end + n])?;
+            n
+        } else {
+            // The unflushed tail is copied in, behind the batch's
+            // records when they end the bytes it read.
             if empty {
-                batch.win.bytes.clear();
                 batch.win.start = lsn.0;
             } else if batch.end != batch.win.bytes.len() {
                 return Ok(false);
             }
             let n = check_frame(self.frame(lsn, &mut batch.win, BATCH)?)?;
-            if !empty && batch.end - batch.first + n > BATCH {
+            if !empty && batch.end + n > BATCH {
                 return Ok(false);
             }
             let at = (lsn.0 - self.tail_start.0) as usize;
             batch.win.bytes.extend_from_slice(&self.tail[at..at + n]);
-            if empty {
-                batch.first = 0;
-            }
-            batch.end = batch.win.bytes.len();
-            return Ok(true);
-        }
-        let (off, n) = match batch.win.holds(lsn) {
-            Some(held) => held,
-            None if !empty => return Ok(false),
-            None => {
-                let n = self.frame(lsn, &mut batch.win, BATCH)?.len();
-                ((lsn.0 - batch.win.start) as usize, n)
-            }
+            n
         };
-        check_frame(&batch.win.bytes[off..off + n])?;
-        if empty {
-            batch.first = off;
-        }
-        batch.end = off + n;
+        batch.end += n;
         Ok(true)
     }
 
@@ -695,10 +688,9 @@ pub const BATCH: usize = 64 * 1024;
 #[derive(Default)]
 pub struct Batch {
     win: ReadWindow,
-    /// `win.bytes[first..end]` are the checked records, end to end.
-    first: usize,
+    /// `win.bytes[..end]` are the checked records, end to end.
     end: usize,
-    /// LSN of the record at `first`.
+    /// LSN of the first record.
     from: Lsn,
     /// Why the range ended at `end`, when a record there failed to read
     /// or check.
@@ -722,7 +714,7 @@ impl Batch {
     /// The LSN past the batch's last record: where the next batch
     /// starts.
     pub fn end(&self) -> Lsn {
-        self.from.advance((self.end - self.first) as u64)
+        self.from.advance(self.end as u64)
     }
 
     /// Whether the range ends with this batch: at the end of the log,
@@ -739,12 +731,15 @@ impl Batch {
         &mut self,
         mut each: impl FnMut(Lsn, &[u8], &LogRecordRef<'_>) -> Result<()>,
     ) -> Result<()> {
-        let mut off = self.first;
+        let mut off = 0;
         while off < self.end {
             let total = u32::from_le_bytes(self.win.bytes[off..off + 4].try_into().unwrap());
             let frame = &self.win.bytes[off..off + total as usize];
-            let lsn = self.from.advance((off - self.first) as u64);
-            each(lsn, frame, &LogRecordRef::parse(frame)?)?;
+            each(
+                self.from.advance(off as u64),
+                frame,
+                &LogRecordRef::parse(frame)?,
+            )?;
             off += frame.len();
         }
         self.error.take().map_or(Ok(()), Err)
