@@ -455,34 +455,24 @@ impl LogManager {
         Ok(&win.bytes[off..off + total])
     }
 
-    /// The record at `lsn` through [`LogManager::frame`], with its
-    /// frame: a scan's path for a refill, the tail and every edge, kept
-    /// out of line so the in-window path inlines alone.
-    #[inline(never)]
-    fn scan_frame<'s>(
-        &'s mut self,
-        lsn: Lsn,
-        win: &'s mut ReadWindow,
-    ) -> Result<(&'s [u8], LogRecordRef<'s>)> {
-        let frame = self.frame(lsn, win, SCAN_READ_AHEAD)?;
-        LogRecordRef::decode(frame).map(|(rec, n)| (&frame[..n], rec))
-    }
-
     /// Iterates records from `from` to the end of the log (including
     /// the unflushed tail) — the one forward-scan primitive. The
-    /// cursor reads the store sequentially through a bounded
-    /// read-ahead window and decodes records out of it in place
-    /// ([`LogScan::next_ref`] lends them; the iterator copies each
-    /// out); at every edge (truncation point, durable boundary, tail) a
-    /// record reads exactly as [`LogManager::read_record`] reads it.
-    /// The cursor borrows the manager, so the log cannot change under
-    /// it.
+    /// cursor reads the log a [`Batch`] at a time
+    /// ([`LogManager::read_batch`]) and parses records out of it in
+    /// place ([`LogScan::next_ref`] lends them; the iterator copies
+    /// each out); at every edge (truncation point, durable boundary,
+    /// tail) a record reads exactly as [`LogManager::read_record`] reads
+    /// it. The cursor borrows the manager, so the log cannot change
+    /// under it.
     pub fn scan(&mut self, from: Lsn) -> LogScan<'_> {
         LogScan {
             lm: self,
-            next: from,
+            batch: Batch {
+                from,
+                ..Batch::default()
+            },
+            off: 0,
             failed: false,
-            win: ReadWindow::default(),
         }
     }
 
@@ -666,18 +656,14 @@ impl LogManager {
     }
 }
 
-/// Read-ahead of a [`LogScan`]: large enough that a scan is a handful
-/// of syscalls per MiB, small enough that scanning never holds more
-/// than a sliver of the log in memory.
-const SCAN_READ_AHEAD: usize = 256 * 1024;
-
 /// Read-ahead of a point read: a typical record arrives with its
 /// header in one `read_at`.
 const POINT_READ_AHEAD: usize = 512;
 
 /// Bytes of one [`Batch`]: one `read_at` of the store, or of the
-/// unflushed tail copied. A reader a few batches ahead holds no more of
-/// the log than one [`LogScan`] window.
+/// unflushed tail copied. Large enough that a scan is a handful of
+/// syscalls per MiB, small enough that a reader a few batches ahead of
+/// the parse holds a sliver of the log.
 pub const BATCH: usize = 64 * 1024;
 
 /// Whole records read and checked by [`LogManager::read_batch`], each
@@ -732,17 +718,25 @@ impl Batch {
         mut each: impl FnMut(Lsn, &[u8], &LogRecordRef<'_>) -> Result<()>,
     ) -> Result<()> {
         let mut off = 0;
-        while off < self.end {
-            let total = u32::from_le_bytes(self.win.bytes[off..off + 4].try_into().unwrap());
-            let frame = &self.win.bytes[off..off + total as usize];
-            each(
-                self.from.advance(off as u64),
-                frame,
-                &LogRecordRef::parse(frame)?,
-            )?;
+        while let Some((lsn, frame, rec)) = self.parsed(off) {
+            each(lsn, frame, &rec?)?;
             off += frame.len();
         }
         self.error.take().map_or(Ok(()), Err)
+    }
+
+    /// The checked record at offset `off`, with its LSN and frame, and
+    /// its parse; `None` past the last.
+    #[inline]
+    fn parsed(&self, off: usize) -> Option<(Lsn, &[u8], Result<LogRecordRef<'_>>)> {
+        let header = self.win.bytes[..self.end].get(off..off + 4)?;
+        let frame =
+            &self.win.bytes[off..off + u32::from_le_bytes(header.try_into().unwrap()) as usize];
+        Some((
+            self.from.advance(off as u64),
+            frame,
+            LogRecordRef::parse(frame),
+        ))
     }
 }
 
@@ -768,66 +762,42 @@ impl ReadWindow {
 /// Forward scan over log records (see [`LogManager::scan`]).
 pub struct LogScan<'a> {
     lm: &'a mut LogManager,
-    next: Lsn,
-    /// Set by the first error: the scan yields it and then ends.
+    batch: Batch,
+    /// Offset in `batch` of the next record.
+    off: usize,
+    /// Set by a record that does not parse: the scan yields the error
+    /// and then ends.
     failed: bool,
-    win: ReadWindow,
 }
 
 impl LogScan<'_> {
     /// LSN of the record the scan would read next: the end of the last
     /// record yielded, and where the scan stopped if it failed.
     pub fn position(&self) -> Lsn {
-        self.next
+        self.batch.from.advance(self.off as u64)
     }
 
-    /// The next record and its LSN, decoded in place: its op images
-    /// borrow the scan's read-ahead window (or the unflushed tail), so
-    /// a pass that drops most records allocates for none of them. The
-    /// record lives until the next call. After an error, which is
-    /// yielded once, the scan ends.
-    #[inline]
+    /// The next record and its LSN, parsed in place: its op images
+    /// borrow the scan's batch, so a pass that drops most records
+    /// allocates for none of them. The record lives until the next
+    /// call. After an error, which is yielded once, the scan ends.
     pub fn next_ref(&mut self) -> Option<Result<(Lsn, LogRecordRef<'_>)>> {
-        self.next_framed()
-            .map(|r| r.map(|(lsn, _, rec)| (lsn, rec)))
-    }
-
-    /// [`LogScan::next_ref`] with the frame the record was decoded from,
-    /// its 8-byte header included: a pass that keeps a record's bytes
-    /// copies them from here instead of encoding the record again.
-    ///
-    /// A record wholly inside the read-ahead window is framed straight
-    /// from it, inline: `frame` filled the window with durable bytes at
-    /// or above the truncation point, so every check it makes of a
-    /// record there already holds. A refill, the unflushed tail and
-    /// every edge go through `LogManager::frame` out of line. Either
-    /// way the record is decoded, its checksum included, by
-    /// [`LogRecordRef::decode`].
-    // `always`: under plain `#[inline]` rustc kept this an out-of-line
-    // call from `Node::restart`, once a record.
-    #[inline(always)]
-    pub fn next_framed(&mut self) -> Option<Result<(Lsn, &[u8], LogRecordRef<'_>)>> {
-        if self.failed || self.next >= self.lm.end_lsn {
+        if self.failed {
             return None;
         }
-        let lsn = self.next;
-        let read = match self.win.holds(lsn) {
-            Some((off, total)) => {
-                let frame = &self.win.bytes[off..off + total];
-                LogRecordRef::decode(frame).map(|(rec, _)| (frame, rec))
-            }
-            None => self.lm.scan_frame(lsn, &mut self.win),
-        };
-        match read {
-            Ok((frame, rec)) => {
-                self.next = lsn.advance(frame.len() as u64);
-                Some(Ok((lsn, frame, rec)))
-            }
-            Err(e) => {
-                self.failed = true;
-                Some(Err(e))
-            }
+        if self.off == self.batch.end && !self.batch.last {
+            self.lm.read_batch(self.batch.end(), &mut self.batch);
+            self.off = 0;
         }
+        if self.off == self.batch.end {
+            return self.batch.error.take().map(Err);
+        }
+        let (lsn, frame, rec) = self.batch.parsed(self.off)?;
+        self.failed = rec.is_err();
+        if !self.failed {
+            self.off += frame.len();
+        }
+        Some(rec.map(|rec| (lsn, rec)))
     }
 }
 
@@ -868,7 +838,7 @@ mod tests {
     }
 
     /// A record whose after-image is `n` bytes, so a log of these has
-    /// records of every alignment against the read-ahead window.
+    /// records of every alignment against a batch's window.
     fn sized_rec(seq: u64, prev: Lsn, n: usize) -> LogRecord {
         LogRecord {
             txn: TxnId::new(NodeId(1), seq),
@@ -978,17 +948,17 @@ mod tests {
         }
     }
 
-    /// Fills `lm` past several read-ahead windows with records of
-    /// mixed sizes (one larger than a window), forces most of it and
+    /// Fills `lm` past several batches with records of mixed sizes
+    /// (one larger than a batch), forces most of it and
     /// leaves a multi-record unflushed tail.
     fn fill_past_read_ahead(lm: &mut LogManager) -> Vec<Lsn> {
         let mut lsns = Vec::new();
         let mut prev = Lsn::ZERO;
         let mut seq = 0u64;
-        while lm.end_lsn().0 < 3 * SCAN_READ_AHEAD as u64 {
+        while lm.end_lsn().0 < 3 * BATCH as u64 {
             seq += 1;
             let n = match seq % 50 {
-                0 => SCAN_READ_AHEAD + 1000,
+                0 => BATCH + 1000,
                 k => 8 + (seq as usize * 37 + k as usize * 101) % 3000,
             };
             prev = lm.append(&sized_rec(seq, prev, n)).unwrap();
@@ -1012,13 +982,13 @@ mod tests {
         // Replay the windowing: a record that starts inside the window
         // and ends beyond it forces a refill from its own start.
         let durable = lm.flushed_lsn().0;
-        let mut win_end = (8 + SCAN_READ_AHEAD as u64).min(durable);
+        let mut win_end = (8 + BATCH as u64).min(durable);
         let mut straddlers = 0;
         for w in lsns.windows(2) {
             let (a, b) = (w[0].0, w[1].0);
             if b <= durable && b > win_end {
                 straddlers += (a < win_end) as usize;
-                win_end = (a + (b - a).max(SCAN_READ_AHEAD as u64)).min(durable);
+                win_end = (a + (b - a).max(BATCH as u64)).min(durable);
             }
         }
         assert!(straddlers >= 2, "records must cross window boundaries");
@@ -1061,9 +1031,9 @@ mod tests {
         let _ = std::fs::remove_file(&path);
     }
 
-    /// A record inside the scan's read-ahead window is framed there,
-    /// not by `frame`, and must still be refused where `frame` refuses
-    /// it. In a file log that one window holds, a record mid-window has
+    /// A record inside a batch's window is framed there, not by
+    /// `frame`, and must still be refused where `frame` refuses it. In
+    /// a file log that one batch holds, a record mid-window has
     /// a body byte flipped, its header zeroed, or a length that runs
     /// past the durable end: the scan yields `Corrupt` at that record,
     /// where `read_record` fails, and ends.
@@ -1079,7 +1049,7 @@ mod tests {
         }
         lm.force_all().unwrap();
         let durable = lm.end_lsn().0;
-        assert!(durable < SCAN_READ_AHEAD as u64, "one window holds the log");
+        assert!(durable < BATCH as u64, "one batch holds the log");
         drop(lm);
         let clean = std::fs::read(t.path()).unwrap();
         let at = lsns[20];
