@@ -2919,13 +2919,15 @@ mod tests {
         (got, r)
     }
 
-    /// The records a scan from `from` yields, and the text of the error
-    /// it ends with, if any.
-    fn scanned(log: &mut LogManager, from: Lsn) -> (Vec<(Lsn, LogRecord)>, Option<String>) {
+    /// The records a `read_record` loop from `from` reads, and the text
+    /// of the error it ends with, if any: what a forward pass must read,
+    /// from a path that shares no code with the batch reader.
+    fn read_loop(log: &mut LogManager, from: Lsn) -> (Vec<(Lsn, LogRecord)>, Option<String>) {
         let mut got = Vec::new();
-        for r in log.scan(from) {
-            match r {
-                Ok(rec) => got.push(rec),
+        let mut pos = from;
+        while pos < log.end_lsn() {
+            match log.read_record(pos) {
+                Ok((rec, next)) => got.push((std::mem::replace(&mut pos, next), rec)),
                 Err(e) => return (got, Some(e.to_string())),
             }
         }
@@ -2964,13 +2966,8 @@ mod tests {
             lsns[n - 5],
             lsns[n - 2],
         ] {
-            let mut want = Vec::new();
-            let mut pos = from;
-            while pos < log.end_lsn() {
-                let (rec, next) = log.read_record(pos).unwrap();
-                want.push((pos, rec));
-                pos = next;
-            }
+            let (want, err) = read_loop(&mut log, from);
+            assert_eq!(err, None);
             let (got, r) = collected(&mut log, from);
             r.unwrap();
             assert_eq!(got, want, "from {from}");
@@ -2985,8 +2982,8 @@ mod tests {
         // framed inside the bytes read.
         for bad in [third, third + 1] {
             seams.flip.store(lsns[bad].0 + 8 + 2, Ordering::Relaxed);
-            let (want, err) = scanned(&mut log, lsns[0]);
-            assert_eq!(want.len(), bad, "the scan fails at the flipped record");
+            let (want, err) = read_loop(&mut log, lsns[0]);
+            assert_eq!(want.len(), bad, "the reads fail at the flipped record");
             assert_eq!(
                 err.as_deref(),
                 Some("corruption detected: log record crc mismatch")
