@@ -2912,7 +2912,11 @@ mod tests {
     fn collected(log: &mut LogManager, from: Lsn) -> (Vec<(Lsn, LogRecord)>, Result<()>) {
         let mut got = Vec::new();
         let r = collect(log, from, |pos, frame, rec| {
-            assert_eq!(LogRecordRef::decode(frame)?, (rec.clone(), frame.len()));
+            assert_eq!(
+                LogRecordRef::decode(frame).ok(),
+                Some((rec.clone(), frame.len())),
+                "{pos}: the frame is the record's, and checks"
+            );
             got.push((pos, rec.to_owned()));
             Ok(())
         });
