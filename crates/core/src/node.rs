@@ -2843,9 +2843,10 @@ mod tests {
         }
     }
 
-    /// A log over a [`SeamStore`] of `batches` batches' worth of forced
-    /// records of mixed sizes, one of them larger than a batch, then an
-    /// unflushed tail of five; with the LSN of every record.
+    /// A log over a [`SeamStore`] of `batches` (at least five) batches'
+    /// worth of forced records of mixed sizes, one of them larger than a
+    /// batch, then an unflushed tail of five; with the LSN of every
+    /// record.
     fn seam_log(batches: usize) -> (LogManager, Vec<Lsn>, Arc<Seams>) {
         let seams = Arc::new(Seams {
             flip: AtomicU64::new(u64::MAX),
@@ -2867,12 +2868,15 @@ mod tests {
                 },
             },
         };
-        let (mut lsns, mut prev, mut seq) = (Vec::new(), Lsn::ZERO, 0u64);
+        let (mut lsns, mut prev, mut seq, mut large) = (Vec::new(), Lsn::ZERO, 0u64, false);
         while log.end_lsn().0 < (batches * BATCH) as u64 {
             seq += 1;
-            let n = match seq {
-                60 => BATCH + 1000,
-                _ => 8 + (seq as usize * 37 + (seq % 50) as usize * 101) % 3000,
+            // The large record comes after the fourth batch's start.
+            let n = if !large && log.end_lsn().0 > 4 * BATCH as u64 {
+                large = true;
+                BATCH + 1000
+            } else {
+                8 + (seq as usize * 37 + (seq % 50) as usize * 101) % 3000
             };
             prev = log.append(&rec(seq, prev, n)).unwrap();
             lsns.push(prev);
@@ -2981,7 +2985,9 @@ mod tests {
     #[test]
     fn a_bad_checksum_in_the_third_batch_fails_after_the_records_before_it() {
         let (mut log, lsns, seams) = seam_log(6);
-        let third = batches(&lsns, log.flushed_lsn())[2].0;
+        let cut = batches(&lsns, log.flushed_lsn());
+        let third = cut[2].0;
+        assert!(cut[3].0 > third + 1, "the third batch holds two records");
         // The batch's first record, framed by a read, and its second,
         // framed inside the bytes read.
         for bad in [third, third + 1] {
