@@ -480,12 +480,13 @@ impl LogManager {
     /// one's length and checksum, parsing none: those wholly inside one
     /// `read_at` of [`BATCH`] bytes at `from` (of the whole record, when
     /// it is larger), then those of the unflushed tail that follow them
-    /// within [`BATCH`] bytes, the first of them always. Each record is
-    /// framed as a [`LogScan`] frames it, by `frame` or inside the
-    /// window `frame` filled, so a batch holds the records a scan from
-    /// `from` yields, and ends at the error a scan yields there. That
-    /// error, or the end of the log, is the last batch of the range
-    /// ([`Batch::is_last`]); the next batch starts at [`Batch::end`].
+    /// within [`BATCH`] bytes, the first of them always. A record that
+    /// starts the batch is framed by `frame`, the point read's framer,
+    /// and the rest inside the window it filled, so batch after batch
+    /// holds the records a [`LogManager::read_record`] loop from `from`
+    /// reads, and ends at the error that loop ends with. That error, or
+    /// the end of the log, ends the range ([`Batch::is_last`]); else
+    /// the next batch starts at [`Batch::end`].
     pub fn read_batch(&mut self, from: Lsn, batch: &mut Batch) {
         // An empty window: the batch's first record refills it from its
         // own start.
