@@ -153,7 +153,7 @@ echo "==> line ledger of HEAD (tools/loc.sh) and the engine's code ceiling"
 # The `engine` row's code lines may not exceed this ceiling. A PR may
 # raise it only with a CHANGES.md line that says why; a PR that
 # shrinks the engine lowers it to the count it leaves.
-ENGINE_CODE_CEILING=12418
+ENGINE_CODE_CEILING=12585
 bash tools/loc.sh > /tmp/ci_loc.txt
 cat /tmp/ci_loc.txt
 engine_code=$(awk '$1 == "engine" { print $2 }' /tmp/ci_loc.txt)
