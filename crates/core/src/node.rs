@@ -485,7 +485,10 @@ fn parse_batches(
 
 /// The batches in flight between [`collect`]'s two stages. Waiting on
 /// it allocates nothing, where a channel allocates on a thread's first
-/// wait, so a pass allocates the same whichever stage waits.
+/// wait, so a pass allocates the same whichever stage waits. A stage
+/// that panics holding the lock leaves the queues valid, since each
+/// update is one push, pop or flag, so the other takes them back from
+/// the poisoned lock.
 struct Handover {
     queues: Mutex<Queues>,
     moved: Condvar,
