@@ -429,6 +429,8 @@ fn collect(
     if batch.is_last() {
         return batch.parse_each(each);
     }
+    // Room for every batch: the caller may give one back before the
+    // reader takes any, and a push past capacity would allocate.
     let mut free = Vec::with_capacity(BATCHES);
     free.extend((1..BATCHES).map(|_| Batch::new()));
     let handover = Handover {

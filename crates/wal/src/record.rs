@@ -13,7 +13,8 @@
 //! is the sole cross-node ordering token used by recovery.
 //!
 //! One function lays a record out and one parses it:
-//! [`LogRecordRef::encode_into`] and [`LogRecordRef::decode`]. The
+//! [`LogRecordRef::encode_into`] and [`LogRecordRef::decode`], which
+//! checks the frame's length and checksum before it parses. The
 //! borrowed forms ([`LogRecordRef`], [`LogPayloadRef`], [`PageOpRef`])
 //! decode in place over a frame: ids and PSNs are read out of it, op
 //! images are slices of it, so a forward scan allocates nothing for the
