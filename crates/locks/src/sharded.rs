@@ -25,8 +25,9 @@
 //! table stays agnostic of who is locking: the runtime packs
 //! `(node << 48) | txn_seq` into the token. Acquisition is
 //! non-blocking (`try_acquire` returns `false` on conflict) — the
-//! runtime spins, serving its inbox, and falls back to aborting the
-//! transaction, mirroring how the simulator surfaces `WouldBlock`.
+//! runtime parks the waiting lane, retries it while it runs its other
+//! lanes, and falls back to aborting the transaction, mirroring how
+//! the simulator surfaces `WouldBlock`.
 
 use crate::LockMode;
 use cblog_common::{id_hash, IdMap, PageId};

@@ -8,7 +8,8 @@
 //!
 //! * **one OS thread per node** — each worker owns its `Node` (moved
 //!   into the thread; `Node: Send` is asserted in core) and drives its
-//!   MPL transaction streams;
+//!   MPL transaction streams, parking a stream that waits on a page
+//!   ship or a lock while it runs the others and serves its inbox;
 //! * **file-backed WALs** — each node's log lives on a
 //!   [`FileLogStore`], so a log force is an actual `fdatasync`;
 //! * **channel transport** — inter-node traffic crosses threads over
@@ -202,7 +203,9 @@ pub struct RtRunStats {
 /// `lock_wait` accounted beside busy and `busy + lock_wait <= wall`. The
 /// remainder of the wall time is idle parking in `recv_timeout`
 /// (serving stragglers once this node's lanes are done), which is
-/// deliberately not attributed to any bucket.
+/// deliberately not attributed to any bucket. While lanes run, a worker
+/// with no lane able to step blocks on its inbox if a lane waits on a
+/// ship, which is `net`, and otherwise yields, which is `lock_wait`.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct RtNodeStats {
     /// Node id.
@@ -210,16 +213,17 @@ pub struct RtNodeStats {
     /// Worker wall time, µs.
     pub wall_us: u64,
     /// Non-idle worker time: everything the thread did outside
-    /// lock-wait spinning and idle parks, µs.
+    /// lock-wait yields and idle parks, µs.
     pub busy_us: u64,
     /// Time inside log forces (fsync), µs.
     pub disk_us: u64,
-    /// Time in channel sends/receives and page-fetch service, µs.
+    /// Time in channel sends, page-fetch service and ship delivery,
+    /// and blocked on the inbox while a lane waited on a ship, µs.
     pub net_us: u64,
     /// Busy remainder: transaction execution and loop bookkeeping, µs.
     pub cpu_us: u64,
-    /// Time spinning on contended page locks, net of the inbox
-    /// service performed between spins, µs.
+    /// Time yielded while every lane that could not step waited on a
+    /// page lock (or was parked on the scheduler), µs.
     pub lock_wait_us: u64,
 }
 
@@ -674,13 +678,21 @@ impl ThreadCluster {
 // Worker
 // ----------------------------------------------------------------------
 
-/// Spins this many times on a contended lock (serving the inbox in
-/// between) before aborting the transaction and retrying the plan.
-const ACQUIRE_SPINS: usize = 20_000;
+/// Wall time a lane waits on a contended lock, retrying it once a
+/// sweep, before its transaction is aborted and its plan retried in
+/// place. No longer than a worker's old 20 000-try spin on the lock,
+/// which gave up after ~1.7 ms on a 2-vCPU guest.
+const LOCK_BUDGET: Duration = Duration::from_millis(1);
 /// Retries of one plan after forced aborts before giving up.
 const PLAN_RETRIES: usize = 100;
 /// Patience for a remote page fetch (the owner may be mid-fsync).
 const FETCH_TIMEOUT: Duration = Duration::from_secs(5);
+/// The longest an idle worker blocks on its inbox while a lane waits
+/// on a ship, so a failed peer or a timed-out fetch is noticed.
+const SHIP_POLL: Duration = Duration::from_millis(1);
+/// The same while a lane also waits on a lock: a lock that another
+/// node's reader frees sends no message, so it is retried this soon.
+const LOCK_POLL: Duration = Duration::from_micros(50);
 
 /// What the workers of one run share.
 struct RunShared {
@@ -730,17 +742,17 @@ impl RunShared {
 ///
 /// `outer_ns` sums the top-level scopes of the worker: in `run_lanes`
 /// one per lane step, each ending at the clock reading that begins the
-/// next (`lap`), and after its lanes one per shutdown serve. The leaf
+/// next (`lap`), and after its lanes one per message served. The leaf
 /// buckets are measured *inside* those scopes and are disjoint
 /// sub-intervals of them. Scopes are summed in ns, because a lane step
 /// can be shorter than 1 µs, and converted to µs once, in
 /// [`Worker::stats`], where the derived buckets keep the simulator's
 /// partition invariant exactly: `busy = outer − lock_wait` and `cpu =
 /// busy − disk − net`, so `disk + cpu + net == busy` by construction.
-/// `served_ns` is the whole time inside `serve`, which a lock spin or
-/// a fetch wait takes out of its own bucket. Time parked in
-/// `recv_timeout` between scopes (shutdown stragglers) is idle and
-/// deliberately unattributed.
+/// An idle worker's block on its inbox while a lane waits on a ship is
+/// `net`; its yield while every wait is a lock wait is `lock_wait`.
+/// Time parked in `recv_timeout` once its lanes are done (serving
+/// stragglers) is idle and deliberately unattributed.
 #[derive(Clone, Copy, Debug, Default)]
 struct Prof {
     wall_ns: u64,
@@ -748,7 +760,6 @@ struct Prof {
     disk_ns: u64,
     net_ns: u64,
     lock_wait_ns: u64,
-    served_ns: u64,
 }
 
 /// A profiler scope's length in ns.
@@ -757,12 +768,12 @@ fn nanos(d: Duration) -> u64 {
 }
 
 /// One MPL lane: its plans run sequentially; the worker interleaves
-/// lanes so several commits can park in the force scheduler at once.
+/// lanes so several commits can park in the force scheduler at once,
+/// and so a lane that waits does not stop the others.
 struct Lane<'a> {
     plans: Vec<&'a TxnPlan>,
     next: usize,
-    /// Parked commit: (txn, submit time).
-    waiting: Option<(TxnId, SimTime)>,
+    state: State,
     retries: usize,
 }
 
@@ -771,19 +782,80 @@ impl<'a> Lane<'a> {
         Lane {
             plans,
             next: 0,
-            waiting: None,
+            state: State::Idle,
             retries: 0,
         }
     }
+
+    /// Every plan has ended: no transaction, no parked commit, no plan.
+    fn done(&self) -> bool {
+        matches!(self.state, State::Idle) && self.next == self.plans.len()
+    }
+
+    /// A sweep steps the lane: it is neither parked nor waiting on a
+    /// ship (a lock wait is retried).
+    fn can_step(&self) -> bool {
+        !matches!(
+            self.state,
+            State::Parked(..)
+                | State::InFlight(InFlight {
+                    wait: Wait::Ship { .. },
+                    ..
+                })
+        )
+    }
 }
 
-enum TxnOutcome {
-    /// Commit record appended; parked in the scheduler since the time.
-    Committing(TxnId, SimTime),
-    /// Plan consumed (user abort completed).
+/// Where a lane's current plan is.
+#[derive(Clone, Copy, Debug)]
+enum State {
+    /// No transaction: the lane's next step begins its next plan.
+    Idle,
+    /// A transaction that blocked, kept with its locks until the lane
+    /// steps it again.
+    InFlight(InFlight),
+    /// The commit record is appended and the commit parked in the
+    /// scheduler since the time.
+    Parked(TxnId, SimTime),
+}
+
+/// A transaction between its begin and its parked commit or its end.
+#[derive(Clone, Copy, Debug)]
+struct InFlight {
+    txn: TxnId,
+    /// The plan op it runs next.
+    op: usize,
+    span: SpanId,
+    /// Its start, read only if its span is recorded.
+    start: Option<SimTime>,
+    wait: Wait,
+}
+
+/// What a transaction waits on before its next op can run.
+#[derive(Clone, Copy, Debug)]
+enum Wait {
+    /// Nothing: the lane can step.
+    Nothing,
+    /// The ship of `pid`, a remote page whose `slot` the op reads, from
+    /// its owner; the run fails if none has come by `until`.
+    Ship {
+        pid: PageId,
+        slot: usize,
+        until: Instant,
+    },
+    /// The op's page lock; the transaction is aborted if the lock is
+    /// still not taken at `until`.
+    Lock { until: Instant },
+}
+
+/// Where a lane step's ops stopped.
+enum Stop {
+    /// Every op ran.
     Done,
-    /// Forced abort (lock conflict); plan not consumed.
-    Retry,
+    /// An op waits on what its transaction's [`Wait`] says.
+    Blocked,
+    /// An op's lock outlasted [`LOCK_BUDGET`].
+    OutOfBudget,
 }
 
 fn token_of(txn: TxnId) -> u64 {
@@ -886,6 +958,11 @@ struct Worker<'a> {
     /// submitted to `sched`, which is the order it acknowledges them
     /// in: an ack finds its lane at the front, not by a search.
     parked: VecDeque<usize>,
+    /// The lanes waiting on a ship, in the order they asked. A link
+    /// delivers in send order and an owner serves its fetches in
+    /// arrival order, so a ship is the answer to the oldest of them
+    /// that asked its sender.
+    fetches: VecDeque<usize>,
 }
 
 impl<'a> Worker<'a> {
@@ -905,6 +982,7 @@ impl<'a> Worker<'a> {
             },
             forced_bytes: node.log().bytes_written(),
             parked: VecDeque::new(),
+            fetches: VecDeque::new(),
             report: RunReport::default(),
             prof: Prof::default(),
             node,
@@ -919,7 +997,8 @@ impl<'a> Worker<'a> {
     /// of `remaining`, then page-fetch service until every node's lanes
     /// are done. An error — or a panic, so that the node is not lost
     /// with the thread and the peers not left waiting — fails the run
-    /// for all.
+    /// for all, and rolls back every transaction in flight on the
+    /// worker's lanes ([`Worker::end_in_flight`]).
     ///
     /// The rest of the worker (its endpoint, scheduler and lanes) is
     /// dropped here, on the thread that grew it. Freed by the joining
@@ -940,9 +1019,10 @@ impl<'a> Worker<'a> {
             )))
         });
         if let Err(e) = result {
-            // Only the first failure is the run's error; a later one
-            // is its consequence.
+            // Only the first failure is the run's error; a later one,
+            // a failed rollback here included, is its consequence.
             let _ = self.shared.failed.set(e);
+            let _ = self.end_in_flight();
         }
         self.ep.drain();
         self.prof.wall_ns = nanos(started.elapsed());
@@ -989,12 +1069,16 @@ impl<'a> Worker<'a> {
         }
     }
 
-    /// Steps the lanes, one whole transaction each per sweep, until
-    /// every plan has ended in a durable commit or an abort.
+    /// Sweeps the lanes until every plan has ended in a durable commit
+    /// or an abort. A sweep steps each lane that can step until its
+    /// transaction parks its commit, ends or blocks ([`Worker::step`]);
+    /// a blocked lane keeps its locks while the worker goes on to its
+    /// other lanes, its inbox and its forces.
     fn run_lanes(&mut self) -> Result<()> {
         // The profiler's scopes here follow one another, one per lane
         // step: each ends at the clock reading that starts the next, and
-        // inbox service and forces fall into the step after them.
+        // inbox service, forces and idle waits fall into the step after
+        // them.
         let mut mark = Instant::now();
         // The scheduler starts empty, so it knows no parked commit of a
         // log tail. A run that failed leaves its parked commits released
@@ -1002,10 +1086,11 @@ impl<'a> Worker<'a> {
         if !self.node.log().fully_forced() {
             self.force()?;
         }
-        // No lane could step in the last sweep: every live lane of this
-        // node is parked on the scheduler, and only a lane can submit a
-        // commit. Nobody can join the batch before a force acks part of
-        // it, so holding the window open to its deadline buys nothing.
+        // Every live lane was parked on the scheduler after the last
+        // sweep: none waits on a ship or a lock, and none just ended in
+        // an abort. Only a lane can submit a commit, so nobody can join
+        // the batch before a force acks part of it, and holding the
+        // window open to its deadline buys nothing.
         let mut all_parked = false;
         loop {
             self.peers_ok()?;
@@ -1014,43 +1099,26 @@ impl<'a> Worker<'a> {
                 self.force()?;
             }
 
-            let mut progressed = false;
-            let mut live = false;
+            all_parked = true;
+            let (mut live, mut ready, mut locked) = (false, false, false);
             for li in 0..self.lanes.len() {
                 let lane = &self.lanes[li];
-                if lane.waiting.is_some() {
-                    live = true;
+                if lane.done() {
                     continue;
                 }
-                let Some(&plan) = lane.plans.get(lane.next) else {
-                    continue;
-                };
                 live = true;
-                progressed = true;
-                let outcome = self.run_txn(plan)?;
-                self.lap(&mut mark);
-                let lane = &mut self.lanes[li];
-                match outcome {
-                    TxnOutcome::Committing(txn, at) => {
-                        lane.waiting = Some((txn, at));
-                        lane.retries = 0;
-                        self.parked.push_back(li);
-                    }
-                    TxnOutcome::Done => {
-                        lane.next += 1;
-                        lane.retries = 0;
-                    }
-                    TxnOutcome::Retry => {
-                        lane.retries += 1;
-                        if lane.retries > PLAN_RETRIES {
-                            return Err(Error::Protocol(format!(
-                                "{} lane {} livelocked on plan {}",
-                                self.node.id(),
-                                plan.stream,
-                                lane.next
-                            )));
-                        }
-                    }
+                if lane.can_step() {
+                    self.step(li)?;
+                    self.lap(&mut mark);
+                }
+                match self.lanes[li].state {
+                    State::Parked(..) => {}
+                    State::InFlight(InFlight {
+                        wait: Wait::Lock { .. },
+                        ..
+                    }) => (all_parked, locked) = (false, true),
+                    State::InFlight(_) => all_parked = false,
+                    State::Idle => (all_parked, ready) = (false, true),
                 }
             }
             if !live {
@@ -1059,7 +1127,46 @@ impl<'a> Worker<'a> {
                 self.lap(&mut mark);
                 return Ok(());
             }
-            all_parked = !progressed;
+            if !all_parked && !ready {
+                self.idle(locked)?;
+            }
+        }
+    }
+
+    /// Waits once no lane can step and not every live lane is parked:
+    /// some lane waits on a ship or a lock. With a ship outstanding the
+    /// worker blocks on its inbox — up to a poll ([`SHIP_POLL`], or
+    /// [`LOCK_POLL`] if a lane also waits on a lock), and never past
+    /// the scheduler's deadline — and handles what arrives; the block is
+    /// `net`. With only lock waits it yields once; the yield is
+    /// `lock_wait`. The oldest fetch fails the run here once it is
+    /// older than [`FETCH_TIMEOUT`].
+    fn idle(&mut self, locked: bool) -> Result<()> {
+        let t = Instant::now();
+        let Some(&li) = self.fetches.front() else {
+            std::thread::yield_now();
+            self.prof.lock_wait_ns += nanos(t.elapsed());
+            return Ok(());
+        };
+        if let State::InFlight(InFlight {
+            wait: Wait::Ship { pid, until, .. },
+            ..
+        }) = self.lanes[li].state
+        {
+            if t >= until {
+                return Err(Error::Protocol(format!("page fetch of {pid} timed out")));
+            }
+        }
+        let mut poll = if locked { LOCK_POLL } else { SHIP_POLL };
+        if let Some(due) = self.sched.deadline() {
+            let left = due.saturating_sub(self.shared.clock.now_us());
+            poll = poll.min(Duration::from_micros(left));
+        }
+        let env = self.ep.recv_timeout(poll);
+        self.prof.net_ns += nanos(t.elapsed());
+        match env {
+            Some(env) => self.handle(env),
+            None => Ok(()),
         }
     }
 
@@ -1068,32 +1175,50 @@ impl<'a> Worker<'a> {
         while self.shared.remaining.load(Ordering::Acquire) != 0 {
             self.peers_ok()?;
             if let Some(env) = self.ep.recv_timeout(Duration::from_micros(500)) {
-                // Each serve is a top-level scope here, timed by itself.
-                let served0 = self.prof.served_ns;
-                self.serve(env)?;
-                self.prof.outer_ns += self.prof.served_ns - served0;
+                // Each message is a top-level scope here, timed by itself.
+                let t = Instant::now();
+                self.handle(env)?;
+                self.prof.outer_ns += nanos(t.elapsed());
             }
         }
         Ok(())
     }
 
-    /// Runs one plan as a transaction, up to the parked commit or the
-    /// completed abort. Every ending but the commit rolls back — the
-    /// user abort, the lock conflict, and an error of this worker or a
-    /// peer — so a failed run leaves no active transaction on the node.
+    /// Steps lane `li` until its transaction parks its commit, ends —
+    /// in a user abort, or in a forced abort whose plan the lane
+    /// retries — or blocks on a ship or a lock. The ops run in one
+    /// local loop, and the lane's state is written only when its
+    /// transaction blocks, parks or ends. An error leaves the
+    /// transaction in the lane for the failed run's way out to roll
+    /// back ([`Worker::end_in_flight`]).
     ///
     /// The transaction's span says `committed: true` from
     /// `commit_begin` on: the commit record exists and its force is
     /// scheduled, and `run_lanes` does not return with a commit parked.
-    fn run_txn(&mut self, plan: &TxnPlan) -> Result<TxnOutcome> {
-        let txn = self.node.begin()?;
-        let span = self.buf.alloc();
-        // The clock is read for a span only if the span is recorded;
-        // the commit's reading is the scheduler's and the ack's.
-        let start = (!span.is_none()).then(|| self.shared.clock.now_us());
-        let locked = self.run_ops(plan, txn, span);
-        let outcome = if matches!(locked, Ok(true)) && !plan.abort {
-            let lsn = self.node.commit_begin(txn)?;
+    fn step(&mut self, li: usize) -> Result<()> {
+        let lane = &self.lanes[li];
+        let (plan, state) = (lane.plans[lane.next], lane.state);
+        let mut t = match state {
+            State::InFlight(t) => t,
+            _ => self.begin()?,
+        };
+        let stop = match self.run_ops(plan, &mut t) {
+            Ok(Stop::Blocked) => {
+                if let Wait::Ship { .. } = t.wait {
+                    self.fetches.push_back(li);
+                }
+                self.lanes[li].state = State::InFlight(t);
+                return Ok(());
+            }
+            Ok(stop) => stop,
+            Err(e) => return Err(self.keep(li, t, e)),
+        };
+        let txn = t.txn;
+        let (end, committed) = if matches!(stop, Stop::Done) && !plan.abort {
+            let lsn = self
+                .node
+                .commit_begin(txn)
+                .map_err(|e| self.keep(li, t, e))?;
             // Strict 2PL releases transaction locks at commit_begin,
             // before the commit record is durable. That is safe across
             // threads because this transaction's updates can only be
@@ -1107,45 +1232,84 @@ impl<'a> Worker<'a> {
                 PlanOp::Read { .. } => None,
             });
             self.sched.wrote(lsn, written);
-            TxnOutcome::Committing(txn, now)
+            self.parked.push_back(li);
+            let lane = &mut self.lanes[li];
+            lane.state = State::Parked(txn, now);
+            lane.retries = 0;
+            (now, true)
         } else {
             let undone = roll_back(&mut self.node, txn);
             self.release_locks(plan, txn);
-            let locked = locked?;
+            let lane = &mut self.lanes[li];
+            lane.state = State::Idle;
             undone?;
-            if locked {
+            if matches!(stop, Stop::Done) {
                 self.report.user_aborts += 1;
-                TxnOutcome::Done
+                lane.next += 1;
+                lane.retries = 0;
             } else {
                 self.report.forced_aborts += 1;
-                TxnOutcome::Retry
+                lane.retries += 1;
+                if lane.retries > PLAN_RETRIES {
+                    return Err(Error::Protocol(format!(
+                        "{} lane {} livelocked on plan {}",
+                        self.node.id(),
+                        plan.stream,
+                        lane.next
+                    )));
+                }
             }
+            (t.start.map_or(0, |_| self.shared.clock.now_us()), false)
         };
-        if let Some(start) = start {
-            let end = match outcome {
-                TxnOutcome::Committing(_, at) => at,
-                _ => self.shared.clock.now_us(),
-            };
+        if let Some(start) = t.start {
             self.buf.emit(Span {
-                id: span,
+                id: t.span,
                 parent: SpanId::NONE,
                 node: self.node.id(),
                 start,
                 dur: end.saturating_sub(start),
-                kind: SpanKind::Txn {
-                    txn,
-                    committed: matches!(outcome, TxnOutcome::Committing(..)),
-                },
+                kind: SpanKind::Txn { txn, committed },
             });
         }
-        Ok(outcome)
+        Ok(())
     }
 
-    /// Locks and executes the plan's ops in order. `Ok(false)` is a
-    /// lock conflict that outlasted the spin budget.
-    fn run_ops(&mut self, plan: &TxnPlan, txn: TxnId, span: SpanId) -> Result<bool> {
+    /// Leaves `t` in lane `li`, for the failed run's way out to roll
+    /// back, and passes on the error `e` that stopped it.
+    fn keep(&mut self, li: usize, t: InFlight, e: Error) -> Error {
+        self.lanes[li].state = State::InFlight(t);
+        e
+    }
+
+    /// Begins a transaction for a lane's next plan.
+    fn begin(&mut self) -> Result<InFlight> {
+        let txn = self.node.begin()?;
+        let span = self.buf.alloc();
+        // The clock is read for a span only if the span is recorded;
+        // the commit's reading is the scheduler's and the ack's.
+        let start = (!span.is_none()).then(|| self.shared.clock.now_us());
+        Ok(InFlight {
+            txn,
+            op: 0,
+            span,
+            start,
+            wait: Wait::Nothing,
+        })
+    }
+
+    /// Locks and executes the plan's ops in order from `t.op`, until
+    /// every op has run or one must wait. A lock that `try_acquire`
+    /// refuses is a lock wait, which gets [`LOCK_BUDGET`] from its
+    /// first refusal. A remote read takes its S lock in the owner's
+    /// table, sends the fetch and waits on the ship; [`Worker::deliver`]
+    /// completes the op. The fetch is traced as a [`SpanKind::Msg`]
+    /// whose id rides the envelope header, so the owner's Transfer/ship
+    /// spans parent on it and the causal chain crosses the mesh exactly
+    /// as in the simulator; its send is `net`.
+    fn run_ops(&mut self, plan: &TxnPlan, t: &mut InFlight) -> Result<Stop> {
         let me = self.node.id();
-        for op in &plan.ops {
+        let token = token_of(t.txn);
+        while let Some(op) = plan.ops.get(t.op) {
             let (pid, mode) = match *op {
                 PlanOp::Read { pid, .. } => (pid, LockMode::Shared),
                 PlanOp::Write { pid, .. } => (pid, LockMode::Exclusive),
@@ -1155,34 +1319,50 @@ impl<'a> Worker<'a> {
                     "{me} plan writes remote page {pid}: the threaded runtime only writes owned pages"
                 )));
             }
-            if !self.acquire(pid, token_of(txn), mode)? {
-                return Ok(false);
-            }
-            match *op {
-                PlanOp::Read { pid, slot } => {
-                    if pid.owner == me {
-                        on_cached(&mut self.node, pid, |node| {
-                            node.peek_slot(pid, slot).ok_or(Error::NoSuchPage(pid))
-                        })?;
-                    } else {
-                        self.remote_read(pid, slot, span)?;
+            if !self.shared.locks_of(pid)?.try_acquire(pid, token, mode) {
+                let now = Instant::now();
+                return Ok(match t.wait {
+                    Wait::Lock { until } if now >= until => Stop::OutOfBudget,
+                    Wait::Lock { .. } => Stop::Blocked,
+                    _ => {
+                        t.wait = Wait::Lock {
+                            until: now + LOCK_BUDGET,
+                        };
+                        Stop::Blocked
                     }
+                });
+            }
+            t.wait = Wait::Nothing;
+            match *op {
+                PlanOp::Read { pid, slot } if pid.owner == me => {
+                    on_cached(&mut self.node, pid, |node| {
+                        node.peek_slot(pid, slot).ok_or(Error::NoSuchPage(pid))
+                    })?;
+                }
+                PlanOp::Read { pid, slot } => {
+                    let sent = Instant::now();
+                    self.send_traced(pid.owner, MsgKind::LockRequest, encode_pid(pid), t.span)?;
+                    let now = Instant::now();
+                    self.prof.net_ns += nanos(now.duration_since(sent));
+                    let until = now + FETCH_TIMEOUT;
+                    t.wait = Wait::Ship { pid, slot, until };
+                    return Ok(Stop::Blocked);
                 }
                 PlanOp::Write { pid, slot, value } => {
                     let after = value.to_le_bytes();
                     // The PSN is the page's just before the update: the
                     // edge the watchdog checks.
                     let (psn_before, lsn) = on_cached(&mut self.node, pid, |node| {
-                        node.log_write(txn, pid, slot * 8, &after)
+                        node.log_write(t.txn, pid, slot * 8, &after)
                     })?;
                     if self.buf.is_enabled() {
                         self.buf.point(
                             self.shared.clock.now_us(),
                             me,
-                            span,
+                            t.span,
                             SpanKind::Update {
                                 pid,
-                                txn,
+                                txn: t.txn,
                                 psn: psn_before,
                                 lsn,
                                 clr: false,
@@ -1191,9 +1371,31 @@ impl<'a> Worker<'a> {
                     }
                 }
             }
+            t.op += 1;
             self.report.ops_executed += 1;
         }
-        Ok(true)
+        Ok(Stop::Done)
+    }
+
+    /// Rolls back every transaction in flight on this worker's lanes
+    /// and releases its locks, so that a failed run leaves no active
+    /// transaction on the node and no lock in any table. Each lane's
+    /// rollback is tried; the first error is returned.
+    fn end_in_flight(&mut self) -> Result<()> {
+        self.fetches.clear();
+        let mut first = Ok(());
+        for li in 0..self.lanes.len() {
+            let lane = &mut self.lanes[li];
+            let State::InFlight(t) = lane.state else {
+                continue;
+            };
+            lane.state = State::Idle;
+            let plan = lane.plans[lane.next];
+            let undone = roll_back(&mut self.node, t.txn);
+            self.release_locks(plan, t.txn);
+            first = first.and(undone);
+        }
+        first
     }
 
     /// Forces the whole log — the one place this worker does — and
@@ -1227,15 +1429,15 @@ impl<'a> Worker<'a> {
                 Error::Protocol(format!("{txn} acknowledged, but no lane is parked"))
             })?;
             let lane = &mut self.lanes[li];
-            match lane.waiting.take() {
-                Some((parked, at)) if parked == txn => {
+            match std::mem::replace(&mut lane.state, State::Idle) {
+                State::Parked(parked, at) if parked == txn => {
                     lane.next += 1;
                     let now = self.shared.clock.now_us();
                     self.shared.samples.record(now.saturating_sub(at));
                 }
                 other => {
                     return Err(Error::Protocol(format!(
-                        "{txn} acknowledged, but lane {li} has {other:?} parked"
+                        "{txn} acknowledged, but lane {li} is {other:?}"
                     )))
                 }
             }
@@ -1246,38 +1448,6 @@ impl<'a> Worker<'a> {
             self.buf.point(at, node, SpanId::NONE, kind);
         }
         Ok(())
-    }
-
-    /// Takes `pid` for `token` in the page owner's table, serving
-    /// incoming page fetches while it spins so two nodes waiting on
-    /// each other's service cannot deadlock. The spin time — minus the
-    /// nested service work, which lands in its own buckets — is
-    /// attributed to `lock_wait`.
-    fn acquire(&mut self, pid: PageId, token: u64, mode: LockMode) -> Result<bool> {
-        let shared = self.shared;
-        let locks = shared.locks_of(pid)?;
-        if locks.try_acquire(pid, token, mode) {
-            return Ok(true);
-        }
-        let t = Instant::now();
-        let served0 = self.prof.served_ns;
-        let mut won = false;
-        for i in 0..ACQUIRE_SPINS {
-            if locks.try_acquire(pid, token, mode) {
-                won = true;
-                break;
-            }
-            self.peers_ok()?;
-            self.serve_inbox()?;
-            if i % 64 == 63 {
-                std::thread::yield_now();
-            } else {
-                std::hint::spin_loop();
-            }
-        }
-        let nested = self.prof.served_ns - served0;
-        self.prof.lock_wait_ns += nanos(t.elapsed()).saturating_sub(nested);
-        Ok(won)
     }
 
     /// Ends `txn` in the lock tables. A transaction only ever locks the
@@ -1296,53 +1466,66 @@ impl<'a> Worker<'a> {
         }
     }
 
-    /// Fetches a remote page image from its owner and reads one slot.
-    /// The image is used once and dropped — without callback locking
-    /// there is no safe way to keep it cached past the transaction's S
-    /// lock.
-    ///
-    /// The fetch is traced as a [`SpanKind::Msg`] whose id rides the
-    /// envelope header, so the owner's Transfer/ship spans parent on it
-    /// and the causal chain crosses the mesh exactly as in the
-    /// simulator. The blocking wait for the reply is attributed to
-    /// `net`; nested service of other nodes' fetches lands in its own
-    /// buckets.
-    fn remote_read(&mut self, pid: PageId, slot: usize, parent: SpanId) -> Result<u64> {
-        let t = Instant::now();
-        let served0 = self.prof.served_ns;
-        self.send_traced(pid.owner, MsgKind::LockRequest, encode_pid(pid), parent)?;
-        let deadline = Instant::now() + FETCH_TIMEOUT;
-        let value = loop {
-            match self.ep.recv_timeout(Duration::from_millis(1)) {
-                Some(env) if env.kind == MsgKind::PageShip => {
-                    let page = Page::from_bytes(env.payload)?;
-                    if page.id() == pid {
-                        break page.read_slot(slot);
-                    }
-                    // A worker has one fetch in flight at a time, so a
-                    // ship of another page is mis-routed: fail the run
-                    // rather than lose it.
-                    let msg = format!("{} fetched {pid} but got {}", self.node.id(), page.id());
-                    return Err(Error::Protocol(msg));
-                }
-                Some(env) => self.serve(env)?,
-                None => {
-                    self.peers_ok()?;
-                    if Instant::now() >= deadline {
-                        return Err(Error::Protocol(format!("page fetch of {pid} timed out")));
-                    }
-                }
-            }
-        };
-        let nested = self.prof.served_ns - served0;
-        self.prof.net_ns += nanos(t.elapsed()).saturating_sub(nested);
-        value
-    }
-
     fn serve_inbox(&mut self) -> Result<()> {
         while let Some(env) = self.ep.try_recv() {
-            self.serve(env)?;
+            self.handle(env)?;
         }
+        Ok(())
+    }
+
+    /// Handles one message: a fetch is served, a ship delivered.
+    fn handle(&mut self, env: Envelope) -> Result<()> {
+        match env.kind {
+            MsgKind::LockRequest => self.serve(env),
+            MsgKind::PageShip => self.deliver(env),
+            kind => Err(Error::Protocol(format!(
+                "threaded runtime got unexpected {kind:?} message"
+            ))),
+        }
+    }
+
+    /// Requester-side delivery: hands a ship to the oldest lane that
+    /// asked its sender for a page, and reads that lane's slot; the read
+    /// op is done and the lane can step again. The image is used once
+    /// and dropped — without callback locking there is no safe way to
+    /// keep it cached past the transaction's S lock. A ship of a page
+    /// other than the one the lane asked for, or that no lane asked
+    /// for, fails the run rather than lose it. The delivery is `net`.
+    fn deliver(&mut self, env: Envelope) -> Result<()> {
+        let t = Instant::now();
+        let page = Page::from_bytes(env.payload)?;
+        let me = self.node.id();
+        let lanes = &mut self.lanes;
+        let asked = |li: &usize| match lanes[*li].state {
+            State::InFlight(InFlight {
+                wait: Wait::Ship { pid, .. },
+                ..
+            }) => pid.owner == env.from,
+            _ => false,
+        };
+        let li = match self.fetches.iter().position(asked) {
+            Some(at) => self.fetches.remove(at).expect("a position in the queue"),
+            None => {
+                let got = page.id();
+                return Err(Error::Protocol(format!(
+                    "{me} got {got}, which it did not ask for"
+                )));
+            }
+        };
+        let State::InFlight(f) = &mut lanes[li].state else {
+            unreachable!("a lane waiting on a ship is in flight");
+        };
+        if let Wait::Ship { pid, slot, .. } = f.wait {
+            if page.id() != pid {
+                let msg = format!("{me} fetched {pid} but got {}", page.id());
+                return Err(Error::Protocol(msg));
+            }
+            page.read_slot(slot)?;
+        }
+        f.wait = Wait::Nothing;
+        f.op += 1;
+        self.report.ops_executed += 1;
+        self.prof.net_ns += nanos(t.elapsed());
         Ok(())
     }
 
@@ -1364,10 +1547,10 @@ impl<'a> Worker<'a> {
     ///   node's — before it sent the fetch (`run_ops`), so no *active*
     ///   writer's update is in the image;
     /// * a writer that rolled back compensated its updates before it
-    ///   released its locks (`run_txn`), so the image carries none of
+    ///   released its locks (`step`), so the image carries none of
     ///   its values;
     /// * the requester reads the image once and drops it
-    ///   (`remote_read`), so a PSN ahead of this node's durable log
+    ///   (`deliver`), so a PSN ahead of this node's durable log
     ///   never reaches a disk or another node's log.
     ///
     /// "The page's last update record is durable" is *not* this rule:
@@ -1376,12 +1559,6 @@ impl<'a> Worker<'a> {
     /// released at once — the update is durable, the commit is not.
     fn serve(&mut self, env: Envelope) -> Result<()> {
         let t = Instant::now();
-        if env.kind != MsgKind::LockRequest {
-            return Err(Error::Protocol(format!(
-                "threaded runtime got unexpected {:?} message",
-                env.kind
-            )));
-        }
         let pid = decode_pid(&env.payload)?;
         let needs_force = |w: &Self| w.sched.ship_needs_force(pid, w.node.log().flushed_lsn());
         // The whole force, acks included, stays out of `net`.
@@ -1404,9 +1581,7 @@ impl<'a> Worker<'a> {
             self.buf.point(at, me, env.ctx.span, kind);
         }
         self.send_traced(env.from, MsgKind::PageShip, page.to_bytes(), env.ctx.span)?;
-        let end = Instant::now();
-        self.prof.served_ns += nanos(end.duration_since(t));
-        self.prof.net_ns += nanos(end.duration_since(resumed));
+        self.prof.net_ns += nanos(resumed.elapsed());
         Ok(())
     }
 
@@ -1843,21 +2018,53 @@ mod tests {
             ByHand { w, peer }
         }
 
-        /// Runs `plan` up to its parked commit, on a lane of its own as
-        /// `run_lanes` would park it, so its ack is timed.
+        /// Gives `plan` a lane of its own and steps it once, as a sweep
+        /// of `run_lanes` would: until it parks its commit, ends or
+        /// blocks. The plan is leaked, because a worker borrows its
+        /// plans for as long as it lives.
+        fn lane(&mut self, plan: &TxnPlan) -> usize {
+            let plan: &'static TxnPlan = Box::leak(Box::new(plan.clone()));
+            self.w.lanes.push(Lane::new(vec![plan]));
+            let li = self.w.lanes.len() - 1;
+            self.w.step(li).unwrap();
+            li
+        }
+
+        /// Runs `plan` up to its parked commit, on a lane of its own, so
+        /// its ack is timed.
         fn park(&mut self, plan: &TxnPlan) -> TxnId {
-            let TxnOutcome::Committing(txn, at) = self.w.run_txn(plan).unwrap() else {
-                panic!("the plan did not reach its commit");
+            let li = self.lane(plan);
+            let State::Parked(txn, _) = self.w.lanes[li].state else {
+                panic!("the plan did not reach its commit: {}", self.at(li));
             };
-            let mut lane = Lane::new(Vec::new());
-            lane.waiting = Some((txn, at));
-            self.w.parked.push_back(self.w.lanes.len());
-            self.w.lanes.push(lane);
             txn
         }
 
+        /// Where lane `li` is: `idle`, `parked`, or in flight and
+        /// waiting on a `ship`, a `lock` or nothing (`ready`).
+        fn at(&self, li: usize) -> &'static str {
+            match self.w.lanes[li].state {
+                State::Idle => "idle",
+                State::Parked(..) => "parked",
+                State::InFlight(t) => match t.wait {
+                    Wait::Nothing => "ready",
+                    Wait::Ship { .. } => "ship",
+                    Wait::Lock { .. } => "lock",
+                },
+            }
+        }
+
+        /// Runs the worker to its end as its thread would
+        /// (`Worker::run`), for a run that fails: a run that does not
+        /// would serve node 1 forever. Hands node and spans back.
+        fn run(self, tc: &mut ThreadCluster) {
+            let f = self.w.run();
+            tc.nodes.insert(0, f.node);
+            tc.trace.absorb(vec![f.buf]);
+        }
+
         /// The requester's half of a fetch: the S lock, in the owner's
-        /// table, then the request (`run_ops`, `remote_read`).
+        /// table, then the request (`run_ops`).
         fn ask(&self, pid: PageId) {
             assert!(
                 self.w
@@ -1997,6 +2204,13 @@ mod tests {
         let shared = RunShared::new(&tc);
         let mut h = ByHand::new(&mut tc, &shared);
         let (p, asked, stray) = (pid(0, 0), pid(1, 0), pid(1, 1));
+        let mut plan = wplan(0, 0, &[(p, 0, 11)]);
+        plan.ops.push(PlanOp::Read {
+            pid: asked,
+            slot: 0,
+        });
+        let li = h.lane(&plan);
+        assert_eq!(h.at(li), "ship");
         // Node 1's replies, the mis-routed one first.
         for shipped in [stray, asked] {
             let page = Page::new(shipped, cblog_storage::PageKind::Raw, Psn::ZERO, 1024);
@@ -2004,31 +2218,28 @@ mod tests {
                 .send(NodeId(0), MsgKind::PageShip, page.to_bytes())
                 .unwrap();
         }
-        let mut plan = wplan(0, 0, &[(p, 0, 11)]);
-        plan.ops.push(PlanOp::Read {
-            pid: asked,
-            slot: 0,
-        });
-        match h.w.run_txn(&plan) {
-            Err(Error::Protocol(m)) => {
+        h.run(&mut tc);
+        match shared.failed.get() {
+            Some(Error::Protocol(m)) => {
                 assert!(
                     m.contains(&format!("fetched {asked} but got {stray}")),
                     "{m}"
                 )
             }
-            Err(e) => panic!("expected a Protocol error, got {e}"),
-            Ok(_) => panic!("a mis-routed ship went unnoticed"),
+            Some(e) => panic!("expected a Protocol error, got {e}"),
+            None => panic!("a mis-routed ship went unnoticed"),
         }
         // The failed transaction is the one before the next to begin.
-        let next = h.w.node.begin().unwrap();
+        let node = &mut tc.nodes[0];
+        let next = node.begin().unwrap();
         assert!(
             matches!(
-                h.w.node.forget(TxnId::new(next.node, next.seq - 1)),
+                node.forget(TxnId::new(next.node, next.seq - 1)),
                 Err(Error::NoSuchTxn(_))
             ),
             "rolled back and forgotten"
         );
-        assert_eq!(h.w.node.peek_slot(p, 0), Some(0), "the write was undone");
+        assert_eq!(node.peek_slot(p, 0), Some(0), "the write was undone");
         assert!(
             shared
                 .locks_of(p)
@@ -2036,8 +2247,178 @@ mod tests {
                 .try_acquire(p, READER, LockMode::Exclusive),
             "the transaction's locks are released"
         );
+        tc.trace_check().unwrap();
+    }
+
+    #[test]
+    fn ships_go_to_the_lanes_in_the_order_they_asked() {
+        // Two lanes of node 0 fetch the same page of node 1. Node 1
+        // answers in the order it was asked, so each ship belongs to
+        // the oldest lane still waiting on node 1.
+        let mut tc = parking_cluster();
+        let shared = RunShared::new(&tc);
+        let mut h = ByHand::new(&mut tc, &shared);
+        let remote = pid(1, 0);
+        let read = |stream: usize, slot: usize| TxnPlan {
+            client: NodeId(0),
+            stream,
+            ops: vec![PlanOp::Read { pid: remote, slot }],
+            abort: false,
+        };
+        let (first, second) = (h.lane(&read(0, 1)), h.lane(&read(1, 2)));
+        assert_eq!([h.at(first), h.at(second)], ["ship", "ship"]);
+        assert_eq!(
+            shared.locks_of(remote).unwrap().locked_pages(),
+            1,
+            "both S locks are on the page, in node 1's table"
+        );
+        let ship = |h: &ByHand| {
+            let fetch = h.peer.try_recv().expect("a fetch reached node 1");
+            assert_eq!(fetch.kind, MsgKind::LockRequest);
+            assert_eq!(decode_pid(&fetch.payload).unwrap(), remote);
+            let page = Page::new(remote, cblog_storage::PageKind::Raw, Psn::ZERO, 1024);
+            h.peer
+                .send(NodeId(0), MsgKind::PageShip, page.to_bytes())
+                .unwrap();
+        };
+
+        ship(&h);
+        h.w.serve_inbox().unwrap();
+        assert_eq!(
+            [h.at(first), h.at(second)],
+            ["ready", "ship"],
+            "the first ship is the first lane's"
+        );
+        h.w.step(first).unwrap();
+        assert_eq!(h.at(first), "parked");
+        ship(&h);
+        h.w.serve_inbox().unwrap();
+        assert_eq!(
+            h.at(second),
+            "ready",
+            "the second ship is the second lane's"
+        );
+        h.w.step(second).unwrap();
+        assert_eq!(h.at(second), "parked");
+        assert_eq!(h.w.report.ops_executed, 2, "each lane read its slot once");
+        assert!(h.w.fetches.is_empty());
+        h.w.force().unwrap();
+        assert_eq!(h.w.report.committed, 2);
+        assert_eq!(
+            shared.locks_of(remote).unwrap().locked_pages(),
+            0,
+            "released at commit_begin"
+        );
         h.give_back(&mut tc);
         tc.trace_check().unwrap();
+    }
+
+    #[test]
+    fn a_lock_never_freed_ends_in_one_forced_abort_per_budget() {
+        // The lock stays taken through one whole budget: the lane waits
+        // on it, retrying once a step, then its transaction ends in a
+        // forced abort and the plan is retried on the same lane. Freed
+        // then, the retry commits, and there was exactly one abort.
+        let mut tc = parking_cluster();
+        let shared = RunShared::new(&tc);
+        let mut h = ByHand::new(&mut tc, &shared);
+        let p = pid(0, 0);
+        let table = shared.locks_of(p).unwrap();
+        assert!(table.try_acquire(p, READER, LockMode::Exclusive));
+        let blocked = Instant::now();
+        let li = h.lane(&wplan(0, 0, &[(p, 0, 11)]));
+        while h.w.report.forced_aborts == 0 {
+            assert_eq!(h.at(li), "lock", "the lane waits until its budget ends");
+            assert!(
+                blocked.elapsed() < Duration::from_secs(5),
+                "the budget never ran out"
+            );
+            h.w.step(li).unwrap();
+        }
+        assert!(
+            blocked.elapsed() >= LOCK_BUDGET,
+            "aborted inside the budget"
+        );
+        assert_eq!(h.w.report.forced_aborts, 1);
+        assert_eq!(h.at(li), "idle", "the plan is retried on its lane");
+        assert_eq!(h.w.lanes[li].retries, 1);
+        assert_eq!(table.locked_pages(), 1, "only the holder's lock is left");
+
+        table.release(p, READER);
+        h.w.step(li).unwrap();
+        assert_eq!(h.at(li), "parked");
+        h.w.force().unwrap();
+        assert_eq!(
+            (h.w.report.committed, h.w.report.forced_aborts),
+            (1, 1),
+            "one forced abort, then the commit"
+        );
+        h.give_back(&mut tc);
+        tc.trace_check().unwrap();
+        assert_eq!(slot0(&mut tc, 0), 11);
+    }
+
+    #[test]
+    fn a_failed_run_ends_every_transaction_in_flight() {
+        // Node 0 fails while lane A, which updated P, waits on a ship
+        // of a node-1 page and lane B waits on P's lock, which A holds:
+        // once by a ship of a page A did not ask for, which fails A's
+        // fetch, and once by another worker's failure.
+        for cause in ["a stray ship", "a peer"] {
+            let mut tc = parking_cluster();
+            let shared = RunShared::new(&tc);
+            let mut h = ByHand::new(&mut tc, &shared);
+            let (p, remote) = (pid(0, 0), pid(1, 0));
+            let mut a = wplan(0, 0, &[(p, 0, 11)]);
+            a.ops.push(PlanOp::Read {
+                pid: remote,
+                slot: 0,
+            });
+            let (la, lb) = (h.lane(&a), h.lane(&wplan(0, 1, &[(p, 0, 22)])));
+            assert_eq!([h.at(la), h.at(lb)], ["ship", "lock"], "{cause}");
+            for table in [p, remote] {
+                assert_eq!(shared.locks_of(table).unwrap().locked_pages(), 1);
+            }
+            if cause == "a stray ship" {
+                let page = Page::new(pid(1, 1), cblog_storage::PageKind::Raw, Psn::ZERO, 1024);
+                h.peer
+                    .send(NodeId(0), MsgKind::PageShip, page.to_bytes())
+                    .unwrap();
+            } else {
+                let _ = shared.failed.set(Error::Protocol("node 1 failed".into()));
+            }
+            h.run(&mut tc);
+            assert!(shared.failed.get().is_some(), "{cause}: the run failed");
+            for table in [p, remote] {
+                assert_eq!(
+                    shared.locks_of(table).unwrap().locked_pages(),
+                    0,
+                    "{cause}: a lock in {}'s table outlived the run",
+                    table.owner
+                );
+            }
+            // A and B were the last two transactions to begin.
+            let node = &mut tc.nodes[0];
+            let probe = node.begin().unwrap();
+            for back in [1, 2] {
+                assert!(
+                    matches!(
+                        node.forget(TxnId::new(probe.node, probe.seq - back)),
+                        Err(Error::NoSuchTxn(_))
+                    ),
+                    "{cause}: the transaction {back} before the probe is still on the node"
+                );
+            }
+            roll_back(node, probe).unwrap();
+
+            assert_eq!(slot0(&mut tc, 0), 0, "{cause}: A's update was undone");
+            tc.trace_check().unwrap();
+            crash_and_recover(&mut tc);
+            assert_eq!(slot0(&mut tc, 0), 0, "{cause}");
+            let later = tc.run(&[wplan(0, 0, &[(p, 0, 33)])]).unwrap();
+            assert_eq!(later.committed, 1, "{cause}");
+            assert_eq!(slot0(&mut tc, 0), 33, "{cause}");
+        }
     }
 
     #[test]
@@ -2062,18 +2443,21 @@ mod tests {
             0,
             "node 1's own table holds no page"
         );
-        let writer = wplan(0, 0, &[(p, 0, 11)]);
-        assert!(
-            matches!(h.w.run_txn(&writer).unwrap(), TxnOutcome::Retry),
-            "node 0's writer conflicts with the remote reader's S lock"
+        let li = h.lane(&wplan(0, 0, &[(p, 0, 11)]));
+        assert_eq!(
+            h.at(li),
+            "lock",
+            "node 0's writer conflicts with the remote reader's S lock, and waits"
         );
-        assert_eq!(h.w.report.forced_aborts, 1);
+        assert_eq!(h.w.report.forced_aborts, 0);
 
-        // The writer's spin served the fetch: the reader gets the page
-        // as it was, and drops its lock.
+        // The worker serves the fetch while its writer waits: the reader
+        // gets the page as it was, and drops its lock.
+        h.w.serve_inbox().unwrap();
         assert_eq!(h.shipped(p), 0);
         assert_eq!(at_owner.locked_pages(), 0);
-        h.park(&writer);
+        h.w.step(li).unwrap();
+        assert_eq!(h.at(li), "parked");
         h.w.force().unwrap();
         assert_eq!(
             h.w.report.committed, 1,
@@ -2101,31 +2485,28 @@ mod tests {
     fn a_durable_update_with_an_undurable_commit_still_forces_the_ship() {
         // The schedule that separates the rule from "the page's last
         // update record is durable". T0 wrote Q and parked. T1 updates
-        // P and then reads a page of node 1; while it waits, a fetch of
-        // Q is served and forces the log — T1's update record is
-        // durable now, under T1's X lock. T1 then appends its commit
-        // record and releases P. A reader of P is about to see T1's
-        // value, and nothing of T1's commit is on disk.
+        // P and then reads a page of node 1; while T1 is parked on the
+        // ship, a fetch of Q is served and forces the log — T1's update
+        // record is durable now, under T1's X lock. T1 then appends its
+        // commit record and releases P. A reader of P is about to see
+        // T1's value, and nothing of T1's commit is on disk.
         let mut tc = parking_cluster();
         let shared = RunShared::new(&tc);
         let mut h = ByHand::new(&mut tc, &shared);
         let (p, q, remote) = (pid(0, 0), pid(0, 1), pid(1, 0));
         h.park(&wplan(0, 0, &[(q, 0, 22)]));
 
-        // Node 1's side of T1's wait, queued in link order: the fetch
-        // of Q, then the reply to T1's own fetch.
         h.ask(q);
-        let reply = Page::new(remote, cblog_storage::PageKind::Raw, Psn::ZERO, 1024);
-        h.peer
-            .send(NodeId(0), MsgKind::PageShip, reply.to_bytes())
-            .unwrap();
         let mut t1 = wplan(0, 1, &[(p, 0, 11)]);
         t1.ops.push(PlanOp::Read {
             pid: remote,
             slot: 0,
         });
         let forces = h.w.node.log().forces();
-        h.park(&t1);
+        let li = h.lane(&t1);
+        assert_eq!(h.at(li), "ship", "T1 waits on node 1");
+        h.w.serve_inbox().unwrap();
+        // Node 1's inbox in link order: T1's fetch, then the ship of Q.
         let fetch = h.peer.try_recv().expect("T1's fetch reached node 1");
         assert_eq!(fetch.kind, MsgKind::LockRequest);
         assert_eq!(h.shipped(q), 22);
@@ -2134,6 +2515,14 @@ mod tests {
             forces + 1,
             "the ship of Q forced T1's update"
         );
+        // Node 1's reply to T1's fetch: T1 commits and releases P.
+        let reply = Page::new(remote, cblog_storage::PageKind::Raw, Psn::ZERO, 1024);
+        h.peer
+            .send(NodeId(0), MsgKind::PageShip, reply.to_bytes())
+            .unwrap();
+        h.w.serve_inbox().unwrap();
+        h.w.step(li).unwrap();
+        assert_eq!(h.at(li), "parked");
 
         let (value, forces) = h.fetch(p);
         assert_eq!(value, 11);

@@ -422,6 +422,49 @@ fn profiler_counts_sub_microsecond_lane_steps() {
 }
 
 #[test]
+fn profiler_charges_a_wait_on_another_nodes_readers_lock_to_lock_wait() {
+    // Node 1's reader takes its S lock on P0.0 in node 0's table and
+    // keeps it across eight fetches of node 0's pages. Node 0's one
+    // lane writes P0.0, so it waits on that lock, and its worker, with
+    // no other lane to run and no ship to wait for, yields until the
+    // reader commits: that is lock wait, and busy time still splits
+    // exactly into its buckets. Each write first reads a page of node 1,
+    // so node 0's lane cannot finish before node 1's reader starts, and
+    // holds no lock while it waits on that ship.
+    let mut tc = ThreadCluster::new(ThreadClusterConfig::default()).unwrap();
+    let reads: Vec<(PageId, usize)> = (0..8).map(|i| (pid(0, i), 0)).collect();
+    let mut plans = Vec::new();
+    for t in 0..200u64 {
+        let mut write = rplan(0, 0, &[(pid(1, 0), 0)]);
+        write.ops.push(PlanOp::Write {
+            pid: pid(0, 0),
+            slot: 0,
+            value: t + 1,
+        });
+        plans.push(write);
+        if t % 2 == 0 {
+            plans.push(rplan(1, 0, &reads));
+        }
+    }
+    let report = tc.run(&plans).unwrap();
+    assert_eq!(report.committed, plans.len() as u64);
+    let writer = tc.last_node_stats()[0];
+    assert!(
+        writer.lock_wait_us > 0,
+        "node 0 waited on node 1's S lock, yet lock_wait reads 0: {writer:?}"
+    );
+    for s in tc.last_node_stats() {
+        assert_eq!(
+            s.disk_us + s.cpu_us + s.net_us,
+            s.busy_us,
+            "node {}: bucket sum equals busy time exactly",
+            s.node
+        );
+        assert!(s.busy_us + s.lock_wait_us <= s.wall_us, "node {}", s.node);
+    }
+}
+
+#[test]
 fn tracing_off_is_bit_identical_and_spanless() {
     let run_once = |tracing: bool| {
         let mut tc = ThreadCluster::new(ThreadClusterConfig {
