@@ -29,6 +29,28 @@ cargo build --release --offline
 echo "==> cargo test -q"
 limited 600 "cargo test" cargo test -q --offline
 
+echo "==> rt tests, two copies at once: failures that depend on scheduling"
+# Each copy runs every rt test binary in turn, and the two compete for
+# the CPUs as on a busy host: a lock holder whose worker thread is
+# descheduled may cost a run time, but must not fail it.
+rt_tests=$(cargo test --release --offline -p cblog-rt --no-run 2>&1 |
+    sed -n 's/^ *Executable .*(\(.*\))$/\1/p')
+if [ -z "$rt_tests" ]; then
+    echo "ERROR: found no rt test binary to run" >&2
+    exit 1
+fi
+# shellcheck disable=SC2086 # one argument per binary
+if ! limited 120 "rt tests twice at once" sh -c '
+    each() { for t in "$@"; do "$t" -q || return 1; done; }
+    each "$@" > /tmp/ci_rt_a.txt 2>&1 &
+    a=$!
+    each "$@" > /tmp/ci_rt_b.txt 2>&1 || b=1
+    wait "$a" && [ -z "${b:-}" ]' sh $rt_tests; then
+    cat /tmp/ci_rt_a.txt /tmp/ci_rt_b.txt >&2
+    exit 1
+fi
+rm -f /tmp/ci_rt_a.txt /tmp/ci_rt_b.txt
+
 echo "==> E1b group-commit experiment (BENCH_e1_groupcommit.json)"
 cargo run --release --offline -p cblog-bench --bin experiments -- \
     --json --only e1b > BENCH_e1_groupcommit.json

@@ -685,6 +685,24 @@ impl ThreadCluster {
 const LOCK_BUDGET: Duration = Duration::from_millis(1);
 /// Retries of one plan after forced aborts before giving up.
 const PLAN_RETRIES: usize = 100;
+/// Doublings of a plan's retry backoff, to 64 budgets at most.
+const BACKOFF_DOUBLINGS: usize = 6;
+
+/// How long a lane waits, holding no lock, before it begins a plan's
+/// retry after the plan's `retries`-th forced abort. The first retry
+/// begins at once; each later one waits one [`LOCK_BUDGET`] after the
+/// second abort, twice that after the third, and so on up to
+/// [`BACKOFF_DOUBLINGS`]. Two lanes whose plans lock each other's
+/// pages in opposite orders wait on each other until one is aborted;
+/// a retry that began at once took its first lock again before the
+/// other lane's worker, descheduled on a busy host, had run, so the
+/// cycle formed again on every retry until the plan ran out of them.
+fn retry_backoff(retries: usize) -> Duration {
+    match retries {
+        0 | 1 => Duration::ZERO,
+        r => LOCK_BUDGET * (1 << (r - 2).min(BACKOFF_DOUBLINGS)),
+    }
+}
 /// Patience for a remote page fetch (the owner may be mid-fsync).
 const FETCH_TIMEOUT: Duration = Duration::from_secs(5);
 /// The longest an idle worker blocks on its inbox while a lane waits
@@ -793,7 +811,7 @@ impl<'a> Lane<'a> {
     }
 
     /// A sweep steps the lane: it is neither parked nor waiting on a
-    /// ship (a lock wait is retried).
+    /// ship (a lock wait is retried, a backoff checked).
     fn can_step(&self) -> bool {
         !matches!(
             self.state,
@@ -811,6 +829,9 @@ impl<'a> Lane<'a> {
 enum State {
     /// No transaction: the lane's next step begins its next plan.
     Idle,
+    /// No transaction: the plan's retry after a forced abort begins at
+    /// the first step from the time on ([`retry_backoff`]).
+    Backoff(Instant),
     /// A transaction that blocked, kept with its locks until the lane
     /// steps it again.
     InFlight(InFlight),
@@ -1116,7 +1137,8 @@ impl<'a> Worker<'a> {
                     State::InFlight(InFlight {
                         wait: Wait::Lock { .. },
                         ..
-                    }) => (all_parked, locked) = (false, true),
+                    })
+                    | State::Backoff(_) => (all_parked, locked) = (false, true),
                     State::InFlight(_) => all_parked = false,
                     State::Idle => (all_parked, ready) = (false, true),
                 }
@@ -1186,7 +1208,8 @@ impl<'a> Worker<'a> {
 
     /// Steps lane `li` until its transaction parks its commit, ends —
     /// in a user abort, or in a forced abort whose plan the lane
-    /// retries — or blocks on a ship or a lock. The ops run in one
+    /// retries — or blocks on a ship or a lock; a lane that backs off
+    /// does nothing until its time has come. The ops run in one
     /// local loop, and the lane's state is written only when its
     /// transaction blocks, parks or ends. An error leaves the
     /// transaction in the lane for the failed run's way out to roll
@@ -1198,6 +1221,11 @@ impl<'a> Worker<'a> {
     fn step(&mut self, li: usize) -> Result<()> {
         let lane = &self.lanes[li];
         let (plan, state) = (lane.plans[lane.next], lane.state);
+        if let State::Backoff(until) = state {
+            if Instant::now() < until {
+                return Ok(());
+            }
+        }
         let mut t = match state {
             State::InFlight(t) => t,
             _ => self.begin()?,
@@ -1257,6 +1285,10 @@ impl<'a> Worker<'a> {
                         plan.stream,
                         lane.next
                     )));
+                }
+                let backoff = retry_backoff(lane.retries);
+                if !backoff.is_zero() {
+                    lane.state = State::Backoff(Instant::now() + backoff);
                 }
             }
             (t.start.map_or(0, |_| self.shared.clock.now_us()), false)
@@ -2040,11 +2072,12 @@ mod tests {
             txn
         }
 
-        /// Where lane `li` is: `idle`, `parked`, or in flight and
+        /// Where lane `li` is: `idle`, `backoff`, `parked`, or in flight and
         /// waiting on a `ship`, a `lock` or nothing (`ready`).
         fn at(&self, li: usize) -> &'static str {
             match self.w.lanes[li].state {
                 State::Idle => "idle",
+                State::Backoff(_) => "backoff",
                 State::Parked(..) => "parked",
                 State::InFlight(t) => match t.wait {
                     Wait::Nothing => "ready",
@@ -2353,6 +2386,43 @@ mod tests {
             (1, 1),
             "one forced abort, then the commit"
         );
+        h.give_back(&mut tc);
+        tc.trace_check().unwrap();
+        assert_eq!(slot0(&mut tc, 0), 11);
+    }
+
+    #[test]
+    fn a_lock_held_past_every_retry_at_one_budget_still_commits() {
+        // The lock stays taken half as long again as PLAN_RETRIES retries
+        // of one LOCK_BUDGET each take: a holder descheduled on a busy
+        // host. The retries back off by doubling waits, so the lane
+        // outwaits the holder in a few aborts and commits once the lock
+        // is freed.
+        let mut tc = parking_cluster();
+        let shared = RunShared::new(&tc);
+        let mut h = ByHand::new(&mut tc, &shared);
+        let p = pid(0, 0);
+        let table = shared.locks_of(p).unwrap();
+        assert!(table.try_acquire(p, READER, LockMode::Exclusive));
+        let held = LOCK_BUDGET * 3 * PLAN_RETRIES as u32 / 2;
+        let blocked = Instant::now();
+        let li = h.lane(&wplan(0, 0, &[(p, 0, 11)]));
+        while blocked.elapsed() < held {
+            h.w.step(li).unwrap();
+            assert_ne!(h.at(li), "parked", "the lock was taken while held");
+            std::thread::sleep(LOCK_POLL);
+        }
+        table.release(p, READER);
+        while h.at(li) != "parked" {
+            h.w.step(li).unwrap();
+        }
+        h.w.force().unwrap();
+        let aborts = h.w.report.forced_aborts;
+        assert_eq!(h.w.report.committed, 1);
+        // A budget of 1 ms a retry, and backoffs of 0, 1, 2, …, 64 ms:
+        // the ninth abort comes at ~136 ms and the next retry at ~200.
+        assert!((1..=9).contains(&aborts), "{aborts} forced aborts");
+        assert_eq!(h.w.lanes[li].retries, 0, "the commit resets the count");
         h.give_back(&mut tc);
         tc.trace_check().unwrap();
         assert_eq!(slot0(&mut tc, 0), 11);

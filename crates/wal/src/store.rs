@@ -5,11 +5,19 @@
 //! checkpoint LSN and truncation point). Both an in-memory store (fast,
 //! deterministic, counted) and a file-backed store are provided.
 //!
+//! The in-memory store keeps the log in fixed segments of
+//! [`BATCH`] bytes, each allocated once and never zero-filled, so a
+//! growing log is neither copied nor held twice, and a force costs the
+//! copy of its batch ([`MemLogStore`]). The file store keeps its file
+//! longer than the log, with written zeros ahead of the end
+//! ([`FileLogStore`]).
+//!
 //! Crash semantics: bytes appended but not yet [`LogStore::sync`]ed are
 //! lost by [`LogStore::crash`]. The log manager only writes to the
 //! store at force time, so in practice crashes drop the manager's tail
 //! buffer plus any unsynced store bytes.
 
+use crate::manager::BATCH;
 use cblog_common::{Counter, Error, Result};
 use std::fs::{File, OpenOptions};
 use std::io::Write;
@@ -96,10 +104,27 @@ pub trait LogStore: Send {
     }
 }
 
+/// Bytes of one [`MemLogStore`] segment: a batch read, so a
+/// [`crate::LogManager::read_batch`] spans at most two segments.
+const SEG: usize = BATCH;
+
 /// In-memory log store.
+///
+/// The log is a list of segments of [`SEG`] bytes, each allocated once
+/// with that capacity and filled by `extend_from_slice`; every segment
+/// but the last is full. A growing log therefore never copies what it
+/// holds, and is never held twice: one `Vec` that doubled would copy
+/// the whole log at each step and, during the copy, hold the old and
+/// the new buffer at once. Segments are not zero-filled: only the
+/// bytes appended are ever written, so a fresh segment costs its
+/// allocation and not a 64 KiB memset of memory the allocator may
+/// already have handed out before. Moving the end back
+/// ([`LogStore::crash`], [`LogStore::crash_with_partial_tail`],
+/// [`LogStore::truncate_to`]) cuts the last kept segment and drops the
+/// ones past it.
 #[derive(Debug, Default)]
 pub struct MemLogStore {
-    data: Vec<u8>,
+    segs: Vec<Vec<u8>>,
     durable_len: u64,
     synced_len: u64,
     master: Vec<u8>,
@@ -112,34 +137,69 @@ impl MemLogStore {
     pub fn new() -> Self {
         MemLogStore::default()
     }
+
+    /// Writes `bytes` at the end, opening segments as they fill.
+    fn push(&mut self, mut bytes: &[u8]) {
+        while !bytes.is_empty() {
+            let seg = match self.segs.last_mut() {
+                Some(seg) if seg.len() < SEG => seg,
+                _ => {
+                    self.segs.push(Vec::with_capacity(SEG));
+                    self.segs.last_mut().expect("just pushed")
+                }
+            };
+            let n = bytes.len().min(SEG - seg.len());
+            seg.extend_from_slice(&bytes[..n]);
+            bytes = &bytes[n..];
+        }
+    }
+
+    /// Moves the end back to `len`, which is at most [`LogStore::len`].
+    fn cut(&mut self, len: u64) {
+        let len = len as usize;
+        let kept = len.div_ceil(SEG);
+        self.segs.truncate(kept);
+        if let Some(last) = self.segs.last_mut() {
+            last.truncate(len - (kept - 1) * SEG);
+        }
+    }
 }
 
 impl LogStore for MemLogStore {
     fn len(&self) -> u64 {
-        self.data.len() as u64
+        self.segs
+            .last()
+            .map_or(0, |last| ((self.segs.len() - 1) * SEG + last.len()) as u64)
     }
 
     fn append(&mut self, bytes: &[u8]) -> Result<()> {
-        self.data.extend_from_slice(bytes);
+        self.push(bytes);
         self.bytes.add(bytes.len() as u64);
         Ok(())
     }
 
     fn read_at(&mut self, pos: u64, buf: &mut [u8]) -> Result<()> {
-        let end = pos as usize + buf.len();
-        if end > self.data.len() {
+        let len = self.len();
+        if pos + buf.len() as u64 > len {
             return Err(Error::Corrupt(format!(
-                "log read past end: {pos}+{} > {}",
-                buf.len(),
-                self.data.len()
+                "log read past end: {pos}+{} > {len}",
+                buf.len()
             )));
         }
-        buf.copy_from_slice(&self.data[pos as usize..end]);
+        let mut at = pos as usize;
+        let mut out = buf;
+        while !out.is_empty() {
+            let (seg, off) = (&self.segs[at / SEG], at % SEG);
+            let n = out.len().min(SEG - off);
+            out[..n].copy_from_slice(&seg[off..off + n]);
+            out = &mut out[n..];
+            at += n;
+        }
         Ok(())
     }
 
     fn sync(&mut self) -> Result<()> {
-        self.durable_len = self.data.len() as u64;
+        self.durable_len = self.len();
         self.synced_len = self.durable_len;
         self.syncs.bump();
         Ok(())
@@ -159,20 +219,19 @@ impl LogStore for MemLogStore {
     }
 
     fn crash(&mut self) {
-        self.data.truncate(self.durable_len as usize);
+        self.cut(self.durable_len);
     }
 
     fn crash_with_partial_tail(&mut self, partial: &[u8]) {
         self.crash();
-        self.data.extend_from_slice(partial);
-        self.durable_len = self.data.len() as u64;
+        self.push(partial);
+        self.durable_len = self.len();
     }
 
     fn truncate_to(&mut self, len: u64) {
-        if len < self.data.len() as u64 {
-            self.data.truncate(len as usize);
-        }
-        self.durable_len = self.durable_len.min(self.data.len() as u64).min(len);
+        let len = len.min(self.len());
+        self.cut(len);
+        self.durable_len = self.durable_len.min(len);
         self.synced_len = self.synced_len.min(self.durable_len);
     }
 
@@ -588,6 +647,168 @@ mod tests {
     fn master_missing_reads_empty() {
         let mut s = MemLogStore::new();
         assert_eq!(s.read_master().unwrap(), Vec::<u8>::new());
+    }
+
+    /// `n` log bytes from offset `from`, each telling its offset apart
+    /// from its neighbours' and from the same byte one segment on.
+    fn pattern(from: usize, n: usize) -> Vec<u8> {
+        (from..from + n)
+            .map(|i| (i % 251) as u8 ^ (i / SEG) as u8)
+            .collect()
+    }
+
+    /// Appends the next `n` bytes of the pattern to both the store and
+    /// its model.
+    fn grow(s: &mut MemLogStore, model: &mut Vec<u8>, n: usize) {
+        let piece = pattern(model.len(), n);
+        s.append(&piece).unwrap();
+        model.extend_from_slice(&piece);
+    }
+
+    /// The store holds `model`: full segments of one allocation each but
+    /// the last, and `read_at` returns the model's bytes at every window
+    /// of the widths below that starts within a few bytes of a segment
+    /// boundary or on a stride, and at every position for short ones.
+    fn assert_holds(s: &mut MemLogStore, model: &[u8]) {
+        let len = model.len();
+        assert_eq!(s.len(), len as u64);
+        assert_eq!(s.segs.len(), len.div_ceil(SEG), "segments for {len} B");
+        for seg in &s.segs {
+            assert_eq!(seg.capacity(), SEG, "a segment is allocated once");
+            assert!(!seg.is_empty(), "no empty segment");
+        }
+        for seg in s.segs.iter().rev().skip(1) {
+            assert_eq!(seg.len(), SEG, "every segment but the last is full");
+        }
+        let mut whole = vec![0u8; len];
+        s.read_at(0, &mut whole).unwrap();
+        assert!(whole == model, "the whole log reads back");
+        for width in [1, 2, 9, 100, 4096, SEG - 1, SEG, SEG + 1, 2 * SEG + 3] {
+            if width > len {
+                continue;
+            }
+            let mut starts: Vec<usize> = if width <= 100 {
+                (0..=len - width).collect()
+            } else {
+                (0..=len - width).step_by(997).collect()
+            };
+            for b in (SEG..len).step_by(SEG) {
+                let near = b.saturating_sub(width + 4)..(b + 4).min(len - width + 1);
+                starts.extend(near.clone().take(9).chain(near.rev().take(9)));
+                starts.extend((b.saturating_sub(width / 2)..).take(3));
+            }
+            let mut buf = vec![0u8; width];
+            for pos in starts.into_iter().filter(|&p| p + width <= len) {
+                s.read_at(pos as u64, &mut buf).unwrap();
+                assert!(buf == model[pos..pos + width], "window {pos}+{width}");
+            }
+            let past = (len - width + 1) as u64;
+            assert!(
+                s.read_at(past, &mut buf).is_err(),
+                "{past}+{width} is past the end"
+            );
+        }
+    }
+
+    #[test]
+    fn mem_store_appends_straddle_segment_boundaries() {
+        let (mut s, mut model) = (MemLogStore::new(), Vec::new());
+        assert_holds(&mut s, &model);
+        // Batch-sized forces: most land inside a segment, every ~20th
+        // straddles a boundary.
+        while model.len() < SEG + 5000 {
+            grow(&mut s, &mut model, 3000);
+        }
+        assert_holds(&mut s, &model);
+        // Onto a boundary exactly, then nothing, then one byte past it.
+        let to_boundary = 2 * SEG - model.len();
+        grow(&mut s, &mut model, to_boundary);
+        assert_eq!(s.segs.len(), 2);
+        grow(&mut s, &mut model, 0);
+        assert_eq!(s.segs.len(), 2, "an empty append opens no segment");
+        grow(&mut s, &mut model, 1);
+        assert_holds(&mut s, &model);
+        // One piece over three segments.
+        grow(&mut s, &mut model, 2 * SEG + 10);
+        assert_holds(&mut s, &model);
+        assert_eq!(s.bytes_appended().get(), model.len() as u64);
+    }
+
+    #[test]
+    fn mem_store_crash_inside_a_segment_then_append() {
+        let (mut s, mut model) = (MemLogStore::new(), Vec::new());
+        grow(&mut s, &mut model, SEG + 100);
+        s.sync().unwrap();
+        let durable = model.len();
+        grow(&mut s, &mut model, 2 * SEG);
+        assert_eq!(s.segs.len(), 4);
+        s.crash();
+        model.truncate(durable);
+        assert_holds(&mut s, &model);
+        assert_eq!(s.synced_len(), Some(durable as u64));
+        grow(&mut s, &mut model, SEG);
+        assert_holds(&mut s, &model);
+        s.crash();
+        model.truncate(durable);
+        assert_holds(&mut s, &model);
+    }
+
+    #[test]
+    fn mem_store_truncate_onto_and_inside_segments_then_append() {
+        let (mut s, mut model) = (MemLogStore::new(), Vec::new());
+        grow(&mut s, &mut model, 3 * SEG + 500);
+        s.sync().unwrap();
+        // Onto a boundary: the last kept segment stays full.
+        s.truncate_to(2 * SEG as u64);
+        model.truncate(2 * SEG);
+        assert_holds(&mut s, &model);
+        assert_eq!(s.synced_len(), Some(2 * SEG as u64), "the cut clamps it");
+        grow(&mut s, &mut model, 700);
+        assert_holds(&mut s, &model);
+        // Inside a segment, below the synced length.
+        s.truncate_to(SEG as u64 + 33);
+        model.truncate(SEG + 33);
+        assert_holds(&mut s, &model);
+        assert_eq!(s.synced_len(), Some(SEG as u64 + 33));
+        grow(&mut s, &mut model, SEG);
+        assert_holds(&mut s, &model);
+        // Past the end: nothing moves.
+        s.truncate_to(10 * SEG as u64);
+        assert_holds(&mut s, &model);
+        // The appended bytes above the cut are not durable.
+        s.crash();
+        model.truncate(SEG + 33);
+        assert_holds(&mut s, &model);
+        s.truncate_to(0);
+        assert_holds(&mut s, &[]);
+        assert_eq!(s.synced_len(), Some(0));
+    }
+
+    #[test]
+    fn mem_store_torn_tail_across_a_boundary() {
+        let (mut s, mut model) = (MemLogStore::new(), Vec::new());
+        grow(&mut s, &mut model, SEG - 50);
+        s.sync().unwrap();
+        let appended = model.len() + 200;
+        grow(&mut s, &mut model, 200);
+        // The first 100 bytes of the 200 landed: 50 below the boundary
+        // and 50 above it.
+        s.crash_with_partial_tail(&model[SEG - 50..SEG + 50]);
+        model.truncate(SEG + 50);
+        assert_holds(&mut s, &model);
+        assert_eq!(s.synced_len(), Some(SEG as u64 - 50), "landed, not synced");
+        assert_eq!(
+            s.bytes_appended().get(),
+            appended as u64,
+            "a landing is no append"
+        );
+        s.crash();
+        assert_holds(&mut s, &model);
+        s.truncate_to(SEG as u64 - 50);
+        model.truncate(SEG - 50);
+        assert_holds(&mut s, &model);
+        grow(&mut s, &mut model, 3000);
+        assert_holds(&mut s, &model);
     }
 
     fn exercise_torn(s: &mut dyn LogStore) {
