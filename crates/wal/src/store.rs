@@ -6,11 +6,12 @@
 //! deterministic, counted) and a file-backed store are provided.
 //!
 //! The in-memory store keeps the log in fixed segments of
-//! [`BATCH`] bytes, each allocated once and never zero-filled, so a
-//! growing log is neither copied nor held twice, and a force costs the
-//! copy of its batch ([`MemLogStore`]). The file store keeps its file
-//! longer than the log, with written zeros ahead of the end
-//! ([`FileLogStore`]).
+//! [`BATCH`] bytes, each allocated once, so a growing log is neither
+//! copied nor held twice and a force costs the copy of its batch. The
+//! segments are not zero-filled: only appended bytes are ever written,
+//! and zeroing each new segment would cost a 64 KiB memset every ~20th
+//! force ([`MemLogStore`]). The file store keeps its file longer than
+//! the log, with written zeros ahead of the end ([`FileLogStore`]).
 //!
 //! Crash semantics: bytes appended but not yet [`LogStore::sync`]ed are
 //! lost by [`LogStore::crash`]. The log manager only writes to the
