@@ -693,10 +693,10 @@ const BACKOFF_DOUBLINGS: usize = 6;
 /// begins at once; each later one waits one [`LOCK_BUDGET`] after the
 /// second abort, twice that after the third, and so on up to
 /// [`BACKOFF_DOUBLINGS`]. Two lanes whose plans lock each other's
-/// pages in opposite orders wait on each other until one is aborted;
-/// a retry that began at once took its first lock again before the
-/// other lane's worker, descheduled on a busy host, had run, so the
-/// cycle formed again on every retry until the plan ran out of them.
+/// pages in opposite orders wait on each other until one is aborted.
+/// A retry that begins at once takes its first lock again within
+/// microseconds, before the other lane's worker can take it if that
+/// worker is descheduled on a busy host, and the cycle forms again.
 fn retry_backoff(retries: usize) -> Duration {
     match retries {
         0 | 1 => Duration::ZERO,

@@ -111,16 +111,11 @@ const SEG: usize = BATCH;
 
 /// In-memory log store.
 ///
-/// The log is a list of segments of [`SEG`] bytes, each allocated once
-/// with that capacity and filled by `extend_from_slice`; every segment
-/// but the last is full. A growing log therefore never copies what it
-/// holds, and is never held twice: one `Vec` that doubled would copy
-/// the whole log at each step and, during the copy, hold the old and
-/// the new buffer at once. Segments are not zero-filled: only the
-/// bytes appended are ever written, so a fresh segment costs its
-/// allocation and not a 64 KiB memset of memory the allocator may
-/// already have handed out before. Moving the end back
-/// ([`LogStore::crash`], [`LogStore::crash_with_partial_tail`],
+/// The log is a list of segments of [`BATCH`] bytes, each allocated once
+/// with that capacity and filled by `extend_from_slice`, so a growing
+/// log never copies what it holds and never holds it twice. Every
+/// segment but the last is full, and none is empty. Moving the end
+/// back ([`LogStore::crash`], [`LogStore::crash_with_partial_tail`],
 /// [`LogStore::truncate_to`]) cuts the last kept segment and drops the
 /// ones past it.
 #[derive(Debug, Default)]
